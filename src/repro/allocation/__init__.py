@@ -1,6 +1,11 @@
 """Query allocation mechanisms: QA-NT and every baseline of paper Section 4."""
 
-from .base import AllocationContext, Allocator, AssignmentDecision
+from .base import (
+    AllocationContext,
+    Allocator,
+    AssignmentDecision,
+    BatchDecisions,
+)
 from .bnqrd import BnqrdAllocator
 from .greedy import GreedyAllocator
 from .least_imbalance import LeastImbalanceAllocator
@@ -14,6 +19,7 @@ __all__ = [
     "AllocationContext",
     "Allocator",
     "AssignmentDecision",
+    "BatchDecisions",
     "BnqrdAllocator",
     "GreedyAllocator",
     "LeastImbalanceAllocator",

@@ -40,6 +40,7 @@ if TYPE_CHECKING:  # imported lazily to avoid a package-level cycle
 __all__ = [
     "AllocationContext",
     "AssignmentDecision",
+    "BatchDecisions",
     "Allocator",
 ]
 
@@ -138,6 +139,20 @@ class AssignmentDecision:
     messages: int = 0
 
 
+@dataclass(frozen=True)
+class BatchDecisions:
+    """Outcome of one :meth:`Allocator.assign_batch` call, as columns.
+
+    Row *i* is the :class:`AssignmentDecision` of the batch's *i*-th
+    query; a saturated retry burst is thousands of refused rows, so the
+    federation consumes whole columns instead of one object per query.
+    """
+
+    node_ids: Sequence[Optional[int]]
+    delays_ms: Sequence[float]
+    messages: Sequence[int]
+
+
 class Allocator(abc.ABC):
     """Base class of all allocation mechanisms."""
 
@@ -189,13 +204,11 @@ class Allocator(abc.ABC):
     def assign(self, query: Query) -> AssignmentDecision:
         """Decide which node evaluates ``query`` (or refuse)."""
 
-    def assign_batch(
-        self, queries: Sequence[Query]
-    ) -> "Sequence[AssignmentDecision]":
+    def assign_batch(self, queries: Sequence[Query]) -> BatchDecisions:
         """Decide for a batch of queries sharing one simulated tick.
 
         The contract is strict sequential equivalence: the returned
-        decisions (and every observable side effect — prices, supply,
+        columns (and every observable side effect — prices, supply,
         RNG state, message counts) must be bit-identical to calling
         :meth:`assign` once per query in order.  The federation only
         routes through here when the arrivals genuinely share a
@@ -204,7 +217,12 @@ class Allocator(abc.ABC):
         mechanisms unable to exploit the batching simply inherit this
         sequential default.
         """
-        return [self.assign(query) for query in queries]
+        decisions = [self.assign(query) for query in queries]
+        return BatchDecisions(
+            [decision.node_id for decision in decisions],
+            [decision.delay_ms for decision in decisions],
+            [decision.messages for decision in decisions],
+        )
 
     def on_completion(self, query: Query, node_id: int, actual_ms: float) -> None:
         """Feedback after execution; default does nothing."""

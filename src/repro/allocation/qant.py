@@ -37,7 +37,7 @@ from ..core.period_engine import QantPeriodEngine
 from ..core.qant import QantParameters, QantPricingAgent
 from ..core.supply import CapacitySupplySet
 from ..query.model import Query
-from .base import Allocator, AssignmentDecision
+from .base import Allocator, AssignmentDecision, BatchDecisions
 from .market_tick import MarketTickDispatcher
 
 try:  # Optional, mirroring repro.sim.fleet: no numpy, no vector paths.
@@ -446,53 +446,60 @@ class QantAllocator(Allocator):
         # The request-for-bid exchange as a protocol event: fault-free,
         # every candidate replies and the delay is the slowest round trip.
         exchange = self._request_bids(query, candidates)
-        return self._assign_with_exchange(
-            query, candidates, exchange.delay_ms, exchange.messages
+        return AssignmentDecision(
+            self._exchange(class_index, candidates),
+            delay_ms=exchange.delay_ms,
+            messages=exchange.messages,
         )
 
-    def assign_batch(self, queries):
+    def assign_batch(self, queries) -> BatchDecisions:
         """All arrivals of one simulated tick, as one market tick.
 
         Bit-identical to sequential :meth:`assign` calls (the caller
         guarantees the batch shares a timestamp, negotiation delays are
-        positive and no message faults are active): the only fused work
-        is the per-query latency fan-out — every exchange's legs come
-        from one C-level draw that splits the Mersenne stream exactly as
-        the sequential calls would — while the market arithmetic itself
-        runs per query in arrival order (prices and supply must see each
-        query's effect before the next, exactly as the paper's sequential
-        negotiation does).
+        positive and no message faults are active).  Two things are
+        fused.  The latency fan-outs: every exchange's legs come from
+        one C-level draw that splits the Mersenne stream exactly as the
+        sequential calls would.  And the saturated no-ops: an exchange
+        against a class already in `_saturated_in` for this period
+        changes nothing but one deferred refusal count per bidder, and
+        saturation is monotone within a period (only `on_period_start`
+        clears it), so those queries are settled here without a call.
+        Everything that can still move the market runs per query in
+        arrival order (prices and supply must see each query's effect
+        before the next, exactly as the paper's sequential negotiation
+        does).
         """
-        context = self._context
+        context = self.context
         network = self._bulk_rtt_network
         if len(queries) < 2 or network is None or context.faults is not None:
-            return [self.assign(query) for query in queries]
+            return super().assign_batch(queries)
         engine = self._engine
         if engine is not None:
             self._interacted = True
             if engine.deferred_ticks_pending:
                 engine.flush()
-        candidate_sets = [
-            context.available_candidates(query.class_index)
-            for query in queries
-        ]
-        delays = network.round_trip_ms_batch(
-            [len(candidates) for candidates in candidate_sets]
-        )
-        decisions = []
-        for query, candidates, delay in zip(queries, candidate_sets, delays):
-            if not candidates:
-                decisions.append(AssignmentDecision(node_id=None))
-            else:
-                decisions.append(
-                    self._assign_with_exchange(
-                        query,
-                        candidates,
-                        delay,
-                        2 * len(candidates),
-                        use_vector=True,
-                    )
-                )
+        # The batch shares one timestamp, so a class's live candidate set
+        # is resolved once per batch, not once per query.
+        classes = [query.class_index for query in queries]
+        fanouts = {k: context.available_candidates(k) for k in set(classes)}
+        bidders_by_class = self._bidders_by_class
+        full = {
+            k
+            for k, candidates in fanouts.items()
+            if candidates and len(candidates) == len(bidders_by_class[k])
+        }
+        widths = [len(fanouts[k]) for k in classes]
+        delays = network.round_trip_ms_batch(widths)
+        node_ids = [None] * len(queries)
+        saturated_in = self._saturated_in
+        serial = self._period_serial
+        deferred = self._deferred_refusals
+        for i, k in enumerate(classes):
+            if k in full and saturated_in.get(k) == serial:
+                deferred[k] = deferred.get(k, 0) + 1
+            elif widths[i]:
+                node_ids[i] = self._exchange(k, fanouts[k], use_vector=True)
         dispatcher = self._dispatcher
         if dispatcher is not None and not self._vector_singles:
             # Scatter the batch's cached market state back into the live
@@ -502,18 +509,15 @@ class QantAllocator(Allocator):
             # cache stays warm across assigns; `sync_market_state` is the
             # contract every observer goes through instead.
             dispatcher.sync()
-        return decisions
+        return BatchDecisions(node_ids, delays, [2 * n for n in widths])
 
-    def _assign_with_exchange(
-        self,
-        query: Query,
-        candidates,
-        delay: float,
-        messages: int,
-        use_vector: bool = False,
-    ) -> AssignmentDecision:
-        """Market reaction to one already-charged request-for-bid fan-out."""
-        class_index = query.class_index
+    def _exchange(
+        self, class_index: int, candidates, use_vector: bool = False
+    ) -> Optional[int]:
+        """Market reaction to one already-charged request-for-bid fan-out.
+
+        Returns the winning node id, or ``None`` when every bidder refused.
+        """
         context = self.context
         num_candidates = len(candidates)
         # Single-pass bid collection over the precompiled fan-out.  Each
@@ -535,13 +539,11 @@ class QantAllocator(Allocator):
                 # Every bidder is saturated (no supply, price at the cap,
                 # latch set): the exchange is an all-refuse no-op except
                 # for one refusal count per node, deferred to the next
-                # period tick.  Latency/messages above were charged — and
-                # the RNG drawn — exactly as for the explicit fan-out.
+                # period tick.  Latency/messages were charged — and the
+                # RNG drawn — exactly as for the explicit fan-out.
                 deferred = self._deferred_refusals
                 deferred[class_index] = deferred.get(class_index, 0) + 1
-                return AssignmentDecision(
-                    node_id=None, delay_ms=delay, messages=messages
-                )
+                return None
             vector = use_vector or self._vector_singles
             dispatcher = self._dispatcher if vector else None
             if dispatcher is not None:
@@ -556,15 +558,9 @@ class QantAllocator(Allocator):
                 chosen, now_saturated = dispatcher.exchange(
                     class_index, context.simulator.now
                 )
-                if chosen is None:
-                    if now_saturated:
-                        self._saturated_in[class_index] = self._period_serial
-                    return AssignmentDecision(
-                        node_id=None, delay_ms=delay, messages=messages
-                    )
-                return AssignmentDecision(
-                    chosen, delay_ms=delay, messages=messages
-                )
+                if chosen is None and now_saturated:
+                    self._saturated_in[class_index] = self._period_serial
+                return chosen
             saturated = True
         else:
             # Some candidate is in an outage window: run the fan-out over
@@ -640,9 +636,7 @@ class QantAllocator(Allocator):
         if not offers:
             if saturated:
                 self._saturated_in[class_index] = self._period_serial
-            return AssignmentDecision(
-                node_id=None, delay_ms=delay, messages=messages
-            )
+            return None
         # Earliest-estimated-completion winner, inlined (node-id ascending,
         # strict `<`, so ties resolve to the lowest id — the same order
         # `_best_offer` produces).  `estimated_completion_ms` is unrolled
@@ -663,7 +657,7 @@ class QantAllocator(Allocator):
         agent = self._agents.get(chosen)
         if agent is not None and agent.supply_left(class_index) >= 1:
             agent.accept(class_index)
-        return AssignmentDecision(chosen, delay_ms=delay, messages=messages)
+        return chosen
 
     def _assign_faulty(self, query: Query) -> AssignmentDecision:
         """The request-for-bid exchange under message-level faults.

@@ -130,12 +130,6 @@ class FanoutResult:
         """True when no reply beat the timeout (total silence)."""
         return not self.replied
 
-    def as_legacy_tuple(
-        self,
-    ) -> Tuple[float, int, Tuple[int, ...], Tuple[int, ...]]:
-        """The pre-protocol 4-tuple contract, kept for equivalence tests."""
-        return (self.delay_ms, self.messages, self.delivered, self.replied)
-
 
 class Transport(abc.ABC):
     """Moves one client's protocol messages to a set of server peers."""

@@ -221,10 +221,9 @@ class FederationSimulation:
                 scalar_fallbacks=batch_stats.scalar_fallbacks,
                 syncs=batch_stats.syncs,
             )
-        for __ in self._pending:
-            self._metrics.record_drop()
-        for __ in self._backoff_pending:
-            self._metrics.record_drop()
+        self._metrics.record_drop(
+            len(self._pending) + len(self._backoff_pending)
+        )
         if faults is not None:
             self._metrics.apply_fault_stats(
                 timeouts=faults.timeouts,
@@ -313,16 +312,27 @@ class FederationSimulation:
             self._try_assign(query)
 
     def _dispatch_batch(self, queries: List[Query]) -> None:
-        """Allocate one same-tick batch through ``assign_batch``."""
+        """Allocate one same-tick batch through ``assign_batch``.
+
+        Batching implies no message faults (see ``_batch_enabled``), so a
+        refused row is the plain next-period retry and the whole refused
+        column joins the pending pool at once, in batch order.
+        """
         self._metrics.record_batch_tick(len(queries))
         decisions = self._allocator.assign_batch(queries)
-        for query, decision in zip(queries, decisions):
-            self._finish_assign(query, decision)
+        node_ids = decisions.node_ids
+        delays = decisions.delays_ms
+        refused = [
+            query for query, node_id in zip(queries, node_ids) if node_id is None
+        ]
+        self._metrics.record_exchanges(decisions.messages, delays, len(refused))
+        self._pending.extend(refused)
+        for query, node_id, delay_ms in zip(queries, node_ids, delays):
+            if node_id is not None:
+                self._commit(query, node_id, delay_ms)
 
     def _try_assign(self, query: Query) -> None:
-        self._finish_assign(query, self._allocator.assign(query))
-
-    def _finish_assign(self, query: Query, decision) -> None:
+        decision = self._allocator.assign(query)
         self._metrics.record_exchange(
             decision.messages, decision.delay_ms, decision.node_id is not None
         )
@@ -342,10 +352,14 @@ class FederationSimulation:
                 return
             self._pending.append(query)
             return
-        node = self._nodes[decision.node_id]
-        query.assigned_ms = self._sim.now + decision.delay_ms
-        if decision.delay_ms > 0:
-            self._sim.schedule(decision.delay_ms, self._enqueue, query, node)
+        self._commit(query, decision.node_id, decision.delay_ms)
+
+    def _commit(self, query: Query, node_id: int, delay_ms: float) -> None:
+        """Send an assigned query to its node after the negotiation delay."""
+        node = self._nodes[node_id]
+        query.assigned_ms = self._sim.now + delay_ms
+        if delay_ms > 0:
+            self._sim.schedule(delay_ms, self._enqueue, query, node)
         else:
             self._enqueue(query, node)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 __all__ = [
     "QueryOutcome",
@@ -125,9 +125,9 @@ class MetricsCollector:
         if outcome.finish_ms > self._max_finish_ms:
             self._max_finish_ms = outcome.finish_ms
 
-    def record_drop(self) -> None:
-        """Record a query that never completed within the simulation."""
-        self._dropped += 1
+    def record_drop(self, count: int = 1) -> None:
+        """Record ``count`` queries that never completed within the simulation."""
+        self._dropped += count
 
     def record_exchange(
         self, messages: int, delay_ms: float, assigned: bool
@@ -147,6 +147,25 @@ class MetricsCollector:
             self._refused_exchanges += 1
         self._negotiation_messages += messages
         self._negotiation_delay_ms += delay_ms
+
+    def record_exchanges(
+        self, messages: Sequence[int], delays_ms: Sequence[float], refused: int
+    ) -> None:
+        """Bulk :meth:`record_exchange`: one attempt per row of the columns.
+
+        ``refused`` is how many of the rows ended unassigned.  The delay
+        total is accumulated left to right, one addition per row — the
+        float additions N scalar calls perform, in their order.  (Not
+        builtin ``sum``: it is compensated on Python >= 3.12, so the
+        total would depend on the interpreter.)
+        """
+        self._exchanges += len(delays_ms)
+        self._refused_exchanges += refused
+        self._negotiation_messages += sum(messages)
+        total = self._negotiation_delay_ms
+        for delay_ms in delays_ms:
+            total += delay_ms
+        self._negotiation_delay_ms = total
 
     def record_batch_tick(self, size: int) -> None:
         """Record one same-tick arrival group dispatched as a batch."""

@@ -177,19 +177,6 @@ class Network:
             )
         return self._faulty_fanout(origin, peers_t)
 
-    def faulty_fanout(
-        self, origin: int, peers: Sequence[int]
-    ) -> Tuple[float, int, Tuple[int, ...], Tuple[int, ...]]:
-        """Legacy tuple form of :meth:`fanout`.
-
-        Returns ``(delay_ms, messages, delivered, replied)`` — the
-        pre-protocol contract, kept for existing callers and the
-        sim-vs-protocol equivalence tests.  With no injector attached it
-        now falls back to the fault-free exchange instead of raising, so
-        callers no longer need dual code paths.
-        """
-        return self.fanout(origin, peers).as_legacy_tuple()
-
     def _faulty_fanout(
         self, origin: int, peers: Tuple[int, ...]
     ) -> FanoutResult:
@@ -318,22 +305,19 @@ class Network:
             # No shared numpy stream to split (or no randomness at all):
             # the sequential calls are already cheap and draw-free/exact.
             return [self.round_trip_ms(n) for n in sizes]
-        total = 0
-        for n in sizes:
-            if n > 0:
-                total += n
+        widths = _np.maximum(_np.asarray(sizes, dtype=_np.intp), 0)
+        total = int(widths.sum())
         if total == 0:
             return [0.0] * len(sizes)
         base = self._latency.base_ms
         legs = base + jitter * sample(2 * total)
         trips = legs[0::2] + legs[1::2]
-        out: List[float] = []
-        pos = 0
-        for n in sizes:
-            if n <= 0:
-                out.append(0.0)
-                continue
-            self._messages_sent += 2 * n
-            out.append(float(trips[pos : pos + n].max()))
-            pos += n
-        return out
+        self._messages_sent += 2 * total
+        # One segmented max over the whole draw.  `reduceat` cannot express
+        # an empty segment, so zero-width exchanges are masked out (they
+        # consume no draws and do not advance the offset).
+        drawn = widths > 0
+        offsets = (_np.cumsum(widths) - widths)[drawn]
+        worst = _np.zeros(len(widths))
+        worst[drawn] = _np.maximum.reduceat(trips, offsets)
+        return worst.tolist()

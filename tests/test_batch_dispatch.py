@@ -13,6 +13,7 @@ quantised traces (so real multi-query batches form) and hash everything.
 
 import hashlib
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,10 +23,13 @@ from repro.experiments.setups import (
     run_mechanism,
     sinusoid_trace_for_load,
     two_query_world,
+    zipf_trace_for_world,
+    zipf_world,
 )
 from repro.sim import FederationConfig, build_federation
+from repro.sim.engine import Simulator
 from repro.sim.faults import FaultSpec
-from repro.sim.network import LatencyModel
+from repro.sim.network import LatencyModel, Network
 
 _MECHANISMS = (
     ("qa-nt", QantAllocator),
@@ -320,3 +324,168 @@ def test_batch_summary_counters_surface_in_metrics():
     assert scalar.batched_queries == 0
     assert scalar.max_batch == 0
     assert scalar.vector_exchanges > 0
+
+
+# ------------------------------------------------ saturated retry bursts
+
+
+#: Node 1 fails between two period boundaries (500 ms apart) and comes
+#: back between two later ones.
+_MID_PERIOD_OUTAGE = FaultSpec(scripted_outages={1: ((750.0, 2_250.0),)})
+
+
+def _overload_setup(world_kind, seed, tick_ms):
+    """A small world driven far enough past capacity to saturate classes."""
+    if world_kind == "two-class":
+        world = two_query_world(num_nodes=12, seed=seed)
+        trace = sinusoid_trace_for_load(
+            world,
+            load_fraction=2.5,
+            horizon_ms=3_000.0,
+            frequency_hz=0.05,
+            seed=seed + 10,
+        )
+    else:
+        world = zipf_world(
+            num_nodes=12, num_relations=40, num_classes=6, max_joins=3, seed=seed
+        )
+        trace = zipf_trace_for_world(
+            world, mean_interarrival_ms=8.0, horizon_ms=3_000.0, seed=seed + 10
+        )
+    if tick_ms is not None:
+        trace = quantise_trace(trace, tick_ms)
+    return world, trace
+
+
+def _overload_run(world, trace, batch_ticks, faults=None):
+    """One qa-nt run; returns everything the batch contract pins."""
+    allocator = QantAllocator()
+    federation = build_federation(
+        world.specs,
+        world.placement,
+        world.classes,
+        world.cost_model,
+        allocator,
+        FederationConfig(seed=2, batch_ticks=batch_ticks, faults=faults),
+    )
+    exchange_calls = [0]
+    exchange = allocator._exchange
+
+    def counted(*args, **kwargs):
+        exchange_calls[0] += 1
+        return exchange(*args, **kwargs)
+
+    allocator._exchange = counted
+    # Refusal counters are reset at every boundary, so the post-run agent
+    # state only shows the last period: log them per period, right after
+    # the deferred (bulk-settled) counts land.
+    refusals_by_period = []
+    flush = allocator._flush_deferred_refusals
+
+    def flush_and_log():
+        flush()
+        refusals_by_period.append(
+            [tuple(agent._refused) for __, agent in sorted(allocator.agents.items())]
+        )
+
+    allocator._flush_deferred_refusals = flush_and_log
+    metrics = federation.run(trace)
+    network = federation.network
+    pinned = {
+        "outcomes": _outcome_digest(metrics.outcomes),
+        "dropped": metrics.dropped,
+        # repr() pins the floats to the last bit (and -0.0 vs 0.0).
+        "negotiation": repr(sorted(metrics.negotiation_summary().items())),
+        "agents": {
+            node_id: _agent_state(agent)
+            for node_id, agent in sorted(allocator.agents.items())
+        },
+        "refusals_by_period": refusals_by_period,
+        "messages_sent": network.messages_sent,
+        "next_draws": (network.round_trip_ms(3), network.round_trip_ms(9)),
+    }
+    return pinned, metrics, exchange_calls[0]
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.sampled_from(["two-class", "zipf"]),
+    st.integers(min_value=0, max_value=3),
+    st.sampled_from([None, 5.0, 50.0]),
+    st.booleans(),
+)
+def test_saturated_bursts_match_scalar_bit_for_bit(
+    world_kind, seed, tick_ms, outage
+):
+    # Overload twins: period retry bursts in which classes saturate
+    # mid-batch and interleave with classes that still have supply.  With
+    # ``outage`` a scripted window takes node 1 down mid-period, so its
+    # classes run partial fan-outs, which must not be settled in bulk.
+    world, trace = _overload_setup(world_kind, seed, tick_ms)
+    faults = _MID_PERIOD_OUTAGE if outage else None
+    batched, __, __ = _overload_run(world, trace, True, faults)
+    scalar, __, __ = _overload_run(world, trace, False, faults)
+    assert batched == scalar
+
+
+def test_saturated_burst_settles_in_bulk_and_outage_bypasses_it():
+    # Pin that the sweep above exercises what it claims to: the batched
+    # twin settles saturated attempts without reaching `_exchange`, the
+    # scalar twin calls it once per attempt, and under the outage the
+    # partial fan-outs drop to the scalar loop.
+    world, trace = _overload_setup("two-class", 0, None)
+    pinned = {}
+    for batch in (True, False):
+        pinned[batch], metrics, calls = _overload_run(world, trace, batch)
+        if batch:
+            assert metrics.max_batch > 50
+            assert metrics.exchanges - calls > 100
+        else:
+            assert calls == metrics.exchanges
+    assert pinned[True] == pinned[False]
+    # In this Zipf twin a class saturates on the 500 ms retry burst and
+    # node 1 fails 250 ms later, so same-period arrival batches meet a
+    # class that is saturated *and* partial: those attempts must charge
+    # refusals to the live bidders only (the per-period refusal log is
+    # the only place a wrongly bulk-settled one would show).
+    world, trace = _overload_setup("zipf", 2, 50.0)
+    with_outage, metrics, calls = _overload_run(
+        world, trace, True, _MID_PERIOD_OUTAGE
+    )
+    assert metrics.scalar_fallbacks > 0
+    assert calls < metrics.exchanges
+    assert with_outage == _overload_run(
+        world, trace, False, _MID_PERIOD_OUTAGE
+    )[0]
+
+
+def test_unbound_allocator_batch_reports_not_bound():
+    with pytest.raises(RuntimeError, match="not bound"):
+        QantAllocator().assign_batch([])
+
+
+# --------------------------------------------------- bulk latency draws
+
+
+def _stream_state(network):
+    __, key, pos, __, __ = network._np_sample.__self__.get_state()
+    return key.tolist(), pos
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=0, max_value=5),
+    st.lists(st.integers(min_value=-1, max_value=20), max_size=40),
+)
+def test_round_trip_batch_matches_sequential_draws(seed, sizes):
+    # Mixed widths: <= 0 (no draw), < 8 (round_trip_ms's scalar-draw
+    # path) and >= 8 (its bulk path) must all come out of one batch draw
+    # exactly as the sequential calls produce them.
+    batch_net = Network(Simulator(), seed=seed)
+    sequential_net = Network(Simulator(), seed=seed)
+    assert batch_net.round_trip_ms_batch(sizes) == [
+        sequential_net.round_trip_ms(n) for n in sizes
+    ]
+    assert batch_net.messages_sent == sequential_net.messages_sent
+    assert _stream_state(batch_net) == _stream_state(sequential_net)
+    assert batch_net.round_trip_ms(9) == sequential_net.round_trip_ms(9)

@@ -235,26 +235,26 @@ class TestFaultyFanout:
         return federation.network, federation.fault_injector
 
     def test_injectorless_fanout_falls_back_fault_free(self):
-        # With no injector attached, faulty_fanout is the plain fault-free
+        # With no injector attached, fanout is the plain fault-free
         # exchange: everyone delivered, everyone replied, 2 legs per peer,
         # and the delay comes from the same latency stream round_trip_ms
         # draws from (checked against a twin network with the same seed).
         network, __ = self._network(None)
         twin, __ = self._network(None)
         expected = twin.round_trip_ms(2)
-        delay, messages, delivered, replied = network.faulty_fanout(0, (1, 2))
-        assert delivered == (1, 2)
-        assert replied == (1, 2)
-        assert messages == 4
-        assert delay == expected
+        result = network.fanout(0, (1, 2))
+        assert result.delivered == (1, 2)
+        assert result.replied == (1, 2)
+        assert result.messages == 4
+        assert result.delay_ms == expected
         assert network.messages_sent == twin.messages_sent
 
     def test_total_drop_is_total_silence(self):
         network, injector = self._network(FaultSpec(drop_probability=1.0))
-        delay, messages, delivered, replied = network.faulty_fanout(0, (1, 2, 3))
-        assert delivered == () and replied == ()
-        assert messages == 3  # requests only; no reply legs for lost requests
-        assert delay == injector.spec.bid_timeout_ms
+        result = network.fanout(0, (1, 2, 3))
+        assert result.delivered == () and result.replied == ()
+        assert result.messages == 3  # requests only; lost requests get no reply
+        assert result.delay_ms == injector.spec.bid_timeout_ms
         assert injector.lost_messages == 3
         assert injector.timeouts == 3
 
@@ -263,30 +263,30 @@ class TestFaultyFanout:
             spike_probability=1.0, spike_ms=1_000.0, bid_timeout_ms=10.0
         )
         network, injector = self._network(spec)
-        delay, messages, delivered, replied = network.faulty_fanout(0, (1, 2))
+        result = network.fanout(0, (1, 2))
         # Requests arrive (late), so server-side dynamics still fire; the
         # replies land far after the timeout, so the client hears nothing.
-        assert delivered == (1, 2)
-        assert replied == ()
-        assert delay == 10.0
+        assert result.delivered == (1, 2)
+        assert result.replied == ()
+        assert result.delay_ms == 10.0
         assert injector.timeouts == 2
 
     def test_clean_injector_reaches_everyone(self):
         # Partitions outside their window are no-ops; nothing else faulty.
         window = PartitionWindow((0,), (1,), 1e6, 2e6)
         network, injector = self._network(FaultSpec(partitions=(window,)))
-        delay, messages, delivered, replied = network.faulty_fanout(0, (1, 2, 3))
-        assert delivered == (1, 2, 3)
-        assert replied == (1, 2, 3)
-        assert messages == 6
-        assert 0 < delay <= injector.spec.bid_timeout_ms
+        result = network.fanout(0, (1, 2, 3))
+        assert result.delivered == (1, 2, 3)
+        assert result.replied == (1, 2, 3)
+        assert result.messages == 6
+        assert 0 < result.delay_ms <= injector.spec.bid_timeout_ms
 
     def test_partition_severs_cross_group_requests(self):
         window = half_partition(range(4), 0.0, 1e6)
         network, injector = self._network(FaultSpec(partitions=(window,)))
-        __, __, delivered, replied = network.faulty_fanout(0, (1, 2, 3))
-        assert delivered == (2,)  # only the even peer is reachable from 0
-        assert replied == (2,)
+        result = network.fanout(0, (1, 2, 3))
+        assert result.delivered == (2,)  # only the even peer is reachable from 0
+        assert result.replied == (2,)
 
     def test_send_returns_none_when_dropped(self):
         network, __ = self._network(FaultSpec(drop_probability=1.0))

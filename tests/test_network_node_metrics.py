@@ -192,7 +192,23 @@ class TestMetrics:
         m = MetricsCollector()
         m.record_drop()
         m.record_drop()
-        assert m.dropped == 2
+        m.record_drop(3)
+        assert m.dropped == 5
+
+    def test_bulk_exchange_record_is_the_scalar_left_to_right_sum(self):
+        # Delays chosen so a compensated or pairwise sum would differ from
+        # the plain running total in the last bits.
+        delays = [0.1, 1e16, -1e16, 0.7, 1e-9, 3.3] * 7
+        messages = list(range(len(delays)))
+        assigned = [i % 3 == 0 for i in range(len(delays))]
+        scalar, bulk = MetricsCollector(), MetricsCollector()
+        for m in (scalar, bulk):
+            m.record_exchange(2, 0.3, True)  # a non-zero running total
+        for row in zip(messages, delays, assigned):
+            scalar.record_exchange(*row)
+        bulk.record_exchanges(messages, delays, assigned.count(False))
+        assert bulk.negotiation_summary() == scalar.negotiation_summary()
+        assert math.fsum([0.3] + delays) != scalar.negotiation_delay_ms
 
     def test_percentile(self):
         m = MetricsCollector()

