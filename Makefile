@@ -2,7 +2,8 @@
 
 PYTHON ?= python
 
-.PHONY: install test typecheck bench bench-full examples artefacts clean
+.PHONY: install test typecheck bench bench-gate bench-full perf-smoke examples \
+        artefacts clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -21,6 +22,12 @@ bench:
 # Same, but gate against the committed PR baseline like CI does.
 bench-gate:
 	$(PYTHON) -m repro bench --baseline auto --fail-above 35
+
+# The repo benchmark at smoke scale + its self-test (the CI "Perf
+# harness smoke" step, command for command).
+perf-smoke:
+	python3 perf/run.py --scale smoke
+	$(PYTHON) -m pytest perf/ -q
 
 bench-full:
 	REPRO_BENCH_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only

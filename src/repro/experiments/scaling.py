@@ -385,6 +385,7 @@ def million_query_run(
         config=FederationConfig(seed=seed + 2),
         shards=int(shards),
         mode="fork",
+        market="local",
     ) as federation:
         result = federation.run(trace, "qa-nt")
         wall_ms = (time.perf_counter() - started) * 1000.0

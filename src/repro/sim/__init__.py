@@ -26,6 +26,7 @@ from .metrics import (
 from .network import LatencyModel, Network
 from .node import ExecutionRecord, SimulatedNode
 from .shards import (
+    ShardFailure,
     ShardPlan,
     ShardTransport,
     ShardedFederation,
@@ -51,6 +52,7 @@ __all__ = [
     "Network",
     "PartitionWindow",
     "QueryOutcome",
+    "ShardFailure",
     "ShardPlan",
     "ShardTransport",
     "ShardedFederation",

@@ -230,7 +230,9 @@ class MetricsCollector:
         coordinator's mirror had accumulated when a barrier refreshed it
         (the realised staleness the R-interval contract bounds);
         ``overlapped_frames`` counts the one-way frames posted without a
-        reply barrier — the double-buffering depth actually used.
+        reply barrier: one ``mticks`` and one ``mboundary`` frame per
+        active shard per *period* (ticks are buffered, not posted one
+        by one).
         """
         self._reconcile_stats_applied = True
         self._reconcile_barriers += int(reconcile_barriers)

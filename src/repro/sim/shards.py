@@ -50,12 +50,12 @@ components* — the union-find groups :func:`plan_shards` already
 computes.  Two query classes interact only through a shared bidder
 (busy clock, max-price latch), so a component whose nodes all landed on
 one shard can run its **entire** bid/price/refusal/solve dynamics
-shard-side, fed by one-way ``mtick`` frames of encoded ``BidRequest``
-messages (double-buffered: the coordinator routes and prices frame *t+1*
-while shards still chew frame *t*).  Components split across shards
-form the **residual plane**, priced and executed by the slim
-coordinator with the identical :class:`_MarketPlane` arithmetic.  Every
-plane is exactly the PR 8 market restricted to its component set, so
+shard-side, fed by one one-way ``mticks`` frame of encoded
+``BidRequest`` messages per period (pipelined: the coordinator routes
+period *p+1* while shards still chew period *p*).  Components split
+across shards form the **residual plane**, priced and executed by the
+slim coordinator with the identical :class:`_MarketPlane` arithmetic.
+Every plane is exactly the PR 8 market restricted to its component set, so
 ``invariant_payload()`` is bit-identical to the coordinator-plane
 engine for *any* reconciliation interval, any shard count and any
 transport mode.  The reconciliation interval R instead governs the
@@ -71,6 +71,7 @@ machines; pipe and inline modes are untouched.
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import random
@@ -108,6 +109,7 @@ from .federation import FederationConfig, run_single_mechanism
 from .metrics import MetricsCollector
 
 __all__ = [
+    "ShardFailure",
     "ShardPlan",
     "ShardTransport",
     "ShardedFederation",
@@ -567,7 +569,7 @@ class _MarketPlane:
     @property
     def pending_count(self) -> int:
         """Queries refused and waiting for the next period boundary."""
-        return len(self._pending)
+        return self._pending_count
 
     @property
     def assigned(self) -> int:
@@ -603,7 +605,13 @@ class _MarketPlane:
         }
         self._period_serial = 0
         self._saturated_in: Dict[int, int] = {}
-        self._pending: List[Tuple] = []
+        #: Refused queries, one qid-ascending pool per class; each entry is
+        #: ``(qid, origin, arrival, boundaries seen at entry)``.
+        self._pools: Dict[int, List[Tuple]] = {
+            k: [] for k in self._class_order
+        }
+        self._pending_count = 0
+        self._boundaries = 0
         self._cols: Tuple[List, ...] = tuple([] for _ in range(9))
         self._assigned = 0
         self._exchanges = 0
@@ -619,21 +627,67 @@ class _MarketPlane:
         Returns the number of assignments made.
         """
         qa = self._qa
-        pending = self._pending
+        pools = self._pools
         assignments: List[Tuple] = []
-        for row in rows:
-            k = row[1]
+        for qid, k, origin, arrival, resub in rows:
             node = self._exchange(k, now) if qa else self._greedy(k, now)
             if node is None:
-                pending.append(tuple(row))
-            else:
-                assignments.append(
-                    (row[0], k, row[2], row[3], row[4], node)
+                pools[k].append(
+                    (qid, origin, arrival, self._boundaries - resub)
                 )
+            else:
+                assignments.append((qid, k, origin, arrival, resub, node))
         self._exchanges += len(rows)
+        self._pending_count += len(rows) - len(assignments)
         if assignments:
             self._replay(now, assignments)
         return len(assignments)
+
+    def _retry_tick(self, now: float) -> None:
+        """The boundary's market tick over every pooled query.
+
+        The flat pending list this replaces was always qid-ascending
+        (arrivals are routed in qid order, refusals keep processing
+        order, retries re-pool before newer arrivals), so merging the
+        pool heads by qid replays it exactly.  A class that saturates
+        leaves the merge: its remaining exchanges would return before
+        touching any state, and only :meth:`_period_solve` re-arms it.
+        Survivors are compacted in place, so a boundary costs the
+        exchanges that can still move the market, not the pool size.
+        """
+        self._exchanges += self._pending_count
+        pools = self._pools
+        cursors = {k: [0, 0] for k, pool in pools.items() if pool}
+        heads = [(pools[k][0][0], k) for k in cursors]
+        heapq.heapify(heads)
+        assignments: List[Tuple] = []
+        while heads:
+            qid, k = heads[0]
+            pool = pools[k]
+            cursor = cursors[k]
+            entry = pool[cursor[0]]
+            cursor[0] += 1
+            node = self._exchange(k, now)
+            if node is None:
+                pool[cursor[1]] = entry
+                cursor[1] += 1
+                if self._saturated_in.get(k) == self._period_serial:
+                    heapq.heappop(heads)
+                    continue
+            else:
+                assignments.append(
+                    (qid, k, entry[1], entry[2],
+                     self._boundaries - entry[3], node)
+                )
+            if cursor[0] < len(pool):
+                heapq.heapreplace(heads, (pool[cursor[0]][0], k))
+            else:
+                heapq.heappop(heads)
+        for k, (read, kept) in cursors.items():
+            del pools[k][kept:read]
+        self._pending_count -= len(assignments)
+        if assignments:
+            self._replay(now, assignments)
 
     def _exchange(self, class_index: int, now: float) -> Optional[int]:
         """One QA-NT exchange — the PR 8 coordinator program verbatim,
@@ -727,7 +781,7 @@ class _MarketPlane:
         """Steps 12-14 decay, eq. 4, latch reset, retries; returns the
         pending count left after the retry tick."""
         if not self._qa:
-            return len(self._pending)
+            return self._pending_count
         for k in self._class_order:
             R = self._R[k]
             V = self._V[k]
@@ -740,14 +794,10 @@ class _MarketPlane:
                 V[:] = _np.where(mask, new, V)
         if len(self._ids):
             self._period_solve(now)
-        if self._pending:
-            retry = [
-                (qid, class_index, origin, arrival, resub + 1)
-                for qid, class_index, origin, arrival, resub in self._pending
-            ]
-            self._pending = []
-            self.market_tick(now, retry)
-        return len(self._pending)
+        self._boundaries += 1
+        if self._pending_count:
+            self._retry_tick(now)
+        return self._pending_count
 
     def _period_solve(self, now: float) -> None:
         """Eq. 4 over the plane's nodes (the `_ShardCore._solve` program)
@@ -793,7 +843,7 @@ class _MarketPlane:
                 [k, self._R[k].tolist()] for k in self._class_order
             ],
             "busy": self._exec_busy.tolist(),
-            "pending": len(self._pending),
+            "pending": self._pending_count,
             "assigned": self._assigned,
         }
 
@@ -814,7 +864,7 @@ class _MarketPlane:
             "columns": self._cols,
             "assigned": self._assigned,
             "exchanges": self._exchanges,
-            "pending": len(self._pending),
+            "pending": self._pending_count,
         }
 
 
@@ -823,8 +873,8 @@ class _LocalMarketCore:
 
     The ``market="local"`` counterpart of :class:`_ShardCore`: instead
     of replaying coordinator decisions, it *makes* them for the classes
-    packed onto its shard.  ``mtick``/``mboundary`` frames are one-way
-    during the trace (posted, never answered — the double-buffer);
+    packed onto its shard.  ``mticks``/``mboundary`` frames are one-way
+    during the trace (posted, never answered — the period pipeline);
     ``reconcile`` and ``collect`` are the sync points.
     """
 
@@ -843,17 +893,17 @@ class _LocalMarketCore:
     def _dispatch(self, frame: Tuple) -> Mapping[str, object]:
         op = frame[0]
         plane = self._plane
-        if op == "mtick":
-            now = frame[1]
-            rows = []
-            for payload in frame[2]:
-                bid = decode(payload)
-                rows.append(
-                    (bid.qid, bid.class_index, bid.origin_node, now,
-                     bid.attempt)
-                )
-            self._bids_seen += len(rows)
-            plane.market_tick(now, rows)
+        if op == "mticks":
+            for now, payloads in frame[1]:
+                rows = []
+                for payload in payloads:
+                    bid = decode(payload)
+                    rows.append(
+                        (bid.qid, bid.class_index, bid.origin_node, now,
+                         bid.attempt)
+                    )
+                self._bids_seen += len(rows)
+                plane.market_tick(now, rows)
             return {"ok": True}
         if op == "mboundary":
             return {"pending": plane.boundary(frame[1])}
@@ -897,6 +947,10 @@ class _LocalMarketCore:
         return {"replies": []}
 
 
+#: Buffered ``BidRequest`` rows that force an early ``mticks`` flush: at
+#: ~100 bytes a row a frame stays three orders below ``MAX_FRAME_BYTES``.
+_MTICKS_ROW_BOUND = 8192
+
 #: Worker-core registry: ``shard_inits[i]["kind"]`` picks the class.
 _CORE_KINDS = {"exec": _ShardCore, "market": _LocalMarketCore}
 
@@ -905,25 +959,34 @@ def _make_core(init: Mapping[str, object]):
     return _CORE_KINDS[init.get("kind", "exec")](init)
 
 
-def _shard_worker(conn, init: Mapping[str, object]) -> None:
-    """Forked worker main loop: one frame in, one reply out — except
-    ``("post", inner)`` wrappers, which are handled without a reply (the
-    one-way double-buffer path: the coordinator keeps routing the next
-    tick while this worker chews the current one)."""
-    core = _make_core(init)
+def _serve(peer, core) -> None:
+    """Worker main loop over a pipe connection or a wire channel: one
+    frame in, one reply out — except ``("post", inner)`` wrappers, which
+    are handled without a reply (the one-way pipeline: the coordinator
+    keeps routing the next period while this worker chews the current
+    one).  A coordinator that is gone ends the loop quietly."""
     while True:
         try:
-            frame = conn.recv()
-        except EOFError:  # pragma: no cover - parent died
-            return
-        if frame[0] == "close":
-            conn.send({"ok": True})
-            conn.close()
+            frame = peer.recv()
+        except (EOFError, OSError):  # pragma: no cover - parent died
             return
         if frame[0] == "post":
             core.handle(frame[1])
             continue
-        conn.send(core.handle(frame))
+        closing = frame[0] == "close"
+        reply = {"ok": True} if closing else core.handle(frame)
+        try:
+            peer.send(reply)
+        except OSError:  # pragma: no cover - parent died
+            return
+        if closing:
+            peer.close()
+            return
+
+
+def _shard_worker(conn, init: Mapping[str, object]) -> None:
+    """Forked pipe worker."""
+    _serve(conn, _make_core(init))
 
 
 def _wire_default(obj):
@@ -954,11 +1017,11 @@ class _WireChannel:
         self._decoder = FrameDecoder()
         self._frames: deque = deque()
 
-    def send_obj(self, obj) -> None:
+    def send(self, obj) -> None:
         payload = json.dumps(obj, default=_wire_default).encode("utf-8")
         self._sock.sendall(encode_frame(payload))
 
-    def recv_obj(self):
+    def recv(self):
         while not self._frames:
             data = self._sock.recv(1 << 16)
             if not data:
@@ -985,24 +1048,30 @@ def _tcp_shard_worker(host: str, port: int, index: int) -> None:
     sock = socket.create_connection((host, port))
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     channel = _WireChannel(sock)
-    channel.send_obj(["hello", index])
-    core = _make_core(channel.recv_obj())
-    while True:
-        try:
-            frame = channel.recv_obj()
-        except EOFError:  # pragma: no cover - parent died
-            return
-        if frame[0] == "close":
-            channel.send_obj({"ok": True})
-            channel.close()
-            return
-        if frame[0] == "post":
-            core.handle(frame[1])
-            continue
-        channel.send_obj(core.handle(frame))
+    channel.send(["hello", index])
+    _serve(channel, _make_core(channel.recv()))
 
 
 # -- the transport ------------------------------------------------------------
+
+
+class ShardFailure(RuntimeError):
+    """A shard worker died, or its pipe/socket closed, mid-run.
+
+    ``shard`` is the worker's index and ``op`` the frame op the
+    coordinator was sending or awaiting when the wire broke.  The
+    transport is unusable afterwards; :meth:`ShardTransport.close`
+    still reaps every child.
+    """
+
+    def __init__(self, shard: int, op: str, cause: BaseException) -> None:
+        # All three in ``args`` so pickle/copy can rebuild the exception.
+        super().__init__(shard, op, cause)
+        self.shard = shard
+        self.op = op
+
+    def __str__(self) -> str:
+        return "shard %d failed during %r frame: %r" % self.args
 
 
 class ShardTransport(Transport):
@@ -1043,7 +1112,7 @@ class ShardTransport(Transport):
         #: accounts bid/quote volume itself).
         self.messages = 0
         #: One-way frames dispatched without a reply barrier (the
-        #: double-buffered tick pipeline; see :meth:`post`).
+        #: period pipeline; see :meth:`post`).
         self.posted_frames = 0
         self._child_peak_kb = 0
         self._closed = False
@@ -1051,7 +1120,7 @@ class ShardTransport(Transport):
             import multiprocessing
 
             ctx = multiprocessing.get_context("fork")
-            self._conns = []
+            self._peers = []
             self._procs = []
             for init in shard_inits:
                 parent_conn, child_conn = ctx.Pipe()
@@ -1062,7 +1131,7 @@ class ShardTransport(Transport):
                 )
                 proc.start()
                 child_conn.close()
-                self._conns.append(parent_conn)
+                self._peers.append(parent_conn)
                 self._procs.append(proc)
         elif mode == "tcp":
             import multiprocessing
@@ -1089,12 +1158,12 @@ class ShardTransport(Transport):
                 sock, _addr = listener.accept()
                 sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
                 channel = _WireChannel(sock)
-                hello = channel.recv_obj()
+                hello = channel.recv()
                 channels[int(hello[1])] = channel
             listener.close()
-            self._channels = channels
+            self._peers = channels
             for channel, init in zip(channels, shard_inits):
-                channel.send_obj(init)
+                channel.send(init)
         else:
             self._cores = [_make_core(init) for init in shard_inits]
 
@@ -1105,7 +1174,7 @@ class ShardTransport(Transport):
 
     @property
     def mode(self) -> str:
-        """``"fork"`` or ``"inline"``."""
+        """``"fork"``, ``"inline"`` or ``"tcp"``."""
         return self._mode
 
     def exchange(
@@ -1126,35 +1195,35 @@ class ShardTransport(Transport):
             ]
             self.barrier_wait_ms += (time.perf_counter() - start) * 1e3
             return replies
-        if self._mode == "tcp":
-            channels = self._channels
-            for channel, frame in zip(channels, frames):
-                if frame is not None:
-                    channel.send_obj(frame)
-            start = time.perf_counter()
-            replies = [
-                None if frame is None else channel.recv_obj()
-                for channel, frame in zip(channels, frames)
-            ]
-            self.barrier_wait_ms += (time.perf_counter() - start) * 1e3
-            return replies
-        conns = self._conns
-        for conn, frame in zip(conns, frames):
+        for shard, frame in enumerate(frames):
             if frame is not None:
-                conn.send(frame)
+                self._send(shard, frame)
         start = time.perf_counter()
         replies = [
-            None if frame is None else conn.recv()
-            for conn, frame in zip(conns, frames)
+            None if frame is None else self._recv(shard, frame[0])
+            for shard, frame in enumerate(frames)
         ]
         self.barrier_wait_ms += (time.perf_counter() - start) * 1e3
         return replies
 
+    def _send(self, shard: int, frame: Sequence) -> None:
+        try:
+            self._peers[shard].send(frame)
+        except OSError as error:
+            op = frame[1][0] if frame[0] == "post" else frame[0]
+            raise ShardFailure(shard, op, error) from error
+
+    def _recv(self, shard: int, op: str) -> Mapping[str, object]:
+        try:
+            return self._peers[shard].recv()
+        except (EOFError, OSError) as error:
+            raise ShardFailure(shard, op, error) from error
+
     def post(self, frames: Sequence[Optional[Tuple]]) -> None:
         """One-way dispatch: frame *i* to shard *i*, no replies read.
 
-        The double-buffer verb: the coordinator keeps routing tick *t+1*
-        while the workers chew tick *t*; OS pipe/socket buffers provide
+        The pipeline verb: the coordinator keeps routing period *p+1*
+        while the workers chew period *p*; OS pipe/socket buffers provide
         the backpressure.  Workers process frames strictly in arrival
         order, so any later :meth:`exchange` barrier observes every
         posted frame's effects — a sync frame *is* the pipeline flush.
@@ -1162,21 +1231,14 @@ class ShardTransport(Transport):
         pipeline), preserving bit-identity across modes.
         """
         posted = 0
-        if self._mode == "inline":
-            for core, frame in zip(self._cores, frames):
-                if frame is not None:
-                    core.handle(frame)
-                    posted += 1
-        elif self._mode == "tcp":
-            for channel, frame in zip(self._channels, frames):
-                if frame is not None:
-                    channel.send_obj(["post", frame])
-                    posted += 1
-        else:
-            for conn, frame in zip(self._conns, frames):
-                if frame is not None:
-                    conn.send(("post", frame))
-                    posted += 1
+        for shard, frame in enumerate(frames):
+            if frame is None:
+                continue
+            if self._mode == "inline":
+                self._cores[shard].handle(frame)
+            else:
+                self._send(shard, ("post", frame))
+            posted += 1
         self.posted_frames += posted
 
     def fanout(
@@ -1231,30 +1293,29 @@ class ShardTransport(Transport):
         return self._child_peak_kb if self._mode != "inline" else 0
 
     def close(self) -> None:
-        """Shut the worker pool down (idempotent)."""
+        """Shut the worker pool down (idempotent).
+
+        Every child is reaped even after a :class:`ShardFailure`: dead
+        peers are skipped, live ones acknowledge and exit, and a worker
+        that outlives the join timeout is killed.
+        """
         if self._closed:
             return
         self._closed = True
-        if self._mode == "fork":
-            for conn in self._conns:
-                try:
-                    conn.send(("close",))
-                    conn.recv()
-                except (BrokenPipeError, EOFError, OSError):
-                    pass
-                conn.close()
-            for proc in self._procs:
-                proc.join(timeout=5.0)
-        elif self._mode == "tcp":
-            for channel in self._channels:
-                try:
-                    channel.send_obj(["close"])
-                    channel.recv_obj()
-                except (BrokenPipeError, EOFError, OSError):
-                    pass
-                channel.close()
-            for proc in self._procs:
-                proc.join(timeout=5.0)
+        if self._mode == "inline":
+            return
+        for peer in self._peers:
+            try:
+                peer.send(("close",))
+                peer.recv()
+            except (EOFError, OSError):
+                pass
+            peer.close()
+        for proc in self._procs:
+            proc.join(timeout=5.0)
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
 
 
 # -- the merged result --------------------------------------------------------
@@ -2025,8 +2086,12 @@ class ShardedFederation:
         The coordinator here is *slim*: it owns a routing table and the
         residual plane (components split across shards); every
         shard-owned class is priced, matched and executed entirely
-        shard-side from one-way ``mtick`` frames of encoded
-        ``BidRequest`` payloads — the double-buffered pipeline.  Every R
+        shard-side from one-way ``mticks`` frames of encoded
+        ``BidRequest`` payloads: each tick is buffered per shard and the
+        period clock flushes the buffer as one frame ahead of every
+        boundary and sync barrier (workers apply frames in order and
+        planes partition the classes, so each plane sees the unbuffered
+        sequence of ticks and boundaries).  Every R
         period boundaries a sync reconciliation barrier pulls per-class
         price/supply digests and busy watermarks back into the
         cross-shard quote mirror (and flushes the pipeline).  Outcomes
@@ -2049,6 +2114,9 @@ class ShardedFederation:
         self._reconcile_lag_max = 0
         self._staleness_max = 0.0
         self._boundaries_since_reconcile = 0
+        #: Per-shard ``(t, payloads)`` ticks awaiting the period's flush.
+        self._outbox: List[List[Tuple]] = [[] for _ in self._active_plane]
+        self._outbox_rows = 0
         if any(
             trace[i].time_ms > trace[i + 1].time_ms
             for i in range(len(trace) - 1)
@@ -2068,44 +2136,46 @@ class ShardedFederation:
                 j += 1
             # Boundary-first at equal timestamps, exactly like the
             # coordinator-market loop.
-            while qa and next_boundary <= t:
-                self._local_boundary(next_boundary)
+            while next_boundary <= t:
+                if qa:
+                    self._local_boundary(next_boundary)
+                else:
+                    # Greedy has no boundaries; it flushes on the same
+                    # period clock so its pipeline stays one period deep.
+                    self._flush_ticks()
                 next_boundary += period
             batch = trace[i:j]
             collector.record_batch_tick(len(batch))
-            per_shard: List[List[Tuple]] = [[] for _ in range(num_shards)]
+            payloads: Dict[int, List[str]] = {}
             residual_rows: List[Tuple] = []
             for n, e in enumerate(batch):
                 k = e.class_index
-                row = (qid + n, k, e.origin_node, t, 0)
                 s = owner.get(k, -1)
                 if s >= 0:
-                    per_shard[s].append(row)
-                else:
-                    residual_rows.append(row)
-            qid += len(batch)
-            frames: List[Optional[Tuple]] = [None] * num_shards
-            for s, rows_s in enumerate(per_shard):
-                if rows_s:
-                    payloads = [
+                    payloads.setdefault(s, []).append(
                         encode(
                             BidRequest(
-                                qid=r[0],
-                                class_index=r[1],
-                                origin_node=r[2],
-                                attempt=r[4],
+                                qid=qid + n,
+                                class_index=k,
+                                origin_node=e.origin_node,
                             )
                         )
-                        for r in rows_s
-                    ]
-                    frames[s] = ("mtick", t, payloads)
-                    self._messages += len(payloads)
-            if any(frame is not None for frame in frames):
-                transport.post(frames)
+                    )
+                else:
+                    residual_rows.append((qid + n, k, e.origin_node, t, 0))
+            qid += len(batch)
+            for s, tick in payloads.items():
+                self._outbox[s].append((t, tick))
+            shard_rows = len(batch) - len(residual_rows)
+            self._messages += shard_rows
+            self._outbox_rows += shard_rows
+            if self._outbox_rows >= _MTICKS_ROW_BOUND:
+                self._flush_ticks()
             if residual_rows:
                 residual_queries += len(residual_rows)
                 self._residual.market_tick(t, residual_rows)
             i = j
+        self._flush_ticks()
         # Drain: a sync reconcile flushes the pipeline and reports every
         # plane's backlog; boundaries then tick while any plane still
         # holds pending queries (shard retries run autonomously — the
@@ -2189,9 +2259,20 @@ class ShardedFederation:
             collector=collector,
         )
 
+    def _flush_ticks(self) -> None:
+        """Post the buffered ticks: one ``mticks`` frame per shard."""
+        if self._outbox_rows:
+            self._transport.post(
+                [("mticks", ticks) if ticks else None for ticks in self._outbox]
+            )
+            self._outbox = [[] for _ in self._outbox]
+            self._outbox_rows = 0
+
     def _local_boundary(self, now: float) -> None:
-        """One period boundary: posted to every active plane (one-way),
-        run in-process on the residual plane, reconciled every R-th."""
+        """One period boundary: the period's ticks are flushed, then the
+        boundary is posted to every active plane (one-way), run
+        in-process on the residual plane, and reconciled every R-th."""
+        self._flush_ticks()
         self._transport.post(
             [
                 ("mboundary", now) if active else None

@@ -16,7 +16,12 @@ Three properties carry the whole design (see DESIGN.md §7):
 
 import functools
 import json
+import math
+import multiprocessing
+import os
 import pathlib
+import pickle
+import signal
 import time
 
 import pytest
@@ -40,13 +45,15 @@ from repro.sim import (
     FederationConfig,
     MetricsCollector,
     ShardedFederation,
+    ShardFailure,
     ShardTransport,
     derive_shard_seed,
     plan_shards,
     split_market_classes,
 )
 from repro.sim.faults import derive_fault_seed
-from repro.sim.shards import _CORE_KINDS
+from repro.sim import shards as shards_module
+from repro.sim.shards import _CORE_KINDS, _MarketPlane
 from repro.workload.trace import zipf_trace
 
 from test_golden_trace import _outcome_digest
@@ -472,6 +479,254 @@ def test_tcp_workers_report_child_rss():
         from repro.bench.harness import measure_peak
 
         assert measure_peak(fn) >= transport.child_peak_kb()
+
+
+# ---------------------------------------------------------------------------
+# overload: per-class retry pools and one frame per shard per period
+
+
+@functools.lru_cache(maxsize=1)
+def _zipf_overloaded():
+    """A small Zipf world driven far past capacity: ~65 % of the queries
+    are still pooled when the (shortened) drain window closes, pools run
+    in the hundreds, and boundaries fire both in-trace and in the drain."""
+    world = zipf_world(num_nodes=50, num_classes=20, seed=0)
+    trace = tuple(
+        zipf_trace(
+            20,
+            mean_interarrival_ms=100.0,
+            horizon_ms=8_000.0,
+            origin_nodes=list(world.placement.node_ids),
+            max_queries=1_200,
+            seed=10,
+        )
+    )
+    return world, trace
+
+
+def _overloaded(world, shards, mode="inline", market="local", interval=1):
+    return ShardedFederation(
+        world.specs,
+        world.placement,
+        world.classes,
+        world.cost_model,
+        config=FederationConfig(seed=2, drain_ms=2_500.0),
+        shards=shards,
+        mode=mode,
+        market=market,
+        reconcile_interval=interval,
+    )
+
+
+def _outcome(result):
+    return (
+        result.invariant_payload(),
+        result.batch_summary()["vector_exchanges"],
+    )
+
+
+@functools.lru_cache(maxsize=2)
+def _overloaded_oracle(mechanism: str):
+    """The coordinator-market engine: it keeps the flat pending list and
+    per-tick barrier, so it is the differential oracle of the pools."""
+    world, trace = _zipf_overloaded()
+    with _overloaded(world, 2, market="coordinator") as federation:
+        return _outcome(federation.run(list(trace), mechanism))
+
+
+def test_overloaded_world_is_overloaded():
+    payload, exchanges = _overloaded_oracle("qa-nt")
+    offered = payload["completed"] + payload["dropped"]
+    assert payload["dropped"] / offered >= 0.3
+    # Every boundary re-exchanges the whole pool: hundreds per retry tick.
+    assert exchanges > 5 * offered
+
+
+@pytest.mark.parametrize("shards", [2, 4])
+@pytest.mark.parametrize(
+    "mode, intervals",
+    # The pool logic is swept inline; a real wire only has to show that
+    # batching a period into one frame keeps the order, so one interval.
+    [("inline", (1, 4, 16)), ("fork", (4,)), ("tcp", (4,))],
+)
+def test_overloaded_local_market_matches_coordinator_plane(
+    mode, intervals, shards
+):
+    """Pools + period frames reproduce the flat-list, frame-per-tick
+    engine bit for bit, ``vector_exchanges`` included."""
+    world, trace = _zipf_overloaded()
+    for interval in intervals:
+        with _overloaded(world, shards, mode, interval=interval) as federation:
+            for mechanism in ("qa-nt", "greedy"):
+                result = federation.run(list(trace), mechanism)
+                assert _outcome(result) == _overloaded_oracle(mechanism)
+
+
+def test_outbox_over_the_row_bound_splits_frames(monkeypatch):
+    """A period holding more rows than the bound goes out as several
+    ``mticks`` frames; the planes see the same ticks in the same order."""
+    world, trace = _zipf_overloaded()
+    default = shards_module._MTICKS_ROW_BOUND
+    frames = {}
+    for bound in (default, 16):
+        monkeypatch.setattr(shards_module, "_MTICKS_ROW_BOUND", bound)
+        with _overloaded(world, 2, "fork", interval=4) as federation:
+            result = federation.run(list(trace), "qa-nt")
+            frames[bound] = federation.transport.posted_frames
+        assert _outcome(result) == _overloaded_oracle("qa-nt")
+    assert frames[16] > 2 * frames[default]
+
+
+class _FlatListReference:
+    """The pending discipline the pools replace: one flat list, every
+    pooled query re-exchanged (``resub + 1``) at every boundary.  The
+    wrapped plane only prices and replays; its own pools stay empty."""
+
+    def __init__(self, init):
+        self.plane = _MarketPlane(init)
+        self.pending = []
+        self.exchanges = 0
+
+    def market_tick(self, now, rows):
+        assignments = []
+        for row in rows:
+            node = self.plane._exchange(row[1], now)
+            if node is None:
+                self.pending.append(row)
+            else:
+                assignments.append(row + (node,))
+        self.exchanges += len(rows)
+        if assignments:
+            self.plane._replay(now, assignments)
+
+    def boundary(self, now):
+        self.plane.boundary(now)  # decay + eq. 4; nothing pooled inside
+        retry = [(q, k, o, a, r + 1) for q, k, o, a, r in self.pending]
+        self.pending = []
+        self.market_tick(now, retry)
+
+
+def _plane_init(costs):
+    """A JSON-safe ``_MarketPlane`` spec from ``costs[node][class]``
+    (``inf`` = not a candidate)."""
+    nodes = list(range(len(costs)))
+    num_classes = len(costs[0])
+    return {
+        "node_ids": nodes,
+        "num_classes": num_classes,
+        "costs": costs,
+        "allowances": [
+            500.0 + 2.0 * max((c for c in row if not math.isinf(c)), default=0.0)
+            for row in costs
+        ],
+        "latency_seeds": [derive_shard_seed(2, ("n", n)) for n in nodes],
+        "base_ms": 1.0,
+        "jitter_ms": 0.5,
+        "factor": 1.1,
+        "floor": 0.01,
+        "cap": 4.0,
+        "adjustment": 0.1,
+        "threshold": 2.0,
+        "classes": [
+            [k, [n for n in nodes if not math.isinf(costs[n][k])]]
+            for k in range(num_classes)
+        ],
+    }
+
+
+@st.composite
+def _plane_scripts(draw):
+    num_nodes = draw(st.integers(2, 5))
+    num_classes = draw(st.integers(1, 4))
+    cost = st.sampled_from([math.inf, 150.0, 400.0, 900.0])
+    costs = [
+        [draw(cost) for _ in range(num_classes)] for _ in range(num_nodes)
+    ]
+    for k in range(num_classes):  # every class keeps one bidder
+        costs[k % num_nodes][k] = 300.0
+    script = draw(
+        st.lists(
+            st.one_of(
+                st.none(),  # a period boundary
+                st.lists(st.integers(0, num_classes - 1), max_size=12),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    return costs, script
+
+
+@given(_plane_scripts())
+@settings(max_examples=60, deadline=None)
+def test_market_plane_pools_match_flat_list_reference(case):
+    costs, script = case
+    init = _plane_init(costs)
+    plane, reference = _MarketPlane(init), _FlatListReference(init)
+    now, qid, boundaries = 0.0, 0, 0
+    for step in script:
+        if step is None:
+            boundaries += 1
+            now = 500.0 * boundaries
+            left = plane.boundary(now)
+            reference.boundary(now)
+            assert left == plane.pending_count == len(reference.pending)
+        else:
+            now += 7.0
+            rows = [(qid + n, k, n, now, 0) for n, k in enumerate(step)]
+            qid += len(rows)
+            plane.market_tick(now, rows)
+            reference.market_tick(now, rows)
+        assert plane.exchanges == reference.exchanges
+        assert plane._cols == reference.plane._cols  # resub column too
+        pooled = [q for pool in plane._pools.values() for q, *_ in pool]
+        assert sorted(pooled) == [row[0] for row in reference.pending]
+        for pool in plane._pools.values():
+            qids = [entry[0] for entry in pool]
+            assert qids == sorted(set(qids))
+
+
+# ---------------------------------------------------------------------------
+# worker death: a typed failure, every child reaped
+
+
+@pytest.mark.skipif(
+    "PYTEST_XDIST_WORKER" in os.environ,
+    reason="kill/reap timing must not share cores with xdist workers",
+)
+@pytest.mark.parametrize("mode", ["fork", "tcp"])
+def test_killed_worker_raises_shard_failure_and_close_reaps(mode):
+    world, trace = _zipf_overloaded()
+    # Children other test modules left running are not this test's to reap.
+    strangers = set(multiprocessing.active_children())
+    federation = _overloaded(world, 2, mode, interval=4)
+    transport = federation.transport
+    victim = transport._procs[0]
+    post, posts = transport.post, []
+
+    def post_then_kill(frames):
+        post(frames)
+        posts.append(frames)
+        if len(posts) == 3:  # mid-run: two periods in, more to come
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
+
+    transport.post = post_then_kill
+    try:
+        # Raising at all is the bound: a barrier on a dead worker that
+        # went undetected would hang the run, not fail it.
+        with pytest.raises(ShardFailure) as failure:
+            federation.run(list(trace), "qa-nt")
+        assert failure.value.shard == 0
+        assert failure.value.op in ("mticks", "mboundary", "reconcile")
+        assert "shard 0" in str(failure.value)
+        clone = pickle.loads(pickle.dumps(failure.value))
+        assert (clone.shard, clone.op) == (0, failure.value.op)
+        assert str(clone) == str(failure.value)
+    finally:
+        federation.close()
+    assert set(multiprocessing.active_children()) <= strangers
+    assert not any(proc.is_alive() for proc in transport._procs)
 
 
 # ---------------------------------------------------------------------------
