@@ -2,8 +2,8 @@
 
 PYTHON ?= python
 
-.PHONY: install test typecheck bench bench-gate bench-full perf-smoke examples \
-        artefacts clean
+.PHONY: install test typecheck bench bench-gate bench-full perf-smoke \
+        perf-pairs examples artefacts clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -28,6 +28,17 @@ bench-gate:
 perf-smoke:
 	python3 perf/run.py --scale smoke
 	$(PYTHON) -m pytest perf/ -q
+
+# Alternating parent/change pairs of one workload -- the protocol behind
+# every performance claim in CHANGES.md (see tools/perf_pairs.py):
+#   make perf-pairs PARENT=HEAD~1 WORKLOAD=tick1000_single SEED=0 PAIRS=10
+PARENT ?= HEAD
+WORKLOAD ?= tick1000_single
+SEED ?= 0
+PAIRS ?= 10
+perf-pairs:
+	python3 tools/perf_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
+	    --seed $(SEED) --pairs $(PAIRS)
 
 bench-full:
 	REPRO_BENCH_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only

@@ -19,11 +19,13 @@ the precompiled bidder tuples:
 
 Bit-identity contract: every float is produced by the same IEEE-754
 operation sequence as the scalar loop, so goldens must not move with the
-dispatcher active.  Cached state is written back to the live agent lists
-by :meth:`MarketTickDispatcher.sync`, which the allocator calls at every
-period boundary, before any scalar fallback (partial fan-outs during
-outage windows), and from ``sync_market_state`` — the same observer
-contract the period engine's deferral uses.
+dispatcher active.  A class's lanes are copies, gathered at most once per
+period from whichever side holds the market state (DESIGN.md §5.2) and
+returned the same way: :meth:`MarketTickDispatcher.sync` overlays them
+onto the agents' live lists (the allocator calls it from
+``sync_market_state`` and at a boundary that finds the agents live),
+:meth:`MarketTickDispatcher.close_period` hands them back to a bound
+period engine's matrices at a boundary nobody observed.
 
 The auxiliary arrays are *agent-global* (indexed by fleet row), not
 per-class: an agent bidding in several classes shares one ``max_price``,
@@ -79,7 +81,8 @@ class BatchDispatchStats:
         #: Exchanges that had to drop to the scalar loop (partial
         #: fan-outs during outage windows).
         self.scalar_fallbacks = 0
-        #: Scatter-backs of cached state into the live agent lists.
+        #: Write-backs of cached state (into the live agent lists or the
+        #: period engine's arrays).
         self.syncs = 0
         #: Per-class state gathers (at most one per class per period).
         self.gathers = 0
@@ -96,15 +99,16 @@ class BatchDispatchStats:
 class _ClassState:
     """One class's candidate fan-out as arrays.
 
-    ``ids``/``rows``/``costs``/``bidders`` are static for the federation's
-    lifetime; ``R``/``V``/``F``/``ACC`` (remaining supply, price values,
-    refusal counts, accepted counts — column ``class_index`` of each
-    bidder's live lists) are gathered lazily per period and dropped to
-    ``None`` at every :meth:`MarketTickDispatcher.sync`.
+    ``ids``/``rows``/``costs``/``bidders`` (and ``engine_rows``, once bound
+    to a period engine) are static for the federation's lifetime;
+    ``R``/``V``/``F``/``ACC`` (remaining supply, price values, refusal
+    counts, accepted counts — column ``class_index`` of each bidder's
+    state) are gathered lazily per period and dropped to ``None`` when
+    they are written back.
     """
 
     __slots__ = (
-        "class_index", "ids", "rows", "costs", "bidders",
+        "class_index", "ids", "rows", "costs", "bidders", "engine_rows",
         "R", "V", "F", "ACC",
     )
 
@@ -114,6 +118,7 @@ class _ClassState:
         self.rows = rows
         self.costs = costs
         self.bidders = bidders
+        self.engine_rows = None
         self.R = None
         self.V = None
         self.F = None
@@ -174,6 +179,32 @@ class MarketTickDispatcher:
         self._aux_locked = _np.zeros(num_rows, dtype=bool)
         self._aux_delta = _np.zeros(num_rows, dtype=_np.int64)
         self._aux_fresh = False
+        #: The bound period engine and the fleet row of each of its rows.
+        self._engine = None
+        self._engine_fleet_rows = None
+
+    def bind_engine(self, engine, node_ids) -> None:
+        """Back the lanes with ``engine``'s matrices (row *i* = ``node_ids[i]``).
+
+        Only valid when the engine manages every bidder.  From here on,
+        while the engine (not the agents) holds the market state, lanes
+        are gathered from and closed into its arrays.
+        """
+        row_of = self._fleet.row_of
+        engine_row_of = {nid: i for i, nid in enumerate(node_ids)}
+        for st in self._states.values():
+            st.engine_rows = _np.array(
+                [engine_row_of[nid] for nid in st.ids.tolist()],
+                dtype=_np.intp,
+            )
+        self._engine_fleet_rows = _np.array(
+            [row_of[nid] for nid in node_ids], dtype=_np.intp
+        )
+        self._engine = engine
+
+    def _arrays_live(self) -> bool:
+        engine = self._engine
+        return engine is not None and not engine.agents_live
 
     # -- gather ---------------------------------------------------------------
 
@@ -183,31 +214,44 @@ class MarketTickDispatcher:
         Reading ``agent.max_price`` materialises the lazily-tracked
         maximum; from here on the vector path maintains it incrementally,
         which stays exact because prices only rise within a period and
-        every raise updates the running maximum.
+        every raise updates the running maximum.  On adopted arrays both
+        are the boundary's own baseline: no price has moved yet this
+        period (the first refusal brings us here), every latch is open.
         """
         maxp = self._aux_maxp
         locked = self._aux_locked
         self._aux_delta[:] = 0
+        self._aux_fresh = True
+        if self._arrays_live():
+            maxp[self._engine_fleet_rows] = self._engine.max_prices()
+            locked[:] = False
+            return
         for row, agent in enumerate(self._aux_agents):
             if agent is None:
                 continue
             maxp[row] = agent.max_price
             locked[row] = agent._enforce_locked_at is not None
-        self._aux_fresh = True
 
     def _live_state(self, class_index: int) -> _ClassState:
         st = self._states[class_index]
         if st.R is None:
-            bidders = st.bidders
-            st.R = _np.array([b[2][class_index] for b in bidders])
-            st.V = _np.array([b[3][class_index] for b in bidders])
-            st.F = _np.array(
-                [b[4][class_index] for b in bidders], dtype=_np.int64
-            )
-            st.ACC = _np.array(
-                [b[1]._accepted[class_index] for b in bidders],
-                dtype=_np.int64,
-            )
+            if self._arrays_live():
+                # The boundary's own baseline: supply and prices as the
+                # engine left them, counters at zero.
+                st.R, st.V = self._engine.lanes(st.engine_rows, class_index)
+                st.F = _np.zeros(len(st.ids), dtype=_np.int64)
+                st.ACC = _np.zeros(len(st.ids), dtype=_np.int64)
+            else:
+                bidders = st.bidders
+                st.R = _np.array([b[2][class_index] for b in bidders])
+                st.V = _np.array([b[3][class_index] for b in bidders])
+                st.F = _np.array(
+                    [b[4][class_index] for b in bidders], dtype=_np.int64
+                )
+                st.ACC = _np.array(
+                    [b[1]._accepted[class_index] for b in bidders],
+                    dtype=_np.int64,
+                )
             self.stats.gathers += 1
         return st
 
@@ -282,9 +326,32 @@ class MarketTickDispatcher:
 
     # -- scatter --------------------------------------------------------------
 
+    def close_period(self) -> None:
+        """Return the cached lanes to the engine's arrays at a boundary.
+
+        The array-to-array counterpart of :meth:`sync`: supply, prices
+        and the epoch deltas go back; what the boundary is about to reset
+        (refusal/accept counts, running maxima, latches) is dropped.
+        """
+        engine = self._engine
+        synced = False
+        for st in self._states.values():
+            if st.R is None:
+                continue
+            synced = True
+            engine.absorb(st.engine_rows, st.class_index, st.R, st.V)
+            st.R = st.V = st.F = st.ACC = None
+        if self._aux_fresh:
+            synced = True
+            engine.bump_epochs(self._aux_delta[self._engine_fleet_rows])
+            self._aux_fresh = False
+        if synced:
+            self.stats.syncs += 1
+
     def sync(self) -> None:
         """Write all cached state back into the live agent lists.
 
+        The agents must hold the market state.
         After this returns, every agent holds exactly the state the
         scalar loop would have left behind, and the next exchange
         re-gathers from scratch.  Idempotent and cheap when nothing is

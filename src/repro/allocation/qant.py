@@ -148,6 +148,10 @@ class QantAllocator(Allocator):
         #: through `sync_market_state`); direct API users keep the scalar
         #: loop and always-live agent state.
         self._vector_singles = False
+        #: Whether the period engine's arrays keep the market state from
+        #: one boundary to the next (DESIGN.md §5.2): inside a federation
+        #: run whose engine manages every dispatcher lane.
+        self._array_resident = False
         #: Fleet rows / allowances of the engine-managed nodes, for the
         #: vectorised free-capacity probe (``None`` without fleet arrays).
         self._engine_rows_np = None
@@ -315,14 +319,24 @@ class QantAllocator(Allocator):
         coupling, so ordering engine rows before scalar rows is
         unobservable); the remaining agents keep the per-agent path.
         """
-        if self._dispatcher is not None:
-            # Scatter cached exchange state back into the live lists
-            # before anything below (deferred-refusal flush, boundary
-            # solves) reads or rewrites them.
-            self._dispatcher.sync()
-        self._flush_deferred_refusals()
-        self._period_serial += 1
         engine = self._engine
+        dispatcher = self._dispatcher
+        if engine is not None and not engine.agents_live:
+            # Nobody looked since the last boundary: the period closes
+            # array-to-array.  Deferred refusal counts only ever land in
+            # counters the boundary zeroes before anyone can read them.
+            dispatcher.close_period()
+            self._deferred_refusals.clear()
+        else:
+            if dispatcher is not None:
+                # Scatter cached exchange state back into the live lists
+                # before anything below (deferred-refusal flush, boundary
+                # solves) reads or rewrites them.
+                dispatcher.sync()
+            self._flush_deferred_refusals()
+            if self._array_resident:
+                engine.adopt(touched=self._interacted)
+        self._period_serial += 1
         if engine is not None:
             engine.advance(self._interacted, self._engine_free_capacities)
             self._interacted = False
@@ -392,17 +406,20 @@ class QantAllocator(Allocator):
         ]
 
     def sync_market_state(self) -> None:
-        """Materialise any fast-forwarded period boundaries.
+        """Make every agent object current.
 
         Observers that read agent state between boundaries (the
-        :class:`~repro.sim.tracing.MarketTracer`, tests, notebooks) call
-        this first; afterwards every agent holds exactly the state a
-        never-deferred run would show.
+        :class:`~repro.sim.tracing.MarketTracer`, tests, notebooks) and
+        this allocator's scalar paths call this first; afterwards every
+        agent holds exactly the state a scalar, never-deferred run would
+        show, and the lists hold the market until the next boundary.
         """
+        engine = self._engine
+        if engine is not None:
+            engine.flush()
+            engine.materialise()
         if self._dispatcher is not None:
             self._dispatcher.sync()
-        if self._engine is not None:
-            self._engine.flush()
 
     @property
     def period_engine_stats(self):
@@ -422,10 +439,18 @@ class QantAllocator(Allocator):
         self._interacted = True
 
     def on_run_start(self) -> None:
-        self._vector_singles = self._dispatcher is not None
+        dispatcher = self._dispatcher
+        self._vector_singles = dispatcher is not None
+        self._array_resident = (
+            dispatcher is not None
+            and self._engine is not None
+            and not self._scalar_agents
+        )
+        if self._array_resident:
+            dispatcher.bind_engine(self._engine, self._engine_node_ids)
 
     def on_run_end(self) -> None:
-        self._vector_singles = False
+        self._vector_singles = self._array_resident = False
         self.sync_market_state()
 
     def assign(self, query: Query) -> AssignmentDecision:
@@ -500,15 +525,14 @@ class QantAllocator(Allocator):
                 deferred[k] = deferred.get(k, 0) + 1
             elif widths[i]:
                 node_ids[i] = self._exchange(k, fanouts[k], use_vector=True)
-        dispatcher = self._dispatcher
-        if dispatcher is not None and not self._vector_singles:
+        if not self._vector_singles:
             # Scatter the batch's cached market state back into the live
             # agent lists before handing control to the event loop —
             # between batches every observer sees exactly the scalar
             # state.  Inside a federation run (`_vector_singles`) the
             # cache stays warm across assigns; `sync_market_state` is the
             # contract every observer goes through instead.
-            dispatcher.sync()
+            self.sync_market_state()
         return BatchDecisions(node_ids, delays, [2 * n for n in widths])
 
     def _exchange(
@@ -569,13 +593,12 @@ class QantAllocator(Allocator):
             # exchange.
             dispatcher = self._dispatcher
             if dispatcher is not None and (use_vector or self._vector_singles):
-                # The scalar loop below reads/writes the live agent
-                # lists, so settle any cached vector state first.
-                dispatcher.sync()
                 dispatcher.stats.scalar_fallbacks += 1
             live = set(candidates)
             bidders = [b for b in bidders if b[0] in live]
             saturated = False
+        # The scalar loop below reads and writes the live agent lists.
+        self.sync_market_state()
         threshold = self._activation_threshold
         factor = self._raise_factor
         floor = self._price_floor

@@ -212,8 +212,13 @@ def run_benchmarks(
         if progress is not None:
             progress(kernel.name)
         fn = kernel.setup()
-        ns_per_op, inner = measure(fn, repeat=repeat, wall=kernel.wall_time)
-        peak_kb = measure_peak(fn) if measure_mem else None
+        try:
+            ns_per_op, inner = measure(
+                fn, repeat=repeat, wall=kernel.wall_time
+            )
+            peak_kb = measure_peak(fn) if measure_mem else None
+        finally:
+            kernel.teardown(fn)
         results[kernel.name] = Measurement(
             name=kernel.name,
             description=kernel.description,

@@ -42,6 +42,19 @@ class Kernel:
     setup: Callable[[], Callable[[], object]]
     wall_time: bool = False
 
+    @staticmethod
+    def teardown(fn: Callable[[], object]) -> None:
+        """Release whatever ``setup()`` built behind the callable ``fn``.
+
+        A kernel whose fixture holds resources beyond memory (the forked
+        shard pools) exposes a ``close`` attribute on its timed callable,
+        next to ``child_peak_kb``; everyone who calls ``setup()`` calls
+        this when done with ``fn``.  A no-op for in-process kernels.
+        """
+        close = getattr(fn, "close", None)
+        if callable(close):
+            close()
+
 
 #: Registry in registration order (=: display order of every report).
 KERNELS: Dict[str, Kernel] = {}
@@ -509,6 +522,7 @@ def _setup_fed_fig5a_sharded() -> Callable[[], object]:
 
     run_once.child_peak_kb = federation.transport.child_peak_kb
     run_once.shard_self_time_s = federation.shard_self_time_s
+    run_once.close = federation.close
     return run_once
 
 
@@ -565,4 +579,5 @@ def _setup_fed_fig5a_localmarket() -> Callable[[], object]:
 
     run_once.child_peak_kb = federation.transport.child_peak_kb
     run_once.shard_self_time_s = federation.shard_self_time_s
+    run_once.close = federation.close
     return run_once

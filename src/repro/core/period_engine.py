@@ -37,11 +37,14 @@ differ in the last ulp for roughly 0.1% of inputs.  The weights therefore
 go through a scalar Python pow loop (over only the rows being solved)
 while everything around them is vectorised.
 
-The agents' own Python lists stay authoritative for the *within*-period
-hot paths (the allocator's inlined fan-out holds live references via
-``bid_state``); the engine gathers them into its matrices at a boundary
-only when the period saw any interaction, and scatters results back with
-identity-preserving slice assignment.
+Exactly one side holds the market state at any instant (DESIGN.md §5.2):
+the agents' Python lists while ``agents_live`` (scalar quotes, direct API
+use, an observer reading them), else the matrices.
+:meth:`QantPeriodEngine.adopt` gathers the lists into the matrices,
+:meth:`QantPeriodEngine.materialise` scatters them back with
+identity-preserving slice assignment (the allocator's inlined fan-out
+holds live references via ``bid_state``), and a boundary leaves the state
+on whichever side held it on entry.
 """
 
 from __future__ import annotations
@@ -52,7 +55,7 @@ from typing import Callable, List, Sequence
 import numpy as np
 
 from .qant import QantPricingAgent
-from .supply import CapacitySupplySet
+from .supply import MIN_FILL, CapacitySupplySet
 from .vectors import QueryVector
 
 __all__ = [
@@ -82,7 +85,10 @@ class PeriodEngineStats:
     ``(price_epoch, free_capacity)`` cache without re-solving eq. 4.
     ``deferred_ticks`` counts boundaries fast-forwarded in O(1) at the
     quiescent fixed point; ``replayed_ticks`` counts how many of those
-    were later materialised by a :meth:`QantPeriodEngine.flush`.
+    were later replayed by a :meth:`QantPeriodEngine.flush`.
+    ``adopted``/``materialised`` count the per-agent Python passes
+    (lists → arrays, arrays → lists): one per boundary when every
+    boundary is observed, one per run when none is.
     """
 
     ticks: int = 0
@@ -90,14 +96,17 @@ class PeriodEngineStats:
     replayed_ticks: int = 0
     solved_rows: int = 0
     reused_rows: int = 0
+    adopted: int = 0
+    materialised: int = 0
 
 
 class QantPeriodEngine:
     """Batched period boundaries for a fleet of plain QA-NT agents.
 
-    The engine owns the cross-period numeric state (prices, carry-over
-    credit, cached optimal plans) as matrices and drives all N agents'
-    ``end_period`` → capacity rebind → ``begin_period`` sequence per
+    The engine holds the market state (prices, remaining and planned
+    supply, carry-over credit, price epochs, free capacities, cached
+    optimal plans) as matrices and runs all N agents' ``end_period`` →
+    capacity rebind → ``begin_period`` sequence on them per
     :meth:`advance` call.  Construct it *between* periods (at bind time)
     over agents that all share one :class:`~repro.core.qant.
     QantParameters`; agents that do not :meth:`accepts` must stay on the
@@ -143,16 +152,23 @@ class QantPeriodEngine:
             [agent.supply_set.cost_ms for agent in agents]
         )
         self._valid_cost = np.isfinite(self._costs)
-        # Mirrors of the agents' live state.  Between boundaries the
-        # agents' lists are authoritative (the allocator mutates them
-        # in-place); the matrices are re-gathered at the next boundary
-        # iff the period saw any interaction.
+        #: Whether the agents' lists (True) or the arrays below hold the
+        #: market state.
+        self.agents_live = True
         self._prices = np.array([agent._price_values for agent in agents])
         self._epochs = np.fromiter(
             (agent._price_epoch for agent in agents), dtype=np.int64, count=n
         )
         self._credit = np.array([agent._credit for agent in agents])
         self._planned = np.zeros((n, num_classes))
+        self._remaining = np.zeros((n, num_classes))
+        # What the agent objects last held of the two coordinates
+        # `materialise` writes incrementally: rows whose epoch or capacity
+        # still matches are already bit-identical and are skipped.
+        self._agent_epochs = self._epochs.copy()
+        self._agent_capacity = np.array(
+            [agent.supply_set.capacity_ms for agent in agents]
+        )
         # The (price_epoch, free_capacity) plan cache: row i's cached
         # optimal vector is valid while both coordinates are unchanged.
         self._prev_epochs = np.full(n, -1, dtype=np.int64)
@@ -183,7 +199,7 @@ class QantPeriodEngine:
 
     @property
     def deferred_ticks_pending(self) -> int:
-        """Boundaries fast-forwarded but not yet materialised."""
+        """Boundaries fast-forwarded but not yet replayed."""
         return self._deferred
 
     def advance(
@@ -195,8 +211,9 @@ class QantPeriodEngine:
         the previous boundary (an assignment ran, a query completed) —
         it gates both the state re-gather and the quiescence fast path.
         ``free_capacity`` is only called when the boundary actually
-        materialises, so quiescent ticks skip the per-node load probes
-        entirely.
+        runs, so quiescent ticks skip the per-node load probes entirely.
+        With live agents the boundary is adopt → tick → materialise, on
+        adopted arrays the tick alone.
         """
         self.stats.ticks += 1
         if self._eligible and not interacted:
@@ -205,36 +222,52 @@ class QantPeriodEngine:
             self._deferred += 1
             self.stats.deferred_ticks += 1
             return
-        if self._deferred:
-            self._replay()
-        self._tick(
-            np.asarray(free_capacity(), dtype=float), gather=interacted
-        )
+        self.flush()
+        live = self.agents_live
+        if live:
+            self.adopt(touched=interacted)
+        self._tick(np.asarray(free_capacity(), dtype=float))
+        if live:
+            self.materialise()
 
     def flush(self) -> None:
-        """Materialise any fast-forwarded boundaries.
+        """Replay any fast-forwarded boundaries.
 
-        Callers must flush before reading or perturbing agent state
-        (assignments, tracers, end of run); after the flush every agent
-        holds exactly the state the scalar per-tick loop would have
-        produced.
+        Callers must flush before reading or perturbing the market
+        (assignments, tracers, end of run); afterwards whichever side
+        holds the state holds exactly what the scalar per-tick loop would
+        have produced.
         """
         if self._deferred:
+            live = self.agents_live
+            if live:
+                # Quiescent by contract: the lists hold nothing new.
+                self.adopt(touched=False)
             self._replay()
+            if live:
+                self.materialise()
 
-    # -- one full boundary ---------------------------------------------------
+    # -- agents <-> arrays ---------------------------------------------------
 
-    def _tick(self, capacities: np.ndarray, gather: bool) -> None:
-        agents = self._agents
-        n = len(agents)
-        prices = self._prices
-        if gather or not self._started:
-            # The period saw assignments: prices may have risen and
-            # supply been consumed through the agents' live lists.  Every
-            # price writer (scalar raises, the market-tick dispatcher's
-            # sync, our own decay) bumps the agent's price epoch exactly
-            # when a value changed, so rows whose epoch matches our
-            # mirror are already bit-identical and skip the re-gather.
+    def adopt(self, touched: bool = True) -> None:
+        """Take the market state over from the agents' lists.
+
+        Gathers what scalar traffic can have moved (price epochs, the
+        price rows whose epoch moved, remaining supply) unless the caller
+        vouches that nothing ``touched`` the lists.  Until
+        :meth:`materialise` the agent objects must not be read or written.
+        """
+        if not self.agents_live:
+            return
+        if touched or not self._started:
+            # Every price writer (scalar raises, the market-tick
+            # dispatcher's sync, our own decay) bumps the agent's price
+            # epoch exactly when a value changed, so rows whose epoch
+            # matches our mirror are already bit-identical and skip the
+            # re-gather.
+            agents = self._agents
+            n = len(agents)
+            prices = self._prices
             new_epochs = np.fromiter(
                 (agent._price_epoch for agent in agents),
                 dtype=np.int64,
@@ -247,53 +280,116 @@ class QantPeriodEngine:
             for i in stale:
                 prices[i] = agents[i]._price_values
             self._epochs = new_epochs
-            remaining = np.array([agent._remaining for agent in agents])
-        else:
-            # Untouched period: nothing was sold, so the unsold leftover
-            # is the full planned vector and prices match our matrix.
-            remaining = self._planned
+            self._agent_epochs = new_epochs.copy()
+            self._remaining = np.array(
+                [agent._remaining for agent in agents]
+            )
+        self.agents_live = False
+        self.stats.adopted += 1
+
+    def materialise(self) -> None:
+        """Write the market state back into the agents; they are live again.
+
+        Slice assignment everywhere: the allocator's compiled bidder
+        tuples hold the very list objects (`bid_state`), so their
+        identity must survive — the same contract `begin_period` keeps.
+        Counters and the enforce latch get their period-start values; the
+        market-tick dispatcher overlays in-period activity afterwards.
+        """
+        if self.agents_live:
+            return
+        agents = self._agents
+        epochs = self._epochs
+        moved = np.nonzero(epochs != self._agent_epochs)[0]
+        if moved.size:
+            new_lists = self._prices[moved].tolist()
+            new_epochs = epochs[moved].tolist()
+            for slot, i in enumerate(moved.tolist()):
+                agent = agents[i]
+                # The epoch counts one bump per changed class, exactly as
+                # the scalar loop; the lazy caches are dropped wholesale
+                # (recomputing max over the row yields the same value
+                # the scalar path keeps or recomputes).
+                agent._price_epoch = new_epochs[slot]
+                agent._prices_cache = None
+                agent._max_price = None
+                agent._price_values[:] = new_lists[slot]
+            self._agent_epochs[moved] = epochs[moved]
+        # Free-capacity rebinds: same `with_capacity` sharing as the
+        # scalar path, done only for rows whose budget actually moved.
+        # The in-period guard of `rebind_supply_set` is deliberately
+        # skipped — the engine *is* the period machinery.
+        if self._started:
+            capacity = self._prev_capacity
+            rebound = np.nonzero(capacity != self._agent_capacity)[0]
+            for i in rebound.tolist():
+                agent = agents[i]
+                agent._supply_set = agent._supply_set.with_capacity(
+                    float(capacity[i])
+                )
+            self._agent_capacity[rebound] = capacity[rebound]
+            planned_lists = self._planned.tolist()
+            remaining_lists = self._remaining.tolist()
+            credit_lists = self._credit.tolist() if self._carry else None
+            zeros_int = self._zeros_int
+            from_trusted = QueryVector._from_trusted_tuple
+            for i, agent in enumerate(agents):
+                agent._planned = from_trusted(tuple(planned_lists[i]))
+                agent._remaining[:] = remaining_lists[i]
+                agent._accepted[:] = zeros_int
+                agent._refused[:] = zeros_int
+                agent._in_period = True
+                agent._enforce_locked_at = None
+                if credit_lists is not None:
+                    agent._credit[:] = credit_lists[i]
+        self.agents_live = True
+        self.stats.materialised += 1
+
+    # -- array views for the market-tick dispatcher ---------------------------
+
+    def lanes(self, rows: np.ndarray, class_index: int):
+        """Copies of one class's (remaining supply, price) columns."""
+        return (
+            self._remaining[rows, class_index],
+            self._prices[rows, class_index],
+        )
+
+    def max_prices(self) -> np.ndarray:
+        """Every row's largest class price (the overload signal)."""
+        return self._prices.max(axis=1)
+
+    def absorb(self, rows, class_index, remaining, prices) -> None:
+        """Take one class's in-period lanes back at the period's close."""
+        self._remaining[rows, class_index] = remaining
+        self._prices[rows, class_index] = prices
+
+    def bump_epochs(self, deltas: np.ndarray) -> None:
+        """Add the period's per-row counts of in-period price changes."""
+        self._epochs += deltas
+
+    # -- one full boundary ---------------------------------------------------
+
+    def _tick(self, capacities: np.ndarray) -> None:
+        n = len(self._agents)
+        prices = self._prices
 
         # Steps 12-14, batched: every class with unsold supply decays,
         # ``p_k *= max(0, 1 - leftover*lambda)`` clamped at the floor —
         # the same expression (and clamp order) as the scalar
-        # ``_lower_price``, applied elementwise.
+        # ``_lower_price``, applied elementwise, with one epoch bump per
+        # changed class.
         if self._started:
+            remaining = self._remaining
             factor = 1.0 - remaining * self._lam
             np.maximum(factor, 0.0, out=factor)
             decayed = prices * factor
             np.maximum(decayed, self._floor, out=decayed)
             new_prices = np.where(remaining > 0.0, decayed, prices)
-            changed = new_prices != prices
-            row_counts = changed.sum(axis=1)
-            changed_rows = np.nonzero(row_counts)[0]
-            if changed_rows.size:
-                new_lists = new_prices[changed_rows].tolist()
-                for slot, i in enumerate(changed_rows.tolist()):
-                    agent = agents[i]
-                    # One epoch bump per changed class, exactly as the
-                    # scalar loop; the lazy caches are dropped wholesale
-                    # (recomputing max over only-lowered prices yields
-                    # the same value the scalar path keeps or recomputes).
-                    agent._price_epoch += int(row_counts[i])
-                    agent._prices_cache = None
-                    agent._max_price = None
-                    agent._price_values[:] = new_lists[slot]
-                self._epochs[changed_rows] += row_counts[changed_rows]
+            self._epochs += (new_prices != prices).sum(axis=1)
             prices = self._prices = new_prices
 
-        # Free-capacity rebinds: same `with_capacity` sharing as the
-        # scalar path, done only for rows whose budget actually moved
-        # (`with_capacity` returns self on an equal budget anyway).  The
-        # in-period guard of `rebind_supply_set` is deliberately skipped —
-        # the engine *is* the period machinery.
-        capacity_changed = capacities != self._prev_capacity
-        for i in np.nonzero(capacity_changed)[0].tolist():
-            agent = agents[i]
-            agent._supply_set = agent._supply_set.with_capacity(
-                float(capacities[i])
-            )
-
         # Solve eq. 4 only where the (price_epoch, capacity) key moved.
+        capacity_changed = capacities != self._prev_capacity
         need = (self._epochs != self._prev_epochs) | capacity_changed
         n_need = int(np.count_nonzero(need))
         if n_need:
@@ -315,7 +411,7 @@ class QantPeriodEngine:
         else:
             planned = np.floor(self._optimal + 1e-9) + 0.0
         self._planned = planned
-        self._install()
+        self._remaining = planned.copy()
         self._started = True
 
         # Fixed-point detection for the deferral fast path: with every
@@ -339,7 +435,7 @@ class QantPeriodEngine:
             self._eligible = False
 
     def _replay(self) -> None:
-        """Materialise the deferred boundaries in one batch.
+        """Run the deferred boundaries in one batch.
 
         At the fixed point each skipped boundary is decay-no-op +
         cache-hit solve; only the carry-over credit cycles, so replaying
@@ -359,29 +455,7 @@ class QantPeriodEngine:
             planned = np.trunc(credit + 1e-9) + 0.0
             credit -= planned
         self._planned = planned
-        self._install()
-
-    def _install(self) -> None:
-        """Scatter the boundary's results back into the agents.
-
-        Slice assignment everywhere: the allocator's compiled bidder
-        tuples hold the very list objects (`bid_state`), so their
-        identity must survive — the same contract `begin_period` keeps.
-        """
-        planned_lists = self._planned.tolist()
-        credit_lists = self._credit.tolist() if self._carry else None
-        zeros_int = self._zeros_int
-        from_trusted = QueryVector._from_trusted_tuple
-        for i, agent in enumerate(self._agents):
-            row = planned_lists[i]
-            agent._planned = from_trusted(tuple(row))
-            agent._remaining[:] = row
-            agent._accepted[:] = zeros_int
-            agent._refused[:] = zeros_int
-            agent._in_period = True
-            agent._enforce_locked_at = None
-            if credit_lists is not None:
-                agent._credit[:] = credit_lists[i]
+        self._remaining = planned.copy()
 
     # -- batched eq. 4 -------------------------------------------------------
 
@@ -410,7 +484,9 @@ class QantPeriodEngine:
         elif method == "fractional":
             counts_s = np.zeros_like(density_s)
             has_any = density_s[:, 0] != -np.inf
-            counts_s[:, 0] = np.where(has_any, cap / costs_s[:, 0], 0.0)
+            fill = np.where(has_any, cap / costs_s[:, 0], 0.0)
+            fill[fill < MIN_FILL] = 0.0
+            counts_s[:, 0] = fill
         else:  # greedy / greedy-fractional
             counts_s = self._solve_greedy_sorted(
                 density_s, cap, costs_s, method == "greedy-fractional"
@@ -451,6 +527,8 @@ class QantPeriodEngine:
         counts = share / costs_s
         counts[~nonzero] = 0.0
         counts[~mask] = 0.0
+        # The scalar solver's fill clamp (see `supply.MIN_FILL`).
+        counts[counts < MIN_FILL] = 0.0
         return counts
 
     def _solve_greedy_sorted(
@@ -486,7 +564,7 @@ class QantPeriodEngine:
         if fractional_tail:
             tail = valid[:, 0] & (remaining > 0.0)
             if tail.any():
-                counts[:, 0] += np.where(
-                    tail, remaining / costs_s[:, 0], 0.0
-                )
+                fill = np.where(tail, remaining / costs_s[:, 0], 0.0)
+                fill[fill < MIN_FILL] = 0.0
+                counts[:, 0] += fill
         return counts

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import abc
 import math
+import sys
 from collections import namedtuple
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -50,6 +51,14 @@ __all__ = [
 #: count memo lookups (density orderings, proportional weights, whole
 #: solved vectors); ``entries`` is the number of values currently stored.
 SupplyCacheInfo = namedtuple("SupplyCacheInfo", ("hits", "misses", "entries"))
+
+#: A fractional fill below the smallest normal float counts as nothing.
+#: Down there a quotient rounds to a whole number of denormals, so
+#: ``budget / cost`` can come back *above* what the budget pays for
+#: (``5e-324 / 1.5`` is ``5e-324`` again: utilisation 2.0).  Every
+#: fractional solver clamps its fills with this; the batched mirror in
+#: :mod:`repro.core.period_engine` uses the same constant.
+MIN_FILL = sys.float_info.min
 
 
 class SupplySet(abc.ABC):
@@ -321,6 +330,8 @@ class CapacitySupplySet(SupplySet):
             return QueryVector.zeros(self.num_classes)
         __, best_class = pairs[0]
         amount = self._capacity / self._costs[best_class]
+        if amount < MIN_FILL:
+            amount = 0.0
         return QueryVector.unit(self.num_classes, best_class, amount)
 
     def _solve_greedy(
@@ -344,7 +355,9 @@ class CapacitySupplySet(SupplySet):
             # not yet saturated — QA-NT's carry-over accounting converts
             # these fractions into whole queries across periods.
             __, best = densities[0]
-            counts[best] += remaining / self._costs[best]
+            tail = remaining / self._costs[best]
+            if tail >= MIN_FILL:
+                counts[best] += tail
         return QueryVector._from_trusted_tuple(tuple(counts))
 
     def _solve_proportional(
@@ -394,7 +407,9 @@ class CapacitySupplySet(SupplySet):
         costs = self._costs
         for weight, k in weights:
             share_ms = capacity * weight / total
-            counts[k] = share_ms / costs[k]
+            amount = share_ms / costs[k]
+            if amount >= MIN_FILL:
+                counts[k] = amount
         return QueryVector._from_trusted_tuple(tuple(counts))
 
     def _solve_exact(

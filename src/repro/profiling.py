@@ -115,20 +115,24 @@ def collect_kernel(name: str) -> cProfile.Profile:
             "unknown bench kernel %r (see 'python -m repro bench')" % (name,)
         )
     fn = kernel.setup()
-    fn()  # warm-up: lazy imports and cache fills stay out of the profile
-    profiler = cProfile.Profile()
-    profiler.enable()
     try:
-        fn()
+        fn()  # warm-up: lazy imports and cache fills stay out of the profile
+        profiler = cProfile.Profile()
+        profiler.enable()
+        try:
+            fn()
+        finally:
+            profiler.disable()
+        # Sharded kernels expose the workers' aggregate frame-handling
+        # self-time (a `shard_self_time_s` callable on the run closure);
+        # cProfile cannot trace into forked workers, so this rides along
+        # on the profiler object for `profile_payload` to fold into
+        # schema v2.
+        reporter = getattr(fn, "shard_self_time_s", None)
+        if callable(reporter):
+            profiler.shard_self_time_s = [float(t) for t in reporter()]
     finally:
-        profiler.disable()
-    # Sharded kernels expose the workers' aggregate frame-handling
-    # self-time (a `shard_self_time_s` callable on the run closure);
-    # cProfile cannot trace into forked workers, so this rides along on
-    # the profiler object for `profile_payload` to fold into schema v2.
-    reporter = getattr(fn, "shard_self_time_s", None)
-    if callable(reporter):
-        profiler.shard_self_time_s = [float(t) for t in reporter()]
+        kernel.teardown(fn)
     return profiler
 
 

@@ -221,6 +221,12 @@ class FederationSimulation:
                 scalar_fallbacks=batch_stats.scalar_fallbacks,
                 syncs=batch_stats.syncs,
             )
+        engine_stats = getattr(self._allocator, "period_engine_stats", None)
+        if engine_stats is not None:
+            self._metrics.apply_market_state_stats(
+                adopted=engine_stats.adopted,
+                materialised=engine_stats.materialised,
+            )
         self._metrics.record_drop(
             len(self._pending) + len(self._backoff_pending)
         )

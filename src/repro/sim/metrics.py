@@ -91,10 +91,13 @@ class MetricsCollector:
         self._vector_exchanges = 0
         self._scalar_fallbacks = 0
         self._batch_syncs = 0
+        # Per-agent adopt/materialise passes of the QA-NT period engine
+        # (zero for mechanisms without one).
+        self._market_adopted = 0
+        self._market_materialised = 0
         # Sharded-federation counters (see repro.sim.shards).  The
         # `_shard_stats_applied` flag gates their presence in
-        # `batch_summary()`: single-process runs must keep emitting
-        # exactly the historical key set, byte for byte.
+        # `batch_summary()`: single-process runs do not carry them.
         self._shard_stats_applied = False
         self._cross_shard_bids = 0
         self._barrier_wait_ms = 0.0
@@ -189,6 +192,18 @@ class MetricsCollector:
         self._vector_exchanges += int(vector_exchanges)
         self._scalar_fallbacks += int(scalar_fallbacks)
         self._batch_syncs += int(syncs)
+
+    def apply_market_state_stats(
+        self, adopted: int = 0, materialised: int = 0
+    ) -> None:
+        """Snapshot a period engine's adopt/materialise counters.
+
+        An unobserved run reads one materialise on top of the bind-time
+        boundary; a run whose observer (tracer, outage fallback) keeps
+        pulling the state back into the agent objects about one a period.
+        """
+        self._market_adopted += int(adopted)
+        self._market_materialised += int(materialised)
 
     def apply_shard_stats(
         self,
@@ -367,8 +382,7 @@ class MetricsCollector:
         """The batching counters as one flat mapping (sweep-cell currency).
 
         Sharded runs (see :meth:`apply_shard_stats`) additionally carry
-        the shard coordination counters; the keys are absent otherwise
-        so historical single-process summaries serialize unchanged.
+        the shard coordination counters; those keys are absent otherwise.
         """
         summary = {
             "batch_ticks": float(self._batch_ticks),
@@ -377,6 +391,8 @@ class MetricsCollector:
             "vector_exchanges": float(self._vector_exchanges),
             "scalar_fallbacks": float(self._scalar_fallbacks),
             "batch_syncs": float(self._batch_syncs),
+            "market_adopted": float(self._market_adopted),
+            "market_materialised": float(self._market_materialised),
         }
         if self._shard_stats_applied:
             summary["cross_shard_bids"] = float(self._cross_shard_bids)

@@ -311,6 +311,8 @@ def test_batch_summary_counters_surface_in_metrics():
         "vector_exchanges",
         "scalar_fallbacks",
         "batch_syncs",
+        "market_adopted",
+        "market_materialised",
     }
     assert summary["batch_ticks"] > 0
     assert summary["batched_queries"] >= 2 * summary["batch_ticks"]
@@ -357,8 +359,18 @@ def _overload_setup(world_kind, seed, tick_ms):
     return world, trace
 
 
-def _overload_run(world, trace, batch_ticks, faults=None):
-    """One qa-nt run; returns everything the batch contract pins."""
+def _overload_run(world, trace, batch_ticks, faults=None, observe=False):
+    """One qa-nt run; returns everything the batch contract pins.
+
+    Unobserved (the default) is the path production takes: nobody asks
+    for the agents before `on_run_end`, so the market state stays in the
+    period engine's arrays.  Refusal counters are reset at every
+    boundary, so the post-run agents only show the last period; an
+    ``observe``-d run looks at the agents just before each boundary —
+    which keeps them live through it, so the deferred (bulk-settled)
+    counts land in their lists instead of being dropped unapplied — and
+    logs the counters per period right after they land.
+    """
     allocator = QantAllocator()
     federation = build_federation(
         world.specs,
@@ -376,19 +388,26 @@ def _overload_run(world, trace, batch_ticks, faults=None):
         return exchange(*args, **kwargs)
 
     allocator._exchange = counted
-    # Refusal counters are reset at every boundary, so the post-run agent
-    # state only shows the last period: log them per period, right after
-    # the deferred (bulk-settled) counts land.
     refusals_by_period = []
-    flush = allocator._flush_deferred_refusals
+    if observe:
+        flush = allocator._flush_deferred_refusals
+        boundary = allocator.on_period_start
 
-    def flush_and_log():
-        flush()
-        refusals_by_period.append(
-            [tuple(agent._refused) for __, agent in sorted(allocator.agents.items())]
-        )
+        def flush_and_log():
+            flush()
+            refusals_by_period.append(
+                [
+                    tuple(agent._refused)
+                    for __, agent in sorted(allocator.agents.items())
+                ]
+            )
 
-    allocator._flush_deferred_refusals = flush_and_log
+        def observed_boundary():
+            allocator.sync_market_state()
+            boundary()
+
+        allocator._flush_deferred_refusals = flush_and_log
+        allocator.on_period_start = observed_boundary
     metrics = federation.run(trace)
     network = federation.network
     pinned = {
@@ -407,6 +426,27 @@ def _overload_run(world, trace, batch_ticks, faults=None):
     return pinned, metrics, exchange_calls[0]
 
 
+def _assert_overload_twins_match(world, trace, faults=None):
+    """Batched == scalar, unobserved and observed; returns the batched runs.
+
+    The unobserved pair pins the array-resident path (lazy boundary,
+    lanes gathered from and closed into the engine's matrices) on
+    outcomes, negotiation bits, final agents, messages and RNG position;
+    the observed pair adds the per-period refusal log.  Looking must not
+    move anything else.
+    """
+    batched = {}
+    for observe in (False, True):
+        batched[observe] = _overload_run(world, trace, True, faults, observe)
+        scalar = _overload_run(world, trace, False, faults, observe)
+        assert batched[observe][0] == scalar[0]
+    unobserved, observed = batched[False][0], batched[True][0]
+    assert observed["refusals_by_period"]
+    assert not unobserved["refusals_by_period"]
+    assert {**observed, "refusals_by_period": []} == unobserved
+    return batched
+
+
 @settings(max_examples=10, deadline=None)
 @given(
     st.sampled_from(["two-class", "zipf"]),
@@ -423,9 +463,7 @@ def test_saturated_bursts_match_scalar_bit_for_bit(
     # classes run partial fan-outs, which must not be settled in bulk.
     world, trace = _overload_setup(world_kind, seed, tick_ms)
     faults = _MID_PERIOD_OUTAGE if outage else None
-    batched, __, __ = _overload_run(world, trace, True, faults)
-    scalar, __, __ = _overload_run(world, trace, False, faults)
-    assert batched == scalar
+    _assert_overload_twins_match(world, trace, faults)
 
 
 def test_saturated_burst_settles_in_bulk_and_outage_bypasses_it():
@@ -442,6 +480,9 @@ def test_saturated_burst_settles_in_bulk_and_outage_bypasses_it():
             assert metrics.exchanges - calls > 100
         else:
             assert calls == metrics.exchanges
+        # Unobserved means array-resident: the agents are written at the
+        # bind-time boundary and at `on_run_end`, never in between.
+        assert metrics.batch_summary()["market_materialised"] == 2.0
     assert pinned[True] == pinned[False]
     # In this Zipf twin a class saturates on the 500 ms retry burst and
     # node 1 fails 250 ms later, so same-period arrival batches meet a
@@ -449,14 +490,17 @@ def test_saturated_burst_settles_in_bulk_and_outage_bypasses_it():
     # refusals to the live bidders only (the per-period refusal log is
     # the only place a wrongly bulk-settled one would show).
     world, trace = _overload_setup("zipf", 2, 50.0)
-    with_outage, metrics, calls = _overload_run(
-        world, trace, True, _MID_PERIOD_OUTAGE
-    )
-    assert metrics.scalar_fallbacks > 0
-    assert calls < metrics.exchanges
-    assert with_outage == _overload_run(
-        world, trace, False, _MID_PERIOD_OUTAGE
-    )[0]
+    batched = _assert_overload_twins_match(world, trace, _MID_PERIOD_OUTAGE)
+    for __, metrics, calls in batched.values():
+        assert metrics.scalar_fallbacks > 0
+        assert calls < metrics.exchanges
+    # The unobserved run only writes the agents where a fallback needs
+    # them; the observed one at every boundary.
+    materialised = {
+        observe: metrics.batch_summary()["market_materialised"]
+        for observe, (__, metrics, __) in batched.items()
+    }
+    assert 2.0 < materialised[False] < materialised[True]
 
 
 def test_unbound_allocator_batch_reports_not_bound():

@@ -1,6 +1,7 @@
 """Tests for the microbenchmark subsystem (:mod:`repro.bench`)."""
 
 import json
+import multiprocessing
 
 import pytest
 
@@ -52,8 +53,13 @@ class TestRegistry:
             if name.startswith("e2e."):
                 continue
             fn = kernel.setup()
-            assert callable(fn)
-            fn()  # one untimed execution must not raise
+            try:
+                assert callable(fn)
+                fn()  # one untimed execution must not raise
+            finally:
+                kernel.teardown(fn)
+        # The forked shard pools of the fed.*sharded kernels are gone.
+        assert multiprocessing.active_children() == []
 
     def test_duplicate_registration_rejected(self):
         from repro.bench.kernels import register_kernel

@@ -126,6 +126,23 @@ class TestScalarEquivalence:
             engine.advance(False, lambda: capacities)
             _assert_state_equal(reference, batched)
 
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("carry", [True, False])
+    def test_denormal_capacities_stay_bit_identical(self, method, carry):
+        """Subnormal budgets hit the solvers' fill clamp (a quotient of
+        denormals may not round up past its budget) on both sides."""
+        reference, batched = _twin_fleets(77, 6, 3, method, carry)
+        engine = QantPeriodEngine(batched, [2_000.0] * 6, can_defer=False)
+        schedule = [
+            [5e-324, 1e-323, 2.5e-308, 1e-300, 0.0, 2_000.0],
+            [1e-323, 5e-324, 5e-324, 2_000.0, 1e-310, 150.0],
+        ]
+        for tick in range(6):
+            capacities = schedule[tick % 2]
+            _scalar_boundary(reference, capacities)
+            engine.advance(True, lambda: capacities)
+            _assert_state_equal(reference, batched)
+
     def test_single_agent_single_class(self):
         reference, batched = _twin_fleets(7, 1, 1, "proportional", True)
         engine = QantPeriodEngine(batched, [2_000.0], can_defer=False)

@@ -1,6 +1,6 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.market import PriceVector, excess_demand
@@ -72,12 +72,22 @@ class TestSupplyInvariants:
         st.floats(min_value=0.0, max_value=5000.0, allow_nan=False),
     )
 
-    @given(supply_cases, st.data())
+    # The same draws as `supply_cases` + `data.draw(prices_for(k))`, as
+    # one strategy, so explicit examples can be pinned (`st.data()`
+    # cannot take them).
+    priced_supply_cases = supply_cases.flatmap(
+        lambda case: st.tuples(st.just(case), prices_for(len(case[0])))
+    )
+
+    @given(priced_supply_cases)
+    # Subnormal budgets: a fractional fill of a whole denormal used to
+    # overshoot the capacity it was cut from (utilisation 2.0 and 1.5).
+    @example((([1.5], 5e-324), [1.0]))
+    @example((([3.0], 1e-323), [1.0]))
     @settings(max_examples=60)
-    def test_all_solvers_return_feasible_supply(self, case, data):
-        costs, capacity = case
+    def test_all_solvers_return_feasible_supply(self, priced_case):
+        (costs, capacity), prices = priced_case
         supply_set = CapacitySupplySet(costs, capacity)
-        prices = data.draw(prices_for(len(costs)))
         for method in ("greedy", "fractional", "greedy-fractional", "proportional"):
             result = supply_set.optimal_supply(prices, method=method)
             assert supply_set.utilisation(result) <= 1.0 + 1e-6

@@ -1,0 +1,264 @@
+#!/usr/bin/env python3
+"""Alternating parent/change pairs of one repo-benchmark workload.
+
+The protocol behind every performance claim in CHANGES.md, as a command:
+export the parent commit into a temporary directory, then run
+
+    python3 perf/run.py --workload W --seed S --seconds T --trace 0
+
+once in each tree per pair, swapping which side goes first every pair (so
+warm-up, thermal drift and background load fall on both sides alike), and
+print for every end-to-end metric of ``BENCHMARK.json`` both sides'
+medians and quartiles, how many pairs the change won (ties count for
+neither side), whether the medians are further apart than the parent's
+own interquartile range (and which way), and whether the change stays
+inside the metric's regression bound.  ``correct`` / ``failed`` of every
+run are summed per side: a gain does not count when more operations fail.
+
+Each tree runs its *own* ``perf/`` — the driver does the same — so the
+comparison is only meaningful while ``perf/`` is identical on both sides
+(the tool says so when it is not).
+
+    python3 tools/perf_pairs.py --parent HEAD~1 --workload tick1000_single \\
+        --seed 0 --pairs 10
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import pathlib
+import statistics
+import subprocess
+import sys
+import tempfile
+from typing import Dict, List, Optional, Sequence
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+def export_tree(ref: str, target: pathlib.Path) -> None:
+    """Unpack commit ``ref`` of this repository into ``target``."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", ref],
+        cwd=REPO,
+        check=True,
+        stdout=subprocess.PIPE,
+    )
+    subprocess.run(
+        ["tar", "-x", "-C", str(target)], input=archive.stdout, check=True
+    )
+
+
+def same_benchmark(parent: pathlib.Path, change: pathlib.Path) -> bool:
+    """Whether both trees carry byte-identical ``perf/`` sources."""
+
+    def sources(tree: pathlib.Path) -> Dict[str, bytes]:
+        return {
+            str(path.relative_to(tree)): path.read_bytes()
+            for path in sorted((tree / "perf").rglob("*.py"))
+        }
+
+    return sources(parent) == sources(change)
+
+
+def run_once(
+    tree: pathlib.Path, workload: str, seed: int, seconds: float
+) -> dict:
+    """One end-to-end benchmark run in ``tree``; the result object."""
+    done = subprocess.run(
+        [
+            sys.executable,
+            "perf/run.py",
+            "--workload", workload,
+            "--seed", str(seed),
+            "--seconds", str(seconds),
+            "--trace", "0",
+        ],
+        cwd=tree,
+        check=True,
+        stdout=subprocess.PIPE,
+        text=True,
+    )
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def quartiles(values: Sequence[float]) -> tuple:
+    """``(q1, median, q3)``; a single run is its own quartiles."""
+    if len(values) < 2:
+        return values[0], values[0], values[0]
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return q1, median, q3
+
+
+def summarise(
+    metric: dict, parent: List[float], change: List[float]
+) -> dict:
+    """Pairwise verdict of one end-to-end metric."""
+    higher = metric["better"] == "higher"
+    wins = sum((c > p) if higher else (c < p) for p, c in zip(parent, change))
+    ties = sum(c == p for p, c in zip(parent, change))
+    p_q1, p_med, p_q3 = quartiles(parent)
+    c_q1, c_med, c_q3 = quartiles(change)
+    gain = (c_med - p_med) if higher else (p_med - c_med)
+    worse_by = -gain / abs(p_med) if p_med else 0.0
+    return {
+        "name": metric["name"],
+        "unit": metric["unit"],
+        "better": metric["better"],
+        "parent": {"median": p_med, "q1": p_q1, "q3": p_q3},
+        "change": {"median": c_med, "q1": c_q1, "q3": c_q3},
+        "ratio": c_med / p_med if p_med else None,
+        "wins": wins,
+        "decided_pairs": len(parent) - ties,
+        "identical": ties == len(parent),
+        # Signed towards "better": positive = the change's median is
+        # better than the parent's by this much.
+        "gain": gain,
+        "parent_iqr": p_q3 - p_q1,
+        "within_bound": worse_by <= metric["bound"],
+    }
+
+
+def render(rows: List[dict], sides: Dict[str, List[dict]]) -> str:
+    lines = [
+        "%-44s %-30s %-30s %7s %7s  %s"
+        % ("metric", "parent median [q1, q3]", "change median [q1, q3]",
+           "ratio", "wins", "verdict")
+    ]
+    for row in rows:
+        cells = [
+            "%.6g [%.6g, %.6g]" % (side["median"], side["q1"], side["q3"])
+            for side in (row["parent"], row["change"])
+        ]
+        if row["identical"]:
+            verdict = "identical"
+        else:
+            if abs(row["gain"]) <= row["parent_iqr"]:
+                spread = "inside parent IQR"
+            else:
+                spread = "%s beyond parent IQR" % (
+                    "better" if row["gain"] > 0 else "worse"
+                )
+            verdict = "%s, %s bound" % (
+                spread, "within" if row["within_bound"] else "OUTSIDE"
+            )
+        lines.append(
+            "%-44s %-30s %-30s %7s %7s  %s"
+            % (
+                "%s (%s, %s)" % (row["name"], row["unit"], row["better"]),
+                cells[0],
+                cells[1],
+                "-" if row["ratio"] is None else "%.3f" % row["ratio"],
+                "%d/%d" % (row["wins"], row["decided_pairs"]),
+                verdict,
+            )
+        )
+    for side, runs in sides.items():
+        lines.append(
+            "%s: correct %d/%d runs, failed %d of %d attempted"
+            % (
+                side,
+                sum(bool(run["correct"]) for run in runs),
+                len(runs),
+                sum(run["failed"] for run in runs),
+                sum(run["attempted"] for run in runs),
+            )
+        )
+    return "\n".join(lines)
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n\n")[0],
+        epilog="See the module docstring for the protocol.",
+    )
+    parser.add_argument("--parent", required=True, help="git ref to compare against")
+    parser.add_argument(
+        "--workload",
+        required=True,
+        choices=[w["name"] for w in benchmark["workloads"]],
+    )
+    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument(
+        "--seconds",
+        type=float,
+        default=float(benchmark["run_seconds"]),
+        help="measured seconds per pass (default: run_seconds of BENCHMARK.json)",
+    )
+    parser.add_argument(
+        "--change",
+        default=str(REPO),
+        help="tree of the change (default: this working tree, uncommitted edits included)",
+    )
+    parser.add_argument("--json", help="also write every run and the summary here")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+
+    change_tree = pathlib.Path(args.change).resolve()
+    runs: Dict[str, List[dict]] = {"parent": [], "change": []}
+    with tempfile.TemporaryDirectory(prefix="perf-pairs-") as scratch:
+        parent_tree = pathlib.Path(scratch)
+        export_tree(args.parent, parent_tree)
+        if not same_benchmark(parent_tree, change_tree):
+            print(
+                "perf_pairs: warning: perf/ differs between the two trees; "
+                "each side is measured by its own benchmark",
+                file=sys.stderr,
+            )
+        trees = {"parent": parent_tree, "change": change_tree}
+        for pair in range(args.pairs):
+            order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
+            for side in order:
+                result = run_once(
+                    trees[side], args.workload, args.seed, args.seconds
+                )
+                runs[side].append(result)
+                print(
+                    "pair %d/%d %-6s %s"
+                    % (
+                        pair + 1,
+                        args.pairs,
+                        side,
+                        " ".join(
+                            "%s=%.6g" % (m["name"], result["metrics"][m["name"]]["value"])
+                            for m in benchmark["end_to_end"][:5]
+                        ),
+                    ),
+                    file=sys.stderr,
+                )
+    rows = [
+        summarise(
+            metric,
+            [run["metrics"][metric["name"]]["value"] for run in runs["parent"]],
+            [run["metrics"][metric["name"]]["value"] for run in runs["change"]],
+        )
+        for metric in benchmark["end_to_end"]
+    ]
+    print(
+        "%s seed %d, %d pairs, %.0f s per pass, parent %s"
+        % (args.workload, args.seed, args.pairs, args.seconds, args.parent)
+    )
+    print(render(rows, runs))
+    if args.json:
+        pathlib.Path(args.json).write_text(
+            json.dumps(
+                {
+                    "workload": args.workload,
+                    "seed": args.seed,
+                    "parent": args.parent,
+                    "summary": rows,
+                    "runs": runs,
+                },
+                indent=2,
+            )
+            + "\n"
+        )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
