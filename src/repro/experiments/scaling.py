@@ -211,6 +211,7 @@ def sharded_scaling_cell(
         payload.setdefault("overlapped_frames", 0.0)
         payload.setdefault("local_classes", 0.0)
         payload.setdefault("residual_classes", 0.0)
+        payload.setdefault("closed_settled", 0.0)
     return payload
 
 

@@ -17,6 +17,7 @@ must be able to depend on this package alone.
 from .messages import (
     PROTOCOL_VERSION,
     AssignQuery,
+    BidBatch,
     BidRequest,
     CompletionReport,
     Message,
@@ -53,6 +54,7 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
     "BidRequest",
+    "BidBatch",
     "Quote",
     "Refusal",
     "AssignQuery",

@@ -27,13 +27,15 @@ business importing the simulator, and it is type-checked with
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Union
+from typing import Any, Dict, Mapping, Sequence, Union
 
 __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
     "BidRequest",
+    "BidBatch",
     "Quote",
     "Refusal",
     "AssignQuery",
@@ -70,6 +72,23 @@ class BidRequest:
     class_index: int
     origin_node: int
     attempt: int = 0
+
+
+@dataclass(frozen=True)
+class BidBatch:
+    """Client → one shard's servers: many first-submission bid requests.
+
+    The only non-flat message: four equal-length columns, row *i* being
+    ``BidRequest(qids[i], class_indices[i], origin_nodes[i])`` posed at
+    ``times_ms[i]`` — *n* rows are *n* protocol-level bids in one
+    envelope.  Rows keep their send order; rows sharing a timestamp form
+    one market tick.  :func:`decode` returns the columns as tuples.
+    """
+
+    times_ms: Sequence[float]
+    qids: Sequence[int]
+    class_indices: Sequence[int]
+    origin_nodes: Sequence[int]
 
 
 @dataclass(frozen=True)
@@ -133,12 +152,13 @@ class PeriodTick:
 
 
 Message = Union[
-    BidRequest, Quote, Refusal, AssignQuery, CompletionReport, PeriodTick
+    BidRequest, BidBatch, Quote, Refusal, AssignQuery, CompletionReport, PeriodTick
 ]
 
 #: Wire tag → message class, the decoder's dispatch table.
 MESSAGE_TYPES: Mapping[str, type] = {
     "bid_request": BidRequest,
+    "bid_batch": BidBatch,
     "quote": Quote,
     "refusal": Refusal,
     "assign_query": AssignQuery,
@@ -149,7 +169,8 @@ MESSAGE_TYPES: Mapping[str, type] = {
 _TAGS: Mapping[type, str] = {cls: tag for tag, cls in MESSAGE_TYPES.items()}
 
 #: Field-name → expected JSON shape, shared across every message type
-#: (all protocol messages are flat records over these names).
+#: (flat records over these names; :class:`BidBatch` alone carries
+#: columns, checked by :func:`_checked_batch`).
 _INT_FIELDS = frozenset(
     {"qid", "class_index", "origin_node", "attempt", "node_id", "period_index"}
 )
@@ -188,7 +209,8 @@ def message_tag(message: Message) -> str:
 
 
 def _body(message: Message) -> Dict[str, Any]:
-    """The message's fields as a plain dict (all message types are flat)."""
+    """The message's fields as a plain dict: scalars, or for
+    :class:`BidBatch` its four columns (JSON arrays on the wire)."""
     return {name: getattr(message, name) for name in _FIELD_NAMES[type(message)]}
 
 
@@ -252,6 +274,8 @@ def decode(payload: str) -> Message:
 
 def _checked(message: Message) -> Message:
     """Validate decoded field types (JSON carries no schema of its own)."""
+    if isinstance(message, BidBatch):
+        return _checked_batch(message)
     cls = type(message)
     for name in _INT_CHECKS[cls]:
         value = getattr(message, name)
@@ -266,3 +290,32 @@ def _checked(message: Message) -> Message:
                 "field %r must be a number, got %r" % (name, value)
             )
     return message
+
+
+def _checked_batch(batch: BidBatch) -> BidBatch:
+    """Validate a decoded :class:`BidBatch` and freeze its columns:
+    JSON arrays of one length, integers only (``bool`` is not one) in
+    the integer columns, finite numbers as times (``json.loads`` accepts
+    ``NaN``/``Infinity``; a market clock must not)."""
+    names = _FIELD_NAMES[BidBatch]
+    columns = [getattr(batch, name) for name in names]
+    for name, column in zip(names, columns):
+        if not isinstance(column, list):
+            raise ProtocolError("field %r must be an array" % name)
+        if len(column) != len(columns[0]):
+            raise ProtocolError(
+                "column %r has %d rows, %r has %d"
+                % (name, len(column), names[0], len(columns[0]))
+            )
+        kinds = set(map(type, column))
+        if name != "times_ms":
+            if not kinds <= {int}:
+                raise ProtocolError("column %r must hold integers" % name)
+            continue
+        try:
+            finite = kinds <= {int, float} and all(map(math.isfinite, column))
+        except OverflowError:  # an integer beyond the float range
+            finite = False
+        if not finite:
+            raise ProtocolError("column %r must hold finite numbers" % name)
+    return BidBatch(*map(tuple, columns))

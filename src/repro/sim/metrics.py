@@ -116,6 +116,7 @@ class MetricsCollector:
         self._overlapped_frames = 0
         self._local_classes = 0
         self._residual_classes = 0
+        self._closed_settled = 0
 
     # -- recording ---------------------------------------------------------------
 
@@ -177,6 +178,13 @@ class MetricsCollector:
         if size > self._max_batch:
             self._max_batch = size
 
+    def record_batch_ticks(self, sizes: Sequence[int]) -> None:
+        """Bulk :meth:`record_batch_tick`: one tick per entry of ``sizes``."""
+        if sizes:
+            self._batch_ticks += len(sizes)
+            self._batched_queries += sum(sizes)
+            self._max_batch = max(self._max_batch, max(sizes))
+
     def apply_batch_stats(
         self,
         vector_exchanges: int = 0,
@@ -233,6 +241,7 @@ class MetricsCollector:
         overlapped_frames: int = 0,
         local_classes: int = 0,
         residual_classes: int = 0,
+        closed_settled: int = 0,
     ) -> None:
         """Snapshot a local-market run's reconciliation counters.
 
@@ -246,8 +255,10 @@ class MetricsCollector:
         (the realised staleness the R-interval contract bounds);
         ``overlapped_frames`` counts the one-way frames posted without a
         reply barrier: one ``mticks`` and one ``mboundary`` frame per
-        active shard per *period* (ticks are buffered, not posted one
-        by one).
+        active shard per *period* (a period's bids travel as one
+        ``BidBatch``, not tick by tick).  ``closed_settled`` counts,
+        out of ``vector_exchanges``, the exchanges the planes answered
+        on a *closed* class with the price raise alone (DESIGN.md §7.1).
         """
         self._reconcile_stats_applied = True
         self._reconcile_barriers += int(reconcile_barriers)
@@ -259,6 +270,7 @@ class MetricsCollector:
         self._overlapped_frames += int(overlapped_frames)
         self._local_classes = int(local_classes)
         self._residual_classes = int(residual_classes)
+        self._closed_settled += int(closed_settled)
 
     def apply_fault_stats(
         self,
@@ -409,6 +421,7 @@ class MetricsCollector:
             summary["overlapped_frames"] = float(self._overlapped_frames)
             summary["local_classes"] = float(self._local_classes)
             summary["residual_classes"] = float(self._residual_classes)
+            summary["closed_settled"] = float(self._closed_settled)
         return summary
 
     # -- fault metrics -------------------------------------------------------------

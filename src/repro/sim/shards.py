@@ -50,11 +50,14 @@ components* — the union-find groups :func:`plan_shards` already
 computes.  Two query classes interact only through a shared bidder
 (busy clock, max-price latch), so a component whose nodes all landed on
 one shard can run its **entire** bid/price/refusal/solve dynamics
-shard-side, fed by one one-way ``mticks`` frame of encoded
-``BidRequest`` messages per period (pipelined: the coordinator routes
-period *p+1* while shards still chew period *p*).  Components split
-across shards form the **residual plane**, priced and executed by the
-slim coordinator with the identical :class:`_MarketPlane` arithmetic.
+shard-side, fed by one one-way ``mticks`` frame per period holding one
+encoded ``BidBatch`` — the period's bids as columns (pipelined: the
+coordinator routes period *p+1* while shards still chew period *p*).
+Components split across shards form the **residual plane**, priced and
+executed by the slim coordinator with the identical
+:class:`_MarketPlane` arithmetic.  Within a period a plane answers a
+*closed* class — no supply left, every bidder latched — with the price
+raise alone (:meth:`_MarketPlane._closed_raises`).
 Every plane is exactly the PR 8 market restricted to its component set, so
 ``invariant_payload()`` is bit-identical to the coordinator-plane
 engine for *any* reconciliation interval, any shard count and any
@@ -72,8 +75,11 @@ machines; pipe and inline modes are untouched.
 from __future__ import annotations
 
 import heapq
+import itertools
 import json
 import math
+import operator
+import os
 import random
 import resource
 import socket
@@ -89,6 +95,7 @@ except ImportError:  # pragma: no cover - single-process paths cover this
 
 from ..core.qant import QantParameters
 from ..protocol.messages import (
+    BidBatch,
     BidRequest,
     Message,
     PeriodTick,
@@ -605,6 +612,10 @@ class _MarketPlane:
         }
         self._period_serial = 0
         self._saturated_in: Dict[int, int] = {}
+        #: Class → the period serial in which it *closed*: no lane has
+        #: supply left and every bidder is latched (see `_closed_raises`).
+        self._closed_in: Dict[int, int] = {}
+        self._closed_settled = 0
         #: Refused queries, one qid-ascending pool per class; each entry is
         #: ``(qid, origin, arrival, boundaries seen at entry)``.
         self._pools: Dict[int, List[Tuple]] = {
@@ -649,14 +660,17 @@ class _MarketPlane:
         The flat pending list this replaces was always qid-ascending
         (arrivals are routed in qid order, refusals keep processing
         order, retries re-pool before newer arrivals), so merging the
-        pool heads by qid replays it exactly.  A class that saturates
-        leaves the merge: its remaining exchanges would return before
-        touching any state, and only :meth:`_period_solve` re-arms it.
-        Survivors are compacted in place, so a boundary costs the
-        exchanges that can still move the market, not the pool size.
+        pool heads by qid replays it exactly.  A class that closes
+        leaves the merge: the rest of its pool can only raise its own
+        prices, which :meth:`_closed_raises` settles in one go (once
+        saturated not even that); the entries stay pooled in qid order
+        and only :meth:`_period_solve` re-arms the class.  Survivors are
+        compacted in place, so a boundary costs the exchanges that can
+        still move the market, not the pool size.
         """
         self._exchanges += self._pending_count
         pools = self._pools
+        serial = self._period_serial
         cursors = {k: [0, 0] for k, pool in pools.items() if pool}
         heads = [(pools[k][0][0], k) for k in cursors]
         heapq.heapify(heads)
@@ -671,7 +685,11 @@ class _MarketPlane:
             if node is None:
                 pool[cursor[1]] = entry
                 cursor[1] += 1
-                if self._saturated_in.get(k) == self._period_serial:
+                if self._saturated_in.get(k) == serial:
+                    heapq.heappop(heads)
+                    continue
+                if self._closed_in.get(k) == serial:
+                    self._closed_raises(k, len(pool) - cursor[0])
                     heapq.heappop(heads)
                     continue
             else:
@@ -691,8 +709,12 @@ class _MarketPlane:
 
     def _exchange(self, class_index: int, now: float) -> Optional[int]:
         """One QA-NT exchange — the PR 8 coordinator program verbatim,
-        over the plane's local row indices."""
+        over the plane's local row indices, behind the two fast paths
+        of a class that can no longer trade this period."""
         if self._saturated_in.get(class_index) == self._period_serial:
+            return None
+        if self._closed_in.get(class_index) == self._period_serial:
+            self._closed_raises(class_index, 1)
             return None
         R = self._R[class_index]
         V = self._V[class_index]
@@ -716,6 +738,11 @@ class _MarketPlane:
                 self._locked[rows_r] = ~passed
                 offers[refuse] = passed
         if not offers.any():
+            # Nobody offered, so every lane is out of supply (a lane
+            # with R >= 1 always offers) and, under a threshold, every
+            # bidder was just found or set latched: the class is closed.
+            if self._threshold is not None:
+                self._closed_in[class_index] = self._period_serial
             if bool((V == self._cap).all()):
                 self._saturated_in[class_index] = self._period_serial
             return None
@@ -728,6 +755,32 @@ class _MarketPlane:
         row = int(cand[winner])
         self._busy[row] = float(est[winner])
         return int(self._ids[row])
+
+    def _closed_raises(self, class_index: int, count: int) -> None:
+        """``count`` consecutive exchanges on a closed, unsaturated class.
+
+        Closed = no lane has supply and every bidder is latched.  Both
+        hold until :meth:`_period_solve` (supply only falls within a
+        period, latches are only cleared there), so each exchange
+        refuses on every lane, finds no winner and leaves supply, latches
+        and busy clocks alone: all it does is the steps 8-9 raise of the
+        class's own prices — applied one multiplication at a time, as the
+        exchanges would — and the cap check that arms the saturated
+        path, where the remaining exchanges stop moving even those.  The
+        ``_maxp`` update of the full program is skipped: it would touch
+        latched agents only, whose ``_maxp`` nothing reads (the ``passed``
+        test masks them out in every class, ``reconcile_digest`` omits
+        it) before :meth:`_period_solve` rebuilds it from the prices.
+        """
+        V = self._V[class_index]
+        done = 0
+        while done < count:
+            V[:] = refusal_raise(V, self._factor, self._floor, self._cap)[0]
+            done += 1
+            if bool((V == self._cap).all()):
+                self._saturated_in[class_index] = self._period_serial
+                break
+        self._closed_settled += done
 
     def _greedy(self, class_index: int, now: float) -> int:
         """Greedy: every candidate offers; earliest completion wins."""
@@ -864,6 +917,7 @@ class _MarketPlane:
             "columns": self._cols,
             "assigned": self._assigned,
             "exchanges": self._exchanges,
+            "closed_settled": self._closed_settled,
             "pending": self._pending_count,
         }
 
@@ -894,15 +948,9 @@ class _LocalMarketCore:
         op = frame[0]
         plane = self._plane
         if op == "mticks":
-            for now, payloads in frame[1]:
-                rows = []
-                for payload in payloads:
-                    bid = decode(payload)
-                    rows.append(
-                        (bid.qid, bid.class_index, bid.origin_node, now,
-                         bid.attempt)
-                    )
-                self._bids_seen += len(rows)
+            batch = decode(frame[1])
+            self._bids_seen += len(batch.qids)
+            for now, rows in _market_ticks(batch):
                 plane.market_tick(now, rows)
             return {"ok": True}
         if op == "mboundary":
@@ -947,9 +995,26 @@ class _LocalMarketCore:
         return {"replies": []}
 
 
-#: Buffered ``BidRequest`` rows that force an early ``mticks`` flush: at
-#: ~100 bytes a row a frame stays three orders below ``MAX_FRAME_BYTES``.
+#: Rows of one period that force a cut into a further round of ``mticks``
+#: frames (at the next tick edge, never inside a tick): at 25-30 bytes a
+#: row a frame stays two orders below ``MAX_FRAME_BYTES``.
 _MTICKS_ROW_BOUND = 8192
+
+
+def _market_ticks(batch: BidBatch):
+    """``(now, rows)`` per run of equal timestamps in ``batch``; rows are
+    :meth:`_MarketPlane.market_tick`'s ``(qid, class, origin, arrival,
+    resub=0)`` tuples."""
+    rows = zip(
+        batch.qids,
+        batch.class_indices,
+        batch.origin_nodes,
+        batch.times_ms,
+        itertools.repeat(0),
+    )
+    for now, tick in itertools.groupby(rows, key=operator.itemgetter(3)):
+        yield now, list(tick)
+
 
 #: Worker-core registry: ``shard_inits[i]["kind"]`` picks the class.
 _CORE_KINDS = {"exec": _ShardCore, "market": _LocalMarketCore}
@@ -984,8 +1049,32 @@ def _serve(peer, core) -> None:
             return
 
 
-def _shard_worker(conn, init: Mapping[str, object]) -> None:
+def _claim_cpu(index: int) -> None:
+    """Pin this worker process to one CPU of those it may run on.
+
+    Workers are CPU-bound and are woken by the coordinator's writes, and
+    a coordinator that mostly sleeps (the ``market="local"`` engine's)
+    looks like the idle end of a ping-pong to the kernel's wake-affine
+    placement: it stacks the workers on the coordinator's CPU and load
+    balancing leaves them there for runs on end while the next CPU
+    idles.  On 2 cores the same replay then took 0.20 s or 0.30 s, and
+    whole sessions sat in the slow mode.  Worker ``index`` of a pool
+    takes CPU ``(coordinator pid + index) mod n`` of the allowed set:
+    one pool's workers never share while CPUs last, and concurrent
+    pools start on different CPUs.  The coordinator stays unpinned.
+    """
+    if not hasattr(os, "sched_setaffinity"):  # pragma: no cover - non-Linux
+        return
+    cpus = sorted(os.sched_getaffinity(0))
+    try:
+        os.sched_setaffinity(0, {cpus[(os.getppid() + index) % len(cpus)]})
+    except OSError:  # pragma: no cover - a sandbox may forbid it
+        pass
+
+
+def _shard_worker(conn, init: Mapping[str, object], index: int) -> None:
     """Forked pipe worker."""
+    _claim_cpu(index)
     _serve(conn, _make_core(init))
 
 
@@ -1045,6 +1134,7 @@ def _tcp_shard_worker(host: str, port: int, index: int) -> None:
     socket, so the same loop could run on another machine given only the
     coordinator's address.
     """
+    _claim_cpu(index)
     sock = socket.create_connection((host, port))
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     channel = _WireChannel(sock)
@@ -1093,7 +1183,8 @@ class ShardTransport(Transport):
     moves every frame as length-prefixed JSON over localhost sockets
     (the :mod:`repro.protocol.transport` framing helpers), the
     machine-spanning wire: workers receive even their shard spec over
-    the socket, so only the fork itself is process-local.
+    the socket, so only the fork itself is process-local.  Worker
+    processes pin themselves to one CPU each (:func:`_claim_cpu`).
     """
 
     def __init__(
@@ -1122,11 +1213,11 @@ class ShardTransport(Transport):
             ctx = multiprocessing.get_context("fork")
             self._peers = []
             self._procs = []
-            for init in shard_inits:
+            for index, init in enumerate(shard_inits):
                 parent_conn, child_conn = ctx.Pipe()
                 proc = ctx.Process(
                     target=_shard_worker,
-                    args=(child_conn, init),
+                    args=(child_conn, init, index),
                     daemon=True,
                 )
                 proc.start()
@@ -1647,11 +1738,15 @@ class ShardedFederation:
         are bit-compatible with the coordinator-market layout.
         """
         candidates_by_class = self._candidates
-        self._owner = split_market_classes(candidates_by_class, self._plan)
+        owner = split_market_classes(candidates_by_class, self._plan)
+        #: The routing table: class index → owning shard (-1 = residual).
+        self._owner_of = _np.array(
+            [owner[k] for k in range(num_classes)], dtype=_np.intp
+        )
         plane_classes: List[List[int]] = [[] for _ in range(self._shards)]
         residual_classes: List[int] = []
-        for k in sorted(self._owner):
-            s = self._owner[k]
+        for k in sorted(owner):
+            s = owner[k]
             if s >= 0:
                 plane_classes[s].append(k)
             else:
@@ -1742,9 +1837,43 @@ class ShardedFederation:
             raise ValueError("cannot run an empty workload trace")
         if self._shards == 1:
             return self._run_single(trace, mechanism)
+        columns = self._trace_columns(trace)
         if self._market == "local":
-            return self._run_local(trace, mechanism)
+            return self._run_local(columns, mechanism)
         return self._run_sharded(trace, mechanism)
+
+    def _trace_columns(self, trace) -> Tuple:
+        """``trace`` as time-ordered ``(times, classes, origins)`` arrays.
+
+        Checked before any frame is sent: a class no plane owns or an
+        origin outside the federation raises here, by name, instead of
+        wrapping around an array index or dying mid-run inside a plane.
+        The sort is stable, like the ``sorted`` of the per-event loop.
+        """
+        times = _np.array([e.time_ms for e in trace], dtype=float)
+        order = _np.argsort(times, kind="stable")
+        columns = [times[order]]
+        for name, limit in (
+            ("class_index", len(self._classes)),
+            ("origin_node", len(self._busy)),
+        ):
+            values = [getattr(e, name) for e in trace]
+            column = _np.array(values)
+            if column.dtype.kind not in "iub" or not (
+                0 <= column.min() and column.max() < limit
+            ):
+                first, value = next(
+                    (i, v)
+                    for i, v in enumerate(values)
+                    if not isinstance(v, (int, _np.integer))
+                    or not 0 <= v < limit
+                )
+                raise ValueError(
+                    "trace event %d has %s %r: expected an integer in "
+                    "[0, %d)" % (first, name, value, limit)
+                )
+            columns.append(column.astype(_np.int64)[order])
+        return tuple(columns)
 
     def _run_single(self, trace, mechanism: str) -> ShardedRunResult:
         """The ``shards=1`` delegation: literally the one-process engine."""
@@ -2080,18 +2209,22 @@ class ShardedFederation:
 
     # -- the local-market coordinator -----------------------------------------
 
-    def _run_local(self, trace, mechanism: str) -> ShardedRunResult:
+    def _run_local(self, columns: Tuple, mechanism: str) -> ShardedRunResult:
         """The ``market="local"`` engine: route, post, reconcile, merge.
 
         The coordinator here is *slim*: it owns a routing table and the
         residual plane (components split across shards); every
         shard-owned class is priced, matched and executed entirely
-        shard-side from one-way ``mticks`` frames of encoded
-        ``BidRequest`` payloads: each tick is buffered per shard and the
-        period clock flushes the buffer as one frame ahead of every
-        boundary and sync barrier (workers apply frames in order and
-        planes partition the classes, so each plane sees the unbuffered
-        sequence of ticks and boundaries).  Every R
+        shard-side.  The trace arrives as :meth:`_trace_columns` arrays
+        (the row number is the qid) and is routed with array operations:
+        the period clock cuts it by ``searchsorted`` — boundary-first at
+        equal timestamps, exactly like the coordinator-market loop — and
+        each period's rows go to their owning shard as **one** one-way
+        ``mticks`` frame holding one encoded
+        :class:`~repro.protocol.messages.BidBatch`, ahead of the
+        period's boundary (workers apply frames in order and planes
+        partition the classes, so each plane sees its own ticks and
+        boundaries in trace order).  Every R
         period boundaries a sync reconciliation barrier pulls per-class
         price/supply digests and busy watermarks back into the
         cross-shard quote mirror (and flushes the pipeline).  Outcomes
@@ -2101,8 +2234,6 @@ class ShardedFederation:
         transport = self._transport
         qa = mechanism == "qa-nt"
         collector = MetricsCollector()
-        self._messages = 0
-        residual_queries = 0
         transport.barrier_wait_ms = 0.0
         transport.posted_frames = 0
         transport.exchange([("reset", qa)] * self._plan.num_shards)
@@ -2114,68 +2245,33 @@ class ShardedFederation:
         self._reconcile_lag_max = 0
         self._staleness_max = 0.0
         self._boundaries_since_reconcile = 0
-        #: Per-shard ``(t, payloads)`` ticks awaiting the period's flush.
-        self._outbox: List[List[Tuple]] = [[] for _ in self._active_plane]
-        self._outbox_rows = 0
-        if any(
-            trace[i].time_ms > trace[i + 1].time_ms
-            for i in range(len(trace) - 1)
-        ):
-            trace = sorted(trace, key=lambda e: e.time_ms)
-        horizon = max(e.time_ms for e in trace)
+        times = columns[0]
+        total = len(times)
+        shard_of = self._owner_of[columns[1]]
+        # One market tick per distinct timestamp, whoever owns its rows.
+        edges = _np.flatnonzero(times[1:] != times[:-1]) + 1
+        collector.record_batch_ticks(
+            _np.diff(edges, prepend=0, append=total).tolist()
+        )
+        residual_queries = int(_np.count_nonzero(shard_of < 0))
+        # One protocol-level bid per shard-routed row, however batched.
+        self._messages = total - residual_queries
+        horizon = float(times[-1])
         period = self._config.period_ms
         next_boundary = period
-        qid = 0
-        owner = self._owner
         num_shards = self._plan.num_shards
-        i, total = 0, len(trace)
-        while i < total:
-            t = trace[i].time_ms
-            j = i
-            while j < total and trace[j].time_ms == t:
-                j += 1
-            # Boundary-first at equal timestamps, exactly like the
-            # coordinator-market loop.
-            while next_boundary <= t:
-                if qa:
-                    self._local_boundary(next_boundary)
-                else:
-                    # Greedy has no boundaries; it flushes on the same
-                    # period clock so its pipeline stays one period deep.
-                    self._flush_ticks()
-                next_boundary += period
-            batch = trace[i:j]
-            collector.record_batch_tick(len(batch))
-            payloads: Dict[int, List[str]] = {}
-            residual_rows: List[Tuple] = []
-            for n, e in enumerate(batch):
-                k = e.class_index
-                s = owner.get(k, -1)
-                if s >= 0:
-                    payloads.setdefault(s, []).append(
-                        encode(
-                            BidRequest(
-                                qid=qid + n,
-                                class_index=k,
-                                origin_node=e.origin_node,
-                            )
-                        )
-                    )
-                else:
-                    residual_rows.append((qid + n, k, e.origin_node, t, 0))
-            qid += len(batch)
-            for s, tick in payloads.items():
-                self._outbox[s].append((t, tick))
-            shard_rows = len(batch) - len(residual_rows)
-            self._messages += shard_rows
-            self._outbox_rows += shard_rows
-            if self._outbox_rows >= _MTICKS_ROW_BOUND:
-                self._flush_ticks()
-            if residual_rows:
-                residual_queries += len(residual_rows)
-                self._residual.market_tick(t, residual_rows)
-            i = j
-        self._flush_ticks()
+        start = 0
+        while next_boundary <= horizon:
+            # Boundary-first: rows stamped exactly `next_boundary` wait.
+            end = int(_np.searchsorted(times, next_boundary, side="left"))
+            self._route_ticks(columns, shard_of, start, end)
+            # Greedy has no boundaries; it posts on the same period
+            # clock so its pipeline stays one period deep.
+            if qa:
+                self._local_boundary(next_boundary)
+            start = end
+            next_boundary += period
+        self._route_ticks(columns, shard_of, start, total)
         # Drain: a sync reconcile flushes the pipeline and reports every
         # plane's backlog; boundaries then tick while any plane still
         # holds pending queries (shard retries run autonomously — the
@@ -2204,19 +2300,22 @@ class ShardedFederation:
         cols = [[] for _ in range(9)]
         assigned_per_shard = []
         self_times = []
-        exchanges = self._residual.exchanges
-        dropped = self._residual.pending_count
+        residual = self._residual.collect()
+        exchanges = residual["exchanges"]
+        closed_settled = residual["closed_settled"]
+        dropped = residual["pending"]
         peak_kb = 0
         for reply in replies:
             for c, part in zip(cols, reply["columns"]):
                 c.extend(part)
             assigned_per_shard.append(reply["assigned"])
             exchanges += reply["exchanges"]
+            closed_settled += reply["closed_settled"]
             dropped += reply["pending"]
             self_times.append(float(reply.get("self_time_s", 0.0)))
             if reply["maxrss_kb"] > peak_kb:
                 peak_kb = reply["maxrss_kb"]
-        for c, part in zip(cols, self._residual.collect()["columns"]):
+        for c, part in zip(cols, residual["columns"]):
             c.extend(part)
         transport.note_child_peak_kb(peak_kb)
         self.last_shard_self_time_s = self_times
@@ -2248,6 +2347,7 @@ class ShardedFederation:
             overlapped_frames=transport.posted_frames,
             local_classes=sum(len(ks) for ks in self._plane_classes),
             residual_classes=len(self._residual_classes),
+            closed_settled=closed_settled,
         )
         self._messages += transport.messages
         transport.messages = 0
@@ -2259,20 +2359,55 @@ class ShardedFederation:
             collector=collector,
         )
 
-    def _flush_ticks(self) -> None:
-        """Post the buffered ticks: one ``mticks`` frame per shard."""
-        if self._outbox_rows:
-            self._transport.post(
-                [("mticks", ticks) if ticks else None for ticks in self._outbox]
+    def _route_ticks(
+        self, columns: Tuple, shard_of, start: int, end: int
+    ) -> None:
+        """Route trace rows ``[start, end)`` — one period's worth.
+
+        Shard-owned rows are posted as one ``BidBatch`` per owning shard;
+        a period of ``_MTICKS_ROW_BOUND`` rows or more goes out in
+        several rounds, cut only where the timestamp changes (a tick
+        split over two ``market_tick`` calls would resync the plane's
+        busy mirror mid-tick).  Residual rows tick through the
+        in-process plane afterwards, while the workers chew the frames.
+        """
+        times, classes, origins = columns
+
+        def batch(rows) -> BidBatch:
+            return BidBatch(
+                times_ms=times[rows].tolist(),
+                qids=rows.tolist(),
+                class_indices=classes[rows].tolist(),
+                origin_nodes=origins[rows].tolist(),
             )
-            self._outbox = [[] for _ in self._outbox]
-            self._outbox_rows = 0
+
+        owners = shard_of[start:end]
+        sent = _np.flatnonzero(owners >= 0) + start
+        sent_times = times[sent]
+        lo = 0
+        while lo < len(sent):
+            hi = len(sent)
+            if hi - lo >= _MTICKS_ROW_BOUND:
+                last = sent_times[lo + _MTICKS_ROW_BOUND - 1]
+                hi = int(_np.searchsorted(sent_times, last, side="right"))
+            rows = sent[lo:hi]
+            row_owner = shard_of[rows]
+            masks = [row_owner == s for s in range(len(self._active_plane))]
+            self._transport.post(
+                [
+                    ("mticks", encode(batch(rows[mine]))) if mine.any() else None
+                    for mine in masks
+                ]
+            )
+            lo = hi
+        held = _np.flatnonzero(owners < 0) + start
+        for now, tick in _market_ticks(batch(held)):
+            self._residual.market_tick(now, tick)
 
     def _local_boundary(self, now: float) -> None:
-        """One period boundary: the period's ticks are flushed, then the
-        boundary is posted to every active plane (one-way), run
-        in-process on the residual plane, and reconciled every R-th."""
-        self._flush_ticks()
+        """One period boundary (its ticks are already routed): posted to
+        every active plane (one-way), run in-process on the residual
+        plane, and reconciled every R-th."""
         self._transport.post(
             [
                 ("mboundary", now) if active else None

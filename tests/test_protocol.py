@@ -24,6 +24,7 @@ from repro.protocol import (
     MESSAGE_TYPES,
     PROTOCOL_VERSION,
     AssignQuery,
+    BidBatch,
     BidRequest,
     CompletionReport,
     FanoutResult,
@@ -57,6 +58,15 @@ MESSAGE_STRATEGIES = {
         class_index=ids,
         origin_node=node_ids,
         attempt=ids,
+    ),
+    "bid_batch": st.integers(0, 6).flatmap(
+        lambda n: st.builds(
+            BidBatch,
+            times_ms=st.tuples(*[finite_ms] * n),
+            qids=st.tuples(*[ids] * n),
+            class_indices=st.tuples(*[ids] * n),
+            origin_nodes=st.tuples(*[node_ids] * n),
+        )
     ),
     "quote": st.builds(
         Quote,
@@ -146,6 +156,70 @@ class TestCodec:
     def test_malformed_payloads_raise(self, payload):
         with pytest.raises(ProtocolError):
             decode(payload)
+
+    @given(times=st.lists(st.floats(allow_nan=False, allow_infinity=False)))
+    @settings(max_examples=100, deadline=None)
+    def test_bid_batch_times_round_trip_exactly(self, times):
+        """Shortest-repr JSON floats: the tick clock crosses bit for bit
+        (``-0.0`` keeps its sign, so compare reprs, not values)."""
+        rows = tuple(range(len(times)))
+        batch = BidBatch(tuple(times), rows, rows, rows)
+        assert list(map(repr, decode(encode(batch)).times_ms)) == list(
+            map(repr, times)
+        )
+        assert decode(encode(batch)) == batch
+
+    def test_bid_batch_encodes_list_columns_as_given(self):
+        """The engine hands ``ndarray.tolist()`` columns straight in."""
+        batch = BidBatch([0.1, 0.1], [7, 8], [3, 3], [0, 5])
+        assert decode(encode(batch)) == BidBatch(
+            (0.1, 0.1), (7, 8), (3, 3), (0, 5)
+        )
+        with pytest.raises(ProtocolError):
+            encode(BidBatch([math.nan], [0], [0], [0]))
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            # ragged columns
+            '{"times_ms": [1.0], "qids": [1, 2], "class_indices": [0], '
+            '"origin_nodes": [0]}',
+            '{"times_ms": [], "qids": [], "class_indices": [], '
+            '"origin_nodes": [0]}',
+            # a bool / a float in an integer column
+            '{"times_ms": [1.0], "qids": [true], "class_indices": [0], '
+            '"origin_nodes": [0]}',
+            '{"times_ms": [1.0], "qids": [1], "class_indices": [0.0], '
+            '"origin_nodes": [0]}',
+            '{"times_ms": [1.0], "qids": [1], "class_indices": [0], '
+            '"origin_nodes": [null]}',
+            # a non-number, a bool or a non-finite time
+            '{"times_ms": ["1.0"], "qids": [1], "class_indices": [0], '
+            '"origin_nodes": [0]}',
+            '{"times_ms": [false], "qids": [1], "class_indices": [0], '
+            '"origin_nodes": [0]}',
+            '{"times_ms": [NaN], "qids": [1], "class_indices": [0], '
+            '"origin_nodes": [0]}',
+            '{"times_ms": [-Infinity], "qids": [1], "class_indices": [0], '
+            '"origin_nodes": [0]}',
+            '{"times_ms": [1e999], "qids": [1], "class_indices": [0], '
+            '"origin_nodes": [0]}',
+            "{\"times_ms\": [1%s], \"qids\": [1], \"class_indices\": [0], "
+            '"origin_nodes": [0]}' % ("0" * 400),
+            # non-list columns
+            '{"times_ms": 1.0, "qids": 1, "class_indices": 0, '
+            '"origin_nodes": 0}',
+            '{"times_ms": "ab", "qids": [1, 2], "class_indices": [0, 0], '
+            '"origin_nodes": [0, 0]}',
+            '{"times_ms": [1.0], "qids": {"0": 1}, "class_indices": [0], '
+            '"origin_nodes": [0]}',
+            # a missing column
+            '{"times_ms": [1.0], "qids": [1], "class_indices": [0]}',
+        ],
+    )
+    def test_malformed_bid_batches_raise(self, body):
+        with pytest.raises(ProtocolError):
+            decode('{"v": 1, "type": "bid_batch", "body": %s}' % body)
 
     def test_non_finite_floats_are_unencodable(self):
         quote = Quote(

@@ -40,7 +40,7 @@ from repro.experiments.setups import (
     two_query_world,
     zipf_world,
 )
-from repro.protocol import BidRequest, Quote, decode, encode
+from repro.protocol import BidBatch, BidRequest, Quote, decode, encode
 from repro.sim import (
     FederationConfig,
     MetricsCollector,
@@ -54,7 +54,7 @@ from repro.sim import (
 from repro.sim.faults import derive_fault_seed
 from repro.sim import shards as shards_module
 from repro.sim.shards import _CORE_KINDS, _MarketPlane
-from repro.workload.trace import zipf_trace
+from repro.workload.trace import WorkloadEvent, zipf_trace
 
 from test_golden_trace import _outcome_digest
 
@@ -431,6 +431,28 @@ def test_reconcile_counters_surface_in_batch_summary():
         assert key not in MetricsCollector().batch_summary()
 
 
+def test_bid_batch_rows_count_as_protocol_bids():
+    """One ``BidBatch`` per shard per period on the wire, but ``messages``
+    and the worker's ``bids_seen`` keep counting bid *rows*."""
+    world, trace = _zipf_small()
+    with _local(world, 4, "inline", interval=4) as federation:
+        result = federation.run(list(trace), "qa-nt")
+        summary = result.batch_summary()
+        owned = sum(federation._owner_of[e.class_index] >= 0 for e in trace)
+        replies = federation.transport.exchange([("collect",)] * 4)
+        active = sum(federation._active_plane)
+    assert 0 < owned < len(trace)  # some classes are residual
+    assert sum(reply["bids_seen"] for reply in replies) == owned
+    assert summary["cross_shard_bids"] == len(trace) - owned
+    # Bids, plus a request/digest pair per active plane per barrier.
+    assert result.messages == owned + 2 * active * summary[
+        "reconcile_barriers"
+    ]
+    # Far fewer frames than bids: mticks + mboundary per plane per period.
+    assert summary["overlapped_frames"] < owned / 2
+    assert 0 <= summary["closed_settled"] <= summary["vector_exchanges"]
+
+
 def test_stale_quotes_and_prices_from_last_barrier():
     world, trace = _zipf_small()
     with _local(world, 2, "inline", interval=4) as federation:
@@ -479,6 +501,29 @@ def test_tcp_workers_report_child_rss():
         from repro.bench.harness import measure_peak
 
         assert measure_peak(fn) >= transport.child_peak_kb()
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity"), reason="needs CPU affinity calls"
+)
+@pytest.mark.parametrize("mode", ["fork", "tcp"])
+def test_workers_claim_one_cpu_each(mode):
+    """Each worker pins itself to a single allowed CPU, neighbours in a
+    pool to different ones while CPUs last; the coordinator's own mask
+    is left alone (the scheduler otherwise stacks the woken workers on
+    the coordinator's CPU and run time turns bimodal)."""
+    world, trace = _zipf_small()
+    allowed = os.sched_getaffinity(0)
+    with _local(world, 4, mode, interval=4) as federation:
+        federation.run(list(trace), "greedy")  # every worker has started
+        masks = [
+            os.sched_getaffinity(proc.pid)
+            for proc in federation.transport._procs
+        ]
+    assert all(len(mask) == 1 and mask <= allowed for mask in masks)
+    cpus = [next(iter(mask)) for mask in masks]
+    assert len(set(cpus)) == min(len(cpus), len(allowed))
+    assert os.sched_getaffinity(0) == allowed
 
 
 # ---------------------------------------------------------------------------
@@ -562,6 +607,19 @@ def test_overloaded_local_market_matches_coordinator_plane(
                 assert _outcome(result) == _overloaded_oracle(mechanism)
 
 
+def test_closed_settled_is_summed_over_planes():
+    """Which plane owns a class does not change how it prices, so the
+    count the planes fold through ``collect`` is partition-invariant."""
+    world, trace = _zipf_overloaded()
+    counts = []
+    for shards, mode in ((2, "inline"), (4, "fork")):
+        with _overloaded(world, shards, mode, interval=4) as federation:
+            summary = federation.run(list(trace), "qa-nt").batch_summary()
+        counts.append(summary["closed_settled"])
+    assert counts[0] == counts[1] > 0
+    assert counts[0] < summary["vector_exchanges"]
+
+
 def test_outbox_over_the_row_bound_splits_frames(monkeypatch):
     """A period holding more rows than the bound goes out as several
     ``mticks`` frames; the planes see the same ticks in the same order."""
@@ -577,20 +635,114 @@ def test_outbox_over_the_row_bound_splits_frames(monkeypatch):
     assert frames[16] > 2 * frames[default]
 
 
+@functools.lru_cache(maxsize=1)
+def _quantised_overloaded():
+    """The overloaded trace on a 100 ms grid: five ticks to a period."""
+    world, trace = _zipf_overloaded()
+    quantised = tuple(quantise_trace(trace, 100.0))
+    with _overloaded(world, 2, market="coordinator") as federation:
+        oracle = _outcome(federation.run(list(quantised), "qa-nt"))
+    return world, quantised, oracle
+
+
+@pytest.mark.parametrize("mode", ["fork", "tcp"])
+def test_row_bound_never_splits_a_tick(monkeypatch, mode):
+    """With the bound below one tick's rows (and far below a period's)
+    every round of frames still ends on a tick edge: a tick handed to a
+    plane in two ``market_tick`` calls would resync its busy mirror
+    mid-tick and change the outcome."""
+    world, trace, oracle = _quantised_overloaded()
+    assert len({e.time_ms for e in trace}) * 8 < len(trace)
+    monkeypatch.setattr(shards_module, "_MTICKS_ROW_BOUND", 4)
+    with _overloaded(world, 2, mode, interval=4) as federation:
+        transport = federation.transport
+        post, rounds = transport.post, []
+
+        def spy(frames):
+            rounds.append(frames)
+            post(frames)
+
+        transport.post = spy
+        result = federation.run(list(trace), "qa-nt")
+    assert _outcome(result) == oracle
+    last_sent = -1.0
+    batches = 0
+    for frames in rounds:
+        batches_sent = [
+            decode(frame[1])
+            for frame in frames
+            if frame is not None and frame[0] == "mticks"
+        ]
+        assert all(isinstance(batch, BidBatch) for batch in batches_sent)
+        times = [t for batch in batches_sent for t in batch.times_ms]
+        if times:
+            batches += 1
+            assert min(times) > last_sent  # no tick spans two rounds
+            last_sent = max(times)
+    periods = math.ceil(trace[-1].time_ms / FederationConfig().period_ms)
+    assert batches > 3 * periods
+
+
+@pytest.mark.parametrize("market", ["local", "coordinator"])
+@pytest.mark.parametrize(
+    "event, complaint",
+    [
+        (WorkloadEvent(5.0, 20, 3), "event 7 has class_index 20"),
+        (WorkloadEvent(5.0, -1, 3), "event 7 has class_index -1"),
+        (WorkloadEvent(5.0, 2, 50), "event 7 has origin_node 50"),
+        (WorkloadEvent(5.0, 2, 1.5), "event 7 has origin_node 1.5"),
+    ],
+)
+def test_unroutable_trace_event_is_a_named_error(market, event, complaint):
+    """A class no plane owns (or an origin outside the federation) is
+    refused before the reset barrier, not as a ``KeyError`` inside a
+    plane after frames were posted; the federation stays usable."""
+    world, trace = _zipf_small()
+    bad = list(trace)
+    bad.insert(7, event)
+    with _overloaded(world, 2, "fork", market=market) as federation:
+        before = federation.run(list(trace), "qa-nt").invariant_payload()
+        with pytest.raises(ValueError, match=complaint):
+            federation.run(bad, "qa-nt")
+        after = federation.run(list(trace), "qa-nt").invariant_payload()
+    assert before == after
+
+
 class _FlatListReference:
-    """The pending discipline the pools replace: one flat list, every
-    pooled query re-exchanged (``resub + 1``) at every boundary.  The
-    wrapped plane only prices and replays; its own pools stay empty."""
+    """The discipline the pools and the closed path replace: one flat
+    pending list, every pooled query re-exchanged (``resub + 1``) at
+    every boundary, every exchange through the full per-exchange
+    program.  The wrapped plane only prices and replays: its own pools
+    stay empty and its fast-path marks are wiped before each exchange,
+    so neither the saturated skip nor the closed raise ever runs here.
+    """
 
     def __init__(self, init):
         self.plane = _MarketPlane(init)
         self.pending = []
         self.exchanges = 0
+        #: ``(class, period serial)`` pairs that saw an all-refuse
+        #: exchange under a threshold, and the later exchanges on them
+        #: that could still raise a price: the expected ``closed_settled``.
+        self.closed = set()
+        self.closed_settled = 0
+
+    def _exchange(self, k, now):
+        plane = self.plane
+        key = (k, plane._period_serial)
+        if key in self.closed and (plane._V[k] != plane._cap).any():
+            self.closed_settled += 1
+        plane._saturated_in.clear()
+        plane._closed_in.clear()
+        node = plane._exchange(k, now)
+        if node is None and plane._threshold is not None:
+            self.closed.add(key)
+        return node
 
     def market_tick(self, now, rows):
         assignments = []
         for row in rows:
-            node = self.plane._exchange(row[1], now)
+            node = self._exchange(row[1], now)
             if node is None:
                 self.pending.append(row)
             else:
@@ -606,7 +758,7 @@ class _FlatListReference:
         self.market_tick(now, retry)
 
 
-def _plane_init(costs):
+def _plane_init(costs, cap=4.0, threshold=2.0):
     """A JSON-safe ``_MarketPlane`` spec from ``costs[node][class]``
     (``inf`` = not a candidate)."""
     nodes = list(range(len(costs)))
@@ -624,14 +776,48 @@ def _plane_init(costs):
         "jitter_ms": 0.5,
         "factor": 1.1,
         "floor": 0.01,
-        "cap": 4.0,
+        "cap": cap,
         "adjustment": 0.1,
-        "threshold": 2.0,
+        "threshold": threshold,
         "classes": [
             [k, [n for n in nodes if not math.isinf(costs[n][k])]]
             for k in range(num_classes)
         ],
     }
+
+
+def _assert_same_market(plane, reference):
+    """Everything observable of ``plane`` equals the per-exchange
+    reference: prices, supply, latches, clocks, pools, outcome columns
+    and counters.  ``_maxp`` is compared on unlatched agents only — a
+    closed raise skips it on latched ones, where nothing can read it."""
+    ref = reference.plane
+    for k in plane.class_indices:
+        assert plane._V[k].tolist() == ref._V[k].tolist()
+        assert plane._R[k].tolist() == ref._R[k].tolist()
+    assert plane._locked.tolist() == ref._locked.tolist()
+    open_ = ~plane._locked
+    assert plane._maxp[open_].tolist() == ref._maxp[open_].tolist()
+    assert plane._busy.tolist() == ref._busy.tolist()
+    assert plane._exec_busy.tolist() == ref._exec_busy.tolist()
+    assert plane._cols == ref._cols  # resub column too
+    assert plane.exchanges == reference.exchanges
+    assert plane._closed_settled == reference.closed_settled
+    assert plane.pending_count == len(reference.pending)
+    pooled = [q for pool in plane._pools.values() for q, *_ in pool]
+    assert sorted(pooled) == [row[0] for row in reference.pending]
+    for pool in plane._pools.values():
+        qids = [entry[0] for entry in pool]
+        assert qids == sorted(set(qids))
+    serial = plane._period_serial
+    for k in plane.class_indices:
+        if plane._closed_in.get(k) == serial:
+            # Closed: no supply, every bidder latched; saturated iff capped.
+            assert (plane._R[k] < 1.0).all()
+            assert plane._locked[plane._cand[k]].all()
+            assert (plane._saturated_in.get(k) == serial) == bool(
+                (plane._V[k] == plane._cap).all()
+            )
 
 
 @st.composite
@@ -644,6 +830,10 @@ def _plane_scripts(draw):
     ]
     for k in range(num_classes):  # every class keeps one bidder
         costs[k % num_nodes][k] = 300.0
+    # cap 4.0 saturates 15 raises in; at 1e9 a class stays closed but
+    # unsaturated for hundreds of exchanges.
+    cap = draw(st.sampled_from([4.0, 1e9]))
+    threshold = draw(st.sampled_from([2.0, 2.0, None]))
     script = draw(
         st.lists(
             st.one_of(
@@ -654,36 +844,91 @@ def _plane_scripts(draw):
             max_size=40,
         )
     )
-    return costs, script
+    return _plane_init(costs, cap, threshold), script
 
 
-@given(_plane_scripts())
-@settings(max_examples=60, deadline=None)
-def test_market_plane_pools_match_flat_list_reference(case):
-    costs, script = case
-    init = _plane_init(costs)
+def _run_script(init, script):
+    """Drive a plane and the reference through ``script`` (``None`` = a
+    boundary, a list = one tick of class indices); compares the two,
+    then yields the plane, after every step."""
     plane, reference = _MarketPlane(init), _FlatListReference(init)
     now, qid, boundaries = 0.0, 0, 0
     for step in script:
         if step is None:
             boundaries += 1
             now = 500.0 * boundaries
-            left = plane.boundary(now)
+            assert plane.boundary(now) == plane.pending_count
             reference.boundary(now)
-            assert left == plane.pending_count == len(reference.pending)
         else:
             now += 7.0
             rows = [(qid + n, k, n, now, 0) for n, k in enumerate(step)]
             qid += len(rows)
             plane.market_tick(now, rows)
             reference.market_tick(now, rows)
-        assert plane.exchanges == reference.exchanges
-        assert plane._cols == reference.plane._cols  # resub column too
-        pooled = [q for pool in plane._pools.values() for q, *_ in pool]
-        assert sorted(pooled) == [row[0] for row in reference.pending]
-        for pool in plane._pools.values():
-            qids = [entry[0] for entry in pool]
-            assert qids == sorted(set(qids))
+        _assert_same_market(plane, reference)
+        yield plane
+
+
+@given(_plane_scripts())
+@settings(max_examples=60, deadline=None)
+def test_market_plane_pools_match_flat_list_reference(case):
+    for _plane in _run_script(*case):
+        pass
+
+
+# Nodes 0-2, class A on {0, 1}, class B on {1, 2}: node 1 couples them.
+_SHARED_BIDDER = [[300.0, math.inf], [300.0, 400.0], [math.inf, 400.0]]
+A, B = 0, 1
+
+
+@pytest.mark.parametrize("cap", [2000.0, 1e9])
+@pytest.mark.parametrize("burst", [6, 40])
+def test_closed_class_next_to_an_open_one(cap, burst):
+    """Class A closes inside an arrival tick while B, sharing a bidder,
+    still has supply; each boundary's retry tick then settles A's pool
+    in bulk — 16 entries end below either cap, 50 run into the cap of
+    2000 part-way — and the market equals the per-exchange reference
+    after every step."""
+    script = [
+        [A] * 20 + [B, A, A],  # A sells out, latches, closes mid-tick
+        [B, A, B],  # an arrival on closed A between two live B bids
+        None,
+        [A] * burst,
+        None,  # retry tick: A's whole pool meets the closed path
+        [A, B] * 3,
+        None,
+    ]
+    seen = []
+    for plane in _run_script(_plane_init(_SHARED_BIDDER, cap), script):
+        serial = plane._period_serial
+        seen.append(
+            (
+                plane._closed_in.get(A) == serial,
+                plane._saturated_in.get(A) == serial,
+                plane._closed_settled,
+            )
+        )
+        if len(seen) == 1:  # closure reached by an arrival tick
+            assert seen[0][0] and seen[0][2] > 0
+            assert B not in plane._closed_in and (plane._R[B] >= 1.0).any()
+    pool = len(plane._pools[A])
+    assert pool > burst
+    bulk = seen[4][2] - seen[3][2]
+    if (cap, burst) == (2000.0, 40):
+        assert seen[4][1] and 0 < bulk < pool - 1  # stopped at the cap
+    else:
+        assert not seen[4][1] and bulk >= burst  # ran the pool's length
+    assert all(closed for closed, _saturated, _settled in seen)
+
+
+def test_no_threshold_never_closes():
+    """Without the activation latch no bidder is ever latched, so no
+    class closes: every exchange runs the full program."""
+    init = _plane_init(_SHARED_BIDDER, 1e9, threshold=None)
+    script = [[A] * 30, None, [A] * 30 + [B], None, None]
+    for plane in _run_script(init, script):
+        assert plane._closed_in == {} and plane._closed_settled == 0
+    assert plane.pending_count > 30
 
 
 # ---------------------------------------------------------------------------

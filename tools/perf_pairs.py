@@ -11,9 +11,14 @@ warm-up, thermal drift and background load fall on both sides alike), and
 print for every end-to-end metric of ``BENCHMARK.json`` both sides'
 medians and quartiles, how many pairs the change won (ties count for
 neither side), whether the medians are further apart than the parent's
-own interquartile range (and which way), and whether the change stays
-inside the metric's regression bound.  ``correct`` / ``failed`` of every
-run are summed per side: a gain does not count when more operations fail.
+own interquartile range (and which way), whether the change stays
+inside the metric's regression bound, and whether either side's runs
+spread (interquartile range) past ``bound x parent median`` — then the
+comparison cannot be resolved and the verdict says ``SPREAD``: a metric
+that got much better carries its relative noise to a larger absolute
+one, so a change has to be *steadier* than its parent, relatively, to
+stay resolvable.  ``correct`` / ``failed`` of every run are summed per
+side: a gain does not count when more operations fail.
 
 Each tree runs its *own* ``perf/`` — the driver does the same — so the
 comparison is only meaningful while ``perf/`` is identical on both sides
@@ -116,7 +121,10 @@ def summarise(
         # better than the parent's by this much.
         "gain": gain,
         "parent_iqr": p_q3 - p_q1,
+        "change_iqr": c_q3 - c_q1,
         "within_bound": worse_by <= metric["bound"],
+        # The widest interquartile range the comparison can carry.
+        "spread_bound": metric["bound"] * abs(p_med),
     }
 
 
@@ -143,6 +151,11 @@ def render(rows: List[dict], sides: Dict[str, List[dict]]) -> str:
             verdict = "%s, %s bound" % (
                 spread, "within" if row["within_bound"] else "OUTSIDE"
             )
+            for side in ("parent", "change"):
+                if row[side + "_iqr"] > row["spread_bound"]:
+                    verdict += ", SPREAD: %s IQR %.6g > %.6g" % (
+                        side, row[side + "_iqr"], row["spread_bound"]
+                    )
         lines.append(
             "%-44s %-30s %-30s %7s %7s  %s"
             % (
