@@ -2,20 +2,12 @@
 
 PR 5's period engine batched the *boundary* (steps 12–14 + eq. 4); this
 module batches the other scalar frontier: the per-query request-for-bid
-exchange itself.  :class:`MarketTickDispatcher` mirrors the inlined
-bidder loop of :meth:`repro.allocation.qant.QantAllocator.assign` as a
-handful of numpy operations over per-class state arrays gathered from
-the precompiled bidder tuples:
-
-* offer test ``remaining >= 1.0`` over the whole candidate set at once;
-* bulk refusal bookkeeping — refusal counts, the steps-8/9 price raise
-  with the exact scalar clamp order, price-epoch deltas and the
-  incremental ``max_price`` — against agent-global auxiliary arrays;
-* the Section 5.1 activation rule (threshold test + enforce latch) as
-  mask arithmetic;
-* best-offer selection as a masked ``argmin`` over the fleet's shared
-  ``slot_free`` mirror (first-occurrence ``argmin`` over ascending node
-  ids reproduces the scalar strict-``<`` lowest-id tie-break).
+exchange itself.  :func:`exchange_lanes` is the inlined bidder loop of
+:meth:`repro.allocation.qant.QantAllocator.assign` as a handful of numpy
+operations over one class's lanes, and :class:`MarketTickDispatcher`
+runs it over per-class state arrays gathered from the precompiled
+bidder tuples, with the fleet's shared ``slot_free`` mirror as the busy
+clocks and the refusal-count / price-epoch bookkeeping of the agents.
 
 Bit-identity contract: every float is produced by the same IEEE-754
 operation sequence as the scalar loop, so goldens must not move with the
@@ -46,6 +38,7 @@ except ImportError:  # pragma: no cover - scalar paths cover this
 __all__ = [
     "BatchDispatchStats",
     "MarketTickDispatcher",
+    "exchange_lanes",
     "refusal_raise",
 ]
 
@@ -58,16 +51,87 @@ def refusal_raise(values, factor, floor, cap):
     max-then-min is identical for ``floor <= cap`` over these positive
     finite values), and the boolean mask of lanes whose price actually
     moved.  This is the single point of truth for the raise arithmetic:
-    the fleet-wide dispatcher below, the sharded coordinator's market
-    plane and every shard-local market plane
-    (:class:`repro.sim.shards._MarketPlane` — one dispatcher-equivalent
-    instance per shard) all call it, so bit-identity across engines is a
-    property of one function, not of N transcriptions.
+    :func:`exchange_lanes` and the closed-class path of the shard planes
+    (:meth:`repro.sim.shards._MarketPlane._closed_raises`) both call it.
     """
     raised = values * factor
     _np.maximum(raised, floor, out=raised)
     _np.minimum(raised, cap, out=raised)
     return raised, raised != values
+
+
+def exchange_lanes(
+    R, V, rows, costs, maxp, locked, free_at, now,
+    factor, floor, cap, threshold, before_refusal=None,
+):
+    """One request-for-bid exchange over a class's lanes (Def. 4).
+
+    The one array transcription of the bidder loop of
+    :meth:`repro.allocation.qant.QantAllocator._exchange`, shared by
+    :class:`MarketTickDispatcher` and every shard market plane.  ``R``,
+    ``V`` and ``costs`` are per lane (remaining supply, price, execution
+    cost); ``maxp``, ``locked`` and ``free_at`` are per agent and read
+    through ``rows``, the lanes' agent indices in ascending node-id
+    order.  ``R``, ``V``, ``maxp`` and ``locked`` are updated in place;
+    ``free_at`` is only read.
+
+    Lanes with ``R >= 1`` offer.  The others refuse: steps 8-9 raise
+    their price (:func:`refusal_raise`) and their agent's running
+    maximum, then the Section 5.1 activation rule lets a refusing agent
+    still *offer* while it is unlatched and its maximum is below
+    ``threshold`` (``None``: supply is always enforced); at or above it
+    the latch is set for the period.  The winner is the earliest
+    estimated completion ``max(free_at, now) + cost`` among the offers —
+    first-occurrence ``argmin``, i.e. the scalar strict-``<`` lowest-id
+    tie-break — and pays one unit of supply if it had one.
+
+    ``before_refusal()`` runs before ``maxp`` / ``locked`` are read, only
+    when some lane refuses (the dispatcher's lazy gather of those arrays).
+
+    Returns ``(winner, paid, finish, refusals)``: the winning lane (-1
+    when every lane refused), whether it paid a unit of supply, its
+    estimated completion, and — ``None`` when nobody refused —
+    ``(lanes, agent rows, moved)`` of the refusing lanes, ``moved`` the
+    mask of those whose price changed (``None`` when none did).
+    """
+    offers = R >= 1.0
+    refuse = _np.nonzero(~offers)[0]
+    refusals = None
+    if refuse.size:
+        if before_refusal is not None:
+            before_refusal()
+        # Unchanged lanes are rewritten with identical bits, so the
+        # scatter stays exact.
+        new, changed = refusal_raise(V[refuse], factor, floor, cap)
+        V[refuse] = new
+        rows_r = rows[refuse]
+        m = maxp[rows_r]
+        if changed.any():
+            # `maximum` matches the scalar `new > m` keep-or-replace:
+            # ties return the shared (positive) value bit-for-bit.
+            m = _np.maximum(m, new)
+            maxp[rows_r] = m
+        else:
+            changed = None
+        refusals = refuse, rows_r, changed
+        if threshold is not None:
+            passed = ~locked[rows_r]
+            passed &= m < threshold
+            locked[rows_r] = ~passed
+            offers[refuse] = passed
+    if not offers.any():
+        return -1, False, None, refusals
+    # `maximum(free, now)` is the scalar `free if free > now else now`:
+    # equal operands share one bit pattern (timestamps are non-negative,
+    # so no -0.0/+0.0 split is observable).
+    est = _np.maximum(free_at[rows], now)
+    est += costs
+    est = _np.where(offers, est, _np.inf)
+    winner = int(est.argmin())
+    paid = R[winner] >= 1.0
+    if paid:
+        R[winner] -= 1.0
+    return winner, paid, est[winner], refusals
 
 
 class BatchDispatchStats:
@@ -217,7 +281,10 @@ class MarketTickDispatcher:
         every raise updates the running maximum.  On adopted arrays both
         are the boundary's own baseline: no price has moved yet this
         period (the first refusal brings us here), every latch is open.
+        A no-op while the snapshot is current.
         """
+        if self._aux_fresh:
+            return
         maxp = self._aux_maxp
         locked = self._aux_locked
         self._aux_delta[:] = 0
@@ -269,59 +336,27 @@ class MarketTickDispatcher:
         path exactly as the scalar loop would).
         """
         st = self._live_state(class_index)
-        R = st.R
-        V = st.V
-        offers = R >= 1.0
-        refuse = _np.nonzero(~offers)[0]
-        if refuse.size:
-            if not self._aux_fresh:
-                self._gather_aux()
-            rows_r = st.rows[refuse]
-            # Steps 8-9 in bulk: one refusal count and one price raise per
-            # refusing bidder, with the scalar clamp order (floor first,
-            # then cap; max-then-min is identical for floor <= cap over
-            # these positive finite values).  Unchanged lanes are
-            # rewritten with identical bits, so the scatter stays exact.
+        winner, paid, _finish, refusals = exchange_lanes(
+            st.R, st.V, st.rows, st.costs,
+            self._aux_maxp, self._aux_locked, self._fleet.slot_free, now,
+            self._factor, self._floor, self._cap, self._threshold,
+            self._gather_aux,
+        )
+        if refusals is not None:
+            # One refusal count per refusing bidder, one epoch step per
+            # price that actually moved.
+            refuse, rows_r, changed = refusals
             st.F[refuse] += 1
-            new, changed = refusal_raise(
-                V[refuse], self._factor, self._floor, self._cap
-            )
-            V[refuse] = new
-            m = self._aux_maxp[rows_r]
-            if changed.any():
+            if changed is not None:
                 self._aux_delta[rows_r] += changed
-                # `maximum` matches the scalar `new > m` keep-or-replace:
-                # ties return the shared (positive) value bit-for-bit.
-                m = _np.maximum(m, new)
-                self._aux_maxp[rows_r] = m
-            threshold = self._threshold
-            if threshold is not None:
-                # Activation rule: a refusing node still *offers* while
-                # unlatched and below the threshold; at/above it the
-                # latch is set (and stays set for the period).
-                passed = ~self._aux_locked[rows_r]
-                passed &= m < threshold
-                self._aux_locked[rows_r] = ~passed
-                offers[refuse] = passed
-        if not offers.any():
+        self.stats.vector_exchanges += 1
+        if winner < 0:
             # All-refuse exchange; saturated iff every price is pinned at
             # the cap (with a threshold, the latch is then set on every
-            # bidder too — maxp >= cap >= threshold for any sane config,
-            # and the latch assignment above already ran).
-            self.stats.vector_exchanges += 1
-            return None, bool((V == self._cap).all())
-        sf = self._fleet.slot_free[st.rows]
-        # `maximum(sf, now)` is the scalar `sf if sf > now else now`:
-        # equal operands share one bit pattern (timestamps are
-        # non-negative, so no -0.0/+0.0 split is observable).
-        est = _np.maximum(sf, now)
-        est += st.costs
-        est = _np.where(offers, est, _np.inf)
-        winner = int(est.argmin())
-        if R[winner] >= 1.0:
-            R[winner] -= 1.0
+            # bidder too — maxp >= cap >= threshold for any sane config).
+            return None, bool((st.V == self._cap).all())
+        if paid:
             st.ACC[winner] += 1
-        self.stats.vector_exchanges += 1
         return int(st.ids[winner]), False
 
     # -- scatter --------------------------------------------------------------

@@ -478,61 +478,10 @@ def _setup_fed_fig5a_1000node() -> Callable[[], object]:
 
 
 @register_kernel(
-    "fed.fig5a_sharded",
+    "fed.fig5a_localmarket",
     "Sharded cell pair: qa-nt + greedy on the same 1,000-node fixture as "
     "fed.fig5a_1000node, run through a 4-shard forked ShardedFederation "
-    "(wall clock; compare against fed.fig5a_1000node for the speedup)",
-    wall_time=True,
-)
-def _setup_fed_fig5a_sharded() -> Callable[[], object]:
-    from ..experiments.scaling import quantise_trace
-    from ..experiments.setups import sinusoid_trace_for_load, two_query_world
-    from ..sim import FederationConfig, ShardedFederation
-
-    # The exact fed.fig5a_1000node fixture (world seed 0, trace seed 10
-    # on the 25 ms grid, federation seed 2) so the two kernels' ratio is
-    # the sharding speedup.  The shard pool forks once here, outside the
-    # timed region, matching how the scaling sweep amortises it.
-    world = two_query_world(num_nodes=1000, seed=0)
-    trace = quantise_trace(
-        sinusoid_trace_for_load(
-            world,
-            load_fraction=1.5,
-            horizon_ms=2_000.0,
-            frequency_hz=0.05,
-            seed=10,
-        ),
-        25.0,
-    )
-    federation = ShardedFederation(
-        world.specs,
-        world.placement,
-        world.classes,
-        world.cost_model,
-        config=FederationConfig(seed=2),
-        shards=4,
-        mode="fork",
-    )
-
-    def run_once():
-        return [
-            federation.run(trace, name).payload()
-            for name in ("qa-nt", "greedy")
-        ]
-
-    run_once.child_peak_kb = federation.transport.child_peak_kb
-    run_once.shard_self_time_s = federation.shard_self_time_s
-    run_once.close = federation.close
-    return run_once
-
-
-@register_kernel(
-    "fed.fig5a_localmarket",
-    "Local-market cell pair: the fed.fig5a_sharded fixture with "
-    "shard-local market planes (market='local', R=4, 4 forked shards) — "
-    "the coordinator keeps only the residual plane and one-way frame "
-    "routing, so the serial market bottleneck disappears (wall clock; "
-    "compare against fed.fig5a_sharded for the local-plane speedup)",
+    "(shard-local market planes, R=4; wall clock)",
     wall_time=True,
 )
 def _setup_fed_fig5a_localmarket() -> Callable[[], object]:
@@ -540,14 +489,13 @@ def _setup_fed_fig5a_localmarket() -> Callable[[], object]:
     from ..experiments.setups import sinusoid_trace_for_load, two_query_world
     from ..sim import FederationConfig, ShardedFederation
 
-    # Identical fixture to fed.fig5a_sharded (world seed 0, trace seed 10
-    # on the 25 ms grid, federation seed 2): the two kernels' ratio is
-    # purely the market-plane layout.  On this two-class world the whole
-    # market is one affinity component, so it runs as the coordinator's
-    # in-process residual plane — the win is the removed per-tick
-    # codec/IPC barriers, which is why the kernel speeds up even on a
-    # single core; affinity-rich catalogs add multi-core shard overlap
-    # on top (see the scaling-reconcile scenario).
+    # The exact fed.fig5a_1000node fixture (world seed 0, trace seed 10
+    # on the 25 ms grid, federation seed 2).  The shard pool forks once
+    # here, outside the timed region, matching how the scaling sweep
+    # amortises it.  On this two-class world the whole market is one
+    # affinity component, so it runs as the coordinator's in-process
+    # residual plane; affinity-rich catalogs add multi-core shard
+    # overlap on top (see the scaling-reconcile scenario).
     world = two_query_world(num_nodes=1000, seed=0)
     trace = quantise_trace(
         sinusoid_trace_for_load(
@@ -567,7 +515,6 @@ def _setup_fed_fig5a_localmarket() -> Callable[[], object]:
         config=FederationConfig(seed=2),
         shards=4,
         mode="fork",
-        market="local",
         reconcile_interval=4,
     )
 

@@ -307,10 +307,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--scale",
-        # Every spec carries the universal "small"/"paper" presets;
-        # some register extras (e.g. scaling-shards "localmarket"),
-        # so the run command accepts the union and validates the
-        # (experiment, scale) pair after parsing.
+        # Every spec carries the universal "small"/"paper" presets; a
+        # spec may register extras, so the run command accepts the union
+        # and validates the (experiment, scale) pair after parsing.
         choices=sorted(
             {
                 scale
@@ -319,8 +318,7 @@ def _build_parser() -> argparse.ArgumentParser:
             }
         ),
         default="small",
-        help="federation/workload size (default: small; extra presets "
-        "are experiment-specific, e.g. scaling-shards --scale localmarket)",
+        help="federation/workload size (default: small)",
     )
     run.add_argument("--seed", type=int, default=0, help="base random seed")
     run.add_argument(

@@ -140,8 +140,6 @@ def sharded_scaling_cell(
     frequency_hz: float = 0.05,
     tick_ms: float = DEFAULT_TICK_MS,
     mode: str = "fork",
-    market: str = "coordinator",
-    reconcile_interval: int = 1,
 ) -> Dict[str, float]:
     """One (mechanism, shard-count, seed) cell of the shard-axis curve.
 
@@ -150,13 +148,11 @@ def sharded_scaling_cell(
     seed ``seed + 10`` with no ``point_index`` term, deliberately unlike
     :func:`scaling_cell`).  Across the multi-process points (``shards >=
     2``) the invariant metrics — completed, dropped, response moments —
-    coincide exactly and only the wall clock and shard counters move;
-    this also holds across ``market`` layouts and ``reconcile_interval``
-    settings (the local-market planes are exact, R only bounds quote
-    staleness).  ``shards=1`` delegates to the single-process engine
-    (byte-identical to the existing goldens), whose event-granular
-    negotiation interleaving differs from the tick-barrier market plane,
-    so the origin's response moments are the legacy engine's own.
+    coincide exactly and only the wall clock and shard counters move.
+    ``shards=1`` delegates to the single-process engine (byte-identical
+    to the existing goldens), whose event-granular negotiation
+    interleaving differs from the tick market of the planes, so the
+    origin's response moments are the legacy engine's own.
     """
     shards = int(shards)
     world = two_query_world(num_nodes=int(num_nodes), seed=seed)
@@ -179,8 +175,6 @@ def sharded_scaling_cell(
         config=FederationConfig(seed=seed + 2),
         shards=shards,
         mode=mode,
-        market=market,
-        reconcile_interval=int(reconcile_interval),
     ) as federation:
         result = federation.run(trace, mechanism)
         wall_ms = (time.perf_counter() - started) * 1000.0
@@ -202,8 +196,6 @@ def sharded_scaling_cell(
         payload.setdefault("cross_shard_bids", 0.0)
         payload.setdefault("barrier_wait_ms", 0.0)
         payload.setdefault("shard_imbalance", 1.0)
-        # Reconciliation counters only arm under market="local"; the
-        # coordinator-market and shards=1 points fill uniform zeros.
         payload.setdefault("reconcile_barriers", 0.0)
         payload.setdefault("reconcile_interval", 0.0)
         payload.setdefault("reconcile_lag_ticks_max", 0.0)
@@ -228,13 +220,6 @@ register(
                 points=(1, 2), fixed={"num_nodes": 30, "mode": "inline"}
             ),
             "paper": ScalePreset(points=(1, 2, 4, 8)),
-            # The local-market variant of the paper sweep: same fixture,
-            # shard-local planes with a 4-boundary reconciliation
-            # cadence.  Invariant metrics must coincide with "paper".
-            "localmarket": ScalePreset(
-                points=(1, 2, 4, 8),
-                fixed={"market": "local", "reconcile_interval": 4},
-            ),
         },
     )
 )
@@ -256,7 +241,7 @@ def reconcile_scaling_cell(
     """One (mechanism, R, seed) cell of the reconciliation-interval axis.
 
     The sweep axis is the price-reconciliation interval R of a
-    local-market sharded federation over the *Zipf* world — the
+    sharded federation over the *Zipf* world — the
     affinity-rich catalog where most classes genuinely run shard-side
     (unlike the two-query world, whose single component is all
     residual).  Every point of one seed negotiates the identical world
@@ -287,7 +272,6 @@ def reconcile_scaling_cell(
         config=FederationConfig(seed=seed + 2),
         shards=int(shards),
         mode=mode,
-        market="local",
         reconcile_interval=int(reconcile_interval),
     ) as federation:
         result = federation.run(trace, mechanism)
@@ -386,7 +370,6 @@ def million_query_run(
         config=FederationConfig(seed=seed + 2),
         shards=int(shards),
         mode="fork",
-        market="local",
     ) as federation:
         result = federation.run(trace, "qa-nt")
         wall_ms = (time.perf_counter() - started) * 1000.0

@@ -103,11 +103,10 @@ class MetricsCollector:
         self._barrier_wait_ms = 0.0
         self._shard_imbalance = 1.0
         self._shards = 1
-        # Local-market reconciliation counters (see repro.sim.shards,
-        # ``market="local"``).  Gated like the shard counters: the keys
-        # only appear in `batch_summary()` after `apply_reconcile_stats`,
-        # so coordinator-market and single-process summaries are
-        # byte-stable.
+        # Market-plane reconciliation counters (see repro.sim.shards).
+        # Gated like the shard counters: the keys only appear in
+        # `batch_summary()` after `apply_reconcile_stats`, so
+        # single-process summaries are byte-stable.
         self._reconcile_stats_applied = False
         self._reconcile_barriers = 0
         self._reconcile_interval = 1
@@ -243,10 +242,10 @@ class MetricsCollector:
         residual_classes: int = 0,
         closed_settled: int = 0,
     ) -> None:
-        """Snapshot a local-market run's reconciliation counters.
+        """Snapshot a sharded run's reconciliation counters.
 
         Called once by :class:`repro.sim.shards.ShardedFederation` at the
-        end of a ``market="local"`` run; arms the reconciliation keys of
+        end of a multi-process run; arms the reconciliation keys of
         :meth:`batch_summary`.  ``reconcile_lag_ticks_max`` is the widest
         observed gap (in market ticks) between price-reconciliation
         barriers — bounded by ``reconcile_interval`` during the trace;
@@ -258,7 +257,7 @@ class MetricsCollector:
         active shard per *period* (a period's bids travel as one
         ``BidBatch``, not tick by tick).  ``closed_settled`` counts,
         out of ``vector_exchanges``, the exchanges the planes answered
-        on a *closed* class with the price raise alone (DESIGN.md §7.1).
+        on a *closed* class with the price raise alone (DESIGN.md §7).
         """
         self._reconcile_stats_applied = True
         self._reconcile_barriers += int(reconcile_barriers)

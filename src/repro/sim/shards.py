@@ -1,75 +1,59 @@
-"""Sharded multi-process federation: batched cross-shard bidding.
+"""Sharded multi-process federation: shard-local market planes.
 
-PR 7 vectorised the market tick; the whole market still ran in one
-process.  This module partitions the federation's nodes across ``N``
-worker processes by *query-class affinity* (classes whose bidder sets
-overlap land on the same shard) and runs the market as a broker/shard
-protocol:
+The federation's nodes are partitioned across ``N`` worker processes by
+*query-class affinity* (:func:`plan_shards`: classes whose bidder sets
+overlap land on the same shard).  QA-NT's pricing state factors along
+the catalog's *affinity components*: two query classes interact only
+through a shared bidder (busy clock, max-price latch), so a component
+whose nodes all landed on one shard runs its **entire**
+bid/price/refusal/solve dynamics shard-side, in that shard's
+:class:`_MarketPlane`.  Components split across shards form the
+**residual plane**, priced and executed by the coordinator with the
+identical arithmetic.  The coordinator otherwise only routes:
 
-* the **coordinator** owns the price/supply/matching plane — per-class
-  candidate supply and price arrays plus node-indexed busy watermarks —
-  and answers every request-for-bid exchange with the same vectorised
-  arithmetic as :class:`repro.allocation.market_tick.MarketTickDispatcher`;
-* each **shard** owns the execution plane (authoritative busy watermarks
-  including negotiation delays, per-node latency RNG streams, outcome
-  recording) and the eq-4 solve plane (the vectorised proportional
-  seller problem with carry-over credit, one row per local node);
-* per simulated tick the two exchange *batched* protocol messages —
-  one :class:`~repro.protocol.messages.BidRequest` per class in the
-  tick, broadcast to every shard, answered by one
-  :class:`~repro.protocol.messages.Quote` per assignment — serialised
-  through the :mod:`repro.protocol` codec over :class:`ShardTransport`,
-  the protocol layer's third real transport (after the simulated
-  network and the asyncio broker).
+* a period's bids cross to each shard as one one-way ``mticks`` frame
+  holding one encoded :class:`~repro.protocol.messages.BidBatch` — the
+  bids as columns — followed by the period's ``mboundary`` frame
+  (pipelined: the coordinator routes period *p+1* while shards still
+  chew period *p*), serialised through the :mod:`repro.protocol` codec
+  over :class:`ShardTransport`;
+* every R period boundaries a **price-reconciliation barrier** returns
+  per-class price/supply digests plus busy watermarks that refresh the
+  coordinator's cross-shard quote mirror
+  (:meth:`ShardedFederation.stale_quotes`), bounding quote staleness at
+  R boundaries and flushing the one-way pipeline;
+* a final ``collect`` barrier merges the outcome columns.
+
+Within a period a plane answers a *closed* class — no supply left, every
+bidder latched — with the price raise alone
+(:meth:`_MarketPlane._closed_raises`).  ``mode="tcp"`` runs the same
+workers behind length-prefixed JSON frames over localhost sockets (the
+:mod:`repro.protocol.transport` framing helpers), so shards can span
+machines.
 
 Determinism is the design's backbone:
 
 * ``shards=1`` delegates verbatim to the single-process engine
   (:func:`repro.sim.federation.build_federation`), so every existing
   golden pins it byte-for-byte;
-* ``shards>1`` is invariant to the shard count: every cross-node
-  decision is made coordinator-side, shard work is per-node arithmetic
-  over globally-ordered events, per-node latency streams are keyed by
-  *node id* (not shard) through the :func:`derive_shard_seed` sha256
-  scheme, and replies merge in fixed shard order at every tick barrier.
-  Outcomes are globally sorted by ``(finish_ms, qid)`` before any
-  float reduction, so summary means are bit-identical however the
-  fleet is partitioned.
+* ``shards>1`` is invariant to the shard count, the transport mode and
+  R: every plane is exactly the global tick market restricted to its
+  component set, planes see their own ticks and boundaries in trace
+  order, per-node latency streams are keyed by *node id* (not shard)
+  through the :func:`derive_shard_seed` sha256 scheme, and outcomes are
+  globally sorted by ``(finish_ms, qid)`` before any float reduction,
+  so summary means are bit-identical however the fleet is partitioned.
+  ``tests/reference_market.py`` is that global market as one plain
+  program — the oracle the planes are compared against.
 
 The ``shards>1`` engine is a *model* of the same market, not a replay
-of the single-process event loop: negotiation delay is charged per
-assignment from the winning node's latency stream (two legs) instead
-of the slowest full-fan-out round trip, and refusal counters live in
-the coordinator's arrays rather than per-agent lists.  Its outputs are
-pinned by their own golden (``tests/golden/sharded_1000node_seed0.json``).
-
-**Local market planes** (``market="local"``): the coordinator-owned
-market plane above is the engine's serial bottleneck, but QA-NT's
-pricing state factors cleanly along the catalog's *affinity
-components* — the union-find groups :func:`plan_shards` already
-computes.  Two query classes interact only through a shared bidder
-(busy clock, max-price latch), so a component whose nodes all landed on
-one shard can run its **entire** bid/price/refusal/solve dynamics
-shard-side, fed by one one-way ``mticks`` frame per period holding one
-encoded ``BidBatch`` — the period's bids as columns (pipelined: the
-coordinator routes period *p+1* while shards still chew period *p*).
-Components split across shards form the **residual plane**, priced and
-executed by the slim coordinator with the identical
-:class:`_MarketPlane` arithmetic.  Within a period a plane answers a
-*closed* class — no supply left, every bidder latched — with the price
-raise alone (:meth:`_MarketPlane._closed_raises`).
-Every plane is exactly the PR 8 market restricted to its component set, so
-``invariant_payload()`` is bit-identical to the coordinator-plane
-engine for *any* reconciliation interval, any shard count and any
-transport mode.  The reconciliation interval R instead governs the
-**price-reconciliation barrier**: every R market ticks the shards
-return per-class price/supply digests plus busy watermarks that refresh
-the coordinator's cross-shard quote mirror (:meth:`ShardedFederation
-.stale_quotes`), bounding quote staleness at R ticks and flushing the
-one-way frame pipeline.  ``mode="tcp"`` runs the same workers behind
-length-prefixed JSON frames over localhost sockets (the
-:mod:`repro.protocol.transport` framing helpers), so shards can span
-machines; pipe and inline modes are untouched.
+of the single-process event loop: arrivals are priced tick by tick,
+negotiation delay is charged per assignment from the winning node's
+latency stream (two legs) instead of the slowest full-fan-out round
+trip, and refused queries wait in per-class pools for the next period
+boundary.  Its outputs are pinned by their own goldens
+(``tests/golden/sharded_1000node_seed0.json``,
+``tests/golden/localmarket_zipf_seed0.json``).
 """
 
 from __future__ import annotations
@@ -98,13 +82,12 @@ from ..protocol.messages import (
     BidBatch,
     BidRequest,
     Message,
-    PeriodTick,
     ProtocolError,
     Quote,
     decode,
     encode,
 )
-from ..allocation.market_tick import refusal_raise
+from ..allocation.market_tick import exchange_lanes, refusal_raise
 from ..protocol.transport import (
     FanoutResult,
     FrameDecoder,
@@ -298,219 +281,21 @@ def split_market_classes(
     return owner
 
 
-# -- the shard worker ---------------------------------------------------------
-
-
-class _ShardCore:
-    """One shard's execution + solve plane (runs in-process or forked).
-
-    The exact same class backs both transport modes, codec included, so
-    an inline run is bit-identical to a forked one — the equivalence the
-    tests pin.  All frames arrive pre-ordered by the coordinator; the
-    core performs per-node arithmetic only, which is what makes its
-    output independent of how nodes were grouped into shards.
-    """
-
-    def __init__(self, init: Mapping[str, object]) -> None:
-        ids = list(init["node_ids"])
-        self._ids = ids
-        self._index = {nid: i for i, nid in enumerate(ids)}
-        self._costs = _np.array(init["costs"], dtype=float)
-        self._allow = _np.array(init["allowances"], dtype=float)
-        self._seeds = list(init["latency_seeds"])
-        self._base = float(init["base_ms"])
-        self._jitter = float(init["jitter_ms"])
-        self._num_classes = int(init["num_classes"])
-        self.reset()
-
-    def reset(self) -> None:
-        n = len(self._ids)
-        self._busy = _np.zeros(n, dtype=float)
-        self._credit = _np.zeros((n, self._num_classes), dtype=float)
-        # One latency stream per *node* (not per shard): repartitioning
-        # the fleet must not reshuffle any node's delay draws.
-        self._rngs = [random.Random(seed) for seed in self._seeds]
-        self._cols: Tuple[List, ...] = tuple([] for _ in range(9))
-        self._assigned = 0
-        self._bids_seen = 0
-        #: Wall-clock seconds this core spent handling frames since the
-        #: last reset — the per-shard hotspot number ``repro profile
-        #: --json`` (schema v2) surfaces, since cProfile cannot see into
-        #: worker processes.
-        self.self_time_s = 0.0
-
-    def handle(self, frame: Tuple) -> Mapping[str, object]:
-        started = time.perf_counter()
-        try:
-            return self._dispatch(frame)
-        finally:
-            self.self_time_s += time.perf_counter() - started
-
-    def _dispatch(self, frame: Tuple) -> Mapping[str, object]:
-        op = frame[0]
-        if op == "tick":
-            return self._tick(frame[1], frame[2], frame[3])
-        if op == "solve":
-            return self._solve(frame[1], frame[2])
-        if op == "fanout":
-            return self._fanout(frame[1])
-        if op == "reset":
-            self.reset()
-            return {"ok": True}
-        if op == "collect":
-            return self._collect()
-        raise ValueError("unknown shard frame %r" % (op,))
-
-    def _tick(
-        self, now: float, bids: Sequence[str], assignments: Sequence[Tuple]
-    ) -> Mapping[str, object]:
-        """One market tick: decode the bid broadcast, replay assignments.
-
-        Every assignment row ``(qid, class, origin, arrival, resub,
-        node)`` is replayed in coordinator order: the negotiation delay
-        is two latency legs from the *node's* stream, the query starts
-        when both the delay has elapsed and the node's FIFO is free
-        (mirroring :meth:`repro.sim.node.SimulatedNode.enqueue`), and
-        one Quote per assignment reports the authoritative finish back
-        to the coordinator's busy mirror.
-        """
-        for payload in bids:
-            decode(payload)  # validate the broadcast like any real peer
-            self._bids_seen += 1
-        index = self._index
-        busy = self._busy
-        costs = self._costs
-        rngs = self._rngs
-        base = self._base
-        jitter = self._jitter
-        cols = self._cols
-        quotes: List[str] = []
-        for qid, class_index, origin, arrival, resub, node in assignments:
-            i = index[node]
-            if jitter == 0.0:
-                delay = base + base
-            else:
-                rnd = rngs[i].random
-                delay = (base + jitter * rnd()) + (base + jitter * rnd())
-            assigned = now + delay
-            prior = busy[i]
-            start = prior if prior > assigned else assigned
-            finish = start + costs[i, class_index]
-            busy[i] = finish
-            cols[0].append(qid)
-            cols[1].append(class_index)
-            cols[2].append(origin)
-            cols[3].append(arrival)
-            cols[4].append(assigned)
-            cols[5].append(node)
-            cols[6].append(start)
-            cols[7].append(finish)
-            cols[8].append(resub)
-            quotes.append(
-                encode(
-                    Quote(
-                        qid=qid,
-                        node_id=node,
-                        class_index=class_index,
-                        estimated_completion_ms=finish,
-                    )
-                )
-            )
-        self._assigned += len(assignments)
-        return {"quotes": quotes}
-
-    def _solve(self, now: float, prices) -> Mapping[str, object]:
-        """Eq. 4 for every local node at once, with carry-over credit.
-
-        Vectorises
-        :meth:`repro.core.supply.CapacitySupplySet._solve_proportional`
-        row-wise: density ``p/c`` (``p/inf == 0`` excludes classes the
-        node cannot evaluate), weights ``(d/top)**2`` over a free
-        capacity of ``max(0, allowance - backlog)``, then the QA-NT
-        carry-over rounding ``whole = floor(credit + 1e-9)``.
-        """
-        P = _np.asarray(prices, dtype=float)
-        backlog = self._busy - now
-        _np.clip(backlog, 0.0, None, out=backlog)
-        free = self._allow - backlog
-        _np.clip(free, 0.0, None, out=free)
-        D = P / self._costs
-        top = D.max(axis=1)
-        W = _np.zeros_like(D)
-        rows = top > 0.0
-        if rows.any():
-            W[rows] = (D[rows] / top[rows, None]) ** 2.0
-        total = W.sum(axis=1)
-        total[total == 0.0] = 1.0
-        counts = (free[:, None] * W / total[:, None]) / self._costs
-        credit = self._credit
-        credit += counts
-        whole = _np.floor(credit + 1e-9)
-        credit -= whole
-        return {"supply": whole}
-
-    def _fanout(self, payload: str) -> Mapping[str, object]:
-        """One protocol message addressed to this shard as a peer.
-
-        ``PeriodTick`` is the tick barrier (replies empty — the ack *is*
-        the barrier); a ``BidRequest`` is answered with one Quote per
-        local node able to evaluate the class, estimated from the
-        shard's authoritative busy watermarks.
-        """
-        message = decode(payload)
-        if isinstance(message, PeriodTick):
-            return {"replies": []}
-        if isinstance(message, BidRequest):
-            k = message.class_index
-            replies = []
-            for i, nid in enumerate(self._ids):
-                cost = self._costs[i, k]
-                if math.isinf(cost):
-                    continue
-                replies.append(
-                    encode(
-                        Quote(
-                            qid=message.qid,
-                            node_id=nid,
-                            class_index=k,
-                            estimated_completion_ms=float(
-                                self._busy[i] + cost
-                            ),
-                        )
-                    )
-                )
-            return {"replies": replies}
-        return {"replies": []}
-
-    def _collect(self) -> Mapping[str, object]:
-        return {
-            "columns": self._cols,
-            # Linux reports ru_maxrss in KiB; the bench harness
-            # aggregates these across workers for `bench --mem`.
-            "maxrss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
-            "assigned": self._assigned,
-            "bids_seen": self._bids_seen,
-            "self_time_s": self.self_time_s,
-        }
-
-
 # -- the market plane ---------------------------------------------------------
 
 
 class _MarketPlane:
     """One self-contained QA-NT market over a subset of the federation.
 
-    The full stack of the PR 8 coordinator *and* shard arithmetic —
-    request-for-bid exchanges (the :func:`repro.allocation.market_tick
-    .refusal_raise` steps-8/9 raise, the Section 5.1 activation latch,
-    earliest-completion argmin), execution replay with node-keyed
-    latency streams, and the eq. 4 period solve with carry-over credit —
-    restricted to one set of affinity components.  Query classes only
-    couple through shared bidders, so running each component set in its
-    own plane performs bit-for-bit the same float operations, in the
-    same order, as one global plane interleaving them: this is the
-    equivalence that makes ``market="local"`` reproduce the
-    coordinator-market digest for any shard count, transport mode and
+    The full stack of the tick market — request-for-bid exchanges
+    (:func:`repro.allocation.market_tick.exchange_lanes`), execution
+    replay with node-keyed latency streams, and the eq. 4 period solve
+    with carry-over credit — restricted to one set of affinity
+    components.  Query classes only couple through shared bidders, so
+    running each component set in its own plane performs bit-for-bit the
+    same float operations, in the same order, as one global plane
+    interleaving them: this is the equivalence that makes the outcome
+    digest independent of shard count, transport mode and
     reconciliation interval.
 
     Instances run shard-side (one per shard, inside
@@ -556,7 +341,7 @@ class _MarketPlane:
             self._lane_costs[k] = self._costs[rows, k]
         # maxp baseline: a class the node can never evaluate keeps its
         # initial price of 1.0 forever, pinning the node's max price at
-        # >= 1.0 (same rule as the coordinator-market arrays).
+        # >= 1.0.
         self._maxp_base = _np.zeros(len(ids), dtype=float)
         for i in range(len(ids)):
             if bool(_np.isinf(self._costs[i]).any()):
@@ -593,8 +378,7 @@ class _MarketPlane:
         n = len(self._ids)
         self._qa = bool(qa)
         #: Pricing busy mirror: optimistic within a tick, resynced to the
-        #: authoritative execution clock at every tick's end (the exact
-        #: two-phase discipline of the PR 8 coordinator + Quote resync).
+        #: authoritative execution clock at every tick's end.
         self._busy = _np.zeros(n, dtype=float)
         #: Authoritative per-node FIFO clocks (negotiation delay included).
         self._exec_busy = _np.zeros(n, dtype=float)
@@ -708,36 +492,22 @@ class _MarketPlane:
             self._replay(now, assignments)
 
     def _exchange(self, class_index: int, now: float) -> Optional[int]:
-        """One QA-NT exchange — the PR 8 coordinator program verbatim,
-        over the plane's local row indices, behind the two fast paths
-        of a class that can no longer trade this period."""
+        """One QA-NT exchange over the plane's local row indices, behind
+        the two fast paths of a class that can no longer trade this
+        period."""
         if self._saturated_in.get(class_index) == self._period_serial:
             return None
         if self._closed_in.get(class_index) == self._period_serial:
             self._closed_raises(class_index, 1)
             return None
-        R = self._R[class_index]
         V = self._V[class_index]
         cand = self._cand[class_index]
-        offers = R >= 1.0
-        refuse = _np.nonzero(~offers)[0]
-        if refuse.size:
-            new, changed = refusal_raise(
-                V[refuse], self._factor, self._floor, self._cap
-            )
-            V[refuse] = new
-            rows_r = cand[refuse]
-            m = self._maxp[rows_r]
-            if changed.any():
-                m = _np.maximum(m, new)
-                self._maxp[rows_r] = m
-            threshold = self._threshold
-            if threshold is not None:
-                passed = ~self._locked[rows_r]
-                passed &= m < threshold
-                self._locked[rows_r] = ~passed
-                offers[refuse] = passed
-        if not offers.any():
+        winner, _paid, finish, _refusals = exchange_lanes(
+            self._R[class_index], V, cand, self._lane_costs[class_index],
+            self._maxp, self._locked, self._busy, now,
+            self._factor, self._floor, self._cap, self._threshold,
+        )
+        if winner < 0:
             # Nobody offered, so every lane is out of supply (a lane
             # with R >= 1 always offers) and, under a threshold, every
             # bidder was just found or set latched: the class is closed.
@@ -746,14 +516,8 @@ class _MarketPlane:
             if bool((V == self._cap).all()):
                 self._saturated_in[class_index] = self._period_serial
             return None
-        est = _np.maximum(self._busy[cand], now)
-        est += self._lane_costs[class_index]
-        est[~offers] = _np.inf
-        winner = int(est.argmin())
-        if R[winner] >= 1.0:
-            R[winner] -= 1.0
         row = int(cand[winner])
-        self._busy[row] = float(est[winner])
+        self._busy[row] = finish
         return int(self._ids[row])
 
     def _closed_raises(self, class_index: int, count: int) -> None:
@@ -793,9 +557,10 @@ class _MarketPlane:
         return int(self._ids[row])
 
     def _replay(self, now: float, assignments: Sequence[Tuple]) -> None:
-        """Execution replay (the `_ShardCore._tick` program), then the
-        pricing mirror resyncs to the authoritative clocks — the in-plane
-        equivalent of the Quote barrier."""
+        """Execution replay: negotiation delay is two latency legs from
+        the *node's* stream, the query starts once that has elapsed and
+        the node's FIFO is free (:meth:`repro.sim.node.SimulatedNode
+        .enqueue`); the pricing mirror resyncs to the finish."""
         index = self._index
         ebusy = self._exec_busy
         costs = self._costs
@@ -853,8 +618,10 @@ class _MarketPlane:
         return self._pending_count
 
     def _period_solve(self, now: float) -> None:
-        """Eq. 4 over the plane's nodes (the `_ShardCore._solve` program)
-        + the new-period latch/max-price/saturation re-arm."""
+        """Eq. 4 over the plane's nodes (:meth:`repro.core.supply
+        .CapacitySupplySet._solve_proportional` row-wise, with the QA-NT
+        carry-over rounding) + the new-period latch/max-price/saturation
+        re-arm."""
         prices = _np.ones((len(self._ids), self._num_classes), dtype=float)
         for k in self._class_order:
             prices[self._cand[k], k] = self._V[k]
@@ -923,13 +690,11 @@ class _MarketPlane:
 
 
 class _LocalMarketCore:
-    """Worker-side front of one shard-local market plane.
-
-    The ``market="local"`` counterpart of :class:`_ShardCore`: instead
-    of replaying coordinator decisions, it *makes* them for the classes
-    packed onto its shard.  ``mticks``/``mboundary`` frames are one-way
-    during the trace (posted, never answered — the period pipeline);
-    ``reconcile`` and ``collect`` are the sync points.
+    """Worker-side front of one shard-local market plane: it makes every
+    market decision for the classes packed onto its shard.
+    ``mticks``/``mboundary`` frames are one-way during the trace
+    (posted, never answered — the period pipeline); ``reconcile`` and
+    ``collect`` are the sync points.
     """
 
     def __init__(self, init: Mapping[str, object]) -> None:
@@ -1017,11 +782,11 @@ def _market_ticks(batch: BidBatch):
 
 
 #: Worker-core registry: ``shard_inits[i]["kind"]`` picks the class.
-_CORE_KINDS = {"exec": _ShardCore, "market": _LocalMarketCore}
+_CORE_KINDS = {"market": _LocalMarketCore}
 
 
 def _make_core(init: Mapping[str, object]):
-    return _CORE_KINDS[init.get("kind", "exec")](init)
+    return _CORE_KINDS[init["kind"]](init)
 
 
 def _serve(peer, core) -> None:
@@ -1053,9 +818,9 @@ def _claim_cpu(index: int) -> None:
     """Pin this worker process to one CPU of those it may run on.
 
     Workers are CPU-bound and are woken by the coordinator's writes, and
-    a coordinator that mostly sleeps (the ``market="local"`` engine's)
-    looks like the idle end of a ping-pong to the kernel's wake-affine
-    placement: it stacks the workers on the coordinator's CPU and load
+    a coordinator that mostly sleeps (it only routes) looks like the
+    idle end of a ping-pong to the kernel's wake-affine placement: it
+    stacks the workers on the coordinator's CPU and load
     balancing leaves them there for runs on end while the next CPU
     idles.  On 2 cores the same replay then took 0.20 s or 0.30 s, and
     whole sessions sat in the slow mode.  Worker ``index`` of a pool
@@ -1144,6 +909,9 @@ def _tcp_shard_worker(host: str, port: int, index: int) -> None:
 
 # -- the transport ------------------------------------------------------------
 
+#: Seconds between worker-liveness checks while tcp workers connect.
+_TCP_ACCEPT_POLL_S = 0.05
+
 
 class ShardFailure(RuntimeError):
     """A shard worker died, or its pipe/socket closed, mid-run.
@@ -1194,6 +962,14 @@ class ShardTransport(Transport):
             raise ValueError(
                 "transport mode must be 'fork', 'inline' or 'tcp'"
             )
+        # Checked before any fork or socket: a bad kind would otherwise
+        # be a KeyError inside a daemon worker, seen only as an EOF.
+        for index, init in enumerate(shard_inits):
+            if init.get("kind") not in _CORE_KINDS:
+                raise ValueError(
+                    "shard init %d has kind %r: expected one of %r"
+                    % (index, init.get("kind"), sorted(_CORE_KINDS))
+                )
         self._mode = mode
         self._num_shards = len(shard_inits)
         #: Wall-clock milliseconds spent blocked at tick barriers
@@ -1207,10 +983,11 @@ class ShardTransport(Transport):
         self.posted_frames = 0
         self._child_peak_kb = 0
         self._closed = False
-        if mode == "fork":
+        if mode != "inline":
             import multiprocessing
 
             ctx = multiprocessing.get_context("fork")
+        if mode == "fork":
             self._peers = []
             self._procs = []
             for index, init in enumerate(shard_inits):
@@ -1225,9 +1002,6 @@ class ShardTransport(Transport):
                 self._peers.append(parent_conn)
                 self._procs.append(proc)
         elif mode == "tcp":
-            import multiprocessing
-
-            ctx = multiprocessing.get_context("fork")
             listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
             listener.bind(("127.0.0.1", 0))
@@ -1242,21 +1016,63 @@ class ShardTransport(Transport):
                 )
                 proc.start()
                 self._procs.append(proc)
-            channels: List[Optional[_WireChannel]] = [None] * len(
+            self._peers: List[Optional[_WireChannel]] = [None] * len(
                 shard_inits
             )
-            for _ in shard_inits:
-                sock, _addr = listener.accept()
-                sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-                channel = _WireChannel(sock)
-                hello = channel.recv()
-                channels[int(hello[1])] = channel
-            listener.close()
-            self._peers = channels
-            for channel, init in zip(channels, shard_inits):
+            try:
+                self._seat_tcp_workers(listener)
+            except ShardFailure:
+                for channel in self._peers:
+                    if channel is not None:
+                        channel.close()
+                for proc in self._procs:
+                    proc.kill()
+                    proc.join()
+                raise
+            finally:
+                listener.close()
+            for channel, init in zip(self._peers, shard_inits):
                 channel.send(init)
         else:
             self._cores = [_make_core(init) for init in shard_inits]
+
+    def _seat_tcp_workers(self, listener: socket.socket) -> None:
+        """Accept every tcp worker and seat its channel by its ``hello``.
+
+        The listener is polled: a worker that has not connected and is
+        no longer alive fails the start, and so does a first frame that
+        is not ``["hello", i]`` for a still-empty seat ``i`` (malformed,
+        out of range or repeated) — both as ``ShardFailure(shard,
+        "hello", cause)``, shard ``-1`` for a frame that names no seat.
+        """
+        peers = self._peers
+        listener.settimeout(_TCP_ACCEPT_POLL_S)
+        while None in peers:
+            try:
+                sock, _addr = listener.accept()
+            except socket.timeout:
+                for shard, proc in enumerate(self._procs):
+                    if peers[shard] is None and not proc.is_alive():
+                        cause = EOFError("worker exited before connecting")
+                        raise ShardFailure(shard, "hello", cause)
+                continue
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            channel = _WireChannel(sock)
+            try:
+                hello = channel.recv()
+                seats = [
+                    seat
+                    for seat, peer in enumerate(peers)
+                    if peer is None and hello == ["hello", seat]
+                ]
+                if not seats:
+                    raise ValueError(
+                        "%r names no empty seat of %d" % (hello, len(peers))
+                    )
+            except (EOFError, OSError, ValueError) as error:
+                channel.close()
+                raise ShardFailure(-1, "hello", error) from error
+            peers[seats[0]] = channel
 
     @property
     def num_shards(self) -> int:
@@ -1568,14 +1384,16 @@ class ShardedRunResult:
 
 
 class ShardedFederation:
-    """Front of the sharded engine: owns the worker pool and tick barrier.
+    """Front of the sharded engine: owns the worker pool, the routing
+    table and the residual plane.
 
     Construction mirrors :func:`repro.sim.federation.build_federation`
     minus the allocator (the mechanism is chosen per :meth:`run`, so one
     worker pool serves qa-nt and greedy back to back — the bench kernel
     relies on this).  ``shards=1`` takes the single-process engine
-    verbatim; ``shards>1`` runs the broker/shard protocol described in
-    the module docstring.
+    verbatim; ``shards>1`` runs the market planes described in the
+    module docstring.  ``market`` has one legal value left and goes
+    with the next ``perf/`` maintenance PR.
     """
 
     _MECHANISMS = ("qa-nt", "greedy")
@@ -1589,7 +1407,7 @@ class ShardedFederation:
         config: Optional[FederationConfig] = None,
         shards: int = 1,
         mode: str = "fork",
-        market: str = "coordinator",
+        market: str = "local",
         reconcile_interval: int = 1,
         parameters: Optional[QantParameters] = None,
         activation_threshold: Optional[float] = 2.0,
@@ -1597,11 +1415,13 @@ class ShardedFederation:
     ) -> None:
         if shards <= 0:
             raise ValueError("need at least one shard")
-        if market not in ("coordinator", "local"):
-            raise ValueError("market must be 'coordinator' or 'local'")
+        if market != "local":
+            raise ValueError(
+                "market=%r: the coordinator-market engine was removed, "
+                "shard-local planes ('local') are the only market" % (market,)
+            )
         if reconcile_interval < 1:
             raise ValueError("reconcile_interval must be >= 1")
-        self._market = market
         self._reconcile_interval = int(reconcile_interval)
         #: Per-shard aggregate frame-handling self-time of the last run
         #: (filled by the collect barrier; ``repro profile --json`` v2).
@@ -1628,13 +1448,10 @@ class ShardedFederation:
         self._candidates = candidates_by_class
         node_ids = list(placement.node_ids)
         self._plan = plan_shards(candidates_by_class, node_ids, shards)
-        self._node_to_shard = self._plan.node_to_shard
-        num_nodes = len(node_ids)
+        self._num_nodes = len(node_ids)
         num_classes = len(classes)
-        # Coordinator market plane: per class, candidate lanes with their
-        # cost and price/supply arrays; per node, the busy mirror plus the
-        # agent-global max-price and enforce-latch arrays the dispatcher
-        # arithmetic needs.
+        # Per class, the candidate lanes and their costs (global node
+        # ids): what :meth:`stale_quotes` prices the mirror against.
         self._cand: Dict[int, object] = {}
         self._lane_costs: Dict[int, object] = {}
         cost_rows: Dict[int, List[float]] = {
@@ -1649,25 +1466,9 @@ class ShardedFederation:
             self._lane_costs[qc.index] = _np.array(costs, dtype=float)
             for nid, cost in zip(cand, costs):
                 cost_rows[nid][qc.index] = cost
-        # maxp baseline: a class the node can never evaluate keeps its
-        # initial price of 1.0 forever (no refusals, no leftover supply),
-        # so it pins the node's max price at >= 1.0.
-        self._maxp_base = _np.zeros(num_nodes, dtype=float)
-        for nid in node_ids:
-            if any(math.isinf(c) for c in cost_rows[nid]):
-                self._maxp_base[nid] = 1.0
-        self._busy = _np.zeros(num_nodes, dtype=float)
-        self._maxp = _np.ones(num_nodes, dtype=float)
-        self._locked = _np.zeros(num_nodes, dtype=bool)
-        self._V: Dict[int, object] = {}
-        self._R: Dict[int, object] = {}
-        self._factor = 1.0 + self._params.adjustment
-        self._floor = self._params.price_floor
-        self._cap = self._params.price_cap
-        self._adjustment = self._params.adjustment
         # Per-node allowance: one period of capacity plus headroom for
         # the costliest class the node can evaluate (the single-process
-        # engine's allowance rule) — shared by both market layouts.
+        # engine's allowance rule).
         allowance_by_node: Dict[int, float] = {}
         for nid in node_ids:
             finite = [c for c in cost_rows[nid] if not math.isinf(c)]
@@ -1675,51 +1476,10 @@ class ShardedFederation:
                 self._config.period_ms
                 + allowance_factor * max(finite, default=0.0)
             )
-        if market == "local":
-            shard_inits = self._build_local_planes(
-                cost_rows, allowance_by_node, num_classes
-            )
-            self._transport = ShardTransport(shard_inits, mode=mode)
-            return
-        # Per (class, shard): the class's candidate-lane indices owned by
-        # the shard and the matching row positions in the shard's local
-        # node order — the scatter/gather tables of the solve barrier.
-        self._shard_rows: List[Dict[int, Tuple]] = []
-        shard_inits = []
-        for shard_index in range(shards):
-            local = list(self._plan.shard_nodes[shard_index])
-            local_pos = {nid: i for i, nid in enumerate(local)}
-            tables: Dict[int, Tuple] = {}
-            for qc in classes:
-                cand = candidates_by_class[qc.index]
-                lanes = [
-                    lane for lane, nid in enumerate(cand) if nid in local_pos
-                ]
-                rows = [local_pos[cand[lane]] for lane in lanes]
-                tables[qc.index] = (
-                    _np.array(lanes, dtype=_np.intp),
-                    _np.array(rows, dtype=_np.intp),
-                )
-            self._shard_rows.append(tables)
-            shard_inits.append(
-                {
-                    "node_ids": local,
-                    "costs": [cost_rows[nid] for nid in local],
-                    "allowances": [allowance_by_node[nid] for nid in local],
-                    "latency_seeds": [
-                        derive_shard_seed(
-                            self._config.seed, ("shard-node-latency", nid)
-                        )
-                        for nid in local
-                    ],
-                    "base_ms": self._config.latency.base_ms,
-                    "jitter_ms": self._config.latency.jitter_ms,
-                    "num_classes": num_classes,
-                }
-            )
+        shard_inits = self._build_local_planes(
+            cost_rows, allowance_by_node, num_classes
+        )
         self._transport = ShardTransport(shard_inits, mode=mode)
-        self._period_serial = 0
-        self._saturated_in: Dict[int, int] = {}
 
     def _build_local_planes(
         self,
@@ -1734,8 +1494,8 @@ class ShardedFederation:
         :func:`split_market_classes`.  Shard-owned components become one
         JSON-safe ``_MarketPlane`` init per shard; split components form
         the coordinator's in-process residual plane.  Candidate tuples
-        keep their global ascending order, so every plane's lane arrays
-        are bit-compatible with the coordinator-market layout.
+        keep their global ascending order, so a class's lane arrays are
+        the same whichever plane owns it.
         """
         candidates_by_class = self._candidates
         owner = split_market_classes(candidates_by_class, self._plan)
@@ -1776,10 +1536,10 @@ class ShardedFederation:
                 ],
                 "base_ms": self._config.latency.base_ms,
                 "jitter_ms": self._config.latency.jitter_ms,
-                "factor": self._factor,
-                "floor": self._floor,
-                "cap": self._cap,
-                "adjustment": self._adjustment,
+                "factor": 1.0 + self._params.adjustment,
+                "floor": self._params.price_floor,
+                "cap": self._params.price_cap,
+                "adjustment": self._params.adjustment,
                 "threshold": self._threshold,
                 "classes": [
                     [k, list(candidates_by_class[k])] for k in class_indices
@@ -1792,7 +1552,7 @@ class ShardedFederation:
         # Cross-shard quote mirror: refreshed by every reconciliation
         # barrier, read by :meth:`stale_quotes` — never by the market
         # arithmetic itself (exactness does not depend on R).
-        self._mirror_busy = _np.zeros(len(self._busy), dtype=float)
+        self._mirror_busy = _np.zeros(self._num_nodes, dtype=float)
         self._mirror_V: Dict[int, List[float]] = {}
         self._mirror_R: Dict[int, List[float]] = {}
         self._reconcile_barriers = 0
@@ -1837,10 +1597,7 @@ class ShardedFederation:
             raise ValueError("cannot run an empty workload trace")
         if self._shards == 1:
             return self._run_single(trace, mechanism)
-        columns = self._trace_columns(trace)
-        if self._market == "local":
-            return self._run_local(columns, mechanism)
-        return self._run_sharded(trace, mechanism)
+        return self._run_local(self._trace_columns(trace), mechanism)
 
     def _trace_columns(self, trace) -> Tuple:
         """``trace`` as time-ordered ``(times, classes, origins)`` arrays.
@@ -1855,7 +1612,7 @@ class ShardedFederation:
         columns = [times[order]]
         for name, limit in (
             ("class_index", len(self._classes)),
-            ("origin_node", len(self._busy)),
+            ("origin_node", self._num_nodes),
         ):
             values = [getattr(e, name) for e in trace]
             column = _np.array(values)
@@ -1891,334 +1648,19 @@ class ShardedFederation:
         )
         return ShardedRunResult.from_metrics(metrics, messages)
 
-    # -- the sharded coordinator ---------------------------------------------
-
-    def _run_sharded(self, trace, mechanism: str) -> ShardedRunResult:
-        transport = self._transport
-        qa = mechanism == "qa-nt"
-        collector = MetricsCollector()
-        self._messages = 0
-        self._cross_shard_bids = 0
-        self._vector_exchanges = 0
-        transport.barrier_wait_ms = 0.0
-        self._reset(qa)
-        if any(
-            trace[i].time_ms > trace[i + 1].time_ms
-            for i in range(len(trace) - 1)
-        ):
-            trace = sorted(trace, key=lambda e: e.time_ms)
-        horizon = max(e.time_ms for e in trace)
-        period = self._config.period_ms
-        pending: List[Tuple] = []
-        next_boundary = period
-        period_index = 0
-        qid = 0
-        i, total = 0, len(trace)
-        while i < total:
-            t = trace[i].time_ms
-            j = i
-            while j < total and trace[j].time_ms == t:
-                j += 1
-            # The single-process engine schedules the period tick ahead
-            # of same-timestamp arrivals; boundary-first matches it.
-            while qa and next_boundary <= t:
-                pending = self._boundary(
-                    next_boundary, period_index, pending, collector
-                )
-                period_index += 1
-                next_boundary += period
-            queries = [
-                (qid + n, e.class_index, e.origin_node, t, 0)
-                for n, e in enumerate(trace[i:j])
-            ]
-            qid += len(queries)
-            pending.extend(self._market_tick(t, queries, collector, qa))
-            i = j
-        # Drain: keep ticking boundaries while a backlog exists, then
-        # stop — an empty pending pool can never refill, so the
-        # remaining drain window is observationally dead time.
-        end_of_run = horizon + self._config.drain_ms
-        while qa and pending and next_boundary <= end_of_run:
-            pending = self._boundary(
-                next_boundary, period_index, pending, collector
-            )
-            period_index += 1
-            next_boundary += period
-        dropped = len(pending)
-        # Final collect barrier: outcome columns, worker RSS, load stats.
-        replies = transport.exchange(
-            [("collect",)] * self._plan.num_shards
-        )
-        cols = [[] for _ in range(9)]
-        assigned_per_shard = []
-        self_times = []
-        peak_kb = 0
-        for reply in replies:
-            for c, part in zip(cols, reply["columns"]):
-                c.extend(part)
-            assigned_per_shard.append(reply["assigned"])
-            self_times.append(float(reply.get("self_time_s", 0.0)))
-            if reply["maxrss_kb"] > peak_kb:
-                peak_kb = reply["maxrss_kb"]
-        transport.note_child_peak_kb(peak_kb)
-        self.last_shard_self_time_s = self_times
-        int_cols = (0, 1, 2, 5, 8)
-        columns = [
-            _np.array(c, dtype=_np.int64 if n in int_cols else float)
-            for n, c in enumerate(cols)
-        ]
-        order = _np.lexsort((columns[0], columns[7]))
-        columns = [c[order] for c in columns]
-        total_assigned = sum(assigned_per_shard)
-        imbalance = 1.0
-        if assigned_per_shard and total_assigned:
-            imbalance = max(assigned_per_shard) / (
-                total_assigned / len(assigned_per_shard)
-            )
-        collector.apply_batch_stats(
-            vector_exchanges=self._vector_exchanges
-        )
-        collector.apply_shard_stats(
-            cross_shard_bids=self._cross_shard_bids,
-            barrier_wait_ms=transport.barrier_wait_ms,
-            shard_imbalance=imbalance,
-            shards=self._plan.num_shards,
-        )
-        self._messages += transport.messages
-        transport.messages = 0
-        return ShardedRunResult(
-            columns=columns,
-            dropped=dropped,
-            messages=self._messages,
-            shards=self._plan.num_shards,
-            collector=collector,
-        )
-
-    def _reset(self, qa: bool) -> None:
-        """Fresh run state everywhere + the initial eq-4 solve."""
-        transport = self._transport
-        transport.exchange([("reset",)] * self._plan.num_shards)
-        self._busy[:] = 0.0
-        self._locked[:] = False
-        self._maxp[:] = 1.0
-        for qc in self._classes:
-            k = qc.index
-            self._V[k] = _np.ones(len(self._cand[k]), dtype=float)
-            self._R[k] = _np.zeros(len(self._cand[k]), dtype=float)
-        self._period_serial = 0
-        self._saturated_in = {}
-        if qa:
-            # Mirrors `_after_bind`'s bind-time on_period_start(): solve
-            # eq. 4 at the uniform initial prices before any arrival.
-            self._solve_barrier(0.0)
-
-    def _market_tick(
-        self, now: float, queries: Sequence[Tuple], collector, qa: bool
-    ) -> List[Tuple]:
-        """One market tick: exchange per query, then the shard barrier.
-
-        Returns the refused queries (they re-enter next period's
-        demand).  The per-query exchanges run strictly in arrival order
-        against the coordinator's arrays — prices and supply see each
-        query's effect before the next, exactly as the paper's
-        sequential negotiation requires — then all resulting
-        assignments cross to their owning shards in one batched
-        bid/quote barrier.
-        """
-        collector.record_batch_tick(len(queries))
-        plan = self._plan
-        num_shards = plan.num_shards
-        refused: List[Tuple] = []
-        per_shard: List[List[Tuple]] = [[] for _ in range(num_shards)]
-        first_of_class: Dict[int, Tuple] = {}
-        node_to_shard = self._node_to_shard
-        for row in queries:
-            qid, class_index, origin, arrival, resub = row
-            if class_index not in first_of_class:
-                first_of_class[class_index] = (qid, origin, resub)
-            if qa:
-                node = self._exchange(class_index, now)
-            else:
-                node = self._greedy_exchange(class_index, now)
-            if node is None:
-                refused.append(row)
-            else:
-                per_shard[node_to_shard[node]].append(row + (node,))
-        self._vector_exchanges += len(queries)
-        # The batched cross-shard bidding: one BidRequest per class in
-        # the tick, encoded once, broadcast to every shard.
-        bids = [
-            encode(
-                BidRequest(
-                    qid=first_qid,
-                    class_index=class_index,
-                    origin_node=origin,
-                    attempt=resub,
-                )
-            )
-            for class_index, (first_qid, origin, resub) in sorted(
-                first_of_class.items()
-            )
-        ]
-        frames = [
-            ("tick", now, bids, per_shard[s]) for s in range(num_shards)
-        ]
-        replies = self._transport.exchange(frames)
-        self._cross_shard_bids += len(bids) * num_shards
-        self._messages += len(bids) * num_shards
-        busy = self._busy
-        for reply in replies:
-            quotes = reply["quotes"]
-            self._messages += len(quotes)
-            for payload in quotes:
-                quote = decode(payload)
-                # Authoritative resync: the shard's finish includes the
-                # negotiation delay the optimistic mirror skipped.
-                busy[quote.node_id] = quote.estimated_completion_ms
-        return refused
-
-    def _exchange(self, class_index: int, now: float) -> Optional[int]:
-        """One QA-NT request-for-bid exchange, coordinator-side.
-
-        The same array program as
-        :meth:`repro.allocation.market_tick.MarketTickDispatcher
-        .exchange`: offer test, bulk refusal price raises with the
-        scalar clamp order, the Section 5.1 activation latch, then the
-        earliest-completion winner by first-occurrence argmin (lowest
-        node id on ties).
-        """
-        if self._saturated_in.get(class_index) == self._period_serial:
-            return None
-        R = self._R[class_index]
-        V = self._V[class_index]
-        cand = self._cand[class_index]
-        offers = R >= 1.0
-        refuse = _np.nonzero(~offers)[0]
-        if refuse.size:
-            old = V[refuse]
-            new = old * self._factor
-            _np.maximum(new, self._floor, out=new)
-            _np.minimum(new, self._cap, out=new)
-            changed = new != old
-            V[refuse] = new
-            nodes_r = cand[refuse]
-            m = self._maxp[nodes_r]
-            if changed.any():
-                m = _np.maximum(m, new)
-                self._maxp[nodes_r] = m
-            threshold = self._threshold
-            if threshold is not None:
-                passed = ~self._locked[nodes_r]
-                passed &= m < threshold
-                self._locked[nodes_r] = ~passed
-                offers[refuse] = passed
-        if not offers.any():
-            if bool((V == self._cap).all()):
-                self._saturated_in[class_index] = self._period_serial
-            return None
-        est = _np.maximum(self._busy[cand], now)
-        est += self._lane_costs[class_index]
-        est[~offers] = _np.inf
-        winner = int(est.argmin())
-        if R[winner] >= 1.0:
-            R[winner] -= 1.0
-        node = int(cand[winner])
-        # Optimistic busy mirror: later queries of this tick see the
-        # commitment; the shard's Quote overwrites it with the true
-        # finish (delay included) at the tick barrier.
-        self._busy[node] = float(est[winner])
-        return node
-
-    def _greedy_exchange(self, class_index: int, now: float) -> int:
-        """Greedy: every candidate offers; earliest completion wins."""
-        cand = self._cand[class_index]
-        est = _np.maximum(self._busy[cand], now)
-        est += self._lane_costs[class_index]
-        winner = int(est.argmin())
-        node = int(cand[winner])
-        self._busy[node] = float(est[winner])
-        return node
-
-    def _boundary(
-        self, now: float, period_index: int, pending: List[Tuple], collector
-    ) -> List[Tuple]:
-        """One QA-NT period boundary: steps 12-14, eq. 4, retries."""
-        # Steps 12-14 vectorised: every class lane with leftover supply
-        # lowers its price by `max(0, 1 - leftover*lambda)`, floored.
-        for qc in self._classes:
-            k = qc.index
-            R = self._R[k]
-            V = self._V[k]
-            mask = R > 0.0
-            if mask.any():
-                f = 1.0 - R * self._adjustment
-                _np.maximum(f, 0.0, out=f)
-                new = V * f
-                _np.maximum(new, self._floor, out=new)
-                V[:] = _np.where(mask, new, V)
-        # The tick barrier as a protocol event: a PeriodTick fanout to
-        # every shard (the transport's Transport-ABC verb; the ack is
-        # the barrier).
-        self._transport.fanout(
-            -1,
-            range(self._plan.num_shards),
-            PeriodTick(
-                period_index=period_index, period_ms=self._config.period_ms
-            ),
-        )
-        self._solve_barrier(now)
-        if not pending:
-            return []
-        retry = [
-            (qid, class_index, origin, arrival, resub + 1)
-            for qid, class_index, origin, arrival, resub in pending
-        ]
-        return self._market_tick(now, retry, collector, qa=True)
-
-    def _solve_barrier(self, now: float) -> None:
-        """Eq. 4 at every shard; scatter the supply back into the lanes."""
-        num_classes = len(self._classes)
-        frames = []
-        for shard_index in range(self._plan.num_shards):
-            local = self._plan.shard_nodes[shard_index]
-            prices = _np.ones((len(local), num_classes), dtype=float)
-            tables = self._shard_rows[shard_index]
-            for qc in self._classes:
-                k = qc.index
-                lanes, rows = tables[k]
-                prices[rows, k] = self._V[k][lanes]
-            frames.append(("solve", now, prices))
-        replies = self._transport.exchange(frames)
-        for shard_index, reply in enumerate(replies):
-            # tcp replies carry nested lists, pipes carry the ndarray.
-            whole = _np.asarray(reply["supply"], dtype=float)
-            tables = self._shard_rows[shard_index]
-            for qc in self._classes:
-                k = qc.index
-                lanes, rows = tables[k]
-                self._R[k][lanes] = whole[rows, k]
-        # New period: latches clear, the max-price mirror re-derives
-        # from the (possibly lowered) prices, the saturation fast path
-        # re-arms.
-        self._locked[:] = False
-        self._maxp[:] = self._maxp_base
-        for qc in self._classes:
-            k = qc.index
-            _np.maximum.at(self._maxp, self._cand[k], self._V[k])
-        self._period_serial += 1
-
-    # -- the local-market coordinator -----------------------------------------
+    # -- the coordinator -------------------------------------------------------
 
     def _run_local(self, columns: Tuple, mechanism: str) -> ShardedRunResult:
-        """The ``market="local"`` engine: route, post, reconcile, merge.
+        """The sharded engine: route, post, reconcile, merge.
 
-        The coordinator here is *slim*: it owns a routing table and the
+        The coordinator is *slim*: it owns a routing table and the
         residual plane (components split across shards); every
         shard-owned class is priced, matched and executed entirely
         shard-side.  The trace arrives as :meth:`_trace_columns` arrays
         (the row number is the qid) and is routed with array operations:
         the period clock cuts it by ``searchsorted`` — boundary-first at
-        equal timestamps, exactly like the coordinator-market loop — and
+        equal timestamps, as the single-process engine schedules the
+        period tick ahead of same-timestamp arrivals — and
         each period's rows go to their owning shard as **one** one-way
         ``mticks`` frame holding one encoded
         :class:`~repro.protocol.messages.BidBatch`, ahead of the
@@ -2228,8 +1670,8 @@ class ShardedFederation:
         period boundaries a sync reconciliation barrier pulls per-class
         price/supply digests and busy watermarks back into the
         cross-shard quote mirror (and flushes the pipeline).  Outcomes
-        merge exactly as in the coordinator-market engine: globally
-        sorted by ``(finish_ms, qid)`` before any reduction.
+        merge globally sorted by ``(finish_ms, qid)`` before any
+        reduction.
         """
         transport = self._transport
         qa = mechanism == "qa-nt"
@@ -2483,10 +1925,8 @@ class ShardedFederation:
         market arithmetic itself never reads it (exactness does not
         depend on R).
         """
-        if self._plan is None or self._market != "local":
-            raise RuntimeError(
-                "stale quotes require a sharded local-market federation"
-            )
+        if self._plan is None:
+            raise RuntimeError("stale quotes require a sharded federation")
         cand = self._cand[class_index]
         est = _np.maximum(self._mirror_busy[cand], now)
         est = est + self._lane_costs[class_index]
@@ -2498,10 +1938,8 @@ class ShardedFederation:
     def stale_prices(self, class_index: int) -> Optional[List[float]]:
         """Per-lane prices of ``class_index`` as of the last barrier
         (None before the first reconciliation)."""
-        if self._plan is None or self._market != "local":
-            raise RuntimeError(
-                "stale prices require a sharded local-market federation"
-            )
+        if self._plan is None:
+            raise RuntimeError("stale prices require a sharded federation")
         vals = self._mirror_V.get(class_index)
         return None if vals is None else list(vals)
 

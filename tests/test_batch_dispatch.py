@@ -12,12 +12,17 @@ quantised traces (so real multi-query batches form) and hash everything.
 """
 
 import hashlib
+import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.allocation import GreedyAllocator, QantAllocator, RandomAllocator
+from repro.allocation.market_tick import exchange_lanes
+from repro.core import CapacitySupplySet, PriceVector, QantParameters
+from repro.core.qant import QantPricingAgent
 from repro.experiments.scaling import quantise_trace
 from repro.experiments.setups import (
     run_mechanism,
@@ -129,6 +134,99 @@ def _agent_state(agent):
         agent._price_epoch,
         agent._enforce_locked_at,
     )
+
+
+@st.composite
+def _lane_cases(draw):
+    """One class's lanes mid-period, plus a burst of exchange times."""
+    lanes = draw(st.integers(1, 6))
+    cap = draw(st.sampled_from([4.0, 1e9]))
+    threshold = draw(st.sampled_from([None, 2.0]))
+    # 2.0 is the threshold itself, 4.0 the small cap.
+    price = st.one_of(
+        st.sampled_from([1.0, 2.0, 4.0]), st.floats(0.25, 5.0)
+    ).map(lambda v: min(v, cap))
+
+    def column(values):
+        return draw(st.lists(values, min_size=lanes, max_size=lanes))
+
+    return {
+        "cap": cap,
+        "threshold": threshold,
+        "R": column(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
+        "V": column(price),
+        # The agent's price in a second class: feeds its running maximum.
+        "other": column(price),
+        "latched": column(st.booleans() if threshold else st.just(False)),
+        "costs": column(st.sampled_from([150.0, 400.0, 400.0, 900.0])),
+        "busy": column(st.sampled_from([0.0, 120.0, 120.0, 700.0])),
+        "times": draw(
+            st.lists(st.sampled_from([0.0, 100.0, 650.0]), min_size=1, max_size=8)
+        ),
+    }
+
+
+@given(_lane_cases())
+@settings(max_examples=200, deadline=None)
+def test_exchange_lanes_matches_the_paper_listing(case):
+    """The shared array exchange equals a scalar loop over fresh pricing
+    agents calling ``quote`` / ``accept`` — winner, prices, supply,
+    max-price and latch bits, exchange after exchange.  The dispatcher
+    and the shard planes both price through this one function, so both
+    inherit bit-identity with the listing from this one property."""
+    cap, threshold = case["cap"], case["threshold"]
+    params = QantParameters(price_cap=cap)
+    lanes = len(case["R"])
+    agents = []
+    for i in range(lanes):
+        agent = QantPricingAgent(
+            CapacitySupplySet([case["costs"][i], 300.0], 500.0),
+            params,
+            PriceVector([case["V"][i], case["other"][i]]),
+        )
+        agent.begin_period()
+        agent._remaining[0] = case["R"][i]
+        if case["latched"][i]:
+            agent._enforce_locked_at = threshold
+        agents.append(agent)
+    # Lanes sit on the odd rows of wider agent arrays, as in an engine.
+    rows = np.arange(lanes) * 2 + 1
+    R = np.array(case["R"])
+    V = np.array(case["V"])
+    costs = np.array(case["costs"])
+    maxp = np.zeros(2 * lanes + 1)
+    maxp[rows] = np.maximum(V, case["other"])
+    locked = np.zeros(2 * lanes + 1, dtype=bool)
+    locked[rows] = case["latched"]
+    free_at = np.zeros(2 * lanes + 1)
+    free_at[rows] = case["busy"]
+    for now in case["times"]:
+        short = [i for i, a in enumerate(agents) if a.supply_left(0) < 1]
+        offers = [i for i, a in enumerate(agents) if a.quote(0, threshold)]
+        expected, best = -1, math.inf
+        for i in offers:
+            estimate = max(case["busy"][i], now) + case["costs"][i]
+            if estimate < best:
+                expected, best = i, estimate
+        accepted = expected >= 0 and agents[expected].supply_left(0) >= 1
+        if accepted:
+            agents[expected].accept(0)
+        winner, paid, finish, refusals = exchange_lanes(
+            R, V, rows, costs, maxp, locked, free_at, now,
+            1.0 + params.adjustment, params.price_floor, cap, threshold,
+        )
+        assert winner == expected
+        assert short == ([] if refusals is None else refusals[0].tolist())
+        if winner >= 0:
+            assert finish == best
+            assert paid == accepted
+        assert V.tolist() == [a.prices[0] for a in agents]
+        assert R.tolist() == [a.supply_left(0) for a in agents]
+        assert maxp[rows].tolist() == [a.max_price for a in agents]
+        assert locked[rows].tolist() == [
+            a._enforce_locked_at is not None for a in agents
+        ]
+    assert not maxp[::2].any() and not locked[::2].any()
 
 
 def test_qant_agent_state_matches_scalar_after_run():

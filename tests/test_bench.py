@@ -35,7 +35,7 @@ REQUIRED_KERNELS = {
     "proto.codec",
     "e2e.federation_sweep",
     "fed.fig5a_1000node",
-    "fed.fig5a_sharded",
+    "fed.fig5a_localmarket",
 }
 
 
@@ -88,7 +88,6 @@ class TestHarness:
     def test_sharded_kernel_is_wall_timed(self):
         # Parent CPU time misses the forked shard workers entirely; the
         # kernel must opt into wall-clock timing.
-        assert KERNELS["fed.fig5a_sharded"].wall_time
         assert KERNELS["fed.fig5a_localmarket"].wall_time
         assert not KERNELS["fed.fig5a_1000node"].wall_time
 

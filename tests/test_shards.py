@@ -5,13 +5,14 @@ Three properties carry the whole design (see DESIGN.md §7):
 * ``shards=1`` is *byte-identical* to the single-process engine — the
   sharded front delegates outright, so every existing golden keeps
   pinning it;
-* ``shards>1`` is *invariant* across shard counts and worker modes —
-  every cross-node decision is made on the coordinator over globally
-  ordered events, and per-node state (latency RNG streams, busy clocks)
-  is keyed by node id, never by shard layout;
-* the cross-shard conversation is real protocol traffic — batched
-  ``BidRequest``/``Quote``/``PeriodTick`` messages through the
-  ``repro.protocol`` codec over the pipe-backed ``ShardTransport``.
+* ``shards>1`` is *invariant* across shard counts, worker modes and
+  reconciliation intervals, and equal to the global tick market of
+  ``tests/reference_market.py`` — every plane is that market restricted
+  to its affinity components, and per-node state (latency RNG streams,
+  busy clocks) is keyed by node id, never by shard layout;
+* the cross-shard conversation is real protocol traffic — one
+  ``BidBatch`` per shard per period, ``BidRequest``/``Quote`` fan-outs,
+  through the ``repro.protocol`` codec over ``ShardTransport``.
 """
 
 import functools
@@ -22,6 +23,7 @@ import os
 import pathlib
 import pickle
 import signal
+import socket
 import time
 
 import pytest
@@ -56,6 +58,7 @@ from repro.sim import shards as shards_module
 from repro.sim.shards import _CORE_KINDS, _MarketPlane
 from repro.workload.trace import WorkloadEvent, zipf_trace
 
+from reference_market import run_reference_market
 from test_golden_trace import _outcome_digest
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -73,16 +76,31 @@ def _small_world():
     return world, trace
 
 
-def _sharded(world, shards, mode="inline"):
+_CONFIG = FederationConfig(seed=2)
+#: The overloaded fixture's: its drain window closes on a deep backlog.
+_OVERLOADED_CONFIG = FederationConfig(seed=2, drain_ms=2_500.0)
+
+
+def _sharded(world, shards, mode="inline", interval=1, config=_CONFIG):
     return ShardedFederation(
         world.specs,
         world.placement,
         world.classes,
         world.cost_model,
-        config=FederationConfig(seed=2),
+        config=config,
         shards=shards,
         mode=mode,
+        reconcile_interval=interval,
     )
+
+
+def _pair_payload(run) -> str:
+    """Golden-file text of ``run(mechanism).invariant_payload()``."""
+    payload = {
+        mechanism: run(mechanism).invariant_payload()
+        for mechanism in ("qa-nt", "greedy")
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +206,9 @@ def test_shard_counters_surface_in_batch_summary():
     with _sharded(world, 2) as federation:
         summary = federation.run(trace, "qa-nt").batch_summary()
     assert summary["shards"] == 2.0
-    assert summary["cross_shard_bids"] > 0
+    # The two-class world is one affinity component: every bid is priced
+    # on the coordinator's residual plane.
+    assert summary["cross_shard_bids"] == len(trace)
     assert summary["barrier_wait_ms"] >= 0.0
     assert summary["shard_imbalance"] >= 1.0
     # The single-process path must NOT grow these keys: existing goldens
@@ -202,7 +222,8 @@ def test_shard_counters_surface_in_batch_summary():
 # the 1,000-node golden (shard-count/jobs invariant by construction)
 
 
-def _sharded_1000node_payload(shards: int, mode: str) -> str:
+@functools.lru_cache(maxsize=1)
+def _1000node_fixture():
     world = two_query_world(num_nodes=1_000, seed=0)
     trace = quantise_trace(
         sinusoid_trace_for_load(
@@ -214,27 +235,39 @@ def _sharded_1000node_payload(shards: int, mode: str) -> str:
         ),
         25.0,
     )
-    payload = {}
-    with ShardedFederation(
-        world.specs,
-        world.placement,
-        world.classes,
-        world.cost_model,
-        config=FederationConfig(seed=2),
-        shards=shards,
-        mode=mode,
-    ) as federation:
-        for mechanism in ("qa-nt", "greedy"):
-            payload[mechanism] = federation.run(
-                trace, mechanism
-            ).invariant_payload()
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    return world, trace
+
+
+def _sharded_1000node_payload(shards: int, mode: str) -> str:
+    world, trace = _1000node_fixture()
+    with _sharded(world, shards, mode) as federation:
+        return _pair_payload(lambda m: federation.run(trace, m))
 
 
 def test_sharded_1000node_matches_golden():
     """The 4-shard forked 1,000-node pair reproduces the stored payload."""
     assert _sharded_1000node_payload(4, "fork") == (
         GOLDEN_DIR / "sharded_1000node_seed0.json"
+    ).read_text()
+
+
+def _reference_payload(world, trace, config) -> str:
+    return _pair_payload(
+        lambda m: run_reference_market(world, trace, m, config)
+    )
+
+
+def test_reference_market_custody_chain():
+    """The oracle is pinned to the engine it replaced: the PR 8 golden,
+    and the payload that engine produced on the overloaded Zipf world
+    (boundaries, retries, drops) just before it was deleted."""
+    world, trace = _1000node_fixture()
+    assert _reference_payload(world, trace, _CONFIG) == (
+        GOLDEN_DIR / "sharded_1000node_seed0.json"
+    ).read_text()
+    world, trace = _zipf_overloaded()
+    assert _reference_payload(world, list(trace), _OVERLOADED_CONFIG) == (
+        GOLDEN_DIR / "coordinator_overloaded_zipf_seed0.json"
     ).read_text()
 
 
@@ -252,20 +285,22 @@ def test_sharded_1000node_golden_is_shard_count_invariant():
 
 
 def test_shard_transport_fanout_speaks_protocol():
-    """A BidRequest fan-out over ShardTransport returns decoded Quotes."""
-    world, __ = _small_world()
+    """A BidRequest fan-out over ShardTransport returns decoded Quotes
+    from the plane that owns the class."""
+    world, __ = _zipf_small()
     with _sharded(world, 2) as federation:
         transport = federation.transport
         peers = tuple(range(transport.num_shards))
         before = transport.messages
+        k = int((federation._owner_of >= 0).argmax())  # a shard-local class
         result = transport.fanout(
-            -1, peers, BidRequest(qid=1, class_index=0, origin_node=-1)
+            -1, peers, BidRequest(qid=1, class_index=k, origin_node=-1)
         )
         assert result.delivered == peers
         assert result.replied == peers
         assert result.replies, "candidate servers must answer with quotes"
         assert all(isinstance(reply, Quote) for reply in result.replies)
-        assert all(reply.class_index == 0 for reply in result.replies)
+        assert all(reply.class_index == k for reply in result.replies)
         # One request leg + one reply batch per shard.
         assert transport.messages - before == 2 * len(peers)
 
@@ -308,7 +343,7 @@ def test_sharded_scaling_cell_shape():
 
 
 # ---------------------------------------------------------------------------
-# local market planes (market="local") — ownership, exactness, reconciliation
+# market planes — ownership, exactness, reconciliation
 
 
 @functools.lru_cache(maxsize=1)
@@ -328,25 +363,20 @@ def _zipf_small():
     return world, trace
 
 
-def _local(world, shards, mode="inline", interval=1):
-    return ShardedFederation(
-        world.specs,
-        world.placement,
-        world.classes,
-        world.cost_model,
-        config=FederationConfig(seed=2),
-        shards=shards,
-        mode=mode,
-        market="local",
-        reconcile_interval=interval,
-    )
+@functools.lru_cache(maxsize=2)
+def _reference(mechanism: str):
+    """The global tick market's invariant payload on the Zipf fixture."""
+    world, trace = _zipf_small()
+    return run_reference_market(
+        world, list(trace), mechanism, _CONFIG
+    ).invariant_payload()
 
 
 @functools.lru_cache(maxsize=4)
 def _local_baseline(mechanism: str):
     """Canonical invariant payload: 2 inline shards, reconcile every tick."""
     world, trace = _zipf_small()
-    with _local(world, 2, "inline", 1) as federation:
+    with _sharded(world, 2, "inline", 1) as federation:
         return federation.run(list(trace), mechanism).invariant_payload()
 
 
@@ -368,15 +398,10 @@ def test_split_market_classes_component_granular():
 
 
 def test_local_market_matches_coordinator_plane():
-    """The N+1-plane engine reproduces the coordinator-market decisions
-    bit for bit — the PR-level exactness contract (DESIGN.md §7)."""
-    world, trace = _zipf_small()
+    """The N+1-plane engine reproduces the global market's decisions bit
+    for bit — the exactness contract (DESIGN.md §7)."""
     for mechanism in ("qa-nt", "greedy"):
-        with _sharded(world, 2) as federation:
-            coordinator = federation.run(
-                list(trace), mechanism
-            ).invariant_payload()
-        assert _local_baseline(mechanism) == coordinator
+        assert _local_baseline(mechanism) == _reference(mechanism)
 
 
 @pytest.mark.parametrize("mode", ["inline", "fork", "tcp"])
@@ -384,7 +409,7 @@ def test_local_market_invariant_across_transport_modes(mode):
     """Pipe, socket and inline planes make identical decisions — the tcp
     leg pins the JSON-frame wire's float round-trip on every CI run."""
     world, trace = _zipf_small()
-    with _local(world, 2, mode, interval=4) as federation:
+    with _sharded(world, 2, mode, interval=4) as federation:
         payload = federation.run(list(trace), "qa-nt").invariant_payload()
     assert payload == _local_baseline("qa-nt")
     assert payload["completed"] > 0
@@ -406,14 +431,14 @@ def test_local_market_invariance_property(shards, mode, interval, mechanism):
     modes and reconciliation intervals: reconciliation bounds *quote*
     staleness for cross-shard observers, never market arithmetic."""
     world, trace = _zipf_small()
-    with _local(world, shards, mode, interval) as federation:
+    with _sharded(world, shards, mode, interval) as federation:
         payload = federation.run(list(trace), mechanism).invariant_payload()
-    assert payload == _local_baseline(mechanism)
+    assert payload == _local_baseline(mechanism) == _reference(mechanism)
 
 
 def test_reconcile_counters_surface_in_batch_summary():
     world, trace = _zipf_small()
-    with _local(world, 2, "inline", interval=4) as federation:
+    with _sharded(world, 2, "inline", interval=4) as federation:
         summary = federation.run(list(trace), "qa-nt").batch_summary()
     assert summary["reconcile_interval"] == 4.0
     assert summary["reconcile_barriers"] >= 1.0
@@ -422,12 +447,9 @@ def test_reconcile_counters_surface_in_batch_summary():
     assert summary["overlapped_frames"] > 0.0
     assert summary["local_classes"] > 0.0
     assert summary["local_classes"] + summary["residual_classes"] == 20.0
-    # Coordinator-market runs must NOT grow these keys: their goldens
+    # Single-process runs must NOT grow these keys: their goldens
     # serialise batch_summary() and would break.
-    with _sharded(world, 2) as federation:
-        coordinator = federation.run(list(trace), "qa-nt").batch_summary()
     for key in ("reconcile_barriers", "price_staleness_max"):
-        assert key not in coordinator
         assert key not in MetricsCollector().batch_summary()
 
 
@@ -435,7 +457,7 @@ def test_bid_batch_rows_count_as_protocol_bids():
     """One ``BidBatch`` per shard per period on the wire, but ``messages``
     and the worker's ``bids_seen`` keep counting bid *rows*."""
     world, trace = _zipf_small()
-    with _local(world, 4, "inline", interval=4) as federation:
+    with _sharded(world, 4, "inline", interval=4) as federation:
         result = federation.run(list(trace), "qa-nt")
         summary = result.batch_summary()
         owned = sum(federation._owner_of[e.class_index] >= 0 for e in trace)
@@ -455,7 +477,7 @@ def test_bid_batch_rows_count_as_protocol_bids():
 
 def test_stale_quotes_and_prices_from_last_barrier():
     world, trace = _zipf_small()
-    with _local(world, 2, "inline", interval=4) as federation:
+    with _sharded(world, 2, "inline", interval=4) as federation:
         federation.run(list(trace), "qa-nt")
         candidates = sorted(world.classes[0].candidate_nodes(world.placement))
         quotes = federation.stale_quotes(0, now=0.0)
@@ -463,8 +485,8 @@ def test_stale_quotes_and_prices_from_last_barrier():
         assert all(est >= 0.0 for __, est in quotes)
         prices = federation.stale_prices(0)
         assert prices is not None and len(prices) == len(candidates)
-    # The bounded-staleness mirror only exists on local-market fronts.
-    with _sharded(world, 2) as federation:
+    # The bounded-staleness mirror only exists on sharded fronts.
+    with _sharded(world, 1) as federation:
         with pytest.raises(RuntimeError):
             federation.stale_quotes(0)
         with pytest.raises(RuntimeError):
@@ -475,7 +497,7 @@ def test_shard_self_time_feeds_profile_schema_v2():
     from repro.profiling import read_profile_payload
 
     world, trace = _zipf_small()
-    with _local(world, 2, "fork", interval=4) as federation:
+    with _sharded(world, 2, "fork", interval=4) as federation:
         federation.run(list(trace), "qa-nt")
         times = federation.shard_self_time_s()
     assert len(times) == 2
@@ -490,7 +512,7 @@ def test_tcp_workers_report_child_rss():
     """`bench --mem` coverage for socket workers: the collect barrier
     folds every tcp child's ru_maxrss into ``child_peak_kb()``."""
     world, trace = _zipf_small()
-    with _local(world, 2, "tcp", interval=4) as federation:
+    with _sharded(world, 2, "tcp", interval=4) as federation:
         federation.run(list(trace), "qa-nt")
         transport = federation.transport
         assert transport.child_peak_kb() > 0
@@ -514,7 +536,7 @@ def test_workers_claim_one_cpu_each(mode):
     the coordinator's CPU and run time turns bimodal)."""
     world, trace = _zipf_small()
     allowed = os.sched_getaffinity(0)
-    with _local(world, 4, mode, interval=4) as federation:
+    with _sharded(world, 4, mode, interval=4) as federation:
         federation.run(list(trace), "greedy")  # every worker has started
         masks = [
             os.sched_getaffinity(proc.pid)
@@ -549,18 +571,8 @@ def _zipf_overloaded():
     return world, trace
 
 
-def _overloaded(world, shards, mode="inline", market="local", interval=1):
-    return ShardedFederation(
-        world.specs,
-        world.placement,
-        world.classes,
-        world.cost_model,
-        config=FederationConfig(seed=2, drain_ms=2_500.0),
-        shards=shards,
-        mode=mode,
-        market=market,
-        reconcile_interval=interval,
-    )
+def _overloaded(world, shards, mode="inline", interval=1):
+    return _sharded(world, shards, mode, interval, _OVERLOADED_CONFIG)
 
 
 def _outcome(result):
@@ -572,11 +584,15 @@ def _outcome(result):
 
 @functools.lru_cache(maxsize=2)
 def _overloaded_oracle(mechanism: str):
-    """The coordinator-market engine: it keeps the flat pending list and
-    per-tick barrier, so it is the differential oracle of the pools."""
+    """The global market of ``reference_market``: it keeps the flat
+    pending list and prices every retry in full, so it is the
+    differential oracle of the pools and the closed path."""
     world, trace = _zipf_overloaded()
-    with _overloaded(world, 2, market="coordinator") as federation:
-        return _outcome(federation.run(list(trace), mechanism))
+    return _outcome(
+        run_reference_market(
+            world, list(trace), mechanism, _OVERLOADED_CONFIG
+        )
+    )
 
 
 def test_overloaded_world_is_overloaded():
@@ -597,8 +613,8 @@ def test_overloaded_world_is_overloaded():
 def test_overloaded_local_market_matches_coordinator_plane(
     mode, intervals, shards
 ):
-    """Pools + period frames reproduce the flat-list, frame-per-tick
-    engine bit for bit, ``vector_exchanges`` included."""
+    """Pools + period frames reproduce the flat-list, tick-by-tick
+    market bit for bit, ``vector_exchanges`` included."""
     world, trace = _zipf_overloaded()
     for interval in intervals:
         with _overloaded(world, shards, mode, interval=interval) as federation:
@@ -640,8 +656,11 @@ def _quantised_overloaded():
     """The overloaded trace on a 100 ms grid: five ticks to a period."""
     world, trace = _zipf_overloaded()
     quantised = tuple(quantise_trace(trace, 100.0))
-    with _overloaded(world, 2, market="coordinator") as federation:
-        oracle = _outcome(federation.run(list(quantised), "qa-nt"))
+    oracle = _outcome(
+        run_reference_market(
+            world, list(quantised), "qa-nt", _OVERLOADED_CONFIG
+        )
+    )
     return world, quantised, oracle
 
 
@@ -683,7 +702,6 @@ def test_row_bound_never_splits_a_tick(monkeypatch, mode):
     assert batches > 3 * periods
 
 
-@pytest.mark.parametrize("market", ["local", "coordinator"])
 @pytest.mark.parametrize(
     "event, complaint",
     [
@@ -693,14 +711,14 @@ def test_row_bound_never_splits_a_tick(monkeypatch, mode):
         (WorkloadEvent(5.0, 2, 1.5), "event 7 has origin_node 1.5"),
     ],
 )
-def test_unroutable_trace_event_is_a_named_error(market, event, complaint):
+def test_unroutable_trace_event_is_a_named_error(event, complaint):
     """A class no plane owns (or an origin outside the federation) is
     refused before the reset barrier, not as a ``KeyError`` inside a
     plane after frames were posted; the federation stays usable."""
     world, trace = _zipf_small()
     bad = list(trace)
     bad.insert(7, event)
-    with _overloaded(world, 2, "fork", market=market) as federation:
+    with _overloaded(world, 2, "fork") as federation:
         before = federation.run(list(trace), "qa-nt").invariant_payload()
         with pytest.raises(ValueError, match=complaint):
             federation.run(bad, "qa-nt")
@@ -976,6 +994,75 @@ def test_killed_worker_raises_shard_failure_and_close_reaps(mode):
 
 
 # ---------------------------------------------------------------------------
+# start-up: a bad init or a bad worker is a named error, nothing left behind
+
+
+def test_market_keyword_has_one_value_left():
+    world, __ = _small_world()
+    with pytest.raises(ValueError, match="coordinator-market engine was removed"):
+        ShardedFederation(
+            world.specs,
+            world.placement,
+            world.classes,
+            world.cost_model,
+            shards=2,
+            mode="inline",
+            market="coordinator",
+        )
+
+
+@pytest.mark.parametrize("mode", ["fork", "tcp", "inline"])
+def test_unknown_worker_kind_is_refused_before_any_fork(mode):
+    """A misspelt ``kind`` used to be a ``KeyError`` inside a daemon
+    worker, which the coordinator only saw as an EOF on its first frame."""
+    inits = [{"kind": "market"}, {"kind": "market"}, {"kind": "exec"}]
+    with pytest.raises(
+        ValueError,
+        match=r"shard init 2 has kind 'exec': expected one of \['market'\]",
+    ):
+        ShardTransport(inits, mode=mode)
+    with pytest.raises(ValueError, match="shard init 0 has kind None"):
+        ShardTransport([{}], mode=mode)
+    assert multiprocessing.active_children() == []
+
+
+def _exits_at_once(host, port, index):
+    """A tcp worker that dies before it connects."""
+
+
+def _claims_seat(seat, host, port, index):
+    channel = shards_module._WireChannel(
+        socket.create_connection((host, port))
+    )
+    channel.send(["hello", seat])
+    try:
+        channel.recv()  # until the coordinator hangs up (or kills us)
+    except (EOFError, OSError):
+        pass
+
+
+@pytest.mark.parametrize(
+    "worker, cause",
+    [
+        (_exits_at_once, "worker exited before connecting"),
+        (functools.partial(_claims_seat, 99), "99] names no empty seat"),
+        (functools.partial(_claims_seat, 0), "0] names no empty seat"),
+    ],
+    ids=["exits", "out-of-range", "repeated"],
+)
+def test_tcp_start_up_fails_fast_on_a_bad_worker(monkeypatch, worker, cause):
+    """``accept()`` had no way out when a worker died before connecting,
+    and the ``hello`` index was trusted as it arrived."""
+    monkeypatch.setattr(shards_module, "_tcp_shard_worker", worker)
+    started = time.perf_counter()
+    with pytest.raises(ShardFailure, match=cause) as failure:
+        ShardTransport([{"kind": "market"}] * 2, mode="tcp")
+    assert failure.value.op == "hello"
+    assert time.perf_counter() - started < 5.0
+    assert multiprocessing.active_children() == []
+
+
+# ---------------------------------------------------------------------------
 # frame ordering under scripted worker delays
 
 
@@ -1040,13 +1127,8 @@ def test_out_of_order_replies_keep_fixed_shard_merge(mode):
 
 def _localmarket_zipf_payload(shards: int, mode: str, interval: int) -> str:
     world, trace = _zipf_small()
-    payload = {}
-    with _local(world, shards, mode, interval) as federation:
-        for mechanism in ("qa-nt", "greedy"):
-            payload[mechanism] = federation.run(
-                list(trace), mechanism
-            ).invariant_payload()
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    with _sharded(world, shards, mode, interval) as federation:
+        return _pair_payload(lambda m: federation.run(list(trace), m))
 
 
 def test_localmarket_zipf_matches_golden():
