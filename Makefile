@@ -2,8 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test typecheck bench bench-gate bench-full perf-smoke \
-        perf-pairs examples artefacts clean
+.PHONY: install test typecheck perf-smoke perf-pairs examples artefacts clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -14,14 +13,6 @@ test:
 # Strict-type the wire-contract package (matches the CI step).
 typecheck:
 	mypy --strict src/repro/protocol
-
-# Time the registered microbenchmark kernels (src/repro/bench/).
-bench:
-	$(PYTHON) -m repro bench
-
-# Same, but gate against the committed PR baseline like CI does.
-bench-gate:
-	$(PYTHON) -m repro bench --baseline auto --fail-above 35
 
 # The repo benchmark at smoke scale + its self-test (the CI "Perf
 # harness smoke" step, command for command).
@@ -40,9 +31,6 @@ perf-pairs:
 	python3 tools/perf_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
 	    --seed $(SEED) --pairs $(PAIRS)
 
-bench-full:
-	REPRO_BENCH_FULL=1 $(PYTHON) -m pytest benchmarks/ --benchmark-only
-
 examples:
 	$(PYTHON) examples/quickstart.py
 	$(PYTHON) examples/overload_surge.py
@@ -56,6 +44,5 @@ artefacts:
 	$(PYTHON) -m repro run all --scale small --json
 
 clean:
-	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache \
-	       benchmarks/results .benchmarks
+	rm -rf build dist *.egg-info src/*.egg-info .pytest_cache
 	find . -name __pycache__ -type d -exec rm -rf {} +

@@ -7,9 +7,6 @@ Usage::
     python -m repro run fig4 --scale paper --seed 3
     python -m repro run fig5a --seeds 3 --jobs 4 --json
     python -m repro run all --scale small --json
-    python -m repro bench --filter supply --repeat 5
-    python -m repro bench --json --label pr2
-    python -m repro bench --baseline BENCH_pr2.json --fail-above 50
     python -m repro profile fig5a --scale paper
 
 Every experiment is a :class:`~repro.experiments.spec.ScenarioSpec` in
@@ -24,14 +21,6 @@ full dimensions (100 nodes, 10,000 queries) and can take much longer.
 ``--seed`` itself), ``--jobs N`` fans sweep cells out over N worker
 processes (results are byte-identical to a serial run), and ``--json``
 writes a versioned artifact under ``benchmarks/results/``.
-
-``bench`` times the registered microbenchmark kernels
-(:mod:`repro.bench`) and optionally writes a ``BENCH_<label>.json``
-artifact next to the experiment artifacts; ``--baseline`` adds a speedup
-column against a previously written artifact, and ``--fail-above PCT``
-turns the comparison into a regression gate (exit code 1 when any kernel
-is more than PCT percent slower than its baseline — the CI bench-smoke
-check runs with a generous tolerance to absorb shared-runner noise).
 
 ``profile`` runs one experiment under cProfile and prints the hottest
 functions — the first stop when a paper-scale run feels slow.
@@ -149,145 +138,41 @@ def _run_one(
     print()
 
 
-def _run_bench(args: argparse.Namespace) -> int:
-    """Handle the ``bench`` subcommand."""
-    from .bench import (
-        bench_payload,
-        confirm_regressions,
-        load_baseline,
-        render_results,
-        resolve_auto_baseline,
-        run_benchmarks,
-        write_bench_artifact,
-    )
-    from .bench.harness import _check_label
-
-    if args.json:
-        try:
-            _check_label(args.label)
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-    if args.fail_above is not None and not args.baseline:
-        print("--fail-above requires --baseline", file=sys.stderr)
-        return 2
-    if args.fail_above is not None and args.fail_above < 0:
-        print("--fail-above must be non-negative", file=sys.stderr)
-        return 2
-    baseline = None
-    baseline_path = args.baseline
-    if baseline_path == "auto":
-        try:
-            baseline_path = str(resolve_auto_baseline())
-        except ValueError as exc:
-            print(str(exc), file=sys.stderr)
-            return 2
-        _progress("bench: --baseline auto -> %s" % baseline_path)
-    if baseline_path:
-        try:
-            baseline = load_baseline(baseline_path)
-        except (OSError, ValueError) as exc:
-            print("cannot read baseline %s: %s" % (baseline_path, exc), file=sys.stderr)
-            return 2
-    try:
-        results = run_benchmarks(
-            name_filter=args.filter,
-            repeat=args.repeat,
-            progress=lambda name: _progress("bench: %s" % name),
-            measure_mem=args.mem,
-        )
-        rendered = render_results(results, baseline=baseline)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    print(rendered)
-    if args.fail_above is not None:
-        # Gate before the artifact write: confirm_regressions re-measures
-        # flagged kernels (shared-runner load phases read 30-60% slow for
-        # a minute at a time) and folds the confirmed timings back into
-        # `results`, so the artifact records the numbers the gate judged.
-        regressions = confirm_regressions(
-            baseline,
-            results,
-            args.fail_above,
-            repeat=args.repeat,
-            progress=lambda msg: _progress("bench: %s" % msg),
-        )
-    if args.json:
-        payload = bench_payload(results, label=args.label)
-        path = write_bench_artifact(payload, label=args.label, directory=args.out)
-        print("wrote %s" % path)
-    if args.fail_above is not None:
-        if regressions:
-            print(
-                "FAIL: %d kernel(s) regressed more than %.0f%% vs %s"
-                % (len(regressions), args.fail_above, baseline_path),
-                file=sys.stderr,
-            )
-            for name, pct in sorted(regressions.items()):
-                print("  %s: +%.1f%%" % (name, pct), file=sys.stderr)
-            return 1
-        print(
-            "OK: no kernel regressed more than %.0f%% vs %s"
-            % (args.fail_above, baseline_path)
-        )
-    return 0
-
-
 def _run_profile(args: argparse.Namespace) -> int:
     """Handle the ``profile`` subcommand."""
     import json as _json
 
     from .profiling import (
         collect_experiment,
-        collect_kernel,
         profile_payload,
         _check_render_args,
         _render,
     )
 
-    if (args.kernel is None) == (args.experiment is None):
-        print(
-            "profile needs exactly one target: an experiment id or "
-            "--kernel NAME",
-            file=sys.stderr,
-        )
-        return 2
-    started = time.time()
     try:
         _check_render_args(args.sort, args.limit)
-        if args.kernel is not None:
-            target = "kernel:%s" % args.kernel
-            profiler = collect_kernel(args.kernel)
-            header = "=== profile: --kernel %s (%.1fs wall) ===" % (
-                args.kernel,
-                time.time() - started,
-            )
-        else:
-            target = "experiment:%s scale=%s seed=%d" % (
-                args.experiment,
-                args.scale,
-                args.seed,
-            )
-            profiler = collect_experiment(
-                args.experiment, scale=args.scale, seed=args.seed
-            )
-            header = "=== profile: %s --scale %s --seed %d (%.1fs wall) ===" % (
-                args.experiment,
-                args.scale,
-                args.seed,
-                time.time() - started,
-            )
-    except (KeyError, ValueError) as exc:
+    except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
+    started = time.time()
+    profiler = collect_experiment(
+        args.experiment, scale=args.scale, seed=args.seed
+    )
     if args.json:
+        target = "experiment:%s scale=%s seed=%d" % (
+            args.experiment,
+            args.scale,
+            args.seed,
+        )
         payload = profile_payload(
             profiler, target, sort=args.sort, limit=args.limit
         )
         print(_json.dumps(payload, indent=2, sort_keys=True))
         return 0
-    print(header)
+    print(
+        "=== profile: %s --scale %s --seed %d (%.1fs wall) ==="
+        % (args.experiment, args.scale, args.seed, time.time() - started)
+    )
     print(_render(profiler, args.sort, args.limit, None))
     return 0
 
@@ -351,75 +236,14 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_RESULTS_DIR,
         help="artifact directory (default: %s)" % DEFAULT_RESULTS_DIR,
     )
-    bench = commands.add_parser(
-        "bench", help="time the hot-path microbenchmark kernels"
-    )
-    bench.add_argument(
-        "--filter",
-        default=None,
-        metavar="SUBSTR",
-        help="only run kernels whose name contains SUBSTR",
-    )
-    bench.add_argument(
-        "--repeat",
-        type=int,
-        default=3,
-        help="timing rounds per kernel; the best round wins (default: 3)",
-    )
-    bench.add_argument(
-        "--json",
-        action="store_true",
-        help="write a BENCH_<label>.json artifact",
-    )
-    bench.add_argument(
-        "--label",
-        default="local",
-        help="artifact label: BENCH_<label>.json (default: local)",
-    )
-    bench.add_argument(
-        "--out",
-        default=DEFAULT_RESULTS_DIR,
-        help="artifact directory (default: %s)" % DEFAULT_RESULTS_DIR,
-    )
-    bench.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="earlier BENCH_*.json to show per-kernel speedups against; "
-        "'auto' picks the newest committed BENCH_pr<N>.json at the repo "
-        "root",
-    )
-    bench.add_argument(
-        "--mem",
-        action="store_true",
-        help="also record each kernel's peak heap growth (tracemalloc; "
-        "measured on an extra untimed call)",
-    )
-    bench.add_argument(
-        "--fail-above",
-        type=float,
-        default=None,
-        metavar="PCT",
-        help="exit non-zero if any kernel is more than PCT%% slower than "
-        "the --baseline artifact (the CI regression gate)",
-    )
     profile = commands.add_parser(
         "profile",
         help="run one experiment under cProfile and print the hot spots",
     )
     profile.add_argument(
         "experiment",
-        nargs="?",
-        default=None,
         choices=REGISTRY.names(),
-        help="experiment id (see 'list'); omit when using --kernel",
-    )
-    profile.add_argument(
-        "--kernel",
-        default=None,
-        metavar="NAME",
-        help="profile a registered bench kernel instead of an experiment "
-        "(same seeded fixture 'repro bench' times)",
+        help="experiment id (see 'list')",
     )
     profile.add_argument(
         "--scale",
@@ -466,11 +290,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for name in REGISTRY.names():
             print(name)
         return 0
-    if args.command == "bench":
-        if args.repeat < 1:
-            print("--repeat must be >= 1", file=sys.stderr)
-            return 2
-        return _run_bench(args)
     if args.command == "profile":
         return _run_profile(args)
 

@@ -1,6 +1,6 @@
 """Experiment drivers: one module per paper table/figure plus ablations.
 
-The per-experiment index (experiment id -> workload -> modules -> bench)
+The per-experiment index (experiment id -> workload -> modules -> CLI id)
 lives in DESIGN.md; measured-vs-paper results live in EXPERIMENTS.md.
 """
 

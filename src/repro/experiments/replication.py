@@ -4,7 +4,7 @@ Single runs of a discrete-event simulation are noisy; every quantitative
 claim in EXPERIMENTS.md should survive re-seeding.  :func:`replicate`
 runs a seed-parameterised measurement several times and reports mean,
 standard deviation, and the extremes, and :func:`ratio_confident`
-answers the question the benchmark assertions actually ask: "does
+answers the question the paper-shape assertions actually ask: "does
 mechanism A beat mechanism B *consistently*, not just on one seed?"
 """
 

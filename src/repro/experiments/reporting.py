@@ -2,8 +2,7 @@
 
 Every experiment driver returns a structured result object plus a
 ``render()`` helper that prints the same rows/series the paper's table or
-figure shows, so the benchmark harness can regenerate each artefact as
-text.
+figure shows, so the CLI can regenerate each artefact as text.
 """
 
 from __future__ import annotations
@@ -57,8 +56,8 @@ def table_to_csv(
 ) -> str:
     """Render rows as CSV (RFC-4180 quoting for commas/quotes).
 
-    The text artefacts under ``benchmarks/results/`` are for humans; CSV
-    is for spreadsheets and plotting scripts.
+    The ``render()`` text is for humans; CSV is for spreadsheets and
+    plotting scripts.
     """
     lines = [",".join(_csv_cell(h) for h in headers)]
     for row in rows:

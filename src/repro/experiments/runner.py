@@ -10,8 +10,7 @@ so a parallel run is byte-identical to a serial one.
 
 Results aggregate into a :class:`SweepResult` carrying every per-cell
 metric plus per-point mean/stdev across seeds, and serialise to a
-versioned JSON artifact written next to the text renders under
-``benchmarks/results/``.
+versioned JSON artifact written under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ __all__ = [
 #: Version stamp of every JSON artifact this module writes.
 SCHEMA_VERSION = 1
 
-#: Default artifact directory (next to the benchmark text renders).
+#: Default artifact directory.
 DEFAULT_RESULTS_DIR = "benchmarks/results"
 
 

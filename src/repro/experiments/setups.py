@@ -14,8 +14,8 @@ and :func:`run_mechanisms` executes a list of allocation mechanisms on the
 same trace with fresh federations, returning per-mechanism metrics.
 
 Experiment sizes are parameters everywhere: the defaults match the paper
-(100 nodes, 10,000 queries) and the test-suite/benchmarks pass smaller
-"fast" values.
+(100 nodes, 10,000 queries) and the test suite passes smaller "fast"
+values.
 """
 
 from __future__ import annotations

@@ -134,8 +134,7 @@ def run_table2(
 ) -> Table2Result:
     """Regenerate Table 2, measuring performance via the Fig. 4 run.
 
-    Pass a precomputed ``fig4`` result to avoid re-running the simulation
-    (the benchmark harness does this).
+    Pass a precomputed ``fig4`` result to avoid re-running the simulation.
     """
     fig4 = fig4 or run_fig4(
         num_nodes=num_nodes, horizon_ms=horizon_ms, seed=seed

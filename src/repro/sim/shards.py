@@ -914,7 +914,8 @@ _TCP_ACCEPT_POLL_S = 0.05
 
 
 class ShardFailure(RuntimeError):
-    """A shard worker died, or its pipe/socket closed, mid-run.
+    """A shard worker died, its pipe/socket closed, or it sent a
+    malformed frame, mid-run.
 
     ``shard`` is the worker's index and ``op`` the frame op the
     coordinator was sending or awaiting when the wire broke.  The
@@ -1123,7 +1124,10 @@ class ShardTransport(Transport):
     def _recv(self, shard: int, op: str) -> Mapping[str, object]:
         try:
             return self._peers[shard].recv()
-        except (EOFError, OSError) as error:
+        except (EOFError, OSError, ValueError) as error:
+            # ValueError: a tcp frame that is not JSON, or whose length
+            # prefix exceeds MAX_FRAME_BYTES -- socket bytes are outside
+            # input.
             raise ShardFailure(shard, op, error) from error
 
     def post(self, frames: Sequence[Optional[Tuple]]) -> None:
@@ -1194,8 +1198,7 @@ class ShardTransport(Transport):
         """Peak worker-process RSS in KiB (0 in inline mode).
 
         Both child-bearing modes report: forked-pipe workers *and* tcp
-        workers fold their ``ru_maxrss`` through the collect barrier —
-        `bench --mem` sums this into the kernel's footprint.
+        workers fold their ``ru_maxrss`` through the collect barrier.
         """
         return self._child_peak_kb if self._mode != "inline" else 0
 
@@ -1215,7 +1218,7 @@ class ShardTransport(Transport):
             try:
                 peer.send(("close",))
                 peer.recv()
-            except (EOFError, OSError):
+            except (EOFError, OSError, ValueError):  # as in _recv
                 pass
             peer.close()
         for proc in self._procs:
@@ -1389,8 +1392,8 @@ class ShardedFederation:
 
     Construction mirrors :func:`repro.sim.federation.build_federation`
     minus the allocator (the mechanism is chosen per :meth:`run`, so one
-    worker pool serves qa-nt and greedy back to back — the bench kernel
-    relies on this).  ``shards=1`` takes the single-process engine
+    worker pool serves qa-nt and greedy back to back — ``perf/`` relies
+    on this).  ``shards=1`` takes the single-process engine
     verbatim; ``shards>1`` runs the market planes described in the
     module docstring.  ``market`` has one legal value left and goes
     with the next ``perf/`` maintenance PR.

@@ -1,5 +1,6 @@
 """Tests for the CLI and the node-failure extension experiment."""
 
+import json
 import math
 
 import pytest
@@ -34,6 +35,51 @@ class TestCli:
         # The registry contract: every callable yields a render()able.
         for name, factory in EXPERIMENTS.items():
             assert callable(factory)
+
+
+class TestProfileCli:
+    def test_profile_experiment_renders_stats(self, capsys):
+        assert main(["profile", "fig1", "--top", "5"]) == 0
+        out = capsys.readouterr().out
+        assert "fig1 --scale small --seed 0" in out
+        assert "cumtime" in out  # pstats table rendered
+
+    def test_profile_experiment_json_payload(self, capsys):
+        assert main(["profile", "fig1", "--top", "5", "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["schema_version"] == 3
+        assert payload["kind"] == "profile"
+        assert payload["target"] == "experiment:fig1 scale=small seed=0"
+        assert payload["sort"] == "tottime"
+        assert payload["total_time_s"] > 0
+        assert "shards" not in payload  # v2's kernel-only section
+        assert 1 <= len(payload["rows"]) <= 5
+        assert set(payload["rows"][0]) == {
+            "file",
+            "line",
+            "function",
+            "ncalls",
+            "primitive_calls",
+            "tottime_s",
+            "cumtime_s",
+        }
+        # tottime sort: rows arrive hottest-first.
+        times = [r["tottime_s"] for r in payload["rows"]]
+        assert times == sorted(times, reverse=True)
+
+    def test_profile_rejects_bad_limit(self, capsys):
+        assert main(["profile", "fig1", "--top", "0"]) == 2
+        assert "limit" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["profile", "nope.missing"], ["profile"]],
+        ids=["unknown-experiment", "no-target"],
+    )
+    def test_profile_needs_one_registered_experiment(self, argv, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
 
 
 class TestNodeOutages:
@@ -102,6 +148,19 @@ class TestFailureExperiment:
         # Losing 1/3 of the nodes under load must hurt.
         for mechanism in ("qa-nt", "greedy"):
             assert result.degradation(mechanism) > 1.0
+
+    def test_recovery_after_outage(self):
+        result = run_failures(
+            num_nodes=30, failed_fraction=0.3, load_fraction=0.8, seed=0
+        )
+        for mechanism in ("qa-nt", "greedy"):
+            phases = result.phases[mechanism]
+            assert phases["after"] < phases["during"]
+        # Section 1: a good allocator minimises how long the
+        # unavailability lingers -- QA-NT's admission control is back to
+        # near-baseline once the nodes return; Greedy is still draining.
+        qant = result.phases["qa-nt"]
+        assert qant["after"] <= 1.5 * qant["before"]
 
     def test_render(self, result):
         text = result.render()

@@ -171,6 +171,7 @@ class TestDbmsFederation:
             )
             assert len(result.outcomes) == 15
             assert result.unserved == 0
+            assert result.mean_total_ms >= result.mean_assign_ms > 0
         finally:
             federation.close()
 

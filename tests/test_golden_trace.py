@@ -116,8 +116,7 @@ def paper_short_payload() -> str:
 def chaos_payload() -> str:
     """A *faulted* 20-node golden payload pinning the fault layer itself.
 
-    Same fixture as the ``fed.fig5a_chaos_short`` bench kernel: 5%
-    message drops, 5% latency spikes, an even/odd half-partition over
+    5% message drops, 5% latency spikes, an even/odd half-partition over
     [800, 1200) ms, and 2 crashes/node/min, all under ``fault_seed=7``.
     Pins every per-query record *and* the per-mechanism fault counters,
     so any change to fault RNG stream order, drop/timeout accounting, or
@@ -185,8 +184,7 @@ _GOLDEN_BATCH_KEYS = frozenset(
 def scaling_1000node_payload() -> str:
     """The 1,000-node scaling-curve golden payload (batched dispatch).
 
-    Same fixture as the ``fed.fig5a_1000node`` bench kernel and the
-    ``scaling`` scenario's largest paper point (world seed 0, quantised
+    Same fixture as the ``scaling`` scenario's largest paper point (world seed 0, quantised
     trace seed 10, federation seed 2), horizon cut to 2 s.  Arrival
     timestamps sit on a 25 ms grid, so nearly every query reaches QA-NT
     through a multi-query market-tick batch — this pins the vectorised
