@@ -131,8 +131,9 @@ class ShardPlan:
 
     ``shard_nodes[s]`` lists shard *s*'s nodes in ascending id order;
     ``loads[s]`` is the shard's bidding load — the number of
-    (node, candidate-class) memberships it hosts, the quantity the
-    partitioner balances.
+    (node, candidate-class) memberships it hosts.  :func:`plan_shards`
+    balances the part of it that whole affinity components contribute,
+    which is the part a shard's market plane prices.
     """
 
     num_shards: int
@@ -158,24 +159,18 @@ class ShardPlan:
         return max(self.loads) / mean
 
 
-def plan_shards(
+def _affinity_components(
     candidates_by_class: Mapping[int, Sequence[int]],
-    node_ids: Sequence[int],
-    num_shards: int,
-) -> ShardPlan:
-    """Partition ``node_ids`` into ``num_shards`` by class affinity.
+) -> Tuple[Dict[int, List[int]], Dict[int, int]]:
+    """The catalog's affinity components, by union-find over the classes'
+    candidate sets (every class unions its bidders, so classes with
+    overlapping bidder sets share a component).
 
-    Nodes are first grouped by union-find over the classes' candidate
-    sets (every class unions its bidders, so classes with overlapping
-    bidder sets land in one affinity group), groups are ordered by their
-    smallest member and flattened (members ascending), nodes bidding in
-    no class are appended last, and the flat order is chopped into
-    ``num_shards`` contiguous near-equal chunks.  Purely a function of
-    the catalog — no RNG, no tie-breaks — so every process computes the
-    identical plan.
+    Returns ``(components, root_of)``: root → the component's nodes in
+    ascending order, and node → root for every node that bids at all.
+    The root is the component's smallest node id, whatever order the
+    classes arrive in.
     """
-    if num_shards <= 0:
-        raise ValueError("need at least one shard")
     parent: Dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -197,33 +192,70 @@ def plan_shards(
                 if rb < ra:
                     ra, rb = rb, ra
                 parent[rb] = ra
-    groups: Dict[int, List[int]] = {}
-    for nid in parent:
-        groups.setdefault(find(nid), []).append(nid)
-    flat: List[int] = []
-    for root in sorted(groups):
-        flat.extend(sorted(groups[root]))
-    flat.extend(sorted(nid for nid in node_ids if nid not in parent))
-    if num_shards > len(flat):
+    root_of = {nid: find(nid) for nid in sorted(parent)}
+    components: Dict[int, List[int]] = {}
+    for nid, root in root_of.items():
+        components.setdefault(root, []).append(nid)
+    return components, root_of
+
+
+def plan_shards(
+    candidates_by_class: Mapping[int, Sequence[int]],
+    node_ids: Sequence[int],
+    num_shards: int,
+) -> ShardPlan:
+    """Partition ``node_ids`` into ``num_shards`` by class affinity and load.
+
+    Whole affinity components (:func:`_affinity_components`) are packed
+    by weight — a component's (node, class) membership count, the
+    trace-free estimate of the pricing work its classes cost a plane:
+    heaviest first (ties: smallest root node id), each onto the shard
+    whose whole components weigh least so far (ties: lowest index).  A
+    component is split only when it alone outweighs a shard's fair share
+    ``total / num_shards``: such components' nodes are dealt round-robin
+    over the shards, so their classes price on the coordinator's
+    residual plane, the one otherwise idle processor.  Nodes bidding in
+    no class carry no load and are dealt last, ascending, each to the
+    shard holding the fewest nodes.  Purely a function of the catalog —
+    no RNG, independent of mapping and ``node_ids`` order — so every
+    process computes the identical plan.
+    """
+    if num_shards <= 0:
+        raise ValueError("need at least one shard")
+    components, root_of = _affinity_components(candidates_by_class)
+    idle = sorted(set(node_ids) - set(root_of))
+    if num_shards > len(root_of) + len(idle):
         raise ValueError("more shards than nodes")
-    base, extra = divmod(len(flat), num_shards)
-    shard_nodes: List[Tuple[int, ...]] = []
-    pos = 0
-    for shard in range(num_shards):
-        size = base + (1 if shard < extra else 0)
-        shard_nodes.append(tuple(sorted(flat[pos : pos + size])))
-        pos += size
     membership: Dict[int, int] = {}
     for candidates in candidates_by_class.values():
         for nid in candidates:
             membership[nid] = membership.get(nid, 0) + 1
-    loads = tuple(
-        sum(membership.get(nid, 0) for nid in nodes) for nodes in shard_nodes
-    )
+    weight = {
+        root: sum(membership[nid] for nid in nodes)
+        for root, nodes in components.items()
+    }
+    share = sum(weight.values()) / num_shards
+    shard_nodes: List[List[int]] = [[] for _ in range(num_shards)]
+    packed = [0] * num_shards
+    oversized: List[int] = []
+    for root in sorted(components, key=lambda r: (-weight[r], r)):
+        if weight[root] > share:
+            oversized.extend(components[root])
+        else:
+            lightest = packed.index(min(packed))
+            shard_nodes[lightest].extend(components[root])
+            packed[lightest] += weight[root]
+    for i, nid in enumerate(oversized):
+        shard_nodes[i % num_shards].append(nid)
+    for nid in idle:
+        min(shard_nodes, key=len).append(nid)
     return ShardPlan(
         num_shards=num_shards,
-        shard_nodes=tuple(shard_nodes),
-        loads=loads,
+        shard_nodes=tuple(tuple(sorted(nodes)) for nodes in shard_nodes),
+        loads=tuple(
+            sum(membership.get(nid, 0) for nid in nodes)
+            for nodes in shard_nodes
+        ),
     )
 
 
@@ -244,40 +276,18 @@ def split_market_classes(
     together — a class whose own candidates fit one shard still goes
     residual if a sibling class drags the component across the boundary.
     """
-    parent: Dict[int, int] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    for candidates in candidates_by_class.values():
-        members = sorted(candidates)
-        for nid in members:
-            parent.setdefault(nid, nid)
-        for nid in members[1:]:
-            ra, rb = find(members[0]), find(nid)
-            if ra != rb:
-                if rb < ra:
-                    ra, rb = rb, ra
-                parent[rb] = ra
+    components, root_of = _affinity_components(candidates_by_class)
     node_to_shard = plan.node_to_shard
-    component_shards: Dict[int, set] = {}
-    for nid in parent:
-        component_shards.setdefault(find(nid), set()).add(
-            node_to_shard[nid]
-        )
+    component_owner: Dict[int, int] = {}
+    for root, nodes in components.items():
+        shards = {node_to_shard[nid] for nid in nodes}
+        component_owner[root] = shards.pop() if len(shards) == 1 else -1
     owner: Dict[int, int] = {}
     for class_index, candidates in candidates_by_class.items():
-        members = sorted(candidates)
-        if not members:
-            owner[class_index] = -1
-            continue
-        shards = component_shards[find(members[0])]
-        owner[class_index] = next(iter(shards)) if len(shards) == 1 else -1
+        # A class nobody bids in belongs to no shard.
+        owner[class_index] = (
+            component_owner[root_of[min(candidates)]] if candidates else -1
+        )
     return owner
 
 
@@ -325,27 +335,39 @@ class _MarketPlane:
         self._adjustment = float(init["adjustment"])
         threshold = init.get("threshold")
         self._threshold = None if threshold is None else float(threshold)
+        # The plane's lanes — one per (candidate row, class) — laid out
+        # flat in class order; every per-class array is a view of a flat
+        # one, so a boundary works on whole blocks.
         self._class_order: List[int] = []
-        self._cand: Dict[int, object] = {}
+        span: Dict[int, slice] = {}
         self._cand_ids: Dict[int, object] = {}
-        self._lane_costs: Dict[int, object] = {}
+        flat_rows: List[int] = []
+        flat_cols: List[int] = []
         for class_index, cand in init["classes"]:
             k = int(class_index)
             members = [int(nid) for nid in cand]
-            rows = _np.array(
-                [self._index[nid] for nid in members], dtype=_np.intp
-            )
             self._class_order.append(k)
-            self._cand[k] = rows
             self._cand_ids[k] = _np.array(members, dtype=_np.int64)
-            self._lane_costs[k] = self._costs[rows, k]
+            flat_rows.extend(self._index[nid] for nid in members)
+            flat_cols.extend([k] * len(members))
+            end = len(flat_rows)
+            span[k] = slice(end - len(members), end)
+        self._flat_rows = _np.array(flat_rows, dtype=_np.intp)
+        self._flat_cols = _np.array(flat_cols, dtype=_np.intp)
+        flat_costs = self._costs[self._flat_rows, self._flat_cols]
+        self._cand = {k: self._flat_rows[a] for k, a in span.items()}
+        self._lane_costs = {k: flat_costs[a] for k, a in span.items()}
+        #: Prices and remaining supply of every lane (the flat block);
+        #: ``_V[k]`` / ``_R[k]`` are class *k*'s views of it, so all of
+        #: them are only ever written in place.
+        self._Vf = _np.ones(len(flat_rows), dtype=float)
+        self._Rf = _np.zeros(len(flat_rows), dtype=float)
+        self._V = {k: self._Vf[a] for k, a in span.items()}
+        self._R = {k: self._Rf[a] for k, a in span.items()}
         # maxp baseline: a class the node can never evaluate keeps its
         # initial price of 1.0 forever, pinning the node's max price at
         # >= 1.0.
-        self._maxp_base = _np.zeros(len(ids), dtype=float)
-        for i in range(len(ids)):
-            if bool(_np.isinf(self._costs[i]).any()):
-                self._maxp_base[i] = 1.0
+        self._maxp_base = _np.isinf(self._costs).any(axis=1).astype(float)
         self.reset(True)
 
     @property
@@ -386,14 +408,8 @@ class _MarketPlane:
         self._maxp = _np.ones(n, dtype=float)
         self._locked = _np.zeros(n, dtype=bool)
         self._rngs = [random.Random(seed) for seed in self._seeds]
-        self._V: Dict[int, object] = {
-            k: _np.ones(len(self._cand[k]), dtype=float)
-            for k in self._class_order
-        }
-        self._R: Dict[int, object] = {
-            k: _np.zeros(len(self._cand[k]), dtype=float)
-            for k in self._class_order
-        }
+        self._Vf.fill(1.0)
+        self._Rf.fill(0.0)
         self._period_serial = 0
         self._saturated_in: Dict[int, int] = {}
         #: Class → the period serial in which it *closed*: no lane has
@@ -600,16 +616,15 @@ class _MarketPlane:
         pending count left after the retry tick."""
         if not self._qa:
             return self._pending_count
-        for k in self._class_order:
-            R = self._R[k]
-            V = self._V[k]
-            mask = R > 0.0
-            if mask.any():
-                f = 1.0 - R * self._adjustment
-                _np.maximum(f, 0.0, out=f)
-                new = V * f
-                _np.maximum(new, self._floor, out=new)
-                V[:] = _np.where(mask, new, V)
+        R = self._Rf
+        V = self._Vf
+        mask = R > 0.0
+        if mask.any():
+            f = 1.0 - R * self._adjustment
+            _np.maximum(f, 0.0, out=f)
+            new = V * f
+            _np.maximum(new, self._floor, out=new)
+            V[:] = _np.where(mask, new, V)
         if len(self._ids):
             self._period_solve(now)
         self._boundaries += 1
@@ -623,8 +638,7 @@ class _MarketPlane:
         carry-over rounding) + the new-period latch/max-price/saturation
         re-arm."""
         prices = _np.ones((len(self._ids), self._num_classes), dtype=float)
-        for k in self._class_order:
-            prices[self._cand[k], k] = self._V[k]
+        prices[self._flat_rows, self._flat_cols] = self._Vf
         backlog = self._exec_busy - now
         _np.clip(backlog, 0.0, None, out=backlog)
         free = self._allow - backlog
@@ -642,12 +656,10 @@ class _MarketPlane:
         credit += counts
         whole = _np.floor(credit + 1e-9)
         credit -= whole
-        for k in self._class_order:
-            self._R[k][:] = whole[self._cand[k], k]
+        self._Rf[:] = whole[self._flat_rows, self._flat_cols]
         self._locked[:] = False
         self._maxp[:] = self._maxp_base
-        for k in self._class_order:
-            _np.maximum.at(self._maxp, self._cand[k], self._V[k])
+        _np.maximum.at(self._maxp, self._flat_rows, self._Vf)
         self._period_serial += 1
 
     # -- reporting ------------------------------------------------------------

@@ -1,0 +1,77 @@
+"""``tools/perf_pairs.py --layers``: parsing and the layer table.
+
+The tool's subprocess seam (``run_once``) and ``git archive`` are
+stubbed, so nothing here runs the benchmark.
+"""
+
+import importlib.util
+import json
+import pathlib
+
+import pytest
+
+_TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "perf_pairs.py"
+
+
+@pytest.fixture
+def perf_pairs(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perf_pairs", _TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    benchmark = json.loads((tool.REPO / "BENCHMARK.json").read_text())
+    calls = []
+
+    def run_once(tree, workload, seed, seconds, trace=0):
+        """The change is 2x the parent on every row, end-to-end or layer."""
+        scale = 2.0 if tree == tool.REPO else 1.0
+        calls.append((tree == tool.REPO, trace))
+        rows = benchmark["per_layer"] if trace else benchmark["end_to_end"]
+        return {
+            "correct": True,
+            "attempted": 3,
+            "failed": 0,
+            "metrics": {
+                row["name"]: {"value": scale * (1 + n), "unit": row["unit"]}
+                for n, row in enumerate(rows)
+            },
+        }
+
+    monkeypatch.setattr(tool, "run_once", run_once)
+    monkeypatch.setattr(tool, "export_tree", lambda ref, target: None)
+    tool.calls = calls
+    return tool
+
+
+_ARGS = ["--parent", "HEAD", "--workload", "zipf_planes_fork", "--pairs", "2"]
+
+
+def test_layers_flag_adds_one_traced_pass_per_tree(perf_pairs, capsys, tmp_path):
+    out = tmp_path / "pairs.json"
+    layers = "shards.residual_classes,shards.shard_busy_s_max"
+    assert perf_pairs.main(_ARGS + ["--layers", layers, "--json", str(out)]) == 0
+    # Two alternating pairs untraced, then parent and change traced once.
+    assert perf_pairs.calls == [
+        (False, 0), (True, 0), (True, 0), (False, 0), (False, 1), (True, 1)
+    ]
+    table = capsys.readouterr().out.split("layer ", 1)[1].splitlines()
+    assert table[0].split() == ["parent", "change", "ratio"]
+    assert [line.split()[0] for line in table[1:]] == layers.split(",")
+    assert table[1].split()[1:] == ["(count,", "lower)", "7", "14", "2.000"]
+    assert set(json.loads(out.read_text())["traced"]) == {"parent", "change"}
+
+
+def test_without_layers_no_traced_pass(perf_pairs, capsys):
+    assert perf_pairs.main(_ARGS) == 0
+    assert all(trace == 0 for _change, trace in perf_pairs.calls)
+    assert "layer " not in capsys.readouterr().out
+
+
+def test_unknown_layer_is_an_argparse_error_listing_the_valid_ones(
+    perf_pairs, capsys
+):
+    with pytest.raises(SystemExit) as raised:
+        perf_pairs.main(_ARGS + ["--layers", "shards.run_s,shards.nope"])
+    assert raised.value.code == 2
+    complaint = capsys.readouterr().err
+    assert "shards.nope" in complaint and "transport.barrier_wait_s" in complaint
+    assert perf_pairs.calls == []

@@ -26,6 +26,7 @@ import signal
 import socket
 import time
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -55,6 +56,7 @@ from repro.sim import (
     MetricsCollector,
     ShardedFederation,
     ShardFailure,
+    ShardPlan,
     ShardTransport,
     derive_shard_seed,
     plan_shards,
@@ -124,25 +126,91 @@ def test_derive_shard_seed_matches_fault_scheme():
 
 def test_plan_shards_groups_overlapping_bidder_sets():
     """Classes whose bidder sets overlap land on one shard (affinity)."""
-    candidates = {0: (0, 1, 2), 1: (2, 3), 2: (5, 6)}
-    plan = plan_shards(candidates, node_ids=range(8), num_shards=2)
+    candidates = {0: (0, 1, 2), 1: (2, 3), 2: (5, 6), 3: (7, 8, 9), 4: (9, 10)}
+    plan = plan_shards(candidates, node_ids=range(12), num_shards=2)
     shard_of = plan.node_to_shard
-    # 0-3 share classes 0/1 transitively; 5-6 share class 2.
+    # 0-3 share classes 0/1 transitively; 5-6 share class 2; 7-10 share
+    # classes 3/4.  Weights 5, 2 and 5: none above the fair share of 6.
     assert len({shard_of[n] for n in (0, 1, 2, 3)}) == 1
     assert len({shard_of[n] for n in (5, 6)}) == 1
+    assert len({shard_of[n] for n in (7, 8, 9, 10)}) == 1
     # Every node is placed exactly once.
     placed = [n for shard in plan.shard_nodes for n in shard]
-    assert sorted(placed) == list(range(8))
+    assert sorted(placed) == list(range(12))
 
 
 def test_plan_shards_is_deterministic_and_balanced():
+    """Ten components of weight 3 over four shards: the *load* is what is
+    levelled (9, 9, 6, 6), to within the heaviest component."""
     candidates = {k: tuple(range(k, k + 3)) for k in range(0, 30, 3)}
     a = plan_shards(candidates, range(40), 4)
     b = plan_shards(candidates, range(40), 4)
     assert a == b
-    sizes = [len(shard) for shard in a.shard_nodes]
-    assert max(sizes) - min(sizes) <= 1
-    assert a.imbalance() >= 1.0
+    assert max(a.loads) - min(a.loads) <= 3
+    assert 1.0 <= a.imbalance() <= 1.34
+
+
+def _plan_and_components(candidates, node_ids, num_shards):
+    """``plan_shards`` plus each affinity component's ``(weight, shards
+    it touches)``, from a union-find of the test's own."""
+    plan = plan_shards(candidates, node_ids, num_shards)
+    group = {}
+    for cand in candidates.values():
+        merged = set(cand).union(*(group.get(n, ()) for n in cand))
+        for n in merged:
+            group[n] = merged
+    shard_of = plan.node_to_shard
+    components = {}
+    for nodes in group.values():
+        weight = sum(n in cand for cand in candidates.values() for n in nodes)
+        components[min(nodes)] = (weight, {shard_of[n] for n in nodes})
+    return plan, list(components.values())
+
+
+@given(st.data())
+@settings(max_examples=150, deadline=None)
+def test_plan_shards_packs_whole_components_by_load(data):
+    num_nodes = data.draw(st.integers(1, 40))
+    num_shards = data.draw(st.integers(1, min(4, num_nodes)))
+    bidders = st.sets(st.integers(0, num_nodes - 1), min_size=1, max_size=5)
+    classes = data.draw(st.lists(bidders, max_size=12))
+    candidates = {k: tuple(sorted(cand)) for k, cand in enumerate(classes)}
+    node_ids = list(range(num_nodes))
+    plan, components = _plan_and_components(candidates, node_ids, num_shards)
+    # Every node is placed exactly once, idle ones included.
+    placed = [n for shard in plan.shard_nodes for n in shard]
+    assert sorted(placed) == node_ids
+    assert sum(plan.loads) == sum(len(cand) for cand in candidates.values())
+    # A component no heavier than the fair share is never split, and the
+    # whole-packed load is level to within the heaviest such component.
+    share = sum(plan.loads) / num_shards
+    packed = [0] * num_shards
+    whole = [c for c in components if c[0] <= share]
+    for weight, shards in whole:
+        assert len(shards) == 1
+        packed[min(shards)] += weight
+    assert max(packed) - min(packed) <= max((c[0] for c in whole), default=0)
+    # A pure function of the catalog: insertion and node order are moot.
+    shuffled = data.draw(st.permutations(sorted(candidates)))
+    assert plan == plan_shards(
+        {k: candidates[k] for k in shuffled},
+        data.draw(st.permutations(node_ids)),
+        num_shards,
+    )
+
+
+def test_plan_shards_levels_the_frozen_zipf_workload():
+    """The `zipf_planes_*` catalog at 2 shards: 30 components, none over
+    the fair share, so both planes carry 270 memberships and the
+    coordinator's residual plane carries none."""
+    world = zipf_world(300, num_classes=120, seed=0)
+    candidates = {
+        qc.index: tuple(sorted(qc.candidate_nodes(world.placement)))
+        for qc in world.classes
+    }
+    plan = plan_shards(candidates, list(world.placement.node_ids), 2)
+    assert plan.loads == (270, 270)
+    assert -1 not in split_market_classes(candidates, plan).values()
 
 
 def test_plan_shards_rejects_bad_counts():
@@ -409,6 +477,39 @@ def test_local_market_matches_coordinator_plane():
     for bit — the exactness contract (DESIGN.md §7)."""
     for mechanism in ("qa-nt", "greedy"):
         assert _local_baseline(mechanism) == _reference(mechanism)
+
+
+def _dealt_plan(candidates_by_class, node_ids, num_shards):
+    """A deliberately bad partition: nodes dealt round-robin, so nearly
+    every component spans the shards and prices on the residual plane."""
+    nodes = sorted(node_ids)
+    shard_nodes = tuple(tuple(nodes[s::num_shards]) for s in range(num_shards))
+    return ShardPlan(
+        num_shards=num_shards,
+        shard_nodes=shard_nodes,
+        loads=tuple(
+            sum(n in cand for cand in candidates_by_class.values() for n in part)
+            for part in shard_nodes
+        ),
+    )
+
+
+def test_any_placement_same_outcome(monkeypatch):
+    """Placement moves classes between planes — and the counters that
+    say so — but never a decision: the packed plan and a dealt one both
+    reproduce the golden."""
+    world, trace = _zipf_small()
+    golden = (GOLDEN_DIR / "localmarket_zipf_seed0.json").read_text()
+    residual = {}
+    for name, planner in (("packed", plan_shards), ("dealt", _dealt_plan)):
+        monkeypatch.setattr(shards_module, "plan_shards", planner)
+        with _sharded(world, 2, "inline") as federation:
+            runs = {
+                m: federation.run(list(trace), m) for m in ("qa-nt", "greedy")
+            }
+        assert _pair_payload(runs.__getitem__) == golden
+        residual[name] = runs["qa-nt"].batch_summary()["residual_classes"]
+    assert residual["packed"] < residual["dealt"]
 
 
 @pytest.mark.parametrize("mode", ["inline", "fork", "tcp"])
@@ -941,6 +1042,31 @@ def test_no_threshold_never_closes():
     for plane in _run_script(init, script):
         assert plane._closed_in == {} and plane._closed_settled == 0
     assert plane.pending_count > 30
+
+
+def test_per_class_arrays_alias_the_flat_lane_block():
+    """``_V[k]`` / ``_R[k]`` are views of the plane's flat block, before
+    and after a reset and a boundary: the boundary works on the block,
+    the exchanges on the views, and a rebind of either would fork the
+    market's state."""
+    init, script = _plane_init(_SHARED_BIDDER), [[A] * 25 + [B], None, [A, B]]
+
+    def aliased(plane):
+        return all(
+            np.shares_memory(plane._V[k], plane._Vf)
+            and np.shares_memory(plane._R[k], plane._Rf)
+            for k in plane.class_indices
+        )
+
+    plane = _MarketPlane(init)
+    assert aliased(plane)
+    for plane in _run_script(init, script):
+        assert aliased(plane)
+    assert len(plane._Vf) == len(plane._Rf) == 4  # lanes: A on 2, B on 2
+    plane.reset(True)
+    assert aliased(plane)
+    plane.boundary(500.0)
+    assert aliased(plane)
 
 
 # ---------------------------------------------------------------------------

@@ -24,8 +24,14 @@ Each tree runs its *own* ``perf/`` — the driver does the same — so the
 comparison is only meaningful while ``perf/`` is identical on both sides
 (the tool says so when it is not).
 
+``--layers name[,name...]`` adds the before/after at the layer a change
+touches: after the pairs, one ``--trace 1`` pass per tree, printing
+parent -> change for the named ``per_layer`` rows of ``BENCHMARK.json``.
+One traced pass is a reading of where time goes, not a verdict — counts
+repeat exactly, timings carry the run-to-run spread the pairs show.
+
     python3 tools/perf_pairs.py --parent HEAD~1 --workload tick1000_single \\
-        --seed 0 --pairs 10
+        --seed 0 --pairs 10 --layers market_tick.exchange_s,engine.self_s
 """
 
 from __future__ import annotations
@@ -68,9 +74,10 @@ def same_benchmark(parent: pathlib.Path, change: pathlib.Path) -> bool:
 
 
 def run_once(
-    tree: pathlib.Path, workload: str, seed: int, seconds: float
+    tree: pathlib.Path, workload: str, seed: int, seconds: float, trace: int = 0
 ) -> dict:
-    """One end-to-end benchmark run in ``tree``; the result object."""
+    """One benchmark run in ``tree``; the result object (``trace=0``:
+    end-to-end metrics, ``trace=1``: the per-layer ledger)."""
     done = subprocess.run(
         [
             sys.executable,
@@ -78,7 +85,7 @@ def run_once(
             "--workload", workload,
             "--seed", str(seed),
             "--seconds", str(seconds),
-            "--trace", "0",
+            "--trace", str(trace),
         ],
         cwd=tree,
         check=True,
@@ -181,8 +188,40 @@ def render(rows: List[dict], sides: Dict[str, List[dict]]) -> str:
     return "\n".join(lines)
 
 
+def render_layers(layers: List[dict], traced: Dict[str, dict]) -> str:
+    """Parent -> change of the named per-layer rows, one traced pass each."""
+    lines = ["%-44s %14s %14s %7s" % ("layer", "parent", "change", "ratio")]
+    for layer in layers:
+        before, after = (
+            traced[side]["metrics"][layer["name"]]["value"]
+            for side in ("parent", "change")
+        )
+        lines.append(
+            "%-44s %14.6g %14.6g %7s"
+            % (
+                "%s (%s, %s)" % (layer["name"], layer["unit"], layer["better"]),
+                before,
+                after,
+                "%.3f" % (after / before) if before else "-",
+            )
+        )
+    return "\n".join(lines)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
+    per_layer = {layer["name"]: layer for layer in benchmark["per_layer"]}
+
+    def layer_rows(text: str) -> List[dict]:
+        names = text.split(",")
+        unknown = [name for name in names if name not in per_layer]
+        if unknown:
+            raise argparse.ArgumentTypeError(
+                "unknown per-layer metric %s; BENCHMARK.json has: %s"
+                % (", ".join(unknown), ", ".join(per_layer))
+            )
+        return [per_layer[name] for name in names]
+
     parser = argparse.ArgumentParser(
         description=__doc__.split("\n\n")[0],
         epilog="See the module docstring for the protocol.",
@@ -206,6 +245,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         default=str(REPO),
         help="tree of the change (default: this working tree, uncommitted edits included)",
     )
+    parser.add_argument(
+        "--layers",
+        type=layer_rows,
+        default=[],
+        metavar="NAME[,NAME...]",
+        help="per_layer rows of BENCHMARK.json to read from one traced pass per tree",
+    )
     parser.add_argument("--json", help="also write every run and the summary here")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -213,6 +259,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     change_tree = pathlib.Path(args.change).resolve()
     runs: Dict[str, List[dict]] = {"parent": [], "change": []}
+    traced: Dict[str, dict] = {}
     with tempfile.TemporaryDirectory(prefix="perf-pairs-") as scratch:
         parent_tree = pathlib.Path(scratch)
         export_tree(args.parent, parent_tree)
@@ -243,6 +290,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     ),
                     file=sys.stderr,
                 )
+        if args.layers:
+            for side, tree in trees.items():
+                traced[side] = run_once(
+                    tree, args.workload, args.seed, args.seconds, trace=1
+                )
     rows = [
         summarise(
             metric,
@@ -256,6 +308,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         % (args.workload, args.seed, args.pairs, args.seconds, args.parent)
     )
     print(render(rows, runs))
+    if args.layers:
+        print(render_layers(args.layers, traced))
     if args.json:
         pathlib.Path(args.json).write_text(
             json.dumps(
@@ -265,6 +319,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "parent": args.parent,
                     "summary": rows,
                     "runs": runs,
+                    "traced": traced,
                 },
                 indent=2,
             )
