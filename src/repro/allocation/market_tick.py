@@ -2,16 +2,17 @@
 
 PR 5's period engine batched the *boundary* (steps 12–14 + eq. 4); this
 module batches the other scalar frontier: the per-query request-for-bid
-exchange itself.  :func:`exchange_lanes` is the inlined bidder loop of
-:meth:`repro.allocation.qant.QantAllocator.assign` as a handful of numpy
-operations over one class's lanes, and :class:`MarketTickDispatcher`
-runs it over per-class state arrays gathered from the precompiled
-bidder tuples, with the fleet's shared ``slot_free`` mirror as the busy
-clocks and the refusal-count / price-epoch bookkeeping of the agents.
+exchange itself.  :func:`exchange_lanes` is the paper listing
+(:meth:`repro.core.qant.QantPricingAgent.quote` over a class's bidders,
+earliest-completion winner, accept) as a handful of numpy operations
+over one class's lanes, and :class:`MarketTickDispatcher` runs it over
+per-class state arrays gathered from the class's agents, with the
+fleet's shared ``slot_free`` mirror as the busy clocks and the
+refusal-count / price-epoch bookkeeping of the agents.
 
 Bit-identity contract: every float is produced by the same IEEE-754
-operation sequence as the scalar loop, so goldens must not move with the
-dispatcher active.  A class's lanes are copies, gathered at most once per
+operation sequence as the scalar listing, so goldens must not move with
+the dispatcher active.  A class's lanes are copies, gathered at most once per
 period from whichever side holds the market state (DESIGN.md §5.2) and
 returned the same way: :meth:`MarketTickDispatcher.sync` overlays them
 onto the agents' live lists (the allocator calls it from
@@ -28,7 +29,7 @@ without a scatter/gather round trip.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 try:  # Same optional posture as repro.sim.fleet; no numpy, no dispatcher.
     import numpy as _np
@@ -66,8 +67,9 @@ def exchange_lanes(
 ):
     """One request-for-bid exchange over a class's lanes (Def. 4).
 
-    The one array transcription of the bidder loop of
-    :meth:`repro.allocation.qant.QantAllocator._exchange`, shared by
+    The one array transcription of the scalar negotiation
+    (:meth:`repro.allocation.qant.QantAllocator._negotiate` + ``_award``
+    over :meth:`repro.core.qant.QantPricingAgent.quote`), shared by
     :class:`MarketTickDispatcher` and every shard market plane.  ``R``,
     ``V`` and ``costs`` are per lane (remaining supply, price, execution
     cost); ``maxp``, ``locked`` and ``free_at`` are per agent and read
@@ -142,7 +144,7 @@ class BatchDispatchStats:
     def __init__(self) -> None:
         #: Request-for-bid exchanges answered on the vector path.
         self.vector_exchanges = 0
-        #: Exchanges that had to drop to the scalar loop (partial
+        #: Exchanges that had to drop to the scalar negotiation (partial
         #: fan-outs during outage windows).
         self.scalar_fallbacks = 0
         #: Write-backs of cached state (into the live agent lists or the
@@ -163,25 +165,25 @@ class BatchDispatchStats:
 class _ClassState:
     """One class's candidate fan-out as arrays.
 
-    ``ids``/``rows``/``costs``/``bidders`` (and ``engine_rows``, once bound
+    ``ids``/``rows``/``costs``/``agents`` (and ``engine_rows``, once bound
     to a period engine) are static for the federation's lifetime;
     ``R``/``V``/``F``/``ACC`` (remaining supply, price values, refusal
-    counts, accepted counts — column ``class_index`` of each bidder's
+    counts, accepted counts — column ``class_index`` of each agent's
     state) are gathered lazily per period and dropped to ``None`` when
     they are written back.
     """
 
     __slots__ = (
-        "class_index", "ids", "rows", "costs", "bidders", "engine_rows",
+        "class_index", "ids", "rows", "costs", "agents", "engine_rows",
         "R", "V", "F", "ACC",
     )
 
-    def __init__(self, class_index, ids, rows, costs, bidders) -> None:
+    def __init__(self, class_index, ids, rows, costs, agents) -> None:
         self.class_index = class_index
         self.ids = ids
         self.rows = rows
         self.costs = costs
-        self.bidders = bidders
+        self.agents = agents
         self.engine_rows = None
         self.R = None
         self.V = None
@@ -194,16 +196,16 @@ class MarketTickDispatcher:
 
     Built by :class:`~repro.allocation.qant.QantAllocator` only when the
     whole fleet is dispatchable: numpy + fleet arrays available, no
-    message faults, no partial adoption, no private classification, no
-    offer-premium filter, and every bidder a plain
-    :class:`~repro.core.qant.QantPricingAgent`.
+    message faults, no partial adoption and no private classification,
+    so every bidder is a plain :class:`~repro.core.qant.QantPricingAgent`.
     """
 
     def __init__(
         self,
         fleet,
         nodes: Mapping[int, object],
-        bidders_by_class: Mapping[int, Tuple],
+        candidates_by_class: Mapping[int, Sequence[int]],
+        agents: Mapping[int, object],
         activation_threshold: Optional[float],
         raise_factor: float,
         price_floor: float,
@@ -217,27 +219,24 @@ class MarketTickDispatcher:
         self.stats = BatchDispatchStats()
         row_of = fleet.row_of
         self._states: Dict[int, _ClassState] = {}
-        for class_index, bidders in bidders_by_class.items():
-            self._states[class_index] = _ClassState(
-                class_index,
-                _np.array([b[0] for b in bidders], dtype=_np.int64),
-                _np.array(
-                    [row_of[b[0]] for b in bidders], dtype=_np.intp
-                ),
-                _np.array(
-                    [nodes[b[0]]._costs[class_index] for b in bidders],
-                    dtype=float,
-                ),
-                bidders,
-            )
         # Agent-global auxiliary state, one row per fleet slot.  Rows
         # whose node bids in no class keep a None agent and are never
         # touched.
         num_rows = len(fleet.node_ids)
         agents_by_row: List[object] = [None] * num_rows
-        for bidders in bidders_by_class.values():
-            for b in bidders:
-                agents_by_row[row_of[b[0]]] = b[1]
+        for class_index, ids in candidates_by_class.items():
+            self._states[class_index] = _ClassState(
+                class_index,
+                _np.array(ids, dtype=_np.int64),
+                _np.array([row_of[nid] for nid in ids], dtype=_np.intp),
+                _np.array(
+                    [nodes[nid]._costs[class_index] for nid in ids],
+                    dtype=float,
+                ),
+                tuple(agents[nid] for nid in ids),
+            )
+            for nid in ids:
+                agents_by_row[row_of[nid]] = agents[nid]
         self._aux_agents = agents_by_row
         self._aux_maxp = _np.zeros(num_rows, dtype=float)
         self._aux_locked = _np.zeros(num_rows, dtype=bool)
@@ -309,14 +308,17 @@ class MarketTickDispatcher:
                 st.F = _np.zeros(len(st.ids), dtype=_np.int64)
                 st.ACC = _np.zeros(len(st.ids), dtype=_np.int64)
             else:
-                bidders = st.bidders
-                st.R = _np.array([b[2][class_index] for b in bidders])
-                st.V = _np.array([b[3][class_index] for b in bidders])
+                agents = st.agents
+                st.R = _np.array([a._remaining[class_index] for a in agents])
+                st.V = _np.array(
+                    [a._price_values[class_index] for a in agents]
+                )
                 st.F = _np.array(
-                    [b[4][class_index] for b in bidders], dtype=_np.int64
+                    [a._refused[class_index] for a in agents],
+                    dtype=_np.int64,
                 )
                 st.ACC = _np.array(
-                    [b[1]._accepted[class_index] for b in bidders],
+                    [a._accepted[class_index] for a in agents],
                     dtype=_np.int64,
                 )
             self.stats.gathers += 1
@@ -333,7 +335,7 @@ class MarketTickDispatcher:
         consumed, like the scalar accept) or ``None`` when every bidder
         refused, with ``saturated`` flagging the all-refuse case whose
         every price sits at the cap (the caller arms its saturation fast
-        path exactly as the scalar loop would).
+        path exactly as the scalar negotiation does).
         """
         st = self._live_state(class_index)
         winner, paid, _finish, refusals = exchange_lanes(
@@ -388,7 +390,7 @@ class MarketTickDispatcher:
 
         The agents must hold the market state.
         After this returns, every agent holds exactly the state the
-        scalar loop would have left behind, and the next exchange
+        scalar listing would have left behind, and the next exchange
         re-gathers from scratch.  Idempotent and cheap when nothing is
         cached.
         """
@@ -402,11 +404,11 @@ class MarketTickDispatcher:
             v_list = st.V.tolist()
             f_list = st.F.tolist()
             acc_list = st.ACC.tolist()
-            for i, b in enumerate(st.bidders):
-                b[2][k] = r_list[i]
-                b[3][k] = v_list[i]
-                b[4][k] = f_list[i]
-                b[1]._accepted[k] = acc_list[i]
+            for i, agent in enumerate(st.agents):
+                agent._remaining[k] = r_list[i]
+                agent._price_values[k] = v_list[i]
+                agent._refused[k] = f_list[i]
+                agent._accepted[k] = acc_list[i]
             st.R = st.V = st.F = st.ACC = None
         if self._aux_fresh:
             synced = True

@@ -27,7 +27,7 @@ Two paper-motivated options are exposed:
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.classification import (
     PrivatelyClassifiedAgent,
@@ -77,7 +77,6 @@ class QantAllocator(Allocator):
         activation_threshold: Optional[float] = DEFAULT_ACTIVATION_THRESHOLD,
         queue_allowance_ms: Optional[float] = None,
         allowance_factor: float = DEFAULT_ALLOWANCE_FACTOR,
-        max_offer_premium: Optional[float] = None,
         private_buckets: Optional[int] = None,
     ):
         """``queue_allowance_ms`` bounds each node's committed backlog: a
@@ -97,7 +96,6 @@ class QantAllocator(Allocator):
         self._activation_threshold = activation_threshold
         self._queue_allowance_ms = queue_allowance_ms
         self._allowance_factor = allowance_factor
-        self._max_offer_premium = max_offer_premium
         if private_buckets is not None and private_buckets <= 0:
             raise ValueError("private_buckets must be positive")
         #: When set, every node prices its *own* coarse classification of
@@ -106,10 +104,6 @@ class QantAllocator(Allocator):
         self._private_buckets = private_buckets
         self._agents: Dict[int, object] = {}
         self._allowances: Dict[int, float] = {}
-        #: Per class, the candidate fan-out as precompiled 5-slot bidder
-        #: tuples — the request-for-bid loop iterates this instead of
-        #: re-resolving every node's agent per query (see `_after_bind`).
-        self._bidders_by_class: Dict[int, Tuple] = {}
         #: Serial number of the current period, bumped by
         #: `on_period_start`; keys the per-class saturation fast path.
         self._period_serial = 0
@@ -119,9 +113,15 @@ class QantAllocator(Allocator):
         #: threshold) the enforce latch set.  A request-for-bid against a
         #: fully saturated class is then an all-refuse exchange whose only
         #: agent-side effect is one refusal count per node, so `assign`
-        #: skips the fan-out loop and defers those counts (flushed at the
-        #: next period tick, before any period stats are computed).
+        #: skips the fan-out and defers those counts.
         self._saturated_in: Dict[int, int] = {}
+        #: ``class_index -> refusals each bidder of the class is still
+        #: owed``.  Until the next boundary the agents' ``_refused``
+        #: counters of a saturated class lag by this much; a boundary that
+        #: finds the agents live flushes it into them before any period
+        #: stats are computed, an array-to-array boundary (and the end of
+        #: a run) drops it, because the counters it would land in are
+        #: zeroed there before anyone can read them.
         self._deferred_refusals: Dict[int, int] = {}
         #: Per class, the nodes that offered on the last successful
         #: exchange — the stale cache graceful degradation falls back to
@@ -146,7 +146,7 @@ class QantAllocator(Allocator):
         #: and keep dispatcher state cached across calls.  Armed by
         #: `on_run_start` (inside a federation run every observer goes
         #: through `sync_market_state`); direct API users keep the scalar
-        #: loop and always-live agent state.
+        #: negotiation and always-live agent state.
         self._vector_singles = False
         #: Whether the period engine's arrays keep the market state from
         #: one boundary to the next (DESIGN.md §5.2): inside a federation
@@ -199,31 +199,6 @@ class QantAllocator(Allocator):
                     self.context.period_ms,
                     parameters=self._params,
                 )
-        # Candidate sets and agent bindings are both fixed for the life of
-        # the federation, so the request-for-bid fan-out can be compiled
-        # once per class.  Each bidder is a 5-slot tuple
-        # ``(node_id, agent, remaining, price_values, refused)``:
-        #
-        # * a non-adopter is ``(nid, None, None, None, None)`` — it always
-        #   offers (greedy behaviour);
-        # * a plain pricing agent carries its live per-period state lists
-        #   (see ``QantPricingAgent.bid_state``), letting ``assign`` mirror
-        #   ``quote`` inline with no per-node call frame;
-        # * a privately-classifying agent carries ``None`` state (its
-        #   global→bucket mapping makes inlining not worth it) and is
-        #   quoted through the method call.
-        self._bidders_by_class = {
-            class_index: tuple(
-                self._compile_bidder(node_id) for node_id in candidates
-            )
-            for class_index, candidates in
-            self.context.candidates_by_class.items()
-        }
-        # All agents share `self._params`, so the raise arithmetic the
-        # inlined loop mirrors can be hoisted once.
-        self._raise_factor = 1.0 + self._params.adjustment
-        self._price_floor = self._params.price_floor
-        self._price_cap = self._params.price_cap
         # Partition the fleet for the period boundary: every plain pricing
         # agent goes into the batched engine; privately-classifying agents
         # and non-batchable solver methods stay on the scalar loop.
@@ -258,32 +233,26 @@ class QantAllocator(Allocator):
                 [self._allowances[nid] for nid in self._engine_node_ids],
                 dtype=float,
             )
-        # The vector exchange requires the whole fan-out to follow the
-        # inlined plain-agent arithmetic: full adoption, global classes,
-        # no premium filter, no message faults, every bidder an
-        # exact-type pricing agent with live state lists.  Anything else
-        # keeps the scalar loop (which remains the outage fallback even
-        # when the dispatcher is active).
+        # The vector exchange prices plain agents only: full adoption and
+        # global classes (then every node runs an exact-type
+        # `QantPricingAgent`), and no message faults.  Anything else
+        # negotiates through the scalar listing (which remains the outage
+        # fallback even when the dispatcher is active).
         if (
             fleet is not None
             and self.context.faults is None
             and self._adopters is None
             and self._private_buckets is None
-            and self._max_offer_premium is None
-            and all(
-                b[2] is not None and type(b[1]) is QantPricingAgent
-                for bidders in self._bidders_by_class.values()
-                for b in bidders
-            )
         ):
             self._dispatcher = MarketTickDispatcher(
                 fleet,
                 self.context.nodes,
-                self._bidders_by_class,
+                self.context.candidates_by_class,
+                self._agents,
                 self._activation_threshold,
-                self._raise_factor,
-                self._price_floor,
-                self._price_cap,
+                1.0 + self._params.adjustment,
+                self._params.price_floor,
+                self._params.price_cap,
             )
         # Bulk latency draws are only exact against the plain simulated
         # wire; a custom transport must see one fanout call per query.
@@ -297,13 +266,6 @@ class QantAllocator(Allocator):
             self._bulk_rtt_network = self.context.network
         self._interacted = True
         self.on_period_start()
-
-    def _compile_bidder(self, node_id: int):
-        agent = self._agents.get(node_id)
-        if isinstance(agent, QantPricingAgent):
-            remaining, values, refused = agent.bid_state()
-            return (node_id, agent, remaining, values, refused)
-        return (node_id, agent, None, None, None)
 
     def on_period_start(self) -> None:
         """Step 2 of QA-NT at every node: re-solve eq. 4.
@@ -372,13 +334,12 @@ class QantAllocator(Allocator):
         deferred = self._deferred_refusals
         if not deferred:
             return
+        agents = self._agents
         for class_index, count in deferred.items():
-            if not count:
-                continue
             # Saturation is only ever recorded for classes whose bidders
-            # are all plain pricing agents, so every slot carries state.
-            for bidder in self._bidders_by_class[class_index]:
-                bidder[4][class_index] += count
+            # are all plain pricing agents.
+            for node_id in self.context.candidates_by_class[class_index]:
+                agents[node_id]._refused[class_index] += count
         deferred.clear()
 
     def _engine_free_capacities(self) -> list:
@@ -410,9 +371,11 @@ class QantAllocator(Allocator):
 
         Observers that read agent state between boundaries (the
         :class:`~repro.sim.tracing.MarketTracer`, tests, notebooks) and
-        this allocator's scalar paths call this first; afterwards every
-        agent holds exactly the state a scalar, never-deferred run would
-        show, and the lists hold the market until the next boundary.
+        this allocator's scalar negotiation call this first; afterwards
+        the lists hold the market until the next boundary, and every
+        agent shows the state a scalar, never-deferred run would — except
+        the ``_refused`` counters of a class in `_saturated_in`, which
+        lag by `_deferred_refusals` until a boundary flushes or drops it.
         """
         engine = self._engine
         if engine is not None:
@@ -508,11 +471,11 @@ class QantAllocator(Allocator):
         # is resolved once per batch, not once per query.
         classes = [query.class_index for query in queries]
         fanouts = {k: context.available_candidates(k) for k in set(classes)}
-        bidders_by_class = self._bidders_by_class
+        candidates_by_class = context.candidates_by_class
         full = {
             k
             for k, candidates in fanouts.items()
-            if candidates and len(candidates) == len(bidders_by_class[k])
+            if candidates and len(candidates) == len(candidates_by_class[k])
         }
         widths = [len(fanouts[k]) for k in classes]
         delays = network.round_trip_ms_batch(widths)
@@ -543,21 +506,11 @@ class QantAllocator(Allocator):
         Returns the winning node id, or ``None`` when every bidder refused.
         """
         context = self.context
-        num_candidates = len(candidates)
-        # Single-pass bid collection over the precompiled fan-out.  Each
-        # bidder answers the request-for-bid with `quote` semantics: the
-        # unconditional price dynamics (refusals must keep adjusting prices
-        # so the overload signal can form) plus the Section 5.1 activation
-        # rule (the supply vector is only enforced while the node's prices
-        # signal overload).  For plain pricing agents the whole exchange is
-        # inlined here against the agent's live state lists — this loop
-        # runs nodes x requests times and dominates paper-scale wall-clock,
-        # so it trades one method call per node for direct list reads.
-        # Any change here must stay in lock-step with
-        # `QantPricingAgent.quote` (same arithmetic, same clamp order) or
-        # golden traces will move.
-        bidders = self._bidders_by_class[class_index]
-        full_fanout = len(bidders) == num_candidates
+        full_fanout = len(candidates) == len(
+            context.candidates_by_class[class_index]
+        )
+        vector = use_vector or self._vector_singles
+        dispatcher = self._dispatcher if vector else None
         if full_fanout:
             if self._saturated_in.get(class_index) == self._period_serial:
                 # Every bidder is saturated (no supply, price at the cap,
@@ -568,12 +521,10 @@ class QantAllocator(Allocator):
                 deferred = self._deferred_refusals
                 deferred[class_index] = deferred.get(class_index, 0) + 1
                 return None
-            vector = use_vector or self._vector_singles
-            dispatcher = self._dispatcher if vector else None
             if dispatcher is not None:
                 # Vectorised exchange over the full fan-out: same offers,
                 # price raises, latch updates and accept as the scalar
-                # loop below, as a handful of numpy ops (see
+                # negotiation below, as a handful of numpy ops (see
                 # repro.allocation.market_tick for the bit-identity
                 # argument).  Only taken mid-batch or during a federation
                 # run (`_vector_singles`), where every observer goes
@@ -585,102 +536,28 @@ class QantAllocator(Allocator):
                 if chosen is None and now_saturated:
                     self._saturated_in[class_index] = self._period_serial
                 return chosen
-            saturated = True
-        else:
-            # Some candidate is in an outage window: run the fan-out over
-            # the filtered bidders for this query only (failure
-            # experiments), and never record saturation from a partial
-            # exchange.
-            dispatcher = self._dispatcher
-            if dispatcher is not None and (use_vector or self._vector_singles):
-                dispatcher.stats.scalar_fallbacks += 1
-            live = set(candidates)
-            bidders = [b for b in bidders if b[0] in live]
-            saturated = False
-        # The scalar loop below reads and writes the live agent lists.
+        elif dispatcher is not None:
+            # Some candidate is in an outage window: this query's fan-out
+            # runs over the live bidders only (failure experiments).
+            dispatcher.stats.scalar_fallbacks += 1
+        # The scalar negotiation reads and writes the live agent lists.
         self.sync_market_state()
-        threshold = self._activation_threshold
-        factor = self._raise_factor
-        floor = self._price_floor
-        cap = self._price_cap
-        offers = []
-        append = offers.append
-        for node_id, agent, remaining, values, refused in bidders:
-            if agent is None:
-                append(node_id)
-                saturated = False
-                continue
-            if remaining is None:
-                # Privately-classifying agent: quote through the method.
-                saturated = False
-                if agent.quote(class_index, threshold):
-                    append(node_id)
-                continue
-            if remaining[class_index] >= 1.0:
-                append(node_id)
-                saturated = False
-                continue
-            # Refusal: raise the class price (steps 8-9), then apply the
-            # activation rule — mirrors `QantPricingAgent.quote` exactly.
-            refused[class_index] += 1
-            old = values[class_index]
-            new = old * factor
-            if new < floor:
-                new = floor
-            elif new > cap:
-                new = cap
-            if new != old:
-                values[class_index] = new
-                agent._price_epoch += 1
-                agent._prices_cache = None
-                if agent._max_price is not None and new > agent._max_price:
-                    agent._max_price = new
-            if new != cap:
-                # Price still below the cap: the next refusal will move it
-                # again, so this bidder is not yet a no-op.
-                saturated = False
-            if threshold is None:
-                continue
-            if agent._enforce_locked_at is not None:
-                # The allocator quotes one fixed threshold, so the latch
-                # value can only be `threshold` itself: still locked.
-                continue
-            max_price = agent._max_price
-            if max_price is None:
-                max_price = max(values)
-                agent._max_price = max_price
-            if max_price < threshold:
-                append(node_id)
-                saturated = False
-            else:
-                agent._enforce_locked_at = threshold
-        if offers and self._max_offer_premium is not None:
-            offers = self._filter_premium(offers, candidates, class_index)
-        if not offers:
-            if saturated:
+        offers = self._negotiate(class_index, candidates)
+        if offers:
+            return self._award(offers, class_index)
+        if full_fanout:
+            # The same condition the dispatcher reports: every bidder is a
+            # plain agent whose class price is pinned at the cap (nobody
+            # offered, so none has supply and, with a threshold, every
+            # latch is set).  Never recorded from a partial exchange.
+            cap = self._params.price_cap
+            if all(
+                isinstance(agent, QantPricingAgent)
+                and agent._price_values[class_index] == cap
+                for agent in map(self._agents.get, candidates)
+            ):
                 self._saturated_in[class_index] = self._period_serial
-            return None
-        # Earliest-estimated-completion winner, inlined (node-id ascending,
-        # strict `<`, so ties resolve to the lowest id — the same order
-        # `_best_offer` produces).  `estimated_completion_ms` is unrolled
-        # for the serial-node common case.
-        nodes = context.nodes
-        now = context.simulator.now
-        chosen = -1
-        best = float("inf")
-        for nid in offers:
-            node = nodes[nid]
-            slot_free = node._slot_free_at
-            earliest = slot_free[0] if len(slot_free) == 1 else min(slot_free)
-            start = now if now >= earliest else earliest
-            estimate = start + node._costs[class_index]
-            if estimate < best:
-                best = estimate
-                chosen = nid
-        agent = self._agents.get(chosen)
-        if agent is not None and agent.supply_left(class_index) >= 1:
-            agent.accept(class_index)
-        return chosen
+        return None
 
     def _assign_faulty(self, query: Query) -> AssignmentDecision:
         """The request-for-bid exchange under message-level faults.
@@ -703,28 +580,13 @@ class QantAllocator(Allocator):
         if not candidates:
             return AssignmentDecision(node_id=None)
         exchange = self._request_bids(query, candidates)
-        delay = exchange.delay_ms
-        messages = exchange.messages
-        delivered = exchange.delivered
-        replied = exchange.replied
-        threshold = self._activation_threshold
-        agents = self._agents
-        offered = set()
-        for nid in delivered:
-            agent = agents.get(nid)
-            if agent is None or agent.quote(class_index, threshold):
-                offered.add(nid)
-        offers = [nid for nid in replied if nid in offered]
-        if offers and self._max_offer_premium is not None:
-            offers = self._filter_premium(offers, candidates, class_index)
+        chosen = None
+        offered = set(self._negotiate(class_index, exchange.delivered))
+        offers = [nid for nid in exchange.replied if nid in offered]
         if offers:
-            chosen = self._best_offer(offers, class_index)
             self._last_good[class_index] = tuple(offers)
-            agent = agents.get(chosen)
-            if agent is not None and agent.supply_left(class_index) >= 1:
-                agent.accept(class_index)
-            return AssignmentDecision(chosen, delay_ms=delay, messages=messages)
-        if not replied:
+            chosen = self._award(offers, class_index)
+        elif not exchange.replied:
             # Total silence (every reply lost, late, or partitioned away):
             # fall back to the stale cache instead of stalling.
             cached = self._last_good.get(class_index, ())
@@ -735,54 +597,46 @@ class QantAllocator(Allocator):
                 context.simulator.now,
             )
             if reachable:
-                chosen = self._best_offer(reachable, class_index)
+                chosen = self._award(reachable, class_index)
                 faults.note_degraded()
-                agent = agents.get(chosen)
-                if agent is not None and agent.supply_left(class_index) >= 1:
-                    agent.accept(class_index)
-                return AssignmentDecision(
-                    chosen, delay_ms=delay, messages=messages
-                )
-        return AssignmentDecision(node_id=None, delay_ms=delay, messages=messages)
+        return AssignmentDecision(
+            chosen, delay_ms=exchange.delay_ms, messages=exchange.messages
+        )
 
     # -- internals ------------------------------------------------------------------
 
-    def _best_offer(self, offers, class_index: int) -> int:
-        """Pick the offering node with the earliest estimated completion."""
+    def _negotiate(self, class_index: int, delivered) -> List[int]:
+        """One scalar request-for-bid exchange (Def. 4); returns the offers.
+
+        Every bidder the request was ``delivered`` to answers through the
+        paper listing, :meth:`~repro.core.qant.QantPricingAgent.quote`:
+        the unconditional price dynamics (refusals must keep adjusting
+        prices so the overload signal can form) plus the Section 5.1
+        activation rule (the supply vector is only enforced while the
+        node's prices signal overload).  A non-adopter always offers.
+        """
+        threshold = self._activation_threshold
+        agent_of = self._agents.get
+        return [
+            node_id
+            for node_id in delivered
+            if (agent := agent_of(node_id)) is None
+            or agent.quote(class_index, threshold)
+        ]
+
+    def _award(self, offers, class_index: int) -> int:
+        """Accept the offer with the earliest estimated completion.
+
+        Ties resolve to the lowest node id.  The winner pays one unit of
+        supply if it has one (a non-adopter, or a node offering below the
+        activation threshold, has none to pay).
+        """
         nodes = self.context.nodes
-        return min(
-            offers,
-            key=lambda nid: (
-                nodes[nid].estimated_completion_ms(class_index),
-                nid,
-            ),
+        __, chosen = min(
+            [(nodes[nid].estimated_completion_ms(class_index), nid)
+             for nid in offers]
         )
-
-    def _filter_premium(self, offers, candidates, class_index: int):
-        """Drop offers whose execution time is beyond the premium cap.
-
-        The client already holds every candidate's execution-time estimate
-        from the probe round; declining an offer more than
-        ``max_offer_premium`` times the class's best estimate and retrying
-        next period is preferable to committing to a far-inferior mirror.
-        """
-        if self._max_offer_premium is None or not offers:
-            return offers
-        nodes = self.context.nodes
-        # One estimate per candidate, reused for both the best-estimate
-        # baseline and the per-offer comparison.
-        exec_ms = {
-            nid: nodes[nid].execution_time_ms(class_index)
-            for nid in candidates
-        }
-        cap = min(exec_ms.values()) * self._max_offer_premium
-        return [nid for nid in offers if exec_ms[nid] <= cap]
-
-    def _node_enforcing(self, agent: QantPricingAgent) -> bool:
-        """Whether this node currently enforces its supply vector.
-
-        Decentralised: the decision uses only the node's own prices.
-        """
-        if self._activation_threshold is None:
-            return True
-        return agent.max_price >= self._activation_threshold
+        agent = self._agents.get(chosen)
+        if agent is not None and agent.supply_left(class_index) >= 1:
+            agent.accept(class_index)
+        return chosen

@@ -233,12 +233,14 @@ class PrivatelyClassifiedAgent:
     ) -> bool:
         """Fused would-offer + activation check over the private buckets.
 
-        Mirrors :meth:`QantPricingAgent.quote`: the fan-out fast path the
-        federation allocator drives, translated to this node's buckets.
+        Mirrors :meth:`QantPricingAgent.quote`, the call the federation
+        allocator's negotiation drives, translated to this node's buckets.
         An inevaluable class is refused without a price signal — and
         without consulting the activation threshold, since no price level
         can make the missing data appear.
         """
+        if not 0 <= global_class < self.num_classes:
+            raise IndexError("class index %d out of range" % global_class)
         if math.isinf(self._global_costs[global_class]):
             return False
         return self._agent.quote(

@@ -41,10 +41,8 @@ Exactly one side holds the market state at any instant (DESIGN.md §5.2):
 the agents' Python lists while ``agents_live`` (scalar quotes, direct API
 use, an observer reading them), else the matrices.
 :meth:`QantPeriodEngine.adopt` gathers the lists into the matrices,
-:meth:`QantPeriodEngine.materialise` scatters them back with
-identity-preserving slice assignment (the allocator's inlined fan-out
-holds live references via ``bid_state``), and a boundary leaves the state
-on whichever side held it on entry.
+:meth:`QantPeriodEngine.materialise` scatters them back, and a boundary
+leaves the state on whichever side held it on entry.
 """
 
 from __future__ import annotations
@@ -62,6 +60,7 @@ __all__ = [
     "BATCHED_METHODS",
     "PeriodEngineStats",
     "QantPeriodEngine",
+    "unsold_decay",
 ]
 
 #: Supply-solver methods the batched path replicates bit-for-bit.  The
@@ -74,6 +73,24 @@ BATCHED_METHODS = frozenset(
 #: Mirrors the default ``sharpness`` of
 #: :meth:`repro.core.supply.CapacitySupplySet._solve_proportional`.
 _PROP_SHARPNESS = 2.0
+
+
+def unsold_decay(prices, remaining, adjustment, floor):
+    """Steps 12-14 over arrays: prices after the unsold-supply decay.
+
+    Every element with unsold supply decays,
+    ``p_k *= max(0, 1 - leftover*lambda)`` clamped at the floor — the
+    same expression (and clamp order) as the scalar
+    :meth:`~repro.core.qant.QantPricingAgent._lower_price`, applied
+    elementwise; the others keep their bits.  The one array spelling of
+    the decay: :class:`QantPeriodEngine` and the shard market planes
+    (:meth:`repro.sim.shards._MarketPlane.boundary`) both call it.
+    """
+    factor = 1.0 - remaining * adjustment
+    np.maximum(factor, 0.0, out=factor)
+    decayed = prices * factor
+    np.maximum(decayed, floor, out=decayed)
+    return np.where(remaining > 0.0, decayed, prices)
 
 
 @dataclass
@@ -290,9 +307,6 @@ class QantPeriodEngine:
     def materialise(self) -> None:
         """Write the market state back into the agents; they are live again.
 
-        Slice assignment everywhere: the allocator's compiled bidder
-        tuples hold the very list objects (`bid_state`), so their
-        identity must survive — the same contract `begin_period` keeps.
         Counters and the enforce latch get their period-start values; the
         market-tick dispatcher overlays in-period activity afterwards.
         """
@@ -373,18 +387,11 @@ class QantPeriodEngine:
         n = len(self._agents)
         prices = self._prices
 
-        # Steps 12-14, batched: every class with unsold supply decays,
-        # ``p_k *= max(0, 1 - leftover*lambda)`` clamped at the floor —
-        # the same expression (and clamp order) as the scalar
-        # ``_lower_price``, applied elementwise, with one epoch bump per
-        # changed class.
+        # Steps 12-14, batched, with one epoch bump per changed class.
         if self._started:
-            remaining = self._remaining
-            factor = 1.0 - remaining * self._lam
-            np.maximum(factor, 0.0, out=factor)
-            decayed = prices * factor
-            np.maximum(decayed, self._floor, out=decayed)
-            new_prices = np.where(remaining > 0.0, decayed, prices)
+            new_prices = unsold_decay(
+                prices, self._remaining, self._lam, self._floor
+            )
             self._epochs += (new_prices != prices).sum(axis=1)
             prices = self._prices = new_prices
 

@@ -134,16 +134,11 @@ class QantPricingAgent:
         self._prices_cache: Optional[PriceVector] = initial
         self._price_epoch = 0
         self._max_price = max(self._price_values)
-        # The multiplicative raise step, precomputed once: the per-refusal
-        # fast path (`quote`) multiplies by it directly.
-        self._raise_factor = 1.0 + self._params.adjustment
         self._token_base = next(_AGENT_TOKENS)
         self._num_classes = num_classes
-        # These per-period state lists are mutated strictly in place and
-        # never rebound (see `begin_period`): the federation allocator's
-        # inlined fan-out loop caches direct references to them via
-        # `bid_state` and relies on their identity staying stable for the
-        # agent's whole lifetime.
+        # Per-period state.  The array engines (`period_engine`,
+        # `allocation.market_tick`) read and write these lists by name
+        # when the market state changes hands.
         self._remaining: List[float] = [0.0] * num_classes
         self._credit: List[float] = [0.0] * num_classes
         self._planned = QueryVector.zeros(num_classes)
@@ -266,8 +261,6 @@ class QantPricingAgent:
             )
         else:
             self._planned = optimal.rounded()
-        # In-place resets: the list objects must keep their identity (the
-        # allocator fast path holds references, see `bid_state`).
         self._remaining[:] = self._planned.components
         self._accepted[:] = [0] * self._num_classes
         self._refused[:] = [0] * self._num_classes
@@ -283,8 +276,6 @@ class QantPricingAgent:
         immediately (step 9) — a refusal is a trading failure and therefore
         a price signal.
         """
-        if not 0 <= class_index < self._num_classes:
-            self._check_class(class_index)
         return self.quote(class_index)
 
     def quote(
@@ -292,43 +283,25 @@ class QantPricingAgent:
     ) -> bool:
         """One node-side answer to a request-for-bid, in a single call.
 
-        This is the RFB fan-out fast path: it fuses :meth:`would_offer`
-        with the Section 5.1 activation rule the federation allocator
-        otherwise applies separately.  Returns True when the node's reply
+        The scalar spelling of the market (Def. 4) every scalar
+        negotiation goes through: :meth:`would_offer` fused with the
+        Section 5.1 activation rule.  Returns True when the node's reply
         to the client is an *offer* — either its supply vector covers the
         class, or (after the refusal raised the class price, as every
         trading failure must) its prices sit below
         ``activation_threshold`` so the vector is not enforced.  With the
         default ``activation_threshold=None`` the supply vector is always
         enforced and this is exactly :meth:`would_offer`.
-
-        The price update is inlined rather than delegated to
-        :meth:`_raise_price`: this runs ``nodes x queries`` times per
-        simulation, which dominates paper-scale wall-clock.
         """
-        # Guards trimmed to one attribute test: this is the innermost
-        # loop of the allocation path.
         if not self._in_period:
             self._require_period()
+        if not 0 <= class_index < self._num_classes:
+            self._check_class(class_index)
         if self._remaining[class_index] >= 1.0:
             return True
-        # Steps 8-9: refuse and raise the class price (same arithmetic and
-        # clamp order as `_raise_price`, so traces stay byte-identical).
+        # Steps 8-9: refuse and raise the class price.
         self._refused[class_index] += 1
-        values = self._price_values
-        old = values[class_index]
-        new = old * self._raise_factor
-        params = self._params
-        if new < params.price_floor:
-            new = params.price_floor
-        elif new > params.price_cap:
-            new = params.price_cap
-        if new != old:
-            values[class_index] = new
-            self._price_epoch += 1
-            self._prices_cache = None
-            if self._max_price is not None and new > self._max_price:
-                self._max_price = new
+        self._raise_price(class_index)
         if activation_threshold is None:
             return False
         # Within a period prices only rise, so once the threshold is
@@ -337,27 +310,15 @@ class QantPricingAgent:
         locked_at = self._enforce_locked_at
         if locked_at is not None and activation_threshold <= locked_at:
             return False
+        # Read the cached maximum directly: the `max_price` property costs
+        # a call frame per refusal, and only it knows how to recompute.
         max_price = self._max_price
         if max_price is None:
-            max_price = max(values)
-            self._max_price = max_price
+            max_price = self.max_price
         if max_price < activation_threshold:
             return True
         self._enforce_locked_at = activation_threshold
         return False
-
-    def bid_state(self) -> Tuple[List[float], List[float], List[int]]:
-        """The agent's mutable per-period cells, for inlined fan-out loops.
-
-        Returns ``(remaining, price_values, refused)`` — the *live* list
-        objects, guaranteed never to be rebound for the agent's lifetime
-        (``begin_period`` resets them in place).  The federation
-        allocator's request-for-bid loop holds these references and
-        mirrors :meth:`quote` without a Python call frame per node; any
-        mutation it performs must follow exactly the update sequence
-        documented there.
-        """
-        return self._remaining, self._price_values, self._refused
 
     def supply_left(self, class_index: int) -> float:
         """Remaining unsold supply of one class (no tuple materialised).
@@ -415,12 +376,13 @@ class QantPricingAgent:
 
     def _raise_price(self, class_index: int) -> None:
         values = self._price_values
+        params = self._params
         old = values[class_index]
-        new = old * (1.0 + self._params.adjustment)
-        if new < self._params.price_floor:
-            new = self._params.price_floor
-        if new > self._params.price_cap:
-            new = self._params.price_cap
+        new = old * (1.0 + params.adjustment)
+        if new < params.price_floor:
+            new = params.price_floor
+        if new > params.price_cap:
+            new = params.price_cap
         if new != old:
             values[class_index] = new
             self._price_epoch += 1

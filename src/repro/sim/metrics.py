@@ -371,7 +371,7 @@ class MetricsCollector:
 
     @property
     def scalar_fallbacks(self) -> int:
-        """Exchanges the dispatcher dropped to the scalar loop for."""
+        """Exchanges the dispatcher dropped to the scalar negotiation for."""
         return self._scalar_fallbacks
 
     @property

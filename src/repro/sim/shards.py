@@ -77,6 +77,7 @@ try:  # Same optional posture as repro.sim.fleet: no numpy, no sharding.
 except ImportError:  # pragma: no cover - single-process paths cover this
     _np = None
 
+from ..core.period_engine import unsold_decay
 from ..core.qant import QantParameters
 from ..protocol.messages import (
     BidBatch,
@@ -616,15 +617,10 @@ class _MarketPlane:
         pending count left after the retry tick."""
         if not self._qa:
             return self._pending_count
-        R = self._Rf
-        V = self._Vf
-        mask = R > 0.0
-        if mask.any():
-            f = 1.0 - R * self._adjustment
-            _np.maximum(f, 0.0, out=f)
-            new = V * f
-            _np.maximum(new, self._floor, out=new)
-            V[:] = _np.where(mask, new, V)
+        if (self._Rf > 0.0).any():
+            self._Vf[:] = unsold_decay(
+                self._Vf, self._Rf, self._adjustment, self._floor
+            )
         if len(self._ids):
             self._period_solve(now)
         self._boundaries += 1

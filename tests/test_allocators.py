@@ -282,21 +282,6 @@ class TestQant:
             <= planned_before[nid].total()
         )
 
-    def test_offer_premium_filters_slow_mirrors(self):
-        # A huge threshold keeps every node non-enforcing (all offer), so
-        # the premium filter is the only selection pressure.
-        allocator = QantAllocator(
-            activation_threshold=1e9, max_offer_premium=1.0
-        )
-        fed = make_federation(allocator)
-        decision = allocator.assign(query())
-        nodes = fed.nodes
-        candidates = allocator.context.candidates(0)
-        best_exec = min(nodes[n].execution_time_ms(0) for n in candidates)
-        assert nodes[decision.node_id].execution_time_ms(0) == pytest.approx(
-            best_exec
-        )
-
     def test_bad_allowance_factor_rejected(self):
         with pytest.raises(ValueError):
             QantAllocator(allowance_factor=0.0)

@@ -20,6 +20,8 @@ import pathlib
 
 import pytest
 
+from test_batch_dispatch import _MID_PERIOD_OUTAGE, _agent_state
+
 from repro.allocation import GreedyAllocator, QantAllocator, RoundRobinAllocator
 from repro.experiments.runner import _json_safe, run_sweep
 from repro.experiments.scaling import quantise_trace
@@ -29,7 +31,8 @@ from repro.experiments.setups import (
     two_query_world,
 )
 from repro.experiments.spec import REGISTRY
-from repro.sim import FederationConfig
+from repro.query.model import Query
+from repro.sim import FederationConfig, build_federation
 from repro.sim.faults import FaultSpec, half_partition
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
@@ -227,6 +230,97 @@ def scaling_1000node_payload() -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
+def scalar_paths_payload() -> str:
+    """The configurations only the scalar listing ever prices, bit for bit.
+
+    A fleet with non-adopters or private classifications never builds a
+    market-tick dispatcher, an outage window turns full fan-outs into
+    partial ones, and a directly driven allocator (no ``Federation.run``)
+    keeps its agents live: all four negotiate through
+    ``QantPricingAgent.quote``.  Each run pins every outcome, the message
+    count and every agent's final market state.
+    """
+    world = two_query_world(num_nodes=12, seed=5)
+    trace = sinusoid_trace_for_load(
+        world,
+        load_fraction=2.5,
+        horizon_ms=3_000.0,
+        frequency_hz=0.05,
+        seed=15,
+    )
+
+    def federation(allocator, **config):
+        return build_federation(
+            world.specs,
+            world.placement,
+            world.classes,
+            world.cost_model,
+            allocator,
+            FederationConfig(seed=2, **config),
+        )
+
+    def agents(allocator):
+        # repr() pins the floats to the last bit; a privately-classifying
+        # agent's market is its bucket agent.
+        return {
+            str(node_id): repr(
+                _agent_state(getattr(agent, "private_agent", agent))
+            )
+            for node_id, agent in sorted(allocator.agents.items())
+        }
+
+    payload = {}
+    for name, make, config in (
+        ("partial_adoption", lambda: QantAllocator(adopters=range(6)), {}),
+        ("private_buckets", lambda: QantAllocator(private_buckets=2), {}),
+        (
+            "outage_batched",
+            QantAllocator,
+            {"faults": _MID_PERIOD_OUTAGE, "batch_ticks": True},
+        ),
+        (
+            "outage_unbatched",
+            QantAllocator,
+            {"faults": _MID_PERIOD_OUTAGE, "batch_ticks": False},
+        ),
+    ):
+        allocator = make()
+        fed = federation(allocator, **config)
+        metrics = fed.run(trace)
+        payload[name] = {
+            "outcome_digest": _outcome_digest(metrics.outcomes),
+            "dropped": metrics.dropped,
+            "messages": fed.network.messages_sent,
+            "agents": agents(allocator),
+        }
+    # Direct API: bind, then three periods of `assign` + enqueue by hand
+    # with the clock at zero, so supply sells out and refusals raise
+    # prices until the activation threshold latches; the last period is
+    # left open so the refusal counters and latches are in the pin.
+    allocator = QantAllocator()
+    fed = federation(allocator)
+    decisions = []
+    for qid in range(180):
+        query = Query(
+            qid=qid, class_index=qid % 2, origin_node=qid % 12, arrival_ms=0.0
+        )
+        decision = allocator.assign(query)
+        decisions.append(
+            (decision.node_id, decision.delay_ms, decision.messages)
+        )
+        if decision.node_id is not None:
+            fed.nodes[decision.node_id].enqueue(query)
+        if qid in (59, 119):
+            allocator.on_period_start()
+    payload["direct_api"] = {
+        "assigned": sum(node_id is not None for node_id, __, __ in decisions),
+        "decision_digest": hashlib.sha256(repr(decisions).encode()).hexdigest(),
+        "messages": fed.network.messages_sent,
+        "agents": agents(allocator),
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def _golden(name: str) -> str:
     return (GOLDEN_DIR / name).read_text()
 
@@ -263,3 +357,10 @@ def test_ablation_rounding_small_seed0_matches_golden():
     assert _serialize("ablation-rounding") == _golden(
         "ablation_rounding_small_seed0.json"
     )
+
+
+def test_scalar_paths_match_golden():
+    """Partial adoption, private buckets, a mid-period outage (batched and
+    not) and a hand-driven allocator reproduce the stored digests and
+    final agent states bit-for-bit."""
+    assert scalar_paths_payload() == _golden("scalar_paths_seed0.json")

@@ -15,9 +15,16 @@ trace bug waiting to happen.
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.period_engine import BATCHED_METHODS, QantPeriodEngine
+from repro.core.period_engine import (
+    BATCHED_METHODS,
+    QantPeriodEngine,
+    unsold_decay,
+)
 from repro.core.qant import QantParameters, QantPricingAgent
 from repro.core.supply import CapacitySupplySet, ExplicitSupplySet
 from repro.core.vectors import QueryVector
@@ -340,3 +347,36 @@ class TestObservability:
         assert engine.deferred_ticks_pending == 0
         allocator.sync_market_state()  # idempotent on a settled engine
         assert engine.deferred_ticks_pending == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(
+        st.tuples(
+            st.floats(min_value=1e-6, max_value=1e9),
+            # Up to 50 unsold queries: `leftover * lambda >= 1` included.
+            st.integers(min_value=0, max_value=50),
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+    st.sampled_from([0.01, 0.1, 0.5]),
+)
+def test_unsold_decay_matches_the_paper_listing(cells, adjustment):
+    # The array steps 12-14 against the scalar `_lower_price`, class by
+    # class: equal bits, and a changed-mask equal to the scalar epoch bumps.
+    prices = [price for price, __ in cells]
+    leftover = [float(count) for __, count in cells]
+    params = QantParameters(adjustment=adjustment)
+    decayed = unsold_decay(
+        np.array(prices), np.array(leftover), adjustment, params.price_floor
+    )
+    for k, (price, unsold) in enumerate(zip(prices, leftover)):
+        agent = QantPricingAgent(
+            CapacitySupplySet([100.0], 1_000.0), parameters=params
+        )
+        agent._price_values[0] = price
+        if unsold > 0:
+            agent._lower_price(0, unsold)
+        assert agent._price_values[0].hex() == float(decayed[k]).hex()
+        assert agent.price_epoch == int(decayed[k] != price)

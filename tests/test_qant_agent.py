@@ -2,6 +2,10 @@
 
 import pytest
 
+from repro.core.classification import (
+    PrivatelyClassifiedAgent,
+    cost_band_classification,
+)
 from repro.core.market import PriceVector
 from repro.core.qant import QantParameters, QantPricingAgent
 from repro.core.supply import CapacitySupplySet
@@ -74,6 +78,19 @@ class TestPeriodLifecycle:
         agent.begin_period()
         with pytest.raises(IndexError):
             agent.would_offer(5)
+
+    def test_quote_rejects_out_of_range_classes(self):
+        # A negative index must not wrap around to the last class and
+        # silently refuse-and-raise it.
+        scheme = cost_band_classification([100.0, 200.0], 2)
+        private = PrivatelyClassifiedAgent(scheme, [100.0, 200.0], 1000.0)
+        for agent in (make_agent(capacity=0.0), private):
+            agent.begin_period()
+            before = tuple(agent.prices)
+            for class_index in (-1, 2):
+                with pytest.raises(IndexError):
+                    agent.quote(class_index)
+            assert tuple(agent.prices) == before
 
 
 class TestPriceDynamics:
