@@ -31,6 +31,8 @@ perf-pairs:
 	python3 tools/perf_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
 	    --seed $(SEED) --pairs $(PAIRS)
 
+# The five walkthroughs, end to end (the CI "Examples" step; ~13 s).
+# Like `test`, needs `make install` or PYTHONPATH=src.
 examples:
 	$(PYTHON) examples/quickstart.py
 	$(PYTHON) examples/overload_surge.py

@@ -4,13 +4,14 @@ Generates the paper's Table 3 world — a mirrored catalog of relations
 spread over heterogeneous RDBMSs, select-join-project-sort query classes
 with up to dozens of joins — and studies how QA-NT's advantage over
 Greedy changes with the workload's mean inter-arrival time (the Figure 6
-experiment at example scale).
+experiment at its ``small`` scale).
 
 Run:  python examples/zipf_federation.py
 """
 
-from repro.experiments.fig6 import run_fig6
+from repro.experiments.runner import run_sweep
 from repro.experiments.setups import zipf_world
+from repro.experiments.spec import REGISTRY
 from repro.experiments.table3 import run_table3
 
 
@@ -22,24 +23,17 @@ def main() -> None:
     print(run_table3(world=world).render())
     print()
 
-    result = run_fig6(
-        interarrivals_ms=(1_000.0, 5_000.0, 10_000.0, 17_000.0),
-        num_nodes=30,
-        num_relations=300,
-        num_classes=30,
-        max_queries=2_500,
-        horizon_ms=200_000.0,
-        seed=0,
-    )
+    # The registered ``fig6`` sweep; its "small" preset is this world.
+    result = run_sweep(REGISTRY.get("fig6"), scale="small", seeds=(0,))
     print("Greedy response normalised by QA-NT (>1 means QA-NT wins):")
     print(result.render())
     print()
-    overloaded = result.greedy_normalised[0]
-    relaxed = result.greedy_normalised[-1]
+    ratios = [stats.mean for stats in result.ratio_series()]
     print(
-        "Under overload QA-NT wins by %.0f%%; once the system is no longer"
-        " overloaded the two converge (ratio %.2f)."
-        % (100 * (overloaded - 1.0), relaxed)
+        "Under overload (%.0f ms between arrivals) QA-NT wins by %.0f%%; at"
+        " the %.0f ms crossover the system is no longer overloaded and the"
+        " two converge (ratio %.2f)."
+        % (result.points[0], 100 * (ratios[0] - 1.0), result.points[-1], ratios[-1])
     )
 
 

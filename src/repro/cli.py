@@ -31,7 +31,7 @@ from __future__ import annotations
 import argparse
 import sys
 import time
-from typing import Callable, Dict, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from . import experiments as _experiments  # noqa: F401  (populates the registry)
 from .experiments.runner import (
@@ -44,35 +44,11 @@ from .experiments.runner import (
 )
 from .experiments.spec import REGISTRY, SCALES, ScenarioSpec
 
-__all__ = ["main", "EXPERIMENTS"]
+__all__ = ["main"]
 
 #: Mirrors :data:`repro.profiling.SORT_KEYS` without importing cProfile
 #: machinery at CLI-parse time.
 _PROFILE_SORT_KEYS = ("tottime", "cumtime", "ncalls")
-
-
-def _legacy_entry(name: str) -> Callable[[str, int], object]:
-    """A ``callable(scale, seed)`` view of one registered experiment.
-
-    Sweepable specs return a :class:`SweepResult`; plain specs return the
-    driver's native result object.  Both carry ``render()``/``to_dict()``.
-    """
-
-    def run(scale: str, seed: int) -> object:
-        spec = REGISTRY.get(name)
-        if spec.sweepable:
-            return run_sweep(spec, scale=scale, seeds=(seed,))
-        return run_single(spec, scale, seed)
-
-    return run
-
-
-#: Legacy registry view: experiment name -> callable(scale, seed) returning
-#: an object with a ``render()`` method.  Kept importable for callers of the
-#: pre-registry CLI; the names are exactly ``REGISTRY.names()``.
-EXPERIMENTS: Dict[str, Callable[[str, int], object]] = {
-    name: _legacy_entry(name) for name in REGISTRY.names()
-}
 
 
 def _progress(message: str) -> None:

@@ -20,8 +20,7 @@
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict
 
 from ..allocation import GreedyAllocator, MarkovAllocator, QantAllocator
 from ..core import (
@@ -32,9 +31,7 @@ from ..core import (
 )
 from ..sim import FederationConfig
 from ..workload import PoissonArrivals, build_trace
-from .reporting import format_series, format_table
 from .setups import (
-    World,
     run_mechanism,
     sinusoid_trace_for_load,
     two_query_world,
@@ -42,51 +39,15 @@ from .setups import (
 from .spec import ScalePreset, ScenarioSpec, register
 
 __all__ = [
-    "LambdaSweepResult",
-    "PeriodSweepResult",
-    "PartialAdoptionResult",
-    "StaticWorkloadResult",
-    "RoundingAblationResult",
     "lambda_cell",
     "period_cell",
     "partial_adoption_cell",
     "static_markov_cell",
     "rounding_cell",
-    "run_lambda_sweep",
-    "run_period_sweep",
-    "run_partial_adoption",
-    "run_static_markov",
-    "run_rounding_ablation",
 ]
 
 
 # --------------------------------------------------------------------------- A1
-
-
-@dataclass
-class LambdaSweepResult:
-    """Tatonnement convergence and QA-NT response per lambda."""
-
-    lambdas: List[float]
-    tatonnement_iterations: List[int]
-    tatonnement_residual: List[float]
-    qant_response_ms: List[float]
-
-    def render(self) -> str:
-        """All three series as a table."""
-        return format_table(
-            ("lambda", "umpire iterations", "residual excess", "qa-nt response (ms)"),
-            zip(
-                self.lambdas,
-                self.tatonnement_iterations,
-                self.tatonnement_residual,
-                self.qant_response_ms,
-            ),
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-ready form of all three series."""
-        return asdict(self)
 
 
 def _umpire_convergence(lam: float) -> tuple:
@@ -126,11 +87,10 @@ def lambda_cell(
     num_nodes: int = 30,
     horizon_ms: float = 40_000.0,
     load_fraction: float = 1.2,
-    world: Optional[World] = None,
 ) -> Dict[str, float]:
     """One (lambda, seed) sweep cell: umpire convergence + QA-NT response."""
     iterations, residual = _umpire_convergence(adjustment_lambda)
-    world = world or two_query_world(num_nodes=num_nodes, seed=seed)
+    world = two_query_world(num_nodes=num_nodes, seed=seed)
     trace = sinusoid_trace_for_load(
         world, load_fraction=load_fraction, horizon_ms=horizon_ms, seed=seed + 1
     )
@@ -149,62 +109,7 @@ def lambda_cell(
     return metrics
 
 
-def run_lambda_sweep(
-    lambdas: Sequence[float] = (0.001, 0.005, 0.02, 0.05),
-    num_nodes: int = 30,
-    horizon_ms: float = 40_000.0,
-    load_fraction: float = 1.2,
-    seed: int = 0,
-) -> LambdaSweepResult:
-    """Ablation A1: sweep the price-adjustment coefficient."""
-    world = two_query_world(num_nodes=num_nodes, seed=seed)
-    iterations, residuals, responses = [], [], []
-    for index, lam in enumerate(lambdas):
-        metrics = lambda_cell(
-            "qa-nt",
-            lam,
-            index,
-            seed,
-            horizon_ms=horizon_ms,
-            load_fraction=load_fraction,
-            world=world,
-        )
-        iterations.append(int(metrics["umpire_iterations"]))
-        residuals.append(metrics["umpire_residual"])
-        responses.append(metrics["mean_response_ms"])
-    return LambdaSweepResult(
-        lambdas=list(lambdas),
-        tatonnement_iterations=iterations,
-        tatonnement_residual=residuals,
-        qant_response_ms=responses,
-    )
-
-
 # --------------------------------------------------------------------------- A2
-
-
-@dataclass
-class PeriodSweepResult:
-    """QA-NT response per period length, on slow and fast dynamics."""
-
-    periods_ms: List[float]
-    response_slow_dynamics_ms: List[float]
-    response_fast_dynamics_ms: List[float]
-
-    def render(self) -> str:
-        """Both series as a table."""
-        return format_table(
-            ("T (ms)", "response @0.05Hz (ms)", "response @1Hz (ms)"),
-            zip(
-                self.periods_ms,
-                self.response_slow_dynamics_ms,
-                self.response_fast_dynamics_ms,
-            ),
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-ready form of both series."""
-        return asdict(self)
 
 
 #: The period sweep encodes the workload dynamics in the mechanism label
@@ -220,11 +125,10 @@ def period_cell(
     num_nodes: int = 30,
     horizon_ms: float = 40_000.0,
     load_fraction: float = 1.2,
-    world: Optional[World] = None,
 ) -> Dict[str, float]:
     """One (mechanism-label, period, seed) sweep cell for ablation A2."""
     frequency_hz = _PERIOD_FREQUENCIES[mechanism]
-    world = world or two_query_world(num_nodes=num_nodes, seed=seed)
+    world = two_query_world(num_nodes=num_nodes, seed=seed)
     trace = sinusoid_trace_for_load(
         world,
         load_fraction=load_fraction,
@@ -242,63 +146,7 @@ def period_cell(
     return run.metrics_dict()
 
 
-def run_period_sweep(
-    periods_ms: Sequence[float] = (125.0, 250.0, 500.0, 1000.0, 2000.0),
-    num_nodes: int = 30,
-    horizon_ms: float = 40_000.0,
-    load_fraction: float = 1.2,
-    seed: int = 0,
-) -> PeriodSweepResult:
-    """Ablation A2: sweep the market period length T."""
-    world = two_query_world(num_nodes=num_nodes, seed=seed)
-    slow, fast = [], []
-    for label, sink in (("qa-nt@0.05Hz", slow), ("qa-nt@1Hz", fast)):
-        for index, period in enumerate(periods_ms):
-            metrics = period_cell(
-                label,
-                period,
-                index,
-                seed,
-                horizon_ms=horizon_ms,
-                load_fraction=load_fraction,
-                world=world,
-            )
-            sink.append(metrics["mean_response_ms"])
-    return PeriodSweepResult(
-        periods_ms=list(periods_ms),
-        response_slow_dynamics_ms=slow,
-        response_fast_dynamics_ms=fast,
-    )
-
-
 # --------------------------------------------------------------------------- A3
-
-
-@dataclass
-class PartialAdoptionResult:
-    """Response time as the QA-NT adoption fraction grows."""
-
-    adoption_fractions: List[float]
-    response_ms: List[float]
-
-    def render(self) -> str:
-        """The adoption series as text."""
-        return format_series(
-            "qa-nt response (ms) vs adoption fraction",
-            self.adoption_fractions,
-            self.response_ms,
-        )
-
-    @property
-    def monotone_gain(self) -> bool:
-        """True iff full adoption beats zero adoption."""
-        return self.response_ms[-1] <= self.response_ms[0]
-
-    def to_dict(self) -> dict:
-        """JSON-ready form of the adoption series."""
-        payload = asdict(self)
-        payload["monotone_gain"] = self.monotone_gain
-        return payload
 
 
 def partial_adoption_cell(
@@ -309,10 +157,13 @@ def partial_adoption_cell(
     num_nodes: int = 40,
     horizon_ms: float = 40_000.0,
     load_fraction: float = 1.2,
-    world: Optional[World] = None,
 ) -> Dict[str, float]:
-    """One (adoption fraction, seed) sweep cell for ablation A3."""
-    world = world or two_query_world(num_nodes=num_nodes, seed=seed)
+    """One (adoption fraction, seed) sweep cell for ablation A3.
+
+    Non-adopting nodes always offer (greedy behaviour), so fraction 0.0
+    degenerates to Greedy and 1.0 to full QA-NT.
+    """
+    world = two_query_world(num_nodes=num_nodes, seed=seed)
     trace = sinusoid_trace_for_load(
         world, load_fraction=load_fraction, horizon_ms=horizon_ms, seed=seed + 1
     )
@@ -327,62 +178,7 @@ def partial_adoption_cell(
     return run.metrics_dict()
 
 
-def run_partial_adoption(
-    adoption_fractions: Sequence[float] = (0.0, 0.25, 0.5, 0.75, 1.0),
-    num_nodes: int = 40,
-    horizon_ms: float = 40_000.0,
-    load_fraction: float = 1.2,
-    seed: int = 0,
-) -> PartialAdoptionResult:
-    """Ablation A3: only a subset of nodes runs QA-NT.
-
-    Non-adopting nodes always offer (greedy behaviour), so fraction 0.0
-    degenerates to Greedy and 1.0 to full QA-NT.
-    """
-    world = two_query_world(num_nodes=num_nodes, seed=seed)
-    responses = []
-    for index, fraction in enumerate(adoption_fractions):
-        metrics = partial_adoption_cell(
-            "qa-nt",
-            fraction,
-            index,
-            seed,
-            horizon_ms=horizon_ms,
-            load_fraction=load_fraction,
-            world=world,
-        )
-        responses.append(metrics["mean_response_ms"])
-    return PartialAdoptionResult(
-        adoption_fractions=list(adoption_fractions), response_ms=responses
-    )
-
-
 # --------------------------------------------------------------------------- A4
-
-
-@dataclass
-class StaticWorkloadResult:
-    """Mechanism responses on a static Poisson workload."""
-
-    response_ms: Dict[str, float]
-
-    def render(self) -> str:
-        """Per-mechanism responses as a table."""
-        return format_table(
-            ("mechanism", "mean response (ms)"),
-            sorted(self.response_ms.items()),
-        )
-
-    @property
-    def qant_vs_markov(self) -> float:
-        """QA-NT's response relative to Markov's (paper: 'comes close')."""
-        return self.response_ms["qa-nt"] / self.response_ms["markov"]
-
-    def to_dict(self) -> dict:
-        """JSON-ready form of the per-mechanism responses."""
-        payload = asdict(self)
-        payload["qant_vs_markov"] = self.qant_vs_markov
-        return payload
 
 
 def static_markov_cell(
@@ -392,7 +188,6 @@ def static_markov_cell(
     seed: int,
     num_nodes: int = 30,
     horizon_ms: float = 60_000.0,
-    world: Optional[World] = None,
 ) -> Dict[str, float]:
     """One (mechanism, load, seed) sweep cell for ablation A4.
 
@@ -400,7 +195,7 @@ def static_markov_cell(
     the world's capacity inside the cell, exactly as the paper requires
     (the static allocator must be told the workload in advance).
     """
-    world = world or two_query_world(num_nodes=num_nodes, seed=seed)
+    world = two_query_world(num_nodes=num_nodes, seed=seed)
     capacity = world.capacity_qpms([2.0, 1.0])
     rate_q1 = load_fraction * capacity * 2.0 / 3.0
     rate_q2 = load_fraction * capacity / 3.0
@@ -425,50 +220,7 @@ def static_markov_cell(
     return run.metrics_dict()
 
 
-def run_static_markov(
-    num_nodes: int = 30,
-    horizon_ms: float = 60_000.0,
-    load_fraction: float = 0.7,
-    seed: int = 0,
-) -> StaticWorkloadResult:
-    """Ablation A4: static load, Markov vs QA-NT vs Greedy."""
-    world = two_query_world(num_nodes=num_nodes, seed=seed)
-    responses = {}
-    for mechanism in ("qa-nt", "greedy", "markov"):
-        metrics = static_markov_cell(
-            mechanism,
-            load_fraction,
-            0,
-            seed,
-            horizon_ms=horizon_ms,
-            world=world,
-        )
-        responses[mechanism] = metrics["mean_response_ms"]
-    return StaticWorkloadResult(response_ms=responses)
-
-
 # --------------------------------------------------------------------------- A5
-
-
-@dataclass
-class RoundingAblationResult:
-    """QA-NT response under different supply solvers, light vs heavy load."""
-
-    response_ms: Dict[str, Dict[str, float]]
-
-    def render(self) -> str:
-        """Solver x load grid as a table."""
-        solvers = sorted(self.response_ms)
-        loads = sorted(self.response_ms[solvers[0]])
-        rows = [
-            (solver, *[self.response_ms[solver][load] for load in loads])
-            for solver in solvers
-        ]
-        return format_table(("supply solver", *loads), rows)
-
-    def to_dict(self) -> dict:
-        """JSON-ready form of the solver x load grid."""
-        return asdict(self)
 
 
 #: The rounding ablation encodes the supply solver in the mechanism label.
@@ -486,11 +238,10 @@ def rounding_cell(
     seed: int,
     num_nodes: int = 30,
     horizon_ms: float = 40_000.0,
-    world: Optional[World] = None,
 ) -> Dict[str, float]:
     """One (solver-label, load, seed) sweep cell for ablation A5."""
     params = QantParameters(**_ROUNDING_PARAMETERS[mechanism])
-    world = world or two_query_world(num_nodes=num_nodes, seed=seed)
+    world = two_query_world(num_nodes=num_nodes, seed=seed)
     trace = sinusoid_trace_for_load(
         world, load_fraction=load_fraction, horizon_ms=horizon_ms, seed=seed + 1
     )
@@ -502,33 +253,6 @@ def rounding_cell(
         config=FederationConfig(seed=seed + 2, drain_ms=120_000.0),
     )
     return run.metrics_dict()
-
-
-def run_rounding_ablation(
-    num_nodes: int = 30,
-    horizon_ms: float = 40_000.0,
-    seed: int = 0,
-) -> RoundingAblationResult:
-    """Ablation A5: corner/integer supply vs smooth proportional supply.
-
-    The paper attributes Greedy's sub-75 %-load advantage to QA-NT's
-    integer rounding of small fractional equilibrium supplies; comparing
-    the "greedy" (integer corner, no carry) and "proportional" (smooth +
-    carry) solvers quantifies that design choice.
-    """
-    world = two_query_world(num_nodes=num_nodes, seed=seed)
-    results: Dict[str, Dict[str, float]] = {
-        name: {} for name in _ROUNDING_PARAMETERS
-    }
-    for index, (load_name, load) in enumerate(
-        (("light (50%)", 0.5), ("heavy (150%)", 1.5))
-    ):
-        for name in _ROUNDING_PARAMETERS:
-            metrics = rounding_cell(
-                name, load, index, seed, horizon_ms=horizon_ms, world=world
-            )
-            results[name][load_name] = metrics["mean_response_ms"]
-    return RoundingAblationResult(response_ms=results)
 
 
 # ----------------------------------------------------------------- registry

@@ -14,79 +14,29 @@ every mechanism sees the same failure schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterable, Tuple
 
 from ..allocation import Allocator, GreedyAllocator, QantAllocator
 from ..sim import FederationConfig, build_federation
 from ..sim.faults import FaultSpec
 from ..sim.metrics import recovery_time_ms
 from ..workload import PoissonArrivals, build_trace
-from .reporting import format_table
 from .setups import World, two_query_world
 from .spec import ScalePreset, ScenarioSpec, register
 
 __all__ = [
-    "FailureResult",
+    "failed_node_ids",
     "failures_cell",
-    "run_failures",
 ]
 
 
-@dataclass
-class FailureResult:
-    """Per-mechanism response times before / during / after the outage."""
-
-    outage_window_ms: Tuple[float, float]
-    failed_nodes: Tuple[int, ...]
-    #: mechanism -> {"before": ms, "during": ms, "after": ms}
-    phases: Dict[str, Dict[str, float]]
-
-    def degradation(self, mechanism: str) -> float:
-        """Response during the outage relative to before it."""
-        phase = self.phases[mechanism]
-        return phase["during"] / phase["before"]
-
-    def render(self) -> str:
-        """The three-phase comparison as a table."""
-        rows = [
-            (
-                mechanism,
-                phase["before"],
-                phase["during"],
-                phase["after"],
-                self.degradation(mechanism),
-                phase.get("recovery_ms", math.nan),
-            )
-            for mechanism, phase in sorted(self.phases.items())
-        ]
-        table = format_table(
-            (
-                "mechanism",
-                "before (ms)",
-                "during outage (ms)",
-                "after (ms)",
-                "degradation",
-                "recovery (ms)",
-            ),
-            rows,
-        )
-        return "%s\noutage: nodes %s down during [%.0f, %.0f) ms" % (
-            table,
-            list(self.failed_nodes),
-            *self.outage_window_ms,
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-ready form: phases plus the per-mechanism degradation."""
-        return {
-            "outage_window_ms": list(self.outage_window_ms),
-            "failed_nodes": list(self.failed_nodes),
-            "phases": {name: dict(phase) for name, phase in self.phases.items()},
-            "degradation": {
-                name: self.degradation(name) for name in self.phases
-            },
-        }
+def failed_node_ids(
+    node_ids: Iterable[int], failed_fraction: float
+) -> Tuple[int, ...]:
+    """The nodes an outage of ``failed_fraction`` of the federation takes."""
+    # Fail every k-th node so both Q2-capable (even) and Q1-only nodes go.
+    stride = max(1, int(1 / failed_fraction))
+    return tuple(nid for nid in node_ids if nid % stride == 0)
 
 
 def _failure_phases(
@@ -100,11 +50,10 @@ def _failure_phases(
     """Run one mechanism under the outage schedule; mean response per phase.
 
     The outage window is expressed as a scripted :class:`FaultSpec` and
-    driven through the fault scheduler — the same fail/drain semantics the
-    old ad-hoc per-node toggling had, now sharing the chaos experiments'
-    machinery.  A node-fault-only spec leaves the network and allocator
-    message paths untouched, so results match the pre-fault-layer runs
-    exactly.
+    driven through the fault scheduler, the chaos experiments' machinery
+    (a failed node drains its queue and accepts nothing new).  A
+    node-fault-only spec leaves the network and allocator message paths
+    untouched.
     """
     start_ms, end_ms = outage_window_ms
     federation = build_federation(
@@ -138,56 +87,19 @@ def failures_cell(
     outage_window_ms: Tuple[float, float] = (20_000.0, 40_000.0),
     horizon_ms: float = 60_000.0,
     load_fraction: float = 0.6,
-    world: Optional[World] = None,
 ) -> Dict[str, float]:
-    """One (mechanism, failed fraction, seed) sweep cell."""
-    world = world or two_query_world(num_nodes=num_nodes, seed=seed)
-    capacity = world.capacity_qpms([2.0, 1.0])
-    trace = build_trace(
-        {
-            0: PoissonArrivals(load_fraction * capacity * 2.0 / 3.0),
-            1: PoissonArrivals(load_fraction * capacity / 3.0),
-        },
-        horizon_ms=horizon_ms,
-        origin_nodes=world.placement.node_ids,
-        seed=seed + 1,
-    )
-    stride = max(1, int(1 / failed_fraction))
-    failed = tuple(nid for nid in world.placement.node_ids if nid % stride == 0)
-    factories = {"qa-nt": QantAllocator, "greedy": GreedyAllocator}
-    phases = _failure_phases(
-        world, trace, factories[mechanism], failed, outage_window_ms, seed
-    )
-    return {
-        "before_ms": phases["before"],
-        "during_ms": phases["during"],
-        "after_ms": phases["after"],
-        "degradation": phases["during"] / phases["before"],
-        "recovery_ms": phases["recovery_ms"],
-    }
+    """One (mechanism, failed fraction, seed) sweep cell.
 
-
-def run_failures(
-    num_nodes: int = 40,
-    failed_fraction: float = 0.3,
-    outage_window_ms: Tuple[float, float] = (20_000.0, 40_000.0),
-    horizon_ms: float = 60_000.0,
-    load_fraction: float = 0.6,
-    mechanisms: Optional[Dict[str, Callable[[], Allocator]]] = None,
-    seed: int = 0,
-) -> FailureResult:
-    """Steady Poisson load; a node subset fails mid-run.
-
-    ``load_fraction`` is relative to the *healthy* capacity, so with 30 %
-    of nodes down a 0.6 load typically exceeds the surviving capacity —
-    the paper's transient-overload scenario.
+    Steady Poisson load; a node subset fails mid-run.  ``load_fraction``
+    is relative to the *healthy* capacity, so with 30 % of nodes down a
+    0.6 load typically exceeds the surviving capacity — the paper's
+    transient-overload scenario.
     """
     if not 0 < failed_fraction < 1:
         raise ValueError("failed fraction must be in (0, 1)")
     start_ms, end_ms = outage_window_ms
     if not 0 < start_ms < end_ms <= horizon_ms:
         raise ValueError("outage window must lie inside the horizon")
-
     world = two_query_world(num_nodes=num_nodes, seed=seed)
     capacity = world.capacity_qpms([2.0, 1.0])
     trace = build_trace(
@@ -199,21 +111,18 @@ def run_failures(
         origin_nodes=world.placement.node_ids,
         seed=seed + 1,
     )
-    # Fail every k-th node so both Q2-capable (even) and Q1-only nodes go.
-    stride = max(1, int(1 / failed_fraction))
-    failed = tuple(
-        nid for nid in world.placement.node_ids if nid % stride == 0
+    failed = failed_node_ids(world.placement.node_ids, failed_fraction)
+    factories = {"qa-nt": QantAllocator, "greedy": GreedyAllocator}
+    phases = _failure_phases(
+        world, trace, factories[mechanism], failed, outage_window_ms, seed
     )
-
-    mechanisms = mechanisms or {"qa-nt": QantAllocator, "greedy": GreedyAllocator}
-    phases: Dict[str, Dict[str, float]] = {}
-    for name, factory in mechanisms.items():
-        phases[name] = _failure_phases(
-            world, trace, factory, failed, outage_window_ms, seed
-        )
-    return FailureResult(
-        outage_window_ms=outage_window_ms, failed_nodes=failed, phases=phases
-    )
+    return {
+        "before_ms": phases["before"],
+        "during_ms": phases["during"],
+        "after_ms": phases["after"],
+        "degradation": phases["during"] / phases["before"],
+        "recovery_ms": phases["recovery_ms"],
+    }
 
 
 def _phase_means(

@@ -10,27 +10,18 @@ worst; two-random-probes between round-robin and BNQRD.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Dict
 
 from ..sim import FederationConfig
-from .reporting import format_table
 from .setups import (
-    MechanismRun,
-    World,
     default_mechanism_factories,
     run_mechanism,
-    run_mechanisms,
     sinusoid_trace_for_load,
     two_query_world,
 )
 from .spec import ScalePreset, ScenarioSpec, register
 
-__all__ = [
-    "Fig4Result",
-    "fig4_cell",
-    "run_fig4",
-]
+__all__ = ["fig4_cell"]
 
 
 def fig4_cell(
@@ -41,16 +32,17 @@ def fig4_cell(
     num_nodes: int = 100,
     horizon_ms: float = 120_000.0,
     frequency_hz: float = 0.05,
-    world: Optional[World] = None,
-    config: Optional[FederationConfig] = None,
 ) -> Dict[str, float]:
     """One (mechanism, seed) cell of Figure 4.
 
-    The seed plumbing matches :func:`run_fig4` (world ``seed``, trace
-    ``seed + 1``, federation ``seed + 2``), so every mechanism of one
-    seed sees the same trace regardless of which process runs the cell.
+    The world is built from ``seed``, the trace from ``seed + 1`` and the
+    federation from ``seed + 2``, so every mechanism of one seed sees the
+    same trace regardless of which process runs the cell.  The presets'
+    ``load_fraction`` of 0.7 average makes peak load "slightly below
+    total system capacity" (the sinusoid's instantaneous peak is about
+    4/3 of its mean).
     """
-    world = world or two_query_world(num_nodes=num_nodes, seed=seed)
+    world = two_query_world(num_nodes=num_nodes, seed=seed)
     trace = sinusoid_trace_for_load(
         world,
         load_fraction=load_fraction,
@@ -63,75 +55,9 @@ def fig4_cell(
         trace,
         mechanism,
         default_mechanism_factories()[mechanism],
-        config or FederationConfig(seed=seed + 2),
+        FederationConfig(seed=seed + 2),
     )
     return run.metrics_dict()
-
-
-@dataclass
-class Fig4Result:
-    """Normalised mean response time per mechanism (QA-NT = 1.0)."""
-
-    runs: Dict[str, MechanismRun]
-    normalised: Dict[str, float]
-
-    def render(self) -> str:
-        """The Figure 4 bars as a table, in paper order."""
-        rows = [
-            (
-                name,
-                self.normalised[name],
-                self.runs[name].mean_response_ms,
-                self.runs[name].messages,
-            )
-            for name in self.normalised
-        ]
-        return format_table(
-            ("mechanism", "normalised response", "mean response (ms)", "messages"),
-            rows,
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-ready summary: per-mechanism normalised response + runs."""
-        return {
-            "normalised": dict(self.normalised),
-            "runs": {name: run.to_dict() for name, run in self.runs.items()},
-        }
-
-
-def run_fig4(
-    num_nodes: int = 100,
-    horizon_ms: float = 120_000.0,
-    load_fraction: float = 0.7,
-    frequency_hz: float = 0.05,
-    seed: int = 0,
-    config: Optional[FederationConfig] = None,
-) -> Fig4Result:
-    """Run all six mechanisms on the Figure 4 workload.
-
-    ``load_fraction`` = 0.7 average makes peak load "slightly below total
-    system capacity" (the sinusoid's instantaneous peak is about 4/3 of
-    its mean).
-    """
-    world = two_query_world(num_nodes=num_nodes, seed=seed)
-    trace = sinusoid_trace_for_load(
-        world,
-        load_fraction=load_fraction,
-        horizon_ms=horizon_ms,
-        frequency_hz=frequency_hz,
-        seed=seed + 1,
-    )
-    runs = run_mechanisms(
-        world,
-        trace,
-        mechanisms=default_mechanism_factories(),
-        config=config or FederationConfig(seed=seed + 2),
-    )
-    reference = runs["qa-nt"].mean_response_ms
-    normalised = {
-        name: run.mean_response_ms / reference for name, run in runs.items()
-    }
-    return Fig4Result(runs=runs, normalised=normalised)
 
 
 register(

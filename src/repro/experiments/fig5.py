@@ -23,7 +23,6 @@ from ..allocation import GreedyAllocator, QantAllocator
 from ..sim import FederationConfig
 from .reporting import format_series
 from .setups import (
-    World,
     run_mechanism,
     run_mechanisms,
     sinusoid_trace_for_load,
@@ -32,13 +31,9 @@ from .setups import (
 from .spec import ScalePreset, ScenarioSpec, register
 
 __all__ = [
-    "Fig5aResult",
-    "Fig5bResult",
     "Fig5cResult",
     "fig5a_cell",
     "fig5b_cell",
-    "run_fig5a",
-    "run_fig5b",
     "run_fig5c",
 ]
 
@@ -54,17 +49,14 @@ def fig5a_cell(
     num_nodes: int = 100,
     horizon_ms: float = 20_000.0,
     frequency_hz: float = 0.05,
-    world: Optional[World] = None,
-    config: Optional[FederationConfig] = None,
 ) -> Dict[str, float]:
     """One (mechanism, load, seed) cell of panel 5a.
 
-    The seed plumbing (world ``seed``, trace ``seed + 10 + point_index``,
-    federation ``seed + 2``) matches the legacy driver exactly, so a
-    single-seed sweep reproduces :func:`run_fig5a`'s numbers and the two
+    The world is built from ``seed``, the trace from ``seed + 10 +
+    point_index`` and the federation from ``seed + 2``, so the two
     mechanisms of one point always see the same trace (paired ratios).
     """
-    world = world or two_query_world(num_nodes=num_nodes, seed=seed)
+    world = two_query_world(num_nodes=num_nodes, seed=seed)
     trace = sinusoid_trace_for_load(
         world,
         load_fraction=load,
@@ -77,7 +69,7 @@ def fig5a_cell(
         trace,
         mechanism,
         _PAIR[mechanism],
-        config or FederationConfig(seed=seed + 2),
+        FederationConfig(seed=seed + 2),
     )
     return run.metrics_dict()
 
@@ -90,11 +82,12 @@ def fig5b_cell(
     num_nodes: int = 100,
     horizon_ms: float = 40_000.0,
     load_fraction: float = 0.8,
-    world: Optional[World] = None,
-    config: Optional[FederationConfig] = None,
 ) -> Dict[str, float]:
-    """One (mechanism, frequency, seed) cell of panel 5b."""
-    world = world or two_query_world(num_nodes=num_nodes, seed=seed)
+    """One (mechanism, frequency, seed) cell of panel 5b.
+
+    Seeds are derived as in :func:`fig5a_cell`.
+    """
+    world = two_query_world(num_nodes=num_nodes, seed=seed)
     trace = sinusoid_trace_for_load(
         world,
         load_fraction=load_fraction,
@@ -107,123 +100,9 @@ def fig5b_cell(
         trace,
         mechanism,
         _PAIR[mechanism],
-        config or FederationConfig(seed=seed + 2),
+        FederationConfig(seed=seed + 2),
     )
     return run.metrics_dict()
-
-
-@dataclass
-class Fig5aResult:
-    """Greedy response normalised by QA-NT per load level."""
-
-    loads: List[float]
-    greedy_normalised: List[float]
-
-    def render(self) -> str:
-        """The 5a series as text."""
-        return format_series(
-            "greedy response / qa-nt response vs load fraction",
-            self.loads,
-            self.greedy_normalised,
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-ready form of the 5a series."""
-        return asdict(self)
-
-
-def run_fig5a(
-    loads: Sequence[float] = (0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0),
-    num_nodes: int = 100,
-    horizon_ms: float = 20_000.0,
-    frequency_hz: float = 0.05,
-    seed: int = 0,
-    config: Optional[FederationConfig] = None,
-) -> Fig5aResult:
-    """Sweep average load as a fraction of system capacity (panel 5a).
-
-    Thin serial wrapper over :func:`fig5a_cell`; the world is built once
-    and shared across cells, which is behaviour-identical to rebuilding
-    it per cell from the same seed.
-    """
-    world = two_query_world(num_nodes=num_nodes, seed=seed)
-    ratios = []
-    for index, load in enumerate(loads):
-        cells = {
-            mechanism: fig5a_cell(
-                mechanism,
-                load,
-                index,
-                seed,
-                horizon_ms=horizon_ms,
-                frequency_hz=frequency_hz,
-                world=world,
-                config=config,
-            )
-            for mechanism in _PAIR
-        }
-        ratios.append(
-            cells["greedy"]["mean_response_ms"]
-            / cells["qa-nt"]["mean_response_ms"]
-        )
-    return Fig5aResult(loads=list(loads), greedy_normalised=ratios)
-
-
-@dataclass
-class Fig5bResult:
-    """Greedy response normalised by QA-NT per sinusoid frequency."""
-
-    frequencies_hz: List[float]
-    greedy_normalised: List[float]
-
-    def render(self) -> str:
-        """The 5b series as text."""
-        return format_series(
-            "greedy response / qa-nt response vs frequency (Hz)",
-            self.frequencies_hz,
-            self.greedy_normalised,
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-ready form of the 5b series."""
-        return asdict(self)
-
-
-def run_fig5b(
-    frequencies_hz: Sequence[float] = (0.05, 0.1, 0.25, 0.5, 1.0, 2.0),
-    num_nodes: int = 100,
-    horizon_ms: float = 40_000.0,
-    load_fraction: float = 0.8,
-    seed: int = 0,
-    config: Optional[FederationConfig] = None,
-) -> Fig5bResult:
-    """Sweep the sinusoid frequency at 80 % average load (panel 5b).
-
-    Thin serial wrapper over :func:`fig5b_cell`.
-    """
-    world = two_query_world(num_nodes=num_nodes, seed=seed)
-    ratios = []
-    for index, freq in enumerate(frequencies_hz):
-        cells = {
-            mechanism: fig5b_cell(
-                mechanism,
-                freq,
-                index,
-                seed,
-                horizon_ms=horizon_ms,
-                load_fraction=load_fraction,
-                world=world,
-                config=config,
-            )
-            for mechanism in _PAIR
-        }
-        ratios.append(
-            cells["greedy"]["mean_response_ms"]
-            / cells["qa-nt"]["mean_response_ms"]
-        )
-    return Fig5bResult(
-        frequencies_hz=list(frequencies_hz), greedy_normalised=ratios
-    )
 
 
 @dataclass

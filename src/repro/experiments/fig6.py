@@ -12,12 +12,10 @@ the system stops being overloaded (≥17 s).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional
 
 from ..allocation import GreedyAllocator, QantAllocator
 from ..sim import FederationConfig
-from .reporting import format_series
 from .setups import (
     World,
     run_mechanism,
@@ -26,34 +24,10 @@ from .setups import (
 )
 from .spec import ScalePreset, ScenarioSpec, register
 
-__all__ = [
-    "Fig6Result",
-    "fig6_cell",
-    "run_fig6",
-]
+__all__ = ["fig6_cell"]
 
 #: Mechanism pair the figure compares.
 _PAIR = {"qa-nt": QantAllocator, "greedy": GreedyAllocator}
-
-
-@dataclass
-class Fig6Result:
-    """Greedy response normalised by QA-NT per mean inter-arrival."""
-
-    interarrivals_ms: List[float]
-    greedy_normalised: List[float]
-
-    def render(self) -> str:
-        """The Figure 6 series as text."""
-        return format_series(
-            "greedy response / qa-nt response vs mean inter-arrival (ms)",
-            self.interarrivals_ms,
-            self.greedy_normalised,
-        )
-
-    def to_dict(self) -> dict:
-        """JSON-ready form of the Figure 6 series."""
-        return asdict(self)
 
 
 def fig6_cell(
@@ -67,25 +41,28 @@ def fig6_cell(
     max_queries: int = 10_000,
     horizon_ms: float = 300_000.0,
     crossover_ms: Optional[float] = 17_000.0,
-    world: Optional[World] = None,
-    config: Optional[FederationConfig] = None,
 ) -> Dict[str, float]:
     """One (mechanism, inter-arrival, seed) cell of Figure 6.
 
-    When ``world`` is omitted the Zipf world is rebuilt (and crossover-
-    calibrated) from ``seed``, so parallel cells are self-contained;
-    a caller passing a prebuilt world must have applied the calibration
-    itself (the legacy driver does).
+    The Zipf world is rebuilt (and crossover-calibrated) from ``seed`` in
+    every cell, so parallel cells are self-contained.
+
+    ``crossover_ms`` rescales the cost model so the system stops being
+    overloaded at that per-class mean inter-arrival, matching the paper's
+    observation that gains vanish past ≈17,000 ms.  The paper pins both
+    this boundary and the 2,000 ms average best execution time; our
+    analytical cost model cannot honour both at once, so the crossover —
+    the property Figure 6's shape depends on — wins (see EXPERIMENTS.md).
+    Pass ``None`` to keep the Table 3 execution-time calibration instead.
     """
-    if world is None:
-        world = zipf_world(
-            num_nodes=num_nodes,
-            num_relations=num_relations,
-            num_classes=num_classes,
-            seed=seed,
-        )
-        if crossover_ms is not None:
-            world = _calibrate_crossover(world, crossover_ms)
+    world = zipf_world(
+        num_nodes=num_nodes,
+        num_relations=num_relations,
+        num_classes=num_classes,
+        seed=seed,
+    )
+    if crossover_ms is not None:
+        world = _calibrate_crossover(world, crossover_ms)
     trace = zipf_trace_for_world(
         world,
         mean_interarrival_ms=interarrival_ms,
@@ -98,71 +75,9 @@ def fig6_cell(
         trace,
         mechanism,
         _PAIR[mechanism],
-        config or FederationConfig(seed=seed + 2),
+        FederationConfig(seed=seed + 2),
     )
     return run.metrics_dict()
-
-
-def run_fig6(
-    interarrivals_ms: Sequence[float] = (
-        10.0,
-        100.0,
-        1_000.0,
-        5_000.0,
-        10_000.0,
-        17_000.0,
-        20_000.0,
-    ),
-    num_nodes: int = 100,
-    num_relations: int = 1000,
-    num_classes: int = 100,
-    max_queries: int = 10_000,
-    horizon_ms: float = 300_000.0,
-    crossover_ms: Optional[float] = 17_000.0,
-    seed: int = 0,
-    world: Optional[World] = None,
-    config: Optional[FederationConfig] = None,
-) -> Fig6Result:
-    """Sweep the mean inter-arrival time on the Zipf world.
-
-    ``crossover_ms`` rescales the cost model so the system stops being
-    overloaded at that per-class mean inter-arrival, matching the paper's
-    observation that gains vanish past ≈17,000 ms.  The paper pins both
-    this boundary and the 2,000 ms average best execution time; our
-    analytical cost model cannot honour both at once, so the crossover —
-    the property Figure 6's shape depends on — wins (see EXPERIMENTS.md).
-    Pass ``None`` to keep the Table 3 execution-time calibration instead.
-    """
-    world = world or zipf_world(
-        num_nodes=num_nodes,
-        num_relations=num_relations,
-        num_classes=num_classes,
-        seed=seed,
-    )
-    if crossover_ms is not None:
-        world = _calibrate_crossover(world, crossover_ms)
-    ratios = []
-    for index, mean_gap in enumerate(interarrivals_ms):
-        cells = {
-            mechanism: fig6_cell(
-                mechanism,
-                mean_gap,
-                index,
-                seed,
-                max_queries=max_queries,
-                horizon_ms=horizon_ms,
-                world=world,
-                config=config,
-            )
-            for mechanism in _PAIR
-        }
-        ratios.append(
-            cells["greedy"]["mean_response_ms"]
-            / cells["qa-nt"]["mean_response_ms"]
-        )
-    return Fig6Result(
-        interarrivals_ms=list(interarrivals_ms), greedy_normalised=ratios
-    )
 
 
 def _calibrate_crossover(world: World, crossover_ms: float) -> World:

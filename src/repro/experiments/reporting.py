@@ -1,8 +1,9 @@
 """Plain-text reporting of experiment results.
 
-Every experiment driver returns a structured result object plus a
-``render()`` helper that prints the same rows/series the paper's table or
-figure shows, so the CLI can regenerate each artefact as text.
+A sweep's :class:`~repro.experiments.runner.SweepResult` and every
+plain runner's result object carry a ``render()`` built on these two
+helpers, which prints the rows/series the paper's table or figure shows,
+so the CLI can regenerate each artefact as text.
 """
 
 from __future__ import annotations
@@ -12,8 +13,6 @@ from typing import Iterable, List, Sequence
 __all__ = [
     "format_table",
     "format_series",
-    "table_to_csv",
-    "series_to_csv",
 ]
 
 
@@ -51,39 +50,7 @@ def format_series(
     return "\n".join(lines)
 
 
-def table_to_csv(
-    headers: Sequence[str], rows: Iterable[Sequence[object]]
-) -> str:
-    """Render rows as CSV (RFC-4180 quoting for commas/quotes).
-
-    The ``render()`` text is for humans; CSV is for spreadsheets and
-    plotting scripts.
-    """
-    lines = [",".join(_csv_cell(h) for h in headers)]
-    for row in rows:
-        if len(row) != len(headers):
-            raise ValueError("row width does not match headers")
-        lines.append(",".join(_csv_cell(c) for c in row))
-    return "\n".join(lines)
-
-
-def series_to_csv(
-    x_name: str, y_name: str, xs: Sequence[object], ys: Sequence[object]
-) -> str:
-    """One figure series as a two-column CSV."""
-    if len(xs) != len(ys):
-        raise ValueError("series x and y lengths differ")
-    return table_to_csv((x_name, y_name), list(zip(xs, ys)))
-
-
 def _cell(value: object) -> str:
     if isinstance(value, float):
         return "%.3f" % value
     return str(value)
-
-
-def _csv_cell(value: object) -> str:
-    text = repr(value) if isinstance(value, float) else str(value)
-    if any(ch in text for ch in ',"\n'):
-        return '"%s"' % text.replace('"', '""')
-    return text

@@ -74,9 +74,10 @@ def derive_cell_seed(seed: int, cell_key: Sequence[object]) -> int:
 def replicate_seeds(base_seed: int, count: int) -> Tuple[int, ...]:
     """``count`` deterministic replicate seeds spawned from ``base_seed``.
 
-    The first replicate *is* ``base_seed`` so a single-seed sweep
-    reproduces the legacy ``run_figX(seed=...)`` numbers exactly; the
-    rest are hash-derived so replicates are independent but stable.
+    The first replicate *is* ``base_seed``, so ``--seed S`` alone hands
+    every cell ``seed=S`` unmodified (the cell docstrings state what each
+    derives from it); the rest are hash-derived so replicates are
+    independent but stable.
     """
     if count < 1:
         raise ValueError("need at least one replicate")

@@ -1,11 +1,12 @@
 """Declarative experiment specifications and the experiment registry.
 
 Every paper artefact (figure, table, ablation, extension) is described by
-one frozen :class:`ScenarioSpec` that bundles what used to live in
-per-driver CLI shims: the scale presets ("small" vs "paper" sizes), the
-sweep axis, the mechanisms compared, and — for sweepable experiments — a
-picklable *cell function* that evaluates one independent
-(mechanism, sweep-point, seed) unit of work (:class:`SweepCell`).
+one frozen :class:`ScenarioSpec`: the scale presets ("small" vs "paper"
+sizes), the sweep axis, the mechanisms compared, and — for sweepable
+experiments — a picklable *cell function* that evaluates one independent
+(mechanism, sweep-point, seed) unit of work (:class:`SweepCell`).  A
+sweepable experiment exists once, as its cell function and its spec;
+the CLI, the tests and the examples all run it through the sweep runner.
 
 Driver modules register their spec into the global :data:`REGISTRY` at
 import time, so importing :mod:`repro.experiments` yields the complete

@@ -12,19 +12,12 @@ the table is regenerated rather than transcribed.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import List, Optional
+from typing import Dict, List
 
-from ..allocation import (
-    BnqrdAllocator,
-    GreedyAllocator,
-    MarkovAllocator,
-    QantAllocator,
-    RandomAllocator,
-    RoundRobinAllocator,
-    TwoRandomProbesAllocator,
-)
-from .fig4 import Fig4Result, run_fig4
+from ..allocation import MarkovAllocator
+from .fig4 import fig4_cell
 from .reporting import format_table
+from .setups import default_mechanism_factories
 from .spec import ScalePreset, ScenarioSpec, register
 
 __all__ = [
@@ -76,7 +69,9 @@ class Table2Result:
     """The regenerated Table 2."""
 
     rows: List[Table2Row]
-    fig4: Optional[Fig4Result]
+    #: mechanism -> its Figure 4 cell metrics, the measurement behind
+    #: the performance column.
+    fig4: Dict[str, Dict[str, float]]
 
     def row(self, mechanism: str) -> Table2Row:
         """The row for ``mechanism`` (KeyError if absent)."""
@@ -113,8 +108,23 @@ class Table2Result:
         """JSON-ready form: the rows plus the measuring Fig. 4 run."""
         return {
             "rows": [asdict(row) for row in self.rows],
-            "fig4": self.fig4.to_dict() if self.fig4 is not None else None,
+            "fig4": {
+                "normalised": _normalised(self.fig4),
+                "runs": {
+                    name: {"mechanism": name, **metrics}
+                    for name, metrics in self.fig4.items()
+                },
+            },
         }
+
+
+def _normalised(runs: Dict[str, Dict[str, float]]) -> Dict[str, float]:
+    """Each mechanism's mean response over QA-NT's (Figure 4's bars)."""
+    reference = runs["qa-nt"]["mean_response_ms"]
+    return {
+        name: metrics["mean_response_ms"] / reference
+        for name, metrics in runs.items()
+    }
 
 
 def performance_grade(normalised_response: float) -> str:
@@ -130,23 +140,17 @@ def run_table2(
     num_nodes: int = 100,
     horizon_ms: float = 120_000.0,
     seed: int = 0,
-    fig4: Optional[Fig4Result] = None,
 ) -> Table2Result:
-    """Regenerate Table 2, measuring performance via the Fig. 4 run.
-
-    Pass a precomputed ``fig4`` result to avoid re-running the simulation.
-    """
-    fig4 = fig4 or run_fig4(
-        num_nodes=num_nodes, horizon_ms=horizon_ms, seed=seed
-    )
-    allocator_classes = {
-        "qa-nt": QantAllocator,
-        "greedy": GreedyAllocator,
-        "random": RandomAllocator,
-        "round-robin": RoundRobinAllocator,
-        "bnqrd": BnqrdAllocator,
-        "two-probes": TwoRandomProbesAllocator,
+    """Regenerate Table 2, measuring performance via the Fig. 4 cells."""
+    allocator_classes = default_mechanism_factories()
+    # Figure 4's workload: 0.7 average load, the sweep's only point.
+    runs = {
+        name: fig4_cell(
+            name, 0.7, 0, seed, num_nodes=num_nodes, horizon_ms=horizon_ms
+        )
+        for name in allocator_classes
     }
+    normalised = _normalised(runs)
     rows = []
     for name, cls in allocator_classes.items():
         rows.append(
@@ -156,7 +160,7 @@ def run_table2(
                 workload_type=_WORKLOAD_TYPE[name],
                 conflicts_with_dqo=name in _CONFLICTS_WITH_DQO,
                 respects_autonomy=cls.respects_autonomy,
-                performance=performance_grade(fig4.normalised[name]),
+                performance=performance_grade(normalised[name]),
             )
         )
     # Markov: static-only and centralised; the paper grades it "excellent"
@@ -171,7 +175,7 @@ def run_table2(
             performance="excellent (static only)",
         )
     )
-    return Table2Result(rows=rows, fig4=fig4)
+    return Table2Result(rows=rows, fig4=runs)
 
 
 register(

@@ -5,18 +5,20 @@ import math
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
-from repro.experiments.failures import run_failures
+from repro.cli import main
+from repro.experiments.failures import failed_node_ids, failures_cell
+from repro.experiments.spec import REGISTRY
 from repro.query import MachineSpec
 from repro.sim import Simulator
 from repro.sim.node import SimulatedNode
+from sized_sweep import sized_sweep
 
 
 class TestCli:
     def test_list_prints_all_experiments(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out.split()
-        assert set(out) == set(EXPERIMENTS)
+        assert set(out) == set(REGISTRY.names())
 
     def test_run_fig1(self, capsys):
         assert main(["run", "fig1"]) == 0
@@ -30,11 +32,6 @@ class TestCli:
     def test_unknown_experiment_rejected(self):
         with pytest.raises(SystemExit):
             main(["run", "nonexistent"])
-
-    def test_every_registered_experiment_has_render(self):
-        # The registry contract: every callable yields a render()able.
-        for name, factory in EXPERIMENTS.items():
-            assert callable(factory)
 
 
 class TestProfileCli:
@@ -125,49 +122,56 @@ class TestNodeOutages:
 class TestFailureExperiment:
     @pytest.fixture(scope="class")
     def result(self):
-        return run_failures(
+        return sized_sweep(
+            "failures",
+            (0.3,),
+            seeds=(2,),
             num_nodes=20,
-            failed_fraction=0.3,
             outage_window_ms=(10_000.0, 20_000.0),
             horizon_ms=30_000.0,
             load_fraction=0.5,
-            seed=2,
         )
 
-    def test_failed_nodes_recorded(self, result):
-        assert result.failed_nodes
-        assert all(nid % 3 == 0 for nid in result.failed_nodes)
+    def test_failed_nodes_recorded(self):
+        failed = failed_node_ids(range(20), 0.3)
+        assert failed
+        assert all(nid % 3 == 0 for nid in failed)
 
     def test_all_phases_measured(self, result):
         for mechanism in ("qa-nt", "greedy"):
-            phases = result.phases[mechanism]
-            for phase in ("before", "during", "after"):
-                assert not math.isnan(phases[phase])
+            for phase in ("before_ms", "during_ms", "after_ms"):
+                assert not math.isnan(result.stats(mechanism, 0, phase).mean)
 
     def test_outage_degrades_response(self, result):
         # Losing 1/3 of the nodes under load must hurt.
         for mechanism in ("qa-nt", "greedy"):
-            assert result.degradation(mechanism) > 1.0
+            assert result.stats(mechanism, 0, "degradation").mean > 1.0
 
     def test_recovery_after_outage(self):
-        result = run_failures(
-            num_nodes=30, failed_fraction=0.3, load_fraction=0.8, seed=0
+        result = sized_sweep(
+            "failures", (0.3,), num_nodes=30, load_fraction=0.8
         )
+
+        def phase(mechanism, name):
+            return result.stats(mechanism, 0, name + "_ms").mean
+
         for mechanism in ("qa-nt", "greedy"):
-            phases = result.phases[mechanism]
-            assert phases["after"] < phases["during"]
+            assert phase(mechanism, "after") < phase(mechanism, "during")
         # Section 1: a good allocator minimises how long the
         # unavailability lingers -- QA-NT's admission control is back to
         # near-baseline once the nodes return; Greedy is still draining.
-        qant = result.phases["qa-nt"]
-        assert qant["after"] <= 1.5 * qant["before"]
-
-    def test_render(self, result):
-        text = result.render()
-        assert "during outage" in text
+        assert phase("qa-nt", "after") <= 1.5 * phase("qa-nt", "before")
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_failures(failed_fraction=0.0)
+            failures_cell("qa-nt", 0.0, 0, 0)
         with pytest.raises(ValueError):
-            run_failures(outage_window_ms=(50_000.0, 10_000.0))
+            failures_cell("qa-nt", 1.0, 0, 0)
+        with pytest.raises(ValueError):
+            failures_cell(
+                "qa-nt", 0.3, 0, 0, outage_window_ms=(50_000.0, 10_000.0)
+            )
+        with pytest.raises(ValueError):
+            failures_cell(
+                "qa-nt", 0.3, 0, 0, outage_window_ms=(20_000.0, 70_000.0)
+            )

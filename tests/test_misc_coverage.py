@@ -131,10 +131,10 @@ class TestQantParameterDefaults:
 
 
 class TestCliAblationEntries:
-    def test_fast_ablation_experiments_render(self):
+    def test_fast_ablation_experiments_render(self, capsys):
         # The lambda ablation is the fastest registry entry that touches
-        # real simulation; run it end to end through the CLI registry.
-        from repro.cli import EXPERIMENTS
+        # real simulation; run it end to end through the CLI.
+        from repro.cli import main
 
-        result = EXPERIMENTS["ablation-lambda"]("small", 0)
-        assert "lambda" in result.render()
+        assert main(["run", "ablation-lambda"]) == 0
+        assert "lambda" in capsys.readouterr().out

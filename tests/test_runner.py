@@ -1,10 +1,11 @@
 """Tests for the declarative experiment registry and the sweep runner."""
 
+import inspect
 import json
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import main
 from repro.experiments.fig5 import fig5a_cell
 from repro.experiments.runner import (
     SweepResult,
@@ -176,9 +177,6 @@ class TestRegistry:
     def test_every_experiment_registered(self):
         assert set(REGISTRY.names()) == self.EXPECTED
 
-    def test_legacy_experiments_dict_matches_registry(self):
-        assert set(EXPERIMENTS) == set(REGISTRY.names())
-
     def test_every_spec_has_both_scales(self):
         for name in REGISTRY.names():
             spec = REGISTRY.get(name)
@@ -191,6 +189,20 @@ class TestRegistry:
             if spec.sweepable:
                 for scale in SCALES:
                     assert spec.preset(scale).points
+
+    def test_presets_bind_to_their_callable(self):
+        # A mistyped key in a "paper" preset otherwise surfaces minutes
+        # into a paper-scale run; binding the signature costs nothing.
+        for __, spec in REGISTRY.items():
+            for preset in spec.scales.values():
+                if spec.sweepable:
+                    extra = {"fault_seed": 0} if spec.fault_aware else {}
+                    args = (spec.mechanisms[0], preset.points[0], 0, 0)
+                    inspect.signature(spec.cell).bind(
+                        *args, **preset.fixed, **extra
+                    )
+                else:
+                    inspect.signature(spec.runner).bind(seed=0, **preset.fixed)
 
     def test_duplicate_registration_rejected(self):
         registry = ExperimentRegistry()
