@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test typecheck perf-smoke perf-pairs examples artefacts clean
+.PHONY: install test typecheck perf-smoke perf-pairs crossover examples artefacts clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -30,6 +30,11 @@ PAIRS ?= 10
 perf-pairs:
 	python3 tools/perf_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
 	    --seed $(SEED) --pairs $(PAIRS)
+
+# Re-measure market_tick.SCALAR_LANES_MAX: array vs. scalar exchange,
+# microseconds by lane count (< 10 s; the constant's comment quotes it).
+crossover:
+	python3 tools/lane_crossover.py
 
 # The five walkthroughs, end to end (the CI "Examples" step; ~13 s).
 # Like `test`, needs `make install` or PYTHONPATH=src.

@@ -5,10 +5,14 @@ module batches the other scalar frontier: the per-query request-for-bid
 exchange itself.  :func:`exchange_lanes` is the paper listing
 (:meth:`repro.core.qant.QantPricingAgent.quote` over a class's bidders,
 earliest-completion winner, accept) as a handful of numpy operations
-over one class's lanes, and :class:`MarketTickDispatcher` runs it over
-per-class state arrays gathered from the class's agents, with the
-fleet's shared ``slot_free`` mirror as the busy clocks and the
-refusal-count / price-epoch bookkeeping of the agents.
+over one class's lanes.  Two callers: :class:`MarketTickDispatcher`, over
+per-class state arrays gathered from the class's agents (the fleet's
+``slot_free`` mirror as busy clocks, the agents' refusal-count /
+price-epoch bookkeeping), and every shard market plane, over views of its
+flat lane block.  A numpy call costs microseconds at any width, so planes
+price classes of up to :data:`SCALAR_LANES_MAX` lanes through the scalar
+twins :func:`exchange_lanes_scalar` / :func:`closed_raises_scalar`: one
+loop over ``memoryview``s of those arrays, under the same property test.
 
 Bit-identity contract: every float is produced by the same IEEE-754
 operation sequence as the scalar listing, so goldens must not move with
@@ -29,6 +33,7 @@ without a scatter/gather round trip.
 
 from __future__ import annotations
 
+from math import inf as _INF
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 try:  # Same optional posture as repro.sim.fleet; no numpy, no dispatcher.
@@ -39,8 +44,12 @@ except ImportError:  # pragma: no cover - scalar paths cover this
 __all__ = [
     "BatchDispatchStats",
     "MarketTickDispatcher",
+    "SCALAR_LANES_MAX",
+    "closed_raises_scalar",
     "exchange_lanes",
+    "exchange_lanes_scalar",
     "refusal_raise",
+    "scalar_lanes",
 ]
 
 
@@ -51,8 +60,8 @@ def refusal_raise(values, factor, floor, cap):
     with the exact scalar clamp order (floor first, then cap —
     max-then-min is identical for ``floor <= cap`` over these positive
     finite values), and the boolean mask of lanes whose price actually
-    moved.  This is the single point of truth for the raise arithmetic:
-    :func:`exchange_lanes` and the closed-class path of the shard planes
+    moved.  The one array definition of the raise: :func:`exchange_lanes`
+    and the wide-class closed path of the shard planes
     (:meth:`repro.sim.shards._MarketPlane._closed_raises`) both call it.
     """
     raised = values * factor
@@ -134,6 +143,94 @@ def exchange_lanes(
     if paid:
         R[winner] -= 1.0
     return winner, paid, est[winner], refusals
+
+
+#: Widest class the shard planes price with the scalar twins below; wider
+#: ones keep the array program.  Measured, not tuned (``make crossover``;
+#: nproc 2, Python 3.11.7, numpy 2.4.6): us per exchange, array/scalar, by
+#: refusing fraction @ activation threshold (full table: DESIGN.md 7.1)
+#:   lanes    0@None  0.5@None    1@None     0@2.0   0.5@2.0     1@2.0
+#:       2   5.4/0.6  10.9/0.7   7.0/0.6   5.5/0.7  13.9/0.7   9.3/0.6
+#:       5   5.4/0.9  10.3/1.2   7.7/1.0   5.8/1.0  12.1/1.1  11.7/1.7
+#:      16   5.8/1.9   9.5/2.4   7.1/2.6   5.5/1.8  11.5/2.3   8.9/2.8
+#:      64   5.8/5.8  10.4/7.6   7.5/8.5   5.6/5.5  13.0/7.5   9.4/9.3
+#: At least 2x faster in every column up to 16-24 lanes, slower from ~64.
+SCALAR_LANES_MAX = 16
+
+
+def scalar_lanes(R, V, rows, costs, maxp, locked, free_at):
+    """:func:`exchange_lanes`'s array arguments as the scalar twin takes
+    them: zero-copy ``memoryview``s (native Python floats / bools in and
+    out) of the mutable arrays, list copies of the static two."""
+    return (
+        memoryview(R), memoryview(V), rows.tolist(), costs.tolist(),
+        memoryview(maxp), memoryview(locked), memoryview(free_at),
+    )
+
+
+def exchange_lanes_scalar(
+    R, V, rows, costs, maxp, locked, free_at, now,
+    factor, floor, cap, threshold,
+):
+    """:func:`exchange_lanes` as one loop over the lanes: same arguments
+    (through :func:`scalar_lanes`), same in-place updates, same
+    ``(winner, paid, finish)``.
+
+    Each lane sees the array program's float operations in the same
+    order, and a class's lanes are distinct agents, so going lane by lane
+    instead of step by step cannot show through ``maxp`` / ``locked``:
+    bit-identical.
+    """
+    winner, best = -1, _INF
+    for i, row in enumerate(rows):
+        if R[i] < 1.0:
+            new = V[i] * factor
+            if new < floor:
+                new = floor
+            if new > cap:
+                new = cap
+            V[i] = new
+            peak = maxp[row]
+            if new > peak:
+                maxp[row] = peak = new
+            if threshold is None or locked[row]:
+                continue
+            if peak >= threshold:
+                locked[row] = True
+                continue
+        est = free_at[row]
+        if est < now:
+            est = now
+        est += costs[i]
+        if est < best:
+            winner, best = i, est
+    if winner < 0:
+        return -1, False, None
+    paid = R[winner] >= 1.0
+    if paid:
+        R[winner] -= 1.0
+    return winner, paid, best
+
+
+def closed_raises_scalar(V, count, factor, floor, cap):
+    """Up to ``count`` :func:`refusal_raise` steps over ``V`` in place, one
+    multiplication at a time, stopping after the step that leaves every
+    lane at ``cap``; returns ``(steps applied, whether that happened)``.
+    """
+    for done in range(1, count + 1):
+        capped = True
+        for i in range(len(V)):
+            new = V[i] * factor
+            if new < floor:
+                new = floor
+            if new > cap:
+                new = cap
+            V[i] = new
+            if new != cap:
+                capped = False
+        if capped:
+            return done, True
+    return count, False
 
 
 class BatchDispatchStats:

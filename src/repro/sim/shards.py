@@ -88,7 +88,14 @@ from ..protocol.messages import (
     decode,
     encode,
 )
-from ..allocation.market_tick import exchange_lanes, refusal_raise
+from ..allocation import market_tick
+from ..allocation.market_tick import (
+    closed_raises_scalar,
+    exchange_lanes,
+    exchange_lanes_scalar,
+    refusal_raise,
+    scalar_lanes,
+)
 from ..protocol.transport import (
     FanoutResult,
     FrameDecoder,
@@ -336,6 +343,7 @@ class _MarketPlane:
         self._adjustment = float(init["adjustment"])
         threshold = init.get("threshold")
         self._threshold = None if threshold is None else float(threshold)
+        self._terms = self._factor, self._floor, self._cap, self._threshold
         # The plane's lanes — one per (candidate row, class) — laid out
         # flat in class order; every per-class array is a view of a flat
         # one, so a boundary works on whole blocks.
@@ -369,6 +377,24 @@ class _MarketPlane:
         # initial price of 1.0 forever, pinning the node's max price at
         # >= 1.0.
         self._maxp_base = _np.isinf(self._costs).any(axis=1).astype(float)
+        n = len(ids)
+        #: Pricing busy mirror: optimistic within a tick, resynced to the
+        #: authoritative execution clock at every tick's end.
+        self._busy = _np.zeros(n, dtype=float)
+        #: Authoritative per-node FIFO clocks (negotiation delay included).
+        self._exec_busy = _np.zeros(n, dtype=float)
+        self._credit = _np.zeros((n, self._num_classes), dtype=float)
+        self._maxp = _np.ones(n, dtype=float)
+        self._locked = _np.zeros(n, dtype=bool)
+        #: Narrow class → `exchange_lanes_scalar`'s leading arguments: scalar
+        #: views of the arrays above, bound once — so those are only ever
+        #: written in place.  The one read of the crossover.
+        shared = self._maxp, self._locked, self._busy
+        self._narrow: Dict[int, Tuple] = {
+            k: scalar_lanes(self._R[k], self._V[k], cand, self._lane_costs[k], *shared)
+            for k, cand in self._cand.items()
+            if len(cand) <= market_tick.SCALAR_LANES_MAX
+        }
         self.reset(True)
 
     @property
@@ -398,16 +424,12 @@ class _MarketPlane:
 
     def reset(self, qa: bool) -> None:
         """Fresh run state + the bind-time eq. 4 solve (QA-NT only)."""
-        n = len(self._ids)
         self._qa = bool(qa)
-        #: Pricing busy mirror: optimistic within a tick, resynced to the
-        #: authoritative execution clock at every tick's end.
-        self._busy = _np.zeros(n, dtype=float)
-        #: Authoritative per-node FIFO clocks (negotiation delay included).
-        self._exec_busy = _np.zeros(n, dtype=float)
-        self._credit = _np.zeros((n, self._num_classes), dtype=float)
-        self._maxp = _np.ones(n, dtype=float)
-        self._locked = _np.zeros(n, dtype=bool)
+        self._busy.fill(0.0)
+        self._exec_busy.fill(0.0)
+        self._credit.fill(0.0)
+        self._maxp.fill(1.0)
+        self._locked.fill(False)
         self._rngs = [random.Random(seed) for seed in self._seeds]
         self._Vf.fill(1.0)
         self._Rf.fill(0.0)
@@ -427,7 +449,7 @@ class _MarketPlane:
         self._cols: Tuple[List, ...] = tuple([] for _ in range(9))
         self._assigned = 0
         self._exchanges = 0
-        if self._qa and n:
+        if self._qa and self._ids:
             self._period_solve(0.0)
 
     # -- ticking -------------------------------------------------------------
@@ -517,20 +539,27 @@ class _MarketPlane:
         if self._closed_in.get(class_index) == self._period_serial:
             self._closed_raises(class_index, 1)
             return None
-        V = self._V[class_index]
-        cand = self._cand[class_index]
-        winner, _paid, finish, _refusals = exchange_lanes(
-            self._R[class_index], V, cand, self._lane_costs[class_index],
-            self._maxp, self._locked, self._busy, now,
-            self._factor, self._floor, self._cap, self._threshold,
-        )
+        narrow = self._narrow.get(class_index)
+        if narrow is None:
+            V = self._V[class_index]
+            cand = self._cand[class_index]
+            winner, _paid, finish, _refusals = exchange_lanes(
+                self._R[class_index], V, cand, self._lane_costs[class_index],
+                self._maxp, self._locked, self._busy, now, *self._terms,
+            )
+            saturated = winner < 0 and bool((V == self._cap).all())
+        else:
+            cand = narrow[2]
+            winner, _paid, finish = exchange_lanes_scalar(*narrow, now, *self._terms)
+            # All refused, so every lane was just clamped to <= cap.
+            saturated = winner < 0 and min(narrow[1]) == self._cap
         if winner < 0:
             # Nobody offered, so every lane is out of supply (a lane
             # with R >= 1 always offers) and, under a threshold, every
             # bidder was just found or set latched: the class is closed.
             if self._threshold is not None:
                 self._closed_in[class_index] = self._period_serial
-            if bool((V == self._cap).all()):
+            if saturated:
                 self._saturated_in[class_index] = self._period_serial
             return None
         row = int(cand[winner])
@@ -553,14 +582,18 @@ class _MarketPlane:
         test masks them out in every class, ``reconcile_digest`` omits
         it) before :meth:`_period_solve` rebuilds it from the prices.
         """
-        V = self._V[class_index]
-        done = 0
-        while done < count:
-            V[:] = refusal_raise(V, self._factor, self._floor, self._cap)[0]
-            done += 1
-            if bool((V == self._cap).all()):
-                self._saturated_in[class_index] = self._period_serial
-                break
+        narrow = self._narrow.get(class_index)
+        if narrow is not None:
+            done, saturated = closed_raises_scalar(narrow[1], count, *self._terms[:3])
+        else:
+            V = self._V[class_index]
+            done, saturated = 0, False
+            while done < count and not saturated:
+                V[:] = refusal_raise(V, self._factor, self._floor, self._cap)[0]
+                done += 1
+                saturated = bool((V == self._cap).all())
+        if saturated:
+            self._saturated_in[class_index] = self._period_serial
         self._closed_settled += done
 
     def _greedy(self, class_index: int, now: float) -> int:

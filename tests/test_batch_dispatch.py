@@ -20,7 +20,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.allocation import GreedyAllocator, QantAllocator, RandomAllocator
-from repro.allocation.market_tick import exchange_lanes
+from repro.allocation.market_tick import (
+    SCALAR_LANES_MAX,
+    closed_raises_scalar,
+    exchange_lanes,
+    exchange_lanes_scalar,
+    refusal_raise,
+    scalar_lanes,
+)
 from repro.core import CapacitySupplySet, PriceVector, QantParameters
 from repro.core.qant import QantPricingAgent
 from repro.experiments.scaling import quantise_trace
@@ -138,8 +145,9 @@ def _agent_state(agent):
 
 @st.composite
 def _lane_cases(draw):
-    """One class's lanes mid-period, plus a burst of exchange times."""
-    lanes = draw(st.integers(1, 6))
+    """One class's lanes mid-period, plus a burst of exchange times;
+    widths fall on both sides of the planes' array / scalar crossover."""
+    lanes = draw(st.integers(1, SCALAR_LANES_MAX + 2))
     cap = draw(st.sampled_from([4.0, 1e9]))
     threshold = draw(st.sampled_from([None, 2.0]))
     # 2.0 is the threshold itself, 4.0 the small cap.
@@ -169,11 +177,17 @@ def _lane_cases(draw):
 @given(_lane_cases())
 @settings(max_examples=200, deadline=None)
 def test_exchange_lanes_matches_the_paper_listing(case):
-    """The shared array exchange equals a scalar loop over fresh pricing
-    agents calling ``quote`` / ``accept`` — winner, prices, supply,
+    """Both transcriptions of the exchange — the array program and its
+    scalar twin, at every width — equal a scalar loop over fresh pricing
+    agents calling ``quote`` / ``accept``: winner, prices, supply,
     max-price and latch bits, exchange after exchange.  The dispatcher
-    and the shard planes both price through this one function, so both
+    and the shard planes price through these two functions only, so both
     inherit bit-identity with the listing from this one property."""
+    for kernel in (exchange_lanes, exchange_lanes_scalar):
+        _check_kernel_against_listing(kernel, case)
+
+
+def _check_kernel_against_listing(kernel, case):
     cap, threshold = case["cap"], case["threshold"]
     params = QantParameters(price_cap=cap)
     lanes = len(case["R"])
@@ -200,6 +214,9 @@ def test_exchange_lanes_matches_the_paper_listing(case):
     locked[rows] = case["latched"]
     free_at = np.zeros(2 * lanes + 1)
     free_at[rows] = case["busy"]
+    state = R, V, rows, costs, maxp, locked, free_at
+    if kernel is exchange_lanes_scalar:
+        state = scalar_lanes(*state)
     for now in case["times"]:
         short = [i for i, a in enumerate(agents) if a.supply_left(0) < 1]
         offers = [i for i, a in enumerate(agents) if a.quote(0, threshold)]
@@ -211,12 +228,14 @@ def test_exchange_lanes_matches_the_paper_listing(case):
         accepted = expected >= 0 and agents[expected].supply_left(0) >= 1
         if accepted:
             agents[expected].accept(0)
-        winner, paid, finish, refusals = exchange_lanes(
-            R, V, rows, costs, maxp, locked, free_at, now,
+        winner, paid, finish, *refusals = kernel(
+            *state, now,
             1.0 + params.adjustment, params.price_floor, cap, threshold,
         )
         assert winner == expected
-        assert short == ([] if refusals is None else refusals[0].tolist())
+        if refusals:  # the array program also names the refusing lanes
+            refused = refusals[0]
+            assert short == ([] if refused is None else refused[0].tolist())
         if winner >= 0:
             assert finish == best
             assert paid == accepted
@@ -227,6 +246,56 @@ def test_exchange_lanes_matches_the_paper_listing(case):
             a._enforce_locked_at is not None for a in agents
         ]
     assert not maxp[::2].any() and not locked[::2].any()
+
+
+@given(
+    st.lists(
+        st.one_of(st.sampled_from([1.0, 4.0]), st.floats(0.001, 5.0)),
+        min_size=1,
+        max_size=SCALAR_LANES_MAX + 2,
+    ),
+    st.integers(0, 40),
+    st.sampled_from([4.0, 1e9]),
+    st.sampled_from([0.01, 0.01, 6.0]),
+)
+@settings(max_examples=150, deadline=None)
+def test_closed_raises_scalar_matches_sequential_refusal_raises(
+    prices, count, cap, floor
+):
+    """The scalar closed-class settlement equals ``count`` exchanges'
+    worth of :func:`refusal_raise`, one multiplication at a time: same
+    price bits, same number of steps, and it stops — and says so — after
+    the first step that leaves every lane at the cap.  A floor above the
+    small cap is the one input that shows the clamp order (floor first:
+    the cap wins)."""
+    factor = 1.1
+    expected = np.minimum(prices, cap)
+    steps, pinned = 0, False
+    while steps < count and not pinned:
+        expected = refusal_raise(expected, factor, floor, cap)[0]
+        steps += 1
+        pinned = bool((expected == cap).all())
+    V = np.minimum(prices, cap)
+    done, saturated = closed_raises_scalar(
+        memoryview(V), count, factor, floor, cap
+    )
+    assert (done, saturated) == (steps, pinned)
+    assert V.tolist() == expected.tolist()
+
+
+def test_exchange_kernels_share_the_clamp_order():
+    """``QantParameters`` rejects a floor above the cap, so the listing
+    cannot show which clamp runs first; the two kernels must still agree
+    with :func:`refusal_raise` there: floor, then cap."""
+    for kernel in (exchange_lanes, exchange_lanes_scalar):
+        state = (
+            np.zeros(2), np.array([1.0, 3.0]), np.arange(2),
+            np.array([150.0, 400.0]), np.ones(2) * 3.0,
+            np.zeros(2, dtype=bool), np.zeros(2),
+        )
+        views = state if kernel is exchange_lanes else scalar_lanes(*state)
+        assert kernel(*views, 0.0, 1.1, 5.0, 4.0, None)[0] == -1
+        assert state[1].tolist() == state[4].tolist() == [4.0, 4.0]
 
 
 def test_qant_agent_state_matches_scalar_after_run():

@@ -62,6 +62,7 @@ from repro.sim import (
     plan_shards,
     split_market_classes,
 )
+from repro.allocation import market_tick
 from repro.sim.faults import derive_fault_seed
 from repro.sim import shards as shards_module
 from repro.sim.shards import _CORE_KINDS, _MarketPlane
@@ -274,6 +275,20 @@ def test_rerun_on_same_federation_is_identical():
         first = federation.run(trace, "qa-nt").invariant_payload()
         second = federation.run(trace, "qa-nt").invariant_payload()
     assert first == second
+
+
+@pytest.mark.parametrize("mode", ["inline", "fork"])
+def test_rerun_resets_the_planes_in_place(mode):
+    """A plane's scalar kernels hold views of its arrays, bound once, so
+    ``reset()`` must refill them, not re-allocate: a second run on the
+    same planes (Zipf world: narrow classes, shard-side) is the first,
+    bit for bit."""
+    world, trace = _zipf_overloaded()
+    with _overloaded(world, 2, mode) as federation:
+        runs = [federation.run(trace, "qa-nt") for _ in range(2)]
+    assert runs[0].invariant_payload() == runs[1].invariant_payload()
+    assert runs[0].outcome_digest() == runs[1].outcome_digest()
+    assert runs[0].batch_summary()["closed_settled"] > 0
 
 
 def test_shard_counters_surface_in_batch_summary():
@@ -821,17 +836,30 @@ def test_unroutable_trace_event_is_a_named_error(event, complaint):
     assert before == after
 
 
+def _plane(init, crossover=None):
+    """A ``_MarketPlane`` pricing classes of up to ``crossover`` lanes
+    with the scalar kernels (``None``: as shipped, 0: the array program
+    only, 99: the scalar kernels only)."""
+    with pytest.MonkeyPatch.context() as patch:
+        if crossover is not None:
+            patch.setattr(market_tick, "SCALAR_LANES_MAX", crossover)
+        return _MarketPlane(init)
+
+
 class _FlatListReference:
     """The discipline the pools and the closed path replace: one flat
     pending list, every pooled query re-exchanged (``resub + 1``) at
     every boundary, every exchange through the full per-exchange
-    program.  The wrapped plane only prices and replays: its own pools
-    stay empty and its fast-path marks are wiped before each exchange,
-    so neither the saturated skip nor the closed raise ever runs here.
+    program — the array one unless ``crossover`` says otherwise, so a
+    shipped plane's scalar kernels are compared with ``exchange_lanes``,
+    not with themselves.  The wrapped plane only prices and replays: its
+    own pools stay empty and its fast-path marks are wiped before each
+    exchange, so neither the saturated skip nor the closed raise ever
+    runs here.
     """
 
-    def __init__(self, init):
-        self.plane = _MarketPlane(init)
+    def __init__(self, init, crossover=0):
+        self.plane = _plane(init, crossover)
         self.pending = []
         self.exchanges = 0
         #: ``(class, period serial)`` pairs that saw an all-refuse
@@ -960,11 +988,14 @@ def _plane_scripts(draw):
     return _plane_init(costs, cap, threshold), script
 
 
-def _run_script(init, script):
+def _run_script(init, script, crossovers=(None, 0)):
     """Drive a plane and the reference through ``script`` (``None`` = a
     boundary, a list = one tick of class indices); compares the two,
-    then yields the plane, after every step."""
-    plane, reference = _MarketPlane(init), _FlatListReference(init)
+    then yields the plane, after every step.  ``crossovers`` are the
+    plane's and the reference's (:func:`_plane`): by default the shipped
+    kernels against the array program."""
+    plane = _plane(init, crossovers[0])
+    reference = _FlatListReference(init, crossovers[1])
     now, qid, boundaries = 0.0, 0, 0
     for step in script:
         if step is None:
@@ -985,8 +1016,18 @@ def _run_script(init, script):
 @given(_plane_scripts())
 @settings(max_examples=60, deadline=None)
 def test_market_plane_pools_match_flat_list_reference(case):
-    for _plane in _run_script(*case):
+    for _step in _run_script(*case):
         pass
+
+
+@pytest.mark.parametrize("crossover", [99, 0], ids=["scalar", "array"])
+@given(_plane_scripts())
+@settings(max_examples=30, deadline=None)
+def test_market_plane_pools_match_on_one_kernel(crossover, case):
+    """The same sweep with both sides on the scalar kernels only, and on
+    the array program only (where the closed path calls ``refusal_raise``)."""
+    for plane in _run_script(*case, crossovers=(crossover, crossover)):
+        assert len(plane._narrow) == (len(plane.class_indices) if crossover else 0)
 
 
 # Nodes 0-2, class A on {0, 1}, class B on {1, 2}: node 1 couples them.
@@ -1042,6 +1083,31 @@ def test_no_threshold_never_closes():
     for plane in _run_script(init, script):
         assert plane._closed_in == {} and plane._closed_settled == 0
     assert plane.pending_count > 30
+
+
+def test_wide_and_narrow_class_share_a_bidder():
+    """Class A, padded past the crossover, runs the array program; class
+    B, two lanes, the scalar kernels; node ``pad`` bids in both, so its
+    running maximum, latch and busy clock are written by one kernel and
+    read by the other.  The plane equals the all-array reference after
+    every step, through sell-out, closure and two retry ticks."""
+    pad = market_tick.SCALAR_LANES_MAX
+    costs = [[300.0 + 10.0 * n, math.inf] for n in range(pad)]
+    costs += [[150.0, 200.0], [math.inf, 400.0]]
+    script = [
+        [A] * (4 * pad) + [B, A, B] * 4,  # the shared node wins in both
+        [B] * 8 + [A] * 3,  # B sells out; the shared node latches there
+        None,
+        [A, B] * (2 * pad),
+        None,
+        [B, A] * 3,
+        None,
+    ]
+    closed = set()
+    for plane in _run_script(_plane_init(costs, 2000.0), script):
+        assert list(plane._narrow) == [B]
+        closed.update(plane._closed_in)
+    assert closed == {A, B} and plane._closed_settled > 0
 
 
 def test_per_class_arrays_alias_the_flat_lane_block():
