@@ -14,10 +14,10 @@ every substrate its evaluation depends on:
 * :mod:`repro.workload` — sinusoid, Zipf and uniform workload generators;
 * :mod:`repro.allocation` — QA-NT plus every baseline of Section 4;
 * :mod:`repro.protocol` — the transport-agnostic market-protocol core
-  (typed messages, versioned codec, MarketSession) shared by the
-  simulator and live brokers;
-* :mod:`repro.dbms` — a real substrate: SQLite server nodes driven by a
-  threaded coordinator (the paper's Section 5.2 deployment);
+  (typed messages, versioned codec, MarketSession);
+* :mod:`repro.dbms` — a real substrate: SQLite server nodes that answer
+  the protocol, and a real-time MarketSession client (the paper's
+  Section 5.2 deployment);
 * :mod:`repro.experiments` — one driver per paper table and figure.
 
 Subpackages load lazily (PEP 562): ``repro.protocol`` is importable by a

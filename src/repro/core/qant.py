@@ -107,10 +107,10 @@ class QantPeriodStats:
 class QantPricingAgent:
     """The per-node QA-NT agent: private prices + period supply budget.
 
-    The agent is deliberately framework-agnostic: the discrete-event
-    simulator (:mod:`repro.sim`) and the threaded SQLite federation
-    (:mod:`repro.dbms`) both drive it through the same four calls —
-    :meth:`begin_period`, :meth:`would_offer`, :meth:`accept`,
+    The agent is deliberately framework-agnostic: the simulator's scalar
+    negotiation (:mod:`repro.allocation.qant`) and the SQLite server
+    nodes (:mod:`repro.dbms`) both drive it through the same four calls —
+    :meth:`begin_period`, :meth:`quote`, :meth:`accept`,
     :meth:`end_period`.
     """
 

@@ -12,18 +12,33 @@ the hardware spread; table sizes and inter-arrival times are scaled down
 quantities are the paper's: *time to assign* a query to a node (both
 mechanisms wait for estimate replies from every node — the dominant cost
 the paper observed) and *total evaluation time* (assign + queue + execute).
+
+The client is the protocol's :class:`~repro.protocol.session.MarketSession`
+over :class:`InProcessTransport`; the market's server side is each node's
+:meth:`~repro.dbms.node.SqliteServerNode.handle`.
 """
 
 from __future__ import annotations
 
+import queue
 import random
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..catalog import Relation
-from ..core import CapacitySupplySet, QantParameters, QantPricingAgent
+from ..core import QantParameters
+from ..protocol.messages import (
+    BidRequest,
+    Message,
+    PeriodTick,
+    ProtocolError,
+    decode,
+    encode,
+)
+from ..protocol.session import MarketSession
+from ..protocol.transport import FanoutResult, Transport
 from ..query import QueryClass
 from .node import ExecutionResult, SqliteServerNode
 
@@ -31,7 +46,73 @@ __all__ = [
     "DbmsQueryOutcome",
     "DbmsRunResult",
     "DbmsFederation",
+    "FederationTimeout",
+    "InProcessTransport",
 ]
+
+
+class FederationTimeout(TimeoutError):
+    """The nodes did not finish their queued work within the deadline;
+    what they still hold is lost to the caller, so close the federation."""
+
+
+class InProcessTransport(Transport):
+    """Real protocol messages, delivered to SQLite nodes in process.
+
+    The caller's thread carries each message to the addressed
+    :class:`~repro.dbms.node.SqliteServerNode` and the answer back.  Every
+    leg crosses the codec — the request is encoded once and decoded per
+    peer, each reply encoded on the node's side and decoded on the
+    client's — so the conversation is what a socket would carry.  Nodes
+    serialise their own message handling, so the client and the period
+    thread may both send.
+    """
+
+    def __init__(
+        self, nodes: Mapping[int, SqliteServerNode], probe_latency_ms: float
+    ) -> None:
+        """``probe_latency_ms`` is the base cost of asking one node for an
+        estimate; it is scaled by the node's slowdown, modelling the
+        paper's observation that the slowest PC took seconds to answer
+        EXPLAIN PLAN."""
+        self._nodes = nodes
+        self._probe_latency_ms = probe_latency_ms
+
+    def fanout(
+        self,
+        origin: int,
+        peers: Sequence[int],
+        request: Optional[Message] = None,
+    ) -> FanoutResult:
+        """Deliver ``request`` to every peer in turn and gather the replies.
+
+        A bid fan-out first waits for the slowest peer's probe: both
+        mechanisms wait for estimate replies from all candidates.
+        Nothing is lost in process, so every peer is ``delivered`` and
+        ``replied``; ``delay_ms`` is the measured wall time.
+        """
+        if request is None:
+            raise ProtocolError(
+                "the dbms transport moves real messages; request is required"
+            )
+        started_s = time.monotonic()
+        nodes = [self._nodes[peer] for peer in peers]
+        payload = encode(request)
+        if nodes and isinstance(request, BidRequest):
+            slowest = max(node.slowdown for node in nodes)
+            time.sleep(self._probe_latency_ms * slowest / 1000.0)
+        replies: List[Message] = []
+        for node in nodes:
+            reply = node.handle(decode(payload))
+            if reply is not None:
+                replies.append(decode(encode(reply)))
+        return FanoutResult(
+            delay_ms=(time.monotonic() - started_s) * 1000.0,
+            messages=2 * len(nodes),
+            delivered=tuple(peers),
+            replied=tuple(peers),
+            replies=tuple(replies),
+        )
 
 
 @dataclass(frozen=True)
@@ -89,15 +170,12 @@ class DbmsFederation:
         classes: Sequence[QueryClass],
         probe_latency_ms: float = 2.0,
     ):
-        """``probe_latency_ms`` is the base one-way cost of asking one node
-        for an estimate; it is scaled by the node's slowdown, modelling
-        the paper's observation that the slowest PC took seconds to answer
-        EXPLAIN PLAN."""
+        """``probe_latency_ms``: see :class:`InProcessTransport`."""
         if not nodes:
             raise ValueError("the federation needs at least one node")
         self._nodes = {node.node_id: node for node in nodes}
         self._classes = list(classes)
-        self._probe_latency_ms = probe_latency_ms
+        self._transport = InProcessTransport(self._nodes, probe_latency_ms)
         self._candidates: Dict[int, Tuple[int, ...]] = {}
         for qc in self._classes:
             holders = tuple(
@@ -108,9 +186,6 @@ class DbmsFederation:
                 )
             )
             self._candidates[qc.index] = holders
-        #: Outstanding estimated work per node (coordinator-side view).
-        self._backlog_ms: Dict[int, float] = {nid: 0.0 for nid in self._nodes}
-        self._backlog_lock = threading.Lock()
 
     # -- construction --------------------------------------------------------------
 
@@ -215,33 +290,33 @@ class DbmsFederation:
         concerning queries with the same plan"; warm-up provides that
         history so the first measured queries are not estimated blind.
         """
-        done = threading.Event()
-        outstanding = [0]
-        lock = threading.Lock()
+        finished: "queue.Queue[int]" = queue.Queue()
+        jobs = [
+            (node_id, qc)
+            for qc in self._classes
+            for node_id in self.candidates(qc.index)
+        ]
+        for node_id, qc in jobs:
+            self._nodes[node_id].submit(
+                -1, qc, 0, lambda nid, __: finished.put(nid)
+            )
+        deadline_s = time.monotonic() + self.DEADLINE_S
+        for done in range(len(jobs)):
+            try:
+                finished.get(timeout=max(0.0, deadline_s - time.monotonic()))
+            except queue.Empty:
+                raise FederationTimeout(
+                    "warm_up: %d of %d executions finished in %.0f s"
+                    % (done, len(jobs), self.DEADLINE_S)
+                ) from None
 
-        def on_complete(node_id: int, result: ExecutionResult) -> None:
-            with lock:
-                outstanding[0] -= 1
-                if outstanding[0] == 0:
-                    done.set()
+    # -- the client ----------------------------------------------------------------
 
-        for qc in self._classes:
-            for node_id in self.candidates(qc.index):
-                with lock:
-                    outstanding[0] += 1
-                self._nodes[node_id].submit(-1, qc, 0, on_complete)
-        if outstanding[0]:
-            done.wait(timeout=120.0)
-
-    # -- the two mechanisms ------------------------------------------------------------
-
-    #: Per-node price level above which a node enforces its supply vector
-    #: (the Section 5.1 threshold rule; matches
-    #: :class:`repro.allocation.QantAllocator`).
-    ACTIVATION_THRESHOLD = 2.0
-    #: Backlog allowance: period plus this many times the node's largest
-    #: class cost (matches the simulator allocator's default).
-    ALLOWANCE_FACTOR = 2.0
+    #: Node id the client signs its messages with (it is not a node).
+    CLIENT = -1
+    #: How long :meth:`warm_up` and the drain of :meth:`run_workload` wait
+    #: for the nodes before raising :class:`FederationTimeout`.
+    DEADLINE_S = 120.0
 
     def run_workload(
         self,
@@ -256,200 +331,115 @@ class DbmsFederation:
 
         ``mechanism`` is ``"greedy"`` or ``"qa-nt"``.  Inter-arrival times
         are uniform in ``[0, 2 * mean]`` (the paper's distribution), paced
-        in real time.
+        in real time.  Either way the client runs the paper's
+        conversation: one :meth:`MarketSession.negotiate_once` per
+        arrival, and a query no node offered to take re-enters on the
+        next period.  The mechanisms differ only in the nodes: under
+        QA-NT each carries a pricing agent, under Greedy none does and
+        every node quotes.
         """
         if mechanism not in ("greedy", "qa-nt"):
             raise ValueError("unknown mechanism %r" % mechanism)
         rng = random.Random(seed)
         result = DbmsRunResult(mechanism=mechanism)
-        result_lock = threading.Lock()
-        completions = threading.Event()
-        remaining = [num_queries]
-
-        with self._backlog_lock:
-            for nid in self._backlog_ms:
-                self._backlog_ms[nid] = 0.0
-
-        agents: Dict[int, QantPricingAgent] = {}
-        agents_lock = threading.Lock()
-        stop_periods = threading.Event()
-        pending: List[Tuple[int, QueryClass, float, int]] = []
-        pending_lock = threading.Lock()
-
+        # What the other threads report to this one: a node's worker an
+        # execution, the period thread ``None`` after each tick it sent.
+        events: "queue.Queue[Optional[Tuple[int, ExecutionResult]]]" = (
+            queue.Queue()
+        )
+        parameters = None
         if mechanism == "qa-nt":
-            params = qant_parameters or QantParameters()
-            for nid in self._nodes:
-                agents[nid] = QantPricingAgent(
-                    self._node_supply_set(nid, period_ms),
-                    parameters=params,
-                )
-                agents[nid].begin_period()
-            period_thread = threading.Thread(
-                target=self._period_loop,
-                args=(agents, agents_lock, period_ms, stop_periods),
-                daemon=True,
-            )
-            period_thread.start()
+            parameters = qant_parameters or QantParameters()
 
-        def on_complete(node_id: int, execution: ExecutionResult) -> None:
-            with self._backlog_lock:
-                self._backlog_ms[node_id] = max(
-                    0.0,
-                    self._backlog_ms[node_id]
-                    - execution.execution_s * 1000.0,
+        def report(node_id: int, execution: ExecutionResult) -> None:
+            events.put((node_id, execution))
+
+        for node in self._nodes.values():
+            node.open_market(self._classes, report, parameters, period_ms)
+        session = MarketSession(self._transport)
+        #: Assigned, not finished: qid -> (arrival, resubmissions).
+        inflight: Dict[int, Tuple[float, int]] = {}
+        #: Offered by no node: resubmitted on the next period.
+        waiting: List[Tuple[BidRequest, float]] = []
+
+        def negotiate(request: BidRequest, arrival_s: float) -> None:
+            peers = self.candidates(request.class_index)
+            if not peers:
+                result.unserved += 1
+            elif session.negotiate_once(request, peers).assigned:
+                inflight[request.qid] = (arrival_s, request.attempt)
+            else:
+                waiting.append(
+                    (replace(request, attempt=request.attempt + 1), arrival_s)
                 )
-            with result_lock:
-                meta = inflight.pop(execution.qid)
+
+        def handle_event(before_s: float) -> bool:
+            """Handle one reported event; False if none came ``before_s``."""
+            try:
+                event = events.get(
+                    timeout=max(0.0, before_s - time.monotonic())
+                )
+            except queue.Empty:
+                return False
+            if event is None:
+                retry, waiting[:] = list(waiting), []
+                for request, arrival_s in retry:
+                    negotiate(request, arrival_s)
+            else:
+                node_id, execution = event
+                arrival_s, resubmissions = inflight.pop(execution.qid)
                 result.outcomes.append(
                     DbmsQueryOutcome(
                         qid=execution.qid,
                         class_index=execution.class_index,
                         node_id=node_id,
-                        arrival_s=meta[0],
-                        assigned_s=meta[1],
+                        arrival_s=arrival_s,
+                        assigned_s=execution.submitted_s,
                         finished_s=execution.finished_s,
-                        resubmissions=meta[2],
+                        resubmissions=resubmissions,
                     )
                 )
-                remaining[0] -= 1
-                if remaining[0] == 0:
-                    completions.set()
-
-        inflight: Dict[int, Tuple[float, float, int]] = {}
-
-        def try_assign(
-            qid: int, qc: QueryClass, arrival_s: float, resubmissions: int
-        ) -> bool:
-            candidates = self.candidates(qc.index)
-            if not candidates:
-                with result_lock:
-                    remaining[0] -= 1
-                    result.unserved += 1
-                    if remaining[0] == 0:
-                        completions.set()
-                return True
-            # Both mechanisms wait for estimate replies from all nodes.
-            probe_s = (
-                max(
-                    self._probe_latency_ms * self._nodes[nid].slowdown
-                    for nid in candidates
-                )
-                / 1000.0
-            )
-            time.sleep(probe_s)
-            estimates = {
-                nid: self._nodes[nid].estimate_ms(qc) for nid in candidates
-            }
-            if mechanism == "qa-nt":
-                with agents_lock:
-                    offers = []
-                    for nid in candidates:
-                        agent = agents[nid]
-                        # Price dynamics always run; the supply vector is
-                        # only enforced while the node's prices signal
-                        # overload (Section 5.1 threshold rule).
-                        offering = agent.would_offer(qc.index)
-                        enforcing = (
-                            agent.max_price >= self.ACTIVATION_THRESHOLD
-                        )
-                        if offering or not enforcing:
-                            offers.append(nid)
-                    if not offers:
-                        return False
-                    chosen = min(
-                        offers,
-                        key=lambda nid: estimates[nid]
-                        + self._backlog_snapshot(nid),
-                    )
-                    agent = agents[chosen]
-                    if agent.remaining_supply[qc.index] >= 1:
-                        agent.accept(qc.index)
-            else:
-                chosen = min(
-                    candidates,
-                    key=lambda nid: estimates[nid] + self._backlog_snapshot(nid),
-                )
-            assigned_s = time.monotonic()
-            with self._backlog_lock:
-                self._backlog_ms[chosen] += estimates[chosen]
-            with result_lock:
-                inflight[qid] = (arrival_s, assigned_s, resubmissions)
-            self._nodes[chosen].submit(
-                qid, qc, rng.randrange(1000), on_complete
-            )
             return True
 
-        def retry_pending() -> None:
-            with pending_lock:
-                retry, pending[:] = list(pending), []
-            for qid, qc, arrival_s, resubs in retry:
-                if not try_assign(qid, qc, arrival_s, resubs + 1):
-                    with pending_lock:
-                        pending.append((qid, qc, arrival_s, resubs + 1))
+        stop = threading.Event()
 
-        next_retry = time.monotonic() + period_ms / 1000.0
-        for qid in range(num_queries):
-            time.sleep(rng.uniform(0.0, 2.0 * mean_interarrival_ms) / 1000.0)
-            if time.monotonic() >= next_retry:
-                retry_pending()
-                next_retry = time.monotonic() + period_ms / 1000.0
-            qc = rng.choice(self._classes)
-            arrival_s = time.monotonic()
-            if not try_assign(qid, qc, arrival_s, 0):
-                with pending_lock:
-                    pending.append((qid, qc, arrival_s, 0))
+        def send_period_ticks() -> None:
+            period_index = 0
+            while not stop.wait(timeout=period_ms / 1000.0):
+                period_index += 1
+                self._transport.fanout(
+                    self.CLIENT,
+                    tuple(self._nodes),
+                    PeriodTick(period_index, period_ms),
+                )
+                events.put(None)
 
-        # Drain: keep retrying refused queries until everything finished.
-        deadline = time.monotonic() + 120.0
-        while not completions.is_set() and time.monotonic() < deadline:
-            retry_pending()
-            with pending_lock:
-                has_pending = bool(pending)
-            completions.wait(timeout=period_ms / 1000.0)
-            if not has_pending and completions.is_set():
-                break
-        stop_periods.set()
-        with pending_lock:
-            result.unserved += len(pending)
-        return result
-
-    # -- internals ----------------------------------------------------------------------
-
-    def _backlog_snapshot(self, node_id: int) -> float:
-        with self._backlog_lock:
-            return self._backlog_ms[node_id]
-
-    def _node_supply_set(
-        self, node_id: int, period_ms: float
-    ) -> CapacitySupplySet:
-        node = self._nodes[node_id]
-        costs = []
-        for qc in self._classes:
-            if node.holds(qc.relation_ids):
-                costs.append(max(0.1, node.estimate_ms(qc)))
-            else:
-                costs.append(float("inf"))
-        max_cost = max((c for c in costs if c != float("inf")), default=0.0)
-        allowance = period_ms + self.ALLOWANCE_FACTOR * max_cost
-        free = max(0.0, allowance - self._backlog_snapshot(node_id))
-        return CapacitySupplySet(costs, free)
-
-    def _period_loop(
-        self,
-        agents: Dict[int, QantPricingAgent],
-        agents_lock: threading.Lock,
-        period_ms: float,
-        stop: threading.Event,
-    ) -> None:
-        while not stop.wait(timeout=period_ms / 1000.0):
-            with agents_lock:
-                for nid, agent in agents.items():
-                    if agent.in_period:
-                        agent.end_period()
-                    agent.rebind_supply_set(
-                        self._node_supply_set(nid, period_ms)
+        ticker = threading.Thread(target=send_period_ticks, daemon=True)
+        ticker.start()
+        try:
+            for qid in range(num_queries):
+                next_arrival_s = (
+                    time.monotonic()
+                    + rng.uniform(0.0, 2.0 * mean_interarrival_ms) / 1000.0
+                )
+                while handle_event(next_arrival_s):
+                    pass
+                qc = rng.choice(self._classes)
+                negotiate(
+                    BidRequest(qid, qc.index, self.CLIENT), time.monotonic()
+                )
+            deadline_s = time.monotonic() + self.DEADLINE_S
+            while len(result.outcomes) + result.unserved < num_queries:
+                if not handle_event(deadline_s):
+                    raise FederationTimeout(
+                        "run_workload: %d queries assigned and unfinished, "
+                        "%d unassigned after a %.0f s drain"
+                        % (len(inflight), len(waiting), self.DEADLINE_S)
                     )
-                    agent.begin_period()
+        finally:
+            stop.set()
+            ticker.join(timeout=self.DEADLINE_S)
+        return result
 
     # -- lifecycle --------------------------------------------------------------------------
 

@@ -16,19 +16,33 @@ Each node owns:
   incorrect";
 * a :class:`repro.query.HistoryCalibratedEstimator` that fixes the crude
   estimates from past executions of queries with the same plan signature,
-  reproducing the paper's remedy.
+  reproducing the paper's remedy;
+* the server half of the market (Section 3.3): :meth:`SqliteServerNode
+  .handle` answers the protocol's messages, pricing with the paper
+  listing, :meth:`repro.core.QantPricingAgent.quote`.
 """
 
 from __future__ import annotations
 
+import math
 import queue
+import random
 import sqlite3
 import threading
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..catalog import Relation
+from ..core import CapacitySupplySet, QantParameters, QantPricingAgent
+from ..protocol.messages import (
+    AssignQuery,
+    BidRequest,
+    Message,
+    PeriodTick,
+    Quote,
+    Refusal,
+)
 from ..query import (
     HistoryCalibratedEstimator,
     PerfectEstimator,
@@ -40,9 +54,18 @@ from ..query import (
 )
 
 __all__ = [
+    "ACTIVATION_THRESHOLD",
     "ExecutionResult",
     "SqliteServerNode",
 ]
+
+#: Price level above which a node enforces its supply vector (the
+#: Section 5.1 threshold rule; matches
+#: :class:`repro.allocation.QantAllocator`).
+ACTIVATION_THRESHOLD = 2.0
+#: Backlog allowance: period plus this many times the node's largest
+#: class cost (matches the simulator allocator's default).
+ALLOWANCE_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -56,15 +79,9 @@ class ExecutionResult:
     started_s: float
     finished_s: float
 
-    @property
-    def wait_s(self) -> float:
-        """Queueing delay on the node before execution began."""
-        return self.started_s - self.submitted_s
 
-    @property
-    def execution_s(self) -> float:
-        """Wall-clock execution time including the slowdown idle."""
-        return self.finished_s - self.started_s
+#: What :meth:`SqliteServerNode.submit` calls from the worker thread.
+CompletionSink = Callable[[int, ExecutionResult], None]
 
 
 class SqliteServerNode:
@@ -96,6 +113,18 @@ class SqliteServerNode:
         self._row_counts: Dict[int, int] = {}
         self.estimator = HistoryCalibratedEstimator(PerfectEstimator())
         self._closed = False
+        # The market half, set per run by `open_market`.  The lock
+        # serialises `handle` against the worker's completion credit.
+        self._market_lock = threading.RLock()
+        self._num_classes = 0
+        self._held: Dict[int, QueryClass] = {}  # class index -> class
+        self._on_complete: CompletionSink = lambda node_id, result: None
+        #: The node's pricing agent; ``None`` is a Greedy node, which
+        #: quotes every request.
+        self.agent: Optional[QantPricingAgent] = None
+        # Estimate charged per assigned, unfinished qid: the backlog is
+        # their sum, so a completion credits exactly what was charged.
+        self._charged: Dict[int, float] = {}
 
     # -- schema loading --------------------------------------------------------
 
@@ -177,6 +206,105 @@ class SqliteServerNode:
             signature, self.optimizer_cost_ms(query_class)
         )
 
+    # -- the market, server side (paper Section 3.3) ------------------------------
+
+    def open_market(
+        self,
+        classes: Sequence[QueryClass],
+        on_complete: CompletionSink,
+        parameters: Optional[QantParameters] = None,
+        period_ms: float = 0.0,
+    ) -> None:
+        """Start one run: an empty backlog and, given QA-NT ``parameters``,
+        a fresh agent in its first period of ``period_ms``.
+
+        ``classes[k]`` is the class the wire calls ``class_index == k``;
+        ``on_complete`` hears of every assigned query's execution.
+        """
+        with self._market_lock:
+            self._num_classes = len(classes)
+            self._held = {
+                k: qc
+                for k, qc in enumerate(classes)
+                if self.holds(qc.relation_ids)
+            }
+            self._on_complete = on_complete
+            self._charged.clear()
+            self.agent = None
+            if parameters is not None:
+                self.agent = QantPricingAgent(
+                    self.supply_set(period_ms), parameters
+                )
+                self.agent.begin_period()
+
+    @property
+    def backlog_ms(self) -> float:
+        """Estimated work assigned here and not yet finished."""
+        with self._market_lock:
+            return sum(self._charged.values())
+
+    def supply_set(self, period_ms: float) -> CapacitySupplySet:
+        """Eq. 4's constraint for one period: the estimated cost of each
+        class held here (others cost ``inf``) against the capacity the
+        backlog leaves of ``period_ms`` plus the allowance."""
+        costs = [math.inf] * self._num_classes
+        for k, query_class in self._held.items():
+            costs[k] = max(0.1, self.estimate_ms(query_class))
+        max_cost = max((costs[k] for k in self._held), default=0.0)
+        allowance = period_ms + ALLOWANCE_FACTOR * max_cost
+        return CapacitySupplySet(costs, max(0.0, allowance - self.backlog_ms))
+
+    def handle(self, message: Message) -> Optional[Message]:
+        """Answer one protocol message; ``None`` is a bare acknowledgement.
+
+        * :class:`BidRequest` — the paper listing decides: the agent's
+          ``quote(k, ACTIVATION_THRESHOLD)`` offers while supply lasts,
+          else raises the class price and still offers below the
+          threshold; a node without an agent always offers.  An offer is
+          ``Quote(backlog + estimate)``, anything else a ``Refusal``.
+        * :class:`AssignQuery` — the offer was accepted: pay a unit of
+          supply if one is left, charge the estimate, queue the query.
+        * :class:`PeriodTick` — steps 12–14, then eq. 4 over the capacity
+          the backlog leaves free.
+        """
+        with self._market_lock:
+            if isinstance(message, BidRequest):
+                return self._on_bid(message)
+            if isinstance(message, AssignQuery):
+                self._on_assign(message)
+            elif isinstance(message, PeriodTick) and self.agent is not None:
+                self.agent.end_period()
+                self.agent.rebind_supply_set(self.supply_set(message.period_ms))
+                self.agent.begin_period()
+            return None
+
+    def _on_bid(self, request: BidRequest) -> Message:
+        index = request.class_index
+        query_class = self._held.get(index)
+        if query_class is None or not (
+            self.agent is None or self.agent.quote(index, ACTIVATION_THRESHOLD)
+        ):
+            return Refusal(request.qid, self.node_id, index)
+        estimate_ms = self.backlog_ms + self.estimate_ms(query_class)
+        return Quote(request.qid, self.node_id, index, estimate_ms)
+
+    def _on_assign(self, assign: AssignQuery) -> None:
+        index = assign.class_index
+        query_class = self._held[index]
+        if self.agent is not None and self.agent.supply_left(index) >= 1:
+            self.agent.accept(index)
+        self._charged[assign.qid] = self.estimate_ms(query_class)
+        # The wire carries no selection constant; draw the instance's
+        # from its qid, so a query is the same SQL wherever it lands.
+        constant = random.Random(assign.qid).randrange(1000)
+        self.submit(assign.qid, query_class, constant, self._on_executed)
+
+    def _on_executed(self, node_id: int, result: ExecutionResult) -> None:
+        with self._market_lock:
+            self._charged.pop(result.qid, None)
+            on_complete = self._on_complete
+        on_complete(node_id, result)
+
     # -- execution ----------------------------------------------------------------
 
     def submit(
@@ -184,17 +312,13 @@ class SqliteServerNode:
         qid: int,
         query_class: QueryClass,
         constant: int,
-        on_complete,
+        on_complete: CompletionSink,
     ) -> None:
         """Queue one query for serial execution; ``on_complete`` receives
         the :class:`ExecutionResult` from the worker thread."""
         if self._closed:
             raise RuntimeError("node %d is closed" % self.node_id)
         self._jobs.put((qid, query_class, constant, time.monotonic(), on_complete))
-
-    def queue_depth(self) -> int:
-        """Jobs waiting (approximate; the running job is not counted)."""
-        return self._jobs.qsize()
 
     def _run_worker(self) -> None:
         while True:

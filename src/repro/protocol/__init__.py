@@ -4,14 +4,15 @@ The paper's market is a conversation: bid requests fan out, quotes and
 refusals come back, assignments are confirmed, period ticks resettle
 prices.  This package makes that conversation explicit and pluggable —
 typed frozen messages with a versioned JSON codec (:mod:`~repro.protocol
-.messages`), a :class:`Transport` seam (:mod:`~repro.protocol.transport`),
-the :class:`MarketSession` negotiation state machine (:mod:`~repro
-.protocol.session`), and an in-process asyncio backend (:mod:`~repro
-.protocol.local`) that proves the seam without touching the simulator.
+.messages`), a :class:`Transport` seam (:mod:`~repro.protocol.transport`)
+and the :class:`MarketSession` negotiation state machine (:mod:`~repro
+.protocol.session`), which the Section 5.2 SQLite federation
+(:mod:`repro.dbms`) runs over real messages.
 
 Standard library only, fully typed (``mypy --strict`` in CI), and free of
 ``repro.core`` / ``repro.sim`` imports by design: a live broker daemon
-must be able to depend on this package alone.
+must be able to depend on this package alone (a server that carries a
+pricing agent, like the SQLite node, lives with its substrate).
 """
 
 from .messages import (
@@ -43,12 +44,6 @@ from .transport import (
     Transport,
     encode_frame,
 )
-from .local import (
-    LocalAsyncTransport,
-    LocalNode,
-    MarketReport,
-    run_local_market,
-)
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -74,8 +69,4 @@ __all__ = [
     "NegotiationPolicy",
     "NegotiationOutcome",
     "SessionState",
-    "LocalAsyncTransport",
-    "LocalNode",
-    "MarketReport",
-    "run_local_market",
 ]

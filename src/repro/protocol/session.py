@@ -1,43 +1,35 @@
-"""The market negotiation state machine, independent of any transport.
+"""The client's side of the market negotiation, independent of any transport.
 
-One :class:`MarketSession` drives the conversation the paper's client
-performs for every query — the logic that used to be hard-coded across
-``QantAllocator.assign`` (fan-out, winner selection, timeout handling)
-and ``FederationSimulation`` (capped exponential backoff between
-resubmissions):
+One :meth:`MarketSession.negotiate_once` round is the conversation the
+paper's client performs for a query (Section 3.3), over whatever
+:class:`~repro.protocol.transport.Transport` moves the messages: fan a
+:class:`~repro.protocol.messages.BidRequest` out, collect the
+:class:`~repro.protocol.messages.Quote` replies, pick the winner by the
+paper's rule (earliest estimated completion, ties to the lowest node id)
+and send it an :class:`~repro.protocol.messages.AssignQuery`; the ack
+ends the round ``ASSIGNED``.  A round that yields no usable quote — every
+server refused, every reply timed out, or the confirm leg itself was
+lost — ends ``BACKOFF`` and reports the :class:`NegotiationPolicy` delay
+for that attempt; *when* to resubmit is the driver's business (the
+paper's client resubmits on the next period, which is what the SQLite
+federation in :mod:`repro.dbms` does).
 
-.. code-block:: text
-
-        IDLE ──begin──▶ BIDDING ──quotes──▶ CONFIRMING ──ack──▶ ASSIGNED
-                          │                      │
-                          │ all refuse /         │ confirm lost
-                          │ total silence        ▼
-                          └──────────────▶   BACKOFF ──resubmit──▶ BIDDING
-                                               │
-                                               │ attempts exhausted
-                                               ▼
-                                             FAILED
-
-Per round the session fans a :class:`~repro.protocol.messages.BidRequest`
-out through its :class:`~repro.protocol.transport.Transport`, collects
-:class:`~repro.protocol.messages.Quote` replies, picks the winner by the
-paper's rule (earliest estimated completion, ties to the lowest node id),
-and dispatches an :class:`~repro.protocol.messages.AssignQuery` confirm
-leg.  A round that yields no usable quote — every server refused, every
-reply timed out, or the confirm leg itself was lost — costs one backoff
-delay from the :class:`NegotiationPolicy` before the next attempt, which
-is exactly the pacing the simulator's fault layer applies to
-resubmissions.
+A session needs a transport that materialises replies.  The simulator's
+``SimTransport`` only *charges* an exchange (``replies=()``), so the
+simulator's allocators call :meth:`Transport.fanout` directly and react
+to its ``delivered`` / ``replied`` sets; what they share with this module
+is :meth:`NegotiationPolicy.backoff_ms`, which the fault layer delegates
+to.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
-from typing import Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
-from .messages import AssignQuery, BidRequest, CompletionReport, Quote
-from .transport import FanoutResult, Transport
+from .messages import AssignQuery, BidRequest, Quote
+from .transport import Transport
 
 __all__ = [
     "SessionState",
@@ -48,14 +40,10 @@ __all__ = [
 
 
 class SessionState(enum.Enum):
-    """Lifecycle of one query's negotiation."""
+    """How one bid round ended."""
 
-    IDLE = "idle"
-    BIDDING = "bidding"
-    CONFIRMING = "confirming"
     ASSIGNED = "assigned"
     BACKOFF = "backoff"
-    FAILED = "failed"
 
 
 @dataclass(frozen=True)
@@ -68,17 +56,13 @@ class NegotiationPolicy:
     backoff triple is the capped exponential delay between resubmissions:
     ``backoff_base_ms * backoff_factor ** attempt``, clamped to
     ``backoff_cap_ms`` — byte-identical to the formula the simulator's
-    fault layer has applied since it delegated here.  ``max_attempts``
-    bounds :meth:`MarketSession.negotiate`'s retry loop; drivers that
-    pace retries themselves (the discrete-event federation resubmits on
-    period ticks) use :meth:`MarketSession.negotiate_once` and ignore it.
+    fault layer has applied since it delegated here.
     """
 
     bid_timeout_ms: float = 10.0
     backoff_base_ms: float = 250.0
     backoff_factor: float = 2.0
     backoff_cap_ms: float = 2_000.0
-    max_attempts: int = 8
 
     def __post_init__(self) -> None:
         if self.bid_timeout_ms <= 0:
@@ -89,8 +73,6 @@ class NegotiationPolicy:
             raise ValueError("backoff factor must be >= 1")
         if self.backoff_cap_ms < self.backoff_base_ms:
             raise ValueError("backoff cap must be >= the base delay")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
 
     def backoff_ms(self, attempt: int) -> float:
         """Capped exponential resubmission delay for retry ``attempt``.
@@ -107,24 +89,20 @@ class NegotiationPolicy:
 
 @dataclass(frozen=True)
 class NegotiationOutcome:
-    """What one query's negotiation amounted to."""
+    """What one bid round amounted to."""
 
     request: BidRequest
-    #: Winning node, or ``None`` when the negotiation ended unassigned.
+    #: Winning node, or ``None`` when the round ended unassigned.
     node_id: Optional[int]
-    #: Bid rounds performed (>= 1).
-    attempts: int
-    #: Total negotiation latency: fan-out delays, confirm legs, backoffs.
+    #: Negotiation latency: the fan-out, the confirm leg, the backoff.
     delay_ms: float
-    #: The backoff share of ``delay_ms``.
+    #: The backoff share of ``delay_ms`` (0 when assigned).
     backoff_ms: float
-    #: Network messages spent across all rounds.
+    #: Network messages spent.
     messages: int
-    #: Quotes received across all rounds (refusals and silence excluded).
+    #: Quotes received (refusals and silence excluded).
     quotes_seen: int
     state: SessionState
-    #: The winner's completion report, when the transport surfaced one.
-    completion: Optional[CompletionReport] = None
 
     @property
     def assigned(self) -> bool:
@@ -142,17 +120,6 @@ class MarketSession:
     ) -> None:
         self._transport = transport
         self._policy = policy or NegotiationPolicy()
-        self._state = SessionState.IDLE
-
-    @property
-    def state(self) -> SessionState:
-        """The state reached by the most recent negotiation step."""
-        return self._state
-
-    @property
-    def policy(self) -> NegotiationPolicy:
-        """The session's negotiation policy."""
-        return self._policy
 
     @staticmethod
     def best_quote(quotes: Sequence[Quote]) -> Optional[Quote]:
@@ -171,111 +138,45 @@ class MarketSession:
 
         Ends :attr:`SessionState.ASSIGNED` on success and
         :attr:`SessionState.BACKOFF` otherwise — an unassigned outcome
-        already includes the policy's backoff delay for this attempt, so
-        a caller pacing its own retries (as the federation simulator
-        does per period tick) can schedule the resubmission directly.
+        already includes the policy's backoff delay for this attempt; a
+        driver that paces resubmissions by the market period (the SQLite
+        federation) ignores it and resubmits with ``attempt + 1``.
         """
-        self._state = SessionState.BIDDING
         result = self._transport.fanout(request.origin_node, peers, request)
         delay = result.delay_ms
         messages = result.messages
         quotes = [r for r in result.replies if isinstance(r, Quote)]
         winner = self.best_quote(quotes)
-        completion: Optional[CompletionReport] = None
         if winner is not None:
-            self._state = SessionState.CONFIRMING
             assign = AssignQuery(
                 qid=request.qid,
                 node_id=winner.node_id,
                 class_index=request.class_index,
             )
-            confirm = self._confirm(request.origin_node, assign)
+            confirm = self._transport.fanout(
+                request.origin_node, (winner.node_id,), assign
+            )
             delay += confirm.delay_ms
             messages += confirm.messages
             if confirm.replied:
-                self._state = SessionState.ASSIGNED
-                for reply in confirm.replies:
-                    if isinstance(reply, CompletionReport):
-                        completion = reply
-                        break
                 return NegotiationOutcome(
                     request=request,
                     node_id=winner.node_id,
-                    attempts=1,
                     delay_ms=delay,
                     backoff_ms=0.0,
                     messages=messages,
                     quotes_seen=len(quotes),
-                    state=self._state,
-                    completion=completion,
+                    state=SessionState.ASSIGNED,
                 )
         # All refused, total silence, or the confirm leg was lost: the
         # client cannot tell these apart, so it paces itself identically.
-        self._state = SessionState.BACKOFF
         backoff = self._policy.backoff_ms(request.attempt)
         return NegotiationOutcome(
             request=request,
             node_id=None,
-            attempts=1,
             delay_ms=delay + backoff,
             backoff_ms=backoff,
             messages=messages,
             quotes_seen=len(quotes),
-            state=self._state,
+            state=SessionState.BACKOFF,
         )
-
-    def negotiate(
-        self, request: BidRequest, peers: Sequence[int]
-    ) -> NegotiationOutcome:
-        """Run bid rounds until assigned or ``max_attempts`` exhausted.
-
-        Each unsuccessful round resubmits with an incremented ``attempt``
-        (so servers can observe retry pressure) after charging the
-        policy's capped exponential backoff.
-        """
-        total_delay = 0.0
-        total_backoff = 0.0
-        total_messages = 0
-        total_quotes = 0
-        attempts = 0
-        current = request
-        outcome: Optional[NegotiationOutcome] = None
-        for round_index in range(self._policy.max_attempts):
-            outcome = self.negotiate_once(current, peers)
-            attempts += 1
-            total_delay += outcome.delay_ms
-            total_backoff += outcome.backoff_ms
-            total_messages += outcome.messages
-            total_quotes += outcome.quotes_seen
-            if outcome.assigned:
-                return replace(
-                    outcome,
-                    request=request,
-                    attempts=attempts,
-                    delay_ms=total_delay,
-                    backoff_ms=total_backoff,
-                    messages=total_messages,
-                    quotes_seen=total_quotes,
-                )
-            current = replace(current, attempt=current.attempt + 1)
-        self._state = SessionState.FAILED
-        return NegotiationOutcome(
-            request=request,
-            node_id=None,
-            attempts=attempts,
-            delay_ms=total_delay,
-            backoff_ms=total_backoff,
-            messages=total_messages,
-            quotes_seen=total_quotes,
-            state=self._state,
-        )
-
-    def _confirm(self, origin: int, assign: AssignQuery) -> FanoutResult:
-        """The assignment confirm leg: one request/ack exchange with the
-        winner (the dispatch leg every mechanism pays in the simulator)."""
-        return self._transport.fanout(origin, (assign.node_id,), assign)
-
-
-#: Backoff tuple order used when deriving a policy from simulator fault
-#: specs — kept here so both layers agree on one source of truth.
-PolicyTuple = Tuple[float, float, float, float]

@@ -6,16 +6,18 @@ server peers; everything above it (:class:`~repro.protocol.session
 exist today:
 
 * ``repro.sim.transport.SimTransport`` — the discrete-event simulator's
-  network (latency model, message counting, fault injection);
-* :class:`~repro.protocol.local.LocalAsyncTransport` — an in-process
-  asyncio market with one worker coroutine per node, the stepping stone
-  to HTTP/TCP broker daemons;
-* ``repro.sim.shards.ShardTransport`` — a pipe-backed pool of forked
+  network (latency model, message counting, fault injection); it charges
+  an exchange without building payloads, so the allocators read its
+  ``delivered`` / ``replied`` sets and no session runs over it;
+* ``repro.sim.shards.ShardTransport`` — a pipe- or socket-backed pool of
   shard workers (peers are *shards*, not nodes): the sharded
   federation's batched bid/quote barriers travel through it, codec and
-  all.
+  all;
+* ``repro.dbms.InProcessTransport`` — synchronous delivery to the SQLite
+  nodes of the Section 5.2 federation, every leg encoded and decoded;
+  the backend :class:`~repro.protocol.session.MarketSession` runs over.
 
-The one verb both speak is :meth:`Transport.fanout`, whose
+The one verb they all speak is :meth:`Transport.fanout`, whose
 :class:`FanoutResult` lifts the semantics the simulator's faulty fan-out
 always had into a typed, documented contract:
 

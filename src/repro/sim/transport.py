@@ -3,8 +3,8 @@
 :class:`SimTransport` adapts :class:`repro.sim.network.Network` (latency
 model, message accounting, optional fault injection) to the
 :class:`repro.protocol.transport.Transport` interface, so the allocators
-and :class:`repro.protocol.session.MarketSession` drive the simulated
-wire through the same verb a live asyncio/HTTP broker would use.
+reach the simulated wire through the same verb, ``fanout``, that the
+shard and SQLite backends implement.
 
 The adapter is deliberately paper-thin: the simulator *charges* an
 exchange (messages, latency, fault outcomes) without materialising
@@ -12,8 +12,10 @@ payload bytes, so the ``request`` message is accepted — allocators pass
 the real :class:`~repro.protocol.messages.BidRequest` /
 :class:`~repro.protocol.messages.AssignQuery` they are performing — but
 not serialised, and :attr:`~repro.protocol.transport.FanoutResult
-.replies` stays empty.  Server-side reactions (quotes, refusal price
-dynamics) happen in the allocator against the ``delivered`` set, exactly
+.replies` stays empty.  A :class:`repro.protocol.session.MarketSession`
+therefore cannot run over it (it would never see a quote); the
+allocators call ``fanout`` themselves and play the server side
+(quotes, refusal price dynamics) against the ``delivered`` set, exactly
 as before the seam existed, which is what keeps every golden trace
 byte-identical.
 """

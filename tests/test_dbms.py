@@ -1,12 +1,19 @@
-"""Tests for the real-DBMS substrate (SQLite nodes + coordinator)."""
+"""Tests for the real-DBMS substrate (SQLite nodes + the real-time client).
+
+The market conversation between them is pinned in test_local_market.py.
+"""
 
 import time
+from dataclasses import replace
 
 import pytest
 
 from repro.catalog import Relation
 from repro.dbms import DbmsFederation, SqliteServerNode
+from repro.experiments.runner import run_single
+from repro.experiments.spec import REGISTRY, ScalePreset
 from repro.query.model import QueryClass
+from repro.query.sqlgen import plan_signature
 
 
 @pytest.fixture()
@@ -73,8 +80,6 @@ class TestSqliteServerNode:
         deadline = time.monotonic() + 10.0
         while not done and time.monotonic() < deadline:
             time.sleep(0.01)
-        from repro.query.sqlgen import plan_signature
-
         assert node.estimator.observations_of(plan_signature(qc)) == 1
 
     def test_view_creation(self, node):
@@ -142,12 +147,20 @@ class TestDbmsFederation:
         )
         try:
             federation.warm_up()
+            # Warm-up returns only once every candidate has run every class.
+            for qc in federation.classes:
+                for nid in federation.candidates(qc.index):
+                    estimator = federation.nodes[nid].estimator
+                    assert estimator.observations_of(plan_signature(qc)) >= 1
             result = federation.run_workload(
                 "greedy", num_queries=15, mean_interarrival_ms=5.0, seed=13
             )
             assert len(result.outcomes) == 15
             assert result.unserved == 0
             assert result.mean_total_ms >= result.mean_assign_ms > 0
+            # A completion credits what the assignment charged, so a
+            # drained node owes nothing, however wrong its estimates were.
+            assert all(n.backlog_ms == 0.0 for n in federation.nodes.values())
         finally:
             federation.close()
 
@@ -172,6 +185,7 @@ class TestDbmsFederation:
             assert len(result.outcomes) == 15
             assert result.unserved == 0
             assert result.mean_total_ms >= result.mean_assign_ms > 0
+            assert all(n.backlog_ms == 0.0 for n in federation.nodes.values())
         finally:
             federation.close()
 
@@ -203,3 +217,25 @@ class TestDbmsFederation:
         node = next(iter(federation.nodes.values()))
         with pytest.raises(RuntimeError):
             node.submit(0, qc, 0, lambda nid, r: None)
+
+
+def test_registered_fig7_spec_runs_at_a_tiny_size():
+    """`repro run fig7` with only the preset swapped: every (mechanism,
+    inter-arrival) run serves all its queries."""
+    sizes = {
+        "num_queries": 12,
+        "interarrivals_ms": (3.0, 5.0),
+        "num_nodes": 3,
+        "num_tables": 8,
+        "num_views": 4,
+        "num_classes": 5,
+        "table_size_mb": (0.05, 0.1),
+    }
+    spec = replace(REGISTRY.get("fig7"), scales={"small": ScalePreset(fixed=sizes)})
+    runs = run_single(spec, "small", seed=0).to_dict()["runs"]
+    assert sorted((r["mechanism"], r["mean_interarrival_ms"]) for r in runs) == [
+        ("greedy", 3.0), ("greedy", 5.0), ("qa-nt", 3.0), ("qa-nt", 5.0),
+    ]
+    for run in runs:
+        assert run["queries"] == 12 and run["unserved"] == 0
+        assert run["mean_total_ms"] >= run["mean_assign_ms"] > 0

@@ -1,179 +1,330 @@
-"""End-to-end tests of the asyncio market backend (repro.protocol.local).
+"""The message-level market, in process: SQLite nodes behind the protocol.
 
-The acceptance bar for the transport seam: the same MarketSession that
-drives the simulator's SimTransport must allocate >= 100 queries across
->= 4 nodes over LocalAsyncTransport — with zero imports from repro.sim
-anywhere in the protocol package (proved in a clean subprocess, because
-this test process has long since imported the simulator itself).
+The paper's client-server conversation (Section 3.3) is written once at
+message level: ``MarketSession`` on the client's side, ``SqliteServerNode
+.handle`` on the server's, ``InProcessTransport`` between them.  These
+tests pin the node's half to the paper listing (a twin
+``QantPricingAgent`` fed the same script), the transport to the codec,
+and the packages to their import budgets.
+
+The markets here are deterministic: a node's estimates are its EXPLAIN
+costs (no history calibration, which learns from wall-clock times), and
+its worker is *held*, so every assigned query stays queued and the
+backlog is exactly the sum of what was charged until the test lets go.
 """
 
+import contextlib
+import queue
 import subprocess
 import sys
+import threading
 
 import pytest
 
+import repro.dbms.federation as wire
+from repro.catalog import Relation
+from repro.core import QantParameters, QantPricingAgent
+from repro.dbms import (
+    ACTIVATION_THRESHOLD,
+    DbmsFederation,
+    FederationTimeout,
+    InProcessTransport,
+    SqliteServerNode,
+)
 from repro.protocol import (
     AssignQuery,
     BidRequest,
-    LocalAsyncTransport,
-    LocalNode,
     MarketSession,
-    NegotiationPolicy,
     PeriodTick,
     ProtocolError,
     Quote,
     Refusal,
-    run_local_market,
+    SessionState,
 )
+from repro.query import PerfectEstimator, QueryClass
+
+CLASSES = (
+    QueryClass(index=0, relation_ids=(0, 1), selectivity=0.4),
+    QueryClass(index=1, relation_ids=(1, 2), selectivity=0.3),
+    QueryClass(index=2, relation_ids=(0, 2), selectivity=0.5),
+)
+CLIENT = DbmsFederation.CLIENT
+LAMBDA = QantParameters().adjustment
 
 
-class TestLocalNode:
-    def _node(self, **kwargs):
-        defaults = dict(
-            node_id=0, class_costs_ms=(5.0, 10.0), capacity_ms=50.0
-        )
-        defaults.update(kwargs)
-        return LocalNode(**defaults)
+def period_of(node, costs):
+    """A period length worth ``costs`` of the node's dearest query."""
+    return costs * max(node.estimate_ms(qc) for qc in CLASSES)
 
-    def test_supply_spreads_over_classes(self):
-        node = self._node()
-        assert all(units > 0 for units in node.supply)
+
+@contextlib.contextmanager
+def market(num_nodes, parameters=None, period_costs=0.0, slowdown=1.0):
+    """``num_nodes`` equal nodes holding every class, market open, workers
+    held.  Yields ``(nodes, executed, release)``: ``release()`` lets the
+    workers go, and ``executed`` then receives every assigned qid."""
+    nodes = [
+        SqliteServerNode(node_id=i, slowdown=slowdown, rows_per_mb=1000.0)
+        for i in range(num_nodes)
+    ]
+    gate = threading.Event()
+    executed = queue.Queue()
+    try:
+        parked = []
+        for node in nodes:
+            node.estimator = PerfectEstimator()
+            for rid in range(3):
+                node.load_relation(Relation(rid=rid, name="r%d" % rid, size_mb=0.05))
+            flag = threading.Event()
+            parked.append(flag)
+            node.submit(
+                -1,
+                CLASSES[0],
+                0,
+                lambda nid, result, flag=flag: (flag.set(), gate.wait(timeout=60.0)),
+            )
+        assert all(flag.wait(timeout=10.0) for flag in parked)
+        for node in nodes:
+            node.open_market(
+                CLASSES,
+                lambda nid, result: executed.put(result.qid),
+                parameters,
+                period_of(node, period_costs),
+            )
+        yield nodes, executed, gate.set
+    finally:
+        gate.set()
+        for node in nodes:
+            node.close()
+
+
+def bid(qid, class_index, attempt=0):
+    return BidRequest(qid, class_index, CLIENT, attempt)
+
+
+class TestMarketNode:
+    """``handle`` is the paper listing (p. 270) behind three messages."""
 
     def test_quotes_then_refuses_when_sold_out(self):
-        node = self._node(class_costs_ms=(5.0,), capacity_ms=10.0)
-        assert node.supply == [2]
-        request = BidRequest(qid=1, class_index=0, origin_node=-1)
-        assert isinstance(node.handle(request), Quote)
-        # Quotes do not consume supply; assignments do.
-        for qid in range(2):
-            node.handle(AssignQuery(qid=qid, node_id=0, class_index=0))
-        price_before = node.prices[0]
-        refusal = node.handle(request)
-        assert isinstance(refusal, Refusal)
-        # A refusal is a trading failure: the price has already risen.
-        assert node.prices[0] > price_before
+        """Same requests to the node and to a twin agent: same offers,
+        prices and remaining supply, reply by reply."""
+        with market(1, QantParameters(), period_costs=10.0) as (nodes, __, __):
+            node = nodes[0]
+            twin = QantPricingAgent(
+                node.supply_set(period_of(node, 10.0)), QantParameters()
+            )
+            twin.begin_period()
+            assert twin.planned_supply == node.agent.planned_supply
+            assert twin.supply_left(0) >= 1
+            offered_without_supply = refused = 0
+            for qid in range(40):
+                sold_out = node.agent.supply_left(0) < 1
+                before = node.agent.prices[0]
+                reply = node.handle(bid(qid, 0))
+                assert isinstance(reply, (Quote, Refusal))
+                assert isinstance(reply, Quote) == twin.quote(
+                    0, ACTIVATION_THRESHOLD
+                )
+                if sold_out:
+                    # A trading failure raises the price by exactly lambda,
+                    # whether or not the node then offers.
+                    assert node.agent.prices[0] == before * (1.0 + LAMBDA)
+                else:
+                    assert node.agent.prices[0] == before
+                if isinstance(reply, Quote):
+                    offered_without_supply += sold_out
+                    # Quotes do not consume supply; assignments do.
+                    assert node.agent.supply_left(0) == twin.supply_left(0)
+                    node.handle(AssignQuery(qid, node.node_id, 0))
+                    if twin.supply_left(0) >= 1:
+                        twin.accept(0)
+                else:
+                    refused += 1
+                    # Only a node whose prices signal overload enforces
+                    # its supply vector (Section 5.1).
+                    assert node.agent.max_price >= ACTIVATION_THRESHOLD
+                assert node.agent.prices == twin.prices
+                assert node.agent.remaining_supply == twin.remaining_supply
+            assert offered_without_supply > 0 and refused > 0
 
     def test_period_tick_decays_unsold_prices_and_resolves_supply(self):
-        node = self._node()
-        price_before = node.prices[0]
-        node.backlog_ms = 40.0
-        node.handle(PeriodTick(period_index=1, period_ms=25.0))
-        assert node.prices[0] == pytest.approx(price_before * 0.95)
-        assert node.backlog_ms == pytest.approx(15.0)
-        assert all(units > 0 for units in node.supply)
+        with market(1, QantParameters(), period_costs=10.0) as (nodes, __, __):
+            node = nodes[0]
+            period_ms = period_of(node, 10.0)
+            twin = QantPricingAgent(node.supply_set(period_ms), QantParameters())
+            twin.begin_period()
+            node.handle(AssignQuery(0, node.node_id, 0))
+            twin.accept(0)
+            prices = node.agent.prices
+            unsold = node.agent.remaining_supply
+            assert all(0 < s * LAMBDA < 1 for s in unsold)
+            assert node.handle(PeriodTick(1, period_ms)) is None
+            # Steps 12-14: p -= s * lambda * p for every class with unsold s.
+            for k, s in enumerate(unsold):
+                assert node.agent.prices[k] == prices[k] * (1.0 - s * LAMBDA)
+            # ... then eq. 4 over what the backlog leaves of the period.
+            twin.end_period()
+            twin.rebind_supply_set(node.supply_set(period_ms))
+            twin.begin_period()
+            assert node.agent.prices == twin.prices
+            assert node.agent.remaining_supply == twin.remaining_supply
+            assert node.agent.supply_set.capacity_ms == pytest.approx(
+                period_of(node, 10.0 + 2.0) - node.backlog_ms
+            )
 
     def test_quote_estimates_backlog_plus_cost(self):
-        node = self._node()
-        node.backlog_ms = 7.0
-        quote = node.handle(BidRequest(qid=1, class_index=1, origin_node=-1))
-        assert isinstance(quote, Quote)
-        assert quote.estimated_completion_ms == pytest.approx(17.0)
+        with market(1) as (nodes, executed, release):
+            node = nodes[0]
+            first = node.handle(bid(1, 1))
+            assert first.estimated_completion_ms == node.estimate_ms(CLASSES[1])
+            node.handle(AssignQuery(1, node.node_id, 1))
+            node.handle(AssignQuery(2, node.node_id, 2))
+            charged = node.estimate_ms(CLASSES[1]) + node.estimate_ms(CLASSES[2])
+            assert node.backlog_ms == charged
+            second = node.handle(bid(3, 0))
+            assert second == Quote(
+                3, node.node_id, 0, charged + node.estimate_ms(CLASSES[0])
+            )
+            # The completions credit exactly what was charged, whatever
+            # the executions really took.
+            release()
+            assert sorted(executed.get(timeout=10.0) for __ in range(2)) == [1, 2]
+            assert node.backlog_ms == 0.0
+
+    def test_a_class_the_node_does_not_hold_is_refused(self):
+        with market(1) as (nodes, __, __):
+            for index in (-1, 3, 99):
+                assert nodes[0].handle(bid(1, index)) == Refusal(1, 0, index)
 
 
-class TestLocalAsyncTransport:
+class TestInProcessTransport:
     def test_requires_a_real_message(self):
-        transport = LocalAsyncTransport([LocalNode(0, (5.0,), 50.0)])
-        try:
+        with market(1) as (nodes, __, __):
+            transport = InProcessTransport({0: nodes[0]}, probe_latency_ms=0.0)
             with pytest.raises(ProtocolError):
-                transport.fanout(-1, (0,))
-        finally:
-            transport.close()
+                transport.fanout(CLIENT, (0,))
 
-    def test_fanout_is_deterministic_for_a_seed(self):
-        def one_run():
-            nodes = [LocalNode(i, (5.0, 9.0), 60.0) for i in range(4)]
-            transport = LocalAsyncTransport(
-                nodes, seed=3, drop_probability=0.2
+
+def _run_session(nodes, num_queries, tick_every=None, period_ms=0.0):
+    """Allocate a round-robin class stream through ``MarketSession``;
+    returns the winner of every query."""
+    ids = tuple(node.node_id for node in nodes)
+    transport = InProcessTransport(dict(zip(ids, nodes)), probe_latency_ms=0.0)
+    session = MarketSession(transport)
+    winners = []
+    for qid in range(num_queries):
+        if tick_every and qid and qid % tick_every == 0:
+            transport.fanout(CLIENT, ids, PeriodTick(qid // tick_every, period_ms))
+        outcome = session.negotiate_once(bid(qid, qid % len(CLASSES)), ids)
+        assert outcome.state is SessionState.ASSIGNED
+        winners.append(outcome.node_id)
+    return winners
+
+
+class TestFederationDriver:
+    """``DbmsFederation.run_workload`` over held nodes."""
+
+    def test_refused_queries_re_enter_on_the_next_period(self):
+        """Held workers on slow nodes (2 ms a query, 4 ms periods): the
+        backlog eats the supply, prices cross the threshold, every node
+        refuses.  Once the workers run again the backlog drains and each
+        tick re-solves supply; the waiting queries are placed with
+        ``resubmissions >= 1`` and none is lost."""
+        with market(2, slowdown=20.0) as (nodes, __, release):
+            federation = DbmsFederation(nodes, CLASSES, probe_latency_ms=0.0)
+            threading.Timer(0.3, release).start()
+            result = federation.run_workload(
+                "qa-nt", num_queries=80, mean_interarrival_ms=0.5, period_ms=4.0
             )
-            try:
-                results = [
-                    transport.fanout(
-                        -1,
-                        (0, 1, 2, 3),
-                        BidRequest(qid=i, class_index=0, origin_node=-1),
-                    )
-                    for i in range(10)
-                ]
-                return [
-                    (r.delay_ms, r.messages, r.delivered, r.replied)
-                    for r in results
-                ]
-            finally:
-                transport.close()
+            assert len(result.outcomes) == 80 and result.unserved == 0
+            assert sorted(o.qid for o in result.outcomes) == list(range(80))
+            assert max(o.resubmissions for o in result.outcomes) >= 1
+            assert [node.backlog_ms for node in nodes] == [0.0, 0.0]
 
-        assert one_run() == one_run()
-
-    def test_dropped_requests_are_not_delivered(self):
-        nodes = [LocalNode(i, (5.0,), 50.0) for i in range(3)]
-        transport = LocalAsyncTransport(
-            nodes, seed=0, drop_probability=0.999
-        )
-        try:
-            result = transport.fanout(
-                -1, (0, 1, 2), BidRequest(qid=1, class_index=0, origin_node=-1)
-            )
-            # With near-certain drops nothing arrives: the client waits
-            # out the full bid timeout and each lost request is one leg.
-            assert result.delivered == () and result.replied == ()
-            assert result.messages == 3
-            assert result.delay_ms == transport.bid_timeout_ms
-            assert all(node.quotes_sent == 0 for node in nodes)
-        finally:
-            transport.close()
+    def test_stalled_nodes_fail_by_name(self):
+        """Neither warm-up nor the drain waits on a stuck worker forever."""
+        with market(2) as (nodes, __, __):
+            federation = DbmsFederation(nodes, CLASSES, probe_latency_ms=0.0)
+            federation.DEADLINE_S = 0.2
+            with pytest.raises(FederationTimeout, match="warm_up: 0 of 6"):
+                federation.warm_up()
+            with pytest.raises(FederationTimeout, match="run_workload: 3 "):
+                federation.run_workload(
+                    "greedy", num_queries=3, mean_interarrival_ms=1.0
+                )
 
 
 class TestLocalMarketDemo:
-    def test_allocates_100_queries_across_4_nodes(self):
-        """The ISSUE acceptance bar, via the full MarketSession loop."""
-        report = run_local_market(
-            num_nodes=4, num_queries=120, num_classes=2, seed=0
-        )
-        assert report.assigned >= 100
-        assert report.nodes_used >= 4
-        assert report.quotes_seen > 0
-        assert report.periods > 0
-        # Messages: every query pays at least the 8-leg bid fan-out plus
-        # the 2-leg confirm.
-        assert report.messages >= report.assigned * 10
+    """The whole conversation end to end (the class keeps the name of the
+    asyncio demo whose cases it took over)."""
+
+    def test_allocates_100_queries_across_4_nodes(self, monkeypatch):
+        """Greedy nodes, and every leg through the codec."""
+        encoded, decoded = [], []
+
+        def encode(message):
+            encoded.append(message)
+            return wire_encode(message)
+
+        def decode(payload):
+            decoded.append(wire_decode(payload))
+            return decoded[-1]
+
+        wire_encode, wire_decode = wire.encode, wire.decode
+        monkeypatch.setattr(wire, "encode", encode)
+        monkeypatch.setattr(wire, "decode", decode)
+        with market(4) as (nodes, executed, release):
+            winners = _run_session(nodes, 120)
+            assert len(winners) == 120 and set(winners) == {0, 1, 2, 3}
+            # Per query: one bid encoded once and decoded by four nodes,
+            # four quotes and one assignment each encoded and decoded.
+            assert len(encoded) == 120 * (1 + 4 + 1)
+            assert len(decoded) == 120 * (4 + 4 + 1)
+            seen = {type(message) for message in decoded}
+            assert seen == {BidRequest, Quote, AssignQuery}
+            assert all(node.backlog_ms > 0.0 for node in nodes)
+            release()
+            for __ in range(120):
+                executed.get(timeout=30.0)
+            assert [node.backlog_ms for node in nodes] == [0.0] * 4
 
     def test_scales_to_more_nodes_and_classes(self):
-        report = run_local_market(
-            num_nodes=6, num_queries=150, num_classes=3, seed=42
-        )
-        assert report.assigned >= 120
-        assert report.nodes_used >= 5
+        """QA-NT nodes with room to spare, a period tick every 40."""
+        with market(6, QantParameters(), period_costs=1e4) as (nodes, __, __):
+            winners = _run_session(nodes, 150, 40, 10_000.0)
+            assert len(winners) == 150 and len(set(winners)) == 6
 
     def test_session_drives_local_transport_directly(self):
-        nodes = [LocalNode(i, (6.0, 11.0), 80.0) for i in range(4)]
-        transport = LocalAsyncTransport(nodes, seed=1)
-        session = MarketSession(
-            transport, NegotiationPolicy(max_attempts=3)
-        )
-        try:
-            outcome = session.negotiate(
-                BidRequest(qid=0, class_index=1, origin_node=-1),
-                transport.node_ids,
-            )
+        with market(4) as (nodes, __, __):
+            ids = (0, 1, 2, 3)
+            transport = InProcessTransport(dict(zip(ids, nodes)), 0.0)
+            nodes[0].handle(AssignQuery(100, 0, 0))  # node 0 is busy
+            quotes = transport.fanout(CLIENT, ids, bid(0, 1)).replies
+            outcome = MarketSession(transport).negotiate_once(bid(0, 1), ids)
             assert outcome.assigned
-            assert outcome.completion is not None
-            assert outcome.completion.node_id == outcome.node_id
-        finally:
-            transport.close()
+            assert outcome.messages == 2 * 4 + 2 and outcome.quotes_seen == 4
+            # Earliest estimated completion, ties to the lowest id.
+            best = min(quotes, key=lambda q: (q.estimated_completion_ms, q.node_id))
+            assert outcome.node_id == best.node_id != 0
+            assert nodes[best.node_id].backlog_ms > 0.0
 
     def test_protocol_package_never_imports_the_simulator(self):
-        """Run the demo in a clean interpreter and assert no repro.sim
-        (or repro.core / repro.allocation) module was ever imported."""
+        """Import budgets, in one clean interpreter, strictest first:
+        the protocol is stdlib-only and asyncio-free; the SQLite
+        federation needs the pricing core but no simulator; the shard
+        engine never pays for asyncio."""
         script = (
             "import sys\n"
-            "from repro.protocol import run_local_market\n"
-            "report = run_local_market(num_nodes=4, num_queries=120)\n"
-            "assert report.assigned >= 100, report\n"
-            "assert report.nodes_used >= 4, report\n"
-            "polluted = [name for name in sys.modules\n"
-            "            if name.startswith(('repro.sim', 'repro.core',\n"
-            "                                'repro.allocation'))]\n"
-            "assert not polluted, polluted\n"
-            "print('clean', report.assigned, report.nodes_used)\n"
+            "def loaded(*prefixes):\n"
+            "    return sorted(m for m in sys.modules if m.startswith(prefixes))\n"
+            "import repro.protocol\n"
+            "assert not loaded('repro.sim', 'repro.core', 'repro.allocation',\n"
+            "                  'asyncio'), loaded('repro.', 'asyncio')\n"
+            "import repro.dbms\n"
+            "assert not loaded('repro.sim', 'repro.allocation', 'asyncio'), (\n"
+            "    loaded('repro.', 'asyncio'))\n"
+            "import repro.sim.shards\n"
+            "assert not loaded('asyncio'), loaded('asyncio')\n"
+            "print('clean')\n"
         )
         completed = subprocess.run(
             [sys.executable, "-c", script],

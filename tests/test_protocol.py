@@ -5,9 +5,9 @@ Three concerns:
 * the versioned JSON codec — hypothesis round-trip identity for every
   message type, unknown-field tolerance, version pinning, and strict
   rejection of malformed envelopes;
-* the MarketSession negotiation state machine — winner rule, timeout /
-  refusal handling, retry accounting, and a backoff formula that stays
-  bit-identical to the simulator's fault layer;
+* one MarketSession bid round — winner rule, timeout / refusal
+  handling, and a backoff formula that stays bit-identical to the
+  simulator's fault layer;
 * sim-vs-protocol equivalence — ``Network.fanout``'s FanoutResult must
   keep the (delay, messages, delivered, replied) contract draw for draw
   on seeded runs, in both fault regimes.
@@ -330,13 +330,9 @@ def _bid_round(peers, quotes, delay=1.0):
     )
 
 
-def _confirm(node_id, delay=0.5, replies=()):
+def _confirm(node_id, delay=0.5):
     return FanoutResult(
-        delay_ms=delay,
-        messages=2,
-        delivered=(node_id,),
-        replied=(node_id,),
-        replies=tuple(replies),
+        delay_ms=delay, messages=2, delivered=(node_id,), replied=(node_id,)
     )
 
 
@@ -349,13 +345,10 @@ class TestMarketSession:
 
     def test_successful_round_assigns_and_confirms(self):
         peers = (1, 2, 3)
-        report = CompletionReport(
-            qid=7, node_id=2, class_index=0, started_ms=0.0, finished_ms=9.0
-        )
         transport = ScriptedTransport(
             [
                 _bid_round(peers, [_quote(7, 2, 9.0), _quote(7, 3, 11.0)]),
-                _confirm(2, replies=[report]),
+                _confirm(2),
             ]
         )
         session = MarketSession(transport)
@@ -368,7 +361,6 @@ class TestMarketSession:
         assert outcome.messages == 8
         assert outcome.quotes_seen == 2
         assert outcome.backoff_ms == 0.0
-        assert outcome.completion == report
         # The confirm leg carried an AssignQuery addressed to the winner.
         __, confirm_peers, confirm_request = transport.requests[1]
         assert confirm_peers == (2,)
@@ -405,41 +397,6 @@ class TestMarketSession:
         )
         assert not outcome.assigned
         assert outcome.state is SessionState.BACKOFF
-
-    def test_negotiate_retries_with_incremented_attempt(self):
-        peers = (1,)
-        transport = ScriptedTransport(
-            [
-                _bid_round(peers, []),  # round 1: all refuse
-                _bid_round(peers, [_quote(1, 1, 5.0)]),  # round 2: quote
-                _confirm(1),
-            ]
-        )
-        policy = NegotiationPolicy(max_attempts=3)
-        session = MarketSession(transport, policy)
-        request = BidRequest(qid=1, class_index=0, origin_node=0)
-        outcome = session.negotiate(request, peers)
-        assert outcome.assigned and outcome.attempts == 2
-        # Total delay includes round 1's backoff at attempt 0.
-        assert outcome.backoff_ms == policy.backoff_ms(0)
-        # The resubmission carried attempt=1 on the wire.
-        assert transport.requests[1][2].attempt == 1
-        # The outcome reports the *original* request.
-        assert outcome.request == request
-
-    def test_negotiate_fails_after_max_attempts(self):
-        peers = (1,)
-        transport = ScriptedTransport([_bid_round(peers, [])] * 2)
-        session = MarketSession(
-            transport, NegotiationPolicy(max_attempts=2)
-        )
-        outcome = session.negotiate(
-            BidRequest(qid=1, class_index=0, origin_node=0), peers
-        )
-        assert not outcome.assigned
-        assert outcome.attempts == 2
-        assert outcome.state is SessionState.FAILED
-        assert session.state is SessionState.FAILED
 
 
 class TestNegotiationPolicy:
@@ -484,8 +441,6 @@ class TestNegotiationPolicy:
             NegotiationPolicy(backoff_factor=0.5)
         with pytest.raises(ValueError):
             NegotiationPolicy(backoff_cap_ms=1.0, backoff_base_ms=2.0)
-        with pytest.raises(ValueError):
-            NegotiationPolicy(max_attempts=0)
 
 
 # ------------------------------------------- sim-vs-protocol equivalence
