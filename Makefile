@@ -31,8 +31,9 @@ perf-pairs:
 	python3 tools/perf_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
 	    --seed $(SEED) --pairs $(PAIRS)
 
-# Re-measure market_tick.SCALAR_LANES_MAX: array vs. scalar exchange,
-# microseconds by lane count (< 10 s; the constant's comment quotes it).
+# Re-measure market_tick.SCALAR_LANES_MAX: lane book vs. scalar twin,
+# microseconds by lane count, refusing and settled fraction (~10 s; the
+# constant's comment quotes it).
 crossover:
 	python3 tools/lane_crossover.py
 

@@ -27,6 +27,7 @@ Two paper-motivated options are exposed:
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from ..core.classification import (
@@ -483,11 +484,17 @@ class QantAllocator(Allocator):
         saturated_in = self._saturated_in
         serial = self._period_serial
         deferred = self._deferred_refusals
-        for i, k in enumerate(classes):
-            if k in full and saturated_in.get(k) == serial:
-                deferred[k] = deferred.get(k, 0) + 1
-            elif widths[i]:
-                node_ids[i] = self._exchange(k, fanouts[k], use_vector=True)
+        # Nothing commits before this returns, so the dispatcher may keep
+        # each class's completion estimates for the length of the loop.
+        dispatcher = self._dispatcher
+        with dispatcher.batch() if dispatcher is not None else nullcontext():
+            for i, k in enumerate(classes):
+                if k in full and saturated_in.get(k) == serial:
+                    deferred[k] = deferred.get(k, 0) + 1
+                elif widths[i]:
+                    node_ids[i] = self._exchange(
+                        k, fanouts[k], use_vector=True
+                    )
         if not self._vector_singles:
             # Scatter the batch's cached market state back into the live
             # agent lists before handing control to the event loop —

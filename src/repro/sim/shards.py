@@ -90,8 +90,9 @@ from ..protocol.messages import (
 )
 from ..allocation import market_tick
 from ..allocation.market_tick import (
+    LaneBook,
+    check_raise_terms,
     closed_raises_scalar,
-    exchange_lanes,
     exchange_lanes_scalar,
     refusal_raise,
     scalar_lanes,
@@ -306,7 +307,7 @@ class _MarketPlane:
     """One self-contained QA-NT market over a subset of the federation.
 
     The full stack of the tick market — request-for-bid exchanges
-    (:func:`repro.allocation.market_tick.exchange_lanes`), execution
+    (:class:`repro.allocation.market_tick.LaneBook`), execution
     replay with node-keyed latency streams, and the eq. 4 period solve
     with carry-over credit — restricted to one set of affinity
     components.  Query classes only couple through shared bidders, so
@@ -340,6 +341,7 @@ class _MarketPlane:
         self._factor = float(init["factor"])
         self._floor = float(init["floor"])
         self._cap = float(init["cap"])
+        check_raise_terms(self._factor, self._cap)
         self._adjustment = float(init["adjustment"])
         threshold = init.get("threshold")
         self._threshold = None if threshold is None else float(threshold)
@@ -394,6 +396,13 @@ class _MarketPlane:
             k: scalar_lanes(self._R[k], self._V[k], cand, self._lane_costs[k], *shared)
             for k, cand in self._cand.items()
             if len(cand) <= market_tick.SCALAR_LANES_MAX
+        }
+        #: Wide class → its lane book over the same views, re-armed by
+        #: every `_period_solve`.
+        self._books: Dict[int, LaneBook] = {
+            k: LaneBook(cand, self._lane_costs[k], *shared[:2], *self._terms)
+            for k, cand in self._cand.items()
+            if k not in self._narrow
         }
         self.reset(True)
 
@@ -541,13 +550,11 @@ class _MarketPlane:
             return None
         narrow = self._narrow.get(class_index)
         if narrow is None:
-            V = self._V[class_index]
-            cand = self._cand[class_index]
-            winner, _paid, finish, _refusals = exchange_lanes(
-                self._R[class_index], V, cand, self._lane_costs[class_index],
-                self._maxp, self._locked, self._busy, now, *self._terms,
-            )
-            saturated = winner < 0 and bool((V == self._cap).all())
+            book = self._books[class_index]
+            cand = book.rows
+            winner, _paid, finish = book.exchange(book.estimates(self._busy, now))
+            # All refused, so a lane is still live iff it is below the cap.
+            saturated = winner < 0 and not len(book.live)
         else:
             cand = narrow[2]
             winner, _paid, finish = exchange_lanes_scalar(*narrow, now, *self._terms)
@@ -689,6 +696,8 @@ class _MarketPlane:
         self._locked[:] = False
         self._maxp[:] = self._maxp_base
         _np.maximum.at(self._maxp, self._flat_rows, self._Vf)
+        for k, book in self._books.items():
+            book.arm(self._R[k], self._V[k])
         self._period_serial += 1
 
     # -- reporting ------------------------------------------------------------

@@ -22,8 +22,9 @@ from hypothesis import strategies as st
 from repro.allocation import GreedyAllocator, QantAllocator, RandomAllocator
 from repro.allocation.market_tick import (
     SCALAR_LANES_MAX,
+    LaneBook,
+    MarketTickDispatcher,
     closed_raises_scalar,
-    exchange_lanes,
     exchange_lanes_scalar,
     refusal_raise,
     scalar_lanes,
@@ -31,6 +32,7 @@ from repro.allocation.market_tick import (
 from repro.core import CapacitySupplySet, PriceVector, QantParameters
 from repro.core.qant import QantPricingAgent
 from repro.experiments.scaling import quantise_trace
+from repro.query.model import Query
 from repro.experiments.setups import (
     run_mechanism,
     sinusoid_trace_for_load,
@@ -144,108 +146,182 @@ def _agent_state(agent):
 
 
 @st.composite
-def _lane_cases(draw):
-    """One class's lanes mid-period, plus a burst of exchange times;
-    widths fall on both sides of the planes' array / scalar crossover."""
-    lanes = draw(st.integers(1, SCALAR_LANES_MAX + 2))
-    cap = draw(st.sampled_from([4.0, 1e9]))
+def _market_cases(draw):
+    """Two classes over shared agents mid-period, a burst of interleaved
+    exchanges long enough for lanes to run into the cap, and one re-arm;
+    class widths and live sets fall on both sides of the crossover."""
+    agents = draw(st.integers(2, 2 * SCALAR_LANES_MAX + 4))
+    # 1.5 sits below the threshold: lanes reach it and still pass.
+    cap = draw(st.sampled_from([4.0, 4.0, 1e9, 1.5]))
     threshold = draw(st.sampled_from([None, 2.0]))
-    # 2.0 is the threshold itself, 4.0 the small cap.
+    # 2.0 is the threshold itself, 1.9 one raise below it, 4.0 a cap.
     price = st.one_of(
-        st.sampled_from([1.0, 2.0, 4.0]), st.floats(0.25, 5.0)
+        st.sampled_from([1.0, 1.9, 2.0, 4.0]), st.floats(0.25, 5.0)
     ).map(lambda v: min(v, cap))
+    supply = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0])
 
     def column(values):
-        return draw(st.lists(values, min_size=lanes, max_size=lanes))
+        return draw(st.lists(values, min_size=agents, max_size=agents))
 
+    def pairs(values):
+        return column(st.tuples(values, values))
+
+    # Most agents bid in both classes; each class keeps a bidder.
+    bids = column(st.sampled_from([(0,), (1,), (0, 1), (0, 1)]))
+    bids[0], bids[-1] = (0, 1), (0, 1)
+    steps = draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0, 0, 1]),
+                st.sampled_from([0.0, 100.0, 650.0]),
+            ),
+            min_size=40,
+            max_size=56,
+        )
+    )
     return {
         "cap": cap,
         "threshold": threshold,
-        "R": column(st.sampled_from([0.0, 0.5, 1.0, 2.0])),
-        "V": column(price),
-        # The agent's price in a second class: feeds its running maximum.
-        "other": column(price),
+        "bids": bids,
+        "R": pairs(supply),
+        "rearmed_R": pairs(supply),
+        "rearm_at": draw(st.integers(8, 32)),
+        "V": pairs(price),
         "latched": column(st.booleans() if threshold else st.just(False)),
-        "costs": column(st.sampled_from([150.0, 400.0, 400.0, 900.0])),
+        "costs": pairs(st.sampled_from([150.0, 400.0, 400.0, 900.0])),
         "busy": column(st.sampled_from([0.0, 120.0, 120.0, 700.0])),
-        "times": draw(
-            st.lists(st.sampled_from([0.0, 100.0, 650.0]), min_size=1, max_size=8)
-        ),
+        "steps": steps,
+        # The live-set width up to which the book prices lane by lane.
+        "crossover": draw(st.sampled_from([SCALAR_LANES_MAX, 2])),
     }
 
 
-@given(_lane_cases())
+@given(_market_cases())
 @settings(max_examples=200, deadline=None)
-def test_exchange_lanes_matches_the_paper_listing(case):
-    """Both transcriptions of the exchange — the array program and its
+def test_lane_book_matches_the_paper_listing(case):
+    """Both array-side spellings of the exchange — the lane book, pricing
+    its live lanes by array steps or lane by lane, and the narrow-class
     scalar twin, at every width — equal a scalar loop over fresh pricing
     agents calling ``quote`` / ``accept``: winner, prices, supply,
-    max-price and latch bits, exchange after exchange.  The dispatcher
-    and the shard planes price through these two functions only, so both
-    inherit bit-identity with the listing from this one property."""
-    for kernel in (exchange_lanes, exchange_lanes_scalar):
+    max-price and latch bits, exchange after exchange, through lanes
+    settling at the cap, winners selling out, a second class latching
+    shared agents, and a re-arm.  For the book also: refusal counts and
+    price epochs equal the agents', ``offers`` is every lane's ``quote``
+    answer, and ``live`` is its from-scratch definition — the refusing
+    lanes that are not settled, plus the winner that just sold out (it
+    has not been priced yet).  The dispatcher and the shard planes price
+    through these two only, so both inherit bit-identity with the listing
+    from this one property.
+
+    Hand mutations of ``LaneBook`` this kills (each on both pricing
+    paths): settling a lane on ``V == cap`` without asking for the latch
+    (``live``, under the cap below the threshold); skipping the ``maxp``
+    update on the raise that reaches the cap (``maxp``, then latches and
+    winners); adding a sold-out winner to ``live`` before instead of
+    after the exchange it won (its price moves one exchange early).
+    """
+    for kernel in ("book", "twin"):
         _check_kernel_against_listing(kernel, case)
 
 
 def _check_kernel_against_listing(kernel, case):
     cap, threshold = case["cap"], case["threshold"]
     params = QantParameters(price_cap=cap)
-    lanes = len(case["R"])
+    terms = 1.0 + params.adjustment, params.price_floor, cap, threshold
+    count = len(case["bids"])
     agents = []
-    for i in range(lanes):
+    for i in range(count):
         agent = QantPricingAgent(
-            CapacitySupplySet([case["costs"][i], 300.0], 500.0),
+            CapacitySupplySet(list(case["costs"][i]), 500.0),
             params,
-            PriceVector([case["V"][i], case["other"][i]]),
+            PriceVector(list(case["V"][i])),
         )
         agent.begin_period()
-        agent._remaining[0] = case["R"][i]
+        agent._remaining[:] = case["R"][i]
         if case["latched"][i]:
             agent._enforce_locked_at = threshold
         agents.append(agent)
-    # Lanes sit on the odd rows of wider agent arrays, as in an engine.
-    rows = np.arange(lanes) * 2 + 1
-    R = np.array(case["R"])
-    V = np.array(case["V"])
-    costs = np.array(case["costs"])
-    maxp = np.zeros(2 * lanes + 1)
-    maxp[rows] = np.maximum(V, case["other"])
-    locked = np.zeros(2 * lanes + 1, dtype=bool)
-    locked[rows] = case["latched"]
-    free_at = np.zeros(2 * lanes + 1)
-    free_at[rows] = case["busy"]
-    state = R, V, rows, costs, maxp, locked, free_at
-    if kernel is exchange_lanes_scalar:
-        state = scalar_lanes(*state)
-    for now in case["times"]:
-        short = [i for i, a in enumerate(agents) if a.supply_left(0) < 1]
-        offers = [i for i, a in enumerate(agents) if a.quote(0, threshold)]
-        expected, best = -1, math.inf
-        for i in offers:
-            estimate = max(case["busy"][i], now) + case["costs"][i]
-            if estimate < best:
-                expected, best = i, estimate
-        accepted = expected >= 0 and agents[expected].supply_left(0) >= 1
-        if accepted:
-            agents[expected].accept(0)
-        winner, paid, finish, *refusals = kernel(
-            *state, now,
-            1.0 + params.adjustment, params.price_floor, cap, threshold,
+    # Agents sit on the odd rows of wider arrays, as in an engine.
+    maxp = np.zeros(2 * count + 1)
+    maxp[1::2] = [max(v) for v in case["V"]]
+    locked = np.zeros(2 * count + 1, dtype=bool)
+    locked[1::2] = case["latched"]
+    epochs = np.zeros(2 * count + 1, dtype=np.int64)
+    free_at = np.zeros(2 * count + 1)
+    free_at[1::2] = case["busy"]
+    members, R, V, exchange, books = {}, {}, {}, {}, {}
+    for k in (0, 1):
+        members[k] = [i for i in range(count) if k in case["bids"][i]]
+        rows = np.array(members[k]) * 2 + 1
+        R[k] = np.array([case["R"][i][k] for i in members[k]])
+        V[k] = np.array([case["V"][i][k] for i in members[k]])
+        costs = np.array([case["costs"][i][k] for i in members[k]])
+        if kernel == "twin":
+            exchange[k] = lambda now, views=scalar_lanes(
+                R[k], V[k], rows, costs, maxp, locked, free_at
+            ): exchange_lanes_scalar(*views, now, *terms)
+            continue
+        book = LaneBook(rows, costs, maxp, locked, *terms, epochs)
+        book._scalar_max = case["crossover"]
+        book.arm(R[k], V[k])
+        books[k] = book
+        exchange[k] = lambda now, book=book: book.exchange(
+            book.estimates(free_at, now)
         )
+    for step, (k, now) in enumerate(case["steps"]):
+        if step == case["rearm_at"]:
+            # A boundary, as far as the lanes see one: new supply, latches
+            # and refusal counts cleared, prices (and so maxima) kept.
+            for i, agent in enumerate(agents):
+                agent._remaining[:] = case["rearmed_R"][i]
+                agent._refused[:] = [0, 0]
+                agent._enforce_locked_at = None
+            locked[:] = False
+            for j in (0, 1):
+                R[j][:] = [case["rearmed_R"][i][j] for i in members[j]]
+                if books:
+                    books[j].arm(R[j], V[j])
+        bidders = [agents[i] for i in members[k]]
+        quotes = [a.quote(k, threshold) for a in bidders]
+        expected, best = -1, math.inf
+        for lane, i in enumerate(members[k]):
+            estimate = max(case["busy"][i], now) + case["costs"][i][k]
+            if quotes[lane] and estimate < best:
+                expected, best = lane, estimate
+        accepted = expected >= 0 and bidders[expected].supply_left(k) >= 1
+        if accepted:
+            bidders[expected].accept(k)
+        winner, paid, finish = exchange[k](now)
         assert winner == expected
-        if refusals:  # the array program also names the refusing lanes
-            refused = refusals[0]
-            assert short == ([] if refused is None else refused[0].tolist())
         if winner >= 0:
             assert finish == best
             assert paid == accepted
-        assert V.tolist() == [a.prices[0] for a in agents]
-        assert R.tolist() == [a.supply_left(0) for a in agents]
-        assert maxp[rows].tolist() == [a.max_price for a in agents]
-        assert locked[rows].tolist() == [
+        assert V[k].tolist() == [a.prices[k] for a in bidders]
+        assert R[k].tolist() == [a.supply_left(k) for a in bidders]
+        assert maxp[1::2].tolist() == [a.max_price for a in agents]
+        assert locked[1::2].tolist() == [
             a._enforce_locked_at is not None for a in agents
         ]
+        if kernel == "twin":
+            continue
+        book = books[k]
+        assert book.offers.tolist() == quotes
+        assert book.refusals().tolist() == [a._refused[k] for a in bidders]
+        assert epochs[1::2].tolist() == [a.price_epoch for a in agents]
+        live = {
+            lane
+            for lane, i in enumerate(members[k])
+            if R[k][lane] < 1.0
+            and not (
+                V[k][lane] == cap
+                and (threshold is None or locked[2 * i + 1])
+            )
+        }
+        if accepted and R[k][winner] < 1.0:
+            live.add(winner)
+        assert sorted(book.live.tolist()) == sorted(live)
     assert not maxp[::2].any() and not locked[::2].any()
+    assert not epochs[::2].any()
 
 
 @given(
@@ -285,17 +361,28 @@ def test_closed_raises_scalar_matches_sequential_refusal_raises(
 
 def test_exchange_kernels_share_the_clamp_order():
     """``QantParameters`` rejects a floor above the cap, so the listing
-    cannot show which clamp runs first; the two kernels must still agree
-    with :func:`refusal_raise` there: floor, then cap."""
-    for kernel in (exchange_lanes, exchange_lanes_scalar):
+    cannot show which clamp runs first; the book (on both pricing paths)
+    and the scalar twin must still agree with :func:`refusal_raise`
+    there: floor, then cap."""
+    for kernel in ("many", "few", "twin"):
+        R, V = np.zeros(2), np.array([1.0, 3.0])
         state = (
-            np.zeros(2), np.array([1.0, 3.0]), np.arange(2),
-            np.array([150.0, 400.0]), np.ones(2) * 3.0,
+            R, V, np.arange(2), np.array([150.0, 400.0]), np.ones(2) * 3.0,
             np.zeros(2, dtype=bool), np.zeros(2),
         )
-        views = state if kernel is exchange_lanes else scalar_lanes(*state)
-        assert kernel(*views, 0.0, 1.1, 5.0, 4.0, None)[0] == -1
-        assert state[1].tolist() == state[4].tolist() == [4.0, 4.0]
+        rows, costs, maxp, locked, free_at = state[2:]
+        if kernel == "twin":
+            answer = exchange_lanes_scalar(
+                *scalar_lanes(*state), 0.0, 1.1, 5.0, 4.0, None
+            )
+        else:
+            book = LaneBook(rows, costs, maxp, locked, 1.1, 5.0, 4.0, None)
+            book._scalar_max = 0 if kernel == "many" else 2
+            book.arm(R, V)
+            answer = book.exchange(book.estimates(free_at, 0.0))
+            assert not len(book.live)
+        assert answer[0] == -1
+        assert V.tolist() == maxp.tolist() == [4.0, 4.0]
 
 
 def test_qant_agent_state_matches_scalar_after_run():
@@ -411,6 +498,7 @@ def test_partial_fanout_mid_run_falls_back_and_recovers():
     assert stats is not None, "churn must not disable the dispatcher"
     assert stats.scalar_fallbacks > 0, "no outage window hit a fan-out"
     assert stats.vector_exchanges > 0, "vector path never resumed"
+    assert stats.estimate_reuses > 0, "no batch reused its estimates"
 
     def never_vectorise(federation, allocator):
         # Simulate the undispatchable fleet: every exchange takes the
@@ -466,6 +554,100 @@ def test_scripted_vector_singles_outage_is_bit_identical():
         toggled.batch_dispatch_stats.vector_exchanges
         < baseline.batch_dispatch_stats.vector_exchanges
     )
+
+
+def _armed_allocator():
+    """A bound QA-NT allocator whose single assigns take the vector
+    exchange, as inside a federation run."""
+    world = two_query_world(num_nodes=12, seed=0)
+    allocator = QantAllocator()
+    build_federation(
+        world.specs,
+        world.placement,
+        world.classes,
+        world.cost_model,
+        allocator,
+        FederationConfig(seed=2),
+    )
+    allocator.on_run_start()
+    return allocator
+
+
+def test_batch_estimates_do_not_outlive_the_batch():
+    # A batch reuses each class's completion estimates; a commit right
+    # after it, behind the dispatcher's back, must show in the very next
+    # single assign at the same timestamp.  The twin cannot reuse
+    # anything by construction: its batches hold one query each.
+    queries = [
+        Query(qid=qid, class_index=0, origin_node=0, arrival_ms=0.0)
+        for qid in range(7)
+    ]
+    reusing, recomputing = _armed_allocator(), _armed_allocator()
+    batch = reusing.assign_batch(queries[:6]).node_ids
+    assert batch == [
+        recomputing.assign_batch([query]).node_ids[0] for query in queries[:6]
+    ]
+    winner = batch[-1]
+    stats = reusing.batch_dispatch_stats
+    assert (stats.vector_exchanges, stats.estimate_reuses) == (6, 5)
+    assert recomputing.batch_dispatch_stats.estimate_reuses == 0
+    # The winner still has supply and would win again on the batch's
+    # estimates; with the commit in its queue somebody else is earlier.
+    singles = []
+    for allocator in (reusing, recomputing):
+        assert allocator.agents[winner].supply_left(0) >= 1
+        allocator.context.nodes[winner].enqueue(queries[5])
+        singles.append(allocator.assign(queries[6]).node_id)
+    assert singles[0] == singles[1] != winner
+    assert stats.estimate_reuses == 5
+
+
+def test_dispatch_ledger_counts_are_pinned():
+    # Host-independent evidence of what the lane book skips, on a small
+    # overloaded run with a cap low enough to reach: of the refusing
+    # lanes its vector exchanges meet, `lane_steps` are still live and
+    # get priced; the rest had settled for the period.  Neither count
+    # reaches `batch_summary()` (its key set is pinned below).
+    world, trace = _overload_setup("two-class", 0, 25.0)
+    allocator = QantAllocator(parameters=QantParameters(price_cap=64.0))
+    federation = build_federation(
+        world.specs,
+        world.placement,
+        world.classes,
+        world.cost_model,
+        allocator,
+        FederationConfig(seed=2, batch_ticks=True),
+    )
+    dispatcher = allocator._dispatcher
+    exchange = dispatcher.exchange
+    refusing_met = [0]
+
+    def counted(class_index, now):
+        state = dispatcher._live_state(class_index)
+        refusing_met[0] += int((state.R < 1.0).sum())
+        return exchange(class_index, now)
+
+    dispatcher.exchange = counted
+    metrics = federation.run(trace)
+    counts = allocator.batch_dispatch_stats.as_dict()
+    assert counts["vector_exchanges"] == metrics.vector_exchanges == 217
+    assert refusing_met[0] == 1684
+    assert counts["lane_steps"] == 945
+    assert counts["estimate_reuses"] == 141
+
+
+def test_dispatcher_refuses_raise_terms_that_unsettle_the_cap():
+    # A settled lane is skipped because cap * factor clamps back to the
+    # cap; `QantParameters` cannot produce these, raw floats can.
+    def dispatcher(factor, cap):
+        return MarketTickDispatcher(None, {}, {}, {}, 2.0, factor, 0.01, cap)
+
+    for factor in (1.0, 0.9, math.nan):
+        with pytest.raises(ValueError, match="raise_factor"):
+            dispatcher(factor, 4.0)
+    for cap in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="price_cap"):
+            dispatcher(1.1, cap)
 
 
 def test_batch_summary_counters_surface_in_metrics():

@@ -837,9 +837,10 @@ def test_unroutable_trace_event_is_a_named_error(event, complaint):
 
 
 def _plane(init, crossover=None):
-    """A ``_MarketPlane`` pricing classes of up to ``crossover`` lanes
-    with the scalar kernels (``None``: as shipped, 0: the array program
-    only, 99: the scalar kernels only)."""
+    """A ``_MarketPlane`` pricing classes (and, inside a lane book, live
+    sets) of up to ``crossover`` lanes with the scalar kernels (``None``:
+    as shipped, 0: lane books on array steps only, 99: the scalar kernels
+    only)."""
     with pytest.MonkeyPatch.context() as patch:
         if crossover is not None:
             patch.setattr(market_tick, "SCALAR_LANES_MAX", crossover)
@@ -850,12 +851,12 @@ class _FlatListReference:
     """The discipline the pools and the closed path replace: one flat
     pending list, every pooled query re-exchanged (``resub + 1``) at
     every boundary, every exchange through the full per-exchange
-    program — the array one unless ``crossover`` says otherwise, so a
-    shipped plane's scalar kernels are compared with ``exchange_lanes``,
-    not with themselves.  The wrapped plane only prices and replays: its
-    own pools stay empty and its fast-path marks are wiped before each
-    exchange, so neither the saturated skip nor the closed raise ever
-    runs here.
+    program — a lane book on array steps unless ``crossover`` says
+    otherwise, so a shipped plane's scalar kernels are compared with
+    ``LaneBook``, not with themselves.  The wrapped plane only prices
+    and replays: its own pools stay empty and its fast-path marks are
+    wiped before each exchange, so neither the saturated skip nor the
+    closed raise ever runs here.
     """
 
     def __init__(self, init, crossover=0):
@@ -993,7 +994,7 @@ def _run_script(init, script, crossovers=(None, 0)):
     boundary, a list = one tick of class indices); compares the two,
     then yields the plane, after every step.  ``crossovers`` are the
     plane's and the reference's (:func:`_plane`): by default the shipped
-    kernels against the array program."""
+    kernels against lane books on array steps."""
     plane = _plane(init, crossovers[0])
     reference = _FlatListReference(init, crossovers[1])
     now, qid, boundaries = 0.0, 0, 0
@@ -1025,7 +1026,7 @@ def test_market_plane_pools_match_flat_list_reference(case):
 @settings(max_examples=30, deadline=None)
 def test_market_plane_pools_match_on_one_kernel(crossover, case):
     """The same sweep with both sides on the scalar kernels only, and on
-    the array program only (where the closed path calls ``refusal_raise``)."""
+    lane books only (where the closed path calls ``refusal_raise``)."""
     for plane in _run_script(*case, crossovers=(crossover, crossover)):
         assert len(plane._narrow) == (len(plane.class_indices) if crossover else 0)
 
@@ -1075,6 +1076,23 @@ def test_closed_class_next_to_an_open_one(cap, burst):
     assert all(closed for closed, _saturated, _settled in seen)
 
 
+@pytest.mark.parametrize(
+    "terms, complaint",
+    [
+        ({"factor": 1.0}, "raise_factor"),
+        ({"factor": math.nan}, "raise_factor"),
+        ({"cap": 0.0}, "price_cap"),
+        ({"cap": math.inf}, "price_cap"),
+    ],
+)
+def test_plane_refuses_raise_terms_that_unsettle_the_cap(terms, complaint):
+    """A plane skips lanes settled at the cap (and whole saturated
+    classes), which needs ``cap * factor`` to clamp back to the cap; its
+    init mapping carries raw floats, so it checks them itself."""
+    with pytest.raises(ValueError, match=complaint):
+        _MarketPlane({**_plane_init(_SHARED_BIDDER), **terms})
+
+
 def test_no_threshold_never_closes():
     """Without the activation latch no bidder is ever latched, so no
     class closes: every exchange runs the full program."""
@@ -1086,7 +1104,7 @@ def test_no_threshold_never_closes():
 
 
 def test_wide_and_narrow_class_share_a_bidder():
-    """Class A, padded past the crossover, runs the array program; class
+    """Class A, padded past the crossover, runs a lane book; class
     B, two lanes, the scalar kernels; node ``pad`` bids in both, so its
     running maximum, latch and busy clock are written by one kernel and
     read by the other.  The plane equals the all-array reference after
