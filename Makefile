@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test typecheck perf-smoke perf-pairs crossover examples artefacts clean
+.PHONY: install test typecheck perf-smoke perf-pairs crossover surface examples artefacts clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -36,6 +36,11 @@ perf-pairs:
 # constant's comment quotes it).
 crossover:
 	python3 tools/lane_crossover.py
+
+# Functions and classes of src/ that only tests (or nothing) reference;
+# DESIGN.md §8 gives each listed entry its reason (the CI "Surface" step).
+surface:
+	python3 tools/surface.py
 
 # The five walkthroughs, end to end (the CI "Examples" step; ~13 s).
 # Like `test`, needs `make install` or PYTHONPATH=src.

@@ -3,15 +3,13 @@
 An allocator decides, for each arriving query, which server node will
 evaluate it.  The federation simulator hands the allocator an
 :class:`AllocationContext` (nodes, candidate sets, network, clock) at bind
-time and then drives three hooks:
+time and then drives two hooks:
 
 * :meth:`Allocator.on_period_start` — fired every ``period_ms`` (QA-NT
   recomputes supply vectors here; most baselines ignore it);
 * :meth:`Allocator.assign` — the allocation decision for one query; a
   ``node_id`` of ``None`` means every server refused and the client must
-  resubmit next period (paper Section 3.3);
-* :meth:`Allocator.on_completion` — feedback with the actual runtime, used
-  by history-calibrated estimators.
+  resubmit next period (paper Section 3.3).
 
 Each decision also carries the negotiation *cost*: how many network
 messages were exchanged and how long the client waited before the query
@@ -224,16 +222,13 @@ class Allocator(abc.ABC):
             [decision.messages for decision in decisions],
         )
 
-    def on_completion(self, query: Query, node_id: int, actual_ms: float) -> None:
-        """Feedback after execution; default does nothing."""
-
     def on_run_end(self) -> None:
         """Called once after the simulation drains; default does nothing.
 
-        Mechanisms that batch or defer period bookkeeping (see
+        Mechanisms that keep period state off the agent objects (see
         :class:`~repro.allocation.qant.QantAllocator`'s period engine)
         materialise their final state here so post-run inspection of the
-        agents observes exactly what a never-deferred run would have.
+        agents observes exactly what a per-agent run would have.
         """
 
     # -- shared protocol helpers --------------------------------------------------

@@ -43,10 +43,7 @@ from contextlib import contextmanager
 from math import inf as _INF
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-try:  # Same optional posture as repro.sim.fleet; no numpy, no dispatcher.
-    import numpy as _np
-except ImportError:  # pragma: no cover - scalar paths cover this
-    _np = None
+import numpy as np
 
 __all__ = [
     "BatchDispatchStats",
@@ -73,8 +70,8 @@ def refusal_raise(values, factor, floor, cap):
     (:meth:`repro.sim.shards._MarketPlane._closed_raises`) both call it.
     """
     raised = values * factor
-    _np.maximum(raised, floor, out=raised)
-    _np.minimum(raised, cap, out=raised)
+    np.maximum(raised, floor, out=raised)
+    np.minimum(raised, cap, out=raised)
     return raised, raised != values
 
 
@@ -154,18 +151,18 @@ class LaneBook:
         self.R = R
         self.V = V
         self.offers = offers = R >= 1.0
-        self.live = _np.flatnonzero(~offers)
+        self.live = np.flatnonzero(~offers)
         # Exchanges since the arm, and per lane the count at which it
         # began to refuse (-1: it still has supply).
         self._exchanges = 0
-        self._since = _np.where(offers, -1, 0)
+        self._since = np.where(offers, -1, 0)
         self._lane_views = memoryview(V), memoryview(offers)
 
     def refusals(self):
         """Per lane, the exchanges it has refused since :meth:`arm`: every
         one since it ran out of supply."""
         since = self._since
-        return _np.where(since < 0, 0, self._exchanges - since)
+        return np.where(since < 0, 0, self._exchanges - since)
 
     def estimates(self, free_at, now):
         """Per lane, the estimated completion ``max(free_at, now) + cost``
@@ -173,7 +170,7 @@ class LaneBook:
         # `maximum(free, now)` is the scalar `free if free > now else now`:
         # equal operands share one bit pattern (timestamps are non-negative,
         # so no -0.0/+0.0 split is observable).
-        est = _np.maximum(free_at[self.rows], now)
+        est = np.maximum(free_at[self.rows], now)
         est += self.costs
         return est
 
@@ -194,7 +191,7 @@ class LaneBook:
             self._price_many(live)
         elif len(live):
             self._price_few(live)
-        est = _np.where(self.offers, estimates, _INF)
+        est = np.where(self.offers, estimates, _INF)
         winner = int(est.argmin())
         finish = est[winner]
         if finish == _INF:
@@ -205,7 +202,7 @@ class LaneBook:
             R[winner] = left = R[winner] - 1.0
             if left < 1.0:
                 # Sold out by this exchange: it refuses from the next on.
-                self.live = _np.append(self.live, winner)
+                self.live = np.append(self.live, winner)
                 self._since[winner] = self._exchanges
         return winner, paid, finish
 
@@ -222,7 +219,7 @@ class LaneBook:
         if changed.any():
             # `maximum` matches the scalar `new > peak` keep-or-replace:
             # ties return the shared (positive) value bit-for-bit.
-            peak = _np.maximum(peak, new)
+            peak = np.maximum(peak, new)
             self._maxp[rows] = peak
             if self._epochs is not None:
                 self._epochs[rows] += changed
@@ -274,8 +271,8 @@ class LaneBook:
             if new == cap and not passed:
                 settled = True
         if settled:
-            self.live = _np.array(
-                [i for i in lanes if offers[i] or V[i] != cap], dtype=_np.intp
+            self.live = np.array(
+                [i for i in lanes if offers[i] or V[i] != cap], dtype=np.intp
             )
 
 
@@ -457,9 +454,9 @@ class MarketTickDispatcher:
         # Rows whose node bids in no class keep a None agent and are
         # never touched.
         num_rows = len(fleet.node_ids)
-        self._aux_maxp = _np.zeros(num_rows, dtype=float)
-        self._aux_locked = _np.zeros(num_rows, dtype=bool)
-        self._aux_delta = _np.zeros(num_rows, dtype=_np.int64)
+        self._aux_maxp = np.zeros(num_rows, dtype=float)
+        self._aux_locked = np.zeros(num_rows, dtype=bool)
+        self._aux_delta = np.zeros(num_rows, dtype=np.int64)
         self._aux_fresh = False
         self._states: Dict[int, _ClassState] = {}
         agents_by_row: List[object] = [None] * num_rows
@@ -468,8 +465,8 @@ class MarketTickDispatcher:
                 class_index,
                 list(ids),
                 tuple(agents[nid] for nid in ids),
-                _np.array([row_of[nid] for nid in ids], dtype=_np.intp),
-                _np.array(
+                np.array([row_of[nid] for nid in ids], dtype=np.intp),
+                np.array(
                     [nodes[nid]._costs[class_index] for nid in ids],
                     dtype=float,
                 ),
@@ -500,11 +497,11 @@ class MarketTickDispatcher:
         row_of = self._fleet.row_of
         engine_row_of = {nid: i for i, nid in enumerate(node_ids)}
         for st in self._states.values():
-            st.engine_rows = _np.array(
-                [engine_row_of[nid] for nid in st.ids], dtype=_np.intp
+            st.engine_rows = np.array(
+                [engine_row_of[nid] for nid in st.ids], dtype=np.intp
             )
-        self._engine_fleet_rows = _np.array(
-            [row_of[nid] for nid in node_ids], dtype=_np.intp
+        self._engine_fleet_rows = np.array(
+            [row_of[nid] for nid in node_ids], dtype=np.intp
         )
         self._engine = engine
 
@@ -548,21 +545,21 @@ class MarketTickDispatcher:
                 # The boundary's own baseline: supply and prices as the
                 # engine left them, counters at zero.
                 st.arm(*self._engine.lanes(st.engine_rows, class_index))
-                st.F = _np.zeros(len(st.ids), dtype=_np.int64)
-                st.ACC = _np.zeros(len(st.ids), dtype=_np.int64)
+                st.F = np.zeros(len(st.ids), dtype=np.int64)
+                st.ACC = np.zeros(len(st.ids), dtype=np.int64)
             else:
                 agents = st.agents
                 st.arm(
-                    _np.array([a._remaining[class_index] for a in agents]),
-                    _np.array([a._price_values[class_index] for a in agents]),
+                    np.array([a._remaining[class_index] for a in agents]),
+                    np.array([a._price_values[class_index] for a in agents]),
                 )
-                st.F = _np.array(
+                st.F = np.array(
                     [a._refused[class_index] for a in agents],
-                    dtype=_np.int64,
+                    dtype=np.int64,
                 )
-                st.ACC = _np.array(
+                st.ACC = np.array(
                     [a._accepted[class_index] for a in agents],
-                    dtype=_np.int64,
+                    dtype=np.int64,
                 )
             if self._estimates:
                 # Estimates never outlive the lanes they were made next

@@ -30,6 +30,8 @@ import math
 from contextlib import nullcontext
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+import numpy as np
+
 from ..core.classification import (
     PrivatelyClassifiedAgent,
     cost_band_classification,
@@ -40,11 +42,6 @@ from ..core.supply import CapacitySupplySet
 from ..query.model import Query
 from .base import Allocator, AssignmentDecision, BatchDecisions
 from .market_tick import MarketTickDispatcher
-
-try:  # Optional, mirroring repro.sim.fleet: no numpy, no vector paths.
-    import numpy as _np
-except ImportError:  # pragma: no cover - scalar paths cover this
-    _np = None
 
 __all__ = [
     "QantAllocator",
@@ -157,10 +154,6 @@ class QantAllocator(Allocator):
         #: vectorised free-capacity probe (``None`` without fleet arrays).
         self._engine_rows_np = None
         self._engine_allowances_np = None
-        #: Whether anything touched the market since the last period
-        #: boundary (an assignment ran, a query completed).  While False,
-        #: a quiescent engine can fast-forward boundaries in O(1).
-        self._interacted = True
 
     @property
     def agents(self) -> Dict[int, QantPricingAgent]:
@@ -203,9 +196,6 @@ class QantAllocator(Allocator):
         # Partition the fleet for the period boundary: every plain pricing
         # agent goes into the batched engine; privately-classifying agents
         # and non-batchable solver methods stay on the scalar loop.
-        # Boundary deferral is only enabled for an all-engine fleet — with
-        # scalar rows ticking anyway, the observability gain of always
-        # materialising outweighs the saving.
         engine_rows = [
             (node_id, agent)
             for node_id, agent in self._agents.items()
@@ -222,15 +212,14 @@ class QantAllocator(Allocator):
             self._engine = QantPeriodEngine(
                 [agent for __, agent in engine_rows],
                 [self._allowances[nid] for nid in self._engine_node_ids],
-                can_defer=not self._scalar_agents,
             )
         fleet = self.context.fleet
         if fleet is not None and self._engine_node_ids:
-            self._engine_rows_np = _np.array(
+            self._engine_rows_np = np.array(
                 [fleet.row_of[nid] for nid in self._engine_node_ids],
-                dtype=_np.intp,
+                dtype=np.intp,
             )
-            self._engine_allowances_np = _np.array(
+            self._engine_allowances_np = np.array(
                 [self._allowances[nid] for nid in self._engine_node_ids],
                 dtype=float,
             )
@@ -265,7 +254,6 @@ class QantAllocator(Allocator):
             and transport.network is self.context.network
         ):
             self._bulk_rtt_network = self.context.network
-        self._interacted = True
         self.on_period_start()
 
     def on_period_start(self) -> None:
@@ -298,11 +286,10 @@ class QantAllocator(Allocator):
                 dispatcher.sync()
             self._flush_deferred_refusals()
             if self._array_resident:
-                engine.adopt(touched=self._interacted)
+                engine.adopt()
         self._period_serial += 1
         if engine is not None:
-            engine.advance(self._interacted, self._engine_free_capacities)
-            self._interacted = False
+            engine.advance(self._engine_free_capacities)
         nodes = self.context.nodes
         allowances = self._allowances
         for node_id, agent in self._scalar_agents:
@@ -344,11 +331,7 @@ class QantAllocator(Allocator):
         deferred.clear()
 
     def _engine_free_capacities(self) -> list:
-        """Per engine row, the node's free backlog allowance right now.
-
-        Only called when a boundary materialises — fast-forwarded ticks
-        skip the per-node load probes entirely.
-        """
+        """Per engine row, the node's free backlog allowance right now."""
         rows = self._engine_rows_np
         if rows is not None:
             # Vectorised over the fleet's slot_free mirror: each element
@@ -357,9 +340,9 @@ class QantAllocator(Allocator):
             # reproduce ``max``'s sign behaviour bit-for-bit).
             now = self.context.simulator.now
             remaining = self.context.fleet.slot_free[rows] - now
-            load = _np.where(remaining > 0.0, remaining, 0.0)
+            load = np.where(remaining > 0.0, remaining, 0.0)
             free = self._engine_allowances_np - load
-            return _np.where(free > 0.0, free, 0.0)
+            return np.where(free > 0.0, free, 0.0)
         nodes = self.context.nodes
         allowances = self._allowances
         return [
@@ -374,13 +357,12 @@ class QantAllocator(Allocator):
         :class:`~repro.sim.tracing.MarketTracer`, tests, notebooks) and
         this allocator's scalar negotiation call this first; afterwards
         the lists hold the market until the next boundary, and every
-        agent shows the state a scalar, never-deferred run would — except
+        agent shows the state a scalar run would — except
         the ``_refused`` counters of a class in `_saturated_in`, which
         lag by `_deferred_refusals` until a boundary flushes or drops it.
         """
         engine = self._engine
         if engine is not None:
-            engine.flush()
             engine.materialise()
         if self._dispatcher is not None:
             self._dispatcher.sync()
@@ -396,11 +378,6 @@ class QantAllocator(Allocator):
         """Counters of the vectorised fan-out (None when undispatchable)."""
         dispatcher = self._dispatcher
         return dispatcher.stats if dispatcher is not None else None
-
-    def on_completion(self, query: Query, node_id: int, actual_ms: float) -> None:
-        # A completion frees node capacity, so the next boundary must
-        # re-probe loads rather than fast-forward.
-        self._interacted = True
 
     def on_run_start(self) -> None:
         dispatcher = self._dispatcher
@@ -418,13 +395,6 @@ class QantAllocator(Allocator):
         self.sync_market_state()
 
     def assign(self, query: Query) -> AssignmentDecision:
-        engine = self._engine
-        if engine is not None:
-            self._interacted = True
-            if engine.deferred_ticks_pending:
-                # The current period's boundary was fast-forwarded; the
-                # fan-out below reads live agent state, so settle it now.
-                engine.flush()
         class_index = query.class_index
         context = self.context
         if context.faults is not None:
@@ -463,11 +433,6 @@ class QantAllocator(Allocator):
         network = self._bulk_rtt_network
         if len(queries) < 2 or network is None or context.faults is not None:
             return super().assign_batch(queries)
-        engine = self._engine
-        if engine is not None:
-            self._interacted = True
-            if engine.deferred_ticks_pending:
-                engine.flush()
         # The batch shares one timestamp, so a class's live candidate set
         # is resolved once per batch, not once per query.
         classes = [query.class_index for query in queries]

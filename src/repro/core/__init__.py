@@ -19,12 +19,6 @@ from .classification import (
     PrivatelyClassifiedAgent,
     cost_band_classification,
 )
-from .equity import (
-    equitable_allocation,
-    equitable_consumptions,
-    jain_fairness_index,
-    utility_spread,
-)
 from .market import PriceVector, excess_demand, is_equilibrium
 from .pareto import Allocation, is_pareto_optimal, pareto_dominates, pareto_front
 from .preferences import (
@@ -68,11 +62,7 @@ __all__ = [
     "ThroughputPreference",
     "WeightedThroughputPreference",
     "aggregate",
-    "equitable_allocation",
-    "equitable_consumptions",
     "excess_demand",
-    "jain_fairness_index",
-    "utility_spread",
     "ftwe_allocation",
     "is_equilibrium",
     "is_pareto_optimal",

@@ -16,14 +16,7 @@ and draws no randomness, so it batches cleanly:
   unchanged since its last solve reuses the cached optimal vector (the
   batched extension of the PR 2 ``(agent_token, price_epoch)`` memo with
   capacity folded into the key), and the decay only rewrites rows it
-  actually changed;
-* **quiescence fast-forward** — a node that received no request and sold
-  nothing evolves by deterministic closed-loop decay toward its price
-  floor.  Once every class is at the floor or inert (zero optimal supply
-  with no pending carry-over credit) and every node is idle, the boundary
-  is a fixed point: further untouched ticks are counted in O(1) and only
-  materialised (``flush``) when someone next observes or perturbs the
-  market.
+  actually changed.
 
 Bit-identity contract: the engine reproduces the scalar
 :meth:`~repro.core.qant.QantPricingAgent.begin_period` /
@@ -100,17 +93,12 @@ class PeriodEngineStats:
     ``solved_rows``/``reused_rows`` partition every (tick, agent) cell the
     engine materialised: a reused row served its plan from the
     ``(price_epoch, free_capacity)`` cache without re-solving eq. 4.
-    ``deferred_ticks`` counts boundaries fast-forwarded in O(1) at the
-    quiescent fixed point; ``replayed_ticks`` counts how many of those
-    were later replayed by a :meth:`QantPeriodEngine.flush`.
     ``adopted``/``materialised`` count the per-agent Python passes
     (lists → arrays, arrays → lists): one per boundary when every
     boundary is observed, one per run when none is.
     """
 
     ticks: int = 0
-    deferred_ticks: int = 0
-    replayed_ticks: int = 0
     solved_rows: int = 0
     reused_rows: int = 0
     adopted: int = 0
@@ -134,7 +122,6 @@ class QantPeriodEngine:
         self,
         agents: Sequence[QantPricingAgent],
         allowances: Sequence[float],
-        can_defer: bool = True,
     ):
         agents = list(agents)
         if not agents:
@@ -162,9 +149,7 @@ class QantPeriodEngine:
         self._carry = params.carry_over
         self._lam = params.adjustment
         self._floor = params.price_floor
-        self._can_defer = bool(can_defer)
         n = len(agents)
-        self._allowances = np.array([float(a) for a in allowances])
         self._costs = np.array(
             [agent.supply_set.cost_ms for agent in agents]
         )
@@ -192,8 +177,6 @@ class QantPeriodEngine:
         self._prev_capacity = np.full(n, -1.0)
         self._optimal = np.zeros((n, num_classes))
         self._started = False
-        self._eligible = False
-        self._deferred = 0
         self._zeros_int = [0] * num_classes
         self.stats = PeriodEngineStats()
 
@@ -214,93 +197,52 @@ class QantPeriodEngine:
 
     # -- driving ------------------------------------------------------------
 
-    @property
-    def deferred_ticks_pending(self) -> int:
-        """Boundaries fast-forwarded but not yet replayed."""
-        return self._deferred
-
-    def advance(
-        self, interacted: bool, free_capacity: Callable[[], Sequence[float]]
-    ) -> None:
+    def advance(self, free_capacity: Callable[[], Sequence[float]]) -> None:
         """Drive one period boundary for every managed agent.
 
-        ``interacted`` must be True iff anything touched the market since
-        the previous boundary (an assignment ran, a query completed) —
-        it gates both the state re-gather and the quiescence fast path.
-        ``free_capacity`` is only called when the boundary actually
-        runs, so quiescent ticks skip the per-node load probes entirely.
         With live agents the boundary is adopt → tick → materialise, on
         adopted arrays the tick alone.
         """
         self.stats.ticks += 1
-        if self._eligible and not interacted:
-            # Quiescent fixed point: closed-loop decay is a no-op, every
-            # plan is cached, no node can change load.  O(1).
-            self._deferred += 1
-            self.stats.deferred_ticks += 1
-            return
-        self.flush()
         live = self.agents_live
         if live:
-            self.adopt(touched=interacted)
+            self.adopt()
         self._tick(np.asarray(free_capacity(), dtype=float))
         if live:
             self.materialise()
 
-    def flush(self) -> None:
-        """Replay any fast-forwarded boundaries.
-
-        Callers must flush before reading or perturbing the market
-        (assignments, tracers, end of run); afterwards whichever side
-        holds the state holds exactly what the scalar per-tick loop would
-        have produced.
-        """
-        if self._deferred:
-            live = self.agents_live
-            if live:
-                # Quiescent by contract: the lists hold nothing new.
-                self.adopt(touched=False)
-            self._replay()
-            if live:
-                self.materialise()
-
     # -- agents <-> arrays ---------------------------------------------------
 
-    def adopt(self, touched: bool = True) -> None:
+    def adopt(self) -> None:
         """Take the market state over from the agents' lists.
 
         Gathers what scalar traffic can have moved (price epochs, the
-        price rows whose epoch moved, remaining supply) unless the caller
-        vouches that nothing ``touched`` the lists.  Until
+        price rows whose epoch moved, remaining supply).  Until
         :meth:`materialise` the agent objects must not be read or written.
         """
         if not self.agents_live:
             return
-        if touched or not self._started:
-            # Every price writer (scalar raises, the market-tick
-            # dispatcher's sync, our own decay) bumps the agent's price
-            # epoch exactly when a value changed, so rows whose epoch
-            # matches our mirror are already bit-identical and skip the
-            # re-gather.
-            agents = self._agents
-            n = len(agents)
-            prices = self._prices
-            new_epochs = np.fromiter(
-                (agent._price_epoch for agent in agents),
-                dtype=np.int64,
-                count=n,
-            )
-            if self._started:
-                stale = np.nonzero(new_epochs != self._epochs)[0].tolist()
-            else:
-                stale = range(n)
-            for i in stale:
-                prices[i] = agents[i]._price_values
-            self._epochs = new_epochs
-            self._agent_epochs = new_epochs.copy()
-            self._remaining = np.array(
-                [agent._remaining for agent in agents]
-            )
+        # Every price writer (scalar raises, the market-tick dispatcher's
+        # sync, our own decay) bumps the agent's price epoch exactly when
+        # a value changed, so rows whose epoch matches our mirror are
+        # already bit-identical and skip the re-gather.
+        agents = self._agents
+        n = len(agents)
+        prices = self._prices
+        new_epochs = np.fromiter(
+            (agent._price_epoch for agent in agents),
+            dtype=np.int64,
+            count=n,
+        )
+        if self._started:
+            stale = np.nonzero(new_epochs != self._epochs)[0].tolist()
+        else:
+            stale = range(n)
+        for i in stale:
+            prices[i] = agents[i]._price_values
+        self._epochs = new_epochs
+        self._agent_epochs = new_epochs.copy()
+        self._remaining = np.array([agent._remaining for agent in agents])
         self.agents_live = False
         self.stats.adopted += 1
 
@@ -420,49 +362,6 @@ class QantPeriodEngine:
         self._planned = planned
         self._remaining = planned.copy()
         self._started = True
-
-        # Fixed-point detection for the deferral fast path: with every
-        # node idle (free capacity pinned at its allowance) and every
-        # class either at the price floor (decay is a no-op regardless of
-        # leftover) or inert (zero optimal supply and, with carry-over,
-        # no credit within rounding reach of one whole query), future
-        # untouched boundaries cannot change prices, epochs, capacities
-        # or plans — only cycle the carry-over credit, which `_replay`
-        # reproduces exactly.
-        if self._can_defer and bool(
-            (capacities == self._allowances).all()
-        ):
-            at_floor = prices <= self._floor
-            if self._carry:
-                inert = (self._optimal == 0.0) & (self._credit + 1e-9 < 1.0)
-            else:
-                inert = planned == 0.0
-            self._eligible = bool((at_floor | inert).all())
-        else:
-            self._eligible = False
-
-    def _replay(self) -> None:
-        """Run the deferred boundaries in one batch.
-
-        At the fixed point each skipped boundary is decay-no-op +
-        cache-hit solve; only the carry-over credit cycles, so replaying
-        n ticks is n vectorised credit updates (none at all without
-        carry-over, where the planned vector is pinned).
-        """
-        count = self._deferred
-        self._deferred = 0
-        self.stats.replayed_ticks += count
-        if not self._carry:
-            return
-        credit = self._credit
-        optimal = self._optimal
-        planned = self._planned
-        for __ in range(count):
-            credit += optimal
-            planned = np.trunc(credit + 1e-9) + 0.0
-            credit -= planned
-        self._planned = planned
-        self._remaining = planned.copy()
 
     # -- batched eq. 4 -------------------------------------------------------
 

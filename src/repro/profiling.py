@@ -27,7 +27,6 @@ __all__ = [
     "PROFILE_SCHEMA_VERSION",
     "SORT_KEYS",
     "collect_experiment",
-    "profile_experiment",
     "profile_payload",
 ]
 
@@ -84,24 +83,6 @@ def collect_experiment(
     finally:
         profiler.disable()
     return profiler
-
-
-def profile_experiment(
-    name: str,
-    scale: str = "small",
-    seed: int = 0,
-    sort: str = "tottime",
-    limit: int = 25,
-    stream: Optional[io.TextIOBase] = None,
-) -> str:
-    """Run one registered experiment under cProfile; return the report.
-
-    ``sort`` is a :mod:`pstats` sort key (see :data:`SORT_KEYS`);
-    ``limit`` bounds the number of rows.  The rendered report is returned
-    and, when ``stream`` is given, also written there incrementally.
-    """
-    _check_render_args(sort, limit)
-    return _render(collect_experiment(name, scale, seed), sort, limit, stream)
 
 
 def profile_payload(

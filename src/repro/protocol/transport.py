@@ -2,22 +2,18 @@
 
 A :class:`Transport` moves protocol messages between a client and a set of
 server peers; everything above it (:class:`~repro.protocol.session
-.MarketSession`, the allocators) is transport-agnostic.  Three backends
+.MarketSession`, the allocators) is transport-agnostic.  Two backends
 exist today:
 
 * ``repro.sim.transport.SimTransport`` — the discrete-event simulator's
   network (latency model, message counting, fault injection); it charges
   an exchange without building payloads, so the allocators read its
   ``delivered`` / ``replied`` sets and no session runs over it;
-* ``repro.sim.shards.ShardTransport`` — a pipe- or socket-backed pool of
-  shard workers (peers are *shards*, not nodes): the sharded
-  federation's batched bid/quote barriers travel through it, codec and
-  all;
 * ``repro.dbms.InProcessTransport`` — synchronous delivery to the SQLite
   nodes of the Section 5.2 federation, every leg encoded and decoded;
   the backend :class:`~repro.protocol.session.MarketSession` runs over.
 
-The one verb they all speak is :meth:`Transport.fanout`, whose
+The one verb both speak is :meth:`Transport.fanout`, whose
 :class:`FanoutResult` lifts the semantics the simulator's faulty fan-out
 always had into a typed, documented contract:
 
@@ -33,6 +29,12 @@ always had into a typed, documented contract:
 * ``replies`` — the reply payloads themselves, in ``replied`` order, for
   transports that materialise message bodies (the simulator charges the
   exchange without building payloads, so it leaves this empty).
+
+The module also holds the length-prefix framing
+(:func:`encode_frame` / :class:`FrameDecoder`) of the sharded engine's
+socket wire.  ``repro.sim.shards.ShardTransport`` is not a
+:class:`Transport`: it moves whole-period frames to shard workers
+(``post`` / ``exchange``), never a per-query fan-out.
 """
 
 from __future__ import annotations

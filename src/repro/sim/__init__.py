@@ -1,7 +1,7 @@
 """Discrete-event simulator of a federation of autonomous RDBMSs."""
 
 from .capacity import system_capacity_qpms
-from .engine import EventHandle, Simulator
+from .engine import Simulator
 from .faults import (
     FaultInjector,
     FaultSpec,
@@ -40,7 +40,6 @@ from .transport import SimTransport
 __all__ = [
     "ClassView",
     "DEFAULT_PERIOD_MS",
-    "EventHandle",
     "ExecutionRecord",
     "FaultInjector",
     "FaultSpec",

@@ -1,48 +1,28 @@
 """Discrete-event simulation kernel.
 
 A minimal, deterministic event-heap simulator: events are slim
-``(time, seq, handle, callback, args)`` slots ordered by time with FIFO
+``(time, seq, callback, args)`` slots ordered by time with FIFO
 tie-breaking, so two runs with the same seeds produce identical traces.
 Passing callback arguments through the slot (instead of closing over them)
 keeps the hot deliver path free of per-event closure allocation.  All
 simulation modules measure time in **milliseconds** (matching the paper's
 reporting units).
 
-The kernel is deliberately tiny — scheduling, cancellation, bounded runs —
-because everything domain-specific (nodes, networks, markets) is built on
-top of it in sibling modules.
+The kernel is deliberately tiny — scheduling, pre-sorted streams, one
+time-bounded run loop — because everything domain-specific (nodes,
+networks, markets) is built on top of it in sibling modules.  A scheduled
+event always fires: nothing in the system withdraws one.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from typing import Any, Callable, List, Optional, Sequence, Tuple
 
 __all__ = [
-    "EventHandle",
     "Simulator",
 ]
-
-
-class EventHandle:
-    """Handle to a scheduled event, usable for cancellation."""
-
-    __slots__ = ("time", "seq", "cancelled", "fired", "_simulator")
-
-    def __init__(self, time: float, seq: int, simulator: "Optional[Simulator]" = None):
-        self.time = time
-        self.seq = seq
-        self.cancelled = False
-        self.fired = False
-        self._simulator = simulator
-
-    def cancel(self) -> None:
-        """Prevent the event from firing (no-op if already fired/cancelled)."""
-        if self.cancelled or self.fired:
-            return
-        self.cancelled = True
-        if self._simulator is not None:
-            self._simulator._on_cancel()
 
 
 class _EventStream:
@@ -56,9 +36,6 @@ class _EventStream:
     run are reserved contiguously at registration, so interleaving with
     individually scheduled events is identical to having ``schedule_at``
     been called once per entry at registration time.
-
-    Stream entries are not cancellable (they carry no per-event handle);
-    use :meth:`Simulator.schedule_at` for events that may be cancelled.
     """
 
     __slots__ = ("_entries", "_pos", "_base_seq")
@@ -73,22 +50,15 @@ class _EventStream:
         self._base_seq = base_seq
 
 
-# Shared heap-slot handle for stream entries: never cancelled, and nothing
-# reads `fired` back, so one immortal instance serves every stream slot
-# (heap tuples never compare it — (time, seq) is globally unique).
-_STREAM_HANDLE = EventHandle(0.0, -1)
-
-
 class Simulator:
     """A deterministic discrete-event simulator clocked in milliseconds."""
 
     def __init__(self) -> None:
         self._now = 0.0
-        self._heap: List[Tuple[float, int, EventHandle, Callable[[], Any]]] = []
+        self._heap: List[Tuple[float, int, Callable[..., Any], tuple]] = []
         self._seq = 0
         self._events_processed = 0
         self._live = 0
-        self._cancelled_pending = 0
 
     @property
     def now(self) -> float:
@@ -102,43 +72,18 @@ class Simulator:
 
     @property
     def pending_events(self) -> int:
-        """Number of events still due to fire (cancelled ones excluded)."""
+        """Number of events still due to fire, unexposed stream entries
+        included."""
         return self._live
 
     @property
     def heap_size(self) -> int:
-        """Physical heap length, including cancelled-but-uncompacted entries."""
+        """Physical heap length: a stream occupies one slot."""
         return len(self._heap)
-
-    def _on_cancel(self) -> None:
-        """Account for a live event turning cancelled; compact when stale
-        entries outnumber live heap entries (amortised O(1) per
-        cancellation).
-
-        The threshold is heap-local — cancelled entries must make up more
-        than half the *physical heap* — rather than compared against the
-        live-event count: streams keep most of their pending events out of
-        the heap, so ``_live`` can dwarf ``len(self._heap)`` and a
-        live-count threshold would let a small heap fill up with stale
-        entries and never compact.
-        """
-        self._live -= 1
-        self._cancelled_pending += 1
-        if (
-            self._cancelled_pending > 64
-            and self._cancelled_pending * 2 > len(self._heap)
-        ):
-            self._compact()
-
-    def _compact(self) -> None:
-        """Drop cancelled entries from the heap and restore the invariant."""
-        self._heap = [entry for entry in self._heap if not entry[2].cancelled]
-        heapq.heapify(self._heap)
-        self._cancelled_pending = 0
 
     def schedule(
         self, delay_ms: float, callback: Callable[..., Any], *args: Any
-    ) -> EventHandle:
+    ) -> None:
         """Schedule ``callback(*args)`` to run ``delay_ms`` from now.
 
         Extra positional ``args`` are stored in the event slot and passed
@@ -148,25 +93,22 @@ class Simulator:
         """
         if delay_ms < 0:
             raise ValueError("cannot schedule an event in the past")
-        return self.schedule_at(self._now + delay_ms, callback, *args)
+        self.schedule_at(self._now + delay_ms, callback, *args)
 
     def schedule_at(
         self, time_ms: float, callback: Callable[..., Any], *args: Any
-    ) -> EventHandle:
+    ) -> None:
         """Schedule ``callback(*args)`` at absolute time ``time_ms``."""
-        if time_ms < self._now:
+        # The negated chain also refuses NaN, which passes any `<` test.
+        if not self._now <= time_ms < math.inf:
             raise ValueError(
-                "cannot schedule at %.3f, current time is %.3f"
-                % (time_ms, self._now)
+                "cannot schedule at %r: event times must be finite and not "
+                "before the current time %.3f" % (time_ms, self._now)
             )
         seq = self._seq
         self._seq = seq + 1
-        handle = EventHandle(time_ms, seq, self)
-        heapq.heappush(
-            self._heap, (time_ms, handle.seq, handle, callback, args)
-        )
+        heapq.heappush(self._heap, (time_ms, seq, callback, args))
         self._live += 1
-        return handle
 
     def schedule_stream(
         self,
@@ -181,17 +123,17 @@ class Simulator:
         keeps the heap size O(live streams + individually scheduled
         events) instead of O(trace length) for bulk workload registration.
 
-        ``entries`` must be sorted ascending by time and lie at/after the
-        current clock.  Stream entries cannot be cancelled.
+        ``entries`` must be sorted ascending by finite time and lie
+        at/after the current clock.
         """
         if not entries:
             return
         prev = self._now
         for time_ms, _callback, _args in entries:
-            if time_ms < prev:
+            if not prev <= time_ms < math.inf:
                 raise ValueError(
-                    "stream entries must be sorted ascending and not "
-                    "scheduled in the past"
+                    "stream entry at %r: entries must be finite, sorted "
+                    "ascending and not scheduled in the past" % (time_ms,)
                 )
             prev = time_ms
         base_seq = self._seq
@@ -207,7 +149,6 @@ class Simulator:
             (
                 time_ms,
                 stream._base_seq + stream._pos,
-                _STREAM_HANDLE,
                 self._advance_stream,
                 (stream, callback, args),
             ),
@@ -226,85 +167,24 @@ class Simulator:
             self._push_stream_head(stream)
         callback(*args)
 
-    def step(self) -> bool:
-        """Execute the next event.  Returns False when the heap is empty."""
-        # `self._heap` is re-read per iteration on purpose: `_compact`
-        # (triggered by cancellations inside callbacks) rebinds it.
-        heappop = heapq.heappop
-        while self._heap:
-            time_ms, __, handle, callback, args = heappop(self._heap)
-            if handle.cancelled:
-                self._cancelled_pending -= 1
-                continue
-            handle.fired = True
-            self._live -= 1
-            self._now = time_ms
-            self._events_processed += 1
-            callback(*args)
-            return True
-        return False
-
-    def run(self, until_ms: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run until the heap empties, ``until_ms`` passes, or ``max_events``.
+    def run(self, until_ms: Optional[float] = None) -> None:
+        """Run until the heap empties or ``until_ms`` passes.
 
         ``until_ms`` is inclusive: events scheduled exactly at ``until_ms``
-        still fire.  The final clock value is well-defined either way:
-
-        * when every event due by ``until_ms`` has fired (the heap drained
-          or only later events remain), the clock advances to ``until_ms``
-          so a time-bounded run always ends at its bound;
-        * when ``max_events`` stops the run with due events still pending,
-          the clock stays at the last executed event's time, so a
-          subsequent :meth:`run` resumes exactly where this one stopped
-          (it is *not* advanced to ``until_ms`` — time that was never
-          simulated must not be claimed).
-
-        Cancelled entries at the front of the heap are discarded before the
-        bounds are checked, so a stale entry inside the window can neither
-        fire an event beyond ``until_ms`` nor consume ``max_events`` budget.
+        still fire, later ones stay pending for the next :meth:`run`, and
+        the clock ends at the bound.  Consecutive same-timestamp events (a
+        period tick's retry burst, simultaneous message deliveries)
+        dispatch back-to-back in FIFO seq order.
         """
+        heap = self._heap
         heappop = heapq.heappop
-        if until_ms is None and max_events is None:
-            # Unbounded drain: the common case.  The pop/dispatch loop is
-            # inlined (no per-event `step()` frame), which also serves as
-            # the batched delivery path — consecutive same-timestamp
-            # events (a period tick's retry burst, simultaneous message
-            # deliveries) dispatch back-to-back in FIFO seq order with no
-            # per-event bound checks.  `self._heap` is re-read every
-            # iteration because `_compact` may rebind it inside a callback.
-            while self._heap:
-                time_ms, __, handle, callback, args = heappop(self._heap)
-                if handle.cancelled:
-                    self._cancelled_pending -= 1
-                    continue
-                handle.fired = True
-                self._live -= 1
-                self._now = time_ms
-                self._events_processed += 1
-                callback(*args)
-            return
-        executed = 0
-        while True:
-            heap = self._heap  # re-read: `_compact` rebinds it
-            while heap and heap[0][2].cancelled:
-                heappop(heap)
-                self._cancelled_pending -= 1
-            if not heap:
-                break
-            if until_ms is not None and heap[0][0] > until_ms:
-                break
-            if max_events is not None and executed >= max_events:
-                # Budget exhausted with due events pending: leave the
-                # clock at the last executed event (resumable), per the
-                # docstring contract.
-                return
-            time_ms, __, handle, callback, args = heappop(heap)
-            handle.fired = True
+        bound = math.inf if until_ms is None else until_ms
+        while heap and heap[0][0] <= bound:
+            time_ms, __, callback, args = heappop(heap)
             self._live -= 1
             self._now = time_ms
             self._events_processed += 1
             callback(*args)
-            executed += 1
         if until_ms is not None and self._now < until_ms:
             self._now = until_ms
 
@@ -318,11 +198,13 @@ class Simulator:
         """Schedule ``callback`` periodically (period ticks, metric samples).
 
         The recurrence reschedules itself after each firing; ``until_ms``
-        (inclusive) bounds the last firing.
+        (inclusive) bounds every firing, the first included.
         """
         if interval_ms <= 0:
             raise ValueError("interval must be positive")
         first = self._now if start_ms is None else start_ms
+        if until_ms is not None and first > until_ms:
+            return
 
         def fire_and_reschedule() -> None:
             callback()

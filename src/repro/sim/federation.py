@@ -211,7 +211,7 @@ class FederationSimulation:
             for event in trace:
                 schedule_at(event.time_ms, on_arrival, event)
         self._sim.run(until_ms=end_of_run)
-        # Let the allocator settle any deferred period bookkeeping before
+        # Let the allocator write its market state back to the agents before
         # the run's state is read (metrics, drops, post-run agent probes).
         self._allocator.on_run_end()
         batch_stats = getattr(self._allocator, "batch_dispatch_stats", None)
@@ -403,9 +403,6 @@ class FederationSimulation:
             resubmissions=query.resubmissions,
         )
         self._metrics.record(outcome)
-        self._allocator.on_completion(
-            query, node_id, record.finish_ms - record.start_ms
-        )
 
 
 def generate_machine_specs(

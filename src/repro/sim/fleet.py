@@ -10,18 +10,15 @@ estimate with one vectorised expression that is bit-identical to the
 scalar probes.
 
 The mirror is only built when every node is single-slot (the paper's
-serial-node model) and numpy is importable; otherwise ``build`` returns
-``None`` and all callers keep their scalar paths.
+serial-node model); otherwise ``build`` returns ``None`` and all callers
+keep their scalar paths.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Mapping, Optional, Sequence, Tuple
 
-try:  # Same optional dependency posture as repro.sim.network.
-    import numpy as _np
-except ImportError:  # pragma: no cover - scalar paths cover this
-    _np = None
+import numpy as np
 
 __all__ = [
     "ClassView",
@@ -61,17 +58,17 @@ class FleetArrays:
     def build(nodes: Mapping[int, object]) -> "Optional[FleetArrays]":
         """Mirror ``nodes`` (id -> :class:`SimulatedNode`) into arrays.
 
-        Returns ``None`` when numpy is missing or any node has more than
-        one execution slot (the mirror tracks only the serial watermark).
+        Returns ``None`` when any node has more than one execution slot
+        (the mirror tracks only the serial watermark).
         """
-        if _np is None or not nodes:
+        if not nodes:
             return None
         for node in nodes.values():
             if node._exec_slots != 1:
                 return None
         node_ids = tuple(sorted(nodes))
         row_of = {nid: row for row, nid in enumerate(node_ids)}
-        slot_free = _np.zeros(len(node_ids), dtype=float)
+        slot_free = np.zeros(len(node_ids), dtype=float)
         fleet = FleetArrays(node_ids, row_of, slot_free)
         for nid in node_ids:
             nodes[nid].attach_fleet(slot_free, row_of[nid])
@@ -94,11 +91,11 @@ class FleetArrays:
         if cached is not None and cached[0] is candidates:
             return cached[1]
         row_of = self.row_of
-        rows = _np.array(
-            [row_of[nid] for nid in candidates], dtype=_np.intp
+        rows = np.array(
+            [row_of[nid] for nid in candidates], dtype=np.intp
         )
-        ids = _np.array(candidates, dtype=_np.int64)
-        costs = _np.array(
+        ids = np.array(candidates, dtype=np.int64)
+        costs = np.array(
             [nodes[nid]._costs[class_index] for nid in candidates],
             dtype=float,
         )
@@ -114,4 +111,4 @@ class FleetArrays:
         floats (and any downstream argmin tie-breaks) are bit-identical.
         """
         sf = self.slot_free[view.rows]
-        return _np.where(sf > now, sf, now) + view.costs
+        return np.where(sf > now, sf, now) + view.costs

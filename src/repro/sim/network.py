@@ -14,16 +14,13 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..protocol.transport import FanoutResult
 from .engine import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .faults import FaultInjector
-
-try:  # NumPy ships with the repo's scientific stack; see Network below.
-    import numpy as _np
-except ImportError:  # pragma: no cover - the pure-Python path covers this
-    _np = None
 
 __all__ = [
     "LatencyModel",
@@ -73,25 +70,20 @@ class Network:
     ):
         self._sim = simulator
         self._latency = latency or LatencyModel()
-        self._rng = random.Random(seed)
         # NumPy's legacy RandomState is the same MT19937 generator with
         # the same 53-bit double construction as CPython's `random`, so
         # transplanting the seeded state yields a stream that is
-        # bit-identical draw for draw *and* stays in lockstep (each double
-        # consumes two 32-bit words in both implementations).  Large
+        # bit-identical draw for draw to `random.Random(seed)`.  Large
         # request-for-bid fan-outs can then sample all their latencies in
         # one C-level call instead of 2*num_peers Python-loop iterations —
-        # the single largest RNG cost at paper scale.  When NumPy is
-        # unavailable every draw falls back to `self._rng`; either way all
-        # draws come from one stream, so traces are identical.
-        self._np_sample = None
-        if _np is not None:
-            internal = self._rng.getstate()[1]
-            state = _np.random.RandomState()
-            state.set_state(
-                ("MT19937", _np.array(internal[:-1], dtype=_np.uint64), internal[-1])
-            )
-            self._np_sample = state.random_sample
+        # the single largest RNG cost at paper scale.  Every draw comes
+        # from this one stream.
+        internal = random.Random(seed).getstate()[1]
+        state = np.random.RandomState()
+        state.set_state(
+            ("MT19937", np.array(internal[:-1], dtype=np.uint64), internal[-1])
+        )
+        self._np_sample = state.random_sample
         self._messages_sent = 0
         #: Optional fault injector (see :mod:`repro.sim.faults`).  While
         #: None — the default — every code path below is exactly the
@@ -118,16 +110,11 @@ class Network:
         return self._latency
 
     def _leg(self) -> float:
-        """One one-way latency draw from the (single) latency stream.
-
-        Bit-identical to the draw ``send`` always performed: the NumPy
-        stream when available, the Python ``random`` stream otherwise.
-        """
+        """One one-way latency draw from the (single) latency stream:
+        the same draw, same arithmetic as :meth:`LatencyModel.sample`."""
         latency = self._latency
-        if self._np_sample is None or latency.jitter_ms == 0:
-            return latency.sample(self._rng)
-        # Same draw, same arithmetic as `sample`, from the NumPy-side
-        # stream (the only stream once NumPy is in play).
+        if latency.jitter_ms == 0:
+            return latency.base_ms
         return latency.base_ms + latency.jitter_ms * float(self._np_sample())
 
     def send(self, deliver: Callable[[], None]) -> Optional[float]:
@@ -252,7 +239,7 @@ class Network:
         if jitter == 0:
             return base + base
         sample = self._np_sample
-        if sample is not None and num_peers >= 8:
+        if num_peers >= 8:
             # Bulk path: one C-level call for all 2*num_peers draws, then
             # vectorised per-pair sums.  Element-wise IEEE arithmetic and
             # `max` are bit-identical to the scalar loop below, and the
@@ -261,7 +248,7 @@ class Network:
             legs = base + jitter * sample(2 * num_peers)
             trips = legs[0::2] + legs[1::2]
             return float(trips.max())
-        # Scalar path (small fan-outs, or no NumPy): unrolled equivalent
+        # Scalar path (small fan-outs): unrolled equivalent
         # of max((sample + sample) for each peer).  ``jitter * random()``
         # is bit-identical to ``uniform(0.0, jitter)`` (which computes
         # ``0.0 + (jitter - 0.0) * random()``) and consumes exactly one
@@ -269,22 +256,13 @@ class Network:
         # summation order and every result bit are preserved — while
         # replacing 2*num_peers Python-level ``uniform`` frames with
         # direct C ``random()`` calls.
-        if sample is not None:
-            # Stay on the NumPy-side stream (it is the only stream).
-            worst = (base + jitter * float(sample())) + (
+        worst = (base + jitter * float(sample())) + (
+            base + jitter * float(sample())
+        )
+        for __ in range(num_peers - 1):
+            trip = (base + jitter * float(sample())) + (
                 base + jitter * float(sample())
             )
-            for __ in range(num_peers - 1):
-                trip = (base + jitter * float(sample())) + (
-                    base + jitter * float(sample())
-                )
-                if trip > worst:
-                    worst = trip
-            return worst
-        rnd = self._rng.random
-        worst = (base + jitter * rnd()) + (base + jitter * rnd())
-        for __ in range(num_peers - 1):
-            trip = (base + jitter * rnd()) + (base + jitter * rnd())
             if trip > worst:
                 worst = trip
         return worst
@@ -301,11 +279,10 @@ class Network:
         """
         sample = self._np_sample
         jitter = self._latency.jitter_ms
-        if sample is None or jitter == 0:
-            # No shared numpy stream to split (or no randomness at all):
-            # the sequential calls are already cheap and draw-free/exact.
+        if jitter == 0:
+            # No randomness at all: the sequential calls are draw-free.
             return [self.round_trip_ms(n) for n in sizes]
-        widths = _np.maximum(_np.asarray(sizes, dtype=_np.intp), 0)
+        widths = np.maximum(np.asarray(sizes, dtype=np.intp), 0)
         total = int(widths.sum())
         if total == 0:
             return [0.0] * len(sizes)
@@ -317,7 +294,7 @@ class Network:
         # an empty segment, so zero-width exchanges are masked out (they
         # consume no draws and do not advance the offset).
         drawn = widths > 0
-        offsets = (_np.cumsum(widths) - widths)[drawn]
-        worst = _np.zeros(len(widths))
-        worst[drawn] = _np.maximum.reduceat(trips, offsets)
+        offsets = (np.cumsum(widths) - widths)[drawn]
+        worst = np.zeros(len(widths))
+        worst[drawn] = np.maximum.reduceat(trips, offsets)
         return worst.tolist()

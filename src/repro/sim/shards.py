@@ -72,22 +72,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-try:  # Same optional posture as repro.sim.fleet: no numpy, no sharding.
-    import numpy as _np
-except ImportError:  # pragma: no cover - single-process paths cover this
-    _np = None
+import numpy as np
 
 from ..core.period_engine import unsold_decay
 from ..core.qant import QantParameters
-from ..protocol.messages import (
-    BidBatch,
-    BidRequest,
-    Message,
-    ProtocolError,
-    Quote,
-    decode,
-    encode,
-)
+from ..protocol.messages import BidBatch, decode, encode
 from ..allocation import market_tick
 from ..allocation.market_tick import (
     LaneBook,
@@ -97,12 +86,7 @@ from ..allocation.market_tick import (
     refusal_raise,
     scalar_lanes,
 )
-from ..protocol.transport import (
-    FanoutResult,
-    FrameDecoder,
-    Transport,
-    encode_frame,
-)
+from ..protocol.transport import FrameDecoder, encode_frame
 from .faults import derive_fault_seed
 from .federation import FederationConfig, run_single_mechanism
 from .metrics import MetricsCollector
@@ -331,10 +315,10 @@ class _MarketPlane:
         self._num_classes = int(init["num_classes"])
         costs = list(init["costs"])
         if ids:
-            self._costs = _np.array(costs, dtype=float)
+            self._costs = np.array(costs, dtype=float)
         else:
-            self._costs = _np.zeros((0, self._num_classes), dtype=float)
-        self._allow = _np.array(init["allowances"], dtype=float)
+            self._costs = np.zeros((0, self._num_classes), dtype=float)
+        self._allow = np.array(init["allowances"], dtype=float)
         self._seeds = [int(s) for s in init["latency_seeds"]]
         self._base = float(init["base_ms"])
         self._jitter = float(init["jitter_ms"])
@@ -351,43 +335,41 @@ class _MarketPlane:
         # one, so a boundary works on whole blocks.
         self._class_order: List[int] = []
         span: Dict[int, slice] = {}
-        self._cand_ids: Dict[int, object] = {}
         flat_rows: List[int] = []
         flat_cols: List[int] = []
         for class_index, cand in init["classes"]:
             k = int(class_index)
             members = [int(nid) for nid in cand]
             self._class_order.append(k)
-            self._cand_ids[k] = _np.array(members, dtype=_np.int64)
             flat_rows.extend(self._index[nid] for nid in members)
             flat_cols.extend([k] * len(members))
             end = len(flat_rows)
             span[k] = slice(end - len(members), end)
-        self._flat_rows = _np.array(flat_rows, dtype=_np.intp)
-        self._flat_cols = _np.array(flat_cols, dtype=_np.intp)
+        self._flat_rows = np.array(flat_rows, dtype=np.intp)
+        self._flat_cols = np.array(flat_cols, dtype=np.intp)
         flat_costs = self._costs[self._flat_rows, self._flat_cols]
         self._cand = {k: self._flat_rows[a] for k, a in span.items()}
         self._lane_costs = {k: flat_costs[a] for k, a in span.items()}
         #: Prices and remaining supply of every lane (the flat block);
         #: ``_V[k]`` / ``_R[k]`` are class *k*'s views of it, so all of
         #: them are only ever written in place.
-        self._Vf = _np.ones(len(flat_rows), dtype=float)
-        self._Rf = _np.zeros(len(flat_rows), dtype=float)
+        self._Vf = np.ones(len(flat_rows), dtype=float)
+        self._Rf = np.zeros(len(flat_rows), dtype=float)
         self._V = {k: self._Vf[a] for k, a in span.items()}
         self._R = {k: self._Rf[a] for k, a in span.items()}
         # maxp baseline: a class the node can never evaluate keeps its
         # initial price of 1.0 forever, pinning the node's max price at
         # >= 1.0.
-        self._maxp_base = _np.isinf(self._costs).any(axis=1).astype(float)
+        self._maxp_base = np.isinf(self._costs).any(axis=1).astype(float)
         n = len(ids)
         #: Pricing busy mirror: optimistic within a tick, resynced to the
         #: authoritative execution clock at every tick's end.
-        self._busy = _np.zeros(n, dtype=float)
+        self._busy = np.zeros(n, dtype=float)
         #: Authoritative per-node FIFO clocks (negotiation delay included).
-        self._exec_busy = _np.zeros(n, dtype=float)
-        self._credit = _np.zeros((n, self._num_classes), dtype=float)
-        self._maxp = _np.ones(n, dtype=float)
-        self._locked = _np.zeros(n, dtype=bool)
+        self._exec_busy = np.zeros(n, dtype=float)
+        self._credit = np.zeros((n, self._num_classes), dtype=float)
+        self._maxp = np.ones(n, dtype=float)
+        self._locked = np.zeros(n, dtype=bool)
         #: Narrow class → `exchange_lanes_scalar`'s leading arguments: scalar
         #: views of the arrays above, bound once — so those are only ever
         #: written in place.  The one read of the crossover.
@@ -606,7 +588,7 @@ class _MarketPlane:
     def _greedy(self, class_index: int, now: float) -> int:
         """Greedy: every candidate offers; earliest completion wins."""
         cand = self._cand[class_index]
-        est = _np.maximum(self._busy[cand], now)
+        est = np.maximum(self._busy[cand], now)
         est += self._lane_costs[class_index]
         winner = int(est.argmin())
         row = int(cand[winner])
@@ -673,15 +655,15 @@ class _MarketPlane:
         .CapacitySupplySet._solve_proportional` row-wise, with the QA-NT
         carry-over rounding) + the new-period latch/max-price/saturation
         re-arm."""
-        prices = _np.ones((len(self._ids), self._num_classes), dtype=float)
+        prices = np.ones((len(self._ids), self._num_classes), dtype=float)
         prices[self._flat_rows, self._flat_cols] = self._Vf
         backlog = self._exec_busy - now
-        _np.clip(backlog, 0.0, None, out=backlog)
+        np.clip(backlog, 0.0, None, out=backlog)
         free = self._allow - backlog
-        _np.clip(free, 0.0, None, out=free)
+        np.clip(free, 0.0, None, out=free)
         D = prices / self._costs
         top = D.max(axis=1)
-        W = _np.zeros_like(D)
+        W = np.zeros_like(D)
         rows = top > 0.0
         if rows.any():
             W[rows] = (D[rows] / top[rows, None]) ** 2.0
@@ -690,12 +672,12 @@ class _MarketPlane:
         counts = (free[:, None] * W / total[:, None]) / self._costs
         credit = self._credit
         credit += counts
-        whole = _np.floor(credit + 1e-9)
+        whole = np.floor(credit + 1e-9)
         credit -= whole
         self._Rf[:] = whole[self._flat_rows, self._flat_cols]
         self._locked[:] = False
         self._maxp[:] = self._maxp_base
-        _np.maximum.at(self._maxp, self._flat_rows, self._Vf)
+        np.maximum.at(self._maxp, self._flat_rows, self._Vf)
         for k, book in self._books.items():
             book.arm(self._R[k], self._V[k])
         self._period_serial += 1
@@ -716,17 +698,6 @@ class _MarketPlane:
             "pending": self._pending_count,
             "assigned": self._assigned,
         }
-
-    def quotes(self, class_index: int) -> List[Tuple[int, float]]:
-        """Authoritative ``(node, est_completion)`` quotes for one class."""
-        if class_index not in self._cand:
-            return []
-        cand = self._cand[class_index]
-        ids = self._cand_ids[class_index]
-        est = self._exec_busy[cand] + self._lane_costs[class_index]
-        return [
-            (int(nid), float(e)) for nid, e in zip(ids.tolist(), est.tolist())
-        ]
 
     def collect(self) -> Dict[str, object]:
         """Outcome columns + run counters (the final-barrier payload)."""
@@ -749,7 +720,6 @@ class _LocalMarketCore:
 
     def __init__(self, init: Mapping[str, object]) -> None:
         self._plane = _MarketPlane(init["plane"])
-        self._bids_seen = 0
         self.self_time_s = 0.0
 
     def handle(self, frame: Tuple) -> Mapping[str, object]:
@@ -763,9 +733,7 @@ class _LocalMarketCore:
         op = frame[0]
         plane = self._plane
         if op == "mticks":
-            batch = decode(frame[1])
-            self._bids_seen += len(batch.qids)
-            for now, rows in _market_ticks(batch):
+            for now, rows in _market_ticks(decode(frame[1])):
                 plane.market_tick(now, rows)
             return {"ok": True}
         if op == "mboundary":
@@ -776,7 +744,6 @@ class _LocalMarketCore:
             return digest
         if op == "reset":
             plane.reset(bool(frame[1]))
-            self._bids_seen = 0
             self.self_time_s = 0.0
             return {"ok": True}
         if op == "collect":
@@ -784,30 +751,9 @@ class _LocalMarketCore:
             reply["maxrss_kb"] = resource.getrusage(
                 resource.RUSAGE_SELF
             ).ru_maxrss
-            reply["bids_seen"] = self._bids_seen
             reply["self_time_s"] = self.self_time_s
             return reply
-        if op == "fanout":
-            return self._fanout(frame[1])
         raise ValueError("unknown market-shard frame %r" % (op,))
-
-    def _fanout(self, payload: str) -> Mapping[str, object]:
-        """Protocol fan-out against the plane's authoritative clocks."""
-        message = decode(payload)
-        if isinstance(message, BidRequest):
-            replies = [
-                encode(
-                    Quote(
-                        qid=message.qid,
-                        node_id=nid,
-                        class_index=message.class_index,
-                        estimated_completion_ms=est,
-                    )
-                )
-                for nid, est in self._plane.quotes(message.class_index)
-            ]
-            return {"replies": replies}
-        return {"replies": []}
 
 
 #: Rows of one period that force a cut into a further round of ``mticks``
@@ -895,11 +841,10 @@ def _shard_worker(conn, init: Mapping[str, object], index: int) -> None:
 
 def _wire_default(obj):
     """``json.dumps`` fallback for numpy values in wire frames."""
-    if _np is not None:
-        if isinstance(obj, _np.ndarray):
-            return obj.tolist()
-        if isinstance(obj, _np.generic):
-            return obj.item()
+    if isinstance(obj, np.ndarray):
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
     raise TypeError(
         "cannot serialise %r for the shard wire" % type(obj).__name__
     )
@@ -983,17 +928,18 @@ class ShardFailure(RuntimeError):
         return "shard %d failed during %r frame: %r" % self.args
 
 
-class ShardTransport(Transport):
-    """Pipe-backed transport to a pool of shard workers.
+class ShardTransport:
+    """Pipe- or socket-backed frame channel to a pool of shard workers.
 
-    The :class:`~repro.protocol.transport.Transport` seam's third real
-    backend: peers are shard indices, :meth:`fanout` carries encoded
-    protocol messages to each shard and gathers their decoded replies
-    in fixed shard order.  :meth:`exchange` is the lower-level pipelined
-    tick barrier the sharded federation drives — all frames are written
-    before any reply is read, and replies are read in shard order, so
-    the merge order (and therefore every downstream float) never
-    depends on worker scheduling.
+    Peers are shard indices and the wire speaks six frame ops:
+    ``mticks`` / ``mboundary`` (posted one-way during the trace,
+    :meth:`post`) and ``reset`` / ``reconcile`` / ``collect`` /
+    ``close`` plus the drain phase's ``mboundary`` (answered,
+    :meth:`exchange`).  :meth:`exchange` is the pipelined barrier the
+    sharded federation drives — all frames are written before any reply
+    is read, and replies are read in shard order, so the merge order
+    (and therefore every downstream float) never depends on worker
+    scheduling.
 
     ``mode="fork"`` forks one daemon worker per shard over
     :func:`multiprocessing.Pipe`; ``mode="inline"`` runs the identical
@@ -1026,9 +972,6 @@ class ShardTransport(Transport):
         #: Wall-clock milliseconds spent blocked at tick barriers
         #: (coordinator waiting on shard replies).
         self.barrier_wait_ms = 0.0
-        #: Protocol messages moved (fanout legs only; the federation
-        #: accounts bid/quote volume itself).
-        self.messages = 0
         #: One-way frames dispatched without a reply barrier (the
         #: period pipeline; see :meth:`post`).
         self.posted_frames = 0
@@ -1202,43 +1145,6 @@ class ShardTransport(Transport):
             posted += 1
         self.posted_frames += posted
 
-    def fanout(
-        self,
-        origin: int,
-        peers: Sequence[int],
-        request: Optional[Message] = None,
-    ) -> FanoutResult:
-        """Send ``request`` to each shard peer; gather decoded replies.
-
-        The encoded payload is shared across peers (one serialisation,
-        N deliveries — the batched-broadcast idiom the tick path also
-        uses); replies decode in shard order into ``replies``.
-        ``delay_ms`` is 0: shard hops are process-local, and simulated
-        time is the coordinator's business, not the transport's.
-        """
-        if request is None:
-            raise ProtocolError("ShardTransport requires a real message")
-        peer_list = list(peers)
-        payload = encode(request)
-        frames: List[Optional[Tuple]] = [None] * self._num_shards
-        for peer in peer_list:
-            frames[peer] = ("fanout", payload)
-        raw = self.exchange(frames)
-        replies: List[Message] = []
-        for peer in peer_list:
-            reply = raw[peer]
-            if reply is not None:
-                replies.extend(decode(p) for p in reply["replies"])
-        messages = 2 * len(peer_list)
-        self.messages += messages
-        return FanoutResult(
-            delay_ms=0.0,
-            messages=messages,
-            delivered=tuple(peer_list),
-            replied=tuple(peer_list),
-            replies=tuple(replies),
-        )
-
     def note_child_peak_kb(self, peak_kb: int) -> None:
         """Record the workers' peak RSS (from a collect barrier)."""
         if peak_kb > self._child_peak_kb:
@@ -1343,7 +1249,7 @@ class ShardedRunResult:
     @property
     def messages(self) -> int:
         """Protocol messages the run moved (network messages at
-        ``shards=1``; codec-serialised bid/quote/fanout messages
+        ``shards=1``; codec-serialised bid/quote messages
         otherwise)."""
         return self._messages
 
@@ -1354,7 +1260,7 @@ class ShardedRunResult:
         n = len(self._columns[0])
         if not n:
             return math.nan
-        return float(_np.sum(self._columns[7] - self._columns[3])) / n
+        return float(np.sum(self._columns[7] - self._columns[3])) / n
 
     def percentile_response_ms(self, fraction: float) -> float:
         """Response-time percentile with the collector's index rule."""
@@ -1365,7 +1271,7 @@ class ShardedRunResult:
         n = len(self._columns[0])
         if not n:
             return math.nan
-        ordered = _np.sort(self._columns[7] - self._columns[3])
+        ordered = np.sort(self._columns[7] - self._columns[3])
         return float(ordered[min(n - 1, int(fraction * n))])
 
     def batch_summary(self) -> Dict[str, float]:
@@ -1492,8 +1398,6 @@ class ShardedFederation:
         if shards == 1:
             self._plan = None
             return
-        if _np is None:  # pragma: no cover - numpy ships with the stack
-            raise RuntimeError("sharded federations require numpy")
         candidates_by_class = {
             qc.index: tuple(sorted(qc.candidate_nodes(placement)))
             for qc in classes
@@ -1515,8 +1419,8 @@ class ShardedFederation:
             costs = [
                 cost_model.execution_time_ms(qc, specs[nid]) for nid in cand
             ]
-            self._cand[qc.index] = _np.array(cand, dtype=_np.int64)
-            self._lane_costs[qc.index] = _np.array(costs, dtype=float)
+            self._cand[qc.index] = np.array(cand, dtype=np.int64)
+            self._lane_costs[qc.index] = np.array(costs, dtype=float)
             for nid, cost in zip(cand, costs):
                 cost_rows[nid][qc.index] = cost
         # Per-node allowance: one period of capacity plus headroom for
@@ -1553,8 +1457,8 @@ class ShardedFederation:
         candidates_by_class = self._candidates
         owner = split_market_classes(candidates_by_class, self._plan)
         #: The routing table: class index → owning shard (-1 = residual).
-        self._owner_of = _np.array(
-            [owner[k] for k in range(num_classes)], dtype=_np.intp
+        self._owner_of = np.array(
+            [owner[k] for k in range(num_classes)], dtype=np.intp
         )
         plane_classes: List[List[int]] = [[] for _ in range(self._shards)]
         residual_classes: List[int] = []
@@ -1605,7 +1509,7 @@ class ShardedFederation:
         # Cross-shard quote mirror: refreshed by every reconciliation
         # barrier, read by :meth:`stale_quotes` — never by the market
         # arithmetic itself (exactness does not depend on R).
-        self._mirror_busy = _np.zeros(self._num_nodes, dtype=float)
+        self._mirror_busy = np.zeros(self._num_nodes, dtype=float)
         self._mirror_V: Dict[int, List[float]] = {}
         self._mirror_R: Dict[int, List[float]] = {}
         self._reconcile_barriers = 0
@@ -1655,34 +1559,42 @@ class ShardedFederation:
     def _trace_columns(self, trace) -> Tuple:
         """``trace`` as time-ordered ``(times, classes, origins)`` arrays.
 
-        Checked before any frame is sent: a class no plane owns or an
-        origin outside the federation raises here, by name, instead of
-        wrapping around an array index or dying mid-run inside a plane.
+        Checked before any frame is sent: a non-finite time, a class no
+        plane owns or an origin outside the federation raises here, by
+        name, instead of mis-sorting the trace, wrapping around an array
+        index or dying mid-run inside a plane.
         The sort is stable, like the ``sorted`` of the per-event loop.
         """
-        times = _np.array([e.time_ms for e in trace], dtype=float)
-        order = _np.argsort(times, kind="stable")
+        times = np.array([e.time_ms for e in trace], dtype=float)
+        finite = np.isfinite(times)
+        if not finite.all():
+            first = int(np.argmin(finite))
+            raise ValueError(
+                "trace event %d has time_ms %r: expected a finite time"
+                % (first, trace[first].time_ms)
+            )
+        order = np.argsort(times, kind="stable")
         columns = [times[order]]
         for name, limit in (
             ("class_index", len(self._classes)),
             ("origin_node", self._num_nodes),
         ):
             values = [getattr(e, name) for e in trace]
-            column = _np.array(values)
+            column = np.array(values)
             if column.dtype.kind not in "iub" or not (
                 0 <= column.min() and column.max() < limit
             ):
                 first, value = next(
                     (i, v)
                     for i, v in enumerate(values)
-                    if not isinstance(v, (int, _np.integer))
+                    if not isinstance(v, (int, np.integer))
                     or not 0 <= v < limit
                 )
                 raise ValueError(
                     "trace event %d has %s %r: expected an integer in "
                     "[0, %d)" % (first, name, value, limit)
                 )
-            columns.append(column.astype(_np.int64)[order])
+            columns.append(column.astype(np.int64)[order])
         return tuple(columns)
 
     def _run_single(self, trace, mechanism: str) -> ShardedRunResult:
@@ -1744,11 +1656,11 @@ class ShardedFederation:
         total = len(times)
         shard_of = self._owner_of[columns[1]]
         # One market tick per distinct timestamp, whoever owns its rows.
-        edges = _np.flatnonzero(times[1:] != times[:-1]) + 1
+        edges = np.flatnonzero(times[1:] != times[:-1]) + 1
         collector.record_batch_ticks(
-            _np.diff(edges, prepend=0, append=total).tolist()
+            np.diff(edges, prepend=0, append=total).tolist()
         )
-        residual_queries = int(_np.count_nonzero(shard_of < 0))
+        residual_queries = int(np.count_nonzero(shard_of < 0))
         # One protocol-level bid per shard-routed row, however batched.
         self._messages = total - residual_queries
         horizon = float(times[-1])
@@ -1758,7 +1670,7 @@ class ShardedFederation:
         start = 0
         while next_boundary <= horizon:
             # Boundary-first: rows stamped exactly `next_boundary` wait.
-            end = int(_np.searchsorted(times, next_boundary, side="left"))
+            end = int(np.searchsorted(times, next_boundary, side="left"))
             self._route_ticks(columns, shard_of, start, end)
             # Greedy has no boundaries; it posts on the same period
             # clock so its pipeline stays one period deep.
@@ -1816,10 +1728,10 @@ class ShardedFederation:
         self.last_shard_self_time_s = self_times
         int_cols = (0, 1, 2, 5, 8)
         columns = [
-            _np.array(c, dtype=_np.int64 if n in int_cols else float)
+            np.array(c, dtype=np.int64 if n in int_cols else float)
             for n, c in enumerate(cols)
         ]
-        order = _np.lexsort((columns[0], columns[7]))
+        order = np.lexsort((columns[0], columns[7]))
         columns = [c[order] for c in columns]
         total_assigned = sum(assigned_per_shard)
         imbalance = 1.0
@@ -1844,8 +1756,6 @@ class ShardedFederation:
             residual_classes=len(self._residual_classes),
             closed_settled=closed_settled,
         )
-        self._messages += transport.messages
-        transport.messages = 0
         return ShardedRunResult(
             columns=columns,
             dropped=dropped,
@@ -1877,14 +1787,14 @@ class ShardedFederation:
             )
 
         owners = shard_of[start:end]
-        sent = _np.flatnonzero(owners >= 0) + start
+        sent = np.flatnonzero(owners >= 0) + start
         sent_times = times[sent]
         lo = 0
         while lo < len(sent):
             hi = len(sent)
             if hi - lo >= _MTICKS_ROW_BOUND:
                 last = sent_times[lo + _MTICKS_ROW_BOUND - 1]
-                hi = int(_np.searchsorted(sent_times, last, side="right"))
+                hi = int(np.searchsorted(sent_times, last, side="right"))
             rows = sent[lo:hi]
             row_owner = shard_of[rows]
             masks = [row_owner == s for s in range(len(self._active_plane))]
@@ -1895,7 +1805,7 @@ class ShardedFederation:
                 ]
             )
             lo = hi
-        held = _np.flatnonzero(owners < 0) + start
+        held = np.flatnonzero(owners < 0) + start
         for now, tick in _market_ticks(batch(held)):
             self._residual.market_tick(now, tick)
 
@@ -1981,7 +1891,7 @@ class ShardedFederation:
         if self._plan is None:
             raise RuntimeError("stale quotes require a sharded federation")
         cand = self._cand[class_index]
-        est = _np.maximum(self._mirror_busy[cand], now)
+        est = np.maximum(self._mirror_busy[cand], now)
         est = est + self._lane_costs[class_index]
         return [
             (int(nid), float(e))

@@ -4,7 +4,7 @@
 model, message accounting, optional fault injection) to the
 :class:`repro.protocol.transport.Transport` interface, so the allocators
 reach the simulated wire through the same verb, ``fanout``, that the
-shard and SQLite backends implement.
+SQLite backend implements.
 
 The adapter is deliberately paper-thin: the simulator *charges* an
 exchange (messages, latency, fault outcomes) without materialising

@@ -634,6 +634,13 @@ def test_dispatch_ledger_counts_are_pinned():
     assert refusing_met[0] == 1684
     assert counts["lane_steps"] == 945
     assert counts["estimate_reuses"] == 141
+    # The two other fast paths that stay, pinned to traffic on the same
+    # run: the period engine's (price_epoch, capacity) plan cache, and
+    # the saturated no-ops `assign_batch` settles without an exchange.
+    engine = allocator.period_engine_stats
+    assert (engine.reused_rows, engine.solved_rows) == (336, 1176)
+    assert counts["scalar_fallbacks"] == 0
+    assert metrics.exchanges - metrics.vector_exchanges == 447
 
 
 def test_dispatcher_refuses_raise_terms_that_unsettle_the_cap():

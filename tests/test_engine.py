@@ -1,6 +1,10 @@
 """Unit tests for repro.sim.engine (the discrete-event kernel)."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim.engine import Simulator
 
@@ -43,6 +47,20 @@ class TestScheduling:
         with pytest.raises(ValueError):
             sim.schedule_at(5.0, lambda: None)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_time_rejected_by_name(self, bad):
+        # NaN passes any `time < now` test; fired, it set the clock to NaN.
+        sim = Simulator()
+        with pytest.raises(ValueError, match="finite"):
+            sim.schedule_at(bad, lambda: None)
+        with pytest.raises(ValueError, match="finite"):
+            sim.schedule_stream(
+                [(1.0, (lambda: None), ()), (bad, (lambda: None), ())]
+            )
+        assert sim.pending_events == 0
+        sim.run()
+        assert sim.now == 0.0
+
     def test_nested_scheduling(self):
         sim = Simulator()
         fired = []
@@ -54,75 +72,6 @@ class TestScheduling:
         sim.schedule(10.0, outer)
         sim.run()
         assert fired == [("outer", 10.0), ("inner", 15.0)]
-
-
-class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
-        sim = Simulator()
-        fired = []
-        handle = sim.schedule(10.0, lambda: fired.append(1))
-        handle.cancel()
-        sim.run()
-        assert fired == []
-
-    def test_cancel_after_fire_is_noop(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        sim.run()
-        handle.cancel()  # should not raise
-        assert handle.fired
-        assert not handle.cancelled
-
-    def test_pending_events_excludes_cancelled(self):
-        sim = Simulator()
-        handles = [sim.schedule(float(i + 1), lambda: None) for i in range(5)]
-        assert sim.pending_events == 5
-        handles[0].cancel()
-        handles[3].cancel()
-        assert sim.pending_events == 3
-
-    def test_pending_events_decrements_on_fire(self):
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        sim.step()
-        assert sim.pending_events == 1
-        sim.run()
-        assert sim.pending_events == 0
-
-    def test_double_cancel_counted_once(self):
-        sim = Simulator()
-        handle = sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        handle.cancel()
-        handle.cancel()
-        assert sim.pending_events == 1
-
-    def test_mass_cancellation_compacts_heap(self):
-        sim = Simulator()
-        keeper = sim.schedule(1_000_000.0, lambda: None)
-        handles = [sim.schedule(float(i + 1), lambda: None) for i in range(500)]
-        for handle in handles:
-            handle.cancel()
-        # Lazy compaction: stale entries outnumber live ones, so the heap
-        # must have been rebuilt well below the 501 pushed entries.
-        assert sim.pending_events == 1
-        assert sim.heap_size < 100
-        assert not keeper.cancelled
-
-    def test_cancelled_events_skipped_after_compaction(self):
-        sim = Simulator()
-        fired = []
-        sim.schedule(10.0, lambda: fired.append("keep"))
-        handles = [
-            sim.schedule(float(i + 1), lambda: fired.append("dropped"))
-            for i in range(200)
-        ]
-        for handle in handles:
-            handle.cancel()
-        sim.run()
-        assert fired == ["keep"]
-        assert sim.events_processed == 1
 
 
 class TestBoundedRuns:
@@ -149,14 +98,6 @@ class TestBoundedRuns:
         sim.run()
         assert fired == [1]
 
-    def test_max_events(self):
-        sim = Simulator()
-        fired = []
-        for i in range(5):
-            sim.schedule(float(i + 1), lambda i=i: fired.append(i))
-        sim.run(max_events=2)
-        assert fired == [0, 1]
-
     def test_events_processed_counter(self):
         sim = Simulator()
         for i in range(3):
@@ -164,56 +105,15 @@ class TestBoundedRuns:
         sim.run()
         assert sim.events_processed == 3
 
-    def test_step_returns_false_when_empty(self):
-        assert not Simulator().step()
-
-    def test_cancelled_head_cannot_fire_event_past_until(self):
-        # Regression: a cancelled entry at the heap front inside the
-        # window used to slip past the bound check, letting the *next*
-        # live event fire even when it lay beyond until_ms.
+    def test_pending_events_decrements_on_fire(self):
         sim = Simulator()
-        fired = []
-        inside = sim.schedule(5.0, lambda: fired.append("inside"))
-        sim.schedule(20.0, lambda: fired.append("outside"))
-        inside.cancel()
-        sim.run(until_ms=10.0)
-        assert fired == []
-        assert sim.now == 10.0
+        sim.schedule(1.0, lambda: None)
+        sim.schedule(2.0, lambda: None)
+        assert sim.pending_events == 2
+        sim.run(until_ms=1.0)
+        assert sim.pending_events == 1
         sim.run()
-        assert fired == ["outside"]
-        assert sim.now == 20.0
-
-    def test_cancelled_head_does_not_consume_max_events_budget(self):
-        sim = Simulator()
-        fired = []
-        stale = sim.schedule(1.0, lambda: fired.append("stale"))
-        sim.schedule(2.0, lambda: fired.append("live"))
-        stale.cancel()
-        sim.run(max_events=1)
-        assert fired == ["live"]
-
-    def test_max_events_leaves_clock_at_last_executed_event(self):
-        # Documented contract: exhausting max_events with due events still
-        # pending must NOT advance the clock to until_ms — the clock stays
-        # at the last executed event so a later run() resumes seamlessly.
-        sim = Simulator()
-        fired = []
-        for i in range(4):
-            sim.schedule(float(i + 1), lambda i=i: fired.append(i))
-        sim.run(until_ms=10.0, max_events=2)
-        assert fired == [0, 1]
-        assert sim.now == 2.0
-        sim.run(until_ms=10.0)
-        assert fired == [0, 1, 2, 3]
-        assert sim.now == 10.0
-
-    def test_until_reached_with_max_events_to_spare_advances_clock(self):
-        # The flip side: when every due event fired within budget, a
-        # time-bounded run still ends at its bound.
-        sim = Simulator()
-        sim.schedule(3.0, lambda: None)
-        sim.run(until_ms=10.0, max_events=5)
-        assert sim.now == 10.0
+        assert sim.pending_events == 0
 
 
 class TestRecurrence:
@@ -234,3 +134,75 @@ class TestRecurrence:
         sim.every(5.0, lambda: times.append(sim.now), until_ms=12.0)
         sim.run()
         assert times == [0.0, 5.0, 10.0]
+
+    def test_every_start_past_its_bound_never_fires(self):
+        # Regression: the first firing skipped the inclusive bound.
+        sim = Simulator()
+        times = []
+        sim.every(10.0, lambda: times.append(sim.now), start_ms=50.0, until_ms=20.0)
+        sim.run()
+        assert times == []
+        assert sim.pending_events == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.lists(
+        st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
+        min_size=1,
+        max_size=40,
+    ),
+    st.lists(
+        st.floats(min_value=0.0, max_value=50.0, allow_nan=False),
+        max_size=10,
+    ),
+)
+def test_schedule_stream_matches_sequential_schedule_at(
+    stream_times, other_times
+):
+    # A stream reserves its whole seq range at registration, so firing
+    # order (including FIFO ties against individually scheduled events
+    # registered before and after it) must be indistinguishable from
+    # having called schedule_at once per entry.
+    stream_times = sorted(stream_times)
+    half = len(other_times) // 2
+
+    def run(use_stream):
+        sim = Simulator()
+        fired = []
+        for j, t in enumerate(other_times[:half]):
+            sim.schedule_at(t, fired.append, ("pre", j))
+        if use_stream:
+            sim.schedule_stream(
+                [
+                    (t, fired.append, (("stream", i),))
+                    for i, t in enumerate(stream_times)
+                ]
+            )
+            # Only the stream's head is heap-resident.
+            assert sim.heap_size == half + 1
+        else:
+            for i, t in enumerate(stream_times):
+                sim.schedule_at(t, fired.append, ("stream", i))
+        for j, t in enumerate(other_times[half:]):
+            sim.schedule_at(t, fired.append, ("post", j))
+        assert sim.pending_events == len(stream_times) + len(other_times)
+        sim.run()
+        assert sim.pending_events == 0
+        assert sim.heap_size == 0
+        return fired
+
+    assert run(True) == run(False)
+
+
+def test_schedule_stream_rejects_unsorted_and_past_entries():
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.schedule_stream(
+            [(5.0, (lambda: None), ()), (4.0, (lambda: None), ())]
+        )
+    sim.schedule_at(10.0, lambda: None)
+    sim.run()
+    assert sim.now == 10.0
+    with pytest.raises(ValueError):
+        sim.schedule_stream([(5.0, (lambda: None), ())])

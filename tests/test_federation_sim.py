@@ -1,5 +1,7 @@
 """Integration tests for repro.sim.federation (end-to-end runs)."""
 
+import math
+
 import pytest
 
 from repro.allocation import GreedyAllocator, QantAllocator, RandomAllocator
@@ -8,6 +10,7 @@ from repro.experiments.setups import (
     two_query_world,
 )
 from repro.sim import FederationConfig, build_federation
+from repro.workload.trace import WorkloadEvent
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +89,24 @@ class TestEndToEnd:
         )
         with pytest.raises(ValueError):
             federation.run([])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_trace_time_rejected(self, world, light_trace, bad):
+        """A NaN arrival used to fire, set the clock to NaN and corrupt
+        the rest of the run silently; now nothing runs at all."""
+        federation = build_federation(
+            world.specs,
+            world.placement,
+            world.classes,
+            world.cost_model,
+            GreedyAllocator(),
+            FederationConfig(),
+        )
+        trace = list(light_trace)
+        trace.insert(7, WorkloadEvent(bad, 0, 0))
+        with pytest.raises(ValueError, match="finite"):
+            federation.run(trace)
+        assert federation.simulator.events_processed == 0
 
 
 class TestOverloadBehaviour:

@@ -108,7 +108,7 @@ class TestScalarEquivalence:
         """40 boundaries with random traffic and shifting free capacity."""
         num_classes = 5
         reference, batched = _twin_fleets(1234, 8, num_classes, method, carry)
-        engine = QantPeriodEngine(batched, [2_000.0] * 8, can_defer=False)
+        engine = QantPeriodEngine(batched, [2_000.0] * 8)
         rng = random.Random(99)
         for __ in range(40):
             capacities = [
@@ -116,21 +116,24 @@ class TestScalarEquivalence:
                 for __ in range(8)
             ]
             _scalar_boundary(reference, capacities)
-            engine.advance(True, lambda: capacities)
+            engine.advance(lambda: capacities)
             _assert_state_equal(reference, batched)
             _interact(rng, reference, batched, num_classes)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_quiet_ticks_without_gather_stay_identical(self, method):
-        """interacted=False boundaries (no re-gather) must not drift."""
+        """Idle boundaries (no traffic in between) must not drift, through
+        the decay to the price floor and the carry-over credit cycle."""
         reference, batched = _twin_fleets(55, 6, 4, method, True)
-        engine = QantPeriodEngine(batched, [2_000.0] * 6, can_defer=False)
+        engine = QantPeriodEngine(batched, [2_000.0] * 6)
         capacities = [2_000.0] * 6
-        engine.advance(True, lambda: capacities)
+        engine.advance(lambda: capacities)
         _scalar_boundary(reference, capacities)
-        for __ in range(30):
+        # Geometric decay reaches the floor after ~120 idle boundaries;
+        # past it only the carry-over credit cycles.
+        for __ in range(160):
             _scalar_boundary(reference, capacities)
-            engine.advance(False, lambda: capacities)
+            engine.advance(lambda: capacities)
             _assert_state_equal(reference, batched)
 
     @pytest.mark.parametrize("method", METHODS)
@@ -139,7 +142,7 @@ class TestScalarEquivalence:
         """Subnormal budgets hit the solvers' fill clamp (a quotient of
         denormals may not round up past its budget) on both sides."""
         reference, batched = _twin_fleets(77, 6, 3, method, carry)
-        engine = QantPeriodEngine(batched, [2_000.0] * 6, can_defer=False)
+        engine = QantPeriodEngine(batched, [2_000.0] * 6)
         schedule = [
             [5e-324, 1e-323, 2.5e-308, 1e-300, 0.0, 2_000.0],
             [1e-323, 5e-324, 5e-324, 2_000.0, 1e-310, 150.0],
@@ -147,86 +150,17 @@ class TestScalarEquivalence:
         for tick in range(6):
             capacities = schedule[tick % 2]
             _scalar_boundary(reference, capacities)
-            engine.advance(True, lambda: capacities)
+            engine.advance(lambda: capacities)
             _assert_state_equal(reference, batched)
 
     def test_single_agent_single_class(self):
         reference, batched = _twin_fleets(7, 1, 1, "proportional", True)
-        engine = QantPeriodEngine(batched, [2_000.0], can_defer=False)
+        engine = QantPeriodEngine(batched, [2_000.0])
         for tick in range(10):
             capacities = [2_000.0 if tick % 2 else 70.0]
             _scalar_boundary(reference, capacities)
-            engine.advance(True, lambda: capacities)
+            engine.advance(lambda: capacities)
             _assert_state_equal(reference, batched)
-
-
-def _warm_to_fixed_point(reference, engine, allowances, limit=400):
-    """Tick both twins until idle decay reaches the price floor and the
-    engine declares the fleet quiescent (geometric decay: ~120 ticks)."""
-    for __ in range(limit):
-        _scalar_boundary(reference, allowances)
-        engine.advance(True, lambda: allowances)
-        if engine._eligible:
-            return
-    raise AssertionError("fleet never reached the quiescent fixed point")
-
-
-class TestDeferral:
-    def test_quiescent_ticks_fast_forward_and_replay_exactly(self):
-        """At the fixed point, deferred ticks must flush to the same state
-        an always-ticking twin reaches — including carry-over credit."""
-        reference, batched = _twin_fleets(21, 6, 4, "proportional", True)
-        allowances = [2_000.0] * 6
-        engine = QantPeriodEngine(batched, allowances, can_defer=True)
-        _warm_to_fixed_point(reference, engine, allowances)
-        ticks = 25
-        for __ in range(ticks):
-            _scalar_boundary(reference, allowances)
-            engine.advance(False, lambda: allowances)
-        assert engine.stats.deferred_ticks > 0
-        assert engine.deferred_ticks_pending > 0
-        engine.flush()
-        assert engine.deferred_ticks_pending == 0
-        assert engine.stats.replayed_ticks == engine.stats.deferred_ticks
-        _assert_state_equal(reference, batched)
-
-    def test_interaction_materialises_deferred_ticks(self):
-        reference, batched = _twin_fleets(3, 4, 3, "greedy-fractional", True)
-        allowances = [1_500.0] * 4
-        engine = QantPeriodEngine(batched, allowances, can_defer=True)
-        rng = random.Random(5)
-        _warm_to_fixed_point(reference, engine, allowances)
-        for __ in range(10):
-            _scalar_boundary(reference, allowances)
-            engine.advance(False, lambda: allowances)
-        assert engine.deferred_ticks_pending > 0
-        # A boundary with interacted=True must first settle the backlog.
-        _scalar_boundary(reference, allowances)
-        engine.advance(True, lambda: allowances)
-        assert engine.deferred_ticks_pending == 0
-        _assert_state_equal(reference, batched)
-        _interact(rng, reference, batched, 3)
-        _scalar_boundary(reference, allowances)
-        engine.advance(True, lambda: allowances)
-        _assert_state_equal(reference, batched)
-
-    def test_busy_nodes_never_defer(self):
-        """Free capacity below the allowance pins boundaries materialised."""
-        __, batched = _twin_fleets(9, 3, 3, "proportional", True)
-        engine = QantPeriodEngine(batched, [2_000.0] * 3, can_defer=True)
-        capacities = [1_999.0] * 3  # queued work outstanding somewhere
-        for __ in range(20):
-            engine.advance(False, lambda: capacities)
-        assert engine.stats.deferred_ticks == 0
-
-    def test_can_defer_false_disables_fast_forward(self):
-        __, batched = _twin_fleets(11, 3, 3, "proportional", True)
-        allowances = [2_000.0] * 3
-        engine = QantPeriodEngine(batched, allowances, can_defer=False)
-        for __ in range(20):
-            engine.advance(False, lambda: allowances)
-        assert engine.stats.deferred_ticks == 0
-        assert engine.stats.ticks == 20
 
 
 class TestAccepts:
@@ -317,9 +251,6 @@ class TestObservability:
         assert stats.ticks > 100  # 2 s horizon + drain at 500 ms periods
         assert stats.solved_rows > 0
         assert stats.reused_rows > 0
-        # Drained runs go quiescent: the deferral fast path must engage.
-        assert stats.deferred_ticks > 0
-        assert stats.replayed_ticks <= stats.deferred_ticks
 
     def test_fig5a_cell_supply_cache_hit_rate(self):
         """The scalar fallback path (exact solver) drives the PR 2 supply
@@ -338,15 +269,6 @@ class TestObservability:
         # from density-ordering reuse — a modest but real rate.
         assert hits / (hits + misses) > 0.05
         assert all(info.entries >= 0 for info in infos)
-
-    def test_sync_market_state_settles_deferred_boundaries(self):
-        allocator = _paper_cell_run()
-        engine = allocator._engine
-        assert engine is not None
-        # After on_run_end (called by Federation.run) nothing is pending.
-        assert engine.deferred_ticks_pending == 0
-        allocator.sync_market_state()  # idempotent on a settled engine
-        assert engine.deferred_ticks_pending == 0
 
 
 @settings(max_examples=200, deadline=None)

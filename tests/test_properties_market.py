@@ -1,62 +1,12 @@
-"""Property-based tests on market-level invariants (economy, equity)."""
+"""Property-based tests on market-level invariants (the economy)."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.equity import equitable_consumptions
-from repro.core.preferences import ThroughputPreference
 from repro.core.qant import QantParameters
 from repro.core.supply import CapacitySupplySet
-from repro.core.vectors import QueryVector, aggregate
+from repro.core.vectors import QueryVector
 from repro.core.welfare import QueryMarketEconomy
-
-
-class TestEquitableFillingProperties:
-    demands_strategy = st.lists(
-        st.lists(st.integers(0, 8), min_size=2, max_size=2),
-        min_size=1,
-        max_size=5,
-    )
-    supply_strategy = st.lists(st.integers(0, 15), min_size=2, max_size=2)
-
-    @given(supply_strategy, demands_strategy)
-    @settings(max_examples=80)
-    def test_no_supply_wasted_while_demand_unmet(self, supply, demands):
-        supply_vec = QueryVector(supply)
-        demand_vecs = [QueryVector(d) for d in demands]
-        consumptions = equitable_consumptions(supply_vec, demand_vecs)
-        consumed = aggregate(consumptions)
-        for k in range(2):
-            leftover = supply_vec[k] - consumed[k]
-            unmet = sum(d[k] - c[k] for d, c in zip(demand_vecs, consumptions))
-            # Either the class's supply is exhausted or nobody wants more.
-            assert leftover < 1.0 or unmet == 0.0
-
-    @given(supply_strategy, demands_strategy)
-    @settings(max_examples=80)
-    def test_consumption_bounded_by_demand_and_supply(self, supply, demands):
-        supply_vec = QueryVector(supply)
-        demand_vecs = [QueryVector(d) for d in demands]
-        consumptions = equitable_consumptions(supply_vec, demand_vecs)
-        for consumption, demand in zip(consumptions, demand_vecs):
-            assert consumption.componentwise_le(demand)
-        assert aggregate(consumptions).componentwise_le(supply_vec)
-
-    @given(st.integers(0, 20), st.lists(st.integers(1, 10), min_size=2, max_size=5))
-    @settings(max_examples=80)
-    def test_single_class_max_min_gap_at_most_one(self, supply, wants):
-        """With one class, totals of still-hungry nodes differ by <= 1."""
-        supply_vec = QueryVector([supply])
-        demand_vecs = [QueryVector([w]) for w in wants]
-        consumptions = equitable_consumptions(supply_vec, demand_vecs)
-        pref = ThroughputPreference()
-        hungry = [
-            pref.utility(c)
-            for c, d in zip(consumptions, demand_vecs)
-            if c.total() < d.total()
-        ]
-        if len(hungry) >= 2:
-            assert max(hungry) - min(hungry) <= 1.0
 
 
 class TestEconomyInvariants:

@@ -11,8 +11,8 @@ Three properties carry the whole design (see DESIGN.md §7):
   to its affinity components, and per-node state (latency RNG streams,
   busy clocks) is keyed by node id, never by shard layout;
 * the cross-shard conversation is real protocol traffic — one
-  ``BidBatch`` per shard per period, ``BidRequest``/``Quote`` fan-outs,
-  through the ``repro.protocol`` codec over ``ShardTransport``.
+  ``BidBatch`` per shard per period, through the ``repro.protocol``
+  codec over ``ShardTransport``.
 """
 
 import functools
@@ -45,10 +45,7 @@ from repro.experiments.setups import (
 )
 from repro.protocol import (
     BidBatch,
-    BidRequest,
-    Quote,
     decode,
-    encode,
     encode_frame,
 )
 from repro.sim import (
@@ -374,36 +371,6 @@ def test_sharded_1000node_golden_is_shard_count_invariant():
 # transport
 
 
-def test_shard_transport_fanout_speaks_protocol():
-    """A BidRequest fan-out over ShardTransport returns decoded Quotes
-    from the plane that owns the class."""
-    world, __ = _zipf_small()
-    with _sharded(world, 2) as federation:
-        transport = federation.transport
-        peers = tuple(range(transport.num_shards))
-        before = transport.messages
-        k = int((federation._owner_of >= 0).argmax())  # a shard-local class
-        result = transport.fanout(
-            -1, peers, BidRequest(qid=1, class_index=k, origin_node=-1)
-        )
-        assert result.delivered == peers
-        assert result.replied == peers
-        assert result.replies, "candidate servers must answer with quotes"
-        assert all(isinstance(reply, Quote) for reply in result.replies)
-        assert all(reply.class_index == k for reply in result.replies)
-        # One request leg + one reply batch per shard.
-        assert transport.messages - before == 2 * len(peers)
-
-
-def test_shard_transport_requires_real_message():
-    from repro.protocol import ProtocolError
-
-    world, __ = _small_world()
-    with _sharded(world, 2) as federation:
-        with pytest.raises(ProtocolError):
-            federation.transport.fanout(-1, (0,), None)
-
-
 def test_sharded_scaling_cell_shape():
     payload = sharded_scaling_cell(
         "qa-nt", 2, 0, 0, num_nodes=30, mode="inline"
@@ -578,16 +545,14 @@ def test_reconcile_counters_surface_in_batch_summary():
 
 def test_bid_batch_rows_count_as_protocol_bids():
     """One ``BidBatch`` per shard per period on the wire, but ``messages``
-    and the worker's ``bids_seen`` keep counting bid *rows*."""
+    keeps counting bid *rows*."""
     world, trace = _zipf_small()
     with _sharded(world, 4, "inline", interval=4) as federation:
         result = federation.run(list(trace), "qa-nt")
         summary = result.batch_summary()
         owned = sum(federation._owner_of[e.class_index] >= 0 for e in trace)
-        replies = federation.transport.exchange([("collect",)] * 4)
         active = sum(federation._active_plane)
     assert 0 < owned < len(trace)  # some classes are residual
-    assert sum(reply["bids_seen"] for reply in replies) == owned
     assert summary["cross_shard_bids"] == len(trace) - owned
     # Bids, plus a request/digest pair per active plane per barrier.
     assert result.messages == owned + 2 * active * summary[
@@ -819,10 +784,13 @@ def test_row_bound_never_splits_a_tick(monkeypatch, mode):
         (WorkloadEvent(5.0, -1, 3), "event 7 has class_index -1"),
         (WorkloadEvent(5.0, 2, 50), "event 7 has origin_node 50"),
         (WorkloadEvent(5.0, 2, 1.5), "event 7 has origin_node 1.5"),
+        (WorkloadEvent(math.nan, 2, 3), "event 7 has time_ms nan"),
+        (WorkloadEvent(math.inf, 2, 3), "event 7 has time_ms inf"),
     ],
 )
 def test_unroutable_trace_event_is_a_named_error(event, complaint):
-    """A class no plane owns (or an origin outside the federation) is
+    """A class no plane owns (or an origin outside the federation, or a
+    time that is not finite and so sorts nowhere) is
     refused before the reset barrier, not as a ``KeyError`` inside a
     plane after frames were posted; the federation stays usable."""
     world, trace = _zipf_small()
@@ -1316,29 +1284,17 @@ def test_malformed_tcp_frame_is_a_shard_failure(monkeypatch, garbage, cause):
 
 
 class _SleepyEchoCore:
-    """Scripted-delay worker double: answers a fan-out with one Quote
-    carrying its own identity, after sleeping its scripted delay."""
+    """Scripted-delay worker double: answers a ``reconcile`` frame with
+    its own identity, after sleeping its scripted delay."""
 
     def __init__(self, init):
         self._ident = int(init["ident"])
         self._delay_s = float(init["delay_s"])
 
     def handle(self, frame):
-        if frame[0] == "fanout":
+        if frame[0] == "reconcile":
             time.sleep(self._delay_s)
-            request = decode(frame[1])
-            return {
-                "replies": [
-                    encode(
-                        Quote(
-                            qid=request.qid,
-                            node_id=self._ident,
-                            class_index=request.class_index,
-                            estimated_completion_ms=float(self._ident),
-                        )
-                    )
-                ]
-            }
+            return {"ident": self._ident}
         return {"ok": True}
 
 
@@ -1355,12 +1311,9 @@ def test_out_of_order_replies_keep_fixed_shard_merge(mode):
         transport = ShardTransport(inits, mode=mode)
         try:
             started = time.perf_counter()
-            result = transport.fanout(
-                -1, (0, 1), BidRequest(qid=7, class_index=3, origin_node=-1)
-            )
+            replies = transport.exchange([("reconcile",), ("reconcile",)])
             elapsed = time.perf_counter() - started
-            assert [q.node_id for q in result.replies] == [0, 1]
-            assert result.replied == (0, 1)
+            assert [reply["ident"] for reply in replies] == [0, 1]
             # Both requests were in flight together: the barrier costs
             # max(delays), not their sum (double-buffering's guarantee).
             assert elapsed < 2 * 0.25
