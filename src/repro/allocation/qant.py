@@ -209,10 +209,7 @@ class QantAllocator(Allocator):
         )
         if engine_rows:
             self._engine_node_ids = tuple(nid for nid, __ in engine_rows)
-            self._engine = QantPeriodEngine(
-                [agent for __, agent in engine_rows],
-                [self._allowances[nid] for nid in self._engine_node_ids],
-            )
+            self._engine = QantPeriodEngine([agent for __, agent in engine_rows])
         fleet = self.context.fleet
         if fleet is not None and self._engine_node_ids:
             self._engine_rows_np = np.array(

@@ -31,7 +31,6 @@ from .qant import QantParameters, QantPeriodStats, QantPricingAgent
 from .supply import (
     CapacitySupplySet,
     ExplicitSupplySet,
-    SupplyCacheInfo,
     SupplySet,
     solve_supply,
 )
@@ -55,7 +54,6 @@ __all__ = [
     "QantPricingAgent",
     "QueryMarketEconomy",
     "QueryVector",
-    "SupplyCacheInfo",
     "SupplySet",
     "TatonnementResult",
     "TatonnementUmpire",

@@ -14,9 +14,9 @@ and draws no randomness, so it batches cleanly:
   greedy / greedy-fractional / fractional supply solves as array ops;
 * **incremental** — a row whose ``(price_epoch, free_capacity)`` pair is
   unchanged since its last solve reuses the cached optimal vector (the
-  batched extension of the PR 2 ``(agent_token, price_epoch)`` memo with
-  capacity folded into the key), and the decay only rewrites rows it
-  actually changed.
+  agent's price epoch counts actual price changes, so an unchanged epoch
+  means unchanged prices), and the decay only rewrites rows it actually
+  changed.
 
 Bit-identity contract: the engine reproduces the scalar
 :meth:`~repro.core.qant.QantPricingAgent.begin_period` /
@@ -118,16 +118,10 @@ class QantPeriodEngine:
     caller's scalar path.
     """
 
-    def __init__(
-        self,
-        agents: Sequence[QantPricingAgent],
-        allowances: Sequence[float],
-    ):
+    def __init__(self, agents: Sequence[QantPricingAgent]):
         agents = list(agents)
         if not agents:
             raise ValueError("the period engine needs at least one agent")
-        if len(allowances) != len(agents):
-            raise ValueError("one backlog allowance per agent is required")
         params = agents[0].parameters
         num_classes = agents[0].num_classes
         for agent in agents:

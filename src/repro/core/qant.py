@@ -22,18 +22,12 @@ prices rather than waiting for an umpire to clear the market.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .market import PriceVector
 from .supply import SupplySet, solve_supply
 from .vectors import QueryVector
-
-#: Process-wide agent identifiers, combined with the per-agent price epoch
-#: into the cache tokens handed to the supply solvers — two agents sharing
-#: a supply set can therefore never collide in its memo.
-_AGENT_TOKENS = itertools.count(1)
 
 __all__ = [
     "QantParameters",
@@ -128,13 +122,12 @@ class QantPricingAgent:
             raise ValueError("initial prices cover the wrong number of classes")
         # Price state lives in a mutable list so the per-refusal updates
         # are in-place; the immutable PriceVector is materialised lazily
-        # when `.prices` is read.  `_price_epoch` counts actual changes and
-        # keys the supply solvers' memo (see CapacitySupplySet).
+        # when `.prices` is read.  `_price_epoch` counts actual changes; the
+        # array engines key their caches on it (see `price_epoch`).
         self._price_values: List[float] = list(initial.values)
         self._prices_cache: Optional[PriceVector] = initial
         self._price_epoch = 0
         self._max_price = max(self._price_values)
-        self._token_base = next(_AGENT_TOKENS)
         self._num_classes = num_classes
         # Per-period state.  The array engines (`period_engine`,
         # `allocation.market_tick`) read and write these lists by name
@@ -194,7 +187,8 @@ class QantPricingAgent:
 
     @property
     def price_epoch(self) -> int:
-        """Counter of actual price changes (solver-cache invalidation key)."""
+        """Counter of actual price changes: what the period engine's
+        ``(price_epoch, free_capacity)`` plan cache keys on."""
         return self._price_epoch
 
     @property
@@ -246,7 +240,6 @@ class QantPricingAgent:
             self._supply_set,
             self._price_values,
             method=self._params.supply_method,
-            cache_token=(self._token_base, self._price_epoch),
         )
         if self._params.carry_over:
             credit = self._credit

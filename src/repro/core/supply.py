@@ -33,7 +33,6 @@ from __future__ import annotations
 import abc
 import math
 import sys
-from collections import namedtuple
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .vectors import QueryVector
@@ -42,15 +41,8 @@ __all__ = [
     "SupplySet",
     "ExplicitSupplySet",
     "CapacitySupplySet",
-    "SupplyCacheInfo",
     "solve_supply",
 ]
-
-#: Lifetime counters of one cost row's solver memo, in the style of
-#: :func:`functools.lru_cache`'s ``cache_info``.  ``hits``/``misses``
-#: count memo lookups (density orderings, proportional weights, whole
-#: solved vectors); ``entries`` is the number of values currently stored.
-SupplyCacheInfo = namedtuple("SupplyCacheInfo", ("hits", "misses", "entries"))
 
 #: A fractional fill below the smallest normal float counts as nothing.
 #: Down there a quotient rounds to a whole number of denormals, so
@@ -152,22 +144,14 @@ class CapacitySupplySet(SupplySet):
                 )
         self._costs = costs
         self._capacity = float(capacity_ms)
-        # Single-token memo shared across `with_capacity` rebinds (see
-        # `_cache_lookup`): density orderings and solved vectors only
-        # depend on prices (identified by the caller's token) and, for
-        # whole solves, the capacity — never on which rebind computed them.
-        self._cache: dict = {}
-        # Lifetime [hits, misses] of the memo, likewise shared across
-        # rebinds so `cache_info` reports on the cost row, not one clone.
-        self._stats = [0, 0]
 
     def with_capacity(self, capacity_ms: float) -> "CapacitySupplySet":
         """A supply set with the same cost row but a new capacity budget.
 
         This is the per-period rebind: a node's free capacity changes every
         period while its cost row never does, so the rebind shares the
-        costs tuple *and* the price-density cache with the original
-        instead of re-validating K costs each time.
+        validated costs tuple with the original instead of re-validating
+        K costs each time.
         """
         if capacity_ms < 0:
             raise ValueError("capacity must be non-negative")
@@ -177,8 +161,6 @@ class CapacitySupplySet(SupplySet):
         clone = object.__new__(CapacitySupplySet)
         clone._costs = self._costs
         clone._capacity = capacity_ms
-        clone._cache = self._cache
-        clone._stats = self._stats
         return clone
 
     @property
@@ -220,10 +202,7 @@ class CapacitySupplySet(SupplySet):
     # -- solvers -------------------------------------------------------------
 
     def optimal_supply(
-        self,
-        prices: Sequence[float],
-        method: str = "greedy",
-        cache_token: Optional[Tuple[int, int]] = None,
+        self, prices: Sequence[float], method: str = "greedy"
     ) -> QueryVector:
         """Solve eq. 4 with the requested ``method``.
 
@@ -233,82 +212,23 @@ class CapacitySupplySet(SupplySet):
         fill with the residual capacity assigned fractionally to the best
         remaining class — the natural input for QA-NT's carry-over
         accounting (see :class:`repro.core.qant.QantPricingAgent`).
-
-        ``cache_token`` is an opaque identifier of ``prices``: a caller
-        that re-solves at unchanged prices (QA-NT solves every period but
-        only moves prices on trading failures) passes the same token and
-        gets the memoised density ordering — or, at unchanged capacity,
-        the previously solved vector — back without recomputing.  Callers
-        must change the token whenever the prices they pass change.
         """
         _check_prices(prices, len(self._costs))
-        if cache_token is not None:
-            solved = self._cache_lookup(cache_token, ("solve", method, self._capacity))
-            if solved is not None:
-                return solved
         if method == "fractional":
-            result = self._solve_fractional(prices, cache_token)
-        elif method == "greedy":
-            result = self._solve_greedy(prices, cache_token=cache_token)
-        elif method == "greedy-fractional":
-            result = self._solve_greedy(
-                prices, fractional_tail=True, cache_token=cache_token
-            )
-        elif method == "proportional":
-            result = self._solve_proportional(prices, cache_token=cache_token)
-        elif method == "exact":
-            result = self._solve_exact(prices, cache_token=cache_token)
-        else:
-            raise ValueError("unknown supply solver %r" % (method,))
-        if cache_token is not None:
-            self._cache[("solve", method, self._capacity)] = result
-        return result
+            return self._solve_fractional(prices)
+        if method == "greedy":
+            return self._solve_greedy(prices)
+        if method == "greedy-fractional":
+            return self._solve_greedy(prices, fractional_tail=True)
+        if method == "proportional":
+            return self._solve_proportional(prices)
+        if method == "exact":
+            return self._solve_exact(prices)
+        raise ValueError("unknown supply solver %r" % (method,))
 
-    def _cache_lookup(self, cache_token, key):
-        """Value memoised under ``key`` for ``cache_token``, else None.
-
-        A mismatched token empties the memo (single-token cache): QA-NT
-        prices move forward in epochs, so only the latest epoch's entries
-        can ever be asked for again.
-        """
-        cache = self._cache
-        stats = self._stats
-        if cache.get("token") != cache_token:
-            cache.clear()
-            cache["token"] = cache_token
-            stats[1] += 1
-            return None
-        value = cache.get(key)
-        if value is None:
-            stats[1] += 1
-        else:
-            stats[0] += 1
-        return value
-
-    def cache_info(self) -> SupplyCacheInfo:
-        """Lifetime hit/miss counters of the solver memo.
-
-        Shared across every `with_capacity` rebind of the same cost row —
-        QA-NT rebinds each period, so per-clone counters would reset just
-        when they become interesting.  A healthy QA-NT run shows a
-        non-trivial hit rate: prices only move on trading failures, so
-        most periods re-solve at an unchanged ``(token, capacity)`` key.
-        """
-        cache = self._cache
-        entries = len(cache) - ("token" in cache)
-        return SupplyCacheInfo(self._stats[0], self._stats[1], entries)
-
-    def _densities(
-        self,
-        prices: Sequence[float],
-        cache_token: Optional[Tuple[int, int]] = None,
-    ) -> List[Tuple[float, int]]:
+    def _densities(self, prices: Sequence[float]) -> List[Tuple[float, int]]:
         """(density, class) pairs for evaluable classes with positive price,
         sorted by decreasing price density ``p_k / cost_k``."""
-        if cache_token is not None:
-            pairs = self._cache_lookup(cache_token, "pairs")
-            if pairs is not None:
-                return pairs
         costs = self._costs
         pairs = [
             (prices[k] / costs[k], k)
@@ -316,16 +236,10 @@ class CapacitySupplySet(SupplySet):
             if not math.isinf(costs[k]) and prices[k] > 0
         ]
         pairs.sort(key=lambda pair: (-pair[0], pair[1]))
-        if cache_token is not None:
-            self._cache["pairs"] = pairs
         return pairs
 
-    def _solve_fractional(
-        self,
-        prices: Sequence[float],
-        cache_token: Optional[Tuple[int, int]] = None,
-    ) -> QueryVector:
-        pairs = self._densities(prices, cache_token)
+    def _solve_fractional(self, prices: Sequence[float]) -> QueryVector:
+        pairs = self._densities(prices)
         if not pairs:
             return QueryVector.zeros(self.num_classes)
         __, best_class = pairs[0]
@@ -338,12 +252,11 @@ class CapacitySupplySet(SupplySet):
         self,
         prices: Sequence[float],
         fractional_tail: bool = False,
-        cache_token: Optional[Tuple[int, int]] = None,
     ) -> QueryVector:
         costs = self._costs
         remaining = self._capacity
         counts = [0.0] * len(costs)
-        densities = self._densities(prices, cache_token)
+        densities = self._densities(prices)
         for __, k in densities:
             if remaining < costs[k]:
                 continue
@@ -364,7 +277,6 @@ class CapacitySupplySet(SupplySet):
         self,
         prices: Sequence[float],
         sharpness: float = 2.0,
-        cache_token: Optional[Tuple[int, int]] = None,
     ) -> QueryVector:
         """Capacity split across classes in proportion to price density.
 
@@ -378,7 +290,7 @@ class CapacitySupplySet(SupplySet):
         most valuable classes.  As ``sharpness`` grows this converges to
         the corner solution; the returned vector is fractional.
         """
-        pairs = self._densities(prices, cache_token)
+        pairs = self._densities(prices)
         if not pairs:
             return QueryVector.zeros(self.num_classes)
         top = pairs[0][0]
@@ -386,22 +298,12 @@ class CapacitySupplySet(SupplySet):
             # Densities can underflow to zero for subnormal prices; with
             # no measurable value anywhere, supply nothing.
             return QueryVector.zeros(self.num_classes)
-        cached = (
-            self._cache_lookup(cache_token, ("prop", sharpness))
-            if cache_token is not None
-            else None
-        )
-        if cached is not None:
-            weights, total = cached
-        else:
-            weights = []
-            total = 0.0
-            for density, k in pairs:
-                weight = (density / top) ** sharpness
-                weights.append((weight, k))
-                total += weight
-            if cache_token is not None:
-                self._cache[("prop", sharpness)] = (weights, total)
+        weights = []
+        total = 0.0
+        for density, k in pairs:
+            weight = (density / top) ** sharpness
+            weights.append((weight, k))
+            total += weight
         counts = [0.0] * self.num_classes
         capacity = self._capacity
         costs = self._costs
@@ -416,7 +318,6 @@ class CapacitySupplySet(SupplySet):
         self,
         prices: Sequence[float],
         granularity_ms: Optional[float] = None,
-        cache_token: Optional[Tuple[int, int]] = None,
     ) -> QueryVector:
         """Unbounded-knapsack DP on a discretised capacity grid.
 
@@ -440,7 +341,7 @@ class CapacitySupplySet(SupplySet):
                 min(10.0, min(finite_costs) / 10.0),
                 self._capacity / 50_000.0,
             )
-        greedy = self._solve_greedy(prices, cache_token=cache_token)
+        greedy = self._solve_greedy(prices)
         cells = int(self._capacity / granularity_ms + 1e-9)
         if cells <= 0:
             return greedy
@@ -485,17 +386,13 @@ def solve_supply(
     supply_set: SupplySet,
     prices: Sequence[float],
     method: str = "greedy",
-    cache_token: Optional[Tuple[int, int]] = None,
 ) -> QueryVector:
     """Convenience dispatcher for eq. 4 over any supply-set type.
 
-    Explicit sets ignore ``method`` (enumeration is already exact) and
-    ``cache_token`` (see :meth:`CapacitySupplySet.optimal_supply`).
+    Explicit sets ignore ``method`` (enumeration is already exact).
     """
     if isinstance(supply_set, CapacitySupplySet):
-        return supply_set.optimal_supply(
-            prices, method=method, cache_token=cache_token
-        )
+        return supply_set.optimal_supply(prices, method=method)
     return supply_set.optimal_supply(prices)
 
 

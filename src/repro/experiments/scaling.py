@@ -31,7 +31,6 @@ __all__ = [
     "quantise_trace",
     "scaling_cell",
     "sharded_scaling_cell",
-    "reconcile_scaling_cell",
     "million_query_run",
 ]
 
@@ -198,8 +197,6 @@ def sharded_scaling_cell(
         payload.setdefault("shard_imbalance", 1.0)
         payload.setdefault("reconcile_barriers", 0.0)
         payload.setdefault("reconcile_interval", 0.0)
-        payload.setdefault("reconcile_lag_ticks_max", 0.0)
-        payload.setdefault("price_staleness_max", 0.0)
         payload.setdefault("overlapped_frames", 0.0)
         payload.setdefault("local_classes", 0.0)
         payload.setdefault("residual_classes", 0.0)
@@ -220,97 +217,6 @@ register(
                 points=(1, 2), fixed={"num_nodes": 30, "mode": "inline"}
             ),
             "paper": ScalePreset(points=(1, 2, 4, 8)),
-        },
-    )
-)
-
-
-def reconcile_scaling_cell(
-    mechanism: str,
-    reconcile_interval: int,
-    point_index: int,
-    seed: int,
-    num_nodes: int = 100,
-    num_classes: int = 40,
-    shards: int = 4,
-    mean_interarrival_ms: float = 120.0,
-    horizon_ms: float = 60_000.0,
-    max_queries: int = 2_000,
-    mode: str = "fork",
-) -> Dict[str, float]:
-    """One (mechanism, R, seed) cell of the reconciliation-interval axis.
-
-    The sweep axis is the price-reconciliation interval R of a
-    sharded federation over the *Zipf* world — the
-    affinity-rich catalog where most classes genuinely run shard-side
-    (unlike the two-query world, whose single component is all
-    residual).  Every point of one seed negotiates the identical world
-    and trace, so the invariant metrics must coincide across R — the
-    axis moves only the barrier cadence, the quote-staleness bound
-    (``price_staleness_max``) and the pipeline counters.
-    """
-    from ..workload.trace import zipf_trace
-    from .setups import zipf_world
-
-    world = zipf_world(
-        num_nodes=int(num_nodes), num_classes=int(num_classes), seed=seed
-    )
-    trace = zipf_trace(
-        int(num_classes),
-        mean_interarrival_ms,
-        horizon_ms,
-        list(world.placement.node_ids),
-        max_queries=int(max_queries),
-        seed=seed + 10,
-    )
-    started = time.perf_counter()
-    with ShardedFederation(
-        world.specs,
-        world.placement,
-        world.classes,
-        world.cost_model,
-        config=FederationConfig(seed=seed + 2),
-        shards=int(shards),
-        mode=mode,
-        reconcile_interval=int(reconcile_interval),
-    ) as federation:
-        result = federation.run(trace, mechanism)
-        wall_ms = (time.perf_counter() - started) * 1000.0
-        payload: Dict[str, float] = {
-            "reconcile_interval": float(int(reconcile_interval)),
-            "completed": float(result.completed),
-            "dropped": float(result.dropped),
-            "offered_queries": float(len(trace)),
-            "throughput_qps": result.completed / (horizon_ms / 1000.0),
-            "mean_response_ms": result.mean_response_ms(),
-            "p99_response_ms": result.percentile_response_ms(0.99),
-            "messages": float(result.messages),
-            "wall_ms": wall_ms,
-        }
-        payload.update(result.batch_summary())
-    return payload
-
-
-register(
-    ScenarioSpec(
-        name="scaling-reconcile",
-        title="Reconciliation-interval axis — staleness bound and "
-        "pipeline counters vs R on the local-market Zipf world",
-        axis="reconcile_interval",
-        mechanisms=("qa-nt", "greedy"),
-        cell=reconcile_scaling_cell,
-        scales={
-            "small": ScalePreset(
-                points=(1, 4),
-                fixed={
-                    "num_nodes": 50,
-                    "num_classes": 20,
-                    "shards": 2,
-                    "max_queries": 400,
-                    "mode": "inline",
-                },
-            ),
-            "paper": ScalePreset(points=(1, 4, 16)),
         },
     )
 )

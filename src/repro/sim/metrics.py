@@ -103,15 +103,8 @@ class MetricsCollector:
         self._barrier_wait_ms = 0.0
         self._shard_imbalance = 1.0
         self._shards = 1
-        # Market-plane reconciliation counters (see repro.sim.shards).
-        # Gated like the shard counters: the keys only appear in
-        # `batch_summary()` after `apply_reconcile_stats`, so
-        # single-process summaries are byte-stable.
-        self._reconcile_stats_applied = False
         self._reconcile_barriers = 0
         self._reconcile_interval = 1
-        self._reconcile_lag_ticks_max = 0
-        self._price_staleness_max = 0.0
         self._overlapped_frames = 0
         self._local_classes = 0
         self._residual_classes = 0
@@ -218,40 +211,20 @@ class MetricsCollector:
         barrier_wait_ms: float = 0.0,
         shard_imbalance: float = 1.0,
         shards: int = 1,
+        reconcile_barriers: int = 0,
+        reconcile_interval: int = 1,
+        overlapped_frames: int = 0,
+        local_classes: int = 0,
+        residual_classes: int = 0,
+        closed_settled: int = 0,
     ) -> None:
         """Snapshot a sharded run's coordination counters.
 
         Called once by :class:`repro.sim.shards.ShardedFederation` at
         the end of a multi-process run; arms the shard keys of
         :meth:`batch_summary` (single-process summaries stay unchanged).
-        """
-        self._shard_stats_applied = True
-        self._cross_shard_bids += int(cross_shard_bids)
-        self._barrier_wait_ms += float(barrier_wait_ms)
-        self._shard_imbalance = float(shard_imbalance)
-        self._shards = int(shards)
-
-    def apply_reconcile_stats(
-        self,
-        reconcile_barriers: int = 0,
-        reconcile_interval: int = 1,
-        reconcile_lag_ticks_max: int = 0,
-        price_staleness_max: float = 0.0,
-        overlapped_frames: int = 0,
-        local_classes: int = 0,
-        residual_classes: int = 0,
-        closed_settled: int = 0,
-    ) -> None:
-        """Snapshot a sharded run's reconciliation counters.
-
-        Called once by :class:`repro.sim.shards.ShardedFederation` at the
-        end of a multi-process run; arms the reconciliation keys of
-        :meth:`batch_summary`.  ``reconcile_lag_ticks_max`` is the widest
-        observed gap (in market ticks) between price-reconciliation
-        barriers — bounded by ``reconcile_interval`` during the trace;
-        ``price_staleness_max`` is the largest per-lane price drift the
-        coordinator's mirror had accumulated when a barrier refreshed it
-        (the realised staleness the R-interval contract bounds);
+        ``reconcile_barriers`` counts the sync barriers taken every
+        ``reconcile_interval`` period boundaries (plus the drain's);
         ``overlapped_frames`` counts the one-way frames posted without a
         reply barrier: one ``mticks`` and one ``mboundary`` frame per
         active shard per *period* (a period's bids travel as one
@@ -259,13 +232,13 @@ class MetricsCollector:
         out of ``vector_exchanges``, the exchanges the planes answered
         on a *closed* class with the price raise alone (DESIGN.md §7).
         """
-        self._reconcile_stats_applied = True
+        self._shard_stats_applied = True
+        self._cross_shard_bids += int(cross_shard_bids)
+        self._barrier_wait_ms += float(barrier_wait_ms)
+        self._shard_imbalance = float(shard_imbalance)
+        self._shards = int(shards)
         self._reconcile_barriers += int(reconcile_barriers)
         self._reconcile_interval = int(reconcile_interval)
-        if int(reconcile_lag_ticks_max) > self._reconcile_lag_ticks_max:
-            self._reconcile_lag_ticks_max = int(reconcile_lag_ticks_max)
-        if float(price_staleness_max) > self._price_staleness_max:
-            self._price_staleness_max = float(price_staleness_max)
         self._overlapped_frames += int(overlapped_frames)
         self._local_classes = int(local_classes)
         self._residual_classes = int(residual_classes)
@@ -410,13 +383,8 @@ class MetricsCollector:
             summary["barrier_wait_ms"] = self._barrier_wait_ms
             summary["shard_imbalance"] = self._shard_imbalance
             summary["shards"] = float(self._shards)
-        if self._reconcile_stats_applied:
             summary["reconcile_barriers"] = float(self._reconcile_barriers)
             summary["reconcile_interval"] = float(self._reconcile_interval)
-            summary["reconcile_lag_ticks_max"] = float(
-                self._reconcile_lag_ticks_max
-            )
-            summary["price_staleness_max"] = self._price_staleness_max
             summary["overlapped_frames"] = float(self._overlapped_frames)
             summary["local_classes"] = float(self._local_classes)
             summary["residual_classes"] = float(self._residual_classes)

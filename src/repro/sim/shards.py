@@ -17,11 +17,8 @@ identical arithmetic.  The coordinator otherwise only routes:
   (pipelined: the coordinator routes period *p+1* while shards still
   chew period *p*), serialised through the :mod:`repro.protocol` codec
   over :class:`ShardTransport`;
-* every R period boundaries a **price-reconciliation barrier** returns
-  per-class price/supply digests plus busy watermarks that refresh the
-  coordinator's cross-shard quote mirror
-  (:meth:`ShardedFederation.stale_quotes`), bounding quote staleness at
-  R boundaries and flushing the one-way pipeline;
+* every R period boundaries a sync **reconciliation barrier** flushes
+  the one-way pipeline and returns each plane's pending count;
 * a final ``collect`` barrier merges the outcome columns.
 
 Within a period a plane answers a *closed* class — no supply left, every
@@ -389,11 +386,6 @@ class _MarketPlane:
         self.reset(True)
 
     @property
-    def node_ids(self) -> List[int]:
-        """The plane's nodes in ascending id order."""
-        return self._ids
-
-    @property
     def class_indices(self) -> List[int]:
         """The plane's query classes (init order: ascending index)."""
         return self._class_order
@@ -568,8 +560,8 @@ class _MarketPlane:
         path, where the remaining exchanges stop moving even those.  The
         ``_maxp`` update of the full program is skipped: it would touch
         latched agents only, whose ``_maxp`` nothing reads (the ``passed``
-        test masks them out in every class, ``reconcile_digest`` omits
-        it) before :meth:`_period_solve` rebuilds it from the prices.
+        test masks them out in every class) before :meth:`_period_solve`
+        rebuilds it from the prices.
         """
         narrow = self._narrow.get(class_index)
         if narrow is not None:
@@ -684,21 +676,6 @@ class _MarketPlane:
 
     # -- reporting ------------------------------------------------------------
 
-    def reconcile_digest(self) -> Dict[str, object]:
-        """Per-class price/supply digests + authoritative busy watermarks
-        — the payload of one price-reconciliation barrier."""
-        return {
-            "prices": [
-                [k, self._V[k].tolist()] for k in self._class_order
-            ],
-            "supply": [
-                [k, self._R[k].tolist()] for k in self._class_order
-            ],
-            "busy": self._exec_busy.tolist(),
-            "pending": self._pending_count,
-            "assigned": self._assigned,
-        }
-
     def collect(self) -> Dict[str, object]:
         """Outcome columns + run counters (the final-barrier payload)."""
         return {
@@ -739,9 +716,7 @@ class _LocalMarketCore:
         if op == "mboundary":
             return {"pending": plane.boundary(frame[1])}
         if op == "reconcile":
-            digest = dict(plane.reconcile_digest())
-            digest["self_time_s"] = self.self_time_s
-            return digest
+            return {"pending": plane.pending_count}
         if op == "reset":
             plane.reset(bool(frame[1]))
             self.self_time_s = 0.0
@@ -1382,9 +1357,9 @@ class ShardedFederation:
         if reconcile_interval < 1:
             raise ValueError("reconcile_interval must be >= 1")
         self._reconcile_interval = int(reconcile_interval)
-        #: Per-shard aggregate frame-handling self-time of the last run
-        #: (filled by the collect barrier; ``repro profile --json`` v2).
-        self.last_shard_self_time_s: List[float] = []
+        #: Per-shard frame-handling self-time of the last run, filled by
+        #: the collect barrier; read through :meth:`shard_self_time_s`.
+        self._shard_self_time_s: List[float] = []
         self._specs = specs
         self._placement = placement
         self._classes = classes
@@ -1407,22 +1382,14 @@ class ShardedFederation:
         self._plan = plan_shards(candidates_by_class, node_ids, shards)
         self._num_nodes = len(node_ids)
         num_classes = len(classes)
-        # Per class, the candidate lanes and their costs (global node
-        # ids): what :meth:`stale_quotes` prices the mirror against.
-        self._cand: Dict[int, object] = {}
-        self._lane_costs: Dict[int, object] = {}
         cost_rows: Dict[int, List[float]] = {
             nid: [math.inf] * num_classes for nid in node_ids
         }
         for qc in classes:
-            cand = candidates_by_class[qc.index]
-            costs = [
-                cost_model.execution_time_ms(qc, specs[nid]) for nid in cand
-            ]
-            self._cand[qc.index] = np.array(cand, dtype=np.int64)
-            self._lane_costs[qc.index] = np.array(costs, dtype=float)
-            for nid, cost in zip(cand, costs):
-                cost_rows[nid][qc.index] = cost
+            for nid in candidates_by_class[qc.index]:
+                cost_rows[nid][qc.index] = cost_model.execution_time_ms(
+                    qc, specs[nid]
+                )
         # Per-node allowance: one period of capacity plus headroom for
         # the costliest class the node can evaluate (the single-process
         # engine's allowance rule).
@@ -1504,18 +1471,7 @@ class ShardedFederation:
             }
 
         inits = [plane_init(ks) for ks in plane_classes]
-        self._plane_nodes = [list(init["node_ids"]) for init in inits]
         self._residual = _MarketPlane(plane_init(residual_classes))
-        # Cross-shard quote mirror: refreshed by every reconciliation
-        # barrier, read by :meth:`stale_quotes` — never by the market
-        # arithmetic itself (exactness does not depend on R).
-        self._mirror_busy = np.zeros(self._num_nodes, dtype=float)
-        self._mirror_V: Dict[int, List[float]] = {}
-        self._mirror_R: Dict[int, List[float]] = {}
-        self._reconcile_barriers = 0
-        self._reconcile_lag_max = 0
-        self._staleness_max = 0.0
-        self._boundaries_since_reconcile = 0
         return [{"kind": "market", "plane": init} for init in inits]
 
     # -- lifecycle -----------------------------------------------------------
@@ -1632,11 +1588,9 @@ class ShardedFederation:
         period's boundary (workers apply frames in order and planes
         partition the classes, so each plane sees its own ticks and
         boundaries in trace order).  Every R
-        period boundaries a sync reconciliation barrier pulls per-class
-        price/supply digests and busy watermarks back into the
-        cross-shard quote mirror (and flushes the pipeline).  Outcomes
-        merge globally sorted by ``(finish_ms, qid)`` before any
-        reduction.
+        period boundaries a sync reconciliation barrier flushes the
+        pipeline.  Outcomes merge globally sorted by ``(finish_ms, qid)``
+        before any reduction.
         """
         transport = self._transport
         qa = mechanism == "qa-nt"
@@ -1645,12 +1599,7 @@ class ShardedFederation:
         transport.posted_frames = 0
         transport.exchange([("reset", qa)] * self._plan.num_shards)
         self._residual.reset(qa)
-        self._mirror_busy[:] = 0.0
-        self._mirror_V = {}
-        self._mirror_R = {}
         self._reconcile_barriers = 0
-        self._reconcile_lag_max = 0
-        self._staleness_max = 0.0
         self._boundaries_since_reconcile = 0
         times = columns[0]
         total = len(times)
@@ -1725,7 +1674,7 @@ class ShardedFederation:
         for c, part in zip(cols, residual["columns"]):
             c.extend(part)
         transport.note_child_peak_kb(peak_kb)
-        self.last_shard_self_time_s = self_times
+        self._shard_self_time_s = self_times
         int_cols = (0, 1, 2, 5, 8)
         columns = [
             np.array(c, dtype=np.int64 if n in int_cols else float)
@@ -1745,12 +1694,8 @@ class ShardedFederation:
             barrier_wait_ms=transport.barrier_wait_ms,
             shard_imbalance=imbalance,
             shards=num_shards,
-        )
-        collector.apply_reconcile_stats(
             reconcile_barriers=self._reconcile_barriers,
             reconcile_interval=self._reconcile_interval,
-            reconcile_lag_ticks_max=self._reconcile_lag_max,
-            price_staleness_max=self._staleness_max,
             overlapped_frames=transport.posted_frames,
             local_classes=sum(len(ks) for ks in self._plane_classes),
             residual_classes=len(self._residual_classes),
@@ -1825,14 +1770,10 @@ class ShardedFederation:
             self._reconcile()
 
     def _reconcile(self) -> List[int]:
-        """The price-reconciliation barrier (sync).
-
-        Pulls each active plane's per-class price/supply digest and busy
-        watermarks into the coordinator's mirror, folds the residual
-        plane's digest on the same cadence, and returns the per-shard
-        pending counts.  Because workers process frames in order, this
-        barrier also proves every previously posted one-way frame has
-        been applied — it *is* the pipeline flush.
+        """The reconciliation barrier (sync): returns each shard's pending
+        count.  Because workers process frames in order, the barrier
+        proves every previously posted one-way frame has been applied —
+        it *is* the pipeline flush.
         """
         replies = self._transport.exchange(
             [
@@ -1840,73 +1781,18 @@ class ShardedFederation:
                 for active in self._active_plane
             ]
         )
-        if self._boundaries_since_reconcile > self._reconcile_lag_max:
-            self._reconcile_lag_max = self._boundaries_since_reconcile
         self._boundaries_since_reconcile = 0
         pendings: List[int] = []
-        digests: List[Tuple[Sequence[int], Mapping[str, object]]] = []
-        for s, reply in enumerate(replies):
+        for reply in replies:
             if reply is None:
                 pendings.append(0)
                 continue
             pendings.append(int(reply["pending"]))
-            digests.append((self._plane_nodes[s], reply))
             self._messages += 2
-        digests.append(
-            (self._residual.node_ids, self._residual.reconcile_digest())
-        )
-        staleness = self._staleness_max
-        for nodes, digest in digests:
-            for k, vals in digest["prices"]:
-                old = self._mirror_V.get(k)
-                if old is not None:
-                    for a, b in zip(old, vals):
-                        d = abs(b - a)
-                        if d > staleness:
-                            staleness = d
-                self._mirror_V[int(k)] = [float(v) for v in vals]
-            for k, vals in digest["supply"]:
-                self._mirror_R[int(k)] = [float(v) for v in vals]
-            busy = self._mirror_busy
-            for nid, b in zip(nodes, digest["busy"]):
-                busy[nid] = b
-        self._staleness_max = staleness
         self._reconcile_barriers += 1
         return pendings
-
-    # -- cross-shard visibility ------------------------------------------------
-
-    def stale_quotes(
-        self, class_index: int, now: float = 0.0
-    ) -> List[Tuple[int, float]]:
-        """Bounded-staleness quotes for ``class_index`` from the mirror.
-
-        ``(node_id, estimated_completion_ms)`` per candidate lane,
-        computed from the busy watermarks of the *last reconciliation
-        barrier* — at most R period boundaries old.  This is the
-        cross-shard view a remote matcher would price against; the
-        market arithmetic itself never reads it (exactness does not
-        depend on R).
-        """
-        if self._plan is None:
-            raise RuntimeError("stale quotes require a sharded federation")
-        cand = self._cand[class_index]
-        est = np.maximum(self._mirror_busy[cand], now)
-        est = est + self._lane_costs[class_index]
-        return [
-            (int(nid), float(e))
-            for nid, e in zip(cand.tolist(), est.tolist())
-        ]
-
-    def stale_prices(self, class_index: int) -> Optional[List[float]]:
-        """Per-lane prices of ``class_index`` as of the last barrier
-        (None before the first reconciliation)."""
-        if self._plan is None:
-            raise RuntimeError("stale prices require a sharded federation")
-        vals = self._mirror_V.get(class_index)
-        return None if vals is None else list(vals)
 
     def shard_self_time_s(self) -> List[float]:
         """Per-shard aggregate frame-handling self-time of the last run
         (seconds, fixed shard order; empty before any sharded run)."""
-        return list(self.last_shard_self_time_s)
+        return list(self._shard_self_time_s)

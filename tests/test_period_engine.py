@@ -108,7 +108,7 @@ class TestScalarEquivalence:
         """40 boundaries with random traffic and shifting free capacity."""
         num_classes = 5
         reference, batched = _twin_fleets(1234, 8, num_classes, method, carry)
-        engine = QantPeriodEngine(batched, [2_000.0] * 8)
+        engine = QantPeriodEngine(batched)
         rng = random.Random(99)
         for __ in range(40):
             capacities = [
@@ -125,7 +125,7 @@ class TestScalarEquivalence:
         """Idle boundaries (no traffic in between) must not drift, through
         the decay to the price floor and the carry-over credit cycle."""
         reference, batched = _twin_fleets(55, 6, 4, method, True)
-        engine = QantPeriodEngine(batched, [2_000.0] * 6)
+        engine = QantPeriodEngine(batched)
         capacities = [2_000.0] * 6
         engine.advance(lambda: capacities)
         _scalar_boundary(reference, capacities)
@@ -142,7 +142,7 @@ class TestScalarEquivalence:
         """Subnormal budgets hit the solvers' fill clamp (a quotient of
         denormals may not round up past its budget) on both sides."""
         reference, batched = _twin_fleets(77, 6, 3, method, carry)
-        engine = QantPeriodEngine(batched, [2_000.0] * 6)
+        engine = QantPeriodEngine(batched)
         schedule = [
             [5e-324, 1e-323, 2.5e-308, 1e-300, 0.0, 2_000.0],
             [1e-323, 5e-324, 5e-324, 2_000.0, 1e-310, 150.0],
@@ -155,7 +155,7 @@ class TestScalarEquivalence:
 
     def test_single_agent_single_class(self):
         reference, batched = _twin_fleets(7, 1, 1, "proportional", True)
-        engine = QantPeriodEngine(batched, [2_000.0])
+        engine = QantPeriodEngine(batched)
         for tick in range(10):
             capacities = [2_000.0 if tick % 2 else 70.0]
             _scalar_boundary(reference, capacities)
@@ -196,13 +196,13 @@ class TestAccepts:
             QantParameters(adjustment=0.2),
         )
         with pytest.raises(ValueError, match="share one QantParameters"):
-            QantPeriodEngine([a, b], [1_000.0, 1_000.0])
+            QantPeriodEngine([a, b])
 
     def test_init_rejects_mid_period_agents(self):
         agent = QantPricingAgent(CapacitySupplySet([100.0], 1_000.0))
         agent.begin_period()
         with pytest.raises(ValueError, match="between periods"):
-            QantPeriodEngine([agent], [1_000.0])
+            QantPeriodEngine([agent])
 
     def test_init_rejects_non_batchable_agent(self):
         agent = QantPricingAgent(
@@ -210,15 +210,10 @@ class TestAccepts:
             QantParameters(supply_method="exact"),
         )
         with pytest.raises(ValueError, match="not batchable"):
-            QantPeriodEngine([agent], [1_000.0])
-
-    def test_init_rejects_allowance_mismatch(self):
-        agent = QantPricingAgent(CapacitySupplySet([100.0], 1_000.0))
-        with pytest.raises(ValueError, match="allowance per agent"):
-            QantPeriodEngine([agent], [1_000.0, 2_000.0])
+            QantPeriodEngine([agent])
 
 
-def _paper_cell_run(parameters=None):
+def _paper_cell_run():
     """One 20-node fig5a-style qa-nt cell; returns the live allocator."""
     from repro.allocation import QantAllocator
     from repro.experiments.setups import (
@@ -236,7 +231,7 @@ def _paper_cell_run(parameters=None):
         frequency_hz=0.05,
         seed=10,
     )
-    allocator = QantAllocator(parameters=parameters)
+    allocator = QantAllocator()
     run_mechanism(world, trace, "qa-nt", lambda: allocator, FederationConfig(seed=2))
     return allocator
 
@@ -251,24 +246,6 @@ class TestObservability:
         assert stats.ticks > 100  # 2 s horizon + drain at 500 ms periods
         assert stats.solved_rows > 0
         assert stats.reused_rows > 0
-
-    def test_fig5a_cell_supply_cache_hit_rate(self):
-        """The scalar fallback path (exact solver) drives the PR 2 supply
-        memo; a fig5a cell must show a non-trivial hit rate."""
-        allocator = _paper_cell_run(QantParameters(supply_method="exact"))
-        assert allocator.period_engine_stats is None  # all rows fell back
-        infos = [
-            agent.supply_set.cache_info()
-            for agent in allocator.agents.values()
-        ]
-        hits = sum(info.hits for info in infos)
-        misses = sum(info.misses for info in infos)
-        assert hits > 0 and misses > 0
-        # At 1.5x load, refusals rotate price tokens and free capacity
-        # shifts the whole-solve key every period, so hits come mostly
-        # from density-ordering reuse — a modest but real rate.
-        assert hits / (hits + misses) > 0.05
-        assert all(info.entries >= 0 for info in infos)
 
 
 @settings(max_examples=200, deadline=None)

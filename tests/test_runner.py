@@ -171,7 +171,7 @@ class TestRegistry:
         "fig6", "fig7", "table2", "table3",
         "ablation-lambda", "ablation-period", "ablation-partial",
         "ablation-markov", "ablation-rounding", "failures", "chaos",
-        "scaling", "scaling-shards", "scaling-reconcile",
+        "scaling", "scaling-shards",
     }
 
     def test_every_experiment_registered(self):

@@ -32,11 +32,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.allocation import GreedyAllocator, QantAllocator
-from repro.experiments.scaling import (
-    quantise_trace,
-    reconcile_scaling_cell,
-    sharded_scaling_cell,
-)
+from repro.experiments.scaling import quantise_trace, sharded_scaling_cell
 from repro.experiments.setups import (
     run_mechanism,
     sinusoid_trace_for_load,
@@ -518,29 +514,41 @@ def test_local_market_invariant_across_transport_modes(mode):
 )
 def test_local_market_invariance_property(shards, mode, interval, mechanism):
     """Invariant payload is identical across shard counts, transport
-    modes and reconciliation intervals: reconciliation bounds *quote*
-    staleness for cross-shard observers, never market arithmetic."""
+    modes and reconciliation intervals: the barrier cadence moves
+    counters, never market arithmetic."""
     world, trace = _zipf_small()
     with _sharded(world, shards, mode, interval) as federation:
         payload = federation.run(list(trace), mechanism).invariant_payload()
     assert payload == _local_baseline(mechanism) == _reference(mechanism)
 
 
+#: The keys of a sharded run's `batch_summary()`.  `perf/bench.py` reads
+#: local_classes, residual_classes, shard_imbalance, batch_ticks,
+#: batched_queries, reconcile_barriers and scalar_fallbacks.
+_SINGLE_PROCESS_KEYS = {
+    "batch_ticks", "batched_queries", "max_batch", "vector_exchanges",
+    "scalar_fallbacks", "batch_syncs", "market_adopted", "market_materialised",
+}
+_SHARD_KEYS = {
+    "cross_shard_bids", "barrier_wait_ms", "shard_imbalance", "shards",
+    "reconcile_barriers", "reconcile_interval", "overlapped_frames",
+    "local_classes", "residual_classes", "closed_settled",
+}
+
+
 def test_reconcile_counters_surface_in_batch_summary():
     world, trace = _zipf_small()
     with _sharded(world, 2, "inline", interval=4) as federation:
         summary = federation.run(list(trace), "qa-nt").batch_summary()
+    assert set(summary) == _SINGLE_PROCESS_KEYS | _SHARD_KEYS
     assert summary["reconcile_interval"] == 4.0
     assert summary["reconcile_barriers"] >= 1.0
-    assert 1.0 <= summary["reconcile_lag_ticks_max"] <= 4.0
-    assert summary["price_staleness_max"] >= 0.0
     assert summary["overlapped_frames"] > 0.0
     assert summary["local_classes"] > 0.0
     assert summary["local_classes"] + summary["residual_classes"] == 20.0
-    # Single-process runs must NOT grow these keys: their goldens
+    # Single-process runs must NOT grow the shard keys: their goldens
     # serialise batch_summary() and would break.
-    for key in ("reconcile_barriers", "price_staleness_max"):
-        assert key not in MetricsCollector().batch_summary()
+    assert set(MetricsCollector().batch_summary()) == _SINGLE_PROCESS_KEYS
 
 
 def test_bid_batch_rows_count_as_protocol_bids():
@@ -563,25 +571,7 @@ def test_bid_batch_rows_count_as_protocol_bids():
     assert 0 <= summary["closed_settled"] <= summary["vector_exchanges"]
 
 
-def test_stale_quotes_and_prices_from_last_barrier():
-    world, trace = _zipf_small()
-    with _sharded(world, 2, "inline", interval=4) as federation:
-        federation.run(list(trace), "qa-nt")
-        candidates = sorted(world.classes[0].candidate_nodes(world.placement))
-        quotes = federation.stale_quotes(0, now=0.0)
-        assert [nid for nid, __ in quotes] == candidates
-        assert all(est >= 0.0 for __, est in quotes)
-        prices = federation.stale_prices(0)
-        assert prices is not None and len(prices) == len(candidates)
-    # The bounded-staleness mirror only exists on sharded fronts.
-    with _sharded(world, 1) as federation:
-        with pytest.raises(RuntimeError):
-            federation.stale_quotes(0)
-        with pytest.raises(RuntimeError):
-            federation.stale_prices(0)
-
-
-def test_shard_self_time_feeds_profile_schema_v2():
+def test_shard_self_time_is_reported_per_shard():
     world, trace = _zipf_small()
     with _sharded(world, 2, "fork", interval=4) as federation:
         federation.run(list(trace), "qa-nt")
@@ -1347,29 +1337,3 @@ def test_localmarket_golden_is_config_invariant():
     assert _localmarket_zipf_payload(2, "tcp", 16) == (
         GOLDEN_DIR / "localmarket_zipf_seed0.json"
     ).read_text()
-
-
-def test_reconcile_scaling_cell_shape_and_invariance():
-    cells = {
-        interval: reconcile_scaling_cell(
-            "qa-nt",
-            interval,
-            0,
-            0,
-            num_nodes=30,
-            num_classes=10,
-            shards=2,
-            max_queries=120,
-            mode="inline",
-        )
-        for interval in (1, 4)
-    }
-    for interval, cell in cells.items():
-        assert cell["reconcile_interval"] == float(interval)
-        assert cell["shards"] == 2.0
-        assert cell["local_classes"] + cell["residual_classes"] == 10.0
-        assert set(cell) == set(cells[1])
-    # R moves barrier cadence and staleness, never the market outcome.
-    for key in ("completed", "mean_response_ms", "p99_response_ms"):
-        assert cells[1][key] == cells[4][key]
-    assert cells[1]["reconcile_barriers"] >= cells[4]["reconcile_barriers"]

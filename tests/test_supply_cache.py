@@ -1,13 +1,11 @@
-"""Property tests for the price-epoch solver cache (hypothesis).
+"""Property tests for the price epoch and the capacity rebind (hypothesis).
 
-The perf work memoises density orderings and solved supply vectors inside
-:class:`CapacitySupplySet`, keyed by an opaque ``cache_token`` that QA-NT
-agents derive from their price epoch.  These tests drive random
+The period engine keys its plan cache on an agent's price epoch, so the
+epoch must move exactly when a price does: these tests drive random
 interleavings of ``_raise_price`` / ``_lower_price`` — the only two
-operations that move prices — and assert the cached solve is always
-*exactly* equal to a from-scratch solve on a fresh supply set at the same
-prices.  Exact (``==``) equality is the right bar: token-keyed caching
-must never change a single bit of any simulated decision.
+operations that move prices — and check it.  ``with_capacity`` shares the
+validated cost row with its original; a rebound supply set must solve
+eq. 4 *exactly* (``==``) as a freshly constructed one does.
 """
 
 import pytest
@@ -15,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.qant import QantPricingAgent
-from repro.core.supply import CapacitySupplySet, solve_supply
+from repro.core.supply import CapacitySupplySet
 
 METHODS = ("fractional", "greedy", "greedy-fractional", "proportional", "exact")
 
@@ -47,44 +45,6 @@ def _apply(agent: QantPricingAgent, ops) -> None:
 
 class TestEpochTokenCache:
     @settings(max_examples=40, deadline=None)
-    @given(costs_lists, capacities, price_ops, st.sampled_from(METHODS))
-    def test_cached_solve_equals_from_scratch(
-        self, costs, capacity, ops, method
-    ):
-        shared = CapacitySupplySet(costs, capacity)
-        agent = QantPricingAgent(shared)
-        _apply(agent, ops)
-        token = (agent._token_base, agent.price_epoch)
-        prices = list(agent._price_values)
-        first = shared.optimal_supply(prices, method, cache_token=token)
-        second = shared.optimal_supply(prices, method, cache_token=token)
-        fresh = CapacitySupplySet(costs, capacity).optimal_supply(
-            prices, method
-        )
-        assert first == fresh
-        # The second call at the same token must be the memoised hit.
-        assert second is first
-
-    @settings(max_examples=25, deadline=None)
-    @given(costs_lists, capacities, price_ops, st.sampled_from(METHODS))
-    def test_solving_after_every_update_stays_fresh(
-        self, costs, capacity, ops, method
-    ):
-        """Populate the memo at every intermediate epoch: each price move
-        must invalidate it, never serve the previous epoch's vector."""
-        shared = CapacitySupplySet(costs, capacity)
-        agent = QantPricingAgent(shared)
-        for op in ops:
-            _apply(agent, [op])
-            token = (agent._token_base, agent.price_epoch)
-            prices = list(agent._price_values)
-            cached = solve_supply(shared, prices, method, cache_token=token)
-            fresh = CapacitySupplySet(costs, capacity).optimal_supply(
-                prices, method
-            )
-            assert cached == fresh
-
-    @settings(max_examples=40, deadline=None)
     @given(costs_lists, capacities, price_ops)
     def test_epoch_and_max_price_invariants(self, costs, capacity, ops):
         agent = QantPricingAgent(CapacitySupplySet(costs, capacity))
@@ -94,7 +54,7 @@ class TestEpochTokenCache:
             _apply(agent, [op])
             prices = list(agent._price_values)
             if prices == last_prices:
-                # No actual change -> the epoch (cache key) must not move.
+                # No actual change -> the epoch (plan-cache key) must not move.
                 assert agent.price_epoch == last_epoch
             else:
                 assert agent.price_epoch > last_epoch
@@ -124,26 +84,6 @@ class TestWithCapacityRebind:
         fresh = CapacitySupplySet(costs, cap_b)
         assert rebound.capacity_ms == fresh.capacity_ms
         assert rebound.optimal_supply(prices, method) == fresh.optimal_supply(
-            prices, method
-        )
-
-    @settings(max_examples=25, deadline=None)
-    @given(costs_lists, capacities, capacities, st.sampled_from(METHODS))
-    def test_shared_cache_across_rebinds_keys_on_capacity(
-        self, costs, cap_a, cap_b, method
-    ):
-        """The rebind shares the memo dict; a vector solved at capacity A
-        must never be served for capacity B (the key includes capacity)."""
-        prices = [float(k + 1) for k in range(len(costs))]
-        token = (99, 0)
-        base = CapacitySupplySet(costs, cap_a)
-        rebound = base.with_capacity(cap_b)
-        at_a = base.optimal_supply(prices, method, cache_token=token)
-        at_b = rebound.optimal_supply(prices, method, cache_token=token)
-        assert at_a == CapacitySupplySet(costs, cap_a).optimal_supply(
-            prices, method
-        )
-        assert at_b == CapacitySupplySet(costs, cap_b).optimal_supply(
             prices, method
         )
 
