@@ -38,7 +38,8 @@ crossover:
 	python3 tools/lane_crossover.py
 
 # Functions and classes of src/ that only tests (or nothing) reference;
-# DESIGN.md §8 gives each listed entry its reason (the CI "Surface" step).
+# DESIGN.md §8 gives each listed entry its reason, and
+# tests/test_surface.py fails until the two list the same entries.
 surface:
 	python3 tools/surface.py
 

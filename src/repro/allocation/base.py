@@ -32,6 +32,7 @@ from ..query.model import Query, QueryClass
 if TYPE_CHECKING:  # imported lazily to avoid a package-level cycle
     from ..sim.engine import Simulator
     from ..sim.faults import FaultInjector
+    from ..sim.fleet import FleetArrays
     from ..sim.network import Network
     from ..sim.node import SimulatedNode
 
@@ -56,6 +57,10 @@ class AllocationContext:
     candidates_by_class: Dict[int, Tuple[int, ...]]
     period_ms: float
     rng: random.Random
+    #: Shared :class:`repro.sim.fleet.FleetArrays` mirror of the nodes'
+    #: FIFO watermarks, for vectorised completion estimates and free
+    #: capacities.
+    fleet: "FleetArrays"
     #: Fault injector when *message-level* faults are active; ``None``
     #: otherwise, in which case every allocator follows exactly its
     #: fault-free code path (and RNG draw sequence).
@@ -65,11 +70,6 @@ class AllocationContext:
     #: ``network``; tests may inject any other
     #: :class:`repro.protocol.transport.Transport`.
     transport: Optional[Transport] = None
-    #: Shared :class:`repro.sim.fleet.FleetArrays` mirror of the nodes'
-    #: schedulers when available (numpy present, all nodes single-slot);
-    #: ``None`` otherwise.  Allocators may use it for vectorised
-    #: completion estimates but must keep a scalar path.
-    fleet: Optional[object] = None
 
     def __post_init__(self) -> None:
         if self.transport is None:
@@ -211,7 +211,7 @@ class Allocator(abc.ABC):
         :meth:`assign` once per query in order.  The federation only
         routes through here when the arrivals genuinely share a
         timestamp, negotiation delays are strictly positive (so no
-        completion can land mid-batch), and no message faults are active;
+        enqueue can land mid-batch), and no message faults are active;
         mechanisms unable to exploit the batching simply inherit this
         sequential default.
         """

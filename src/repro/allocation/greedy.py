@@ -54,10 +54,8 @@ class GreedyAllocator(Allocator):
         candidates = exchange.replied
         context = self.context
         nodes = context.nodes
-        fleet = context.fleet
         if (
             self._randomisation == 0.0
-            and fleet is not None
             and context.faults is None
             and candidates
             is context.candidates_by_class.get(query.class_index, ())
@@ -68,6 +66,7 @@ class GreedyAllocator(Allocator):
             # loop.  `estimates` is element-for-element the scalar probe
             # and first-occurrence argmin over ascending node ids matches
             # the tuple-min tie-break (lowest id at equal time).
+            fleet = context.fleet
             view = fleet.class_view(query.class_index, candidates, nodes)
             est = fleet.estimates(view, context.simulator.now)
             chosen = int(view.ids[int(est.argmin())])

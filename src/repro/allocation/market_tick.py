@@ -428,9 +428,9 @@ class MarketTickDispatcher:
     """Vectorised request-for-bid exchange over a full candidate set.
 
     Built by :class:`~repro.allocation.qant.QantAllocator` only when the
-    whole fleet is dispatchable: numpy + fleet arrays available, no
-    message faults, no partial adoption and no private classification,
-    so every bidder is a plain :class:`~repro.core.qant.QantPricingAgent`.
+    whole fleet is dispatchable: no message faults, no partial adoption
+    and no private classification, so every bidder is a plain
+    :class:`~repro.core.qant.QantPricingAgent`.
     """
 
     def __init__(

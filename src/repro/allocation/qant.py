@@ -151,7 +151,7 @@ class QantAllocator(Allocator):
         #: run whose engine manages every dispatcher lane.
         self._array_resident = False
         #: Fleet rows / allowances of the engine-managed nodes, for the
-        #: vectorised free-capacity probe (``None`` without fleet arrays).
+        #: vectorised free-capacity probe (``None`` without an engine).
         self._engine_rows_np = None
         self._engine_allowances_np = None
 
@@ -207,11 +207,10 @@ class QantAllocator(Allocator):
             for node_id, agent in self._agents.items()
             if node_id not in engine_ids
         )
+        fleet = self.context.fleet
         if engine_rows:
             self._engine_node_ids = tuple(nid for nid, __ in engine_rows)
             self._engine = QantPeriodEngine([agent for __, agent in engine_rows])
-        fleet = self.context.fleet
-        if fleet is not None and self._engine_node_ids:
             self._engine_rows_np = np.array(
                 [fleet.row_of[nid] for nid in self._engine_node_ids],
                 dtype=np.intp,
@@ -226,8 +225,7 @@ class QantAllocator(Allocator):
         # negotiates through the scalar listing (which remains the outage
         # fallback even when the dispatcher is active).
         if (
-            fleet is not None
-            and self.context.faults is None
+            self.context.faults is None
             and self._adopters is None
             and self._private_buckets is None
         ):
@@ -327,25 +325,19 @@ class QantAllocator(Allocator):
                 agents[node_id]._refused[class_index] += count
         deferred.clear()
 
-    def _engine_free_capacities(self) -> list:
-        """Per engine row, the node's free backlog allowance right now."""
-        rows = self._engine_rows_np
-        if rows is not None:
-            # Vectorised over the fleet's slot_free mirror: each element
-            # follows the exact scalar expression
-            # ``max(0.0, allowance - current_load_ms())`` (the where-forms
-            # reproduce ``max``'s sign behaviour bit-for-bit).
-            now = self.context.simulator.now
-            remaining = self.context.fleet.slot_free[rows] - now
-            load = np.where(remaining > 0.0, remaining, 0.0)
-            free = self._engine_allowances_np - load
-            return np.where(free > 0.0, free, 0.0)
-        nodes = self.context.nodes
-        allowances = self._allowances
-        return [
-            max(0.0, allowances[nid] - nodes[nid].current_load_ms())
-            for nid in self._engine_node_ids
-        ]
+    def _engine_free_capacities(self):
+        """Per engine row, the node's free backlog allowance right now.
+
+        Vectorised over the fleet's slot_free mirror: each element follows
+        the exact scalar expression ``max(0.0, allowance -
+        current_load_ms())`` (the where-forms reproduce ``max``'s sign
+        behaviour bit-for-bit).
+        """
+        now = self.context.simulator.now
+        remaining = self.context.fleet.slot_free[self._engine_rows_np] - now
+        load = np.where(remaining > 0.0, remaining, 0.0)
+        free = self._engine_allowances_np - load
+        return np.where(free > 0.0, free, 0.0)
 
     def sync_market_state(self) -> None:
         """Make every agent object current.

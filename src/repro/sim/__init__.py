@@ -24,7 +24,7 @@ from .metrics import (
     recovery_time_ms,
 )
 from .network import LatencyModel, Network
-from .node import ExecutionRecord, SimulatedNode
+from .node import SimulatedNode
 from .shards import (
     ShardFailure,
     ShardPlan,
@@ -40,7 +40,6 @@ from .transport import SimTransport
 __all__ = [
     "ClassView",
     "DEFAULT_PERIOD_MS",
-    "ExecutionRecord",
     "FaultInjector",
     "FaultSpec",
     "FederationConfig",

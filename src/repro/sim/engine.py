@@ -89,7 +89,7 @@ class Simulator:
         Extra positional ``args`` are stored in the event slot and passed
         to ``callback`` when it fires — the slim-dispatch alternative to
         allocating a closure per event on hot paths (message deliveries,
-        query completions).
+        a query's arrival at its node).
         """
         if delay_ms < 0:
             raise ValueError("cannot schedule an event in the past")

@@ -13,17 +13,23 @@ The lifecycle per run:
 2. every trace event creates a :class:`repro.query.Query` and asks the
    allocator for a decision; refusals join the pending pool, acceptances
    enqueue at the chosen node after the negotiation delay;
-3. completions are recorded as :class:`repro.sim.metrics.QueryOutcome`.
+3. a serial node fixes an enqueued query's start and finish on the spot,
+   so the enqueue appends one ``(finish, query, node, start)`` row and no
+   completion event exists.  When the run ends, the rows that finished by
+   then are recorded as :class:`repro.sim.metrics.QueryOutcome` in finish
+   order, ties in enqueue order.
 
 After the trace's horizon a configurable *drain* window keeps period ticks
 alive so backlogged queries can finish; whatever is still pending when the
-drain ends is recorded as dropped.
+drain ends is recorded as dropped, and what is queued or running then is
+counted as ``in_flight``.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..allocation.base import AllocationContext, Allocator
@@ -102,6 +108,9 @@ class FederationSimulation:
         self._rng = random.Random(config.seed)
         self._metrics = MetricsCollector()
         self._pending: List[Query] = []
+        #: ``(finish_ms, query, node_id, start_ms)`` per enqueued query, in
+        #: enqueue order; `run` turns them into outcomes at the end.
+        self._executions: List[Tuple[float, Query, int, float]] = []
         self._next_qid = 0
         self._faults = faults
         #: Queries waiting on a backoff-scheduled retry (fault runs only);
@@ -121,7 +130,7 @@ class FederationSimulation:
         allocator.bind(context)
         # Market-tick batching requirements beyond the config flag:
         # * strictly positive negotiation delays (base latency > 0), so
-        #   no enqueue/completion can land *between* two same-tick
+        #   no enqueue can land *between* two same-tick
         #   assigns — with zero base latency an assignment would enqueue
         #   synchronously mid-batch and the batch contract breaks;
         # * no message faults — backoff retries interleave their own
@@ -211,6 +220,7 @@ class FederationSimulation:
             for event in trace:
                 schedule_at(event.time_ms, on_arrival, event)
         self._sim.run(until_ms=end_of_run)
+        self._record_outcomes(end_of_run)
         # Let the allocator write its market state back to the agents before
         # the run's state is read (metrics, drops, post-run agent probes).
         self._allocator.on_run_end()
@@ -376,33 +386,37 @@ class FederationSimulation:
         self._try_assign(query)
 
     def _enqueue(self, query: Query, node: SimulatedNode) -> None:
-        """Commit an assigned query to its node; schedule the completion.
+        """Commit an assigned query to its node and note its execution."""
+        start_ms, finish_ms = node.enqueue(query)
+        self._executions.append((finish_ms, query, node.node_id, start_ms))
 
-        Both this and the completion event travel as slim (callback, args)
-        slots — the per-query deliver path allocates no closures.
+    def _record_outcomes(self, end_of_run: float) -> None:
+        """Record every query that finished by ``end_of_run`` (inclusive).
+
+        The stable sort by finish time keeps enqueue order among equal
+        finishes, which is the ``(time, seq)`` order a completion event
+        per query would have fired in; the collector's running sums are
+        order-sensitive.  Queries still queued or running are counted as
+        in flight.
         """
-        record = node.enqueue(query)
-        self._sim.schedule_at(
-            record.finish_ms, self._on_completion, query, node.node_id, record
-        )
-
-    def _on_completion(self, query: Query, node_id: int, record) -> None:
-        outcome = QueryOutcome(
-            qid=query.qid,
-            class_index=query.class_index,
-            origin_node=query.origin_node,
-            arrival_ms=query.arrival_ms,
-            assigned_ms=(
-                query.assigned_ms
-                if query.assigned_ms is not None
-                else query.arrival_ms
-            ),
-            node_id=node_id,
-            start_ms=record.start_ms,
-            finish_ms=record.finish_ms,
-            resubmissions=query.resubmissions,
-        )
-        self._metrics.record(outcome)
+        finished = [row for row in self._executions if row[0] <= end_of_run]
+        finished.sort(key=itemgetter(0))
+        record = self._metrics.record
+        for finish_ms, query, node_id, start_ms in finished:
+            record(
+                QueryOutcome(
+                    qid=query.qid,
+                    class_index=query.class_index,
+                    origin_node=query.origin_node,
+                    arrival_ms=query.arrival_ms,
+                    assigned_ms=query.assigned_ms,
+                    node_id=node_id,
+                    start_ms=start_ms,
+                    finish_ms=finish_ms,
+                    resubmissions=query.resubmissions,
+                )
+            )
+        self._metrics.record_in_flight(len(self._executions) - len(finished))
 
 
 def generate_machine_specs(

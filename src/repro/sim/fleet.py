@@ -3,20 +3,16 @@
 The scalar allocators probe nodes one at a time (``estimated_completion_ms``
 per candidate per query).  At 1,000 nodes that per-query Python loop is the
 dominant cost of the fan-out, so :class:`FleetArrays` keeps one shared
-``slot_free`` vector — mirrored from each node's single-slot watermark on
-every :meth:`~repro.sim.node.SimulatedNode.enqueue` — plus per-class
-row/cost views, letting an allocator compute every candidate's completion
-estimate with one vectorised expression that is bit-identical to the
-scalar probes.
-
-The mirror is only built when every node is single-slot (the paper's
-serial-node model); otherwise ``build`` returns ``None`` and all callers
-keep their scalar paths.
+``slot_free`` vector — mirrored from each node's FIFO watermark on every
+:meth:`~repro.sim.node.SimulatedNode.enqueue` — plus per-class row/cost
+views, letting an allocator compute every candidate's completion estimate
+with one vectorised expression that is bit-identical to the scalar
+probes.  Every federation builds one, so allocators may rely on it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Sequence, Tuple
 
 import numpy as np
 
@@ -55,17 +51,8 @@ class FleetArrays:
         self._views: Dict[int, Tuple[object, ClassView]] = {}
 
     @staticmethod
-    def build(nodes: Mapping[int, object]) -> "Optional[FleetArrays]":
-        """Mirror ``nodes`` (id -> :class:`SimulatedNode`) into arrays.
-
-        Returns ``None`` when any node has more than one execution slot
-        (the mirror tracks only the serial watermark).
-        """
-        if not nodes:
-            return None
-        for node in nodes.values():
-            if node._exec_slots != 1:
-                return None
+    def build(nodes: Mapping[int, object]) -> "FleetArrays":
+        """Mirror ``nodes`` (id -> :class:`SimulatedNode`) into arrays."""
         node_ids = tuple(sorted(nodes))
         row_of = {nid: row for row, nid in enumerate(node_ids)}
         slot_free = np.zeros(len(node_ids), dtype=float)

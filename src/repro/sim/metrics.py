@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 __all__ = [
     "QueryOutcome",
@@ -57,6 +57,7 @@ class MetricsCollector:
     def __init__(self) -> None:
         self._outcomes: List[QueryOutcome] = []
         self._dropped = 0
+        self._in_flight = 0
         # Running sums maintained at record time so the headline means are
         # O(1) instead of re-scanning every outcome.  Accumulating in
         # record order performs the same float additions in the same order
@@ -124,6 +125,11 @@ class MetricsCollector:
     def record_drop(self, count: int = 1) -> None:
         """Record ``count`` queries that never completed within the simulation."""
         self._dropped += count
+
+    def record_in_flight(self, count: int) -> None:
+        """Record ``count`` assigned queries still queued or running when
+        the simulation ended (neither completed nor dropped)."""
+        self._in_flight += count
 
     def record_exchange(
         self, messages: int, delay_ms: float, assigned: bool
@@ -282,6 +288,12 @@ class MetricsCollector:
     def dropped(self) -> int:
         """Number of queries still unserved when the simulation ended."""
         return self._dropped
+
+    @property
+    def in_flight(self) -> int:
+        """Assigned queries still queued or running when the simulation
+        ended; offered = completed + dropped + in_flight."""
+        return self._in_flight
 
     # -- negotiation metrics -------------------------------------------------------
 
@@ -483,17 +495,15 @@ class MetricsCollector:
         ``class_index`` restricts the count to one class (Fig. 5c plots Q1
         executions per half-second).
         """
-        if period_ms <= 0:
-            raise ValueError("period must be positive")
-        num_periods = max(1, int(math.ceil(horizon_ms / period_ms)))
-        counts = [0] * num_periods
-        for outcome in self._outcomes:
-            if class_index is not None and outcome.class_index != class_index:
-                continue
-            bucket = int(outcome.finish_ms // period_ms)
-            if 0 <= bucket < num_periods:
-                counts[bucket] += 1
-        return counts
+        return period_counts(
+            (
+                outcome.finish_ms
+                for outcome in self._outcomes
+                if class_index is None or outcome.class_index == class_index
+            ),
+            period_ms,
+            horizon_ms,
+        )
 
     def mean_response_by_class(self) -> Dict[int, float]:
         """Average response time per query class."""
@@ -505,6 +515,22 @@ class MetricsCollector:
             )
             counts[outcome.class_index] = counts.get(outcome.class_index, 0) + 1
         return {k: sums[k] / counts[k] for k in sums}
+
+
+def period_counts(
+    finish_times: Iterable[float], period_ms: float, horizon_ms: float
+) -> List[int]:
+    """How many of ``finish_times`` fall in each period of ``period_ms``
+    inside ``[0, horizon_ms)`` (Fig. 5's executed-per-period)."""
+    if period_ms <= 0:
+        raise ValueError("period must be positive")
+    num_periods = max(1, int(math.ceil(horizon_ms / period_ms)))
+    counts = [0] * num_periods
+    for finish_ms in finish_times:
+        bucket = int(finish_ms // period_ms)
+        if 0 <= bucket < num_periods:
+            counts[bucket] += 1
+    return counts
 
 
 def normalised_response_times(

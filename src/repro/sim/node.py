@@ -3,15 +3,15 @@
 Each node is a black box with its own hardware (a
 :class:`repro.query.MachineSpec`), its own locally-held relations, and a
 serial FIFO query executor — the paper's introduction explicitly assumes
-nodes evaluate one query at a time, and its simulator measures busy time
-per node.  The FIFO is modelled with a single ``busy_until`` watermark:
-enqueueing computes the query's start and finish deterministically, so no
-per-stage events are needed.
+nodes evaluate one query at a time.  The FIFO is one ``busy_until``
+watermark: enqueueing fixes the query's start and finish on the spot, so
+a query's execution needs no event at all.
 
 The node also exposes what the allocation mechanisms need:
 
 * ``estimated_completion_ms`` for Greedy (queue + execution time);
-* ``current_load_ms`` / ``utilisation`` for the load balancers;
+* ``current_load_ms`` for the load balancers, ``queued_queries`` for
+  two random probes;
 * ``make_supply_set`` for QA-NT's per-period seller problem.
 """
 
@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.supply import CapacitySupplySet
 from ..query.cost import MachineSpec
@@ -28,7 +27,6 @@ from ..query.model import Query
 from .engine import Simulator
 
 __all__ = [
-    "ExecutionRecord",
     "SimulatedNode",
     "OUTAGE_EPOCH",
 ]
@@ -42,27 +40,6 @@ __all__ = [
 OUTAGE_EPOCH: List[int] = [0]
 
 
-@dataclass(frozen=True)
-class ExecutionRecord:
-    """One finished query execution on a node."""
-
-    qid: int
-    class_index: int
-    enqueue_ms: float
-    start_ms: float
-    finish_ms: float
-
-    @property
-    def wait_ms(self) -> float:
-        """Time spent queued before execution started."""
-        return self.start_ms - self.enqueue_ms
-
-    @property
-    def execution_ms(self) -> float:
-        """Pure execution time."""
-        return self.finish_ms - self.start_ms
-
-
 class SimulatedNode:
     """One autonomous DBMS in the simulated federation."""
 
@@ -73,29 +50,22 @@ class SimulatedNode:
         relations: FrozenSet[int],
         class_costs_ms: Sequence[float],
         simulator: Simulator,
-        exec_slots: int = 1,
     ):
         """``class_costs_ms[k]`` is this node's execution time for class
         *k* (``inf`` when the node lacks the class's relations)."""
-        if exec_slots <= 0:
-            raise ValueError("a node needs at least one execution slot")
         self.node_id = node_id
         self.spec = spec
         self.relations = relations
         self._costs = tuple(float(c) for c in class_costs_ms)
         self._sim = simulator
-        self._exec_slots = exec_slots
-        # One watermark per slot; a new query goes to the earliest-free slot.
-        self._slot_free_at: List[float] = [0.0] * exec_slots
-        self._total_busy_ms = 0.0
-        self._executed_by_class: Dict[int, int] = {}
-        self._history: List[ExecutionRecord] = []
+        #: When the FIFO drains: the finish time of the last queued query.
+        self._busy_until = 0.0
         #: Min-heap of finish times of not-yet-completed executions.
         self._open_finishes: List[float] = []
         #: Outage intervals (start_ms, end_ms) during which the node
         #: accepts no new work; in-flight queries drain normally.
         self._outages: List[Tuple[float, float]] = []
-        #: Mirror of ``_slot_free_at[0]`` inside a federation-wide numpy
+        #: Mirror of ``_busy_until`` inside a federation-wide numpy
         #: array (see :class:`repro.sim.fleet.FleetArrays`); ``None`` until
         #: :meth:`attach_fleet` wires it up.
         self._fleet_slot_free = None
@@ -158,24 +128,22 @@ class SimulatedNode:
     def make_supply_set(self, period_ms: float) -> CapacitySupplySet:
         """The node's supply set for one period of length ``period_ms``.
 
-        Capacity is the period length times the number of execution slots —
-        the processing-time budget the QA-NT seller may sell.
+        Capacity is the period length — the processing-time budget the
+        QA-NT seller may sell.
         """
-        return CapacitySupplySet(self._costs, period_ms * self._exec_slots)
+        return CapacitySupplySet(self._costs, period_ms)
 
     def attach_fleet(self, slot_free, row: int) -> None:
-        """Mirror this node's single-slot watermark into a fleet array.
+        """Mirror this node's watermark into a fleet array.
 
-        ``slot_free[row]`` is kept equal to ``_slot_free_at[0]`` from here
-        on (:meth:`enqueue` is the only mutator), letting allocators
-        compute completion estimates for whole candidate sets with one
-        vectorised expression instead of per-node method calls.
+        ``slot_free[row]`` is kept equal to ``_busy_until`` from here on
+        (:meth:`enqueue` is the only mutator), letting allocators compute
+        completion estimates for whole candidate sets with one vectorised
+        expression instead of per-node method calls.
         """
-        if self._exec_slots != 1:
-            raise ValueError("fleet arrays mirror single-slot nodes only")
         self._fleet_slot_free = slot_free
         self._fleet_row = row
-        slot_free[row] = self._slot_free_at[0]
+        slot_free[row] = self._busy_until
 
     # -- load introspection (used by allocators) ---------------------------------
 
@@ -192,85 +160,32 @@ class SimulatedNode:
         return len(self._open_finishes)
 
     def current_load_ms(self) -> float:
-        """Outstanding work: how far ``busy_until`` lies past *now*.
-
-        With several slots this is the total remaining busy time across
-        slots, matching what a load balancer would learn from the node's
-        queue monitor.
-        """
-        now = self._sim.now
-        if self._exec_slots == 1:
-            # The paper's serial-node common case.
-            remaining = self._slot_free_at[0] - now
-            return remaining if remaining > 0.0 else 0.0
-        return sum(max(0.0, free_at - now) for free_at in self._slot_free_at)
+        """Outstanding work: how far ``busy_until`` lies past *now*."""
+        remaining = self._busy_until - self._sim.now
+        return remaining if remaining > 0.0 else 0.0
 
     def estimated_completion_ms(self, class_index: int) -> float:
         """When a class-``class_index`` query enqueued now would finish."""
-        slot_free = self._slot_free_at
-        earliest = slot_free[0] if self._exec_slots == 1 else min(slot_free)
+        earliest = self._busy_until
         now = self._sim.now
         start = now if now >= earliest else earliest
         return start + self.execution_time_ms(class_index)
 
-    @property
-    def total_busy_ms(self) -> float:
-        """Cumulative execution time of all finished-or-scheduled queries."""
-        return self._total_busy_ms
-
-    @property
-    def executed_by_class(self) -> Dict[int, int]:
-        """Count of queries executed (or committed) per class."""
-        return dict(self._executed_by_class)
-
-    @property
-    def history(self) -> List[ExecutionRecord]:
-        """All executions committed to this node, in enqueue order."""
-        return self._history
-
-    def busy_until_ms(self) -> float:
-        """Absolute time at which the node drains completely."""
-        return max(max(self._slot_free_at), self._sim.now)
-
     # -- execution ----------------------------------------------------------------
 
-    def enqueue(
-        self,
-        query: Query,
-        on_complete: Optional[Callable[[Query, ExecutionRecord], None]] = None,
-    ) -> ExecutionRecord:
-        """Commit ``query`` to this node's FIFO and schedule its completion.
+    def enqueue(self, query: Query) -> Tuple[float, float]:
+        """Commit ``query`` to this node's FIFO.
 
-        Returns the (already fully determined) execution record;
-        ``on_complete`` fires at the query's finish time.
+        Returns the query's ``(start_ms, finish_ms)``, fully determined
+        here: the node runs one query at a time and outages stop only new
+        work, so nothing later can move them.
         """
         exec_ms = self.execution_time_ms(query.class_index)
-        now = self._sim.now
-        if self._exec_slots == 1:
-            slot = 0
-        else:
-            slot = min(
-                range(self._exec_slots), key=lambda i: self._slot_free_at[i]
-            )
-        start = max(now, self._slot_free_at[slot])
+        start = max(self._sim.now, self._busy_until)
         finish = start + exec_ms
-        self._slot_free_at[slot] = finish
+        self._busy_until = finish
         fleet_sf = self._fleet_slot_free
         if fleet_sf is not None:
             fleet_sf[self._fleet_row] = finish
-        self._total_busy_ms += exec_ms
-        self._executed_by_class[query.class_index] = (
-            self._executed_by_class.get(query.class_index, 0) + 1
-        )
-        record = ExecutionRecord(
-            qid=query.qid,
-            class_index=query.class_index,
-            enqueue_ms=now,
-            start_ms=start,
-            finish_ms=finish,
-        )
-        self._history.append(record)
         heapq.heappush(self._open_finishes, finish)
-        if on_complete is not None:
-            self._sim.schedule_at(finish, on_complete, query, record)
-        return record
+        return start, finish

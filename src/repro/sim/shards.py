@@ -86,7 +86,7 @@ from ..allocation.market_tick import (
 from ..protocol.transport import FrameDecoder, encode_frame
 from .faults import derive_fault_seed
 from .federation import FederationConfig, run_single_mechanism
-from .metrics import MetricsCollector
+from .metrics import MetricsCollector, period_counts
 
 __all__ = [
     "ShardFailure",
@@ -1222,6 +1222,12 @@ class ShardedRunResult:
         return self._dropped
 
     @property
+    def in_flight(self) -> int:
+        """Assigned queries still running when the run ended: the event
+        engine's count at ``shards=1``; planes finish every assignment."""
+        return self._metrics.in_flight if self._metrics is not None else 0
+
+    @property
     def messages(self) -> int:
         """Protocol messages the run moved (network messages at
         ``shards=1``; codec-serialised bid/quote messages
@@ -1248,6 +1254,14 @@ class ShardedRunResult:
             return math.nan
         ordered = np.sort(self._columns[7] - self._columns[3])
         return float(ordered[min(n - 1, int(fraction * n))])
+
+    def executed_per_period(
+        self, period_ms: float, horizon_ms: float
+    ) -> List[int]:
+        """Queries finished in each period, by the collector's rule."""
+        if self._metrics is not None:
+            return self._metrics.executed_per_period(period_ms, horizon_ms)
+        return period_counts(self._columns[7].tolist(), period_ms, horizon_ms)
 
     def batch_summary(self) -> Dict[str, float]:
         """The tick/shard counters (shard keys only on sharded runs)."""

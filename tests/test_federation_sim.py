@@ -9,7 +9,13 @@ from repro.experiments.setups import (
     sinusoid_trace_for_load,
     two_query_world,
 )
+from repro.allocation.base import Allocator, AssignmentDecision
+from repro.query import MachineSpec
 from repro.sim import FederationConfig, build_federation
+from repro.sim.engine import Simulator
+from repro.sim.federation import FederationSimulation
+from repro.sim.network import LatencyModel, Network
+from repro.sim.node import SimulatedNode
 from repro.workload.trace import WorkloadEvent
 
 
@@ -30,6 +36,39 @@ def run(world, allocator, trace, **config_kwargs):
     )
     metrics = federation.run(trace)
     return federation, metrics
+
+
+class _ScriptedAllocator(Allocator):
+    """Sends query ``qid`` to ``routes[qid] = (node_id, delay_ms)``."""
+
+    name = "scripted"
+
+    def __init__(self, routes):
+        super().__init__()
+        self._routes = routes
+
+    def assign(self, query):
+        node_id, delay_ms = self._routes[query.qid]
+        return AssignmentDecision(node_id, delay_ms=delay_ms)
+
+
+def _scripted_federation(costs, routes):
+    """Node *i* runs class 0 in ``costs[i]`` ms; the wire is instant."""
+    sim = Simulator()
+    latency = LatencyModel(base_ms=0.0, jitter_ms=0.0)
+    nodes = {
+        i: SimulatedNode(i, MachineSpec(), frozenset({0}), [cost], sim)
+        for i, cost in enumerate(costs)
+    }
+    return FederationSimulation(
+        nodes=nodes,
+        classes=(),
+        candidates_by_class={0: tuple(nodes)},
+        allocator=_ScriptedAllocator(routes),
+        simulator=sim,
+        network=Network(sim, latency),
+        config=FederationConfig(latency=latency, drain_ms=1_000.0),
+    )
 
 
 @pytest.fixture(scope="module")
@@ -63,11 +102,46 @@ class TestEndToEnd:
             assert node.can_evaluate(outcome.class_index)
 
     def test_node_execution_is_serial(self, world, light_trace):
-        federation, __ = run(world, GreedyAllocator(), light_trace)
-        for node in federation.nodes.values():
-            records = sorted(node.history, key=lambda r: r.start_ms)
-            for earlier, later in zip(records, records[1:]):
+        __, metrics = run(world, GreedyAllocator(), light_trace)
+        by_node = {}
+        for outcome in metrics.outcomes:
+            by_node.setdefault(outcome.node_id, []).append(outcome)
+        assert len(by_node) > 1
+        for outcomes in by_node.values():
+            outcomes.sort(key=lambda o: o.start_ms)
+            for earlier, later in zip(outcomes, outcomes[1:]):
                 assert later.start_ms >= earlier.finish_ms - 1e-9
+
+    def test_equal_finishes_record_in_enqueue_order(self):
+        """Two queries finish at the same millisecond on different nodes;
+        the later-enqueued one has the lower qid.  Outcomes are recorded
+        in enqueue order, as completion events would have fired."""
+        federation = _scripted_federation(
+            costs=(90.0, 95.0), routes={0: (0, 10.0), 1: (1, 5.0)}
+        )
+        metrics = federation.run(
+            [WorkloadEvent(0.0, 0, 0), WorkloadEvent(0.0, 0, 0)]
+        )
+        assert [(o.qid, o.finish_ms) for o in metrics.outcomes] == [
+            (1, 100.0),
+            (0, 100.0),
+        ]
+
+    @pytest.mark.parametrize("mechanism", [GreedyAllocator, QantAllocator])
+    def test_offered_is_completed_dropped_or_in_flight(self, world, mechanism):
+        """A query assigned but still queued when the drain ends is
+        neither completed nor dropped: it is counted as in flight."""
+        trace = sinusoid_trace_for_load(
+            world, load_fraction=1.5, horizon_ms=10_000.0, seed=5
+        )
+        __, metrics = run(world, mechanism(), trace, drain_ms=2_000.0)
+        assert len(trace) == (
+            metrics.completed + metrics.dropped + metrics.in_flight
+        )
+        if mechanism is GreedyAllocator:
+            # Greedy never refuses: its overload backlog is all in flight.
+            assert metrics.dropped == 0
+            assert metrics.in_flight > 0
 
     def test_messages_counted(self, world, light_trace):
         federation, __ = run(world, GreedyAllocator(), light_trace)

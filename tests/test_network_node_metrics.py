@@ -60,14 +60,13 @@ class TestNetwork:
         assert net.messages_sent == 0
 
 
-def make_node(sim, costs=(100.0, 200.0), slots=1):
+def make_node(sim, costs=(100.0, 200.0)):
     return SimulatedNode(
         node_id=0,
         spec=MachineSpec(),
         relations=frozenset({0}),
         class_costs_ms=list(costs),
         simulator=sim,
-        exec_slots=slots,
     )
 
 
@@ -79,18 +78,8 @@ class TestSimulatedNode:
     def test_fifo_execution_times(self):
         sim = Simulator()
         node = make_node(sim)
-        r1 = node.enqueue(make_query(0, 0))
-        r2 = node.enqueue(make_query(1, 0))
-        assert (r1.start_ms, r1.finish_ms) == (0.0, 100.0)
-        assert (r2.start_ms, r2.finish_ms) == (100.0, 200.0)
-
-    def test_completion_callback_fires_at_finish(self):
-        sim = Simulator()
-        node = make_node(sim)
-        finished = []
-        node.enqueue(make_query(), lambda q, r: finished.append(sim.now))
-        sim.run()
-        assert finished == [100.0]
+        assert node.enqueue(make_query(0, 0)) == (0.0, 100.0)
+        assert node.enqueue(make_query(1, 0)) == (100.0, 200.0)
 
     def test_cannot_evaluate_infinite_cost_class(self):
         sim = Simulator()
@@ -125,38 +114,11 @@ class TestSimulatedNode:
         sim.run()
         assert node.queued_queries() == 1
 
-    def test_two_slots_run_in_parallel(self):
-        sim = Simulator()
-        node = make_node(sim, slots=2)
-        r1 = node.enqueue(make_query(0))
-        r2 = node.enqueue(make_query(1))
-        assert r1.finish_ms == 100.0
-        assert r2.finish_ms == 100.0
-
     def test_supply_set_uses_period_capacity(self):
         sim = Simulator()
         node = make_node(sim)
         supply_set = node.make_supply_set(500.0)
         assert supply_set.capacity_ms == 500.0
-
-    def test_executed_by_class(self):
-        sim = Simulator()
-        node = make_node(sim)
-        node.enqueue(make_query(0, 0))
-        node.enqueue(make_query(1, 0))
-        node.enqueue(make_query(2, 1))
-        assert node.executed_by_class == {0: 2, 1: 1}
-
-    def test_total_busy_accumulates(self):
-        sim = Simulator()
-        node = make_node(sim)
-        node.enqueue(make_query(0, 0))
-        node.enqueue(make_query(1, 1))
-        assert node.total_busy_ms == 300.0
-
-    def test_zero_slots_rejected(self):
-        with pytest.raises(ValueError):
-            make_node(Simulator(), slots=0)
 
 
 def outcome(qid=0, arrival=0.0, assigned=1.0, start=2.0, finish=10.0, cls=0):
