@@ -192,10 +192,10 @@ class Allocator(abc.ABC):
     def on_run_start(self) -> None:
         """Called once by the federation before the event loop starts.
 
-        Mechanisms may switch into run-scoped modes here (e.g. the QA-NT
-        dispatcher's cross-assign state caching, safe only while every
-        observer goes through the ``sync_market_state`` contract);
-        direct API users who never start a run keep the plain behaviour.
+        Mechanisms may pick a run-scoped mode here, kept until
+        :meth:`on_run_end` (QA-NT hands its whole market to the period
+        engine's arrays when the engine manages every agent); direct API
+        users who never start a run keep the plain behaviour.
         """
 
     @abc.abstractmethod
@@ -225,10 +225,10 @@ class Allocator(abc.ABC):
     def on_run_end(self) -> None:
         """Called once after the simulation drains; default does nothing.
 
-        Mechanisms that keep period state off the agent objects (see
-        :class:`~repro.allocation.qant.QantAllocator`'s period engine)
-        materialise their final state here so post-run inspection of the
-        agents observes exactly what a per-agent run would have.
+        Mechanisms that kept the run's market state off the agent objects
+        (see :class:`~repro.allocation.qant.QantAllocator`'s array run)
+        write it back here, once, so post-run inspection of the agents
+        observes what a per-agent run would have.
         """
 
     # -- shared protocol helpers --------------------------------------------------

@@ -10,8 +10,8 @@ period supply only falls and latches only set, so a refusing lane at the
 price cap is *settled* until the boundary and an exchange prices the
 live ones only, then takes one masked ``argmin``.  Two callers:
 :class:`MarketTickDispatcher`, whose per-class state *is* a book over
-lanes gathered from the class's agents (the fleet's ``slot_free`` mirror
-as busy clocks, the agents' refusal-count / price-epoch bookkeeping), and
+lanes gathered from the period engine's matrices (the fleet's
+``slot_free`` mirror as busy clocks, per-agent price-epoch steps), and
 every shard market plane, over views of its flat lane block.  A numpy
 call costs microseconds at any width, so a live set of up to
 :data:`SCALAR_LANES_MAX` lanes is priced by a loop over ``memoryview``s,
@@ -21,14 +21,12 @@ same property test.
 
 Bit-identity contract: every float is produced by the same IEEE-754
 operation sequence as the scalar listing, so goldens must not move with
-the dispatcher active.  A class's lanes are copies, gathered at most once per
-period from whichever side holds the market state (DESIGN.md §5.2) and
-returned the same way: :meth:`MarketTickDispatcher.sync` overlays them
-onto the agents' live lists (the allocator calls it from
-``sync_market_state`` and at a boundary that finds the agents live),
-:meth:`MarketTickDispatcher.close_period` hands them back to a bound
-period engine's matrices at a boundary nobody observed.  The book's
-``live`` / ``offers`` are derived from them at every gather, never stored.
+the dispatcher active.  The dispatcher exists only for array runs
+(DESIGN.md §5.2): a class's lanes are copies, gathered at most once per
+period from the period engine's matrices and handed back to them by
+:meth:`MarketTickDispatcher.close_period`, at every boundary and once at
+the end of the run.  The book's ``live`` / ``offers`` are derived from
+them at every gather, never stored.
 
 The auxiliary arrays are *agent-global* (indexed by fleet row), not
 per-class: an agent bidding in several classes shares one ``max_price``,
@@ -120,9 +118,8 @@ class LaneBook:
     """
 
     __slots__ = (
-        "rows", "costs", "R", "V", "offers", "live", "_exchanges",
-        "_since", "_maxp", "_locked", "_epochs", "_terms", "_scalar_max",
-        "_agent_views", "_lane_views",
+        "rows", "costs", "R", "V", "offers", "live", "_maxp", "_locked",
+        "_epochs", "_terms", "_scalar_max", "_agent_views", "_lane_views",
     )
 
     def __init__(
@@ -152,17 +149,7 @@ class LaneBook:
         self.V = V
         self.offers = offers = R >= 1.0
         self.live = np.flatnonzero(~offers)
-        # Exchanges since the arm, and per lane the count at which it
-        # began to refuse (-1: it still has supply).
-        self._exchanges = 0
-        self._since = np.where(offers, -1, 0)
         self._lane_views = memoryview(V), memoryview(offers)
-
-    def refusals(self):
-        """Per lane, the exchanges it has refused since :meth:`arm`: every
-        one since it ran out of supply."""
-        since = self._since
-        return np.where(since < 0, 0, self._exchanges - since)
 
     def estimates(self, free_at, now):
         """Per lane, the estimated completion ``max(free_at, now) + cost``
@@ -174,24 +161,35 @@ class LaneBook:
         est += self.costs
         return est
 
-    def exchange(self, estimates):
+    def exchange(self, estimates, reached=None):
         """One request-for-bid exchange over :meth:`estimates` (finite,
-        only read).
+        only read) among the lanes of the boolean mask ``reached`` (every
+        lane when ``None``).
 
-        The winner is the earliest estimated completion among the offers
-        — first-occurrence ``argmin``, i.e. the scalar strict-``<``
-        lowest-id tie-break — and pays one unit of supply if it had one.
-        Returns ``(winner, paid, finish)``: the winning lane (-1 when
-        every lane refused; ``live`` is then empty iff every price sits
-        at the cap), whether it paid, and its estimated completion.
+        A lane the request did not reach is neither priced nor counted as
+        an offer, and stays live: it has not answered, so it cannot have
+        settled.  The winner is the earliest estimated completion among
+        the offers — first-occurrence ``argmin``, i.e. the scalar
+        strict-``<`` lowest-id tie-break — and pays one unit of supply if
+        it had one.  Returns ``(winner, paid, finish)``: the winning lane
+        (-1 when every reached lane refused; with every lane reached,
+        ``live`` is then empty iff every price sits at the cap), whether
+        it paid, and its estimated completion.
         """
-        self._exchanges += 1
         live = self.live
-        if len(live) > self._scalar_max:
-            self._price_many(live)
-        elif len(live):
-            self._price_few(live)
-        est = np.where(self.offers, estimates, _INF)
+        priced = live if reached is None else live[reached[live]]
+        kept = None
+        if len(priced) > self._scalar_max:
+            kept = self._price_many(priced)
+        elif len(priced):
+            kept = self._price_few(priced)
+        if kept is not None:
+            self.live = (
+                kept if reached is None
+                else np.concatenate((live[~reached[live]], kept))
+            )
+        offers = self.offers if reached is None else self.offers & reached
+        est = np.where(offers, estimates, _INF)
         winner = int(est.argmin())
         finish = est[winner]
         if finish == _INF:
@@ -203,12 +201,12 @@ class LaneBook:
             if left < 1.0:
                 # Sold out by this exchange: it refuses from the next on.
                 self.live = np.append(self.live, winner)
-                self._since[winner] = self._exchanges
         return winner, paid, finish
 
-    def _price_many(self, live) -> None:
+    def _price_many(self, live):
         """Raise, running maximum, activation test and settling of the
-        ``live`` lanes as array steps."""
+        ``live`` lanes as array steps; returns those not settled, or
+        ``None`` when none settled."""
         factor, floor, cap, threshold = self._terms
         # Unchanged lanes are rewritten with identical bits, so the
         # scatter stays exact.
@@ -232,10 +230,9 @@ class LaneBook:
             self._locked[rows] = ~passed
             self.offers[live] = passed
             settled &= ~passed
-        if settled.any():
-            self.live = live[~settled]
+        return live[~settled] if settled.any() else None
 
-    def _price_few(self, live) -> None:
+    def _price_few(self, live):
         """:meth:`_price_many` as one loop over ``memoryview``s: each lane
         sees the same float operations in the same order, and the lanes
         are distinct agents, so going lane by lane instead of step by
@@ -270,10 +267,11 @@ class LaneBook:
             offers[i] = passed
             if new == cap and not passed:
                 settled = True
-        if settled:
-            self.live = np.array(
-                [i for i in lanes if offers[i] or V[i] != cap], dtype=np.intp
-            )
+        if not settled:
+            return None
+        return np.array(
+            [i for i in lanes if offers[i] or V[i] != cap], dtype=np.intp
+        )
 
 
 #: Widest class the shard planes price with the scalar twins below, and
@@ -372,18 +370,15 @@ class BatchDispatchStats:
     """Counters of the vectorised bidding fan-out (see allocator stats)."""
 
     __slots__ = (
-        "vector_exchanges", "scalar_fallbacks", "syncs", "gathers",
-        "lane_steps", "estimate_reuses",
+        "vector_exchanges", "syncs", "gathers", "lane_steps",
+        "estimate_reuses",
     )
 
     def __init__(self) -> None:
-        #: Request-for-bid exchanges answered on the vector path.
+        #: Request-for-bid exchanges answered on the vector path (partial
+        #: fan-outs of an outage window included).
         self.vector_exchanges = 0
-        #: Exchanges that had to drop to the scalar negotiation (partial
-        #: fan-outs during outage windows).
-        self.scalar_fallbacks = 0
-        #: Write-backs of cached state (into the live agent lists or the
-        #: period engine's arrays).
+        #: Hand-backs of cached lanes into the period engine's arrays.
         self.syncs = 0
         #: Per-class state gathers (at most one per class per period).
         self.gathers = 0
@@ -398,39 +393,38 @@ class BatchDispatchStats:
 
 
 class _ClassState(LaneBook):
-    """One class's candidate fan-out: its lane book plus the bookkeeping
-    of the agents behind the lanes.
+    """One class's candidate fan-out: its lane book plus where its lanes
+    live in the period engine.
 
-    ``ids``/``rows``/``costs``/``agents`` (and ``engine_rows``, once bound
-    to a period engine) are static for the federation's lifetime;
-    ``R``/``V``/``F``/``ACC`` (remaining supply, price values, refusal
-    counts at the gather, accepted counts — column ``class_index`` of each
-    agent's state) are gathered lazily per period and dropped to ``None``
-    when they are written back.  The refusals since the gather are the
-    book's (:meth:`LaneBook.refusals`).
+    ``ids``/``rows``/``costs``/``engine_rows`` are static for the
+    federation's lifetime; ``R``/``V`` (remaining supply and prices,
+    column ``class_index`` of the engine's matrices) are gathered lazily
+    per period and dropped to ``None`` when they are handed back.
     """
 
-    __slots__ = ("class_index", "ids", "agents", "engine_rows", "F", "ACC")
+    __slots__ = ("class_index", "ids", "engine_rows")
 
-    def __init__(self, class_index, ids, agents, *book) -> None:
+    def __init__(self, class_index, ids, engine_rows, *book) -> None:
         super().__init__(*book)
         self.class_index = class_index
         self.ids = ids
-        self.agents = agents
-        self.engine_rows = None
-        self.F = self.ACC = None
+        self.engine_rows = engine_rows
 
     def drop(self) -> None:
-        self.R = self.V = self.offers = self.live = self.F = self.ACC = None
+        self.R = self.V = self.offers = self.live = None
 
 
 class MarketTickDispatcher:
-    """Vectorised request-for-bid exchange over a full candidate set.
+    """Vectorised request-for-bid exchange over the lanes of a period
+    engine that manages every bidder.
 
-    Built by :class:`~repro.allocation.qant.QantAllocator` only when the
-    whole fleet is dispatchable: no message faults, no partial adoption
-    and no private classification, so every bidder is a plain
-    :class:`~repro.core.qant.QantPricingAgent`.
+    Built by :class:`~repro.allocation.qant.QantAllocator` only for an
+    array run: no message faults, no partial adoption, no private
+    classification and a batched supply solver, so every bidder is a
+    plain :class:`~repro.core.qant.QantPricingAgent` and row *i* of
+    ``engine`` is ``node_ids[i]``.  Between ``on_run_start`` and
+    ``on_run_end`` the engine's matrices and this dispatcher's lanes are
+    the market; the agent objects are not read or written.
     """
 
     def __init__(
@@ -438,7 +432,8 @@ class MarketTickDispatcher:
         fleet,
         nodes: Mapping[int, object],
         candidates_by_class: Mapping[int, Sequence[int]],
-        agents: Mapping[int, object],
+        engine,
+        node_ids: Sequence[int],
         activation_threshold: Optional[float],
         raise_factor: float,
         price_floor: float,
@@ -446,25 +441,27 @@ class MarketTickDispatcher:
     ) -> None:
         check_raise_terms(raise_factor, price_cap)
         self._fleet = fleet
-        self._threshold = activation_threshold
+        self._engine = engine
         self.stats = BatchDispatchStats()
         row_of = fleet.row_of
+        engine_row_of = {nid: i for i, nid in enumerate(node_ids)}
+        #: The fleet row of each engine row.
+        self._engine_fleet_rows = np.array(
+            [row_of[nid] for nid in node_ids], dtype=np.intp
+        )
         # Agent-global auxiliary state, one row per fleet slot (running
         # maximum, enforce latch, price-epoch steps since the gather).
-        # Rows whose node bids in no class keep a None agent and are
-        # never touched.
+        # Rows whose node bids in no class are never touched.
         num_rows = len(fleet.node_ids)
         self._aux_maxp = np.zeros(num_rows, dtype=float)
         self._aux_locked = np.zeros(num_rows, dtype=bool)
         self._aux_delta = np.zeros(num_rows, dtype=np.int64)
         self._aux_fresh = False
-        self._states: Dict[int, _ClassState] = {}
-        agents_by_row: List[object] = [None] * num_rows
-        for class_index, ids in candidates_by_class.items():
-            self._states[class_index] = _ClassState(
+        self._states: Dict[int, _ClassState] = {
+            class_index: _ClassState(
                 class_index,
                 list(ids),
-                tuple(agents[nid] for nid in ids),
+                np.array([engine_row_of[nid] for nid in ids], dtype=np.intp),
                 np.array([row_of[nid] for nid in ids], dtype=np.intp),
                 np.array(
                     [nodes[nid]._costs[class_index] for nid in ids],
@@ -474,97 +471,44 @@ class MarketTickDispatcher:
                 raise_factor, price_floor, price_cap, activation_threshold,
                 self._aux_delta,
             )
-            for nid in ids:
-                agents_by_row[row_of[nid]] = agents[nid]
-        self._aux_agents = agents_by_row
+            for class_index, ids in candidates_by_class.items()
+        }
         #: Inside one `assign_batch`: class -> its lanes' completion
         #: estimates (the batch shares one timestamp and schedules its
         #: commits after it returns, so `slot_free` cannot move under
         #: them); a re-gather drops its class's.  ``None`` outside a
         #: batch: single assigns recompute.
         self._estimates: Optional[Dict[int, object]] = None
-        #: The bound period engine and the fleet row of each of its rows.
-        self._engine = None
-        self._engine_fleet_rows = None
-
-    def bind_engine(self, engine, node_ids) -> None:
-        """Back the lanes with ``engine``'s matrices (row *i* = ``node_ids[i]``).
-
-        Only valid when the engine manages every bidder.  From here on,
-        while the engine (not the agents) holds the market state, lanes
-        are gathered from and closed into its arrays.
-        """
-        row_of = self._fleet.row_of
-        engine_row_of = {nid: i for i, nid in enumerate(node_ids)}
-        for st in self._states.values():
-            st.engine_rows = np.array(
-                [engine_row_of[nid] for nid in st.ids], dtype=np.intp
-            )
-        self._engine_fleet_rows = np.array(
-            [row_of[nid] for nid in node_ids], dtype=np.intp
-        )
-        self._engine = engine
-
-    def _arrays_live(self) -> bool:
-        engine = self._engine
-        return engine is not None and not engine.agents_live
 
     # -- gather ---------------------------------------------------------------
 
     def _gather_aux(self) -> None:
         """Snapshot every agent's max price and enforce latch.
 
-        Reading ``agent.max_price`` materialises the lazily-tracked
-        maximum; from here on the vector path maintains it incrementally,
-        which stays exact because prices only rise within a period and
-        every raise updates the running maximum.  On adopted arrays both
-        are the boundary's own baseline: no price has moved yet this
-        period (the first refusal brings us here), every latch is open.
-        A no-op while the snapshot is current.
+        Both are the boundary's own baseline: no price has moved yet this
+        period (the first refusal brings us here) and every latch is open.
+        From here on the exchanges maintain them incrementally, which
+        stays exact because prices only rise within a period and every
+        raise updates the running maximum.  A no-op while the snapshot is
+        current.
         """
         if self._aux_fresh:
             return
-        maxp = self._aux_maxp
-        locked = self._aux_locked
+        self._aux_maxp[self._engine_fleet_rows] = self._engine.max_prices()
+        self._aux_locked[:] = False
         self._aux_delta[:] = 0
         self._aux_fresh = True
-        if self._arrays_live():
-            maxp[self._engine_fleet_rows] = self._engine.max_prices()
-            locked[:] = False
-            return
-        for row, agent in enumerate(self._aux_agents):
-            if agent is None:
-                continue
-            maxp[row] = agent.max_price
-            locked[row] = agent._enforce_locked_at is not None
 
     def _live_state(self, class_index: int) -> _ClassState:
         st = self._states[class_index]
         if st.R is None:
-            if self._arrays_live():
-                # The boundary's own baseline: supply and prices as the
-                # engine left them, counters at zero.
-                st.arm(*self._engine.lanes(st.engine_rows, class_index))
-                st.F = np.zeros(len(st.ids), dtype=np.int64)
-                st.ACC = np.zeros(len(st.ids), dtype=np.int64)
-            else:
-                agents = st.agents
-                st.arm(
-                    np.array([a._remaining[class_index] for a in agents]),
-                    np.array([a._price_values[class_index] for a in agents]),
-                )
-                st.F = np.array(
-                    [a._refused[class_index] for a in agents],
-                    dtype=np.int64,
-                )
-                st.ACC = np.array(
-                    [a._accepted[class_index] for a in agents],
-                    dtype=np.int64,
-                )
+            # The boundary's own baseline: supply and prices as the
+            # engine left them.
+            st.arm(*self._engine.lanes(st.engine_rows, class_index))
             if self._estimates:
                 # Estimates never outlive the lanes they were made next
-                # to: whoever dropped those (`sync`, a boundary) may have
-                # let the clocks move.
+                # to: whoever dropped those (a boundary) let the clocks
+                # move.
                 self._estimates.pop(class_index, None)
             self.stats.gathers += 1
         return st
@@ -572,24 +516,30 @@ class MarketTickDispatcher:
     # -- the exchange ---------------------------------------------------------
 
     def exchange(
-        self, class_index: int, now: float
+        self, class_index: int, now: float, reached=None
     ) -> Tuple[Optional[int], bool]:
-        """One full-fan-out request-for-bid exchange at time ``now``.
+        """One request-for-bid exchange at time ``now`` over the class's
+        bidders in ``reached`` (all of them when ``None``).
 
         Returns ``(chosen_node_id, saturated)``: the winning node (supply
-        consumed, like the scalar accept) or ``None`` when every bidder
-        refused, with ``saturated`` flagging the all-refuse case whose
-        every price sits at the cap (the caller arms its saturation fast
-        path exactly as the scalar negotiation does).
+        consumed, like the scalar accept) or ``None`` when every reached
+        bidder refused, with ``saturated`` flagging the all-refuse full
+        fan-out whose every price sits at the cap (the caller arms its
+        saturation fast path exactly as the scalar negotiation does).
         """
         st = self._live_state(class_index)
         stats = self.stats
         stats.vector_exchanges += 1
-        live = len(st.live)
-        if live:
+        mask = None
+        if reached is not None:
+            mask = np.isin(st.ids, reached)
+        live = st.live
+        if len(live):
             # The book is about to read `maxp` / `locked`.
             self._gather_aux()
-            stats.lane_steps += live
+            stats.lane_steps += (
+                len(live) if mask is None else int(mask[live].sum())
+            )
         cache = self._estimates
         estimates = None if cache is None else cache.get(class_index)
         if estimates is not None:
@@ -598,15 +548,13 @@ class MarketTickDispatcher:
             estimates = st.estimates(self._fleet.slot_free, now)
             if cache is not None:
                 cache[class_index] = estimates
-        winner, paid, _finish = st.exchange(estimates)
+        winner, _paid, _finish = st.exchange(estimates, mask)
         if winner < 0:
-            # All-refuse exchange: no lane has supply and, under a
-            # threshold, every bidder was just found or set latched.  So
-            # every lane at the cap has settled, and the class is
-            # saturated iff none is left live.
-            return None, not len(st.live)
-        if paid:
-            st.ACC[winner] += 1
+            # All-refuse exchange: no reached lane has supply and, under a
+            # threshold, every reached bidder was just found or set
+            # latched.  A full fan-out has settled every lane at the cap,
+            # so the class is saturated iff none is left live.
+            return None, mask is None and not len(st.live)
         return st.ids[winner], False
 
     @contextmanager
@@ -619,15 +567,13 @@ class MarketTickDispatcher:
         finally:
             self._estimates = None
 
-    # -- scatter --------------------------------------------------------------
+    # -- hand-back ------------------------------------------------------------
 
     def close_period(self) -> None:
-        """Return the cached lanes to the engine's arrays at a boundary.
-
-        The array-to-array counterpart of :meth:`sync`: supply, prices
-        and the epoch deltas go back; what the boundary is about to reset
-        (refusal/accept counts, running maxima, latches) is dropped.
-        """
+        """Return the cached lanes to the engine's arrays: supply, prices
+        and the epoch deltas go back; the running maxima and latches are
+        dropped (a boundary resets them; at the end of a run
+        :meth:`latched_rows` reads them first)."""
         engine = self._engine
         synced = False
         for st in self._states.values():
@@ -643,53 +589,17 @@ class MarketTickDispatcher:
         if synced:
             self.stats.syncs += 1
 
-    def sync(self) -> None:
-        """Write all cached state back into the live agent lists.
+    def latched_rows(self) -> List[int]:
+        """Engine rows whose enforce latch this period's exchanges set."""
+        if not self._aux_fresh:
+            return []
+        return np.flatnonzero(
+            self._aux_locked[self._engine_fleet_rows]
+        ).tolist()
 
-        The agents must hold the market state.
-        After this returns, every agent holds exactly the state the
-        scalar listing would have left behind, and the next exchange
-        re-gathers from scratch.  Idempotent and cheap when nothing is
-        cached.
-        """
-        synced = False
+    def overlay(self, prices) -> None:
+        """Lay this period's cached price lanes over ``prices`` (a copy of
+        the engine's price matrix) in place."""
         for st in self._states.values():
-            if st.R is None:
-                continue
-            synced = True
-            k = st.class_index
-            r_list = st.R.tolist()
-            v_list = st.V.tolist()
-            f_list = (st.F + st.refusals()).tolist()
-            acc_list = st.ACC.tolist()
-            for i, agent in enumerate(st.agents):
-                agent._remaining[k] = r_list[i]
-                agent._price_values[k] = v_list[i]
-                agent._refused[k] = f_list[i]
-                agent._accepted[k] = acc_list[i]
-            st.drop()
-        if self._aux_fresh:
-            synced = True
-            threshold = self._threshold
-            deltas = self._aux_delta.tolist()
-            maxps = self._aux_maxp.tolist()
-            lockeds = self._aux_locked.tolist()
-            for row, agent in enumerate(self._aux_agents):
-                if agent is None:
-                    continue
-                delta = deltas[row]
-                if delta:
-                    agent._price_epoch += delta
-                    agent._prices_cache = None
-                # The gather materialised the lazy maximum, so writing it
-                # back unconditionally only ever restates the true value.
-                agent._max_price = maxps[row]
-                if (
-                    threshold is not None
-                    and lockeds[row]
-                    and agent._enforce_locked_at is None
-                ):
-                    agent._enforce_locked_at = threshold
-            self._aux_fresh = False
-        if synced:
-            self.stats.syncs += 1
+            if st.R is not None:
+                prices[st.engine_rows, st.class_index] = st.V

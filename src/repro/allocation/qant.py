@@ -109,18 +109,9 @@ class QantAllocator(Allocator):
         #: the class was observed *saturated* this period: zero remaining
         #: supply, class price pinned at the cap, and (with an activation
         #: threshold) the enforce latch set.  A request-for-bid against a
-        #: fully saturated class is then an all-refuse exchange whose only
-        #: agent-side effect is one refusal count per node, so `assign`
-        #: skips the fan-out and defers those counts.
+        #: fully saturated class is then an all-refuse exchange that moves
+        #: no price, supply or latch, so `assign` skips the fan-out.
         self._saturated_in: Dict[int, int] = {}
-        #: ``class_index -> refusals each bidder of the class is still
-        #: owed``.  Until the next boundary the agents' ``_refused``
-        #: counters of a saturated class lag by this much; a boundary that
-        #: finds the agents live flushes it into them before any period
-        #: stats are computed, an array-to-array boundary (and the end of
-        #: a run) drops it, because the counters it would land in are
-        #: zeroed there before anyone can read them.
-        self._deferred_refusals: Dict[int, int] = {}
         #: Per class, the nodes that offered on the last successful
         #: exchange — the stale cache graceful degradation falls back to
         #: when a faulted fan-out yields total silence (fault runs only).
@@ -132,24 +123,22 @@ class QantAllocator(Allocator):
         self._engine: Optional[QantPeriodEngine] = None
         self._engine_node_ids: Tuple[int, ...] = ()
         self._scalar_agents: Tuple[Tuple[int, object], ...] = ()
-        #: The vectorised request-for-bid exchange (see
-        #: :mod:`repro.allocation.market_tick`); built in `_after_bind`
-        #: only when the whole fleet is dispatchable, ``None`` otherwise.
+        #: The vectorised request-for-bid exchange over the period
+        #: engine's lanes (see :mod:`repro.allocation.market_tick`); built
+        #: in `_after_bind` only when the engine manages every agent and
+        #: no message faults are active, ``None`` otherwise.
         self._dispatcher: Optional[MarketTickDispatcher] = None
         #: The context's network when its transport is the plain
         #: simulator adapter, enabling the one-draw-per-tick bulk latency
         #: path of `assign_batch`; ``None`` under any custom transport.
         self._bulk_rtt_network = None
-        #: Whether single `assign` calls may also use the vector exchange
-        #: and keep dispatcher state cached across calls.  Armed by
-        #: `on_run_start` (inside a federation run every observer goes
-        #: through `sync_market_state`); direct API users keep the scalar
-        #: negotiation and always-live agent state.
-        self._vector_singles = False
-        #: Whether the period engine's arrays keep the market state from
-        #: one boundary to the next (DESIGN.md §5.2): inside a federation
-        #: run whose engine manages every dispatcher lane.
-        self._array_resident = False
+        #: Whether an array run is in progress (DESIGN.md §5.2): from
+        #: `on_run_start` to `on_run_end` of a run with a dispatcher, the
+        #: period engine's matrices and the dispatcher's lanes are the
+        #: market and every exchange is a lane-book exchange.  Otherwise
+        #: (a scalar run, direct API use) the agents are the market and
+        #: every exchange goes through the listing.
+        self._array_run = False
         #: Fleet rows / allowances of the engine-managed nodes, for the
         #: vectorised free-capacity probe (``None`` without an engine).
         self._engine_rows_np = None
@@ -157,7 +146,18 @@ class QantAllocator(Allocator):
 
     @property
     def agents(self) -> Dict[int, QantPricingAgent]:
-        """The per-node pricing agents (adopting nodes only)."""
+        """The per-node pricing agents (adopting nodes only).
+
+        Not readable during an array run, whose market state the period
+        engine holds: read it through :meth:`market_rows` instead, or
+        read the agents once the run has ended.
+        """
+        if self._array_run:
+            raise RuntimeError(
+                "the agents are stale during an array run: read prices "
+                "and planned supply through market_rows(), or read the "
+                "agents after the run"
+            )
         return self._agents
 
     def _is_adopter(self, node_id: int) -> bool:
@@ -219,21 +219,24 @@ class QantAllocator(Allocator):
                 [self._allowances[nid] for nid in self._engine_node_ids],
                 dtype=float,
             )
-        # The vector exchange prices plain agents only: full adoption and
-        # global classes (then every node runs an exact-type
-        # `QantPricingAgent`), and no message faults.  Anything else
-        # negotiates through the scalar listing (which remains the outage
-        # fallback even when the dispatcher is active).
+        # A run is array-resident when the period engine manages every
+        # agent: full adoption and global classes (then every node runs
+        # an exact-type `QantPricingAgent`), a batched solver, and no
+        # message faults.  Anything else negotiates through the listing
+        # from start to end.
         if (
             self.context.faults is None
             and self._adopters is None
             and self._private_buckets is None
+            and self._engine is not None
+            and not self._scalar_agents
         ):
             self._dispatcher = MarketTickDispatcher(
                 fleet,
                 self.context.nodes,
                 self.context.candidates_by_class,
-                self._agents,
+                self._engine,
+                self._engine_node_ids,
                 self._activation_threshold,
                 1.0 + self._params.adjustment,
                 self._params.price_floor,
@@ -266,22 +269,9 @@ class QantAllocator(Allocator):
         unobservable); the remaining agents keep the per-agent path.
         """
         engine = self._engine
-        dispatcher = self._dispatcher
-        if engine is not None and not engine.agents_live:
-            # Nobody looked since the last boundary: the period closes
-            # array-to-array.  Deferred refusal counts only ever land in
-            # counters the boundary zeroes before anyone can read them.
-            dispatcher.close_period()
-            self._deferred_refusals.clear()
-        else:
-            if dispatcher is not None:
-                # Scatter cached exchange state back into the live lists
-                # before anything below (deferred-refusal flush, boundary
-                # solves) reads or rewrites them.
-                dispatcher.sync()
-            self._flush_deferred_refusals()
-            if self._array_resident:
-                engine.adopt()
+        if self._array_run:
+            # The period closes array-to-array.
+            self._dispatcher.close_period()
         self._period_serial += 1
         if engine is not None:
             engine.advance(self._engine_free_capacities)
@@ -307,24 +297,6 @@ class QantAllocator(Allocator):
                 agent.rebind_supply_set(supply_set)
             agent.begin_period()
 
-    def _flush_deferred_refusals(self) -> None:
-        """Apply refusal counts deferred by the saturation fast path.
-
-        Runs before any period-closing bookkeeping (``end_period`` stats)
-        so every agent's ``refused`` counters are exact whenever period
-        statistics are derived from them.
-        """
-        deferred = self._deferred_refusals
-        if not deferred:
-            return
-        agents = self._agents
-        for class_index, count in deferred.items():
-            # Saturation is only ever recorded for classes whose bidders
-            # are all plain pricing agents.
-            for node_id in self.context.candidates_by_class[class_index]:
-                agents[node_id]._refused[class_index] += count
-        deferred.clear()
-
     def _engine_free_capacities(self):
         """Per engine row, the node's free backlog allowance right now.
 
@@ -339,22 +311,35 @@ class QantAllocator(Allocator):
         free = self._engine_allowances_np - load
         return np.where(free > 0.0, free, 0.0)
 
-    def sync_market_state(self) -> None:
-        """Make every agent object current.
+    def market_rows(
+        self,
+    ) -> List[Tuple[int, Tuple[float, ...], Tuple[float, ...]]]:
+        """Every agent's ``(node_id, prices, planned_supply)`` right now,
+        in :attr:`agents` order.
 
-        Observers that read agent state between boundaries (the
-        :class:`~repro.sim.tracing.MarketTracer`, tests, notebooks) and
-        this allocator's scalar negotiation call this first; afterwards
-        the lists hold the market until the next boundary, and every
-        agent shows the state a scalar run would — except
-        the ``_refused`` counters of a class in `_saturated_in`, which
-        lag by `_deferred_refusals` until a boundary flushes or drops it.
+        During an array run the rows come from the period engine's
+        matrices, with this period's cached price lanes laid over them;
+        otherwise from the agents.
         """
+        if not self._array_run:
+            return [
+                (
+                    node_id,
+                    tuple(agent.prices.values),
+                    tuple(agent.planned_supply.components),
+                )
+                for node_id, agent in self._agents.items()
+            ]
         engine = self._engine
-        if engine is not None:
-            engine.materialise()
-        if self._dispatcher is not None:
-            self._dispatcher.sync()
+        prices = engine._prices.copy()
+        self._dispatcher.overlay(prices)
+        return list(
+            zip(
+                self._engine_node_ids,
+                map(tuple, prices.tolist()),
+                map(tuple, engine._planned.tolist()),
+            )
+        )
 
     @property
     def period_engine_stats(self):
@@ -369,19 +354,44 @@ class QantAllocator(Allocator):
         return dispatcher.stats if dispatcher is not None else None
 
     def on_run_start(self) -> None:
-        dispatcher = self._dispatcher
-        self._vector_singles = dispatcher is not None
-        self._array_resident = (
-            dispatcher is not None
-            and self._engine is not None
-            and not self._scalar_agents
-        )
-        if self._array_resident:
-            dispatcher.bind_engine(self._engine, self._engine_node_ids)
+        """With a dispatcher, hand the market to the period engine for the
+        whole run.
+
+        The dispatcher's lanes start every period from the boundary's
+        baseline: every latch open and each agent's running maximum equal
+        to its largest price.  The bind-time boundary leaves exactly that;
+        only an exchange driven by hand between bind and run can set a
+        latch, and such a run is refused.
+        """
+        if self._dispatcher is None:
+            return
+        if any(
+            agent._enforce_locked_at is not None
+            for agent in self._agents.values()
+        ):
+            raise RuntimeError(
+                "an agent's enforce latch is set at run start (an exchange "
+                "was driven by hand after bind); bind a fresh allocator"
+            )
+        self._engine.adopt()
+        self._array_run = True
 
     def on_run_end(self) -> None:
-        self._vector_singles = self._array_resident = False
-        self.sync_market_state()
+        """Write the array run's market state back into the agents once:
+        lanes into the engine, the engine into the agents, then this
+        period's latches."""
+        if not self._array_run:
+            return
+        self._array_run = False
+        dispatcher = self._dispatcher
+        latched = dispatcher.latched_rows()
+        dispatcher.close_period()
+        self._engine.materialise()
+        node_ids = self._engine_node_ids
+        for row in latched:
+            self._agents[node_ids[row]]._enforce_locked_at = (
+                self._activation_threshold
+            )
 
     def assign(self, query: Query) -> AssignmentDecision:
         class_index = query.class_index
@@ -410,9 +420,9 @@ class QantAllocator(Allocator):
         one C-level draw that splits the Mersenne stream exactly as the
         sequential calls would.  And the saturated no-ops: an exchange
         against a class already in `_saturated_in` for this period
-        changes nothing but one deferred refusal count per bidder, and
-        saturation is monotone within a period (only `on_period_start`
-        clears it), so those queries are settled here without a call.
+        changes nothing, and saturation is monotone within a period
+        (only `on_period_start` clears it), so those queries are settled
+        here without a call.
         Everything that can still move the market runs per query in
         arrival order (prices and supply must see each query's effect
         before the next, exactly as the paper's sequential negotiation
@@ -437,31 +447,18 @@ class QantAllocator(Allocator):
         node_ids = [None] * len(queries)
         saturated_in = self._saturated_in
         serial = self._period_serial
-        deferred = self._deferred_refusals
         # Nothing commits before this returns, so the dispatcher may keep
         # each class's completion estimates for the length of the loop.
-        dispatcher = self._dispatcher
+        dispatcher = self._dispatcher if self._array_run else None
         with dispatcher.batch() if dispatcher is not None else nullcontext():
             for i, k in enumerate(classes):
-                if k in full and saturated_in.get(k) == serial:
-                    deferred[k] = deferred.get(k, 0) + 1
-                elif widths[i]:
-                    node_ids[i] = self._exchange(
-                        k, fanouts[k], use_vector=True
-                    )
-        if not self._vector_singles:
-            # Scatter the batch's cached market state back into the live
-            # agent lists before handing control to the event loop —
-            # between batches every observer sees exactly the scalar
-            # state.  Inside a federation run (`_vector_singles`) the
-            # cache stays warm across assigns; `sync_market_state` is the
-            # contract every observer goes through instead.
-            self.sync_market_state()
+                if widths[i] and not (
+                    k in full and saturated_in.get(k) == serial
+                ):
+                    node_ids[i] = self._exchange(k, fanouts[k])
         return BatchDecisions(node_ids, delays, [2 * n for n in widths])
 
-    def _exchange(
-        self, class_index: int, candidates, use_vector: bool = False
-    ) -> Optional[int]:
+    def _exchange(self, class_index: int, candidates) -> Optional[int]:
         """Market reaction to one already-charged request-for-bid fan-out.
 
         Returns the winning node id, or ``None`` when every bidder refused.
@@ -470,39 +467,29 @@ class QantAllocator(Allocator):
         full_fanout = len(candidates) == len(
             context.candidates_by_class[class_index]
         )
-        vector = use_vector or self._vector_singles
-        dispatcher = self._dispatcher if vector else None
-        if full_fanout:
-            if self._saturated_in.get(class_index) == self._period_serial:
-                # Every bidder is saturated (no supply, price at the cap,
-                # latch set): the exchange is an all-refuse no-op except
-                # for one refusal count per node, deferred to the next
-                # period tick.  Latency/messages were charged — and the
-                # RNG drawn — exactly as for the explicit fan-out.
-                deferred = self._deferred_refusals
-                deferred[class_index] = deferred.get(class_index, 0) + 1
-                return None
-            if dispatcher is not None:
-                # Vectorised exchange over the full fan-out: same offers,
-                # price raises, latch updates and accept as the scalar
-                # negotiation below, as a handful of numpy ops (see
-                # repro.allocation.market_tick for the bit-identity
-                # argument).  Only taken mid-batch or during a federation
-                # run (`_vector_singles`), where every observer goes
-                # through the `sync_market_state` contract, so nobody
-                # ever sees a stale agent.
-                chosen, now_saturated = dispatcher.exchange(
-                    class_index, context.simulator.now
-                )
-                if chosen is None and now_saturated:
-                    self._saturated_in[class_index] = self._period_serial
-                return chosen
-        elif dispatcher is not None:
-            # Some candidate is in an outage window: this query's fan-out
-            # runs over the live bidders only (failure experiments).
-            dispatcher.stats.scalar_fallbacks += 1
-        # The scalar negotiation reads and writes the live agent lists.
-        self.sync_market_state()
+        if (
+            full_fanout
+            and self._saturated_in.get(class_index) == self._period_serial
+        ):
+            # Every bidder is saturated (no supply, price at the cap,
+            # latch set): the exchange is an all-refuse no-op.
+            # Latency/messages were charged — and the RNG drawn — exactly
+            # as for the explicit fan-out.
+            return None
+        if self._array_run:
+            # The lane book over the bidders the request reached (all of
+            # them, or the live ones in an outage window): same offers,
+            # price raises, latch updates and accept as the listing below
+            # (see repro.allocation.market_tick for the bit-identity
+            # argument).
+            chosen, saturated = self._dispatcher.exchange(
+                class_index,
+                context.simulator.now,
+                None if full_fanout else candidates,
+            )
+            if saturated:
+                self._saturated_in[class_index] = self._period_serial
+            return chosen
         offers = self._negotiate(class_index, candidates)
         if offers:
             return self._award(offers, class_index)

@@ -31,11 +31,11 @@ go through a scalar Python pow loop (over only the rows being solved)
 while everything around them is vectorised.
 
 Exactly one side holds the market state at any instant (DESIGN.md §5.2):
-the agents' Python lists while ``agents_live`` (scalar quotes, direct API
-use, an observer reading them), else the matrices.
-:meth:`QantPeriodEngine.adopt` gathers the lists into the matrices,
-:meth:`QantPeriodEngine.materialise` scatters them back, and a boundary
-leaves the state on whichever side held it on entry.
+the agents' Python lists while ``agents_live``, else the matrices.  A
+scalar run (and direct API use) keeps the lists, and each boundary is
+:meth:`QantPeriodEngine.adopt` → tick → :meth:`QantPeriodEngine.materialise`.
+An array run adopts once at its start and materialises once at its end;
+its boundaries tick on the matrices alone.
 """
 
 from __future__ import annotations
@@ -94,8 +94,8 @@ class PeriodEngineStats:
     engine materialised: a reused row served its plan from the
     ``(price_epoch, free_capacity)`` cache without re-solving eq. 4.
     ``adopted``/``materialised`` count the per-agent Python passes
-    (lists → arrays, arrays → lists): one per boundary when every
-    boundary is observed, one per run when none is.
+    (lists → arrays, arrays → lists): one per boundary of a scalar run,
+    one per array run.
     """
 
     ticks: int = 0
@@ -216,10 +216,10 @@ class QantPeriodEngine:
         """
         if not self.agents_live:
             return
-        # Every price writer (scalar raises, the market-tick dispatcher's
-        # sync, our own decay) bumps the agent's price epoch exactly when
-        # a value changed, so rows whose epoch matches our mirror are
-        # already bit-identical and skip the re-gather.
+        # Every price writer (scalar raises, our own decay and
+        # materialise) bumps the agent's price epoch exactly when a value
+        # changed, so rows whose epoch matches our mirror are already
+        # bit-identical and skip the re-gather.
         agents = self._agents
         n = len(agents)
         prices = self._prices
@@ -243,8 +243,9 @@ class QantPeriodEngine:
     def materialise(self) -> None:
         """Write the market state back into the agents; they are live again.
 
-        Counters and the enforce latch get their period-start values; the
-        market-tick dispatcher overlays in-period activity afterwards.
+        Counters and the enforce latch get their period-start values; at
+        the end of an array run the allocator overlays the period's
+        latches afterwards.
         """
         if self.agents_live:
             return

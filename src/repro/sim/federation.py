@@ -228,7 +228,6 @@ class FederationSimulation:
         if batch_stats is not None:
             self._metrics.apply_batch_stats(
                 vector_exchanges=batch_stats.vector_exchanges,
-                scalar_fallbacks=batch_stats.scalar_fallbacks,
                 syncs=batch_stats.syncs,
             )
         engine_stats = getattr(self._allocator, "period_engine_stats", None)

@@ -90,7 +90,6 @@ class MetricsCollector:
         self._batched_queries = 0
         self._max_batch = 0
         self._vector_exchanges = 0
-        self._scalar_fallbacks = 0
         self._batch_syncs = 0
         # Per-agent adopt/materialise passes of the QA-NT period engine
         # (zero for mechanisms without one).
@@ -186,7 +185,6 @@ class MetricsCollector:
     def apply_batch_stats(
         self,
         vector_exchanges: int = 0,
-        scalar_fallbacks: int = 0,
         syncs: int = 0,
     ) -> None:
         """Snapshot an allocator's batch-dispatcher counters.
@@ -196,7 +194,6 @@ class MetricsCollector:
         travels with the query metrics.
         """
         self._vector_exchanges += int(vector_exchanges)
-        self._scalar_fallbacks += int(scalar_fallbacks)
         self._batch_syncs += int(syncs)
 
     def apply_market_state_stats(
@@ -204,9 +201,9 @@ class MetricsCollector:
     ) -> None:
         """Snapshot a period engine's adopt/materialise counters.
 
-        An unobserved run reads one materialise on top of the bind-time
-        boundary; a run whose observer (tracer, outage fallback) keeps
-        pulling the state back into the agent objects about one a period.
+        An array run reads one adopt and one materialise on top of the
+        bind-time boundary's, however it is observed; a scalar run one
+        of each per period.
         """
         self._market_adopted += int(adopted)
         self._market_materialised += int(materialised)
@@ -355,11 +352,6 @@ class MetricsCollector:
         return self._vector_exchanges
 
     @property
-    def scalar_fallbacks(self) -> int:
-        """Exchanges the dispatcher dropped to the scalar negotiation for."""
-        return self._scalar_fallbacks
-
-    @property
     def cross_shard_bids(self) -> int:
         """BidRequest broadcasts delivered across shard boundaries."""
         return self._cross_shard_bids
@@ -385,7 +377,9 @@ class MetricsCollector:
             "batched_queries": float(self._batched_queries),
             "max_batch": float(self._max_batch),
             "vector_exchanges": float(self._vector_exchanges),
-            "scalar_fallbacks": float(self._scalar_fallbacks),
+            # No exchange of an array run drops to the listing any more;
+            # the key stays for the artifacts that pin it.
+            "scalar_fallbacks": 0.0,
             "batch_syncs": float(self._batch_syncs),
             "market_adopted": float(self._market_adopted),
             "market_materialised": float(self._market_materialised),

@@ -5,7 +5,8 @@ The virtual prices are the mechanism's internal overload signal (Section
 them is the main debugging and monitoring tool a deployment would have.
 :class:`MarketTracer` attaches to a :class:`~repro.allocation.qant.
 QantAllocator` and snapshots every agent's prices and planned supply at
-each period boundary.
+each period boundary, through ``QantAllocator.market_rows()``: from the
+period engine's matrices during an array run, from the agents otherwise.
 """
 
 from __future__ import annotations
@@ -66,19 +67,17 @@ class MarketTracer:
         return self._snapshots
 
     def _record(self) -> None:
-        # The allocator's period engine may have fast-forwarded quiescent
-        # boundaries; materialise them so the snapshot reads real state.
-        self._allocator.sync_market_state()
-        now = self._allocator.context.simulator.now
-        for node_id, agent in self._allocator.agents.items():
-            self._snapshots.append(
-                MarketSnapshot(
-                    time_ms=now,
-                    node_id=node_id,
-                    prices=tuple(agent.prices.values),
-                    planned_supply=tuple(agent.planned_supply.components),
-                )
+        allocator = self._allocator
+        now = allocator.context.simulator.now
+        self._snapshots.extend(
+            MarketSnapshot(
+                time_ms=now,
+                node_id=node_id,
+                prices=prices,
+                planned_supply=planned,
             )
+            for node_id, prices, planned in allocator.market_rows()
+        )
 
     def price_series(
         self, node_id: int, class_index: Optional[int] = None

@@ -20,7 +20,7 @@ import pathlib
 
 import pytest
 
-from test_batch_dispatch import _MID_PERIOD_OUTAGE, _agent_state
+from test_batch_dispatch import _MID_PERIOD_OUTAGE
 
 from repro.allocation import GreedyAllocator, QantAllocator, RoundRobinAllocator
 from repro.experiments.runner import _json_safe, run_sweep
@@ -259,13 +259,24 @@ def scalar_paths_payload() -> str:
             FederationConfig(seed=2, **config),
         )
 
+    def state(agent):
+        # The file's format: prices, max price, remaining supply, the
+        # refusal / accept tallies, price epoch and enforce latch.
+        return (
+            tuple(agent.prices),
+            agent.max_price,
+            tuple(agent._remaining),
+            tuple(agent._refused),
+            tuple(agent._accepted),
+            agent._price_epoch,
+            agent._enforce_locked_at,
+        )
+
     def agents(allocator):
         # repr() pins the floats to the last bit; a privately-classifying
         # agent's market is its bucket agent.
         return {
-            str(node_id): repr(
-                _agent_state(getattr(agent, "private_agent", agent))
-            )
+            str(node_id): repr(state(getattr(agent, "private_agent", agent)))
             for node_id, agent in sorted(allocator.agents.items())
         }
 

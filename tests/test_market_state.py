@@ -1,15 +1,16 @@
-"""The lazily materialised agent view of the array-resident market state.
+"""One owner of the QA-NT market state per run.
 
-Inside a federation run the period engine's matrices (plus the market-
-tick dispatcher's per-class lanes) hold the QA-NT market state and the
-agent objects are only written when someone asks for them through
-``QantAllocator.sync_market_state()``.  The contract is that nobody can
-tell: whenever and however often an observer asks, every agent holds
-exactly what a scalar run over always-live lists holds at the same point,
-and the run's outcomes do not depend on who looked.  The reference twin
-in these tests is that scalar run — same world, same trace, dispatcher
-removed, so every exchange walks the agents' lists and every boundary
-adopts and materialises.
+A single-process run with a market-tick dispatcher is an *array run*:
+from ``on_run_start`` to ``on_run_end`` the period engine's matrices plus
+the dispatcher's per-class lanes are the market, every exchange (an
+outage window's partial fan-outs included) is a lane-book exchange, and
+the agent objects are written once, when the run ends.  Any other run is
+scalar from start to end: the listing on live agents.  Observers read
+``QantAllocator.market_rows()``, which answers from whichever side owns
+the state.  The contract is that nobody can tell: at every observation
+point and after the run, the array twin shows what the scalar twin
+(same world, same trace, ``_dispatcher = None``) shows, and the run's
+outcomes do not depend on who looked.
 """
 
 import hashlib
@@ -39,7 +40,7 @@ from test_golden_trace import GOLDEN_DIR, _outcome_digest
 
 
 def _full_state(allocator):
-    """Every field of every agent the lazy view has to reproduce."""
+    """Every field of every agent the array run has to write back."""
     return [
         (
             node_id,
@@ -48,8 +49,6 @@ def _full_state(allocator):
             agent.max_price,
             tuple(agent._remaining),
             tuple(agent._credit),
-            tuple(agent._accepted),
-            tuple(agent._refused),
             agent.planned_supply.components,
             agent._enforce_locked_at,
             agent.supply_set.capacity_ms,
@@ -105,7 +104,8 @@ def _zipf_case(num_nodes, load):
 
 
 def _observe_every(allocator, name, every, snapshots):
-    """Wrap ``allocator.<name>``: sync + snapshot after every j-th call."""
+    """Wrap ``allocator.<name>``: read ``market_rows()`` after every j-th
+    call."""
     if every is None:
         return
     original = getattr(allocator, name)
@@ -115,8 +115,7 @@ def _observe_every(allocator, name, every, snapshots):
         result = original(*args, **kwargs)
         calls[0] += 1
         if calls[0] % every == 0:
-            allocator.sync_market_state()
-            snapshots.append((name, calls[0], _full_state(allocator)))
+            snapshots.append((name, calls[0], allocator.market_rows()))
         return result
 
     setattr(allocator, name, observed)
@@ -130,7 +129,7 @@ def _run(
     boundary_every=None,
     faults=None,
     parameters=None,
-    prepare=None,
+    traced=False,
 ):
     """One qa-nt run; ``scalar`` removes the dispatcher (the reference)."""
     allocator = QantAllocator(parameters=parameters)
@@ -144,11 +143,19 @@ def _run(
     )
     if scalar:
         allocator._dispatcher = None
+    # Attached after bind: one snapshot round per in-run boundary.
+    tracer = MarketTracer(allocator) if traced else None
     snapshots = []
     _observe_every(allocator, "assign_batch", batch_every, snapshots)
     _observe_every(allocator, "on_period_start", boundary_every, snapshots)
-    if prepare is not None:
-        prepare(allocator)
+    negotiations = [0]
+    negotiate = allocator._negotiate
+
+    def counted(*args):
+        negotiations[0] += 1
+        return negotiate(*args)
+
+    allocator._negotiate = counted
     baseline = allocator.period_engine_stats.materialised
     metrics = federation.run(trace)
     return {
@@ -157,28 +164,38 @@ def _run(
         "digest": _outcome_digest(metrics.outcomes),
         "messages": federation.network.messages_sent,
         "snapshots": snapshots,
+        "tracer": None if tracer is None else tracer.snapshots,
         "final": _full_state(allocator),
         "materialised": allocator.period_engine_stats.materialised - baseline,
+        "negotiations": negotiations[0],
     }
 
 
-def _assert_same_market(lazy, reference):
-    assert lazy["digest"] == reference["digest"]
-    assert lazy["messages"] == reference["messages"]
-    assert lazy["metrics"].dropped == reference["metrics"].dropped
-    assert len(lazy["snapshots"]) == len(reference["snapshots"])
-    for got, want in zip(lazy["snapshots"], reference["snapshots"]):
-        assert got == want, "agent view diverged at %s call %d" % got[:2]
-    assert lazy["final"] == reference["final"]
+def _assert_same_market(array, reference):
+    assert array["digest"] == reference["digest"]
+    assert array["messages"] == reference["messages"]
+    assert array["metrics"].dropped == reference["metrics"].dropped
+    assert len(array["snapshots"]) == len(reference["snapshots"])
+    for got, want in zip(array["snapshots"], reference["snapshots"]):
+        assert got == want, "market rows diverged at %s call %d" % got[:2]
+    assert array["tracer"] == reference["tracer"]
+    assert array["final"] == reference["final"]
+
+
+def _assert_one_owner(array):
+    """The array twin never negotiated through the listing and wrote the
+    agents at the bind-time boundary and at the end of the run only."""
+    assert array["negotiations"] == 0
+    assert array["materialised"] == 1
+    summary = array["metrics"].batch_summary()
+    assert summary["market_materialised"] == 2.0
+    assert summary["scalar_fallbacks"] == 0.0
+    assert array["allocator"].batch_dispatch_stats.vector_exchanges > 0
 
 
 def _outage(node_id):
-    """``node_id`` is down from mid-period 2 to mid-period 3.
-
-    Its classes run partial fan-outs through the scalar loop (which
-    writes the lists), after which the vector path and the array-resident
-    state resume.
-    """
+    """``node_id`` is down from mid-period 2 to mid-period 3: its classes
+    run partial fan-outs, which stay on the lane book."""
     return FaultSpec(scripted_outages={node_id: ((750.0, 1_250.0),)})
 
 
@@ -201,12 +218,13 @@ def test_observers_never_change_or_misread_the_market(
     make_case, num_nodes, load, batch_every, boundary_every, outage
 ):
     # Whoever looks, whenever: after each j-th batch and/or boundary
-    # (None = never, 1 = always).  Every look must show the scalar twin's
-    # agents, and looking must not move a single outcome bit.  At 2.5x
-    # load classes saturate, so deferred refusal counts are in play.
+    # (None = never, 1 = always).  Mid-period looks see the dispatcher's
+    # cached price lanes laid over the engine's matrices; every look must
+    # show the scalar twin's rows, and looking must not move a single
+    # outcome bit.  At 2.5x load classes saturate.
     world, trace, outage_node = make_case(num_nodes, load)
     faults = _outage(outage_node) if outage else None
-    lazy = _run(
+    array = _run(
         world,
         trace,
         batch_every=batch_every,
@@ -221,35 +239,36 @@ def test_observers_never_change_or_misread_the_market(
         boundary_every=boundary_every,
         faults=faults,
     )
-    _assert_same_market(lazy, reference)
-    stats = lazy["allocator"].batch_dispatch_stats
-    assert stats.vector_exchanges > 0
-    if outage:
-        assert stats.scalar_fallbacks > 0
+    _assert_same_market(array, reference)
+    _assert_one_owner(array)
 
 
 @pytest.mark.parametrize("carry", [True, False])
 @pytest.mark.parametrize("method", sorted(BATCHED_METHODS))
 def test_churn_fallback_and_resume_for_every_batched_solver(method, carry):
-    # Crash-only churn (the tests/test_batch_dispatch.py world): inside
-    # an outage window a query drops to the scalar loop mid-period — the
-    # arrays are materialised, the lists written — and the next boundary
-    # must re-adopt what the scalar loop left.  Per solver and carry-over
-    # mode, since adopt/materialise carry credit, plans and capacities.
+    # Outage windows, scripted and by crash-only churn: the partial
+    # fan-outs inside them stay on the lane book, and the arrays carry
+    # credit, plans and capacities through the whole run.  Per solver and
+    # carry-over mode, the array twin must match the scalar twin on
+    # outcomes, messages, the tracer's snapshot at every boundary and the
+    # final agents.
     world, trace = _world_and_trace(14, 1.5)
     parameters = QantParameters(supply_method=method, carry_over=carry)
-    faults = FaultSpec(crash_rate_per_min=4.0, fault_seed=7)
-    lazy = _run(world, trace, faults=faults, parameters=parameters)
-    reference = _run(
-        world, trace, scalar=True, faults=faults, parameters=parameters
-    )
-    _assert_same_market(lazy, reference)
-    stats = lazy["allocator"].batch_dispatch_stats
-    assert stats.scalar_fallbacks > 0, "no outage window hit a fan-out"
-    assert stats.vector_exchanges > 0, "vector path never resumed"
-    # Besides the end of the run, only the first fallback of a period
-    # materialises anything.
-    assert 1 < lazy["materialised"] <= 1 + stats.scalar_fallbacks
+    for faults in (_outage(1), FaultSpec(crash_rate_per_min=4.0, fault_seed=7)):
+        array = _run(
+            world, trace, faults=faults, parameters=parameters, traced=True
+        )
+        reference = _run(
+            world,
+            trace,
+            scalar=True,
+            faults=faults,
+            parameters=parameters,
+            traced=True,
+        )
+        _assert_same_market(array, reference)
+        _assert_one_owner(array)
+        assert reference["negotiations"] > 0
 
 
 def test_unobserved_run_materialises_once_and_observed_run_shows_it():
@@ -262,19 +281,16 @@ def test_unobserved_run_materialises_once_and_observed_run_shows_it():
     summary = unobserved["metrics"].batch_summary()
     assert summary["market_materialised"] == engine.materialised
     assert summary["market_adopted"] == engine.adopted
-    assert summary["scalar_fallbacks"] == 0.0
 
-    # An observer that looks at every boundary forces one materialise
-    # (and one re-adopt) per boundary, and the artifact says so.
-    observed = _run(world, trace, boundary_every=1)
+    # An observer at every boundary reads the arrays: the run, and what
+    # its artifact says about the hand-overs, are the unobserved run's.
+    observed = _run(world, trace, boundary_every=1, traced=True)
     boundaries = len(observed["snapshots"])
     assert boundaries == engine.ticks - 1  # all but the bind-time boundary
-    assert observed["materialised"] == boundaries
+    assert len(observed["tracer"]) == boundaries * 60
+    assert observed["materialised"] == 1
     assert observed["digest"] == unobserved["digest"]
-    assert (
-        observed["metrics"].batch_summary()["market_materialised"]
-        > summary["market_materialised"]
-    )
+    assert observed["metrics"].batch_summary() == summary
 
     # Mechanisms without a period engine report zeros.
     greedy = build_federation(
@@ -289,9 +305,9 @@ def test_unobserved_run_materialises_once_and_observed_run_shows_it():
 
 
 def test_direct_api_use_leaves_agents_live_after_every_call():
-    # Outside Federation.run there is no observer contract to lean on:
-    # assign / assign_batch / on_period_start by hand must hand back
-    # current agents every time, whichever path answered.
+    # Outside Federation.run the agents are the market: assign /
+    # assign_batch / on_period_start by hand negotiate through the
+    # listing and hand back current agents every time, dispatcher or not.
     world, trace = _world_and_trace(60, 2.5)
     twins = []
     for scalar in (False, True):
@@ -330,7 +346,60 @@ def test_direct_api_use_leaves_agents_live_after_every_call():
         assert step(vectorised) == step(scalar)
         assert engine.agents_live
         assert _full_state(vectorised) == _full_state(scalar)
-    assert vectorised.batch_dispatch_stats.vector_exchanges > 0
+        assert vectorised.market_rows() == scalar.market_rows()
+    assert vectorised.batch_dispatch_stats.vector_exchanges == 0
+
+
+def _bound_allocator(**kwargs):
+    world = two_query_world(num_nodes=12, seed=0)
+    allocator = QantAllocator(**kwargs)
+    build_federation(
+        world.specs,
+        world.placement,
+        world.classes,
+        world.cost_model,
+        allocator,
+        FederationConfig(seed=2),
+    )
+    return allocator
+
+
+def test_agents_raise_during_an_array_run():
+    # Inside an array run the agent objects are stale by design; reading
+    # them is a named error that says where the prices are.
+    allocator = _bound_allocator()
+    rows = allocator.market_rows()
+    allocator.on_run_start()
+    with pytest.raises(RuntimeError, match=r"market_rows\(\)"):
+        allocator.agents
+    assert allocator.market_rows() == rows
+    allocator.on_run_end()
+    assert set(allocator.agents) == {node_id for node_id, __, __ in rows}
+    # A scalar run keeps the agents live, so they stay readable.
+    scalar = _bound_allocator()
+    scalar._dispatcher = None
+    scalar.on_run_start()
+    assert len(scalar.agents) == len(rows)
+
+
+def test_run_start_refuses_a_latch_set_by_hand():
+    # The lanes assume the bind-time boundary's baseline (every latch
+    # open).  With no supply anywhere, a dozen hand-driven refusals push
+    # prices past the activation threshold and latch the bidders.
+    allocator = _bound_allocator(queue_allowance_ms=0.0)
+    for qid in range(12):
+        allocator.assign(
+            Query(qid=qid, class_index=0, origin_node=0, arrival_ms=0.0)
+        )
+    assert any(
+        agent._enforce_locked_at is not None
+        for agent in allocator.agents.values()
+    )
+    with pytest.raises(RuntimeError, match="latch"):
+        allocator.on_run_start()
+    # Nothing was handed over: the agents are still the market.
+    assert allocator._engine.agents_live
+    assert allocator.agents
 
 
 # --------------------------------------- the tracer on the 1,000-node cell
@@ -343,9 +412,9 @@ _PARENT_TRACER_DIGEST = (
 )
 
 
-def _snapshot_digest(tracer) -> str:
+def _snapshot_digest(snapshots) -> str:
     digest = hashlib.sha256()
-    for snap in tracer.snapshots:
+    for snap in snapshots:
         digest.update(
             (
                 "%r,%d,%r,%r;"
@@ -356,17 +425,12 @@ def _snapshot_digest(tracer) -> str:
 
 
 def test_traced_1000node_cell_matches_parent_snapshots_and_golden():
-    # The tracer materialises at every boundary — the lazy view's worst
-    # case — on the cell tests/golden/scaling_1000node_seed0.json pins.
+    # The tracer reads the arrays at every boundary, on the cell
+    # tests/golden/scaling_1000node_seed0.json pins.
     world, trace = _world_and_trace(
         1_000, 1.5, horizon_ms=2_000.0, trace_seed=10
     )
-    tracers = []
-
-    def attach(allocator):
-        tracers.append(MarketTracer(allocator))
-
-    run = _run(world, trace, prepare=attach)
+    run = _run(world, trace, traced=True)
     metrics = run["metrics"]
     golden = json.loads(
         (GOLDEN_DIR / "scaling_1000node_seed0.json").read_text()
@@ -377,7 +441,6 @@ def test_traced_1000node_cell_matches_parent_snapshots_and_golden():
     summary = metrics.batch_summary()
     for key, value in golden["batch_summary"].items():
         assert summary[key] == value, key
-    assert _snapshot_digest(tracers[0]) == _PARENT_TRACER_DIGEST
-    # One look per boundary: as many materialises as snapshots rounds.
-    rounds = len(tracers[0].snapshots) // 1_000
-    assert run["materialised"] == rounds
+    assert _snapshot_digest(run["tracer"]) == _PARENT_TRACER_DIGEST
+    # Looking costs no hand-over: the agents are written at run end only.
+    assert run["materialised"] == 1
