@@ -8,27 +8,26 @@ earliest-completion winner, accept) as one class's lanes for one period:
 arrays, plus the set of refusing lanes that can still move — inside a
 period supply only falls and latches only set, so a refusing lane at the
 price cap is *settled* until the boundary and an exchange prices the
-live ones only, then takes one masked ``argmin``.  Two callers:
-:class:`MarketTickDispatcher`, whose per-class state *is* a book over
-lanes gathered from the period engine's matrices (the fleet's
-``slot_free`` mirror as busy clocks, per-agent price-epoch steps), and
-every shard market plane, over views of its flat lane block.  A numpy
-call costs microseconds at any width, so a live set of up to
+live ones only, then takes one masked ``argmin``.  A numpy call costs
+microseconds at any width, so a live set of up to
 :data:`SCALAR_LANES_MAX` lanes is priced by a loop over ``memoryview``s,
-and planes price whole classes that narrow through the scalar twins
-:func:`exchange_lanes_scalar` / :func:`closed_raises_scalar`, under the
-same property test.
+and a class that narrow is priced whole by the scalar twin
+:func:`exchange_lanes_scalar`, under the same property test.
+
+:class:`LaneBlock` is the one layout of in-run market state: the flat
+lanes of a set of classes over agent rows, a book or a twin per class,
+and each agent's running maximum and enforce latch.  Both market engines
+hold one.  Every shard market plane builds it over its own arrays, and
+:class:`MarketTickDispatcher` over the single-process period engine's
+lanes, so the dispatcher's books *are* the engine's state: nothing is
+gathered from it or handed back to it.
 
 Bit-identity contract: every float is produced by the same IEEE-754
 operation sequence as the scalar listing, so goldens must not move with
 the dispatcher active.  The dispatcher exists only for array runs
-(DESIGN.md §5.2): a class's lanes are copies, gathered at most once per
-period from the period engine's matrices and handed back to them by
-:meth:`MarketTickDispatcher.close_period`, at every boundary and once at
-the end of the run.  The book's ``live`` / ``offers`` are derived from
-them at every gather, never stored.
+(DESIGN.md §5.2).
 
-The auxiliary arrays are *agent-global* (indexed by fleet row), not
+The per-agent arrays are *agent-global* (indexed by agent row), not
 per-class: an agent bidding in several classes shares one ``max_price``,
 one price epoch and one enforce latch across all of them, so raises from
 class *j*'s exchange must be visible to class *k*'s threshold test
@@ -39,17 +38,17 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from math import inf as _INF
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 __all__ = [
     "BatchDispatchStats",
-    "MarketTickDispatcher",
+    "LaneBlock",
     "LaneBook",
+    "MarketTickDispatcher",
     "SCALAR_LANES_MAX",
     "check_raise_terms",
-    "closed_raises_scalar",
     "exchange_lanes_scalar",
     "refusal_raise",
     "scalar_lanes",
@@ -64,8 +63,7 @@ def refusal_raise(values, factor, floor, cap):
     max-then-min is identical for ``floor <= cap`` over these positive
     finite values), and the boolean mask of lanes whose price actually
     moved.  The one array definition of the raise: :class:`LaneBook` and
-    the wide-class closed path of the shard planes
-    (:meth:`repro.sim.shards._MarketPlane._closed_raises`) both call it.
+    the wide-class path of :meth:`LaneBlock.closed_raises` both call it.
     """
     raised = values * factor
     np.maximum(raised, floor, out=raised)
@@ -91,19 +89,19 @@ class LaneBook:
 
     The scalar negotiation (:meth:`repro.allocation.qant.QantAllocator
     ._negotiate` + ``_award`` over :meth:`repro.core.qant.QantPricingAgent
-    .quote`), shared by :class:`MarketTickDispatcher` and every shard
-    market plane.  ``R``, ``V`` and ``costs`` are per lane (remaining
-    supply, price, execution cost); ``maxp``, ``locked`` and ``epochs``
-    are per agent and reached through ``rows``, the lanes' agent indices
-    in ascending node-id order (a class's lanes are distinct agents).
-    All but ``rows`` / ``costs`` are written in place.
+    .quote`) for a class wider than :data:`SCALAR_LANES_MAX`.  ``R``,
+    ``V`` and ``costs`` are per lane (remaining supply, price, execution
+    cost); ``maxp``, ``locked`` and ``epochs`` are per agent and reached
+    through ``rows``, the lanes' agent indices in ascending node-id order
+    (a class's lanes are distinct agents).  All but ``rows`` / ``costs``
+    are written in place.
 
     Lanes with ``R >= 1`` offer.  The others refuse: steps 8-9 raise
-    their price (:func:`refusal_raise`) and their agent's running
-    maximum, then the Section 5.1 activation rule lets a refusing agent
-    still *offer* while it is unlatched and its maximum is below
-    ``threshold`` (``None``: supply is always enforced); at or above it
-    the latch is set for the period.
+    their price (:func:`refusal_raise`), step their agent's price epoch if
+    it moved, and raise the agent's running maximum; then the Section 5.1
+    activation rule lets a refusing agent still *offer* while it is
+    unlatched and its maximum is below ``threshold`` (``None``: supply is
+    always enforced); at or above it the latch is set for the period.
 
     Until the next :meth:`arm` supply only falls and latches only set, so
     a refusing lane at the cap whose agent is latched (or has no
@@ -123,23 +121,20 @@ class LaneBook:
     )
 
     def __init__(
-        self, rows, costs, maxp, locked, factor, floor, cap, threshold,
-        epochs=None,
+        self, rows, costs, maxp, locked, epochs, factor, floor, cap, threshold,
     ) -> None:
-        """``epochs`` (optional, per agent) takes one step per raise that
-        changed a lane's price."""
         self.rows = rows
         self.costs = costs
         self._maxp = maxp
         self._locked = locked
         self._epochs = epochs
         self._terms = factor, floor, cap, threshold
-        # Read once, like the planes' own width test: a live set of at
-        # most this many lanes is priced by the loop, not by array steps.
+        # Read once, like the block's width test: a live set of at most
+        # this many lanes is priced by the loop, not by array steps.
         self._scalar_max = SCALAR_LANES_MAX
         self._agent_views = (
             rows.tolist(), memoryview(maxp), memoryview(locked),
-            None if epochs is None else memoryview(epochs),
+            memoryview(epochs),
         )
         self.R = self.V = self.offers = self.live = None
 
@@ -204,9 +199,9 @@ class LaneBook:
         return winner, paid, finish
 
     def _price_many(self, live):
-        """Raise, running maximum, activation test and settling of the
-        ``live`` lanes as array steps; returns those not settled, or
-        ``None`` when none settled."""
+        """Raise, epoch step, running maximum, activation test and
+        settling of the ``live`` lanes as array steps; returns those not
+        settled, or ``None`` when none settled."""
         factor, floor, cap, threshold = self._terms
         # Unchanged lanes are rewritten with identical bits, so the
         # scatter stays exact.
@@ -219,8 +214,7 @@ class LaneBook:
             # ties return the shared (positive) value bit-for-bit.
             peak = np.maximum(peak, new)
             self._maxp[rows] = peak
-            if self._epochs is not None:
-                self._epochs[rows] += changed
+            self._epochs[rows] += changed
         settled = new == cap
         if threshold is None:
             self.offers[live] = False
@@ -236,7 +230,7 @@ class LaneBook:
         """:meth:`_price_many` as one loop over ``memoryview``s: each lane
         sees the same float operations in the same order, and the lanes
         are distinct agents, so going lane by lane instead of step by
-        step cannot show through ``maxp`` / ``locked``."""
+        step cannot show through ``maxp`` / ``locked`` / ``epochs``."""
         factor, floor, cap, threshold = self._terms
         V, offers = self._lane_views
         rows, maxp, locked, epochs = self._agent_views
@@ -252,8 +246,7 @@ class LaneBook:
             row = rows[i]
             if new != old:
                 V[i] = new
-                if epochs is not None:
-                    epochs[row] += 1
+                epochs[row] += 1
             peak = maxp[row]
             if new > peak:
                 maxp[row] = peak = new
@@ -274,55 +267,62 @@ class LaneBook:
         )
 
 
-#: Widest class the shard planes price with the scalar twins below, and
-#: widest live set a :class:`LaneBook` prices lane by lane; wider ones take
-#: array steps.  Measured, not tuned (``make crossover``; nproc 2, Python
+#: Widest class :class:`LaneBlock` prices with the scalar twin, and widest
+#: live set a :class:`LaneBook` prices lane by lane; wider ones take array
+#: steps.  Measured, not tuned (``make crossover``; nproc 2, Python
 #: 3.11.7, numpy 2.4.6): us per exchange, book/scalar twin, threshold 2.0,
 #: by refusing fraction (settled fraction of those); full tables, and the
 #: book's loop against its array steps, in DESIGN.md 7.1
 #:   lanes      0(0)    0.5(0)  0.5(0.9)      1(0)    1(0.9)
-#:       2   2.8/0.7   3.5/0.8   2.7/0.7   3.1/0.6   2.4/0.6
-#:       5   2.9/0.9   3.4/1.0   2.7/1.1   4.1/1.2   3.0/1.1
-#:      16   3.0/1.7   4.9/2.4   3.6/2.3   6.1/2.8   3.4/2.7
-#:      24   2.7/2.6   5.4/3.5   3.3/3.2  11.6/3.9   3.5/3.5
-#:      64   2.8/5.4  12.3/7.9   4.0/7.6  12.3/10.0  4.0/9.1
-#: The twin wins every column up to 16 lanes and breaks even on the
-#: settled ones at 24; the book's loop beats its array steps up to ~40.
+#:       2   3.2/0.7   3.9/0.9   3.2/0.8   3.9/1.0   3.0/0.7
+#:       5   3.2/1.1   4.5/1.5   3.3/1.3   5.0/1.8   3.7/1.4
+#:      16   3.1/2.1   6.3/3.7   4.1/3.1   8.3/4.7   3.9/3.1
+#:      24   3.2/3.0   7.6/5.1   4.1/3.9  13.4/6.7   4.1/4.3
+#:      64   3.5/6.9  14.1/12.6  5.2/9.9  15.4/17.1   5.5/11.2
+#: The twin wins every column up to 16 lanes (masked exchanges up to
+#: 24) and breaks even on the settled ones at 24; the book's loop beats
+#: its array steps up to ~32-40.
 SCALAR_LANES_MAX = 16
 
 
-def scalar_lanes(R, V, rows, costs, maxp, locked, free_at):
-    """A narrow class's arrays as the scalar twin takes them: zero-copy
-    ``memoryview``s (native Python floats / bools in and out) of the
-    mutable arrays, list copies of the static two."""
-    return (
-        memoryview(R), memoryview(V), rows.tolist(), costs.tolist(),
-        memoryview(maxp), memoryview(locked), memoryview(free_at),
-    )
+def scalar_lanes(R, V, rows, costs):
+    """A narrow class's lanes as the scalar twin takes them: zero-copy
+    ``memoryview``s (native Python numbers in and out) of the mutable
+    two, list copies of the static two.  The twin's per-agent arrays are
+    ``memoryview``s too, made once and shared by every class."""
+    return memoryview(R), memoryview(V), rows.tolist(), costs.tolist()
 
 
 def exchange_lanes_scalar(
-    R, V, rows, costs, maxp, locked, free_at, now,
+    R, V, rows, costs, maxp, locked, free_at, epochs, reached, now,
     factor, floor, cap, threshold,
 ):
     """A whole :class:`LaneBook` exchange — pricing, estimates, winner,
-    payment — as one loop over every lane of a narrow class: arguments
-    through :func:`scalar_lanes` (``free_at`` per agent, read at ``now``),
-    same in-place updates, same ``(winner, paid, finish)``.
+    payment — as one loop over the lanes of a narrow class that
+    ``reached`` (one truth value per lane) marks: lanes through
+    :func:`scalar_lanes` (``free_at`` per agent, read at ``now``), same
+    in-place updates, same ``(winner, paid, finish)``.  An unreached lane
+    is skipped: neither priced nor an offer.
 
     Each lane sees the book's float operations in the same order, and a
     class's lanes are distinct agents, so going lane by lane instead of
-    step by step cannot show through ``maxp`` / ``locked``: bit-identical.
+    step by step cannot show through ``maxp`` / ``locked`` / ``epochs``:
+    bit-identical.
     """
     winner, best = -1, _INF
     for i, row in enumerate(rows):
+        if not reached[i]:
+            continue
         if R[i] < 1.0:
-            new = V[i] * factor
+            old = V[i]
+            new = old * factor
             if new < floor:
                 new = floor
             if new > cap:
                 new = cap
-            V[i] = new
+            if new != old:
+                V[i] = new
+                epochs[row] += 1
             peak = maxp[row]
             if new > peak:
                 maxp[row] = peak = new
@@ -345,73 +345,176 @@ def exchange_lanes_scalar(
     return winner, paid, best
 
 
-def closed_raises_scalar(V, count, factor, floor, cap):
-    """Up to ``count`` :func:`refusal_raise` steps over ``V`` in place, one
-    multiplication at a time, stopping after the step that leaves every
-    lane at ``cap``; returns ``(steps applied, whether that happened)``.
+class LaneBlock:
+    """The in-run market state of a set of classes: their lanes, laid out
+    flat class after class over agent rows.
+
+    ``V`` / ``R`` (price and remaining supply per lane) belong to the
+    caller, which only ever writes them in place; ``prices[k]`` /
+    ``supply[k]`` are class *k*'s views of them, ``members[k]`` /
+    ``costs[k]`` its lanes' agent rows and execution costs.  Per agent
+    row the block owns the running maximum ``maxp`` and the enforce latch
+    ``locked``, and steps the caller's ``epochs`` once per changed price.
+    A class of up to :data:`SCALAR_LANES_MAX` lanes is priced by the
+    scalar twin, a wider one by its :class:`LaneBook` in ``books``: the
+    only read of the crossover outside the book itself.
     """
-    for done in range(1, count + 1):
-        capped = True
-        for i in range(len(V)):
-            new = V[i] * factor
-            if new < floor:
-                new = floor
-            if new > cap:
-                new = cap
-            V[i] = new
-            if new != cap:
-                capped = False
-        if capped:
-            return done, True
-    return count, False
+
+    __slots__ = (
+        "V", "R", "rows", "prices", "supply", "members", "costs", "maxp",
+        "locked", "books", "_twins", "_everyone", "_maxp_base", "_free_at",
+        "_terms",
+    )
+
+    def __init__(
+        self, V, R, rows, cols, costs, free_at, maxp_base, epochs,
+        factor, floor, cap, threshold,
+    ) -> None:
+        """``rows`` / ``cols`` / ``costs`` are each lane's agent row,
+        class and execution cost, class-major (a class's lanes are
+        contiguous and distinct agents, in ascending row order).
+        ``free_at`` (per agent row, only read) is when each agent's queue
+        frees up.  ``maxp_base`` (per agent row) is the agent's largest
+        price outside the lanes — those never move — and 0.0 for an agent
+        whose every price is a lane."""
+        self.V, self.R, self.rows = V, R, rows
+        cuts = [0, *(np.flatnonzero(np.diff(cols)) + 1).tolist(), len(cols)]
+        spans = {
+            int(cols[a]): slice(a, b) for a, b in zip(cuts, cuts[1:]) if a < b
+        }
+        self.prices = {k: V[span] for k, span in spans.items()}
+        self.supply = {k: R[span] for k, span in spans.items()}
+        self.members = {k: rows[span] for k, span in spans.items()}
+        self.costs = {k: costs[span] for k, span in spans.items()}
+        self.maxp = np.zeros(len(maxp_base))
+        self.locked = np.zeros(len(maxp_base), dtype=bool)
+        self._maxp_base = maxp_base
+        self._free_at = free_at
+        self._terms = factor, floor, cap, threshold
+        agents = self.maxp, self.locked, free_at, epochs
+        views = tuple(map(memoryview, agents))
+        #: Narrow class -> the twin's leading arguments, bound once (so
+        #: every array under them is only ever written in place).
+        self._twins: Dict[int, Tuple] = {}
+        #: Wide class -> its lane book, re-armed by every :meth:`rearm`.
+        self.books: Dict[int, LaneBook] = {}
+        for k, members in self.members.items():
+            if len(members) <= SCALAR_LANES_MAX:
+                self._twins[k] = (
+                    *scalar_lanes(
+                        self.supply[k], self.prices[k], members, self.costs[k]
+                    ),
+                    *views,
+                )
+            else:
+                self.books[k] = LaneBook(
+                    members, self.costs[k], *agents[:2], epochs, *self._terms
+                )
+        #: A full fan-out's ``reached`` for every narrow class.
+        self._everyone = [True] * SCALAR_LANES_MAX
+
+    def rearm(self) -> None:
+        """Open a period: every latch open, each agent's running maximum
+        its largest price, every book armed over its class's lanes."""
+        self.locked[:] = False
+        maxp = self.maxp
+        maxp[:] = self._maxp_base
+        np.maximum.at(maxp, self.rows, self.V)
+        for k, book in self.books.items():
+            book.arm(self.supply[k], self.prices[k])
+
+    def exchange(self, k, now, reached=None, estimates=None):
+        """One request-for-bid exchange on class ``k`` at ``now`` among
+        the lanes of the boolean mask ``reached`` (every lane when
+        ``None``).  ``estimates`` are a book class's completion estimates
+        (:meth:`LaneBook.estimates`) when the caller already has them.
+
+        Returns ``(row, finish, saturated)``: the winner's agent row (-1
+        when every reached lane refused) and estimated completion, and
+        whether an all-refuse *full* fan-out left every price at the cap.
+        """
+        twin = self._twins.get(k)
+        if twin is None:
+            book = self.books[k]
+            if estimates is None:
+                estimates = book.estimates(self._free_at, now)
+            winner, _paid, finish = book.exchange(estimates, reached)
+            rows = book.rows
+            # All refused, so a lane is still live iff it is below the cap.
+            saturated = winner < 0 and reached is None and not len(book.live)
+        else:
+            winner, _paid, finish = exchange_lanes_scalar(
+                *twin,
+                self._everyone if reached is None else memoryview(reached),
+                now, *self._terms,
+            )
+            rows = twin[2]
+            # All refused, so every lane was just clamped to <= cap.
+            saturated = (
+                winner < 0 and reached is None
+                and min(twin[1]) == self._terms[2]
+            )
+        if winner < 0:
+            return -1, None, saturated
+        return int(rows[winner]), finish, False
+
+    def closed_raises(self, k, count):
+        """``count`` exchanges on a *closed* class ``k`` (no lane has
+        supply, every bidder is latched) as what they still do: the steps
+        8-9 raise of its prices, one multiplication at a time, up to the
+        step that leaves every lane at the cap.  Returns ``(steps
+        applied, whether that happened)``.  ``maxp`` and ``epochs`` are
+        not written: only latched agents would see the raise, and only
+        the shard planes close a class, which read no epochs."""
+        factor, floor, cap, _threshold = self._terms
+        twin = self._twins.get(k)
+        if twin is None:
+            V = self.prices[k]
+            done, saturated = 0, False
+            while done < count and not saturated:
+                V[:] = refusal_raise(V, factor, floor, cap)[0]
+                done += 1
+                saturated = bool((V == cap).all())
+            return done, saturated
+        V = twin[1]
+        for done in range(1, count + 1):
+            capped = True
+            for i in range(len(V)):
+                new = V[i] * factor
+                if new < floor:
+                    new = floor
+                if new > cap:
+                    new = cap
+                V[i] = new
+                if new != cap:
+                    capped = False
+            if capped:
+                return done, True
+        return count, False
 
 
 class BatchDispatchStats:
     """Counters of the vectorised bidding fan-out (see allocator stats)."""
 
-    __slots__ = (
-        "vector_exchanges", "syncs", "gathers", "lane_steps",
-        "estimate_reuses",
-    )
+    __slots__ = ("vector_exchanges", "syncs", "lane_steps", "estimate_reuses")
 
     def __init__(self) -> None:
         #: Request-for-bid exchanges answered on the vector path (partial
         #: fan-outs of an outage window included).
         self.vector_exchanges = 0
-        #: Hand-backs of cached lanes into the period engine's arrays.
+        #: Periods closed (by a boundary or by the end of the run) that saw
+        #: at least one vector exchange.
         self.syncs = 0
-        #: Per-class state gathers (at most one per class per period).
-        self.gathers = 0
-        #: Live lanes priced, summed over the vector exchanges (a refusing
-        #: lane already settled for the period is not priced again).
+        #: Live lanes a lane book priced, summed over its exchanges (a
+        #: refusing lane already settled for the period is not priced
+        #: again).  A narrow class's twin keeps no live set and adds none.
         self.lane_steps = 0
-        #: Vector exchanges that reused their batch's completion estimates.
+        #: Book exchanges that reused their batch's completion estimates
+        #: (the twin computes its estimates inline and reuses none).
         self.estimate_reuses = 0
 
     def as_dict(self) -> Dict[str, int]:
         return {name: getattr(self, name) for name in self.__slots__}
-
-
-class _ClassState(LaneBook):
-    """One class's candidate fan-out: its lane book plus where its lanes
-    live in the period engine.
-
-    ``ids``/``rows``/``costs``/``engine_rows`` are static for the
-    federation's lifetime; ``R``/``V`` (remaining supply and prices,
-    column ``class_index`` of the engine's matrices) are gathered lazily
-    per period and dropped to ``None`` when they are handed back.
-    """
-
-    __slots__ = ("class_index", "ids", "engine_rows")
-
-    def __init__(self, class_index, ids, engine_rows, *book) -> None:
-        super().__init__(*book)
-        self.class_index = class_index
-        self.ids = ids
-        self.engine_rows = engine_rows
-
-    def drop(self) -> None:
-        self.R = self.V = self.offers = self.live = None
 
 
 class MarketTickDispatcher:
@@ -421,16 +524,20 @@ class MarketTickDispatcher:
     Built by :class:`~repro.allocation.qant.QantAllocator` only for an
     array run: no message faults, no partial adoption, no private
     classification and a batched supply solver, so every bidder is a
-    plain :class:`~repro.core.qant.QantPricingAgent` and row *i* of
-    ``engine`` is ``node_ids[i]``.  Between ``on_run_start`` and
-    ``on_run_end`` the engine's matrices and this dispatcher's lanes are
-    the market; the agent objects are not read or written.
+    plain :class:`~repro.core.qant.QantPricingAgent`.  Its
+    :class:`LaneBlock` is built over the engine's own lane arrays, with
+    the fleet's ``slot_free`` mirror as busy clocks, so between
+    ``on_run_start`` and ``on_run_end`` the engine's arrays and this
+    block are one market: nothing is gathered or handed back, and the
+    agent objects are not read or written.  That needs engine row *i* to
+    be fleet row *i* and each class's lanes to be its candidates, as in
+    every federation :func:`~repro.sim.federation.build_federation`
+    makes; any other layout is refused at construction.
     """
 
     def __init__(
         self,
         fleet,
-        nodes: Mapping[int, object],
         candidates_by_class: Mapping[int, Sequence[int]],
         engine,
         node_ids: Sequence[int],
@@ -440,80 +547,38 @@ class MarketTickDispatcher:
         price_cap: float,
     ) -> None:
         check_raise_terms(raise_factor, price_cap)
-        self._fleet = fleet
-        self._engine = engine
-        self.stats = BatchDispatchStats()
-        row_of = fleet.row_of
-        engine_row_of = {nid: i for i, nid in enumerate(node_ids)}
-        #: The fleet row of each engine row.
-        self._engine_fleet_rows = np.array(
-            [row_of[nid] for nid in node_ids], dtype=np.intp
-        )
-        # Agent-global auxiliary state, one row per fleet slot (running
-        # maximum, enforce latch, price-epoch steps since the gather).
-        # Rows whose node bids in no class are never touched.
-        num_rows = len(fleet.node_ids)
-        self._aux_maxp = np.zeros(num_rows, dtype=float)
-        self._aux_locked = np.zeros(num_rows, dtype=bool)
-        self._aux_delta = np.zeros(num_rows, dtype=np.int64)
-        self._aux_fresh = False
-        self._states: Dict[int, _ClassState] = {
-            class_index: _ClassState(
-                class_index,
-                list(ids),
-                np.array([engine_row_of[nid] for nid in ids], dtype=np.intp),
-                np.array([row_of[nid] for nid in ids], dtype=np.intp),
-                np.array(
-                    [nodes[nid]._costs[class_index] for nid in ids],
-                    dtype=float,
-                ),
-                self._aux_maxp, self._aux_locked,
-                raise_factor, price_floor, price_cap, activation_threshold,
-                self._aux_delta,
+        if tuple(node_ids) != tuple(fleet.node_ids):
+            raise ValueError(
+                "the period engine's rows must be the fleet's rows, in order"
             )
-            for class_index, ids in candidates_by_class.items()
+        self._free_at = fleet.slot_free
+        self._node_ids = node_ids
+        self.stats = BatchDispatchStats()
+        self.block = block = LaneBlock(
+            engine.V, engine.R, engine.lane_rows, engine.lane_cols,
+            engine.lane_costs, fleet.slot_free, engine.maxp_base,
+            engine.epochs, raise_factor, price_floor, price_cap,
+            activation_threshold,
+        )
+        #: Class -> its lanes' node ids.
+        self._ids = {
+            k: tuple(node_ids[row] for row in rows.tolist())
+            for k, rows in block.members.items()
         }
-        #: Inside one `assign_batch`: class -> its lanes' completion
+        if self._ids != {
+            k: tuple(ids) for k, ids in candidates_by_class.items() if ids
+        }:
+            raise ValueError(
+                "each class's lanes in the period engine must be its "
+                "candidate nodes"
+            )
+        #: Whether a vector exchange ran since the last `close_period`.
+        self._exchanged = False
+        #: Inside one `assign_batch`: class -> its book's completion
         #: estimates (the batch shares one timestamp and schedules its
         #: commits after it returns, so `slot_free` cannot move under
-        #: them); a re-gather drops its class's.  ``None`` outside a
-        #: batch: single assigns recompute.
+        #: them).  ``None`` outside a batch: single assigns recompute.
         self._estimates: Optional[Dict[int, object]] = None
-
-    # -- gather ---------------------------------------------------------------
-
-    def _gather_aux(self) -> None:
-        """Snapshot every agent's max price and enforce latch.
-
-        Both are the boundary's own baseline: no price has moved yet this
-        period (the first refusal brings us here) and every latch is open.
-        From here on the exchanges maintain them incrementally, which
-        stays exact because prices only rise within a period and every
-        raise updates the running maximum.  A no-op while the snapshot is
-        current.
-        """
-        if self._aux_fresh:
-            return
-        self._aux_maxp[self._engine_fleet_rows] = self._engine.max_prices()
-        self._aux_locked[:] = False
-        self._aux_delta[:] = 0
-        self._aux_fresh = True
-
-    def _live_state(self, class_index: int) -> _ClassState:
-        st = self._states[class_index]
-        if st.R is None:
-            # The boundary's own baseline: supply and prices as the
-            # engine left them.
-            st.arm(*self._engine.lanes(st.engine_rows, class_index))
-            if self._estimates:
-                # Estimates never outlive the lanes they were made next
-                # to: whoever dropped those (a boundary) let the clocks
-                # move.
-                self._estimates.pop(class_index, None)
-            self.stats.gathers += 1
-        return st
-
-    # -- the exchange ---------------------------------------------------------
 
     def exchange(
         self, class_index: int, now: float, reached=None
@@ -527,35 +592,34 @@ class MarketTickDispatcher:
         fan-out whose every price sits at the cap (the caller arms its
         saturation fast path exactly as the scalar negotiation does).
         """
-        st = self._live_state(class_index)
         stats = self.stats
         stats.vector_exchanges += 1
+        self._exchanged = True
         mask = None
         if reached is not None:
-            mask = np.isin(st.ids, reached)
-        live = st.live
-        if len(live):
-            # The book is about to read `maxp` / `locked`.
-            self._gather_aux()
+            mask = np.isin(self._ids[class_index], reached)
+        estimates = None
+        book = self.block.books.get(class_index)
+        if book is not None:
+            live = book.live
             stats.lane_steps += (
                 len(live) if mask is None else int(mask[live].sum())
             )
-        cache = self._estimates
-        estimates = None if cache is None else cache.get(class_index)
-        if estimates is not None:
-            stats.estimate_reuses += 1
-        else:
-            estimates = st.estimates(self._fleet.slot_free, now)
+            cache = self._estimates
             if cache is not None:
-                cache[class_index] = estimates
-        winner, _paid, _finish = st.exchange(estimates, mask)
-        if winner < 0:
-            # All-refuse exchange: no reached lane has supply and, under a
-            # threshold, every reached bidder was just found or set
-            # latched.  A full fan-out has settled every lane at the cap,
-            # so the class is saturated iff none is left live.
-            return None, mask is None and not len(st.live)
-        return st.ids[winner], False
+                estimates = cache.get(class_index)
+                if estimates is not None:
+                    stats.estimate_reuses += 1
+                else:
+                    estimates = cache[class_index] = book.estimates(
+                        self._free_at, now
+                    )
+        row, _finish, saturated = self.block.exchange(
+            class_index, now, mask, estimates
+        )
+        if row < 0:
+            return None, saturated
+        return self._node_ids[row], False
 
     @contextmanager
     def batch(self):
@@ -567,39 +631,9 @@ class MarketTickDispatcher:
         finally:
             self._estimates = None
 
-    # -- hand-back ------------------------------------------------------------
-
     def close_period(self) -> None:
-        """Return the cached lanes to the engine's arrays: supply, prices
-        and the epoch deltas go back; the running maxima and latches are
-        dropped (a boundary resets them; at the end of a run
-        :meth:`latched_rows` reads them first)."""
-        engine = self._engine
-        synced = False
-        for st in self._states.values():
-            if st.R is None:
-                continue
-            synced = True
-            engine.absorb(st.engine_rows, st.class_index, st.R, st.V)
-            st.drop()
-        if self._aux_fresh:
-            synced = True
-            engine.bump_epochs(self._aux_delta[self._engine_fleet_rows])
-            self._aux_fresh = False
-        if synced:
+        """Count the period just closed in ``stats.syncs`` if it saw a
+        vector exchange."""
+        if self._exchanged:
             self.stats.syncs += 1
-
-    def latched_rows(self) -> List[int]:
-        """Engine rows whose enforce latch this period's exchanges set."""
-        if not self._aux_fresh:
-            return []
-        return np.flatnonzero(
-            self._aux_locked[self._engine_fleet_rows]
-        ).tolist()
-
-    def overlay(self, prices) -> None:
-        """Lay this period's cached price lanes over ``prices`` (a copy of
-        the engine's price matrix) in place."""
-        for st in self._states.values():
-            if st.R is not None:
-                prices[st.engine_rows, st.class_index] = st.V
+            self._exchanged = False

@@ -134,10 +134,9 @@ class QantAllocator(Allocator):
         self._bulk_rtt_network = None
         #: Whether an array run is in progress (DESIGN.md §5.2): from
         #: `on_run_start` to `on_run_end` of a run with a dispatcher, the
-        #: period engine's matrices and the dispatcher's lanes are the
-        #: market and every exchange is a lane-book exchange.  Otherwise
-        #: (a scalar run, direct API use) the agents are the market and
-        #: every exchange goes through the listing.
+        #: period engine's lanes, priced through the dispatcher's lane
+        #: block, are the market.  Otherwise (a scalar run, direct API
+        #: use) the agents are, and every exchange is the listing.
         self._array_run = False
         #: Fleet rows / allowances of the engine-managed nodes, for the
         #: vectorised free-capacity probe (``None`` without an engine).
@@ -233,7 +232,6 @@ class QantAllocator(Allocator):
         ):
             self._dispatcher = MarketTickDispatcher(
                 fleet,
-                self.context.nodes,
                 self.context.candidates_by_class,
                 self._engine,
                 self._engine_node_ids,
@@ -270,11 +268,13 @@ class QantAllocator(Allocator):
         """
         engine = self._engine
         if self._array_run:
-            # The period closes array-to-array.
             self._dispatcher.close_period()
         self._period_serial += 1
         if engine is not None:
             engine.advance(self._engine_free_capacities)
+        if self._array_run:
+            # The period opens array-to-array.
+            self._dispatcher.block.rearm()
         nodes = self.context.nodes
         allowances = self._allowances
         for node_id, agent in self._scalar_agents:
@@ -318,8 +318,7 @@ class QantAllocator(Allocator):
         in :attr:`agents` order.
 
         During an array run the rows come from the period engine's
-        matrices, with this period's cached price lanes laid over them;
-        otherwise from the agents.
+        arrays; otherwise from the agents.
         """
         if not self._array_run:
             return [
@@ -331,12 +330,10 @@ class QantAllocator(Allocator):
                 for node_id, agent in self._agents.items()
             ]
         engine = self._engine
-        prices = engine._prices.copy()
-        self._dispatcher.overlay(prices)
         return list(
             zip(
                 self._engine_node_ids,
-                map(tuple, prices.tolist()),
+                map(tuple, engine.price_matrix().tolist()),
                 map(tuple, engine._planned.tolist()),
             )
         )
@@ -357,11 +354,11 @@ class QantAllocator(Allocator):
         """With a dispatcher, hand the market to the period engine for the
         whole run.
 
-        The dispatcher's lanes start every period from the boundary's
-        baseline: every latch open and each agent's running maximum equal
-        to its largest price.  The bind-time boundary leaves exactly that;
-        only an exchange driven by hand between bind and run can set a
-        latch, and such a run is refused.
+        The dispatcher's lane block starts every period from the
+        boundary's baseline: every latch open and each agent's running
+        maximum equal to its largest price.  The bind-time boundary leaves
+        exactly that; only an exchange driven by hand between bind and run
+        can set a latch, and such a run is refused.
         """
         if self._dispatcher is None:
             return
@@ -374,21 +371,20 @@ class QantAllocator(Allocator):
                 "was driven by hand after bind); bind a fresh allocator"
             )
         self._engine.adopt()
+        self._dispatcher.block.rearm()
         self._array_run = True
 
     def on_run_end(self) -> None:
         """Write the array run's market state back into the agents once:
-        lanes into the engine, the engine into the agents, then this
-        period's latches."""
+        the engine's arrays, then this period's latches."""
         if not self._array_run:
             return
         self._array_run = False
         dispatcher = self._dispatcher
-        latched = dispatcher.latched_rows()
         dispatcher.close_period()
         self._engine.materialise()
         node_ids = self._engine_node_ids
-        for row in latched:
+        for row in np.flatnonzero(dispatcher.block.locked).tolist():
             self._agents[node_ids[row]]._enforce_locked_at = (
                 self._activation_threshold
             )
@@ -477,7 +473,7 @@ class QantAllocator(Allocator):
             # as for the explicit fan-out.
             return None
         if self._array_run:
-            # The lane book over the bidders the request reached (all of
+            # The lane block over the bidders the request reached (all of
             # them, or the live ones in an outage window): same offers,
             # price raises, latch updates and accept as the listing below
             # (see repro.allocation.market_tick for the bit-identity

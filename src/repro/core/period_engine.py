@@ -30,12 +30,22 @@ differ in the last ulp for roughly 0.1% of inputs.  The weights therefore
 go through a scalar Python pow loop (over only the rows being solved)
 while everything around them is vectorised.
 
+Prices and remaining supply are held as *lanes*, the finite-cost
+``(row, class)`` cells laid out flat and class-major (``V``, ``R``, the
+layout of :class:`repro.allocation.market_tick.LaneBlock` and of the
+shard planes); the dense N×K price matrix is only the scatter target the
+eq. 4 solve and :meth:`QantPeriodEngine.materialise` read.  A cell that
+is not a lane never moves: it has no supply to decay and no bidder asks
+it for an offer.
+
 Exactly one side holds the market state at any instant (DESIGN.md §5.2):
-the agents' Python lists while ``agents_live``, else the matrices.  A
+the agents' Python lists while ``agents_live``, else the arrays.  A
 scalar run (and direct API use) keeps the lists, and each boundary is
 :meth:`QantPeriodEngine.adopt` → tick → :meth:`QantPeriodEngine.materialise`.
 An array run adopts once at its start and materialises once at its end;
-its boundaries tick on the matrices alone.
+its boundaries tick on the arrays alone, and in between the allocator's
+market-tick dispatcher prices the same ``V`` / ``R`` / ``epochs``
+through a lane block built over them.
 """
 
 from __future__ import annotations
@@ -110,7 +120,7 @@ class QantPeriodEngine:
 
     The engine holds the market state (prices, remaining and planned
     supply, carry-over credit, price epochs, free capacities, cached
-    optimal plans) as matrices and runs all N agents' ``end_period`` →
+    optimal plans) as arrays and runs all N agents' ``end_period`` →
     capacity rebind → ``begin_period`` sequence on them per
     :meth:`advance` call.  Construct it *between* periods (at bind time)
     over agents that all share one :class:`~repro.core.qant.
@@ -148,20 +158,31 @@ class QantPeriodEngine:
             [agent.supply_set.cost_ms for agent in agents]
         )
         self._valid_cost = np.isfinite(self._costs)
+        #: The lanes: each one's row and class (class-major, rows
+        #: ascending within a class) and execution cost.
+        self.lane_cols, self.lane_rows = np.nonzero(self._valid_cost.T)
+        self.lane_costs = self._costs[self.lane_rows, self.lane_cols]
         #: Whether the agents' lists (True) or the arrays below hold the
         #: market state.
         self.agents_live = True
+        #: Every price, lanes included as of the last `_scatter_prices`.
         self._prices = np.array([agent._price_values for agent in agents])
-        self._epochs = np.fromiter(
+        #: Per row, the largest price outside the lanes (those never
+        #: move), 0.0 for a row without one.
+        self.maxp_base = np.where(self._valid_cost, 0.0, self._prices).max(1)
+        #: Price and remaining supply per lane, and the price epoch per
+        #: row: only ever written in place, as a lane block may hold them.
+        self.V = self._prices[self.lane_rows, self.lane_cols]
+        self.R = np.zeros(len(self.V))
+        self.epochs = np.fromiter(
             (agent._price_epoch for agent in agents), dtype=np.int64, count=n
         )
         self._credit = np.array([agent._credit for agent in agents])
         self._planned = np.zeros((n, num_classes))
-        self._remaining = np.zeros((n, num_classes))
         # What the agent objects last held of the two coordinates
         # `materialise` writes incrementally: rows whose epoch or capacity
         # still matches are already bit-identical and are skipped.
-        self._agent_epochs = self._epochs.copy()
+        self._agent_epochs = self.epochs.copy()
         self._agent_capacity = np.array(
             [agent.supply_set.capacity_ms for agent in agents]
         )
@@ -222,21 +243,23 @@ class QantPeriodEngine:
         # bit-identical and skip the re-gather.
         agents = self._agents
         n = len(agents)
-        prices = self._prices
+        prices = self._scatter_prices()
         new_epochs = np.fromiter(
             (agent._price_epoch for agent in agents),
             dtype=np.int64,
             count=n,
         )
         if self._started:
-            stale = np.nonzero(new_epochs != self._epochs)[0].tolist()
+            stale = np.nonzero(new_epochs != self.epochs)[0].tolist()
         else:
             stale = range(n)
         for i in stale:
             prices[i] = agents[i]._price_values
-        self._epochs = new_epochs
-        self._agent_epochs = new_epochs.copy()
-        self._remaining = np.array([agent._remaining for agent in agents])
+        lanes = self.lane_rows, self.lane_cols
+        self.V[:] = prices[lanes]
+        self.epochs[:] = new_epochs
+        self._agent_epochs = new_epochs
+        self.R[:] = np.array([agent._remaining for agent in agents])[lanes]
         self.agents_live = False
         self.stats.adopted += 1
 
@@ -250,10 +273,10 @@ class QantPeriodEngine:
         if self.agents_live:
             return
         agents = self._agents
-        epochs = self._epochs
+        epochs = self.epochs
         moved = np.nonzero(epochs != self._agent_epochs)[0]
         if moved.size:
-            new_lists = self._prices[moved].tolist()
+            new_lists = self._scatter_prices()[moved].tolist()
             new_epochs = epochs[moved].tolist()
             for slot, i in enumerate(moved.tolist()):
                 agent = agents[i]
@@ -280,7 +303,9 @@ class QantPeriodEngine:
                 )
             self._agent_capacity[rebound] = capacity[rebound]
             planned_lists = self._planned.tolist()
-            remaining_lists = self._remaining.tolist()
+            remaining = np.zeros_like(self._planned)
+            remaining[self.lane_rows, self.lane_cols] = self.R
+            remaining_lists = remaining.tolist()
             credit_lists = self._credit.tolist() if self._carry else None
             zeros_int = self._zeros_int
             from_trusted = QueryVector._from_trusted_tuple
@@ -296,50 +321,39 @@ class QantPeriodEngine:
         self.agents_live = True
         self.stats.materialised += 1
 
-    # -- array views for the market-tick dispatcher ---------------------------
+    # -- the dense price matrix ----------------------------------------------
 
-    def lanes(self, rows: np.ndarray, class_index: int):
-        """Copies of one class's (remaining supply, price) columns."""
-        return (
-            self._remaining[rows, class_index],
-            self._prices[rows, class_index],
-        )
+    def _scatter_prices(self) -> np.ndarray:
+        """The dense price matrix, brought up to date with the lanes."""
+        self._prices[self.lane_rows, self.lane_cols] = self.V
+        return self._prices
 
-    def max_prices(self) -> np.ndarray:
-        """Every row's largest class price (the overload signal)."""
-        return self._prices.max(axis=1)
-
-    def absorb(self, rows, class_index, remaining, prices) -> None:
-        """Take one class's in-period lanes back at the period's close."""
-        self._remaining[rows, class_index] = remaining
-        self._prices[rows, class_index] = prices
-
-    def bump_epochs(self, deltas: np.ndarray) -> None:
-        """Add the period's per-row counts of in-period price changes."""
-        self._epochs += deltas
+    def price_matrix(self) -> np.ndarray:
+        """A copy of every row's prices, one column per class."""
+        return self._scatter_prices().copy()
 
     # -- one full boundary ---------------------------------------------------
 
     def _tick(self, capacities: np.ndarray) -> None:
         n = len(self._agents)
-        prices = self._prices
 
-        # Steps 12-14, batched, with one epoch bump per changed class.
+        # Steps 12-14 over the lanes, with one epoch bump per changed one.
         if self._started:
-            new_prices = unsold_decay(
-                prices, self._remaining, self._lam, self._floor
-            )
-            self._epochs += (new_prices != prices).sum(axis=1)
-            prices = self._prices = new_prices
+            V = self.V
+            decayed = unsold_decay(V, self.R, self._lam, self._floor)
+            changed = decayed != V
+            self.epochs += np.bincount(self.lane_rows[changed], minlength=n)
+            V[:] = decayed
 
         # Solve eq. 4 only where the (price_epoch, capacity) key moved.
         capacity_changed = capacities != self._prev_capacity
-        need = (self._epochs != self._prev_epochs) | capacity_changed
+        need = (self.epochs != self._prev_epochs) | capacity_changed
         n_need = int(np.count_nonzero(need))
         if n_need:
             rows = np.nonzero(need)[0]
+            self._scatter_prices()
             self._optimal[rows] = self._solve_rows(rows, capacities)
-            self._prev_epochs[need] = self._epochs[need]
+            self._prev_epochs[need] = self.epochs[need]
             self._prev_capacity[need] = capacities[need]
         self.stats.solved_rows += n_need
         self.stats.reused_rows += n - n_need
@@ -355,7 +369,7 @@ class QantPeriodEngine:
         else:
             planned = np.floor(self._optimal + 1e-9) + 0.0
         self._planned = planned
-        self._remaining = planned.copy()
+        self.R[:] = planned[self.lane_rows, self.lane_cols]
         self._started = True
 
     # -- batched eq. 4 -------------------------------------------------------

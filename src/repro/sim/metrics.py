@@ -191,7 +191,9 @@ class MetricsCollector:
 
         Called once by the federation at the end of a run whose allocator
         exposes ``batch_dispatch_stats``, so the dispatch telemetry
-        travels with the query metrics.
+        travels with the query metrics.  ``syncs`` (``batch_syncs``) are
+        the periods, the last one included, that saw at least one vector
+        exchange.
         """
         self._vector_exchanges += int(vector_exchanges)
         self._batch_syncs += int(syncs)

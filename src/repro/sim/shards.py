@@ -21,9 +21,12 @@ identical arithmetic.  The coordinator otherwise only routes:
   the one-way pipeline and returns each plane's pending count;
 * a final ``collect`` barrier merges the outcome columns.
 
-Within a period a plane answers a *closed* class — no supply left, every
-bidder latched — with the price raise alone
-(:meth:`_MarketPlane._closed_raises`).  ``mode="tcp"`` runs the same
+A plane keeps its classes' prices and supply as flat lanes under one
+:class:`~repro.allocation.market_tick.LaneBlock` — the state block the
+single-process dispatcher holds over the period engine's lanes — and
+within a period answers a *closed* class (no supply left, every bidder
+latched) with the price raise alone (:meth:`_MarketPlane._closed_raises`).
+``mode="tcp"`` runs the same
 workers behind length-prefixed JSON frames over localhost sockets (the
 :mod:`repro.protocol.transport` framing helpers), so shards can span
 machines.
@@ -74,15 +77,7 @@ import numpy as np
 from ..core.period_engine import unsold_decay
 from ..core.qant import QantParameters
 from ..protocol.messages import BidBatch, decode, encode
-from ..allocation import market_tick
-from ..allocation.market_tick import (
-    LaneBook,
-    check_raise_terms,
-    closed_raises_scalar,
-    exchange_lanes_scalar,
-    refusal_raise,
-    scalar_lanes,
-)
+from ..allocation.market_tick import LaneBlock, check_raise_terms
 from ..protocol.transport import FrameDecoder, encode_frame
 from .faults import derive_fault_seed
 from .federation import FederationConfig, run_single_mechanism
@@ -288,7 +283,7 @@ class _MarketPlane:
     """One self-contained QA-NT market over a subset of the federation.
 
     The full stack of the tick market — request-for-bid exchanges
-    (:class:`repro.allocation.market_tick.LaneBook`), execution
+    (:class:`repro.allocation.market_tick.LaneBlock`), execution
     replay with node-keyed latency streams, and the eq. 4 period solve
     with carry-over credit — restricted to one set of affinity
     components.  Query classes only couple through shared bidders, so
@@ -328,10 +323,8 @@ class _MarketPlane:
         self._threshold = None if threshold is None else float(threshold)
         self._terms = self._factor, self._floor, self._cap, self._threshold
         # The plane's lanes — one per (candidate row, class) — laid out
-        # flat in class order; every per-class array is a view of a flat
-        # one, so a boundary works on whole blocks.
+        # flat in class order.
         self._class_order: List[int] = []
-        span: Dict[int, slice] = {}
         flat_rows: List[int] = []
         flat_cols: List[int] = []
         for class_index, cand in init["classes"]:
@@ -340,24 +333,12 @@ class _MarketPlane:
             self._class_order.append(k)
             flat_rows.extend(self._index[nid] for nid in members)
             flat_cols.extend([k] * len(members))
-            end = len(flat_rows)
-            span[k] = slice(end - len(members), end)
         self._flat_rows = np.array(flat_rows, dtype=np.intp)
         self._flat_cols = np.array(flat_cols, dtype=np.intp)
-        flat_costs = self._costs[self._flat_rows, self._flat_cols]
-        self._cand = {k: self._flat_rows[a] for k, a in span.items()}
-        self._lane_costs = {k: flat_costs[a] for k, a in span.items()}
-        #: Prices and remaining supply of every lane (the flat block);
-        #: ``_V[k]`` / ``_R[k]`` are class *k*'s views of it, so all of
-        #: them are only ever written in place.
+        #: Prices and remaining supply of every lane, only ever written in
+        #: place: the block's per-class views and kernels alias them.
         self._Vf = np.ones(len(flat_rows), dtype=float)
         self._Rf = np.zeros(len(flat_rows), dtype=float)
-        self._V = {k: self._Vf[a] for k, a in span.items()}
-        self._R = {k: self._Rf[a] for k, a in span.items()}
-        # maxp baseline: a class the node can never evaluate keeps its
-        # initial price of 1.0 forever, pinning the node's max price at
-        # >= 1.0.
-        self._maxp_base = np.isinf(self._costs).any(axis=1).astype(float)
         n = len(ids)
         #: Pricing busy mirror: optimistic within a tick, resynced to the
         #: authoritative execution clock at every tick's end.
@@ -365,24 +346,15 @@ class _MarketPlane:
         #: Authoritative per-node FIFO clocks (negotiation delay included).
         self._exec_busy = np.zeros(n, dtype=float)
         self._credit = np.zeros((n, self._num_classes), dtype=float)
-        self._maxp = np.ones(n, dtype=float)
-        self._locked = np.zeros(n, dtype=bool)
-        #: Narrow class → `exchange_lanes_scalar`'s leading arguments: scalar
-        #: views of the arrays above, bound once — so those are only ever
-        #: written in place.  The one read of the crossover.
-        shared = self._maxp, self._locked, self._busy
-        self._narrow: Dict[int, Tuple] = {
-            k: scalar_lanes(self._R[k], self._V[k], cand, self._lane_costs[k], *shared)
-            for k, cand in self._cand.items()
-            if len(cand) <= market_tick.SCALAR_LANES_MAX
-        }
-        #: Wide class → its lane book over the same views, re-armed by
-        #: every `_period_solve`.
-        self._books: Dict[int, LaneBook] = {
-            k: LaneBook(cand, self._lane_costs[k], *shared[:2], *self._terms)
-            for k, cand in self._cand.items()
-            if k not in self._narrow
-        }
+        # A class the node can never evaluate keeps its initial price of
+        # 1.0 forever, pinning the node's max price at >= 1.0.  The price
+        # epochs are stepped by the block and read by nobody here.
+        self._block = LaneBlock(
+            self._Vf, self._Rf, self._flat_rows, self._flat_cols,
+            self._costs[self._flat_rows, self._flat_cols], self._busy,
+            np.isinf(self._costs).any(axis=1).astype(float),
+            np.zeros(n, dtype=np.int64), *self._terms,
+        )
         self.reset(True)
 
     @property
@@ -411,8 +383,6 @@ class _MarketPlane:
         self._busy.fill(0.0)
         self._exec_busy.fill(0.0)
         self._credit.fill(0.0)
-        self._maxp.fill(1.0)
-        self._locked.fill(False)
         self._rngs = [random.Random(seed) for seed in self._seeds]
         self._Vf.fill(1.0)
         self._Rf.fill(0.0)
@@ -522,19 +492,8 @@ class _MarketPlane:
         if self._closed_in.get(class_index) == self._period_serial:
             self._closed_raises(class_index, 1)
             return None
-        narrow = self._narrow.get(class_index)
-        if narrow is None:
-            book = self._books[class_index]
-            cand = book.rows
-            winner, _paid, finish = book.exchange(book.estimates(self._busy, now))
-            # All refused, so a lane is still live iff it is below the cap.
-            saturated = winner < 0 and not len(book.live)
-        else:
-            cand = narrow[2]
-            winner, _paid, finish = exchange_lanes_scalar(*narrow, now, *self._terms)
-            # All refused, so every lane was just clamped to <= cap.
-            saturated = winner < 0 and min(narrow[1]) == self._cap
-        if winner < 0:
+        row, finish, saturated = self._block.exchange(class_index, now)
+        if row < 0:
             # Nobody offered, so every lane is out of supply (a lane
             # with R >= 1 always offers) and, under a threshold, every
             # bidder was just found or set latched: the class is closed.
@@ -543,45 +502,30 @@ class _MarketPlane:
             if saturated:
                 self._saturated_in[class_index] = self._period_serial
             return None
-        row = int(cand[winner])
         self._busy[row] = finish
-        return int(self._ids[row])
+        return self._ids[row]
 
     def _closed_raises(self, class_index: int, count: int) -> None:
         """``count`` consecutive exchanges on a closed, unsaturated class.
 
         Closed = no lane has supply and every bidder is latched.  Both
         hold until :meth:`_period_solve` (supply only falls within a
-        period, latches are only cleared there), so each exchange
-        refuses on every lane, finds no winner and leaves supply, latches
-        and busy clocks alone: all it does is the steps 8-9 raise of the
-        class's own prices — applied one multiplication at a time, as the
-        exchanges would — and the cap check that arms the saturated
-        path, where the remaining exchanges stop moving even those.  The
-        ``_maxp`` update of the full program is skipped: it would touch
-        latched agents only, whose ``_maxp`` nothing reads (the ``passed``
-        test masks them out in every class) before :meth:`_period_solve`
-        rebuilds it from the prices.
+        period, latches are only cleared there), so the exchanges are
+        their price raises alone
+        (:meth:`~repro.allocation.market_tick.LaneBlock.closed_raises`),
+        up to the cap check that arms the saturated path, where the
+        remaining exchanges stop moving even those.
         """
-        narrow = self._narrow.get(class_index)
-        if narrow is not None:
-            done, saturated = closed_raises_scalar(narrow[1], count, *self._terms[:3])
-        else:
-            V = self._V[class_index]
-            done, saturated = 0, False
-            while done < count and not saturated:
-                V[:] = refusal_raise(V, self._factor, self._floor, self._cap)[0]
-                done += 1
-                saturated = bool((V == self._cap).all())
+        done, saturated = self._block.closed_raises(class_index, count)
         if saturated:
             self._saturated_in[class_index] = self._period_serial
         self._closed_settled += done
 
     def _greedy(self, class_index: int, now: float) -> int:
         """Greedy: every candidate offers; earliest completion wins."""
-        cand = self._cand[class_index]
+        cand = self._block.members[class_index]
         est = np.maximum(self._busy[cand], now)
-        est += self._lane_costs[class_index]
+        est += self._block.costs[class_index]
         winner = int(est.argmin())
         row = int(cand[winner])
         self._busy[row] = float(est[winner])
@@ -667,11 +611,7 @@ class _MarketPlane:
         whole = np.floor(credit + 1e-9)
         credit -= whole
         self._Rf[:] = whole[self._flat_rows, self._flat_cols]
-        self._locked[:] = False
-        self._maxp[:] = self._maxp_base
-        np.maximum.at(self._maxp, self._flat_rows, self._Vf)
-        for k, book in self._books.items():
-            book.arm(self._R[k], self._V[k])
+        self._block.rearm()
         self._period_serial += 1
 
     # -- reporting ------------------------------------------------------------

@@ -21,11 +21,12 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.allocation import GreedyAllocator, QantAllocator, RandomAllocator
+from repro.allocation import market_tick
 from repro.allocation.market_tick import (
     SCALAR_LANES_MAX,
+    LaneBlock,
     LaneBook,
     MarketTickDispatcher,
-    closed_raises_scalar,
     exchange_lanes_scalar,
     refusal_raise,
     scalar_lanes,
@@ -230,18 +231,17 @@ def test_lane_book_matches_the_paper_listing(case):
     its live lanes by array steps or lane by lane, and the narrow-class
     scalar twin, at every width — equal a scalar loop over fresh pricing
     agents calling ``quote`` / ``accept`` (``QantAllocator._negotiate`` +
-    ``_award``): winner, prices, supply, max-price and latch bits,
-    exchange after exchange, through lanes settling at the cap, winners
-    selling out, a second class latching shared agents, and a re-arm.
-    The book's exchanges reach a drawn subset of the bidders, as in an
+    ``_award``): winner, prices, supply, max-price, latch and price-epoch
+    bits, exchange after exchange, through lanes settling at the cap,
+    winners selling out, a second class latching shared agents, and a
+    re-arm.  Exchanges reach a drawn subset of the bidders, as in an
     outage window; the listing then quotes that subset only.  For the
-    book also: price epochs equal the agents', ``offers`` is every
-    reached lane's ``quote`` answer, and ``live`` is its from-scratch
-    definition over the reached lanes — the refusing lanes that are not
-    settled, plus the winner that just sold out (it has not been priced
-    yet) — while an unreached lane keeps its membership.  The dispatcher
-    and the shard planes price through these two only, so both inherit
-    bit-identity with the listing from this one property.
+    book also: ``offers`` is every reached lane's ``quote`` answer, and
+    ``live`` is its from-scratch definition over the reached lanes — the
+    refusing lanes that are not settled, plus the winner that just sold
+    out (it has not been priced yet) — while an unreached lane keeps its
+    membership.  Both engines' lane blocks price through these two only,
+    so both inherit bit-identity with the listing from this one property.
 
     Hand mutations of ``LaneBook`` this kills (each on both pricing
     paths): settling a lane on ``V == cap`` without asking for the latch
@@ -249,7 +249,9 @@ def test_lane_book_matches_the_paper_listing(case):
     update on the raise that reaches the cap (``maxp``, then latches and
     winners); adding a sold-out winner to ``live`` before instead of
     after the exchange it won (its price moves one exchange early);
-    settling an unreached lane at the cap (``_UNREACHED_AT_CAP``).
+    settling an unreached lane at the cap (``_UNREACHED_AT_CAP``).  Of
+    the twin: pricing an unreached lane (prices); skipping the epoch
+    step of a changed price (epochs).
     """
     for kernel in ("book", "twin"):
         _check_kernel_against_listing(kernel, case)
@@ -280,6 +282,7 @@ def _check_kernel_against_listing(kernel, case):
     epochs = np.zeros(2 * count + 1, dtype=np.int64)
     free_at = np.zeros(2 * count + 1)
     free_at[1::2] = case["busy"]
+    agent_views = tuple(map(memoryview, (maxp, locked, free_at, epochs)))
     members, R, V, exchange, books = {}, {}, {}, {}, {}
     for k in (0, 1):
         members[k] = [i for i in range(count) if k in case["bids"][i]]
@@ -288,11 +291,13 @@ def _check_kernel_against_listing(kernel, case):
         V[k] = np.array([case["V"][i][k] for i in members[k]])
         costs = np.array([case["costs"][i][k] for i in members[k]])
         if kernel == "twin":
-            exchange[k] = lambda now, views=scalar_lanes(
-                R[k], V[k], rows, costs, maxp, locked, free_at
-            ): exchange_lanes_scalar(*views, now, *terms)
+            exchange[k] = lambda now, reached, views=scalar_lanes(
+                R[k], V[k], rows, costs
+            ): exchange_lanes_scalar(
+                *views, *agent_views, reached, now, *terms
+            )
             continue
-        book = LaneBook(rows, costs, maxp, locked, *terms, epochs)
+        book = LaneBook(rows, costs, maxp, locked, epochs, *terms)
         book._scalar_max = case["crossover"]
         book.arm(R[k], V[k])
         books[k] = book
@@ -308,11 +313,9 @@ def _check_kernel_against_listing(kernel, case):
                 R[j][:] = [case["rearmed_R"][i][j] for i in members[j]]
                 if books:
                     books[j].arm(R[j], V[j])
-        # The scalar twin (a plane's narrow class) always reaches every
-        # bidder.
         reached = (
             [True] * len(members[k])
-            if reach is None or kernel == "twin"
+            if reach is None
             else [reach[i] for i in members[k]]
         )
         bidders = [agents[i] for i in members[k]]
@@ -328,7 +331,7 @@ def _check_kernel_against_listing(kernel, case):
         if accepted:
             bidders[expected].accept(k)
         if kernel == "twin":
-            winner, paid, finish = exchange[k](now)
+            winner, paid, finish = exchange[k](now, reached)
         else:
             book = books[k]
             before = set(book.live.tolist())
@@ -346,12 +349,12 @@ def _check_kernel_against_listing(kernel, case):
         assert locked[1::2].tolist() == [
             a._enforce_locked_at is not None for a in agents
         ]
+        assert epochs[1::2].tolist() == [a.price_epoch for a in agents]
         if kernel == "twin":
             continue
         assert [
             offer for offer, hit in zip(book.offers.tolist(), reached) if hit
         ] == [quote for quote, hit in zip(quotes, reached) if hit]
-        assert epochs[1::2].tolist() == [a.price_epoch for a in agents]
         live = {
             lane
             for lane, i in enumerate(members[k])
@@ -386,12 +389,13 @@ def _check_kernel_against_listing(kernel, case):
 def test_closed_raises_scalar_matches_sequential_refusal_raises(
     prices, count, cap, floor
 ):
-    """The scalar closed-class settlement equals ``count`` exchanges'
-    worth of :func:`refusal_raise`, one multiplication at a time: same
-    price bits, same number of steps, and it stops — and says so — after
-    the first step that leaves every lane at the cap.  A floor above the
-    small cap is the one input that shows the clamp order (floor first:
-    the cap wins)."""
+    """``LaneBlock.closed_raises`` on a narrow class (the scalar loop) and
+    on a wide one (:func:`refusal_raise` steps) equals ``count``
+    exchanges' worth of :func:`refusal_raise`, one multiplication at a
+    time: same price bits, same number of steps, and it stops — and says
+    so — after the first step that leaves every lane at the cap.  A floor
+    above the small cap is the one input that shows the clamp order
+    (floor first: the cap wins)."""
     factor = 1.1
     expected = np.minimum(prices, cap)
     steps, pinned = 0, False
@@ -399,12 +403,20 @@ def test_closed_raises_scalar_matches_sequential_refusal_raises(
         expected = refusal_raise(expected, factor, floor, cap)[0]
         steps += 1
         pinned = bool((expected == cap).all())
-    V = np.minimum(prices, cap)
-    done, saturated = closed_raises_scalar(
-        memoryview(V), count, factor, floor, cap
-    )
-    assert (done, saturated) == (steps, pinned)
-    assert V.tolist() == expected.tolist()
+    lanes = len(prices)
+    for crossover in (lanes, 0):  # narrow, then wide
+        V = np.minimum(prices, cap)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(market_tick, "SCALAR_LANES_MAX", crossover)
+            block = LaneBlock(
+                V, np.zeros(lanes), np.arange(lanes),
+                np.zeros(lanes, dtype=np.intp), np.full(lanes, 100.0),
+                np.zeros(lanes), np.zeros(lanes),
+                np.zeros(lanes, dtype=np.int64), factor, floor, cap, 2.0,
+            )
+        assert bool(block.books) == (crossover == 0)
+        assert block.closed_raises(0, count) == (steps, pinned)
+        assert V.tolist() == expected.tolist()
 
 
 def test_exchange_kernels_share_the_clamp_order():
@@ -416,15 +428,18 @@ def test_exchange_kernels_share_the_clamp_order():
         R, V = np.zeros(2), np.array([1.0, 3.0])
         state = (
             R, V, np.arange(2), np.array([150.0, 400.0]), np.ones(2) * 3.0,
-            np.zeros(2, dtype=bool), np.zeros(2),
+            np.zeros(2, dtype=bool), np.zeros(2), np.zeros(2, dtype=np.int64),
         )
-        rows, costs, maxp, locked, free_at = state[2:]
+        rows, costs, maxp, locked, free_at, epochs = state[2:]
         if kernel == "twin":
             answer = exchange_lanes_scalar(
-                *scalar_lanes(*state), 0.0, 1.1, 5.0, 4.0, None
+                *scalar_lanes(*state[:4]), *map(memoryview, state[4:]),
+                [True, True], 0.0, 1.1, 5.0, 4.0, None,
             )
         else:
-            book = LaneBook(rows, costs, maxp, locked, 1.1, 5.0, 4.0, None)
+            book = LaneBook(
+                rows, costs, maxp, locked, epochs, 1.1, 5.0, 4.0, None
+            )
             book._scalar_max = 0 if kernel == "many" else 2
             book.arm(R, V)
             answer = book.exchange(book.estimates(free_at, 0.0))
@@ -507,7 +522,24 @@ def test_zero_base_latency_disables_batching():
     assert runs[True].metrics.batch_ticks == 0
 
 
-def _churn_run(prepare=None, faults=_FAULT_SPECS["churn"]):
+def _built(world, allocator, config, crossover=None):
+    """``build_federation`` over ``world``; with ``crossover``, the lane
+    block prices classes of up to that many lanes with the scalar twin
+    (0: lane books only) instead of :data:`SCALAR_LANES_MAX`."""
+    with pytest.MonkeyPatch.context() as patch:
+        if crossover is not None:
+            patch.setattr(market_tick, "SCALAR_LANES_MAX", crossover)
+        return build_federation(
+            world.specs,
+            world.placement,
+            world.classes,
+            world.cost_model,
+            allocator,
+            config,
+        )
+
+
+def _churn_run(prepare=None, faults=_FAULT_SPECS["churn"], crossover=None):
     """One qa-nt churn run; ``prepare(federation, allocator)`` may script it."""
     world = two_query_world(num_nodes=14, seed=0)
     trace = quantise_trace(
@@ -521,13 +553,11 @@ def _churn_run(prepare=None, faults=_FAULT_SPECS["churn"]):
         25.0,
     )
     allocator = QantAllocator()
-    federation = build_federation(
-        world.specs,
-        world.placement,
-        world.classes,
-        world.cost_model,
+    federation = _built(
+        world,
         allocator,
         FederationConfig(seed=2, batch_ticks=True, faults=faults),
+        crossover,
     )
     if prepare is not None:
         prepare(federation, allocator)
@@ -538,9 +568,11 @@ def _churn_run(prepare=None, faults=_FAULT_SPECS["churn"]):
 def test_partial_fanout_mid_run_falls_back_and_recovers():
     # Crash-only churn keeps the dispatcher armed but shrinks candidate
     # sets inside outage windows: those queries' exchanges run on the
-    # lane book over the live bidders (never the listing), full fan-outs
+    # lane block over the live bidders (never the listing), full fan-outs
     # go on around them, and the whole interleaving must be bit-identical
-    # to a run that never vectorises anything.
+    # to a run that never vectorises anything: with lane books (the
+    # crossover at 0) and, as shipped, with the scalar twin, which prices
+    # both of this world's classes (14 and 7 lanes).
     calls = Counter()
 
     def count(federation, allocator):
@@ -558,7 +590,7 @@ def test_partial_fanout_mid_run_falls_back_and_recovers():
         allocator._negotiate = counted_negotiate
         allocator._dispatcher.exchange = counted_exchange
 
-    vectorised, metrics = _churn_run(prepare=count)
+    vectorised, metrics = _churn_run(prepare=count, crossover=0)
     stats = vectorised.batch_dispatch_stats
     assert calls["partial"] > 0, "no outage window hit a fan-out"
     assert calls["full"] > 0, "no full fan-out around the outages"
@@ -572,31 +604,28 @@ def test_partial_fanout_mid_run_falls_back_and_recovers():
         allocator._dispatcher = None
 
     scalar, scalar_metrics = _churn_run(prepare=never_vectorise)
-    assert _outcome_digest(metrics.outcomes) == _outcome_digest(
-        scalar_metrics.outcomes
-    )
-    assert {
-        node_id: _agent_state(agent)
-        for node_id, agent in sorted(vectorised.agents.items())
-    } == {
-        node_id: _agent_state(agent)
-        for node_id, agent in sorted(scalar.agents.items())
-    }
+    twin, twin_metrics = _churn_run()
+    assert twin.batch_dispatch_stats.vector_exchanges == stats.vector_exchanges
+    assert twin.batch_dispatch_stats.estimate_reuses == 0
+    for run, allocator in ((metrics, vectorised), (twin_metrics, twin)):
+        assert _outcome_digest(run.outcomes) == _outcome_digest(
+            scalar_metrics.outcomes
+        )
+        assert {
+            node_id: _agent_state(agent)
+            for node_id, agent in sorted(allocator.agents.items())
+        } == {
+            node_id: _agent_state(agent)
+            for node_id, agent in sorted(scalar.agents.items())
+        }
 
 
 def _armed_allocator():
     """A bound QA-NT allocator whose single assigns take the vector
-    exchange, as inside a federation run."""
+    exchange on lane books, as inside a federation run."""
     world = two_query_world(num_nodes=12, seed=0)
     allocator = QantAllocator()
-    build_federation(
-        world.specs,
-        world.placement,
-        world.classes,
-        world.cost_model,
-        allocator,
-        FederationConfig(seed=2),
-    )
+    _built(world, allocator, FederationConfig(seed=2), crossover=0)
     allocator.on_run_start()
     return allocator
 
@@ -632,21 +661,13 @@ def test_batch_estimates_do_not_outlive_the_batch():
     assert stats.estimate_reuses == 5
 
 
-def test_dispatch_ledger_counts_are_pinned():
-    # Host-independent evidence of what the lane book skips, on a small
-    # overloaded run with a cap low enough to reach: of the refusing
-    # lanes its vector exchanges meet, `lane_steps` are still live and
-    # get priced; the rest had settled for the period.  Neither count
-    # reaches `batch_summary()` (its key set is pinned below).
+def _ledger_run(crossover):
+    """The pinned ledger's run; returns the allocator, the metrics and
+    how many refusing lanes the vector exchanges met."""
     world, trace = _overload_setup("two-class", 0, 25.0)
     allocator = QantAllocator(parameters=QantParameters(price_cap=64.0))
-    federation = build_federation(
-        world.specs,
-        world.placement,
-        world.classes,
-        world.cost_model,
-        allocator,
-        FederationConfig(seed=2, batch_ticks=True),
+    federation = _built(
+        world, allocator, FederationConfig(seed=2, batch_ticks=True), crossover
     )
     dispatcher = allocator._dispatcher
     exchange = dispatcher.exchange
@@ -654,15 +675,26 @@ def test_dispatch_ledger_counts_are_pinned():
 
     def counted(class_index, now, reached=None):
         assert reached is None
-        state = dispatcher._live_state(class_index)
-        refusing_met[0] += int((state.R < 1.0).sum())
+        supply = dispatcher.block.supply[class_index]
+        refusing_met[0] += int((supply < 1.0).sum())
         return exchange(class_index, now)
 
     dispatcher.exchange = counted
-    metrics = federation.run(trace)
+    return allocator, federation.run(trace), refusing_met[0]
+
+
+def test_dispatch_ledger_counts_are_pinned():
+    # Host-independent evidence of what the lane book skips, on a small
+    # overloaded run with a cap low enough to reach.  Its classes (12 and
+    # 6 lanes) are narrow, so the crossover is set to 0 to price them
+    # with lane books: of the refusing lanes the vector exchanges meet,
+    # `lane_steps` are still live and get priced; the rest had settled
+    # for the period.  Neither count reaches `batch_summary()` (its key
+    # set is pinned below).
+    allocator, metrics, refusing_met = _ledger_run(crossover=0)
     counts = allocator.batch_dispatch_stats.as_dict()
     assert counts["vector_exchanges"] == metrics.vector_exchanges == 217
-    assert refusing_met[0] == 1684
+    assert refusing_met == 1684
     assert counts["lane_steps"] == 945
     assert counts["estimate_reuses"] == 141
     # The two other fast paths that stay, pinned to traffic on the same
@@ -671,6 +703,19 @@ def test_dispatch_ledger_counts_are_pinned():
     engine = allocator.period_engine_stats
     assert (engine.reused_rows, engine.solved_rows) == (336, 1176)
     assert metrics.exchanges - metrics.vector_exchanges == 447
+    # As shipped the scalar twin prices both classes: it keeps no live
+    # set and computes its estimates inline, so it adds to neither
+    # count, and the run is the same run.
+    allocator, twin_metrics, refusing_met = _ledger_run(crossover=None)
+    assert allocator.batch_dispatch_stats.as_dict() == {
+        **counts, "lane_steps": 0, "estimate_reuses": 0,
+    }
+    assert refusing_met == 1684
+    assert _outcome_digest(twin_metrics.outcomes) == _outcome_digest(
+        metrics.outcomes
+    )
+    engine = allocator.period_engine_stats
+    assert (engine.reused_rows, engine.solved_rows) == (336, 1176)
 
 
 def test_dispatcher_refuses_raise_terms_that_unsettle_the_cap():
@@ -678,7 +723,7 @@ def test_dispatcher_refuses_raise_terms_that_unsettle_the_cap():
     # cap; `QantParameters` cannot produce these, raw floats can.
     def dispatcher(factor, cap):
         return MarketTickDispatcher(
-            None, {}, {}, None, (), 2.0, factor, 0.01, cap
+            None, {}, None, (), 2.0, factor, 0.01, cap
         )
 
     for factor in (1.0, 0.9, math.nan):

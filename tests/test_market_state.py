@@ -1,9 +1,9 @@
 """One owner of the QA-NT market state per run.
 
 A single-process run with a market-tick dispatcher is an *array run*:
-from ``on_run_start`` to ``on_run_end`` the period engine's matrices plus
-the dispatcher's per-class lanes are the market, every exchange (an
-outage window's partial fan-outs included) is a lane-book exchange, and
+from ``on_run_start`` to ``on_run_end`` the period engine's lanes, priced
+through the dispatcher's lane block, are the market, every exchange (an
+outage window's partial fan-outs included) is a vector exchange, and
 the agent objects are written once, when the run ends.  Any other run is
 scalar from start to end: the listing on live agents.  Observers read
 ``QantAllocator.market_rows()``, which answers from whichever side owns
@@ -17,11 +17,13 @@ import hashlib
 import json
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.allocation import GreedyAllocator, QantAllocator
+from repro.allocation import market_tick
 from repro.core.period_engine import BATCHED_METHODS
 from repro.core.qant import QantParameters
 from repro.experiments.scaling import quantise_trace
@@ -82,6 +84,8 @@ def _zipf_case(num_nodes, load):
 
     One agent-global ``max_price``, latch and price epoch are then shared
     by several per-class lanes, and most of the fleet never trades.  The
+    classes are narrow, so the dispatcher's lane block prices them with
+    the scalar twin.  The
     per-class inter-arrival of 8 / 4.8 ms is past capacity either way
     (the overload world of tests/test_batch_dispatch.py on a larger
     fleet).  The outage hits the agent that bids in the most classes.
@@ -195,7 +199,7 @@ def _assert_one_owner(array):
 
 def _outage(node_id):
     """``node_id`` is down from mid-period 2 to mid-period 3: its classes
-    run partial fan-outs, which stay on the lane book."""
+    run partial fan-outs, which stay on the lane block."""
     return FaultSpec(scripted_outages={node_id: ((750.0, 1_250.0),)})
 
 
@@ -218,19 +222,31 @@ def test_observers_never_change_or_misread_the_market(
     make_case, num_nodes, load, batch_every, boundary_every, outage
 ):
     # Whoever looks, whenever: after each j-th batch and/or boundary
-    # (None = never, 1 = always).  Mid-period looks see the dispatcher's
-    # cached price lanes laid over the engine's matrices; every look must
-    # show the scalar twin's rows, and looking must not move a single
-    # outcome bit.  At 2.5x load classes saturate.
+    # (None = never, 1 = always).  Mid-period looks read the period
+    # engine's lanes as the exchanges left them; every look must show the
+    # scalar twin's rows, and looking must not move a single outcome bit.
+    # At 2.5x load classes saturate.  A Zipf outage must reach the scalar
+    # exchange kernel with a partial fan-out.
     world, trace, outage_node = make_case(num_nodes, load)
     faults = _outage(outage_node) if outage else None
-    array = _run(
-        world,
-        trace,
-        batch_every=batch_every,
-        boundary_every=boundary_every,
-        faults=faults,
-    )
+    kernel = market_tick.exchange_lanes_scalar
+    masked = []
+
+    def spy(*args):
+        masked.append(not all(args[8]))
+        return kernel(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(market_tick, "exchange_lanes_scalar", spy)
+        array = _run(
+            world,
+            trace,
+            batch_every=batch_every,
+            boundary_every=boundary_every,
+            faults=faults,
+        )
+    if make_case is _zipf_case:
+        assert masked and (any(masked) or not outage)
     reference = _run(
         world,
         trace,
@@ -247,7 +263,7 @@ def test_observers_never_change_or_misread_the_market(
 @pytest.mark.parametrize("method", sorted(BATCHED_METHODS))
 def test_churn_fallback_and_resume_for_every_batched_solver(method, carry):
     # Outage windows, scripted and by crash-only churn: the partial
-    # fan-outs inside them stay on the lane book, and the arrays carry
+    # fan-outs inside them stay on the lane block, and the arrays carry
     # credit, plans and capacities through the whole run.  Per solver and
     # carry-over mode, the array twin must match the scalar twin on
     # outcomes, messages, the tracer's snapshot at every boundary and the
@@ -380,6 +396,48 @@ def test_agents_raise_during_an_array_run():
     scalar._dispatcher = None
     scalar.on_run_start()
     assert len(scalar.agents) == len(rows)
+
+
+def test_rearm_maxp_is_the_engine_row_maximum():
+    # Each period the dispatcher's lane block re-derives every agent's
+    # running maximum from the lanes plus the cells that are not lanes
+    # (`maxp_base`).  On the paper's two-query world, class 1 has 50 of
+    # 100 bidders, so half the rows carry a cell that is not a lane and
+    # half do not; at every in-run boundary the block's maximum must be
+    # the dense price row's maximum, the overload signal the agents keep.
+    world, trace = _world_and_trace(100, 2.5)
+    allocator = QantAllocator()
+    federation = build_federation(
+        world.specs,
+        world.placement,
+        world.classes,
+        world.cost_model,
+        allocator,
+        FederationConfig(seed=2, batch_ticks=True),
+    )
+    engine, block = allocator._engine, allocator._dispatcher.block
+    no_lane = ~engine._valid_cost.all(axis=1)
+    assert no_lane.sum() == 50
+    assert (engine.maxp_base[no_lane] == 1.0).all()
+    assert (engine.maxp_base[~no_lane] == 0.0).all()
+    seen, above, below = [], [], []
+    on_period_start = allocator.on_period_start
+
+    def checked():
+        on_period_start()
+        if allocator._array_run:
+            dense = engine.price_matrix().max(axis=1)
+            seen.append(block.maxp.tolist() == dense.tolist())
+            seen.append(not block.locked.any())
+            # A lane raised past the non-lane cell's 1.0, and a row of
+            # lanes only decayed below it.
+            above.append((block.maxp[no_lane] > 1.0).any())
+            below.append((block.maxp[~no_lane] < 1.0).any())
+
+    allocator.on_period_start = checked
+    federation.run(trace)
+    assert len(seen) > 4 and all(seen)
+    assert any(above) and any(below)
 
 
 def test_run_start_refuses_a_latch_set_by_hand():

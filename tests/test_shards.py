@@ -51,6 +51,7 @@ from repro.sim import (
     ShardFailure,
     ShardPlan,
     ShardTransport,
+    build_federation,
     derive_shard_seed,
     plan_shards,
     split_market_classes,
@@ -830,7 +831,7 @@ class _FlatListReference:
     def _exchange(self, k, now):
         plane = self.plane
         key = (k, plane._period_serial)
-        if key in self.closed and (plane._V[k] != plane._cap).any():
+        if key in self.closed and (plane._block.prices[k] != plane._cap).any():
             self.closed_settled += 1
         plane._saturated_in.clear()
         plane._closed_in.clear()
@@ -891,13 +892,14 @@ def _assert_same_market(plane, reference):
     reference: prices, supply, latches, clocks, pools, outcome columns
     and counters.  ``_maxp`` is compared on unlatched agents only — a
     closed raise skips it on latched ones, where nothing can read it."""
-    ref = reference.plane
+    block, ref = plane._block, reference.plane._block
     for k in plane.class_indices:
-        assert plane._V[k].tolist() == ref._V[k].tolist()
-        assert plane._R[k].tolist() == ref._R[k].tolist()
-    assert plane._locked.tolist() == ref._locked.tolist()
-    open_ = ~plane._locked
-    assert plane._maxp[open_].tolist() == ref._maxp[open_].tolist()
+        assert block.prices[k].tolist() == ref.prices[k].tolist()
+        assert block.supply[k].tolist() == ref.supply[k].tolist()
+    assert block.locked.tolist() == ref.locked.tolist()
+    open_ = ~block.locked
+    assert block.maxp[open_].tolist() == ref.maxp[open_].tolist()
+    ref = reference.plane
     assert plane._busy.tolist() == ref._busy.tolist()
     assert plane._exec_busy.tolist() == ref._exec_busy.tolist()
     assert plane._cols == ref._cols  # resub column too
@@ -913,10 +915,10 @@ def _assert_same_market(plane, reference):
     for k in plane.class_indices:
         if plane._closed_in.get(k) == serial:
             # Closed: no supply, every bidder latched; saturated iff capped.
-            assert (plane._R[k] < 1.0).all()
-            assert plane._locked[plane._cand[k]].all()
+            assert (block.supply[k] < 1.0).all()
+            assert block.locked[block.members[k]].all()
             assert (plane._saturated_in.get(k) == serial) == bool(
-                (plane._V[k] == plane._cap).all()
+                (block.prices[k] == plane._cap).all()
             )
 
 
@@ -986,7 +988,7 @@ def test_market_plane_pools_match_on_one_kernel(crossover, case):
     """The same sweep with both sides on the scalar kernels only, and on
     lane books only (where the closed path calls ``refusal_raise``)."""
     for plane in _run_script(*case, crossovers=(crossover, crossover)):
-        assert len(plane._narrow) == (len(plane.class_indices) if crossover else 0)
+        assert len(plane._block.books) == (0 if crossover else len(plane.class_indices))
 
 
 # Nodes 0-2, class A on {0, 1}, class B on {1, 2}: node 1 couples them.
@@ -1023,7 +1025,8 @@ def test_closed_class_next_to_an_open_one(cap, burst):
         )
         if len(seen) == 1:  # closure reached by an arrival tick
             assert seen[0][0] and seen[0][2] > 0
-            assert B not in plane._closed_in and (plane._R[B] >= 1.0).any()
+            assert B not in plane._closed_in
+            assert (plane._block.supply[B] >= 1.0).any()
     pool = len(plane._pools[A])
     assert pool > burst
     bulk = seen[4][2] - seen[3][2]
@@ -1081,24 +1084,43 @@ def test_wide_and_narrow_class_share_a_bidder():
     ]
     closed = set()
     for plane in _run_script(_plane_init(costs, 2000.0), script):
-        assert list(plane._narrow) == [B]
+        assert list(plane._block.books) == [A]
         closed.update(plane._closed_in)
     assert closed == {A, B} and plane._closed_settled > 0
 
 
+def _aliased(block, V, R):
+    """Whether ``block`` prices exactly the flat arrays ``V`` / ``R``:
+    its per-class views and its books' lanes, once armed, share their
+    memory."""
+    return (
+        block.V is V
+        and block.R is R
+        and all(
+            np.shares_memory(block.prices[k], V)
+            and np.shares_memory(block.supply[k], R)
+            for k in block.prices
+        )
+        and all(
+            book.V is None
+            or (np.shares_memory(book.V, V) and np.shares_memory(book.R, R))
+            for book in block.books.values()
+        )
+    )
+
+
 def test_per_class_arrays_alias_the_flat_lane_block():
-    """``_V[k]`` / ``_R[k]`` are views of the plane's flat block, before
-    and after a reset and a boundary: the boundary works on the block,
-    the exchanges on the views, and a rebind of either would fork the
-    market's state."""
+    """A lane block's per-class ``prices[k]`` / ``supply[k]`` are views of
+    its engine's flat lanes, on both engines: a plane's own ``_Vf`` /
+    ``_Rf`` before and after a reset and a boundary, and the period
+    engine's ``V`` / ``R`` under the single-process dispatcher after
+    bind, after every boundary and after the end of the run.  Boundaries
+    and the eq. 4 solve work on the flat arrays, the exchanges on the
+    views, and a rebind of either would fork the market's state."""
     init, script = _plane_init(_SHARED_BIDDER), [[A] * 25 + [B], None, [A, B]]
 
     def aliased(plane):
-        return all(
-            np.shares_memory(plane._V[k], plane._Vf)
-            and np.shares_memory(plane._R[k], plane._Rf)
-            for k in plane.class_indices
-        )
+        return _aliased(plane._block, plane._Vf, plane._Rf)
 
     plane = _MarketPlane(init)
     assert aliased(plane)
@@ -1109,6 +1131,37 @@ def test_per_class_arrays_alias_the_flat_lane_block():
     assert aliased(plane)
     plane.boundary(500.0)
     assert aliased(plane)
+
+    # One wide class (30 lanes, a lane book) and one narrow (15, the twin).
+    world = two_query_world(num_nodes=30, seed=0)
+    allocator = QantAllocator()
+    federation = build_federation(
+        world.specs,
+        world.placement,
+        world.classes,
+        world.cost_model,
+        allocator,
+        FederationConfig(seed=2),
+    )
+    engine, block = allocator._engine, allocator._dispatcher.block
+    assert set(block.books) == {0} and set(block.prices) == {0, 1}
+    assert _aliased(block, engine.V, engine.R)
+    seen = []
+    on_period_start = allocator.on_period_start
+
+    def checked():
+        on_period_start()
+        seen.append(_aliased(block, engine.V, engine.R))
+
+    allocator.on_period_start = checked
+    federation.run(
+        sinusoid_trace_for_load(
+            world, load_fraction=1.5, horizon_ms=2_000.0, seed=3
+        )
+    )
+    assert len(seen) > 2 and all(seen)
+    assert _aliased(block, engine.V, engine.R)
+    assert allocator.batch_dispatch_stats.lane_steps > 0
 
 
 # ---------------------------------------------------------------------------

@@ -5,14 +5,16 @@
 the measurement.  It times one request-for-bid exchange, in microseconds,
 through ``LaneBook`` (numpy arrays, as shipped: it prices its live lanes
 only) and ``exchange_lanes_scalar`` (``memoryview``s of the same arrays,
-as a shard plane binds them) at lane counts 2 … 128, with none, half and
-all of the lanes out of supply, with none and 0.9 of those already
-settled at the cap, with and without the activation threshold, and
-prints the tables plus the widest class up to which the scalar loop is
-no slower than the book in every column.  A last table times
-the book's own two ways of pricing a live set (array steps / the loop)
+as a ``LaneBlock`` binds them), both stepping price epochs, at lane
+counts 2 … 128, with none, half and all of the lanes out of supply, with
+none and 0.9 of those already settled at the cap, with and without the
+activation threshold, and prints the tables plus the widest class up to
+which the scalar loop is no slower than the book in every column.  A
+second table repeats the half-refusing column with every other lane
+unreached (an outage window's partial fan-out).  A last table times the
+book's own two ways of pricing a live set (array steps / the loop)
 inside a wide class, the other place the constant decides.  Takes about
-ten seconds; stdlib + numpy.
+fifteen seconds; stdlib + numpy.
 
     python3 tools/lane_crossover.py        (or: make crossover)
 """
@@ -58,12 +60,14 @@ def exchange_us(
     settled: float,
     threshold: Optional[float],
     scalar_max: int = SCALAR_LANES_MAX,
+    masked: bool = False,
 ) -> float:
     """Best-of-``ROUNDS`` mean microseconds of ``REPS`` exchanges on one
     class of ``supplied`` lanes with supply and ``refusing`` without,
-    ``settled`` of the latter priced at the cap from the start; the
-    market state is reset between rounds, not between calls, so the other
-    refusing lanes raise and latch as in a period."""
+    ``settled`` of the latter priced at the cap from the start, reaching
+    every lane (``masked``: every other one); the market state is reset
+    between rounds, not between calls, so the other refusing lanes raise
+    and latch as in a period."""
     lanes = supplied + refusing
     rows = np.arange(lanes) * 2 + 1  # odd rows of wider per-agent arrays
     supply = np.zeros(lanes)
@@ -74,18 +78,25 @@ def exchange_us(
     costs = np.linspace(100.0, 900.0, lanes)
     maxp, locked = np.ones(2 * lanes + 1), np.zeros(2 * lanes + 1, dtype=bool)
     free_at = np.zeros(2 * lanes + 1)
+    epochs = np.zeros(2 * lanes + 1, dtype=np.int64)
+    reached = np.arange(lanes) % 2 == 0 if masked else None
     terms = FACTOR, FLOOR, CAP, threshold
     if kernel == "scalar":
-        views = scalar_lanes(R, V, rows, costs, maxp, locked, free_at)
+        views = (
+            *scalar_lanes(R, V, rows, costs),
+            *map(memoryview, (maxp, locked, free_at, epochs)),
+        )
+        # As `LaneBlock.exchange` passes them.
+        hits = [True] * lanes if reached is None else memoryview(reached)
 
         def exchange():
-            exchange_lanes_scalar(*views, 5.0, *terms)
+            exchange_lanes_scalar(*views, hits, 5.0, *terms)
     else:
-        book = LaneBook(rows, costs, maxp, locked, *terms)
+        book = LaneBook(rows, costs, maxp, locked, epochs, *terms)
         book._scalar_max = scalar_max
 
         def exchange():
-            book.exchange(book.estimates(free_at, 5.0))
+            book.exchange(book.estimates(free_at, 5.0), reached)
     best = float("inf")
     for _ in range(ROUNDS):
         R[:], V[:], locked[:] = supply, prices, False
@@ -147,6 +158,18 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if holding:
             widest = lanes
     print("scalar <= book in every column up to %d lanes" % widest)
+    print(
+        "us per exchange reaching every other lane, book/scalar"
+        " (refusing 0.5, threshold 2.0)"
+    )
+    for lanes in WIDTHS:
+        cell = tuple(
+            exchange_us(
+                kernel, lanes - lanes // 2, lanes // 2, 0.0, 2.0, masked=True
+            )
+            for kernel in ("book", "scalar")
+        )
+        print("%5d %s" % (lanes, ("%.1f/%.1f" % cell).rjust(12)))
     print(
         "us per book exchange, %d supplied lanes + a live set priced by"
         " array steps/by the loop (threshold 2.0)" % WIDE
