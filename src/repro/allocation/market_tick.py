@@ -522,9 +522,8 @@ class MarketTickDispatcher:
     engine that manages every bidder.
 
     Built by :class:`~repro.allocation.qant.QantAllocator` only for an
-    array run: no message faults, no partial adoption, no private
-    classification and a batched supply solver, so every bidder is a
-    plain :class:`~repro.core.qant.QantPricingAgent`.  Its
+    array run: no message faults and no partial adoption, so every
+    bidder is one of the engine's agents.  Its
     :class:`LaneBlock` is built over the engine's own lane arrays, with
     the fleet's ``slot_free`` mirror as busy clocks, so between
     ``on_run_start`` and ``on_run_end`` the engine's arrays and this

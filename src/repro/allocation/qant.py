@@ -32,13 +32,8 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..core.classification import (
-    PrivatelyClassifiedAgent,
-    cost_band_classification,
-)
 from ..core.period_engine import QantPeriodEngine
 from ..core.qant import QantParameters, QantPricingAgent
-from ..core.supply import CapacitySupplySet
 from ..query.model import Query
 from .base import Allocator, AssignmentDecision, BatchDecisions
 from .market_tick import MarketTickDispatcher
@@ -75,7 +70,6 @@ class QantAllocator(Allocator):
         activation_threshold: Optional[float] = DEFAULT_ACTIVATION_THRESHOLD,
         queue_allowance_ms: Optional[float] = None,
         allowance_factor: float = DEFAULT_ALLOWANCE_FACTOR,
-        private_buckets: Optional[int] = None,
     ):
         """``queue_allowance_ms`` bounds each node's committed backlog: a
         node sells supply only up to ``allowance - current_backlog`` per
@@ -94,14 +88,7 @@ class QantAllocator(Allocator):
         self._activation_threshold = activation_threshold
         self._queue_allowance_ms = queue_allowance_ms
         self._allowance_factor = allowance_factor
-        if private_buckets is not None and private_buckets <= 0:
-            raise ValueError("private_buckets must be positive")
-        #: When set, every node prices its *own* coarse classification of
-        #: the query classes (Section 3.3's autonomy-preserving option)
-        #: with this many cost bands, instead of the global class set.
-        self._private_buckets = private_buckets
-        self._agents: Dict[int, object] = {}
-        self._allowances: Dict[int, float] = {}
+        self._agents: Dict[int, QantPricingAgent] = {}
         #: Serial number of the current period, bumped by
         #: `on_period_start`; keys the per-class saturation fast path.
         self._period_serial = 0
@@ -116,17 +103,14 @@ class QantAllocator(Allocator):
         #: exchange — the stale cache graceful degradation falls back to
         #: when a faulted fan-out yields total silence (fault runs only).
         self._last_good: Dict[int, Tuple[int, ...]] = {}
-        #: The batched period-boundary engine over every plain pricing
-        #: agent, plus the (node_id, agent) rows it cannot manage —
-        #: privately-classifying agents and non-batchable solver methods —
-        #: which keep the original per-agent loop (see `_after_bind`).
+        #: The batched period-boundary engine over every agent, in
+        #: :attr:`agents` order (``None`` without adopters).
         self._engine: Optional[QantPeriodEngine] = None
         self._engine_node_ids: Tuple[int, ...] = ()
-        self._scalar_agents: Tuple[Tuple[int, object], ...] = ()
         #: The vectorised request-for-bid exchange over the period
         #: engine's lanes (see :mod:`repro.allocation.market_tick`); built
-        #: in `_after_bind` only when the engine manages every agent and
-        #: no message faults are active, ``None`` otherwise.
+        #: in `_after_bind` only under full adoption with no message
+        #: faults, ``None`` otherwise.
         self._dispatcher: Optional[MarketTickDispatcher] = None
         #: The context's network when its transport is the plain
         #: simulator adapter, enabling the one-draw-per-tick bulk latency
@@ -138,7 +122,7 @@ class QantAllocator(Allocator):
         #: block, are the market.  Otherwise (a scalar run, direct API
         #: use) the agents are, and every exchange is the listing.
         self._array_run = False
-        #: Fleet rows / allowances of the engine-managed nodes, for the
+        #: Fleet rows / backlog allowances of the adopters, for the
         #: vectorised free-capacity probe (``None`` without an engine).
         self._engine_rows_np = None
         self._engine_allowances_np = None
@@ -163,6 +147,7 @@ class QantAllocator(Allocator):
         return self._adopters is None or node_id in self._adopters
 
     def _after_bind(self) -> None:
+        allowances = []
         for node_id, node in self.context.nodes.items():
             if not self._is_adopter(node_id):
                 continue
@@ -176,59 +161,28 @@ class QantAllocator(Allocator):
                 allowance = (
                     self.context.period_ms + self._allowance_factor * max_cost
                 )
-            self._allowances[node_id] = allowance
-            if self._private_buckets is None:
-                self._agents[node_id] = QantPricingAgent(
-                    node.make_supply_set(self.context.period_ms),
-                    parameters=self._params,
-                )
-            else:
-                scheme = cost_band_classification(
-                    node.class_costs_ms, self._private_buckets
-                )
-                self._agents[node_id] = PrivatelyClassifiedAgent(
-                    scheme,
-                    node.class_costs_ms,
-                    self.context.period_ms,
-                    parameters=self._params,
-                )
-        # Partition the fleet for the period boundary: every plain pricing
-        # agent goes into the batched engine; privately-classifying agents
-        # and non-batchable solver methods stay on the scalar loop.
-        engine_rows = [
-            (node_id, agent)
-            for node_id, agent in self._agents.items()
-            if QantPeriodEngine.accepts(agent)
-        ]
-        engine_ids = {node_id for node_id, __ in engine_rows}
-        self._scalar_agents = tuple(
-            (node_id, agent)
-            for node_id, agent in self._agents.items()
-            if node_id not in engine_ids
-        )
+            allowances.append(allowance)
+            self._agents[node_id] = QantPricingAgent(
+                node.make_supply_set(self.context.period_ms),
+                parameters=self._params,
+            )
+        # The batched engine drives every agent's period boundary.
         fleet = self.context.fleet
-        if engine_rows:
-            self._engine_node_ids = tuple(nid for nid, __ in engine_rows)
-            self._engine = QantPeriodEngine([agent for __, agent in engine_rows])
+        if self._agents:
+            self._engine_node_ids = tuple(self._agents)
+            self._engine = QantPeriodEngine(self._agents.values())
             self._engine_rows_np = np.array(
                 [fleet.row_of[nid] for nid in self._engine_node_ids],
                 dtype=np.intp,
             )
-            self._engine_allowances_np = np.array(
-                [self._allowances[nid] for nid in self._engine_node_ids],
-                dtype=float,
-            )
-        # A run is array-resident when the period engine manages every
-        # agent: full adoption and global classes (then every node runs
-        # an exact-type `QantPricingAgent`), a batched solver, and no
-        # message faults.  Anything else negotiates through the listing
-        # from start to end.
+            self._engine_allowances_np = np.array(allowances, dtype=float)
+        # A run is array-resident when every node is a bidder the engine
+        # manages (full adoption) and no message faults are active.
+        # Anything else negotiates through the listing from start to end.
         if (
             self.context.faults is None
             and self._adopters is None
-            and self._private_buckets is None
             and self._engine is not None
-            and not self._scalar_agents
         ):
             self._dispatcher = MarketTickDispatcher(
                 fleet,
@@ -260,42 +214,20 @@ class QantAllocator(Allocator):
         node with a committed queue does not sell time it no longer has,
         while an idle node can always admit its largest query.
 
-        Plain pricing agents are driven through the batched
-        :class:`~repro.core.period_engine.QantPeriodEngine` (bit-identical
-        to this method's scalar loop; the boundary has no cross-agent
-        coupling, so ordering engine rows before scalar rows is
-        unobservable); the remaining agents keep the per-agent path.
+        Every agent's boundary (steps 12-14 decay, the rebind, eq. 4) is
+        driven through the batched
+        :class:`~repro.core.period_engine.QantPeriodEngine`, bit-identical
+        to the agents' own ``end_period`` → ``rebind_supply_set`` →
+        ``begin_period``.
         """
-        engine = self._engine
         if self._array_run:
             self._dispatcher.close_period()
         self._period_serial += 1
-        if engine is not None:
-            engine.advance(self._engine_free_capacities)
+        if self._engine is not None:
+            self._engine.advance(self._engine_free_capacities)
         if self._array_run:
             # The period opens array-to-array.
             self._dispatcher.block.rearm()
-        nodes = self.context.nodes
-        allowances = self._allowances
-        for node_id, agent in self._scalar_agents:
-            node = nodes[node_id]
-            if agent.in_period:
-                # Steps 12-14: unsold supply lowers prices before the new
-                # period's supply vector is computed.
-                agent.end_period()
-            free_ms = max(0.0, allowances[node_id] - node.current_load_ms())
-            if isinstance(agent, PrivatelyClassifiedAgent):
-                agent.rebind_capacity(free_ms)
-            else:
-                supply_set = agent.supply_set
-                if isinstance(supply_set, CapacitySupplySet):
-                    # Rebind in place of reconstructing: the cost row never
-                    # changes period to period, only the free capacity does.
-                    supply_set = supply_set.with_capacity(free_ms)
-                else:
-                    supply_set = CapacitySupplySet(node.class_costs_ms, free_ms)
-                agent.rebind_supply_set(supply_set)
-            agent.begin_period()
 
     def _engine_free_capacities(self):
         """Per engine row, the node's free backlog allowance right now.
@@ -490,13 +422,13 @@ class QantAllocator(Allocator):
         if offers:
             return self._award(offers, class_index)
         if full_fanout:
-            # The same condition the dispatcher reports: every bidder is a
-            # plain agent whose class price is pinned at the cap (nobody
+            # The same condition the dispatcher reports: every bidder is an
+            # adopter whose class price is pinned at the cap (nobody
             # offered, so none has supply and, with a threshold, every
             # latch is set).  Never recorded from a partial exchange.
             cap = self._params.price_cap
             if all(
-                isinstance(agent, QantPricingAgent)
+                agent is not None
                 and agent._price_values[class_index] == cap
                 for agent in map(self._agents.get, candidates)
             ):

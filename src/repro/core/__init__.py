@@ -14,11 +14,6 @@ Layered as:
 * :mod:`repro.core.welfare` — FTWE checks and a synchronous economy.
 """
 
-from .classification import (
-    ClassificationScheme,
-    PrivatelyClassifiedAgent,
-    cost_band_classification,
-)
 from .market import PriceVector, excess_demand, is_equilibrium
 from .pareto import Allocation, is_pareto_optimal, pareto_dominates, pareto_front
 from .preferences import (
@@ -29,6 +24,7 @@ from .preferences import (
 from .period_engine import PeriodEngineStats, QantPeriodEngine
 from .qant import QantParameters, QantPeriodStats, QantPricingAgent
 from .supply import (
+    SUPPLY_METHODS,
     CapacitySupplySet,
     ExplicitSupplySet,
     SupplySet,
@@ -41,9 +37,6 @@ from .welfare import QueryMarketEconomy, ftwe_allocation, verify_ftwe
 __all__ = [
     "Allocation",
     "CapacitySupplySet",
-    "ClassificationScheme",
-    "PrivatelyClassifiedAgent",
-    "cost_band_classification",
     "ExplicitSupplySet",
     "PreferenceRelation",
     "PriceVector",
@@ -54,6 +47,7 @@ __all__ = [
     "QantPricingAgent",
     "QueryMarketEconomy",
     "QueryVector",
+    "SUPPLY_METHODS",
     "SupplySet",
     "TatonnementResult",
     "TatonnementUmpire",

@@ -60,18 +60,10 @@ from .supply import MIN_FILL, CapacitySupplySet
 from .vectors import QueryVector
 
 __all__ = [
-    "BATCHED_METHODS",
     "PeriodEngineStats",
     "QantPeriodEngine",
     "unsold_decay",
 ]
-
-#: Supply-solver methods the batched path replicates bit-for-bit.  The
-#: ``exact`` DP (and any non-capacity supply set) stays on the scalar
-#: per-agent fallback the allocator keeps for non-conforming agents.
-BATCHED_METHODS = frozenset(
-    {"proportional", "greedy", "greedy-fractional", "fractional"}
-)
 
 #: Mirrors the default ``sharpness`` of
 #: :meth:`repro.core.supply.CapacitySupplySet._solve_proportional`.
@@ -124,8 +116,8 @@ class QantPeriodEngine:
     capacity rebind → ``begin_period`` sequence on them per
     :meth:`advance` call.  Construct it *between* periods (at bind time)
     over agents that all share one :class:`~repro.core.qant.
-    QantParameters`; agents that do not :meth:`accepts` must stay on the
-    caller's scalar path.
+    QantParameters`; an agent that the engine does not :meth:`accepts`
+    is refused.
     """
 
     def __init__(self, agents: Sequence[QantPricingAgent]):
@@ -138,8 +130,7 @@ class QantPeriodEngine:
             if not self.accepts(agent):
                 raise ValueError(
                     "agent %r is not batchable (needs a plain "
-                    "QantPricingAgent over a CapacitySupplySet with a "
-                    "batched solver method)" % (agent,)
+                    "QantPricingAgent over a CapacitySupplySet)" % (agent,)
                 )
             if agent.parameters != params:
                 raise ValueError("all agents must share one QantParameters")
@@ -201,13 +192,11 @@ class QantPeriodEngine:
 
         Exactly a plain :class:`QantPricingAgent` (no subclass — a
         subclass may override the period methods the engine bypasses)
-        over a :class:`CapacitySupplySet` with one of the
-        :data:`BATCHED_METHODS` solvers.
+        over a :class:`CapacitySupplySet`.  Every solver method
+        :class:`~repro.core.qant.QantParameters` admits is batched.
         """
-        return (
-            type(agent) is QantPricingAgent
-            and isinstance(agent.supply_set, CapacitySupplySet)
-            and agent.parameters.supply_method in BATCHED_METHODS
+        return type(agent) is QantPricingAgent and isinstance(
+            agent.supply_set, CapacitySupplySet
         )
 
     # -- driving ------------------------------------------------------------

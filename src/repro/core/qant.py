@@ -13,8 +13,10 @@ period ``tau`` it follows the paper's pseudo-code:
 4. at the period's end, lower the price of every class with unsold supply:
    ``p_k -= s_ik * lambda * p_k``.
 
-Prices are strictly private — they are never exchanged between nodes — so
-each node may even use its own query classification (paper Section 3.3).
+Prices are strictly private — they are never exchanged between nodes.
+(Section 3.3 adds that each node may even use its own query
+classification; no figure depends on that, and here every agent prices
+the one global class set — DESIGN.md §2.)
 Trading failures are the *only* price signals, which is what makes the
 process non-tatonnement: trade happens continuously at disequilibrium
 prices rather than waiting for an umpire to clear the market.
@@ -26,7 +28,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from .market import PriceVector
-from .supply import SupplySet, solve_supply
+from .supply import SUPPLY_METHODS, SupplySet, solve_supply
 from .vectors import QueryVector
 
 __all__ = [
@@ -58,8 +60,9 @@ class QantParameters:
     #: ``"proportional"`` (default) responds smoothly to prices, which
     #: stabilises the market (see
     #: :meth:`repro.core.supply.CapacitySupplySet._solve_proportional`);
-    #: ``"greedy"``/``"fractional"``/``"exact"`` give the corner solution
-    #: of the pure linear seller problem and are kept for ablations.
+    #: ``"greedy"``/``"greedy-fractional"``/``"fractional"`` give the
+    #: corner solution of the pure linear seller problem and are kept for
+    #: ablations.  One of :data:`repro.core.supply.SUPPLY_METHODS`.
     supply_method: str = "proportional"
     #: Accumulate fractional supply across periods.  When the supply
     #: budget is shorter than a query's execution time, the per-period
@@ -71,6 +74,11 @@ class QantParameters:
     price_cap: float = DEFAULT_PRICE_CAP
 
     def __post_init__(self) -> None:
+        if self.supply_method not in SUPPLY_METHODS:
+            raise ValueError(
+                "unknown supply method %r (expected one of %s)"
+                % (self.supply_method, ", ".join(SUPPLY_METHODS))
+            )
         if self.adjustment <= 0:
             raise ValueError("lambda (adjustment) must be positive")
         if self.price_floor <= 0:

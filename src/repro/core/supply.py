@@ -16,16 +16,19 @@ Two supply-set families are provided:
   relations).  Feasibility is ``sum_k s_k * cost_ms[k] <= capacity_ms``.
 
 For :class:`CapacitySupplySet` the seller's problem is an unbounded knapsack.
-Three solvers are exposed because the paper's discussion of rounding error
-(Fig. 5a) makes the integer/fractional distinction experimentally relevant:
+The solvers, named in :data:`SUPPLY_METHODS`, are all density orders,
+because the paper's discussion of rounding error (Fig. 5a) makes the
+integer/fractional distinction experimentally relevant:
 
-* ``fractional`` — continuous relaxation: all capacity goes to the class
-  with the best price density ``p_k / cost_ms[k]`` (the true market
-  equilibrium behaviour);
+* ``proportional`` — capacity split in proportion to price density (the
+  smooth default; see :meth:`CapacitySupplySet._solve_proportional`);
 * ``greedy`` — integer counts filled in decreasing density order; fast and
   within one query of optimal per class;
-* ``exact`` — dynamic-programming unbounded knapsack on a discretised
-  capacity grid; exponential-free but O(capacity/granularity * K).
+* ``greedy-fractional`` — the greedy fill plus the leftover capacity as a
+  fraction of the best class;
+* ``fractional`` — continuous relaxation: all capacity goes to the class
+  with the best price density ``p_k / cost_ms[k]`` (the true market
+  equilibrium behaviour).
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import abc
 import math
 import sys
-from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 from .vectors import QueryVector
 
@@ -41,8 +44,14 @@ __all__ = [
     "SupplySet",
     "ExplicitSupplySet",
     "CapacitySupplySet",
+    "SUPPLY_METHODS",
     "solve_supply",
 ]
+
+#: The eq. 4 solvers of :meth:`CapacitySupplySet.optimal_supply`, and so
+#: every value ``QantParameters.supply_method`` accepts.  The period
+#: engine batches each of them bit for bit.
+SUPPLY_METHODS = ("proportional", "greedy", "greedy-fractional", "fractional")
 
 #: A fractional fill below the smallest normal float counts as nothing.
 #: Down there a quotient rounds to a whole number of denormals, so
@@ -206,12 +215,12 @@ class CapacitySupplySet(SupplySet):
     ) -> QueryVector:
         """Solve eq. 4 with the requested ``method``.
 
-        ``method`` is one of ``"fractional"``, ``"greedy"``,
-        ``"greedy-fractional"`` or ``"exact"``; see the module docstring
-        for the trade-offs.  ``"greedy-fractional"`` is the greedy integer
-        fill with the residual capacity assigned fractionally to the best
-        remaining class — the natural input for QA-NT's carry-over
-        accounting (see :class:`repro.core.qant.QantPricingAgent`).
+        ``method`` is one of :data:`SUPPLY_METHODS`; see the module
+        docstring for the trade-offs.  ``"greedy-fractional"`` is the
+        greedy integer fill with the residual capacity assigned
+        fractionally to the best remaining class — the natural input for
+        QA-NT's carry-over accounting (see
+        :class:`repro.core.qant.QantPricingAgent`).
         """
         _check_prices(prices, len(self._costs))
         if method == "fractional":
@@ -222,8 +231,6 @@ class CapacitySupplySet(SupplySet):
             return self._solve_greedy(prices, fractional_tail=True)
         if method == "proportional":
             return self._solve_proportional(prices)
-        if method == "exact":
-            return self._solve_exact(prices)
         raise ValueError("unknown supply solver %r" % (method,))
 
     def _densities(self, prices: Sequence[float]) -> List[Tuple[float, int]]:
@@ -313,73 +320,6 @@ class CapacitySupplySet(SupplySet):
             if amount >= MIN_FILL:
                 counts[k] = amount
         return QueryVector._from_trusted_tuple(tuple(counts))
-
-    def _solve_exact(
-        self,
-        prices: Sequence[float],
-        granularity_ms: Optional[float] = None,
-    ) -> QueryVector:
-        """Unbounded-knapsack DP on a discretised capacity grid.
-
-        Costs are rounded *up* to grid cells so the returned vector is
-        always feasible on the true (un-discretised) capacity.  The grid
-        adapts to the cheapest class so sub-10ms instances still resolve,
-        while the cell count stays bounded for huge capacities.  Because
-        rounding can cost the DP an exactly-fitting item, the result is
-        compared against the true-cost greedy solution and the more
-        valuable of the two is returned — so "exact" never underperforms
-        "greedy".
-        """
-        if granularity_ms is None:
-            finite_costs = [c for c in self._costs if not math.isinf(c)]
-            if not finite_costs:
-                return QueryVector.zeros(self.num_classes)
-            # A tenth of the cheapest class keeps the rounding loss below
-            # ~10% of one query per item; the floor on cell count keeps
-            # the DP bounded for huge capacities.
-            granularity_ms = max(
-                min(10.0, min(finite_costs) / 10.0),
-                self._capacity / 50_000.0,
-            )
-        greedy = self._solve_greedy(prices)
-        cells = int(self._capacity / granularity_ms + 1e-9)
-        if cells <= 0:
-            return greedy
-        items = [
-            (
-                prices[k],
-                max(1, math.ceil(self._costs[k] / granularity_ms - 1e-9)),
-                k,
-            )
-            for k in range(self.num_classes)
-            if not math.isinf(self._costs[k]) and prices[k] > 0
-        ]
-        if not items:
-            return QueryVector.zeros(self.num_classes)
-        best_value = [0.0] * (cells + 1)
-        choice: List[Optional[int]] = [None] * (cells + 1)
-        for budget in range(1, cells + 1):
-            best_value[budget] = best_value[budget - 1]
-            choice[budget] = None
-            for value, weight, k in items:
-                if weight <= budget:
-                    candidate = best_value[budget - weight] + value
-                    if candidate > best_value[budget] + 1e-12:
-                        best_value[budget] = candidate
-                        choice[budget] = k
-        counts = [0.0] * self.num_classes
-        budget = cells
-        while budget > 0:
-            k = choice[budget]
-            if k is None:
-                budget -= 1
-                continue
-            counts[k] += 1
-            budget -= max(1, math.ceil(self._costs[k] / granularity_ms - 1e-9))
-        dp_result = QueryVector._from_trusted_tuple(tuple(counts))
-        if dp_result.dot(prices) >= greedy.dot(prices):
-            return dp_result
-        return greedy
 
 
 def solve_supply(

@@ -20,7 +20,6 @@ from .messages import (
     AssignQuery,
     BidBatch,
     BidRequest,
-    CompletionReport,
     Message,
     MESSAGE_TYPES,
     PeriodTick,
@@ -53,7 +52,6 @@ __all__ = [
     "Quote",
     "Refusal",
     "AssignQuery",
-    "CompletionReport",
     "PeriodTick",
     "Message",
     "MESSAGE_TYPES",

@@ -4,8 +4,7 @@ The QA-NT market is, at heart, a message protocol: a client fans a
 :class:`BidRequest` out to the candidate servers, each server answers with
 a :class:`Quote` (an offer) or a :class:`Refusal` (a trading failure that
 moved its private prices), the client dispatches an :class:`AssignQuery`
-to the winner, the server eventually emits a :class:`CompletionReport`,
-and a :class:`PeriodTick` resettles every agent's prices and supply at
+to the winner, and a :class:`PeriodTick` resettles every agent's prices and supply at
 each period boundary.  Until this module existed those messages were
 implicit — smeared across allocator tuple returns and network fan-out
 unpacking.  Here they are first-class, frozen, and serialisable, so the
@@ -39,7 +38,6 @@ __all__ = [
     "Quote",
     "Refusal",
     "AssignQuery",
-    "CompletionReport",
     "PeriodTick",
     "Message",
     "MESSAGE_TYPES",
@@ -132,17 +130,6 @@ class AssignQuery:
 
 
 @dataclass(frozen=True)
-class CompletionReport:
-    """Server → client: the query finished executing."""
-
-    qid: int
-    node_id: int
-    class_index: int
-    started_ms: float
-    finished_ms: float
-
-
-@dataclass(frozen=True)
 class PeriodTick:
     """Market-wide period boundary (the paper's ``T``): agents lower the
     prices of unsold supply and re-solve eq. 4 for the new period."""
@@ -151,9 +138,7 @@ class PeriodTick:
     period_ms: float
 
 
-Message = Union[
-    BidRequest, BidBatch, Quote, Refusal, AssignQuery, CompletionReport, PeriodTick
-]
+Message = Union[BidRequest, BidBatch, Quote, Refusal, AssignQuery, PeriodTick]
 
 #: Wire tag → message class, the decoder's dispatch table.
 MESSAGE_TYPES: Mapping[str, type] = {
@@ -162,7 +147,6 @@ MESSAGE_TYPES: Mapping[str, type] = {
     "quote": Quote,
     "refusal": Refusal,
     "assign_query": AssignQuery,
-    "completion_report": CompletionReport,
     "period_tick": PeriodTick,
 }
 
@@ -175,7 +159,7 @@ _INT_FIELDS = frozenset(
     {"qid", "class_index", "origin_node", "attempt", "node_id", "period_index"}
 )
 _FLOAT_FIELDS = frozenset(
-    {"estimated_completion_ms", "started_ms", "finished_ms", "period_ms"}
+    {"estimated_completion_ms", "period_ms"}
 )
 
 #: Per-class field tables, computed once at import.  ``dataclasses.fields``

@@ -231,14 +231,14 @@ def scaling_1000node_payload() -> str:
 
 
 def scalar_paths_payload() -> str:
-    """The configurations only the scalar listing ever prices, bit for bit.
+    """Partial adoption, outage windows and direct API use, bit for bit.
 
-    A fleet with non-adopters or private classifications never builds a
-    market-tick dispatcher, an outage window turns full fan-outs into
-    partial ones, and a directly driven allocator (no ``Federation.run``)
-    keeps its agents live: all four negotiate through
-    ``QantPricingAgent.quote``.  Each run pins every outcome, the message
-    count and every agent's final market state.
+    A fleet with non-adopters never builds a market-tick dispatcher, and a
+    directly driven allocator (no ``Federation.run``) keeps its agents
+    live: both negotiate through ``QantPricingAgent.quote``.  An outage
+    window turns full fan-outs into partial ones, which the dispatcher's
+    lane block prices on the arrays.  Each run pins every outcome, the
+    message count and every agent's final market state.
     """
     world = two_query_world(num_nodes=12, seed=5)
     trace = sinusoid_trace_for_load(
@@ -273,17 +273,15 @@ def scalar_paths_payload() -> str:
         )
 
     def agents(allocator):
-        # repr() pins the floats to the last bit; a privately-classifying
-        # agent's market is its bucket agent.
+        # repr() pins the floats to the last bit.
         return {
-            str(node_id): repr(state(getattr(agent, "private_agent", agent)))
+            str(node_id): repr(state(agent))
             for node_id, agent in sorted(allocator.agents.items())
         }
 
     payload = {}
     for name, make, config in (
         ("partial_adoption", lambda: QantAllocator(adopters=range(6)), {}),
-        ("private_buckets", lambda: QantAllocator(private_buckets=2), {}),
         (
             "outage_batched",
             QantAllocator,
@@ -371,7 +369,7 @@ def test_ablation_rounding_small_seed0_matches_golden():
 
 
 def test_scalar_paths_match_golden():
-    """Partial adoption, private buckets, a mid-period outage (batched and
-    not) and a hand-driven allocator reproduce the stored digests and
-    final agent states bit-for-bit."""
+    """Partial adoption, a mid-period outage (batched and not) and a
+    hand-driven allocator reproduce the stored digests and final agent
+    states bit-for-bit."""
     assert scalar_paths_payload() == _golden("scalar_paths_seed0.json")

@@ -24,8 +24,8 @@ from hypothesis import strategies as st
 
 from repro.allocation import GreedyAllocator, QantAllocator
 from repro.allocation import market_tick
-from repro.core.period_engine import BATCHED_METHODS
 from repro.core.qant import QantParameters
+from repro.core.supply import SUPPLY_METHODS
 from repro.experiments.scaling import quantise_trace
 from repro.experiments.setups import (
     sinusoid_trace_for_load,
@@ -260,7 +260,7 @@ def test_observers_never_change_or_misread_the_market(
 
 
 @pytest.mark.parametrize("carry", [True, False])
-@pytest.mark.parametrize("method", sorted(BATCHED_METHODS))
+@pytest.mark.parametrize("method", sorted(SUPPLY_METHODS))
 def test_churn_fallback_and_resume_for_every_batched_solver(method, carry):
     # Outage windows, scripted and by crash-only churn: the partial
     # fan-outs inside them stay on the lane block, and the arrays carry

@@ -20,16 +20,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.period_engine import (
-    BATCHED_METHODS,
-    QantPeriodEngine,
-    unsold_decay,
-)
+from repro.core.period_engine import QantPeriodEngine, unsold_decay
 from repro.core.qant import QantParameters, QantPricingAgent
-from repro.core.supply import CapacitySupplySet, ExplicitSupplySet
+from repro.core.supply import (
+    SUPPLY_METHODS,
+    CapacitySupplySet,
+    ExplicitSupplySet,
+)
 from repro.core.vectors import QueryVector
 
-METHODS = sorted(BATCHED_METHODS)
+METHODS = sorted(SUPPLY_METHODS)
 
 
 def _make_fleet(rng, num_agents, num_classes, method, carry):
@@ -168,13 +168,6 @@ class TestAccepts:
         agent = QantPricingAgent(CapacitySupplySet([100.0], 1_000.0))
         assert QantPeriodEngine.accepts(agent)
 
-    def test_rejects_exact_method(self):
-        agent = QantPricingAgent(
-            CapacitySupplySet([100.0], 1_000.0),
-            QantParameters(supply_method="exact"),
-        )
-        assert not QantPeriodEngine.accepts(agent)
-
     def test_rejects_explicit_supply_set(self):
         supply = ExplicitSupplySet([QueryVector([1.0, 0.0])])
         assert not QantPeriodEngine.accepts(QantPricingAgent(supply))
@@ -205,10 +198,7 @@ class TestAccepts:
             QantPeriodEngine([agent])
 
     def test_init_rejects_non_batchable_agent(self):
-        agent = QantPricingAgent(
-            CapacitySupplySet([100.0], 1_000.0),
-            QantParameters(supply_method="exact"),
-        )
+        agent = QantPricingAgent(ExplicitSupplySet([QueryVector([1.0])]))
         with pytest.raises(ValueError, match="not batchable"):
             QantPeriodEngine([agent])
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from repro.core.market import PriceVector, excess_demand
 from repro.core.pareto import pareto_dominates
-from repro.core.supply import CapacitySupplySet
+from repro.core.supply import SUPPLY_METHODS, CapacitySupplySet
 from repro.core.vectors import QueryVector, aggregate
 from repro.sim.engine import Simulator
 from repro.workload.zipf import TruncatedZipf, ZipfArrivals
@@ -88,22 +88,9 @@ class TestSupplyInvariants:
     def test_all_solvers_return_feasible_supply(self, priced_case):
         (costs, capacity), prices = priced_case
         supply_set = CapacitySupplySet(costs, capacity)
-        for method in ("greedy", "fractional", "greedy-fractional", "proportional"):
+        for method in SUPPLY_METHODS:
             result = supply_set.optimal_supply(prices, method=method)
             assert supply_set.utilisation(result) <= 1.0 + 1e-6
-
-    @given(supply_cases, st.data())
-    @settings(max_examples=60)
-    def test_exact_value_at_least_greedy(self, case, data):
-        # The exact solver falls back to the true-cost greedy solution
-        # whenever grid discretisation would lose value, so it can never
-        # underperform greedy.
-        costs, capacity = case
-        supply_set = CapacitySupplySet(costs, capacity)
-        prices = data.draw(prices_for(len(costs)))
-        greedy = supply_set.optimal_supply(prices, method="greedy")
-        exact = supply_set.optimal_supply(prices, method="exact")
-        assert exact.dot(prices) >= greedy.dot(prices) - 1e-9
 
     @given(supply_cases, st.data())
     @settings(max_examples=60)

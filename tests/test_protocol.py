@@ -26,7 +26,6 @@ from repro.protocol import (
     AssignQuery,
     BidBatch,
     BidRequest,
-    CompletionReport,
     FanoutResult,
     MarketSession,
     NegotiationPolicy,
@@ -80,14 +79,6 @@ MESSAGE_STRATEGIES = {
     ),
     "assign_query": st.builds(
         AssignQuery, qid=ids, node_id=node_ids, class_index=ids
-    ),
-    "completion_report": st.builds(
-        CompletionReport,
-        qid=ids,
-        node_id=node_ids,
-        class_index=ids,
-        started_ms=finite_ms,
-        finished_ms=finite_ms,
     ),
     "period_tick": st.builds(
         PeriodTick, period_index=ids, period_ms=finite_ms

@@ -2,10 +2,6 @@
 
 import pytest
 
-from repro.core.classification import (
-    PrivatelyClassifiedAgent,
-    cost_band_classification,
-)
 from repro.core.market import PriceVector
 from repro.core.qant import QantParameters, QantPricingAgent
 from repro.core.supply import CapacitySupplySet
@@ -33,6 +29,11 @@ class TestParameters:
     def test_rejects_cap_below_floor(self):
         with pytest.raises(ValueError):
             QantParameters(price_floor=1.0, price_cap=0.5)
+
+    def test_rejects_unknown_supply_method(self):
+        # A typo must fail here, not solve as some other method later.
+        with pytest.raises(ValueError, match="'greedy_fractional'"):
+            QantParameters(supply_method="greedy_fractional")
 
 
 class TestPeriodLifecycle:
@@ -82,15 +83,13 @@ class TestPeriodLifecycle:
     def test_quote_rejects_out_of_range_classes(self):
         # A negative index must not wrap around to the last class and
         # silently refuse-and-raise it.
-        scheme = cost_band_classification([100.0, 200.0], 2)
-        private = PrivatelyClassifiedAgent(scheme, [100.0, 200.0], 1000.0)
-        for agent in (make_agent(capacity=0.0), private):
-            agent.begin_period()
-            before = tuple(agent.prices)
-            for class_index in (-1, 2):
-                with pytest.raises(IndexError):
-                    agent.quote(class_index)
-            assert tuple(agent.prices) == before
+        agent = make_agent(capacity=0.0)
+        agent.begin_period()
+        before = tuple(agent.prices)
+        for class_index in (-1, 2):
+            with pytest.raises(IndexError):
+                agent.quote(class_index)
+        assert tuple(agent.prices) == before
 
 
 class TestPriceDynamics:

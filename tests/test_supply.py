@@ -149,26 +149,6 @@ class TestSolvers:
         result = s.optimal_supply([1.0, 2.0, 0.5], method="proportional")
         assert s.utilisation(result) <= 1.0 + 1e-9
 
-    def test_exact_matches_greedy_on_easy_instance(self):
-        s = CapacitySupplySet([100.0, 100.0], 500.0)
-        exact = s.optimal_supply([2.0, 1.0], method="exact")
-        greedy = s.optimal_supply([2.0, 1.0], method="greedy")
-        assert exact.dot([2.0, 1.0]) >= greedy.dot([2.0, 1.0])
-
-    def test_exact_beats_greedy_on_knapsack_trap(self):
-        # Greedy takes the high-density item and wastes capacity; exact
-        # packs the budget fully.  costs: 60, 50, 50; prices 65, 50, 50.
-        s = CapacitySupplySet([60.0, 50.0, 50.0], 100.0)
-        prices = [65.0, 50.0, 50.0]
-        exact = s.optimal_supply(prices, method="exact")
-        greedy = s.optimal_supply(prices, method="greedy")
-        assert exact.dot(prices) > greedy.dot(prices)
-
-    def test_exact_feasible(self):
-        s = CapacitySupplySet([130.0, 170.0], 600.0)
-        result = s.optimal_supply([1.3, 1.7], method="exact")
-        assert s.contains(result)
-
     def test_unknown_method_rejected(self):
         s = CapacitySupplySet([100.0], 500.0)
         with pytest.raises(ValueError):

@@ -13,12 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.qant import QantPricingAgent
-from repro.core.supply import CapacitySupplySet
+from repro.core.supply import SUPPLY_METHODS, CapacitySupplySet
 
-METHODS = ("fractional", "greedy", "greedy-fractional", "proportional", "exact")
-
-# Costs >= 50ms on a <= 2s budget keep the exact DP grid small enough for
-# hypothesis to run hundreds of solves per test.
 costs_lists = st.lists(
     st.floats(min_value=50.0, max_value=1000.0), min_size=2, max_size=5
 )
@@ -71,7 +67,7 @@ class TestWithCapacityRebind:
         capacities,
         capacities,
         st.integers(min_value=0, max_value=10),
-        st.sampled_from(METHODS),
+        st.sampled_from(SUPPLY_METHODS),
     )
     def test_rebind_equals_fresh_construction(
         self, costs, cap_a, cap_b, price_scale, method

@@ -68,10 +68,11 @@ class TestMarketTracer:
         assert totals
         assert all(total >= 0 for __, total in totals)
 
-    def test_tracer_works_with_private_buckets(self):
-        """Tracing must also cover nodes pricing private classifications."""
+    def test_tracer_works_with_partial_adoption(self):
+        """Tracing must also cover a run the listing prices (no dispatcher:
+        only half the nodes adopt QA-NT)."""
         world = two_query_world(num_nodes=6, seed=9)
-        allocator = QantAllocator(private_buckets=2)
+        allocator = QantAllocator(adopters=range(3))
         tracer = MarketTracer(allocator)
         federation = build_federation(
             world.specs,
