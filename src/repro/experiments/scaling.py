@@ -196,8 +196,6 @@ def sharded_scaling_cell(
         payload.setdefault("barrier_wait_ms", 0.0)
         payload.setdefault("shard_imbalance", 1.0)
         payload.setdefault("reconcile_barriers", 0.0)
-        payload.setdefault("reconcile_interval", 0.0)
-        payload.setdefault("overlapped_frames", 0.0)
         payload.setdefault("local_classes", 0.0)
         payload.setdefault("residual_classes", 0.0)
         payload.setdefault("closed_settled", 0.0)

@@ -103,9 +103,6 @@ class MetricsCollector:
         self._barrier_wait_ms = 0.0
         self._shard_imbalance = 1.0
         self._shards = 1
-        self._reconcile_barriers = 0
-        self._reconcile_interval = 1
-        self._overlapped_frames = 0
         self._local_classes = 0
         self._residual_classes = 0
         self._closed_settled = 0
@@ -216,9 +213,6 @@ class MetricsCollector:
         barrier_wait_ms: float = 0.0,
         shard_imbalance: float = 1.0,
         shards: int = 1,
-        reconcile_barriers: int = 0,
-        reconcile_interval: int = 1,
-        overlapped_frames: int = 0,
         local_classes: int = 0,
         residual_classes: int = 0,
         closed_settled: int = 0,
@@ -228,23 +222,15 @@ class MetricsCollector:
         Called once by :class:`repro.sim.shards.ShardedFederation` at
         the end of a multi-process run; arms the shard keys of
         :meth:`batch_summary` (single-process summaries stay unchanged).
-        ``reconcile_barriers`` counts the sync barriers taken every
-        ``reconcile_interval`` period boundaries (plus the drain's);
-        ``overlapped_frames`` counts the one-way frames posted without a
-        reply barrier: one ``mticks`` and one ``mboundary`` frame per
-        active shard per *period* (a period's bids travel as one
-        ``BidBatch``, not tick by tick).  ``closed_settled`` counts,
-        out of ``vector_exchanges``, the exchanges the planes answered
-        on a *closed* class with the price raise alone (DESIGN.md §7).
+        ``closed_settled`` counts, out of ``vector_exchanges``, the
+        exchanges the planes answered on a *closed* class with the price
+        raise alone (DESIGN.md §7).
         """
         self._shard_stats_applied = True
         self._cross_shard_bids += int(cross_shard_bids)
         self._barrier_wait_ms += float(barrier_wait_ms)
         self._shard_imbalance = float(shard_imbalance)
         self._shards = int(shards)
-        self._reconcile_barriers += int(reconcile_barriers)
-        self._reconcile_interval = int(reconcile_interval)
-        self._overlapped_frames += int(overlapped_frames)
         self._local_classes = int(local_classes)
         self._residual_classes = int(residual_classes)
         self._closed_settled += int(closed_settled)
@@ -391,9 +377,9 @@ class MetricsCollector:
             summary["barrier_wait_ms"] = self._barrier_wait_ms
             summary["shard_imbalance"] = self._shard_imbalance
             summary["shards"] = float(self._shards)
-            summary["reconcile_barriers"] = float(self._reconcile_barriers)
-            summary["reconcile_interval"] = float(self._reconcile_interval)
-            summary["overlapped_frames"] = float(self._overlapped_frames)
+            # Planes meet the coordinator at reset and collect only; the
+            # key stays, at its true count, while ``perf/`` reads it.
+            summary["reconcile_barriers"] = 0.0
             summary["local_classes"] = float(self._local_classes)
             summary["residual_classes"] = float(self._residual_classes)
             summary["closed_settled"] = float(self._closed_settled)

@@ -9,16 +9,16 @@ whose nodes all landed on one shard runs its **entire**
 bid/price/refusal/solve dynamics shard-side, in that shard's
 :class:`_MarketPlane`.  Components split across shards form the
 **residual plane**, priced and executed by the coordinator with the
-identical arithmetic.  The coordinator otherwise only routes:
+identical arithmetic.  A plane is a deterministic function of its
+trace slice, so the coordinator otherwise only routes, once per run:
 
-* a period's bids cross to each shard as one one-way ``mticks`` frame
-  holding one encoded :class:`~repro.protocol.messages.BidBatch` — the
-  bids as columns — followed by the period's ``mboundary`` frame
-  (pipelined: the coordinator routes period *p+1* while shards still
-  chew period *p*), serialised through the :mod:`repro.protocol` codec
-  over :class:`ShardTransport`;
-* every R period boundaries a sync **reconciliation barrier** flushes
-  the one-way pipeline and returns each plane's pending count;
+* the trace is split by owning plane; each shard's slice crosses as
+  one-way ``slice`` frames, each holding one encoded
+  :class:`~repro.protocol.messages.BidBatch` — the bids as columns, cut
+  at tick edges — serialised through the :mod:`repro.protocol` codec
+  over :class:`ShardTransport`, then one one-way ``end`` frame;
+* every plane takes its own period boundaries and drains on its own
+  pending count, with no barrier between planes;
 * a final ``collect`` barrier merges the outcome columns.
 
 A plane keeps its classes' prices and supply as flat lanes under one
@@ -37,12 +37,13 @@ Determinism is the design's backbone:
   (:func:`repro.sim.federation.build_federation`), so every existing
   golden pins it byte-for-byte;
 * ``shards>1`` is invariant to the shard count, the transport mode and
-  R: every plane is exactly the global tick market restricted to its
-  component set, planes see their own ticks and boundaries in trace
-  order, per-node latency streams are keyed by *node id* (not shard)
-  through the :func:`derive_shard_seed` sha256 scheme, and outcomes are
-  globally sorted by ``(finish_ms, qid)`` before any float reduction,
-  so summary means are bit-identical however the fleet is partitioned.
+  the frame size: every plane is exactly the global tick market
+  restricted to its component set, planes see their own ticks and
+  boundaries in trace order, per-node latency streams are keyed by
+  *node id* (not shard) through the :func:`derive_shard_seed` sha256
+  scheme, and outcomes are globally sorted by ``(finish_ms, qid)``
+  before any float reduction, so summary means are bit-identical
+  however the fleet is partitioned.
   ``tests/reference_market.py`` is that global market as one plain
   program — the oracle the planes are compared against.
 
@@ -70,7 +71,7 @@ import socket
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -290,8 +291,7 @@ class _MarketPlane:
     running each component set in its own plane performs bit-for-bit the
     same float operations, in the same order, as one global plane
     interleaving them: this is the equivalence that makes the outcome
-    digest independent of shard count, transport mode and
-    reconciliation interval.
+    digest independent of shard count, transport mode and frame size.
 
     Instances run shard-side (one per shard, inside
     :class:`_LocalMarketCore` — per-shard dispatcher instances) and
@@ -321,6 +321,7 @@ class _MarketPlane:
         self._adjustment = float(init["adjustment"])
         threshold = init.get("threshold")
         self._threshold = None if threshold is None else float(threshold)
+        self._period = float(init["period_ms"])
         self._terms = self._factor, self._floor, self._cap, self._threshold
         # The plane's lanes — one per (candidate row, class) — laid out
         # flat in class order.
@@ -399,11 +400,51 @@ class _MarketPlane:
         }
         self._pending_count = 0
         self._boundaries = 0
+        self._next_boundary = self._period
         self._cols: Tuple[List, ...] = tuple([] for _ in range(9))
         self._assigned = 0
         self._exchanges = 0
         if self._qa and self._ids:
             self._period_solve(0.0)
+
+    # -- driving -------------------------------------------------------------
+
+    def run_slice(self, batch: BidBatch) -> None:
+        """Tick ``batch``'s rows, a run of the plane's trace slice cut at
+        tick edges, taking every period boundary that falls due first.
+
+        A boundary stamped exactly at a tick goes first, as the
+        single-process engine schedules the period tick ahead of
+        same-timestamp arrivals.  Greedy takes no boundaries.
+        """
+        for now, rows in _market_ticks(batch):
+            self._boundaries_through(now)
+            self.market_tick(now, rows)
+
+    def finish(self, horizon: float, end_of_run: float) -> None:
+        """The end of the trace: the boundaries left up to ``horizon``,
+        then the drain, boundaries while this plane still holds pending
+        queries, up to ``end_of_run``.
+
+        A plane with no pending query gains nothing from more boundaries
+        (no row reaches it after the trace), so draining on its own count
+        gives the outcomes of a drain on the whole federation's.
+        """
+        if not self._qa:
+            return
+        self._boundaries_through(horizon)
+        while self._pending_count and self._next_boundary <= end_of_run:
+            self._next_period()
+
+    def _boundaries_through(self, now: float) -> None:
+        """Every QA-NT period boundary at or before ``now``, in order."""
+        if self._qa:
+            while self._next_boundary <= now:
+                self._next_period()
+
+    def _next_period(self) -> None:
+        self.boundary(self._next_boundary)
+        self._next_boundary += self._period
 
     # -- ticking -------------------------------------------------------------
 
@@ -629,10 +670,9 @@ class _MarketPlane:
 
 class _LocalMarketCore:
     """Worker-side front of one shard-local market plane: it makes every
-    market decision for the classes packed onto its shard.
-    ``mticks``/``mboundary`` frames are one-way during the trace
-    (posted, never answered — the period pipeline); ``reconcile`` and
-    ``collect`` are the sync points.
+    market decision for the classes packed onto its shard.  ``slice``
+    and ``end`` frames are one-way (posted, never answered); ``reset``
+    and ``collect`` are the only sync points of a run.
     """
 
     def __init__(self, init: Mapping[str, object]) -> None:
@@ -649,14 +689,12 @@ class _LocalMarketCore:
     def _dispatch(self, frame: Tuple) -> Mapping[str, object]:
         op = frame[0]
         plane = self._plane
-        if op == "mticks":
-            for now, rows in _market_ticks(decode(frame[1])):
-                plane.market_tick(now, rows)
+        if op == "slice":
+            plane.run_slice(decode(frame[1]))
             return {"ok": True}
-        if op == "mboundary":
-            return {"pending": plane.boundary(frame[1])}
-        if op == "reconcile":
-            return {"pending": plane.pending_count}
+        if op == "end":
+            plane.finish(frame[1], frame[2])
+            return {"ok": True}
         if op == "reset":
             plane.reset(bool(frame[1]))
             self.self_time_s = 0.0
@@ -671,10 +709,10 @@ class _LocalMarketCore:
         raise ValueError("unknown market-shard frame %r" % (op,))
 
 
-#: Rows of one period that force a cut into a further round of ``mticks``
-#: frames (at the next tick edge, never inside a tick): at 25-30 bytes a
-#: row a frame stays two orders below ``MAX_FRAME_BYTES``.
-_MTICKS_ROW_BOUND = 8192
+#: Rows of a plane's trace slice that force a cut into a further
+#: ``slice`` frame (at the next tick edge, never inside a tick): a
+#: 24,000-row trace crosses in a handful of frames.
+_SLICE_ROW_BOUND = 2048
 
 
 def _market_ticks(batch: BidBatch):
@@ -692,6 +730,37 @@ def _market_ticks(batch: BidBatch):
         yield now, list(tick)
 
 
+def _slice_batches(columns: Tuple, rows) -> Iterator[BidBatch]:
+    """One plane's trace slice ``rows`` (time-ordered row numbers of the
+    :meth:`ShardedFederation._trace_columns` arrays, which are the qids)
+    as ``BidBatch`` runs of up to about ``_SLICE_ROW_BOUND`` rows.
+
+    The first run is an eighth of the bound and each next one doubles,
+    so a worker starts ticking while the coordinator still encodes the
+    rest of its slice.  A run is cut only where the timestamp changes: a
+    tick handed to a plane in two :meth:`_MarketPlane.market_tick` calls
+    would resync its busy mirror mid-tick.
+    """
+    times, classes, origins = columns
+    row_times = times[rows]
+    size = max(1, _SLICE_ROW_BOUND // 8)
+    lo = 0
+    while lo < len(rows):
+        hi = len(rows)
+        if hi - lo > size:
+            last = row_times[lo + size - 1]
+            hi = int(np.searchsorted(row_times, last, side="right"))
+        part = rows[lo:hi]
+        yield BidBatch(
+            times_ms=row_times[lo:hi].tolist(),
+            qids=part.tolist(),
+            class_indices=classes[part].tolist(),
+            origin_nodes=origins[part].tolist(),
+        )
+        lo = hi
+        size = min(2 * size, _SLICE_ROW_BOUND)
+
+
 #: Worker-core registry: ``shard_inits[i]["kind"]`` picks the class.
 _CORE_KINDS = {"market": _LocalMarketCore}
 
@@ -703,9 +772,9 @@ def _make_core(init: Mapping[str, object]):
 def _serve(peer, core) -> None:
     """Worker main loop over a pipe connection or a wire channel: one
     frame in, one reply out — except ``("post", inner)`` wrappers, which
-    are handled without a reply (the one-way pipeline: the coordinator
-    keeps routing the next period while this worker chews the current
-    one).  A coordinator that is gone ends the loop quietly."""
+    are handled without a reply (the trace slice: the coordinator keeps
+    posting while this worker ticks).  A coordinator that is gone ends
+    the loop quietly."""
     while True:
         try:
             frame = peer.recv()
@@ -846,14 +915,13 @@ class ShardFailure(RuntimeError):
 class ShardTransport:
     """Pipe- or socket-backed frame channel to a pool of shard workers.
 
-    Peers are shard indices and the wire speaks six frame ops:
-    ``mticks`` / ``mboundary`` (posted one-way during the trace,
-    :meth:`post`) and ``reset`` / ``reconcile`` / ``collect`` /
-    ``close`` plus the drain phase's ``mboundary`` (answered,
-    :meth:`exchange`).  :meth:`exchange` is the pipelined barrier the
-    sharded federation drives — all frames are written before any reply
-    is read, and replies are read in shard order, so the merge order
-    (and therefore every downstream float) never depends on worker
+    Peers are shard indices.  A run is one answered ``reset``
+    (:meth:`exchange`), the plane's trace slice as one-way ``slice``
+    frames and one one-way ``end`` frame (:meth:`post`), then one
+    answered ``collect``; ``close`` ends the pool.  :meth:`exchange` is
+    a pipelined barrier — all frames are written before any reply is
+    read, and replies are read in shard order, so the merge order (and
+    therefore every downstream float) never depends on worker
     scheduling.
 
     ``mode="fork"`` forks one daemon worker per shard over
@@ -884,11 +952,10 @@ class ShardTransport:
                 )
         self._mode = mode
         self._num_shards = len(shard_inits)
-        #: Wall-clock milliseconds spent blocked at tick barriers
+        #: Wall-clock milliseconds spent blocked at barriers
         #: (coordinator waiting on shard replies).
         self.barrier_wait_ms = 0.0
-        #: One-way frames dispatched without a reply barrier (the
-        #: period pipeline; see :meth:`post`).
+        #: One-way frames dispatched without a reply (see :meth:`post`).
         self.posted_frames = 0
         self._child_peak_kb = 0
         self._closed = False
@@ -994,30 +1061,26 @@ class ShardTransport:
         return self._mode
 
     def exchange(
-        self, frames: Sequence[Optional[Tuple]]
-    ) -> List[Optional[Mapping[str, object]]]:
+        self, frames: Sequence[Tuple]
+    ) -> List[Mapping[str, object]]:
         """One pipelined barrier: frame *i* to shard *i*, replies in order.
 
-        ``None`` frames skip their shard.  In fork mode every frame is
-        written before the first reply is read, so shards overlap their
-        work; the time spent blocked on replies accumulates into
-        :attr:`barrier_wait_ms`.
+        In fork mode every frame is written before the first reply is
+        read, so shards overlap their work; the time spent blocked on
+        replies accumulates into :attr:`barrier_wait_ms`.
         """
         if self._mode == "inline":
             start = time.perf_counter()
-            replies: List[Optional[Mapping[str, object]]] = [
-                None if frame is None else core.handle(frame)
-                for core, frame in zip(self._cores, frames)
+            replies = [
+                core.handle(frame) for core, frame in zip(self._cores, frames)
             ]
             self.barrier_wait_ms += (time.perf_counter() - start) * 1e3
             return replies
         for shard, frame in enumerate(frames):
-            if frame is not None:
-                self._send(shard, frame)
+            self._send(shard, frame)
         start = time.perf_counter()
         replies = [
-            None if frame is None else self._recv(shard, frame[0])
-            for shard, frame in enumerate(frames)
+            self._recv(shard, frame[0]) for shard, frame in enumerate(frames)
         ]
         self.barrier_wait_ms += (time.perf_counter() - start) * 1e3
         return replies
@@ -1041,13 +1104,12 @@ class ShardTransport:
     def post(self, frames: Sequence[Optional[Tuple]]) -> None:
         """One-way dispatch: frame *i* to shard *i*, no replies read.
 
-        The pipeline verb: the coordinator keeps routing period *p+1*
-        while the workers chew period *p*; OS pipe/socket buffers provide
-        the backpressure.  Workers process frames strictly in arrival
-        order, so any later :meth:`exchange` barrier observes every
-        posted frame's effects — a sync frame *is* the pipeline flush.
-        Inline mode handles the frames synchronously (same cores, no
-        pipeline), preserving bit-identity across modes.
+        The coordinator keeps posting while the workers tick; OS
+        pipe/socket buffers provide the backpressure.  Workers process
+        frames strictly in arrival order, so a later :meth:`exchange`
+        barrier observes every posted frame's effects.  Inline mode
+        handles the frames synchronously (same cores), preserving
+        bit-identity across modes.
         """
         posted = 0
         for shard, frame in enumerate(frames):
@@ -1100,6 +1162,10 @@ class ShardTransport:
 
 
 # -- the merged result --------------------------------------------------------
+
+#: One outcome's row of :meth:`ShardedRunResult.outcome_digest`: qid,
+#: class, origin, arrival, assigned, node, start, finish, resubmissions.
+_OUTCOME_ROW = "%d,%d,%d,%r,%r,%d,%r,%r,%d;"
 
 
 class ShardedRunResult:
@@ -1217,32 +1283,27 @@ class ShardedRunResult:
         """
         import hashlib
 
-        digest = hashlib.sha256()
         if self._metrics is not None:
-            for o in self._metrics.outcomes:
-                digest.update(
-                    (
-                        "%d,%d,%d,%r,%r,%d,%r,%r,%d;"
-                        % (
-                            o.qid,
-                            o.class_index,
-                            o.origin_node,
-                            o.arrival_ms,
-                            o.assigned_ms,
-                            o.node_id,
-                            o.start_ms,
-                            o.finish_ms,
-                            o.resubmissions,
-                        )
-                    ).encode()
+            rows = (
+                (
+                    o.qid,
+                    o.class_index,
+                    o.origin_node,
+                    o.arrival_ms,
+                    o.assigned_ms,
+                    o.node_id,
+                    o.start_ms,
+                    o.finish_ms,
+                    o.resubmissions,
                 )
-            return digest.hexdigest()
-        # ``.tolist()`` first: ``%r`` of a numpy scalar is
-        # ``np.float64(...)`` on numpy >= 2, not the bare float repr.
-        cols = [c.tolist() for c in self._columns]
-        for row in zip(*cols):
-            digest.update(("%d,%d,%d,%r,%r,%d,%r,%r,%d;" % row).encode())
-        return digest.hexdigest()
+                for o in self._metrics.outcomes
+            )
+        else:
+            # ``.tolist()`` first: ``%r`` of a numpy scalar is
+            # ``np.float64(...)`` on numpy >= 2, not the bare float repr.
+            rows = zip(*(c.tolist() for c in self._columns))
+        text = "".join(_OUTCOME_ROW % row for row in rows)
+        return hashlib.sha256(text.encode()).hexdigest()
 
     def payload(self) -> Dict[str, object]:
         """Full golden-style payload (includes shard-dependent counters)."""
@@ -1280,8 +1341,11 @@ class ShardedFederation:
     worker pool serves qa-nt and greedy back to back — ``perf/`` relies
     on this).  ``shards=1`` takes the single-process engine
     verbatim; ``shards>1`` runs the market planes described in the
-    module docstring.  ``market`` has one legal value left and goes
-    with the next ``perf/`` maintenance PR.
+    module docstring.  ``market`` has one legal value left, and
+    ``reconcile_interval`` is checked (>= 1) but moves nothing: the
+    planes meet the coordinator only at ``reset`` and ``collect``.  Both
+    leave with the next ``perf/`` maintenance change, which still
+    passes them.
     """
 
     _MECHANISMS = ("qa-nt", "greedy")
@@ -1310,7 +1374,6 @@ class ShardedFederation:
             )
         if reconcile_interval < 1:
             raise ValueError("reconcile_interval must be >= 1")
-        self._reconcile_interval = int(reconcile_interval)
         #: Per-shard frame-handling self-time of the last run, filled by
         #: the collect barrier; read through :meth:`shard_self_time_s`.
         self._shard_self_time_s: List[float] = []
@@ -1391,7 +1454,6 @@ class ShardedFederation:
                 residual_classes.append(k)
         self._plane_classes = plane_classes
         self._residual_classes = residual_classes
-        self._active_plane = [bool(ks) for ks in plane_classes]
 
         def plane_init(class_indices: Sequence[int]) -> Dict[str, object]:
             nodes = sorted(
@@ -1419,6 +1481,7 @@ class ShardedFederation:
                 "cap": self._params.price_cap,
                 "adjustment": self._params.adjustment,
                 "threshold": self._threshold,
+                "period_ms": self._config.period_ms,
                 "classes": [
                     [k, list(candidates_by_class[k])] for k in class_indices
                 ],
@@ -1526,35 +1589,34 @@ class ShardedFederation:
     # -- the coordinator -------------------------------------------------------
 
     def _run_local(self, columns: Tuple, mechanism: str) -> ShardedRunResult:
-        """The sharded engine: route, post, reconcile, merge.
+        """The sharded engine: route once, post, collect, merge.
 
         The coordinator is *slim*: it owns a routing table and the
         residual plane (components split across shards); every
         shard-owned class is priced, matched and executed entirely
         shard-side.  The trace arrives as :meth:`_trace_columns` arrays
-        (the row number is the qid) and is routed with array operations:
-        the period clock cuts it by ``searchsorted`` — boundary-first at
-        equal timestamps, as the single-process engine schedules the
-        period tick ahead of same-timestamp arrivals — and
-        each period's rows go to their owning shard as **one** one-way
-        ``mticks`` frame holding one encoded
-        :class:`~repro.protocol.messages.BidBatch`, ahead of the
-        period's boundary (workers apply frames in order and planes
-        partition the classes, so each plane sees its own ticks and
-        boundaries in trace order).  Every R
-        period boundaries a sync reconciliation barrier flushes the
-        pipeline.  Outcomes merge globally sorted by ``(finish_ms, qid)``
-        before any reduction.
+        (the row number is the qid) and is routed by owner once, with a
+        stable sort, so each plane's slice keeps qid order.  Each shard
+        gets its slice as one-way ``slice`` frames, each one encoded
+        :class:`~repro.protocol.messages.BidBatch` cut at a tick edge
+        (:func:`_slice_batches`), then one one-way ``end`` frame with
+        the horizon and the end of the drain window; the residual plane
+        ticks its own slice in-process between the rounds of frames.
+        Every plane takes its period boundaries and drains by itself
+        (:meth:`_MarketPlane.run_slice`, :meth:`_MarketPlane.finish`),
+        so the workers are met only at ``reset`` and ``collect``.
+        Outcomes merge globally sorted by ``(finish_ms, qid)`` before
+        any reduction.
         """
         transport = self._transport
+        num_shards = self._plan.num_shards
         qa = mechanism == "qa-nt"
         collector = MetricsCollector()
         transport.barrier_wait_ms = 0.0
         transport.posted_frames = 0
-        transport.exchange([("reset", qa)] * self._plan.num_shards)
-        self._residual.reset(qa)
-        self._reconcile_barriers = 0
-        self._boundaries_since_reconcile = 0
+        transport.exchange([("reset", qa)] * num_shards)
+        residual = self._residual
+        residual.reset(qa)
         times = columns[0]
         total = len(times)
         shard_of = self._owner_of[columns[1]]
@@ -1563,57 +1625,35 @@ class ShardedFederation:
         collector.record_batch_ticks(
             np.diff(edges, prepend=0, append=total).tolist()
         )
-        residual_queries = int(np.count_nonzero(shard_of < 0))
-        # One protocol-level bid per shard-routed row, however batched.
-        self._messages = total - residual_queries
+        # The residual plane's rows (owner -1) sort first.
+        by_owner = np.argsort(shard_of, kind="stable")
+        starts = np.searchsorted(shard_of[by_owner], np.arange(num_shards))
+        held, *owned = np.split(by_owner, starts)
         horizon = float(times[-1])
-        period = self._config.period_ms
-        next_boundary = period
-        num_shards = self._plan.num_shards
-        start = 0
-        while next_boundary <= horizon:
-            # Boundary-first: rows stamped exactly `next_boundary` wait.
-            end = int(np.searchsorted(times, next_boundary, side="left"))
-            self._route_ticks(columns, shard_of, start, end)
-            # Greedy has no boundaries; it posts on the same period
-            # clock so its pipeline stays one period deep.
-            if qa:
-                self._local_boundary(next_boundary)
-            start = end
-            next_boundary += period
-        self._route_ticks(columns, shard_of, start, total)
-        # Drain: a sync reconcile flushes the pipeline and reports every
-        # plane's backlog; boundaries then tick while any plane still
-        # holds pending queries (shard retries run autonomously — the
-        # sync mboundary reply is just the pending count).
         end_of_run = horizon + self._config.drain_ms
-        if qa:
-            pendings = self._reconcile()
-            global_pending = self._residual.pending_count + sum(pendings)
-            while global_pending and next_boundary <= end_of_run:
-                replies = transport.exchange(
-                    [
-                        ("mboundary", next_boundary) if active else None
-                        for active in self._active_plane
-                    ]
-                )
-                shard_pending = sum(
-                    reply["pending"]
-                    for reply in replies
-                    if reply is not None
-                )
-                res_pending = self._residual.boundary(next_boundary)
-                global_pending = shard_pending + res_pending
-                next_boundary += period
-        # Final collect barrier: outcome columns, worker RSS, self-time.
+        for mine, *batches in itertools.zip_longest(
+            _slice_batches(columns, held),
+            *(_slice_batches(columns, rows) for rows in owned),
+        ):
+            transport.post(
+                [
+                    None if batch is None else ("slice", encode(batch))
+                    for batch in batches
+                ]
+            )
+            if mine is not None:
+                residual.run_slice(mine)
+        transport.post([("end", horizon, end_of_run)] * num_shards)
+        residual.finish(horizon, end_of_run)
+        # The one barrier after reset: outcome columns, RSS, self-time.
         replies = transport.exchange([("collect",)] * num_shards)
         cols = [[] for _ in range(9)]
         assigned_per_shard = []
         self_times = []
-        residual = self._residual.collect()
-        exchanges = residual["exchanges"]
-        closed_settled = residual["closed_settled"]
-        dropped = residual["pending"]
+        collected = residual.collect()
+        exchanges = collected["exchanges"]
+        closed_settled = collected["closed_settled"]
+        dropped = collected["pending"]
         peak_kb = 0
         for reply in replies:
             for c, part in zip(cols, reply["columns"]):
@@ -1625,7 +1665,7 @@ class ShardedFederation:
             self_times.append(float(reply.get("self_time_s", 0.0)))
             if reply["maxrss_kb"] > peak_kb:
                 peak_kb = reply["maxrss_kb"]
-        for c, part in zip(cols, residual["columns"]):
+        for c, part in zip(cols, collected["columns"]):
             c.extend(part)
         transport.note_child_peak_kb(peak_kb)
         self._shard_self_time_s = self_times
@@ -1644,13 +1684,10 @@ class ShardedFederation:
             )
         collector.apply_batch_stats(vector_exchanges=exchanges)
         collector.apply_shard_stats(
-            cross_shard_bids=residual_queries,
+            cross_shard_bids=len(held),
             barrier_wait_ms=transport.barrier_wait_ms,
             shard_imbalance=imbalance,
             shards=num_shards,
-            reconcile_barriers=self._reconcile_barriers,
-            reconcile_interval=self._reconcile_interval,
-            overlapped_frames=transport.posted_frames,
             local_classes=sum(len(ks) for ks in self._plane_classes),
             residual_classes=len(self._residual_classes),
             closed_settled=closed_settled,
@@ -1658,93 +1695,11 @@ class ShardedFederation:
         return ShardedRunResult(
             columns=columns,
             dropped=dropped,
-            messages=self._messages,
+            # One protocol-level bid per shard-routed row, however batched.
+            messages=total - len(held),
             shards=num_shards,
             collector=collector,
         )
-
-    def _route_ticks(
-        self, columns: Tuple, shard_of, start: int, end: int
-    ) -> None:
-        """Route trace rows ``[start, end)`` — one period's worth.
-
-        Shard-owned rows are posted as one ``BidBatch`` per owning shard;
-        a period of ``_MTICKS_ROW_BOUND`` rows or more goes out in
-        several rounds, cut only where the timestamp changes (a tick
-        split over two ``market_tick`` calls would resync the plane's
-        busy mirror mid-tick).  Residual rows tick through the
-        in-process plane afterwards, while the workers chew the frames.
-        """
-        times, classes, origins = columns
-
-        def batch(rows) -> BidBatch:
-            return BidBatch(
-                times_ms=times[rows].tolist(),
-                qids=rows.tolist(),
-                class_indices=classes[rows].tolist(),
-                origin_nodes=origins[rows].tolist(),
-            )
-
-        owners = shard_of[start:end]
-        sent = np.flatnonzero(owners >= 0) + start
-        sent_times = times[sent]
-        lo = 0
-        while lo < len(sent):
-            hi = len(sent)
-            if hi - lo >= _MTICKS_ROW_BOUND:
-                last = sent_times[lo + _MTICKS_ROW_BOUND - 1]
-                hi = int(np.searchsorted(sent_times, last, side="right"))
-            rows = sent[lo:hi]
-            row_owner = shard_of[rows]
-            masks = [row_owner == s for s in range(len(self._active_plane))]
-            self._transport.post(
-                [
-                    ("mticks", encode(batch(rows[mine]))) if mine.any() else None
-                    for mine in masks
-                ]
-            )
-            lo = hi
-        held = np.flatnonzero(owners < 0) + start
-        for now, tick in _market_ticks(batch(held)):
-            self._residual.market_tick(now, tick)
-
-    def _local_boundary(self, now: float) -> None:
-        """One period boundary (its ticks are already routed): posted to
-        every active plane (one-way), run in-process on the residual
-        plane, and reconciled every R-th."""
-        self._transport.post(
-            [
-                ("mboundary", now) if active else None
-                for active in self._active_plane
-            ]
-        )
-        self._residual.boundary(now)
-        self._boundaries_since_reconcile += 1
-        if self._boundaries_since_reconcile >= self._reconcile_interval:
-            self._reconcile()
-
-    def _reconcile(self) -> List[int]:
-        """The reconciliation barrier (sync): returns each shard's pending
-        count.  Because workers process frames in order, the barrier
-        proves every previously posted one-way frame has been applied —
-        it *is* the pipeline flush.
-        """
-        replies = self._transport.exchange(
-            [
-                ("reconcile",) if active else None
-                for active in self._active_plane
-            ]
-        )
-        self._boundaries_since_reconcile = 0
-        pendings: List[int] = []
-        for reply in replies:
-            if reply is None:
-                pendings.append(0)
-                continue
-            pendings.append(int(reply["pending"]))
-            self._messages += 2
-        self._reconcile_barriers += 1
-        return pendings
 
     def shard_self_time_s(self) -> List[float]:
         """Per-shard aggregate frame-handling self-time of the last run

@@ -6,13 +6,14 @@ Three properties carry the whole design (see DESIGN.md §7):
   sharded front delegates outright, so every existing golden keeps
   pinning it;
 * ``shards>1`` is *invariant* across shard counts, worker modes and
-  reconciliation intervals, and equal to the global tick market of
+  frame sizes, and equal to the global tick market of
   ``tests/reference_market.py`` — every plane is that market restricted
-  to its affinity components, and per-node state (latency RNG streams,
-  busy clocks) is keyed by node id, never by shard layout;
-* the cross-shard conversation is real protocol traffic — one
-  ``BidBatch`` per shard per period, through the ``repro.protocol``
-  codec over ``ShardTransport``.
+  to its affinity components, takes its own boundaries and drains on
+  its own, and per-node state (latency RNG streams, busy clocks) is
+  keyed by node id, never by shard layout;
+* the cross-shard conversation is real protocol traffic — each shard's
+  trace slice as a few ``BidBatch`` frames, through the
+  ``repro.protocol`` codec over ``ShardTransport``.
 """
 
 import functools
@@ -28,7 +29,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.allocation import GreedyAllocator, QantAllocator
@@ -86,6 +87,8 @@ _OVERLOADED_CONFIG = FederationConfig(seed=2, drain_ms=2_500.0)
 
 
 def _sharded(world, shards, mode="inline", interval=1, config=_CONFIG):
+    """A sharded federation; ``interval`` is the ``reconcile_interval``
+    keyword, still accepted and checked but moving nothing."""
     return ShardedFederation(
         world.specs,
         world.placement,
@@ -428,9 +431,9 @@ def _reference(mechanism: str):
 
 @functools.lru_cache(maxsize=4)
 def _local_baseline(mechanism: str):
-    """Canonical invariant payload: 2 inline shards, reconcile every tick."""
+    """Canonical invariant payload: 2 inline shards, default frames."""
     world, trace = _zipf_small()
-    with _sharded(world, 2, "inline", 1) as federation:
+    with _sharded(world, 2, "inline") as federation:
         return federation.run(list(trace), mechanism).invariant_payload()
 
 
@@ -496,7 +499,7 @@ def test_local_market_invariant_across_transport_modes(mode):
     """Pipe, socket and inline planes make identical decisions — the tcp
     leg pins the JSON-frame wire's float round-trip on every CI run."""
     world, trace = _zipf_small()
-    with _sharded(world, 2, mode, interval=4) as federation:
+    with _sharded(world, 2, mode) as federation:
         payload = federation.run(list(trace), "qa-nt").invariant_payload()
     assert payload == _local_baseline("qa-nt")
     assert payload["completed"] > 0
@@ -505,35 +508,35 @@ def test_local_market_invariant_across_transport_modes(mode):
 @given(
     shards=st.sampled_from([2, 4, 8]),
     mode=st.sampled_from(["inline", "fork", "tcp"]),
-    interval=st.sampled_from([1, 4, 16]),
+    bound=st.sampled_from([4, 64, shards_module._SLICE_ROW_BOUND]),
     mechanism=st.sampled_from(["qa-nt", "greedy"]),
 )
-@settings(
-    max_examples=12,
-    deadline=None,
-    suppress_health_check=[HealthCheck.function_scoped_fixture],
-)
-def test_local_market_invariance_property(shards, mode, interval, mechanism):
+@settings(max_examples=12, deadline=None)
+def test_local_market_invariance_property(shards, mode, bound, mechanism):
     """Invariant payload is identical across shard counts, transport
-    modes and reconciliation intervals: the barrier cadence moves
-    counters, never market arithmetic."""
+    modes and slice row bounds: how a plane's slice is cut into frames
+    moves counters, never market arithmetic."""
     world, trace = _zipf_small()
-    with _sharded(world, shards, mode, interval) as federation:
-        payload = federation.run(list(trace), mechanism).invariant_payload()
-    assert payload == _local_baseline(mechanism) == _reference(mechanism)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shards_module, "_SLICE_ROW_BOUND", bound)
+        with _sharded(world, shards, mode) as federation:
+            run = federation.run(list(trace), mechanism)
+    assert run.invariant_payload() == _local_baseline(mechanism)
+    assert run.invariant_payload() == _reference(mechanism)
 
 
 #: The keys of a sharded run's `batch_summary()`.  `perf/bench.py` reads
 #: local_classes, residual_classes, shard_imbalance, batch_ticks,
-#: batched_queries, reconcile_barriers and scalar_fallbacks.
+#: batched_queries, reconcile_barriers and scalar_fallbacks.  No barrier
+#: is left between reset and collect: `reconcile_barriers` reads 0.
 _SINGLE_PROCESS_KEYS = {
     "batch_ticks", "batched_queries", "max_batch", "vector_exchanges",
     "scalar_fallbacks", "batch_syncs", "market_adopted", "market_materialised",
 }
 _SHARD_KEYS = {
     "cross_shard_bids", "barrier_wait_ms", "shard_imbalance", "shards",
-    "reconcile_barriers", "reconcile_interval", "overlapped_frames",
-    "local_classes", "residual_classes", "closed_settled",
+    "reconcile_barriers", "local_classes", "residual_classes",
+    "closed_settled",
 }
 
 
@@ -541,10 +544,10 @@ def test_reconcile_counters_surface_in_batch_summary():
     world, trace = _zipf_small()
     with _sharded(world, 2, "inline", interval=4) as federation:
         summary = federation.run(list(trace), "qa-nt").batch_summary()
+        posted = federation.transport.posted_frames
     assert set(summary) == _SINGLE_PROCESS_KEYS | _SHARD_KEYS
-    assert summary["reconcile_interval"] == 4.0
-    assert summary["reconcile_barriers"] >= 1.0
-    assert summary["overlapped_frames"] > 0.0
+    assert summary["reconcile_barriers"] == 0.0
+    assert posted > 0
     assert summary["local_classes"] > 0.0
     assert summary["local_classes"] + summary["residual_classes"] == 20.0
     # Single-process runs must NOT grow the shard keys: their goldens
@@ -553,28 +556,26 @@ def test_reconcile_counters_surface_in_batch_summary():
 
 
 def test_bid_batch_rows_count_as_protocol_bids():
-    """One ``BidBatch`` per shard per period on the wire, but ``messages``
+    """A few ``BidBatch`` frames per shard on the wire, but ``messages``
     keeps counting bid *rows*."""
     world, trace = _zipf_small()
-    with _sharded(world, 4, "inline", interval=4) as federation:
+    with _sharded(world, 4, "inline") as federation:
         result = federation.run(list(trace), "qa-nt")
         summary = result.batch_summary()
         owned = sum(federation._owner_of[e.class_index] >= 0 for e in trace)
-        active = sum(federation._active_plane)
+        posted = federation.transport.posted_frames
     assert 0 < owned < len(trace)  # some classes are residual
     assert summary["cross_shard_bids"] == len(trace) - owned
-    # Bids, plus a request/digest pair per active plane per barrier.
-    assert result.messages == owned + 2 * active * summary[
-        "reconcile_barriers"
-    ]
-    # Far fewer frames than bids: mticks + mboundary per plane per period.
-    assert summary["overlapped_frames"] < owned / 2
+    # Bids only: no barrier between reset and collect adds a message.
+    assert result.messages == owned
+    # Far fewer frames than bids: a slice frame and an end frame a shard.
+    assert posted <= 2 * 4 < owned / 2
     assert 0 <= summary["closed_settled"] <= summary["vector_exchanges"]
 
 
 def test_shard_self_time_is_reported_per_shard():
     world, trace = _zipf_small()
-    with _sharded(world, 2, "fork", interval=4) as federation:
+    with _sharded(world, 2, "fork") as federation:
         federation.run(list(trace), "qa-nt")
         times = federation.shard_self_time_s()
     assert len(times) == 2
@@ -586,7 +587,7 @@ def test_tcp_workers_report_child_rss():
     """The collect barrier folds every tcp child's ru_maxrss into
     ``child_peak_kb()``."""
     world, trace = _zipf_small()
-    with _sharded(world, 2, "tcp", interval=4) as federation:
+    with _sharded(world, 2, "tcp") as federation:
         federation.run(list(trace), "qa-nt")
         assert federation.transport.child_peak_kb() > 0
 
@@ -602,7 +603,7 @@ def test_workers_claim_one_cpu_each(mode):
     the coordinator's CPU and run time turns bimodal)."""
     world, trace = _zipf_small()
     allowed = os.sched_getaffinity(0)
-    with _sharded(world, 4, mode, interval=4) as federation:
+    with _sharded(world, 4, mode) as federation:
         federation.run(list(trace), "greedy")  # every worker has started
         masks = [
             os.sched_getaffinity(proc.pid)
@@ -615,7 +616,7 @@ def test_workers_claim_one_cpu_each(mode):
 
 
 # ---------------------------------------------------------------------------
-# overload: per-class retry pools and one frame per shard per period
+# overload: per-class retry pools, slices cut at tick edges, own drains
 
 
 @functools.lru_cache(maxsize=1)
@@ -672,15 +673,15 @@ def test_overloaded_world_is_overloaded():
 @pytest.mark.parametrize("shards", [2, 4])
 @pytest.mark.parametrize(
     "mode, intervals",
-    # The pool logic is swept inline; a real wire only has to show that
-    # batching a period into one frame keeps the order, so one interval.
+    # ``reconcile_interval`` is still accepted (``perf/`` passes 4) and
+    # must move nothing; swept inline, one value on a real wire.
     [("inline", (1, 4, 16)), ("fork", (4,)), ("tcp", (4,))],
 )
 def test_overloaded_local_market_matches_coordinator_plane(
     mode, intervals, shards
 ):
-    """Pools + period frames reproduce the flat-list, tick-by-tick
-    market bit for bit, ``vector_exchanges`` included."""
+    """Pools + slice frames + per-plane drains reproduce the flat-list,
+    tick-by-tick market bit for bit, ``vector_exchanges`` included."""
     world, trace = _zipf_overloaded()
     for interval in intervals:
         with _overloaded(world, shards, mode, interval=interval) as federation:
@@ -695,7 +696,7 @@ def test_closed_settled_is_summed_over_planes():
     world, trace = _zipf_overloaded()
     counts = []
     for shards, mode in ((2, "inline"), (4, "fork")):
-        with _overloaded(world, shards, mode, interval=4) as federation:
+        with _overloaded(world, shards, mode) as federation:
             summary = federation.run(list(trace), "qa-nt").batch_summary()
         counts.append(summary["closed_settled"])
     assert counts[0] == counts[1] > 0
@@ -703,18 +704,61 @@ def test_closed_settled_is_summed_over_planes():
 
 
 def test_outbox_over_the_row_bound_splits_frames(monkeypatch):
-    """A period holding more rows than the bound goes out as several
-    ``mticks`` frames; the planes see the same ticks in the same order."""
+    """A slice holding more rows than the bound goes out as several
+    ``slice`` frames; the planes see the same ticks in the same order."""
     world, trace = _zipf_overloaded()
-    default = shards_module._MTICKS_ROW_BOUND
+    default = shards_module._SLICE_ROW_BOUND
     frames = {}
     for bound in (default, 16):
-        monkeypatch.setattr(shards_module, "_MTICKS_ROW_BOUND", bound)
-        with _overloaded(world, 2, "fork", interval=4) as federation:
+        monkeypatch.setattr(shards_module, "_SLICE_ROW_BOUND", bound)
+        with _overloaded(world, 2, "fork") as federation:
             result = federation.run(list(trace), "qa-nt")
             frames[bound] = federation.transport.posted_frames
         assert _outcome(result) == _overloaded_oracle("qa-nt")
     assert frames[16] > 2 * frames[default]
+
+
+def test_plane_that_empties_early_stops_taking_boundaries():
+    """Planes drain on their own pending count.  Shard 1's classes get a
+    short burst whose pool empties periods before shard 0's (which is
+    still backlogged when the drain window closes), so shard 1 stops
+    taking boundaries while shard 0 goes on, and the outcome is still
+    the global market's, which keeps every plane ticking until the whole
+    federation is idle."""
+    world, trace = _zipf_overloaded()
+    with _overloaded(world, 2, "inline") as federation:
+        owner = federation._owner_of
+        # Shard 1: its classes' first 1.5 s, less the three whose pools
+        # would outlast the run.
+        burst = [
+            e for e in trace
+            if owner[e.class_index] == 1
+            and e.time_ms < 1_500.0
+            and e.class_index not in (6, 17, 18)
+        ]
+        mixed = sorted(
+            [e for e in trace if owner[e.class_index] == 0] + burst,
+            key=lambda e: e.time_ms,
+        )
+        pending = {0: [], 1: []}
+        for shard, core in enumerate(federation.transport._cores):
+            plane = core._plane
+            boundary = plane.boundary
+
+            def spy(now, boundary=boundary, log=pending[shard]):
+                log.append(boundary(now))
+                return log[-1]
+
+            plane.boundary = spy
+        result = federation.run(mixed, "qa-nt")
+    assert max(pending[1]) > 0 and pending[1][-1] == 0
+    emptied = pending[1].index(0, pending[1].index(max(pending[1])))
+    assert pending[0][emptied] > 0 and pending[0][-1] > 0
+    assert len(pending[1]) < len(pending[0])
+    reference = run_reference_market(
+        world, mixed, "qa-nt", _OVERLOADED_CONFIG
+    )
+    assert _outcome(result) == _outcome(reference)
 
 
 @functools.lru_cache(maxsize=1)
@@ -732,14 +776,15 @@ def _quantised_overloaded():
 
 @pytest.mark.parametrize("mode", ["fork", "tcp"])
 def test_row_bound_never_splits_a_tick(monkeypatch, mode):
-    """With the bound below one tick's rows (and far below a period's)
-    every round of frames still ends on a tick edge: a tick handed to a
-    plane in two ``market_tick`` calls would resync its busy mirror
-    mid-tick and change the outcome."""
+    """With the bound below one tick's rows (and far below a slice's)
+    every frame of a shard's slice still ends on a tick edge: a tick
+    handed to a plane in two ``market_tick`` calls would resync its busy
+    mirror mid-tick and change the outcome.  The ``end`` frame follows
+    the last slice frame."""
     world, trace, oracle = _quantised_overloaded()
     assert len({e.time_ms for e in trace}) * 8 < len(trace)
-    monkeypatch.setattr(shards_module, "_MTICKS_ROW_BOUND", 4)
-    with _overloaded(world, 2, mode, interval=4) as federation:
+    monkeypatch.setattr(shards_module, "_SLICE_ROW_BOUND", 4)
+    with _overloaded(world, 2, mode) as federation:
         transport = federation.transport
         post, rounds = transport.post, []
 
@@ -750,22 +795,19 @@ def test_row_bound_never_splits_a_tick(monkeypatch, mode):
         transport.post = spy
         result = federation.run(list(trace), "qa-nt")
     assert _outcome(result) == oracle
-    last_sent = -1.0
-    batches = 0
-    for frames in rounds:
-        batches_sent = [
-            decode(frame[1])
-            for frame in frames
-            if frame is not None and frame[0] == "mticks"
-        ]
-        assert all(isinstance(batch, BidBatch) for batch in batches_sent)
-        times = [t for batch in batches_sent for t in batch.times_ms]
-        if times:
-            batches += 1
-            assert min(times) > last_sent  # no tick spans two rounds
-            last_sent = max(times)
-    periods = math.ceil(trace[-1].time_ms / FederationConfig().period_ms)
-    assert batches > 3 * periods
+    horizon = trace[-1].time_ms
+    assert rounds[-1] == [("end", horizon, horizon + 2_500.0)] * 2
+    for shard in range(2):
+        frames = [r[shard] for r in rounds[:-1] if r[shard] is not None]
+        assert {frame[0] for frame in frames} == {"slice"}
+        batches = [decode(frame[1]) for frame in frames]
+        assert all(isinstance(batch, BidBatch) for batch in batches)
+        last_sent = -1.0
+        for batch in batches:
+            assert min(batch.times_ms) > last_sent  # no tick spans two
+            last_sent = max(batch.times_ms)
+        periods = math.ceil(horizon / FederationConfig().period_ms)
+        assert len(batches) > 3 * periods
 
 
 @pytest.mark.parametrize(
@@ -880,6 +922,7 @@ def _plane_init(costs, cap=4.0, threshold=2.0):
         "cap": cap,
         "adjustment": 0.1,
         "threshold": threshold,
+        "period_ms": 500.0,
         "classes": [
             [k, [n for n in nodes if not math.isinf(costs[n][k])]]
             for k in range(num_classes)
@@ -1173,23 +1216,25 @@ def test_per_class_arrays_alias_the_flat_lane_block():
     reason="kill/reap timing must not share cores with xdist workers",
 )
 @pytest.mark.parametrize("mode", ["fork", "tcp"])
-def test_killed_worker_raises_shard_failure_and_close_reaps(mode):
+def test_killed_worker_raises_shard_failure_and_close_reaps(mode, monkeypatch):
     world, trace = _zipf_overloaded()
     # No test module leaves workers behind, so "every child reaped" is
     # global.
     assert multiprocessing.active_children() == []
-    federation = _overloaded(world, 2, mode, interval=4)
+    federation = _overloaded(world, 2, mode)
     transport = federation.transport
     victim = transport._procs[0]
-    post, posts = transport.post, []
+    post = transport.post
 
     def post_then_kill(frames):
         post(frames)
-        posts.append(frames)
-        if len(posts) == 3:  # mid-run: two periods in, more to come
+        if victim.is_alive() and frames[0] is not None:
+            # Mid-run: the first slice frame is out, the end frame not.
+            assert frames[0][0] == "slice"
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=5.0)
 
+    monkeypatch.setattr(shards_module, "_SLICE_ROW_BOUND", 64)
     transport.post = post_then_kill
     try:
         # Raising at all is the bound: a barrier on a dead worker that
@@ -1197,11 +1242,43 @@ def test_killed_worker_raises_shard_failure_and_close_reaps(mode):
         with pytest.raises(ShardFailure) as failure:
             federation.run(list(trace), "qa-nt")
         assert failure.value.shard == 0
-        assert failure.value.op in ("mticks", "mboundary", "reconcile")
+        assert failure.value.op in ("slice", "end", "collect")
         assert "shard 0" in str(failure.value)
         clone = pickle.loads(pickle.dumps(failure.value))
         assert (clone.shard, clone.op) == (0, failure.value.op)
         assert str(clone) == str(failure.value)
+    finally:
+        federation.close()
+    assert multiprocessing.active_children() == []
+    assert not any(proc.is_alive() for proc in transport._procs)
+
+
+@pytest.mark.skipif(
+    "PYTEST_XDIST_WORKER" in os.environ,
+    reason="kill/reap timing must not share cores with xdist workers",
+)
+@pytest.mark.parametrize("mode", ["fork", "tcp"])
+def test_worker_killed_before_collect_fails_the_collect(mode):
+    """A worker that dies after its ``end`` frame, while the coordinator
+    still runs the residual plane, is caught at the one barrier left."""
+    world, trace = _zipf_overloaded()
+    assert multiprocessing.active_children() == []
+    federation = _overloaded(world, 2, mode)
+    transport = federation.transport
+    victim = transport._procs[1]
+    post = transport.post
+
+    def post_then_kill(frames):
+        post(frames)
+        if frames[1] is not None and frames[1][0] == "end":
+            os.kill(victim.pid, signal.SIGKILL)
+            victim.join(timeout=5.0)
+
+    transport.post = post_then_kill
+    try:
+        with pytest.raises(ShardFailure) as failure:
+            federation.run(list(trace), "qa-nt")
+        assert (failure.value.shard, failure.value.op) == (1, "collect")
     finally:
         federation.close()
     assert multiprocessing.active_children() == []
@@ -1224,6 +1301,18 @@ def test_market_keyword_has_one_value_left():
             mode="inline",
             market="coordinator",
         )
+
+
+def test_reconcile_interval_is_checked_but_moves_nothing():
+    """``perf/`` still passes ``reconcile_interval``: it must stay a legal
+    keyword, refused below 1, with no barrier behind it."""
+    world, trace = _zipf_small()
+    with pytest.raises(ValueError, match="reconcile_interval must be >= 1"):
+        _sharded(world, 2, interval=0)
+    with _sharded(world, 2, interval=16) as federation:
+        run = federation.run(list(trace), "qa-nt")
+    assert run.invariant_payload() == _local_baseline("qa-nt")
+    assert run.batch_summary()["reconcile_barriers"] == 0.0
 
 
 @pytest.mark.parametrize("mode", ["fork", "tcp", "inline"])
@@ -1311,7 +1400,7 @@ def test_malformed_tcp_frame_is_a_shard_failure(monkeypatch, garbage, cause):
     )
     monkeypatch.setattr(shards_module, "_tcp_shard_worker", worker)
     world, trace = _zipf_small()
-    federation = _sharded(world, 2, "tcp", interval=4)
+    federation = _sharded(world, 2, "tcp")
     try:
         with pytest.raises(ShardFailure, match=cause) as failure:
             federation.run(list(trace), "qa-nt")
@@ -1327,7 +1416,7 @@ def test_malformed_tcp_frame_is_a_shard_failure(monkeypatch, garbage, cause):
 
 
 class _SleepyEchoCore:
-    """Scripted-delay worker double: answers a ``reconcile`` frame with
+    """Scripted-delay worker double: answers a ``collect`` frame with
     its own identity, after sleeping its scripted delay."""
 
     def __init__(self, init):
@@ -1335,7 +1424,7 @@ class _SleepyEchoCore:
         self._delay_s = float(init["delay_s"])
 
     def handle(self, frame):
-        if frame[0] == "reconcile":
+        if frame[0] == "collect":
             time.sleep(self._delay_s)
             return {"ident": self._ident}
         return {"ok": True}
@@ -1354,7 +1443,7 @@ def test_out_of_order_replies_keep_fixed_shard_merge(mode):
         transport = ShardTransport(inits, mode=mode)
         try:
             started = time.perf_counter()
-            replies = transport.exchange([("reconcile",), ("reconcile",)])
+            replies = transport.exchange([("collect",), ("collect",)])
             elapsed = time.perf_counter() - started
             assert [reply["ident"] for reply in replies] == [0, 1]
             # Both requests were in flight together: the barrier costs
@@ -1367,26 +1456,27 @@ def test_out_of_order_replies_keep_fixed_shard_merge(mode):
 
 
 # ---------------------------------------------------------------------------
-# the local-market golden (shard/mode/R invariant by construction)
+# the local-market golden (shard/mode/frame invariant by construction)
 
 
-def _localmarket_zipf_payload(shards: int, mode: str, interval: int) -> str:
+def _localmarket_zipf_payload(shards: int, mode: str) -> str:
     world, trace = _zipf_small()
-    with _sharded(world, shards, mode, interval) as federation:
+    with _sharded(world, shards, mode) as federation:
         return _pair_payload(lambda m: federation.run(list(trace), m))
 
 
 def test_localmarket_zipf_matches_golden():
-    """The 4-shard forked R=4 Zipf pair reproduces the stored payload."""
-    assert _localmarket_zipf_payload(4, "fork", 4) == (
+    """The 4-shard forked Zipf pair reproduces the stored payload."""
+    assert _localmarket_zipf_payload(4, "fork") == (
         GOLDEN_DIR / "localmarket_zipf_seed0.json"
     ).read_text()
 
 
 @pytest.mark.slow
-def test_localmarket_golden_is_config_invariant():
+def test_localmarket_golden_is_config_invariant(monkeypatch):
     """The same golden re-verifies over sockets at a different shard
-    count and reconciliation cadence."""
-    assert _localmarket_zipf_payload(2, "tcp", 16) == (
+    count and with slices cut into 16-row frames."""
+    monkeypatch.setattr(shards_module, "_SLICE_ROW_BOUND", 16)
+    assert _localmarket_zipf_payload(2, "tcp") == (
         GOLDEN_DIR / "localmarket_zipf_seed0.json"
     ).read_text()
