@@ -23,13 +23,16 @@ perf-smoke:
 # Alternating parent/change pairs of one workload -- the protocol behind
 # every performance claim in CHANGES.md (see tools/perf_pairs.py):
 #   make perf-pairs PARENT=HEAD~1 WORKLOAD=tick1000_single SEED=0 PAIRS=10
+# CHANGE=<tree> pairs another tree than this one, SECONDS=<s> shortens
+# each pass; either flag is passed only when set.
 PARENT ?= HEAD
 WORKLOAD ?= tick1000_single
 SEED ?= 0
 PAIRS ?= 10
 perf-pairs:
 	python3 tools/perf_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
-	    --seed $(SEED) --pairs $(PAIRS)
+	    --seed $(SEED) --pairs $(PAIRS) \
+	    $(if $(CHANGE),--change $(CHANGE)) $(if $(SECONDS),--seconds $(SECONDS))
 
 # Re-measure market_tick.SCALAR_LANES_MAX: lane book vs. scalar twin,
 # microseconds by lane count, refusing and settled fraction (~10 s; the

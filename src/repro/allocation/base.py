@@ -23,7 +23,7 @@ from __future__ import annotations
 import abc
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..protocol.messages import AssignQuery, BidRequest
 from ..protocol.transport import FanoutResult, Transport
@@ -164,6 +164,10 @@ class Allocator(abc.ABC):
 
     def __init__(self) -> None:
         self._context: Optional[AllocationContext] = None
+        #: The context's network when its transport is the plain
+        #: simulator adapter, enabling the one-draw-per-tick latency path
+        #: of :meth:`_tick_prologue`; ``None`` under any custom transport.
+        self._bulk_rtt_network: Optional["Network"] = None
 
     @property
     def context(self) -> AllocationContext:
@@ -181,6 +185,16 @@ class Allocator(abc.ABC):
                 "per simulation" % self.name
             )
         self._context = context
+        # Bulk latency draws are only exact against the plain simulated
+        # wire; a custom transport must see one fanout call per query.
+        from ..sim.transport import SimTransport  # lazy: package cycle
+
+        transport = context.transport
+        if (
+            type(transport) is SimTransport
+            and transport.network is context.network
+        ):
+            self._bulk_rtt_network = context.network
         self._after_bind()
 
     def _after_bind(self) -> None:
@@ -221,6 +235,31 @@ class Allocator(abc.ABC):
             [decision.delay_ms for decision in decisions],
             [decision.messages for decision in decisions],
         )
+
+    def _tick_prologue(self, queries: Sequence[Query]) -> Optional[
+        Tuple[List[int], Dict[int, Tuple[int, ...]], List[int], List[float]]
+    ]:
+        """The shared opening of a fused :meth:`assign_batch`.
+
+        Returns ``(classes, fanouts, widths, delays)``: each row's class,
+        each class's live candidate tuple (resolved once: the batch shares
+        one timestamp), each row's fan-out width, and each row's
+        request-for-bid delay.  Every row's legs come from one C-level
+        draw that splits the Mersenne stream exactly as the sequential
+        fan-outs would; a zero-width row draws nothing and waits 0.0.
+        Returns ``None`` when the tick cannot fuse: fewer than two
+        queries, message faults, or no bulk network (see
+        :attr:`_bulk_rtt_network`); the caller then takes the sequential
+        default.
+        """
+        context = self.context
+        network = self._bulk_rtt_network
+        if len(queries) < 2 or network is None or context.faults is not None:
+            return None
+        classes = [query.class_index for query in queries]
+        fanouts = {k: context.available_candidates(k) for k in set(classes)}
+        widths = [len(fanouts[k]) for k in classes]
+        return classes, fanouts, widths, network.round_trip_ms_batch(widths)
 
     def on_run_end(self) -> None:
         """Called once after the simulation drains; default does nothing.

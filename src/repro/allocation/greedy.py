@@ -10,10 +10,10 @@ notes "a small amount of randomization may also be used".
 
 from __future__ import annotations
 
-from typing import List
+from typing import List, Sequence, Tuple
 
 from ..query.model import Query
-from .base import Allocator, AssignmentDecision
+from .base import Allocator, AssignmentDecision, BatchDecisions
 
 __all__ = [
     "GreedyAllocator",
@@ -51,14 +51,41 @@ class GreedyAllocator(Allocator):
             return AssignmentDecision(
                 node_id=None, delay_ms=delay, messages=messages
             )
-        candidates = exchange.replied
+        chosen = self._fastest(query.class_index, exchange.replied)
+        return AssignmentDecision(chosen, delay_ms=delay, messages=messages)
+
+    def assign_batch(self, queries: Sequence[Query]) -> BatchDecisions:
+        """All arrivals of one simulated tick: one winner per class.
+
+        Bit-identical to sequential :meth:`assign` calls.  Nothing
+        commits before this returns (the federation enqueues after it,
+        and batching requires positive delays), so neither the fleet's
+        watermarks nor the outage state move between rows: every row of
+        a class probes the same estimates and takes the same winner.  A
+        class with no live candidate refuses without a draw.  A
+        randomised pick draws the context RNG per query, in arrival
+        order, so with ``randomisation`` the tick stays sequential.
+        """
+        tick = None if self._randomisation else self._tick_prologue(queries)
+        if tick is None:
+            return super().assign_batch(queries)
+        classes, fanouts, widths, delays = tick
+        winners = {
+            k: self._fastest(k, candidates) if candidates else None
+            for k, candidates in fanouts.items()
+        }
+        return BatchDecisions(
+            [winners[k] for k in classes], delays, [2 * n for n in widths]
+        )
+
+    def _fastest(self, class_index: int, candidates: Tuple[int, ...]) -> int:
+        """The probed candidate with the earliest estimated completion
+        (lowest id at equal time), or a uniform pick among the near-best
+        with ``randomisation``."""
         context = self.context
-        nodes = context.nodes
         if (
             self._randomisation == 0.0
-            and context.faults is None
-            and candidates
-            is context.candidates_by_class.get(query.class_index, ())
+            and candidates is context.candidates_by_class.get(class_index)
         ):
             # Vectorised probe scan: the registry tuple came back
             # unfiltered (no outages, fault-free), so the per-class view
@@ -67,24 +94,20 @@ class GreedyAllocator(Allocator):
             # and first-occurrence argmin over ascending node ids matches
             # the tuple-min tie-break (lowest id at equal time).
             fleet = context.fleet
-            view = fleet.class_view(query.class_index, candidates, nodes)
+            view = fleet.class_view(class_index, candidates, context.nodes)
             est = fleet.estimates(view, context.simulator.now)
-            chosen = int(view.ids[int(est.argmin())])
-            return AssignmentDecision(
-                chosen, delay_ms=delay, messages=messages
-            )
+            return int(view.ids[int(est.argmin())])
+        nodes = context.nodes
         completions = [
-            (nodes[nid].estimated_completion_ms(query.class_index), nid)
+            (nodes[nid].estimated_completion_ms(class_index), nid)
             for nid in candidates
         ]
-        best_time = min(completions)[0]
         if self._randomisation == 0.0:
-            chosen = min(completions)[1]
-        else:
-            pool: List[int] = [
-                nid
-                for time_ms, nid in completions
-                if time_ms <= best_time * (1.0 + self._randomisation)
-            ]
-            chosen = self.context.rng.choice(pool)
-        return AssignmentDecision(chosen, delay_ms=delay, messages=messages)
+            return min(completions)[1]
+        best_time = min(completions)[0]
+        pool: List[int] = [
+            nid
+            for time_ms, nid in completions
+            if time_ms <= best_time * (1.0 + self._randomisation)
+        ]
+        return context.rng.choice(pool)

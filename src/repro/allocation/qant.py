@@ -112,10 +112,6 @@ class QantAllocator(Allocator):
         #: in `_after_bind` only under full adoption with no message
         #: faults, ``None`` otherwise.
         self._dispatcher: Optional[MarketTickDispatcher] = None
-        #: The context's network when its transport is the plain
-        #: simulator adapter, enabling the one-draw-per-tick bulk latency
-        #: path of `assign_batch`; ``None`` under any custom transport.
-        self._bulk_rtt_network = None
         #: Whether an array run is in progress (DESIGN.md §5.2): from
         #: `on_run_start` to `on_run_end` of a run with a dispatcher, the
         #: period engine's lanes, priced through the dispatcher's lane
@@ -194,16 +190,6 @@ class QantAllocator(Allocator):
                 self._params.price_floor,
                 self._params.price_cap,
             )
-        # Bulk latency draws are only exact against the plain simulated
-        # wire; a custom transport must see one fanout call per query.
-        from ..sim.transport import SimTransport  # lazy: package cycle
-
-        transport = self.context.transport
-        if (
-            type(transport) is SimTransport
-            and transport.network is self.context.network
-        ):
-            self._bulk_rtt_network = self.context.network
         self.on_period_start()
 
     def on_period_start(self) -> None:
@@ -343,35 +329,28 @@ class QantAllocator(Allocator):
 
         Bit-identical to sequential :meth:`assign` calls (the caller
         guarantees the batch shares a timestamp, negotiation delays are
-        positive and no message faults are active).  Two things are
-        fused.  The latency fan-outs: every exchange's legs come from
-        one C-level draw that splits the Mersenne stream exactly as the
-        sequential calls would.  And the saturated no-ops: an exchange
-        against a class already in `_saturated_in` for this period
-        changes nothing, and saturation is monotone within a period
-        (only `on_period_start` clears it), so those queries are settled
-        here without a call.
+        positive and no message faults are active).  Beyond the shared
+        :meth:`_tick_prologue` (one candidate resolve per class, one
+        latency draw per tick), the saturated no-ops are fused: an
+        exchange against a class already in `_saturated_in` for this
+        period changes nothing, and saturation is monotone within a
+        period (only `on_period_start` clears it), so those queries are
+        settled here without a call.
         Everything that can still move the market runs per query in
         arrival order (prices and supply must see each query's effect
         before the next, exactly as the paper's sequential negotiation
         does).
         """
-        context = self.context
-        network = self._bulk_rtt_network
-        if len(queries) < 2 or network is None or context.faults is not None:
+        tick = self._tick_prologue(queries)
+        if tick is None:
             return super().assign_batch(queries)
-        # The batch shares one timestamp, so a class's live candidate set
-        # is resolved once per batch, not once per query.
-        classes = [query.class_index for query in queries]
-        fanouts = {k: context.available_candidates(k) for k in set(classes)}
-        candidates_by_class = context.candidates_by_class
+        classes, fanouts, widths, delays = tick
+        candidates_by_class = self.context.candidates_by_class
         full = {
             k
             for k, candidates in fanouts.items()
             if candidates and len(candidates) == len(candidates_by_class[k])
         }
-        widths = [len(fanouts[k]) for k in classes]
-        delays = network.round_trip_ms_batch(widths)
         node_ids = [None] * len(queries)
         saturated_in = self._saturated_in
         serial = self._period_serial

@@ -112,6 +112,8 @@ class SqliteServerNode:
         self._relations: Dict[int, Relation] = {}
         self._row_counts: Dict[int, int] = {}
         self.estimator = HistoryCalibratedEstimator(PerfectEstimator())
+        # Optimizer cost per plan signature, until the schema changes.
+        self._plan_costs: Dict[str, float] = {}
         self._closed = False
         # The market half, set per run by `open_market`.  The lock
         # serialises `handle` against the worker's completion credit.
@@ -142,6 +144,7 @@ class SqliteServerNode:
             self._conn.commit()
         self._relations[relation.rid] = relation
         self._row_counts[relation.rid] = rows
+        self._plan_costs.clear()
 
     def create_view(self, name: str, rid: int, max_val: int) -> None:
         """Create a select-project view over a loaded relation.
@@ -158,6 +161,7 @@ class SqliteServerNode:
                 % (name, rid, max_val)
             )
             self._conn.commit()
+        self._plan_costs.clear()
 
     def holds(self, rids: Sequence[int]) -> bool:
         """True iff every relation in ``rids`` is loaded here."""
@@ -176,7 +180,13 @@ class SqliteServerNode:
         Scans cost their table's full row count, index searches a flat
         fraction; the absolute scale is wrong on purpose — the history
         calibration layer is what makes estimates usable (Section 5.2).
+        Cached per plan signature: the worker holds the connection for a
+        whole query, and a bid must not wait for it.
         """
+        signature = plan_signature(query_class)
+        cached = self._plan_costs.get(signature)
+        if cached is not None:
+            return cached
         sql = render_query_sql(query_class, constant=0)
         with self._conn_lock:
             plan_rows = self._conn.execute(
@@ -191,7 +201,9 @@ class SqliteServerNode:
             elif detail.startswith("SEARCH"):
                 cost += max(1.0, table_rows * 0.05)
         # Rows -> milliseconds under a nominal 1000 rows/ms machine.
-        return max(0.1, cost / 1000.0) * self.slowdown
+        cost = max(0.1, cost / 1000.0) * self.slowdown
+        self._plan_costs[signature] = cost
+        return cost
 
     def _rows_of_detail(self, detail: str) -> float:
         for rid, rows in self._row_counts.items():

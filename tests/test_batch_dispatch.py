@@ -116,6 +116,10 @@ def _quantised_run(name, factory, seed, tick_ms, batch_ticks, faults=None):
     st.integers(min_value=0, max_value=len(_MECHANISMS) - 1),
     st.sampled_from(sorted(_FAULT_SPECS)),
 )
+# Greedy fuses whole ticks; twelve random draws can miss it, and its
+# outage path (a filtered candidate tuple) only shows under churn.
+@example(0, 25.0, 1, "none")
+@example(0, 25.0, 1, "churn")
 def test_batched_runs_match_scalar_bit_for_bit(
     seed, tick_ms, mech_index, fault_key
 ):
@@ -128,6 +132,11 @@ def test_batched_runs_match_scalar_bit_for_bit(
     )
     assert batched.messages == scalar.messages
     assert batched.metrics.completed == scalar.metrics.completed
+    # The protocol ledger to the last bit: legs drawn for the wrong rows
+    # show first in the left-to-right delay sum.
+    assert repr(sorted(batched.metrics.negotiation_summary().items())) == repr(
+        sorted(scalar.metrics.negotiation_summary().items())
+    )
     # The scalar twin never records batch activity; the batched twin
     # only does where batching is actually legal.
     assert scalar.metrics.batch_ticks == 0
@@ -927,3 +936,76 @@ def test_round_trip_batch_matches_sequential_draws(seed, sizes):
     assert batch_net.messages_sent == sequential_net.messages_sent
     assert _stream_state(batch_net) == _stream_state(sequential_net)
     assert batch_net.round_trip_ms(9) == sequential_net.round_trip_ms(9)
+
+
+# ------------------------------------------------ greedy's fused tick
+
+
+#: Outage scenarios at t=0 on `two_query_world(12)`, whose class 0 runs
+#: on every node and class 1 on the even ones: none (both classes take
+#: the registry tuple's argmin, over shared nodes), node 5 down (class
+#: 0's fastest: class 0 is filtered to the scalar-min path, class 1 is
+#: untouched), and every even node down (class 1 has no live candidate;
+#: class 0 filtered).
+_GREEDY_OUTAGES = {
+    "shared": (),
+    "one-filtered": (5,),
+    "class-dark": (0, 2, 4, 6, 8, 10),
+}
+
+
+def _greedy_twin(randomisation, outages):
+    """A bound greedy allocator at t=0 with a backlog on a few nodes and
+    ``outages`` down; returns it and its network."""
+    world = two_query_world(num_nodes=12, seed=0)
+    allocator = GreedyAllocator(randomisation=randomisation)
+    federation = _built(world, allocator, FederationConfig(seed=2))
+    nodes = federation.nodes
+    for qid, nid in enumerate((0, 2, 3, 4, 7, 8)):
+        nodes[nid].enqueue(
+            Query(qid=100 + qid, class_index=0, origin_node=nid, arrival_ms=0.0)
+        )
+    for nid in outages:
+        nodes[nid].schedule_outage(0.0, 100.0)
+    return allocator, federation.network
+
+
+@pytest.mark.parametrize("randomisation", [0.0, 0.5])
+@pytest.mark.parametrize("outage", sorted(_GREEDY_OUTAGES))
+def test_greedy_batch_equals_sequential_assigns(outage, randomisation):
+    # One tick of interleaved classes: the fused batch (one draw, one
+    # winner per class) against one `assign` per query on a twin.  With
+    # randomisation each pick draws the context RNG, so the batch must
+    # take the sequential default and draw exactly as the twin does.
+    queries = [
+        Query(qid=qid, class_index=k, origin_node=qid % 12, arrival_ms=0.0)
+        for qid, k in enumerate((0, 1, 1, 0, 0, 1, 0, 1, 1))
+    ]
+    fused, fused_net = _greedy_twin(randomisation, _GREEDY_OUTAGES[outage])
+    twin, twin_net = _greedy_twin(randomisation, _GREEDY_OUTAGES[outage])
+    rng_before = twin.context.rng.getstate()
+    batch = fused.assign_batch(queries)
+    sequential = [twin.assign(query) for query in queries]
+    assert list(batch.node_ids) == [d.node_id for d in sequential]
+    assert list(batch.delays_ms) == [d.delay_ms for d in sequential]
+    assert list(batch.messages) == [d.messages for d in sequential]
+    assert fused_net.messages_sent == twin_net.messages_sent
+    assert _stream_state(fused_net) == _stream_state(twin_net)
+    assert fused.context.rng.getstate() == twin.context.rng.getstate()
+    if randomisation:
+        # The picks drew the RNG, and the equal states above say once
+        # per row, as the twin did.
+        assert twin.context.rng.getstate() != rng_before
+        return
+    assert twin.context.rng.getstate() == rng_before
+    winners = {}
+    for query, node_id in zip(queries, batch.node_ids):
+        winners.setdefault(query.class_index, set()).add(node_id)
+    assert all(len(nodes) == 1 for nodes in winners.values())
+    if outage == "class-dark":
+        dark = [i for i, q in enumerate(queries) if q.class_index == 1]
+        assert {batch.node_ids[i] for i in dark} == {None}
+        assert {batch.delays_ms[i] for i in dark} == {0.0}
+        assert {batch.messages[i] for i in dark} == {0}
+    else:
+        assert None not in winners[1]

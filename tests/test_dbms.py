@@ -3,6 +3,7 @@
 The market conversation between them is pinned in test_local_market.py.
 """
 
+import threading
 import time
 from dataclasses import replace
 
@@ -14,6 +15,22 @@ from repro.experiments.runner import run_single
 from repro.experiments.spec import REGISTRY, ScalePreset
 from repro.query.model import QueryClass
 from repro.query.sqlgen import plan_signature
+
+
+class _ExplainCounter:
+    """A connection proxy appending every EXPLAIN it executes to a list."""
+
+    def __init__(self, conn, explains):
+        self._conn = conn
+        self._explains = explains
+
+    def execute(self, sql, *args):
+        if sql.startswith("EXPLAIN"):
+            self._explains.append(sql)
+        return self._conn.execute(sql, *args)
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
 
 
 @pytest.fixture()
@@ -71,6 +88,38 @@ class TestSqliteServerNode:
         finally:
             fast.close()
             slow.close()
+
+    def test_optimizer_cost_explains_once_per_signature(self, node):
+        # SQLite's trace hook does not report EXPLAIN statements, so the
+        # count comes from a proxy over the node's connection.
+        explains = []
+        node._conn = _ExplainCounter(node._conn, explains)
+        node.load_relation(relation(0))
+        node.load_relation(relation(1))
+        one = QueryClass(index=0, relation_ids=(0,))
+        join = QueryClass(index=1, relation_ids=(0, 1))
+        costs = [node.estimate_ms(qc) for qc in (one, join, one, join, one)]
+        assert len(explains) == 2
+        assert costs[0::2] == [costs[0]] * 3 and costs[1::2] == [costs[1]] * 2
+        # A schema change drops the cache: the next estimate re-plans.
+        node.load_relation(relation(2))
+        node.estimate_ms(one)
+        assert len(explains) == 3
+
+    def test_cached_estimate_does_not_wait_for_the_connection(self, node):
+        node.load_relation(relation(0))
+        qc = QueryClass(index=0, relation_ids=(0,))
+        expected = node.estimate_ms(qc)
+        estimates = []
+        # The worker holds the connection lock while a query executes.
+        with node._conn_lock:
+            bidder = threading.Thread(
+                target=lambda: estimates.append(node.estimate_ms(qc))
+            )
+            bidder.start()
+            bidder.join(timeout=2.0)
+            assert not bidder.is_alive()
+        assert estimates == [expected]
 
     def test_history_calibration_learns(self, node):
         node.load_relation(relation(0))
