@@ -24,7 +24,8 @@ perf-smoke:
 # every performance claim in CHANGES.md (see tools/perf_pairs.py):
 #   make perf-pairs PARENT=HEAD~1 WORKLOAD=tick1000_single SEED=0 PAIRS=10
 # CHANGE=<tree> pairs another tree than this one, SECONDS=<s> shortens
-# each pass; either flag is passed only when set.
+# each pass, LAYERS=<a,b> adds a traced pass per tree for those per_layer
+# rows; each flag is passed only when set.
 PARENT ?= HEAD
 WORKLOAD ?= tick1000_single
 SEED ?= 0
@@ -32,7 +33,7 @@ PAIRS ?= 10
 perf-pairs:
 	python3 tools/perf_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
 	    --seed $(SEED) --pairs $(PAIRS) \
-	    $(if $(CHANGE),--change $(CHANGE)) $(if $(SECONDS),--seconds $(SECONDS))
+	    $(if $(CHANGE),--change $(CHANGE)) $(if $(SECONDS),--seconds $(SECONDS)) $(if $(LAYERS),--layers $(LAYERS))
 
 # Re-measure market_tick.SCALAR_LANES_MAX: lane book vs. scalar twin,
 # microseconds by lane count, refusing and settled fraction (~10 s; the

@@ -90,20 +90,16 @@ class World:
 
     def cost_matrix(self) -> List[List[float]]:
         """Per-node per-class execution times, ``inf`` for ineligible."""
-        matrix = []
-        for node_id in self.placement.node_ids:
-            row = []
-            for qc in self.classes:
-                if node_id in qc.candidate_nodes(self.placement):
-                    row.append(
-                        self.cost_model.execution_time_ms(
-                            qc, self.specs[node_id]
-                        )
-                    )
-                else:
-                    row.append(math.inf)
-            matrix.append(row)
-        return matrix
+        holders = [qc.candidate_nodes(self.placement) for qc in self.classes]
+        return [
+            [
+                self.cost_model.execution_time_ms(qc, self.specs[node_id])
+                if node_id in held
+                else math.inf
+                for qc, held in zip(self.classes, holders)
+            ]
+            for node_id in self.placement.node_ids
+        ]
 
     def capacity_qpms(self, mix: Sequence[float]) -> float:
         """Max sustainable throughput (queries/ms) for a class mix."""

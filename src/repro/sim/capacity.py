@@ -21,7 +21,9 @@ a conservative binary search over a greedy feasibility check otherwise.
 from __future__ import annotations
 
 import math
-from typing import List, Sequence
+from typing import Sequence
+
+import numpy as np
 
 __all__ = [
     "system_capacity_qpms",
@@ -52,44 +54,31 @@ def _capacity_linprog(
     costs: Sequence[Sequence[float]], mix: Sequence[float]
 ) -> float:
     from scipy.optimize import linprog
+    from scipy.sparse import coo_array
 
-    num_nodes = len(costs)
-    num_classes = len(mix)
-    num_vars = num_nodes * num_classes + 1  # f_ik ... , R
-
-    def f_index(i: int, k: int) -> int:
-        return i * num_classes + k
-
-    c = [0.0] * num_vars
+    weights = np.asarray(mix, dtype=float)
+    matrix = np.asarray(costs, dtype=float).reshape(-1, len(weights))
+    (num_nodes, num_classes), cost = matrix.shape, matrix.ravel()
+    cells = cost.size
+    node, k = np.divmod(np.arange(cells), num_classes)
+    eligible = ~np.isinf(cost)
+    mixed = np.flatnonzero(weights)
+    # Variables f_ik (at i * K + k), then R.  Rows: the node budgets
+    # sum_k f_ik <= 1, then the class covers R * mix_k - sum_i f_ik / e_ik
+    # <= 0.  Zero entries are left out, as a dense matrix's conversion
+    # drops them, so HiGHS gets the dense assembly's problem.
+    values = (np.ones(cells), -1.0 / cost[eligible], weights[mixed])
+    rows = (node, num_nodes + k[eligible], num_nodes + mixed)
+    cols = (np.arange(cells), np.flatnonzero(eligible), np.full(len(mixed), cells))
+    a_ub = coo_array(
+        (np.concatenate(values), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(num_nodes + num_classes, cells + 1),
+    )
+    b_ub = np.repeat([1.0, 0.0], [num_nodes, num_classes])
+    bounds = np.zeros((cells + 1, 2))
+    bounds[:, 1] = np.append(eligible, np.inf)  # ineligible f_ik pinned to 0
+    c = np.zeros(cells + 1)
     c[-1] = -1.0  # maximise R
-
-    a_ub: List[List[float]] = []
-    b_ub: List[float] = []
-    # Node time budgets: sum_k f_ik <= 1.
-    for i in range(num_nodes):
-        row = [0.0] * num_vars
-        for k in range(num_classes):
-            row[f_index(i, k)] = 1.0
-        a_ub.append(row)
-        b_ub.append(1.0)
-    # Throughput cover: R * mix_k - sum_i f_ik / e_ik <= 0.
-    for k in range(num_classes):
-        row = [0.0] * num_vars
-        for i in range(num_nodes):
-            if not math.isinf(costs[i][k]):
-                row[f_index(i, k)] = -1.0 / costs[i][k]
-        row[-1] = mix[k]
-        a_ub.append(row)
-        b_ub.append(0.0)
-
-    bounds = []
-    for i in range(num_nodes):
-        for k in range(num_classes):
-            if math.isinf(costs[i][k]):
-                bounds.append((0.0, 0.0))
-            else:
-                bounds.append((0.0, 1.0))
-    bounds.append((0.0, None))
 
     result = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not result.success:
@@ -140,11 +129,11 @@ def _greedy_feasible(
             key=lambda i: costs[i][k],
         )
         for i in nodes:
-            if demand[k] <= 1e-12:
+            if demand[k] <= 0.0:
                 break
             serve = min(demand[k], budgets[i] / costs[i][k])
             demand[k] -= serve
             budgets[i] -= serve * costs[i][k]
-        if demand[k] > 1e-9:
+        if demand[k] > 0.0:  # no slack, or R could pass the true capacity
             return False
     return True

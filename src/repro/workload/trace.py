@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Iterable, List, Optional, Sequence
 
 from .arrival import ArrivalProcess
 from .sinusoid import PAPER_PHASE_DIFFERENCE_DEG, SinusoidArrivals
@@ -37,7 +37,7 @@ class WorkloadEvent:
 def build_trace(
     processes: Dict[int, ArrivalProcess],
     horizon_ms: float,
-    origin_nodes: Sequence[int],
+    origin_nodes: Iterable[int],
     seed: int = 0,
 ) -> List[WorkloadEvent]:
     """Merge per-class arrival processes into one time-ordered trace.
@@ -49,7 +49,8 @@ def build_trace(
     """
     if horizon_ms <= 0:
         raise ValueError("horizon must be positive")
-    if not origin_nodes:
+    origins = list(origin_nodes)
+    if not origins:
         raise ValueError("need at least one origin node")
     rng = random.Random(seed)
     events: List[WorkloadEvent] = []
@@ -61,7 +62,7 @@ def build_trace(
                 WorkloadEvent(
                     time_ms=time_ms,
                     class_index=class_index,
-                    origin_node=class_rng.choice(list(origin_nodes)),
+                    origin_node=class_rng.choice(origins),
                 )
             )
     events.sort(key=lambda e: (e.time_ms, e.class_index))
@@ -113,10 +114,10 @@ def zipf_trace(
     ``max_queries`` optionally truncates the merged trace to the first N
     events.
     """
-    processes: Dict[int, ArrivalProcess] = {
-        k: ZipfArrivals(mean_interarrival_ms=mean_interarrival_ms)
-        for k in range(num_classes)
-    }
+    # One process for every class: it is stateless (each class's rng is
+    # passed to ``times``), so its inverse-CDF table is built once.
+    arrivals = ZipfArrivals(mean_interarrival_ms=mean_interarrival_ms)
+    processes = dict.fromkeys(range(num_classes), arrivals)
     events = build_trace(processes, horizon_ms, origin_nodes, seed=seed)
     if max_queries is not None:
         events = events[:max_queries]

@@ -1,16 +1,76 @@
 """Unit tests for repro.sim.capacity (the workload-scaling LP)."""
 
 import math
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.experiments.setups import two_query_world
 from repro.sim.capacity import (
     _capacity_greedy,
+    _capacity_linprog,
     _greedy_feasible,
     system_capacity_qpms,
 )
 
 INF = math.inf
+
+
+def _dense_capacity_linprog(costs, mix):
+    """The LP as a dense list-of-lists problem: the differential reference
+    for the sparse assembly in :func:`_capacity_linprog`."""
+    from scipy.optimize import linprog
+
+    num_nodes, num_classes = len(costs), len(mix)
+    num_vars = num_nodes * num_classes + 1  # f_ik at i * K + k, then R
+    c = [0.0] * num_vars
+    c[-1] = -1.0
+    a_ub, b_ub = [], []
+    for i in range(num_nodes):
+        row = [0.0] * num_vars
+        for k in range(num_classes):
+            row[i * num_classes + k] = 1.0
+        a_ub.append(row)
+        b_ub.append(1.0)
+    for k in range(num_classes):
+        row = [0.0] * num_vars
+        for i in range(num_nodes):
+            if not math.isinf(costs[i][k]):
+                row[i * num_classes + k] = -1.0 / costs[i][k]
+        row[-1] = mix[k]
+        a_ub.append(row)
+        b_ub.append(0.0)
+    bounds = [
+        (0.0, 0.0) if math.isinf(costs[i][k]) else (0.0, 1.0)
+        for i in range(num_nodes)
+        for k in range(num_classes)
+    ]
+    bounds.append((0.0, None))
+    result = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    if not result.success:
+        raise RuntimeError("capacity LP failed: %s" % result.message)
+    return float(result.x[-1])
+
+
+@st.composite
+def _lp_instances(draw):
+    """Cost matrices with ~30 % ineligible cells, some wholly ineligible
+    classes, and mixes with zero weights (all zero included)."""
+    num_nodes = draw(st.integers(1, 40))
+    num_classes = draw(st.integers(1, 6))
+    dark = draw(st.sets(st.integers(0, num_classes - 1), max_size=num_classes))
+    cell = st.one_of(
+        st.floats(1.0, 20_000.0), st.floats(1.0, 20_000.0), st.just(INF)
+    )
+    costs = [
+        [INF if k in dark else draw(cell) for k in range(num_classes)]
+        for __ in range(num_nodes)
+    ]
+    weight = st.one_of(st.just(0.0), st.floats(0.01, 10.0))
+    mix = draw(st.lists(weight, min_size=num_classes, max_size=num_classes))
+    return costs, mix
 
 
 class TestCapacity:
@@ -71,3 +131,28 @@ class TestGreedyFallback:
         costs = [[100.0]]
         assert _greedy_feasible(costs, [1.0], 0.009)
         assert not _greedy_feasible(costs, [1.0], 0.011)
+
+
+class TestSparseAssembly:
+    @settings(max_examples=150, deadline=None)
+    @given(_lp_instances())
+    def test_sparse_lp_matches_dense_reference_bit_for_bit(self, instance):
+        costs, mix = instance
+        try:
+            expected = _dense_capacity_linprog(costs, mix)
+        except RuntimeError:
+            with pytest.raises(RuntimeError):
+                _capacity_linprog(costs, mix)
+            return
+        assert _capacity_linprog(costs, mix) == expected
+
+
+class TestScipyFreeEntry:
+    def test_blocked_scipy_falls_back_to_greedy(self, monkeypatch):
+        costs = two_query_world(30).cost_matrix()
+        lp = system_capacity_qpms(costs, [2.0, 1.0])
+        for name in ("scipy", "scipy.optimize", "scipy.sparse"):
+            monkeypatch.setitem(sys.modules, name, None)
+        fallback = system_capacity_qpms(costs, [2.0, 1.0])
+        assert fallback == _capacity_greedy(costs, [2.0 / 3.0, 1.0 / 3.0])
+        assert fallback <= lp
