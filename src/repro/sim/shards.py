@@ -67,6 +67,7 @@ import operator
 import os
 import random
 import resource
+import select
 import socket
 import time
 from collections import deque
@@ -77,7 +78,7 @@ import numpy as np
 
 from ..core.period_engine import unsold_decay
 from ..core.qant import QantParameters
-from ..protocol.messages import BidBatch, decode, encode
+from ..protocol.messages import BidBatch, decode, encode, pack_column, unpack_column
 from ..allocation.market_tick import LaneBlock, check_raise_terms
 from ..protocol.transport import FrameDecoder, encode_frame
 from .faults import derive_fault_seed
@@ -278,6 +279,13 @@ def split_market_classes(
 
 
 # -- the market plane ---------------------------------------------------------
+
+#: Dtypes of a plane's nine outcome columns: qid, class, origin,
+#: arrival, assigned, node, start, finish, resubmissions.
+_OUTCOME_DTYPES = (
+    np.int64, np.int64, np.int64, np.float64, np.float64,
+    np.int64, np.float64, np.float64, np.int64,
+)
 
 
 class _MarketPlane:
@@ -658,9 +666,17 @@ class _MarketPlane:
     # -- reporting ------------------------------------------------------------
 
     def collect(self) -> Dict[str, object]:
-        """Outcome columns + run counters (the final-barrier payload)."""
+        """Outcome columns + run counters (the final-barrier payload).
+
+        The columns leave as 1-D arrays of :data:`_OUTCOME_DTYPES`, so a
+        reply pickles (and packs, on tcp) as nine buffers, never as a
+        list of numpy scalars per row.
+        """
         return {
-            "columns": self._cols,
+            "columns": [
+                np.array(column, dtype=dtype)
+                for column, dtype in zip(self._cols, _OUTCOME_DTYPES)
+            ],
             "assigned": self._assigned,
             "exchanges": self._exchanges,
             "closed_settled": self._closed_settled,
@@ -733,7 +749,9 @@ def _market_ticks(batch: BidBatch):
 def _slice_batches(columns: Tuple, rows) -> Iterator[BidBatch]:
     """One plane's trace slice ``rows`` (time-ordered row numbers of the
     :meth:`ShardedFederation._trace_columns` arrays, which are the qids)
-    as ``BidBatch`` runs of up to about ``_SLICE_ROW_BOUND`` rows.
+    as ``BidBatch`` runs of up to about ``_SLICE_ROW_BOUND`` rows, their
+    columns int64 / float64 arrays that :func:`~repro.protocol.messages
+    .encode` packs as they are.
 
     The first run is an eighth of the bound and each next one doubles,
     so a worker starts ticking while the coordinator still encodes the
@@ -752,10 +770,10 @@ def _slice_batches(columns: Tuple, rows) -> Iterator[BidBatch]:
             hi = int(np.searchsorted(row_times, last, side="right"))
         part = rows[lo:hi]
         yield BidBatch(
-            times_ms=row_times[lo:hi].tolist(),
-            qids=part.tolist(),
-            class_indices=classes[part].tolist(),
-            origin_nodes=origins[part].tolist(),
+            times_ms=row_times[lo:hi],
+            qids=part,
+            class_indices=classes[part],
+            origin_nodes=origins[part],
         )
         lo = hi
         size = min(2 * size, _SLICE_ROW_BOUND)
@@ -824,14 +842,26 @@ def _shard_worker(conn, init: Mapping[str, object], index: int) -> None:
 
 
 def _wire_default(obj):
-    """``json.dumps`` fallback for numpy values in wire frames."""
+    """``json.dumps`` fallback for numpy values in wire frames: an array
+    crosses packed (:func:`~repro.protocol.messages.pack_column`), a
+    numpy scalar as its Python value."""
     if isinstance(obj, np.ndarray):
-        return obj.tolist()
+        return pack_column(obj, obj.dtype.str)
     if isinstance(obj, np.generic):
         return obj.item()
     raise TypeError(
         "cannot serialise %r for the shard wire" % type(obj).__name__
     )
+
+
+def _wire_hook(obj: Dict[str, object]):
+    """``json.loads`` object hook, the inverse of :func:`_wire_default`:
+    an object of ``dtype`` and ``cells`` is a packed column and comes
+    back as an array, or its frame is refused
+    (:class:`~repro.protocol.messages.ProtocolError`, a ``ValueError``)."""
+    if "dtype" in obj and "cells" in obj:
+        return np.frombuffer(unpack_column(obj), dtype=obj["dtype"])
+    return obj
 
 
 class _WireChannel:
@@ -840,9 +870,10 @@ class _WireChannel:
     Frames are ``json.dumps`` payloads wrapped in the protocol layer's
     length-prefix framing (:func:`repro.protocol.transport.encode_frame`
     / :class:`~repro.protocol.transport.FrameDecoder`), so both ends
-    reassemble partial reads deterministically.  JSON round-trips floats
-    exactly (shortest-repr), which is what keeps tcp mode bit-identical
-    to pipes.
+    reassemble partial reads deterministically.  Arrays cross as packed
+    columns (their eight-byte cells, :func:`_wire_default` /
+    :func:`_wire_hook`) and JSON round-trips the remaining floats exactly
+    (shortest-repr), which is what keeps tcp mode bit-identical to pipes.
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -850,17 +881,41 @@ class _WireChannel:
         self._decoder = FrameDecoder()
         self._frames: deque = deque()
 
+    def fileno(self) -> int:
+        return self._sock.fileno()
+
     def send(self, obj) -> None:
         payload = json.dumps(obj, default=_wire_default).encode("utf-8")
         self._sock.sendall(encode_frame(payload))
 
+    def _read(self) -> None:
+        data = self._sock.recv(1 << 16)
+        if not data:
+            raise EOFError("shard wire closed")
+        self._frames.extend(self._decoder.feed(data))
+
     def recv(self):
         while not self._frames:
-            data = self._sock.recv(1 << 16)
-            if not data:
-                raise EOFError("shard wire closed")
-            self._frames.extend(self._decoder.feed(data))
-        return json.loads(self._frames.popleft())
+            self._read()
+        return json.loads(self._frames.popleft(), object_hook=_wire_hook)
+
+    def poll(self, timeout: float) -> bool:
+        """Whether a whole frame is in within ``timeout`` seconds, like
+        ``multiprocessing.connection.Connection.poll`` (a closed wire
+        raises ``EOFError`` here rather than at the next :meth:`recv`)."""
+        deadline = time.monotonic() + timeout
+        try:
+            while not self._frames:
+                left = deadline - time.monotonic()
+                if left <= 0.0:
+                    return False
+                self._sock.settimeout(left)
+                self._read()
+        except socket.timeout:
+            return False
+        finally:
+            self._sock.settimeout(None)
+        return True
 
     def close(self) -> None:
         try:
@@ -890,6 +945,10 @@ def _tcp_shard_worker(host: str, port: int, index: int) -> None:
 
 #: Seconds between worker-liveness checks while tcp workers connect.
 _TCP_ACCEPT_POLL_S = 0.05
+
+#: Seconds :meth:`ShardTransport.close` gives the whole pool to
+#: acknowledge ``close`` and exit before it kills what is left.
+_CLOSE_GRACE_S = 5.0
 
 
 class ShardFailure(RuntimeError):
@@ -1138,24 +1197,35 @@ class ShardTransport:
     def close(self) -> None:
         """Shut the worker pool down (idempotent).
 
-        Every child is reaped even after a :class:`ShardFailure`: dead
-        peers are skipped, live ones acknowledge and exit, and a worker
-        that outlives the join timeout is killed.
+        Every child is reaped even after a :class:`ShardFailure`, in
+        bounded time: dead peers are skipped, live ones acknowledge and
+        exit, and whatever has not done so :data:`_CLOSE_GRACE_S` after
+        the call began is killed.  A worker stuck inside a frame reads
+        nothing more, so neither the ``close`` write (its pipe or socket
+        may be full) nor the wait for its acknowledgement may block past
+        that deadline.
         """
         if self._closed:
             return
         self._closed = True
         if self._mode == "inline":
             return
+        deadline = time.monotonic() + _CLOSE_GRACE_S
+
+        def left() -> float:
+            return max(0.0, deadline - time.monotonic())
+
         for peer in self._peers:
             try:
-                peer.send(("close",))
-                peer.recv()
+                if select.select([], [peer], [], left())[1]:
+                    peer.send(("close",))
+                    if peer.poll(left()):
+                        peer.recv()
             except (EOFError, OSError, ValueError):  # as in _recv
                 pass
             peer.close()
         for proc in self._procs:
-            proc.join(timeout=5.0)
+            proc.join(timeout=left())
             if proc.is_alive():
                 proc.kill()
                 proc.join()
@@ -1642,12 +1712,19 @@ class ShardedFederation:
                 ]
             )
             if mine is not None:
-                residual.run_slice(mine)
+                # In process, so no codec: the rows as Python scalars.
+                residual.run_slice(
+                    BidBatch(
+                        mine.times_ms.tolist(),
+                        mine.qids.tolist(),
+                        mine.class_indices.tolist(),
+                        mine.origin_nodes.tolist(),
+                    )
+                )
         transport.post([("end", horizon, end_of_run)] * num_shards)
         residual.finish(horizon, end_of_run)
         # The one barrier after reset: outcome columns, RSS, self-time.
         replies = transport.exchange([("collect",)] * num_shards)
-        cols = [[] for _ in range(9)]
         assigned_per_shard = []
         self_times = []
         collected = residual.collect()
@@ -1656,8 +1733,6 @@ class ShardedFederation:
         dropped = collected["pending"]
         peak_kb = 0
         for reply in replies:
-            for c, part in zip(cols, reply["columns"]):
-                c.extend(part)
             assigned_per_shard.append(reply["assigned"])
             exchanges += reply["exchanges"]
             closed_settled += reply["closed_settled"]
@@ -1665,15 +1740,12 @@ class ShardedFederation:
             self_times.append(float(reply.get("self_time_s", 0.0)))
             if reply["maxrss_kb"] > peak_kb:
                 peak_kb = reply["maxrss_kb"]
-        for c, part in zip(cols, collected["columns"]):
-            c.extend(part)
         transport.note_child_peak_kb(peak_kb)
         self._shard_self_time_s = self_times
-        int_cols = (0, 1, 2, 5, 8)
-        columns = [
-            np.array(c, dtype=np.int64 if n in int_cols else float)
-            for n, c in enumerate(cols)
-        ]
+        # Fixed shard order, then the residual plane's rows.
+        parts = [reply["columns"] for reply in replies]
+        parts.append(collected["columns"])
+        columns = [np.concatenate(column) for column in zip(*parts)]
         order = np.lexsort((columns[0], columns[7]))
         columns = [c[order] for c in columns]
         total_assigned = sum(assigned_per_shard)

@@ -1,4 +1,5 @@
-"""``tools/perf_pairs.py --layers``: parsing and the layer table.
+"""``tools/perf_pairs.py``: ``--layers`` parsing and the layer table,
+and the measured (``raw``) medians and host slowdown per side.
 
 The tool's subprocess seam (``run_once``) and ``git archive`` are
 stubbed, so nothing here runs the benchmark.
@@ -21,20 +22,32 @@ def perf_pairs(monkeypatch):
     benchmark = json.loads((tool.REPO / "BENCHMARK.json").read_text())
     calls = []
 
-    def run_once(tree, workload, seed, seconds, trace=0):
-        """The change is 2x the parent on every row, end-to-end or layer."""
+    def run_once(tree, workload, seed, seconds, trace=0, out=None):
+        """The change is 2x the parent on every row, end-to-end or layer.
+
+        With ``out`` it also writes the full result object, as
+        ``perf/run.py --out`` does: the two rates carry a ``raw``
+        median of three times their value, and ``host_slowdown_ratio``
+        reads 1.5 on the parent side, 1.25 on the change's."""
         scale = 2.0 if tree == tool.REPO else 1.0
         calls.append((tree == tool.REPO, trace))
         rows = benchmark["per_layer"] if trace else benchmark["end_to_end"]
-        return {
-            "correct": True,
-            "attempted": 3,
-            "failed": 0,
-            "metrics": {
-                row["name"]: {"value": scale * (1 + n), "unit": row["unit"]}
-                for n, row in enumerate(rows)
-            },
+        metrics = {
+            row["name"]: {"value": scale * (1 + n), "unit": row["unit"]}
+            for n, row in enumerate(rows)
         }
+        if out is not None:
+            full = {name: dict(entry) for name, entry in metrics.items()}
+            for name in ("queries_per_wall_s", "greedy_queries_per_wall_s"):
+                full[name]["raw"] = 3 * full[name]["value"]
+            full["host_slowdown_ratio"] = {
+                "value": 1.25 if scale == 2.0 else 1.5, "unit": "ratio"
+            }
+            out.mkdir(parents=True)
+            (out / ("result-%s-trace%d.json" % (workload, trace))).write_text(
+                json.dumps({"metrics": full})
+            )
+        return {"correct": True, "attempted": 3, "failed": 0, "metrics": metrics}
 
     monkeypatch.setattr(tool, "run_once", run_once)
     monkeypatch.setattr(tool, "export_tree", lambda ref, target: None)
@@ -75,3 +88,23 @@ def test_unknown_layer_is_an_argparse_error_listing_the_valid_ones(
     complaint = capsys.readouterr().err
     assert "shards.nope" in complaint and "transport.barrier_wait_s" in complaint
     assert perf_pairs.calls == []
+
+
+def test_measured_medians_and_host_slowdown_per_side(perf_pairs, capsys, tmp_path):
+    """perf/README wants ``raw`` and ``host_slowdown_ratio`` beside a
+    plane-workload claim; the driver line carries neither, so every run
+    writes its full result (``--out``) and the tool reads that."""
+    out = tmp_path / "pairs.json"
+    assert perf_pairs.main(_ARGS + ["--json", str(out)]) == 0
+    table = capsys.readouterr().out.split("measured median (raw) / host", 1)[1]
+    lines = table.splitlines()
+    assert lines[0].split() == ["parent", "change", "ratio"]
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:4]}
+    # queries_per_wall_s is end-to-end row 1 (value 2 / 4), greedy row 2.
+    assert rows["queries_per_wall_s"] == ["(raw)", "6", "12", "2.000"]
+    assert rows["greedy_queries_per_wall_s"] == ["(raw)", "9", "18", "2.000"]
+    assert rows["host_slowdown_ratio"] == ["1.5", "1.25", "0.833"]
+    measured = json.loads(out.read_text())["measured"]
+    assert [row["name"] for row in measured] == [
+        "queries_per_wall_s", "greedy_queries_per_wall_s", "host_slowdown_ratio"
+    ]

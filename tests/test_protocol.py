@@ -4,7 +4,7 @@ Three concerns:
 
 * the versioned JSON codec — hypothesis round-trip identity for every
   message type, unknown-field tolerance, version pinning, and strict
-  rejection of malformed envelopes;
+  rejection of malformed envelopes and of hostile packed columns;
 * one MarketSession bid round — winner rule, timeout / refusal
   handling, and a backoff formula that stays bit-identical to the
   simulator's fault layer;
@@ -13,9 +13,12 @@ Three concerns:
   on seeded runs, in both fault regimes.
 """
 
+import base64
 import json
 import math
+import struct
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -39,6 +42,7 @@ from repro.protocol import (
     encode,
     message_tag,
 )
+from repro.protocol.messages import pack_column
 from repro.sim.faults import FaultInjector, FaultSpec
 from repro.sim.transport import SimTransport
 
@@ -88,6 +92,35 @@ MESSAGE_STRATEGIES = {
 any_message = st.one_of(*MESSAGE_STRATEGIES.values())
 
 
+def _envelope(tag, body):
+    """A current-version envelope around a hand-written JSON ``body``."""
+    return '{"v": %d, "type": "%s", "body": %s}' % (PROTOCOL_VERSION, tag, body)
+
+
+def _raw(data, dtype="<f8"):
+    """A packed column object around arbitrary cell bytes."""
+    return {"dtype": dtype, "cells": base64.b64encode(data).decode("ascii")}
+
+
+#: One well-formed row of a packed ``BidBatch`` body.
+_ONE_ROW = {
+    "times_ms": pack_column([1.0], "<f8"),
+    "qids": pack_column([1], "<i8"),
+    "class_indices": pack_column([0], "<i8"),
+    "origin_nodes": pack_column([0], "<i8"),
+}
+_BATCH_FIELDS = tuple(_ONE_ROW)
+_ABSENT = object()
+
+
+def _batch_payload(**columns):
+    """A current-version ``bid_batch`` envelope: :data:`_ONE_ROW` with
+    ``columns`` swapped in (``_ABSENT`` drops one)."""
+    body = {**_ONE_ROW, **columns}
+    body = {name: value for name, value in body.items() if value is not _ABSENT}
+    return json.dumps({"v": PROTOCOL_VERSION, "type": "bid_batch", "body": body})
+
+
 class TestCodec:
     def test_strategies_cover_every_message_type(self):
         assert set(MESSAGE_STRATEGIES) == set(MESSAGE_TYPES)
@@ -132,26 +165,58 @@ class TestCodec:
             "not json",
             "[]",
             '{"type": "quote", "body": {}}',  # missing version
-            '{"v": 1, "type": "no_such_type", "body": {}}',
-            '{"v": 1, "type": "quote", "body": []}',
-            '{"v": 1, "type": "quote", "body": {}}',  # missing fields
+            # Ids keep the version-1 spelling these cases were written in;
+            # the payloads are current, so each is refused for its own
+            # reason, not for its version.
+            pytest.param(
+                _envelope("no_such_type", "{}"),
+                id='{"v": 1, "type": "no_such_type", "body": {}}',
+            ),
+            pytest.param(
+                _envelope("quote", "[]"),
+                id='{"v": 1, "type": "quote", "body": []}',
+            ),
+            pytest.param(  # missing fields
+                _envelope("quote", "{}"),
+                id='{"v": 1, "type": "quote", "body": {}}',
+            ),
             # wrong field shapes
-            '{"v": 1, "type": "refusal", "body": '
-            '{"qid": "x", "node_id": 1, "class_index": 0}}',
-            '{"v": 1, "type": "refusal", "body": '
-            '{"qid": true, "node_id": 1, "class_index": 0}}',
-            '{"v": 1, "type": "quote", "body": {"qid": 1, "node_id": 1, '
-            '"class_index": 0, "estimated_completion_ms": "soon"}}',
+            pytest.param(
+                _envelope(
+                    "refusal", '{"qid": "x", "node_id": 1, "class_index": 0}'
+                ),
+                id='{"v": 1, "type": "refusal", "body": '
+                '{"qid": "x", "node_id": 1, "class_index": 0}}',
+            ),
+            pytest.param(
+                _envelope(
+                    "refusal", '{"qid": true, "node_id": 1, "class_index": 0}'
+                ),
+                id='{"v": 1, "type": "refusal", "body": '
+                '{"qid": true, "node_id": 1, "class_index": 0}}',
+            ),
+            pytest.param(
+                _envelope(
+                    "quote",
+                    '{"qid": 1, "node_id": 1, "class_index": 0, '
+                    '"estimated_completion_ms": "soon"}',
+                ),
+                id='{"v": 1, "type": "quote", "body": {"qid": 1, "node_id": 1, '
+                '"class_index": 0, "estimated_completion_ms": "soon"}}',
+            ),
         ],
     )
     def test_malformed_payloads_raise(self, payload):
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError) as refused:
             decode(payload)
+        assert "unsupported protocol version" not in str(refused.value) or (
+            '"v"' not in payload
+        )
 
     @given(times=st.lists(st.floats(allow_nan=False, allow_infinity=False)))
     @settings(max_examples=100, deadline=None)
     def test_bid_batch_times_round_trip_exactly(self, times):
-        """Shortest-repr JSON floats: the tick clock crosses bit for bit
+        """Packed eight-byte cells: the tick clock crosses bit for bit
         (``-0.0`` keeps its sign, so compare reprs, not values)."""
         rows = tuple(range(len(times)))
         batch = BidBatch(tuple(times), rows, rows, rows)
@@ -161,56 +226,264 @@ class TestCodec:
         assert decode(encode(batch)) == batch
 
     def test_bid_batch_encodes_list_columns_as_given(self):
-        """The engine hands ``ndarray.tolist()`` columns straight in."""
+        """Lists, tuples and numpy int64 / float64 columns (copied as
+        buffers, as the sharded engine hands them in) are one envelope."""
         batch = BidBatch([0.1, 0.1], [7, 8], [3, 3], [0, 5])
-        assert decode(encode(batch)) == BidBatch(
+        packed = BidBatch(
+            np.array([0.1, 0.1]),
+            np.array([7, 8], dtype=np.int64),
+            np.array([3, 3], dtype=np.int64),
+            np.array([0, 5], dtype=np.int64),
+        )
+        assert encode(packed) == encode(batch)
+        assert decode(encode(packed)) == BidBatch(
             (0.1, 0.1), (7, 8), (3, 3), (0, 5)
         )
         with pytest.raises(ProtocolError):
             encode(BidBatch([math.nan], [0], [0], [0]))
 
     @pytest.mark.parametrize(
-        "body",
+        "columns, complaint",
         [
+            # Each case below re-expresses, in the packed form, the
+            # version-1 body its id spells (the arrays are its columns).
             # ragged columns
-            '{"times_ms": [1.0], "qids": [1, 2], "class_indices": [0], '
-            '"origin_nodes": [0]}',
-            '{"times_ms": [], "qids": [], "class_indices": [], '
-            '"origin_nodes": [0]}',
-            # a bool / a float in an integer column
-            '{"times_ms": [1.0], "qids": [true], "class_indices": [0], '
-            '"origin_nodes": [0]}',
-            '{"times_ms": [1.0], "qids": [1], "class_indices": [0.0], '
-            '"origin_nodes": [0]}',
-            '{"times_ms": [1.0], "qids": [1], "class_indices": [0], '
-            '"origin_nodes": [null]}',
+            pytest.param(
+                {"qids": pack_column([1, 2], "<i8")},
+                "differ in length",
+                id='{"times_ms": [1.0], "qids": [1, 2], "class_indices": [0], '
+                '"origin_nodes": [0]}',
+            ),
+            pytest.param(
+                {
+                    "times_ms": pack_column([], "<f8"),
+                    "qids": pack_column([], "<i8"),
+                    "class_indices": pack_column([], "<i8"),
+                },
+                "differ in length",
+                id='{"times_ms": [], "qids": [], "class_indices": [], '
+                '"origin_nodes": [0]}',
+            ),
+            # a bool / a float / a null in an integer column
+            pytest.param(
+                {"qids": _raw(b"\x01", "|b1")},
+                "unknown packed dtype '\\|b1'",
+                id='{"times_ms": [1.0], "qids": [true], "class_indices": [0], '
+                '"origin_nodes": [0]}',
+            ),
+            pytest.param(
+                {"class_indices": pack_column([0.0], "<f8")},
+                "has dtype '<f8', not '<i8'",
+                id='{"times_ms": [1.0], "qids": [1], "class_indices": [0.0], '
+                '"origin_nodes": [0]}',
+            ),
+            pytest.param(
+                {"origin_nodes": {"dtype": "<i8", "cells": None}},
+                "base64 string",
+                id='{"times_ms": [1.0], "qids": [1], "class_indices": [0], '
+                '"origin_nodes": [null]}',
+            ),
             # a non-number, a bool or a non-finite time
-            '{"times_ms": ["1.0"], "qids": [1], "class_indices": [0], '
-            '"origin_nodes": [0]}',
-            '{"times_ms": [false], "qids": [1], "class_indices": [0], '
-            '"origin_nodes": [0]}',
-            '{"times_ms": [NaN], "qids": [1], "class_indices": [0], '
-            '"origin_nodes": [0]}',
-            '{"times_ms": [-Infinity], "qids": [1], "class_indices": [0], '
-            '"origin_nodes": [0]}',
-            '{"times_ms": [1e999], "qids": [1], "class_indices": [0], '
-            '"origin_nodes": [0]}',
-            "{\"times_ms\": [1%s], \"qids\": [1], \"class_indices\": [0], "
-            '"origin_nodes": [0]}' % ("0" * 400),
-            # non-list columns
-            '{"times_ms": 1.0, "qids": 1, "class_indices": 0, '
-            '"origin_nodes": 0}',
-            '{"times_ms": "ab", "qids": [1, 2], "class_indices": [0, 0], '
-            '"origin_nodes": [0, 0]}',
-            '{"times_ms": [1.0], "qids": {"0": 1}, "class_indices": [0], '
-            '"origin_nodes": [0]}',
+            pytest.param(
+                {"times_ms": {"dtype": "<f8", "cells": "1.0"}},
+                "not base64",
+                id='{"times_ms": ["1.0"], "qids": [1], "class_indices": [0], '
+                '"origin_nodes": [0]}',
+            ),
+            pytest.param(
+                {"times_ms": {"dtype": "<f8", "cells": False}},
+                "base64 string",
+                id='{"times_ms": [false], "qids": [1], "class_indices": [0], '
+                '"origin_nodes": [0]}',
+            ),
+            pytest.param(
+                {"times_ms": _raw(struct.pack("<d", math.nan))},
+                "non-finite",
+                id='{"times_ms": [NaN], "qids": [1], "class_indices": [0], '
+                '"origin_nodes": [0]}',
+            ),
+            pytest.param(
+                {"times_ms": _raw(struct.pack("<d", -math.inf))},
+                "non-finite",
+                id='{"times_ms": [-Infinity], "qids": [1], "class_indices": [0], '
+                '"origin_nodes": [0]}',
+            ),
+            pytest.param(
+                {"times_ms": _raw(struct.pack("<d", math.inf))},
+                "non-finite",
+                id='{"times_ms": [1e999], "qids": [1], "class_indices": [0], '
+                '"origin_nodes": [0]}',
+            ),
+            # an integer time (one beyond the float range, at version 1)
+            pytest.param(
+                {"times_ms": pack_column([10**18], "<i8")},
+                "has dtype '<i8', not '<f8'",
+                id="{\"times_ms\": [1%s], \"qids\": [1], \"class_indices\": [0], "
+                '"origin_nodes": [0]}' % ("0" * 400),
+            ),
+            # non-packed columns
+            pytest.param(
+                {name: value for name, value in zip(_BATCH_FIELDS, (1.0, 1, 0, 0))},
+                "a packed column is an object",
+                id='{"times_ms": 1.0, "qids": 1, "class_indices": 0, '
+                '"origin_nodes": 0}',
+            ),
+            pytest.param(
+                {
+                    "times_ms": "ab",
+                    "qids": pack_column([1, 2], "<i8"),
+                    "class_indices": pack_column([0, 0], "<i8"),
+                    "origin_nodes": pack_column([0, 0], "<i8"),
+                },
+                "a packed column is an object",
+                id='{"times_ms": "ab", "qids": [1, 2], "class_indices": [0, 0], '
+                '"origin_nodes": [0, 0]}',
+            ),
+            pytest.param(
+                {"qids": {"0": 1}},
+                "a packed column is an object",
+                id='{"times_ms": [1.0], "qids": {"0": 1}, "class_indices": [0], '
+                '"origin_nodes": [0]}',
+            ),
             # a missing column
-            '{"times_ms": [1.0], "qids": [1], "class_indices": [0]}',
+            pytest.param(
+                {"origin_nodes": _ABSENT},
+                "missing required fields",
+                id='{"times_ms": [1.0], "qids": [1], "class_indices": [0]}',
+            ),
+            # packed garbage, which version 1 could not spell
+            pytest.param(
+                {"qids": [1]}, "a packed column is an object", id="json-array"
+            ),
+            pytest.param(
+                {"qids": {**pack_column([1], "<i8"), "rows": 1}},
+                "a packed column is an object",
+                id="extra-key",
+            ),
+            pytest.param(
+                {"qids": _raw(b"\x01" * 7, "<i8")},
+                "not a whole number of 8-byte",
+                id="partial-cell",
+            ),
+            pytest.param(
+                {"qids": {"dtype": "<i8", "cells": "AQAAAAAAAAA"}},
+                "not base64",
+                id="unpadded-base64",
+            ),
+            pytest.param(
+                {"qids": {"dtype": "<i8", "cells": "\u00e9" * 12}},
+                "not base64",
+                id="non-ascii-cells",
+            ),
+            pytest.param(
+                {"qids": _raw(b"\x00" * 8, "|O8")},
+                "unknown packed dtype '\\|O8'",
+                id="object-dtype",
+            ),
         ],
     )
-    def test_malformed_bid_batches_raise(self, body):
-        with pytest.raises(ProtocolError):
-            decode('{"v": 1, "type": "bid_batch", "body": %s}' % body)
+    def test_malformed_bid_batches_raise(self, columns, complaint):
+        with pytest.raises(ProtocolError, match=complaint):
+            decode(_batch_payload(**columns))
+
+    def test_the_one_row_body_decodes(self):
+        """The base every malformed case above edits is itself valid."""
+        assert decode(_batch_payload()) == BidBatch((1.0,), (1,), (0,), (0,))
+
+    @given(field=st.sampled_from(_BATCH_FIELDS), text=st.text())
+    @settings(max_examples=100, deadline=None)
+    def test_text_in_a_packed_field_is_refused(self, field, text):
+        with pytest.raises(ProtocolError, match="a packed column is an object"):
+            decode(_batch_payload(**{field: text}))
+
+    @given(
+        field=st.sampled_from(_BATCH_FIELDS),
+        data=st.binary(max_size=80).filter(lambda b: len(b) % 8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_partial_cells_are_refused(self, field, data):
+        dtype = _ONE_ROW[field]["dtype"]
+        with pytest.raises(ProtocolError, match="not a whole number"):
+            decode(_batch_payload(**{field: _raw(data, dtype)}))
+
+    @given(
+        lengths=st.lists(st.integers(0, 5), min_size=4, max_size=4).filter(
+            lambda ns: len(set(ns)) > 1
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_unequal_columns_are_refused(self, lengths):
+        columns = [
+            [float(n) for n in range(lengths[0])],
+            *[list(range(n)) for n in lengths[1:]],
+        ]
+        with pytest.raises(ProtocolError, match="differ in length"):
+            encode(BidBatch(*columns))
+        body = {
+            name: pack_column(column, _ONE_ROW[name]["dtype"])
+            for name, column in zip(_BATCH_FIELDS, columns)
+        }
+        with pytest.raises(ProtocolError, match="differ in length"):
+            decode(_batch_payload(**body))
+
+    @given(
+        times=st.lists(
+            st.floats(allow_nan=False, allow_infinity=False), max_size=5
+        ),
+        at=st.integers(0, 5),
+        # Sign, an all-ones exponent, any mantissa: both infinities and
+        # every NaN payload.
+        bits=st.tuples(st.integers(0, 1), st.integers(0, 2**52 - 1)),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_non_finite_packed_times_are_refused(self, times, at, bits):
+        sign, mantissa = bits
+        (bad,) = struct.unpack("<d", struct.pack(
+            "<Q", sign << 63 | 0x7FF << 52 | mantissa
+        ))
+        times.insert(min(at, len(times)), bad)
+        rows = list(range(len(times)))
+        with pytest.raises(ProtocolError, match="non-finite"):
+            encode(BidBatch(times, rows, rows, rows))
+        cells = b"".join(struct.pack("<d", t) for t in times)
+        with pytest.raises(ProtocolError, match="non-finite"):
+            decode(_batch_payload(
+                times_ms=_raw(cells),
+                **{
+                    name: pack_column(rows, "<i8")
+                    for name in _BATCH_FIELDS[1:]
+                },
+            ))
+
+    @given(
+        field=st.sampled_from(_BATCH_FIELDS[1:]),
+        value=st.one_of(
+            st.integers(max_value=-(2**63) - 1), st.integers(min_value=2**63)
+        ),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_integers_outside_int64_are_unencodable(self, field, value):
+        columns = {"times_ms": [1.0], "qids": [1], "class_indices": [0],
+                   "origin_nodes": [0], field: [value]}
+        with pytest.raises(ProtocolError, match="cannot pack"):
+            encode(BidBatch(**columns))
+
+    @given(
+        field=st.sampled_from(_BATCH_FIELDS),
+        junk=st.recursive(
+            st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+            lambda inner: st.lists(inner, max_size=3)
+            | st.dictionaries(st.sampled_from(["dtype", "cells", "x"]), inner),
+            max_leaves=6,
+        ),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_json_in_a_packed_field_decodes_or_is_refused(self, field, junk):
+        """Nothing but a ``BidBatch`` or a ``ProtocolError`` comes out."""
+        try:
+            assert isinstance(decode(_batch_payload(**{field: junk})), BidBatch)
+        except ProtocolError:
+            pass
 
     def test_non_finite_floats_are_unencodable(self):
         quote = Quote(

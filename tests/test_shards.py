@@ -1097,6 +1097,31 @@ def test_plane_refuses_raise_terms_that_unsettle_the_cap(terms, complaint):
         _MarketPlane({**_plane_init(_SHARED_BIDDER), **terms})
 
 
+def test_collect_replies_with_typed_arrays():
+    """A plane's ``collect`` reply carries its outcome columns as 1-D
+    arrays of the merge's dtypes and no numpy scalar anywhere: a list
+    of numpy-float64 scalars per row is what made a reply slow to
+    pickle."""
+    plane = _plane(_plane_init(_SHARED_BIDDER))
+    for tick, (now, k) in enumerate(((7.0, A), (7.0, B), (9.0, A))):
+        plane.market_tick(now, [(3 * tick + n, k, n, now, 0) for n in range(3)])
+    plane.boundary(500.0)
+    reply = plane.collect()
+    columns = reply["columns"]
+    i8, f8 = np.dtype(np.int64), np.dtype(np.float64)
+    assert [column.dtype for column in columns] == [
+        i8, i8, i8, f8, f8, i8, f8, f8, i8
+    ]
+    assert all(
+        isinstance(column, np.ndarray) and column.ndim == 1 for column in columns
+    )
+    assert [column.tolist() for column in columns] == [
+        list(column) for column in plane._cols
+    ]
+    assert len(columns[0]) == plane.assigned > 0
+    assert not any(isinstance(value, np.generic) for value in reply.values())
+
+
 def test_no_threshold_never_closes():
     """Without the activation latch no bidder is ever latched, so no
     class closes: every exchange runs the full program."""
@@ -1383,18 +1408,36 @@ def _answers_garbage(real_worker, garbage, host, port, index):
         pass
 
 
+def _reply_frame(column):
+    """A well-framed JSON reply carrying one (packed) column."""
+    return encode_frame(json.dumps({"ok": True, "columns": [column]}).encode())
+
+
 @pytest.mark.parametrize(
     "garbage, cause",
     [
         (encode_frame(b"not json"), "JSONDecodeError"),
         (b"\xff\xff\xff\xff", "exceeds MAX_FRAME_BYTES"),
+        (
+            _reply_frame({"dtype": "|O8", "cells": "AAAAAAAAAAA="}),
+            r"unknown packed dtype '\|O8'",
+        ),
+        (
+            _reply_frame({"dtype": "<f8", "cells": "not base64!"}),
+            "not base64",
+        ),
+        (
+            _reply_frame({"dtype": "<i8", "cells": "AAAAAAAAAA=="}),
+            "not a whole number of 8-byte cells",
+        ),
     ],
-    ids=["not-json", "hostile-length"],
+    ids=["not-json", "hostile-length", "object-dtype", "bad-base64", "ragged"],
 )
 def test_malformed_tcp_frame_is_a_shard_failure(monkeypatch, garbage, cause):
     """Socket bytes are outside input: a reply that is not JSON, or a
     length prefix past the frame ceiling, used to surface as a bare
-    ``ValueError`` naming neither shard nor op."""
+    ``ValueError`` naming neither shard nor op; a packed column that
+    does not unpack is refused the same way."""
     worker = functools.partial(
         _answers_garbage, shards_module._tcp_shard_worker, garbage
     )
@@ -1453,6 +1496,40 @@ def test_out_of_order_replies_keep_fixed_shard_merge(mode):
             transport.close()
     finally:
         del _CORE_KINDS["test-sleepy"]
+
+
+class _StuckCore:
+    """Scripted stuck worker: shard 0 sleeps inside its first ``slice``
+    frame for far longer than any test, so it reads no further frame;
+    every other shard answers at once."""
+
+    def __init__(self, init):
+        self._stuck = init["ident"] == 0
+
+    def handle(self, frame):
+        if frame[0] == "slice" and self._stuck:
+            time.sleep(600.0)
+        return {"ok": True}
+
+
+@pytest.mark.parametrize("mode", ["fork", "tcp"])
+def test_close_is_bounded_by_a_stuck_worker(mode, monkeypatch):
+    """``close()`` used to wait for every worker's acknowledgement with
+    no bound, so a worker stuck inside a posted frame hung it forever."""
+    grace = 0.5
+    monkeypatch.setattr(shards_module, "_CLOSE_GRACE_S", grace)
+    monkeypatch.setitem(_CORE_KINDS, "test-stuck", _StuckCore)
+    assert multiprocessing.active_children() == []
+    transport = ShardTransport(
+        [{"kind": "test-stuck", "ident": n} for n in range(2)], mode=mode
+    )
+    transport.post([("slice", ""), None])
+    time.sleep(0.2)  # shard 0 is asleep inside the frame
+    started = time.perf_counter()
+    transport.close()
+    assert time.perf_counter() - started < grace + 2.0
+    assert multiprocessing.active_children() == []
+    assert not any(proc.is_alive() for proc in transport._procs)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,13 @@ one, so a change has to be *steadier* than its parent, relatively, to
 stay resolvable.  ``correct`` / ``failed`` of every run are summed per
 side: a gain does not count when more operations fail.
 
+Every run also writes its full result object (``--out``), and the tool
+prints, per side, the median *measured* value (``raw``: before the host
+slowdown is divided out) of every metric that carries one, and the
+median ``host_slowdown_ratio``.  perf/README asks for both beside any
+gain claimed on ``zipf_planes_*``, where the slowdown chunks share a
+core with the shard workers.
+
 Each tree runs its *own* ``perf/`` — the driver does the same — so the
 comparison is only meaningful while ``perf/`` is identical on both sides
 (the tool says so when it is not).
@@ -74,25 +81,44 @@ def same_benchmark(parent: pathlib.Path, change: pathlib.Path) -> bool:
 
 
 def run_once(
-    tree: pathlib.Path, workload: str, seed: int, seconds: float, trace: int = 0
+    tree: pathlib.Path,
+    workload: str,
+    seed: int,
+    seconds: float,
+    trace: int = 0,
+    out: Optional[pathlib.Path] = None,
 ) -> dict:
-    """One benchmark run in ``tree``; the result object (``trace=0``:
-    end-to-end metrics, ``trace=1``: the per-layer ledger)."""
+    """One benchmark run in ``tree``; the driver's result line
+    (``trace=0``: end-to-end metrics, ``trace=1``: the per-layer
+    ledger).  With ``out``, the run also writes its full result object
+    there (:func:`full_result` reads it)."""
+    command = [
+        sys.executable,
+        "perf/run.py",
+        "--workload", workload,
+        "--seed", str(seed),
+        "--seconds", str(seconds),
+        "--trace", str(trace),
+    ]
+    if out is not None:
+        command += ["--out", str(out)]
     done = subprocess.run(
-        [
-            sys.executable,
-            "perf/run.py",
-            "--workload", workload,
-            "--seed", str(seed),
-            "--seconds", str(seconds),
-            "--trace", str(trace),
-        ],
+        command,
         cwd=tree,
         check=True,
         stdout=subprocess.PIPE,
         text=True,
     )
     return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def full_result(out: pathlib.Path, workload: str, trace: int = 0) -> dict:
+    """The full result object a ``--out`` run wrote: unlike the driver
+    line it keeps each rate's measured median (``raw``) and the
+    report-only ``host_slowdown_ratio``."""
+    return json.loads(
+        (out / ("result-%s-trace%d.json" % (workload, trace))).read_text()
+    )
 
 
 def quartiles(values: Sequence[float]) -> tuple:
@@ -208,6 +234,41 @@ def render_layers(layers: List[dict], traced: Dict[str, dict]) -> str:
     return "\n".join(lines)
 
 
+def measured_rows(sides: Dict[str, List[dict]]) -> List[dict]:
+    """Per side, the median ``raw`` of every metric that has one and the
+    median ``host_slowdown_ratio``, from the runs' full results."""
+    first = sides["parent"][0]["metrics"]
+    names = [name for name, entry in first.items() if "raw" in entry]
+    rows = []
+    for name, key in [(name, "raw") for name in names] + [
+        ("host_slowdown_ratio", "value")
+    ]:
+        medians = {
+            side: statistics.median(run["metrics"][name][key] for run in runs)
+            for side, runs in sides.items()
+        }
+        rows.append({"name": name, "key": key, **medians})
+    return rows
+
+
+def render_measured(rows: List[dict]) -> str:
+    lines = [
+        "%-44s %14s %14s %7s"
+        % ("measured median (raw) / host", "parent", "change", "ratio")
+    ]
+    for row in rows:
+        lines.append(
+            "%-44s %14.6g %14.6g %7s"
+            % (
+                row["name"] + (" (raw)" if row["key"] == "raw" else ""),
+                row["parent"],
+                row["change"],
+                "%.3f" % (row["change"] / row["parent"]) if row["parent"] else "-",
+            )
+        )
+    return "\n".join(lines)
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     benchmark = json.loads((REPO / "BENCHMARK.json").read_text())
     per_layer = {layer["name"]: layer for layer in benchmark["per_layer"]}
@@ -259,9 +320,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     change_tree = pathlib.Path(args.change).resolve()
     runs: Dict[str, List[dict]] = {"parent": [], "change": []}
+    full: Dict[str, List[dict]] = {"parent": [], "change": []}
     traced: Dict[str, dict] = {}
     with tempfile.TemporaryDirectory(prefix="perf-pairs-") as scratch:
-        parent_tree = pathlib.Path(scratch)
+        parent_tree = pathlib.Path(scratch) / "parent"
+        parent_tree.mkdir()
         export_tree(args.parent, parent_tree)
         if not same_benchmark(parent_tree, change_tree):
             print(
@@ -273,10 +336,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for pair in range(args.pairs):
             order = ("parent", "change") if pair % 2 == 0 else ("change", "parent")
             for side in order:
+                out = pathlib.Path(scratch) / ("%s-%d" % (side, pair))
                 result = run_once(
-                    trees[side], args.workload, args.seed, args.seconds
+                    trees[side], args.workload, args.seed, args.seconds, out=out
                 )
                 runs[side].append(result)
+                full[side].append(full_result(out, args.workload))
                 print(
                     "pair %d/%d %-6s %s"
                     % (
@@ -308,6 +373,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         % (args.workload, args.seed, args.pairs, args.seconds, args.parent)
     )
     print(render(rows, runs))
+    measured = measured_rows(full)
+    print(render_measured(measured))
     if args.layers:
         print(render_layers(args.layers, traced))
     if args.json:
@@ -318,6 +385,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                     "seed": args.seed,
                     "parent": args.parent,
                     "summary": rows,
+                    "measured": measured,
                     "runs": runs,
                     "traced": traced,
                 },
