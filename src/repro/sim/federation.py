@@ -14,10 +14,10 @@ The lifecycle per run:
    allocator for a decision; refusals join the pending pool, acceptances
    enqueue at the chosen node after the negotiation delay;
 3. a serial node fixes an enqueued query's start and finish on the spot,
-   so the enqueue appends one ``(finish, query, node, start)`` row and no
-   completion event exists.  When the run ends, the rows that finished by
-   then are recorded as :class:`repro.sim.metrics.QueryOutcome` in finish
-   order, ties in enqueue order.
+   so the enqueue appends the query's outcome row and no completion event
+   exists.  When the run ends, the rows that finished by then are written
+   to the collector's outcome table in finish order, ties in enqueue
+   order.
 
 After the trace's horizon a configurable *drain* window keeps period ticks
 alive so backlogged queries can finish; whatever is still pending when the
@@ -40,7 +40,7 @@ from ..workload.trace import WorkloadEvent
 from .engine import Simulator
 from .faults import FaultInjector, FaultSpec
 from .fleet import FleetArrays
-from .metrics import MetricsCollector, QueryOutcome
+from .metrics import OUTCOME_DTYPES, MetricsCollector
 from .network import LatencyModel, Network
 from .node import SimulatedNode
 
@@ -108,9 +108,9 @@ class FederationSimulation:
         self._rng = random.Random(config.seed)
         self._metrics = MetricsCollector()
         self._pending: List[Query] = []
-        #: ``(finish_ms, query, node_id, start_ms)`` per enqueued query, in
-        #: enqueue order; `run` turns them into outcomes at the end.
-        self._executions: List[Tuple[float, Query, int, float]] = []
+        #: One outcome row (:class:`~repro.sim.metrics.QueryOutcome`
+        #: field order) per enqueued query, in enqueue order.
+        self._executions: List[tuple] = []
         self._next_qid = 0
         self._faults = faults
         #: Queries waiting on a backoff-scheduled retry (fault runs only);
@@ -236,9 +236,6 @@ class FederationSimulation:
                 adopted=engine_stats.adopted,
                 materialised=engine_stats.materialised,
             )
-        self._metrics.record_drop(
-            len(self._pending) + len(self._backoff_pending)
-        )
         if faults is not None:
             self._metrics.apply_fault_stats(
                 timeouts=faults.timeouts,
@@ -385,37 +382,39 @@ class FederationSimulation:
         self._try_assign(query)
 
     def _enqueue(self, query: Query, node: SimulatedNode) -> None:
-        """Commit an assigned query to its node and note its execution."""
+        """Commit an assigned query to its node and note its outcome."""
         start_ms, finish_ms = node.enqueue(query)
-        self._executions.append((finish_ms, query, node.node_id, start_ms))
+        self._executions.append(
+            (
+                query.qid,
+                query.class_index,
+                query.origin_node,
+                query.arrival_ms,
+                query.assigned_ms,
+                node.node_id,
+                start_ms,
+                finish_ms,
+                query.resubmissions,
+            )
+        )
 
     def _record_outcomes(self, end_of_run: float) -> None:
-        """Record every query that finished by ``end_of_run`` (inclusive).
+        """Write the outcome table: every query that finished by
+        ``end_of_run`` (inclusive).
 
         The stable sort by finish time keeps enqueue order among equal
         finishes, which is the ``(time, seq)`` order a completion event
-        per query would have fired in; the collector's running sums are
-        order-sensitive.  Queries still queued or running are counted as
-        in flight.
+        per query would have fired in; the collector's means are
+        order-sensitive sums.  Queries still queued or running are in
+        flight; refused ones still waiting for a retry are dropped.
         """
-        finished = [row for row in self._executions if row[0] <= end_of_run]
-        finished.sort(key=itemgetter(0))
-        record = self._metrics.record
-        for finish_ms, query, node_id, start_ms in finished:
-            record(
-                QueryOutcome(
-                    qid=query.qid,
-                    class_index=query.class_index,
-                    origin_node=query.origin_node,
-                    arrival_ms=query.arrival_ms,
-                    assigned_ms=query.assigned_ms,
-                    node_id=node_id,
-                    start_ms=start_ms,
-                    finish_ms=finish_ms,
-                    resubmissions=query.resubmissions,
-                )
-            )
-        self._metrics.record_in_flight(len(self._executions) - len(finished))
+        finished = [row for row in self._executions if row[7] <= end_of_run]
+        finished.sort(key=itemgetter(7))
+        self._metrics.record_outcomes(
+            list(zip(*finished)) or [()] * len(OUTCOME_DTYPES),
+            in_flight=len(self._executions) - len(finished),
+            dropped=len(self._pending) + len(self._backoff_pending),
+        )
 
 
 def generate_machine_specs(

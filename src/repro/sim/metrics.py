@@ -1,17 +1,21 @@
-"""Measurement layer: per-query records and the paper's summary metrics.
+"""Measurement layer: the run's outcome table and the paper's summary metrics.
 
 The paper reports, per experiment, the number of queries executed per time
 period, the average query response time (normalised against QA-NT's), the
 time to assign a query to a node (Fig. 7), and the length of the overload
-period (introduction example).  All of these derive from one immutable
-record per query collected here.
+period (introduction example).  All of these are reductions over one
+table collected here: nine typed columns, one row per completed query in
+completion order, written once per run by either engine
+(:meth:`MetricsCollector.record_outcomes`).
 """
 
 from __future__ import annotations
 
+import hashlib
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 __all__ = [
     "QueryOutcome",
@@ -21,9 +25,14 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class QueryOutcome:
-    """Full life cycle of one query through the system."""
+class QueryOutcome(NamedTuple):
+    """Full life cycle of one query through the system: one row of the
+    outcome table (:attr:`MetricsCollector.outcomes`).
+
+    The collector keeps the table itself as a ``QueryOutcome`` whose
+    fields are the columns, so the properties below read whole columns
+    as well as one row.
+    """
 
     qid: int
     class_index: int
@@ -51,22 +60,28 @@ class QueryOutcome:
         return self.finish_ms - self.start_ms
 
 
+#: The outcome table's column dtypes, in :class:`QueryOutcome` field order.
+OUTCOME_DTYPES = (
+    np.int64, np.int64, np.int64, np.float64, np.float64,
+    np.int64, np.float64, np.float64, np.int64,
+)
+
+#: One outcome's row of :meth:`MetricsCollector.outcome_digest`, in
+#: :class:`QueryOutcome` field order.
+_OUTCOME_ROW = "%d,%d,%d,%r,%r,%d,%r,%r,%d;"
+
+
+def _left_to_right_sum(values: np.ndarray) -> float:
+    """One addition per element, in row order (``add.accumulate`` is
+    sequential; ``np.sum`` is pairwise)."""
+    return float(np.cumsum(values)[-1])
+
+
 class MetricsCollector:
-    """Accumulates query outcomes and derives the paper's metrics."""
+    """Holds a run's outcome table and derives the paper's metrics."""
 
     def __init__(self) -> None:
-        self._outcomes: List[QueryOutcome] = []
-        self._dropped = 0
-        self._in_flight = 0
-        # Running sums maintained at record time so the headline means are
-        # O(1) instead of re-scanning every outcome.  Accumulating in
-        # record order performs the same float additions in the same order
-        # as the old full-scan generators did, so the means are
-        # bit-identical to the pre-optimisation values.
-        self._sum_response_ms = 0.0
-        self._sum_assign_ms = 0.0
-        self._sum_resubmissions = 0
-        self._max_finish_ms = 0.0
+        self.record_outcomes([()] * len(OUTCOME_DTYPES))
         # Fault-layer counters (all zero unless a fault injector ran; see
         # repro.sim.faults).  Snapshotted once at the end of a faulted run.
         self._timeouts = 0
@@ -109,23 +124,34 @@ class MetricsCollector:
 
     # -- recording ---------------------------------------------------------------
 
-    def record(self, outcome: QueryOutcome) -> None:
-        """Record one completed query."""
-        self._outcomes.append(outcome)
-        self._sum_response_ms += outcome.finish_ms - outcome.arrival_ms
-        self._sum_assign_ms += outcome.assigned_ms - outcome.arrival_ms
-        self._sum_resubmissions += outcome.resubmissions
-        if outcome.finish_ms > self._max_finish_ms:
-            self._max_finish_ms = outcome.finish_ms
+    def record_outcomes(
+        self,
+        columns: Sequence[Sequence[float]],
+        in_flight: int = 0,
+        dropped: int = 0,
+        *,
+        _pairwise_sum: bool = False,
+    ) -> None:
+        """Write the run's outcome table.
 
-    def record_drop(self, count: int = 1) -> None:
-        """Record ``count`` queries that never completed within the simulation."""
-        self._dropped += count
+        ``columns`` are the nine :class:`QueryOutcome` fields, in field
+        order, one row per completed query in completion order; they are
+        stored as :data:`OUTCOME_DTYPES` arrays.  ``in_flight`` counts
+        assigned queries still queued or running when the run ended and
+        ``dropped`` queries it never assigned.
 
-    def record_in_flight(self, count: int) -> None:
-        """Record ``count`` assigned queries still queued or running when
-        the simulation ended (neither completed nor dropped)."""
-        self._in_flight += count
+        The means are order-sensitive float sums.  The event engine's are
+        left to right in row order, the planes' are ``np.sum``'s pairwise
+        program (``_pairwise_sum``), and the goldens pin both; ROADMAP
+        item 8's re-record keeps one and removes the keyword.
+        """
+        self._table = QueryOutcome._make(
+            np.asarray(column, dtype)
+            for column, dtype in zip(columns, OUTCOME_DTYPES)
+        )
+        self._sum = np.sum if _pairwise_sum else _left_to_right_sum
+        self._in_flight = in_flight
+        self._dropped = dropped
 
     def record_exchange(
         self, messages: int, delay_ms: float, assigned: bool
@@ -261,13 +287,18 @@ class MetricsCollector:
 
     @property
     def outcomes(self) -> List[QueryOutcome]:
-        """All completed-query records."""
-        return self._outcomes
+        """The outcome table's rows, in completion order."""
+        return list(map(QueryOutcome._make, self._rows()))
+
+    def _rows(self) -> Iterator[tuple]:
+        # ``.tolist()`` gives Python numbers: ``%r`` of a numpy scalar is
+        # ``np.float64(...)`` on numpy >= 2, not the bare float repr.
+        return zip(*(column.tolist() for column in self._table))
 
     @property
     def completed(self) -> int:
         """Number of queries that finished."""
-        return len(self._outcomes)
+        return len(self._table.qid)
 
     @property
     def dropped(self) -> int:
@@ -430,39 +461,44 @@ class MetricsCollector:
 
     # -- headline metrics -------------------------------------------------------------
 
+    def _mean(self, column: np.ndarray) -> float:
+        n = self.completed
+        return float(self._sum(column)) / n if n else math.nan
+
     def mean_response_ms(self) -> float:
         """Average query response time (NaN when nothing completed)."""
-        if not self._outcomes:
-            return math.nan
-        return self._sum_response_ms / len(self._outcomes)
+        return self._mean(self._table.response_ms)
 
     def mean_assign_ms(self) -> float:
         """Average time to assign a query to a node (Fig. 7 metric)."""
-        if not self._outcomes:
-            return math.nan
-        return self._sum_assign_ms / len(self._outcomes)
+        return self._mean(self._table.assign_ms)
 
     def mean_resubmissions(self) -> float:
         """Average number of resubmissions per completed query."""
-        if not self._outcomes:
-            return math.nan
-        return self._sum_resubmissions / len(self._outcomes)
+        return self._mean(self._table.resubmissions)
 
     def last_finish_ms(self) -> float:
         """When the system drained — the end of the overload period."""
-        if not self._outcomes:
-            return 0.0
-        return self._max_finish_ms
+        return float(self._table.finish_ms.max(initial=0.0))
 
     def percentile_response_ms(self, fraction: float) -> float:
         """Response-time percentile, e.g. ``fraction=0.95`` for p95."""
         if not 0 <= fraction <= 1:
             raise ValueError("fraction must be in [0, 1]")
-        if not self._outcomes:
+        n = self.completed
+        if not n:
             return math.nan
-        ordered = sorted(o.response_ms for o in self._outcomes)
-        index = min(len(ordered) - 1, int(fraction * len(ordered)))
-        return ordered[index]
+        ordered = np.sort(self._table.response_ms)
+        return float(ordered[min(n - 1, int(fraction * n))])
+
+    def outcome_digest(self) -> str:
+        """SHA-256 over every field of every outcome, completion order.
+
+        ``%r`` of a float is its shortest round-trip repr, so two runs
+        hash equal iff every recorded bit is equal.
+        """
+        text = "".join(_OUTCOME_ROW % row for row in self._rows())
+        return hashlib.sha256(text.encode()).hexdigest()
 
     # -- per-period series (the x-axes of Figs. 3-5) ----------------------------------
 
@@ -472,47 +508,35 @@ class MetricsCollector:
         horizon_ms: float,
         class_index: Optional[int] = None,
     ) -> List[int]:
-        """Queries finished in each period of length ``period_ms``.
+        """Queries finished in each period of length ``period_ms`` inside
+        ``[0, horizon_ms)``.
 
         ``class_index`` restricts the count to one class (Fig. 5c plots Q1
         executions per half-second).
         """
-        return period_counts(
-            (
-                outcome.finish_ms
-                for outcome in self._outcomes
-                if class_index is None or outcome.class_index == class_index
-            ),
-            period_ms,
-            horizon_ms,
-        )
+        if period_ms <= 0:
+            raise ValueError("period must be positive")
+        finish = self._table.finish_ms
+        if class_index is not None:
+            finish = finish[self._table.class_index == class_index]
+        num_periods = max(1, int(math.ceil(horizon_ms / period_ms)))
+        counts = [0] * num_periods
+        for finish_ms in finish.tolist():
+            bucket = int(finish_ms // period_ms)
+            if 0 <= bucket < num_periods:
+                counts[bucket] += 1
+        return counts
 
     def mean_response_by_class(self) -> Dict[int, float]:
         """Average response time per query class."""
         sums: Dict[int, float] = {}
         counts: Dict[int, int] = {}
-        for outcome in self._outcomes:
-            sums[outcome.class_index] = (
-                sums.get(outcome.class_index, 0.0) + outcome.response_ms
-            )
-            counts[outcome.class_index] = counts.get(outcome.class_index, 0) + 1
+        for k, response_ms in zip(
+            self._table.class_index.tolist(), self._table.response_ms.tolist()
+        ):
+            sums[k] = sums.get(k, 0.0) + response_ms
+            counts[k] = counts.get(k, 0) + 1
         return {k: sums[k] / counts[k] for k in sums}
-
-
-def period_counts(
-    finish_times: Iterable[float], period_ms: float, horizon_ms: float
-) -> List[int]:
-    """How many of ``finish_times`` fall in each period of ``period_ms``
-    inside ``[0, horizon_ms)`` (Fig. 5's executed-per-period)."""
-    if period_ms <= 0:
-        raise ValueError("period must be positive")
-    num_periods = max(1, int(math.ceil(horizon_ms / period_ms)))
-    counts = [0] * num_periods
-    for finish_ms in finish_times:
-        bucket = int(finish_ms // period_ms)
-        if 0 <= bucket < num_periods:
-            counts[bucket] += 1
-    return counts
 
 
 def normalised_response_times(

@@ -62,6 +62,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import json
+import logging
 import math
 import operator
 import os
@@ -83,7 +84,7 @@ from ..allocation.market_tick import LaneBlock, check_raise_terms
 from ..protocol.transport import FrameDecoder, encode_frame
 from .faults import derive_fault_seed
 from .federation import FederationConfig, run_single_mechanism
-from .metrics import MetricsCollector, period_counts
+from .metrics import OUTCOME_DTYPES, MetricsCollector
 
 __all__ = [
     "ShardFailure",
@@ -95,6 +96,8 @@ __all__ = [
     "plan_shards",
     "split_market_classes",
 ]
+
+_log = logging.getLogger(__name__)
 
 
 def derive_shard_seed(seed: int, tag: Sequence[object]) -> int:
@@ -279,14 +282,6 @@ def split_market_classes(
 
 
 # -- the market plane ---------------------------------------------------------
-
-#: Dtypes of a plane's nine outcome columns: qid, class, origin,
-#: arrival, assigned, node, start, finish, resubmissions.
-_OUTCOME_DTYPES = (
-    np.int64, np.int64, np.int64, np.float64, np.float64,
-    np.int64, np.float64, np.float64, np.int64,
-)
-
 
 class _MarketPlane:
     """One self-contained QA-NT market over a subset of the federation.
@@ -668,14 +663,15 @@ class _MarketPlane:
     def collect(self) -> Dict[str, object]:
         """Outcome columns + run counters (the final-barrier payload).
 
-        The columns leave as 1-D arrays of :data:`_OUTCOME_DTYPES`, so a
+        The columns leave as 1-D arrays of
+        :data:`~repro.sim.metrics.OUTCOME_DTYPES`, so a
         reply pickles (and packs, on tcp) as nine buffers, never as a
         list of numpy scalars per row.
         """
         return {
             "columns": [
                 np.array(column, dtype=dtype)
-                for column, dtype in zip(self._cols, _OUTCOME_DTYPES)
+                for column, dtype in zip(self._cols, OUTCOME_DTYPES)
             ],
             "assigned": self._assigned,
             "exchanges": self._exchanges,
@@ -950,6 +946,14 @@ _TCP_ACCEPT_POLL_S = 0.05
 #: acknowledge ``close`` and exit before it kills what is left.
 _CLOSE_GRACE_S = 5.0
 
+#: Seconds a barrier waits for one shard's reply before that shard
+#: counts as failed.  The longest legitimate waits measured on a 2-core
+#: Xeon: 3.4 ms of barrier time per run in ``run scaling-shards --scale
+#: paper`` (8 shards) and 2.7 ms in ``million_query_run`` (4 shards),
+#: whose classes price on the coordinator.  Were that run's whole 19 s
+#: wall one plane's ``collect``, the deadline would still be 15x it.
+_RECV_DEADLINE_S = 300.0
+
 
 class ShardFailure(RuntimeError):
     """A shard worker died, its pipe/socket closed, or it sent a
@@ -1126,7 +1130,10 @@ class ShardTransport:
 
         In fork mode every frame is written before the first reply is
         read, so shards overlap their work; the time spent blocked on
-        replies accumulates into :attr:`barrier_wait_ms`.
+        replies accumulates into :attr:`barrier_wait_ms`.  A shard whose
+        reply is not in :data:`_RECV_DEADLINE_S` after the coordinator
+        starts to wait for it is a :class:`ShardFailure` whose cause is a
+        ``TimeoutError``.
         """
         if self._mode == "inline":
             start = time.perf_counter()
@@ -1152,13 +1159,23 @@ class ShardTransport:
             raise ShardFailure(shard, op, error) from error
 
     def _recv(self, shard: int, op: str) -> Mapping[str, object]:
+        peer = self._peers[shard]
         try:
-            return self._peers[shard].recv()
+            if peer.poll(_RECV_DEADLINE_S):
+                return peer.recv()
         except (EOFError, OSError, ValueError) as error:
             # ValueError: a tcp frame that is not JSON, or whose length
             # prefix exceeds MAX_FRAME_BYTES -- socket bytes are outside
             # input.
             raise ShardFailure(shard, op, error) from error
+        _log.warning(
+            "shard %d sent no %r reply within %g s",
+            shard,
+            op,
+            _RECV_DEADLINE_S,
+        )
+        cause = TimeoutError("no reply within %g s" % _RECV_DEADLINE_S)
+        raise ShardFailure(shard, op, cause)
 
     def post(self, frames: Sequence[Optional[Tuple]]) -> None:
         """One-way dispatch: frame *i* to shard *i*, no replies read.
@@ -1224,156 +1241,80 @@ class ShardTransport:
             except (EOFError, OSError, ValueError):  # as in _recv
                 pass
             peer.close()
-        for proc in self._procs:
+        for shard, proc in enumerate(self._procs):
             proc.join(timeout=left())
             if proc.is_alive():
+                _log.warning(
+                    "shard %d did not exit within %g s of 'close'; killing it",
+                    shard,
+                    _CLOSE_GRACE_S,
+                )
                 proc.kill()
                 proc.join()
 
 
 # -- the merged result --------------------------------------------------------
 
-#: One outcome's row of :meth:`ShardedRunResult.outcome_digest`: qid,
-#: class, origin, arrival, assigned, node, start, finish, resubmissions.
-_OUTCOME_ROW = "%d,%d,%d,%r,%r,%d,%r,%r,%d;"
 
-
+@dataclass(frozen=True)
 class ShardedRunResult:
-    """Outcome of one sharded run, merged across shards.
+    """Outcome of one sharded run: the run's metrics collector plus the
+    protocol messages it moved and its shard count.
 
-    Outcomes live as nine parallel numpy columns, globally sorted by
+    Planes' outcomes reach the collector's table globally sorted by
     ``(finish_ms, qid)`` *before* any reduction — the same array
     therefore feeds every float sum regardless of how the fleet was
     partitioned, which is what makes the summary statistics
-    shard-count-invariant bit-for-bit.
+    shard-count-invariant bit-for-bit.  At ``shards=1`` the collector is
+    the single-process engine's own.
     """
 
-    def __init__(
-        self,
-        columns,
-        dropped: int,
-        messages: int,
-        shards: int,
-        collector: MetricsCollector,
-        metrics: Optional[MetricsCollector] = None,
-    ) -> None:
-        self._columns = columns
-        self._dropped = dropped
-        self._messages = messages
-        self._shards = shards
-        self._collector = collector
-        self._metrics = metrics
-
-    @classmethod
-    def from_metrics(
-        cls, metrics: MetricsCollector, messages: int
-    ) -> "ShardedRunResult":
-        """Wrap a single-process run (the ``shards=1`` delegation)."""
-        return cls(
-            columns=None,
-            dropped=metrics.dropped,
-            messages=messages,
-            shards=1,
-            collector=metrics,
-            metrics=metrics,
-        )
-
-    # -- summary -------------------------------------------------------------
-
-    @property
-    def shards(self) -> int:
-        """Shard count of the run (1 = single-process delegation)."""
-        return self._shards
+    #: The run's collector: outcome table and counters.
+    metrics: MetricsCollector
+    #: Protocol messages the run moved (network messages at ``shards=1``;
+    #: codec-serialised bid/quote messages otherwise).
+    messages: int
+    #: Shard count of the run (1 = single-process delegation).
+    shards: int
 
     @property
     def completed(self) -> int:
         """Queries that finished."""
-        if self._metrics is not None:
-            return self._metrics.completed
-        return len(self._columns[0])
+        return self.metrics.completed
 
     @property
     def dropped(self) -> int:
         """Queries still unserved when the run ended."""
-        return self._dropped
+        return self.metrics.dropped
 
     @property
     def in_flight(self) -> int:
         """Assigned queries still running when the run ended: the event
         engine's count at ``shards=1``; planes finish every assignment."""
-        return self._metrics.in_flight if self._metrics is not None else 0
-
-    @property
-    def messages(self) -> int:
-        """Protocol messages the run moved (network messages at
-        ``shards=1``; codec-serialised bid/quote messages
-        otherwise)."""
-        return self._messages
+        return self.metrics.in_flight
 
     def mean_response_ms(self) -> float:
-        """Average response time over the globally sorted outcomes."""
-        if self._metrics is not None:
-            return self._metrics.mean_response_ms()
-        n = len(self._columns[0])
-        if not n:
-            return math.nan
-        return float(np.sum(self._columns[7] - self._columns[3])) / n
+        """Average response time over the completion-ordered outcomes."""
+        return self.metrics.mean_response_ms()
 
     def percentile_response_ms(self, fraction: float) -> float:
         """Response-time percentile with the collector's index rule."""
-        if self._metrics is not None:
-            return self._metrics.percentile_response_ms(fraction)
-        if not 0 <= fraction <= 1:
-            raise ValueError("fraction must be in [0, 1]")
-        n = len(self._columns[0])
-        if not n:
-            return math.nan
-        ordered = np.sort(self._columns[7] - self._columns[3])
-        return float(ordered[min(n - 1, int(fraction * n))])
+        return self.metrics.percentile_response_ms(fraction)
 
     def executed_per_period(
         self, period_ms: float, horizon_ms: float
     ) -> List[int]:
         """Queries finished in each period, by the collector's rule."""
-        if self._metrics is not None:
-            return self._metrics.executed_per_period(period_ms, horizon_ms)
-        return period_counts(self._columns[7].tolist(), period_ms, horizon_ms)
+        return self.metrics.executed_per_period(period_ms, horizon_ms)
 
     def batch_summary(self) -> Dict[str, float]:
         """The tick/shard counters (shard keys only on sharded runs)."""
-        return self._collector.batch_summary()
+        return self.metrics.batch_summary()
 
     def outcome_digest(self) -> str:
-        """SHA-256 over every field of every outcome, completion order.
-
-        The exact format of ``tests/test_golden_trace._outcome_digest``
-        (``%r`` shortest round-trip floats), over the
-        ``(finish_ms, qid)``-sorted columns — two runs hash equal iff
-        every recorded bit is equal.
-        """
-        import hashlib
-
-        if self._metrics is not None:
-            rows = (
-                (
-                    o.qid,
-                    o.class_index,
-                    o.origin_node,
-                    o.arrival_ms,
-                    o.assigned_ms,
-                    o.node_id,
-                    o.start_ms,
-                    o.finish_ms,
-                    o.resubmissions,
-                )
-                for o in self._metrics.outcomes
-            )
-        else:
-            # ``.tolist()`` first: ``%r`` of a numpy scalar is
-            # ``np.float64(...)`` on numpy >= 2, not the bare float repr.
-            rows = zip(*(c.tolist() for c in self._columns))
-        text = "".join(_OUTCOME_ROW % row for row in rows)
-        return hashlib.sha256(text.encode()).hexdigest()
+        """SHA-256 over every field of every outcome, completion order
+        (:meth:`MetricsCollector.outcome_digest`)."""
+        return self.metrics.outcome_digest()
 
     def payload(self) -> Dict[str, object]:
         """Full golden-style payload (includes shard-dependent counters)."""
@@ -1654,7 +1595,7 @@ class ShardedFederation:
             activation_threshold=self._threshold,
             allowance_factor=self._allowance_factor,
         )
-        return ShardedRunResult.from_metrics(metrics, messages)
+        return ShardedRunResult(metrics, messages, shards=1)
 
     # -- the coordinator -------------------------------------------------------
 
@@ -1747,7 +1688,9 @@ class ShardedFederation:
         parts.append(collected["columns"])
         columns = [np.concatenate(column) for column in zip(*parts)]
         order = np.lexsort((columns[0], columns[7]))
-        columns = [c[order] for c in columns]
+        collector.record_outcomes(
+            [c[order] for c in columns], dropped=dropped, _pairwise_sum=True
+        )
         total_assigned = sum(assigned_per_shard)
         imbalance = 1.0
         if assigned_per_shard and total_assigned:
@@ -1764,14 +1707,8 @@ class ShardedFederation:
             residual_classes=len(self._residual_classes),
             closed_settled=closed_settled,
         )
-        return ShardedRunResult(
-            columns=columns,
-            dropped=dropped,
-            # One protocol-level bid per shard-routed row, however batched.
-            messages=total - len(held),
-            shards=num_shards,
-            collector=collector,
-        )
+        # One protocol-level bid per shard-routed row, however batched.
+        return ShardedRunResult(collector, total - len(held), num_shards)
 
     def shard_self_time_s(self) -> List[float]:
         """Per-shard aggregate frame-handling self-time of the last run

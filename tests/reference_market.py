@@ -197,10 +197,9 @@ def run_reference_market(world, trace, mechanism, config):
     order = np.lexsort((columns[0], columns[7]))
     collector = MetricsCollector()
     collector.apply_batch_stats(vector_exchanges=exchanges)
-    return ShardedRunResult(
-        columns=[column[order] for column in columns],
+    collector.record_outcomes(
+        [column[order] for column in columns],
         dropped=len(pending),
-        messages=0,
-        shards=1,
-        collector=collector,
+        _pairwise_sum=True,
     )
+    return ShardedRunResult(collector, messages=0, shards=1)

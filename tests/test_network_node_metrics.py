@@ -2,12 +2,14 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.query import MachineSpec
 from repro.query.model import Query
 from repro.sim.engine import Simulator
 from repro.sim.metrics import (
+    OUTCOME_DTYPES,
     MetricsCollector,
     QueryOutcome,
     normalised_response_times,
@@ -134,6 +136,15 @@ def outcome(qid=0, arrival=0.0, assigned=1.0, start=2.0, finish=10.0, cls=0):
     )
 
 
+def collector(*outcomes, dropped=0, pairwise=False):
+    """A collector whose outcome table holds ``outcomes``, in row order,
+    written as one engine writes it (``pairwise``: the planes' sums)."""
+    columns = [[o[n] for o in outcomes] for n in range(len(OUTCOME_DTYPES))]
+    m = MetricsCollector()
+    m.record_outcomes(columns, dropped=dropped, _pairwise_sum=pairwise)
+    return m
+
+
 class TestMetrics:
     def test_response_and_assign_times(self):
         o = outcome()
@@ -142,20 +153,16 @@ class TestMetrics:
         assert o.execution_ms == 8.0
 
     def test_mean_response(self):
-        m = MetricsCollector()
-        m.record(outcome(finish=10.0))
-        m.record(outcome(finish=20.0))
+        m = collector(outcome(finish=10.0), outcome(finish=20.0))
         assert m.mean_response_ms() == 15.0
 
     def test_empty_collector_returns_nan(self):
         assert math.isnan(MetricsCollector().mean_response_ms())
 
     def test_drop_counting(self):
-        m = MetricsCollector()
-        m.record_drop()
-        m.record_drop()
-        m.record_drop(3)
+        m = collector(dropped=5)
         assert m.dropped == 5
+        assert m.completed == 0
 
     def test_bulk_exchange_record_is_the_scalar_left_to_right_sum(self):
         # Delays chosen so a compensated or pairwise sum would differ from
@@ -172,10 +179,23 @@ class TestMetrics:
         assert bulk.negotiation_summary() == scalar.negotiation_summary()
         assert math.fsum([0.3] + delays) != scalar.negotiation_delay_ms
 
+    def test_each_writer_keeps_its_summation_program(self):
+        # Responses whose pairwise and left-to-right sums differ in the
+        # last bits: the event engine's mean is the running total in row
+        # order, the planes' is numpy's pairwise sum, and both are pinned.
+        responses = [0.1, 1e16, 0.7, 1e-9, 3.3, 2.5e15] * 7
+        rows = [outcome(qid=i, finish=r) for i, r in enumerate(responses)]
+        event, planes = collector(*rows), collector(*rows, pairwise=True)
+        total = 0.0
+        for response in responses:
+            total += response
+        assert event.mean_response_ms() == total / len(responses)
+        pairwise = float(np.sum(responses)) / len(responses)
+        assert planes.mean_response_ms() == pairwise
+        assert event.mean_response_ms() != planes.mean_response_ms()
+
     def test_percentile(self):
-        m = MetricsCollector()
-        for finish in (10.0, 20.0, 30.0, 40.0):
-            m.record(outcome(finish=finish))
+        m = collector(*(outcome(finish=f) for f in (10.0, 20.0, 30.0, 40.0)))
         assert m.percentile_response_ms(0.0) == 10.0
         assert m.percentile_response_ms(1.0) == 40.0
 
@@ -184,32 +204,28 @@ class TestMetrics:
             MetricsCollector().percentile_response_ms(1.5)
 
     def test_executed_per_period(self):
-        m = MetricsCollector()
-        m.record(outcome(finish=100.0))
-        m.record(outcome(finish=600.0))
-        m.record(outcome(finish=600.0, cls=1))
+        m = collector(
+            outcome(finish=100.0),
+            outcome(finish=600.0),
+            outcome(finish=600.0, cls=1),
+        )
         counts = m.executed_per_period(500.0, 1000.0)
         assert counts == [1, 2]
         only_class0 = m.executed_per_period(500.0, 1000.0, class_index=0)
         assert only_class0 == [1, 1]
 
     def test_mean_response_by_class(self):
-        m = MetricsCollector()
-        m.record(outcome(finish=10.0, cls=0))
-        m.record(outcome(finish=30.0, cls=1))
+        m = collector(outcome(finish=10.0, cls=0), outcome(finish=30.0, cls=1))
         by_class = m.mean_response_by_class()
         assert by_class == {0: 10.0, 1: 30.0}
 
     def test_last_finish(self):
-        m = MetricsCollector()
-        m.record(outcome(finish=42.0))
+        m = collector(outcome(finish=42.0))
         assert m.last_finish_ms() == 42.0
 
     def test_normalised_response_times(self):
-        base = MetricsCollector()
-        base.record(outcome(finish=10.0))
-        other = MetricsCollector()
-        other.record(outcome(finish=20.0))
+        base = collector(outcome(finish=10.0))
+        other = collector(outcome(finish=20.0))
         normalised = normalised_response_times(base, {"x": other, "base": base})
         assert normalised == {"x": 2.0, "base": 1.0}
 

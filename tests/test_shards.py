@@ -18,6 +18,7 @@ Three properties carry the whole design (see DESIGN.md §7):
 
 import functools
 import json
+import logging
 import math
 import multiprocessing
 import os
@@ -240,6 +241,19 @@ def test_shards1_byte_identical_to_single_process():
         assert result.mean_response_ms() == pytest.approx(
             direct.metrics.mean_response_ms(), abs=0.0
         )
+
+
+def test_sharded_outcome_digest_matches_the_tests_reference():
+    """The planes' merged table hashes like the tests' own digest of its
+    rows, as the ``shards=1`` delegation does above."""
+    world, trace = _zipf_small()
+    with _sharded(world, 2) as federation:
+        for mechanism in ("qa-nt", "greedy"):
+            result = federation.run(list(trace), mechanism)
+            assert result.completed > 0
+            assert result.outcome_digest() == _outcome_digest(
+                result.metrics.outcomes
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -1512,10 +1526,20 @@ class _StuckCore:
         return {"ok": True}
 
 
+def _shard_warnings(caplog):
+    return [
+        record.getMessage()
+        for record in caplog.records
+        if record.name == "repro.sim.shards"
+        and record.levelno == logging.WARNING
+    ]
+
+
 @pytest.mark.parametrize("mode", ["fork", "tcp"])
-def test_close_is_bounded_by_a_stuck_worker(mode, monkeypatch):
+def test_close_is_bounded_by_a_stuck_worker(mode, monkeypatch, caplog):
     """``close()`` used to wait for every worker's acknowledgement with
-    no bound, so a worker stuck inside a posted frame hung it forever."""
+    no bound, so a worker stuck inside a posted frame hung it forever;
+    the kill it falls back on is logged, naming the shard."""
     grace = 0.5
     monkeypatch.setattr(shards_module, "_CLOSE_GRACE_S", grace)
     monkeypatch.setitem(_CORE_KINDS, "test-stuck", _StuckCore)
@@ -1526,10 +1550,47 @@ def test_close_is_bounded_by_a_stuck_worker(mode, monkeypatch):
     transport.post([("slice", ""), None])
     time.sleep(0.2)  # shard 0 is asleep inside the frame
     started = time.perf_counter()
-    transport.close()
+    with caplog.at_level(logging.WARNING, logger="repro.sim.shards"):
+        transport.close()
     assert time.perf_counter() - started < grace + 2.0
     assert multiprocessing.active_children() == []
     assert not any(proc.is_alive() for proc in transport._procs)
+    # Shard 1 may be killed too: the stuck shard's wait can use up the
+    # grace period the whole pool shares.
+    assert "shard 0 did not exit within 0.5 s of 'close'; killing it" in (
+        _shard_warnings(caplog)
+    )
+
+
+@pytest.mark.parametrize("mode", ["fork", "tcp"])
+def test_recv_deadline_fails_a_silent_shard(mode, monkeypatch, caplog):
+    """A worker that never answers ``collect`` used to hang the barrier
+    on a bare ``recv()``; now the shard fails by name within the
+    deadline, the timeout is logged, and ``close()`` reaps the worker."""
+    deadline = 0.5
+    monkeypatch.setattr(shards_module, "_RECV_DEADLINE_S", deadline)
+    monkeypatch.setattr(shards_module, "_CLOSE_GRACE_S", 0.5)
+    monkeypatch.setitem(_CORE_KINDS, "test-sleepy", _SleepyEchoCore)
+    assert multiprocessing.active_children() == []
+    transport = ShardTransport(
+        [{"kind": "test-sleepy", "ident": 0, "delay_s": 600.0}], mode=mode
+    )
+    try:
+        started = time.perf_counter()
+        with caplog.at_level(logging.WARNING, logger="repro.sim.shards"):
+            with pytest.raises(ShardFailure) as failure:
+                transport.exchange([("collect",)])
+        assert time.perf_counter() - started < deadline + 2.0
+        assert (failure.value.shard, failure.value.op) == (0, "collect")
+        assert isinstance(failure.value.args[2], TimeoutError)
+    finally:
+        with caplog.at_level(logging.WARNING, logger="repro.sim.shards"):
+            transport.close()
+    assert multiprocessing.active_children() == []
+    assert _shard_warnings(caplog) == [
+        "shard 0 sent no 'collect' reply within 0.5 s",
+        "shard 0 did not exit within 0.5 s of 'close'; killing it",
+    ]
 
 
 # ---------------------------------------------------------------------------
