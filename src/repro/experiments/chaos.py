@@ -125,17 +125,18 @@ def chaos_cell(
         if partition
         else math.nan
     )
+    counters = metrics.counters
     return {
         "mean_response_ms": metrics.mean_response_ms(),
         "completed": metrics.completed,
         "dropped": metrics.dropped,
         "messages": federation.network.messages_sent,
-        "timeouts": metrics.timeouts,
-        "lost_messages": metrics.lost_messages,
-        "degraded_assignments": metrics.degraded_assignments,
-        "fault_retries": metrics.fault_retries,
-        "crash_count": metrics.crash_count,
-        "partition_ms": metrics.partition_ms,
+        "timeouts": counters["timeouts"],
+        "lost_messages": counters["lost_messages"],
+        "degraded_assignments": counters["degraded_assignments"],
+        "fault_retries": counters["fault_retries"],
+        "crash_count": counters["crash_count"],
+        "partition_ms": counters["partition_ms"],
         "mean_resubmissions": metrics.mean_resubmissions(),
         "recovery_ms": recovery_ms,
     }

@@ -226,18 +226,18 @@ class FederationSimulation:
         self._allocator.on_run_end()
         batch_stats = getattr(self._allocator, "batch_dispatch_stats", None)
         if batch_stats is not None:
-            self._metrics.apply_batch_stats(
+            self._metrics.add_counters(
                 vector_exchanges=batch_stats.vector_exchanges,
-                syncs=batch_stats.syncs,
+                batch_syncs=batch_stats.syncs,
             )
         engine_stats = getattr(self._allocator, "period_engine_stats", None)
         if engine_stats is not None:
-            self._metrics.apply_market_state_stats(
-                adopted=engine_stats.adopted,
-                materialised=engine_stats.materialised,
+            self._metrics.add_counters(
+                market_adopted=engine_stats.adopted,
+                market_materialised=engine_stats.materialised,
             )
         if faults is not None:
-            self._metrics.apply_fault_stats(
+            self._metrics.add_counters(
                 timeouts=faults.timeouts,
                 lost_messages=faults.lost_messages,
                 degraded_assignments=faults.degraded_assignments,
@@ -330,7 +330,7 @@ class FederationSimulation:
         refused row is the plain next-period retry and the whole refused
         column joins the pending pool at once, in batch order.
         """
-        self._metrics.record_batch_tick(len(queries))
+        self._metrics.record_batch_ticks([len(queries)])
         decisions = self._allocator.assign_batch(queries)
         node_ids = decisions.node_ids
         delays = decisions.delays_ms
@@ -516,16 +516,13 @@ def run_single_mechanism(
     trace: Sequence[WorkloadEvent],
     mechanism: str = "qa-nt",
     config: Optional[FederationConfig] = None,
-    *,
-    parameters=None,
-    activation_threshold: Optional[float] = 2.0,
-    allowance_factor: float = 2.0,
 ) -> Tuple[MetricsCollector, int]:
     """Build, run and tear down one single-process federation.
 
     The one-call form of the build-allocator/build-federation/run
-    sequence for the two mechanisms the sharded engine speaks
-    (``"qa-nt"`` / ``"greedy"``); ``repro.sim.shards`` delegates its
+    sequence for the two mechanisms the sharded engine speaks,
+    ``"qa-nt"`` (a default :class:`~repro.allocation.QantAllocator`) and
+    ``"greedy"``; ``repro.sim.shards`` delegates its
     ``shards=1`` path here verbatim, which is what keeps that path
     byte-identical to ``build_federation().run()``.  Returns the metrics
     collector and the network's message count.
@@ -533,11 +530,7 @@ def run_single_mechanism(
     from ..allocation import GreedyAllocator, QantAllocator
 
     if mechanism == "qa-nt":
-        allocator: Allocator = QantAllocator(
-            parameters=parameters,
-            activation_threshold=activation_threshold,
-            allowance_factor=allowance_factor,
-        )
+        allocator: Allocator = QantAllocator()
     elif mechanism == "greedy":
         allocator = GreedyAllocator()
     else:

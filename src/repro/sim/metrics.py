@@ -6,13 +6,16 @@ time to assign a query to a node (Fig. 7), and the length of the overload
 period (introduction example).  All of these are reductions over one
 table collected here: nine typed columns, one row per completed query in
 completion order, written once per run by either engine
-(:meth:`MetricsCollector.record_outcomes`).
+(:meth:`MetricsCollector.record_outcomes`).  Beside it the collector
+keeps the run's counts, among them the messages QA-NT spends (§5.1), in
+one mapping whose every key :data:`_COUNTERS` names.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from types import MappingProxyType
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -77,50 +80,79 @@ def _left_to_right_sum(values: np.ndarray) -> float:
     return float(np.cumsum(values)[-1])
 
 
+#: Every run counter, once: its starting value (whose type, an int count
+#: or a float, the counter keeps) under the summary that publishes it, in
+#: publication order.  :meth:`MetricsCollector.batch_summary` publishes
+#: the ``"batch"`` group, then the ``"shard"`` group, whose keys are
+#: absent until a sharded run writes one of them.
+_COUNTERS: Dict[str, Dict[str, float]] = {
+    # The protocol cost of allocation attempts: every attempt reports the
+    # messages and latency its bid/dispatch exchanges cost
+    # (:meth:`MetricsCollector.record_exchange`).
+    "negotiation": {
+        "exchanges": 0,  # attempts whose protocol cost was recorded
+        "refused_exchanges": 0,  # ended unassigned (refusal or silence)
+        "negotiation_messages": 0,  # network messages spent on exchanges
+        "negotiation_delay_ms": 0.0,  # total client-side latency
+    },
+    # Market-tick batching (all zero when batching is off) and the
+    # allocator's dispatcher and period-engine counters.
+    "batch": {
+        "batch_ticks": 0,  # same-tick arrival groups sent to assign_batch
+        "batched_queries": 0,  # queries allocated inside those groups
+        "max_batch": 0,  # largest single group
+        "vector_exchanges": 0,  # request-for-bid exchanges on the vector path
+        # No exchange of an array run drops to the listing any more; the
+        # key stays for the artifacts that pin it.
+        "scalar_fallbacks": 0,
+        "batch_syncs": 0,  # periods, the last included, with a vector exchange
+        "market_adopted": 0,  # per-agent adopt passes of the period engine
+        "market_materialised": 0,  # ... and materialise passes
+    },
+    # Sharded-run coordination (see repro.sim.shards); each is written
+    # once per run.
+    "shard": {
+        "cross_shard_bids": 0,  # bids priced by the residual plane
+        "barrier_wait_ms": 0.0,  # coordinator wall time blocked at barriers
+        "shard_imbalance": 0.0,  # max over mean of per-shard assignments
+        "shards": 0,
+        # Planes meet the coordinator at reset and collect only; the key
+        # stays, at its true count, while ``perf/`` reads it.
+        "reconcile_barriers": 0,
+        "local_classes": 0,  # classes priced inside a shard's plane
+        "residual_classes": 0,  # classes priced by the coordinator
+        # Of vector_exchanges, those the planes answered on a *closed*
+        # class with the price raise alone (DESIGN.md §7).
+        "closed_settled": 0,
+    },
+    # The fault injector's (all zero unless one ran; see repro.sim.faults).
+    "fault": {
+        "timeouts": 0,  # bid-reply timeouts clients experienced
+        "lost_messages": 0,  # messages lost to drops and partitions
+        "degraded_assignments": 0,  # made from stale info under silence
+        "fault_retries": 0,  # resubmissions through the backoff policy
+        "crash_count": 0,  # churn-induced node crashes
+        "partition_ms": 0.0,  # time during which any partition was active
+    },
+}
+
+#: Every counter's starting value, by name.
+_START = {name: start for group in _COUNTERS.values() for name, start in group.items()}
+
+
 class MetricsCollector:
-    """Holds a run's outcome table and derives the paper's metrics."""
+    """Holds a run's outcome table and counters, and derives the paper's
+    metrics."""
 
     def __init__(self) -> None:
         self.record_outcomes([()] * len(OUTCOME_DTYPES))
-        # Fault-layer counters (all zero unless a fault injector ran; see
-        # repro.sim.faults).  Snapshotted once at the end of a faulted run.
-        self._timeouts = 0
-        self._lost_messages = 0
-        self._degraded_assignments = 0
-        self._fault_retries = 0
-        self._crash_count = 0
-        self._partition_ms = 0.0
-        # Negotiation counters derived from protocol exchanges: every
-        # allocation attempt reports the messages and latency its
-        # bid/dispatch exchanges cost (see FederationSimulation._try_assign).
-        self._exchanges = 0
-        self._refused_exchanges = 0
-        self._negotiation_messages = 0
-        self._negotiation_delay_ms = 0.0
-        # Market-tick batching counters (all zero when batching is off):
-        # how often same-timestamp arrivals were dispatched as one batch,
-        # plus the allocator-side dispatcher counters snapshotted at the
-        # end of the run (see FederationSimulation.run).
-        self._batch_ticks = 0
-        self._batched_queries = 0
-        self._max_batch = 0
-        self._vector_exchanges = 0
-        self._batch_syncs = 0
-        # Per-agent adopt/materialise passes of the QA-NT period engine
-        # (zero for mechanisms without one).
-        self._market_adopted = 0
-        self._market_materialised = 0
-        # Sharded-federation counters (see repro.sim.shards).  The
-        # `_shard_stats_applied` flag gates their presence in
-        # `batch_summary()`: single-process runs do not carry them.
-        self._shard_stats_applied = False
-        self._cross_shard_bids = 0
-        self._barrier_wait_ms = 0.0
-        self._shard_imbalance = 1.0
-        self._shards = 1
-        self._local_classes = 0
-        self._residual_classes = 0
-        self._closed_settled = 0
+        self._counters = {
+            name: start
+            for group in ("negotiation", "batch", "fault")
+            for name, start in _COUNTERS[group].items()
+        }
+        #: The run's counters by name, read-only (:data:`_COUNTERS`).
+        self.counters = MappingProxyType(self._counters)
 
     # -- recording ---------------------------------------------------------------
 
@@ -166,11 +198,12 @@ class MetricsCollector:
         False when the attempt ended in refusal or silence and the query
         re-enters the pending pool.
         """
-        self._exchanges += 1
+        counters = self._counters
+        counters["exchanges"] += 1
         if not assigned:
-            self._refused_exchanges += 1
-        self._negotiation_messages += messages
-        self._negotiation_delay_ms += delay_ms
+            counters["refused_exchanges"] += 1
+        counters["negotiation_messages"] += messages
+        counters["negotiation_delay_ms"] += delay_ms
 
     def record_exchanges(
         self, messages: Sequence[int], delays_ms: Sequence[float], refused: int
@@ -183,105 +216,42 @@ class MetricsCollector:
         builtin ``sum``: it is compensated on Python >= 3.12, so the
         total would depend on the interpreter.)
         """
-        self._exchanges += len(delays_ms)
-        self._refused_exchanges += refused
-        self._negotiation_messages += sum(messages)
-        total = self._negotiation_delay_ms
+        counters = self._counters
+        counters["exchanges"] += len(delays_ms)
+        counters["refused_exchanges"] += refused
+        counters["negotiation_messages"] += sum(messages)
+        total = counters["negotiation_delay_ms"]
         for delay_ms in delays_ms:
             total += delay_ms
-        self._negotiation_delay_ms = total
-
-    def record_batch_tick(self, size: int) -> None:
-        """Record one same-tick arrival group dispatched as a batch."""
-        self._batch_ticks += 1
-        self._batched_queries += size
-        if size > self._max_batch:
-            self._max_batch = size
+        counters["negotiation_delay_ms"] = total
 
     def record_batch_ticks(self, sizes: Sequence[int]) -> None:
-        """Bulk :meth:`record_batch_tick`: one tick per entry of ``sizes``."""
+        """Record same-tick arrival groups dispatched as batches, one per
+        entry of ``sizes``."""
         if sizes:
-            self._batch_ticks += len(sizes)
-            self._batched_queries += sum(sizes)
-            self._max_batch = max(self._max_batch, max(sizes))
+            counters = self._counters
+            counters["batch_ticks"] += len(sizes)
+            counters["batched_queries"] += sum(sizes)
+            counters["max_batch"] = max(counters["max_batch"], max(sizes))
 
-    def apply_batch_stats(
-        self,
-        vector_exchanges: int = 0,
-        syncs: int = 0,
-    ) -> None:
-        """Snapshot an allocator's batch-dispatcher counters.
+    def add_counters(self, **counts: float) -> None:
+        """Add each named count to its counter, converted to the
+        counter's type: a run's end-of-run snapshots of its dispatcher,
+        period engine, fault injector or shards.
 
-        Called once by the federation at the end of a run whose allocator
-        exposes ``batch_dispatch_stats``, so the dispatch telemetry
-        travels with the query metrics.  ``syncs`` (``batch_syncs``) are
-        the periods, the last one included, that saw at least one vector
-        exchange.
+        The first shard counter written brings in the whole shard group
+        (single-process runs carry none of it).  A name
+        :data:`_COUNTERS` does not hold raises ``KeyError`` before any
+        count is added.
         """
-        self._vector_exchanges += int(vector_exchanges)
-        self._batch_syncs += int(syncs)
-
-    def apply_market_state_stats(
-        self, adopted: int = 0, materialised: int = 0
-    ) -> None:
-        """Snapshot a period engine's adopt/materialise counters.
-
-        An array run reads one adopt and one materialise on top of the
-        bind-time boundary's, however it is observed; a scalar run one
-        of each per period.
-        """
-        self._market_adopted += int(adopted)
-        self._market_materialised += int(materialised)
-
-    def apply_shard_stats(
-        self,
-        cross_shard_bids: int = 0,
-        barrier_wait_ms: float = 0.0,
-        shard_imbalance: float = 1.0,
-        shards: int = 1,
-        local_classes: int = 0,
-        residual_classes: int = 0,
-        closed_settled: int = 0,
-    ) -> None:
-        """Snapshot a sharded run's coordination counters.
-
-        Called once by :class:`repro.sim.shards.ShardedFederation` at
-        the end of a multi-process run; arms the shard keys of
-        :meth:`batch_summary` (single-process summaries stay unchanged).
-        ``closed_settled`` counts, out of ``vector_exchanges``, the
-        exchanges the planes answered on a *closed* class with the price
-        raise alone (DESIGN.md §7).
-        """
-        self._shard_stats_applied = True
-        self._cross_shard_bids += int(cross_shard_bids)
-        self._barrier_wait_ms += float(barrier_wait_ms)
-        self._shard_imbalance = float(shard_imbalance)
-        self._shards = int(shards)
-        self._local_classes = int(local_classes)
-        self._residual_classes = int(residual_classes)
-        self._closed_settled += int(closed_settled)
-
-    def apply_fault_stats(
-        self,
-        timeouts: int = 0,
-        lost_messages: int = 0,
-        degraded_assignments: int = 0,
-        fault_retries: int = 0,
-        crash_count: int = 0,
-        partition_ms: float = 0.0,
-    ) -> None:
-        """Snapshot the fault injector's counters into this collector.
-
-        Called once by the federation at the end of a faulted run, so the
-        fault metrics travel with the query metrics (and through the
-        sweep runner's flat cell dicts).
-        """
-        self._timeouts += int(timeouts)
-        self._lost_messages += int(lost_messages)
-        self._degraded_assignments += int(degraded_assignments)
-        self._fault_retries += int(fault_retries)
-        self._crash_count += int(crash_count)
-        self._partition_ms += float(partition_ms)
+        unknown = sorted(counts.keys() - _START.keys())
+        if unknown:
+            raise KeyError("no run counter named %s" % ", ".join(unknown))
+        counters = self._counters
+        for name, count in counts.items():
+            if name not in counters:
+                counters.update(_COUNTERS["shard"])
+            counters[name] += type(_START[name])(count)
 
     # -- raw access ----------------------------------------------------------------
 
@@ -311,153 +281,29 @@ class MetricsCollector:
         ended; offered = completed + dropped + in_flight."""
         return self._in_flight
 
-    # -- negotiation metrics -------------------------------------------------------
+    # -- counter summaries (sweep-cell currency) ------------------------------
 
-    @property
-    def exchanges(self) -> int:
-        """Allocation attempts whose protocol cost was recorded."""
-        return self._exchanges
-
-    @property
-    def refused_exchanges(self) -> int:
-        """Attempts that ended unassigned (refusal or total silence)."""
-        return self._refused_exchanges
-
-    @property
-    def negotiation_messages(self) -> int:
-        """Network messages spent on bid/dispatch exchanges."""
-        return self._negotiation_messages
-
-    @property
-    def negotiation_delay_ms(self) -> float:
-        """Total client-side negotiation latency across all attempts."""
-        return self._negotiation_delay_ms
-
-    def mean_negotiation_delay_ms(self) -> float:
-        """Average negotiation latency per allocation attempt."""
-        if not self._exchanges:
-            return math.nan
-        return self._negotiation_delay_ms / self._exchanges
+    def _view(self, *groups: str) -> Dict[str, float]:
+        counters = self._counters
+        return {
+            name: float(counters[name])
+            for group in groups
+            for name in _COUNTERS[group]
+            if name in counters
+        }
 
     def negotiation_summary(self) -> Dict[str, float]:
         """The protocol-exchange counters as one flat mapping."""
-        return {
-            "exchanges": float(self._exchanges),
-            "refused_exchanges": float(self._refused_exchanges),
-            "negotiation_messages": float(self._negotiation_messages),
-            "negotiation_delay_ms": self._negotiation_delay_ms,
-        }
-
-    # -- market-tick batching metrics ----------------------------------------------
-
-    @property
-    def batch_ticks(self) -> int:
-        """Same-tick arrival groups dispatched through ``assign_batch``."""
-        return self._batch_ticks
-
-    @property
-    def batched_queries(self) -> int:
-        """Queries allocated inside batch dispatches."""
-        return self._batched_queries
-
-    @property
-    def max_batch(self) -> int:
-        """Largest single batch dispatched."""
-        return self._max_batch
-
-    @property
-    def vector_exchanges(self) -> int:
-        """Request-for-bid exchanges answered on the vector path."""
-        return self._vector_exchanges
-
-    @property
-    def cross_shard_bids(self) -> int:
-        """BidRequest broadcasts delivered across shard boundaries."""
-        return self._cross_shard_bids
-
-    @property
-    def barrier_wait_ms(self) -> float:
-        """Wall-clock time the coordinator spent blocked at barriers."""
-        return self._barrier_wait_ms
-
-    @property
-    def shard_imbalance(self) -> float:
-        """Max-over-mean of per-shard assigned-query counts."""
-        return self._shard_imbalance
+        return self._view("negotiation")
 
     def batch_summary(self) -> Dict[str, float]:
-        """The batching counters as one flat mapping (sweep-cell currency).
-
-        Sharded runs (see :meth:`apply_shard_stats`) additionally carry
-        the shard coordination counters; those keys are absent otherwise.
-        """
-        summary = {
-            "batch_ticks": float(self._batch_ticks),
-            "batched_queries": float(self._batched_queries),
-            "max_batch": float(self._max_batch),
-            "vector_exchanges": float(self._vector_exchanges),
-            # No exchange of an array run drops to the listing any more;
-            # the key stays for the artifacts that pin it.
-            "scalar_fallbacks": 0.0,
-            "batch_syncs": float(self._batch_syncs),
-            "market_adopted": float(self._market_adopted),
-            "market_materialised": float(self._market_materialised),
-        }
-        if self._shard_stats_applied:
-            summary["cross_shard_bids"] = float(self._cross_shard_bids)
-            summary["barrier_wait_ms"] = self._barrier_wait_ms
-            summary["shard_imbalance"] = self._shard_imbalance
-            summary["shards"] = float(self._shards)
-            # Planes meet the coordinator at reset and collect only; the
-            # key stays, at its true count, while ``perf/`` reads it.
-            summary["reconcile_barriers"] = 0.0
-            summary["local_classes"] = float(self._local_classes)
-            summary["residual_classes"] = float(self._residual_classes)
-            summary["closed_settled"] = float(self._closed_settled)
-        return summary
-
-    # -- fault metrics -------------------------------------------------------------
-
-    @property
-    def timeouts(self) -> int:
-        """Bid-reply timeouts clients experienced (fault runs only)."""
-        return self._timeouts
-
-    @property
-    def lost_messages(self) -> int:
-        """Messages lost to drops and partitions (fault runs only)."""
-        return self._lost_messages
-
-    @property
-    def degraded_assignments(self) -> int:
-        """Assignments made from stale cached info under total silence."""
-        return self._degraded_assignments
-
-    @property
-    def fault_retries(self) -> int:
-        """Resubmissions scheduled through the backoff policy."""
-        return self._fault_retries
-
-    @property
-    def crash_count(self) -> int:
-        """Churn-induced node crashes injected during the run."""
-        return self._crash_count
-
-    @property
-    def partition_ms(self) -> float:
-        """Total time during which any network partition was active."""
-        return self._partition_ms
+        """The batching counters, then, on sharded runs only, the shard
+        coordination counters, as one flat mapping."""
+        return self._view("batch", "shard")
 
     def fault_summary(self) -> Dict[str, float]:
-        """The fault counters as one flat mapping (sweep-cell currency)."""
-        return {
-            "timeouts": float(self._timeouts),
-            "lost_messages": float(self._lost_messages),
-            "degraded_assignments": float(self._degraded_assignments),
-            "fault_retries": float(self._fault_retries),
-            "crash_count": float(self._crash_count),
-            "partition_ms": self._partition_ms,
-        }
+        """The fault counters as one flat mapping."""
+        return self._view("fault")
 
     # -- headline metrics -------------------------------------------------------------
 

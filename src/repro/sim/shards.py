@@ -70,6 +70,7 @@ import random
 import resource
 import select
 import socket
+import struct
 import time
 from collections import deque
 from dataclasses import dataclass
@@ -79,8 +80,16 @@ import numpy as np
 
 from ..core.period_engine import unsold_decay
 from ..core.qant import QantParameters
-from ..protocol.messages import BidBatch, decode, encode, pack_column, unpack_column
+from ..protocol.messages import (
+    BidBatch,
+    ProtocolError,
+    decode,
+    encode,
+    pack_column,
+    unpack_column,
+)
 from ..allocation.market_tick import LaneBlock, check_raise_terms
+from ..allocation.qant import QantAllocator
 from ..protocol.transport import FrameDecoder, encode_frame
 from .faults import derive_fault_seed
 from .federation import FederationConfig, run_single_mechanism
@@ -946,13 +955,31 @@ _TCP_ACCEPT_POLL_S = 0.05
 #: acknowledge ``close`` and exit before it kills what is left.
 _CLOSE_GRACE_S = 5.0
 
-#: Seconds a barrier waits for one shard's reply before that shard
-#: counts as failed.  The longest legitimate waits measured on a 2-core
-#: Xeon: 3.4 ms of barrier time per run in ``run scaling-shards --scale
-#: paper`` (8 shards) and 2.7 ms in ``million_query_run`` (4 shards),
-#: whose classes price on the coordinator.  Were that run's whole 19 s
-#: wall one plane's ``collect``, the deadline would still be 15x it.
-_RECV_DEADLINE_S = 300.0
+#: Seconds the wire may make no progress, either way, before a shard
+#: counts as failed: a barrier waits this long for one shard's reply,
+#: and a frame write (``SO_SNDTIMEO``, :func:`_arm_send_deadline`) this
+#: long for the peer to take more bytes.  The send timeout restarts on
+#: every partial write, so it bounds a stall, not a whole frame.  The
+#: longest legitimate waits measured on a 2-core Xeon: 3.4 ms of barrier
+#: time per run in ``run scaling-shards --scale paper`` (8 shards) and
+#: 2.7 ms in ``million_query_run`` (4 shards), whose classes price on the
+#: coordinator.  Were that run's whole 19 s wall one plane's
+#: ``collect``, the deadline would still be 15x it.
+_WIRE_DEADLINE_S = 300.0
+
+
+def _arm_send_deadline(fd: int) -> None:
+    """Give the coordinator's end of a shard's pipe or socket a send
+    timeout of :data:`_WIRE_DEADLINE_S`: a write that makes no progress
+    for that long raises ``BlockingIOError`` instead of blocking forever.
+
+    A duplex ``multiprocessing.Pipe`` is a ``socketpair`` on Unix, so one
+    option on a duplicate of ``fd`` covers fork and tcp peers alike.
+    """
+    seconds, fraction = divmod(_WIRE_DEADLINE_S, 1.0)
+    timeval = struct.pack("ll", int(seconds), int(fraction * 1e6))
+    with socket.socket(fileno=os.dup(fd)) as sock:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDTIMEO, timeval)
 
 
 class ShardFailure(RuntimeError):
@@ -1038,6 +1065,7 @@ class ShardTransport:
                 )
                 proc.start()
                 child_conn.close()
+                _arm_send_deadline(parent_conn.fileno())
                 self._peers.append(parent_conn)
                 self._procs.append(proc)
         elif mode == "tcp":
@@ -1071,6 +1099,7 @@ class ShardTransport:
             finally:
                 listener.close()
             for channel, init in zip(self._peers, shard_inits):
+                _arm_send_deadline(channel.fileno())
                 channel.send(init)
         else:
             self._cores = [_make_core(init) for init in shard_inits]
@@ -1131,7 +1160,7 @@ class ShardTransport:
         In fork mode every frame is written before the first reply is
         read, so shards overlap their work; the time spent blocked on
         replies accumulates into :attr:`barrier_wait_ms`.  A shard whose
-        reply is not in :data:`_RECV_DEADLINE_S` after the coordinator
+        reply is not in :data:`_WIRE_DEADLINE_S` after the coordinator
         starts to wait for it is a :class:`ShardFailure` whose cause is a
         ``TimeoutError``.
         """
@@ -1156,12 +1185,23 @@ class ShardTransport:
             self._peers[shard].send(frame)
         except OSError as error:
             op = frame[1][0] if frame[0] == "post" else frame[0]
+            if isinstance(error, BlockingIOError):  # the send deadline
+                _log.warning(
+                    "shard %d took no more of a %r frame within %g s",
+                    shard,
+                    op,
+                    _WIRE_DEADLINE_S,
+                )
+                cause = TimeoutError(
+                    "frame not taken within %g s" % _WIRE_DEADLINE_S
+                )
+                raise ShardFailure(shard, op, cause) from error
             raise ShardFailure(shard, op, error) from error
 
     def _recv(self, shard: int, op: str) -> Mapping[str, object]:
         peer = self._peers[shard]
         try:
-            if peer.poll(_RECV_DEADLINE_S):
+            if peer.poll(_WIRE_DEADLINE_S):
                 return peer.recv()
         except (EOFError, OSError, ValueError) as error:
             # ValueError: a tcp frame that is not JSON, or whose length
@@ -1172,18 +1212,20 @@ class ShardTransport:
             "shard %d sent no %r reply within %g s",
             shard,
             op,
-            _RECV_DEADLINE_S,
+            _WIRE_DEADLINE_S,
         )
-        cause = TimeoutError("no reply within %g s" % _RECV_DEADLINE_S)
+        cause = TimeoutError("no reply within %g s" % _WIRE_DEADLINE_S)
         raise ShardFailure(shard, op, cause)
 
     def post(self, frames: Sequence[Optional[Tuple]]) -> None:
         """One-way dispatch: frame *i* to shard *i*, no replies read.
 
         The coordinator keeps posting while the workers tick; OS
-        pipe/socket buffers provide the backpressure.  Workers process
-        frames strictly in arrival order, so a later :meth:`exchange`
-        barrier observes every posted frame's effects.  Inline mode
+        pipe/socket buffers provide the backpressure; a shard that takes
+        no more bytes of a frame for :data:`_WIRE_DEADLINE_S` fails as a
+        :class:`ShardFailure` whose cause is a ``TimeoutError``.  Workers
+        process frames strictly in arrival order, so a later
+        :meth:`exchange` barrier observes every posted frame's effects.  Inline mode
         handles the frames synchronously (same cores), preserving
         bit-identity across modes.
         """
@@ -1343,6 +1385,50 @@ class ShardedRunResult:
 # -- the sharded federation ---------------------------------------------------
 
 
+def _collect_reply_problem(reply) -> Optional[str]:
+    """Why the merge cannot take ``reply`` as a ``collect`` answer, or
+    None.
+
+    A worker's reply is outside input: it must carry nine 1-D outcome
+    columns of :data:`~repro.sim.metrics.OUTCOME_DTYPES` and equal
+    length, and non-negative int counters (unchecked, a float qid column
+    would be truncated to ints by the merge without a word).
+    """
+    columns = reply.get("columns") if isinstance(reply, Mapping) else None
+    if not isinstance(columns, (list, tuple)) or len(columns) != len(
+        OUTCOME_DTYPES
+    ):
+        return "expected %d outcome columns" % len(OUTCOME_DTYPES)
+    for n, (column, dtype) in enumerate(zip(columns, OUTCOME_DTYPES)):
+        if not (
+            isinstance(column, np.ndarray)
+            and column.ndim == 1
+            and column.dtype == dtype
+        ):
+            return "outcome column %d is not a 1-D %s array" % (
+                n,
+                np.dtype(dtype).name,
+            )
+        if len(column) != len(columns[0]):
+            return "outcome column %d has %d rows, column 0 has %d" % (
+                n,
+                len(column),
+                len(columns[0]),
+            )
+    for key in ("assigned", "exchanges", "closed_settled", "pending"):
+        value = reply.get(key)
+        if (
+            isinstance(value, bool)
+            or not isinstance(value, (int, np.integer))
+            or value < 0
+        ):
+            return "counter %r is %r: expected a non-negative int" % (
+                key,
+                value,
+            )
+    return None
+
+
 class ShardedFederation:
     """Front of the sharded engine: owns the worker pool, the routing
     table and the residual plane.
@@ -1352,8 +1438,9 @@ class ShardedFederation:
     worker pool serves qa-nt and greedy back to back — ``perf/`` relies
     on this).  ``shards=1`` takes the single-process engine
     verbatim; ``shards>1`` runs the market planes described in the
-    module docstring.  ``market`` has one legal value left, and
-    ``reconcile_interval`` is checked (>= 1) but moves nothing: the
+    module docstring.  QA-NT prices with :class:`QantAllocator`'s
+    defaults at every shard count.  ``market`` has one legal value left,
+    and ``reconcile_interval`` is checked (>= 1) but moves nothing: the
     planes meet the coordinator only at ``reset`` and ``collect``.  Both
     leave with the next ``perf/`` maintenance change, which still
     passes them.
@@ -1372,9 +1459,6 @@ class ShardedFederation:
         mode: str = "fork",
         market: str = "local",
         reconcile_interval: int = 1,
-        parameters: Optional[QantParameters] = None,
-        activation_threshold: Optional[float] = 2.0,
-        allowance_factor: float = 2.0,
     ) -> None:
         if shards <= 0:
             raise ValueError("need at least one shard")
@@ -1394,9 +1478,6 @@ class ShardedFederation:
         self._cost_model = cost_model
         self._config = config or FederationConfig()
         self._shards = shards
-        self._params = parameters or QantParameters()
-        self._threshold = activation_threshold
-        self._allowance_factor = allowance_factor
         self._transport: Optional[ShardTransport] = None
         if shards == 1:
             self._plan = None
@@ -1426,7 +1507,7 @@ class ShardedFederation:
             finite = [c for c in cost_rows[nid] if not math.isinf(c)]
             allowance_by_node[nid] = (
                 self._config.period_ms
-                + allowance_factor * max(finite, default=0.0)
+                + QantAllocator.DEFAULT_ALLOWANCE_FACTOR * max(finite, default=0.0)
             )
         shard_inits = self._build_local_planes(
             cost_rows, allowance_by_node, num_classes
@@ -1465,6 +1546,7 @@ class ShardedFederation:
                 residual_classes.append(k)
         self._plane_classes = plane_classes
         self._residual_classes = residual_classes
+        params = QantParameters()
 
         def plane_init(class_indices: Sequence[int]) -> Dict[str, object]:
             nodes = sorted(
@@ -1487,11 +1569,11 @@ class ShardedFederation:
                 ],
                 "base_ms": self._config.latency.base_ms,
                 "jitter_ms": self._config.latency.jitter_ms,
-                "factor": 1.0 + self._params.adjustment,
-                "floor": self._params.price_floor,
-                "cap": self._params.price_cap,
-                "adjustment": self._params.adjustment,
-                "threshold": self._threshold,
+                "factor": 1.0 + params.adjustment,
+                "floor": params.price_floor,
+                "cap": params.price_cap,
+                "adjustment": params.adjustment,
+                "threshold": QantAllocator.DEFAULT_ACTIVATION_THRESHOLD,
                 "period_ms": self._config.period_ms,
                 "classes": [
                     [k, list(candidates_by_class[k])] for k in class_indices
@@ -1591,9 +1673,6 @@ class ShardedFederation:
             trace,
             mechanism,
             self._config,
-            parameters=self._params,
-            activation_threshold=self._threshold,
-            allowance_factor=self._allowance_factor,
         )
         return ShardedRunResult(metrics, messages, shards=1)
 
@@ -1673,7 +1752,10 @@ class ShardedFederation:
         closed_settled = collected["closed_settled"]
         dropped = collected["pending"]
         peak_kb = 0
-        for reply in replies:
+        for shard, reply in enumerate(replies):
+            problem = _collect_reply_problem(reply)
+            if problem is not None:
+                raise ShardFailure(shard, "collect", ProtocolError(problem))
             assigned_per_shard.append(reply["assigned"])
             exchanges += reply["exchanges"]
             closed_settled += reply["closed_settled"]
@@ -1697,8 +1779,8 @@ class ShardedFederation:
             imbalance = max(assigned_per_shard) / (
                 total_assigned / len(assigned_per_shard)
             )
-        collector.apply_batch_stats(vector_exchanges=exchanges)
-        collector.apply_shard_stats(
+        collector.add_counters(
+            vector_exchanges=exchanges,
             cross_shard_bids=len(held),
             barrier_wait_ms=transport.barrier_wait_ms,
             shard_imbalance=imbalance,

@@ -196,7 +196,7 @@ def run_reference_market(world, trace, mechanism, config):
     ]
     order = np.lexsort((columns[0], columns[7]))
     collector = MetricsCollector()
-    collector.apply_batch_stats(vector_exchanges=exchanges)
+    collector.add_counters(vector_exchanges=exchanges)
     collector.record_outcomes(
         [column[order] for column in columns],
         dropped=len(pending),

@@ -139,9 +139,9 @@ def test_batched_runs_match_scalar_bit_for_bit(
     )
     # The scalar twin never records batch activity; the batched twin
     # only does where batching is actually legal.
-    assert scalar.metrics.batch_ticks == 0
+    assert scalar.metrics.counters["batch_ticks"] == 0
     if faults is not None and faults.message_faults:
-        assert batched.metrics.batch_ticks == 0
+        assert batched.metrics.counters["batch_ticks"] == 0
 
 
 def _agent_state(agent):
@@ -494,10 +494,11 @@ def test_qant_agent_state_matches_scalar_after_run():
         metrics[False].outcomes
     )
     # The batched twin really batched — and really vectorised.
-    assert metrics[True].batch_ticks > 0
-    assert metrics[True].batched_queries >= 2 * metrics[True].batch_ticks
-    assert metrics[True].max_batch >= 2
-    assert metrics[True].vector_exchanges > 0
+    counters = metrics[True].counters
+    assert counters["batch_ticks"] > 0
+    assert counters["batched_queries"] >= 2 * counters["batch_ticks"]
+    assert counters["max_batch"] >= 2
+    assert counters["vector_exchanges"] > 0
 
 
 def test_zero_base_latency_disables_batching():
@@ -528,7 +529,7 @@ def test_zero_base_latency_disables_batching():
     assert _outcome_digest(runs[True].metrics.outcomes) == _outcome_digest(
         runs[False].metrics.outcomes
     )
-    assert runs[True].metrics.batch_ticks == 0
+    assert runs[True].metrics.counters["batch_ticks"] == 0
 
 
 def _built(world, allocator, config, crossover=None):
@@ -702,7 +703,7 @@ def test_dispatch_ledger_counts_are_pinned():
     # set is pinned below).
     allocator, metrics, refusing_met = _ledger_run(crossover=0)
     counts = allocator.batch_dispatch_stats.as_dict()
-    assert counts["vector_exchanges"] == metrics.vector_exchanges == 217
+    assert counts["vector_exchanges"] == metrics.counters["vector_exchanges"] == 217
     assert refusing_met == 1684
     assert counts["lane_steps"] == 945
     assert counts["estimate_reuses"] == 141
@@ -711,7 +712,7 @@ def test_dispatch_ledger_counts_are_pinned():
     # the saturated no-ops `assign_batch` settles without an exchange.
     engine = allocator.period_engine_stats
     assert (engine.reused_rows, engine.solved_rows) == (336, 1176)
-    assert metrics.exchanges - metrics.vector_exchanges == 447
+    assert metrics.counters["exchanges"] - metrics.counters["vector_exchanges"] == 447
     # As shipped the scalar twin prices both classes: it keeps no live
     # set and computes its estimates inline, so it adds to neither
     # count, and the run is the same run.
@@ -764,10 +765,10 @@ def test_batch_summary_counters_surface_in_metrics():
     # federation run still go through the (bit-identical) vector
     # exchange, so the dispatcher counters may be nonzero.
     scalar = _quantised_run("qa-nt", QantAllocator, 0, 25.0, False).metrics
-    assert scalar.batch_ticks == 0
-    assert scalar.batched_queries == 0
-    assert scalar.max_batch == 0
-    assert scalar.vector_exchanges > 0
+    assert scalar.counters["batch_ticks"] == 0
+    assert scalar.counters["batched_queries"] == 0
+    assert scalar.counters["max_batch"] == 0
+    assert scalar.counters["vector_exchanges"] > 0
 
 
 # ------------------------------------------------ saturated retry bursts
@@ -884,10 +885,10 @@ def test_saturated_burst_settles_in_bulk_and_outage_bypasses_it():
     for batch in (True, False):
         pinned[batch], metrics, calls = _overload_run(world, trace, batch)
         if batch:
-            assert metrics.max_batch > 50
-            assert metrics.exchanges - calls["exchange"] > 100
+            assert metrics.counters["max_batch"] > 50
+            assert metrics.counters["exchanges"] - calls["exchange"] > 100
         else:
-            assert calls["exchange"] == metrics.exchanges
+            assert calls["exchange"] == metrics.counters["exchanges"]
         # Unobserved means array-resident: the agents are written at the
         # bind-time boundary and at `on_run_end`, never in between.
         assert metrics.batch_summary()["market_materialised"] == 2.0
@@ -902,7 +903,7 @@ def test_saturated_burst_settles_in_bulk_and_outage_bypasses_it():
         world, trace, _MID_PERIOD_OUTAGE
     )
     assert calls["partial"] > 0
-    assert calls["exchange"] < metrics.exchanges
+    assert calls["exchange"] < metrics.counters["exchanges"]
     assert metrics.batch_summary()["market_materialised"] == 2.0
 
 

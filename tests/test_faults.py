@@ -346,8 +346,8 @@ class TestGracefulDegradation:
         # through the backoff machinery until the run ends.
         assert metrics.completed == 0
         assert metrics.dropped == len(trace)
-        assert metrics.fault_retries > 0
-        assert metrics.lost_messages > 0
+        assert metrics.counters["fault_retries"] > 0
+        assert metrics.counters["lost_messages"] > 0
 
     def test_faulted_runs_still_complete_work(self):
         world = _small_world(num_nodes=6)
@@ -360,7 +360,7 @@ class TestGracefulDegradation:
                 faults=FaultSpec(drop_probability=0.2, fault_seed=5),
             )
             assert metrics.completed > 0
-            assert metrics.lost_messages > 0
+            assert metrics.counters["lost_messages"] > 0
 
 
 # ------------------------------------------------------------ properties

@@ -177,7 +177,7 @@ class TestMetrics:
             scalar.record_exchange(*row)
         bulk.record_exchanges(messages, delays, assigned.count(False))
         assert bulk.negotiation_summary() == scalar.negotiation_summary()
-        assert math.fsum([0.3] + delays) != scalar.negotiation_delay_ms
+        assert math.fsum([0.3] + delays) != scalar.counters["negotiation_delay_ms"]
 
     def test_each_writer_keeps_its_summation_program(self):
         # Responses whose pairwise and left-to-right sums differ in the
@@ -193,6 +193,49 @@ class TestMetrics:
         pairwise = float(np.sum(responses)) / len(responses)
         assert planes.mean_response_ms() == pairwise
         assert event.mean_response_ms() != planes.mean_response_ms()
+
+    def test_add_counters_rejects_an_unknown_name(self):
+        m = MetricsCollector()
+        # ``syncs`` was the old snapshot keyword of ``batch_syncs``.
+        with pytest.raises(KeyError, match="no run counter named bogus, syncs"):
+            m.add_counters(vector_exchanges=3, syncs=1, bogus=2)
+        assert m.counters["vector_exchanges"] == 0
+        with pytest.raises(TypeError):
+            m.counters["vector_exchanges"] = 3
+
+    def test_counters_keep_their_types_and_the_summaries_their_order(self):
+        m = MetricsCollector()
+        m.add_counters(fault_retries=2.0, partition_ms=3, batch_syncs=np.int64(4))
+        assert type(m.counters["fault_retries"]) is int
+        assert type(m.counters["partition_ms"]) is float
+        assert type(m.counters["batch_syncs"]) is int
+        assert list(m.fault_summary()) == [
+            "timeouts",
+            "lost_messages",
+            "degraded_assignments",
+            "fault_retries",
+            "crash_count",
+            "partition_ms",
+        ]
+        single = m.batch_summary()
+        # The first shard counter brings in the whole shard group, after
+        # the batch group and at its starting values.
+        m.add_counters(shards=2, shard_imbalance=1.25)
+        sharded = m.batch_summary()
+        assert list(sharded)[: len(single)] == list(single)
+        assert list(sharded)[len(single) :] == [
+            "cross_shard_bids",
+            "barrier_wait_ms",
+            "shard_imbalance",
+            "shards",
+            "reconcile_barriers",
+            "local_classes",
+            "residual_classes",
+            "closed_settled",
+        ]
+        assert (sharded["shards"], sharded["shard_imbalance"]) == (2.0, 1.25)
+        assert sharded["closed_settled"] == sharded["reconcile_barriers"] == 0.0
+        assert all(type(value) is float for value in sharded.values())
 
     def test_percentile(self):
         m = collector(*(outcome(finish=f) for f in (10.0, 20.0, 30.0, 40.0)))

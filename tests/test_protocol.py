@@ -561,6 +561,67 @@ class TestFrameCodec:
         with pytest.raises(ValueError):
             FrameDecoder().feed(hostile)
 
+    @given(
+        st.lists(st.binary(max_size=48), max_size=8),
+        st.lists(st.integers(0, 1 << 9), max_size=8),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_any_payloads_cut_anywhere_come_back_in_order(self, payloads, cuts):
+        from repro.protocol import FrameDecoder, encode_frame
+
+        stream = b"".join(encode_frame(payload) for payload in payloads)
+        edges = sorted({min(cut, len(stream)) for cut in cuts})
+        decoder = FrameDecoder()
+        frames = []
+        for lo, hi in zip([0] + edges, edges + [len(stream)]):
+            frames += decoder.feed(stream[lo:hi])
+        assert frames == payloads
+        assert decoder.pending_bytes == 0
+
+    @given(
+        st.lists(
+            st.one_of(
+                st.binary(max_size=16),
+                st.binary(max_size=16).map(lambda b: struct.pack(">I", len(b)) + b),
+            ),
+            max_size=6,
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_arbitrary_bytes_yield_frames_or_refuse_a_hostile_length(self, chunks):
+        """Bytes off a socket are outside input: whatever arrives, the
+        decoder yields the frames a length-prefix walk of the stream
+        finds, and raises (``ValueError``) only on a header above
+        ``MAX_FRAME_BYTES``."""
+        from repro.protocol import MAX_FRAME_BYTES, FrameDecoder
+
+        stream = b"".join(chunks)
+        expected, offset, hostile = [], 0, None
+        while len(stream) - offset >= 4:
+            (length,) = struct.unpack_from(">I", stream, offset)
+            if length > MAX_FRAME_BYTES:
+                hostile = length
+                break
+            if len(stream) - offset - 4 < length:
+                break
+            expected.append(stream[offset + 4 : offset + 4 + length])
+            offset += 4 + length
+        decoder = FrameDecoder()
+        frames = []
+        try:
+            for chunk in chunks:
+                frames += decoder.feed(chunk)
+        except ValueError as error:
+            assert hostile is not None
+            assert str(error) == (
+                "frame length %d exceeds MAX_FRAME_BYTES" % hostile
+            )
+            assert expected[: len(frames)] == frames
+        else:
+            assert hostile is None
+            assert frames == expected
+            assert decoder.pending_bytes == len(stream) - offset
+
 
 # --------------------------------------------------------- MarketSession
 

@@ -42,7 +42,9 @@ from repro.experiments.setups import (
     zipf_world,
 )
 from repro.protocol import (
+    MAX_FRAME_BYTES,
     BidBatch,
+    ProtocolError,
     decode,
     encode_frame,
 )
@@ -1468,6 +1470,136 @@ def test_malformed_tcp_frame_is_a_shard_failure(monkeypatch, garbage, cause):
     assert multiprocessing.active_children() == []
 
 
+def _float_qids(reply):
+    reply["columns"][0] = reply["columns"][0] + 0.5
+
+
+def _eight_columns(reply):
+    del reply["columns"][8]
+
+
+def _ragged_columns(reply):
+    reply["columns"][3] = np.append(reply["columns"][3], 0.0)
+
+
+def _no_pending(reply):
+    del reply["pending"]
+
+
+@pytest.mark.parametrize("mode", ["inline", "tcp"])
+@pytest.mark.parametrize(
+    "mangle, complaint",
+    [
+        (_float_qids, "outcome column 0 is not a 1-D int64 array"),
+        (_eight_columns, "expected 9 outcome columns"),
+        (_ragged_columns, "outcome column 3 has .* rows, column 0 has"),
+        (_no_pending, "counter 'pending' is None"),
+    ],
+    ids=["float-qids", "eight-columns", "ragged", "no-pending"],
+)
+def test_malformed_collect_reply_is_a_shard_failure(
+    mode, mangle, complaint, monkeypatch
+):
+    """A reply's columns used to be merged unchecked: a worker that sent
+    its qids as floats finished the run with every qid truncated."""
+
+    class _Mangling(shards_module._LocalMarketCore):
+        def handle(self, frame):
+            reply = super().handle(frame)
+            if frame[0] == "collect":
+                mangle(reply)
+            return reply
+
+    world, trace = _zipf_small()
+    monkeypatch.setitem(_CORE_KINDS, "market", _Mangling)
+    federation = _sharded(world, 2, mode)
+    try:
+        # Every shard mangles its reply; shard 0's is checked first.
+        with pytest.raises(ShardFailure, match=complaint) as failure:
+            federation.run(list(trace), "qa-nt")
+        assert (failure.value.shard, failure.value.op) == (0, "collect")
+        assert isinstance(failure.value.args[2], ProtocolError)
+    finally:
+        federation.close()
+    assert multiprocessing.active_children() == []
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["dtype", "cells", "ok"]), inner),
+    max_leaves=6,
+)
+
+def _cut_mid_payload(value, cut):
+    """``value``'s frame, cut after its header and before its last byte."""
+    frame = encode_frame(json.dumps(value).encode())
+    return frame[: 4 + cut % (len(frame) - 4)]
+
+
+#: What a broken or hostile peer may put on the wire before it hangs up.
+_WIRE_GARBAGE = {
+    "garbage": st.binary(max_size=48),
+    "cut-mid-payload": st.builds(
+        _cut_mid_payload, _JSON_VALUES, st.integers(0, 1 << 8)
+    ),
+    "hostile-length": st.integers(MAX_FRAME_BYTES + 1, (1 << 32) - 1).map(
+        lambda length: length.to_bytes(4, "big")
+    ),
+    "not-json": st.binary(max_size=16).map(lambda b: encode_frame(b"\xff" + b)),
+    "json-not-a-frame": _JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+}
+
+
+@given(
+    st.lists(st.one_of(*_WIRE_GARBAGE.values()), min_size=1, max_size=3),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_wire_channel_takes_any_bytes_then_a_hang_up(blobs, polled):
+    """Whatever a peer writes before it closes, the channel hands back
+    frames and then raises ``EOFError`` or ``ValueError``: it never hangs
+    and never raises anything else."""
+    ours, theirs = socket.socketpair()
+    channel = shards_module._WireChannel(ours)
+    try:
+        theirs.sendall(b"".join(blobs))
+        theirs.close()
+        started = time.perf_counter()
+        with pytest.raises((EOFError, ValueError)):
+            while True:
+                if polled:
+                    assert channel.poll(2.0), "a hung-up wire timed out"
+                channel.recv()
+        assert time.perf_counter() - started < 2.0
+    finally:
+        channel.close()
+
+
+@pytest.mark.parametrize("kind", sorted(_WIRE_GARBAGE))
+@given(data=st.data())
+@settings(max_examples=5, deadline=None)
+def test_wire_garbage_is_a_shard_failure(kind, data):
+    """Through the transport's barrier read, each kind of broken wire is
+    a ``ShardFailure`` naming the shard and the op, within the deadline."""
+    blob = data.draw(_WIRE_GARBAGE[kind])
+    transport = ShardTransport([], mode="inline")
+    ours, theirs = socket.socketpair()
+    transport._peers = [shards_module._WireChannel(ours)]
+    try:
+        theirs.sendall(blob)
+        theirs.close()
+        started = time.perf_counter()
+        with pytest.raises(ShardFailure) as failure:
+            while True:
+                transport._recv(0, "collect")
+        assert time.perf_counter() - started < 2.0
+        assert (failure.value.shard, failure.value.op) == (0, "collect")
+        assert isinstance(failure.value.args[2], (EOFError, ValueError))
+    finally:
+        transport._peers[0].close()
+
+
 # ---------------------------------------------------------------------------
 # frame ordering under scripted worker delays
 
@@ -1568,7 +1700,7 @@ def test_recv_deadline_fails_a_silent_shard(mode, monkeypatch, caplog):
     on a bare ``recv()``; now the shard fails by name within the
     deadline, the timeout is logged, and ``close()`` reaps the worker."""
     deadline = 0.5
-    monkeypatch.setattr(shards_module, "_RECV_DEADLINE_S", deadline)
+    monkeypatch.setattr(shards_module, "_WIRE_DEADLINE_S", deadline)
     monkeypatch.setattr(shards_module, "_CLOSE_GRACE_S", 0.5)
     monkeypatch.setitem(_CORE_KINDS, "test-sleepy", _SleepyEchoCore)
     assert multiprocessing.active_children() == []
@@ -1591,6 +1723,43 @@ def test_recv_deadline_fails_a_silent_shard(mode, monkeypatch, caplog):
         "shard 0 sent no 'collect' reply within 0.5 s",
         "shard 0 did not exit within 0.5 s of 'close'; killing it",
     ]
+
+
+@pytest.mark.parametrize("mode", ["fork", "tcp"])
+def test_send_deadline_fails_a_shard_that_stopped_reading(
+    mode, monkeypatch, caplog
+):
+    """A ``post`` to a worker stuck inside an earlier frame used to block
+    forever once the pipe or socket buffer filled; now the write fails
+    the shard by name when the peer takes no more bytes for the
+    deadline, the timeout is logged, and ``close()`` reaps the worker."""
+    deadline = 0.5
+    monkeypatch.setattr(shards_module, "_WIRE_DEADLINE_S", deadline)
+    monkeypatch.setattr(shards_module, "_CLOSE_GRACE_S", 0.5)
+    monkeypatch.setitem(_CORE_KINDS, "test-stuck", _StuckCore)
+    assert multiprocessing.active_children() == []
+    transport = ShardTransport(
+        [{"kind": "test-stuck", "ident": n} for n in range(2)], mode=mode
+    )
+    frame = ("slice", "x" * (1 << 20))
+    try:
+        started = time.perf_counter()
+        with caplog.at_level(logging.WARNING, logger="repro.sim.shards"):
+            with pytest.raises(ShardFailure) as failure:
+                # Far more than any buffer holds: shard 0 sleeps in the
+                # first frame and reads none of the others.
+                for _ in range(64):
+                    transport.post([frame, None])
+        assert time.perf_counter() - started < 4 * deadline + 2.0
+        assert (failure.value.shard, failure.value.op) == (0, "slice")
+        assert isinstance(failure.value.args[2], TimeoutError)
+    finally:
+        with caplog.at_level(logging.WARNING, logger="repro.sim.shards"):
+            transport.close()
+    assert multiprocessing.active_children() == []
+    assert _shard_warnings(caplog)[0] == (
+        "shard 0 took no more of a 'slice' frame within 0.5 s"
+    )
 
 
 # ---------------------------------------------------------------------------
