@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test typecheck perf-smoke perf-pairs crossover surface examples artefacts clean
+.PHONY: install test typecheck perf-smoke perf-pairs crossover surface examples examples-check artefacts clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -55,6 +55,18 @@ examples:
 	$(PYTHON) examples/zipf_federation.py
 	$(PYTHON) examples/sqlite_federation.py
 	$(PYTHON) examples/failure_recovery.py
+
+# The four deterministic walkthroughs' stdout, diffed against
+# examples/expected/ (the CI "Examples" step, after `examples`).
+# sqlite_federation times real queries, so it is run, not checked.
+CHECKED_EXAMPLES = quickstart overload_surge zipf_federation failure_recovery
+examples-check:
+	@mkdir -p build/examples
+	@for name in $(CHECKED_EXAMPLES); do \
+	    $(PYTHON) examples/$$name.py > build/examples/$$name.txt || exit 1; \
+	    diff -u examples/expected/$$name.txt build/examples/$$name.txt || exit 1; \
+	    echo "$$name: stdout matches examples/expected/$$name.txt"; \
+	done
 
 # Regenerate every paper artefact via the CLI (scaled-down), archiving
 # a versioned JSON result per experiment under benchmarks/results/.

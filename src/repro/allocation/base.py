@@ -25,8 +25,7 @@ import random
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
-from ..protocol.messages import AssignQuery, BidRequest
-from ..protocol.transport import FanoutResult, Transport
+from ..protocol.transport import FanoutResult
 from ..query.model import Query, QueryClass
 
 if TYPE_CHECKING:  # imported lazily to avoid a package-level cycle
@@ -65,19 +64,8 @@ class AllocationContext:
     #: otherwise, in which case every allocator follows exactly its
     #: fault-free code path (and RNG draw sequence).
     faults: Optional["FaultInjector"] = None
-    #: The market-protocol transport every negotiation exchange rides.
-    #: Defaults to a :class:`repro.sim.transport.SimTransport` over
-    #: ``network``; tests may inject any other
-    #: :class:`repro.protocol.transport.Transport`.
-    transport: Optional[Transport] = None
 
     def __post_init__(self) -> None:
-        if self.transport is None:
-            # Lazy import for the same reason as OUTAGE_EPOCH below:
-            # importing repro.sim at module import time closes a cycle.
-            from ..sim.transport import SimTransport
-
-            self.transport = SimTransport(self.network)
         # Availability fast path: while no node of this federation has an
         # outage scheduled, per-query filtering is a no-op and the static
         # candidate tuple can be returned as-is.  The process-wide
@@ -164,10 +152,6 @@ class Allocator(abc.ABC):
 
     def __init__(self) -> None:
         self._context: Optional[AllocationContext] = None
-        #: The context's network when its transport is the plain
-        #: simulator adapter, enabling the one-draw-per-tick latency path
-        #: of :meth:`_tick_prologue`; ``None`` under any custom transport.
-        self._bulk_rtt_network: Optional["Network"] = None
 
     @property
     def context(self) -> AllocationContext:
@@ -185,16 +169,6 @@ class Allocator(abc.ABC):
                 "per simulation" % self.name
             )
         self._context = context
-        # Bulk latency draws are only exact against the plain simulated
-        # wire; a custom transport must see one fanout call per query.
-        from ..sim.transport import SimTransport  # lazy: package cycle
-
-        transport = context.transport
-        if (
-            type(transport) is SimTransport
-            and transport.network is context.network
-        ):
-            self._bulk_rtt_network = context.network
         self._after_bind()
 
     def _after_bind(self) -> None:
@@ -248,18 +222,17 @@ class Allocator(abc.ABC):
         draw that splits the Mersenne stream exactly as the sequential
         fan-outs would; a zero-width row draws nothing and waits 0.0.
         Returns ``None`` when the tick cannot fuse: fewer than two
-        queries, message faults, or no bulk network (see
-        :attr:`_bulk_rtt_network`); the caller then takes the sequential
+        queries, or message faults; the caller then takes the sequential
         default.
         """
         context = self.context
-        network = self._bulk_rtt_network
-        if len(queries) < 2 or network is None or context.faults is not None:
+        if len(queries) < 2 or context.faults is not None:
             return None
         classes = [query.class_index for query in queries]
         fanouts = {k: context.available_candidates(k) for k in set(classes)}
         widths = [len(fanouts[k]) for k in classes]
-        return classes, fanouts, widths, network.round_trip_ms_batch(widths)
+        delays = context.network.round_trip_ms_batch(widths)
+        return classes, fanouts, widths, delays
 
     def on_run_end(self) -> None:
         """Called once after the simulation drains; default does nothing.
@@ -275,8 +248,8 @@ class Allocator(abc.ABC):
     def _request_bids(
         self, query: Query, candidates: Sequence[int]
     ) -> FanoutResult:
-        """The request-for-bid fan-out: one protocol exchange with every
-        candidate, over the context's transport.
+        """The request-for-bid fan-out: one exchange with every candidate
+        on the context's network.
 
         Fault-free, every request arrives and every reply beats the
         timeout, so ``replied == candidates`` and the delay is the
@@ -286,32 +259,19 @@ class Allocator(abc.ABC):
         only peers in ``replied`` may win, while peers in ``delivered``
         ran their server-side dynamics regardless.
         """
-        request = BidRequest(
-            qid=query.qid,
-            class_index=query.class_index,
-            origin_node=query.origin_node,
-            attempt=query.resubmissions,
-        )
-        return self.context.transport.fanout(
-            query.origin_node, candidates, request
-        )
+        return self.context.network.fanout(query.origin_node, candidates)
 
     def _dispatch(self, query: Query, node_id: int) -> "AssignmentDecision":
         """Send the query to one already-chosen server.
 
         Used by the single-target mechanisms (random, round-robin,
-        markov): one :class:`~repro.protocol.messages.AssignQuery`
-        exchange with the chosen node.  When the request or its ack is
-        lost, late, or partitioned away, the client cannot confirm the
-        assignment — the decision becomes a refusal and the federation's
-        backoff machinery paces the resubmission.
+        markov): one request/ack exchange with the chosen node.  When
+        the request or its ack is lost, late, or partitioned away, the
+        client cannot confirm the assignment — the decision becomes a
+        refusal and the federation's backoff machinery paces the
+        resubmission.
         """
-        assign = AssignQuery(
-            qid=query.qid, node_id=node_id, class_index=query.class_index
-        )
-        result = self.context.transport.fanout(
-            query.origin_node, (node_id,), assign
-        )
+        result = self.context.network.fanout(query.origin_node, (node_id,))
         return AssignmentDecision(
             node_id if result.replied else None,
             delay_ms=result.delay_ms,
@@ -337,12 +297,7 @@ class Allocator(abc.ABC):
         # Coordinator round trip first (reliable), then the dispatch leg
         # on the faulty wire — the draw order the traces pin.
         coordination_ms = context.network.round_trip_ms(1)
-        assign = AssignQuery(
-            qid=query.qid, node_id=node_id, class_index=query.class_index
-        )
-        result = context.transport.fanout(
-            query.origin_node, (node_id,), assign
-        )
+        result = context.network.fanout(query.origin_node, (node_id,))
         return AssignmentDecision(
             node_id if result.replied else None,
             delay_ms=result.delay_ms + coordination_ms,

@@ -59,8 +59,8 @@ class QantAllocator(Allocator):
     #: largest class cost.  One max-cost of headroom guarantees an idle
     #: node can always admit its biggest query (otherwise integer supply
     #: rounds long queries to zero — the Section 5.1 rounding issue); the
-    #: second softens retry quantisation under bursty loads.  Measured in
-    #: the allowance ablation.
+    #: second softens retry quantisation under bursty loads.  No ablation
+    #: varies it; every golden is recorded at this value.
     DEFAULT_ALLOWANCE_FACTOR = 2.0
 
     def __init__(
@@ -69,25 +69,22 @@ class QantAllocator(Allocator):
         adopters: Optional[Iterable[int]] = None,
         activation_threshold: Optional[float] = DEFAULT_ACTIVATION_THRESHOLD,
         queue_allowance_ms: Optional[float] = None,
-        allowance_factor: float = DEFAULT_ALLOWANCE_FACTOR,
     ):
         """``queue_allowance_ms`` bounds each node's committed backlog: a
         node sells supply only up to ``allowance - current_backlog`` per
-        period.  The default allowance is the period length plus the
-        node's largest class cost, which guarantees an idle node can
-        always admit at least one query of any class it holds data for —
-        otherwise per-period integer supply rounds long queries to zero
-        (the paper's Section 5.1 rounding discussion)."""
+        period.  The default allowance is the period length plus twice the
+        node's largest class cost (:attr:`DEFAULT_ALLOWANCE_FACTOR`), which
+        guarantees an idle node can always admit at least one query of any
+        class it holds data for — otherwise per-period integer supply
+        rounds long queries to zero (the paper's Section 5.1 rounding
+        discussion)."""
         super().__init__()
         self._params = parameters or QantParameters()
         self._adopters: Optional[Set[int]] = (
             set(adopters) if adopters is not None else None
         )
-        if allowance_factor <= 0:
-            raise ValueError("allowance factor must be positive")
         self._activation_threshold = activation_threshold
         self._queue_allowance_ms = queue_allowance_ms
-        self._allowance_factor = allowance_factor
         self._agents: Dict[int, QantPricingAgent] = {}
         #: Serial number of the current period, bumped by
         #: `on_period_start`; keys the per-class saturation fast path.
@@ -155,7 +152,8 @@ class QantAllocator(Allocator):
                     default=0.0,
                 )
                 allowance = (
-                    self.context.period_ms + self._allowance_factor * max_cost
+                    self.context.period_ms
+                    + self.DEFAULT_ALLOWANCE_FACTOR * max_cost
                 )
             allowances.append(allowance)
             self._agents[node_id] = QantPricingAgent(

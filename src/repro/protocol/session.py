@@ -14,11 +14,11 @@ for that attempt; *when* to resubmit is the driver's business (the
 paper's client resubmits on the next period, which is what the SQLite
 federation in :mod:`repro.dbms` does).
 
-A session needs a transport that materialises replies.  The simulator's
-``SimTransport`` only *charges* an exchange (``replies=()``), so the
-simulator's allocators call :meth:`Transport.fanout` directly and react
-to its ``delivered`` / ``replied`` sets; what they share with this module
-is :meth:`NegotiationPolicy.backoff_ms`, which the fault layer delegates
+A session needs a transport that materialises replies.  The simulator
+has none: its allocators charge each exchange on
+``repro.sim.network.Network.fanout`` (``replies=()``) and react to its
+``delivered`` / ``replied`` sets; what they share with this module is
+:meth:`NegotiationPolicy.backoff_ms`, which the fault layer delegates
 to.
 """
 

@@ -2,20 +2,17 @@
 
 A :class:`Transport` moves protocol messages between a client and a set of
 server peers; everything above it (:class:`~repro.protocol.session
-.MarketSession`, the allocators) is transport-agnostic.  Two backends
-exist today:
+.MarketSession`) is transport-agnostic.  Its backend is
+``repro.dbms.InProcessTransport``: synchronous delivery to the SQLite
+nodes of the Section 5.2 federation, every leg encoded and decoded.  The
+discrete-event simulator does not move messages: its allocators call
+``repro.sim.network.Network.fanout``, which *charges* an exchange
+(latency model, message counting, fault injection) and returns the same
+:class:`FanoutResult` without building payloads.
 
-* ``repro.sim.transport.SimTransport`` — the discrete-event simulator's
-  network (latency model, message counting, fault injection); it charges
-  an exchange without building payloads, so the allocators read its
-  ``delivered`` / ``replied`` sets and no session runs over it;
-* ``repro.dbms.InProcessTransport`` — synchronous delivery to the SQLite
-  nodes of the Section 5.2 federation, every leg encoded and decoded;
-  the backend :class:`~repro.protocol.session.MarketSession` runs over.
-
-The one verb both speak is :meth:`Transport.fanout`, whose
-:class:`FanoutResult` lifts the semantics the simulator's faulty fan-out
-always had into a typed, documented contract:
+The verb is :meth:`Transport.fanout`, whose :class:`FanoutResult` lifts
+the semantics the simulator's faulty fan-out always had into a typed,
+documented contract:
 
 * ``delivered`` — peers whose *request* arrived.  Server-side effects
   (QA-NT's refusal price dynamics) happen for these even when the client
@@ -148,8 +145,8 @@ class Transport(abc.ABC):
         """Send ``request`` from ``origin`` to every peer; gather replies.
 
         ``request`` may be ``None`` for transports that only *charge* the
-        exchange (the simulator models message counts and latency, not
-        payload bytes); live transports require a real message and raise
+        exchange (message counts and latency, not payload bytes); live
+        transports require a real message and raise
         :class:`~repro.protocol.messages.ProtocolError` without one.
         """
 

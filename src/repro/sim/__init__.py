@@ -35,7 +35,6 @@ from .shards import (
     plan_shards,
     split_market_classes,
 )
-from .transport import SimTransport
 
 __all__ = [
     "ClassView",
@@ -55,7 +54,6 @@ __all__ = [
     "ShardTransport",
     "ShardedFederation",
     "ShardedRunResult",
-    "SimTransport",
     "SimulatedNode",
     "Simulator",
     "build_federation",

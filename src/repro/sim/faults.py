@@ -319,12 +319,6 @@ class FaultInjector:
 
     # -- client-side policy -------------------------------------------------------
 
-    @property
-    def negotiation_policy(self) -> NegotiationPolicy:
-        """The run's client-side policy (see :attr:`FaultSpec
-        .negotiation_policy`)."""
-        return self._policy
-
     def backoff_ms(self, attempt: int) -> float:
         """Capped exponential resubmission delay for retry ``attempt``.
 

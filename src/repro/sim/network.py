@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,17 +42,6 @@ class LatencyModel:
     def __post_init__(self) -> None:
         if self.base_ms < 0 or self.jitter_ms < 0:
             raise ValueError("latency components must be non-negative")
-
-    def sample(self, rng: random.Random) -> float:
-        """Draw a one-way latency in milliseconds.
-
-        ``jitter * random()`` is bit-for-bit what ``uniform(0.0, jitter)``
-        computes, minus the Python-level call frame (see
-        :meth:`Network.round_trip_ms`).
-        """
-        if self.jitter_ms == 0:
-            return self.base_ms
-        return self.base_ms + self.jitter_ms * rng.random()
 
 
 class Network:
@@ -95,59 +84,31 @@ class Network:
         self._faults = injector
 
     @property
-    def faults(self) -> Optional["FaultInjector"]:
-        """The attached fault injector, if any."""
-        return self._faults
-
-    @property
     def messages_sent(self) -> int:
         """Total messages delivered (or in flight) so far."""
         return self._messages_sent
 
-    @property
-    def latency_model(self) -> LatencyModel:
-        """The latency model in effect."""
-        return self._latency
-
     def _leg(self) -> float:
         """One one-way latency draw from the (single) latency stream:
-        the same draw, same arithmetic as :meth:`LatencyModel.sample`."""
+        ``base_ms`` plus ``jitter_ms`` times one uniform draw."""
         latency = self._latency
         if latency.jitter_ms == 0:
             return latency.base_ms
         return latency.base_ms + latency.jitter_ms * float(self._np_sample())
 
-    def send(self, deliver: Callable[[], None]) -> Optional[float]:
-        """Send one message; ``deliver`` runs after the sampled latency.
-
-        Returns the sampled latency so callers composing multi-message
-        exchanges can account for it synchronously — or ``None`` when an
-        attached fault injector dropped the message (``deliver`` then
-        never fires).
-        """
-        self._messages_sent += 1
-        faults = self._faults
-        if faults is not None:
-            if faults.drop_message():
-                faults.note_lost()
-                return None
-            delay = self._leg() + faults.spike_penalty_ms()
-        else:
-            delay = self._leg()
-        self._sim.schedule(delay, deliver)
-        return delay
-
     def fanout(self, origin: int, peers: Sequence[int]) -> FanoutResult:
         """One request/reply fan-out exchange, as a protocol event.
 
-        This is the network's implementation of the market protocol's
-        :class:`~repro.protocol.transport.Transport` verb (see
-        ``repro.sim.transport.SimTransport`` for the adapter).  With no
-        fault injector attached the exchange is the classic fault-free
-        probe: every request arrives, every reply beats the timeout, the
-        delay is the slowest round trip (both of the paper's
-        implementations "waited for a reply from all nodes") — the exact
-        arithmetic and RNG draws :meth:`round_trip_ms` always performed.
+        The simulator's counterpart of the market protocol's
+        :class:`~repro.protocol.transport.Transport` verb: it charges the
+        exchange (messages, latency, fault outcomes) without building
+        payloads, so ``replies`` stays empty and the allocators play the
+        server side against ``delivered``.  With no fault injector
+        attached the exchange is the classic fault-free probe: every
+        request arrives, every reply beats the timeout, the delay is the
+        slowest round trip (both of the paper's implementations "waited
+        for a reply from all nodes") — the exact arithmetic and RNG draws
+        :meth:`round_trip_ms` always performed.
         With an injector attached, each leg can be severed by a
         partition, dropped, or delayed by a spike, and the
         :class:`~repro.protocol.transport.FanoutResult` semantics

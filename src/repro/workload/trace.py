@@ -8,9 +8,11 @@ canonical two-query sinusoid workload of Figs. 3–5.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .arrival import ArrivalProcess
 from .sinusoid import PAPER_PHASE_DIFFERENCE_DEG, SinusoidArrivals
@@ -39,13 +41,21 @@ def build_trace(
     horizon_ms: float,
     origin_nodes: Iterable[int],
     seed: int = 0,
+    max_queries: Optional[int] = None,
 ) -> List[WorkloadEvent]:
     """Merge per-class arrival processes into one time-ordered trace.
 
     ``processes`` maps class index -> arrival process; each event's origin
     node is drawn uniformly from ``origin_nodes`` (clients are spread over
     the federation, as in the paper's setup where any node may be a
-    client).
+    client).  ``max_queries`` keeps only the first N events of the merged
+    trace.
+
+    Each class is a lazy stream of ``(time_ms, class_index, origin)``
+    drawn from its own rng, and the streams are merged in time order
+    (ties by class), so only the kept events and one look-ahead per
+    class are drawn: the Fig. 6 10 ms trace keeps 10,000 of about three
+    million.
     """
     if horizon_ms <= 0:
         raise ValueError("horizon must be positive")
@@ -53,20 +63,35 @@ def build_trace(
     if not origins:
         raise ValueError("need at least one origin node")
     rng = random.Random(seed)
-    events: List[WorkloadEvent] = []
-    for class_index in sorted(processes):
-        process = processes[class_index]
-        class_rng = random.Random(rng.randrange(2**62))
-        for time_ms in process.times(horizon_ms, class_rng):
-            events.append(
-                WorkloadEvent(
-                    time_ms=time_ms,
-                    class_index=class_index,
-                    origin_node=class_rng.choice(origins),
-                )
-            )
-    events.sort(key=lambda e: (e.time_ms, e.class_index))
-    return events
+    streams = [
+        _class_stream(
+            processes[class_index],
+            class_index,
+            horizon_ms,
+            origins,
+            random.Random(rng.randrange(2**62)),
+        )
+        for class_index in sorted(processes)
+    ]
+    return [
+        WorkloadEvent(time_ms, class_index, origin)
+        for time_ms, class_index, origin in islice(
+            heapq.merge(*streams), max_queries
+        )
+    ]
+
+
+def _class_stream(
+    process: ArrivalProcess,
+    class_index: int,
+    horizon_ms: float,
+    origins: List[int],
+    class_rng: random.Random,
+) -> Iterator[Tuple[float, int, int]]:
+    """One class's arrivals in time order, each origin drawn right after
+    its arrival time from the same rng."""
+    for time_ms in process.times(horizon_ms, class_rng):
+        yield time_ms, class_index, class_rng.choice(origins)
 
 
 def two_class_sinusoid_trace(
@@ -118,7 +143,6 @@ def zipf_trace(
     # passed to ``times``), so its inverse-CDF table is built once.
     arrivals = ZipfArrivals(mean_interarrival_ms=mean_interarrival_ms)
     processes = dict.fromkeys(range(num_classes), arrivals)
-    events = build_trace(processes, horizon_ms, origin_nodes, seed=seed)
-    if max_queries is not None:
-        events = events[:max_queries]
-    return events
+    return build_trace(
+        processes, horizon_ms, origin_nodes, seed=seed, max_queries=max_queries
+    )

@@ -281,7 +281,3 @@ class TestQant:
             allocator.agents[nid].planned_supply.total()
             <= planned_before[nid].total()
         )
-
-    def test_bad_allowance_factor_rejected(self):
-        with pytest.raises(ValueError):
-            QantAllocator(allowance_factor=0.0)

@@ -288,12 +288,6 @@ class TestFaultyFanout:
         assert result.delivered == (2,)  # only the even peer is reachable from 0
         assert result.replied == (2,)
 
-    def test_send_returns_none_when_dropped(self):
-        network, __ = self._network(FaultSpec(drop_probability=1.0))
-        assert network.send(lambda: None) is None
-        network2, __ = self._network(FaultSpec(spike_probability=0.5))
-        assert network2.send(lambda: None) is not None
-
 
 # ----------------------------------------------- degradation and backoff
 

@@ -19,20 +19,24 @@ from repro.sim.node import SimulatedNode
 
 
 class TestLatencyModel:
-    def test_sample_within_bounds(self):
-        import random
+    """The model's bounds, as the network's round trips draw them."""
 
-        model = LatencyModel(base_ms=1.0, jitter_ms=2.0)
-        rng = random.Random(0)
-        for __ in range(100):
-            value = model.sample(rng)
-            assert 1.0 <= value <= 3.0
+    def test_sample_within_bounds(self):
+        # Each leg is base + jitter * U[0, 1), so a round trip lies in
+        # [2 * base, 2 * (base + jitter)] on the scalar (< 8 peers), bulk
+        # and batched paths alike.
+        net = Network(Simulator(), LatencyModel(base_ms=1.0, jitter_ms=2.0))
+        for num_peers in (1, 3, 8, 20):
+            for __ in range(25):
+                assert 2.0 <= net.round_trip_ms(num_peers) <= 6.0
+        for delay in net.round_trip_ms_batch([1, 3, 8, 20] * 5):
+            assert 2.0 <= delay <= 6.0
 
     def test_zero_jitter_is_deterministic(self):
-        import random
-
-        model = LatencyModel(base_ms=0.7, jitter_ms=0.0)
-        assert model.sample(random.Random(0)) == 0.7
+        net = Network(Simulator(), LatencyModel(base_ms=0.7, jitter_ms=0.0))
+        for num_peers in (1, 3, 8):
+            assert net.round_trip_ms(num_peers) == 0.7 + 0.7
+        assert net.round_trip_ms_batch([1, 8]) == [0.7 + 0.7] * 2
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError):
@@ -40,15 +44,6 @@ class TestLatencyModel:
 
 
 class TestNetwork:
-    def test_send_counts_and_delivers(self):
-        sim = Simulator()
-        net = Network(sim, LatencyModel(base_ms=2.0, jitter_ms=0.0))
-        delivered = []
-        net.send(lambda: delivered.append(sim.now))
-        sim.run()
-        assert delivered == [2.0]
-        assert net.messages_sent == 1
-
     def test_round_trip_counts_two_messages_per_peer(self):
         sim = Simulator()
         net = Network(sim, LatencyModel(base_ms=1.0, jitter_ms=0.0))

@@ -44,7 +44,6 @@ from repro.protocol import (
 )
 from repro.protocol.messages import pack_column
 from repro.sim.faults import FaultInjector, FaultSpec
-from repro.sim.transport import SimTransport
 
 # ------------------------------------------------------------------ codec
 
@@ -807,23 +806,6 @@ class TestSimProtocolEquivalence:
             assert result.messages == len(peers) + len(result.delivered)
             assert set(result.replied) <= set(result.delivered) <= set(peers)
             assert protocol_net.messages_sent == twin_net.messages_sent
-
-    @pytest.mark.parametrize("seed", [0, 3])
-    def test_sim_transport_is_a_pure_adapter(self, seed):
-        """SimTransport.fanout returns exactly Network.fanout's result,
-        whether or not a request message is supplied."""
-        adapted = _seeded_network(seed, CHAOS_SPEC)
-        direct = _seeded_network(seed, CHAOS_SPEC)
-        transport = SimTransport(adapted)
-        request = BidRequest(qid=1, class_index=0, origin_node=0)
-        for round_index in range(10):
-            peers = (1, 2, 3)
-            via_transport = transport.fanout(
-                0, peers, request if round_index % 2 else None
-            )
-            assert via_transport == direct.fanout(0, peers)
-            # The simulator charges exchanges; it never builds payloads.
-            assert via_transport.replies == ()
 
     def test_fault_free_fanout_matches_round_trip_draws(self):
         """Fault-free, fanout consumes exactly round_trip_ms's draws."""

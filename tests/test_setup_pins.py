@@ -6,8 +6,11 @@ golden three layers down.  Capacities compare with ``==``, not approx.
 """
 
 import hashlib
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.scaling import quantise_trace
 from repro.experiments.setups import (
@@ -15,7 +18,14 @@ from repro.experiments.setups import (
     two_query_world,
     zipf_world,
 )
-from repro.workload import build_trace, zipf_trace
+from repro.workload import (
+    FixedArrivals,
+    UniformArrivals,
+    WorkloadEvent,
+    ZipfArrivals,
+    build_trace,
+    zipf_trace,
+)
 from repro.workload.sinusoid import SinusoidArrivals
 
 
@@ -76,6 +86,39 @@ def test_zipf_trace():
     )
 
 
+@pytest.mark.parametrize(
+    "interarrival_ms, seed, last_ms, digest",
+    [
+        (
+            10.0,
+            20,
+            990.4788998023877,
+            "3565a168c94e0f21ef5a45b4bb08b9ee8bc809e13bd7c6847b3751b37cee3bf1",
+        ),
+        (
+            100.0,
+            21,
+            9892.199498185277,
+            "be993c9e8ea1fda129ae4804b2c4d6bd0e32dcfc837dfd1c552f22bead48a06f",
+        ),
+    ],
+)
+def test_fig6_paper_trace(interarrival_ms, seed, last_ms, digest):
+    """The paper-scale Fig. 6 traces of ``fig6_cell(..., seed=0)``'s first
+    two points: 10,000 queries over 100 classes and 100 origins."""
+    events = zipf_trace(
+        100,
+        interarrival_ms,
+        300_000.0,
+        list(range(100)),
+        max_queries=10_000,
+        seed=seed,
+    )
+    assert len(events) == 10_000
+    assert events[-1].time_ms == last_ms
+    assert _trace_digest(events) == digest
+
+
 def test_quantised_sinusoid_trace():
     trace = sinusoid_trace_for_load(
         two_query_world(1000, seed=0),
@@ -100,3 +143,41 @@ def test_build_trace_takes_an_iterator_of_origins():
     from_iter = build_trace(processes, 2000.0, iter(range(50)), seed=3)
     assert len(from_list) > 50
     assert from_iter == from_list
+
+
+def _sorted_then_sliced(processes, horizon_ms, origin_nodes, seed, max_queries):
+    """Reference builder: draw every class's whole stream, sort the lot by
+    (time, class), then keep the first ``max_queries``."""
+    origins = list(origin_nodes)
+    rng = random.Random(seed)
+    events = []
+    for class_index in sorted(processes):
+        class_rng = random.Random(rng.randrange(2**62))
+        for time_ms in processes[class_index].times(horizon_ms, class_rng):
+            origin = class_rng.choice(origins)
+            events.append(WorkloadEvent(time_ms, class_index, origin))
+    events.sort(key=lambda e: (e.time_ms, e.class_index))
+    return events if max_queries is None else events[:max_queries]
+
+
+# Duplicate fixed times tie across classes and within one class.
+_processes = st.one_of(
+    st.floats(min_value=5.0, max_value=80.0).map(UniformArrivals),
+    st.floats(min_value=5.0, max_value=80.0).map(
+        lambda mean: ZipfArrivals(mean, support=50)
+    ),
+    st.lists(st.integers(0, 20).map(float), max_size=30).map(FixedArrivals),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    processes=st.dictionaries(st.integers(0, 6), _processes, min_size=1, max_size=4),
+    seed=st.integers(0, 2**32),
+    max_queries=st.none() | st.integers(0, 200),
+)
+def test_build_trace_is_sort_then_slice(processes, seed, max_queries):
+    args = (processes, 500.0, range(7), seed)
+    assert build_trace(*args, max_queries=max_queries) == _sorted_then_sliced(
+        *args, max_queries
+    )
