@@ -47,18 +47,15 @@ crossover:
 surface:
 	python3 tools/surface.py
 
-# The five walkthroughs, end to end (the CI "Examples" step; ~13 s).
-# Like `test`, needs `make install` or PYTHONPATH=src.
-examples:
-	$(PYTHON) examples/quickstart.py
-	$(PYTHON) examples/overload_surge.py
-	$(PYTHON) examples/zipf_federation.py
+# The five walkthroughs, end to end, each run once (the CI "Examples"
+# step; ~13 s): the four deterministic ones through `examples-check`,
+# then sqlite_federation, which times real queries, so it is run, not
+# checked.  Like `test`, needs `make install` or PYTHONPATH=src.
+examples: examples-check
 	$(PYTHON) examples/sqlite_federation.py
-	$(PYTHON) examples/failure_recovery.py
 
 # The four deterministic walkthroughs' stdout, diffed against
-# examples/expected/ (the CI "Examples" step, after `examples`).
-# sqlite_federation times real queries, so it is run, not checked.
+# examples/expected/.
 CHECKED_EXAMPLES = quickstart overload_surge zipf_federation failure_recovery
 examples-check:
 	@mkdir -p build/examples

@@ -13,16 +13,17 @@ every substrate its evaluation depends on:
   and history-calibrated estimators;
 * :mod:`repro.workload` — sinusoid, Zipf and uniform workload generators;
 * :mod:`repro.allocation` — QA-NT plus every baseline of Section 4;
-* :mod:`repro.protocol` — the transport-agnostic market-protocol core
-  (typed messages, versioned codec, MarketSession);
+* :mod:`repro.protocol` — the wire: typed messages, the versioned
+  codec, packed columns, framing, and the simulator's fan-out charge
+  record;
 * :mod:`repro.dbms` — a real substrate: SQLite server nodes that answer
-  the protocol, and a real-time MarketSession client (the paper's
-  Section 5.2 deployment);
+  the protocol, and the real-time client that sends them its messages
+  (the paper's Section 5.2 deployment);
 * :mod:`repro.experiments` — one driver per paper table and figure.
 
-Subpackages load lazily (PEP 562): ``repro.protocol`` is importable by a
-broker daemon without dragging in the simulator stack, and nothing else
-pays import cost it does not use.
+Subpackages load lazily (PEP 562): ``repro.protocol`` is importable
+without dragging in the simulator stack, and nothing else pays import
+cost it does not use.
 """
 
 import importlib

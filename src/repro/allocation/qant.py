@@ -33,7 +33,12 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 import numpy as np
 
 from ..core.period_engine import QantPeriodEngine
-from ..core.qant import QantParameters, QantPricingAgent
+from ..core.qant import (
+    DEFAULT_ACTIVATION_THRESHOLD,
+    DEFAULT_ALLOWANCE_FACTOR,
+    QantParameters,
+    QantPricingAgent,
+)
 from ..query.model import Query
 from .base import Allocator, AssignmentDecision, BatchDecisions
 from .market_tick import MarketTickDispatcher
@@ -50,19 +55,6 @@ class QantAllocator(Allocator):
     respects_autonomy = True
     distributed = True
 
-    #: Default per-node price level above which supply vectors are
-    #: enforced: with the default lambda of 0.1, a class reaches it after
-    #: roughly seven net refusals — a sustained-overload signal.
-    DEFAULT_ACTIVATION_THRESHOLD = 2.0
-
-    #: Default backlog allowance: the period length plus twice the node's
-    #: largest class cost.  One max-cost of headroom guarantees an idle
-    #: node can always admit its biggest query (otherwise integer supply
-    #: rounds long queries to zero — the Section 5.1 rounding issue); the
-    #: second softens retry quantisation under bursty loads.  No ablation
-    #: varies it; every golden is recorded at this value.
-    DEFAULT_ALLOWANCE_FACTOR = 2.0
-
     def __init__(
         self,
         parameters: Optional[QantParameters] = None,
@@ -73,11 +65,11 @@ class QantAllocator(Allocator):
         """``queue_allowance_ms`` bounds each node's committed backlog: a
         node sells supply only up to ``allowance - current_backlog`` per
         period.  The default allowance is the period length plus twice the
-        node's largest class cost (:attr:`DEFAULT_ALLOWANCE_FACTOR`), which
-        guarantees an idle node can always admit at least one query of any
-        class it holds data for — otherwise per-period integer supply
-        rounds long queries to zero (the paper's Section 5.1 rounding
-        discussion)."""
+        node's largest class cost (:data:`~repro.core.qant
+        .DEFAULT_ALLOWANCE_FACTOR`), which guarantees an idle node can
+        always admit at least one query of any class it holds data for —
+        otherwise per-period integer supply rounds long queries to zero
+        (the paper's Section 5.1 rounding discussion)."""
         super().__init__()
         self._params = parameters or QantParameters()
         self._adopters: Optional[Set[int]] = (
@@ -153,7 +145,7 @@ class QantAllocator(Allocator):
                 )
                 allowance = (
                     self.context.period_ms
-                    + self.DEFAULT_ALLOWANCE_FACTOR * max_cost
+                    + DEFAULT_ALLOWANCE_FACTOR * max_cost
                 )
             allowances.append(allowance)
             self._agents[node_id] = QantPricingAgent(

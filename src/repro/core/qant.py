@@ -45,6 +45,21 @@ DEFAULT_PRICE_FLOOR = 1e-6
 #: Symmetric cap guarding against runaway prices during long overloads.
 DEFAULT_PRICE_CAP = 1e9
 
+#: Price level above which a deployed node enforces its supply vector
+#: (Section 5.1's threshold rule): with the default lambda of 0.1, a
+#: class reaches it after roughly seven net refusals — a
+#: sustained-overload signal.
+DEFAULT_ACTIVATION_THRESHOLD = 2.0
+
+#: Backlog allowance of a deployed node: it sells supply up to the
+#: period length plus this many times its largest class cost.  One
+#: max-cost of headroom guarantees an idle node can always admit its
+#: biggest query (otherwise integer supply rounds long queries to zero —
+#: the Section 5.1 rounding issue); the second softens retry
+#: quantisation under bursty loads.  No ablation varies it; every golden
+#: is recorded at this value.
+DEFAULT_ALLOWANCE_FACTOR = 2.0
+
 
 @dataclass(frozen=True)
 class QantParameters:

@@ -10,17 +10,14 @@ from .federation import (
     DbmsQueryOutcome,
     DbmsRunResult,
     FederationTimeout,
-    InProcessTransport,
 )
-from .node import ACTIVATION_THRESHOLD, ExecutionResult, SqliteServerNode
+from .node import ExecutionResult, SqliteServerNode
 
 __all__ = [
-    "ACTIVATION_THRESHOLD",
     "DbmsFederation",
     "DbmsQueryOutcome",
     "DbmsRunResult",
     "ExecutionResult",
     "FederationTimeout",
-    "InProcessTransport",
     "SqliteServerNode",
 ]

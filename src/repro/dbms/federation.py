@@ -13,9 +13,10 @@ quantities are the paper's: *time to assign* a query to a node (both
 mechanisms wait for estimate replies from every node — the dominant cost
 the paper observed) and *total evaluation time* (assign + queue + execute).
 
-The client is the protocol's :class:`~repro.protocol.session.MarketSession`
-over :class:`InProcessTransport`; the market's server side is each node's
-:meth:`~repro.dbms.node.SqliteServerNode.handle`.
+The client is :class:`DbmsFederation` itself: :meth:`DbmsFederation.send`
+carries each protocol message through the codec to the nodes' server
+half, :meth:`~repro.dbms.node.SqliteServerNode.handle`, and
+:meth:`DbmsFederation.negotiate` is the paper's bid round on top of it.
 """
 
 from __future__ import annotations
@@ -25,20 +26,19 @@ import random
 import threading
 import time
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..catalog import Relation
 from ..core import QantParameters
 from ..protocol.messages import (
+    AssignQuery,
     BidRequest,
     Message,
     PeriodTick,
-    ProtocolError,
+    Quote,
     decode,
     encode,
 )
-from ..protocol.session import MarketSession
-from ..protocol.transport import FanoutResult, Transport
 from ..query import QueryClass
 from .node import ExecutionResult, SqliteServerNode
 
@@ -47,72 +47,12 @@ __all__ = [
     "DbmsRunResult",
     "DbmsFederation",
     "FederationTimeout",
-    "InProcessTransport",
 ]
 
 
 class FederationTimeout(TimeoutError):
     """The nodes did not finish their queued work within the deadline;
     what they still hold is lost to the caller, so close the federation."""
-
-
-class InProcessTransport(Transport):
-    """Real protocol messages, delivered to SQLite nodes in process.
-
-    The caller's thread carries each message to the addressed
-    :class:`~repro.dbms.node.SqliteServerNode` and the answer back.  Every
-    leg crosses the codec — the request is encoded once and decoded per
-    peer, each reply encoded on the node's side and decoded on the
-    client's — so the conversation is what a socket would carry.  Nodes
-    serialise their own message handling, so the client and the period
-    thread may both send.
-    """
-
-    def __init__(
-        self, nodes: Mapping[int, SqliteServerNode], probe_latency_ms: float
-    ) -> None:
-        """``probe_latency_ms`` is the base cost of asking one node for an
-        estimate; it is scaled by the node's slowdown, modelling the
-        paper's observation that the slowest PC took seconds to answer
-        EXPLAIN PLAN."""
-        self._nodes = nodes
-        self._probe_latency_ms = probe_latency_ms
-
-    def fanout(
-        self,
-        origin: int,
-        peers: Sequence[int],
-        request: Optional[Message] = None,
-    ) -> FanoutResult:
-        """Deliver ``request`` to every peer in turn and gather the replies.
-
-        A bid fan-out first waits for the slowest peer's probe: both
-        mechanisms wait for estimate replies from all candidates.
-        Nothing is lost in process, so every peer is ``delivered`` and
-        ``replied``; ``delay_ms`` is the measured wall time.
-        """
-        if request is None:
-            raise ProtocolError(
-                "the dbms transport moves real messages; request is required"
-            )
-        started_s = time.monotonic()
-        nodes = [self._nodes[peer] for peer in peers]
-        payload = encode(request)
-        if nodes and isinstance(request, BidRequest):
-            slowest = max(node.slowdown for node in nodes)
-            time.sleep(self._probe_latency_ms * slowest / 1000.0)
-        replies: List[Message] = []
-        for node in nodes:
-            reply = node.handle(decode(payload))
-            if reply is not None:
-                replies.append(decode(encode(reply)))
-        return FanoutResult(
-            delay_ms=(time.monotonic() - started_s) * 1000.0,
-            messages=2 * len(nodes),
-            delivered=tuple(peers),
-            replied=tuple(peers),
-            replies=tuple(replies),
-        )
 
 
 @dataclass(frozen=True)
@@ -170,12 +110,15 @@ class DbmsFederation:
         classes: Sequence[QueryClass],
         probe_latency_ms: float = 2.0,
     ):
-        """``probe_latency_ms``: see :class:`InProcessTransport`."""
+        """``probe_latency_ms`` is the base cost of asking one node for an
+        estimate; it is scaled by the node's slowdown, modelling the
+        paper's observation that the slowest PC took seconds to answer
+        EXPLAIN PLAN."""
         if not nodes:
             raise ValueError("the federation needs at least one node")
         self._nodes = {node.node_id: node for node in nodes}
         self._classes = list(classes)
-        self._transport = InProcessTransport(self._nodes, probe_latency_ms)
+        self._probe_latency_ms = probe_latency_ms
         self._candidates: Dict[int, Tuple[int, ...]] = {}
         for qc in self._classes:
             holders = tuple(
@@ -318,6 +261,56 @@ class DbmsFederation:
     #: for the nodes before raising :class:`FederationTimeout`.
     DEADLINE_S = 120.0
 
+    def send(self, message: Message, peers: Sequence[int]) -> List[Message]:
+        """Deliver ``message`` to every peer in turn; return the replies.
+
+        The caller's thread carries the message to each addressed node
+        and the answer back, and every leg crosses the codec: the message
+        is encoded once and decoded per peer, each reply encoded on the
+        node's side and decoded on the client's, so the conversation is
+        what a socket would carry.  A bid first waits for the slowest
+        peer's probe: both mechanisms wait for estimate replies from all
+        candidates.  Nodes serialise their own message handling, so the
+        client and the period thread may both send.
+        """
+        nodes = [self._nodes[peer] for peer in peers]
+        payload = encode(message)
+        if nodes and isinstance(message, BidRequest):
+            slowest = max(node.slowdown for node in nodes)
+            time.sleep(self._probe_latency_ms * slowest / 1000.0)
+        replies: List[Message] = []
+        for node in nodes:
+            reply = node.handle(decode(payload))
+            if reply is not None:
+                replies.append(decode(encode(reply)))
+        return replies
+
+    def negotiate(
+        self, request: BidRequest, peers: Sequence[int]
+    ) -> Optional[int]:
+        """One bid round (Section 3.3): the winning node, or ``None``.
+
+        Fans ``request`` out, takes the paper's winner — the earliest
+        estimated completion, ties to the lowest node id — and sends it
+        the :class:`~repro.protocol.messages.AssignQuery`.  ``None``
+        means every peer refused; when to resubmit is the caller's
+        business.
+        """
+        quotes = [
+            reply
+            for reply in self.send(request, peers)
+            if isinstance(reply, Quote)
+        ]
+        if not quotes:
+            return None
+        winner = min(
+            quotes, key=lambda q: (q.estimated_completion_ms, q.node_id)
+        ).node_id
+        self.send(
+            AssignQuery(request.qid, winner, request.class_index), (winner,)
+        )
+        return winner
+
     def run_workload(
         self,
         mechanism: str,
@@ -332,11 +325,10 @@ class DbmsFederation:
         ``mechanism`` is ``"greedy"`` or ``"qa-nt"``.  Inter-arrival times
         are uniform in ``[0, 2 * mean]`` (the paper's distribution), paced
         in real time.  Either way the client runs the paper's
-        conversation: one :meth:`MarketSession.negotiate_once` per
-        arrival, and a query no node offered to take re-enters on the
-        next period.  The mechanisms differ only in the nodes: under
-        QA-NT each carries a pricing agent, under Greedy none does and
-        every node quotes.
+        conversation: one :meth:`negotiate` per arrival, and a query no
+        node offered to take re-enters on the next period.  The
+        mechanisms differ only in the nodes: under QA-NT each carries a
+        pricing agent, under Greedy none does and every node quotes.
         """
         if mechanism not in ("greedy", "qa-nt"):
             raise ValueError("unknown mechanism %r" % mechanism)
@@ -356,7 +348,6 @@ class DbmsFederation:
 
         for node in self._nodes.values():
             node.open_market(self._classes, report, parameters, period_ms)
-        session = MarketSession(self._transport)
         #: Assigned, not finished: qid -> (arrival, resubmissions).
         inflight: Dict[int, Tuple[float, int]] = {}
         #: Offered by no node: resubmitted on the next period.
@@ -366,7 +357,7 @@ class DbmsFederation:
             peers = self.candidates(request.class_index)
             if not peers:
                 result.unserved += 1
-            elif session.negotiate_once(request, peers).assigned:
+            elif self.negotiate(request, peers) is not None:
                 inflight[request.qid] = (arrival_s, request.attempt)
             else:
                 waiting.append(
@@ -407,10 +398,8 @@ class DbmsFederation:
             period_index = 0
             while not stop.wait(timeout=period_ms / 1000.0):
                 period_index += 1
-                self._transport.fanout(
-                    self.CLIENT,
-                    tuple(self._nodes),
-                    PeriodTick(period_index, period_ms),
+                self.send(
+                    PeriodTick(period_index, period_ms), tuple(self._nodes)
                 )
                 events.put(None)
 

@@ -35,6 +35,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..catalog import Relation
 from ..core import CapacitySupplySet, QantParameters, QantPricingAgent
+from ..core.qant import DEFAULT_ACTIVATION_THRESHOLD, DEFAULT_ALLOWANCE_FACTOR
 from ..protocol.messages import (
     AssignQuery,
     BidRequest,
@@ -54,18 +55,9 @@ from ..query import (
 )
 
 __all__ = [
-    "ACTIVATION_THRESHOLD",
     "ExecutionResult",
     "SqliteServerNode",
 ]
-
-#: Price level above which a node enforces its supply vector (the
-#: Section 5.1 threshold rule; matches
-#: :class:`repro.allocation.QantAllocator`).
-ACTIVATION_THRESHOLD = 2.0
-#: Backlog allowance: period plus this many times the node's largest
-#: class cost (matches the simulator allocator's default).
-ALLOWANCE_FACTOR = 2.0
 
 
 @dataclass(frozen=True)
@@ -263,14 +255,15 @@ class SqliteServerNode:
         for k, query_class in self._held.items():
             costs[k] = max(0.1, self.estimate_ms(query_class))
         max_cost = max((costs[k] for k in self._held), default=0.0)
-        allowance = period_ms + ALLOWANCE_FACTOR * max_cost
+        allowance = period_ms + DEFAULT_ALLOWANCE_FACTOR * max_cost
         return CapacitySupplySet(costs, max(0.0, allowance - self.backlog_ms))
 
     def handle(self, message: Message) -> Optional[Message]:
         """Answer one protocol message; ``None`` is a bare acknowledgement.
 
         * :class:`BidRequest` — the paper listing decides: the agent's
-          ``quote(k, ACTIVATION_THRESHOLD)`` offers while supply lasts,
+          ``quote(k, DEFAULT_ACTIVATION_THRESHOLD)`` offers while supply
+          lasts,
           else raises the class price and still offers below the
           threshold; a node without an agent always offers.  An offer is
           ``Quote(backlog + estimate)``, anything else a ``Refusal``.
@@ -294,7 +287,8 @@ class SqliteServerNode:
         index = request.class_index
         query_class = self._held.get(index)
         if query_class is None or not (
-            self.agent is None or self.agent.quote(index, ACTIVATION_THRESHOLD)
+            self.agent is None
+            or self.agent.quote(index, DEFAULT_ACTIVATION_THRESHOLD)
         ):
             return Refusal(request.qid, self.node_id, index)
         estimate_ms = self.backlog_ms + self.estimate_ms(query_class)

@@ -54,6 +54,12 @@ def fig6_cell(
     analytical cost model cannot honour both at once, so the crossover —
     the property Figure 6's shape depends on — wins (see EXPERIMENTS.md).
     Pass ``None`` to keep the Table 3 execution-time calibration instead.
+
+    Besides the run's :meth:`~repro.experiments.setups.MechanismRun
+    .metrics_dict`, a cell reports ``in_flight`` and
+    ``censored_mean_response_ms``: at deep overload most queries are
+    still unfinished when the run ends, and the mean over finishers
+    alone favours the mechanism that finished fewer, earlier ones.
     """
     world = zipf_world(
         num_nodes=num_nodes,
@@ -77,7 +83,10 @@ def fig6_cell(
         _PAIR[mechanism],
         FederationConfig(seed=seed + 2),
     )
-    return run.metrics_dict()
+    cell = run.metrics_dict()
+    cell["in_flight"] = run.metrics.in_flight
+    cell["censored_mean_response_ms"] = run.metrics.censored_mean_response_ms()
+    return cell
 
 
 def _calibrate_crossover(world: World, crossover_ms: float) -> World:

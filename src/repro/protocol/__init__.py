@@ -1,18 +1,19 @@
-"""Transport-agnostic market-protocol core of the QA-NT reproduction.
+"""The wire of the QA-NT reproduction: what crosses a process boundary.
 
 The paper's market is a conversation: bid requests fan out, quotes and
 refusals come back, assignments are confirmed, period ticks resettle
-prices.  This package makes that conversation explicit and pluggable —
-typed frozen messages with a versioned JSON codec (:mod:`~repro.protocol
-.messages`), a :class:`Transport` seam (:mod:`~repro.protocol.transport`)
-and the :class:`MarketSession` negotiation state machine (:mod:`~repro
-.protocol.session`), which the Section 5.2 SQLite federation
-(:mod:`repro.dbms`) runs over real messages.
+prices.  This package holds what carries it: typed frozen messages with
+a versioned JSON codec and packed numeric columns (:mod:`~repro.protocol
+.messages`), the length-prefix framing of the sharded engine's socket
+wire, and :class:`FanoutResult`, the simulator's charge record of one
+fan-out (:mod:`~repro.protocol.transport`).  The one client that speaks
+the conversation is the Section 5.2 SQLite federation
+(:class:`repro.dbms.DbmsFederation`); the sharded engine moves
+:class:`BidBatch` frames.
 
 Standard library only, fully typed (``mypy --strict`` in CI), and free of
-``repro.core`` / ``repro.sim`` imports by design: a live broker daemon
-must be able to depend on this package alone (a server that carries a
-pricing agent, like the SQLite node, lives with its substrate).
+``repro.core`` / ``repro.sim`` imports by design: a process that only
+speaks the wire must be able to depend on this package alone.
 """
 
 from .messages import (
@@ -30,17 +31,10 @@ from .messages import (
     encode,
     message_tag,
 )
-from .session import (
-    MarketSession,
-    NegotiationOutcome,
-    NegotiationPolicy,
-    SessionState,
-)
 from .transport import (
     MAX_FRAME_BYTES,
     FanoutResult,
     FrameDecoder,
-    Transport,
     encode_frame,
 )
 
@@ -61,10 +55,5 @@ __all__ = [
     "FanoutResult",
     "FrameDecoder",
     "MAX_FRAME_BYTES",
-    "Transport",
     "encode_frame",
-    "MarketSession",
-    "NegotiationPolicy",
-    "NegotiationOutcome",
-    "SessionState",
 ]

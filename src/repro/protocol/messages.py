@@ -5,11 +5,12 @@ The QA-NT market is, at heart, a message protocol: a client fans a
 a :class:`Quote` (an offer) or a :class:`Refusal` (a trading failure that
 moved its private prices), the client dispatches an :class:`AssignQuery`
 to the winner, and a :class:`PeriodTick` resettles every agent's prices and supply at
-each period boundary.  Until this module existed those messages were
-implicit — smeared across allocator tuple returns and network fan-out
-unpacking.  Here they are first-class, frozen, and serialisable, so the
-discrete-event simulator and live (asyncio / future HTTP) brokers can
-speak the exact same conversation.
+each period boundary.  Here they are first-class, frozen and
+serialisable: the Section 5.2 SQLite federation (``repro.dbms``) speaks
+this conversation through the codec, leg by leg, and the sharded
+engine's frames carry :class:`BidBatch`.  The discrete-event simulator
+speaks none of it; it charges each exchange instead
+(:class:`~repro.protocol.transport.FanoutResult`).
 
 The codec is deliberately boring: one JSON envelope
 ``{"v": <version>, "type": <tag>, "body": {...}}`` per message.  Decoding
@@ -29,9 +30,9 @@ unknown dtype, invalid base64, a byte length that is not a whole number
 of cells, a non-finite double — with :class:`ProtocolError`.
 
 This package is intentionally dependency-free (standard library only) and
-fully typed: it must be importable by a broker daemon that has no
-business importing the simulator, and it is type-checked with
-``mypy --strict`` in CI.
+fully typed: it must be importable by a process that speaks only the
+wire and has no business importing the simulator, and it is
+type-checked with ``mypy --strict`` in CI.
 """
 
 from __future__ import annotations

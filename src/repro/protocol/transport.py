@@ -1,18 +1,11 @@
-"""The transport seam of the market protocol.
+"""What the market's exchanges leave on the wire: framing and charges.
 
-A :class:`Transport` moves protocol messages between a client and a set of
-server peers; everything above it (:class:`~repro.protocol.session
-.MarketSession`) is transport-agnostic.  Its backend is
-``repro.dbms.InProcessTransport``: synchronous delivery to the SQLite
-nodes of the Section 5.2 federation, every leg encoded and decoded.  The
-discrete-event simulator does not move messages: its allocators call
-``repro.sim.network.Network.fanout``, which *charges* an exchange
-(latency model, message counting, fault injection) and returns the same
-:class:`FanoutResult` without building payloads.
-
-The verb is :meth:`Transport.fanout`, whose :class:`FanoutResult` lifts
-the semantics the simulator's faulty fan-out always had into a typed,
-documented contract:
+Two things live here.  The length-prefix framing (:func:`encode_frame` /
+:class:`FrameDecoder`) of the sharded engine's socket wire: a 4-byte
+big-endian length, then one :func:`repro.protocol.messages.encode`
+payload.  And :class:`FanoutResult`, the simulator's charge record of
+one request/reply fan-out, which ``repro.sim.network.Network.fanout``
+returns without building payloads:
 
 * ``delivered`` — peers whose *request* arrived.  Server-side effects
   (QA-NT's refusal price dynamics) happen for these even when the client
@@ -22,31 +15,24 @@ documented contract:
 * ``delay_ms`` — the slowest in-time round trip, or the full timeout
   when any peer stayed silent (the client waited it out);
 * ``messages`` — legs actually put on the wire (a severed or dropped
-  request produces no reply leg);
-* ``replies`` — the reply payloads themselves, in ``replied`` order, for
-  transports that materialise message bodies (the simulator charges the
-  exchange without building payloads, so it leaves this empty).
+  request produces no reply leg).
 
-The module also holds the length-prefix framing
-(:func:`encode_frame` / :class:`FrameDecoder`) of the sharded engine's
-socket wire.  ``repro.sim.shards.ShardTransport`` is not a
-:class:`Transport`: it moves whole-period frames to shard workers
-(``post`` / ``exchange``), never a per-query fan-out.
+:class:`FanoutResult` lives in this stdlib-only package, not in
+``repro.sim``, because ``repro.allocation`` reads it and importing the
+simulator there would close a package cycle.  The SQLite federation
+(``repro.dbms``) moves real messages and needs neither: its client
+hands each node the codec's payload itself.
 """
 
 from __future__ import annotations
 
-import abc
 import struct
-from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
-
-from .messages import Message
+from dataclasses import dataclass
+from typing import List, Tuple
 
 __all__ = [
     "FanoutResult",
     "FrameDecoder",
-    "Transport",
     "encode_frame",
 ]
 
@@ -124,32 +110,8 @@ class FanoutResult:
     messages: int
     delivered: Tuple[int, ...]
     replied: Tuple[int, ...]
-    replies: Tuple[Message, ...] = field(default=())
 
     @property
     def silent(self) -> bool:
         """True when no reply beat the timeout (total silence)."""
         return not self.replied
-
-
-class Transport(abc.ABC):
-    """Moves one client's protocol messages to a set of server peers."""
-
-    @abc.abstractmethod
-    def fanout(
-        self,
-        origin: int,
-        peers: Sequence[int],
-        request: Optional[Message] = None,
-    ) -> FanoutResult:
-        """Send ``request`` from ``origin`` to every peer; gather replies.
-
-        ``request`` may be ``None`` for transports that only *charge* the
-        exchange (message counts and latency, not payload bytes); live
-        transports require a real message and raise
-        :class:`~repro.protocol.messages.ProtocolError` without one.
-        """
-
-    def close(self) -> None:
-        """Release transport resources; the default is a no-op."""
-        return None

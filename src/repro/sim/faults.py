@@ -40,8 +40,6 @@ from typing import (
     Tuple,
 )
 
-from ..protocol.session import NegotiationPolicy
-
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .node import SimulatedNode
 
@@ -212,19 +210,6 @@ class FaultSpec:
         """True when the spec injects any fault at all."""
         return self.message_faults or self.node_faults
 
-    @property
-    def negotiation_policy(self) -> NegotiationPolicy:
-        """The spec's client-side robustness knobs as the market
-        protocol's :class:`~repro.protocol.session.NegotiationPolicy` —
-        the single source of truth for the timeout and backoff formula
-        shared by the simulator and live transports."""
-        return NegotiationPolicy(
-            bid_timeout_ms=self.bid_timeout_ms,
-            backoff_base_ms=self.backoff_base_ms,
-            backoff_factor=self.backoff_factor,
-            backoff_cap_ms=self.backoff_cap_ms,
-        )
-
 
 class FaultInjector:
     """Executes one :class:`FaultSpec` against a federation run.
@@ -237,7 +222,6 @@ class FaultInjector:
 
     def __init__(self, spec: FaultSpec):
         self.spec = spec
-        self._policy = spec.negotiation_policy
         self._msg_rng = random.Random(
             derive_fault_seed(spec.fault_seed, ("messages",))
         )
@@ -320,15 +304,19 @@ class FaultInjector:
     # -- client-side policy -------------------------------------------------------
 
     def backoff_ms(self, attempt: int) -> float:
-        """Capped exponential resubmission delay for retry ``attempt``.
+        """Capped exponential resubmission delay for retry ``attempt``:
+        ``backoff_base_ms * backoff_factor ** attempt``, clamped to
+        ``backoff_cap_ms``.
 
-        Delegates to the market protocol's
-        :meth:`~repro.protocol.session.NegotiationPolicy.backoff_ms` —
-        bit-identical arithmetic to the formula this class always used.
         Monotone non-decreasing in ``attempt`` and bounded by
         ``backoff_cap_ms`` — the properties the hypothesis suite pins.
         """
-        return self._policy.backoff_ms(attempt)
+        if attempt < 0:
+            raise ValueError("attempt must be non-negative")
+        spec = self.spec
+        delay = spec.backoff_base_ms * (spec.backoff_factor**attempt)
+        cap = spec.backoff_cap_ms
+        return cap if delay > cap else delay
 
     # -- node churn ---------------------------------------------------------------
 

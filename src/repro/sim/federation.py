@@ -406,14 +406,22 @@ class FederationSimulation:
         finishes, which is the ``(time, seq)`` order a completion event
         per query would have fired in; the collector's means are
         order-sensitive sums.  Queries still queued or running are in
-        flight; refused ones still waiting for a retry are dropped.
+        flight; refused ones still waiting for a retry are dropped.  Each
+        of those waited ``end_of_run - arrival``.
         """
-        finished = [row for row in self._executions if row[7] <= end_of_run]
+        executions = self._executions
+        finished = [row for row in executions if row[7] <= end_of_run]
         finished.sort(key=itemgetter(7))
+        waits = [
+            end_of_run - row[3] for row in executions if row[7] > end_of_run
+        ]
+        for pool in (self._pending, self._backoff_pending.values()):
+            waits += [end_of_run - query.arrival_ms for query in pool]
         self._metrics.record_outcomes(
             list(zip(*finished)) or [()] * len(OUTCOME_DTYPES),
-            in_flight=len(self._executions) - len(finished),
+            in_flight=len(executions) - len(finished),
             dropped=len(self._pending) + len(self._backoff_pending),
+            unfinished_wait_ms=waits,
         )
 
 

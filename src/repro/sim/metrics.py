@@ -162,6 +162,7 @@ class MetricsCollector:
         in_flight: int = 0,
         dropped: int = 0,
         *,
+        unfinished_wait_ms: Optional[Sequence[float]] = None,
         _pairwise_sum: bool = False,
     ) -> None:
         """Write the run's outcome table.
@@ -170,7 +171,10 @@ class MetricsCollector:
         order, one row per completed query in completion order; they are
         stored as :data:`OUTCOME_DTYPES` arrays.  ``in_flight`` counts
         assigned queries still queued or running when the run ended and
-        ``dropped`` queries it never assigned.
+        ``dropped`` queries it never assigned.  ``unfinished_wait_ms``,
+        from an engine that knows them, holds one ``end_of_run -
+        arrival`` per in-flight or dropped query
+        (:meth:`censored_mean_response_ms`).
 
         The means are order-sensitive float sums.  The event engine's are
         left to right in row order, the planes' are ``np.sum``'s pairwise
@@ -184,6 +188,7 @@ class MetricsCollector:
         self._sum = np.sum if _pairwise_sum else _left_to_right_sum
         self._in_flight = in_flight
         self._dropped = dropped
+        self._unfinished_wait_ms = unfinished_wait_ms
 
     def record_exchange(
         self, messages: int, delay_ms: float, assigned: bool
@@ -314,6 +319,30 @@ class MetricsCollector:
     def mean_response_ms(self) -> float:
         """Average query response time (NaN when nothing completed)."""
         return self._mean(self._table.response_ms)
+
+    def censored_mean_response_ms(self) -> float:
+        """Average response over every offered query, completed or not.
+
+        A query left in flight or dropped counts its wait until the run
+        ended, a lower bound on its response, so a run that cuts off its
+        slowest queries cannot score better for it.  Equals
+        :meth:`mean_response_ms` when every query finished.  Raises
+        ``ValueError`` when queries did not finish and the engine
+        recorded no wait for them (the sharded planes do not).
+        """
+        waits = self._unfinished_wait_ms
+        if waits is None:
+            unfinished = self._in_flight + self._dropped
+            if unfinished:
+                raise ValueError(
+                    "%d queries did not finish and the engine recorded no "
+                    "wait for them" % unfinished
+                )
+            waits = ()
+        offered = np.concatenate((self._table.response_ms, waits))
+        if not len(offered):
+            return math.nan
+        return float(self._sum(offered)) / len(offered)
 
     def mean_assign_ms(self) -> float:
         """Average time to assign a query to a node (Fig. 7 metric)."""

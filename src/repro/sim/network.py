@@ -99,11 +99,9 @@ class Network:
     def fanout(self, origin: int, peers: Sequence[int]) -> FanoutResult:
         """One request/reply fan-out exchange, as a protocol event.
 
-        The simulator's counterpart of the market protocol's
-        :class:`~repro.protocol.transport.Transport` verb: it charges the
-        exchange (messages, latency, fault outcomes) without building
-        payloads, so ``replies`` stays empty and the allocators play the
-        server side against ``delivered``.  With no fault injector
+        It charges the exchange (messages, latency, fault outcomes)
+        without building payloads; the allocators play the server side
+        against ``delivered``.  With no fault injector
         attached the exchange is the classic fault-free probe: every
         request arrives, every reply beats the timeout, the delay is the
         slowest round trip (both of the paper's implementations "waited

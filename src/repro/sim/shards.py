@@ -79,7 +79,11 @@ from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.period_engine import unsold_decay
-from ..core.qant import QantParameters
+from ..core.qant import (
+    DEFAULT_ACTIVATION_THRESHOLD,
+    DEFAULT_ALLOWANCE_FACTOR,
+    QantParameters,
+)
 from ..protocol.messages import (
     BidBatch,
     ProtocolError,
@@ -89,7 +93,6 @@ from ..protocol.messages import (
     unpack_column,
 )
 from ..allocation.market_tick import LaneBlock, check_raise_terms
-from ..allocation.qant import QantAllocator
 from ..protocol.transport import FrameDecoder, encode_frame
 from .faults import derive_fault_seed
 from .federation import FederationConfig, run_single_mechanism
@@ -1438,7 +1441,7 @@ class ShardedFederation:
     worker pool serves qa-nt and greedy back to back — ``perf/`` relies
     on this).  ``shards=1`` takes the single-process engine
     verbatim; ``shards>1`` runs the market planes described in the
-    module docstring.  QA-NT prices with :class:`QantAllocator`'s
+    module docstring.  QA-NT prices with ``QantAllocator``'s
     defaults at every shard count.  ``market`` has one legal value left,
     and ``reconcile_interval`` is checked (>= 1) but moves nothing: the
     planes meet the coordinator only at ``reset`` and ``collect``.  Both
@@ -1507,7 +1510,7 @@ class ShardedFederation:
             finite = [c for c in cost_rows[nid] if not math.isinf(c)]
             allowance_by_node[nid] = (
                 self._config.period_ms
-                + QantAllocator.DEFAULT_ALLOWANCE_FACTOR * max(finite, default=0.0)
+                + DEFAULT_ALLOWANCE_FACTOR * max(finite, default=0.0)
             )
         shard_inits = self._build_local_planes(
             cost_rows, allowance_by_node, num_classes
@@ -1573,7 +1576,7 @@ class ShardedFederation:
                 "floor": params.price_floor,
                 "cap": params.price_cap,
                 "adjustment": params.adjustment,
-                "threshold": QantAllocator.DEFAULT_ACTIVATION_THRESHOLD,
+                "threshold": DEFAULT_ACTIVATION_THRESHOLD,
                 "period_ms": self._config.period_ms,
                 "classes": [
                     [k, list(candidates_by_class[k])] for k in class_indices

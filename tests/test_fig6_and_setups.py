@@ -4,13 +4,19 @@ import math
 
 import pytest
 
+from repro.allocation import QantAllocator
 from repro.experiments.fig6 import _calibrate_crossover
 from repro.experiments.setups import (
     MechanismRun,
     sinusoid_trace_for_load,
     zipf_trace_for_world,
 )
-from repro.sim import MetricsCollector
+from repro.sim import (
+    FederationConfig,
+    MetricsCollector,
+    ShardedFederation,
+    build_federation,
+)
 
 
 class TestCrossoverCalibration:
@@ -84,3 +90,67 @@ class TestTraceHelpers:
         metrics = MetricsCollector()
         run = MechanismRun(mechanism="x", metrics=metrics, messages=0)
         assert math.isnan(run.mean_response_ms)
+
+
+class TestCensoredMeanResponse:
+    """Fig. 6's censored mean: every offered query counts, an unfinished
+    one with its wait until the run ended."""
+
+    @staticmethod
+    def _run(world, load, drain_ms):
+        trace = sinusoid_trace_for_load(world, load, 10_000.0, seed=1)
+        federation = build_federation(
+            world.specs,
+            world.placement,
+            world.classes,
+            world.cost_model,
+            QantAllocator(),
+            FederationConfig(seed=1, drain_ms=drain_ms),
+        )
+        return trace, federation.run(trace)
+
+    def test_unfinished_queries_count_their_wait(self, tiny_two_query_world):
+        """3x load and no drain: QA-NT leaves queries both queued on
+        nodes and refused in its retry pool."""
+        trace, metrics = self._run(tiny_two_query_world, 3.0, 0.0)
+        assert metrics.in_flight > 0 and metrics.dropped > 0
+        end_of_run = max(event.time_ms for event in trace)
+        outcomes = metrics.outcomes
+        finished = {outcome.qid for outcome in outcomes}
+        arrivals = [event.time_ms for event in trace]
+        assert len(finished) == metrics.completed == len(outcomes)
+        waits = [
+            end_of_run - arrival
+            for qid, arrival in enumerate(arrivals)
+            if qid not in finished
+        ]
+        assert len(waits) == metrics.in_flight + metrics.dropped
+        responses = [outcome.response_ms for outcome in outcomes]
+        expected = (math.fsum(responses) + math.fsum(waits)) / len(trace)
+        assert metrics.censored_mean_response_ms() == pytest.approx(
+            expected, rel=1e-12
+        )
+
+    def test_equals_the_mean_when_every_query_finished(
+        self, tiny_two_query_world
+    ):
+        trace, metrics = self._run(tiny_two_query_world, 0.3, 60_000.0)
+        assert metrics.completed == len(trace)
+        assert metrics.censored_mean_response_ms() == metrics.mean_response_ms()
+
+    def test_planes_without_waits_refuse(self, tiny_two_query_world):
+        world = tiny_two_query_world
+        trace = sinusoid_trace_for_load(world, 3.0, 10_000.0, seed=1)
+        with ShardedFederation(
+            world.specs,
+            world.placement,
+            world.classes,
+            world.cost_model,
+            config=FederationConfig(seed=1, drain_ms=0.0),
+            shards=2,
+            mode="inline",
+        ) as federation:
+            result = federation.run(trace, "qa-nt")
+        assert result.metrics.dropped > 0
+        with pytest.raises(ValueError, match="recorded no wait"):
+            result.metrics.censored_mean_response_ms()

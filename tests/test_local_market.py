@@ -1,11 +1,11 @@
 """The message-level market, in process: SQLite nodes behind the protocol.
 
 The paper's client-server conversation (Section 3.3) is written once at
-message level: ``MarketSession`` on the client's side, ``SqliteServerNode
-.handle`` on the server's, ``InProcessTransport`` between them.  These
-tests pin the node's half to the paper listing (a twin
-``QantPricingAgent`` fed the same script), the transport to the codec,
-and the packages to their import budgets.
+message level: ``DbmsFederation.send`` / ``negotiate`` on the client's
+side, ``SqliteServerNode.handle`` on the server's, every leg through the
+codec.  These tests pin the node's half to the paper listing (a twin
+``QantPricingAgent`` fed the same script), the client to the codec and
+the winner rule, and the packages to their import budgets.
 
 The markets here are deterministic: a node's estimates are its EXPLAIN
 costs (no history calibration, which learns from wall-clock times), and
@@ -24,22 +24,14 @@ import pytest
 import repro.dbms.federation as wire
 from repro.catalog import Relation
 from repro.core import QantParameters, QantPricingAgent
-from repro.dbms import (
-    ACTIVATION_THRESHOLD,
-    DbmsFederation,
-    FederationTimeout,
-    InProcessTransport,
-    SqliteServerNode,
-)
+from repro.core.qant import DEFAULT_ACTIVATION_THRESHOLD
+from repro.dbms import DbmsFederation, FederationTimeout, SqliteServerNode
 from repro.protocol import (
     AssignQuery,
     BidRequest,
-    MarketSession,
     PeriodTick,
-    ProtocolError,
     Quote,
     Refusal,
-    SessionState,
 )
 from repro.query import PerfectEstimator, QueryClass
 
@@ -122,7 +114,7 @@ class TestMarketNode:
                 reply = node.handle(bid(qid, 0))
                 assert isinstance(reply, (Quote, Refusal))
                 assert isinstance(reply, Quote) == twin.quote(
-                    0, ACTIVATION_THRESHOLD
+                    0, DEFAULT_ACTIVATION_THRESHOLD
                 )
                 if sold_out:
                     # A trading failure raises the price by exactly lambda,
@@ -141,7 +133,7 @@ class TestMarketNode:
                     refused += 1
                     # Only a node whose prices signal overload enforces
                     # its supply vector (Section 5.1).
-                    assert node.agent.max_price >= ACTIVATION_THRESHOLD
+                    assert node.agent.max_price >= DEFAULT_ACTIVATION_THRESHOLD
                 assert node.agent.prices == twin.prices
                 assert node.agent.remaining_supply == twin.remaining_supply
             assert offered_without_supply > 0 and refused > 0
@@ -196,27 +188,18 @@ class TestMarketNode:
                 assert nodes[0].handle(bid(1, index)) == Refusal(1, 0, index)
 
 
-class TestInProcessTransport:
-    def test_requires_a_real_message(self):
-        with market(1) as (nodes, __, __):
-            transport = InProcessTransport({0: nodes[0]}, probe_latency_ms=0.0)
-            with pytest.raises(ProtocolError):
-                transport.fanout(CLIENT, (0,))
-
-
 def _run_session(nodes, num_queries, tick_every=None, period_ms=0.0):
-    """Allocate a round-robin class stream through ``MarketSession``;
-    returns the winner of every query."""
+    """Allocate a round-robin class stream through the federation's
+    client; returns the winner of every query."""
     ids = tuple(node.node_id for node in nodes)
-    transport = InProcessTransport(dict(zip(ids, nodes)), probe_latency_ms=0.0)
-    session = MarketSession(transport)
+    federation = DbmsFederation(nodes, CLASSES, probe_latency_ms=0.0)
     winners = []
     for qid in range(num_queries):
         if tick_every and qid and qid % tick_every == 0:
-            transport.fanout(CLIENT, ids, PeriodTick(qid // tick_every, period_ms))
-        outcome = session.negotiate_once(bid(qid, qid % len(CLASSES)), ids)
-        assert outcome.state is SessionState.ASSIGNED
-        winners.append(outcome.node_id)
+            federation.send(PeriodTick(qid // tick_every, period_ms), ids)
+        winner = federation.negotiate(bid(qid, qid % len(CLASSES)), ids)
+        assert winner is not None
+        winners.append(winner)
     return winners
 
 
@@ -296,16 +279,27 @@ class TestLocalMarketDemo:
     def test_session_drives_local_transport_directly(self):
         with market(4) as (nodes, __, __):
             ids = (0, 1, 2, 3)
-            transport = InProcessTransport(dict(zip(ids, nodes)), 0.0)
+            federation = DbmsFederation(nodes, CLASSES, probe_latency_ms=0.0)
             nodes[0].handle(AssignQuery(100, 0, 0))  # node 0 is busy
-            quotes = transport.fanout(CLIENT, ids, bid(0, 1)).replies
-            outcome = MarketSession(transport).negotiate_once(bid(0, 1), ids)
-            assert outcome.assigned
-            assert outcome.messages == 2 * 4 + 2 and outcome.quotes_seen == 4
+            quotes = federation.send(bid(0, 1), ids)
+            assert [type(q) for q in quotes] == [Quote] * 4
+            winner = federation.negotiate(bid(0, 1), ids)
             # Earliest estimated completion, ties to the lowest id.
             best = min(quotes, key=lambda q: (q.estimated_completion_ms, q.node_id))
-            assert outcome.node_id == best.node_id != 0
-            assert nodes[best.node_id].backlog_ms > 0.0
+            assert winner == best.node_id != 0
+            assert nodes[winner].backlog_ms > 0.0
+
+    def test_winner_rule_earliest_completion_lowest_id(self):
+        """Two equal nodes quote equal estimates: the lower id wins,
+        whatever order the peers are asked in; once it holds the query,
+        the other node's completion is the earlier one."""
+        with market(2) as (nodes, __, __):
+            federation = DbmsFederation(nodes, CLASSES, probe_latency_ms=0.0)
+            quotes = federation.send(bid(0, 1), (1, 0))
+            assert [q.node_id for q in quotes] == [1, 0]
+            assert len({q.estimated_completion_ms for q in quotes}) == 1
+            assert federation.negotiate(bid(0, 1), (1, 0)) == 0
+            assert federation.negotiate(bid(1, 1), (0, 1)) == 1
 
     def test_protocol_package_never_imports_the_simulator(self):
         """Import budgets, in one clean interpreter, strictest first:

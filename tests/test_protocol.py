@@ -1,13 +1,12 @@
-"""Tests of the transport-agnostic market-protocol core (repro.protocol).
+"""Tests of the wire (repro.protocol).
 
 Three concerns:
 
 * the versioned JSON codec — hypothesis round-trip identity for every
   message type, unknown-field tolerance, version pinning, and strict
   rejection of malformed envelopes and of hostile packed columns;
-* one MarketSession bid round — winner rule, timeout / refusal
-  handling, and a backoff formula that stays bit-identical to the
-  simulator's fault layer;
+* the length-prefix framing — any payloads cut anywhere come back in
+  order, and a hostile length prefix is refused;
 * sim-vs-protocol equivalence — ``Network.fanout``'s FanoutResult must
   keep the (delay, messages, delivered, replied) contract draw for draw
   on seeded runs, in both fault regimes.
@@ -29,15 +28,10 @@ from repro.protocol import (
     AssignQuery,
     BidBatch,
     BidRequest,
-    FanoutResult,
-    MarketSession,
-    NegotiationPolicy,
     PeriodTick,
     ProtocolError,
     Quote,
     Refusal,
-    SessionState,
-    Transport,
     decode,
     encode,
     message_tag,
@@ -620,151 +614,6 @@ class TestFrameCodec:
             assert hostile is None
             assert frames == expected
             assert decoder.pending_bytes == len(stream) - offset
-
-
-# --------------------------------------------------------- MarketSession
-
-
-class ScriptedTransport(Transport):
-    """Replays a scripted list of FanoutResults, recording each request."""
-
-    def __init__(self, results):
-        self._results = list(results)
-        self.requests = []
-
-    def fanout(self, origin, peers, request=None):
-        self.requests.append((origin, tuple(peers), request))
-        return self._results.pop(0)
-
-
-def _quote(qid, node_id, ms):
-    return Quote(
-        qid=qid, node_id=node_id, class_index=0, estimated_completion_ms=ms
-    )
-
-
-def _bid_round(peers, quotes, delay=1.0):
-    replied = tuple(q.node_id for q in quotes)
-    return FanoutResult(
-        delay_ms=delay,
-        messages=2 * len(peers),
-        delivered=tuple(peers),
-        replied=replied,
-        replies=tuple(quotes),
-    )
-
-
-def _confirm(node_id, delay=0.5):
-    return FanoutResult(
-        delay_ms=delay, messages=2, delivered=(node_id,), replied=(node_id,)
-    )
-
-
-class TestMarketSession:
-    def test_winner_rule_earliest_completion_lowest_id(self):
-        quotes = [_quote(1, 5, 20.0), _quote(1, 3, 10.0), _quote(1, 4, 10.0)]
-        best = MarketSession.best_quote(quotes)
-        assert best is not None and best.node_id == 3
-        assert MarketSession.best_quote([]) is None
-
-    def test_successful_round_assigns_and_confirms(self):
-        peers = (1, 2, 3)
-        transport = ScriptedTransport(
-            [
-                _bid_round(peers, [_quote(7, 2, 9.0), _quote(7, 3, 11.0)]),
-                _confirm(2),
-            ]
-        )
-        session = MarketSession(transport)
-        outcome = session.negotiate_once(
-            BidRequest(qid=7, class_index=0, origin_node=0), peers
-        )
-        assert outcome.assigned and outcome.node_id == 2
-        assert outcome.state is SessionState.ASSIGNED
-        assert outcome.delay_ms == pytest.approx(1.5)
-        assert outcome.messages == 8
-        assert outcome.quotes_seen == 2
-        assert outcome.backoff_ms == 0.0
-        # The confirm leg carried an AssignQuery addressed to the winner.
-        __, confirm_peers, confirm_request = transport.requests[1]
-        assert confirm_peers == (2,)
-        assert confirm_request == AssignQuery(
-            qid=7, node_id=2, class_index=0
-        )
-
-    def test_silent_round_backs_off_with_policy_delay(self):
-        peers = (1, 2)
-        transport = ScriptedTransport(
-            [FanoutResult(10.0, 2, (), ())]  # total silence
-        )
-        policy = NegotiationPolicy(backoff_base_ms=100.0)
-        session = MarketSession(transport, policy)
-        outcome = session.negotiate_once(
-            BidRequest(qid=1, class_index=0, origin_node=0, attempt=2), peers
-        )
-        assert not outcome.assigned
-        assert outcome.state is SessionState.BACKOFF
-        assert outcome.backoff_ms == policy.backoff_ms(2)
-        assert outcome.delay_ms == pytest.approx(10.0 + policy.backoff_ms(2))
-
-    def test_lost_confirm_is_a_refusal(self):
-        peers = (1,)
-        transport = ScriptedTransport(
-            [
-                _bid_round(peers, [_quote(1, 1, 5.0)]),
-                FanoutResult(10.0, 1, (), ()),  # confirm leg lost
-            ]
-        )
-        session = MarketSession(transport)
-        outcome = session.negotiate_once(
-            BidRequest(qid=1, class_index=0, origin_node=0), peers
-        )
-        assert not outcome.assigned
-        assert outcome.state is SessionState.BACKOFF
-
-
-class TestNegotiationPolicy:
-    @given(attempt=st.integers(min_value=0, max_value=60))
-    @settings(max_examples=60, deadline=None)
-    def test_backoff_matches_fault_injector_bit_for_bit(self, attempt):
-        spec = FaultSpec(
-            drop_probability=0.01,
-            bid_timeout_ms=12.0,
-            backoff_base_ms=130.0,
-            backoff_factor=1.7,
-            backoff_cap_ms=3_000.0,
-        )
-        injector = FaultInjector(spec)
-        policy = spec.negotiation_policy
-        assert policy.backoff_ms(attempt) == injector.backoff_ms(attempt)
-
-    @given(
-        attempt=st.integers(min_value=0, max_value=100),
-        base=st.floats(min_value=1.0, max_value=1_000.0),
-        factor=st.floats(min_value=1.0, max_value=4.0),
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_backoff_monotone_and_capped(self, attempt, base, factor):
-        policy = NegotiationPolicy(
-            backoff_base_ms=base,
-            backoff_factor=factor,
-            backoff_cap_ms=base * 10,
-        )
-        here = policy.backoff_ms(attempt)
-        assert base <= here <= policy.backoff_cap_ms
-        assert here <= policy.backoff_ms(attempt + 1)
-
-    def test_negative_attempt_rejected(self):
-        with pytest.raises(ValueError):
-            NegotiationPolicy().backoff_ms(-1)
-
-    def test_invalid_policies_rejected(self):
-        with pytest.raises(ValueError):
-            NegotiationPolicy(bid_timeout_ms=0.0)
-        with pytest.raises(ValueError):
-            NegotiationPolicy(backoff_factor=0.5)
-        with pytest.raises(ValueError):
-            NegotiationPolicy(backoff_cap_ms=1.0, backoff_base_ms=2.0)
 
 
 # ------------------------------------------- sim-vs-protocol equivalence
