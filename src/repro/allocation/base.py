@@ -177,15 +177,6 @@ class Allocator(abc.ABC):
     def on_period_start(self) -> None:
         """Called at every period boundary; default does nothing."""
 
-    def on_run_start(self) -> None:
-        """Called once by the federation before the event loop starts.
-
-        Mechanisms may pick a run-scoped mode here, kept until
-        :meth:`on_run_end` (QA-NT hands its whole market to the period
-        engine's arrays when the engine manages every agent); direct API
-        users who never start a run keep the plain behaviour.
-        """
-
     @abc.abstractmethod
     def assign(self, query: Query) -> AssignmentDecision:
         """Decide which node evaluates ``query`` (or refuse)."""
@@ -237,10 +228,8 @@ class Allocator(abc.ABC):
     def on_run_end(self) -> None:
         """Called once after the simulation drains; default does nothing.
 
-        Mechanisms that kept the run's market state off the agent objects
-        (see :class:`~repro.allocation.qant.QantAllocator`'s array run)
-        write it back here, once, so post-run inspection of the agents
-        observes what a per-agent run would have.
+        :class:`~repro.allocation.qant.QantAllocator` closes its last
+        period here, so its per-period counters include it.
         """
 
     # -- shared protocol helpers --------------------------------------------------

@@ -23,9 +23,9 @@ lanes, so the dispatcher's books *are* the engine's state: nothing is
 gathered from it or handed back to it.
 
 Bit-identity contract: every float is produced by the same IEEE-754
-operation sequence as the scalar listing, so goldens must not move with
-the dispatcher active.  The dispatcher exists only for array runs
-(DESIGN.md §5.2).
+operation sequence as the scalar listing, so goldens must not move.
+Every QA-NT exchange of the single-process engine runs here (DESIGN.md
+§5.2); the listing itself serves the SQLite nodes and the tests.
 
 The per-agent arrays are *agent-global* (indexed by agent row), not
 per-class: an agent bidding in several classes shares one ``max_price``,
@@ -87,9 +87,9 @@ def check_raise_terms(raise_factor: float, price_cap: float) -> None:
 class LaneBook:
     """One class's lanes for one period: the array spelling of Def. 4.
 
-    The scalar negotiation (:meth:`repro.allocation.qant.QantAllocator
-    ._negotiate` + ``_award`` over :meth:`repro.core.qant.QantPricingAgent
-    .quote`) for a class wider than :data:`SCALAR_LANES_MAX`.  ``R``,
+    The paper listing (:meth:`repro.core.qant.QantPricingAgent.quote`
+    over a class's bidders, earliest-completion winner, ``accept``) for a
+    class wider than :data:`SCALAR_LANES_MAX`.  ``R``,
     ``V`` and ``costs`` are per lane (remaining supply, price, execution
     cost); ``maxp``, ``locked`` and ``epochs`` are per agent and reached
     through ``rows``, the lanes' agent indices in ascending node-id order
@@ -423,11 +423,13 @@ class LaneBlock:
         for k, book in self.books.items():
             book.arm(self.supply[k], self.prices[k])
 
-    def exchange(self, k, now, reached=None, estimates=None):
+    def exchange(self, k, now, reached=None, estimates=None, free_at=None):
         """One request-for-bid exchange on class ``k`` at ``now`` among
         the lanes of the boolean mask ``reached`` (every lane when
         ``None``).  ``estimates`` are a book class's completion estimates
-        (:meth:`LaneBook.estimates`) when the caller already has them.
+        (:meth:`LaneBook.estimates`) when the caller already has them;
+        ``free_at`` replaces the block's busy clocks for this exchange
+        (an agent whose clock reads ``inf`` cannot win).
 
         Returns ``(row, finish, saturated)``: the winner's agent row (-1
         when every reached lane refused) and estimated completion, and
@@ -437,12 +439,16 @@ class LaneBlock:
         if twin is None:
             book = self.books[k]
             if estimates is None:
-                estimates = book.estimates(self._free_at, now)
+                estimates = book.estimates(
+                    self._free_at if free_at is None else free_at, now
+                )
             winner, _paid, finish = book.exchange(estimates, reached)
             rows = book.rows
             # All refused, so a lane is still live iff it is below the cap.
             saturated = winner < 0 and reached is None and not len(book.live)
         else:
+            if free_at is not None:
+                twin = (*twin[:6], memoryview(free_at), twin[7])
             winner, _paid, finish = exchange_lanes_scalar(
                 *twin,
                 self._everyone if reached is None else memoryview(reached),
@@ -521,17 +527,15 @@ class MarketTickDispatcher:
     """Vectorised request-for-bid exchange over the lanes of a period
     engine that manages every bidder.
 
-    Built by :class:`~repro.allocation.qant.QantAllocator` only for an
-    array run: no message faults and no partial adoption, so every
-    bidder is one of the engine's agents.  Its
-    :class:`LaneBlock` is built over the engine's own lane arrays, with
-    the fleet's ``slot_free`` mirror as busy clocks, so between
-    ``on_run_start`` and ``on_run_end`` the engine's arrays and this
-    block are one market: nothing is gathered or handed back, and the
-    agent objects are not read or written.  That needs engine row *i* to
-    be fleet row *i* and each class's lanes to be its candidates, as in
-    every federation :func:`~repro.sim.federation.build_federation`
-    makes; any other layout is refused at construction.
+    Built by :class:`~repro.allocation.qant.QantAllocator` at every bind:
+    its :class:`LaneBlock` is built over the engine's own lane arrays,
+    with the fleet's ``slot_free`` mirror as busy clocks, so the engine's
+    arrays and this block are one market from bind to the end: nothing
+    is gathered or handed back, and the agent objects are only written
+    when someone reads them.  That needs engine row *i* to be fleet row
+    *i* and each class's lanes to be its candidates, as in every
+    federation :func:`~repro.sim.federation.build_federation` makes; any
+    other layout is refused at construction.
     """
 
     def __init__(
@@ -571,6 +575,7 @@ class MarketTickDispatcher:
                 "each class's lanes in the period engine must be its "
                 "candidate nodes"
             )
+        self._threshold = activation_threshold
         #: Whether a vector exchange ran since the last `close_period`.
         self._exchanged = False
         #: Inside one `assign_batch`: class -> its book's completion
@@ -580,16 +585,17 @@ class MarketTickDispatcher:
         self._estimates: Optional[Dict[int, object]] = None
 
     def exchange(
-        self, class_index: int, now: float, reached=None
+        self, class_index: int, now: float, reached=None, free_at=None
     ) -> Tuple[Optional[int], bool]:
         """One request-for-bid exchange at time ``now`` over the class's
-        bidders in ``reached`` (all of them when ``None``).
+        bidders in ``reached`` (all of them when ``None``), with
+        ``free_at`` in place of the busy clocks when given.
 
         Returns ``(chosen_node_id, saturated)``: the winning node (supply
-        consumed, like the scalar accept) or ``None`` when every reached
-        bidder refused, with ``saturated`` flagging the all-refuse full
-        fan-out whose every price sits at the cap (the caller arms its
-        saturation fast path exactly as the scalar negotiation does).
+        consumed, like the listing's accept) or ``None`` when every
+        reached bidder refused, with ``saturated`` flagging the
+        all-refuse full fan-out whose every price sits at the cap (the
+        caller's saturation fast path).
         """
         stats = self.stats
         stats.vector_exchanges += 1
@@ -614,11 +620,60 @@ class MarketTickDispatcher:
                         self._free_at, now
                     )
         row, _finish, saturated = self.block.exchange(
-            class_index, now, mask, estimates
+            class_index, now, mask, estimates, free_at
         )
         if row < 0:
             return None, saturated
         return self._node_ids[row], False
+
+    def exchange_replied(
+        self, class_index: int, now: float, delivered, replied
+    ) -> Tuple[Optional[int], Tuple[int, ...]]:
+        """The exchange under message faults: every bidder the request was
+        ``delivered`` to prices as in :meth:`exchange`, but only one that
+        ``replied`` can win (the others' queues read as never free).
+
+        Returns ``(chosen_node_id, offerers)``: the winner or ``None``,
+        and the replied bidders that offered, in lane order.  A lane
+        offered iff it had a unit to sell or, refusing, its agent is
+        still below the activation threshold (the latch stays open).
+        """
+        ids = self._ids[class_index]
+        rows = self.block.members[class_index]
+        heard = np.isin(ids, replied)
+        free_at = self._free_at.copy()
+        free_at[rows[~heard]] = _INF
+        offered = self.block.supply[class_index] >= 1.0
+        chosen, _saturated = self.exchange(
+            class_index, now, delivered, free_at
+        )
+        if self._threshold is not None:
+            offered |= ~self.block.locked[rows]
+        return chosen, tuple(
+            ids[i] for i in np.flatnonzero(offered & heard).tolist()
+        )
+
+    def award(self, class_index: int, now: float, node_ids) -> int:
+        """Give a query to the earliest completion among ``node_ids`` (some
+        of the class's bidders) without asking them: the total-silence
+        fallback.  Ties go to the lowest node id; the winner pays one unit
+        of supply if it has one."""
+        ids = self._ids[class_index]
+        lanes = np.flatnonzero(np.isin(ids, node_ids))
+        block = self.block
+        est = np.maximum(
+            self._free_at[block.members[class_index][lanes]], now
+        )
+        est += block.costs[class_index][lanes]
+        lane = int(lanes[est.argmin()])
+        R = block.supply[class_index]
+        if R[lane] >= 1.0:
+            R[lane] -= 1.0
+            book = block.books.get(class_index)
+            if book is not None and R[lane] < 1.0:
+                # Sold out: it refuses from the next exchange on.
+                book.live = np.append(book.live, lane)
+        return ids[lane]
 
     @contextmanager
     def batch(self):

@@ -1,11 +1,19 @@
 """QA-NT as a federation allocation mechanism.
 
-Wires one :class:`repro.core.qant.QantPricingAgent` into every (adopting)
-server node and drives the paper's negotiation: the client asks the
+Runs the paper's negotiation for every server node: the client asks the
 candidate servers, each offers iff its remaining supply vector covers the
 query's class, and the client accepts the best offer (earliest estimated
 completion).  If every server refuses, the query re-enters next period's
 demand — exactly step 4 and the resubmission rule of Section 3.3.
+
+The market state lives in the arrays of one
+:class:`~repro.core.period_engine.QantPeriodEngine`, from bind to the end
+(DESIGN.md §5.2): its boundaries are the agents' period boundaries, and
+every exchange — fault-free, partial, under message faults, in a run or
+driven by hand — is priced on its lanes by the
+:class:`~repro.allocation.market_tick.MarketTickDispatcher`, the array
+spelling of the paper listing
+(:meth:`~repro.core.qant.QantPricingAgent.quote` + ``accept``).
 
 Two paper-motivated options are exposed:
 
@@ -27,7 +35,6 @@ Two paper-motivated options are exposed:
 from __future__ import annotations
 
 import math
-from contextlib import nullcontext
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 import numpy as np
@@ -77,6 +84,8 @@ class QantAllocator(Allocator):
         )
         self._activation_threshold = activation_threshold
         self._queue_allowance_ms = queue_allowance_ms
+        #: One agent per fleet node, in fleet order: the period engine's
+        #: rows.  A non-adopter's agent is never shown (see `agents`).
         self._agents: Dict[int, QantPricingAgent] = {}
         #: Serial number of the current period, bumped by
         #: `on_period_start`; keys the per-class saturation fast path.
@@ -92,50 +101,45 @@ class QantAllocator(Allocator):
         #: exchange — the stale cache graceful degradation falls back to
         #: when a faulted fan-out yields total silence (fault runs only).
         self._last_good: Dict[int, Tuple[int, ...]] = {}
-        #: The batched period-boundary engine over every agent, in
-        #: :attr:`agents` order (``None`` without adopters).
+        #: The market: the batched period engine over every agent, and
+        #: the request-for-bid exchange over its lanes (see
+        #: :mod:`repro.allocation.market_tick`); both built in
+        #: `_after_bind`.
         self._engine: Optional[QantPeriodEngine] = None
-        self._engine_node_ids: Tuple[int, ...] = ()
-        #: The vectorised request-for-bid exchange over the period
-        #: engine's lanes (see :mod:`repro.allocation.market_tick`); built
-        #: in `_after_bind` only under full adoption with no message
-        #: faults, ``None`` otherwise.
         self._dispatcher: Optional[MarketTickDispatcher] = None
-        #: Whether an array run is in progress (DESIGN.md §5.2): from
-        #: `on_run_start` to `on_run_end` of a run with a dispatcher, the
-        #: period engine's lanes, priced through the dispatcher's lane
-        #: block, are the market.  Otherwise (a scalar run, direct API
-        #: use) the agents are, and every exchange is the listing.
-        self._array_run = False
-        #: Fleet rows / backlog allowances of the adopters, for the
-        #: vectorised free-capacity probe (``None`` without an engine).
-        self._engine_rows_np = None
-        self._engine_allowances_np = None
+        #: Engine rows of the adopters, and the lanes of the others
+        #: (which `on_period_start` sets to unbounded supply).
+        self._adopter_rows = None
+        self._adopter_ids: Tuple[int, ...] = ()
+        self._outsider_lanes = None
+        #: Per engine row, the node's backlog allowance.
+        self._allowances = None
 
     @property
     def agents(self) -> Dict[int, QantPricingAgent]:
-        """The per-node pricing agents (adopting nodes only).
-
-        Not readable during an array run, whose market state the period
-        engine holds: read it through :meth:`market_rows` instead, or
-        read the agents once the run has ended.
-        """
-        if self._array_run:
-            raise RuntimeError(
-                "the agents are stale during an array run: read prices "
-                "and planned supply through market_rows(), or read the "
-                "agents after the run"
-            )
-        return self._agents
+        """The adopters' pricing agents, written from the period engine's
+        arrays (and this period's enforce latches) on every read."""
+        if self._engine is None:
+            return {}
+        self._engine.materialise()
+        threshold = self._activation_threshold
+        agents = list(self._agents.values())
+        for row in np.flatnonzero(self._dispatcher.block.locked).tolist():
+            agents[row]._enforce_locked_at = threshold
+        return {
+            node_id: self._agents[node_id]
+            for node_id in self._adopter_ids
+        }
 
     def _is_adopter(self, node_id: int) -> bool:
         return self._adopters is None or node_id in self._adopters
 
     def _after_bind(self) -> None:
+        fleet = self.context.fleet
+        nodes = self.context.nodes
         allowances = []
-        for node_id, node in self.context.nodes.items():
-            if not self._is_adopter(node_id):
-                continue
+        for node_id in fleet.node_ids:
+            node = nodes[node_id]
             if self._queue_allowance_ms is not None:
                 allowance = self._queue_allowance_ms
             else:
@@ -152,34 +156,24 @@ class QantAllocator(Allocator):
                 node.make_supply_set(self.context.period_ms),
                 parameters=self._params,
             )
-        # The batched engine drives every agent's period boundary.
-        fleet = self.context.fleet
-        if self._agents:
-            self._engine_node_ids = tuple(self._agents)
-            self._engine = QantPeriodEngine(self._agents.values())
-            self._engine_rows_np = np.array(
-                [fleet.row_of[nid] for nid in self._engine_node_ids],
-                dtype=np.intp,
-            )
-            self._engine_allowances_np = np.array(allowances, dtype=float)
-        # A run is array-resident when every node is a bidder the engine
-        # manages (full adoption) and no message faults are active.
-        # Anything else negotiates through the listing from start to end.
-        if (
-            self.context.faults is None
-            and self._adopters is None
-            and self._engine is not None
-        ):
-            self._dispatcher = MarketTickDispatcher(
-                fleet,
-                self.context.candidates_by_class,
-                self._engine,
-                self._engine_node_ids,
-                self._activation_threshold,
-                1.0 + self._params.adjustment,
-                self._params.price_floor,
-                self._params.price_cap,
-            )
+        self._allowances = np.array(allowances, dtype=float)
+        self._engine = engine = QantPeriodEngine(self._agents.values())
+        adopter = np.array(list(map(self._is_adopter, fleet.node_ids)))
+        self._adopter_rows = np.flatnonzero(adopter)
+        self._adopter_ids = tuple(
+            fleet.node_ids[row] for row in self._adopter_rows.tolist()
+        )
+        self._outsider_lanes = np.flatnonzero(~adopter[engine.lane_rows])
+        self._dispatcher = MarketTickDispatcher(
+            fleet,
+            self.context.candidates_by_class,
+            engine,
+            fleet.node_ids,
+            self._activation_threshold,
+            1.0 + self._params.adjustment,
+            self._params.price_floor,
+            self._params.price_cap,
+        )
         self.on_period_start()
 
     def on_period_start(self) -> None:
@@ -191,19 +185,18 @@ class QantAllocator(Allocator):
         while an idle node can always admit its largest query.
 
         Every agent's boundary (steps 12-14 decay, the rebind, eq. 4) is
-        driven through the batched
+        one tick of the batched
         :class:`~repro.core.period_engine.QantPeriodEngine`, bit-identical
         to the agents' own ``end_period`` → ``rebind_supply_set`` →
-        ``begin_period``.
+        ``begin_period``.  A non-adopter's lanes then get unbounded
+        supply: they always offer, are never priced, and paying a unit
+        leaves them unbounded.
         """
-        if self._array_run:
-            self._dispatcher.close_period()
+        self._dispatcher.close_period()
         self._period_serial += 1
-        if self._engine is not None:
-            self._engine.advance(self._engine_free_capacities)
-        if self._array_run:
-            # The period opens array-to-array.
-            self._dispatcher.block.rearm()
+        self._engine.advance(self._engine_free_capacities)
+        self._engine.R[self._outsider_lanes] = math.inf
+        self._dispatcher.block.rearm()
 
     def _engine_free_capacities(self):
         """Per engine row, the node's free backlog allowance right now.
@@ -213,89 +206,41 @@ class QantAllocator(Allocator):
         current_load_ms())`` (the where-forms reproduce ``max``'s sign
         behaviour bit-for-bit).
         """
-        now = self.context.simulator.now
-        remaining = self.context.fleet.slot_free[self._engine_rows_np] - now
+        remaining = self.context.fleet.slot_free - self.context.simulator.now
         load = np.where(remaining > 0.0, remaining, 0.0)
-        free = self._engine_allowances_np - load
+        free = self._allowances - load
         return np.where(free > 0.0, free, 0.0)
 
     def market_rows(
         self,
     ) -> List[Tuple[int, Tuple[float, ...], Tuple[float, ...]]]:
-        """Every agent's ``(node_id, prices, planned_supply)`` right now,
-        in :attr:`agents` order.
-
-        During an array run the rows come from the period engine's
-        arrays; otherwise from the agents.
-        """
-        if not self._array_run:
-            return [
-                (
-                    node_id,
-                    tuple(agent.prices.values),
-                    tuple(agent.planned_supply.components),
-                )
-                for node_id, agent in self._agents.items()
-            ]
+        """Every adopter's ``(node_id, prices, planned_supply)`` right now,
+        in :attr:`agents` order, read from the period engine's arrays."""
         engine = self._engine
+        rows = self._adopter_rows
         return list(
             zip(
-                self._engine_node_ids,
-                map(tuple, engine.price_matrix().tolist()),
-                map(tuple, engine._planned.tolist()),
+                self._adopter_ids,
+                map(tuple, engine.price_matrix()[rows].tolist()),
+                map(tuple, engine._planned[rows].tolist()),
             )
         )
 
     @property
     def period_engine_stats(self):
-        """Counters of the batched boundary engine (None when unused)."""
+        """Counters of the batched boundary engine (None before bind)."""
         engine = self._engine
         return engine.stats if engine is not None else None
 
     @property
     def batch_dispatch_stats(self):
-        """Counters of the vectorised fan-out (None when undispatchable)."""
+        """Counters of the vectorised fan-out (None before bind)."""
         dispatcher = self._dispatcher
         return dispatcher.stats if dispatcher is not None else None
 
-    def on_run_start(self) -> None:
-        """With a dispatcher, hand the market to the period engine for the
-        whole run.
-
-        The dispatcher's lane block starts every period from the
-        boundary's baseline: every latch open and each agent's running
-        maximum equal to its largest price.  The bind-time boundary leaves
-        exactly that; only an exchange driven by hand between bind and run
-        can set a latch, and such a run is refused.
-        """
-        if self._dispatcher is None:
-            return
-        if any(
-            agent._enforce_locked_at is not None
-            for agent in self._agents.values()
-        ):
-            raise RuntimeError(
-                "an agent's enforce latch is set at run start (an exchange "
-                "was driven by hand after bind); bind a fresh allocator"
-            )
-        self._engine.adopt()
-        self._dispatcher.block.rearm()
-        self._array_run = True
-
     def on_run_end(self) -> None:
-        """Write the array run's market state back into the agents once:
-        the engine's arrays, then this period's latches."""
-        if not self._array_run:
-            return
-        self._array_run = False
-        dispatcher = self._dispatcher
-        dispatcher.close_period()
-        self._engine.materialise()
-        node_ids = self._engine_node_ids
-        for row in np.flatnonzero(dispatcher.block.locked).tolist():
-            self._agents[node_ids[row]]._enforce_locked_at = (
-                self._activation_threshold
-            )
+        """Close the last period, so ``batch_syncs`` counts it."""
+        self._dispatcher.close_period()
 
     def assign(self, query: Query) -> AssignmentDecision:
         class_index = query.class_index
@@ -346,8 +291,7 @@ class QantAllocator(Allocator):
         serial = self._period_serial
         # Nothing commits before this returns, so the dispatcher may keep
         # each class's completion estimates for the length of the loop.
-        dispatcher = self._dispatcher if self._array_run else None
-        with dispatcher.batch() if dispatcher is not None else nullcontext():
+        with self._dispatcher.batch():
             for i, k in enumerate(classes):
                 if widths[i] and not (
                     k in full and saturated_in.get(k) == serial
@@ -373,36 +317,18 @@ class QantAllocator(Allocator):
             # Latency/messages were charged — and the RNG drawn — exactly
             # as for the explicit fan-out.
             return None
-        if self._array_run:
-            # The lane block over the bidders the request reached (all of
-            # them, or the live ones in an outage window): same offers,
-            # price raises, latch updates and accept as the listing below
-            # (see repro.allocation.market_tick for the bit-identity
-            # argument).
-            chosen, saturated = self._dispatcher.exchange(
-                class_index,
-                context.simulator.now,
-                None if full_fanout else candidates,
-            )
-            if saturated:
-                self._saturated_in[class_index] = self._period_serial
-            return chosen
-        offers = self._negotiate(class_index, candidates)
-        if offers:
-            return self._award(offers, class_index)
-        if full_fanout:
-            # The same condition the dispatcher reports: every bidder is an
-            # adopter whose class price is pinned at the cap (nobody
-            # offered, so none has supply and, with a threshold, every
-            # latch is set).  Never recorded from a partial exchange.
-            cap = self._params.price_cap
-            if all(
-                agent is not None
-                and agent._price_values[class_index] == cap
-                for agent in map(self._agents.get, candidates)
-            ):
-                self._saturated_in[class_index] = self._period_serial
-        return None
+        # The lane block over the bidders the request reached (all of
+        # them, or the live ones in an outage window): the listing's
+        # offers, price raises, latch updates and accept (see
+        # repro.allocation.market_tick for the bit-identity argument).
+        chosen, saturated = self._dispatcher.exchange(
+            class_index,
+            context.simulator.now,
+            None if full_fanout else candidates,
+        )
+        if saturated:
+            self._saturated_in[class_index] = self._period_serial
+        return chosen
 
     def _assign_faulty(self, query: Query) -> AssignmentDecision:
         """The request-for-bid exchange under message-level faults.
@@ -425,63 +351,23 @@ class QantAllocator(Allocator):
         if not candidates:
             return AssignmentDecision(node_id=None)
         exchange = self._request_bids(query, candidates)
-        chosen = None
-        offered = set(self._negotiate(class_index, exchange.delivered))
-        offers = [nid for nid in exchange.replied if nid in offered]
+        now = context.simulator.now
+        chosen, offers = self._dispatcher.exchange_replied(
+            class_index, now, exchange.delivered, exchange.replied
+        )
         if offers:
-            self._last_good[class_index] = tuple(offers)
-            chosen = self._award(offers, class_index)
+            self._last_good[class_index] = offers
         elif not exchange.replied:
             # Total silence (every reply lost, late, or partitioned away):
             # fall back to the stale cache instead of stalling.
             cached = self._last_good.get(class_index, ())
             live = set(candidates)
             reachable = faults.reachable(
-                query.origin_node,
-                [nid for nid in cached if nid in live],
-                context.simulator.now,
+                query.origin_node, [nid for nid in cached if nid in live], now
             )
             if reachable:
-                chosen = self._award(reachable, class_index)
+                chosen = self._dispatcher.award(class_index, now, reachable)
                 faults.note_degraded()
         return AssignmentDecision(
             chosen, delay_ms=exchange.delay_ms, messages=exchange.messages
         )
-
-    # -- internals ------------------------------------------------------------------
-
-    def _negotiate(self, class_index: int, delivered) -> List[int]:
-        """One scalar request-for-bid exchange (Def. 4); returns the offers.
-
-        Every bidder the request was ``delivered`` to answers through the
-        paper listing, :meth:`~repro.core.qant.QantPricingAgent.quote`:
-        the unconditional price dynamics (refusals must keep adjusting
-        prices so the overload signal can form) plus the Section 5.1
-        activation rule (the supply vector is only enforced while the
-        node's prices signal overload).  A non-adopter always offers.
-        """
-        threshold = self._activation_threshold
-        agent_of = self._agents.get
-        return [
-            node_id
-            for node_id in delivered
-            if (agent := agent_of(node_id)) is None
-            or agent.quote(class_index, threshold)
-        ]
-
-    def _award(self, offers, class_index: int) -> int:
-        """Accept the offer with the earliest estimated completion.
-
-        Ties resolve to the lowest node id.  The winner pays one unit of
-        supply if it has one (a non-adopter, or a node offering below the
-        activation threshold, has none to pay).
-        """
-        nodes = self.context.nodes
-        __, chosen = min(
-            [(nodes[nid].estimated_completion_ms(class_index), nid)
-             for nid in offers]
-        )
-        agent = self._agents.get(chosen)
-        if agent is not None and agent.supply_left(class_index) >= 1:
-            agent.accept(class_index)
-        return chosen

@@ -38,14 +38,12 @@ eq. 4 solve and :meth:`QantPeriodEngine.materialise` read.  A cell that
 is not a lane never moves: it has no supply to decay and no bidder asks
 it for an offer.
 
-Exactly one side holds the market state at any instant (DESIGN.md §5.2):
-the agents' Python lists while ``agents_live``, else the arrays.  A
-scalar run (and direct API use) keeps the lists, and each boundary is
-:meth:`QantPeriodEngine.adopt` → tick → :meth:`QantPeriodEngine.materialise`.
-An array run adopts once at its start and materialises once at its end;
-its boundaries tick on the arrays alone, and in between the allocator's
-market-tick dispatcher prices the same ``V`` / ``R`` / ``epochs``
-through a lane block built over them.
+The arrays are the market state from construction to the end
+(DESIGN.md §5.2): each boundary ticks on them alone, and in between the
+allocator's market-tick dispatcher prices the same ``V`` / ``R`` /
+``epochs`` through a lane block built over them.  The agents are read
+once, at construction, and written only by :meth:`QantPeriodEngine
+.materialise`, when someone asks to see them.
 """
 
 from __future__ import annotations
@@ -93,18 +91,13 @@ class PeriodEngineStats:
     """Counters of the engine's incremental machinery (observability).
 
     ``solved_rows``/``reused_rows`` partition every (tick, agent) cell the
-    engine materialised: a reused row served its plan from the
+    engine ticked: a reused row served its plan from the
     ``(price_epoch, free_capacity)`` cache without re-solving eq. 4.
-    ``adopted``/``materialised`` count the per-agent Python passes
-    (lists → arrays, arrays → lists): one per boundary of a scalar run,
-    one per array run.
     """
 
     ticks: int = 0
     solved_rows: int = 0
     reused_rows: int = 0
-    adopted: int = 0
-    materialised: int = 0
 
 
 class QantPeriodEngine:
@@ -117,7 +110,7 @@ class QantPeriodEngine:
     :meth:`advance` call.  Construct it *between* periods (at bind time)
     over agents that all share one :class:`~repro.core.qant.
     QantParameters`; an agent that the engine does not :meth:`accepts`
-    is refused.
+    is refused.  From then on the agents are not read again.
     """
 
     def __init__(self, agents: Sequence[QantPricingAgent]):
@@ -153,9 +146,6 @@ class QantPeriodEngine:
         #: ascending within a class) and execution cost.
         self.lane_cols, self.lane_rows = np.nonzero(self._valid_cost.T)
         self.lane_costs = self._costs[self.lane_rows, self.lane_cols]
-        #: Whether the agents' lists (True) or the arrays below hold the
-        #: market state.
-        self.agents_live = True
         #: Every price, lanes included as of the last `_scatter_prices`.
         self._prices = np.array([agent._price_values for agent in agents])
         #: Per row, the largest price outside the lanes (those never
@@ -183,7 +173,6 @@ class QantPeriodEngine:
         self._prev_capacity = np.full(n, -1.0)
         self._optimal = np.zeros((n, num_classes))
         self._started = False
-        self._zeros_int = [0] * num_classes
         self.stats = PeriodEngineStats()
 
     @staticmethod
@@ -202,65 +191,19 @@ class QantPeriodEngine:
     # -- driving ------------------------------------------------------------
 
     def advance(self, free_capacity: Callable[[], Sequence[float]]) -> None:
-        """Drive one period boundary for every managed agent.
-
-        With live agents the boundary is adopt → tick → materialise, on
-        adopted arrays the tick alone.
-        """
+        """Drive one period boundary for every managed agent."""
         self.stats.ticks += 1
-        live = self.agents_live
-        if live:
-            self.adopt()
         self._tick(np.asarray(free_capacity(), dtype=float))
-        if live:
-            self.materialise()
 
-    # -- agents <-> arrays ---------------------------------------------------
-
-    def adopt(self) -> None:
-        """Take the market state over from the agents' lists.
-
-        Gathers what scalar traffic can have moved (price epochs, the
-        price rows whose epoch moved, remaining supply).  Until
-        :meth:`materialise` the agent objects must not be read or written.
-        """
-        if not self.agents_live:
-            return
-        # Every price writer (scalar raises, our own decay and
-        # materialise) bumps the agent's price epoch exactly when a value
-        # changed, so rows whose epoch matches our mirror are already
-        # bit-identical and skip the re-gather.
-        agents = self._agents
-        n = len(agents)
-        prices = self._scatter_prices()
-        new_epochs = np.fromiter(
-            (agent._price_epoch for agent in agents),
-            dtype=np.int64,
-            count=n,
-        )
-        if self._started:
-            stale = np.nonzero(new_epochs != self.epochs)[0].tolist()
-        else:
-            stale = range(n)
-        for i in stale:
-            prices[i] = agents[i]._price_values
-        lanes = self.lane_rows, self.lane_cols
-        self.V[:] = prices[lanes]
-        self.epochs[:] = new_epochs
-        self._agent_epochs = new_epochs
-        self.R[:] = np.array([agent._remaining for agent in agents])[lanes]
-        self.agents_live = False
-        self.stats.adopted += 1
+    # -- arrays -> agents ----------------------------------------------------
 
     def materialise(self) -> None:
-        """Write the market state back into the agents; they are live again.
+        """Write the market state into the agents, as their own period
+        methods would have left it.
 
-        Counters and the enforce latch get their period-start values; at
-        the end of an array run the allocator overlays the period's
-        latches afterwards.
+        The enforce latch gets its period-start value; the allocator
+        overlays the period's latches afterwards.
         """
-        if self.agents_live:
-            return
         agents = self._agents
         epochs = self.epochs
         moved = np.nonzero(epochs != self._agent_epochs)[0]
@@ -296,19 +239,14 @@ class QantPeriodEngine:
             remaining[self.lane_rows, self.lane_cols] = self.R
             remaining_lists = remaining.tolist()
             credit_lists = self._credit.tolist() if self._carry else None
-            zeros_int = self._zeros_int
             from_trusted = QueryVector._from_trusted_tuple
             for i, agent in enumerate(agents):
                 agent._planned = from_trusted(tuple(planned_lists[i]))
                 agent._remaining[:] = remaining_lists[i]
-                agent._accepted[:] = zeros_int
-                agent._refused[:] = zeros_int
                 agent._in_period = True
                 agent._enforce_locked_at = None
                 if credit_lists is not None:
                     agent._credit[:] = credit_lists[i]
-        self.agents_live = True
-        self.stats.materialised += 1
 
     # -- the dense price matrix ----------------------------------------------
 

@@ -124,11 +124,12 @@ class QantPeriodStats:
 class QantPricingAgent:
     """The per-node QA-NT agent: private prices + period supply budget.
 
-    The agent is deliberately framework-agnostic: the simulator's scalar
-    negotiation (:mod:`repro.allocation.qant`) and the SQLite server
-    nodes (:mod:`repro.dbms`) both drive it through the same four calls —
-    :meth:`begin_period`, :meth:`quote`, :meth:`accept`,
-    :meth:`end_period`.
+    The agent is deliberately framework-agnostic: the SQLite server
+    nodes (:mod:`repro.dbms`) and the tests' reference allocator drive it
+    through the same four calls — :meth:`begin_period`, :meth:`quote`,
+    :meth:`accept`, :meth:`end_period`.  The simulator keeps its agents'
+    state in the arrays of :mod:`repro.core.period_engine`, which
+    reproduce these calls bit for bit.
     """
 
     def __init__(
@@ -152,9 +153,8 @@ class QantPricingAgent:
         self._price_epoch = 0
         self._max_price = max(self._price_values)
         self._num_classes = num_classes
-        # Per-period state.  The array engines (`period_engine`,
-        # `allocation.market_tick`) read and write these lists by name
-        # when the market state changes hands.
+        # Per-period state.  The period engine reads these lists by name
+        # when it is built and writes them when its agents are read.
         self._remaining: List[float] = [0.0] * num_classes
         self._credit: List[float] = [0.0] * num_classes
         self._planned = QueryVector.zeros(num_classes)
@@ -299,8 +299,8 @@ class QantPricingAgent:
     ) -> bool:
         """One node-side answer to a request-for-bid, in a single call.
 
-        The scalar spelling of the market (Def. 4) every scalar
-        negotiation goes through: :meth:`would_offer` fused with the
+        The scalar spelling of the market (Def. 4):
+        :meth:`would_offer` fused with the
         Section 5.1 activation rule.  Returns True when the node's reply
         to the client is an *offer* — either its supply vector covers the
         class, or (after the refusal raised the class price, as every

@@ -195,7 +195,6 @@ class FederationSimulation:
             # Scripted outages and churn windows go through the node's
             # existing fail/drain machinery before any event fires.
             faults.install_node_faults(self._nodes, horizon)
-        self._allocator.on_run_start()
         self._sim.every(
             self._config.period_ms,
             self._on_period_tick,
@@ -221,20 +220,14 @@ class FederationSimulation:
                 schedule_at(event.time_ms, on_arrival, event)
         self._sim.run(until_ms=end_of_run)
         self._record_outcomes(end_of_run)
-        # Let the allocator write its market state back to the agents before
-        # the run's state is read (metrics, drops, post-run agent probes).
+        # Let the allocator close its last period before the run's
+        # counters are read.
         self._allocator.on_run_end()
         batch_stats = getattr(self._allocator, "batch_dispatch_stats", None)
         if batch_stats is not None:
             self._metrics.add_counters(
                 vector_exchanges=batch_stats.vector_exchanges,
                 batch_syncs=batch_stats.syncs,
-            )
-        engine_stats = getattr(self._allocator, "period_engine_stats", None)
-        if engine_stats is not None:
-            self._metrics.add_counters(
-                market_adopted=engine_stats.adopted,
-                market_materialised=engine_stats.materialised,
             )
         if faults is not None:
             self._metrics.add_counters(

@@ -96,18 +96,16 @@ _COUNTERS: Dict[str, Dict[str, float]] = {
         "negotiation_delay_ms": 0.0,  # total client-side latency
     },
     # Market-tick batching (all zero when batching is off) and the
-    # allocator's dispatcher and period-engine counters.
+    # allocator's dispatcher counters.
     "batch": {
         "batch_ticks": 0,  # same-tick arrival groups sent to assign_batch
         "batched_queries": 0,  # queries allocated inside those groups
         "max_batch": 0,  # largest single group
         "vector_exchanges": 0,  # request-for-bid exchanges on the vector path
-        # No exchange of an array run drops to the listing any more; the
-        # key stays for the artifacts that pin it.
+        # No exchange drops to the listing any more; the key stays for
+        # the artifacts that pin it.
         "scalar_fallbacks": 0,
         "batch_syncs": 0,  # periods, the last included, with a vector exchange
-        "market_adopted": 0,  # per-agent adopt passes of the period engine
-        "market_materialised": 0,  # ... and materialise passes
     },
     # Sharded-run coordination (see repro.sim.shards); each is written
     # once per run.

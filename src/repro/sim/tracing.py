@@ -4,9 +4,9 @@ The virtual prices are the mechanism's internal overload signal (Section
 5.1: "query prices are high" when the system is overloaded), so observing
 them is the main debugging and monitoring tool a deployment would have.
 :class:`MarketTracer` attaches to a :class:`~repro.allocation.qant.
-QantAllocator` and snapshots every agent's prices and planned supply at
-each period boundary, through ``QantAllocator.market_rows()``: from the
-period engine's matrices during an array run, from the agents otherwise.
+QantAllocator` and snapshots every adopter's prices and planned supply
+at each period boundary, through ``QantAllocator.market_rows()``, which
+reads the period engine's arrays.
 """
 
 from __future__ import annotations

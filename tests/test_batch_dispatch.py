@@ -47,6 +47,8 @@ from repro.sim.engine import Simulator
 from repro.sim.faults import FaultSpec
 from repro.sim.network import LatencyModel, Network
 
+from listing_allocator import ListingAllocator
+
 _MECHANISMS = (
     ("qa-nt", QantAllocator),
     ("greedy", GreedyAllocator),
@@ -60,7 +62,7 @@ _FAULT_SPECS = {
     # outage windows turn full fan-outs into partial ones on the book.
     "churn": FaultSpec(crash_rate_per_min=4.0, fault_seed=7),
     # Message faults: batching is disabled outright (backoff draws would
-    # interleave differently), so both runs take the scalar path.
+    # interleave differently), so both runs assign one query at a time.
     "drops": FaultSpec(drop_probability=0.05, fault_seed=7),
 }
 
@@ -159,7 +161,9 @@ def _market_cases(draw):
     """Two classes over shared agents mid-period, a burst of interleaved
     exchanges long enough for lanes to run into the cap, and one re-arm;
     class widths and live sets fall on both sides of the crossover.  Each
-    exchange reaches every bidder (``None``), none, or a drawn subset."""
+    exchange reaches every bidder (``None``), none, or a drawn subset, and
+    hears back from every bidder (``None``) or a drawn subset.  Supply
+    may be unbounded (``inf``), a non-adopter's lane."""
     agents = draw(st.integers(2, 2 * SCALAR_LANES_MAX + 4))
     # 1.5 sits below the threshold: lanes reach it and still pass.
     cap = draw(st.sampled_from([4.0, 4.0, 1e9, 1.5]))
@@ -168,7 +172,7 @@ def _market_cases(draw):
     price = st.one_of(
         st.sampled_from([1.0, 1.9, 2.0, 4.0]), st.floats(0.25, 5.0)
     ).map(lambda v: min(v, cap))
-    supply = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0])
+    supply = st.sampled_from([0.0, 0.0, 0.5, 1.0, 2.0, math.inf])
 
     def column(values):
         return draw(st.lists(values, min_size=agents, max_size=agents))
@@ -184,12 +188,16 @@ def _market_cases(draw):
         st.sampled_from([(True,) * agents, (False,) * agents]),
         st.lists(st.booleans(), min_size=agents, max_size=agents),
     )
+    heard = st.one_of(
+        st.none(), st.lists(st.booleans(), min_size=agents, max_size=agents)
+    )
     steps = draw(
         st.lists(
             st.tuples(
                 st.sampled_from([0, 0, 1]),
                 st.sampled_from([0.0, 100.0, 650.0]),
                 reach,
+                heard,
             ),
             min_size=40,
             max_size=56,
@@ -226,7 +234,7 @@ _UNREACHED_AT_CAP = {
     "latched": [False] * 3,
     "costs": [(150.0, 400.0)] * 3,
     "busy": [0.0, 120.0, 700.0],
-    "steps": [(0, 0.0, (False, True, True)), (0, 0.0, None)],
+    "steps": [(0, 0.0, (False, True, True), None), (0, 0.0, None, None)],
     "crossover": SCALAR_LANES_MAX,
 }
 
@@ -239,12 +247,17 @@ def test_lane_book_matches_the_paper_listing(case):
     """Both array-side spellings of the exchange — the lane book, pricing
     its live lanes by array steps or lane by lane, and the narrow-class
     scalar twin, at every width — equal a scalar loop over fresh pricing
-    agents calling ``quote`` / ``accept`` (``QantAllocator._negotiate`` +
-    ``_award``): winner, prices, supply, max-price, latch and price-epoch
-    bits, exchange after exchange, through lanes settling at the cap,
-    winners selling out, a second class latching shared agents, and a
-    re-arm.  Exchanges reach a drawn subset of the bidders, as in an
-    outage window; the listing then quotes that subset only.  For the
+    agents calling ``quote`` / ``accept`` (the paper listing): winner,
+    prices, supply, max-price, latch and price-epoch bits, exchange after
+    exchange, through lanes settling at the cap, winners selling out, a
+    second class latching shared agents, and a re-arm.  Exchanges reach a
+    drawn subset of the bidders, as in an outage window; the listing then
+    quotes that subset only.  Under message faults only the bidders that
+    replied may win: the kernels get busy clocks of ``inf`` for the
+    others (the dispatcher's ``free_at`` override), and a reached lane
+    offered iff it had a unit or its agent's latch is still open (what
+    ``exchange_replied`` reports).  A lane with unbounded supply always
+    offers and stays unbounded when it pays.  For the
     book also: ``offers`` is every reached lane's ``quote`` answer, and
     ``live`` is its from-scratch definition over the reached lanes — the
     refusing lanes that are not settled, plus the winner that just sold
@@ -300,17 +313,18 @@ def _check_kernel_against_listing(kernel, case):
         V[k] = np.array([case["V"][i][k] for i in members[k]])
         costs = np.array([case["costs"][i][k] for i in members[k]])
         if kernel == "twin":
-            exchange[k] = lambda now, reached, views=scalar_lanes(
+            exchange[k] = lambda now, reached, clock, views=scalar_lanes(
                 R[k], V[k], rows, costs
             ): exchange_lanes_scalar(
-                *views, *agent_views, reached, now, *terms
+                *views, *agent_views[:2], memoryview(clock), agent_views[3],
+                reached, now, *terms,
             )
             continue
         book = LaneBook(rows, costs, maxp, locked, epochs, *terms)
         book._scalar_max = case["crossover"]
         book.arm(R[k], V[k])
         books[k] = book
-    for step, (k, now, reach) in enumerate(case["steps"]):
+    for step, (k, now, reach, heard) in enumerate(case["steps"]):
         if step == case["rearm_at"]:
             # A boundary, as far as the lanes see one: new supply, latches
             # cleared, prices (and so maxima) kept.
@@ -331,21 +345,25 @@ def _check_kernel_against_listing(kernel, case):
         quotes = [
             hit and a.quote(k, threshold) for a, hit in zip(bidders, reached)
         ]
+        replied = [True] * count if heard is None else heard
+        clock = free_at.copy()
+        clock[1::2][[not hit for hit in replied]] = math.inf
         expected, best = -1, math.inf
         for lane, i in enumerate(members[k]):
             estimate = max(case["busy"][i], now) + case["costs"][i][k]
-            if quotes[lane] and estimate < best:
+            if quotes[lane] and replied[i] and estimate < best:
                 expected, best = lane, estimate
         accepted = expected >= 0 and bidders[expected].supply_left(k) >= 1
         if accepted:
             bidders[expected].accept(k)
+        had = R[k] >= 1.0
         if kernel == "twin":
-            winner, paid, finish = exchange[k](now, reached)
+            winner, paid, finish = exchange[k](now, reached, clock)
         else:
             book = books[k]
             before = set(book.live.tolist())
             winner, paid, finish = book.exchange(
-                book.estimates(free_at, now),
+                book.estimates(clock, now),
                 None if reach is None else np.array(reached),
             )
         assert winner == expected
@@ -359,6 +377,11 @@ def _check_kernel_against_listing(kernel, case):
             a._enforce_locked_at is not None for a in agents
         ]
         assert epochs[1::2].tolist() == [a.price_epoch for a in agents]
+        open_latch = ~locked[np.array(members[k]) * 2 + 1]
+        offered = had | open_latch if threshold is not None else had
+        assert [
+            offer for offer, hit in zip(offered.tolist(), reached) if hit
+        ] == [quote for quote, hit in zip(quotes, reached) if hit]
         if kernel == "twin":
             continue
         assert [
@@ -549,7 +572,10 @@ def _built(world, allocator, config, crossover=None):
         )
 
 
-def _churn_run(prepare=None, faults=_FAULT_SPECS["churn"], crossover=None):
+def _churn_run(
+    prepare=None, faults=_FAULT_SPECS["churn"], crossover=None,
+    factory=QantAllocator,
+):
     """One qa-nt churn run; ``prepare(federation, allocator)`` may script it."""
     world = two_query_world(num_nodes=14, seed=0)
     trace = quantise_trace(
@@ -562,7 +588,7 @@ def _churn_run(prepare=None, faults=_FAULT_SPECS["churn"], crossover=None):
         ),
         25.0,
     )
-    allocator = QantAllocator()
+    allocator = factory()
     federation = _built(
         world,
         allocator,
@@ -576,44 +602,41 @@ def _churn_run(prepare=None, faults=_FAULT_SPECS["churn"], crossover=None):
 
 
 def test_partial_fanout_mid_run_falls_back_and_recovers():
-    # Crash-only churn keeps the dispatcher armed but shrinks candidate
-    # sets inside outage windows: those queries' exchanges run on the
-    # lane block over the live bidders (never the listing), full fan-outs
-    # go on around them, and the whole interleaving must be bit-identical
-    # to a run that never vectorises anything: with lane books (the
+    # Crash-only churn shrinks candidate sets inside outage windows:
+    # those queries' exchanges run on the lane block over the live
+    # bidders (never the listing), full fan-outs go on around them, and
+    # the whole interleaving must be bit-identical to the paper listing
+    # run whole (tests/listing_allocator.py): with lane books (the
     # crossover at 0) and, as shipped, with the scalar twin, which prices
     # both of this world's classes (14 and 7 lanes).
     calls = Counter()
 
     def count(federation, allocator):
-        negotiate = allocator._negotiate
         exchange = allocator._dispatcher.exchange
-
-        def counted_negotiate(*args):
-            calls["negotiate"] += 1
-            return negotiate(*args)
 
         def counted_exchange(class_index, now, reached=None):
             calls["partial" if reached is not None else "full"] += 1
             return exchange(class_index, now, reached)
 
-        allocator._negotiate = counted_negotiate
         allocator._dispatcher.exchange = counted_exchange
 
-    vectorised, metrics = _churn_run(prepare=count, crossover=0)
+    quote = QantPricingAgent.quote
+
+    def counted_quote(*args):
+        calls["quote"] += 1
+        return quote(*args)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(QantPricingAgent, "quote", counted_quote)
+        vectorised, metrics = _churn_run(prepare=count, crossover=0)
     stats = vectorised.batch_dispatch_stats
     assert calls["partial"] > 0, "no outage window hit a fan-out"
     assert calls["full"] > 0, "no full fan-out around the outages"
-    assert calls["negotiate"] == 0
+    assert calls["quote"] == 0
     assert stats.vector_exchanges == calls["partial"] + calls["full"]
     assert stats.estimate_reuses > 0, "no batch reused its estimates"
 
-    def never_vectorise(federation, allocator):
-        # Simulate the undispatchable fleet: every exchange takes the
-        # scalar loop over the live agent lists for the entire run.
-        allocator._dispatcher = None
-
-    scalar, scalar_metrics = _churn_run(prepare=never_vectorise)
+    scalar, scalar_metrics = _churn_run(factory=ListingAllocator)
     twin, twin_metrics = _churn_run()
     assert twin.batch_dispatch_stats.vector_exchanges == stats.vector_exchanges
     assert twin.batch_dispatch_stats.estimate_reuses == 0
@@ -636,7 +659,6 @@ def _armed_allocator():
     world = two_query_world(num_nodes=12, seed=0)
     allocator = QantAllocator()
     _built(world, allocator, FederationConfig(seed=2), crossover=0)
-    allocator.on_run_start()
     return allocator
 
 
@@ -754,8 +776,6 @@ def test_batch_summary_counters_surface_in_metrics():
         "vector_exchanges",
         "scalar_fallbacks",
         "batch_syncs",
-        "market_adopted",
-        "market_materialised",
     }
     assert summary["batch_ticks"] > 0
     assert summary["batched_queries"] >= 2 * summary["batch_ticks"]
@@ -807,9 +827,8 @@ def _overload_run(world, trace, batch_ticks, faults=None):
     run's metrics, and how often `_exchange` ran / how many of those
     exchanges reached a partial fan-out.
 
-    The market state stays in the period engine's arrays until
-    `on_run_end`, so the pinned agents are what that one write-back
-    leaves.
+    The market state stays in the period engine's arrays; the pinned
+    agents are written from them when read.
     """
     allocator = QantAllocator()
     federation = build_federation(
@@ -878,8 +897,8 @@ def test_saturated_bursts_match_scalar_bit_for_bit(
 def test_saturated_burst_settles_in_bulk_and_outage_bypasses_it():
     # Pin that the sweep above exercises what it claims to: the batched
     # twin settles saturated attempts without reaching `_exchange`, the
-    # scalar twin calls it once per attempt, and under the outage the
-    # partial fan-outs drop to the scalar loop.
+    # unbatched twin calls it once per attempt, and under the outage the
+    # partial fan-outs reach it.
     world, trace = _overload_setup("two-class", 0, None)
     pinned = {}
     for batch in (True, False):
@@ -889,22 +908,17 @@ def test_saturated_burst_settles_in_bulk_and_outage_bypasses_it():
             assert metrics.counters["exchanges"] - calls["exchange"] > 100
         else:
             assert calls["exchange"] == metrics.counters["exchanges"]
-        # Unobserved means array-resident: the agents are written at the
-        # bind-time boundary and at `on_run_end`, never in between.
-        assert metrics.batch_summary()["market_materialised"] == 2.0
     assert pinned[True] == pinned[False]
     # In this Zipf twin a class saturates on the 500 ms retry burst and
     # node 1 fails 250 ms later, so same-period arrival batches meet a
     # class that is saturated *and* partial: those attempts reach
-    # `_exchange` and run on the book over the live bidders, and the
-    # agents are still written once.
+    # `_exchange` and run on the book over the live bidders.
     world, trace = _overload_setup("zipf", 2, 50.0)
     __, metrics, calls = _assert_overload_twins_match(
         world, trace, _MID_PERIOD_OUTAGE
     )
     assert calls["partial"] > 0
     assert calls["exchange"] < metrics.counters["exchanges"]
-    assert metrics.batch_summary()["market_materialised"] == 2.0
 
 
 def test_unbound_allocator_batch_reports_not_bound():

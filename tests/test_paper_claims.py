@@ -1,9 +1,9 @@
 """The paper's headline claims as inequalities on every engine, and one
 differential bound between the event engine and the shard planes.
 
-Engines: ``scalar`` is the paper listing (a QA-NT run whose dispatcher is
-removed after bind, so every negotiation goes through
-``QantPricingAgent.quote``), ``array`` is the event engine's vectorised
+Engines: ``scalar`` is the paper listing (``tests/listing_allocator.py``,
+whose every negotiation goes through ``QantPricingAgent.quote``),
+``array`` is the event engine's vectorised
 market (``MarketTickDispatcher`` + ``QantPeriodEngine``) and ``sharded``
 is ``ShardedFederation(shards=2, mode="inline")``, the market planes.
 Every claim holds on seeds 0-2; none is a golden.
@@ -21,6 +21,8 @@ from repro.experiments.setups import (
 )
 from repro.sim import FederationConfig, ShardedFederation, build_federation
 from repro.workload import zipf_trace
+
+from listing_allocator import ListingAllocator
 
 SEEDS = (0, 1, 2)
 ENGINES = ("scalar", "array", "sharded")
@@ -71,7 +73,12 @@ def _run(world, trace, engine, mechanism, seed):
         ) as federation:
             result = federation.run(trace, mechanism)
         return sum(result.executed_per_period(PERIOD_MS, HORIZON_MS)), None
-    allocator = QantAllocator() if mechanism == "qa-nt" else GreedyAllocator()
+    if mechanism != "qa-nt":
+        allocator = GreedyAllocator()
+    elif engine == "scalar":
+        allocator = ListingAllocator()
+    else:
+        allocator = QantAllocator()
     federation = build_federation(
         world.specs,
         world.placement,
@@ -80,14 +87,12 @@ def _run(world, trace, engine, mechanism, seed):
         allocator,
         config,
     )
-    if engine == "scalar" and mechanism == "qa-nt":
-        allocator._dispatcher = None
     metrics = federation.run(trace)
     executed = sum(metrics.executed_per_period(PERIOD_MS, HORIZON_MS))
     if mechanism != "qa-nt":
         return executed, None
     if engine == "scalar":
-        assert allocator.batch_dispatch_stats is None
+        assert getattr(allocator, "batch_dispatch_stats", None) is None
     else:
         assert allocator.batch_dispatch_stats.vector_exchanges > 0
     prices = [

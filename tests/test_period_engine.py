@@ -7,9 +7,12 @@ carry-over credit — as batched numpy over all agents.  Its contract is
 test here is a twin race: two identical fleets, one driven by the scalar
 ``end_period``/``with_capacity``/``begin_period`` sequence and one by
 ``engine.advance``, interleaved with the same mid-period interactions
-(quotes, refusal price raises, accepts), asserting every piece of agent
-state stays exactly ``==`` after every boundary.  Any drift is a golden-
-trace bug waiting to happen.
+(quotes, refusal price raises, accepts) — on the listing agents for the
+first, through a ``LaneBlock`` over the engine's lanes for the second,
+as ``QantAllocator`` prices them — asserting every piece of agent state
+(the engine's, written into its agents) stays exactly ``==`` after every
+boundary and every burst.  Any drift is a golden-trace bug waiting to
+happen.
 """
 
 import math
@@ -20,6 +23,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.allocation.market_tick import LaneBlock
 from repro.core.period_engine import QantPeriodEngine, unsold_decay
 from repro.core.qant import QantParameters, QantPricingAgent
 from repro.core.supply import (
@@ -66,16 +70,50 @@ def _scalar_boundary(agents, capacities):
         agent.begin_period()
 
 
-def _assert_state_equal(reference, batched):
+class _Arrays:
+    """The batched twin: agents whose state lives in a period engine's
+    arrays, with mid-period traffic priced by a lane block over its lanes
+    at one activation ``threshold``, as ``QantAllocator`` holds them."""
+
+    def __init__(self, agents, threshold=None):
+        self.agents = agents
+        self.threshold = threshold
+        self.engine = engine = QantPeriodEngine(agents)
+        params = agents[0].parameters
+        self.block = LaneBlock(
+            engine.V, engine.R, engine.lane_rows, engine.lane_cols,
+            engine.lane_costs, np.zeros(len(agents)), engine.maxp_base,
+            engine.epochs, 1.0 + params.adjustment, params.price_floor,
+            params.price_cap, threshold,
+        )
+
+    def advance(self, capacities):
+        self.engine.advance(lambda: capacities)
+        self.block.rearm()
+
+    def quote_accept(self, idx, class_index):
+        """One request-for-bid reaching agent ``idx`` alone: whether it
+        offered (and so won, paying a unit if it had one)."""
+        reached = self.block.members[class_index] == idx
+        row, __, __ = self.block.exchange(class_index, 0.0, reached)
+        return row == idx
+
+    def view(self):
+        """The agents, written from the arrays and this period's latches."""
+        self.engine.materialise()
+        for row in np.flatnonzero(self.block.locked).tolist():
+            self.agents[row]._enforce_locked_at = self.threshold
+        return self.agents
+
+
+def _assert_state_equal(reference, arrays):
     """Every observable and internal field must match bit-for-bit."""
-    for i, (ref, bat) in enumerate(zip(reference, batched)):
+    for i, (ref, bat) in enumerate(zip(reference, arrays.view())):
         where = "agent %d" % i
         assert bat._price_values == ref._price_values, where
         assert bat._price_epoch == ref._price_epoch, where
         assert bat._remaining == ref._remaining, where
         assert bat._credit == ref._credit, where
-        assert bat._accepted == ref._accepted, where
-        assert bat._refused == ref._refused, where
         assert bat._in_period == ref._in_period, where
         assert bat._enforce_locked_at == ref._enforce_locked_at, where
         assert (
@@ -87,54 +125,60 @@ def _assert_state_equal(reference, batched):
         assert bat.prices.values == ref.prices.values, where
 
 
-def _interact(rng, reference, batched, num_classes):
-    """Apply one identical burst of market traffic to both twins."""
+def _interact(rng, reference, arrays):
+    """Apply one identical burst of market traffic to both twins: each
+    request goes to one random bidder of one of its classes."""
+    lanes = list(zip(arrays.engine.lane_rows, arrays.engine.lane_cols))
     for __ in range(rng.randrange(0, 12)):
-        idx = rng.randrange(len(reference))
-        class_index = rng.randrange(num_classes)
-        threshold = rng.choice([None, 2.0])
-        ref_offer = reference[idx].quote(class_index, threshold)
-        bat_offer = batched[idx].quote(class_index, threshold)
-        assert ref_offer == bat_offer
+        idx, class_index = map(int, rng.choice(lanes))
+        ref_offer = reference[idx].quote(class_index, arrays.threshold)
+        assert arrays.quote_accept(idx, class_index) == ref_offer
         if ref_offer and reference[idx].supply_left(class_index) >= 1.0:
             reference[idx].accept(class_index)
-            batched[idx].accept(class_index)
 
 
 class TestScalarEquivalence:
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("carry", [True, False])
     def test_boundary_race_stays_bit_identical(self, method, carry):
-        """40 boundaries with random traffic and shifting free capacity."""
+        """40 boundaries with random traffic and shifting free capacity,
+        with supply always enforced and under an activation threshold
+        low enough (two raises above the initial 1.0) to latch agents."""
         num_classes = 5
-        reference, batched = _twin_fleets(1234, 8, num_classes, method, carry)
-        engine = QantPeriodEngine(batched)
-        rng = random.Random(99)
-        for __ in range(40):
-            capacities = [
-                rng.choice([0.0, 150.0, 2_000.0, rng.uniform(0.0, 2_000.0)])
-                for __ in range(8)
-            ]
-            _scalar_boundary(reference, capacities)
-            engine.advance(lambda: capacities)
-            _assert_state_equal(reference, batched)
-            _interact(rng, reference, batched, num_classes)
+        for threshold in (None, 1.2):
+            reference, batched = _twin_fleets(
+                1234, 8, num_classes, method, carry
+            )
+            arrays = _Arrays(batched, threshold)
+            rng = random.Random(99)
+            for __ in range(40):
+                capacities = [
+                    rng.choice(
+                        [0.0, 150.0, 2_000.0, rng.uniform(0.0, 2_000.0)]
+                    )
+                    for __ in range(8)
+                ]
+                _scalar_boundary(reference, capacities)
+                arrays.advance(capacities)
+                _assert_state_equal(reference, arrays)
+                _interact(rng, reference, arrays)
+                _assert_state_equal(reference, arrays)
 
     @pytest.mark.parametrize("method", METHODS)
     def test_quiet_ticks_without_gather_stay_identical(self, method):
         """Idle boundaries (no traffic in between) must not drift, through
         the decay to the price floor and the carry-over credit cycle."""
         reference, batched = _twin_fleets(55, 6, 4, method, True)
-        engine = QantPeriodEngine(batched)
+        arrays = _Arrays(batched)
         capacities = [2_000.0] * 6
-        engine.advance(lambda: capacities)
+        arrays.advance(capacities)
         _scalar_boundary(reference, capacities)
         # Geometric decay reaches the floor after ~120 idle boundaries;
         # past it only the carry-over credit cycles.
         for __ in range(160):
             _scalar_boundary(reference, capacities)
-            engine.advance(lambda: capacities)
-            _assert_state_equal(reference, batched)
+            arrays.advance(capacities)
+            _assert_state_equal(reference, arrays)
 
     @pytest.mark.parametrize("method", METHODS)
     @pytest.mark.parametrize("carry", [True, False])
@@ -142,7 +186,7 @@ class TestScalarEquivalence:
         """Subnormal budgets hit the solvers' fill clamp (a quotient of
         denormals may not round up past its budget) on both sides."""
         reference, batched = _twin_fleets(77, 6, 3, method, carry)
-        engine = QantPeriodEngine(batched)
+        arrays = _Arrays(batched)
         schedule = [
             [5e-324, 1e-323, 2.5e-308, 1e-300, 0.0, 2_000.0],
             [1e-323, 5e-324, 5e-324, 2_000.0, 1e-310, 150.0],
@@ -150,17 +194,17 @@ class TestScalarEquivalence:
         for tick in range(6):
             capacities = schedule[tick % 2]
             _scalar_boundary(reference, capacities)
-            engine.advance(lambda: capacities)
-            _assert_state_equal(reference, batched)
+            arrays.advance(capacities)
+            _assert_state_equal(reference, arrays)
 
     def test_single_agent_single_class(self):
         reference, batched = _twin_fleets(7, 1, 1, "proportional", True)
-        engine = QantPeriodEngine(batched)
+        arrays = _Arrays(batched)
         for tick in range(10):
             capacities = [2_000.0 if tick % 2 else 70.0]
             _scalar_boundary(reference, capacities)
-            engine.advance(lambda: capacities)
-            _assert_state_equal(reference, batched)
+            arrays.advance(capacities)
+            _assert_state_equal(reference, arrays)
 
 
 class TestAccepts:

@@ -547,7 +547,7 @@ def test_local_market_invariance_property(shards, mode, bound, mechanism):
 #: is left between reset and collect: `reconcile_barriers` reads 0.
 _SINGLE_PROCESS_KEYS = {
     "batch_ticks", "batched_queries", "max_batch", "vector_exchanges",
-    "scalar_fallbacks", "batch_syncs", "market_adopted", "market_materialised",
+    "scalar_fallbacks", "batch_syncs",
 }
 _SHARD_KEYS = {
     "cross_shard_bids", "barrier_wait_ms", "shard_imbalance", "shards",
