@@ -28,6 +28,7 @@ import math
 import queue
 import random
 import sqlite3
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -58,6 +59,13 @@ __all__ = [
     "ExecutionResult",
     "SqliteServerNode",
 ]
+
+#: The cheapest a class is ever priced for eq. 4, and the most capacity
+#: eq. 4 can divide by it without overflowing to ``inf``: a
+#: :class:`PeriodTick` off the wire may carry any period, ``Infinity``
+#: included.
+_MIN_COST_MS = 0.1
+_MAX_CAPACITY_MS = sys.float_info.max * _MIN_COST_MS / 2.0
 
 
 @dataclass(frozen=True)
@@ -253,10 +261,11 @@ class SqliteServerNode:
         backlog leaves of ``period_ms`` plus the allowance."""
         costs = [math.inf] * self._num_classes
         for k, query_class in self._held.items():
-            costs[k] = max(0.1, self.estimate_ms(query_class))
+            costs[k] = max(_MIN_COST_MS, self.estimate_ms(query_class))
         max_cost = max((costs[k] for k in self._held), default=0.0)
         allowance = period_ms + DEFAULT_ALLOWANCE_FACTOR * max_cost
-        return CapacitySupplySet(costs, max(0.0, allowance - self.backlog_ms))
+        free = max(0.0, allowance - self.backlog_ms)
+        return CapacitySupplySet(costs, min(free, _MAX_CAPACITY_MS))
 
     def handle(self, message: Message) -> Optional[Message]:
         """Answer one protocol message; ``None`` is a bare acknowledgement.
@@ -269,6 +278,8 @@ class SqliteServerNode:
           ``Quote(backlog + estimate)``, anything else a ``Refusal``.
         * :class:`AssignQuery` — the offer was accepted: pay a unit of
           supply if one is left, charge the estimate, queue the query.
+          A class this node does not hold (or no class at all) is
+          answered with a ``Refusal``: nothing is charged, queued or paid.
         * :class:`PeriodTick` — steps 12–14, then eq. 4 over the capacity
           the backlog leaves free.
         """
@@ -276,8 +287,8 @@ class SqliteServerNode:
             if isinstance(message, BidRequest):
                 return self._on_bid(message)
             if isinstance(message, AssignQuery):
-                self._on_assign(message)
-            elif isinstance(message, PeriodTick) and self.agent is not None:
+                return self._on_assign(message)
+            if isinstance(message, PeriodTick) and self.agent is not None:
                 self.agent.end_period()
                 self.agent.rebind_supply_set(self.supply_set(message.period_ms))
                 self.agent.begin_period()
@@ -294,9 +305,11 @@ class SqliteServerNode:
         estimate_ms = self.backlog_ms + self.estimate_ms(query_class)
         return Quote(request.qid, self.node_id, index, estimate_ms)
 
-    def _on_assign(self, assign: AssignQuery) -> None:
+    def _on_assign(self, assign: AssignQuery) -> Optional[Message]:
         index = assign.class_index
-        query_class = self._held[index]
+        query_class = self._held.get(index)
+        if query_class is None:
+            return Refusal(assign.qid, self.node_id, index)
         if self.agent is not None and self.agent.supply_left(index) >= 1:
             self.agent.accept(index)
         self._charged[assign.qid] = self.estimate_ms(query_class)
@@ -304,6 +317,7 @@ class SqliteServerNode:
         # from its qid, so a query is the same SQL wherever it lands.
         constant = random.Random(assign.qid).randrange(1000)
         self.submit(assign.qid, query_class, constant, self._on_executed)
+        return None
 
     def _on_executed(self, node_id: int, result: ExecutionResult) -> None:
         with self._market_lock:

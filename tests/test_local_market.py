@@ -13,14 +13,19 @@ its worker is *held*, so every assigned query stays queued and the
 backlog is exactly the sum of what was charged until the test lets go.
 """
 
+import ast
 import contextlib
+import pathlib
 import queue
 import subprocess
 import sys
 import threading
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+import repro
 import repro.dbms.federation as wire
 from repro.catalog import Relation
 from repro.core import QantParameters, QantPricingAgent
@@ -28,10 +33,14 @@ from repro.core.qant import DEFAULT_ACTIVATION_THRESHOLD
 from repro.dbms import DbmsFederation, FederationTimeout, SqliteServerNode
 from repro.protocol import (
     AssignQuery,
+    BidBatch,
     BidRequest,
     PeriodTick,
+    ProtocolError,
     Quote,
     Refusal,
+    decode,
+    encode,
 )
 from repro.query import PerfectEstimator, QueryClass
 
@@ -46,14 +55,20 @@ LAMBDA = QantParameters().adjustment
 
 def period_of(node, costs):
     """A period length worth ``costs`` of the node's dearest query."""
-    return costs * max(node.estimate_ms(qc) for qc in CLASSES)
+    return costs * max(
+        node.estimate_ms(qc) for qc in CLASSES if node.holds(qc.relation_ids)
+    )
 
 
 @contextlib.contextmanager
-def market(num_nodes, parameters=None, period_costs=0.0, slowdown=1.0):
-    """``num_nodes`` equal nodes holding every class, market open, workers
-    held.  Yields ``(nodes, executed, release)``: ``release()`` lets the
-    workers go, and ``executed`` then receives every assigned qid."""
+def market(
+    num_nodes, parameters=None, period_costs=0.0, slowdown=1.0,
+    relations=range(3),
+):
+    """``num_nodes`` equal nodes holding ``relations`` (every class by
+    default), market open, workers held.  Yields ``(nodes, executed,
+    release)``: ``release()`` lets the workers go, and ``executed`` then
+    receives every assigned qid."""
     nodes = [
         SqliteServerNode(node_id=i, slowdown=slowdown, rows_per_mb=1000.0)
         for i in range(num_nodes)
@@ -64,7 +79,7 @@ def market(num_nodes, parameters=None, period_costs=0.0, slowdown=1.0):
         parked = []
         for node in nodes:
             node.estimator = PerfectEstimator()
-            for rid in range(3):
+            for rid in relations:
                 node.load_relation(Relation(rid=rid, name="r%d" % rid, size_mb=0.05))
             flag = threading.Event()
             parked.append(flag)
@@ -186,6 +201,76 @@ class TestMarketNode:
         with market(1) as (nodes, __, __):
             for index in (-1, 3, 99):
                 assert nodes[0].handle(bid(1, index)) == Refusal(1, 0, index)
+
+    def test_an_assignment_of_a_class_not_held_is_refused(self):
+        """Holding relations 0 and 1 only, the node holds class 0 alone:
+        an assignment of any other class (held elsewhere, out of range or
+        negative) is a ``Refusal`` that charges, queues and pays
+        nothing."""
+        with market(1, QantParameters(), 10.0, relations=(0, 1)) as (
+            nodes, __, __,
+        ):
+            node = nodes[0]
+            supply = node.agent.remaining_supply
+            for index in (1, 2, 3, -1):
+                reply = node.handle(AssignQuery(7, 0, index))
+                assert reply == Refusal(7, 0, index)
+            assert node.backlog_ms == 0.0
+            assert node.agent.remaining_supply == supply
+            assert node.handle(AssignQuery(8, 0, 0)) is None
+            assert node.backlog_ms > 0.0
+
+
+_INTS = st.integers()
+_FLOATS = st.floats()
+
+
+def _columns(draw):
+    size = draw(st.integers(0, 4))
+    return [
+        # Now and then one column runs a cell long.
+        draw(st.lists(cells, min_size=size, max_size=size + 1))
+        for cells in (_FLOATS, _INTS, _INTS, _INTS)
+    ]
+
+
+_MESSAGES = st.one_of(
+    st.builds(BidRequest, _INTS, _INTS, _INTS, _INTS),
+    st.builds(Quote, _INTS, _INTS, _INTS, _FLOATS),
+    st.builds(Refusal, _INTS, _INTS, _INTS),
+    st.builds(AssignQuery, _INTS, _INTS, st.one_of(_INTS, st.integers(-1, 3))),
+    st.builds(PeriodTick, _INTS, _FLOATS),
+    st.composite(lambda draw: BidBatch(*_columns(draw)))(),
+)
+
+
+def test_any_wire_message_gets_a_reply_or_a_codec_error():
+    """Whatever a peer sends — every message type, any field values — a
+    node holding one class of three answers with a message or ``None``;
+    only the codec may refuse it first, with a ``ProtocolError``."""
+    with market(1, QantParameters(), 10.0, relations=(0, 1)) as (
+        nodes, __, __,
+    ):
+        node = nodes[0]
+
+        @settings(max_examples=300, deadline=None)
+        @given(_MESSAGES)
+        @example(AssignQuery(1, 0, 1))
+        @example(PeriodTick(0, 1.7976931348623157e308))
+        def answers(message):
+            try:
+                wire_message = decode(encode(message))
+            except ProtocolError:
+                return
+            reply = node.handle(wire_message)
+            assert reply is None or isinstance(reply, (Quote, Refusal))
+
+        answers()
+        # The decoder takes the ``Infinity`` literal a conforming encoder
+        # never writes.
+        payload = encode(PeriodTick(0, 0.5)).replace("0.5", "Infinity")
+        assert node.handle(decode(payload)) is None
+        assert isinstance(node.handle(bid(0, 0)), Quote)
 
 
 def _run_session(nodes, num_queries, tick_every=None, period_ms=0.0):
@@ -328,3 +413,29 @@ class TestLocalMarketDemo:
         )
         assert completed.returncode == 0, completed.stderr
         assert completed.stdout.startswith("clean")
+
+    def test_simulator_never_drives_the_listing_agents(self):
+        """Usage budget: no module under ``repro.allocation`` or
+        ``repro.sim`` reaches the paper listing's agent calls, so the
+        simulator keeps one exchange path, the period engine's lanes (the
+        listing serves the SQLite nodes and the tests).  Attribute
+        references count, not only calls, so a bound method stashed in a
+        local is caught too; a listening socket's ``accept`` is not an
+        agent's."""
+        listing = {
+            "quote", "accept", "begin_period", "end_period",
+            "rebind_supply_set",
+        }
+        root = pathlib.Path(repro.__file__).parent
+        found = []
+        for package in ("allocation", "sim"):
+            for path in sorted((root / package).rglob("*.py")):
+                tree = ast.parse(path.read_text(), str(path))
+                found.extend(
+                    "%s:%d %s" % (path.name, node.lineno, ast.unparse(node))
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute)
+                    and node.attr in listing
+                    and ast.unparse(node) != "listener.accept"
+                )
+        assert not found, found
