@@ -31,8 +31,8 @@ def main() -> None:
     ratios = [stats.mean for stats in result.ratio_series()]
     print(
         "Under overload (%.0f ms between arrivals) QA-NT wins by %.0f%%; at"
-        " the %.0f ms crossover the system is no longer overloaded and the"
-        " two converge (ratio %.2f)."
+        " the %.0f ms crossover, where the system stops being overloaded,"
+        " the ratio is %.2f."
         % (result.points[0], 100 * (ratios[0] - 1.0), result.points[-1], ratios[-1])
     )
 

@@ -12,6 +12,7 @@ the system stops being overloaded (≥17 s).
 
 from __future__ import annotations
 
+import math
 from typing import Dict, Optional
 
 from ..allocation import GreedyAllocator, QantAllocator
@@ -38,14 +39,17 @@ def fig6_cell(
     num_nodes: int = 100,
     num_relations: int = 1000,
     num_classes: int = 100,
-    max_queries: int = 10_000,
-    horizon_ms: float = 300_000.0,
+    max_queries: Optional[int] = 10_000,
+    horizon_ms: float = math.inf,
     crossover_ms: Optional[float] = 17_000.0,
 ) -> Dict[str, float]:
     """One (mechanism, inter-arrival, seed) cell of Figure 6.
 
     The Zipf world is rebuilt (and crossover-calibrated) from ``seed`` in
-    every cell, so parallel cells are self-contained.
+    every cell, so parallel cells are self-contained.  The trace is the
+    first ``max_queries`` arrivals before ``horizon_ms``; by default no
+    horizon cuts it, so every point scores the paper's 10,000 queries.
+    One of the two must be bounded.
 
     ``crossover_ms`` rescales the cost model so the system stops being
     overloaded at that per-class mean inter-arrival, matching the paper's
@@ -61,6 +65,8 @@ def fig6_cell(
     still unfinished when the run ends, and the mean over finishers
     alone favours the mechanism that finished fewer, earlier ones.
     """
+    if max_queries is None and math.isinf(horizon_ms):
+        raise ValueError("fig6_cell needs a finite horizon_ms or max_queries")
     world = zipf_world(
         num_nodes=num_nodes,
         num_relations=num_relations,
@@ -128,7 +134,6 @@ register(
                     "num_relations": 300,
                     "num_classes": 30,
                     "max_queries": 2_500,
-                    "horizon_ms": 200_000.0,
                 },
             ),
             "paper": ScalePreset(

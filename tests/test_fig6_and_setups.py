@@ -5,7 +5,7 @@ import math
 import pytest
 
 from repro.allocation import QantAllocator
-from repro.experiments.fig6 import _calibrate_crossover
+from repro.experiments.fig6 import _calibrate_crossover, fig6_cell
 from repro.experiments.setups import (
     MechanismRun,
     sinusoid_trace_for_load,
@@ -50,6 +50,11 @@ class TestCrossoverCalibration:
     def test_requires_rescalable_model(self, tiny_two_query_world):
         with pytest.raises(TypeError):
             _calibrate_crossover(tiny_two_query_world, 5_000.0)
+
+    def test_cell_refuses_an_unbounded_trace(self):
+        # Neither a horizon nor a query cap: the trace would never end.
+        with pytest.raises(ValueError, match="finite horizon_ms or max_queries"):
+            fig6_cell("qa-nt", 10_000.0, 0, 0, max_queries=None)
 
 
 class TestTraceHelpers:

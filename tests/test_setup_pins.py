@@ -6,6 +6,7 @@ golden three layers down.  Capacities compare with ``==``, not approx.
 """
 
 import hashlib
+import math
 import random
 
 import pytest
@@ -110,6 +111,52 @@ def test_fig6_paper_trace(interarrival_ms, seed, last_ms, digest):
         100,
         interarrival_ms,
         300_000.0,
+        list(range(100)),
+        max_queries=10_000,
+        seed=seed,
+    )
+    assert len(events) == 10_000
+    assert events[-1].time_ms == last_ms
+    assert _trace_digest(events) == digest
+
+
+@pytest.mark.parametrize(
+    "interarrival_ms, seed, last_ms, digest",
+    [
+        (
+            5_000.0,
+            23,
+            466097.0014285614,
+            "958f3e228a9b492c860e8f28b1b5096a5729bcbda81779ff9f489383531338f7",
+        ),
+        (
+            10_000.0,
+            24,
+            722077.905935331,
+            "1efba0e341f402a296e003c813c53597ac72bb2dd881fabf0d6dbe3930334c7b",
+        ),
+        (
+            17_000.0,
+            25,
+            893367.0258545417,
+            "b2779f602db20d362d1f786d3b34a2f23a14e45a25642cc16316d55f911656d3",
+        ),
+        (
+            20_000.0,
+            26,
+            968042.171051002,
+            "6cdf570540b50e6d7f17ec8aaded861f90d29fee3b6b863a9dd9ffee73e30928",
+        ),
+    ],
+)
+def test_fig6_uncut_paper_trace(interarrival_ms, seed, last_ms, digest):
+    """The paper-scale Fig. 6 traces of ``fig6_cell(..., seed=0)``'s last
+    four points, which no horizon cuts: all 10,000 queries, the first
+    3,028-6,535 of them the 300 s traces' events."""
+    events = zipf_trace(
+        100,
+        interarrival_ms,
+        math.inf,
         list(range(100)),
         max_queries=10_000,
         seed=seed,
