@@ -153,8 +153,8 @@ class QantPricingAgent:
         self._price_epoch = 0
         self._max_price = max(self._price_values)
         self._num_classes = num_classes
-        # Per-period state.  The period engine reads these lists by name
-        # when it is built and writes them when its agents are read.
+        # Per-period state.  The simulator's period engine keeps the same
+        # fields as arrays and never touches these lists.
         self._remaining: List[float] = [0.0] * num_classes
         self._credit: List[float] = [0.0] * num_classes
         self._planned = QueryVector.zeros(num_classes)
@@ -178,12 +178,7 @@ class QantPricingAgent:
 
     @property
     def parameters(self) -> QantParameters:
-        """The agent's QA-NT tunables (immutable, often shared).
-
-        The batched period engine (:mod:`repro.core.period_engine`)
-        requires every agent it manages to share one parameter set; this
-        accessor is how it checks.
-        """
+        """The agent's QA-NT tunables (immutable, often shared)."""
         return self._params
 
     @property

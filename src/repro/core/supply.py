@@ -154,24 +154,6 @@ class CapacitySupplySet(SupplySet):
         self._costs = costs
         self._capacity = float(capacity_ms)
 
-    def with_capacity(self, capacity_ms: float) -> "CapacitySupplySet":
-        """A supply set with the same cost row but a new capacity budget.
-
-        This is the per-period rebind: a node's free capacity changes every
-        period while its cost row never does, so the rebind shares the
-        validated costs tuple with the original instead of re-validating
-        K costs each time.
-        """
-        if capacity_ms < 0:
-            raise ValueError("capacity must be non-negative")
-        capacity_ms = float(capacity_ms)
-        if capacity_ms == self._capacity:
-            return self
-        clone = object.__new__(CapacitySupplySet)
-        clone._costs = self._costs
-        clone._capacity = capacity_ms
-        return clone
-
     @property
     def num_classes(self) -> int:
         return len(self._costs)

@@ -12,7 +12,8 @@ The node also exposes what the allocation mechanisms need:
 * ``estimated_completion_ms`` for Greedy (queue + execution time);
 * ``current_load_ms`` for the load balancers, ``queued_queries`` for
   two random probes;
-* ``make_supply_set`` for QA-NT's per-period seller problem.
+* ``class_costs_ms``, the cost row QA-NT's period engine prices the
+  node's supply with (one row of the fleet's cost matrix).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import heapq
 import math
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
-from ..core.supply import CapacitySupplySet
 from ..query.cost import MachineSpec
 from ..query.model import Query
 from .engine import Simulator
@@ -124,14 +124,6 @@ class SimulatedNode:
             return True
         now = self._sim.now if now_ms is None else now_ms
         return not any(start <= now < end for start, end in self._outages)
-
-    def make_supply_set(self, period_ms: float) -> CapacitySupplySet:
-        """The node's supply set for one period of length ``period_ms``.
-
-        Capacity is the period length — the processing-time budget the
-        QA-NT seller may sell.
-        """
-        return CapacitySupplySet(self._costs, period_ms)
 
     def attach_fleet(self, slot_free, row: int) -> None:
         """Mirror this node's watermark into a fleet array.

@@ -4,13 +4,14 @@
 prices every exchange on a lane block over them.  ``ListingAllocator`` is
 the same mechanism with everything but the listing removed: the agents
 are the state, each boundary is every agent's own ``end_period`` →
-``rebind_supply_set(with_capacity(free))`` → ``begin_period``, and each
+``rebind_supply_set(CapacitySupplySet(costs, free))`` →
+``begin_period``, and each
 exchange is ``quote`` on every bidder the request reached, then
 ``accept`` on the earliest-completion offer among those that replied.
 No engine, lane, batch or saturation shortcut, and no code shared with
 ``repro.allocation.qant`` beyond the ``Allocator`` base.  It takes the
 same parameters, so a test runs both on one world and trace and compares
-outcomes, messages, ``market_rows()`` and final ``agents``.
+outcomes, messages, ``market_rows()`` and ``market_state()``.
 """
 
 import math
@@ -22,6 +23,7 @@ from repro.core.qant import (
     QantParameters,
     QantPricingAgent,
 )
+from repro.core.supply import CapacitySupplySet
 
 
 class ListingAllocator(Allocator):
@@ -59,7 +61,8 @@ class ListingAllocator(Allocator):
                 )
             self._allowances[node_id] = allowance
             self.agents[node_id] = QantPricingAgent(
-                node.make_supply_set(context.period_ms), self._params
+                CapacitySupplySet(node.class_costs_ms, context.period_ms),
+                self._params,
             )
         self.on_period_start()
 
@@ -69,8 +72,28 @@ class ListingAllocator(Allocator):
                 agent.end_period()
             load = self.context.nodes[node_id].current_load_ms()
             free = max(0.0, self._allowances[node_id] - load)
-            agent.rebind_supply_set(agent.supply_set.with_capacity(free))
+            agent.rebind_supply_set(
+                CapacitySupplySet(agent.supply_set.cost_ms, free)
+            )
             agent.begin_period()
+
+    def market_state(self):
+        """``QantAllocator.market_state()``, read from the agents."""
+        return [
+            (
+                node_id,
+                (
+                    agent.prices.values,
+                    agent.price_epoch,
+                    tuple(agent._remaining),
+                    tuple(agent._credit),
+                    agent.planned_supply.components,
+                    agent.supply_set.capacity_ms,
+                    agent._enforce_locked_at,
+                ),
+            )
+            for node_id, agent in self.agents.items()
+        ]
 
     def market_rows(self):
         return [

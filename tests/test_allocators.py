@@ -247,9 +247,9 @@ class TestQant:
             activation_threshold=None, queue_allowance_ms=0.0
         )
         make_federation(allocator)
-        before = [agent.prices[0] for agent in allocator.agents.values()]
+        before = [state[0][0] for __, state in allocator.market_state()]
         allocator.assign(query())
-        after = [agent.prices[0] for agent in allocator.agents.values()]
+        after = [state[0][0] for __, state in allocator.market_state()]
         assert all(b > a for a, b in zip(before, after))
 
     def test_activation_threshold_accepts_below_threshold(self):
@@ -264,13 +264,13 @@ class TestQant:
     def test_partial_adoption_only_builds_agents_for_adopters(self):
         allocator = QantAllocator(adopters={0, 1})
         make_federation(allocator)
-        assert set(allocator.agents) == {0, 1}
+        assert [nid for nid, __ in allocator.market_state()] == [0, 1]
 
     def test_period_start_replans(self):
         allocator = QantAllocator()
         fed = make_federation(allocator)
         planned_before = {
-            nid: agent.planned_supply for nid, agent in allocator.agents.items()
+            nid: sum(state[4]) for nid, state in allocator.market_state()
         }
         # Load a node, then re-plan: its supply must shrink.
         nid = allocator.context.candidates(0)[0]
@@ -278,6 +278,6 @@ class TestQant:
             fed.nodes[nid].enqueue(query(qid=200 + i))
         allocator.on_period_start()
         assert (
-            allocator.agents[nid].planned_supply.total()
-            <= planned_before[nid].total()
+            sum(dict(allocator.market_state())[nid][4])
+            <= planned_before[nid]
         )

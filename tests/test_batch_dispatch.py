@@ -146,14 +146,10 @@ def test_batched_runs_match_scalar_bit_for_bit(
         assert batched.metrics.counters["batch_ticks"] == 0
 
 
-def _agent_state(agent):
-    return (
-        tuple(agent.prices),
-        agent.max_price,
-        tuple(agent._remaining),
-        agent._price_epoch,
-        agent._enforce_locked_at,
-    )
+def _agent_state(allocator):
+    """Every adopter's market state, by node id (see
+    ``QantAllocator.market_state``)."""
+    return dict(allocator.market_state())
 
 
 @st.composite
@@ -508,10 +504,7 @@ def test_qant_agent_state_matches_scalar_after_run():
             FederationConfig(seed=2, batch_ticks=batch),
         )
         metrics[batch] = federation.run(trace)
-        states[batch] = {
-            node_id: _agent_state(agent)
-            for node_id, agent in sorted(allocator.agents.items())
-        }
+        states[batch] = _agent_state(allocator)
     assert states[True] == states[False]
     assert _outcome_digest(metrics[True].outcomes) == _outcome_digest(
         metrics[False].outcomes
@@ -644,13 +637,7 @@ def test_partial_fanout_mid_run_falls_back_and_recovers():
         assert _outcome_digest(run.outcomes) == _outcome_digest(
             scalar_metrics.outcomes
         )
-        assert {
-            node_id: _agent_state(agent)
-            for node_id, agent in sorted(allocator.agents.items())
-        } == {
-            node_id: _agent_state(agent)
-            for node_id, agent in sorted(scalar.agents.items())
-        }
+        assert _agent_state(allocator) == _agent_state(scalar)
 
 
 def _armed_allocator():
@@ -828,7 +815,7 @@ def _overload_run(world, trace, batch_ticks, faults=None):
     exchanges reached a partial fan-out.
 
     The market state stays in the period engine's arrays; the pinned
-    agents are written from them when read.
+    agents are read out of them.
     """
     allocator = QantAllocator()
     federation = build_federation(
@@ -857,10 +844,7 @@ def _overload_run(world, trace, batch_ticks, faults=None):
         "dropped": metrics.dropped,
         # repr() pins the floats to the last bit (and -0.0 vs 0.0).
         "negotiation": repr(sorted(metrics.negotiation_summary().items())),
-        "agents": {
-            node_id: _agent_state(agent)
-            for node_id, agent in sorted(allocator.agents.items())
-        },
+        "agents": _agent_state(allocator),
         "messages_sent": network.messages_sent,
         "next_draws": (network.round_trip_ms(3), network.round_trip_ms(9)),
     }

@@ -257,22 +257,16 @@ def scalar_paths_payload() -> str:
             FederationConfig(seed=2, **config),
         )
 
-    def state(agent):
-        # The file's format: prices, max price, remaining supply, price
-        # epoch and enforce latch.
-        return (
-            tuple(agent.prices),
-            agent.max_price,
-            tuple(agent._remaining),
-            agent._price_epoch,
-            agent._enforce_locked_at,
-        )
-
     def agents(allocator):
-        # repr() pins the floats to the last bit.
+        # The file's format: prices, max price, remaining supply, price
+        # epoch and enforce latch; repr() pins the floats to the last bit.
         return {
-            str(node_id): repr(state(agent))
-            for node_id, agent in sorted(allocator.agents.items())
+            str(node_id): repr(
+                (prices, max(prices), remaining, epoch, latch)
+            )
+            for node_id, (
+                prices, epoch, remaining, __, __, __, latch
+            ) in sorted(allocator.market_state())
         }
 
     payload = {}

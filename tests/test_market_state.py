@@ -2,10 +2,10 @@
 
 From bind to the end the period engine's lanes, priced through the
 dispatcher's lane block, are the market: every exchange (an outage
-window's partial fan-outs included) is a vector exchange, and the agent
-objects are written only when someone reads ``QantAllocator.agents``.
-Observers read ``QantAllocator.market_rows()``, which answers from the
-arrays.  The contract is that nobody can tell: at every observation
+window's partial fan-outs included) is a vector exchange, and no agent
+object exists.  ``QantAllocator.market_state()`` reads every field the
+listing's agents hold out of the arrays, and observers read its
+projection ``QantAllocator.market_rows()``.  The contract is that nobody can tell: at every observation
 point and after the run, the array twin shows what the paper listing run
 whole (``tests/listing_allocator.py``, same world, same trace) shows,
 and the run's outcomes do not depend on who looked.
@@ -41,20 +41,24 @@ from test_golden_trace import GOLDEN_DIR, _outcome_digest
 
 
 def _full_state(allocator):
-    """Every field of every agent the array run has to write back."""
+    """Every field of every agent the array run has to match: prices,
+    price epoch, overload signal, remaining supply, credit, planned
+    supply, enforce latch and free capacity."""
     return [
         (
             node_id,
-            tuple(agent._price_values),
-            agent._price_epoch,
-            agent.max_price,
-            tuple(agent._remaining),
-            tuple(agent._credit),
-            agent.planned_supply.components,
-            agent._enforce_locked_at,
-            agent.supply_set.capacity_ms,
+            prices,
+            epoch,
+            max(prices),
+            remaining,
+            credit,
+            planned,
+            latch,
+            capacity,
         )
-        for node_id, agent in sorted(allocator.agents.items())
+        for node_id, (
+            prices, epoch, remaining, credit, planned, capacity, latch
+        ) in sorted(allocator.market_state())
     ]
 
 
@@ -449,8 +453,8 @@ def test_rearm_maxp_is_the_engine_row_maximum():
 
     def checked():
         on_period_start()
-        dense = engine.price_matrix().max(axis=1)
-        seen.append(block.maxp.tolist() == dense.tolist())
+        dense = [max(state[0]) for __, state in allocator.market_state()]
+        seen.append(block.maxp.tolist() == dense)
         seen.append(not block.locked.any())
         # A lane raised past the non-lane cell's 1.0, and a row of lanes
         # only decayed below it.

@@ -111,12 +111,6 @@ class TestSimulatedNode:
         sim.run()
         assert node.queued_queries() == 1
 
-    def test_supply_set_uses_period_capacity(self):
-        sim = Simulator()
-        node = make_node(sim)
-        supply_set = node.make_supply_set(500.0)
-        assert supply_set.capacity_ms == 500.0
-
 
 def outcome(qid=0, arrival=0.0, assigned=1.0, start=2.0, finish=10.0, cls=0):
     return QueryOutcome(

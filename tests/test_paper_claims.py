@@ -97,8 +97,8 @@ def _run(world, trace, engine, mechanism, seed):
         assert allocator.batch_dispatch_stats.vector_exchanges > 0
     prices = [
         statistics.mean(
-            agent.prices.values[k]
-            for node_id, agent in allocator.agents.items()
+            state[0][k]
+            for node_id, state in allocator.market_state()
             if federation.nodes[node_id].can_evaluate(k)
         )
         for k in range(len(world.classes))

@@ -1,19 +1,17 @@
-"""Property tests for the price epoch and the capacity rebind (hypothesis).
+"""Property tests for the price epoch (hypothesis).
 
-The period engine keys its plan cache on an agent's price epoch, so the
-epoch must move exactly when a price does: these tests drive random
+The period engine keys its plan cache on a row's price epoch, and its
+twin tests hold that epoch to the listing agent's, so the agent's epoch
+must move exactly when a price does: these tests drive random
 interleavings of ``_raise_price`` / ``_lower_price`` — the only two
-operations that move prices — and check it.  ``with_capacity`` shares the
-validated cost row with its original; a rebound supply set must solve
-eq. 4 *exactly* (``==``) as a freshly constructed one does.
+operations that move prices — and check it.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.qant import QantPricingAgent
-from repro.core.supply import SUPPLY_METHODS, CapacitySupplySet
+from repro.core.supply import CapacitySupplySet
 
 costs_lists = st.lists(
     st.floats(min_value=50.0, max_value=1000.0), min_size=2, max_size=5
@@ -58,36 +56,3 @@ class TestEpochTokenCache:
             assert agent.max_price == max(prices)
             last_epoch = agent.price_epoch
             last_prices = prices
-
-
-class TestWithCapacityRebind:
-    @settings(max_examples=40, deadline=None)
-    @given(
-        costs_lists,
-        capacities,
-        capacities,
-        st.integers(min_value=0, max_value=10),
-        st.sampled_from(SUPPLY_METHODS),
-    )
-    def test_rebind_equals_fresh_construction(
-        self, costs, cap_a, cap_b, price_scale, method
-    ):
-        prices = [
-            0.5 + price_scale * 0.3 * (k + 1) for k in range(len(costs))
-        ]
-        base = CapacitySupplySet(costs, cap_a)
-        rebound = base.with_capacity(cap_b)
-        fresh = CapacitySupplySet(costs, cap_b)
-        assert rebound.capacity_ms == fresh.capacity_ms
-        assert rebound.optimal_supply(prices, method) == fresh.optimal_supply(
-            prices, method
-        )
-
-    def test_same_capacity_rebind_returns_self(self):
-        base = CapacitySupplySet([100.0, 200.0], 1000.0)
-        assert base.with_capacity(1000.0) is base
-
-    def test_negative_capacity_rejected(self):
-        base = CapacitySupplySet([100.0, 200.0], 1000.0)
-        with pytest.raises(ValueError):
-            base.with_capacity(-1.0)
