@@ -62,8 +62,11 @@ def fig6_cell(
     Besides the run's :meth:`~repro.experiments.setups.MechanismRun
     .metrics_dict`, a cell reports ``in_flight`` and
     ``censored_mean_response_ms``: at deep overload most queries are
-    still unfinished when the run ends, and the mean over finishers
-    alone favours the mechanism that finished fewer, earlier ones.
+    still unfinished when the 60 s drain ends, and the mean over
+    finishers alone favours the mechanism that finished fewer, earlier
+    ones (EXPERIMENTS.md E8 has the reading drained to empty,
+    ``drain_ms=inf``).  It also reports ``messages_per_query``, the
+    negotiation cost the response ratio does not show.
     """
     if max_queries is None and math.isinf(horizon_ms):
         raise ValueError("fig6_cell needs a finite horizon_ms or max_queries")
@@ -92,6 +95,7 @@ def fig6_cell(
     cell = run.metrics_dict()
     cell["in_flight"] = run.metrics.in_flight
     cell["censored_mean_response_ms"] = run.metrics.censored_mean_response_ms()
+    cell["messages_per_query"] = run.messages / len(trace)
     return cell
 
 

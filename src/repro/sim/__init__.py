@@ -11,6 +11,7 @@ from .faults import (
 )
 from .federation import (
     DEFAULT_PERIOD_MS,
+    DrainCapExceeded,
     FederationConfig,
     FederationSimulation,
     build_federation,
@@ -39,6 +40,7 @@ from .shards import (
 __all__ = [
     "ClassView",
     "DEFAULT_PERIOD_MS",
+    "DrainCapExceeded",
     "FaultInjector",
     "FaultSpec",
     "FederationConfig",

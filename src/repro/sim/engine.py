@@ -197,8 +197,9 @@ class Simulator:
     ) -> None:
         """Schedule ``callback`` periodically (period ticks, metric samples).
 
-        The recurrence reschedules itself after each firing; ``until_ms``
-        (inclusive) bounds every firing, the first included.
+        The recurrence reschedules itself after each firing until the
+        callback returns a true value; ``until_ms`` (inclusive) bounds
+        every firing, the first included.
         """
         if interval_ms <= 0:
             raise ValueError("interval must be positive")
@@ -207,7 +208,8 @@ class Simulator:
             return
 
         def fire_and_reschedule() -> None:
-            callback()
+            if callback():
+                return
             next_time = self._now + interval_ms
             if until_ms is None or next_time <= until_ms:
                 self.schedule_at(next_time, fire_and_reschedule)

@@ -22,11 +22,15 @@ The lifecycle per run:
 After the trace's horizon a configurable *drain* window keeps period ticks
 alive so backlogged queries can finish; whatever is still pending when the
 drain ends is recorded as dropped, and what is queued or running then is
-counted as ``in_flight``.
+counted as ``in_flight``.  An infinite drain runs until nothing is pending
+or backing off and every query has finished (no drops, nothing in
+flight); a run that has not emptied :data:`DRAIN_CAP_MS` after its
+horizon raises :class:`DrainCapExceeded`.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 from operator import itemgetter
@@ -45,6 +49,8 @@ from .network import LatencyModel, Network
 from .node import SimulatedNode
 
 __all__ = [
+    "DRAIN_CAP_MS",
+    "DrainCapExceeded",
     "FederationConfig",
     "FederationSimulation",
     "generate_machine_specs",
@@ -55,13 +61,32 @@ __all__ = [
 #: The paper's period length ``T``.
 DEFAULT_PERIOD_MS = 500.0
 
+#: How long after its horizon a ``drain_ms=inf`` run may take to empty:
+#: ten simulated hours, six times the 6,000 s that drained every paper
+#: Fig. 6 cell.
+DRAIN_CAP_MS = 36_000_000.0
+
+
+class DrainCapExceeded(RuntimeError):
+    """A ``drain_ms=inf`` run still had queries pending or backing off
+    :data:`DRAIN_CAP_MS` after its horizon."""
+
+    def __init__(self, pending: int):
+        super().__init__(
+            "%d queries still pending %.0f s after the horizon"
+            % (pending, DRAIN_CAP_MS / 1000.0)
+        )
+        self.pending = pending
+
 
 @dataclass(frozen=True)
 class FederationConfig:
     """Run-level knobs of the federation simulator."""
 
     period_ms: float = DEFAULT_PERIOD_MS
-    #: Extra simulated time after the last arrival for backlogs to drain.
+    #: Extra simulated time after the last arrival for backlogs to drain;
+    #: ``math.inf`` drains until every query has finished (see
+    #: :data:`DRAIN_CAP_MS`).
     drain_ms: float = 60_000.0
     latency: LatencyModel = field(default_factory=LatencyModel)
     seed: int = 0
@@ -81,7 +106,8 @@ class FederationConfig:
     def __post_init__(self) -> None:
         if self.period_ms <= 0:
             raise ValueError("period must be positive")
-        if self.drain_ms < 0:
+        # The negated test also refuses NaN, which passes any `<` test.
+        if not self.drain_ms >= 0:
             raise ValueError("drain window must be non-negative")
 
 
@@ -188,16 +214,28 @@ class FederationSimulation:
         if not trace:
             raise ValueError("cannot run an empty workload trace")
         horizon = max(e.time_ms for e in trace)
-        end_of_run = horizon + self._config.drain_ms
+        drain_ms = self._config.drain_ms
+        to_empty = math.isinf(drain_ms)
+        end_of_run = horizon + (DRAIN_CAP_MS if to_empty else drain_ms)
 
         faults = self._faults
         if faults is not None and faults.spec.node_faults:
             # Scripted outages and churn windows go through the node's
             # existing fail/drain machinery before any event fires.
             faults.install_node_faults(self._nodes, horizon)
+        if to_empty:
+
+            def on_tick() -> bool:
+                # Past the horizon with nothing left to retry, the ticks
+                # end and the heap runs dry once the last commit lands.
+                self._on_period_tick()
+                return self._sim.now > horizon and not self.pending_queries
+
+        else:
+            on_tick = self._on_period_tick
         self._sim.every(
             self._config.period_ms,
-            self._on_period_tick,
+            on_tick,
             start_ms=self._config.period_ms,
             until_ms=end_of_run,
         )
@@ -219,6 +257,12 @@ class FederationSimulation:
             for event in trace:
                 schedule_at(event.time_ms, on_arrival, event)
         self._sim.run(until_ms=end_of_run)
+        if to_empty:
+            if self.pending_queries:
+                raise DrainCapExceeded(self.pending_queries)
+            end_of_run = max(
+                (row[7] for row in self._executions), default=horizon
+            )
         self._record_outcomes(end_of_run)
         # Let the allocator close its last period before the run's
         # counters are read.

@@ -124,6 +124,19 @@ class TestRecurrence:
         sim.run()
         assert times == [10.0, 20.0, 30.0, 40.0]
 
+    def test_every_ends_when_the_callback_returns_true(self):
+        sim = Simulator()
+        times = []
+
+        def tick():
+            times.append(sim.now)
+            return sim.now >= 30.0
+
+        sim.every(10.0, tick, start_ms=10.0, until_ms=100.0)
+        sim.run()
+        assert times == [10.0, 20.0, 30.0]
+        assert sim.pending_events == 0
+
     def test_every_rejects_nonpositive_interval(self):
         with pytest.raises(ValueError):
             Simulator().every(0.0, lambda: None)

@@ -1,9 +1,12 @@
 """Scaled-down runs of the registered fig5b / fig6 / ablation sweeps (slow)."""
 
+import functools
 import math
 
 import pytest
 
+from repro.experiments import fig6
+from repro.sim import FederationConfig
 from sized_sweep import sized_sweep
 
 pytestmark = pytest.mark.slow
@@ -70,6 +73,32 @@ class TestFig6Driver:
         # Overload regime: QA-NT ahead.
         assert by_gap[1_000.0] > 1.0
         # At/after the crossover: parity (within 15%).
+        assert abs(by_gap[17_000.0] - 1.0) < 0.15
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known deviation 8 (EXPERIMENTS.md): scored drained to "
+        "empty, QA-NT trails greedy at the crossover (0.80 at seed 0)",
+    )
+    def test_crossover_parity_drained_to_empty(self, monkeypatch):
+        # The parity claim above, on the same cells, with every query of
+        # the trace scored: the cells drain to empty instead of stopping
+        # 60 s after the horizon.
+        monkeypatch.setattr(
+            fig6,
+            "FederationConfig",
+            functools.partial(FederationConfig, drain_ms=math.inf),
+        )
+        result = sized_sweep(
+            "fig6",
+            (1_000.0, 10_000.0, 17_000.0),
+            num_nodes=30,
+            num_relations=300,
+            num_classes=30,
+            max_queries=2_500,
+            horizon_ms=200_000.0,
+        )
+        by_gap = dict(zip(result.points, _means(result.ratio_series())))
         assert abs(by_gap[17_000.0] - 1.0) < 0.15
 
     def test_without_crossover_calibration(self):

@@ -11,8 +11,10 @@ from repro.experiments.setups import (
 )
 from repro.allocation.base import Allocator, AssignmentDecision
 from repro.query import MachineSpec
-from repro.sim import FederationConfig, build_federation
+from repro.sim import DrainCapExceeded, FederationConfig, build_federation
+from repro.sim import federation as federation_module
 from repro.sim.engine import Simulator
+from repro.sim.faults import FaultSpec
 from repro.sim.federation import FederationSimulation
 from repro.sim.network import LatencyModel, Network
 from repro.sim.node import SimulatedNode
@@ -205,6 +207,50 @@ class TestOverloadBehaviour:
         )
         assert metrics.dropped > 0
 
+    @pytest.mark.parametrize(
+        "mechanism, faults",
+        [
+            (GreedyAllocator, None),
+            (QantAllocator, None),
+            (QantAllocator, FaultSpec(drop_probability=0.2, fault_seed=3)),
+        ],
+    )
+    def test_infinite_drain_runs_to_empty(self, world, mechanism, faults):
+        """``drain_ms=inf`` runs until every query has finished (under
+        message faults, until no retry is backing off either), and scores
+        exactly what a finite drain long enough to empty scores."""
+        trace = sinusoid_trace_for_load(
+            world, load_fraction=2.5, horizon_ms=10_000.0, seed=8
+        )
+        __, drained = run(
+            world, mechanism(), trace, drain_ms=math.inf, faults=faults
+        )
+        assert drained.completed == len(trace)
+        assert drained.dropped == drained.in_flight == 0
+        assert drained.censored_mean_response_ms() == (
+            drained.mean_response_ms()
+        )
+        __, long = run(
+            world, mechanism(), trace, drain_ms=600_000.0, faults=faults
+        )
+        assert long.completed == len(trace)
+        assert drained.outcomes == long.outcomes
+
+    def test_infinite_drain_past_the_cap_names_the_pending(
+        self, world, monkeypatch
+    ):
+        # No supply anywhere, always enforced: every query is refused for
+        # ever, so the run can never empty.
+        monkeypatch.setattr(federation_module, "DRAIN_CAP_MS", 5_000.0)
+        trace = sinusoid_trace_for_load(
+            world, load_fraction=1.0, horizon_ms=2_000.0, seed=8
+        )
+        allocator = QantAllocator(
+            activation_threshold=None, queue_allowance_ms=0.0
+        )
+        with pytest.raises(DrainCapExceeded, match="%d queries" % len(trace)):
+            run(world, allocator, trace, drain_ms=math.inf)
+
     def test_greedy_never_refuses(self, world):
         trace = sinusoid_trace_for_load(
             world, load_fraction=2.5, horizon_ms=10_000.0, seed=8
@@ -231,3 +277,7 @@ class TestBuildValidation:
             FederationConfig(period_ms=0.0)
         with pytest.raises(ValueError):
             FederationConfig(drain_ms=-1.0)
+        # NaN passes a `< 0` test, and a NaN drain scored nothing.
+        with pytest.raises(ValueError):
+            FederationConfig(drain_ms=math.nan)
+        FederationConfig(drain_ms=math.inf)

@@ -1,10 +1,12 @@
 """Tests for fig6 calibration and the experiment setup helpers."""
 
+import functools
 import math
 
 import pytest
 
 from repro.allocation import QantAllocator
+from repro.experiments import fig6
 from repro.experiments.fig6 import _calibrate_crossover, fig6_cell
 from repro.experiments.setups import (
     MechanismRun,
@@ -55,6 +57,34 @@ class TestCrossoverCalibration:
         # Neither a horizon nor a query cap: the trace would never end.
         with pytest.raises(ValueError, match="finite horizon_ms or max_queries"):
             fig6_cell("qa-nt", 10_000.0, 0, 0, max_queries=None)
+
+
+class TestDrainedCell:
+    @pytest.mark.parametrize("mechanism", ["qa-nt", "greedy"])
+    def test_a_cell_drains_to_empty(self, mechanism, monkeypatch):
+        # Deep overload (200 queries of eight classes, 100 ms apart, on
+        # twelve nodes calibrated to saturate at 17 s), drained to empty
+        # as EXPERIMENTS.md E8 scores Fig. 6: every query finishes, so
+        # nothing is censored.
+        monkeypatch.setattr(
+            fig6,
+            "FederationConfig",
+            functools.partial(FederationConfig, drain_ms=math.inf),
+        )
+        cell = fig6_cell(
+            mechanism,
+            100.0,
+            0,
+            0,
+            num_nodes=12,
+            num_relations=60,
+            num_classes=8,
+            max_queries=200,
+        )
+        assert cell["completed"] == 200
+        assert cell["dropped"] == cell["in_flight"] == 0
+        assert cell["censored_mean_response_ms"] == cell["mean_response_ms"]
+        assert cell["messages_per_query"] == cell["messages"] / 200
 
 
 class TestTraceHelpers:
