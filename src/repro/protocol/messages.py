@@ -349,16 +349,27 @@ def encode(message: Message) -> str:
         raise ProtocolError("unencodable message: %s" % exc) from exc
 
 
+def _refuse_constant(literal: str) -> float:
+    raise ProtocolError("%s is not a JSON number" % literal)
+
+
+#: The envelope parser: the JSON literals ``NaN``, ``Infinity`` and
+#: ``-Infinity``, which Python's parser takes by default, are refused, as
+#: :func:`encode` refuses the values they stand for.
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def decode(payload: str) -> Message:
     """Parse one JSON envelope back into its typed message.
 
-    Raises :class:`ProtocolError` on malformed JSON, a missing or
-    unsupported version, an unknown message type, or missing required
-    fields.  Unknown *body* fields are silently dropped — the forward
-    tolerance that lets an old peer read a newer peer's messages.
+    Raises :class:`ProtocolError` on malformed JSON (the non-standard
+    ``NaN`` / ``Infinity`` literals included), a missing or unsupported
+    version, an unknown message type, or missing required fields.
+    Unknown *body* fields are silently dropped — the forward tolerance
+    that lets an old peer read a newer peer's messages.
     """
     try:
-        envelope = json.loads(payload)
+        envelope = _DECODER.decode(payload)
     except json.JSONDecodeError as exc:
         raise ProtocolError("payload is not valid JSON: %s" % exc) from exc
     if not isinstance(envelope, dict):

@@ -488,6 +488,33 @@ class TestCodec:
         with pytest.raises(ProtocolError):
             encode(quote)
 
+    @pytest.mark.parametrize(
+        "literal, value",
+        [("NaN", math.nan), ("Infinity", math.inf), ("-Infinity", -math.inf)],
+    )
+    @pytest.mark.parametrize(
+        "message, field",
+        [
+            (PeriodTick(period_index=3, period_ms=500.0), "period_ms"),
+            (
+                Quote(qid=1, node_id=2, class_index=0,
+                      estimated_completion_ms=7.5),
+                "estimated_completion_ms",
+            ),
+        ],
+    )
+    def test_non_finite_literals_do_not_decode(
+        self, message, field, literal, value
+    ):
+        """What ``encode`` refuses, ``decode`` refuses too: Python's JSON
+        parser takes the non-standard literals unless told not to."""
+        envelope = json.loads(encode(message))
+        envelope["body"][field] = value
+        payload = json.dumps(envelope)
+        assert literal in payload
+        with pytest.raises(ProtocolError, match=literal):
+            decode(payload)
+
     def test_non_message_objects_have_no_tag(self):
         with pytest.raises(ProtocolError):
             message_tag("hello")  # type: ignore[arg-type]
