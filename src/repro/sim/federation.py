@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..allocation.base import AllocationContext, Allocator
@@ -239,23 +239,15 @@ class FederationSimulation:
             start_ms=self._config.period_ms,
             until_ms=end_of_run,
         )
-        # Arrivals are scheduled as slim (callback, args) event slots — no
-        # per-event closure allocation for the whole trace.  A sorted
-        # trace (every builder emits one) goes in as one event *stream*:
-        # only its next-due entry occupies a heap slot, so a million-query
-        # trace costs O(1) heap residency instead of O(queries), and —
-        # with batching enabled — runs of same-timestamp arrivals collapse
-        # into one market-tick entry each.
-        if all(
-            trace[i].time_ms <= trace[i + 1].time_ms
-            for i in range(len(trace) - 1)
-        ):
-            self._sim.schedule_stream(self._arrival_entries(trace))
-        else:
-            schedule_at = self._sim.schedule_at
-            on_arrival = self._on_arrival
-            for event in trace:
-                schedule_at(event.time_ms, on_arrival, event)
+        # Arrivals go in as one event *stream* of slim (callback, args)
+        # slots: only its next-due entry occupies a heap slot, so a
+        # million-query trace costs O(1) heap residency instead of
+        # O(queries), and — with batching enabled — runs of
+        # same-timestamp arrivals collapse into one market-tick entry
+        # each.  The sort is stable, so same-time arrivals keep trace
+        # order; every builder emits a sorted trace already.
+        ordered = sorted(trace, key=attrgetter("time_ms"))
+        self._sim.schedule_stream(self._arrival_entries(ordered))
         self._sim.run(until_ms=end_of_run)
         if to_empty:
             if self.pending_queries:
