@@ -7,7 +7,6 @@ Usage::
     python -m repro run fig4 --scale paper --seed 3
     python -m repro run fig5a --seeds 3 --jobs 4 --json
     python -m repro run all --scale small --json
-    python -m repro profile fig5a --scale paper
 
 Every experiment is a :class:`~repro.experiments.spec.ScenarioSpec` in
 the global registry; the CLI is a thin shell over
@@ -21,9 +20,6 @@ full dimensions (100 nodes, 10,000 queries) and can take much longer.
 ``--seed`` itself), ``--jobs N`` fans sweep cells out over N worker
 processes (results are byte-identical to a serial run), and ``--json``
 writes a versioned artifact under ``benchmarks/results/``.
-
-``profile`` runs one experiment under cProfile and prints the hottest
-functions — the first stop when a paper-scale run feels slow.
 """
 
 from __future__ import annotations
@@ -42,13 +38,9 @@ from .experiments.runner import (
     single_run_payload,
     write_json_artifact,
 )
-from .experiments.spec import REGISTRY, SCALES, ScenarioSpec
+from .experiments.spec import REGISTRY, ScenarioSpec
 
 __all__ = ["main"]
-
-#: Mirrors :data:`repro.profiling.SORT_KEYS` without importing cProfile
-#: machinery at CLI-parse time.
-_PROFILE_SORT_KEYS = ("tottime", "cumtime", "ncalls")
 
 
 def _progress(message: str) -> None:
@@ -114,45 +106,6 @@ def _run_one(
     print()
 
 
-def _run_profile(args: argparse.Namespace) -> int:
-    """Handle the ``profile`` subcommand."""
-    import json as _json
-
-    from .profiling import (
-        collect_experiment,
-        profile_payload,
-        _check_render_args,
-        _render,
-    )
-
-    try:
-        _check_render_args(args.sort, args.limit)
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    started = time.time()
-    profiler = collect_experiment(
-        args.experiment, scale=args.scale, seed=args.seed
-    )
-    if args.json:
-        target = "experiment:%s scale=%s seed=%d" % (
-            args.experiment,
-            args.scale,
-            args.seed,
-        )
-        payload = profile_payload(
-            profiler, target, sort=args.sort, limit=args.limit
-        )
-        print(_json.dumps(payload, indent=2, sort_keys=True))
-        return 0
-    print(
-        "=== profile: %s --scale %s --seed %d (%.1fs wall) ==="
-        % (args.experiment, args.scale, args.seed, time.time() - started)
-    )
-    print(_render(profiler, args.sort, args.limit, None))
-    return 0
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -212,50 +165,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=DEFAULT_RESULTS_DIR,
         help="artifact directory (default: %s)" % DEFAULT_RESULTS_DIR,
     )
-    profile = commands.add_parser(
-        "profile",
-        help="run one experiment under cProfile and print the hot spots",
-    )
-    profile.add_argument(
-        "experiment",
-        choices=REGISTRY.names(),
-        help="experiment id (see 'list')",
-    )
-    profile.add_argument(
-        "--scale",
-        choices=SCALES,
-        default="small",
-        help="federation/workload size (default: small)",
-    )
-    profile.add_argument("--seed", type=int, default=0, help="base random seed")
-    profile.add_argument(
-        "--sort",
-        choices=_PROFILE_SORT_KEYS,
-        default="tottime",
-        help="pstats sort key (default: tottime)",
-    )
-    profile.add_argument(
-        "--limit",
-        type=int,
-        default=25,
-        help="number of rows to print (default: 25)",
-    )
-    profile.add_argument(
-        "--json",
-        action="store_true",
-        help="emit machine-readable hotspot rows (versioned schema) "
-        "instead of the pstats table",
-    )
-    # `--top` writes into the same dest as `--limit`; SUPPRESS keeps the
-    # alias from clobbering --limit's default at namespace set-up.
-    profile.add_argument(
-        "--top",
-        type=int,
-        dest="limit",
-        default=argparse.SUPPRESS,
-        metavar="N",
-        help="alias for --limit",
-    )
     return parser
 
 
@@ -266,8 +175,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         for name in REGISTRY.names():
             print(name)
         return 0
-    if args.command == "profile":
-        return _run_profile(args)
 
     if args.seeds < 1:
         print("--seeds must be >= 1", file=sys.stderr)

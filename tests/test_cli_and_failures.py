@@ -1,17 +1,22 @@
 """Tests for the CLI and the node-failure extension experiment."""
 
-import json
+import argparse
 import math
+import pathlib
+import re
 
 import pytest
 
-from repro.cli import main
+from repro import cli
+from repro.cli import _build_parser, main
 from repro.experiments.failures import failed_node_ids, failures_cell
 from repro.experiments.spec import REGISTRY
 from repro.query import MachineSpec
 from repro.sim import Simulator
 from repro.sim.node import SimulatedNode
 from sized_sweep import sized_sweep
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 
 class TestCli:
@@ -34,48 +39,43 @@ class TestCli:
             main(["run", "nonexistent"])
 
 
-class TestProfileCli:
-    def test_profile_experiment_renders_stats(self, capsys):
-        assert main(["profile", "fig1", "--top", "5"]) == 0
-        out = capsys.readouterr().out
-        assert "fig1 --scale small --seed 0" in out
-        assert "cumtime" in out  # pstats table rendered
+#: Documents whose shell recipes name ``python -m repro <command>``.
+_RECIPE_DOCS = ("README.md", "EXPERIMENTS.md", "DESIGN.md")
+_RECIPE = re.compile(r"python3? -m repro[ \t]+([A-Za-z][\w-]*)")
 
-    def test_profile_experiment_json_payload(self, capsys):
-        assert main(["profile", "fig1", "--top", "5", "--json"]) == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["schema_version"] == 3
-        assert payload["kind"] == "profile"
-        assert payload["target"] == "experiment:fig1 scale=small seed=0"
-        assert payload["sort"] == "tottime"
-        assert payload["total_time_s"] > 0
-        assert "shards" not in payload  # v2's kernel-only section
-        assert 1 <= len(payload["rows"]) <= 5
-        assert set(payload["rows"][0]) == {
-            "file",
-            "line",
-            "function",
-            "ncalls",
-            "primitive_calls",
-            "tottime_s",
-            "cumtime_s",
-        }
-        # tottime sort: rows arrive hottest-first.
-        times = [r["tottime_s"] for r in payload["rows"]]
-        assert times == sorted(times, reverse=True)
 
-    def test_profile_rejects_bad_limit(self, capsys):
-        assert main(["profile", "fig1", "--top", "0"]) == 2
-        assert "limit" in capsys.readouterr().err
+def _subcommands():
+    (commands,) = [
+        action
+        for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return set(commands.choices)
+
+
+class TestDocumentedCommands:
+    """Every ``python -m repro <command>`` a document shows is a real one.
+
+    A removed or renamed subcommand would otherwise leave its recipes
+    behind in the docs, where a reader finds them only by running them.
+    """
 
     @pytest.mark.parametrize(
-        "argv",
-        [["profile", "nope.missing"], ["profile"]],
-        ids=["unknown-experiment", "no-target"],
+        "source", _RECIPE_DOCS + ("repro.cli docstring",)
     )
-    def test_profile_needs_one_registered_experiment(self, argv, capsys):
+    def test_recipes_name_subcommands_the_parser_accepts(self, source):
+        if source in _RECIPE_DOCS:
+            text = (ROOT / source).read_text()
+        else:
+            text = cli.__doc__
+        named = _RECIPE.findall(text)
+        assert named, "no `python -m repro <command>` recipe in %s" % source
+        assert sorted(set(named) - _subcommands()) == []
+
+    def test_the_cli_is_list_and_run(self):
+        assert _subcommands() == {"list", "run"}
         with pytest.raises(SystemExit) as exit_info:
-            main(argv)
+            main(["profile", "fig1"])
         assert exit_info.value.code == 2
 
 
