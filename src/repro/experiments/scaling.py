@@ -17,13 +17,14 @@ candidate sets grow), and the dispatcher's batch counters
 
 from __future__ import annotations
 
-import math
 import time
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, Optional
+
+import numpy as np
 
 from ..allocation import GreedyAllocator, QantAllocator
 from ..sim import FederationConfig, ShardedFederation
-from ..workload import WorkloadEvent
+from ..workload import Trace, WorkloadEvent, trace_columns
 from .setups import run_mechanism, sinusoid_trace_for_load, two_query_world
 from .spec import ScalePreset, ScenarioSpec, register
 
@@ -43,9 +44,7 @@ _PAIR = {"qa-nt": QantAllocator, "greedy": GreedyAllocator}
 DEFAULT_TICK_MS = 25.0
 
 
-def quantise_trace(
-    trace: Iterable[WorkloadEvent], tick_ms: float
-) -> List[WorkloadEvent]:
+def quantise_trace(trace: Iterable[WorkloadEvent], tick_ms: float) -> Trace:
     """Floor every arrival timestamp onto a ``tick_ms`` grid.
 
     Events keep their order (flooring a sorted sequence preserves
@@ -54,14 +53,8 @@ def quantise_trace(
     """
     if tick_ms <= 0.0:
         raise ValueError("tick_ms must be positive")
-    return [
-        WorkloadEvent(
-            time_ms=math.floor(event.time_ms / tick_ms) * tick_ms,
-            class_index=event.class_index,
-            origin_node=event.origin_node,
-        )
-        for event in trace
-    ]
+    times, classes, origins = trace_columns(trace)
+    return Trace(np.floor(times / tick_ms) * tick_ms, classes, origins)
 
 
 def scaling_cell(

@@ -54,7 +54,7 @@ from ..sim import (
     generate_machine_specs,
     system_capacity_qpms,
 )
-from ..workload import WorkloadEvent, two_class_sinusoid_trace, zipf_trace
+from ..workload import Trace, WorkloadEvent, two_class_sinusoid_trace, zipf_trace
 
 __all__ = [
     "World",
@@ -225,7 +225,7 @@ def sinusoid_trace_for_load(
     horizon_ms: float,
     frequency_hz: float = 0.05,
     seed: int = 0,
-) -> List[WorkloadEvent]:
+) -> Trace:
     """A two-query sinusoid trace whose *mean* load is ``load_fraction``
     of the world's capacity for the workload's 2:1 Q1:Q2 mix.
 
@@ -250,7 +250,7 @@ def zipf_trace_for_world(
     horizon_ms: float,
     max_queries: Optional[int] = 10_000,
     seed: int = 0,
-) -> List[WorkloadEvent]:
+) -> Trace:
     """The Fig. 6 workload over ``world``'s classes."""
     return zipf_trace(
         num_classes=len(world.classes),

@@ -25,8 +25,9 @@ who is faster on what — come from the per-machine parameters.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from ..catalog import Catalog
@@ -268,7 +269,8 @@ def calibrated_cost_model(
             base.execution_time_ms(query_class, specs[i]) for i in eligible
         )
         best_times.append(best)
-    mean_best = sum(best_times) / len(best_times)
+    # Left to right: builtin ``sum`` compensates from Python 3.12 on.
+    mean_best = reduce(operator.add, best_times, 0.0) / len(best_times)
     if mean_best <= 0:
         raise ValueError("degenerate cost model: zero mean best time")
     return base.rescaled(target_best_ms / mean_best)

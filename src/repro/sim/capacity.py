@@ -21,6 +21,8 @@ a conservative binary search over a greedy feasibility check otherwise.
 from __future__ import annotations
 
 import math
+import operator
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -40,7 +42,9 @@ def system_capacity_qpms(
     (``inf`` = ineligible); ``mix`` is the workload's class proportions
     (normalised internally).
     """
-    total_mix = sum(mix)
+    # Sums here run left to right: builtin ``sum`` compensates its
+    # rounding from Python 3.12 on.
+    total_mix = reduce(operator.add, mix, 0.0)
     if total_mix <= 0:
         raise ValueError("the class mix must have positive total weight")
     shares = [m / total_mix for m in mix]
@@ -94,12 +98,13 @@ def _capacity_greedy(
     Conservative: greedy packing may reject a feasible R, so the returned
     capacity is a lower bound.
     """
-    upper = sum(
-        max(
-            (1.0 / c for c in row if not math.isinf(c)),
-            default=0.0,
-        )
-        for row in costs
+    upper = reduce(
+        operator.add,
+        (
+            max((1.0 / c for c in row if not math.isinf(c)), default=0.0)
+            for row in costs
+        ),
+        0.0,
     )
     if upper <= 0:
         return 0.0

@@ -33,14 +33,16 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
-from operator import attrgetter, itemgetter
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..allocation.base import AllocationContext, Allocator
 from ..catalog import Placement
 from ..query.cost import CostModel, MachineSpec
 from ..query.model import Query, QueryClass
-from ..workload.trace import WorkloadEvent
+from ..workload.trace import WorkloadEvent, trace_columns
 from .engine import Simulator
 from .faults import FaultInjector, FaultSpec
 from .fleet import FleetArrays
@@ -211,9 +213,10 @@ class FederationSimulation:
 
     def run(self, trace: Sequence[WorkloadEvent]) -> MetricsCollector:
         """Execute a full workload trace and return the metrics."""
-        if not trace:
+        times, classes, origins = trace_columns(trace)
+        if not len(times):
             raise ValueError("cannot run an empty workload trace")
-        horizon = max(e.time_ms for e in trace)
+        horizon = float(times.max())
         drain_ms = self._config.drain_ms
         to_empty = math.isinf(drain_ms)
         end_of_run = horizon + (DRAIN_CAP_MS if to_empty else drain_ms)
@@ -246,8 +249,10 @@ class FederationSimulation:
         # same-timestamp arrivals collapse into one market-tick entry
         # each.  The sort is stable, so same-time arrivals keep trace
         # order; every builder emits a sorted trace already.
-        ordered = sorted(trace, key=attrgetter("time_ms"))
-        self._sim.schedule_stream(self._arrival_entries(ordered))
+        if not (times[1:] >= times[:-1]).all():
+            order = np.argsort(times, kind="stable")
+            times, classes, origins = times[order], classes[order], origins[order]
+        self._sim.schedule_stream(self._arrival_entries(times, classes, origins))
         self._sim.run(until_ms=end_of_run)
         if to_empty:
             if self.pending_queries:
@@ -277,9 +282,10 @@ class FederationSimulation:
         return self._metrics
 
     def _arrival_entries(
-        self, trace: Sequence[WorkloadEvent]
+        self, times: np.ndarray, classes: np.ndarray, origins: np.ndarray
     ) -> List[Tuple[float, object, tuple]]:
-        """Stream entries for a sorted trace, grouping same-tick arrivals.
+        """Stream entries for a sorted trace's columns, grouping
+        same-tick arrivals.
 
         With batching enabled, a run of events sharing one timestamp
         becomes a single ``_on_arrival_batch`` entry (the group fires at
@@ -289,46 +295,51 @@ class FederationSimulation:
         ``_on_arrival`` entry per event.
         """
         on_arrival = self._on_arrival
+        time_list = times.tolist()
+        class_list, origin_list = classes.tolist(), origins.tolist()
         if not self._batch_enabled:
-            return [(e.time_ms, on_arrival, (e,)) for e in trace]
+            return [
+                (row[0], on_arrival, row)
+                for row in zip(time_list, class_list, origin_list)
+            ]
         entries: List[Tuple[float, object, tuple]] = []
         on_batch = self._on_arrival_batch
-        i = 0
-        total = len(trace)
-        while i < total:
-            j = i + 1
-            time_ms = trace[i].time_ms
-            while j < total and trace[j].time_ms == time_ms:
-                j += 1
-            if j - i == 1:
-                entries.append((time_ms, on_arrival, (trace[i],)))
+        starts = np.flatnonzero(times[1:] != times[:-1]) + 1
+        bounds = [0, *starts.tolist(), len(time_list)]
+        for lo, hi in zip(bounds, bounds[1:]):
+            time_ms = time_list[lo]
+            if hi - lo == 1:
+                args = (time_ms, class_list[lo], origin_list[lo])
+                entries.append((time_ms, on_arrival, args))
             else:
-                entries.append((time_ms, on_batch, (tuple(trace[i:j]),)))
-            i = j
+                args = (time_ms, class_list[lo:hi], origin_list[lo:hi])
+                entries.append((time_ms, on_batch, args))
         return entries
 
     # -- event handlers ---------------------------------------------------------------
 
-    def _on_arrival(self, event: WorkloadEvent) -> None:
+    def _on_arrival(self, time_ms: float, class_index: int, origin_node: int) -> None:
         query = Query(
             qid=self._next_qid,
-            class_index=event.class_index,
-            origin_node=event.origin_node,
-            arrival_ms=event.time_ms,
+            class_index=class_index,
+            origin_node=origin_node,
+            arrival_ms=time_ms,
         )
         self._next_qid += 1
         self._try_assign(query)
 
-    def _on_arrival_batch(self, events: Tuple[WorkloadEvent, ...]) -> None:
+    def _on_arrival_batch(
+        self, time_ms: float, classes: List[int], origins: List[int]
+    ) -> None:
         """All arrivals of one simulated tick, as one market tick."""
         queries = []
-        for event in events:
+        for class_index, origin_node in zip(classes, origins):
             queries.append(
                 Query(
                     qid=self._next_qid,
-                    class_index=event.class_index,
-                    origin_node=event.origin_node,
-                    arrival_ms=event.time_ms,
+                    class_index=class_index,
+                    origin_node=origin_node,
+                    arrival_ms=time_ms,
                 )
             )
             self._next_qid += 1

@@ -16,7 +16,7 @@ from __future__ import annotations
 import hashlib
 import math
 from types import MappingProxyType
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence
+from typing import Dict, List, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -72,6 +72,9 @@ OUTCOME_DTYPES = (
 #: One outcome's row of :meth:`MetricsCollector.outcome_digest`, in
 #: :class:`QueryOutcome` field order.
 _OUTCOME_ROW = "%d,%d,%d,%r,%r,%d,%r,%r,%d;"
+
+#: Rows per chunk that :meth:`MetricsCollector.outcome_digest` hashes.
+_DIGEST_ROWS = 4096
 
 
 def _left_to_right_sum(values: np.ndarray) -> float:
@@ -261,12 +264,8 @@ class MetricsCollector:
     @property
     def outcomes(self) -> List[QueryOutcome]:
         """The outcome table's rows, in completion order."""
-        return list(map(QueryOutcome._make, self._rows()))
-
-    def _rows(self) -> Iterator[tuple]:
-        # ``.tolist()`` gives Python numbers: ``%r`` of a numpy scalar is
-        # ``np.float64(...)`` on numpy >= 2, not the bare float repr.
-        return zip(*(column.tolist() for column in self._table))
+        rows = zip(*(column.tolist() for column in self._table))
+        return list(map(QueryOutcome._make, rows))
 
     @property
     def completed(self) -> int:
@@ -368,10 +367,18 @@ class MetricsCollector:
         """SHA-256 over every field of every outcome, completion order.
 
         ``%r`` of a float is its shortest round-trip repr, so two runs
-        hash equal iff every recorded bit is equal.
+        hash equal iff every recorded bit is equal.  The rows are hashed
+        :data:`_DIGEST_ROWS` at a time, so the text of the whole table
+        never exists at once.
         """
-        text = "".join(_OUTCOME_ROW % row for row in self._rows())
-        return hashlib.sha256(text.encode()).hexdigest()
+        digest = hashlib.sha256()
+        table = self._table
+        for lo in range(0, len(table.qid), _DIGEST_ROWS):
+            # ``.tolist()`` gives Python numbers: ``%r`` of a numpy scalar
+            # is ``np.float64(...)`` on numpy >= 2, not the bare float repr.
+            rows = zip(*(column[lo : lo + _DIGEST_ROWS].tolist() for column in table))
+            digest.update("".join(_OUTCOME_ROW % row for row in rows).encode())
+        return digest.hexdigest()
 
     # -- per-period series (the x-axes of Figs. 3-5) ----------------------------------
 

@@ -94,6 +94,7 @@ from ..protocol.messages import (
 )
 from ..allocation.market_tick import LaneBlock, check_raise_terms
 from ..protocol.transport import FrameDecoder, encode_frame
+from ..workload.trace import trace_columns
 from .faults import derive_fault_seed
 from .federation import FederationConfig, run_single_mechanism
 from .metrics import OUTCOME_DTYPES, MetricsCollector
@@ -1632,9 +1633,11 @@ class ShardedFederation:
         plane owns or an origin outside the federation raises here, by
         name, instead of mis-sorting the trace, wrapping around an array
         index or dying mid-run inside a plane.
-        The sort is stable, like the ``sorted`` of the per-event loop.
+        A :class:`~repro.workload.Trace`'s columns are read as they are;
+        a plain sequence of events is read field by field first.  The
+        sort is stable, like the single-process engine's.
         """
-        times = np.array([e.time_ms for e in trace], dtype=float)
+        times, *indices = trace_columns(trace)
         finite = np.isfinite(times)
         if not finite.all():
             first = int(np.argmin(finite))
@@ -1644,18 +1647,17 @@ class ShardedFederation:
             )
         order = np.argsort(times, kind="stable")
         columns = [times[order]]
-        for name, limit in (
-            ("class_index", len(self._classes)),
-            ("origin_node", self._num_nodes),
+        for name, limit, column in zip(
+            ("class_index", "origin_node"),
+            (len(self._classes), self._num_nodes),
+            indices,
         ):
-            values = [getattr(e, name) for e in trace]
-            column = np.array(values)
             if column.dtype.kind not in "iub" or not (
                 0 <= column.min() and column.max() < limit
             ):
                 first, value = next(
                     (i, v)
-                    for i, v in enumerate(values)
+                    for i, v in enumerate(getattr(e, name) for e in trace)
                     if not isinstance(v, (int, np.integer))
                     or not 0 <= v < limit
                 )

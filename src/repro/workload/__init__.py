@@ -8,8 +8,10 @@ from .arrival import (
 )
 from .sinusoid import PAPER_PHASE_DIFFERENCE_DEG, SinusoidArrivals
 from .trace import (
+    Trace,
     WorkloadEvent,
     build_trace,
+    trace_columns,
     two_class_sinusoid_trace,
     zipf_trace,
 )
@@ -22,11 +24,13 @@ __all__ = [
     "PAPER_PHASE_DIFFERENCE_DEG",
     "PoissonArrivals",
     "SinusoidArrivals",
+    "Trace",
     "TruncatedZipf",
     "UniformArrivals",
     "WorkloadEvent",
     "ZipfArrivals",
     "build_trace",
+    "trace_columns",
     "two_class_sinusoid_trace",
     "zipf_trace",
 ]

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 import bisect
 import itertools
+import operator
 import random
+from functools import reduce
 from typing import Iterator, List
 
 from .arrival import ArrivalProcess
@@ -41,12 +43,19 @@ class TruncatedZipf:
         self.a = a
         self.support = support
         weights = [1.0 / (x ** a) for x in range(1, support + 1)]
-        total = sum(weights)
+        # Sums run left to right: builtin ``sum`` compensates its
+        # rounding from Python 3.12 on, which moves the last bits.
+        total = reduce(operator.add, weights, 0.0)
         self._cdf: List[float] = list(
             itertools.accumulate(w / total for w in weights)
         )
         self._mean = (
-            sum(x * w for x, w in zip(range(1, support + 1), weights)) / total
+            reduce(
+                operator.add,
+                (x * w for x, w in zip(range(1, support + 1), weights)),
+                0.0,
+            )
+            / total
         )
 
     @property
@@ -86,13 +95,21 @@ class ZipfArrivals(ArrivalProcess):
         self._zipf = TruncatedZipf(a=a, support=support)
         self._scale = mean_interarrival_ms / self._zipf.mean
         self._cap = max_interarrival_ms
+        # The gap of every index ``bisect_left`` can return on the CDF,
+        # the clamped last one included (see ``TruncatedZipf.sample``).
+        self._gaps = [
+            min(self._cap, (min(index, support - 1) + 1) * self._scale)
+            for index in range(support + 1)
+        ]
 
     def gap_ms(self, rng: random.Random) -> float:
         """One inter-arrival gap in milliseconds."""
         return min(self._cap, self._zipf.sample(rng) * self._scale)
 
     def times(self, horizon_ms: float, rng: random.Random) -> Iterator[float]:
-        clock = self.gap_ms(rng)
+        """Cumulative :meth:`gap_ms` draws, each a table lookup."""
+        gaps, cdf, uniform = self._gaps, self._zipf._cdf, rng.random
+        clock = gaps[bisect.bisect_left(cdf, uniform())]
         while clock < horizon_ms:
             yield clock
-            clock += self.gap_ms(rng)
+            clock += gaps[bisect.bisect_left(cdf, uniform())]
