@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test typecheck perf-smoke perf-pairs crossover surface examples examples-check artefacts clean
+.PHONY: install test typecheck perf-smoke perf-pairs cpu-scaling crossover surface examples examples-check artefacts clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -34,6 +34,15 @@ perf-pairs:
 	python3 tools/perf_pairs.py --parent $(PARENT) --workload $(WORKLOAD) \
 	    --seed $(SEED) --pairs $(PAIRS) \
 	    $(if $(CHANGE),--change $(CHANGE)) $(if $(SECONDS),--seconds $(SECONDS)) $(if $(LAYERS),--layers $(LAYERS))
+
+# Speedup of one workload from CPU set A to CPU set B (a reading, not a
+# gate; see tools/cpu_scaling.py): alternating pairs, each run pinned to
+# its set, median and IQR per end-to-end metric.
+#   make cpu-scaling WORKLOAD=zipf_planes_fork PAIRS=5 CPUS_A=0 CPUS_B=0-1
+# CPUS_A / CPUS_B default to the lowest allowed CPU / every allowed CPU.
+cpu-scaling:
+	python3 tools/cpu_scaling.py --workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS) \
+	    $(if $(CPUS_A),--cpus-a $(CPUS_A)) $(if $(CPUS_B),--cpus-b $(CPUS_B)) $(if $(SECONDS),--seconds $(SECONDS))
 
 # Re-measure market_tick.SCALAR_LANES_MAX: lane book vs. scalar twin,
 # microseconds by lane count, refusing and settled fraction (~10 s; the
