@@ -8,6 +8,7 @@ stubbed, so nothing here runs the benchmark.
 import importlib.util
 import json
 import pathlib
+import types
 
 import pytest
 
@@ -108,3 +109,20 @@ def test_measured_medians_and_host_slowdown_per_side(perf_pairs, capsys, tmp_pat
     assert [row["name"] for row in measured] == [
         "queries_per_wall_s", "greedy_queries_per_wall_s", "host_slowdown_ratio"
     ]
+
+
+def test_run_once_pins_the_child_only_when_given_cpus(monkeypatch):
+    spec = importlib.util.spec_from_file_location("perf_pairs", _TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    seen = []
+
+    def run(command, **kwargs):
+        seen.append(kwargs)
+        return types.SimpleNamespace(stdout='log line\n{"metrics": {}}\n')
+
+    monkeypatch.setattr(tool.subprocess, "run", run)
+    assert tool.run_once(tool.REPO, "paper100_event", 0, 1.0) == {"metrics": {}}
+    tool.run_once(tool.REPO, "paper100_event", 0, 1.0, cpus=frozenset({0}))
+    assert seen[0]["preexec_fn"] is None
+    assert callable(seen[1]["preexec_fn"])

@@ -45,12 +45,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import statistics
 import subprocess
 import sys
 import tempfile
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, FrozenSet, List, Optional, Sequence
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 
@@ -87,11 +88,14 @@ def run_once(
     seconds: float,
     trace: int = 0,
     out: Optional[pathlib.Path] = None,
+    cpus: Optional[FrozenSet[int]] = None,
 ) -> dict:
     """One benchmark run in ``tree``; the driver's result line
     (``trace=0``: end-to-end metrics, ``trace=1``: the per-layer
     ledger).  With ``out``, the run also writes its full result object
-    there (:func:`full_result` reads it)."""
+    there (:func:`full_result` reads it).  With ``cpus``, the child is
+    pinned to that CPU set (``os.sched_setaffinity``) before it starts,
+    so its shard workers inherit the set."""
     command = [
         sys.executable,
         "perf/run.py",
@@ -108,6 +112,7 @@ def run_once(
         check=True,
         stdout=subprocess.PIPE,
         text=True,
+        preexec_fn=None if cpus is None else lambda: os.sched_setaffinity(0, cpus),
     )
     return json.loads(done.stdout.strip().splitlines()[-1])
 
