@@ -2,7 +2,7 @@
 
 PYTHON ?= python
 
-.PHONY: install test typecheck perf-smoke perf-pairs cpu-scaling crossover surface examples examples-check artefacts clean
+.PHONY: install test typecheck perf-smoke perf-pairs cpu-scaling plane-layers crossover surface examples examples-check artefacts clean
 
 install:
 	pip install -e . --no-build-isolation
@@ -43,6 +43,14 @@ perf-pairs:
 cpu-scaling:
 	python3 tools/cpu_scaling.py --workload $(WORKLOAD) --seed $(SEED) --pairs $(PAIRS) \
 	    $(if $(CPUS_A),--cpus-a $(CPUS_A)) $(if $(CPUS_B),--cpus-b $(CPUS_B)) $(if $(SECONDS),--seconds $(SECONDS))
+
+# Seconds per run inside the market planes (a reading, not a gate; see
+# tools/plane_layers.py): the plane workloads' inline twin, median of
+# RUNS runs per mechanism of boundary, the eq. 4 solve, the retry tick,
+# the market tick and execution replay.
+#   make plane-layers SEED=0 RUNS=5
+plane-layers:
+	python3 tools/plane_layers.py --seed $(SEED) $(if $(RUNS),--runs $(RUNS))
 
 # Re-measure market_tick.SCALAR_LANES_MAX: lane book vs. scalar twin,
 # microseconds by lane count, refusing and settled fraction (~10 s; the

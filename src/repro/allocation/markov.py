@@ -23,6 +23,8 @@ capabilities — so it violates autonomy and cannot track dynamic loads
 from __future__ import annotations
 
 import math
+import operator
+from functools import reduce
 from typing import Dict, List, Optional, Sequence
 
 from ..query.model import Query
@@ -110,7 +112,9 @@ def _inverse_cost_seed(
             0.0 if math.isinf(costs[i][k]) else 1.0 / costs[i][k]
             for i in range(num_nodes)
         ]
-        total = sum(weights)
+        # Float sums here run left to right: builtin ``sum`` compensates
+        # its rounding from Python 3.12 on, which moves the last bits.
+        total = reduce(operator.add, weights, 0.0)
         if total <= 0:
             continue
         for i in range(num_nodes):
@@ -124,10 +128,14 @@ def _node_utilisation(
     rates: Sequence[float],
     costs: Sequence[Sequence[float]],
 ) -> float:
-    return sum(
-        rates[k] * plan[node][k] * costs[node][k]
-        for k in range(len(rates))
-        if plan[node][k] > 0 and not math.isinf(costs[node][k])
+    return reduce(
+        operator.add,
+        (
+            rates[k] * plan[node][k] * costs[node][k]
+            for k in range(len(rates))
+            if plan[node][k] > 0 and not math.isinf(costs[node][k])
+        ),
+        0.0,
     )
 
 
@@ -194,7 +202,7 @@ class MarkovAllocator(Allocator):
         for position, nid in enumerate(self._node_order):
             if nid in candidates:
                 weights[nid] = self._plan[position][query.class_index]
-        total = sum(weights.values())
+        total = reduce(operator.add, weights.values(), 0.0)
         if total <= 0:
             chosen = self.context.rng.choice(list(candidates))
         else:

@@ -72,6 +72,7 @@ import select
 import socket
 import struct
 import time
+import traceback
 from collections import deque
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -296,6 +297,29 @@ def split_market_classes(
 
 # -- the market plane ---------------------------------------------------------
 
+def _check_lane_costs(costs, rows, cols, ids: Sequence[int]) -> None:
+    """Refuse a plane's cost rows unless their finite cells are exactly
+    its lanes: :meth:`_MarketPlane._period_solve` solves eq. 4 over the
+    lanes alone, which is eq. 4 only if every other cell costs ``inf``.
+    Every plane :func:`split_market_classes` yields passes: a node's
+    evaluable classes all lie in its affinity component."""
+    lanes = np.zeros(costs.shape, dtype=bool)
+    lanes[rows, cols] = True
+    wrong = np.argwhere(np.isfinite(costs) != lanes)
+    if len(wrong):
+        i, k = (int(x) for x in wrong[0])
+        raise ValueError(
+            "plane cost row of node %d has %s cost %r for class %d: a "
+            "plane's finite costs must be exactly its lanes"
+            % (
+                ids[i],
+                "a lane with the non-finite" if lanes[i, k] else "the finite",
+                float(costs[i, k]),
+                k,
+            )
+        )
+
+
 class _MarketPlane:
     """One self-contained QA-NT market over a subset of the federation.
 
@@ -321,11 +345,10 @@ class _MarketPlane:
         self._ids = ids
         self._index = {nid: i for i, nid in enumerate(ids)}
         self._num_classes = int(init["num_classes"])
-        costs = list(init["costs"])
-        if ids:
-            self._costs = np.array(costs, dtype=float)
-        else:
-            self._costs = np.zeros((0, self._num_classes), dtype=float)
+        n = len(ids)
+        costs = np.array(init["costs"], dtype=float).reshape(
+            n, self._num_classes
+        )
         self._allow = np.array(init["allowances"], dtype=float)
         self._seeds = [int(s) for s in init["latency_seeds"]]
         self._base = float(init["base_ms"])
@@ -342,34 +365,47 @@ class _MarketPlane:
         # The plane's lanes — one per (candidate row, class) — laid out
         # flat in class order.
         self._class_order: List[int] = []
+        #: Class -> its lanes' agent row -> execution cost, in lane order
+        #: (greedy walks it, replay looks a winner up).
+        self._cost_at: Dict[int, Dict[int, float]] = {}
         flat_rows: List[int] = []
         flat_cols: List[int] = []
         for class_index, cand in init["classes"]:
             k = int(class_index)
-            members = [int(nid) for nid in cand]
+            rows = [self._index[int(nid)] for nid in cand]
             self._class_order.append(k)
-            flat_rows.extend(self._index[nid] for nid in members)
-            flat_cols.extend([k] * len(members))
+            self._cost_at[k] = dict(zip(rows, costs[rows, k].tolist()))
+            flat_rows.extend(rows)
+            flat_cols.extend([k] * len(rows))
         self._flat_rows = np.array(flat_rows, dtype=np.intp)
         self._flat_cols = np.array(flat_cols, dtype=np.intp)
+        _check_lane_costs(costs, self._flat_rows, self._flat_cols, ids)
+        self._lane_costs = costs[self._flat_rows, self._flat_cols]
         #: Prices and remaining supply of every lane, only ever written in
         #: place: the block's per-class views and kernels alias them.
         self._Vf = np.ones(len(flat_rows), dtype=float)
         self._Rf = np.zeros(len(flat_rows), dtype=float)
-        n = len(ids)
+        #: Eq. 4 carry-over credit, one float per lane.
+        self._credit = np.zeros(len(flat_rows), dtype=float)
+        #: The eq. 4 weights scattered over node x class, zero off the
+        #: lanes (never written there): see :meth:`_period_solve`.
+        self._weights = np.zeros((n, self._num_classes), dtype=float)
         #: Pricing busy mirror: optimistic within a tick, resynced to the
         #: authoritative execution clock at every tick's end.
         self._busy = np.zeros(n, dtype=float)
         #: Authoritative per-node FIFO clocks (negotiation delay included).
         self._exec_busy = np.zeros(n, dtype=float)
-        self._credit = np.zeros((n, self._num_classes), dtype=float)
+        # Both clocks as Python floats, for the per-assignment loops; the
+        # arrays are only ever written in place.
+        self._busy_view = memoryview(self._busy)
+        self._exec_view = memoryview(self._exec_busy)
         # A class the node can never evaluate keeps its initial price of
         # 1.0 forever, pinning the node's max price at >= 1.0.  The price
         # epochs are stepped by the block and read by nobody here.
         self._block = LaneBlock(
             self._Vf, self._Rf, self._flat_rows, self._flat_cols,
-            self._costs[self._flat_rows, self._flat_cols], self._busy,
-            np.isinf(self._costs).any(axis=1).astype(float),
+            self._lane_costs, self._busy,
+            np.isinf(costs).any(axis=1).astype(float),
             np.zeros(n, dtype=np.int64), *self._terms,
         )
         self.reset(True)
@@ -559,7 +595,7 @@ class _MarketPlane:
             if saturated:
                 self._saturated_in[class_index] = self._period_serial
             return None
-        self._busy[row] = finish
+        self._busy_view[row] = finish
         return self._ids[row]
 
     def _closed_raises(self, class_index: int, count: int) -> None:
@@ -578,15 +614,21 @@ class _MarketPlane:
             self._saturated_in[class_index] = self._period_serial
         self._closed_settled += done
 
-    def _greedy(self, class_index: int, now: float) -> int:
+    def _greedy(self, class_index: int, now: float) -> Optional[int]:
         """Greedy: every candidate offers; earliest completion wins."""
-        cand = self._block.members[class_index]
-        est = np.maximum(self._busy[cand], now)
-        est += self._block.costs[class_index]
-        winner = int(est.argmin())
-        row = int(cand[winner])
-        self._busy[row] = float(est[winner])
-        return int(self._ids[row])
+        busy = self._busy_view
+        winner, best = -1, math.inf
+        for row, cost in self._cost_at[class_index].items():
+            est = busy[row]
+            if est < now:
+                est = now
+            est += cost
+            if est < best:
+                winner, best = row, est
+        if winner < 0:  # a class nobody can evaluate: it pools
+            return None
+        busy[winner] = best
+        return self._ids[winner]
 
     def _replay(self, now: float, assignments: Sequence[Tuple]) -> None:
         """Execution replay: negotiation delay is two latency legs from
@@ -594,13 +636,13 @@ class _MarketPlane:
         the node's FIFO is free (:meth:`repro.sim.node.SimulatedNode
         .enqueue`); the pricing mirror resyncs to the finish."""
         index = self._index
-        ebusy = self._exec_busy
-        costs = self._costs
+        ebusy = self._exec_view
+        cost_at = self._cost_at
         rngs = self._rngs
         base = self._base
         jitter = self._jitter
         cols = self._cols
-        busy = self._busy
+        busy = self._busy_view
         for qid, class_index, origin, arrival, resub, node in assignments:
             i = index[node]
             if jitter == 0.0:
@@ -611,7 +653,7 @@ class _MarketPlane:
             assigned = now + delay
             prior = ebusy[i]
             start = prior if prior > assigned else assigned
-            finish = start + costs[i, class_index]
+            finish = start + cost_at[class_index][i]
             ebusy[i] = finish
             cols[0].append(qid)
             cols[1].append(class_index)
@@ -647,27 +689,36 @@ class _MarketPlane:
         """Eq. 4 over the plane's nodes (:meth:`repro.core.supply
         .CapacitySupplySet._solve_proportional` row-wise, with the QA-NT
         carry-over rounding) + the new-period latch/max-price/saturation
-        re-arm."""
-        prices = np.ones((len(self._ids), self._num_classes), dtype=float)
-        prices[self._flat_rows, self._flat_cols] = self._Vf
+        re-arm.
+
+        A node supplies only the classes it can evaluate, so everything
+        runs over the lanes: a cell off them has density ``1 / inf = 0``,
+        weight 0 and count 0, and its credit never leaves 0.  The one
+        node x class pass left is each node's weight total: numpy's
+        pairwise row sum over the scattered weights, the float a sum over
+        the lanes alone would not reproduce.
+        """
+        rows = self._flat_rows
+        costs = self._lane_costs
         backlog = self._exec_busy - now
         np.clip(backlog, 0.0, None, out=backlog)
         free = self._allow - backlog
         np.clip(free, 0.0, None, out=free)
-        D = prices / self._costs
-        top = D.max(axis=1)
-        W = np.zeros_like(D)
-        rows = top > 0.0
-        if rows.any():
-            W[rows] = (D[rows] / top[rows, None]) ** 2.0
-        total = W.sum(axis=1)
+        D = self._Vf / costs
+        top = np.zeros(len(self._ids))
+        np.maximum.at(top, rows, D)
+        top = top[rows]
+        W = np.divide(D, top, out=np.zeros_like(D), where=top > 0.0) ** 2.0
+        weights = self._weights
+        weights[rows, self._flat_cols] = W
+        total = weights.sum(axis=1)
         total[total == 0.0] = 1.0
-        counts = (free[:, None] * W / total[:, None]) / self._costs
+        counts = (free[rows] * W / total[rows]) / costs
         credit = self._credit
         credit += counts
         whole = np.floor(credit + 1e-9)
         credit -= whole
-        self._Rf[:] = whole[self._flat_rows, self._flat_cols]
+        self._Rf[:] = whole
         self._block.rearm()
         self._period_serial += 1
 
@@ -801,24 +852,58 @@ def _serve(peer, core) -> None:
     frame in, one reply out — except ``("post", inner)`` wrappers, which
     are handled without a reply (the trace slice: the coordinator keeps
     posting while this worker ticks).  A coordinator that is gone ends
-    the loop quietly."""
+    the loop quietly.
+
+    A frame that raises is logged, and from then on every answered frame
+    but ``close`` gets the failure (:func:`_failure_reply`) instead of
+    its reply, which the coordinator raises as a :class:`ShardFailure`:
+    a posted frame has no reply of its own, so its failure waits for the
+    next barrier, and the frames posted after it are skipped.
+    """
+    _log.debug("shard worker %d started", os.getpid())
+    handle = core.handle
+    failure = None
     while True:
         try:
             frame = peer.recv()
         except (EOFError, OSError):  # pragma: no cover - parent died
-            return
+            break
         if frame[0] == "post":
-            core.handle(frame[1])
+            try:
+                handle(frame[1])
+            except Exception:
+                failure = _failure_reply(frame[1][0])
+                handle = _skip_frame
             continue
         closing = frame[0] == "close"
-        reply = {"ok": True} if closing else core.handle(frame)
+        if closing:
+            reply = {"ok": True}
+        elif failure is not None:
+            reply = failure
+        else:
+            try:
+                reply = core.handle(frame)
+            except Exception:
+                reply = failure = _failure_reply(frame[0])
+                handle = _skip_frame
         try:
             peer.send(reply)
         except OSError:  # pragma: no cover - parent died
-            return
+            break
         if closing:
             peer.close()
-            return
+            break
+    _log.debug("shard worker %d exits", os.getpid())
+
+
+def _failure_reply(op: str) -> Dict[str, str]:
+    """Log the exception being handled; the reply that carries it."""
+    _log.exception("shard worker %d failed on a %r frame", os.getpid(), op)
+    return {"error": traceback.format_exc(), "op": op}
+
+
+def _skip_frame(frame: Tuple) -> None:
+    """A failed worker's handler for posted frames: its plane is broken."""
 
 
 def _claim_cpu(index: int) -> None:
@@ -987,11 +1072,14 @@ def _arm_send_deadline(fd: int) -> None:
 
 
 class ShardFailure(RuntimeError):
-    """A shard worker died, its pipe/socket closed, or it sent a
-    malformed frame, mid-run.
+    """A shard worker died, its pipe/socket closed, it sent a malformed
+    frame, or a frame raised inside it, mid-run.
 
     ``shard`` is the worker's index and ``op`` the frame op the
-    coordinator was sending or awaiting when the wire broke.  The
+    coordinator was sending or awaiting when the wire broke, or the op of
+    the frame that raised; the cause of a raise is a ``RuntimeError``
+    holding the worker's formatted traceback.  (Inline mode runs the
+    cores in-process, so there a frame's exception propagates as is.)  The
     transport is unusable afterwards; :meth:`ShardTransport.close`
     still reaps every child.
     """
@@ -1206,7 +1294,15 @@ class ShardTransport:
         peer = self._peers[shard]
         try:
             if peer.poll(_WIRE_DEADLINE_S):
-                return peer.recv()
+                reply = peer.recv()
+                if isinstance(reply, dict) and "error" in reply:
+                    # The worker raised (see _serve): name its frame.
+                    raise ShardFailure(
+                        shard,
+                        str(reply.get("op", op)),
+                        RuntimeError(str(reply["error"])),
+                    )
+                return reply
         except (EOFError, OSError, ValueError) as error:
             # ValueError: a tcp frame that is not JSON, or whose length
             # prefix exceeds MAX_FRAME_BYTES -- socket bytes are outside

@@ -1326,6 +1326,60 @@ def test_worker_killed_before_collect_fails_the_collect(mode):
     assert not any(proc.is_alive() for proc in transport._procs)
 
 
+_PLANE_METHOD_OF_OP = {"slice": "run_slice", "end": "finish", "collect": "collect"}
+
+
+@pytest.mark.parametrize("mode", ["fork", "tcp"])
+@pytest.mark.parametrize("op", sorted(_PLANE_METHOD_OF_OP))
+def test_worker_exception_reaches_the_coordinator(mode, op, monkeypatch):
+    """A frame that raises inside a worker used to kill it, leaving the
+    coordinator a closed channel.  Now the worker answers the next
+    barrier with its traceback (a posted ``slice`` or ``end`` frame's
+    failure waits for ``collect``), the run fails as a ``ShardFailure``
+    naming the shard and the frame that raised, and ``close()`` reaps
+    every worker."""
+    world, trace = _zipf_overloaded()
+    assert multiprocessing.active_children() == []
+    candidates = {
+        qc.index: tuple(sorted(qc.candidate_nodes(world.placement)))
+        for qc in world.classes
+    }
+    owner = split_market_classes(
+        candidates,
+        plan_shards(candidates, list(world.placement.node_ids), 2),
+    )
+    victim = sorted(k for k, shard in owner.items() if shard == 1)
+    method = _PLANE_METHOD_OF_OP[op]
+    original = getattr(_MarketPlane, method)
+    calls = []
+
+    def scripted(self, *args):
+        # Shard 1's plane only (a forked worker counts its own calls):
+        # its second slice frame, or its end / collect frame.
+        if self.class_indices == victim:
+            calls.append(op)
+            if op != "slice" or len(calls) == 2:
+                raise ArithmeticError("scripted %s failure" % op)
+        return original(self, *args)
+
+    monkeypatch.setattr(shards_module, "_SLICE_ROW_BOUND", 64)
+    monkeypatch.setattr(_MarketPlane, method, scripted)
+    federation = _overloaded(world, 2, mode)
+    transport = federation.transport
+    try:
+        with pytest.raises(ShardFailure) as failure:
+            federation.run(list(trace), "qa-nt")
+        assert (failure.value.shard, failure.value.op) == (1, op)
+        text = str(failure.value.args[2])
+        assert "Traceback" in text
+        assert "ArithmeticError: scripted %s failure" % op in text
+        assert calls == []  # the victim plane ran in a worker, not here
+    finally:
+        federation.close()
+    assert multiprocessing.active_children() == []
+    assert not any(proc.is_alive() for proc in transport._procs)
+
+
 # ---------------------------------------------------------------------------
 # start-up: a bad init or a bad worker is a named error, nothing left behind
 

@@ -18,9 +18,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.allocation import GreedyAllocator, QantAllocator
+from repro.allocation import GreedyAllocator, MarkovAllocator, QantAllocator
+from repro.allocation.markov import _node_utilisation
 from repro.experiments.scaling import quantise_trace
-from repro.experiments.setups import zipf_world
+from repro.experiments.setups import two_query_world, zipf_world
+from repro.query import Query
 from repro.sim import FederationConfig, ShardedFederation, build_federation
 from repro.sim import metrics as metrics_module
 from repro.workload import (
@@ -298,3 +300,48 @@ def test_setup_scalars_do_not_use_builtin_sum(monkeypatch):
     assert reduce(operator.add, weights, 0.0) == 8.583749889959169
     monkeypatch.setattr(builtins, "sum", _compensated_sum)
     assert _setup_scalars() == _SCALARS
+
+
+def _markov_plan_and_choices():
+    """The Markov allocator's cost rows and routing plan on the 30-node
+    two-query world, 200 routing choices from the plan, and the bound
+    allocator."""
+    world = two_query_world(num_nodes=30, seed=0)
+    allocator = MarkovAllocator([0.002, 0.001])
+    build_federation(
+        world.specs, world.placement, world.classes, world.cost_model,
+        allocator, FederationConfig(seed=2),
+    )
+    nodes = allocator.context.nodes
+    costs = [list(nodes[nid].class_costs_ms) for nid in sorted(nodes)]
+    choices = [
+        allocator.assign(Query(qid, qid % 2, 0, 0.0)).node_id
+        for qid in range(200)
+    ]
+    return costs, allocator._plan, choices, allocator
+
+
+def test_markov_sums_do_not_use_builtin_sum(monkeypatch):
+    """The Markov allocator's three float sums run left to right, so
+    Python 3.12's compensated ``sum`` cannot move its plan or choices;
+    each sum is checked on inputs where the two programs differ."""
+    costs, plan, choices, _ = _markov_plan_and_choices()
+    # The world's class-0 inverse-cost weights: the seed plan's total.
+    weights = [0.0 if math.isinf(c) else 1.0 / c for c, _ in costs]
+    assert _compensated_sum(weights) != reduce(operator.add, weights, 0.0)
+    sevenths = [0.7] * 30
+    left = reduce(operator.add, sevenths, 0.0)
+    last_draw = 1.0 - 2.0**-53
+    assert last_draw * _compensated_sum(sevenths) > left
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    _, plan_again, choices_again, allocator = _markov_plan_and_choices()
+    assert (plan_again, choices_again) == (plan, choices)
+    assert _node_utilisation(0, [sevenths], [1.0] * 30, [[1.0] * 30]) == left
+    # 30 candidates of weight 0.7 and the largest draw: left to right the
+    # draw lands on the last candidate; over the compensated total it
+    # would pass them all and fall back to the first.
+    candidates = sorted(allocator.context.available_candidates(0))
+    assert len(candidates) == 30
+    allocator._plan = [[0.7, 0.7] for _ in allocator._node_order]
+    monkeypatch.setattr(allocator.context.rng, "random", lambda: last_draw)
+    assert allocator.assign(Query(0, 0, 0, 0.0)).node_id == candidates[-1]
