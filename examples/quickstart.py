@@ -12,12 +12,9 @@ Walks through the paper's core ideas on its own worked example (Section 1
 Run:  python examples/quickstart.py
 """
 
-from repro.core import (
-    CapacitySupplySet,
-    QantParameters,
-    QueryMarketEconomy,
-    QueryVector,
-)
+import random
+
+from repro.core import CapacitySupplySet, QantParameters, QantPricingAgent
 from repro.experiments.fig1 import EXECUTION_TIMES_MS, run_fig1
 
 
@@ -32,46 +29,52 @@ def main() -> None:
     print()
 
     # --- 3: let the market find it -------------------------------------------
-    # One QA-NT agent per node; capacities are one 500 ms period.
-    supply_sets = [
-        CapacitySupplySet(EXECUTION_TIMES_MS[0], 500.0),  # N1: q1 400, q2 100
-        CapacitySupplySet(EXECUTION_TIMES_MS[1], 500.0),  # N2: q1 450, q2 500
+    # One QA-NT agent per node; capacities are one 500 ms period.  Corner
+    # ("greedy") supply shows the specialisation crisply: at the market's
+    # fixed point N1 sells only q2 and N2 only q1 — exactly the QA
+    # allocation of Figure 1.
+    parameters = QantParameters(adjustment=0.1, supply_method="greedy")
+    agents = [
+        QantPricingAgent(CapacitySupplySet(times, 500.0), parameters)
+        for times in EXECUTION_TIMES_MS  # N1: q1 400, q2 100; N2: 450, 500
     ]
-    # Corner ("greedy") supply shows the specialisation crisply: at the
-    # market's fixed point N1 sells only q2 and N2 only q1 — exactly the
-    # QA allocation of Figure 1.
-    economy = QueryMarketEconomy(
-        supply_sets,
-        parameters=QantParameters(adjustment=0.1, supply_method="greedy"),
-        seed=7,
-    )
-    # Per-period demand at system capacity: one q1 (N2's whole period)
-    # and five q2 (N1's whole period).
-    demand = QueryVector((1, 5))
+    rng = random.Random(7)
+    backlog = []
     print("Market discovery — consumption under constant at-capacity load:")
-    for period in range(30):
-        record = economy.run_period(demand)
-        if period % 5 == 4 or period == 0:
+    for period in range(1, 31):
+        # Demand at system capacity: one q1 (N2's whole period) and five
+        # q2 (N1's whole period), plus whatever no node took last period.
+        requests = backlog + [0] + [1] * 5
+        rng.shuffle(requests)
+        for agent in agents:
+            agent.begin_period()
+        consumed, backlog = [0, 0], []
+        order = list(range(len(agents)))
+        for class_index in requests:
+            # The client asks the nodes one by one; the first to offer
+            # gets the query ("servers ... immediately accept").
+            rng.shuffle(order)
+            for i in order:
+                if agents[i].would_offer(class_index):
+                    agents[i].accept(class_index)
+                    consumed[class_index] += 1
+                    break
+            else:
+                backlog.append(class_index)
+        for agent in agents:
+            agent.end_period()
+        supply = [tuple(int(x) for x in a.planned_supply) for a in agents]
+        if period % 5 == 0 or period == 1:
             print(
                 "  period %2d: consumed=%s planned supply: N1=%s N2=%s"
-                % (
-                    record.period,
-                    tuple(int(x) for x in record.consumed),
-                    tuple(int(x) for x in economy.agents[0].planned_supply),
-                    tuple(int(x) for x in economy.agents[1].planned_supply),
-                )
+                % (period, tuple(consumed), *supply)
             )
-    last = economy.history[-1]
-    specialised = (
-        tuple(int(x) for x in economy.agents[0].planned_supply),
-        tuple(int(x) for x in economy.agents[1].planned_supply),
-    )
     print()
-    print("Final per-period consumption:", tuple(int(x) for x in last.consumed))
-    print("Node specialisation: N1=%s N2=%s" % specialised)
+    print("Final per-period consumption:", tuple(consumed))
+    print("Node specialisation: N1=%s N2=%s" % tuple(supply))
     print(
         "The invisible hand found Figure 1's QA allocation:"
-        if specialised == ((0, 5), (1, 0))
+        if supply == [(0, 5), (1, 0)]
         else "Specialisation still drifting (non-tatonnement is stochastic):"
     )
     print("  N1 sells only the cheap q2 queries, N2 only q1.")

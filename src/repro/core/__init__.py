@@ -10,17 +10,12 @@ Layered as:
 * :mod:`repro.core.tatonnement` — the centralised umpire baseline;
 * :mod:`repro.core.qant` — the decentralised QA-NT pricing agent;
 * :mod:`repro.core.period_engine` — batched period boundaries over a
-  fleet of QA-NT agents (the paper-scale fast path);
-* :mod:`repro.core.welfare` — FTWE checks and a synchronous economy.
+  fleet of QA-NT agents (the paper-scale fast path).
 """
 
 from .market import PriceVector, excess_demand, is_equilibrium
-from .pareto import Allocation, is_pareto_optimal, pareto_dominates, pareto_front
-from .preferences import (
-    PreferenceRelation,
-    ThroughputPreference,
-    WeightedThroughputPreference,
-)
+from .pareto import Allocation, is_pareto_optimal, pareto_dominates
+from .preferences import PreferenceRelation, ThroughputPreference
 from .period_engine import PeriodEngineStats, QantPeriodEngine
 from .qant import QantParameters, QantPeriodStats, QantPricingAgent
 from .supply import (
@@ -32,7 +27,6 @@ from .supply import (
 )
 from .tatonnement import TatonnementResult, TatonnementUmpire
 from .vectors import QueryVector, aggregate
-from .welfare import QueryMarketEconomy, ftwe_allocation, verify_ftwe
 
 __all__ = [
     "Allocation",
@@ -45,21 +39,16 @@ __all__ = [
     "QantPeriodEngine",
     "QantPeriodStats",
     "QantPricingAgent",
-    "QueryMarketEconomy",
     "QueryVector",
     "SUPPLY_METHODS",
     "SupplySet",
     "TatonnementResult",
     "TatonnementUmpire",
     "ThroughputPreference",
-    "WeightedThroughputPreference",
     "aggregate",
     "excess_demand",
-    "ftwe_allocation",
     "is_equilibrium",
     "is_pareto_optimal",
     "pareto_dominates",
-    "pareto_front",
     "solve_supply",
-    "verify_ftwe",
 ]

@@ -16,18 +16,21 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
-from .preferences import PreferenceRelation, ThroughputPreference
+from .preferences import ThroughputPreference
 from .vectors import QueryVector, aggregate
 
 __all__ = [
     "Allocation",
     "pareto_dominates",
     "is_pareto_optimal",
-    "pareto_front",
     "enumerate_allocations",
 ]
+
+#: The paper's preference; node identity does not matter, so every node
+#: shares it.
+_PREFERENCE = ThroughputPreference()
 
 
 @dataclass(frozen=True)
@@ -58,104 +61,36 @@ class Allocation:
         """Number of nodes ``I`` covered by the allocation."""
         return len(self.supplies)
 
-    def aggregate_supply(self) -> QueryVector:
-        """System-wide supply ``s = sum_i s_i`` (paper eq. 1)."""
-        return aggregate(self.supplies)
 
-    def aggregate_consumption(self) -> QueryVector:
-        """System-wide consumption ``c = sum_i c_i`` (paper eq. 1)."""
-        return aggregate(self.consumptions)
-
-    def is_market_clearing(self) -> bool:
-        """True iff aggregate supply equals aggregate consumption (eq. 3)."""
-        return self.aggregate_supply() == self.aggregate_consumption()
-
-    def respects_demand(self, demands: Sequence[QueryVector]) -> bool:
-        """True iff every node consumes at most what it demanded."""
-        if len(demands) != self.num_nodes:
-            raise ValueError("demand list length does not match allocation")
-        return all(
-            c.componentwise_le(d) for c, d in zip(self.consumptions, demands)
-        )
-
-    def total_consumed(self) -> float:
-        """Total number of queries consumed across all nodes."""
-        return self.aggregate_consumption().total()
-
-
-def _preferences_for(
-    num_nodes: int,
-    preferences: Optional[Sequence[PreferenceRelation]],
-) -> Sequence[PreferenceRelation]:
-    if preferences is None:
-        shared = ThroughputPreference()
-        return [shared] * num_nodes
-    if len(preferences) != num_nodes:
-        raise ValueError(
-            "expected %d preference relations, got %d"
-            % (num_nodes, len(preferences))
-        )
-    return preferences
-
-
-def pareto_dominates(
-    first: Allocation,
-    second: Allocation,
-    preferences: Optional[Sequence[PreferenceRelation]] = None,
-) -> bool:
+def pareto_dominates(first: Allocation, second: Allocation) -> bool:
     """Paper Definition 1: does ``first`` Pareto-dominate ``second``?
 
     Every node must weakly prefer its consumption under ``first`` and at
-    least one node must strictly prefer it.  When ``preferences`` is omitted
-    the paper's throughput preference is used for every node.
+    least one node must strictly prefer it, under the paper's throughput
+    preference.
     """
     if first.num_nodes != second.num_nodes:
         raise ValueError("allocations cover different numbers of nodes")
-    prefs = _preferences_for(first.num_nodes, preferences)
     weakly_better_everywhere = all(
-        pref.prefers(c1, c2)
-        for pref, c1, c2 in zip(prefs, first.consumptions, second.consumptions)
+        _PREFERENCE.prefers(c1, c2)
+        for c1, c2 in zip(first.consumptions, second.consumptions)
     )
     strictly_better_somewhere = any(
-        pref.strictly_prefers(c1, c2)
-        for pref, c1, c2 in zip(prefs, first.consumptions, second.consumptions)
+        _PREFERENCE.strictly_prefers(c1, c2)
+        for c1, c2 in zip(first.consumptions, second.consumptions)
     )
     return weakly_better_everywhere and strictly_better_somewhere
 
 
 def is_pareto_optimal(
-    candidate: Allocation,
-    alternatives: Iterable[Allocation],
-    preferences: Optional[Sequence[PreferenceRelation]] = None,
+    candidate: Allocation, alternatives: Iterable[Allocation]
 ) -> bool:
     """True iff no allocation in ``alternatives`` dominates ``candidate``.
 
     ``alternatives`` should enumerate the feasible solution space (it may
     include ``candidate`` itself — an allocation never dominates itself).
     """
-    prefs = _preferences_for(candidate.num_nodes, preferences)
-    return not any(
-        pareto_dominates(other, candidate, prefs) for other in alternatives
-    )
-
-
-def pareto_front(
-    allocations: Sequence[Allocation],
-    preferences: Optional[Sequence[PreferenceRelation]] = None,
-) -> List[Allocation]:
-    """All allocations in ``allocations`` not dominated by any other."""
-    if not allocations:
-        return []
-    prefs = _preferences_for(allocations[0].num_nodes, preferences)
-    front = []
-    for candidate in allocations:
-        if not any(
-            pareto_dominates(other, candidate, prefs)
-            for other in allocations
-            if other is not candidate
-        ):
-            front.append(candidate)
-    return front
+    return not any(pareto_dominates(other, candidate) for other in alternatives)
 
 
 def enumerate_allocations(

@@ -6,31 +6,24 @@ evaluate as many queries as possible::
 
     c >=_i c'   iff   sum_k c_k >= sum_k c'_k
 
-but the machinery (Pareto dominance, welfare checks) only needs the abstract
-interface, so other preferences — e.g. weighted by query importance — plug in
-unchanged.  This module defines the abstract interface and the two concrete
-preferences used by the library and its tests.
+Pareto dominance (:mod:`repro.core.pareto`) only needs the abstract
+interface; this module defines it and that one concrete preference.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Sequence
 
 from .vectors import QueryVector
 
-__all__ = [
-    "PreferenceRelation",
-    "ThroughputPreference",
-    "WeightedThroughputPreference",
-]
+__all__ = ["PreferenceRelation", "ThroughputPreference"]
 
 
 class PreferenceRelation(abc.ABC):
     """Abstract weak preference ``>=_i`` over consumption vectors.
 
     Implementations must be complete and transitive (a rational preference
-    in the microeconomics sense) for the welfare results to apply.
+    in the microeconomics sense) for FTWE (paper §3.2) to apply.
     """
 
     @abc.abstractmethod
@@ -68,34 +61,3 @@ class ThroughputPreference(PreferenceRelation):
     def __repr__(self) -> str:
         return "ThroughputPreference()"
 
-
-class WeightedThroughputPreference(PreferenceRelation):
-    """Throughput preference with per-class weights.
-
-    Generalises :class:`ThroughputPreference` (all weights 1).  Useful for
-    modelling nodes that value some query classes more than others, e.g.
-    interactive queries over batch reports.
-    """
-
-    def __init__(self, weights: Sequence[float]):
-        if any(w < 0 for w in weights):
-            raise ValueError("preference weights must be non-negative")
-        if not weights:
-            raise ValueError("weights must be non-empty")
-        self._weights = tuple(float(w) for w in weights)
-
-    @property
-    def weights(self) -> tuple:
-        """The per-class weights."""
-        return self._weights
-
-    def utility(self, consumption: QueryVector) -> float:
-        if len(consumption) != len(self._weights):
-            raise ValueError(
-                "consumption vector has %d classes but preference has %d weights"
-                % (len(consumption), len(self._weights))
-            )
-        return consumption.dot(self._weights)
-
-    def __repr__(self) -> str:
-        return "WeightedThroughputPreference(%r)" % (self._weights,)

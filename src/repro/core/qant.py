@@ -25,7 +25,7 @@ prices rather than waiting for an umpire to clear the market.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 from .market import PriceVector
 from .supply import SUPPLY_METHODS, SupplySet, solve_supply
@@ -365,23 +365,6 @@ class QantPricingAgent:
             accepted=list(self._accepted),
             refused=list(self._refused),
         )
-
-    def run_period(self, requests: Sequence[int]) -> QantPeriodStats:
-        """Convenience driver: one whole period over a request stream.
-
-        ``requests`` is the ordered sequence of class indices asked of this
-        node during the period; every offer is assumed accepted (the
-        paper's servers offer immediately and clients in a single-server
-        negotiation always accept).  Mainly for tests and the synchronous
-        market runner.
-        """
-        self.begin_period()
-        would_offer = self.would_offer
-        accept = self.accept
-        for class_index in requests:
-            if would_offer(class_index):
-                accept(class_index)
-        return self.end_period()
 
     # -- price updates --------------------------------------------------------
 

@@ -22,7 +22,7 @@ relaxation of the supply problem (see :mod:`repro.core.supply`).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, Mapping, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Sequence, Tuple, Union
 
 Number = Union[int, float]
 
@@ -93,18 +93,6 @@ class QueryVector:
             raise IndexError("class index %d out of range" % index)
         comps = [0.0] * num_classes
         comps[index] = float(amount)
-        return cls(comps)
-
-    @classmethod
-    def from_counts(
-        cls, num_classes: int, counts: Mapping[int, Number]
-    ) -> "QueryVector":
-        """Build a vector from a sparse ``{class_index: count}`` mapping."""
-        comps = [0.0] * num_classes
-        for index, count in counts.items():
-            if not 0 <= index < num_classes:
-                raise IndexError("class index %d out of range" % index)
-            comps[index] = float(count)
         return cls(comps)
 
     # -- basic protocol ----------------------------------------------------

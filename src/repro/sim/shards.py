@@ -377,6 +377,9 @@ class _MarketPlane:
             self._cost_at[k] = dict(zip(rows, costs[rows, k].tolist()))
             flat_rows.extend(rows)
             flat_cols.extend([k] * len(rows))
+        #: Classes no node of the plane can evaluate: saturated in every
+        #: period, so their queries pool untraded, as greedy's do.
+        self._laneless = [k for k in self._class_order if not self._cost_at[k]]
         self._flat_rows = np.array(flat_rows, dtype=np.intp)
         self._flat_cols = np.array(flat_cols, dtype=np.intp)
         _check_lane_costs(costs, self._flat_rows, self._flat_cols, ids)
@@ -440,7 +443,7 @@ class _MarketPlane:
         self._Vf.fill(1.0)
         self._Rf.fill(0.0)
         self._period_serial = 0
-        self._saturated_in: Dict[int, int] = {}
+        self._saturated_in: Dict[int, int] = dict.fromkeys(self._laneless, 0)
         #: Class → the period serial in which it *closed*: no lane has
         #: supply left and every bidder is latched (see `_closed_raises`).
         self._closed_in: Dict[int, int] = {}
@@ -721,6 +724,8 @@ class _MarketPlane:
         self._Rf[:] = whole
         self._block.rearm()
         self._period_serial += 1
+        for k in self._laneless:
+            self._saturated_in[k] = self._period_serial
 
     # -- reporting ------------------------------------------------------------
 

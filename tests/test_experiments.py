@@ -1,6 +1,10 @@
 """Tests for the experiment drivers (exact paper numbers + scaled runs)."""
 
 import math
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -45,6 +49,23 @@ class TestFig1ExactNumbers:
     def test_render_contains_headline_numbers(self):
         text = run_fig1().render()
         assert "662.5" in text and "431.25" in text
+
+
+def test_quickstart_prints_its_expected_walkthrough():
+    """``examples/quickstart.py`` (Fig. 1, then two listing agents
+    discovering its QA allocation) prints ``examples/expected/
+    quickstart.txt`` byte for byte, as ``make examples-check`` diffs."""
+    root = pathlib.Path(__file__).resolve().parent.parent
+    completed = subprocess.run(
+        [sys.executable, str(root / "examples" / "quickstart.py")],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr
+    expected = (root / "examples" / "expected" / "quickstart.txt").read_text()
+    assert completed.stdout == expected
 
 
 class TestFig2:

@@ -4,13 +4,7 @@ import math
 
 import pytest
 
-from repro.core import (
-    CapacitySupplySet,
-    PriceVector,
-    QantParameters,
-    QueryVector,
-    ftwe_allocation,
-)
+from repro.core import QantParameters
 from repro.dbms import DbmsQueryOutcome, DbmsRunResult
 from repro.experiments.fig7 import Fig7Result
 from repro.experiments.table2 import Table2Result, Table2Row
@@ -94,18 +88,6 @@ class TestTable2Result:
         assert table.row("qa-nt") is row
         with pytest.raises(KeyError):
             table.row("nope")
-
-
-class TestFtweAllocationDistribution:
-    def test_greedy_distribution_respects_demand(self):
-        supply_sets = [CapacitySupplySet([100.0, 100.0], 400.0)]
-        demands = [QueryVector([1, 0]), QueryVector([3, 0])]
-        allocation = ftwe_allocation(
-            demands, supply_sets, PriceVector([1.0, 0.0])
-        )
-        assert allocation.respects_demand(demands)
-        # All four supplied class-0 queries are consumed somewhere.
-        assert allocation.aggregate_consumption()[0] == 4.0
 
 
 class TestNetworkDeterminism:

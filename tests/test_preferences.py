@@ -1,11 +1,6 @@
 """Unit tests for repro.core.preferences."""
 
-import pytest
-
-from repro.core.preferences import (
-    ThroughputPreference,
-    WeightedThroughputPreference,
-)
+from repro.core.preferences import ThroughputPreference
 from repro.core.vectors import QueryVector
 
 
@@ -37,30 +32,3 @@ class TestThroughputPreference:
         a, b = QueryVector([5, 0]), QueryVector([0, 4])
         assert pref.prefers(a, b) or pref.prefers(b, a)
 
-
-class TestWeightedThroughputPreference:
-    def test_weights_applied(self):
-        pref = WeightedThroughputPreference([2.0, 1.0])
-        assert pref.utility(QueryVector([1, 2])) == 4.0
-
-    def test_reduces_to_throughput_with_unit_weights(self):
-        weighted = WeightedThroughputPreference([1.0, 1.0])
-        plain = ThroughputPreference()
-        v = QueryVector([3, 4])
-        assert weighted.utility(v) == plain.utility(v)
-
-    def test_rejects_negative_weights(self):
-        with pytest.raises(ValueError):
-            WeightedThroughputPreference([1.0, -1.0])
-
-    def test_rejects_empty_weights(self):
-        with pytest.raises(ValueError):
-            WeightedThroughputPreference([])
-
-    def test_length_mismatch_rejected(self):
-        pref = WeightedThroughputPreference([1.0])
-        with pytest.raises(ValueError):
-            pref.utility(QueryVector([1, 2]))
-
-    def test_weights_property(self):
-        assert WeightedThroughputPreference([1, 2]).weights == (1.0, 2.0)

@@ -219,7 +219,11 @@ class TestSupplySetRebinding:
 class TestRunPeriod:
     def test_run_period_counts_stats(self):
         agent = make_agent(capacity=300.0)
-        stats = agent.run_period([0, 0, 0, 0, 1])
+        agent.begin_period()
+        for class_index in [0, 0, 0, 0, 1]:
+            if agent.would_offer(class_index):
+                agent.accept(class_index)
+        stats = agent.end_period()
         assert stats.total_accepted == 3
         assert stats.total_refused == 2
         assert stats.accepted == [3, 0]

@@ -16,6 +16,7 @@ Three properties carry the whole design (see DESIGN.md §7):
   ``repro.protocol`` codec over ``ShardTransport``.
 """
 
+import dataclasses
 import functools
 import json
 import logging
@@ -34,6 +35,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.allocation import GreedyAllocator, QantAllocator
+from repro.catalog import Placement
 from repro.experiments.scaling import quantise_trace, sharded_scaling_cell
 from repro.experiments.setups import (
     run_mechanism,
@@ -1171,6 +1173,28 @@ def test_wide_and_narrow_class_share_a_bidder():
         assert list(plane._block.books) == [A]
         closed.update(plane._closed_in)
     assert closed == {A, B} and plane._closed_settled > 0
+
+
+@pytest.mark.parametrize("mechanism", ["qa-nt", "greedy"])
+def test_laneless_class_pools_like_the_event_engine(mechanism):
+    """No node holds class 1's relation, so the class has no lanes in
+    whichever plane owns it: its queries pool untraded and drop at the
+    end, on the planes as on the event engine, while class 0 trades."""
+    world = dataclasses.replace(
+        two_query_world(num_nodes=4, seed=0),
+        placement=Placement({n: {0} for n in range(4)}),
+    )
+    trace = [WorkloadEvent(25.0 * i, i % 2, i % 4) for i in range(40)]
+    factory = QantAllocator if mechanism == "qa-nt" else GreedyAllocator
+    event = run_mechanism(world, trace, mechanism, factory, _CONFIG).metrics
+    assert (event.completed, event.dropped) == (20, 20)
+    for shards in (1, 2, 3):
+        with _sharded(world, shards) as federation:
+            metrics = federation.run(trace, mechanism).metrics
+        assert (metrics.completed, metrics.dropped, metrics.in_flight) == (
+            event.completed, event.dropped, event.in_flight
+        )
+        assert {o.class_index for o in metrics.outcomes} == {0}
 
 
 def _aliased(block, V, R):

@@ -40,14 +40,6 @@ class TestConstruction:
         with pytest.raises(IndexError):
             QueryVector.unit(2, 2)
 
-    def test_from_counts(self):
-        v = QueryVector.from_counts(4, {0: 2, 3: 5})
-        assert v.components == (2.0, 0.0, 0.0, 5.0)
-
-    def test_from_counts_bad_index(self):
-        with pytest.raises(IndexError):
-            QueryVector.from_counts(2, {5: 1})
-
     def test_zero_helper(self):
         assert zero(2) == QueryVector.zeros(2)
 
