@@ -34,6 +34,7 @@ __all__ = [
     "FanoutResult",
     "FrameDecoder",
     "encode_frame",
+    "frame_header",
 ]
 
 
@@ -46,19 +47,27 @@ _FRAME_HEADER = struct.Struct(">I")
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
+def frame_header(length: int) -> bytes:
+    """The length prefix of a ``length``-byte payload: a writer that
+    sends it and then the payload, in as many pieces as it likes, puts
+    :func:`encode_frame`'s bytes on the wire without joining them."""
+    if length > MAX_FRAME_BYTES:
+        raise ValueError(
+            "frame payload of %d bytes exceeds MAX_FRAME_BYTES" % length
+        )
+    return _FRAME_HEADER.pack(length)
+
+
 def encode_frame(payload: bytes) -> bytes:
     """Wrap one codec payload in the transport's length-prefix framing.
 
     The socket-backed shard transport (``repro.sim.shards.ShardTransport``
     ``mode="tcp"``) moves :func:`repro.protocol.messages.encode` payloads
-    over a byte stream; this 4-byte big-endian length prefix is the only
-    thing the wire adds — the payload itself is the codec's business.
+    over a byte stream; this 4-byte big-endian length prefix
+    (:func:`frame_header`) is the only thing the wire adds — the payload
+    itself is the codec's business.
     """
-    if len(payload) > MAX_FRAME_BYTES:
-        raise ValueError(
-            "frame payload of %d bytes exceeds MAX_FRAME_BYTES" % len(payload)
-        )
-    return _FRAME_HEADER.pack(len(payload)) + payload
+    return frame_header(len(payload)) + payload
 
 
 class FrameDecoder:
@@ -81,17 +90,19 @@ class FrameDecoder:
         frames: List[bytes] = []
         offset = 0
         size = len(self._buffer)
-        while size - offset >= _FRAME_HEADER.size:
-            (length,) = _FRAME_HEADER.unpack_from(self._buffer, offset)
-            if length > MAX_FRAME_BYTES:
-                raise ValueError(
-                    "frame length %d exceeds MAX_FRAME_BYTES" % length
-                )
-            if size - offset - _FRAME_HEADER.size < length:
-                break
-            start = offset + _FRAME_HEADER.size
-            frames.append(bytes(self._buffer[start : start + length]))
-            offset = start + length
+        with memoryview(self._buffer) as view:
+            while size - offset >= _FRAME_HEADER.size:
+                (length,) = _FRAME_HEADER.unpack_from(view, offset)
+                if length > MAX_FRAME_BYTES:
+                    raise ValueError(
+                        "frame length %d exceeds MAX_FRAME_BYTES" % length
+                    )
+                if size - offset - _FRAME_HEADER.size < length:
+                    break
+                start = offset + _FRAME_HEADER.size
+                # One copy: a bytearray slice would be a second.
+                frames.append(bytes(view[start : start + length]))
+                offset = start + length
         if offset:
             del self._buffer[:offset]
         return frames

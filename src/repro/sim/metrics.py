@@ -70,11 +70,45 @@ OUTCOME_DTYPES = (
 )
 
 #: One outcome's row of :meth:`MetricsCollector.outcome_digest`, in
-#: :class:`QueryOutcome` field order.
+#: :class:`QueryOutcome` field order; only :func:`render_outcome_rows`
+#: formats it.
 _OUTCOME_ROW = "%d,%d,%d,%r,%r,%d,%r,%r,%d;"
 
-#: Rows per chunk that :meth:`MetricsCollector.outcome_digest` hashes.
+#: Rows per chunk that an outcome digest hashes.
 _DIGEST_ROWS = 4096
+
+
+def render_outcome_rows(columns: Sequence[Sequence[float]]) -> List[str]:
+    """Each row of the nine :class:`QueryOutcome` ``columns`` as the text
+    an outcome digest hashes: ``%r`` of a float is its shortest
+    round-trip repr, so two rows render equal iff every bit is equal.
+
+    The columns must hold Python numbers (``.tolist()``): ``%r`` of a
+    numpy scalar is ``np.float64(...)`` on numpy >= 2, not the bare repr.
+    The collector (:meth:`MetricsCollector.outcome_digest`) and the
+    sharded engine's planes, which render their own rows, both call this.
+    """
+    return [_OUTCOME_ROW % row for row in zip(*columns)]
+
+
+def digest_rendered_rows(
+    texts: Sequence[str], which: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> str:
+    """SHA-256 over ``texts[which[i]][starts[i]:ends[i]]`` for every
+    ``i`` in order, :data:`_DIGEST_ROWS` rows at a time: the
+    :meth:`MetricsCollector.outcome_digest` of a table whose row ``i``
+    rendered (:func:`render_outcome_rows`) to that slice."""
+    digest = hashlib.sha256()
+    for lo in range(0, len(ends), _DIGEST_ROWS):
+        hi = lo + _DIGEST_ROWS
+        rows = [
+            texts[t][s:e]
+            for t, s, e in zip(
+                which[lo:hi].tolist(), starts[lo:hi].tolist(), ends[lo:hi].tolist()
+            )
+        ]
+        digest.update("".join(rows).encode())
+    return digest.hexdigest()
 
 
 def _left_to_right_sum(values: np.ndarray) -> float:
@@ -374,10 +408,10 @@ class MetricsCollector:
         digest = hashlib.sha256()
         table = self._table
         for lo in range(0, len(table.qid), _DIGEST_ROWS):
-            # ``.tolist()`` gives Python numbers: ``%r`` of a numpy scalar
-            # is ``np.float64(...)`` on numpy >= 2, not the bare float repr.
-            rows = zip(*(column[lo : lo + _DIGEST_ROWS].tolist() for column in table))
-            digest.update("".join(_OUTCOME_ROW % row for row in rows).encode())
+            rows = render_outcome_rows(
+                [column[lo : lo + _DIGEST_ROWS].tolist() for column in table]
+            )
+            digest.update("".join(rows).encode())
         return digest.hexdigest()
 
     # -- per-period series (the x-axes of Figs. 3-5) ----------------------------------

@@ -19,7 +19,9 @@ trace slice, so the coordinator otherwise only routes, once per run:
   over :class:`ShardTransport`, then one one-way ``end`` frame;
 * every plane takes its own period boundaries and drains on its own
   pending count, with no barrier between planes;
-* a final ``collect`` barrier merges the outcome columns.
+* a final ``collect`` barrier merges the outcome columns; each plane
+  renders its own rows of the outcome digest there, so the coordinator
+  only orders and hashes them (:meth:`ShardedRunResult.outcome_digest`).
 
 A plane keeps its classes' prices and supply as flat lanes under one
 :class:`~repro.allocation.market_tick.LaneBlock` — the state block the
@@ -73,8 +75,9 @@ import socket
 import struct
 import time
 import traceback
+from array import array
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
@@ -94,11 +97,16 @@ from ..protocol.messages import (
     unpack_column,
 )
 from ..allocation.market_tick import LaneBlock, check_raise_terms
-from ..protocol.transport import FrameDecoder, encode_frame
+from ..protocol.transport import FrameDecoder, encode_frame, frame_header
 from ..workload.trace import trace_columns
 from .faults import derive_fault_seed
 from .federation import FederationConfig, run_single_mechanism
-from .metrics import OUTCOME_DTYPES, MetricsCollector
+from .metrics import (
+    OUTCOME_DTYPES,
+    MetricsCollector,
+    digest_rendered_rows,
+    render_outcome_rows,
+)
 
 __all__ = [
     "ShardFailure",
@@ -320,6 +328,17 @@ def _check_lane_costs(costs, rows, cols, ids: Sequence[int]) -> None:
         )
 
 
+#: ``array`` type codes of the outcome columns, eight bytes a cell.
+_CELL_CODES = tuple(
+    "q" if np.dtype(dtype).kind == "i" else "d" for dtype in OUTCOME_DTYPES
+)
+
+#: Rows a plane renders at a time (:meth:`_MarketPlane.collect`): one
+#: chunk of its text, and the most Python numbers and row strings alive
+#: at once while it renders.
+_RENDER_ROWS = 1024
+
+
 class _MarketPlane:
     """One self-contained QA-NT market over a subset of the federation.
 
@@ -456,7 +475,8 @@ class _MarketPlane:
         self._pending_count = 0
         self._boundaries = 0
         self._next_boundary = self._period
-        self._cols: Tuple[List, ...] = tuple([] for _ in range(9))
+        #: The outcome columns, eight bytes a cell, in replay order.
+        self._cols = tuple(array(code) for code in _CELL_CODES)
         self._assigned = 0
         self._exchanges = 0
         if self._qa and self._ids:
@@ -479,16 +499,18 @@ class _MarketPlane:
     def finish(self, horizon: float, end_of_run: float) -> None:
         """The end of the trace: the boundaries left up to ``horizon``,
         then the drain, boundaries while this plane still holds pending
-        queries, up to ``end_of_run``.
+        queries a boundary can place, up to ``end_of_run``.
 
-        A plane with no pending query gains nothing from more boundaries
+        A plane with no such query gains nothing from more boundaries
         (no row reaches it after the trace), so draining on its own count
-        gives the outcomes of a drain on the whole federation's.
+        gives the outcomes of a drain on the whole federation's.  A
+        laneless class's pool never trades, so it keeps no drain going.
         """
         if not self._qa:
             return
         self._boundaries_through(horizon)
-        while self._pending_count and self._next_boundary <= end_of_run:
+        stuck = sum(len(self._pools[k]) for k in self._laneless)
+        while self._pending_count > stuck and self._next_boundary <= end_of_run:
             self._next_period()
 
     def _boundaries_through(self, now: float) -> None:
@@ -730,18 +752,36 @@ class _MarketPlane:
     # -- reporting ------------------------------------------------------------
 
     def collect(self) -> Dict[str, object]:
-        """Outcome columns + run counters (the final-barrier payload).
+        """Outcome columns, their rendered rows and the run counters (the
+        final-barrier payload).
 
         The columns leave as 1-D arrays of
-        :data:`~repro.sim.metrics.OUTCOME_DTYPES`, so a
-        reply pickles (and packs, on tcp) as nine buffers, never as a
-        list of numpy scalars per row.
+        :data:`~repro.sim.metrics.OUTCOME_DTYPES` over the plane's own
+        cells (``np.frombuffer``), so a reply pickles (and packs, on tcp)
+        as nine buffers, never as a list of numpy scalars per row.  The
+        rows leave as the outcome digest hashes them
+        (:func:`~repro.sim.metrics.render_outcome_rows`), rendered here
+        so that the planes render in parallel: ``text`` is a list of
+        ASCII chunks of up to :data:`_RENDER_ROWS` whole rows, never
+        joined here, and ``row_ends`` each row's int64 end offset in
+        their concatenation.
         """
+        cols = self._cols
+        chunks = []
+        lengths = array("q")
+        for lo in range(0, len(cols[0]), _RENDER_ROWS):
+            rows = render_outcome_rows(
+                [column[lo : lo + _RENDER_ROWS].tolist() for column in cols]
+            )
+            lengths.extend(map(len, rows))
+            chunks.append("".join(rows))
         return {
             "columns": [
-                np.array(column, dtype=dtype)
-                for column, dtype in zip(self._cols, OUTCOME_DTYPES)
+                np.frombuffer(column, dtype=dtype)
+                for column, dtype in zip(cols, OUTCOME_DTYPES)
             ],
+            "text": chunks,
+            "row_ends": np.cumsum(np.frombuffer(lengths, dtype=np.int64)),
             "assigned": self._assigned,
             "exchanges": self._exchanges,
             "closed_settled": self._closed_settled,
@@ -963,6 +1003,37 @@ def _wire_hook(obj: Dict[str, object]):
     return obj
 
 
+#: Payload bytes above which :meth:`_WireChannel.send` writes a frame
+#: piece by piece.  A 2,048-row ``slice`` frame is about 88 KB, so trace
+#: slices still cross joined, one write (and one segment, under
+#: ``TCP_NODELAY``) each; a 24,000-row run's ``collect`` reply is
+#: megabytes, whose whole text and its bytes were the worker's peak.
+_JOINED_FRAME_BYTES = 1 << 20
+
+
+def _json_pieces(obj, depth: int = 2) -> List[str]:
+    """``json.dumps(obj, default=_wire_default)`` as ASCII pieces whose
+    concatenation is exactly that text: lists, tuples and str-keyed
+    dicts are opened ``depth`` levels down, so one piece holds at most
+    one member of theirs (a text chunk, a packed column)."""
+    if depth and isinstance(obj, (list, tuple)):
+        opening, closing = "[", "]"
+        heads = [""] * len(obj)
+        members = obj
+    elif depth and isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
+        opening, closing = "{", "}"
+        heads = [json.dumps(key) + ": " for key in obj]
+        members = obj.values()
+    else:
+        return [json.dumps(obj, default=_wire_default)]
+    pieces = [opening]
+    for n, (head, member) in enumerate(zip(heads, members)):
+        pieces.append(", " + head if n else head)
+        pieces.extend(_json_pieces(member, depth - 1))
+    pieces.append(closing)
+    return pieces
+
+
 class _WireChannel:
     """One JSON-frame byte stream over a connected socket.
 
@@ -984,8 +1055,20 @@ class _WireChannel:
         return self._sock.fileno()
 
     def send(self, obj) -> None:
-        payload = json.dumps(obj, default=_wire_default).encode("utf-8")
-        self._sock.sendall(encode_frame(payload))
+        """Write ``obj`` as one frame.  A payload of over
+        :data:`_JOINED_FRAME_BYTES` (a ``collect`` reply) goes as its
+        length prefix, then piece by piece (:func:`_json_pieces`), never
+        joined into one text or one frame; a smaller one (a trace slice)
+        goes joined, in one write."""
+        pieces = _json_pieces(obj)
+        # ASCII (json.dumps escapes the rest): one byte a character.
+        size = sum(map(len, pieces))
+        if size <= _JOINED_FRAME_BYTES:
+            self._sock.sendall(encode_frame("".join(pieces).encode("ascii")))
+            return
+        self._sock.sendall(frame_header(size))
+        for piece in pieces:
+            self._sock.sendall(piece.encode("ascii"))
 
     def _read(self) -> None:
         data = self._sock.recv(1 << 16)
@@ -996,7 +1079,9 @@ class _WireChannel:
     def recv(self):
         while not self._frames:
             self._read()
-        return json.loads(self._frames.popleft(), object_hook=_wire_hook)
+        # Decoded before parsing, so the frame's bytes are gone by then.
+        text = self._frames.popleft().decode("utf-8")
+        return json.loads(text, object_hook=_wire_hook)
 
     def poll(self, timeout: float) -> bool:
         """Whether a whole frame is in within ``timeout`` seconds, like
@@ -1423,6 +1508,12 @@ class ShardedRunResult:
     messages: int
     #: Shard count of the run (1 = single-process delegation).
     shards: int
+    #: The planes' rendered outcome rows: their text chunks, and each
+    #: row's chunk and start and end offset in it, in table order
+    #: (``None`` at ``shards=1``, where the collector renders its own).
+    rendered: Optional[
+        Tuple[List[str], np.ndarray, np.ndarray, np.ndarray]
+    ] = field(default=None, repr=False, compare=False)
 
     @property
     def completed(self) -> int:
@@ -1460,8 +1551,17 @@ class ShardedRunResult:
 
     def outcome_digest(self) -> str:
         """SHA-256 over every field of every outcome, completion order
-        (:meth:`MetricsCollector.outcome_digest`)."""
-        return self.metrics.outcome_digest()
+        (:meth:`MetricsCollector.outcome_digest`).
+
+        On the planes it hashes the rows they rendered at ``collect``, in
+        the merged table's order.  The coordinator checks their shape,
+        not their bytes: it trusts the planes to render with the
+        collector's renderer, and tier-1 holds this digest equal to the
+        collector's own.
+        """
+        if self.rendered is None:
+            return self.metrics.outcome_digest()
+        return digest_rendered_rows(*self.rendered)
 
     def payload(self) -> Dict[str, object]:
         """Full golden-style payload (includes shard-dependent counters)."""
@@ -1490,14 +1590,29 @@ class ShardedRunResult:
 # -- the sharded federation ---------------------------------------------------
 
 
+def _locate_rows(
+    text: Sequence[str], ends: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's chunk of ``text`` and its start and end offsets in that
+    chunk, for rows ending at ``ends`` in the chunks' concatenation.  A
+    row that straddles two chunks starts at a negative offset."""
+    bounds = np.cumsum([0] + [len(chunk) for chunk in text])
+    which = np.searchsorted(bounds, ends) - 1
+    first = bounds[which]
+    return which, ends - np.diff(ends, prepend=0) - first, ends - first
+
+
 def _collect_reply_problem(reply) -> Optional[str]:
     """Why the merge cannot take ``reply`` as a ``collect`` answer, or
     None.
 
     A worker's reply is outside input: it must carry nine 1-D outcome
     columns of :data:`~repro.sim.metrics.OUTCOME_DTYPES` and equal
-    length, and non-negative int counters (unchecked, a float qid column
-    would be truncated to ints by the merge without a word).
+    length, its rows' text as a list of ASCII strings with one
+    increasing int64 end offset per row, the last at the text's length
+    and no row across two chunks, and non-negative int counters
+    (unchecked, a float qid column would be truncated to ints by the
+    merge without a word).
     """
     columns = reply.get("columns") if isinstance(reply, Mapping) else None
     if not isinstance(columns, (list, tuple)) or len(columns) != len(
@@ -1520,6 +1635,28 @@ def _collect_reply_problem(reply) -> Optional[str]:
                 len(column),
                 len(columns[0]),
             )
+    text = reply.get("text")
+    if not isinstance(text, list) or not all(
+        isinstance(chunk, str) and chunk.isascii() for chunk in text
+    ):
+        return "the rows' text is not a list of ASCII strings"
+    ends = reply.get("row_ends")
+    if not (
+        isinstance(ends, np.ndarray)
+        and ends.ndim == 1
+        and ends.dtype == np.int64
+        and len(ends) == len(columns[0])
+    ):
+        return "row_ends is not a 1-D int64 array of %d offsets" % len(
+            columns[0]
+        )
+    if (np.diff(ends, prepend=0) <= 0).any():
+        return "row_ends is not increasing"
+    last, size = (int(ends[-1]) if len(ends) else 0), sum(map(len, text))
+    if last != size:
+        return "row_ends ends at %d, the text has %d characters" % (last, size)
+    if (_locate_rows(text, ends)[1] < 0).any():
+        return "a row straddles two text chunks"
     for key in ("assigned", "exchanges", "closed_settled", "pending"):
         value = reply.get(key)
         if (
@@ -1802,7 +1939,8 @@ class ShardedFederation:
         (:meth:`_MarketPlane.run_slice`, :meth:`_MarketPlane.finish`),
         so the workers are met only at ``reset`` and ``collect``.
         Outcomes merge globally sorted by ``(finish_ms, qid)`` before
-        any reduction.
+        any reduction; the rows the planes rendered keep that order for
+        the digest.
         """
         transport = self._transport
         num_shards = self._plan.num_shards
@@ -1849,7 +1987,8 @@ class ShardedFederation:
                 )
         transport.post([("end", horizon, end_of_run)] * num_shards)
         residual.finish(horizon, end_of_run)
-        # The one barrier after reset: outcome columns, RSS, self-time.
+        # The one barrier after reset: outcome columns and rows, RSS,
+        # self-time.
         replies = transport.exchange([("collect",)] * num_shards)
         assigned_per_shard = []
         self_times = []
@@ -1872,13 +2011,33 @@ class ShardedFederation:
         transport.note_child_peak_kb(peak_kb)
         self._shard_self_time_s = self_times
         # Fixed shard order, then the residual plane's rows.
-        parts = [reply["columns"] for reply in replies]
-        parts.append(collected["columns"])
-        columns = [np.concatenate(column) for column in zip(*parts)]
-        order = np.lexsort((columns[0], columns[7]))
-        collector.record_outcomes(
-            [c[order] for c in columns], dropped=dropped, _pairwise_sum=True
-        )
+        parts = replies + [collected]
+        del replies
+
+        def merged(n: int) -> np.ndarray:
+            """Column ``n`` of every part, which then lets go of it."""
+            column = np.concatenate([part["columns"][n] for part in parts])
+            for part in parts:
+                part["columns"][n] = None
+            return column
+
+        qids, finish = merged(0), merged(7)
+        order = np.lexsort((qids, finish))
+        columns = [qids[order]]
+        columns.extend(merged(n)[order] for n in range(1, 7))
+        columns.extend((finish[order], merged(8)[order]))
+        del qids, finish
+        # Every part's text chunks in one list, never joined: a row is a
+        # slice of one chunk.
+        texts: List[str] = []
+        located = []
+        for part in parts:
+            which, starts, ends = _locate_rows(part["text"], part["row_ends"])
+            located.append((which + len(texts), starts, ends))
+            texts.extend(part["text"])
+        del parts
+        rendered = [np.concatenate(rows)[order] for rows in zip(*located)]
+        collector.record_outcomes(columns, dropped=dropped, _pairwise_sum=True)
         total_assigned = sum(assigned_per_shard)
         imbalance = 1.0
         if assigned_per_shard and total_assigned:
@@ -1896,7 +2055,12 @@ class ShardedFederation:
             closed_settled=closed_settled,
         )
         # One protocol-level bid per shard-routed row, however batched.
-        return ShardedRunResult(collector, total - len(held), num_shards)
+        return ShardedRunResult(
+            collector,
+            total - len(held),
+            num_shards,
+            rendered=(texts, *rendered),
+        )
 
     def shard_self_time_s(self) -> List[float]:
         """Per-shard aggregate frame-handling self-time of the last run

@@ -64,6 +64,7 @@ from repro.sim import (
 )
 from repro.allocation import market_tick
 from repro.sim.faults import derive_fault_seed
+from repro.sim import metrics as metrics_module
 from repro.sim import shards as shards_module
 from repro.sim.shards import _CORE_KINDS, _MarketPlane
 from repro.workload.trace import WorkloadEvent, zipf_trace
@@ -1138,6 +1139,55 @@ def test_collect_replies_with_typed_arrays():
     ]
     assert len(columns[0]) == plane.assigned > 0
     assert not any(isinstance(value, np.generic) for value in reply.values())
+    # The rows as the digest renders them, one end offset per row.
+    rows = metrics_module.render_outcome_rows([c.tolist() for c in columns])
+    assert "".join(reply["text"]) == "".join(rows)
+    assert reply["row_ends"].dtype == np.int64
+    assert reply["row_ends"].tolist() == np.cumsum([len(r) for r in rows]).tolist()
+
+
+def _digests_by_mode(chunk_rows=None):
+    """Per (mode, shards, mechanism) of the Zipf fixture: the digest over
+    the planes' rendered rows and the collector's own.  ``chunk_rows``
+    patches the rows per rendered and per hashed chunk, before the
+    workers fork."""
+    world, trace = _zipf_small()
+    digests = {}
+    with pytest.MonkeyPatch.context() as patch:
+        if chunk_rows is not None:
+            patch.setattr(metrics_module, "_DIGEST_ROWS", chunk_rows)
+            patch.setattr(shards_module, "_RENDER_ROWS", chunk_rows)
+        for mode in ("inline", "fork", "tcp"):
+            for shards in (2, 3):
+                with _sharded(world, shards, mode) as federation:
+                    for mechanism in ("qa-nt", "greedy"):
+                        result = federation.run(list(trace), mechanism)
+                        assert result.rendered is not None
+                        digests[mode, shards, mechanism] = (
+                            result.outcome_digest(),
+                            result.metrics.outcome_digest(),
+                        )
+    return digests
+
+
+def test_planes_render_the_rows_the_collector_hashes():
+    """The digest of a sharded run hashes the rows the planes rendered at
+    ``collect``; on every mode and shard count it equals the collector's
+    digest of the merged table, and so does every other run's."""
+    digests = _digests_by_mode()
+    for mechanism in ("qa-nt", "greedy"):
+        seen = {digests[key] for key in digests if key[2] == mechanism}
+        assert len(seen) == 1
+        (planes, collector), = seen
+        assert planes == collector
+
+
+def test_rendered_rows_hash_the_same_in_small_chunks():
+    """Seven rows per chunk, both where the planes render and where the
+    coordinator hashes: chunk edges fall inside every plane's text and
+    inside every hashed run of rows, and no digest moves."""
+    assert shards_module._RENDER_ROWS > 7
+    assert _digests_by_mode(chunk_rows=7) == _digests_by_mode()
 
 
 def test_no_threshold_never_closes():
@@ -1191,6 +1241,14 @@ def test_laneless_class_pools_like_the_event_engine(mechanism):
     for shards in (1, 2, 3):
         with _sharded(world, shards) as federation:
             metrics = federation.run(trace, mechanism).metrics
+            if shards > 1:
+                # Both classes are the residual plane's.  Its drain stops
+                # once class 0's pool is empty (boundaries at 500, 1,000
+                # and 1,500 ms); class 1's pool kept it going to the end
+                # of the drain window, 121 boundaries in all.
+                residual = federation._residual
+                assert residual.class_indices == [0, 1]
+                assert residual._boundaries == (3 if mechanism == "qa-nt" else 0)
         assert (metrics.completed, metrics.dropped, metrics.in_flight) == (
             event.completed, event.dropped, event.in_flight
         )
@@ -1564,6 +1622,38 @@ def _no_pending(reply):
     del reply["pending"]
 
 
+def _joined_text(reply):
+    reply["text"] = "".join(reply["text"])
+
+
+def _non_ascii_text(reply):
+    reply["text"][0] = "\u00e9" + reply["text"][0][1:]
+
+
+def _float_row_ends(reply):
+    reply["row_ends"] = reply["row_ends"].astype(float)
+
+
+def _short_row_ends(reply):
+    reply["row_ends"] = reply["row_ends"][:-1]
+
+
+def _stalled_row_ends(reply):
+    ends = reply["row_ends"].copy()
+    ends[1] = ends[0]
+    reply["row_ends"] = ends
+
+
+def _long_text(reply):
+    reply["text"].append(";")
+
+
+def _straddling_row(reply):
+    text = "".join(reply["text"])
+    cut = int(reply["row_ends"][0]) + 1  # inside row 1
+    reply["text"] = [text[:cut], text[cut:]]
+
+
 @pytest.mark.parametrize("mode", ["inline", "tcp"])
 @pytest.mark.parametrize(
     "mangle, complaint",
@@ -1572,8 +1662,19 @@ def _no_pending(reply):
         (_eight_columns, "expected 9 outcome columns"),
         (_ragged_columns, "outcome column 3 has .* rows, column 0 has"),
         (_no_pending, "counter 'pending' is None"),
+        (_joined_text, "text is not a list of ASCII strings"),
+        (_non_ascii_text, "text is not a list of ASCII strings"),
+        (_float_row_ends, "row_ends is not a 1-D int64 array of .* offsets"),
+        (_short_row_ends, "row_ends is not a 1-D int64 array of .* offsets"),
+        (_stalled_row_ends, "row_ends is not increasing"),
+        (_long_text, "row_ends ends at .*, the text has .* characters"),
+        (_straddling_row, "a row straddles two text chunks"),
     ],
-    ids=["float-qids", "eight-columns", "ragged", "no-pending"],
+    ids=[
+        "float-qids", "eight-columns", "ragged", "no-pending", "joined-text",
+        "non-ascii-text", "float-row-ends", "short-row-ends",
+        "stalled-row-ends", "long-text", "straddling-row",
+    ],
 )
 def test_malformed_collect_reply_is_a_shard_failure(
     mode, mangle, complaint, monkeypatch
@@ -1676,6 +1777,44 @@ def test_wire_garbage_is_a_shard_failure(kind, data):
         assert isinstance(failure.value.args[2], (EOFError, ValueError))
     finally:
         transport._peers[0].close()
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=60, deadline=None)
+def test_json_pieces_join_to_the_dumped_text(value):
+    assert "".join(shards_module._json_pieces(value)) == json.dumps(value)
+
+
+@pytest.mark.parametrize("joined_bytes", [0, 1 << 20], ids=["pieces", "joined"])
+def test_wire_send_puts_the_joined_frame_on_the_socket(joined_bytes, monkeypatch):
+    """Written piece by piece or joined, a frame is the same bytes as
+    ``encode_frame`` of its JSON, and the other end reads it back."""
+    monkeypatch.setattr(shards_module, "_JOINED_FRAME_BYTES", joined_bytes)
+    reply = {
+        "columns": [np.arange(5), np.linspace(0.0, 1.0, 5)],
+        "text": ["1,2,0.5;", "3,4,0.25;"],
+        "row_ends": np.array([8, 17]),
+        "pending": 0,
+    }
+    expected = encode_frame(
+        json.dumps(reply, default=shards_module._wire_default).encode()
+    )
+    ours, theirs = socket.socketpair()
+    sender = shards_module._WireChannel(ours)
+    try:
+        sender.send(reply)
+        theirs.settimeout(5.0)
+        got = b""
+        while len(got) < len(expected):
+            got += theirs.recv(1 << 16)
+        assert got == expected
+        theirs.sendall(got)
+        echoed = sender.recv()
+        assert echoed["text"] == reply["text"]
+        assert echoed["row_ends"].tolist() == [8, 17]
+    finally:
+        sender.close()
+        theirs.close()
 
 
 # ---------------------------------------------------------------------------

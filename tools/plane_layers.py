@@ -6,12 +6,15 @@ coordinator functions, so a forked plane's work shows there only as
 ``shards.shard_busy_s_*``.  This command builds the plane workloads' world
 and trace (``zipf_planes_fork`` and ``zipf_planes_tcp`` share both),
 runs them on the inline twin of the engine (``Prepared.twin("inline")``:
-the same planes, every one in this process), wraps five
-``_MarketPlane`` methods with timers and prints, per mechanism, the
-median seconds per run of each over ``--runs`` runs after one warm-up
-run, beside the whole run.  Times are inclusive: ``boundary`` holds
-``_period_solve`` and ``_retry_tick``, and ``market_tick`` and
-``_retry_tick`` hold ``_replay``.  Greedy takes no boundaries.
+the same planes, every one in this process), wraps six
+``_MarketPlane`` methods and the coordinator's digest
+(``ShardedRunResult.outcome_digest``) with timers and prints, per
+mechanism, the median seconds per run of each over ``--runs`` runs after
+one warm-up run, beside the whole run.  Times are inclusive: ``boundary``
+holds ``_period_solve`` and ``_retry_tick``, ``market_tick`` and
+``_retry_tick`` hold ``_replay``, and ``collect`` is where a plane
+renders its outcome rows, which the digest then orders and hashes.
+Greedy takes no boundaries.
 
 A reading, not a gate; the timers add a little to every call.
 
@@ -31,9 +34,18 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO), str(REPO / "src")]
 
 from perf.workloads import WORKLOADS, prepare  # noqa: E402
-from repro.sim.shards import _MarketPlane  # noqa: E402
+from repro.sim.shards import ShardedRunResult, _MarketPlane  # noqa: E402
 
-LAYERS = ("boundary", "_period_solve", "_retry_tick", "market_tick", "_replay")
+#: Timed methods, by label: the owner and the method's name.
+WRAPPED = {
+    "_MarketPlane." + name: (_MarketPlane, name)
+    for name in (
+        "boundary", "_period_solve", "_retry_tick", "market_tick", "_replay",
+        "collect",
+    )
+}
+WRAPPED["ShardedRunResult.outcome_digest"] = (ShardedRunResult, "outcome_digest")
+LAYERS = tuple(WRAPPED)
 MECHANISMS = ("qa-nt", "greedy")
 
 
@@ -41,7 +53,9 @@ def timed_runs(twin, mechanism: str, runs: int) -> Dict[str, List[float]]:
     """Per layer (and ``run``, the whole run), the seconds of each of
     ``runs`` runs of ``mechanism`` on ``twin``, after one warm-up run."""
     spent = dict.fromkeys(LAYERS, 0.0)
-    originals = {name: getattr(_MarketPlane, name) for name in LAYERS}
+    originals = {
+        label: getattr(owner, name) for label, (owner, name) in WRAPPED.items()
+    }
 
     def timer(name, method):
         def timed(*args):
@@ -55,8 +69,8 @@ def timed_runs(twin, mechanism: str, runs: int) -> Dict[str, List[float]]:
 
     seconds: Dict[str, List[float]] = {name: [] for name in ("run",) + LAYERS}
     try:
-        for name, method in originals.items():
-            setattr(_MarketPlane, name, timer(name, method))
+        for label, method in originals.items():
+            setattr(*WRAPPED[label], timer(label, method))
         for attempt in range(runs + 1):
             spent.update(dict.fromkeys(LAYERS, 0.0))
             started = time.perf_counter()
@@ -66,8 +80,8 @@ def timed_runs(twin, mechanism: str, runs: int) -> Dict[str, List[float]]:
                 for name in LAYERS:
                     seconds[name].append(spent[name])
     finally:
-        for name, method in originals.items():
-            setattr(_MarketPlane, name, method)
+        for label, method in originals.items():
+            setattr(*WRAPPED[label], method)
     return seconds
 
 
@@ -99,11 +113,11 @@ def main(argv=None) -> int:
         "plane layers, zipf_planes inline twin, seed %d: median s per run "
         "of %d" % (args.seed, args.runs)
     )
-    print("%-28s %10s %10s" % ("layer", *MECHANISMS))
+    print("%-32s %10s %10s" % ("layer", *MECHANISMS))
     for name in LAYERS + ("run",):
-        label = "whole run" if name == "run" else "_MarketPlane." + name
+        label = "whole run" if name == "run" else name
         print(
-            "%-28s %10.4f %10.4f"
+            "%-32s %10.4f %10.4f"
             % (label, *(medians[m][name] for m in MECHANISMS))
         )
     return 0
