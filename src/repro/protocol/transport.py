@@ -90,19 +90,17 @@ class FrameDecoder:
         frames: List[bytes] = []
         offset = 0
         size = len(self._buffer)
-        with memoryview(self._buffer) as view:
-            while size - offset >= _FRAME_HEADER.size:
-                (length,) = _FRAME_HEADER.unpack_from(view, offset)
-                if length > MAX_FRAME_BYTES:
-                    raise ValueError(
-                        "frame length %d exceeds MAX_FRAME_BYTES" % length
-                    )
-                if size - offset - _FRAME_HEADER.size < length:
-                    break
-                start = offset + _FRAME_HEADER.size
-                # One copy: a bytearray slice would be a second.
-                frames.append(bytes(view[start : start + length]))
-                offset = start + length
+        while size - offset >= _FRAME_HEADER.size:
+            (length,) = _FRAME_HEADER.unpack_from(self._buffer, offset)
+            if length > MAX_FRAME_BYTES:
+                raise ValueError(
+                    "frame length %d exceeds MAX_FRAME_BYTES" % length
+                )
+            if size - offset - _FRAME_HEADER.size < length:
+                break
+            start = offset + _FRAME_HEADER.size
+            frames.append(bytes(self._buffer[start : start + length]))
+            offset = start + length
         if offset:
             del self._buffer[:offset]
         return frames

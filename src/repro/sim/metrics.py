@@ -91,26 +91,6 @@ def render_outcome_rows(columns: Sequence[Sequence[float]]) -> List[str]:
     return [_OUTCOME_ROW % row for row in zip(*columns)]
 
 
-def digest_rendered_rows(
-    texts: Sequence[str], which: np.ndarray, starts: np.ndarray, ends: np.ndarray
-) -> str:
-    """SHA-256 over ``texts[which[i]][starts[i]:ends[i]]`` for every
-    ``i`` in order, :data:`_DIGEST_ROWS` rows at a time: the
-    :meth:`MetricsCollector.outcome_digest` of a table whose row ``i``
-    rendered (:func:`render_outcome_rows`) to that slice."""
-    digest = hashlib.sha256()
-    for lo in range(0, len(ends), _DIGEST_ROWS):
-        hi = lo + _DIGEST_ROWS
-        rows = [
-            texts[t][s:e]
-            for t, s, e in zip(
-                which[lo:hi].tolist(), starts[lo:hi].tolist(), ends[lo:hi].tolist()
-            )
-        ]
-        digest.update("".join(rows).encode())
-    return digest.hexdigest()
-
-
 def _left_to_right_sum(values: np.ndarray) -> float:
     """One addition per element, in row order (``add.accumulate`` is
     sequential; ``np.sum`` is pairwise)."""
@@ -411,6 +391,37 @@ class MetricsCollector:
             rows = render_outcome_rows(
                 [column[lo : lo + _DIGEST_ROWS].tolist() for column in table]
             )
+            digest.update("".join(rows).encode())
+        return digest.hexdigest()
+
+    def rendered_outcome_digest(
+        self,
+        texts: Sequence[str],
+        which: np.ndarray,
+        starts: np.ndarray,
+        ends: np.ndarray,
+    ) -> str:
+        """:meth:`outcome_digest` of this table, whose row ``i`` was
+        rendered elsewhere (:func:`render_outcome_rows`) as
+        ``texts[which[i]][starts[i]:ends[i]]``; a row whose ``which`` is
+        -1 has no text and is rendered here."""
+        digest = hashlib.sha256()
+        table = self._table
+        for lo in range(0, len(ends), _DIGEST_ROWS):
+            hi = lo + _DIGEST_ROWS
+            chunk = which[lo:hi]
+            here = np.flatnonzero(chunk < 0)
+            fresh = iter(
+                render_outcome_rows(
+                    [column[lo:hi][here].tolist() for column in table]
+                )
+            )
+            rows = [
+                texts[t][s:e] if t >= 0 else next(fresh)
+                for t, s, e in zip(
+                    chunk.tolist(), starts[lo:hi].tolist(), ends[lo:hi].tolist()
+                )
+            ]
             digest.update("".join(rows).encode())
         return digest.hexdigest()
 

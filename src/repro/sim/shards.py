@@ -104,7 +104,6 @@ from .federation import FederationConfig, run_single_mechanism
 from .metrics import (
     OUTCOME_DTYPES,
     MetricsCollector,
-    digest_rendered_rows,
     render_outcome_rows,
 )
 
@@ -751,21 +750,40 @@ class _MarketPlane:
 
     # -- reporting ------------------------------------------------------------
 
-    def collect(self) -> Dict[str, object]:
-        """Outcome columns, their rendered rows and the run counters (the
-        final-barrier payload).
+    def outcome(self) -> Dict[str, object]:
+        """Outcome columns and the run counters: the coordinator's own
+        plane's part of the merge.
 
         The columns leave as 1-D arrays of
         :data:`~repro.sim.metrics.OUTCOME_DTYPES` over the plane's own
         cells (``np.frombuffer``), so a reply pickles (and packs, on tcp)
-        as nine buffers, never as a list of numpy scalars per row.  The
-        rows leave as the outcome digest hashes them
+        as nine buffers, never as a list of numpy scalars per row.
+        """
+        return {
+            "columns": [
+                np.frombuffer(column, dtype=dtype)
+                for column, dtype in zip(self._cols, OUTCOME_DTYPES)
+            ],
+            "assigned": self._assigned,
+            "exchanges": self._exchanges,
+            "closed_settled": self._closed_settled,
+            "pending": self._pending_count,
+        }
+
+    def collect(self) -> Dict[str, object]:
+        """:meth:`outcome` and its rows rendered: a shard's final-barrier
+        payload.
+
+        The rows leave as the outcome digest hashes them
         (:func:`~repro.sim.metrics.render_outcome_rows`), rendered here
-        so that the planes render in parallel: ``text`` is a list of
+        so that the shards render in parallel: ``text`` is a list of
         ASCII chunks of up to :data:`_RENDER_ROWS` whole rows, never
         joined here, and ``row_ends`` each row's int64 end offset in
-        their concatenation.
+        their concatenation.  The coordinator's own plane would render
+        in the coordinator either way, so it leaves its rows to the
+        digest (:meth:`ShardedRunResult.outcome_digest`).
         """
+        reply = self.outcome()
         cols = self._cols
         chunks = []
         lengths = array("q")
@@ -775,18 +793,9 @@ class _MarketPlane:
             )
             lengths.extend(map(len, rows))
             chunks.append("".join(rows))
-        return {
-            "columns": [
-                np.frombuffer(column, dtype=dtype)
-                for column, dtype in zip(cols, OUTCOME_DTYPES)
-            ],
-            "text": chunks,
-            "row_ends": np.cumsum(np.frombuffer(lengths, dtype=np.int64)),
-            "assigned": self._assigned,
-            "exchanges": self._exchanges,
-            "closed_settled": self._closed_settled,
-            "pending": self._pending_count,
-        }
+        reply["text"] = chunks
+        reply["row_ends"] = np.cumsum(np.frombuffer(lengths, dtype=np.int64))
+        return reply
 
 
 class _LocalMarketCore:
@@ -1004,10 +1013,14 @@ def _wire_hook(obj: Dict[str, object]):
 
 
 #: Payload bytes above which :meth:`_WireChannel.send` writes a frame
-#: piece by piece.  A 2,048-row ``slice`` frame is about 88 KB, so trace
-#: slices still cross joined, one write (and one segment, under
-#: ``TCP_NODELAY``) each; a 24,000-row run's ``collect`` reply is
-#: megabytes, whose whole text and its bytes were the worker's peak.
+#: piece by piece.  Below it a frame goes joined, through
+#: :func:`~repro.protocol.transport.encode_frame`, which is where the
+#: repo benchmark's ledger counts the coordinator's frame bytes
+#: (``protocol.frame_bytes``); every frame the coordinator sends is
+#: below it (a 2,048-row ``slice`` frame is about 88 KB).  Above it is a
+#: shard's ``collect`` reply, megabytes of rows: joined, its text, bytes
+#: and frame at once cost ``zipf_planes_tcp`` 4.5 MB (4 %) more
+#: ``peak_rss_mb`` than piece by piece.
 _JOINED_FRAME_BYTES = 1 << 20
 
 
@@ -1058,8 +1071,8 @@ class _WireChannel:
         """Write ``obj`` as one frame.  A payload of over
         :data:`_JOINED_FRAME_BYTES` (a ``collect`` reply) goes as its
         length prefix, then piece by piece (:func:`_json_pieces`), never
-        joined into one text or one frame; a smaller one (a trace slice)
-        goes joined, in one write."""
+        joined into one text or one frame; a smaller one goes joined,
+        in one write.  The bytes on the socket are the same."""
         pieces = _json_pieces(obj)
         # ASCII (json.dumps escapes the rest): one byte a character.
         size = sum(map(len, pieces))
@@ -1079,9 +1092,7 @@ class _WireChannel:
     def recv(self):
         while not self._frames:
             self._read()
-        # Decoded before parsing, so the frame's bytes are gone by then.
-        text = self._frames.popleft().decode("utf-8")
-        return json.loads(text, object_hook=_wire_hook)
+        return json.loads(self._frames.popleft(), object_hook=_wire_hook)
 
     def poll(self, timeout: float) -> bool:
         """Whether a whole frame is in within ``timeout`` seconds, like
@@ -1508,9 +1519,10 @@ class ShardedRunResult:
     messages: int
     #: Shard count of the run (1 = single-process delegation).
     shards: int
-    #: The planes' rendered outcome rows: their text chunks, and each
-    #: row's chunk and start and end offset in it, in table order
-    #: (``None`` at ``shards=1``, where the collector renders its own).
+    #: The shards' rendered outcome rows: their text chunks, and each
+    #: row's chunk (-1 for the residual plane's rows, which have none)
+    #: and start and end offset in it, in table order (``None`` at
+    #: ``shards=1``, where the collector renders its own).
     rendered: Optional[
         Tuple[List[str], np.ndarray, np.ndarray, np.ndarray]
     ] = field(default=None, repr=False, compare=False)
@@ -1553,15 +1565,16 @@ class ShardedRunResult:
         """SHA-256 over every field of every outcome, completion order
         (:meth:`MetricsCollector.outcome_digest`).
 
-        On the planes it hashes the rows they rendered at ``collect``, in
-        the merged table's order.  The coordinator checks their shape,
-        not their bytes: it trusts the planes to render with the
-        collector's renderer, and tier-1 holds this digest equal to the
-        collector's own.
+        On the planes it hashes the rows the shards rendered at
+        ``collect``, in the merged table's order, and renders the
+        residual plane's rows itself.  The merge checked the text's
+        shape and a sample of its rows against the merged columns
+        (:func:`_misrendered_row`); tier-1 holds this digest equal to
+        the collector's own.
         """
         if self.rendered is None:
             return self.metrics.outcome_digest()
-        return digest_rendered_rows(*self.rendered)
+        return self.metrics.rendered_outcome_digest(*self.rendered)
 
     def payload(self) -> Dict[str, object]:
         """Full golden-style payload (includes shard-dependent counters)."""
@@ -1600,6 +1613,56 @@ def _locate_rows(
     which = np.searchsorted(bounds, ends) - 1
     first = bounds[which]
     return which, ends - np.diff(ends, prepend=0) - first, ends - first
+
+
+#: Every this many rows of a shard's part (and its first and last row),
+#: the merge renders the merged row itself and compares it with the text
+#: the shard rendered (:func:`_misrendered_row`).
+_CHECK_EVERY = 256
+
+
+def _misrendered_row(
+    columns: Sequence[np.ndarray],
+    order: np.ndarray,
+    texts: Sequence[str],
+    rows: Sequence[np.ndarray],
+    shard_rows: Sequence[int],
+) -> Optional[Tuple[int, int]]:
+    """The shard and merged-table row of the first sampled row whose text
+    is not the rendering of its merged columns, or None.
+
+    ``rows`` locates each row's text (chunk, start, end) in the parts'
+    concatenated order, shard by shard (``shard_rows`` rows each); row
+    ``order[i]`` there is row ``i`` of the merged ``columns``.  The
+    sample is each shard's first and last row and every
+    :data:`_CHECK_EVERY`-th, so the digest, which hashes the text, still
+    attests the columns every other metric reads against a fault in
+    packing, transport or the merge, at O(rows / N) cost.
+    """
+    counts = np.asarray(shard_rows)
+    ends = np.cumsum(counts)
+    filled = counts > 0
+    sample = np.unique(
+        np.concatenate(
+            (
+                np.arange(0, ends[-1], _CHECK_EVERY),
+                (ends - counts)[filled],
+                ends[filled] - 1,
+            )
+        )
+    )
+    if not len(sample):
+        return None
+    at = np.empty_like(order)
+    at[order] = np.arange(len(order))
+    at = at[sample]
+    expected = render_outcome_rows([column[at].tolist() for column in columns])
+    which, first, last = (part[sample].tolist() for part in rows)
+    for n, row in enumerate(expected):
+        if texts[which[n]][first[n] : last[n]] != row:
+            shard = int(np.searchsorted(ends, sample[n], side="right"))
+            return shard, int(at[n])
+    return None
 
 
 def _collect_reply_problem(reply) -> Optional[str]:
@@ -1655,8 +1718,6 @@ def _collect_reply_problem(reply) -> Optional[str]:
     last, size = (int(ends[-1]) if len(ends) else 0), sum(map(len, text))
     if last != size:
         return "row_ends ends at %d, the text has %d characters" % (last, size)
-    if (_locate_rows(text, ends)[1] < 0).any():
-        return "a row straddles two text chunks"
     for key in ("assigned", "exchanges", "closed_settled", "pending"):
         value = reply.get(key)
         if (
@@ -1992,15 +2053,27 @@ class ShardedFederation:
         replies = transport.exchange([("collect",)] * num_shards)
         assigned_per_shard = []
         self_times = []
-        collected = residual.collect()
+        collected = residual.outcome()
         exchanges = collected["exchanges"]
         closed_settled = collected["closed_settled"]
         dropped = collected["pending"]
         peak_kb = 0
+        # Every shard's text chunks in one list, never joined: a row is a
+        # slice of one chunk.
+        texts: List[str] = []
+        located = []
+        shard_rows = []
         for shard, reply in enumerate(replies):
             problem = _collect_reply_problem(reply)
+            if problem is None:
+                which, starts, ends = _locate_rows(reply["text"], reply["row_ends"])
+                if (starts < 0).any():
+                    problem = "a row straddles two text chunks"
             if problem is not None:
                 raise ShardFailure(shard, "collect", ProtocolError(problem))
+            located.append((which + len(texts), starts, ends))
+            texts.extend(reply["text"])
+            shard_rows.append(len(ends))
             assigned_per_shard.append(reply["assigned"])
             exchanges += reply["exchanges"]
             closed_settled += reply["closed_settled"]
@@ -2010,33 +2083,34 @@ class ShardedFederation:
                 peak_kb = reply["maxrss_kb"]
         transport.note_child_peak_kb(peak_kb)
         self._shard_self_time_s = self_times
+        # The residual plane's rows have no text: the digest renders them.
+        own = len(collected["columns"][0])
+        nowhere = np.zeros(own, dtype=np.int64)
+        located.append((np.full(own, -1), nowhere, nowhere))
         # Fixed shard order, then the residual plane's rows.
-        parts = replies + [collected]
-        del replies
-
-        def merged(n: int) -> np.ndarray:
-            """Column ``n`` of every part, which then lets go of it."""
-            column = np.concatenate([part["columns"][n] for part in parts])
-            for part in parts:
-                part["columns"][n] = None
-            return column
-
-        qids, finish = merged(0), merged(7)
-        order = np.lexsort((qids, finish))
-        columns = [qids[order]]
-        columns.extend(merged(n)[order] for n in range(1, 7))
-        columns.extend((finish[order], merged(8)[order]))
-        del qids, finish
-        # Every part's text chunks in one list, never joined: a row is a
-        # slice of one chunk.
-        texts: List[str] = []
-        located = []
-        for part in parts:
-            which, starts, ends = _locate_rows(part["text"], part["row_ends"])
-            located.append((which + len(texts), starts, ends))
-            texts.extend(part["text"])
+        parts = [reply["columns"] for reply in replies]
+        parts.append(collected["columns"])
+        del replies, collected
+        order = np.lexsort(
+            tuple(np.concatenate([part[n] for part in parts]) for n in (0, 7))
+        )
+        columns = [np.concatenate(column)[order] for column in zip(*parts)]
         del parts
-        rendered = [np.concatenate(rows)[order] for rows in zip(*located)]
+        rows = [np.concatenate(part) for part in zip(*located)]
+        del located
+        bad = _misrendered_row(columns, order, texts, rows, shard_rows)
+        if bad is not None:
+            shard, row = bad
+            raise ShardFailure(
+                shard,
+                "collect",
+                ProtocolError(
+                    "row %d's text is not the rendering of its merged columns"
+                    % row
+                ),
+            )
+        rendered = [part[order] for part in rows]
+        del rows
         collector.record_outcomes(columns, dropped=dropped, _pairwise_sum=True)
         total_assigned = sum(assigned_per_shard)
         imbalance = 1.0

@@ -91,3 +91,17 @@ def test_help_names_the_constants(capsys):
         fig6_constants.main(["--help"])
     assert done.value.code == 0
     assert "deployment constants" in capsys.readouterr().out
+
+
+def test_a_cell_failing_otherwise_fails_the_grid(monkeypatch):
+    """Only a drain-cap error is a cell's recorded outcome; any other
+    error is a fault and stops the grid rather than reading as ``x``."""
+
+    def cell(mechanism, point, point_index, seed, **fixed):
+        raise RuntimeError("not a drain cap")
+
+    monkeypatch.setattr(fig6, "fig6_cell", cell)
+    task = ("fig6_small", 17_000.0, 0, 0, "qa-nt", 2.0, 2.0)
+    with pytest.raises(RuntimeError, match="not a drain cap"):
+        fig6_constants.run_cell(task)
+    assert qant_allocation.DEFAULT_ALLOWANCE_FACTOR == _SHIPPED[0]

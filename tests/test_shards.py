@@ -1182,6 +1182,22 @@ def test_planes_render_the_rows_the_collector_hashes():
         assert planes == collector
 
 
+@pytest.mark.parametrize("digest_rows", [None, 7])
+def test_digest_renders_the_residual_planes_rows(digest_rows, monkeypatch):
+    """At four shards the Zipf fixture's table mixes rows the shards
+    rendered with rows of the coordinator's own plane, which has no text
+    and is rendered by the digest; the mix hashes as the collector's."""
+    if digest_rows is not None:
+        monkeypatch.setattr(metrics_module, "_DIGEST_ROWS", digest_rows)
+    world, trace = _zipf_small()
+    with _sharded(world, 4) as federation:
+        for mechanism in ("qa-nt", "greedy"):
+            result = federation.run(list(trace), mechanism)
+            which = result.rendered[1]
+            assert 0 < (which < 0).sum() < len(which)
+            assert result.outcome_digest() == result.metrics.outcome_digest()
+
+
 def test_rendered_rows_hash_the_same_in_small_chunks():
     """Seven rows per chunk, both where the planes render and where the
     coordinator hashes: chunk edges fall inside every plane's text and
@@ -1648,6 +1664,11 @@ def _long_text(reply):
     reply["text"].append(";")
 
 
+def _misrendered_first_row(reply):
+    text = reply["text"][0]
+    reply["text"][0] = ("2" if text[0] == "1" else "1") + text[1:]
+
+
 def _straddling_row(reply):
     text = "".join(reply["text"])
     cut = int(reply["row_ends"][0]) + 1  # inside row 1
@@ -1669,11 +1690,15 @@ def _straddling_row(reply):
         (_stalled_row_ends, "row_ends is not increasing"),
         (_long_text, "row_ends ends at .*, the text has .* characters"),
         (_straddling_row, "a row straddles two text chunks"),
+        (
+            _misrendered_first_row,
+            "row .*'s text is not the rendering of its merged columns",
+        ),
     ],
     ids=[
         "float-qids", "eight-columns", "ragged", "no-pending", "joined-text",
         "non-ascii-text", "float-row-ends", "short-row-ends",
-        "stalled-row-ends", "long-text", "straddling-row",
+        "stalled-row-ends", "long-text", "straddling-row", "misrendered-row",
     ],
 )
 def test_malformed_collect_reply_is_a_shard_failure(

@@ -55,6 +55,7 @@ from repro.allocation import qant as qant_allocation  # noqa: E402
 from repro.experiments import fig5, fig6  # noqa: E402
 from repro.experiments.runner import replicate_seeds  # noqa: E402
 from repro.sim import FederationConfig  # noqa: E402
+from repro.sim.federation import DrainCapExceeded  # noqa: E402
 
 FACTORS = (1.0, 2.0, 4.0, 8.0)
 THRESHOLDS = (2.0, None)  # None: no activation threshold
@@ -134,7 +135,7 @@ def run_cell(task: Task) -> Dict[str, object]:
     with constants(factor, threshold), drained(drain):
         try:
             metrics = cell(mechanism, point, point_index, seed, **fixed)
-        except RuntimeError as error:  # DrainCapExceeded
+        except DrainCapExceeded as error:
             metrics = {"error": str(error)}
     metrics["wall_s"] = round(time.perf_counter() - started, 3)
     return metrics

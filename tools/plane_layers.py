@@ -12,8 +12,9 @@ the same planes, every one in this process), wraps six
 mechanism, the median seconds per run of each over ``--runs`` runs after
 one warm-up run, beside the whole run.  Times are inclusive: ``boundary``
 holds ``_period_solve`` and ``_retry_tick``, ``market_tick`` and
-``_retry_tick`` hold ``_replay``, and ``collect`` is where a plane
-renders its outcome rows, which the digest then orders and hashes.
+``_retry_tick`` hold ``_replay``, and ``collect`` is where a shard's
+plane renders its outcome rows, which the digest then orders and hashes
+(the residual plane's rows, if any, the digest renders itself).
 Greedy takes no boundaries.
 
 A reading, not a gate; the timers add a little to every call.
