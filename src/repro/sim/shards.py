@@ -66,7 +66,6 @@ import itertools
 import json
 import logging
 import math
-import operator
 import os
 import random
 import resource
@@ -78,7 +77,16 @@ import traceback
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Iterator,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Set,
+    Tuple,
+)
 
 import numpy as np
 
@@ -400,6 +408,12 @@ class _MarketPlane:
         self._laneless = [k for k in self._class_order if not self._cost_at[k]]
         self._flat_rows = np.array(flat_rows, dtype=np.intp)
         self._flat_cols = np.array(flat_cols, dtype=np.intp)
+        #: Each class's first lane, and the classes with lanes in lane
+        #: order: the segments :meth:`_period_solve` reduces per class.
+        self._lane_starts = np.flatnonzero(
+            np.diff(self._flat_cols, prepend=-1)
+        )
+        self._laned = self._flat_cols[self._lane_starts]
         _check_lane_costs(costs, self._flat_rows, self._flat_cols, ids)
         self._lane_costs = costs[self._flat_rows, self._flat_cols]
         #: Prices and remaining supply of every lane, only ever written in
@@ -465,6 +479,9 @@ class _MarketPlane:
         #: Class → the period serial in which it *closed*: no lane has
         #: supply left and every bidder is latched (see `_closed_raises`).
         self._closed_in: Dict[int, int] = {}
+        #: Classes that opened this period saturated and that no exchange
+        #: has met yet: their bidders are not latched (see `_meet`).
+        self._unmet: Set[int] = set()
         self._closed_settled = 0
         #: Refused queries, one qid-ascending pool per class; each entry is
         #: ``(qid, origin, arrival, boundaries seen at entry)``.
@@ -484,16 +501,42 @@ class _MarketPlane:
     # -- driving -------------------------------------------------------------
 
     def run_slice(self, batch: BidBatch) -> None:
-        """Tick ``batch``'s rows, a run of the plane's trace slice cut at
-        tick edges, taking every period boundary that falls due first.
+        """Price ``batch``'s rows in order, a run of the plane's trace
+        slice cut at tick edges; refusals pool.
 
-        A boundary stamped exactly at a tick goes first, as the
-        single-process engine schedules the period tick ahead of
-        same-timestamp arrivals.  Greedy takes no boundaries.
+        Rows sharing a timestamp form one market tick: where the
+        timestamp changes, the tick just priced replays its winners, then
+        every period boundary now due is taken.  So a boundary stamped
+        exactly at a tick goes first, as the single-process engine
+        schedules the period tick ahead of same-timestamp arrivals.
+        Greedy takes no boundaries.
         """
-        for now, rows in _market_ticks(batch):
-            self._boundaries_through(now)
-            self.market_tick(now, rows)
+        qa = self._qa
+        exchange = self._exchange if qa else self._greedy
+        pools = self._pools
+        won: List[Tuple] = []
+        tick = None
+        due = self._next_boundary if qa else math.inf
+        for qid, k, origin, now in zip(
+            batch.qids, batch.class_indices, batch.origin_nodes, batch.times_ms
+        ):
+            if now != tick:
+                if won:
+                    self._replay(tick, won)
+                    won = []
+                tick = now
+                while due <= now:
+                    self._next_period()
+                    due = self._next_boundary
+            node = exchange(k, now)
+            if node is None:
+                pools[k].append((qid, origin, now, self._boundaries))
+                self._pending_count += 1
+            else:
+                won.append((qid, k, origin, now, 0, node))
+        if won:
+            self._replay(tick, won)
+        self._exchanges += len(batch.qids)
 
     def finish(self, horizon: float, end_of_run: float) -> None:
         """The end of the trace: the boundaries left up to ``horizon``,
@@ -507,45 +550,17 @@ class _MarketPlane:
         """
         if not self._qa:
             return
-        self._boundaries_through(horizon)
+        while self._next_boundary <= horizon:
+            self._next_period()
         stuck = sum(len(self._pools[k]) for k in self._laneless)
         while self._pending_count > stuck and self._next_boundary <= end_of_run:
             self._next_period()
-
-    def _boundaries_through(self, now: float) -> None:
-        """Every QA-NT period boundary at or before ``now``, in order."""
-        if self._qa:
-            while self._next_boundary <= now:
-                self._next_period()
 
     def _next_period(self) -> None:
         self.boundary(self._next_boundary)
         self._next_boundary += self._period
 
     # -- ticking -------------------------------------------------------------
-
-    def market_tick(self, now: float, rows: Sequence[Tuple]) -> int:
-        """Price ``rows`` in order, replay the winners; refusals pool.
-
-        Each row is ``(qid, class_index, origin, arrival, resub)``.
-        Returns the number of assignments made.
-        """
-        qa = self._qa
-        pools = self._pools
-        assignments: List[Tuple] = []
-        for qid, k, origin, arrival, resub in rows:
-            node = self._exchange(k, now) if qa else self._greedy(k, now)
-            if node is None:
-                pools[k].append(
-                    (qid, origin, arrival, self._boundaries - resub)
-                )
-            else:
-                assignments.append((qid, k, origin, arrival, resub, node))
-        self._exchanges += len(rows)
-        self._pending_count += len(rows) - len(assignments)
-        if assignments:
-            self._replay(now, assignments)
-        return len(assignments)
 
     def _retry_tick(self, now: float) -> None:
         """The boundary's market tick over every pooled query.
@@ -557,14 +572,23 @@ class _MarketPlane:
         leaves the merge: the rest of its pool can only raise its own
         prices, which :meth:`_closed_raises` settles in one go (once
         saturated not even that); the entries stay pooled in qid order
-        and only :meth:`_period_solve` re-arms the class.  Survivors are
-        compacted in place, so a boundary costs the exchanges that can
-        still move the market, not the pool size.
+        and only :meth:`_period_solve` re-arms the class.  A class that
+        opened the period saturated never enters the merge: its pool
+        only meets it (:meth:`_meet`, one latch write for all such
+        classes).  Survivors are compacted in place, so a boundary costs
+        the exchanges that can still move the market, not the pool size.
         """
         self._exchanges += self._pending_count
         pools = self._pools
         serial = self._period_serial
-        cursors = {k: [0, 0] for k, pool in pools.items() if pool}
+        if self._unmet:
+            self._meet([k for k in self._unmet if pools[k]])
+        saturated = self._saturated_in
+        cursors = {
+            k: [0, 0]
+            for k, pool in pools.items()
+            if pool and saturated.get(k) != serial
+        }
         heads = [(pools[k][0][0], k) for k in cursors]
         heapq.heapify(heads)
         assignments: List[Tuple] = []
@@ -605,6 +629,8 @@ class _MarketPlane:
         the two fast paths of a class that can no longer trade this
         period."""
         if self._saturated_in.get(class_index) == self._period_serial:
+            if class_index in self._unmet:
+                self._meet((class_index,))
             return None
         if self._closed_in.get(class_index) == self._period_serial:
             self._closed_raises(class_index, 1)
@@ -637,6 +663,28 @@ class _MarketPlane:
         if saturated:
             self._saturated_in[class_index] = self._period_serial
         self._closed_settled += done
+
+    def _meet(self, classes: Sequence[int]) -> None:
+        """Write what the exchange that :meth:`_period_solve` spared each
+        of ``classes`` (opened saturated under a threshold) would have
+        written when the period first met the class: its bidders latched
+        and the class closed.
+
+        The market never reads those latches: each such bidder's running
+        maximum is already at the threshold, so any exchange that reaches
+        it refuses and latches it either way.  They are still its state,
+        so they are written, in one ``locked`` write for all of
+        ``classes``, when the retry tick or an arrival meets them."""
+        if not classes:
+            return
+        members = self._block.members
+        self._block.locked[
+            np.concatenate([members[k] for k in classes])
+        ] = True
+        serial = self._period_serial
+        for k in classes:
+            self._closed_in[k] = serial
+        self._unmet.difference_update(classes)
 
     def _greedy(self, class_index: int, now: float) -> Optional[int]:
         """Greedy: every candidate offers; earliest completion wins."""
@@ -715,6 +763,13 @@ class _MarketPlane:
         carry-over rounding) + the new-period latch/max-price/saturation
         re-arm.
 
+        A class whose every lane is sold out at the cap (and, under a
+        threshold, whose every bidder's running maximum has reached it)
+        cannot trade until the next solve: its exchanges would refuse and
+        their raises clamp back to the cap.  It opens the period
+        saturated, so no exchange is spent finding that out; what that
+        exchange would have latched waits for :meth:`_meet`.
+
         A node supplies only the classes it can evaluate, so everything
         runs over the lanes: a cell off them has density ``1 / inf = 0``,
         weight 0 and count 0, and its credit never leaves 0.  The one
@@ -743,10 +798,23 @@ class _MarketPlane:
         whole = np.floor(credit + 1e-9)
         credit -= whole
         self._Rf[:] = whole
-        self._block.rearm()
+        block = self._block
+        block.rearm()
         self._period_serial += 1
+        serial = self._period_serial
+        saturated = self._saturated_in
         for k in self._laneless:
-            self._saturated_in[k] = self._period_serial
+            saturated[k] = serial
+        stuck = self._Rf < 1.0
+        stuck &= self._Vf == self._cap
+        if self._threshold is not None:
+            stuck &= block.maxp[rows] >= self._threshold
+        opened = []
+        if stuck.any():
+            full = np.logical_and.reduceat(stuck, self._lane_starts)
+            opened = self._laned[full].tolist()
+            saturated.update(dict.fromkeys(opened, serial))
+        self._unmet = set(opened) if self._threshold is not None else set()
 
     # -- reporting ------------------------------------------------------------
 
@@ -845,21 +913,6 @@ class _LocalMarketCore:
 _SLICE_ROW_BOUND = 2048
 
 
-def _market_ticks(batch: BidBatch):
-    """``(now, rows)`` per run of equal timestamps in ``batch``; rows are
-    :meth:`_MarketPlane.market_tick`'s ``(qid, class, origin, arrival,
-    resub=0)`` tuples."""
-    rows = zip(
-        batch.qids,
-        batch.class_indices,
-        batch.origin_nodes,
-        batch.times_ms,
-        itertools.repeat(0),
-    )
-    for now, tick in itertools.groupby(rows, key=operator.itemgetter(3)):
-        yield now, list(tick)
-
-
 def _slice_batches(columns: Tuple, rows) -> Iterator[BidBatch]:
     """One plane's trace slice ``rows`` (time-ordered row numbers of the
     :meth:`ShardedFederation._trace_columns` arrays, which are the qids)
@@ -870,8 +923,8 @@ def _slice_batches(columns: Tuple, rows) -> Iterator[BidBatch]:
     The first run is an eighth of the bound and each next one doubles,
     so a worker starts ticking while the coordinator still encodes the
     rest of its slice.  A run is cut only where the timestamp changes: a
-    tick handed to a plane in two :meth:`_MarketPlane.market_tick` calls
-    would resync its busy mirror mid-tick.
+    tick split over two :meth:`_MarketPlane.run_slice` calls would replay
+    its first part's winners, and so resync the busy mirror, mid-tick.
     """
     times, classes, origins = columns
     row_times = times[rows]
@@ -942,7 +995,7 @@ def _serve(peer, core) -> None:
                 handle = _skip_frame
         try:
             peer.send(reply)
-        except OSError:  # pragma: no cover - parent died
+        except OSError:  # the coordinator died or stopped reading
             break
         if closing:
             peer.close()
@@ -986,6 +1039,7 @@ def _claim_cpu(index: int) -> None:
 def _shard_worker(conn, init: Mapping[str, object], index: int) -> None:
     """Forked pipe worker."""
     _claim_cpu(index)
+    _arm_send_deadline(conn.fileno())
     _serve(conn, _make_core(init))
 
 
@@ -1131,6 +1185,7 @@ def _tcp_shard_worker(host: str, port: int, index: int) -> None:
     _claim_cpu(index)
     sock = socket.create_connection((host, port))
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+    _arm_send_deadline(sock.fileno())
     channel = _WireChannel(sock)
     channel.send(["hello", index])
     _serve(channel, _make_core(channel.recv()))
@@ -1159,9 +1214,13 @@ _WIRE_DEADLINE_S = 300.0
 
 
 def _arm_send_deadline(fd: int) -> None:
-    """Give the coordinator's end of a shard's pipe or socket a send
-    timeout of :data:`_WIRE_DEADLINE_S`: a write that makes no progress
-    for that long raises ``BlockingIOError`` instead of blocking forever.
+    """Give one end of a shard's pipe or socket a send timeout of
+    :data:`_WIRE_DEADLINE_S`: a write that makes no progress for that
+    long raises ``BlockingIOError`` instead of blocking forever.  Both
+    ends are armed: the coordinator's at spawn, a worker's as it starts,
+    so a worker whose coordinator stopped reading gives up its reply and
+    exits (:func:`_serve`) rather than wait for :meth:`ShardTransport
+    .close` to kill it.
 
     A duplex ``multiprocessing.Pipe`` is a ``socketpair`` on Unix, so one
     option on a duplicate of ``fd`` covers fork and tcp peers alike.

@@ -920,18 +920,22 @@ class _FlatListReference:
         self.market_tick(now, retry)
 
 
-def _plane_init(costs, cap=4.0, threshold=2.0):
+def _plane_init(costs, cap=4.0, threshold=2.0, allowances=None):
     """A JSON-safe ``_MarketPlane`` spec from ``costs[node][class]``
-    (``inf`` = not a candidate)."""
+    (``inf`` = not a candidate); a node's allowance defaults (``None``,
+    for all or one of them) to a period plus twice its largest cost."""
     nodes = list(range(len(costs)))
     num_classes = len(costs[0])
+    allowances = allowances or [None] * len(costs)
     return {
         "node_ids": nodes,
         "num_classes": num_classes,
         "costs": costs,
         "allowances": [
             500.0 + 2.0 * max((c for c in row if not math.isinf(c)), default=0.0)
-            for row in costs
+            if allowance is None
+            else allowance
+            for row, allowance in zip(costs, allowances)
         ],
         "latency_seeds": [derive_shard_seed(2, ("n", n)) for n in nodes],
         "base_ms": 1.0,
@@ -998,6 +1002,12 @@ def _plane_scripts(draw):
     # unsaturated for hundreds of exchanges.
     cap = draw(st.sampled_from([4.0, 1e9]))
     threshold = draw(st.sampled_from([2.0, 2.0, None]))
+    # Small allowances leave a node's lanes sold out for many periods (at
+    # 10, a unit every 30 or more), so periods open sold out at the cap;
+    # None is the default, which restocks a lane at nearly every boundary.
+    allowances = [
+        draw(st.sampled_from([0.0, 10.0, 160.0, None])) for _ in range(num_nodes)
+    ]
     script = draw(
         st.lists(
             st.one_of(
@@ -1008,15 +1018,24 @@ def _plane_scripts(draw):
             max_size=40,
         )
     )
-    return _plane_init(costs, cap, threshold), script
+    return _plane_init(costs, cap, threshold, allowances), script
+
+
+def _bid_batch(rows):
+    """Arrival ``rows`` ``(qid, class, origin, arrival, 0)`` as the
+    ``BidBatch`` a plane's ``run_slice`` prices."""
+    qids, classes, origins, times, _resub = zip(*rows) if rows else [()] * 5
+    return BidBatch(times, qids, classes, origins)
 
 
 def _run_script(init, script, crossovers=(None, 0)):
     """Drive a plane and the reference through ``script`` (``None`` = a
     boundary, a list = one tick of class indices); compares the two,
-    then yields the plane, after every step.  ``crossovers`` are the
-    plane's and the reference's (:func:`_plane`): by default the shipped
-    kernels against lane books on array steps."""
+    then yields the plane, after every step.  The plane prices a tick
+    through ``run_slice`` and takes a boundary through ``finish`` with
+    the drain window closed.  ``crossovers`` are the plane's and the
+    reference's (:func:`_plane`): by default the shipped kernels against
+    lane books on array steps."""
     plane = _plane(init, crossovers[0])
     reference = _FlatListReference(init, crossovers[1])
     now, qid, boundaries = 0.0, 0, 0
@@ -1024,13 +1043,13 @@ def _run_script(init, script, crossovers=(None, 0)):
         if step is None:
             boundaries += 1
             now = 500.0 * boundaries
-            assert plane.boundary(now) == plane.pending_count
+            plane.finish(now, now)
             reference.boundary(now)
         else:
             now += 7.0
             rows = [(qid + n, k, n, now, 0) for n, k in enumerate(step)]
             qid += len(rows)
-            plane.market_tick(now, rows)
+            plane.run_slice(_bid_batch(rows))
             reference.market_tick(now, rows)
         _assert_same_market(plane, reference)
         yield plane
@@ -1099,6 +1118,70 @@ def test_closed_class_next_to_an_open_one(cap, burst):
     assert all(closed for closed, _saturated, _settled in seen)
 
 
+# A period opens sold out at the cap when supply stays at 0 across a
+# boundary: allowances of 10 ms restock a 300 ms lane about every 30
+# periods.  "pooled": A, then B, sell out with queries pooled, so each
+# boundary opens them saturated and the retry tick meets them at once;
+# B opens below the cap at the first boundary.  "unpooled": one class on
+# two nodes, node 1 restocked about every other period; at a cap of 2.2
+# a unit sold at a retry tick empties the pool, so the class opens
+# saturated with nothing pooled, and is met by an arrival (steps 6 and
+# 12) or by nothing in its period (step 8).  "below-cap": A sells
+# out and its bidders latch, but at a cap of 1e9 its prices stay far
+# below it, so no period opens saturated.
+_OPENS_SATURATED = {
+    "below-cap": (
+        _SHARED_BIDDER, [10.0] * 3, 1e9,
+        [[A] * 12, None, [A, B], None, [A]],
+        [[], [], []],
+        [[]] * 5,
+    ),
+    "pooled": (
+        _SHARED_BIDDER, [10.0] * 3, 4.0,
+        [[A] * 20, None, [A, B], None, [B] * 20, None, [A], None, None],
+        [[], [A], [A], [A, B], [A, B], [A, B]],
+        [[]] * 9,
+    ),
+    "unpooled": (
+        [[300.0], [300.0]], [10.0, 160.0], 2.2,
+        [[A] * 9, None, None, None, None, None, [A], None, None, None, [A],
+         None, [A]],
+        [[], [A], [], [A], [], [A], [], [A], [], [A]],
+        [[], [], [], [], [], [A], [], [], [A], [], [], [A], []],
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_OPENS_SATURATED))
+def test_periods_that_open_saturated(case, monkeypatch):
+    """Supply that stays at 0 across boundaries opens periods with a class
+    sold out at the cap and every bidder past the threshold: saturated
+    before any exchange.  The plane skips the exchange that would find
+    that out and writes its latches when the class is first met; the
+    market equals the per-exchange reference after every step, the
+    latches included, whether the class is met by the retry tick, by an
+    arrival or not at all."""
+    costs, allowances, cap, script, opened, unmet = _OPENS_SATURATED[case]
+    solves = []
+    solve = _MarketPlane._period_solve
+
+    def spy(self, now):
+        solve(self, now)
+        serial = self._period_serial
+        saturated = [
+            k for k in self.class_indices if self._saturated_in.get(k) == serial
+        ]
+        solves.append((self, saturated))
+
+    monkeypatch.setattr(_MarketPlane, "_period_solve", spy)
+    init = _plane_init(costs, cap, 2.0, allowances)
+    seen = []
+    for plane in _run_script(init, script):
+        seen.append(sorted(plane._unmet))
+    assert [saturated for owner, saturated in solves if owner is plane] == opened
+    assert seen == unmet
+
+
 @pytest.mark.parametrize(
     "terms, complaint",
     [
@@ -1123,7 +1206,9 @@ def test_collect_replies_with_typed_arrays():
     pickle."""
     plane = _plane(_plane_init(_SHARED_BIDDER))
     for tick, (now, k) in enumerate(((7.0, A), (7.0, B), (9.0, A))):
-        plane.market_tick(now, [(3 * tick + n, k, n, now, 0) for n in range(3)])
+        plane.run_slice(
+            _bid_batch([(3 * tick + n, k, n, now, 0) for n in range(3)])
+        )
     plane.boundary(500.0)
     reply = plane.collect()
     columns = reply["columns"]
@@ -2002,6 +2087,46 @@ def test_send_deadline_fails_a_shard_that_stopped_reading(
     assert _shard_warnings(caplog)[0] == (
         "shard 0 took no more of a 'slice' frame within 0.5 s"
     )
+
+
+class _BigReplyCore:
+    """Scripted worker whose ``collect`` reply is ``init["mib"]`` MiB of
+    distinct text, far more than a pipe's or a socket's buffers hold."""
+
+    def __init__(self, init):
+        self._mib = int(init["mib"])
+
+    def handle(self, frame):
+        if frame[0] == "collect":
+            return {"text": ["%07d " % n * (1 << 17) for n in range(self._mib)]}
+        return {"ok": True}
+
+
+@pytest.mark.skipif(
+    "PYTEST_XDIST_WORKER" in os.environ,
+    reason="exit timing must not share cores with xdist workers",
+)
+@pytest.mark.parametrize("mode", ["fork", "tcp"])
+def test_worker_send_deadline_ends_a_worker_nobody_reads(mode, monkeypatch):
+    """A worker whose coordinator stopped reading used to block in its
+    reply's write until ``close()`` killed it.  Its own end of the wire
+    now has the send deadline too (patched before the fork), so the write
+    fails once the buffers are full and stay full for the deadline, and
+    the worker exits cleanly by itself."""
+    deadline = 0.5
+    monkeypatch.setattr(shards_module, "_WIRE_DEADLINE_S", deadline)
+    monkeypatch.setitem(_CORE_KINDS, "test-big", _BigReplyCore)
+    assert multiprocessing.active_children() == []
+    transport = ShardTransport([{"kind": "test-big", "mib": 16}], mode=mode)
+    worker = transport._procs[0]
+    try:
+        transport._send(0, ("collect",))  # its reply is never read
+        worker.join(timeout=deadline + 10.0)
+        assert not worker.is_alive()
+        assert worker.exitcode == 0
+    finally:
+        transport.close()
+    assert multiprocessing.active_children() == []
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,14 @@ the same planes, every one in this process), wraps six
 ``_MarketPlane`` methods and the coordinator's digest
 (``ShardedRunResult.outcome_digest``) with timers and prints, per
 mechanism, the median seconds per run of each over ``--runs`` runs after
-one warm-up run, beside the whole run.  Times are inclusive: ``boundary``
-holds ``_period_solve`` and ``_retry_tick``, ``market_tick`` and
-``_retry_tick`` hold ``_replay``, and ``collect`` is where a shard's
-plane renders its outcome rows, which the digest then orders and hashes
-(the residual plane's rows, if any, the digest renders itself).
-Greedy takes no boundaries.
+one warm-up run, beside the whole run.  Times are inclusive:
+``run_slice`` prices the arrivals and holds every ``boundary`` that
+falls due inside the trace (the rest, the drain's, run under
+``finish``, which is not timed); ``boundary`` holds ``_period_solve``
+and ``_retry_tick``; ``run_slice`` and ``_retry_tick`` hold ``_replay``;
+and ``collect`` is where a shard's plane renders its outcome rows, which
+the digest then orders and hashes (the residual plane's rows, if any,
+the digest renders itself).  Greedy takes no boundaries.
 
 A reading, not a gate; the timers add a little to every call.
 
@@ -41,7 +43,7 @@ from repro.sim.shards import ShardedRunResult, _MarketPlane  # noqa: E402
 WRAPPED = {
     "_MarketPlane." + name: (_MarketPlane, name)
     for name in (
-        "boundary", "_period_solve", "_retry_tick", "market_tick", "_replay",
+        "run_slice", "boundary", "_period_solve", "_retry_tick", "_replay",
         "collect",
     )
 }
