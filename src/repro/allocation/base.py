@@ -98,9 +98,9 @@ class AllocationContext:
             from ..sim.node import OUTAGE_EPOCH
 
             cell = self._outage_epoch_cell = OUTAGE_EPOCH
-        epoch = cell[0]
-        if epoch != self._outage_checked_epoch:
-            self._outage_checked_epoch = epoch
+        outage_epoch = cell[0]
+        if outage_epoch != self._outage_checked_epoch:
+            self._outage_checked_epoch = outage_epoch
             self._outage_free = not any(
                 node.has_outages for node in self.nodes.values()
             )

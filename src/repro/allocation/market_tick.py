@@ -28,10 +28,10 @@ Every QA-NT exchange of the single-process engine runs here (DESIGN.md
 §5.2); the listing itself serves the SQLite nodes and the tests.
 
 The per-agent arrays are *agent-global* (indexed by agent row), not
-per-class: an agent bidding in several classes shares one ``max_price``,
-one price epoch and one enforce latch across all of them, so raises from
-class *j*'s exchange must be visible to class *k*'s threshold test
-without a scatter/gather round trip.
+per-class: an agent bidding in several classes shares one ``max_price``
+and one enforce latch across all of them, so raises from class *j*'s
+exchange must be visible to class *k*'s threshold test without a
+scatter/gather round trip.
 """
 
 from __future__ import annotations
@@ -89,19 +89,19 @@ class LaneBook:
 
     The paper listing (:meth:`repro.core.qant.QantPricingAgent.quote`
     over a class's bidders, earliest-completion winner, ``accept``) for a
-    class wider than :data:`SCALAR_LANES_MAX`.  ``R``,
-    ``V`` and ``costs`` are per lane (remaining supply, price, execution
-    cost); ``maxp``, ``locked`` and ``epochs`` are per agent and reached
-    through ``rows``, the lanes' agent indices in ascending node-id order
-    (a class's lanes are distinct agents).  All but ``rows`` / ``costs``
-    are written in place.
+    class wider than :data:`SCALAR_LANES_MAX`.  ``R``, ``V`` and
+    ``costs`` are per lane (remaining supply, price, execution cost);
+    ``maxp`` and ``locked`` are per agent and reached through ``rows``,
+    the lanes' agent indices in ascending node-id order (a class's lanes
+    are distinct agents).  All but ``rows`` / ``costs`` are written in
+    place.
 
     Lanes with ``R >= 1`` offer.  The others refuse: steps 8-9 raise
-    their price (:func:`refusal_raise`), step their agent's price epoch if
-    it moved, and raise the agent's running maximum; then the Section 5.1
-    activation rule lets a refusing agent still *offer* while it is
-    unlatched and its maximum is below ``threshold`` (``None``: supply is
-    always enforced); at or above it the latch is set for the period.
+    their price (:func:`refusal_raise`) and the agent's running maximum;
+    then the Section 5.1 activation rule lets a refusing agent still
+    *offer* while it is unlatched and its maximum is below ``threshold``
+    (``None``: supply is always enforced); at or above it the latch is
+    set for the period.
 
     Until the next :meth:`arm` supply only falls and latches only set, so
     a refusing lane at the cap whose agent is latched (or has no
@@ -117,25 +117,21 @@ class LaneBook:
 
     __slots__ = (
         "rows", "costs", "R", "V", "offers", "live", "_maxp", "_locked",
-        "_epochs", "_terms", "_scalar_max", "_agent_views", "_lane_views",
+        "_terms", "_scalar_max", "_agent_views", "_lane_views",
     )
 
     def __init__(
-        self, rows, costs, maxp, locked, epochs, factor, floor, cap, threshold,
+        self, rows, costs, maxp, locked, factor, floor, cap, threshold,
     ) -> None:
         self.rows = rows
         self.costs = costs
         self._maxp = maxp
         self._locked = locked
-        self._epochs = epochs
         self._terms = factor, floor, cap, threshold
         # Read once, like the block's width test: a live set of at most
         # this many lanes is priced by the loop, not by array steps.
         self._scalar_max = SCALAR_LANES_MAX
-        self._agent_views = (
-            rows.tolist(), memoryview(maxp), memoryview(locked),
-            memoryview(epochs),
-        )
+        self._agent_views = rows.tolist(), memoryview(maxp), memoryview(locked)
         self.R = self.V = self.offers = self.live = None
 
     def arm(self, R, V) -> None:
@@ -199,9 +195,9 @@ class LaneBook:
         return winner, paid, finish
 
     def _price_many(self, live):
-        """Raise, epoch step, running maximum, activation test and
-        settling of the ``live`` lanes as array steps; returns those not
-        settled, or ``None`` when none settled."""
+        """Raise, running maximum, activation test and settling of the
+        ``live`` lanes as array steps; returns those not settled, or
+        ``None`` when none settled."""
         factor, floor, cap, threshold = self._terms
         # Unchanged lanes are rewritten with identical bits, so the
         # scatter stays exact.
@@ -214,7 +210,6 @@ class LaneBook:
             # ties return the shared (positive) value bit-for-bit.
             peak = np.maximum(peak, new)
             self._maxp[rows] = peak
-            self._epochs[rows] += changed
         settled = new == cap
         if threshold is None:
             self.offers[live] = False
@@ -230,10 +225,10 @@ class LaneBook:
         """:meth:`_price_many` as one loop over ``memoryview``s: each lane
         sees the same float operations in the same order, and the lanes
         are distinct agents, so going lane by lane instead of step by
-        step cannot show through ``maxp`` / ``locked`` / ``epochs``."""
+        step cannot show through ``maxp`` / ``locked``."""
         factor, floor, cap, threshold = self._terms
         V, offers = self._lane_views
-        rows, maxp, locked, epochs = self._agent_views
+        rows, maxp, locked = self._agent_views
         lanes = live.tolist()
         settled = False
         for i in lanes:
@@ -246,7 +241,6 @@ class LaneBook:
             row = rows[i]
             if new != old:
                 V[i] = new
-                epochs[row] += 1
             peak = maxp[row]
             if new > peak:
                 maxp[row] = peak = new
@@ -269,19 +263,20 @@ class LaneBook:
 
 #: Widest class :class:`LaneBlock` prices with the scalar twin, and widest
 #: live set a :class:`LaneBook` prices lane by lane; wider ones take array
-#: steps.  Measured, not tuned (``make crossover``; nproc 2, Python
-#: 3.11.7, numpy 2.4.6): us per exchange, book/scalar twin, threshold 2.0,
-#: by refusing fraction (settled fraction of those); full tables, and the
-#: book's loop against its array steps, in DESIGN.md 7.1
+#: steps.  Measured, not tuned (``make crossover``, least of three runs;
+#: nproc 2, Python 3.11.7, numpy 2.4.6): us per exchange, book/scalar
+#: twin, threshold 2.0, by refusing fraction (settled fraction of those);
+#: full tables, and the book's loop against its array steps, in DESIGN.md
+#: 7.1
 #:   lanes      0(0)    0.5(0)  0.5(0.9)      1(0)    1(0.9)
-#:       2   3.2/0.7   3.9/0.9   3.2/0.8   3.9/1.0   3.0/0.7
-#:       5   3.2/1.1   4.5/1.5   3.3/1.3   5.0/1.8   3.7/1.4
-#:      16   3.1/2.1   6.3/3.7   4.1/3.1   8.3/4.7   3.9/3.1
-#:      24   3.2/3.0   7.6/5.1   4.1/3.9  13.4/6.7   4.1/4.3
-#:      64   3.5/6.9  14.1/12.6  5.2/9.9  15.4/17.1   5.5/11.2
-#: The twin wins every column up to 16 lanes (masked exchanges up to
-#: 24) and breaks even on the settled ones at 24; the book's loop beats
-#: its array steps up to ~32-40.
+#:       2   3.1/0.7   3.8/0.9   3.2/0.8   3.6/0.8   2.9/0.7
+#:       5   3.2/1.1   4.1/1.3   3.2/1.2   4.4/1.4   3.5/1.2
+#:      16   3.1/2.1   5.4/3.1   3.8/2.7   6.7/3.4   3.7/2.9
+#:      24   3.3/2.9   6.2/4.1   3.8/3.7  12.4/4.9   3.8/4.1
+#:      64   3.2/6.7  12.3/9.4   4.4/8.4  12.4/12.1  4.8/9.6
+#: The twin wins every column up to 16 lanes (masked exchanges at every
+#: width measured, to 128) and breaks even on the settled ones at 24;
+#: the book's loop beats its array steps up to ~32-40.
 SCALAR_LANES_MAX = 16
 
 
@@ -294,7 +289,7 @@ def scalar_lanes(R, V, rows, costs):
 
 
 def exchange_lanes_scalar(
-    R, V, rows, costs, maxp, locked, free_at, epochs, reached, now,
+    R, V, rows, costs, maxp, locked, free_at, reached, now,
     factor, floor, cap, threshold,
 ):
     """A whole :class:`LaneBook` exchange — pricing, estimates, winner,
@@ -306,8 +301,7 @@ def exchange_lanes_scalar(
 
     Each lane sees the book's float operations in the same order, and a
     class's lanes are distinct agents, so going lane by lane instead of
-    step by step cannot show through ``maxp`` / ``locked`` / ``epochs``:
-    bit-identical.
+    step by step cannot show through ``maxp`` / ``locked``: bit-identical.
     """
     winner, best = -1, _INF
     for i, row in enumerate(rows):
@@ -322,7 +316,6 @@ def exchange_lanes_scalar(
                 new = cap
             if new != old:
                 V[i] = new
-                epochs[row] += 1
             peak = maxp[row]
             if new > peak:
                 maxp[row] = peak = new
@@ -354,10 +347,9 @@ class LaneBlock:
     ``supply[k]`` are class *k*'s views of them, ``members[k]`` /
     ``costs[k]`` its lanes' agent rows and execution costs.  Per agent
     row the block owns the running maximum ``maxp`` and the enforce latch
-    ``locked``, and steps the caller's ``epochs`` once per changed price.
-    A class of up to :data:`SCALAR_LANES_MAX` lanes is priced by the
-    scalar twin, a wider one by its :class:`LaneBook` in ``books``: the
-    only read of the crossover outside the book itself.
+    ``locked``.  A class of up to :data:`SCALAR_LANES_MAX` lanes is
+    priced by the scalar twin, a wider one by its :class:`LaneBook` in
+    ``books``: the only read of the crossover outside the book itself.
     """
 
     __slots__ = (
@@ -367,7 +359,7 @@ class LaneBlock:
     )
 
     def __init__(
-        self, V, R, rows, cols, costs, free_at, maxp_base, epochs,
+        self, V, R, rows, cols, costs, free_at, maxp_base,
         factor, floor, cap, threshold,
     ) -> None:
         """``rows`` / ``cols`` / ``costs`` are each lane's agent row,
@@ -391,8 +383,7 @@ class LaneBlock:
         self._maxp_base = maxp_base
         self._free_at = free_at
         self._terms = factor, floor, cap, threshold
-        agents = self.maxp, self.locked, free_at, epochs
-        views = tuple(map(memoryview, agents))
+        views = tuple(map(memoryview, (self.maxp, self.locked, free_at)))
         #: Narrow class -> the twin's leading arguments, bound once (so
         #: every array under them is only ever written in place).
         self._twins: Dict[int, Tuple] = {}
@@ -408,7 +399,8 @@ class LaneBlock:
                 )
             else:
                 self.books[k] = LaneBook(
-                    members, self.costs[k], *agents[:2], epochs, *self._terms
+                    members, self.costs[k], self.maxp, self.locked,
+                    *self._terms,
                 )
         #: A full fan-out's ``reached`` for every narrow class.
         self._everyone = [True] * SCALAR_LANES_MAX
@@ -448,7 +440,7 @@ class LaneBlock:
             saturated = winner < 0 and reached is None and not len(book.live)
         else:
             if free_at is not None:
-                twin = (*twin[:6], memoryview(free_at), twin[7])
+                twin = (*twin[:6], memoryview(free_at))
             winner, _paid, finish = exchange_lanes_scalar(
                 *twin,
                 self._everyone if reached is None else memoryview(reached),
@@ -469,9 +461,8 @@ class LaneBlock:
         supply, every bidder is latched) as what they still do: the steps
         8-9 raise of its prices, one multiplication at a time, up to the
         step that leaves every lane at the cap.  Returns ``(steps
-        applied, whether that happened)``.  ``maxp`` and ``epochs`` are
-        not written: only latched agents would see the raise, and only
-        the shard planes close a class, which read no epochs."""
+        applied, whether that happened)``.  ``maxp`` is not written: only
+        latched agents would see the raise."""
         factor, floor, cap, _threshold = self._terms
         twin = self._twins.get(k)
         if twin is None:
@@ -560,8 +551,7 @@ class MarketTickDispatcher:
         self.block = block = LaneBlock(
             engine.V, engine.R, engine.lane_rows, engine.lane_cols,
             engine.lane_costs, fleet.slot_free, engine.maxp_base,
-            engine.epochs, raise_factor, price_floor, price_cap,
-            activation_threshold,
+            raise_factor, price_floor, price_cap, activation_threshold,
         )
         #: Class -> its lanes' node ids.
         self._ids = {

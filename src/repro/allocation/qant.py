@@ -188,9 +188,9 @@ class QantAllocator(Allocator):
     def market_state(self) -> List[Tuple[int, tuple]]:
         """Every adopter's market state right now, in node order.
 
-        One ``(node_id, (prices, price epoch, remaining supply, carry-over
-        credit, planned supply, free capacity, enforce latch))`` per
-        adopter, read from the period engine's arrays (see
+        One ``(node_id, (prices, remaining supply, carry-over credit,
+        planned supply, free capacity, enforce latch))`` per adopter, read
+        from the period engine's arrays (see
         :meth:`~repro.core.period_engine.QantPeriodEngine.row_states`) and
         this period's latches: the fields the paper listing's agent holds,
         its latch being the activation threshold once crossed, else
@@ -212,15 +212,9 @@ class QantAllocator(Allocator):
         """Every adopter's ``(node_id, prices, planned_supply)`` right now:
         the projection of :meth:`market_state` a tracer reads."""
         return [
-            (node_id, state[0], state[4])
+            (node_id, state[0], state[3])
             for node_id, state in self.market_state()
         ]
-
-    @property
-    def period_engine_stats(self):
-        """Counters of the batched boundary engine (None before bind)."""
-        engine = self._engine
-        return engine.stats if engine is not None else None
 
     @property
     def batch_dispatch_stats(self):

@@ -16,7 +16,7 @@ Layered as:
 from .market import PriceVector, excess_demand, is_equilibrium
 from .pareto import Allocation, is_pareto_optimal, pareto_dominates
 from .preferences import PreferenceRelation, ThroughputPreference
-from .period_engine import PeriodEngineStats, QantPeriodEngine
+from .period_engine import QantPeriodEngine
 from .qant import QantParameters, QantPeriodStats, QantPricingAgent
 from .supply import (
     SUPPLY_METHODS,
@@ -34,7 +34,6 @@ __all__ = [
     "ExplicitSupplySet",
     "PreferenceRelation",
     "PriceVector",
-    "PeriodEngineStats",
     "QantParameters",
     "QantPeriodEngine",
     "QantPeriodStats",

@@ -12,11 +12,10 @@ and draws no randomness, so it batches cleanly:
   credit matrices plus the free-capacity vector in numpy and computes the
   unsold-supply decay (``p_k -= s_ik λ p_k``) and the proportional /
   greedy / greedy-fractional / fractional supply solves as array ops;
-* **incremental** — a row whose ``(price_epoch, free_capacity)`` pair is
-  unchanged since its last solve reuses the cached optimal vector (the
-  row's price epoch counts actual price changes, so an unchanged epoch
-  means unchanged prices), and the decay only rewrites rows it actually
-  changed.
+* **whole** — as in the paper listing (p. 270, step 2), every boundary
+  solves eq. 4 for every row: at a boundary a row's prices or its free
+  capacity have almost always moved, so a plan cache keyed on them
+  skipped few solves (1.5 % of rows on the 100-node Fig. 5a cell).
 
 Bit-identity contract: the engine reproduces the scalar
 :meth:`~repro.core.qant.QantPricingAgent.begin_period` /
@@ -27,8 +26,8 @@ treacherous spot is the proportional solver's ``(density/top) **
 sharpness``: CPython routes ``float.__pow__`` through libm's ``pow``
 while numpy rewrites an exponent of 2.0 into a multiply, and the two
 differ in the last ulp for roughly 0.1% of inputs.  The weights therefore
-go through a scalar Python pow loop (over only the rows being solved)
-while everything around them is vectorised.
+go through a scalar Python pow loop while everything around them is
+vectorised.
 
 Prices and remaining supply are held as *lanes*, the finite-cost
 ``(row, class)`` cells laid out flat and class-major (``V``, ``R``, the
@@ -41,15 +40,14 @@ it for an offer.
 The arrays are the market state from construction to the end
 (DESIGN.md §5.2): the engine is built from the fleet's cost matrix, each
 boundary ticks on the arrays alone, and in between the allocator's
-market-tick dispatcher prices the same ``V`` / ``R`` / ``epochs``
-through a lane block built over them.  No agent object is involved;
+market-tick dispatcher prices the same ``V`` / ``R`` through a lane
+block built over them.  No agent object is involved;
 :meth:`QantPeriodEngine.row_states` is the one read-out, field for field
 what the paper listing's agents hold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, List, Sequence
 
 import numpy as np
@@ -58,7 +56,6 @@ from .qant import QantParameters
 from .supply import MIN_FILL
 
 __all__ = [
-    "PeriodEngineStats",
     "QantPeriodEngine",
     "unsold_decay",
 ]
@@ -86,32 +83,17 @@ def unsold_decay(prices, remaining, adjustment, floor):
     return np.where(remaining > 0.0, decayed, prices)
 
 
-@dataclass
-class PeriodEngineStats:
-    """Counters of the engine's incremental machinery (observability).
-
-    ``solved_rows``/``reused_rows`` partition every (tick, row) cell the
-    engine ticked: a reused row served its plan from the
-    ``(price_epoch, free_capacity)`` cache without re-solving eq. 4.
-    """
-
-    ticks: int = 0
-    solved_rows: int = 0
-    reused_rows: int = 0
-
-
 class QantPeriodEngine:
     """Batched period boundaries for a fleet of QA-NT sellers.
 
     The engine holds the market state (prices, remaining and planned
-    supply, carry-over credit, price epochs, free capacities, cached
-    optimal plans) as arrays, one row per seller in fleet order, and runs
+    supply, carry-over credit, free capacities) as arrays, one row per seller in fleet order, and runs
     every row's ``end_period`` → capacity rebind → ``begin_period``
     sequence on them per :meth:`advance` call.  It is built from what it
     prices: the fleet's N×K cost matrix (``inf`` where a seller cannot
     evaluate a class) and one :class:`~repro.core.qant.QantParameters`.
-    Every price starts at 1.0 and every epoch and credit at zero, as a
-    fresh listing agent's do.
+    Every price starts at 1.0 and every credit at zero, as a fresh
+    listing agent's do.
     """
 
     def __init__(self, costs, parameters: QantParameters):
@@ -139,46 +121,40 @@ class QantPeriodEngine:
         #: Per row, the largest price outside the lanes (those never
         #: move), 0.0 for a row without one.
         self.maxp_base = np.where(self._valid_cost.all(axis=1), 0.0, 1.0)
-        #: Price and remaining supply per lane, and the price epoch per
-        #: row: only ever written in place, as a lane block may hold them.
+        #: Price and remaining supply per lane: only ever written in
+        #: place, as a lane block may hold them.
         self.V = self._prices[self.lane_rows, self.lane_cols]
         self.R = np.zeros(len(self.V))
-        self.epochs = np.zeros(n, dtype=np.int64)
         self._credit = np.zeros((n, num_classes))
         self._planned = np.zeros((n, num_classes))
-        # The (price_epoch, free_capacity) plan cache: row i's cached
-        # optimal vector is valid while both coordinates are unchanged.
-        self._prev_epochs = np.full(n, -1, dtype=np.int64)
-        self._prev_capacity = np.full(n, -1.0)
-        self._optimal = np.zeros((n, num_classes))
+        #: Each row's free capacity at the last boundary (-1.0 before
+        #: the first), as :meth:`row_states` reports it.
+        self._capacity = np.full(n, -1.0)
         self._started = False
-        self.stats = PeriodEngineStats()
 
     # -- driving ------------------------------------------------------------
 
     def advance(self, free_capacity: Callable[[], Sequence[float]]) -> None:
         """Drive one period boundary for every row."""
-        self.stats.ticks += 1
         self._tick(np.asarray(free_capacity(), dtype=float))
 
     # -- the read-out ---------------------------------------------------------
 
     def row_states(self, rows) -> List[tuple]:
         """Per engine row in ``rows``, what the paper listing's agent
-        would hold after the same calls: ``(prices, price epoch,
-        remaining supply, carry-over credit, planned supply, free
-        capacity)``, vectors as tuples of floats.  The free capacity is
-        the last boundary's (-1.0 before the first)."""
+        would hold after the same calls: ``(prices, remaining supply,
+        carry-over credit, planned supply, free capacity)``, vectors as
+        tuples of floats.  The free capacity is the last boundary's (-1.0
+        before the first)."""
         remaining = np.zeros_like(self._planned)
         remaining[self.lane_rows, self.lane_cols] = self.R
         return list(
             zip(
                 map(tuple, self._scatter_prices()[rows].tolist()),
-                self.epochs[rows].tolist(),
                 map(tuple, remaining[rows].tolist()),
                 map(tuple, self._credit[rows].tolist()),
                 map(tuple, self._planned[rows].tolist()),
-                self._prev_capacity[rows].tolist(),
+                self._capacity[rows].tolist(),
             )
         )
 
@@ -192,49 +168,31 @@ class QantPeriodEngine:
     # -- one full boundary ---------------------------------------------------
 
     def _tick(self, capacities: np.ndarray) -> None:
-        n = len(self._costs)
-
-        # Steps 12-14 over the lanes, with one epoch bump per changed one.
+        # Steps 12-14 over the lanes, then eq. 4 over every row.
         if self._started:
-            V = self.V
-            decayed = unsold_decay(V, self.R, self._lam, self._floor)
-            changed = decayed != V
-            self.epochs += np.bincount(self.lane_rows[changed], minlength=n)
-            V[:] = decayed
-
-        # Solve eq. 4 only where the (price_epoch, capacity) key moved.
-        capacity_changed = capacities != self._prev_capacity
-        need = (self.epochs != self._prev_epochs) | capacity_changed
-        n_need = int(np.count_nonzero(need))
-        if n_need:
-            rows = np.nonzero(need)[0]
-            self._scatter_prices()
-            self._optimal[rows] = self._solve_rows(rows, capacities)
-            self._prev_epochs[need] = self.epochs[need]
-            self._prev_capacity[need] = capacities[need]
-        self.stats.solved_rows += n_need
-        self.stats.reused_rows += n - n_need
+            self.V[:] = unsold_decay(self.V, self.R, self._lam, self._floor)
+        self._scatter_prices()
+        optimal = self._solve_rows(capacities)
+        self._capacity[:] = capacities
 
         # Carry-over credit arithmetic (or plain rounding), batched.  The
         # `+ 0.0` normalises a potential IEEE -0.0 from trunc/floor back
         # to the +0.0 the scalar int()/math.floor() conversions produce.
         if self._carry:
             credit = self._credit
-            credit += self._optimal
+            credit += optimal
             planned = np.trunc(credit + 1e-9) + 0.0
             credit -= planned
         else:
-            planned = np.floor(self._optimal + 1e-9) + 0.0
+            planned = np.floor(optimal + 1e-9) + 0.0
         self._planned = planned
         self.R[:] = planned[self.lane_rows, self.lane_cols]
         self._started = True
 
     # -- batched eq. 4 -------------------------------------------------------
 
-    def _solve_rows(
-        self, rows: np.ndarray, capacities: np.ndarray
-    ) -> np.ndarray:
-        """Solve eq. 4 for the row subset, bit-equal to the scalar solvers.
+    def _solve_rows(self, capacities: np.ndarray) -> np.ndarray:
+        """Solve eq. 4 for every row, bit-equal to the scalar solvers.
 
         Shared front half of every method: densities ``p_k / c_k`` for
         evaluable classes with positive prices (others pinned to -inf),
@@ -242,10 +200,10 @@ class QantPeriodEngine:
         negated matrix with ``kind="stable"`` reproduces the scalar
         tuple-sort ordering including ties.
         """
-        prices = self._prices[rows]
-        costs = self._costs[rows]
-        cap = capacities[rows]
-        valid = self._valid_cost[rows] & (prices > 0.0)
+        prices = self._prices
+        costs = self._costs
+        cap = capacities
+        valid = self._valid_cost & (prices > 0.0)
         density = np.where(valid, prices / costs, -np.inf)
         order = np.argsort(-density, axis=1, kind="stable")
         density_s = np.take_along_axis(density, order, axis=1)

@@ -146,11 +146,9 @@ class QantPricingAgent:
             raise ValueError("initial prices cover the wrong number of classes")
         # Price state lives in a mutable list so the per-refusal updates
         # are in-place; the immutable PriceVector is materialised lazily
-        # when `.prices` is read.  `_price_epoch` counts actual changes; the
-        # array engines key their caches on it (see `price_epoch`).
+        # when `.prices` is read.
         self._price_values: List[float] = list(initial.values)
         self._prices_cache: Optional[PriceVector] = initial
-        self._price_epoch = 0
         self._max_price = max(self._price_values)
         self._num_classes = num_classes
         # Per-period state.  The simulator's period engine keeps the same
@@ -202,12 +200,6 @@ class QantPricingAgent:
             value = max(self._price_values)
             self._max_price = value
         return value
-
-    @property
-    def price_epoch(self) -> int:
-        """Counter of actual price changes: what the period engine's
-        ``(price_epoch, free_capacity)`` plan cache keys on."""
-        return self._price_epoch
 
     @property
     def supply_set(self) -> SupplySet:
@@ -379,7 +371,6 @@ class QantPricingAgent:
             new = params.price_cap
         if new != old:
             values[class_index] = new
-            self._price_epoch += 1
             self._prices_cache = None
             # A raise can only grow the maximum.
             if self._max_price is not None and new > self._max_price:
@@ -396,7 +387,6 @@ class QantPricingAgent:
             new = self._params.price_floor
         if new != old:
             values[class_index] = new
-            self._price_epoch += 1
             self._prices_cache = None
             # Lowering the current maximum invalidates it (recomputed
             # lazily on the next `max_price` read).

@@ -141,10 +141,11 @@ def sharded_scaling_cell(
     :func:`scaling_cell`).  Across the multi-process points (``shards >=
     2``) the invariant metrics — completed, dropped, response moments —
     coincide exactly and only the wall clock and shard counters move.
-    ``shards=1`` delegates to the single-process engine (byte-identical
-    to the existing goldens), whose event-granular negotiation
-    interleaving differs from the tick market of the planes, so the
-    origin's response moments are the legacy engine's own.
+    ``shards=1`` delegates to the single-process engine that runs every
+    figure (byte-identical to the existing goldens), whose
+    event-granular negotiation interleaving differs from the tick market
+    of the planes, so the origin's response moments are that engine's
+    own.
     """
     shards = int(shards)
     world = two_query_world(num_nodes=int(num_nodes), seed=seed)
@@ -226,9 +227,10 @@ def million_query_run(
     Stretches the sinusoid horizon until the offered trace reaches
     ``target_queries`` (the generator scales arrivals with capacity, so
     the horizon needed is estimated from a short probe trace and then
-    corrected), streams it through a ``shards``-way forked federation
-    via the scheduler's ``schedule_stream`` path, and returns the flat
-    cell payload plus the realised horizon.  QA-NT only — at this scale
+    corrected), streams it through a ``shards``-way forked federation,
+    each plane taking its slice of the trace as ``slice`` frames of
+    tick-aligned ``BidBatch`` runs (``shards._slice_batches``), and
+    returns the flat cell payload plus the realised horizon.  QA-NT only — at this scale
     one mechanism is the experiment.
     """
     world = two_query_world(num_nodes=int(num_nodes), seed=seed)

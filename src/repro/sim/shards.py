@@ -435,13 +435,11 @@ class _MarketPlane:
         self._busy_view = memoryview(self._busy)
         self._exec_view = memoryview(self._exec_busy)
         # A class the node can never evaluate keeps its initial price of
-        # 1.0 forever, pinning the node's max price at >= 1.0.  The price
-        # epochs are stepped by the block and read by nobody here.
+        # 1.0 forever, pinning the node's max price at >= 1.0.
         self._block = LaneBlock(
             self._Vf, self._Rf, self._flat_rows, self._flat_cols,
             self._lane_costs, self._busy,
-            np.isinf(costs).any(axis=1).astype(float),
-            np.zeros(n, dtype=np.int64), *self._terms,
+            np.isinf(costs).any(axis=1).astype(float), *self._terms,
         )
         self.reset(True)
 

@@ -84,7 +84,6 @@ class ListingAllocator(Allocator):
                 node_id,
                 (
                     agent.prices.values,
-                    agent.price_epoch,
                     tuple(agent._remaining),
                     tuple(agent._credit),
                     agent.planned_supply.components,

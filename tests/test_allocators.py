@@ -270,7 +270,7 @@ class TestQant:
         allocator = QantAllocator()
         fed = make_federation(allocator)
         planned_before = {
-            nid: sum(state[4]) for nid, state in allocator.market_state()
+            nid: sum(state[3]) for nid, state in allocator.market_state()
         }
         # Load a node, then re-plan: its supply must shrink.
         nid = allocator.context.candidates(0)[0]
@@ -278,6 +278,6 @@ class TestQant:
             fed.nodes[nid].enqueue(query(qid=200 + i))
         allocator.on_period_start()
         assert (
-            sum(dict(allocator.market_state())[nid][4])
+            sum(dict(allocator.market_state())[nid][3])
             <= planned_before[nid]
         )

@@ -244,8 +244,7 @@ def test_lane_book_matches_the_paper_listing(case):
     its live lanes by array steps or lane by lane, and the narrow-class
     scalar twin, at every width — equal a scalar loop over fresh pricing
     agents calling ``quote`` / ``accept`` (the paper listing): winner,
-    prices, supply, max-price, latch and price-epoch bits, exchange after
-    exchange, through lanes settling at the cap, winners selling out, a
+    prices, supply, max-price and latch bits, exchange after exchange, through lanes settling at the cap, winners selling out, a
     second class latching shared agents, and a re-arm.  Exchanges reach a
     drawn subset of the bidders, as in an outage window; the listing then
     quotes that subset only.  Under message faults only the bidders that
@@ -268,8 +267,7 @@ def test_lane_book_matches_the_paper_listing(case):
     winners); adding a sold-out winner to ``live`` before instead of
     after the exchange it won (its price moves one exchange early);
     settling an unreached lane at the cap (``_UNREACHED_AT_CAP``).  Of
-    the twin: pricing an unreached lane (prices); skipping the epoch
-    step of a changed price (epochs).
+    the twin: pricing an unreached lane (prices).
     """
     for kernel in ("book", "twin"):
         _check_kernel_against_listing(kernel, case)
@@ -297,10 +295,9 @@ def _check_kernel_against_listing(kernel, case):
     maxp[1::2] = [max(v) for v in case["V"]]
     locked = np.zeros(2 * count + 1, dtype=bool)
     locked[1::2] = case["latched"]
-    epochs = np.zeros(2 * count + 1, dtype=np.int64)
     free_at = np.zeros(2 * count + 1)
     free_at[1::2] = case["busy"]
-    agent_views = tuple(map(memoryview, (maxp, locked, free_at, epochs)))
+    agent_views = tuple(map(memoryview, (maxp, locked)))
     members, R, V, exchange, books = {}, {}, {}, {}, {}
     for k in (0, 1):
         members[k] = [i for i in range(count) if k in case["bids"][i]]
@@ -312,11 +309,11 @@ def _check_kernel_against_listing(kernel, case):
             exchange[k] = lambda now, reached, clock, views=scalar_lanes(
                 R[k], V[k], rows, costs
             ): exchange_lanes_scalar(
-                *views, *agent_views[:2], memoryview(clock), agent_views[3],
-                reached, now, *terms,
+                *views, *agent_views, memoryview(clock), reached, now,
+                *terms,
             )
             continue
-        book = LaneBook(rows, costs, maxp, locked, epochs, *terms)
+        book = LaneBook(rows, costs, maxp, locked, *terms)
         book._scalar_max = case["crossover"]
         book.arm(R[k], V[k])
         books[k] = book
@@ -372,7 +369,6 @@ def _check_kernel_against_listing(kernel, case):
         assert locked[1::2].tolist() == [
             a._enforce_locked_at is not None for a in agents
         ]
-        assert epochs[1::2].tolist() == [a.price_epoch for a in agents]
         open_latch = ~locked[np.array(members[k]) * 2 + 1]
         offered = had | open_latch if threshold is not None else had
         assert [
@@ -400,7 +396,6 @@ def _check_kernel_against_listing(kernel, case):
             live.add(winner)
         assert sorted(book.live.tolist()) == sorted(live)
     assert not maxp[::2].any() and not locked[::2].any()
-    assert not epochs[::2].any()
 
 
 @given(
@@ -439,8 +434,7 @@ def test_closed_raises_scalar_matches_sequential_refusal_raises(
             block = LaneBlock(
                 V, np.zeros(lanes), np.arange(lanes),
                 np.zeros(lanes, dtype=np.intp), np.full(lanes, 100.0),
-                np.zeros(lanes), np.zeros(lanes),
-                np.zeros(lanes, dtype=np.int64), factor, floor, cap, 2.0,
+                np.zeros(lanes), np.zeros(lanes), factor, floor, cap, 2.0,
             )
         assert bool(block.books) == (crossover == 0)
         assert block.closed_raises(0, count) == (steps, pinned)
@@ -456,18 +450,16 @@ def test_exchange_kernels_share_the_clamp_order():
         R, V = np.zeros(2), np.array([1.0, 3.0])
         state = (
             R, V, np.arange(2), np.array([150.0, 400.0]), np.ones(2) * 3.0,
-            np.zeros(2, dtype=bool), np.zeros(2), np.zeros(2, dtype=np.int64),
+            np.zeros(2, dtype=bool), np.zeros(2),
         )
-        rows, costs, maxp, locked, free_at, epochs = state[2:]
+        rows, costs, maxp, locked, free_at = state[2:]
         if kernel == "twin":
             answer = exchange_lanes_scalar(
                 *scalar_lanes(*state[:4]), *map(memoryview, state[4:]),
                 [True, True], 0.0, 1.1, 5.0, 4.0, None,
             )
         else:
-            book = LaneBook(
-                rows, costs, maxp, locked, epochs, 1.1, 5.0, 4.0, None
-            )
+            book = LaneBook(rows, costs, maxp, locked, 1.1, 5.0, 4.0, None)
             book._scalar_max = 0 if kernel == "many" else 2
             book.arm(R, V)
             answer = book.exchange(book.estimates(free_at, 0.0))
@@ -478,7 +470,7 @@ def test_exchange_kernels_share_the_clamp_order():
 
 def test_qant_agent_state_matches_scalar_after_run():
     # Beyond the outcome digest: every agent's post-run market state
-    # (prices, supply, epoch, enforce latch) must be exactly what the
+    # (prices, supply, enforce latch) must be exactly what the
     # never-batched run leaves behind.
     world = two_query_world(num_nodes=16, seed=0)
     trace = quantise_trace(
@@ -716,11 +708,8 @@ def test_dispatch_ledger_counts_are_pinned():
     assert refusing_met == 1684
     assert counts["lane_steps"] == 945
     assert counts["estimate_reuses"] == 141
-    # The two other fast paths that stay, pinned to traffic on the same
-    # run: the period engine's (price_epoch, capacity) plan cache, and
+    # The other fast path that stays, pinned to traffic on the same run:
     # the saturated no-ops `assign_batch` settles without an exchange.
-    engine = allocator.period_engine_stats
-    assert (engine.reused_rows, engine.solved_rows) == (336, 1176)
     assert metrics.counters["exchanges"] - metrics.counters["vector_exchanges"] == 447
     # As shipped the scalar twin prices both classes: it keeps no live
     # set and computes its estimates inline, so it adds to neither
@@ -733,8 +722,6 @@ def test_dispatch_ledger_counts_are_pinned():
     assert _outcome_digest(twin_metrics.outcomes) == _outcome_digest(
         metrics.outcomes
     )
-    engine = allocator.period_engine_stats
-    assert (engine.reused_rows, engine.solved_rows) == (336, 1176)
 
 
 def test_dispatcher_refuses_raise_terms_that_unsettle_the_cap():

@@ -6,9 +6,9 @@ code (PR 1 tree) via::
     json.dumps(_json_safe(run_sweep(REGISTRY.get(name), scale="small",
                seeds=(0,)).to_dict()), indent=2, sort_keys=True) + "\n"
 
-The perf work (price-epoch solver caching, in-place price updates, trusted
-vector constructors, network/node fast paths) must not change a single
-simulated decision, so the serialized sweep results have to stay
+The perf work (in-place price updates, trusted vector constructors,
+network/node fast paths, and a solver cache since removed) must not change
+a single simulated decision, so the serialized sweep results have to stay
 *byte-identical*.  Any diff here means an optimisation reordered floating-
 point arithmetic or consumed RNG draws differently — a correctness bug,
 not a tolerance issue.
@@ -258,14 +258,12 @@ def scalar_paths_payload() -> str:
         )
 
     def agents(allocator):
-        # The file's format: prices, max price, remaining supply, price
-        # epoch and enforce latch; repr() pins the floats to the last bit.
+        # The file's format: prices, max price, remaining supply and
+        # enforce latch; repr() pins the floats to the last bit.
         return {
-            str(node_id): repr(
-                (prices, max(prices), remaining, epoch, latch)
-            )
+            str(node_id): repr((prices, max(prices), remaining, latch))
             for node_id, (
-                prices, epoch, remaining, __, __, __, latch
+                prices, remaining, __, __, __, latch
             ) in sorted(allocator.market_state())
         }
 

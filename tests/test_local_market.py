@@ -430,8 +430,7 @@ class TestLocalMarketDemo:
             "rebind_supply_set",
         }
         private = {
-            "_price_values", "_remaining", "_credit", "_price_epoch",
-            "_enforce_locked_at",
+            "_price_values", "_remaining", "_credit", "_enforce_locked_at",
         }
 
         def offends(node):

@@ -2,19 +2,19 @@
 """Where the scalar Def. 4 exchange stops beating the lane book.
 
 ``market_tick.SCALAR_LANES_MAX`` is a measured constant; this command is
-the measurement.  It times one request-for-bid exchange, in microseconds,
-through ``LaneBook`` (numpy arrays, as shipped: it prices its live lanes
-only) and ``exchange_lanes_scalar`` (``memoryview``s of the same arrays,
-as a ``LaneBlock`` binds them), both stepping price epochs, at lane
-counts 2 … 128, with none, half and all of the lanes out of supply, with
-none and 0.9 of those already settled at the cap, with and without the
-activation threshold, and prints the tables plus the widest class up to
-which the scalar loop is no slower than the book in every column.  A
-second table repeats the half-refusing column with every other lane
-unreached (an outage window's partial fan-out).  A last table times the
-book's own two ways of pricing a live set (array steps / the loop)
-inside a wide class, the other place the constant decides.  Takes about
-fifteen seconds; stdlib + numpy.
+the measurement.  It times one request-for-bid exchange, in
+microseconds, through ``LaneBook`` (numpy arrays, as shipped: it prices
+its live lanes only) and ``exchange_lanes_scalar`` (``memoryview``s of
+the same arrays, as a ``LaneBlock`` binds them) at lane counts 2 … 128,
+with none, half and all of the lanes out of supply, with none and 0.9 of
+those already settled at the cap, with and without the activation
+threshold, and prints the tables plus the widest class up to which the
+scalar loop is no slower than the book in every column.  A second table
+repeats the half-refusing column with every other lane unreached (an
+outage window's partial fan-out).  A last table times the book's own two
+ways of pricing a live set (array steps / the loop) inside a wide class,
+the other place the constant decides.  Takes about fifteen seconds;
+stdlib + numpy.
 
     python3 tools/lane_crossover.py        (or: make crossover)
 """
@@ -78,13 +78,12 @@ def exchange_us(
     costs = np.linspace(100.0, 900.0, lanes)
     maxp, locked = np.ones(2 * lanes + 1), np.zeros(2 * lanes + 1, dtype=bool)
     free_at = np.zeros(2 * lanes + 1)
-    epochs = np.zeros(2 * lanes + 1, dtype=np.int64)
     reached = np.arange(lanes) % 2 == 0 if masked else None
     terms = FACTOR, FLOOR, CAP, threshold
     if kernel == "scalar":
         views = (
             *scalar_lanes(R, V, rows, costs),
-            *map(memoryview, (maxp, locked, free_at, epochs)),
+            *map(memoryview, (maxp, locked, free_at)),
         )
         # As `LaneBlock.exchange` passes them.
         hits = [True] * lanes if reached is None else memoryview(reached)
@@ -92,7 +91,7 @@ def exchange_us(
         def exchange():
             exchange_lanes_scalar(*views, hits, 5.0, *terms)
     else:
-        book = LaneBook(rows, costs, maxp, locked, epochs, *terms)
+        book = LaneBook(rows, costs, maxp, locked, *terms)
         book._scalar_max = scalar_max
 
         def exchange():
