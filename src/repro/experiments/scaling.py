@@ -228,10 +228,10 @@ def million_query_run(
     ``target_queries`` (the generator scales arrivals with capacity, so
     the horizon needed is estimated from a short probe trace and then
     corrected), streams it through a ``shards``-way forked federation,
-    each plane taking its slice of the trace as ``slice`` frames of
-    tick-aligned ``BidBatch`` runs (``shards._slice_batches``), and
-    returns the flat cell payload plus the realised horizon.  QA-NT only — at this scale
-    one mechanism is the experiment.
+    each plane taking its slice of the trace as ``slice`` frames of four
+    columns cut at tick edges (``shards._slice_batches``), and returns
+    the flat cell payload plus the realised horizon.  QA-NT only — at
+    this scale one mechanism is the experiment.
     """
     world = two_query_world(num_nodes=int(num_nodes), seed=seed)
     probe_ms = 10_000.0

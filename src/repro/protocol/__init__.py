@@ -8,8 +8,9 @@ a versioned JSON codec and packed numeric columns (:mod:`~repro.protocol
 wire, and :class:`FanoutResult`, the simulator's charge record of one
 fan-out (:mod:`~repro.protocol.transport`).  The one client that speaks
 the conversation is the Section 5.2 SQLite federation
-(:class:`repro.dbms.DbmsFederation`); the sharded engine moves
-:class:`BidBatch` frames.
+(:class:`repro.dbms.DbmsFederation`); the sharded engine's socket wire
+frames plain columns, packed (:func:`~repro.protocol.messages
+.pack_column`).
 
 Standard library only, fully typed (``mypy --strict`` in CI), and free of
 ``repro.core`` / ``repro.sim`` imports by design: a process that only
@@ -19,7 +20,6 @@ speaks the wire must be able to depend on this package alone.
 from .messages import (
     PROTOCOL_VERSION,
     AssignQuery,
-    BidBatch,
     BidRequest,
     Message,
     MESSAGE_TYPES,
@@ -42,7 +42,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
     "BidRequest",
-    "BidBatch",
     "Quote",
     "Refusal",
     "AssignQuery",

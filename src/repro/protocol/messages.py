@@ -7,10 +7,10 @@ moved its private prices), the client dispatches an :class:`AssignQuery`
 to the winner, and a :class:`PeriodTick` resettles every agent's prices and supply at
 each period boundary.  Here they are first-class, frozen and
 serialisable: the Section 5.2 SQLite federation (``repro.dbms``) speaks
-this conversation through the codec, leg by leg, and the sharded
-engine's frames carry :class:`BidBatch`.  The discrete-event simulator
-speaks none of it; it charges each exchange instead
-(:class:`~repro.protocol.transport.FanoutResult`).
+this conversation through the codec, leg by leg.  The discrete-event
+simulator speaks none of it; it charges each exchange instead
+(:class:`~repro.protocol.transport.FanoutResult`), and the sharded
+engine's frames carry plain columns.
 
 The codec is deliberately boring: one JSON envelope
 ``{"v": <version>, "type": <tag>, "body": {...}}`` per message.  Decoding
@@ -21,10 +21,9 @@ and the message type — the two things that define the conversation.
 Columns travel *packed* (:func:`pack_column` / :func:`unpack_column`):
 a JSON object ``{"dtype": "<i8" | "<f8", "cells": <base64>}`` whose
 cells are little-endian 64-bit integers or finite doubles.  It is the
-body of every :class:`BidBatch` column (envelope version 2; version 1
-printed each cell as a JSON number) and the one format the sharded
-engine's socket wire uses for its outcome arrays, so a batch of *n* rows
-costs four base64 runs instead of ``4n`` printed numbers, and a float
+one format the sharded engine's socket wire uses for its arrays (a
+trace slice's columns, a shard's outcome columns), so a column of *n*
+cells costs one base64 run instead of *n* printed numbers, and a float
 crosses as its eight bytes.  A packed column is refused as a whole —
 unknown dtype, invalid base64, a byte length that is not a whole number
 of cells, a non-finite double — with :class:`ProtocolError`.
@@ -49,7 +48,6 @@ __all__ = [
     "PROTOCOL_VERSION",
     "ProtocolError",
     "BidRequest",
-    "BidBatch",
     "Quote",
     "Refusal",
     "AssignQuery",
@@ -192,26 +190,6 @@ class BidRequest:
 
 
 @dataclass(frozen=True)
-class BidBatch:
-    """Client → one shard's servers: many first-submission bid requests.
-
-    The only non-flat message: four equal-length columns, row *i* being
-    ``BidRequest(qids[i], class_indices[i], origin_nodes[i])`` posed at
-    ``times_ms[i]`` — *n* rows are *n* protocol-level bids in one
-    envelope.  Rows keep their send order; rows sharing a timestamp form
-    one market tick.  On the wire each column is packed
-    (:func:`pack_column`): ``times_ms`` as ``<f8``, the rest as ``<i8``.
-    :func:`encode` takes any sequences (numpy columns are copied as
-    buffers); :func:`decode` returns the columns as tuples.
-    """
-
-    times_ms: Sequence[float]
-    qids: Sequence[int]
-    class_indices: Sequence[int]
-    origin_nodes: Sequence[int]
-
-
-@dataclass(frozen=True)
 class Quote:
     """Server → client: an offer to evaluate the query.
 
@@ -260,12 +238,11 @@ class PeriodTick:
     period_ms: float
 
 
-Message = Union[BidRequest, BidBatch, Quote, Refusal, AssignQuery, PeriodTick]
+Message = Union[BidRequest, Quote, Refusal, AssignQuery, PeriodTick]
 
 #: Wire tag → message class, the decoder's dispatch table.
 MESSAGE_TYPES: Mapping[str, type] = {
     "bid_request": BidRequest,
-    "bid_batch": BidBatch,
     "quote": Quote,
     "refusal": Refusal,
     "assign_query": AssignQuery,
@@ -275,26 +252,16 @@ MESSAGE_TYPES: Mapping[str, type] = {
 _TAGS: Mapping[type, str] = {cls: tag for tag, cls in MESSAGE_TYPES.items()}
 
 #: Field-name → expected JSON shape, shared across every message type
-#: (flat records over these names; :class:`BidBatch` alone carries
-#: columns, packed as :data:`_BATCH_DTYPES` says).
+#: (all are flat records over these names).
 _INT_FIELDS = frozenset(
     {"qid", "class_index", "origin_node", "attempt", "node_id", "period_index"}
 )
 _FLOAT_FIELDS = frozenset(
     {"estimated_completion_ms", "period_ms"}
 )
-#: :class:`BidBatch` column → its packed dtype, in field order.
-_BATCH_DTYPES: Mapping[str, str] = {
-    "times_ms": "<f8",
-    "qids": "<i8",
-    "class_indices": "<i8",
-    "origin_nodes": "<i8",
-}
 
-#: Per-class field tables, computed once at import.  ``dataclasses.fields``
-#: walks the class dict on every call — hoisting it off the per-message
-#: encode/decode path matters at batched-bidding volumes (the sharded
-#: federation moves thousands of quotes per run through this codec).
+#: Per-class field tables, computed once at import: ``dataclasses.fields``
+#: walks the class dict on every call.
 _FIELD_NAMES: Mapping[type, Tuple[str, ...]] = {
     cls: tuple(f.name for f in fields(cls)) for cls in MESSAGE_TYPES.values()
 }
@@ -321,14 +288,6 @@ def message_tag(message: Message) -> str:
     return tag
 
 
-def _body(message: Message) -> Dict[str, Any]:
-    """The message's fields as a plain dict: scalars, or for
-    :class:`BidBatch` its four columns, packed."""
-    if isinstance(message, BidBatch):
-        return _packed_batch(message)
-    return {name: getattr(message, name) for name in _FIELD_NAMES[type(message)]}
-
-
 def encode(message: Message) -> str:
     """Serialise one message to its versioned JSON envelope.
 
@@ -339,7 +298,9 @@ def encode(message: Message) -> str:
     envelope = {
         "v": PROTOCOL_VERSION,
         "type": message_tag(message),
-        "body": _body(message),
+        "body": {
+            name: getattr(message, name) for name in _FIELD_NAMES[type(message)]
+        },
     }
     try:
         return json.dumps(
@@ -400,8 +361,6 @@ def decode(payload: str) -> Message:
 
 def _checked(message: Message) -> Message:
     """Validate decoded field types (JSON carries no schema of its own)."""
-    if isinstance(message, BidBatch):
-        return _checked_batch(message)
     cls = type(message)
     for name in _INT_CHECKS[cls]:
         value = getattr(message, name)
@@ -417,30 +376,3 @@ def _checked(message: Message) -> Message:
             )
     return message
 
-
-def _packed_batch(batch: BidBatch) -> Dict[str, Any]:
-    """A :class:`BidBatch`'s columns packed as their wire dtypes."""
-    body = {
-        name: pack_column(getattr(batch, name), dtype)
-        for name, dtype in _BATCH_DTYPES.items()
-    }
-    _check_rows([len(getattr(batch, name)) for name in _BATCH_DTYPES])
-    return body
-
-
-def _check_rows(rows: Sequence[int]) -> None:
-    if len(set(rows)) > 1:
-        lengths = dict(zip(_BATCH_DTYPES, rows))
-        raise ProtocolError("bid_batch columns differ in length: %r" % lengths)
-
-
-def _checked_batch(batch: BidBatch) -> BidBatch:
-    """Unpack a decoded :class:`BidBatch`'s columns (each of its own
-    dtype, finite times only) and check that they have one length; the
-    columns come back as tuples."""
-    columns = [
-        unpack_column(getattr(batch, name), dtype)
-        for name, dtype in _BATCH_DTYPES.items()
-    ]
-    _check_rows([len(column) for column in columns])
-    return BidBatch(*map(tuple, columns))

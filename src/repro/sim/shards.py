@@ -12,11 +12,10 @@ bid/price/refusal/solve dynamics shard-side, in that shard's
 identical arithmetic.  A plane is a deterministic function of its
 trace slice, so the coordinator otherwise only routes, once per run:
 
-* the trace is split by owning plane; each shard's slice crosses as
-  one-way ``slice`` frames, each holding one encoded
-  :class:`~repro.protocol.messages.BidBatch` — the bids as columns, cut
-  at tick edges — serialised through the :mod:`repro.protocol` codec
-  over :class:`ShardTransport`, then one one-way ``end`` frame;
+* the trace is split by owning plane; each shard's slice crosses
+  :class:`ShardTransport` as one-way ``slice`` frames, each holding the
+  bids as four plain columns cut at tick edges (:func:`_slice_batches`),
+  then one one-way ``end`` frame;
 * every plane takes its own period boundaries and drains on its own
   pending count, with no barrier between planes;
 * a final ``collect`` barrier merges the outcome columns; each plane
@@ -96,14 +95,7 @@ from ..core.qant import (
     DEFAULT_ALLOWANCE_FACTOR,
     QantParameters,
 )
-from ..protocol.messages import (
-    BidBatch,
-    ProtocolError,
-    decode,
-    encode,
-    pack_column,
-    unpack_column,
-)
+from ..protocol.messages import ProtocolError, pack_column, unpack_column
 from ..allocation.market_tick import LaneBlock, check_raise_terms
 from ..protocol.transport import FrameDecoder, encode_frame, frame_header
 from ..workload.trace import trace_columns
@@ -359,11 +351,10 @@ class _MarketPlane:
     interleaving them: this is the equivalence that makes the outcome
     digest independent of shard count, transport mode and frame size.
 
-    Instances run shard-side (one per shard, inside
-    :class:`_LocalMarketCore` — per-shard dispatcher instances) and
-    coordinator-side (the residual plane of split components).  The init
-    mapping is JSON-safe so the identical spec crosses pipes and TCP
-    sockets.
+    Instances run shard-side (one per shard worker, which serves its
+    frames through :meth:`handle`) and coordinator-side (the residual
+    plane of split components).  The init mapping is JSON-safe so the
+    identical spec crosses pipes and TCP sockets.
     """
 
     def __init__(self, init: Mapping[str, object]) -> None:
@@ -493,14 +484,18 @@ class _MarketPlane:
         self._cols = tuple(array(code) for code in _CELL_CODES)
         self._assigned = 0
         self._exchanges = 0
+        #: Seconds spent in :meth:`handle` since the reset.
+        self.self_time_s = 0.0
         if self._qa and self._ids:
             self._period_solve(0.0)
 
     # -- driving -------------------------------------------------------------
 
-    def run_slice(self, batch: BidBatch) -> None:
-        """Price ``batch``'s rows in order, a run of the plane's trace
-        slice cut at tick edges; refusals pool.
+    def run_slice(self, columns: Sequence[np.ndarray]) -> None:
+        """Price the rows of ``columns`` — ``(times_ms, qids,
+        class_indices, origin_nodes)``, a run of the plane's trace slice
+        cut at tick edges (:func:`_slice_batches`) — in order; refusals
+        pool.
 
         Rows sharing a timestamp form one market tick: where the
         timestamp changes, the tick just priced replays its winners, then
@@ -509,15 +504,14 @@ class _MarketPlane:
         schedules the period tick ahead of same-timestamp arrivals.
         Greedy takes no boundaries.
         """
+        times, qids, classes, origins = (column.tolist() for column in columns)
         qa = self._qa
         exchange = self._exchange if qa else self._greedy
         pools = self._pools
         won: List[Tuple] = []
         tick = None
         due = self._next_boundary if qa else math.inf
-        for qid, k, origin, now in zip(
-            batch.qids, batch.class_indices, batch.origin_nodes, batch.times_ms
-        ):
+        for qid, k, origin, now in zip(qids, classes, origins, times):
             if now != tick:
                 if won:
                     self._replay(tick, won)
@@ -534,7 +528,7 @@ class _MarketPlane:
                 won.append((qid, k, origin, now, 0, node))
         if won:
             self._replay(tick, won)
-        self._exchanges += len(batch.qids)
+        self._exchanges += len(qids)
 
     def finish(self, horizon: float, end_of_run: float) -> None:
         """The end of the trace: the boundaries left up to ``horizon``,
@@ -863,46 +857,82 @@ class _MarketPlane:
         reply["row_ends"] = np.cumsum(np.frombuffer(lengths, dtype=np.int64))
         return reply
 
+    # -- serving a shard ------------------------------------------------------
 
-class _LocalMarketCore:
-    """Worker-side front of one shard-local market plane: it makes every
-    market decision for the classes packed onto its shard.  ``slice``
-    and ``end`` frames are one-way (posted, never answered); ``reset``
-    and ``collect`` are the only sync points of a run.
-    """
+    def handle(self, frame: Sequence) -> Mapping[str, object]:
+        """One frame of a shard worker's run (:func:`_serve`): ``slice``
+        and ``end`` frames are one-way (posted, never answered); ``reset``
+        and ``collect`` are a run's only sync points.
 
-    def __init__(self, init: Mapping[str, object]) -> None:
-        self._plane = _MarketPlane(init["plane"])
-        self.self_time_s = 0.0
-
-    def handle(self, frame: Tuple) -> Mapping[str, object]:
+        A ``slice`` frame is ``("slice", times_ms, qids, class_indices,
+        origin_nodes)``; its columns come from outside the process, so a
+        frame :func:`_slice_problem` faults is refused with
+        :class:`~repro.protocol.messages.ProtocolError`.
+        """
         started = time.perf_counter()
         try:
-            return self._dispatch(frame)
+            op = frame[0]
+            if op == "slice":
+                problem = _slice_problem(frame[1:])
+                if problem is not None:
+                    raise ProtocolError(problem)
+                self.run_slice(frame[1:])
+            elif op == "end":
+                self.finish(frame[1], frame[2])
+            elif op == "reset":
+                self.reset(bool(frame[1]))
+            elif op == "collect":
+                reply = self.collect()
+                reply["maxrss_kb"] = resource.getrusage(
+                    resource.RUSAGE_SELF
+                ).ru_maxrss
+                reply["self_time_s"] = self.self_time_s
+                return reply
+            else:
+                raise ValueError("unknown market-shard frame %r" % (op,))
+            return {"ok": True}
         finally:
             self.self_time_s += time.perf_counter() - started
 
-    def _dispatch(self, frame: Tuple) -> Mapping[str, object]:
-        op = frame[0]
-        plane = self._plane
-        if op == "slice":
-            plane.run_slice(decode(frame[1]))
-            return {"ok": True}
-        if op == "end":
-            plane.finish(frame[1], frame[2])
-            return {"ok": True}
-        if op == "reset":
-            plane.reset(bool(frame[1]))
-            self.self_time_s = 0.0
-            return {"ok": True}
-        if op == "collect":
-            reply = dict(plane.collect())
-            reply["maxrss_kb"] = resource.getrusage(
-                resource.RUSAGE_SELF
-            ).ru_maxrss
-            reply["self_time_s"] = self.self_time_s
-            return reply
-        raise ValueError("unknown market-shard frame %r" % (op,))
+
+#: Dtypes of a ``slice`` frame's columns: ``times_ms``, ``qids``,
+#: ``class_indices``, ``origin_nodes``.
+_SLICE_DTYPES = (np.float64, np.int64, np.int64, np.int64)
+
+
+def _columns_problem(columns, dtypes, what: str) -> Optional[str]:
+    """Why ``columns`` are not one 1-D array of each of ``dtypes``, all
+    of one length, or None; ``what`` names them in the answer."""
+    if not isinstance(columns, (list, tuple)) or len(columns) != len(dtypes):
+        return "expected %d %s columns" % (len(dtypes), what)
+    for n, (column, dtype) in enumerate(zip(columns, dtypes)):
+        if not (
+            isinstance(column, np.ndarray)
+            and column.ndim == 1
+            and column.dtype == dtype
+        ):
+            return "%s column %d is not a 1-D %s array" % (
+                what,
+                n,
+                np.dtype(dtype).name,
+            )
+        if len(column) != len(columns[0]):
+            return "%s column %d has %d rows, column 0 has %d" % (
+                what,
+                n,
+                len(column),
+                len(columns[0]),
+            )
+    return None
+
+
+def _slice_problem(columns) -> Optional[str]:
+    """Why ``columns`` are not a ``slice`` frame's: four 1-D arrays of
+    :data:`_SLICE_DTYPES`, of one length, with finite times; or None."""
+    problem = _columns_problem(columns, _SLICE_DTYPES, "slice")
+    if problem is None and not np.isfinite(columns[0]).all():
+        problem = "slice column 0 holds a non-finite time"
+    return problem
 
 
 #: Rows of a plane's trace slice that force a cut into a further
@@ -911,15 +941,15 @@ class _LocalMarketCore:
 _SLICE_ROW_BOUND = 2048
 
 
-def _slice_batches(columns: Tuple, rows) -> Iterator[BidBatch]:
+def _slice_batches(columns: Tuple, rows) -> Iterator[Tuple]:
     """One plane's trace slice ``rows`` (time-ordered row numbers of the
     :meth:`ShardedFederation._trace_columns` arrays, which are the qids)
-    as ``BidBatch`` runs of up to about ``_SLICE_ROW_BOUND`` rows, their
-    columns int64 / float64 arrays that :func:`~repro.protocol.messages
-    .encode` packs as they are.
+    as runs of up to about ``_SLICE_ROW_BOUND`` rows, each the columns
+    ``(times_ms, qids, class_indices, origin_nodes)`` as float64 / int64
+    arrays: a ``slice`` frame's body, and the residual plane's input.
 
     The first run is an eighth of the bound and each next one doubles,
-    so a worker starts ticking while the coordinator still encodes the
+    so a worker starts ticking while the coordinator still sends the
     rest of its slice.  A run is cut only where the timestamp changes: a
     tick split over two :meth:`_MarketPlane.run_slice` calls would replay
     its first part's winners, and so resync the busy mirror, mid-tick.
@@ -934,18 +964,13 @@ def _slice_batches(columns: Tuple, rows) -> Iterator[BidBatch]:
             last = row_times[lo + size - 1]
             hi = int(np.searchsorted(row_times, last, side="right"))
         part = rows[lo:hi]
-        yield BidBatch(
-            times_ms=row_times[lo:hi],
-            qids=part,
-            class_indices=classes[part],
-            origin_nodes=origins[part],
-        )
+        yield row_times[lo:hi], part, classes[part], origins[part]
         lo = hi
         size = min(2 * size, _SLICE_ROW_BOUND)
 
 
 #: Worker-core registry: ``shard_inits[i]["kind"]`` picks the class.
-_CORE_KINDS = {"market": _LocalMarketCore}
+_CORE_KINDS = {"market": _MarketPlane}
 
 
 def _make_core(init: Mapping[str, object]):
@@ -1265,9 +1290,10 @@ class ShardTransport:
     scheduling.
 
     ``mode="fork"`` forks one daemon worker per shard over
-    :func:`multiprocessing.Pipe`; ``mode="inline"`` runs the identical
-    cores in-process (codec included) — the equivalence tests pin fork
-    == inline bit-for-bit.  ``mode="tcp"`` forks the same workers but
+    :func:`multiprocessing.Pipe`, which pickles every frame;
+    ``mode="inline"`` runs the identical cores in-process and hands them
+    the frames as they are — the equivalence tests pin fork == inline
+    bit-for-bit.  ``mode="tcp"`` forks the same workers but
     moves every frame as length-prefixed JSON over localhost sockets
     (the :mod:`repro.protocol.transport` framing helpers), the
     machine-spanning wire: workers receive even their shard spec over
@@ -1433,7 +1459,9 @@ class ShardTransport:
     def _send(self, shard: int, frame: Sequence) -> None:
         try:
             self._peers[shard].send(frame)
-        except OSError as error:
+        except (OSError, ValueError) as error:
+            # ValueError: a frame the tcp wire cannot carry, such as a
+            # non-finite float in a packed column; nothing was written.
             op = frame[1][0] if frame[0] == "post" else frame[0]
             if isinstance(error, BlockingIOError):  # the send deadline
                 _log.warning(
@@ -1572,7 +1600,7 @@ class ShardedRunResult:
     #: The run's collector: outcome table and counters.
     metrics: MetricsCollector
     #: Protocol messages the run moved (network messages at ``shards=1``;
-    #: codec-serialised bid/quote messages otherwise).
+    #: otherwise one bid per trace row routed to a shard).
     messages: int
     #: Shard count of the run (1 = single-process delegation).
     shards: int
@@ -1730,31 +1758,14 @@ def _collect_reply_problem(reply) -> Optional[str]:
     columns of :data:`~repro.sim.metrics.OUTCOME_DTYPES` and equal
     length, its rows' text as a list of ASCII strings with one
     increasing int64 end offset per row, the last at the text's length
-    and no row across two chunks, and non-negative int counters
-    (unchecked, a float qid column would be truncated to ints by the
-    merge without a word).
+    and no row across two chunks, non-negative int counters and peak
+    RSS, and a finite non-negative self-time (unchecked, a float qid
+    column would be truncated to ints by the merge without a word).
     """
     columns = reply.get("columns") if isinstance(reply, Mapping) else None
-    if not isinstance(columns, (list, tuple)) or len(columns) != len(
-        OUTCOME_DTYPES
-    ):
-        return "expected %d outcome columns" % len(OUTCOME_DTYPES)
-    for n, (column, dtype) in enumerate(zip(columns, OUTCOME_DTYPES)):
-        if not (
-            isinstance(column, np.ndarray)
-            and column.ndim == 1
-            and column.dtype == dtype
-        ):
-            return "outcome column %d is not a 1-D %s array" % (
-                n,
-                np.dtype(dtype).name,
-            )
-        if len(column) != len(columns[0]):
-            return "outcome column %d has %d rows, column 0 has %d" % (
-                n,
-                len(column),
-                len(columns[0]),
-            )
+    problem = _columns_problem(columns, OUTCOME_DTYPES, "outcome")
+    if problem is not None:
+        return problem
     text = reply.get("text")
     if not isinstance(text, list) or not all(
         isinstance(chunk, str) and chunk.isascii() for chunk in text
@@ -1775,7 +1786,8 @@ def _collect_reply_problem(reply) -> Optional[str]:
     last, size = (int(ends[-1]) if len(ends) else 0), sum(map(len, text))
     if last != size:
         return "row_ends ends at %d, the text has %d characters" % (last, size)
-    for key in ("assigned", "exchanges", "closed_settled", "pending"):
+    counters = ("assigned", "exchanges", "closed_settled", "pending", "maxrss_kb")
+    for key in counters:
         value = reply.get(key)
         if (
             isinstance(value, bool)
@@ -1786,6 +1798,15 @@ def _collect_reply_problem(reply) -> Optional[str]:
                 key,
                 value,
             )
+    seconds = reply.get("self_time_s")
+    if (
+        isinstance(seconds, bool)
+        or not isinstance(seconds, (int, float, np.integer))
+        or not 0.0 <= seconds < math.inf
+    ):
+        return "self_time_s is %r: expected a finite non-negative number" % (
+            seconds,
+        )
     return None
 
 
@@ -1940,9 +1961,8 @@ class ShardedFederation:
                 ],
             }
 
-        inits = [plane_init(ks) for ks in plane_classes]
         self._residual = _MarketPlane(plane_init(residual_classes))
-        return [{"kind": "market", "plane": init} for init in inits]
+        return [{"kind": "market", **plane_init(ks)} for ks in plane_classes]
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -2048,11 +2068,11 @@ class ShardedFederation:
         shard-side.  The trace arrives as :meth:`_trace_columns` arrays
         (the row number is the qid) and is routed by owner once, with a
         stable sort, so each plane's slice keeps qid order.  Each shard
-        gets its slice as one-way ``slice`` frames, each one encoded
-        :class:`~repro.protocol.messages.BidBatch` cut at a tick edge
-        (:func:`_slice_batches`), then one one-way ``end`` frame with
-        the horizon and the end of the drain window; the residual plane
-        ticks its own slice in-process between the rounds of frames.
+        gets its slice as one-way ``slice`` frames of four columns, cut
+        at tick edges (:func:`_slice_batches`), then one one-way ``end``
+        frame with the horizon and the end of the drain window; the
+        residual plane ticks its own slice in-process, from the same
+        columns, between the rounds of frames.
         Every plane takes its period boundaries and drains by itself
         (:meth:`_MarketPlane.run_slice`, :meth:`_MarketPlane.finish`),
         so the workers are met only at ``reset`` and ``collect``.
@@ -2088,21 +2108,10 @@ class ShardedFederation:
             *(_slice_batches(columns, rows) for rows in owned),
         ):
             transport.post(
-                [
-                    None if batch is None else ("slice", encode(batch))
-                    for batch in batches
-                ]
+                [None if batch is None else ("slice", *batch) for batch in batches]
             )
             if mine is not None:
-                # In process, so no codec: the rows as Python scalars.
-                residual.run_slice(
-                    BidBatch(
-                        mine.times_ms.tolist(),
-                        mine.qids.tolist(),
-                        mine.class_indices.tolist(),
-                        mine.origin_nodes.tolist(),
-                    )
-                )
+                residual.run_slice(mine)
         transport.post([("end", horizon, end_of_run)] * num_shards)
         residual.finish(horizon, end_of_run)
         # The one barrier after reset: outcome columns and rows, RSS,
@@ -2135,9 +2144,8 @@ class ShardedFederation:
             exchanges += reply["exchanges"]
             closed_settled += reply["closed_settled"]
             dropped += reply["pending"]
-            self_times.append(float(reply.get("self_time_s", 0.0)))
-            if reply["maxrss_kb"] > peak_kb:
-                peak_kb = reply["maxrss_kb"]
+            self_times.append(float(reply["self_time_s"]))
+            peak_kb = max(peak_kb, int(reply["maxrss_kb"]))
         transport.note_child_peak_kb(peak_kb)
         self._shard_self_time_s = self_times
         # The residual plane's rows have no text: the digest renders them.

@@ -33,7 +33,6 @@ from repro.core.qant import DEFAULT_ACTIVATION_THRESHOLD
 from repro.dbms import DbmsFederation, FederationTimeout, SqliteServerNode
 from repro.protocol import (
     AssignQuery,
-    BidBatch,
     BidRequest,
     PeriodTick,
     ProtocolError,
@@ -225,22 +224,12 @@ _INTS = st.integers()
 _FLOATS = st.floats()
 
 
-def _columns(draw):
-    size = draw(st.integers(0, 4))
-    return [
-        # Now and then one column runs a cell long.
-        draw(st.lists(cells, min_size=size, max_size=size + 1))
-        for cells in (_FLOATS, _INTS, _INTS, _INTS)
-    ]
-
-
 _MESSAGES = st.one_of(
     st.builds(BidRequest, _INTS, _INTS, _INTS, _INTS),
     st.builds(Quote, _INTS, _INTS, _INTS, _FLOATS),
     st.builds(Refusal, _INTS, _INTS, _INTS),
     st.builds(AssignQuery, _INTS, _INTS, st.one_of(_INTS, st.integers(-1, 3))),
     st.builds(PeriodTick, _INTS, _FLOATS),
-    st.composite(lambda draw: BidBatch(*_columns(draw)))(),
 )
 
 

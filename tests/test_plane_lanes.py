@@ -298,7 +298,9 @@ def _built_planes(world, num_shards, planner=None):
             super().__init__(init)
 
     with pytest.MonkeyPatch.context() as patch:
+        # The residual plane, and every shard's (its worker core).
         patch.setattr(shards_module, "_MarketPlane", Recording)
+        patch.setitem(shards_module._CORE_KINDS, "market", Recording)
         if planner is not None:
             patch.setattr(shards_module, "plan_shards", planner)
         federation = ShardedFederation(

@@ -4,7 +4,9 @@ Three concerns:
 
 * the versioned JSON codec — hypothesis round-trip identity for every
   message type, unknown-field tolerance, version pinning, and strict
-  rejection of malformed envelopes and of hostile packed columns;
+  rejection of malformed envelopes; packed columns and the bid batches
+  (``slice`` frames) the sharded engine's socket wire carries in them —
+  strict rejection of hostile cells and malformed batches;
 * the length-prefix framing — any payloads cut anywhere come back in
   order, and a hostile length prefix is refused;
 * sim-vs-protocol equivalence — ``Network.fanout``'s FanoutResult must
@@ -26,7 +28,6 @@ from repro.protocol import (
     MESSAGE_TYPES,
     PROTOCOL_VERSION,
     AssignQuery,
-    BidBatch,
     BidRequest,
     PeriodTick,
     ProtocolError,
@@ -36,8 +37,9 @@ from repro.protocol import (
     encode,
     message_tag,
 )
-from repro.protocol.messages import pack_column
+from repro.protocol.messages import pack_column, unpack_column
 from repro.sim.faults import FaultInjector, FaultSpec
+from repro.sim.shards import _slice_problem, _wire_default, _wire_hook
 
 # ------------------------------------------------------------------ codec
 
@@ -54,15 +56,6 @@ MESSAGE_STRATEGIES = {
         class_index=ids,
         origin_node=node_ids,
         attempt=ids,
-    ),
-    "bid_batch": st.integers(0, 6).flatmap(
-        lambda n: st.builds(
-            BidBatch,
-            times_ms=st.tuples(*[finite_ms] * n),
-            qids=st.tuples(*[ids] * n),
-            class_indices=st.tuples(*[ids] * n),
-            origin_nodes=st.tuples(*[node_ids] * n),
-        )
     ),
     "quote": st.builds(
         Quote,
@@ -95,7 +88,8 @@ def _raw(data, dtype="<f8"):
     return {"dtype": dtype, "cells": base64.b64encode(data).decode("ascii")}
 
 
-#: One well-formed row of a packed ``BidBatch`` body.
+#: One well-formed row of a bid batch: a ``slice`` frame's four columns,
+#: packed as the sharded engine's socket wire carries them.
 _ONE_ROW = {
     "times_ms": pack_column([1.0], "<f8"),
     "qids": pack_column([1], "<i8"),
@@ -107,11 +101,21 @@ _ABSENT = object()
 
 
 def _batch_payload(**columns):
-    """A current-version ``bid_batch`` envelope: :data:`_ONE_ROW` with
+    """A ``slice`` frame's JSON on the socket wire: :data:`_ONE_ROW` with
     ``columns`` swapped in (``_ABSENT`` drops one)."""
     body = {**_ONE_ROW, **columns}
-    body = {name: value for name, value in body.items() if value is not _ABSENT}
-    return json.dumps({"v": PROTOCOL_VERSION, "type": "bid_batch", "body": body})
+    return json.dumps(["slice", *(v for v in body.values() if v is not _ABSENT)])
+
+
+def _landed(payload):
+    """A ``slice`` frame's columns as a socket worker takes them: its
+    packed columns unpacked (:func:`_wire_hook`), then checked
+    (:func:`_slice_problem`); either refuses with ``ProtocolError``."""
+    _, *columns = json.loads(payload, object_hook=_wire_hook)
+    problem = _slice_problem(columns)
+    if problem is not None:
+        raise ProtocolError(problem)
+    return columns
 
 
 class TestCodec:
@@ -209,41 +213,39 @@ class TestCodec:
     @given(times=st.lists(st.floats(allow_nan=False, allow_infinity=False)))
     @settings(max_examples=100, deadline=None)
     def test_bid_batch_times_round_trip_exactly(self, times):
-        """Packed eight-byte cells: the tick clock crosses bit for bit
-        (``-0.0`` keeps its sign, so compare reprs, not values)."""
-        rows = tuple(range(len(times)))
-        batch = BidBatch(tuple(times), rows, rows, rows)
-        assert list(map(repr, decode(encode(batch)).times_ms)) == list(
-            map(repr, times)
-        )
-        assert decode(encode(batch)) == batch
+        """Packed eight-byte cells: a ``slice`` frame's tick clock crosses
+        the socket wire bit for bit (``-0.0`` keeps its sign, so compare
+        reprs, not values)."""
+        rows = np.arange(len(times), dtype=np.int64)
+        frame = ("slice", np.array(times, dtype=np.float64), rows, rows, rows)
+        columns = _landed(json.dumps(frame, default=_wire_default))
+        assert list(map(repr, columns[0].tolist())) == list(map(repr, times))
+        assert all(column.tolist() == rows.tolist() for column in columns[1:])
 
-    def test_bid_batch_encodes_list_columns_as_given(self):
+    def test_pack_column_takes_lists_tuples_and_arrays_alike(self):
         """Lists, tuples and numpy int64 / float64 columns (copied as
-        buffers, as the sharded engine hands them in) are one envelope."""
-        batch = BidBatch([0.1, 0.1], [7, 8], [3, 3], [0, 5])
-        packed = BidBatch(
-            np.array([0.1, 0.1]),
-            np.array([7, 8], dtype=np.int64),
-            np.array([3, 3], dtype=np.int64),
-            np.array([0, 5], dtype=np.int64),
-        )
-        assert encode(packed) == encode(batch)
-        assert decode(encode(packed)) == BidBatch(
-            (0.1, 0.1), (7, 8), (3, 3), (0, 5)
-        )
+        buffers, as the sharded engine hands them in) pack the same."""
+        for dtype, values, array in (
+            ("<f8", [0.1, 0.1], np.array([0.1, 0.1])),
+            ("<i8", [7, 8], np.array([7, 8], dtype=np.int64)),
+        ):
+            packed = pack_column(values, dtype)
+            assert pack_column(tuple(values), dtype) == packed
+            assert pack_column(array, dtype) == packed
+            assert unpack_column(packed, dtype).tolist() == values
         with pytest.raises(ProtocolError):
-            encode(BidBatch([math.nan], [0], [0], [0]))
+            pack_column(np.array([math.nan]), "<f8")
 
     @pytest.mark.parametrize(
         "columns, complaint",
         [
-            # Each case below re-expresses, in the packed form, the
-            # version-1 body its id spells (the arrays are its columns).
+            # Each case below re-expresses, as a ``slice`` frame of packed
+            # columns, the version-1 ``bid_batch`` body its id spells
+            # (the arrays are its columns).
             # ragged columns
             pytest.param(
                 {"qids": pack_column([1, 2], "<i8")},
-                "differ in length",
+                "column 1 has 2 rows, column 0 has 1",
                 id='{"times_ms": [1.0], "qids": [1, 2], "class_indices": [0], '
                 '"origin_nodes": [0]}',
             ),
@@ -253,7 +255,7 @@ class TestCodec:
                     "qids": pack_column([], "<i8"),
                     "class_indices": pack_column([], "<i8"),
                 },
-                "differ in length",
+                "column 3 has 1 rows, column 0 has 0",
                 id='{"times_ms": [], "qids": [], "class_indices": [], '
                 '"origin_nodes": [0]}',
             ),
@@ -266,7 +268,7 @@ class TestCodec:
             ),
             pytest.param(
                 {"class_indices": pack_column([0.0], "<f8")},
-                "has dtype '<f8', not '<i8'",
+                "column 2 is not a 1-D int64 array",
                 id='{"times_ms": [1.0], "qids": [1], "class_indices": [0.0], '
                 '"origin_nodes": [0]}',
             ),
@@ -310,14 +312,14 @@ class TestCodec:
             # an integer time (one beyond the float range, at version 1)
             pytest.param(
                 {"times_ms": pack_column([10**18], "<i8")},
-                "has dtype '<i8', not '<f8'",
+                "column 0 is not a 1-D float64 array",
                 id="{\"times_ms\": [1%s], \"qids\": [1], \"class_indices\": [0], "
                 '"origin_nodes": [0]}' % ("0" * 400),
             ),
             # non-packed columns
             pytest.param(
                 {name: value for name, value in zip(_BATCH_FIELDS, (1.0, 1, 0, 0))},
-                "a packed column is an object",
+                "column 0 is not a 1-D float64 array",
                 id='{"times_ms": 1.0, "qids": 1, "class_indices": 0, '
                 '"origin_nodes": 0}',
             ),
@@ -328,25 +330,25 @@ class TestCodec:
                     "class_indices": pack_column([0, 0], "<i8"),
                     "origin_nodes": pack_column([0, 0], "<i8"),
                 },
-                "a packed column is an object",
+                "column 0 is not a 1-D float64 array",
                 id='{"times_ms": "ab", "qids": [1, 2], "class_indices": [0, 0], '
                 '"origin_nodes": [0, 0]}',
             ),
             pytest.param(
                 {"qids": {"0": 1}},
-                "a packed column is an object",
+                "column 1 is not a 1-D int64 array",
                 id='{"times_ms": [1.0], "qids": {"0": 1}, "class_indices": [0], '
                 '"origin_nodes": [0]}',
             ),
             # a missing column
             pytest.param(
                 {"origin_nodes": _ABSENT},
-                "missing required fields",
+                "expected 4 slice columns",
                 id='{"times_ms": [1.0], "qids": [1], "class_indices": [0]}',
             ),
             # packed garbage, which version 1 could not spell
             pytest.param(
-                {"qids": [1]}, "a packed column is an object", id="json-array"
+                {"qids": [1]}, "column 1 is not a 1-D int64 array", id="json-array"
             ),
             pytest.param(
                 {"qids": {**pack_column([1], "<i8"), "rows": 1}},
@@ -376,48 +378,31 @@ class TestCodec:
         ],
     )
     def test_malformed_bid_batches_raise(self, columns, complaint):
+        """What a ``bid_batch`` envelope's decode refused, a socket
+        worker refuses in a ``slice`` frame: the packed columns' unpack
+        or the frame's own check."""
         with pytest.raises(ProtocolError, match=complaint):
-            decode(_batch_payload(**columns))
+            _landed(_batch_payload(**columns))
 
     def test_the_one_row_body_decodes(self):
         """The base every malformed case above edits is itself valid."""
-        assert decode(_batch_payload()) == BidBatch((1.0,), (1,), (0,), (0,))
+        columns = _landed(_batch_payload())
+        assert [column.tolist() for column in columns] == [[1.0], [1], [0], [0]]
 
-    @given(field=st.sampled_from(_BATCH_FIELDS), text=st.text())
+    @given(dtype=st.sampled_from(["<f8", "<i8", None]), text=st.text())
     @settings(max_examples=100, deadline=None)
-    def test_text_in_a_packed_field_is_refused(self, field, text):
+    def test_text_in_a_packed_field_is_refused(self, dtype, text):
         with pytest.raises(ProtocolError, match="a packed column is an object"):
-            decode(_batch_payload(**{field: text}))
+            unpack_column(text, dtype)
 
     @given(
-        field=st.sampled_from(_BATCH_FIELDS),
+        dtype=st.sampled_from(["<f8", "<i8"]),
         data=st.binary(max_size=80).filter(lambda b: len(b) % 8),
     )
     @settings(max_examples=100, deadline=None)
-    def test_partial_cells_are_refused(self, field, data):
-        dtype = _ONE_ROW[field]["dtype"]
+    def test_partial_cells_are_refused(self, dtype, data):
         with pytest.raises(ProtocolError, match="not a whole number"):
-            decode(_batch_payload(**{field: _raw(data, dtype)}))
-
-    @given(
-        lengths=st.lists(st.integers(0, 5), min_size=4, max_size=4).filter(
-            lambda ns: len(set(ns)) > 1
-        )
-    )
-    @settings(max_examples=100, deadline=None)
-    def test_unequal_columns_are_refused(self, lengths):
-        columns = [
-            [float(n) for n in range(lengths[0])],
-            *[list(range(n)) for n in lengths[1:]],
-        ]
-        with pytest.raises(ProtocolError, match="differ in length"):
-            encode(BidBatch(*columns))
-        body = {
-            name: pack_column(column, _ONE_ROW[name]["dtype"])
-            for name, column in zip(_BATCH_FIELDS, columns)
-        }
-        with pytest.raises(ProtocolError, match="differ in length"):
-            decode(_batch_payload(**body))
+            unpack_column(_raw(data, dtype))
 
     @given(
         times=st.lists(
@@ -435,34 +420,25 @@ class TestCodec:
             "<Q", sign << 63 | 0x7FF << 52 | mantissa
         ))
         times.insert(min(at, len(times)), bad)
-        rows = list(range(len(times)))
-        with pytest.raises(ProtocolError, match="non-finite"):
-            encode(BidBatch(times, rows, rows, rows))
+        for column in (times, np.array(times)):
+            with pytest.raises(ProtocolError, match="non-finite"):
+                pack_column(column, "<f8")
         cells = b"".join(struct.pack("<d", t) for t in times)
         with pytest.raises(ProtocolError, match="non-finite"):
-            decode(_batch_payload(
-                times_ms=_raw(cells),
-                **{
-                    name: pack_column(rows, "<i8")
-                    for name in _BATCH_FIELDS[1:]
-                },
-            ))
+            unpack_column(_raw(cells), "<f8")
 
     @given(
-        field=st.sampled_from(_BATCH_FIELDS[1:]),
         value=st.one_of(
             st.integers(max_value=-(2**63) - 1), st.integers(min_value=2**63)
         ),
     )
     @settings(max_examples=100, deadline=None)
-    def test_integers_outside_int64_are_unencodable(self, field, value):
-        columns = {"times_ms": [1.0], "qids": [1], "class_indices": [0],
-                   "origin_nodes": [0], field: [value]}
+    def test_integers_outside_int64_are_unencodable(self, value):
         with pytest.raises(ProtocolError, match="cannot pack"):
-            encode(BidBatch(**columns))
+            pack_column([1, value], "<i8")
 
     @given(
-        field=st.sampled_from(_BATCH_FIELDS),
+        dtype=st.sampled_from(["<f8", "<i8", None]),
         junk=st.recursive(
             st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
             lambda inner: st.lists(inner, max_size=3)
@@ -471,12 +447,13 @@ class TestCodec:
         ),
     )
     @settings(max_examples=200, deadline=None)
-    def test_any_json_in_a_packed_field_decodes_or_is_refused(self, field, junk):
-        """Nothing but a ``BidBatch`` or a ``ProtocolError`` comes out."""
+    def test_any_json_in_a_packed_field_decodes_or_is_refused(self, dtype, junk):
+        """Nothing but cells or a ``ProtocolError`` comes out."""
         try:
-            assert isinstance(decode(_batch_payload(**{field: junk})), BidBatch)
+            cells = unpack_column(junk, dtype)
         except ProtocolError:
-            pass
+            return
+        assert cells.typecode == ("d" if junk["dtype"] == "<f8" else "q")
 
     def test_non_finite_floats_are_unencodable(self):
         quote = Quote(

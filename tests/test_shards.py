@@ -11,9 +11,10 @@ Three properties carry the whole design (see DESIGN.md §7):
   to its affinity components, takes its own boundaries and drains on
   its own, and per-node state (latency RNG streams, busy clocks) is
   keyed by node id, never by shard layout;
-* the cross-shard conversation is real protocol traffic — each shard's
-  trace slice as a few ``BidBatch`` frames, through the
-  ``repro.protocol`` codec over ``ShardTransport``.
+* the cross-shard conversation is real traffic — each shard's trace
+  slice as a few ``slice`` frames of four columns over
+  ``ShardTransport``: pickled arrays over pipes, packed columns in the
+  frame's JSON over sockets, checked where they land.
 """
 
 import dataclasses
@@ -43,13 +44,7 @@ from repro.experiments.setups import (
     two_query_world,
     zipf_world,
 )
-from repro.protocol import (
-    MAX_FRAME_BYTES,
-    BidBatch,
-    ProtocolError,
-    decode,
-    encode_frame,
-)
+from repro.protocol import MAX_FRAME_BYTES, ProtocolError, encode_frame
 from repro.sim import (
     FederationConfig,
     MetricsCollector,
@@ -574,9 +569,9 @@ def test_reconcile_counters_surface_in_batch_summary():
     assert set(MetricsCollector().batch_summary()) == _SINGLE_PROCESS_KEYS
 
 
-def test_bid_batch_rows_count_as_protocol_bids():
-    """A few ``BidBatch`` frames per shard on the wire, but ``messages``
-    keeps counting bid *rows*."""
+def test_routed_rows_count_as_protocol_bids():
+    """A few ``slice`` frames per shard on the wire, but ``messages``
+    keeps counting the bid *rows* routed to shards."""
     world, trace = _zipf_small()
     with _sharded(world, 4, "inline") as federation:
         result = federation.run(list(trace), "qa-nt")
@@ -760,8 +755,7 @@ def test_plane_that_empties_early_stops_taking_boundaries():
             key=lambda e: e.time_ms,
         )
         pending = {0: [], 1: []}
-        for shard, core in enumerate(federation.transport._cores):
-            plane = core._plane
+        for shard, plane in enumerate(federation.transport._cores):
             boundary = plane.boundary
 
             def spy(now, boundary=boundary, log=pending[shard]):
@@ -799,10 +793,18 @@ def test_row_bound_never_splits_a_tick(monkeypatch, mode):
     every frame of a shard's slice still ends on a tick edge: a tick
     handed to a plane in two ``market_tick`` calls would resync its busy
     mirror mid-tick and change the outcome.  The ``end`` frame follows
-    the last slice frame."""
+    the last slice frame.  A ``slice`` frame is its four columns as
+    arrays; on tcp each crosses packed in the frame's own JSON."""
     world, trace, oracle = _quantised_overloaded()
     assert len({e.time_ms for e in trace}) * 8 < len(trace)
     monkeypatch.setattr(shards_module, "_SLICE_ROW_BOUND", 4)
+    payloads = []
+
+    def framed(payload):
+        payloads.append(payload)
+        return encode_frame(payload)
+
+    monkeypatch.setattr(shards_module, "encode_frame", framed)
     with _overloaded(world, 2, mode) as federation:
         transport = federation.transport
         post, rounds = transport.post, []
@@ -819,14 +821,25 @@ def test_row_bound_never_splits_a_tick(monkeypatch, mode):
     for shard in range(2):
         frames = [r[shard] for r in rounds[:-1] if r[shard] is not None]
         assert {frame[0] for frame in frames} == {"slice"}
-        batches = [decode(frame[1]) for frame in frames]
-        assert all(isinstance(batch, BidBatch) for batch in batches)
+        assert all(
+            shards_module._slice_problem(frame[1:]) is None for frame in frames
+        )
         last_sent = -1.0
-        for batch in batches:
-            assert min(batch.times_ms) > last_sent  # no tick spans two
-            last_sent = max(batch.times_ms)
+        for _, times, *_ in frames:
+            assert times.min() > last_sent  # no tick spans two
+            last_sent = times.max()
         periods = math.ceil(horizon / FederationConfig().period_ms)
-        assert len(batches) > 3 * periods
+        assert len(frames) > 3 * periods
+    # What the tcp wire wrote: each slice frame's columns packed in it.
+    slices = [
+        json.loads(payload)
+        for payload in payloads
+        if payload.startswith(b'["post", ["slice"')
+    ]
+    posted = sum(frame is not None for r in rounds[:-1] for frame in r)
+    assert len(slices) == (posted if mode == "tcp" else 0)
+    for _, (_, *columns) in slices:
+        assert [column["dtype"] for column in columns] == ["<f8"] + ["<i8"] * 3
 
 
 @pytest.mark.parametrize(
@@ -1021,11 +1034,14 @@ def _plane_scripts(draw):
     return _plane_init(costs, cap, threshold, allowances), script
 
 
-def _bid_batch(rows):
+def _slice_columns(rows):
     """Arrival ``rows`` ``(qid, class, origin, arrival, 0)`` as the
-    ``BidBatch`` a plane's ``run_slice`` prices."""
+    columns a plane's ``run_slice`` prices."""
     qids, classes, origins, times, _resub = zip(*rows) if rows else [()] * 5
-    return BidBatch(times, qids, classes, origins)
+    return (
+        np.array(times, dtype=np.float64),
+        *(np.array(column, dtype=np.int64) for column in (qids, classes, origins)),
+    )
 
 
 def _run_script(init, script, crossovers=(None, 0)):
@@ -1049,7 +1065,7 @@ def _run_script(init, script, crossovers=(None, 0)):
             now += 7.0
             rows = [(qid + n, k, n, now, 0) for n, k in enumerate(step)]
             qid += len(rows)
-            plane.run_slice(_bid_batch(rows))
+            plane.run_slice(_slice_columns(rows))
             reference.market_tick(now, rows)
         _assert_same_market(plane, reference)
         yield plane
@@ -1207,7 +1223,7 @@ def test_collect_replies_with_typed_arrays():
     plane = _plane(_plane_init(_SHARED_BIDDER))
     for tick, (now, k) in enumerate(((7.0, A), (7.0, B), (9.0, A))):
         plane.run_slice(
-            _bid_batch([(3 * tick + n, k, n, now, 0) for n in range(3)])
+            _slice_columns([(3 * tick + n, k, n, now, 0) for n in range(3)])
         )
     plane.boundary(500.0)
     reply = plane.collect()
@@ -1723,6 +1739,22 @@ def _no_pending(reply):
     del reply["pending"]
 
 
+def _no_maxrss(reply):
+    del reply["maxrss_kb"]
+
+
+def _text_maxrss(reply):
+    reply["maxrss_kb"] = "big"
+
+
+def _text_self_time(reply):
+    reply["self_time_s"] = "soon"
+
+
+def _nan_self_time(reply):
+    reply["self_time_s"] = math.nan
+
+
 def _joined_text(reply):
     reply["text"] = "".join(reply["text"])
 
@@ -1768,6 +1800,10 @@ def _straddling_row(reply):
         (_eight_columns, "expected 9 outcome columns"),
         (_ragged_columns, "outcome column 3 has .* rows, column 0 has"),
         (_no_pending, "counter 'pending' is None"),
+        (_no_maxrss, "counter 'maxrss_kb' is None"),
+        (_text_maxrss, "counter 'maxrss_kb' is 'big'"),
+        (_text_self_time, "self_time_s is 'soon': expected a finite"),
+        (_nan_self_time, "self_time_s is nan: expected a finite"),
         (_joined_text, "text is not a list of ASCII strings"),
         (_non_ascii_text, "text is not a list of ASCII strings"),
         (_float_row_ends, "row_ends is not a 1-D int64 array of .* offsets"),
@@ -1781,7 +1817,8 @@ def _straddling_row(reply):
         ),
     ],
     ids=[
-        "float-qids", "eight-columns", "ragged", "no-pending", "joined-text",
+        "float-qids", "eight-columns", "ragged", "no-pending", "no-maxrss",
+        "text-maxrss", "text-self-time", "nan-self-time", "joined-text",
         "non-ascii-text", "float-row-ends", "short-row-ends",
         "stalled-row-ends", "long-text", "straddling-row", "misrendered-row",
     ],
@@ -1790,9 +1827,11 @@ def test_malformed_collect_reply_is_a_shard_failure(
     mode, mangle, complaint, monkeypatch
 ):
     """A reply's columns used to be merged unchecked: a worker that sent
-    its qids as floats finished the run with every qid truncated."""
+    its qids as floats finished the run with every qid truncated.  A
+    missing or non-numeric peak RSS or self-time escaped ``run()`` as a
+    bare ``KeyError``, ``TypeError`` or ``ValueError``."""
 
-    class _Mangling(shards_module._LocalMarketCore):
+    class _Mangling(shards_module._MarketPlane):
         def handle(self, frame):
             reply = super().handle(frame)
             if frame[0] == "collect":
@@ -1808,6 +1847,52 @@ def test_malformed_collect_reply_is_a_shard_failure(
             federation.run(list(trace), "qa-nt")
         assert (failure.value.shard, failure.value.op) == (0, "collect")
         assert isinstance(failure.value.args[2], ProtocolError)
+    finally:
+        federation.close()
+    assert multiprocessing.active_children() == []
+
+
+#: A well-formed one-row ``slice`` frame's columns.
+_ONE_ROW_SLICE = (
+    np.array([5.0]),
+    np.array([0], dtype=np.int64),
+    np.array([0], dtype=np.int64),
+    np.array([0], dtype=np.int64),
+)
+
+
+@pytest.mark.parametrize("mode", ["fork", "tcp"])
+@pytest.mark.parametrize(
+    "columns, complaint",
+    [
+        (_ONE_ROW_SLICE[:3], "expected 4 slice columns"),
+        (
+            (_ONE_ROW_SLICE[0], np.array([0.0]), *_ONE_ROW_SLICE[2:]),
+            "slice column 1 is not a 1-D int64 array",
+        ),
+        (
+            (*_ONE_ROW_SLICE[:2], np.array([0, 1]), _ONE_ROW_SLICE[3]),
+            "slice column 2 has 2 rows, column 0 has 1",
+        ),
+        ((np.array([math.nan]), *_ONE_ROW_SLICE[1:]), "non-finite"),
+    ],
+    ids=["three-columns", "float-qids", "ragged", "nan-time"],
+)
+def test_malformed_slice_frame_is_a_shard_failure(mode, columns, complaint):
+    """A worker refuses a ``slice`` frame unless it holds four 1-D
+    columns of the slice dtypes, of one length, with finite times; the
+    refusal reaches the coordinator as a ``ShardFailure`` of shard 0's
+    ``slice`` frame that names the complaint.  The tcp wire cannot pack
+    a NaN at all, so there the coordinator's write fails the shard."""
+    world, trace = _zipf_small()
+    federation = _sharded(world, 2, mode)
+    transport = federation.transport
+    try:
+        transport.exchange([("reset", True)] * 2)
+        with pytest.raises(ShardFailure, match=complaint) as failure:
+            transport.post([("slice", *columns), None])
+            transport.exchange([("collect",)] * 2)
+        assert (failure.value.shard, failure.value.op) == (0, "slice")
     finally:
         federation.close()
     assert multiprocessing.active_children() == []
