@@ -14,8 +14,7 @@ every substrate its evaluation depends on:
 * :mod:`repro.workload` — sinusoid, Zipf and uniform workload generators;
 * :mod:`repro.allocation` — QA-NT plus every baseline of Section 4;
 * :mod:`repro.protocol` — the wire: typed messages, the versioned
-  codec, packed columns, framing, and the simulator's fan-out charge
-  record;
+  codec, framing, and the simulator's fan-out charge record;
 * :mod:`repro.dbms` — a real substrate: SQLite server nodes that answer
   the protocol, and the real-time client that sends them its messages
   (the paper's Section 5.2 deployment);

@@ -18,16 +18,6 @@ is tolerant of *unknown body fields* (a newer peer may add fields; an
 older one must not choke on them) but strict about the protocol version
 and the message type — the two things that define the conversation.
 
-Columns travel *packed* (:func:`pack_column` / :func:`unpack_column`):
-a JSON object ``{"dtype": "<i8" | "<f8", "cells": <base64>}`` whose
-cells are little-endian 64-bit integers or finite doubles.  It is the
-one format the sharded engine's socket wire uses for its arrays (a
-trace slice's columns, a shard's outcome columns), so a column of *n*
-cells costs one base64 run instead of *n* printed numbers, and a float
-crosses as its eight bytes.  A packed column is refused as a whole —
-unknown dtype, invalid base64, a byte length that is not a whole number
-of cells, a non-finite double — with :class:`ProtocolError`.
-
 This package is intentionally dependency-free (standard library only) and
 fully typed: it must be importable by a process that speaks only the
 wire and has no business importing the simulator, and it is
@@ -36,13 +26,9 @@ type-checked with ``mypy --strict`` in CI.
 
 from __future__ import annotations
 
-import array
-import base64
 import json
-import math
-import sys
 from dataclasses import dataclass, fields
-from typing import Any, Dict, FrozenSet, Mapping, Optional, Sequence, Tuple, Union
+from typing import FrozenSet, Mapping, Tuple, Union
 
 __all__ = [
     "PROTOCOL_VERSION",
@@ -57,8 +43,6 @@ __all__ = [
     "message_tag",
     "encode",
     "decode",
-    "pack_column",
-    "unpack_column",
 ]
 
 #: Version of the wire envelope.  Bump only on incompatible changes; the
@@ -70,105 +54,6 @@ PROTOCOL_VERSION = 2
 
 class ProtocolError(ValueError):
     """A payload that does not parse as a valid protocol message."""
-
-
-# -- packed columns ------------------------------------------------------------
-
-#: Packed-column dtype tag (numpy's ``dtype.str`` spelling) → the
-#: :mod:`array` type code of its eight-byte cells.
-_PACKED_DTYPES: Mapping[str, str] = {"<i8": "q", "<f8": "d"}
-
-#: ``memoryview`` formats a buffer may have to be copied as cells of a
-#: type code (``"l"`` is numpy's native int64 on LP64 platforms).
-_BUFFER_FORMATS: Mapping[str, Tuple[str, ...]] = {"q": ("q", "l"), "d": ("d",)}
-
-
-def _cells(values: Any, code: str) -> array.array[Any]:
-    """``values`` as native cells of type ``code``: one copy of a
-    contiguous 1-D buffer of that cell type (a numpy column), or a
-    checked conversion of any other sequence."""
-    view: Optional[memoryview]
-    try:
-        view = memoryview(values)
-    except TypeError:  # not a buffer: converted cell by cell below
-        view = None
-    cells: array.array[Any] = array.array(code)
-    if (
-        view is not None
-        and view.ndim == 1
-        and view.c_contiguous
-        and view.itemsize == cells.itemsize
-        and view.format in _BUFFER_FORMATS[code]
-    ):
-        cells.frombytes(view.cast("B"))
-        return cells
-    try:
-        cells.extend(iter(values))
-    except (TypeError, OverflowError) as exc:
-        raise ProtocolError("cannot pack %s cells: %s" % (code, exc)) from exc
-    return cells
-
-
-def _check_finite(cells: array.array[Any]) -> None:
-    if cells.typecode == "d" and not all(map(math.isfinite, cells)):
-        raise ProtocolError("a packed <f8 column holds a non-finite cell")
-
-
-def pack_column(values: Sequence[Any], dtype: str) -> Dict[str, str]:
-    """One column as a packed object ``{"dtype": dtype, "cells": b64}``.
-
-    ``dtype`` is ``"<i8"`` or ``"<f8"``; ``values`` is any sequence of
-    integers or numbers, or a contiguous buffer of such cells (a numpy
-    int64 / float64 column is copied as it is).  A value outside int64,
-    a non-number, or a non-finite double raises :class:`ProtocolError`.
-    """
-    code = _PACKED_DTYPES.get(dtype)
-    if code is None:
-        raise ProtocolError("unknown packed dtype %r" % (dtype,))
-    cells = _cells(values, code)
-    _check_finite(cells)
-    if sys.byteorder == "big":  # pragma: no cover
-        cells.byteswap()
-    return {"dtype": dtype, "cells": base64.b64encode(cells).decode("ascii")}
-
-
-def unpack_column(
-    packed: object, dtype: Optional[str] = None
-) -> array.array[Any]:
-    """The cells of one packed column, in native byte order.
-
-    ``dtype``, when given, is the tag the column must carry.  Anything
-    but a ``{"dtype", "cells"}`` object of a known tag, valid base64 and
-    a whole number of finite cells raises :class:`ProtocolError`.
-    """
-    if not isinstance(packed, dict) or packed.keys() != {"dtype", "cells"}:
-        raise ProtocolError(
-            "a packed column is an object of dtype and cells, got %.60r"
-            % (packed,)
-        )
-    tag, text = packed["dtype"], packed["cells"]
-    code = _PACKED_DTYPES.get(tag) if isinstance(tag, str) else None
-    if code is None:
-        raise ProtocolError("unknown packed dtype %.30r" % (tag,))
-    if dtype is not None and tag != dtype:
-        raise ProtocolError("packed column has dtype %r, not %r" % (tag, dtype))
-    if not isinstance(text, str):
-        raise ProtocolError("packed cells must be a base64 string")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError as exc:  # binascii.Error, or a non-ASCII string
-        raise ProtocolError("packed cells are not base64: %s" % exc) from exc
-    cells: array.array[Any] = array.array(code)
-    if len(raw) % cells.itemsize:
-        raise ProtocolError(
-            "%d packed bytes are not a whole number of %d-byte cells"
-            % (len(raw), cells.itemsize)
-        )
-    cells.frombytes(raw)
-    if sys.byteorder == "big":  # pragma: no cover
-        cells.byteswap()
-    _check_finite(cells)
-    return cells
 
 
 # -- messages ------------------------------------------------------------------

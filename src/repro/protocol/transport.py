@@ -2,8 +2,8 @@
 
 Two things live here.  The length-prefix framing (:func:`encode_frame` /
 :class:`FrameDecoder`) of the sharded engine's socket wire: a 4-byte
-big-endian length, then one :func:`repro.protocol.messages.encode`
-payload.  And :class:`FanoutResult`, the simulator's charge record of
+big-endian length, then one payload (the sharded engine's is a JSON
+header and raw attachments).  And :class:`FanoutResult`, the simulator's charge record of
 one request/reply fan-out, which ``repro.sim.network.Network.fanout``
 returns without building payloads:
 
@@ -59,13 +59,12 @@ def frame_header(length: int) -> bytes:
 
 
 def encode_frame(payload: bytes) -> bytes:
-    """Wrap one codec payload in the transport's length-prefix framing.
+    """Wrap one payload in the transport's length-prefix framing.
 
     The socket-backed shard transport (``repro.sim.shards.ShardTransport``
-    ``mode="tcp"``) moves :func:`repro.protocol.messages.encode` payloads
-    over a byte stream; this 4-byte big-endian length prefix
-    (:func:`frame_header`) is the only thing the wire adds — the payload
-    itself is the codec's business.
+    ``mode="tcp"``) moves payloads over a byte stream; this 4-byte
+    big-endian length prefix (:func:`frame_header`) is the only thing the
+    wire adds — the payload itself is the codec's business.
     """
     return frame_header(len(payload)) + payload
 
@@ -85,22 +84,26 @@ class FrameDecoder:
         self._buffer = bytearray()
 
     def feed(self, data: bytes) -> List[bytes]:
-        """Absorb ``data``; return every frame completed by it, in order."""
+        """Absorb ``data``; return every frame completed by it, in order.
+
+        Each frame is copied once, out of a view of the buffer that is
+        released before the buffer drops the frames' bytes."""
         self._buffer.extend(data)
         frames: List[bytes] = []
         offset = 0
         size = len(self._buffer)
-        while size - offset >= _FRAME_HEADER.size:
-            (length,) = _FRAME_HEADER.unpack_from(self._buffer, offset)
-            if length > MAX_FRAME_BYTES:
-                raise ValueError(
-                    "frame length %d exceeds MAX_FRAME_BYTES" % length
-                )
-            if size - offset - _FRAME_HEADER.size < length:
-                break
-            start = offset + _FRAME_HEADER.size
-            frames.append(bytes(self._buffer[start : start + length]))
-            offset = start + length
+        with memoryview(self._buffer) as view:
+            while size - offset >= _FRAME_HEADER.size:
+                (length,) = _FRAME_HEADER.unpack_from(view, offset)
+                if length > MAX_FRAME_BYTES:
+                    raise ValueError(
+                        "frame length %d exceeds MAX_FRAME_BYTES" % length
+                    )
+                if size - offset - _FRAME_HEADER.size < length:
+                    break
+                start = offset + _FRAME_HEADER.size
+                frames.append(view[start : start + length].tobytes())
+                offset = start + length
         if offset:
             del self._buffer[:offset]
         return frames

@@ -396,15 +396,15 @@ class MetricsCollector:
 
     def rendered_outcome_digest(
         self,
-        texts: Sequence[str],
+        texts: Sequence[bytes],
         which: np.ndarray,
         starts: np.ndarray,
         ends: np.ndarray,
     ) -> str:
         """:meth:`outcome_digest` of this table, whose row ``i`` was
-        rendered elsewhere (:func:`render_outcome_rows`) as
-        ``texts[which[i]][starts[i]:ends[i]]``; a row whose ``which`` is
-        -1 has no text and is rendered here."""
+        rendered elsewhere (:func:`render_outcome_rows`) and encoded as
+        ASCII, ``texts[which[i]][starts[i]:ends[i]]``; a row whose
+        ``which`` is -1 has no text and is rendered here."""
         digest = hashlib.sha256()
         table = self._table
         for lo in range(0, len(ends), _DIGEST_ROWS):
@@ -417,12 +417,12 @@ class MetricsCollector:
                 )
             )
             rows = [
-                texts[t][s:e] if t >= 0 else next(fresh)
+                texts[t][s:e] if t >= 0 else next(fresh).encode()
                 for t, s, e in zip(
                     chunk.tolist(), starts[lo:hi].tolist(), ends[lo:hi].tolist()
                 )
             ]
-            digest.update("".join(rows).encode())
+            digest.update(b"".join(rows))
         return digest.hexdigest()
 
     # -- per-period series (the x-axes of Figs. 3-5) ----------------------------------

@@ -28,9 +28,10 @@ single-process dispatcher holds over the period engine's lanes — and
 within a period answers a *closed* class (no supply left, every bidder
 latched) with the price raise alone (:meth:`_MarketPlane._closed_raises`).
 ``mode="tcp"`` runs the same
-workers behind length-prefixed JSON frames over localhost sockets (the
-:mod:`repro.protocol.transport` framing helpers), so shards can span
-machines.
+workers behind length-prefixed frames over localhost sockets (the
+:mod:`repro.protocol.transport` framing helpers; a JSON header, then the
+arrays and rendered rows as raw attachments, :func:`_wire_encode`), so
+shards can span machines.
 
 Determinism is the design's backbone:
 
@@ -95,7 +96,7 @@ from ..core.qant import (
     DEFAULT_ALLOWANCE_FACTOR,
     QantParameters,
 )
-from ..protocol.messages import ProtocolError, pack_column, unpack_column
+from ..protocol.messages import ProtocolError
 from ..allocation.market_tick import LaneBlock, check_raise_terms
 from ..protocol.transport import FrameDecoder, encode_frame, frame_header
 from ..workload.trace import trace_columns
@@ -837,11 +838,12 @@ class _MarketPlane:
         The rows leave as the outcome digest hashes them
         (:func:`~repro.sim.metrics.render_outcome_rows`), rendered here
         so that the shards render in parallel: ``text`` is a list of
-        ASCII chunks of up to :data:`_RENDER_ROWS` whole rows, never
-        joined here, and ``row_ends`` each row's int64 end offset in
-        their concatenation.  The coordinator's own plane would render
-        in the coordinator either way, so it leaves its rows to the
-        digest (:meth:`ShardedRunResult.outcome_digest`).
+        ASCII ``bytes`` chunks of up to :data:`_RENDER_ROWS` whole rows,
+        never joined here (on tcp each crosses as a raw attachment,
+        :func:`_wire_encode`), and ``row_ends`` each row's int64 end
+        offset in their concatenation.  The coordinator's own plane
+        would render in the coordinator either way, so it leaves its
+        rows to the digest (:meth:`ShardedRunResult.outcome_digest`).
         """
         reply = self.outcome()
         cols = self._cols
@@ -852,7 +854,7 @@ class _MarketPlane:
                 [column[lo : lo + _RENDER_ROWS].tolist() for column in cols]
             )
             lengths.extend(map(len, rows))
-            chunks.append("".join(rows))
+            chunks.append("".join(rows).encode("ascii"))
         reply["text"] = chunks
         reply["row_ends"] = np.cumsum(np.frombuffer(lengths, dtype=np.int64))
         return reply
@@ -988,7 +990,13 @@ def _serve(peer, core) -> None:
     but ``close`` gets the failure (:func:`_failure_reply`) instead of
     its reply, which the coordinator raises as a :class:`ShardFailure`:
     a posted frame has no reply of its own, so its failure waits for the
-    next barrier, and the frames posted after it are skipped.
+    next barrier, and the frames posted after it are skipped.  A tcp
+    frame this worker cannot read, or one that is not an op and its
+    arguments (:func:`_frame_problem`), fails the same way; as it may
+    have been posted, it is not answered.  A stream whose length prefix
+    is hostile cannot be read past: the worker answers it with the
+    failure at once and exits.  A reply the wire cannot carry is
+    replaced by the failure it raised.
     """
     _log.debug("shard worker %d started", os.getpid())
     handle = core.handle
@@ -996,7 +1004,20 @@ def _serve(peer, core) -> None:
     while True:
         try:
             frame = peer.recv()
+            problem = _frame_problem(frame)
+            if problem is not None:
+                raise ProtocolError(problem)
         except (EOFError, OSError):  # pragma: no cover - parent died
+            break
+        except ProtocolError:  # a whole frame, unreadable
+            failure = _failure_reply(None)
+            handle = _skip_frame
+            continue
+        except ValueError:  # a hostile length prefix: the stream is lost
+            try:
+                peer.send(_failure_reply(None))
+            except OSError:
+                pass
             break
         if frame[0] == "post":
             try:
@@ -1017,7 +1038,14 @@ def _serve(peer, core) -> None:
                 reply = failure = _failure_reply(frame[0])
                 handle = _skip_frame
         try:
-            peer.send(reply)
+            try:
+                peer.send(reply)
+            except (ValueError, TypeError):  # a reply the wire cannot
+                # carry (a non-finite float64 cell, over MAX_FRAME_BYTES):
+                # none of it was written, so the failure goes instead
+                reply = failure = _failure_reply(frame[0])
+                handle = _skip_frame
+                peer.send(reply)
         except OSError:  # the coordinator died or stopped reading
             break
         if closing:
@@ -1026,8 +1054,25 @@ def _serve(peer, core) -> None:
     _log.debug("shard worker %d exits", os.getpid())
 
 
-def _failure_reply(op: str) -> Dict[str, str]:
-    """Log the exception being handled; the reply that carries it."""
+def _frame_problem(frame) -> Optional[str]:
+    """Why ``frame`` is not a list or tuple led by its op (a string), or
+    ``("post", frame)`` around one; or None."""
+    if isinstance(frame, (list, tuple)) and frame and frame[0] == "post":
+        if len(frame) != 2:
+            return "a post frame is (\"post\", frame), not %d items" % len(frame)
+        frame = frame[1]
+    if isinstance(frame, (list, tuple)) and frame and isinstance(frame[0], str):
+        return None
+    return "a frame is a list led by its op, not %.80r" % (frame,)
+
+
+def _failure_reply(op: Optional[str]) -> Dict[str, str]:
+    """Log the exception being handled; the reply that carries it.  A
+    frame the worker could not read has no ``op``: the coordinator
+    names the op of the barrier that reads the failure."""
+    if op is None:
+        _log.exception("shard worker %d could not read a frame", os.getpid())
+        return {"error": traceback.format_exc()}
     _log.exception("shard worker %d failed on a %r frame", os.getpid(), op)
     return {"error": traceback.format_exc(), "op": op}
 
@@ -1066,26 +1111,156 @@ def _shard_worker(conn, init: Mapping[str, object], index: int) -> None:
     _serve(conn, _make_core(init))
 
 
-def _wire_default(obj):
-    """``json.dumps`` fallback for numpy values in wire frames: an array
-    crosses packed (:func:`~repro.protocol.messages.pack_column`), a
-    numpy scalar as its Python value."""
-    if isinstance(obj, np.ndarray):
-        return pack_column(obj, obj.dtype.str)
-    if isinstance(obj, np.generic):
-        return obj.item()
-    raise TypeError(
-        "cannot serialise %r for the shard wire" % type(obj).__name__
-    )
+#: Attachment tags of a tcp frame (:func:`_wire_encode`): numpy's
+#: ``dtype.str`` of the two column dtypes, each cell eight little-endian
+#: bytes, and ``"bytes"``, raw bytes as they are (a plane's rendered
+#: rows, ASCII).
+_ATTACHMENT_DTYPES = {"<i8": np.dtype("<i8"), "<f8": np.dtype("<f8")}
+_BYTES_TAG = "bytes"
+
+#: A tcp frame's payload starts with its JSON header's byte length and
+#: its attachment count, 4-byte unsigned big-endian each.
+_WIRE_PREFIX = struct.Struct(">II")
+
+#: Zero bytes that pad an attachment to the next eight-byte boundary, so
+#: every column starts aligned in the received frame.
+_PAD = bytes(8)
 
 
-def _wire_hook(obj: Dict[str, object]):
-    """``json.loads`` object hook, the inverse of :func:`_wire_default`:
-    an object of ``dtype`` and ``cells`` is a packed column and comes
-    back as an array, or its frame is refused
-    (:class:`~repro.protocol.messages.ProtocolError`, a ``ValueError``)."""
-    if "dtype" in obj and "cells" in obj:
-        return np.frombuffer(unpack_column(obj), dtype=obj["dtype"])
+def _wire_encode(obj) -> Tuple[bytes, List[memoryview]]:
+    """``obj`` as a tcp frame payload: its head (prefix and JSON header)
+    and its attachments, the buffers that follow the head in order.
+
+    ``json.dumps`` writes the header and lifts what JSON cannot spell
+    (its ``default``): a 1-D int64 or finite float64 array, or a
+    ``bytes`` object, becomes an attachment, and the header holds
+    ``{"@": tag, "at": offset, "n": length}`` in its place, ``offset``
+    counted from the end of the head; a numpy scalar crosses as its
+    Python value.  Any other array, or a non-finite cell, is refused
+    with :class:`~repro.protocol.messages.ProtocolError`, and an object
+    JSON cannot spell with ``TypeError``, before anything is written.
+    The head is padded with spaces, and each attachment with zero
+    bytes, to a multiple of eight bytes.
+    """
+    buffers: List[memoryview] = []
+    size = count = 0
+
+    def lift(value):
+        nonlocal size, count
+        if isinstance(value, np.ndarray):
+            tag = value.dtype.str
+            if tag not in _ATTACHMENT_DTYPES or value.ndim != 1:
+                raise ProtocolError(
+                    "a %d-D %s array cannot cross the shard wire"
+                    % (value.ndim, tag)
+                )
+            if tag == "<f8" and not np.isfinite(value).all():
+                raise ProtocolError("a <f8 column holds a non-finite cell")
+            data = memoryview(np.ascontiguousarray(value)).cast("B")
+        elif isinstance(value, bytes):
+            tag, data = _BYTES_TAG, memoryview(value)
+        elif isinstance(value, np.generic):
+            return value.item()
+        else:
+            raise TypeError(
+                "cannot serialise %r for the shard wire" % type(value).__name__
+            )
+        reference = {"@": tag, "at": size, "n": len(data)}
+        buffers.append(data)
+        pad = -len(data) % 8
+        if pad:
+            buffers.append(memoryview(_PAD)[:pad])
+        size += len(data) + pad
+        count += 1
+        return reference
+
+    header = json.dumps(obj, separators=(",", ":"), default=lift).encode("ascii")
+    header += b" " * (-(_WIRE_PREFIX.size + len(header)) % 8)
+    return _WIRE_PREFIX.pack(len(header), count) + header, buffers
+
+
+def _wire_decode(payload: bytes):
+    """The object :func:`_wire_encode` wrote as ``payload``.
+
+    Columns come back as read-only arrays over ``payload``
+    (``np.frombuffer``), ``bytes`` attachments as copies.  Socket bytes
+    are outside input, so the payload is refused whole, with
+    :class:`~repro.protocol.messages.ProtocolError`, for a header that
+    is not ASCII JSON or runs past the payload, and for an attachment
+    reference that is not exactly ``{"@": tag, "at": offset, "n":
+    length}``, whose tag is unknown, whose bytes lie outside the payload
+    or overlap another's, whose length is not a whole number of cells, or
+    whose float64 cells are not all finite; and when the header holds
+    another number of references than the prefix counts, which is how a
+    payload dict that happens to hold the key ``"@"`` is refused.
+    """
+    if len(payload) < _WIRE_PREFIX.size:
+        raise ProtocolError("a frame of %d bytes has no header" % len(payload))
+    header_bytes, count = _WIRE_PREFIX.unpack_from(payload)
+    base = _WIRE_PREFIX.size + header_bytes
+    room = len(payload) - base
+    if room < 0:
+        raise ProtocolError(
+            "the %d-byte header runs past the %d-byte frame"
+            % (header_bytes, len(payload))
+        )
+    spans: List[Tuple[int, int]] = []
+
+    def attachment(obj: Dict[str, object]):
+        if "@" not in obj:
+            return obj
+        tag, at, n = obj.get("@"), obj.get("at"), obj.get("n")
+        if obj.keys() != {"@", "at", "n"} or not isinstance(tag, str):
+            raise ProtocolError(
+                "an attachment reference is {\"@\": tag, \"at\": offset, "
+                "\"n\": length}, not %r" % (obj,)
+            )
+        if type(at) is not int or type(n) is not int:
+            raise ProtocolError(
+                "an attachment's offset and length must be ints, not %.30r "
+                "and %.30r" % (at, n)
+            )
+        if not 0 <= at <= room - n or n < 0:
+            raise ProtocolError(
+                "an attachment of %d bytes at %d lies outside the %d bytes "
+                "after the header" % (n, at, room)
+            )
+        spans.append((at, n))
+        if tag == _BYTES_TAG:
+            return payload[base + at : base + at + n]
+        dtype = _ATTACHMENT_DTYPES.get(tag)
+        if dtype is None:
+            raise ProtocolError("unknown attachment tag %r" % (tag,))
+        if n % dtype.itemsize:
+            raise ProtocolError(
+                "a %s attachment of %d bytes is not a whole number of "
+                "%d-byte cells" % (tag, n, dtype.itemsize)
+            )
+        cells = np.frombuffer(payload, dtype, n // dtype.itemsize, base + at)
+        if tag == "<f8" and not np.isfinite(cells).all():
+            raise ProtocolError("a <f8 attachment holds a non-finite cell")
+        return cells
+
+    try:
+        obj = json.loads(
+            payload[_WIRE_PREFIX.size : base].decode("ascii"),
+            object_hook=attachment,
+        )
+    except ProtocolError:
+        raise
+    except (ValueError, RecursionError) as error:
+        raise ProtocolError("the frame's header is not JSON: %s" % error) from error
+    if len(spans) != count:
+        raise ProtocolError(
+            "the header references %d attachments, the prefix counts %d"
+            % (len(spans), count)
+        )
+    spans.sort()
+    for (at, n), (next_at, _) in zip(spans, spans[1:]):
+        if next_at < at + n:
+            raise ProtocolError(
+                "attachments at %d and %d overlap" % (at, next_at)
+            )
     return obj
 
 
@@ -1094,46 +1269,23 @@ def _wire_hook(obj: Dict[str, object]):
 #: :func:`~repro.protocol.transport.encode_frame`, which is where the
 #: repo benchmark's ledger counts the coordinator's frame bytes
 #: (``protocol.frame_bytes``); every frame the coordinator sends is
-#: below it (a 2,048-row ``slice`` frame is about 88 KB).  Above it is a
-#: shard's ``collect`` reply, megabytes of rows: joined, its text, bytes
-#: and frame at once cost ``zipf_planes_tcp`` 4.5 MB (4 %) more
-#: ``peak_rss_mb`` than piece by piece.
+#: below it (a 2,048-row ``slice`` frame is about 66 KB).  Above it is a
+#: shard's ``collect`` reply, megabytes of columns and rows: joined, its
+#: payload and frame at once would be two more copies of it.
 _JOINED_FRAME_BYTES = 1 << 20
 
 
-def _json_pieces(obj, depth: int = 2) -> List[str]:
-    """``json.dumps(obj, default=_wire_default)`` as ASCII pieces whose
-    concatenation is exactly that text: lists, tuples and str-keyed
-    dicts are opened ``depth`` levels down, so one piece holds at most
-    one member of theirs (a text chunk, a packed column)."""
-    if depth and isinstance(obj, (list, tuple)):
-        opening, closing = "[", "]"
-        heads = [""] * len(obj)
-        members = obj
-    elif depth and isinstance(obj, dict) and all(isinstance(k, str) for k in obj):
-        opening, closing = "{", "}"
-        heads = [json.dumps(key) + ": " for key in obj]
-        members = obj.values()
-    else:
-        return [json.dumps(obj, default=_wire_default)]
-    pieces = [opening]
-    for n, (head, member) in enumerate(zip(heads, members)):
-        pieces.append(", " + head if n else head)
-        pieces.extend(_json_pieces(member, depth - 1))
-    pieces.append(closing)
-    return pieces
-
-
 class _WireChannel:
-    """One JSON-frame byte stream over a connected socket.
+    """One frame byte stream over a connected socket.
 
-    Frames are ``json.dumps`` payloads wrapped in the protocol layer's
-    length-prefix framing (:func:`repro.protocol.transport.encode_frame`
-    / :class:`~repro.protocol.transport.FrameDecoder`), so both ends
-    reassemble partial reads deterministically.  Arrays cross as packed
-    columns (their eight-byte cells, :func:`_wire_default` /
-    :func:`_wire_hook`) and JSON round-trips the remaining floats exactly
-    (shortest-repr), which is what keeps tcp mode bit-identical to pipes.
+    Frames are :func:`_wire_encode` payloads wrapped in the protocol
+    layer's length-prefix framing (:func:`repro.protocol.transport
+    .encode_frame` / :class:`~repro.protocol.transport.FrameDecoder`), so
+    both ends reassemble partial reads deterministically.  Arrays and
+    rendered rows cross as raw attachments after a JSON header (a float
+    as its eight bytes), and JSON round-trips the remaining floats
+    exactly (shortest-repr), which is what keeps tcp mode bit-identical
+    to pipes.
     """
 
     def __init__(self, sock: socket.socket) -> None:
@@ -1147,18 +1299,17 @@ class _WireChannel:
     def send(self, obj) -> None:
         """Write ``obj`` as one frame.  A payload of over
         :data:`_JOINED_FRAME_BYTES` (a ``collect`` reply) goes as its
-        length prefix, then piece by piece (:func:`_json_pieces`), never
-        joined into one text or one frame; a smaller one goes joined,
-        in one write.  The bytes on the socket are the same."""
-        pieces = _json_pieces(obj)
-        # ASCII (json.dumps escapes the rest): one byte a character.
-        size = sum(map(len, pieces))
+        length prefix and head, then attachment by attachment, never
+        joined; a smaller one goes joined, in one write.  The bytes on
+        the socket are the same."""
+        head, buffers = _wire_encode(obj)
+        size = len(head) + sum(map(len, buffers))
         if size <= _JOINED_FRAME_BYTES:
-            self._sock.sendall(encode_frame("".join(pieces).encode("ascii")))
+            self._sock.sendall(encode_frame(b"".join([head, *buffers])))
             return
-        self._sock.sendall(frame_header(size))
-        for piece in pieces:
-            self._sock.sendall(piece.encode("ascii"))
+        self._sock.sendall(frame_header(size) + head)
+        for buffer in buffers:
+            self._sock.sendall(buffer)
 
     def _read(self) -> None:
         data = self._sock.recv(1 << 16)
@@ -1169,7 +1320,7 @@ class _WireChannel:
     def recv(self):
         while not self._frames:
             self._read()
-        return json.loads(self._frames.popleft(), object_hook=_wire_hook)
+        return _wire_decode(self._frames.popleft())
 
     def poll(self, timeout: float) -> bool:
         """Whether a whole frame is in within ``timeout`` seconds, like
@@ -1294,7 +1445,8 @@ class ShardTransport:
     ``mode="inline"`` runs the identical cores in-process and hands them
     the frames as they are — the equivalence tests pin fork == inline
     bit-for-bit.  ``mode="tcp"`` forks the same workers but
-    moves every frame as length-prefixed JSON over localhost sockets
+    moves every frame as a length-prefixed JSON header and raw
+    attachments (:func:`_wire_encode`) over localhost sockets
     (the :mod:`repro.protocol.transport` framing helpers), the
     machine-spanning wire: workers receive even their shard spec over
     the socket, so only the fork itself is process-local.  Worker
@@ -1461,7 +1613,7 @@ class ShardTransport:
             self._peers[shard].send(frame)
         except (OSError, ValueError) as error:
             # ValueError: a frame the tcp wire cannot carry, such as a
-            # non-finite float in a packed column; nothing was written.
+            # non-finite float in a float64 column; nothing was written.
             op = frame[1][0] if frame[0] == "post" else frame[0]
             if isinstance(error, BlockingIOError):  # the send deadline
                 _log.warning(
@@ -1490,9 +1642,9 @@ class ShardTransport:
                     )
                 return reply
         except (EOFError, OSError, ValueError) as error:
-            # ValueError: a tcp frame that is not JSON, or whose length
-            # prefix exceeds MAX_FRAME_BYTES -- socket bytes are outside
-            # input.
+            # ValueError: a tcp frame _wire_decode refuses, or whose
+            # length prefix exceeds MAX_FRAME_BYTES -- socket bytes are
+            # outside input.
             raise ShardFailure(shard, op, error) from error
         _log.warning(
             "shard %d sent no %r reply within %g s",
@@ -1609,7 +1761,7 @@ class ShardedRunResult:
     #: and start and end offset in it, in table order (``None`` at
     #: ``shards=1``, where the collector renders its own).
     rendered: Optional[
-        Tuple[List[str], np.ndarray, np.ndarray, np.ndarray]
+        Tuple[List[bytes], np.ndarray, np.ndarray, np.ndarray]
     ] = field(default=None, repr=False, compare=False)
 
     @property
@@ -1689,7 +1841,7 @@ class ShardedRunResult:
 
 
 def _locate_rows(
-    text: Sequence[str], ends: np.ndarray
+    text: Sequence[bytes], ends: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each row's chunk of ``text`` and its start and end offsets in that
     chunk, for rows ending at ``ends`` in the chunks' concatenation.  A
@@ -1709,7 +1861,7 @@ _CHECK_EVERY = 256
 def _misrendered_row(
     columns: Sequence[np.ndarray],
     order: np.ndarray,
-    texts: Sequence[str],
+    texts: Sequence[bytes],
     rows: Sequence[np.ndarray],
     shard_rows: Sequence[int],
 ) -> Optional[Tuple[int, int]]:
@@ -1744,7 +1896,7 @@ def _misrendered_row(
     expected = render_outcome_rows([column[at].tolist() for column in columns])
     which, first, last = (part[sample].tolist() for part in rows)
     for n, row in enumerate(expected):
-        if texts[which[n]][first[n] : last[n]] != row:
+        if texts[which[n]][first[n] : last[n]] != row.encode("ascii"):
             shard = int(np.searchsorted(ends, sample[n], side="right"))
             return shard, int(at[n])
     return None
@@ -1756,7 +1908,7 @@ def _collect_reply_problem(reply) -> Optional[str]:
 
     A worker's reply is outside input: it must carry nine 1-D outcome
     columns of :data:`~repro.sim.metrics.OUTCOME_DTYPES` and equal
-    length, its rows' text as a list of ASCII strings with one
+    length, its rows' text as a list of ASCII byte strings with one
     increasing int64 end offset per row, the last at the text's length
     and no row across two chunks, non-negative int counters and peak
     RSS, and a finite non-negative self-time (unchecked, a float qid
@@ -1768,7 +1920,7 @@ def _collect_reply_problem(reply) -> Optional[str]:
         return problem
     text = reply.get("text")
     if not isinstance(text, list) or not all(
-        isinstance(chunk, str) and chunk.isascii() for chunk in text
+        isinstance(chunk, bytes) and chunk.isascii() for chunk in text
     ):
         return "the rows' text is not a list of ASCII strings"
     ends = reply.get("row_ends")
@@ -2126,7 +2278,7 @@ class ShardedFederation:
         peak_kb = 0
         # Every shard's text chunks in one list, never joined: a row is a
         # slice of one chunk.
-        texts: List[str] = []
+        texts: List[bytes] = []
         located = []
         shard_rows = []
         for shard, reply in enumerate(replies):

@@ -1,12 +1,13 @@
-"""Tests of the wire (repro.protocol).
+"""Tests of the wire (repro.protocol, and the sharded engine's tcp frames).
 
 Three concerns:
 
 * the versioned JSON codec — hypothesis round-trip identity for every
   message type, unknown-field tolerance, version pinning, and strict
-  rejection of malformed envelopes; packed columns and the bid batches
-  (``slice`` frames) the sharded engine's socket wire carries in them —
-  strict rejection of hostile cells and malformed batches;
+  rejection of malformed envelopes; the sharded engine's tcp frame
+  codec (a JSON header, then raw attachments) and the bid batches
+  (``slice`` frames) it carries — bit-for-bit round trips, and strict
+  rejection of hostile references, cells and malformed batches;
 * the length-prefix framing — any payloads cut anywhere come back in
   order, and a hostile length prefix is refused;
 * sim-vs-protocol equivalence — ``Network.fanout``'s FanoutResult must
@@ -14,7 +15,6 @@ Three concerns:
   on seeded runs, in both fault regimes.
 """
 
-import base64
 import json
 import math
 import struct
@@ -37,9 +37,13 @@ from repro.protocol import (
     encode,
     message_tag,
 )
-from repro.protocol.messages import pack_column, unpack_column
 from repro.sim.faults import FaultInjector, FaultSpec
-from repro.sim.shards import _slice_problem, _wire_default, _wire_hook
+from repro.sim.shards import (
+    _WIRE_PREFIX,
+    _slice_problem,
+    _wire_decode,
+    _wire_encode,
+)
 
 # ------------------------------------------------------------------ codec
 
@@ -83,39 +87,143 @@ def _envelope(tag, body):
     return '{"v": %d, "type": "%s", "body": %s}' % (PROTOCOL_VERSION, tag, body)
 
 
-def _raw(data, dtype="<f8"):
-    """A packed column object around arbitrary cell bytes."""
-    return {"dtype": dtype, "cells": base64.b64encode(data).decode("ascii")}
-
-
-#: One well-formed row of a bid batch: a ``slice`` frame's four columns,
-#: packed as the sharded engine's socket wire carries them.
-_ONE_ROW = {
-    "times_ms": pack_column([1.0], "<f8"),
-    "qids": pack_column([1], "<i8"),
-    "class_indices": pack_column([0], "<i8"),
-    "origin_nodes": pack_column([0], "<i8"),
-}
-_BATCH_FIELDS = tuple(_ONE_ROW)
 _ABSENT = object()
 
 
+class _Cells:
+    """One attachment of a hand-built tcp frame (:func:`_wire_payload`):
+    ``data`` after the header, and in the header a reference to it whose
+    fields ``fields`` override (``_ABSENT`` drops one)."""
+
+    def __init__(self, tag, data, **fields):
+        self.tag, self.data, self.fields = tag, data, fields
+
+
+def _wire_payload(frame, count=None):
+    """``frame`` as a tcp frame payload, laid out by hand as
+    :func:`_wire_encode` lays it out, so that a test can write what the
+    encoder never would: each array and :class:`_Cells` becomes an
+    attachment, and the prefix counts ``count`` references (default: as
+    many as were written)."""
+    attachments = bytearray()
+    written = 0
+
+    def lift(value):
+        nonlocal written
+        if isinstance(value, np.ndarray):
+            value = _Cells(value.dtype.str, value.tobytes())
+        if not isinstance(value, _Cells):
+            raise TypeError(type(value).__name__)
+        reference = {"@": value.tag, "at": len(attachments), "n": len(value.data)}
+        reference.update(value.fields)
+        attachments.extend(value.data + bytes(-len(value.data) % 8))
+        written += 1
+        return {k: v for k, v in reference.items() if v is not _ABSENT}
+
+    header = json.dumps(frame, separators=(",", ":"), default=lift)
+    header = header.encode("ascii")
+    header += b" " * (-(_WIRE_PREFIX.size + len(header)) % 8)
+    prefix = _WIRE_PREFIX.pack(len(header), written if count is None else count)
+    return prefix + header + bytes(attachments)
+
+
+def _encoded(frame):
+    """:func:`_wire_encode`'s payload of ``frame``, joined."""
+    head, buffers = _wire_encode(frame)
+    return b"".join([head, *buffers])
+
+
+#: One well-formed row of a bid batch: a ``slice`` frame's four columns,
+#: which the sharded engine's socket wire carries as attachments.
+_ONE_ROW = {
+    "times_ms": np.array([1.0]),
+    "qids": np.array([1], dtype=np.int64),
+    "class_indices": np.array([0], dtype=np.int64),
+    "origin_nodes": np.array([0], dtype=np.int64),
+}
+_BATCH_FIELDS = tuple(_ONE_ROW)
+_ONE_CELL = struct.pack("<q", 1)
+
+
 def _batch_payload(**columns):
-    """A ``slice`` frame's JSON on the socket wire: :data:`_ONE_ROW` with
-    ``columns`` swapped in (``_ABSENT`` drops one)."""
+    """A ``slice`` frame's payload on the socket wire: :data:`_ONE_ROW`
+    with ``columns`` swapped in (``_ABSENT`` drops one)."""
     body = {**_ONE_ROW, **columns}
-    return json.dumps(["slice", *(v for v in body.values() if v is not _ABSENT)])
+    return _wire_payload(
+        ["slice", *(v for v in body.values() if v is not _ABSENT)]
+    )
 
 
 def _landed(payload):
-    """A ``slice`` frame's columns as a socket worker takes them: its
-    packed columns unpacked (:func:`_wire_hook`), then checked
+    """A ``slice`` frame's columns as a socket worker takes them: the
+    payload decoded (:func:`_wire_decode`), then checked
     (:func:`_slice_problem`); either refuses with ``ProtocolError``."""
-    _, *columns = json.loads(payload, object_hook=_wire_hook)
+    _, *columns = _wire_decode(payload)
     problem = _slice_problem(columns)
     if problem is not None:
         raise ProtocolError(problem)
     return columns
+
+
+#: JSON scalars a tcp frame's header carries: the int64 edges, -0.0,
+#: subnormals and infinities among them (a NaN's bits do not survive
+#: JSON, so none is drawn).
+_WIRE_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.sampled_from([-(2**63), 2**63 - 1, 0])
+    | st.floats(allow_nan=False)
+    | st.sampled_from([-0.0, 5e-324, -2.2250738585072014e-308])
+    | st.text(max_size=6)
+)
+
+#: What crosses as attachments: empty and non-empty int64 / finite
+#: float64 columns and ASCII text chunks.
+_WIRE_ATTACHMENTS = (
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=6).map(
+        lambda cells: np.array(cells, dtype=np.int64)
+    )
+    | st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6).map(
+        lambda cells: np.array(cells, dtype=np.float64)
+    )
+    | st.text(st.characters(max_codepoint=127), max_size=12).map(str.encode)
+)
+
+#: Nested frames of both.  The key "@" marks an attachment reference, so
+#: no payload dict may hold it (:func:`_wire_decode` refuses one that
+#: does; ``test_a_payload_dict_keyed_at_is_refused``).
+_WIRE_FRAMES = st.recursive(
+    _WIRE_SCALARS | _WIRE_ATTACHMENTS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.text(max_size=4).filter(lambda key: key != "@"), inner, max_size=4
+    ),
+    max_leaves=12,
+)
+
+
+def _columns(value):
+    """Every array in ``value``, depth first."""
+    if isinstance(value, np.ndarray):
+        yield value
+    elif isinstance(value, (list, dict)):
+        for member in value.values() if isinstance(value, dict) else value:
+            yield from _columns(member)
+
+
+def _bits(value):
+    """``value`` with every float and array spelt as its bytes, so that
+    ``==`` compares bit for bit (``-0.0 == 0.0``, ``True == 1``)."""
+    if isinstance(value, np.ndarray):
+        return ("array", value.dtype.str, value.tobytes())
+    if isinstance(value, float):
+        return ("float", struct.pack("<d", value))
+    if isinstance(value, list):
+        return [_bits(member) for member in value]
+    if isinstance(value, dict):
+        return {key: _bits(member) for key, member in value.items()}
+    return (type(value).__name__, value)
 
 
 class TestCodec:
@@ -213,47 +321,80 @@ class TestCodec:
     @given(times=st.lists(st.floats(allow_nan=False, allow_infinity=False)))
     @settings(max_examples=100, deadline=None)
     def test_bid_batch_times_round_trip_exactly(self, times):
-        """Packed eight-byte cells: a ``slice`` frame's tick clock crosses
+        """Raw eight-byte cells: a ``slice`` frame's tick clock crosses
         the socket wire bit for bit (``-0.0`` keeps its sign, so compare
         reprs, not values)."""
         rows = np.arange(len(times), dtype=np.int64)
         frame = ("slice", np.array(times, dtype=np.float64), rows, rows, rows)
-        columns = _landed(json.dumps(frame, default=_wire_default))
+        columns = _landed(_encoded(frame))
         assert list(map(repr, columns[0].tolist())) == list(map(repr, times))
         assert all(column.tolist() == rows.tolist() for column in columns[1:])
 
-    def test_pack_column_takes_lists_tuples_and_arrays_alike(self):
-        """Lists, tuples and numpy int64 / float64 columns (copied as
-        buffers, as the sharded engine hands them in) pack the same."""
-        for dtype, values, array in (
-            ("<f8", [0.1, 0.1], np.array([0.1, 0.1])),
-            ("<i8", [7, 8], np.array([7, 8], dtype=np.int64)),
-        ):
-            packed = pack_column(values, dtype)
-            assert pack_column(tuple(values), dtype) == packed
-            assert pack_column(array, dtype) == packed
-            assert unpack_column(packed, dtype).tolist() == values
+    @given(frame=_WIRE_FRAMES)
+    @settings(max_examples=200, deadline=None)
+    def test_wire_frames_round_trip_bit_for_bit(self, frame):
+        """Whatever the encoder takes comes back from the decoder bit for
+        bit: columns as arrays of their dtype, text chunks as bytes,
+        every scalar as JSON reads it; and every column lands aligned
+        in the received frame."""
+        head, buffers = _wire_encode(frame)
+        back = _wire_decode(b"".join([head, *buffers]))
+        assert _bits(back) == _bits(frame)
+        assert all(column.flags.aligned for column in _columns(back))
+
+    @pytest.mark.parametrize(
+        "held",
+        [
+            {"@": "<i8", "at": 0, "n": 0},
+            {"@": "<i8", "at": 0, "n": 8},
+            {"@": 1},
+            {"@": "x", "y": 2},
+        ],
+        ids=["empty-column", "overlap", "bad-tag", "extra-key"],
+    )
+    def test_a_payload_dict_keyed_at_is_refused(self, held):
+        """A dict of the frame that holds the key ``"@"`` reads as a
+        reference the encoder did not write: the decoder refuses the
+        frame, even when the dict spells a reference that could be
+        valid, rather than read it as an attachment."""
+        payload = _encoded(["reply", np.arange(1), held])
         with pytest.raises(ProtocolError):
-            pack_column(np.array([math.nan]), "<f8")
+            _wire_decode(payload)
+
+    def test_wire_columns_cross_whatever_their_layout(self):
+        """Contiguous, strided and reversed int64 / float64 columns (the
+        sharded engine hands in views) cross as the same bytes, and a
+        NaN is refused in any of them."""
+        for dtype in (np.int64, np.float64):
+            base = np.arange(12, dtype=dtype)
+            columns = (base[::2].copy(), base[::2], base[::2][::-1].copy()[::-1])
+            payloads = {_encoded(["slice", column]) for column in columns}
+            assert len(payloads) == 1
+            (_, back), = [_wire_decode(payload) for payload in payloads]
+            assert back.dtype == dtype and back.tolist() == base[::2].tolist()
+        spoiled = np.arange(12, dtype=np.float64)
+        spoiled[4] = math.nan
+        with pytest.raises(ProtocolError, match="non-finite"):
+            _wire_encode(["slice", spoiled[::2]])
 
     @pytest.mark.parametrize(
         "columns, complaint",
         [
-            # Each case below re-expresses, as a ``slice`` frame of packed
-            # columns, the version-1 ``bid_batch`` body its id spells
+            # Each case below re-expresses, as a ``slice`` frame of raw
+            # attachments, the version-1 ``bid_batch`` body its id spells
             # (the arrays are its columns).
             # ragged columns
             pytest.param(
-                {"qids": pack_column([1, 2], "<i8")},
+                {"qids": np.array([1, 2], dtype=np.int64)},
                 "column 1 has 2 rows, column 0 has 1",
                 id='{"times_ms": [1.0], "qids": [1, 2], "class_indices": [0], '
                 '"origin_nodes": [0]}',
             ),
             pytest.param(
                 {
-                    "times_ms": pack_column([], "<f8"),
-                    "qids": pack_column([], "<i8"),
-                    "class_indices": pack_column([], "<i8"),
+                    "times_ms": np.array([], dtype=np.float64),
+                    "qids": np.array([], dtype=np.int64),
+                    "class_indices": np.array([], dtype=np.int64),
                 },
                 "column 3 has 1 rows, column 0 has 0",
                 id='{"times_ms": [], "qids": [], "class_indices": [], '
@@ -261,62 +402,62 @@ class TestCodec:
             ),
             # a bool / a float / a null in an integer column
             pytest.param(
-                {"qids": _raw(b"\x01", "|b1")},
-                "unknown packed dtype '\\|b1'",
+                {"qids": _Cells("|b1", b"\x01")},
+                "unknown attachment tag '\\|b1'",
                 id='{"times_ms": [1.0], "qids": [true], "class_indices": [0], '
                 '"origin_nodes": [0]}',
             ),
             pytest.param(
-                {"class_indices": pack_column([0.0], "<f8")},
+                {"class_indices": np.array([0.0])},
                 "column 2 is not a 1-D int64 array",
                 id='{"times_ms": [1.0], "qids": [1], "class_indices": [0.0], '
                 '"origin_nodes": [0]}',
             ),
             pytest.param(
-                {"origin_nodes": {"dtype": "<i8", "cells": None}},
-                "base64 string",
+                {"origin_nodes": _Cells("<i8", _ONE_CELL, n=None)},
+                "offset and length must be ints",
                 id='{"times_ms": [1.0], "qids": [1], "class_indices": [0], '
                 '"origin_nodes": [null]}',
             ),
             # a non-number, a bool or a non-finite time
             pytest.param(
-                {"times_ms": {"dtype": "<f8", "cells": "1.0"}},
-                "not base64",
+                {"times_ms": _Cells("<f8", struct.pack("<d", 1.0), at="1.0")},
+                "offset and length must be ints",
                 id='{"times_ms": ["1.0"], "qids": [1], "class_indices": [0], '
                 '"origin_nodes": [0]}',
             ),
             pytest.param(
-                {"times_ms": {"dtype": "<f8", "cells": False}},
-                "base64 string",
+                {"times_ms": _Cells("<f8", struct.pack("<d", 1.0), n=False)},
+                "offset and length must be ints",
                 id='{"times_ms": [false], "qids": [1], "class_indices": [0], '
                 '"origin_nodes": [0]}',
             ),
             pytest.param(
-                {"times_ms": _raw(struct.pack("<d", math.nan))},
+                {"times_ms": _Cells("<f8", struct.pack("<d", math.nan))},
                 "non-finite",
                 id='{"times_ms": [NaN], "qids": [1], "class_indices": [0], '
                 '"origin_nodes": [0]}',
             ),
             pytest.param(
-                {"times_ms": _raw(struct.pack("<d", -math.inf))},
+                {"times_ms": _Cells("<f8", struct.pack("<d", -math.inf))},
                 "non-finite",
                 id='{"times_ms": [-Infinity], "qids": [1], "class_indices": [0], '
                 '"origin_nodes": [0]}',
             ),
             pytest.param(
-                {"times_ms": _raw(struct.pack("<d", math.inf))},
+                {"times_ms": _Cells("<f8", struct.pack("<d", math.inf))},
                 "non-finite",
                 id='{"times_ms": [1e999], "qids": [1], "class_indices": [0], '
                 '"origin_nodes": [0]}',
             ),
             # an integer time (one beyond the float range, at version 1)
             pytest.param(
-                {"times_ms": pack_column([10**18], "<i8")},
+                {"times_ms": np.array([10**18], dtype=np.int64)},
                 "column 0 is not a 1-D float64 array",
                 id="{\"times_ms\": [1%s], \"qids\": [1], \"class_indices\": [0], "
                 '"origin_nodes": [0]}' % ("0" * 400),
             ),
-            # non-packed columns
+            # columns that are not attachments
             pytest.param(
                 {name: value for name, value in zip(_BATCH_FIELDS, (1.0, 1, 0, 0))},
                 "column 0 is not a 1-D float64 array",
@@ -326,9 +467,9 @@ class TestCodec:
             pytest.param(
                 {
                     "times_ms": "ab",
-                    "qids": pack_column([1, 2], "<i8"),
-                    "class_indices": pack_column([0, 0], "<i8"),
-                    "origin_nodes": pack_column([0, 0], "<i8"),
+                    "qids": np.array([1, 2], dtype=np.int64),
+                    "class_indices": np.array([0, 0], dtype=np.int64),
+                    "origin_nodes": np.array([0, 0], dtype=np.int64),
                 },
                 "column 0 is not a 1-D float64 array",
                 id='{"times_ms": "ab", "qids": [1, 2], "class_indices": [0, 0], '
@@ -346,54 +487,64 @@ class TestCodec:
                 "expected 4 slice columns",
                 id='{"times_ms": [1.0], "qids": [1], "class_indices": [0]}',
             ),
-            # packed garbage, which version 1 could not spell
+            # attachment garbage, which version 1 could not spell (the
+            # ids name the base64 faults of the packed columns before)
             pytest.param(
                 {"qids": [1]}, "column 1 is not a 1-D int64 array", id="json-array"
             ),
             pytest.param(
-                {"qids": {**pack_column([1], "<i8"), "rows": 1}},
-                "a packed column is an object",
+                {"qids": _Cells("<i8", _ONE_CELL, rows=1)},
+                "an attachment reference is",
                 id="extra-key",
             ),
             pytest.param(
-                {"qids": _raw(b"\x01" * 7, "<i8")},
+                {"qids": _Cells("<i8", b"\x01" * 7)},
                 "not a whole number of 8-byte",
                 id="partial-cell",
             ),
             pytest.param(
-                {"qids": {"dtype": "<i8", "cells": "AQAAAAAAAAA"}},
-                "not base64",
+                {"qids": _Cells("<i8", _ONE_CELL, n=1 << 20)},
+                "lies outside the .* bytes after the header",
                 id="unpadded-base64",
             ),
             pytest.param(
-                {"qids": {"dtype": "<i8", "cells": "\u00e9" * 12}},
-                "not base64",
+                {"qids": _Cells("bytes", "é".encode() * 4)},
+                "column 1 is not a 1-D int64 array",
                 id="non-ascii-cells",
             ),
             pytest.param(
-                {"qids": _raw(b"\x00" * 8, "|O8")},
-                "unknown packed dtype '\\|O8'",
+                {"qids": _Cells("|O8", bytes(8))},
+                "unknown attachment tag '\\|O8'",
                 id="object-dtype",
             ),
         ],
     )
     def test_malformed_bid_batches_raise(self, columns, complaint):
         """What a ``bid_batch`` envelope's decode refused, a socket
-        worker refuses in a ``slice`` frame: the packed columns' unpack
-        or the frame's own check."""
+        worker refuses in a ``slice`` frame: the frame's decode or its
+        own check."""
         with pytest.raises(ProtocolError, match=complaint):
             _landed(_batch_payload(**columns))
 
     def test_the_one_row_body_decodes(self):
-        """The base every malformed case above edits is itself valid."""
+        """The base every malformed case above edits is itself valid, and
+        is the encoder's own layout."""
+        assert _batch_payload() == _encoded(["slice", *_ONE_ROW.values()])
         columns = _landed(_batch_payload())
         assert [column.tolist() for column in columns] == [[1.0], [1], [0], [0]]
 
     @given(dtype=st.sampled_from(["<f8", "<i8", None]), text=st.text())
     @settings(max_examples=100, deadline=None)
     def test_text_in_a_packed_field_is_refused(self, dtype, text):
-        with pytest.raises(ProtocolError, match="a packed column is an object"):
-            unpack_column(text, dtype)
+        """Text where an attachment reference holds its offset (or, with
+        no dtype, as the tag and the length) is refused."""
+        cells = (
+            _Cells(dtype, bytes(8), at=text)
+            if dtype
+            else _Cells(text, bytes(8), n=text)
+        )
+        with pytest.raises(ProtocolError, match="offset and length must be ints"):
+            _wire_decode(_wire_payload(["slice", cells]))
 
     @given(
         dtype=st.sampled_from(["<f8", "<i8"]),
@@ -402,7 +553,7 @@ class TestCodec:
     @settings(max_examples=100, deadline=None)
     def test_partial_cells_are_refused(self, dtype, data):
         with pytest.raises(ProtocolError, match="not a whole number"):
-            unpack_column(_raw(data, dtype))
+            _wire_decode(_wire_payload([_Cells(dtype, data)]))
 
     @given(
         times=st.lists(
@@ -420,12 +571,11 @@ class TestCodec:
             "<Q", sign << 63 | 0x7FF << 52 | mantissa
         ))
         times.insert(min(at, len(times)), bad)
-        for column in (times, np.array(times)):
-            with pytest.raises(ProtocolError, match="non-finite"):
-                pack_column(column, "<f8")
+        with pytest.raises(ProtocolError, match="non-finite"):
+            _wire_encode(["slice", np.array(times)])
         cells = b"".join(struct.pack("<d", t) for t in times)
         with pytest.raises(ProtocolError, match="non-finite"):
-            unpack_column(_raw(cells), "<f8")
+            _wire_decode(_wire_payload([_Cells("<f8", cells)]))
 
     @given(
         value=st.one_of(
@@ -434,26 +584,43 @@ class TestCodec:
     )
     @settings(max_examples=100, deadline=None)
     def test_integers_outside_int64_are_unencodable(self, value):
-        with pytest.raises(ProtocolError, match="cannot pack"):
-            pack_column([1, value], "<i8")
+        """A column holding one is no int64 array (numpy makes it float64
+        or object): the encoder refuses an object array, and the worker a
+        slice whose qids are not int64."""
+        qids = np.array([1, value])
+        frame = ("slice", np.array([1.0, 2.0]), qids, qids, qids)
+        with pytest.raises(
+            ProtocolError,
+            match="cannot cross the shard wire|column 1 is not a 1-D int64",
+        ):
+            _landed(_encoded(frame))
 
     @given(
-        dtype=st.sampled_from(["<f8", "<i8", None]),
+        dtype=st.sampled_from(["<f8", "<i8", "bytes", None]),
         junk=st.recursive(
             st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
             lambda inner: st.lists(inner, max_size=3)
-            | st.dictionaries(st.sampled_from(["dtype", "cells", "x"]), inner),
+            | st.dictionaries(st.sampled_from(["@", "at", "n", "x"]), inner),
             max_leaves=6,
         ),
     )
     @settings(max_examples=200, deadline=None)
     def test_any_json_in_a_packed_field_decodes_or_is_refused(self, dtype, junk):
-        """Nothing but cells or a ``ProtocolError`` comes out."""
+        """Any JSON as a reference's fields (a dict) or as its offset:
+        nothing but an attachment of its tag or a ``ProtocolError``
+        comes out."""
+        fields = junk if isinstance(junk, dict) else {"at": junk}
+        if dtype is None:
+            fields = {"@": _ABSENT, **fields}
+        tag = fields.get("@", dtype)
         try:
-            cells = unpack_column(junk, dtype)
+            (cells,) = _wire_decode(_wire_payload([_Cells(dtype, bytes(16), **fields)]))
         except ProtocolError:
             return
-        assert cells.typecode == ("d" if junk["dtype"] == "<f8" else "q")
+        if tag == "bytes":
+            assert isinstance(cells, bytes)
+        else:
+            assert cells.dtype.str == tag
 
     def test_non_finite_floats_are_unencodable(self):
         quote = Quote(

@@ -66,6 +66,7 @@ from repro.workload.trace import WorkloadEvent, zipf_trace
 
 from reference_market import run_reference_market
 from test_golden_trace import _outcome_digest
+from test_protocol import _Cells, _wire_payload
 
 GOLDEN_DIR = pathlib.Path(__file__).parent / "golden"
 
@@ -794,7 +795,7 @@ def test_row_bound_never_splits_a_tick(monkeypatch, mode):
     handed to a plane in two ``market_tick`` calls would resync its busy
     mirror mid-tick and change the outcome.  The ``end`` frame follows
     the last slice frame.  A ``slice`` frame is its four columns as
-    arrays; on tcp each crosses packed in the frame's own JSON."""
+    arrays; on tcp each crosses as a raw attachment of its own frame."""
     world, trace, oracle = _quantised_overloaded()
     assert len({e.time_ms for e in trace}) * 8 < len(trace)
     monkeypatch.setattr(shards_module, "_SLICE_ROW_BOUND", 4)
@@ -830,16 +831,21 @@ def test_row_bound_never_splits_a_tick(monkeypatch, mode):
             last_sent = times.max()
         periods = math.ceil(horizon / FederationConfig().period_ms)
         assert len(frames) > 3 * periods
-    # What the tcp wire wrote: each slice frame's columns packed in it.
-    slices = [
-        json.loads(payload)
-        for payload in payloads
-        if payload.startswith(b'["post", ["slice"')
-    ]
+    # What the tcp wire wrote: each slice frame's four columns as the
+    # attachments its header references, <f8 then three <i8.
+    prefix = shards_module._WIRE_PREFIX
+    slices = []
+    for payload in payloads:
+        size, count = prefix.unpack_from(payload)
+        header = json.loads(payload[prefix.size : prefix.size + size])
+        if isinstance(header, list) and header[:1] == ["post"]:
+            if header[1][0] == "slice":
+                slices.append((count, header[1][1:]))
     posted = sum(frame is not None for r in rounds[:-1] for frame in r)
     assert len(slices) == (posted if mode == "tcp" else 0)
-    for _, (_, *columns) in slices:
-        assert [column["dtype"] for column in columns] == ["<f8"] + ["<i8"] * 3
+    for count, columns in slices:
+        assert count == 4
+        assert [column["@"] for column in columns] == ["<f8"] + ["<i8"] * 3
 
 
 @pytest.mark.parametrize(
@@ -1242,7 +1248,7 @@ def test_collect_replies_with_typed_arrays():
     assert not any(isinstance(value, np.generic) for value in reply.values())
     # The rows as the digest renders them, one end offset per row.
     rows = metrics_module.render_outcome_rows([c.tolist() for c in columns])
-    assert "".join(reply["text"]) == "".join(rows)
+    assert b"".join(reply["text"]) == "".join(rows).encode("ascii")
     assert reply["row_ends"].dtype == np.int64
     assert reply["row_ends"].tolist() == np.cumsum([len(r) for r in rows]).tolist()
 
@@ -1677,36 +1683,42 @@ def _answers_garbage(real_worker, garbage, host, port, index):
         pass
 
 
-def _reply_frame(column):
-    """A well-framed JSON reply carrying one (packed) column."""
-    return encode_frame(json.dumps({"ok": True, "columns": [column]}).encode())
+def _reply_frame(cells):
+    """A well-framed reply carrying one column: ``cells``, a hand-built
+    attachment (``test_protocol._Cells``)."""
+    return encode_frame(_wire_payload({"ok": True, "columns": [cells]}))
 
 
 @pytest.mark.parametrize(
     "garbage, cause",
     [
-        (encode_frame(b"not json"), "JSONDecodeError"),
+        (
+            encode_frame(shards_module._WIRE_PREFIX.pack(8, 0) + b"not json"),
+            "header is not JSON",
+        ),
         (b"\xff\xff\xff\xff", "exceeds MAX_FRAME_BYTES"),
         (
-            _reply_frame({"dtype": "|O8", "cells": "AAAAAAAAAAA="}),
-            r"unknown packed dtype '\|O8'",
+            _reply_frame(_Cells("|O8", bytes(8))),
+            r"unknown attachment tag '\|O8'",
         ),
         (
-            _reply_frame({"dtype": "<f8", "cells": "not base64!"}),
-            "not base64",
+            # Cells that cannot be read (once, base64 that was not):
+            # a reference past the end of the frame.
+            _reply_frame(_Cells("<f8", bytes(8), n=16)),
+            "lies outside the 8 bytes after the header",
         ),
         (
-            _reply_frame({"dtype": "<i8", "cells": "AAAAAAAAAA=="}),
+            _reply_frame(_Cells("<i8", bytes(7))),
             "not a whole number of 8-byte cells",
         ),
     ],
     ids=["not-json", "hostile-length", "object-dtype", "bad-base64", "ragged"],
 )
 def test_malformed_tcp_frame_is_a_shard_failure(monkeypatch, garbage, cause):
-    """Socket bytes are outside input: a reply that is not JSON, or a
-    length prefix past the frame ceiling, used to surface as a bare
-    ``ValueError`` naming neither shard nor op; a packed column that
-    does not unpack is refused the same way."""
+    """Socket bytes are outside input: a reply whose header is not JSON,
+    or a length prefix past the frame ceiling, used to surface as a bare
+    ``ValueError`` naming neither shard nor op; an attachment that does
+    not read is refused the same way."""
     worker = functools.partial(
         _answers_garbage, shards_module._tcp_shard_worker, garbage
     )
@@ -1756,11 +1768,11 @@ def _nan_self_time(reply):
 
 
 def _joined_text(reply):
-    reply["text"] = "".join(reply["text"])
+    reply["text"] = b"".join(reply["text"])
 
 
 def _non_ascii_text(reply):
-    reply["text"][0] = "\u00e9" + reply["text"][0][1:]
+    reply["text"][0] = "\u00e9".encode() + reply["text"][0][2:]
 
 
 def _float_row_ends(reply):
@@ -1778,16 +1790,16 @@ def _stalled_row_ends(reply):
 
 
 def _long_text(reply):
-    reply["text"].append(";")
+    reply["text"].append(b";")
 
 
 def _misrendered_first_row(reply):
     text = reply["text"][0]
-    reply["text"][0] = ("2" if text[0] == "1" else "1") + text[1:]
+    reply["text"][0] = (b"2" if text[:1] == b"1" else b"1") + text[1:]
 
 
 def _straddling_row(reply):
-    text = "".join(reply["text"])
+    text = b"".join(reply["text"])
     cut = int(reply["row_ends"][0]) + 1  # inside row 1
     reply["text"] = [text[:cut], text[cut:]]
 
@@ -1898,16 +1910,178 @@ def test_malformed_slice_frame_is_a_shard_failure(mode, columns, complaint):
     assert multiprocessing.active_children() == []
 
 
+#: Well-framed tcp frames a worker cannot read: a posted slice whose one
+#: column is three bytes (not a whole cell), and a bare JSON number.
+_UNREADABLE_FRAMES = {
+    "malformed-attachment": _wire_payload(
+        ["post", ["slice", _Cells("<f8", bytes(3))]]
+    ),
+    "bare-number": _wire_payload(5),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_UNREADABLE_FRAMES))
+def test_unreadable_frame_fails_the_shard_not_the_worker(kind):
+    """A frame a tcp worker could not decode, or one that is no op and
+    arguments, used to kill the worker with a traceback, so the
+    coordinator saw only ``EOFError('shard wire closed')``.  Now the
+    worker reports it at the next barrier, naming the ``ProtocolError``,
+    and stays up until ``close``."""
+    world, _trace = _zipf_small()
+    federation = _sharded(world, 2, "tcp")
+    transport = federation.transport
+    try:
+        transport.exchange([("reset", True)] * 2)
+        transport._peers[0]._sock.sendall(encode_frame(_UNREADABLE_FRAMES[kind]))
+        with pytest.raises(ShardFailure, match="ProtocolError") as failure:
+            transport.exchange([("collect",)] * 2)
+        assert (failure.value.shard, failure.value.op) == (0, "collect")
+        assert isinstance(failure.value.args[2], RuntimeError)
+        assert all(proc.is_alive() for proc in transport._procs)
+    finally:
+        federation.close()
+    assert [proc.exitcode for proc in transport._procs] == [0, 0]
+    assert multiprocessing.active_children() == []
+
+
+class _EchoCore:
+    """Worker double that answers every frame ``ok``."""
+
+    def __init__(self, init):
+        pass
+
+    def handle(self, frame):
+        return {"ok": True}
+
+
+class _NanReplyCore(_EchoCore):
+    """Worker double whose ``collect`` reply holds a NaN float64 cell."""
+
+    def handle(self, frame):
+        if frame[0] == "collect":
+            return {"columns": [np.array([1.0, math.nan])]}
+        return {"ok": True}
+
+
+def test_a_reply_the_wire_cannot_carry_is_a_named_failure():
+    """A worker whose reply the tcp wire refuses (a non-finite float64
+    cell) used to die in the write, seen only as an ``EOFError``; it
+    now sends the refusal in the reply's place and stays up until
+    ``close``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(_CORE_KINDS, "echo", _NanReplyCore)
+        transport = ShardTransport([{"kind": "echo"}], mode="tcp")
+    try:
+        transport.exchange([("reset", True)])
+        with pytest.raises(ShardFailure, match="non-finite") as failure:
+            transport.exchange([("collect",)])
+        assert (failure.value.shard, failure.value.op) == (0, "collect")
+        assert transport._procs[0].is_alive()
+    finally:
+        transport.close()
+    assert transport._procs[0].exitcode == 0
+
+
+#: Attachment references a hostile peer may write, by kind; each frame
+#: is a posted ``slice`` around them.
+_HOSTILE_REFERENCES = {
+    "past-the-payload": st.one_of(
+        st.builds(
+            lambda cells, at: [_Cells("<i8", bytes(8 * cells), at=at)],
+            st.integers(0, 3),
+            st.integers(1, 1 << 40),
+        ),
+        st.builds(
+            lambda cells, extra: [_Cells("<f8", bytes(8 * cells), n=8 * (cells + extra))],
+            st.integers(0, 3),
+            st.integers(1, 1 << 37),
+        ),
+        st.integers(max_value=-1).map(lambda at: [_Cells("<i8", bytes(8), at=at)]),
+    ),
+    "overlapping": st.builds(
+        lambda tag, at: [_Cells("<i8", bytes(16)), _Cells(tag, bytes(8), at=at)],
+        st.sampled_from(["<i8", "<f8", "bytes"]),
+        st.integers(0, 15),
+    ),
+    "ragged": st.builds(
+        lambda tag, size: [_Cells(tag, bytes(size))],
+        st.sampled_from(["<i8", "<f8"]),
+        st.integers(1, 64).filter(lambda size: size % 8),
+    ),
+    "unknown-tag": st.text(max_size=6)
+    .filter(lambda tag: tag not in ("<i8", "<f8", "bytes"))
+    .map(lambda tag: [_Cells(tag, bytes(8))]),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_HOSTILE_REFERENCES))
+@given(data=st.data())
+@settings(max_examples=12, deadline=None)
+def test_hostile_attachment_references_are_a_named_shard_failure(kind, data):
+    """Whatever a frame's references claim, the tcp worker refuses the
+    frame and reports it at the next barrier as a ``ShardFailure`` of
+    its shard naming the ``ProtocolError``, within a second; it neither
+    hangs nor dies, and exits at ``close``."""
+    cells = data.draw(_HOSTILE_REFERENCES[kind])
+    payload = _wire_payload(["post", ["slice", *cells]])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(_CORE_KINDS, "echo", _EchoCore)
+        transport = ShardTransport([{"kind": "echo"}], mode="tcp")
+    try:
+        transport.exchange([("reset", True)])
+        transport._peers[0]._sock.sendall(encode_frame(payload))
+        started = time.perf_counter()
+        with pytest.raises(ShardFailure, match="ProtocolError") as failure:
+            transport.exchange([("collect",)])
+        assert time.perf_counter() - started < 1.0
+        assert (failure.value.shard, failure.value.op) == (0, "collect")
+        assert transport._procs[0].is_alive()
+    finally:
+        transport.close()
+    assert transport._procs[0].exitcode == 0
+
+
+def test_a_hostile_length_prefix_is_reported_then_the_worker_exits():
+    """Past a length prefix over ``MAX_FRAME_BYTES`` a worker cannot find
+    the next frame, ``close`` included: it sends its failure at once,
+    which the next barrier raises naming the prefix, and exits."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setitem(_CORE_KINDS, "echo", _EchoCore)
+        transport = ShardTransport([{"kind": "echo"}], mode="tcp")
+    try:
+        transport.exchange([("reset", True)])
+        transport._peers[0]._sock.sendall(b"\xff\xff\xff\xff")
+        with pytest.raises(ShardFailure, match="exceeds MAX_FRAME_BYTES") as failure:
+            transport.exchange([("collect",)])
+        assert (failure.value.shard, failure.value.op) == (0, "collect")
+        transport._procs[0].join(timeout=5.0)
+        assert transport._procs[0].exitcode == 0
+    finally:
+        transport.close()
+
+
 _JSON_VALUES = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+    st.none() | st.booleans() | st.integers() | st.text(max_size=6)
+    | st.binary(max_size=12)
+    | st.lists(st.integers(-(2**63), 2**63 - 1), max_size=4).map(
+        lambda cells: np.array(cells, dtype=np.int64)
+    ),
     lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.sampled_from(["dtype", "cells", "ok"]), inner),
+    | st.dictionaries(st.sampled_from(["at", "n", "ok"]), inner),
     max_leaves=6,
 )
 
+
+def _wire_bytes(value):
+    """``value``'s frame payload as the tcp wire writes it."""
+    head, buffers = shards_module._wire_encode(value)
+    return b"".join([head, *buffers])
+
+
 def _cut_mid_payload(value, cut):
-    """``value``'s frame, cut after its header and before its last byte."""
-    frame = encode_frame(json.dumps(value).encode())
+    """``value``'s frame, cut after its length prefix and before its last
+    byte (inside the header or an attachment)."""
+    frame = encode_frame(_wire_bytes(value))
     return frame[: 4 + cut % (len(frame) - 4)]
 
 
@@ -1920,8 +2094,12 @@ _WIRE_GARBAGE = {
     "hostile-length": st.integers(MAX_FRAME_BYTES + 1, (1 << 32) - 1).map(
         lambda length: length.to_bytes(4, "big")
     ),
-    "not-json": st.binary(max_size=16).map(lambda b: encode_frame(b"\xff" + b)),
-    "json-not-a-frame": _JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+    "not-json": st.binary(max_size=16).map(
+        lambda b: encode_frame(
+            shards_module._WIRE_PREFIX.pack(len(b) + 1, 0) + b"\xff" + b
+        )
+    ),
+    "json-not-a-frame": _JSON_VALUES.map(_wire_bytes),
 }
 
 
@@ -1974,26 +2152,19 @@ def test_wire_garbage_is_a_shard_failure(kind, data):
         transport._peers[0].close()
 
 
-@given(_JSON_VALUES)
-@settings(max_examples=60, deadline=None)
-def test_json_pieces_join_to_the_dumped_text(value):
-    assert "".join(shards_module._json_pieces(value)) == json.dumps(value)
-
-
 @pytest.mark.parametrize("joined_bytes", [0, 1 << 20], ids=["pieces", "joined"])
 def test_wire_send_puts_the_joined_frame_on_the_socket(joined_bytes, monkeypatch):
-    """Written piece by piece or joined, a frame is the same bytes as
-    ``encode_frame`` of its JSON, and the other end reads it back."""
+    """Written attachment by attachment or joined, a frame is the same
+    bytes as ``encode_frame`` of its payload, and the other end reads it
+    back."""
     monkeypatch.setattr(shards_module, "_JOINED_FRAME_BYTES", joined_bytes)
     reply = {
         "columns": [np.arange(5), np.linspace(0.0, 1.0, 5)],
-        "text": ["1,2,0.5;", "3,4,0.25;"],
+        "text": [b"1,2,0.5;", b"3,4,0.25;"],
         "row_ends": np.array([8, 17]),
         "pending": 0,
     }
-    expected = encode_frame(
-        json.dumps(reply, default=shards_module._wire_default).encode()
-    )
+    expected = encode_frame(_wire_bytes(reply))
     ours, theirs = socket.socketpair()
     sender = shards_module._WireChannel(ours)
     try:
@@ -2007,6 +2178,7 @@ def test_wire_send_puts_the_joined_frame_on_the_socket(joined_bytes, monkeypatch
         echoed = sender.recv()
         assert echoed["text"] == reply["text"]
         assert echoed["row_ends"].tolist() == [8, 17]
+        assert echoed["columns"][1].tolist() == reply["columns"][1].tolist()
     finally:
         sender.close()
         theirs.close()
