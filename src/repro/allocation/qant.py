@@ -45,8 +45,8 @@ import numpy as np
 from ..core.period_engine import QantPeriodEngine
 from ..core.qant import (
     DEFAULT_ACTIVATION_THRESHOLD,
-    DEFAULT_ALLOWANCE_FACTOR,
     QantParameters,
+    backlog_allowance_ms,
 )
 from ..query.model import Query
 from .base import Allocator, AssignmentDecision, BatchDecisions
@@ -125,10 +125,7 @@ class QantAllocator(Allocator):
             allowances = [self._queue_allowance_ms] * len(costs)
         else:
             allowances = [
-                self.context.period_ms
-                + DEFAULT_ALLOWANCE_FACTOR
-                * max((c for c in row if not math.isinf(c)), default=0.0)
-                for row in costs
+                backlog_allowance_ms(self.context.period_ms, row) for row in costs
             ]
         self._allowances = np.array(allowances, dtype=float)
         self._engine = engine = QantPeriodEngine(costs, self._params)

@@ -24,8 +24,9 @@ prices rather than waiting for an umpire to clear the market.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
 from .market import PriceVector
 from .supply import SUPPLY_METHODS, SupplySet, solve_supply
@@ -35,6 +36,7 @@ __all__ = [
     "QantParameters",
     "QantPeriodStats",
     "QantPricingAgent",
+    "backlog_allowance_ms",
 ]
 
 #: Prices are clamped to this floor so a class can always recover: a price
@@ -59,6 +61,16 @@ DEFAULT_ACTIVATION_THRESHOLD = 2.0
 #: quantisation under bursty loads.  No ablation varies it; every golden
 #: is recorded at this value.
 DEFAULT_ALLOWANCE_FACTOR = 2.0
+
+
+def backlog_allowance_ms(period_ms: float, costs_ms: Iterable[float]) -> float:
+    """A deployed node's backlog allowance: ``period_ms`` plus
+    :data:`DEFAULT_ALLOWANCE_FACTOR` times its largest finite class cost
+    (``inf`` marks a class it cannot evaluate; a node that can evaluate
+    none gets ``period_ms``)."""
+    return period_ms + DEFAULT_ALLOWANCE_FACTOR * max(
+        (c for c in costs_ms if not math.isinf(c)), default=0.0
+    )
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..catalog import Relation
 from ..core import CapacitySupplySet, QantParameters, QantPricingAgent
-from ..core.qant import DEFAULT_ACTIVATION_THRESHOLD, DEFAULT_ALLOWANCE_FACTOR
+from ..core.qant import DEFAULT_ACTIVATION_THRESHOLD, backlog_allowance_ms
 from ..protocol.messages import (
     AssignQuery,
     BidRequest,
@@ -262,8 +262,7 @@ class SqliteServerNode:
         costs = [math.inf] * self._num_classes
         for k, query_class in self._held.items():
             costs[k] = max(_MIN_COST_MS, self.estimate_ms(query_class))
-        max_cost = max((costs[k] for k in self._held), default=0.0)
-        allowance = period_ms + DEFAULT_ALLOWANCE_FACTOR * max_cost
+        allowance = backlog_allowance_ms(period_ms, costs)
         free = max(0.0, allowance - self.backlog_ms)
         return CapacitySupplySet(costs, min(free, _MAX_CAPACITY_MS))
 

@@ -14,13 +14,13 @@ This is a small linear program::
           sum_i f_ik / e_ik >= R * mix_k  for every class k
           f_ik = 0 where node i cannot evaluate class k
 
-solved with :func:`scipy.optimize.linprog` when SciPy is available, and by
-a conservative binary search over a greedy feasibility check otherwise.
+solved exactly by HiGHS through :func:`scipy.optimize.linprog`.  SciPy is
+a runtime dependency; it is imported inside the solve, so code that never
+asks for a capacity never loads it.
 """
 
 from __future__ import annotations
 
-import math
 import operator
 from functools import reduce
 from typing import Sequence
@@ -48,10 +48,7 @@ def system_capacity_qpms(
     if total_mix <= 0:
         raise ValueError("the class mix must have positive total weight")
     shares = [m / total_mix for m in mix]
-    try:
-        return _capacity_linprog(cost_matrix_ms, shares)
-    except ImportError:
-        return _capacity_greedy(cost_matrix_ms, shares)
+    return _capacity_linprog(cost_matrix_ms, shares)
 
 
 def _capacity_linprog(
@@ -88,57 +85,3 @@ def _capacity_linprog(
     if not result.success:
         raise RuntimeError("capacity LP failed: %s" % result.message)
     return float(result.x[-1])
-
-
-def _capacity_greedy(
-    costs: Sequence[Sequence[float]], mix: Sequence[float]
-) -> float:
-    """Binary search on R with a greedy feasibility check (SciPy-free).
-
-    Conservative: greedy packing may reject a feasible R, so the returned
-    capacity is a lower bound.
-    """
-    upper = reduce(
-        operator.add,
-        (
-            max((1.0 / c for c in row if not math.isinf(c)), default=0.0)
-            for row in costs
-        ),
-        0.0,
-    )
-    if upper <= 0:
-        return 0.0
-    lo, hi = 0.0, upper
-    for __ in range(50):
-        mid = (lo + hi) / 2.0
-        if _greedy_feasible(costs, mix, mid):
-            lo = mid
-        else:
-            hi = mid
-    return lo
-
-
-def _greedy_feasible(
-    costs: Sequence[Sequence[float]], mix: Sequence[float], rate: float
-) -> bool:
-    demand = [rate * m for m in mix]  # queries/ms per class
-    budgets = [1.0] * len(costs)
-    # Serve the scarcest classes first: fewest eligible nodes, then cost.
-    order = sorted(
-        range(len(mix)),
-        key=lambda k: sum(1 for row in costs if not math.isinf(row[k])),
-    )
-    for k in order:
-        nodes = sorted(
-            (i for i in range(len(costs)) if not math.isinf(costs[i][k])),
-            key=lambda i: costs[i][k],
-        )
-        for i in nodes:
-            if demand[k] <= 0.0:
-                break
-            serve = min(demand[k], budgets[i] / costs[i][k])
-            demand[k] -= serve
-            budgets[i] -= serve * costs[i][k]
-        if demand[k] > 0.0:  # no slack, or R could pass the true capacity
-            return False
-    return True

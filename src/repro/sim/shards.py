@@ -93,8 +93,8 @@ import numpy as np
 from ..core.period_engine import unsold_decay
 from ..core.qant import (
     DEFAULT_ACTIVATION_THRESHOLD,
-    DEFAULT_ALLOWANCE_FACTOR,
     QantParameters,
+    backlog_allowance_ms,
 )
 from ..protocol.messages import ProtocolError
 from ..allocation.market_tick import LaneBlock, check_raise_terms
@@ -992,10 +992,12 @@ def _serve(peer, core) -> None:
     a posted frame has no reply of its own, so its failure waits for the
     next barrier, and the frames posted after it are skipped.  A tcp
     frame this worker cannot read, or one that is not an op and its
-    arguments (:func:`_frame_problem`), fails the same way; as it may
-    have been posted, it is not answered.  A stream whose length prefix
-    is hostile cannot be read past: the worker answers it with the
-    failure at once and exits.  A reply the wire cannot carry is
+    arguments (:func:`_frame_problem`), fails the same way, and its
+    failure is sent at once: it may have been a barrier's frame, whose
+    reply the coordinator waits for, and if it was posted, the next
+    barrier reads the failure all the same.  A stream whose length
+    prefix is hostile cannot be read past: the worker answers it with
+    the failure at once and exits.  A reply the wire cannot carry is
     replaced by the failure it raised.
     """
     _log.debug("shard worker %d started", os.getpid())
@@ -1012,6 +1014,10 @@ def _serve(peer, core) -> None:
         except ProtocolError:  # a whole frame, unreadable
             failure = _failure_reply(None)
             handle = _skip_frame
+            try:
+                peer.send(failure)
+            except OSError:
+                break
             continue
         except ValueError:  # a hostile length prefix: the stream is lost
             try:
@@ -2032,16 +2038,10 @@ class ShardedFederation:
                 cost_rows[nid][qc.index] = cost_model.execution_time_ms(
                     qc, specs[nid]
                 )
-        # Per-node allowance: one period of capacity plus headroom for
-        # the costliest class the node can evaluate (the single-process
-        # engine's allowance rule).
-        allowance_by_node: Dict[int, float] = {}
-        for nid in node_ids:
-            finite = [c for c in cost_rows[nid] if not math.isinf(c)]
-            allowance_by_node[nid] = (
-                self._config.period_ms
-                + DEFAULT_ALLOWANCE_FACTOR * max(finite, default=0.0)
-            )
+        allowance_by_node = {
+            nid: backlog_allowance_ms(self._config.period_ms, cost_rows[nid])
+            for nid in node_ids
+        }
         shard_inits = self._build_local_planes(
             cost_rows, allowance_by_node, num_classes
         )

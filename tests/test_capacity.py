@@ -1,6 +1,9 @@
 """Unit tests for repro.sim.capacity (the workload-scaling LP)."""
 
 import math
+import os
+import pathlib
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -9,12 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.experiments.setups import two_query_world
-from repro.sim.capacity import (
-    _capacity_greedy,
-    _capacity_linprog,
-    _greedy_feasible,
-    system_capacity_qpms,
-)
+from repro.sim.capacity import _capacity_linprog, system_capacity_qpms
 
 INF = math.inf
 
@@ -185,20 +183,6 @@ class TestExactOptimum:
         assert abs(Fraction(capacity) - exact) <= exact * Fraction(1, 10**12)
 
 
-class TestGreedyFallback:
-    def test_greedy_close_to_lp_on_simple_instance(self):
-        costs = [[100.0, 1000.0], [1000.0, 100.0]]
-        lp = system_capacity_qpms(costs, [1.0, 1.0])
-        greedy = _capacity_greedy(costs, [0.5, 0.5])
-        assert greedy <= lp + 1e-6
-        assert greedy >= 0.5 * lp
-
-    def test_feasibility_check(self):
-        costs = [[100.0]]
-        assert _greedy_feasible(costs, [1.0], 0.009)
-        assert not _greedy_feasible(costs, [1.0], 0.011)
-
-
 class TestSparseAssembly:
     @settings(max_examples=150, deadline=None)
     @given(_lp_instances())
@@ -213,12 +197,42 @@ class TestSparseAssembly:
         assert _capacity_linprog(costs, mix) == expected
 
 
-class TestScipyFreeEntry:
-    def test_blocked_scipy_falls_back_to_greedy(self, monkeypatch):
+class TestScipyRequired:
+    def test_blocked_scipy_raises_instead_of_approximating(self, monkeypatch):
         costs = two_query_world(30).cost_matrix()
-        lp = system_capacity_qpms(costs, [2.0, 1.0])
         for name in ("scipy", "scipy.optimize", "scipy.sparse"):
             monkeypatch.setitem(sys.modules, name, None)
-        fallback = system_capacity_qpms(costs, [2.0, 1.0])
-        assert fallback == _capacity_greedy(costs, [2.0 / 3.0, 1.0 / 3.0])
-        assert fallback <= lp
+        with pytest.raises(ImportError):
+            system_capacity_qpms(costs, [2.0, 1.0])
+
+
+#: A plane run's set-up, as the ``zipf_planes_*`` benchmark workloads
+#: build it: no capacity is solved, so SciPy must stay unloaded.
+_PLANE_SETUP = """
+import sys
+import repro, repro.sim.capacity
+from repro.experiments.setups import zipf_world
+from repro.sim import ShardedFederation
+world = zipf_world(300, num_classes=120, seed=0)
+federation = ShardedFederation(
+    world.specs, world.placement, world.classes, world.cost_model,
+    shards=2, mode="inline",
+)
+federation.close()
+assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
+"""
+
+
+def test_plane_setup_leaves_scipy_unloaded():
+    """SciPy is imported inside the capacity solve, not at module level:
+    loading it costs a process tens of MiB, which a plane run that never
+    solves a capacity must not pay."""
+    src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    completed = subprocess.run(
+        [sys.executable, "-c", _PLANE_SETUP],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(src)},
+        timeout=120,
+    )
+    assert completed.returncode == 0, completed.stderr

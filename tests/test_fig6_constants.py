@@ -6,10 +6,14 @@ import math
 import pathlib
 import sys
 
+import numpy as np
 import pytest
 
-from repro.allocation import qant as qant_allocation
+from repro.allocation import QantAllocator
+from repro.core import qant as core_qant
 from repro.experiments import fig5, fig6
+from repro.experiments.setups import two_query_world
+from repro.sim import FederationConfig, build_federation
 from repro.sim.federation import DrainCapExceeded
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tools"))
@@ -17,7 +21,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "tools")
 import fig6_constants  # noqa: E402
 
 _SHIPPED = (
-    qant_allocation.DEFAULT_ALLOWANCE_FACTOR,
+    core_qant.DEFAULT_ALLOWANCE_FACTOR,
     fig6._PAIR["qa-nt"],
     fig5._PAIR["qa-nt"],
     fig6.FederationConfig,
@@ -28,7 +32,7 @@ def _stub(module):
     """A cell that reports the constants it ran under as its numbers."""
 
     def cell(mechanism, point, point_index, seed, **fixed):
-        factor = qant_allocation.DEFAULT_ALLOWANCE_FACTOR
+        factor = core_qant.DEFAULT_ALLOWANCE_FACTOR
         threshold = module._PAIR["qa-nt"]()._activation_threshold
         drain_ms = fig6.FederationConfig().drain_ms
         if mechanism == "qa-nt" and (factor, threshold, point) == (8.0, None, 0.5):
@@ -54,7 +58,7 @@ def stubbed(monkeypatch):
 def test_grid_runs_every_cell_under_its_constants(stubbed, jobs):
     artifact = fig6_constants.run_grid((0, 7), jobs=jobs)
     assert (
-        qant_allocation.DEFAULT_ALLOWANCE_FACTOR,
+        core_qant.DEFAULT_ALLOWANCE_FACTOR,
         fig6._PAIR["qa-nt"],
         fig5._PAIR["qa-nt"],
         fig6.FederationConfig,
@@ -104,4 +108,29 @@ def test_a_cell_failing_otherwise_fails_the_grid(monkeypatch):
     task = ("fig6_small", 17_000.0, 0, 0, "qa-nt", 2.0, 2.0)
     with pytest.raises(RuntimeError, match="not a drain cap"):
         fig6_constants.run_cell(task)
-    assert qant_allocation.DEFAULT_ALLOWANCE_FACTOR == _SHIPPED[0]
+    assert core_qant.DEFAULT_ALLOWANCE_FACTOR == _SHIPPED[0]
+
+
+def test_the_factor_reaches_a_bound_allocator():
+    """``constants`` sets ``f`` where the allocator's allowance rule
+    reads it, so the cells it wraps really run at ``f``."""
+    world = two_query_world(5, 0)
+    period = FederationConfig().period_ms
+
+    def headroom():
+        allocator = QantAllocator()
+        build_federation(
+            world.specs,
+            world.placement,
+            world.classes,
+            world.cost_model,
+            allocator,
+            FederationConfig(),
+        )
+        return allocator._allowances - period
+
+    shipped = headroom()
+    with fig6_constants.constants(8.0, None):
+        patched = headroom()
+    np.testing.assert_allclose(patched, 4.0 * shipped)
+    assert shipped.min() > 0.0

@@ -1,9 +1,16 @@
 """Unit tests for repro.core.qant (the QA-NT pricing agent)."""
 
+import math
+
 import pytest
 
 from repro.core.market import PriceVector
-from repro.core.qant import QantParameters, QantPricingAgent
+from repro.core.qant import (
+    DEFAULT_ALLOWANCE_FACTOR,
+    QantParameters,
+    QantPricingAgent,
+    backlog_allowance_ms,
+)
 from repro.core.supply import CapacitySupplySet
 from repro.core.vectors import QueryVector
 
@@ -246,3 +253,15 @@ class TestRunPeriod:
                 CapacitySupplySet([100.0, 100.0], 100.0),
                 initial_prices=PriceVector([1.0]),
             )
+
+
+class TestBacklogAllowance:
+    def test_period_plus_factor_times_largest_finite_cost(self):
+        costs = [100.0, math.inf, 300.0]
+        assert backlog_allowance_ms(500.0, costs) == (
+            500.0 + DEFAULT_ALLOWANCE_FACTOR * 300.0
+        )
+
+    @pytest.mark.parametrize("costs", [[], [math.inf, math.inf]])
+    def test_a_node_that_evaluates_nothing_gets_one_period(self, costs):
+        assert backlog_allowance_ms(500.0, costs) == 500.0

@@ -2060,6 +2060,39 @@ def test_a_hostile_length_prefix_is_reported_then_the_worker_exits():
         transport.close()
 
 
+@pytest.mark.parametrize("frame", [("collect",), ("reset", True)], ids=lambda f: f[0])
+def test_an_unreadable_barrier_frame_is_answered_at_once(frame):
+    """A barrier frame whose header the tcp worker cannot read used to
+    get no reply, so the coordinator waited out ``_WIRE_DEADLINE_S`` and
+    reported a ``TimeoutError``.  The worker now answers it with its
+    ``ProtocolError`` at once, and still exits at ``close``."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(shards_module, "_WIRE_DEADLINE_S", 5.0)
+        patch.setitem(_CORE_KINDS, "echo", _EchoCore)
+        transport = ShardTransport([{"kind": "echo"}], mode="tcp")
+        peer = transport._peers[0]
+
+        def mangled(frame):
+            head, buffers = shards_module._wire_encode(frame)
+            payload = bytearray(b"".join([head, *buffers]))
+            payload[shards_module._WIRE_PREFIX.size] ^= 0xFF  # header's "["
+            peer._sock.sendall(encode_frame(bytes(payload)))
+
+        try:
+            transport.exchange([("reset", True)])
+            patch.setattr(peer, "send", mangled)
+            started = time.perf_counter()
+            with pytest.raises(ShardFailure, match="ProtocolError") as failure:
+                transport.exchange([frame])
+            assert time.perf_counter() - started < 1.0
+            assert (failure.value.shard, failure.value.op) == (0, frame[0])
+            assert transport._procs[0].is_alive()
+        finally:
+            patch.undo()
+            transport.close()
+    assert transport._procs[0].exitcode == 0
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=6)
     | st.binary(max_size=12)

@@ -8,7 +8,8 @@ a node sells supply up to period + ``f`` x its largest class cost, minus
 its backlog) and §5.1's activation threshold ``t``
 (:data:`repro.core.qant.DEFAULT_ACTIVATION_THRESHOLD`).  This command
 sets both from outside, around each cell it runs: ``f`` on
-:mod:`repro.allocation.qant`, which reads it when an allocator binds, and
+:mod:`repro.core.qant`, whose :func:`~repro.core.qant.backlog_allowance_ms`
+reads it when an allocator binds, and
 ``t`` as the ``activation_threshold`` of the cells' QA-NT allocator
 factory (``fig6._PAIR`` / ``fig5._PAIR``).  It changes no default and
 adds no option to the library.
@@ -51,7 +52,7 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO / "src")]
 
 from repro.allocation import QantAllocator  # noqa: E402
-from repro.allocation import qant as qant_allocation  # noqa: E402
+from repro.core import qant as core_qant  # noqa: E402
 from repro.experiments import fig5, fig6  # noqa: E402
 from repro.experiments.runner import replicate_seeds  # noqa: E402
 from repro.sim import FederationConfig  # noqa: E402
@@ -95,18 +96,18 @@ def constants(factor: float, threshold: Optional[float]) -> Iterator[None]:
     """QA-NT cells built inside run with allowance factor ``factor`` and
     activation threshold ``threshold``; both are restored on exit."""
     saved = (
-        qant_allocation.DEFAULT_ALLOWANCE_FACTOR,
+        core_qant.DEFAULT_ALLOWANCE_FACTOR,
         fig6._PAIR["qa-nt"],
         fig5._PAIR["qa-nt"],
     )
     factory = functools.partial(QantAllocator, activation_threshold=threshold)
-    qant_allocation.DEFAULT_ALLOWANCE_FACTOR = factor
+    core_qant.DEFAULT_ALLOWANCE_FACTOR = factor
     fig6._PAIR["qa-nt"] = fig5._PAIR["qa-nt"] = factory
     try:
         yield
     finally:
         (
-            qant_allocation.DEFAULT_ALLOWANCE_FACTOR,
+            core_qant.DEFAULT_ALLOWANCE_FACTOR,
             fig6._PAIR["qa-nt"],
             fig5._PAIR["qa-nt"],
         ) = saved
