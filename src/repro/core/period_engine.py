@@ -74,7 +74,7 @@ def unsold_decay(prices, remaining, adjustment, floor):
     :meth:`~repro.core.qant.QantPricingAgent._lower_price`, applied
     elementwise; the others keep their bits.  The one array spelling of
     the decay: :class:`QantPeriodEngine` and the shard market planes
-    (:meth:`repro.sim.shards._MarketPlane.boundary`) both call it.
+    (:meth:`repro.sim.shards.plane._MarketPlane.boundary`) both call it.
     """
     factor = 1.0 - remaining * adjustment
     np.maximum(factor, 0.0, out=factor)

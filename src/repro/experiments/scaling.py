@@ -229,7 +229,7 @@ def million_query_run(
     the horizon needed is estimated from a short probe trace and then
     corrected), streams it through a ``shards``-way forked federation,
     each plane taking its slice of the trace as ``slice`` frames of four
-    columns cut at tick edges (``shards._slice_batches``), and returns
+    columns cut at tick edges (``shards.engine._slice_batches``), and returns
     the flat cell payload plus the realised horizon.  QA-NT only — at
     this scale one mechanism is the experiment.
     """

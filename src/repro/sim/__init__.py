@@ -32,7 +32,6 @@ from .shards import (
     ShardTransport,
     ShardedFederation,
     ShardedRunResult,
-    derive_shard_seed,
     plan_shards,
     split_market_classes,
 )
@@ -60,7 +59,6 @@ __all__ = [
     "Simulator",
     "build_federation",
     "derive_fault_seed",
-    "derive_shard_seed",
     "generate_machine_specs",
     "half_partition",
     "normalised_response_times",

@@ -21,11 +21,11 @@ The lifecycle per run:
 
 After the trace's horizon a configurable *drain* window keeps period ticks
 alive so backlogged queries can finish; whatever is still pending when the
-drain ends is recorded as dropped, and what is queued or running then is
-counted as ``in_flight``.  An infinite drain runs until nothing is pending
-or backing off and every query has finished (no drops, nothing in
-flight); a run that has not emptied :data:`DRAIN_CAP_MS` after its
-horizon raises :class:`DrainCapExceeded`.
+drain ends is recorded as dropped, and what is queued, running or still
+on its way to its node then is counted as ``in_flight``.  An infinite
+drain runs until nothing is pending or backing off and every query has
+finished (no drops, nothing in flight); a run that has not emptied
+:data:`DRAIN_CAP_MS` after its horizon raises :class:`DrainCapExceeded`.
 """
 
 from __future__ import annotations
@@ -260,7 +260,7 @@ class FederationSimulation:
             end_of_run = max(
                 (row[7] for row in self._executions), default=horizon
             )
-        self._record_outcomes(end_of_run)
+        self._record_outcomes(end_of_run, times)
         # Let the allocator close its last period before the run's
         # counters are read.
         self._allocator.on_run_end()
@@ -438,7 +438,7 @@ class FederationSimulation:
             )
         )
 
-    def _record_outcomes(self, end_of_run: float) -> None:
+    def _record_outcomes(self, end_of_run: float, arrivals: np.ndarray) -> None:
         """Write the outcome table: every query that finished by
         ``end_of_run`` (inclusive).
 
@@ -446,8 +446,11 @@ class FederationSimulation:
         finishes, which is the ``(time, seq)`` order a completion event
         per query would have fired in; the collector's means are
         order-sensitive sums.  Queries still queued or running are in
-        flight; refused ones still waiting for a retry are dropped.  Each
-        of those waited ``end_of_run - arrival``.
+        flight, and so are those assigned within their negotiation delay
+        of the end, whose enqueue never fired; refused ones still waiting
+        for a retry are dropped.  Each of those waited ``end_of_run -
+        arrival``; ``arrivals`` is the sorted trace's times, the arrival
+        of each qid.
         """
         executions = self._executions
         finished = [row for row in executions if row[7] <= end_of_run]
@@ -455,14 +458,28 @@ class FederationSimulation:
         waits = [
             end_of_run - row[3] for row in executions if row[7] > end_of_run
         ]
+        unqueued = self._unqueued_qids()
+        waits += (end_of_run - arrivals[unqueued]).tolist()
         for pool in (self._pending, self._backoff_pending.values()):
             waits += [end_of_run - query.arrival_ms for query in pool]
         self._metrics.record_outcomes(
             list(zip(*finished)) or [()] * len(OUTCOME_DTYPES),
-            in_flight=len(executions) - len(finished),
+            in_flight=len(executions) - len(finished) + len(unqueued),
             dropped=len(self._pending) + len(self._backoff_pending),
             unfinished_wait_ms=waits,
         )
+
+    def _unqueued_qids(self) -> List[int]:
+        """Qids assigned to a node whose enqueue had not fired when the
+        run ended: every arrived qid in no outcome row and no pool."""
+        pools = (self._pending, self._backoff_pending.values())
+        if len(self._executions) + sum(map(len, pools)) == self._next_qid:
+            return []
+        seen = np.zeros(self._next_qid, dtype=bool)
+        seen[[row[0] for row in self._executions]] = True
+        for pool in pools:
+            seen[[query.qid for query in pool]] = True
+        return np.flatnonzero(~seen).tolist()
 
 
 def generate_machine_specs(

@@ -26,7 +26,7 @@ import random
 import numpy as np
 
 from repro.core.qant import QantParameters
-from repro.sim import MetricsCollector, ShardedRunResult, derive_shard_seed
+from repro.sim import MetricsCollector, ShardedRunResult, derive_fault_seed
 
 #: The federation defaults every sharded test runs at.
 ACTIVATION_THRESHOLD, ALLOWANCE_FACTOR = 2.0, 2.0
@@ -70,7 +70,7 @@ def run_reference_market(world, trace, mechanism, config):
     clock = np.zeros(num_nodes)  # when each node's FIFO really frees
     delays = [
         random.Random(
-            derive_shard_seed(config.seed, ("shard-node-latency", nid))
+            derive_fault_seed(config.seed, ("shard-node-latency", nid))
         )
         for nid in range(num_nodes)
     ]

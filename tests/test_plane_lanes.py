@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 
 from repro.experiments.setups import zipf_world
 from repro.sim import ShardedFederation, ShardPlan
-from repro.sim import shards as shards_module
-from repro.sim.shards import _MarketPlane
+from repro.sim.shards import engine as shards_engine
+from repro.sim.shards import wire as shards_wire
+from repro.sim.shards.plane import _MarketPlane
 
 from test_shards import _plane_init
 
@@ -299,10 +300,10 @@ def _built_planes(world, num_shards, planner=None):
 
     with pytest.MonkeyPatch.context() as patch:
         # The residual plane, and every shard's (its worker core).
-        patch.setattr(shards_module, "_MarketPlane", Recording)
-        patch.setitem(shards_module._CORE_KINDS, "market", Recording)
+        patch.setattr(shards_engine, "_MarketPlane", Recording)
+        patch.setitem(shards_wire._CORE_KINDS, "market", Recording)
         if planner is not None:
-            patch.setattr(shards_module, "plan_shards", planner)
+            patch.setattr(shards_engine, "plan_shards", planner)
         federation = ShardedFederation(
             world.specs, world.placement, world.classes, world.cost_model,
             shards=num_shards, mode="inline",

@@ -38,12 +38,8 @@ from repro.protocol import (
     message_tag,
 )
 from repro.sim.faults import FaultInjector, FaultSpec
-from repro.sim.shards import (
-    _WIRE_PREFIX,
-    _slice_problem,
-    _wire_decode,
-    _wire_encode,
-)
+from repro.sim.shards.plane import _slice_problem
+from repro.sim.shards.wire import _WIRE_PREFIX, _wire_decode, _wire_encode
 
 # ------------------------------------------------------------------ codec
 

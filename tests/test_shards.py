@@ -53,15 +53,17 @@ from repro.sim import (
     ShardPlan,
     ShardTransport,
     build_federation,
-    derive_shard_seed,
     plan_shards,
     split_market_classes,
 )
 from repro.allocation import market_tick
 from repro.sim.faults import derive_fault_seed
 from repro.sim import metrics as metrics_module
-from repro.sim import shards as shards_module
-from repro.sim.shards import _CORE_KINDS, _MarketPlane
+from repro.sim.shards import engine as shards_engine
+from repro.sim.shards import plane as shards_plane
+from repro.sim.shards import wire as shards_wire
+from repro.sim.shards.plane import _MarketPlane
+from repro.sim.shards.wire import _CORE_KINDS
 from repro.workload.trace import WorkloadEvent, zipf_trace
 
 from reference_market import run_reference_market
@@ -114,14 +116,6 @@ def _pair_payload(run) -> str:
 
 # ---------------------------------------------------------------------------
 # partitioner
-
-
-def test_derive_shard_seed_matches_fault_scheme():
-    """Shard RNG seeds reuse the fault layer's sha256 derivation."""
-    assert derive_shard_seed(7, ("shard-node-latency", 3)) == derive_fault_seed(
-        7, ("shard-node-latency", 3)
-    )
-    assert derive_shard_seed(7, ("a",)) != derive_shard_seed(8, ("a",))
 
 
 def test_plan_shards_groups_overlapping_bidder_sets():
@@ -499,7 +493,7 @@ def test_any_placement_same_outcome(monkeypatch):
     golden = (GOLDEN_DIR / "localmarket_zipf_seed0.json").read_text()
     residual = {}
     for name, planner in (("packed", plan_shards), ("dealt", _dealt_plan)):
-        monkeypatch.setattr(shards_module, "plan_shards", planner)
+        monkeypatch.setattr(shards_engine, "plan_shards", planner)
         with _sharded(world, 2, "inline") as federation:
             runs = {
                 m: federation.run(list(trace), m) for m in ("qa-nt", "greedy")
@@ -523,7 +517,7 @@ def test_local_market_invariant_across_transport_modes(mode):
 @given(
     shards=st.sampled_from([2, 4, 8]),
     mode=st.sampled_from(["inline", "fork", "tcp"]),
-    bound=st.sampled_from([4, 64, shards_module._SLICE_ROW_BOUND]),
+    bound=st.sampled_from([4, 64, shards_engine._SLICE_ROW_BOUND]),
     mechanism=st.sampled_from(["qa-nt", "greedy"]),
 )
 @settings(max_examples=12, deadline=None)
@@ -533,7 +527,7 @@ def test_local_market_invariance_property(shards, mode, bound, mechanism):
     moves counters, never market arithmetic."""
     world, trace = _zipf_small()
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(shards_module, "_SLICE_ROW_BOUND", bound)
+        patch.setattr(shards_engine, "_SLICE_ROW_BOUND", bound)
         with _sharded(world, shards, mode) as federation:
             run = federation.run(list(trace), mechanism)
     assert run.invariant_payload() == _local_baseline(mechanism)
@@ -722,10 +716,10 @@ def test_outbox_over_the_row_bound_splits_frames(monkeypatch):
     """A slice holding more rows than the bound goes out as several
     ``slice`` frames; the planes see the same ticks in the same order."""
     world, trace = _zipf_overloaded()
-    default = shards_module._SLICE_ROW_BOUND
+    default = shards_engine._SLICE_ROW_BOUND
     frames = {}
     for bound in (default, 16):
-        monkeypatch.setattr(shards_module, "_SLICE_ROW_BOUND", bound)
+        monkeypatch.setattr(shards_engine, "_SLICE_ROW_BOUND", bound)
         with _overloaded(world, 2, "fork") as federation:
             result = federation.run(list(trace), "qa-nt")
             frames[bound] = federation.transport.posted_frames
@@ -798,14 +792,14 @@ def test_row_bound_never_splits_a_tick(monkeypatch, mode):
     arrays; on tcp each crosses as a raw attachment of its own frame."""
     world, trace, oracle = _quantised_overloaded()
     assert len({e.time_ms for e in trace}) * 8 < len(trace)
-    monkeypatch.setattr(shards_module, "_SLICE_ROW_BOUND", 4)
+    monkeypatch.setattr(shards_engine, "_SLICE_ROW_BOUND", 4)
     payloads = []
 
     def framed(payload):
         payloads.append(payload)
         return encode_frame(payload)
 
-    monkeypatch.setattr(shards_module, "encode_frame", framed)
+    monkeypatch.setattr(shards_wire, "encode_frame", framed)
     with _overloaded(world, 2, mode) as federation:
         transport = federation.transport
         post, rounds = transport.post, []
@@ -823,7 +817,7 @@ def test_row_bound_never_splits_a_tick(monkeypatch, mode):
         frames = [r[shard] for r in rounds[:-1] if r[shard] is not None]
         assert {frame[0] for frame in frames} == {"slice"}
         assert all(
-            shards_module._slice_problem(frame[1:]) is None for frame in frames
+            shards_plane._slice_problem(frame[1:]) is None for frame in frames
         )
         last_sent = -1.0
         for _, times, *_ in frames:
@@ -833,7 +827,7 @@ def test_row_bound_never_splits_a_tick(monkeypatch, mode):
         assert len(frames) > 3 * periods
     # What the tcp wire wrote: each slice frame's four columns as the
     # attachments its header references, <f8 then three <i8.
-    prefix = shards_module._WIRE_PREFIX
+    prefix = shards_wire._WIRE_PREFIX
     slices = []
     for payload in payloads:
         size, count = prefix.unpack_from(payload)
@@ -956,7 +950,7 @@ def _plane_init(costs, cap=4.0, threshold=2.0, allowances=None):
             else allowance
             for row, allowance in zip(costs, allowances)
         ],
-        "latency_seeds": [derive_shard_seed(2, ("n", n)) for n in nodes],
+        "latency_seeds": [derive_fault_seed(2, ("n", n)) for n in nodes],
         "base_ms": 1.0,
         "jitter_ms": 0.5,
         "factor": 1.1,
@@ -1263,7 +1257,7 @@ def _digests_by_mode(chunk_rows=None):
     with pytest.MonkeyPatch.context() as patch:
         if chunk_rows is not None:
             patch.setattr(metrics_module, "_DIGEST_ROWS", chunk_rows)
-            patch.setattr(shards_module, "_RENDER_ROWS", chunk_rows)
+            patch.setattr(shards_plane, "_RENDER_ROWS", chunk_rows)
         for mode in ("inline", "fork", "tcp"):
             for shards in (2, 3):
                 with _sharded(world, shards, mode) as federation:
@@ -1309,7 +1303,7 @@ def test_rendered_rows_hash_the_same_in_small_chunks():
     """Seven rows per chunk, both where the planes render and where the
     coordinator hashes: chunk edges fall inside every plane's text and
     inside every hashed run of rows, and no digest moves."""
-    assert shards_module._RENDER_ROWS > 7
+    assert shards_plane._RENDER_ROWS > 7
     assert _digests_by_mode(chunk_rows=7) == _digests_by_mode()
 
 
@@ -1480,7 +1474,7 @@ def test_killed_worker_raises_shard_failure_and_close_reaps(mode, monkeypatch):
             os.kill(victim.pid, signal.SIGKILL)
             victim.join(timeout=5.0)
 
-    monkeypatch.setattr(shards_module, "_SLICE_ROW_BOUND", 64)
+    monkeypatch.setattr(shards_engine, "_SLICE_ROW_BOUND", 64)
     transport.post = post_then_kill
     try:
         # Raising at all is the bound: a barrier on a dead worker that
@@ -1567,7 +1561,7 @@ def test_worker_exception_reaches_the_coordinator(mode, op, monkeypatch):
                 raise ArithmeticError("scripted %s failure" % op)
         return original(self, *args)
 
-    monkeypatch.setattr(shards_module, "_SLICE_ROW_BOUND", 64)
+    monkeypatch.setattr(shards_engine, "_SLICE_ROW_BOUND", 64)
     monkeypatch.setattr(_MarketPlane, method, scripted)
     federation = _overloaded(world, 2, mode)
     transport = federation.transport
@@ -1635,7 +1629,7 @@ def _exits_at_once(host, port, index):
 
 
 def _claims_seat(seat, host, port, index):
-    channel = shards_module._WireChannel(
+    channel = shards_wire._WireChannel(
         socket.create_connection((host, port))
     )
     channel.send(["hello", seat])
@@ -1657,7 +1651,7 @@ def _claims_seat(seat, host, port, index):
 def test_tcp_start_up_fails_fast_on_a_bad_worker(monkeypatch, worker, cause):
     """``accept()`` had no way out when a worker died before connecting,
     and the ``hello`` index was trusted as it arrived."""
-    monkeypatch.setattr(shards_module, "_tcp_shard_worker", worker)
+    monkeypatch.setattr(shards_wire, "_tcp_shard_worker", worker)
     started = time.perf_counter()
     with pytest.raises(ShardFailure, match=cause) as failure:
         ShardTransport([{"kind": "market"}] * 2, mode="tcp")
@@ -1672,7 +1666,7 @@ def _answers_garbage(real_worker, garbage, host, port, index):
     if index:
         return real_worker(host, port, index)
     sock = socket.create_connection((host, port))
-    channel = shards_module._WireChannel(sock)
+    channel = shards_wire._WireChannel(sock)
     channel.send(["hello", index])
     try:
         channel.recv()  # the init frame
@@ -1693,7 +1687,7 @@ def _reply_frame(cells):
     "garbage, cause",
     [
         (
-            encode_frame(shards_module._WIRE_PREFIX.pack(8, 0) + b"not json"),
+            encode_frame(shards_wire._WIRE_PREFIX.pack(8, 0) + b"not json"),
             "header is not JSON",
         ),
         (b"\xff\xff\xff\xff", "exceeds MAX_FRAME_BYTES"),
@@ -1720,9 +1714,9 @@ def test_malformed_tcp_frame_is_a_shard_failure(monkeypatch, garbage, cause):
     ``ValueError`` naming neither shard nor op; an attachment that does
     not read is refused the same way."""
     worker = functools.partial(
-        _answers_garbage, shards_module._tcp_shard_worker, garbage
+        _answers_garbage, shards_wire._tcp_shard_worker, garbage
     )
-    monkeypatch.setattr(shards_module, "_tcp_shard_worker", worker)
+    monkeypatch.setattr(shards_wire, "_tcp_shard_worker", worker)
     world, trace = _zipf_small()
     federation = _sharded(world, 2, "tcp")
     try:
@@ -1798,6 +1792,15 @@ def _misrendered_first_row(reply):
     reply["text"][0] = (b"2" if text[:1] == b"1" else b"1") + text[1:]
 
 
+def _dropped_last_row(reply):
+    """The last row gone from the columns, the text and ``row_ends``
+    alike: a reply every shape check passes."""
+    ends = reply["row_ends"]
+    reply["columns"] = [column[:-1] for column in reply["columns"]]
+    reply["text"] = [b"".join(reply["text"])[: int(ends[-2])]]
+    reply["row_ends"] = ends[:-1]
+
+
 def _straddling_row(reply):
     text = b"".join(reply["text"])
     cut = int(reply["row_ends"][0]) + 1  # inside row 1
@@ -1823,6 +1826,7 @@ def _straddling_row(reply):
         (_stalled_row_ends, "row_ends is not increasing"),
         (_long_text, "row_ends ends at .*, the text has .* characters"),
         (_straddling_row, "a row straddles two text chunks"),
+        (_dropped_last_row, "the reply accounts for .* rows, .* were routed"),
         (
             _misrendered_first_row,
             "row .*'s text is not the rendering of its merged columns",
@@ -1832,7 +1836,8 @@ def _straddling_row(reply):
         "float-qids", "eight-columns", "ragged", "no-pending", "no-maxrss",
         "text-maxrss", "text-self-time", "nan-self-time", "joined-text",
         "non-ascii-text", "float-row-ends", "short-row-ends",
-        "stalled-row-ends", "long-text", "straddling-row", "misrendered-row",
+        "stalled-row-ends", "long-text", "straddling-row", "dropped-row",
+        "misrendered-row",
     ],
 )
 def test_malformed_collect_reply_is_a_shard_failure(
@@ -1841,9 +1846,10 @@ def test_malformed_collect_reply_is_a_shard_failure(
     """A reply's columns used to be merged unchecked: a worker that sent
     its qids as floats finished the run with every qid truncated.  A
     missing or non-numeric peak RSS or self-time escaped ``run()`` as a
-    bare ``KeyError``, ``TypeError`` or ``ValueError``."""
+    bare ``KeyError``, ``TypeError`` or ``ValueError``.  A reply that
+    dropped a row whole merged short."""
 
-    class _Mangling(shards_module._MarketPlane):
+    class _Mangling(shards_plane._MarketPlane):
         def handle(self, frame):
             reply = super().handle(frame)
             if frame[0] == "collect":
@@ -2067,15 +2073,15 @@ def test_an_unreadable_barrier_frame_is_answered_at_once(frame):
     reported a ``TimeoutError``.  The worker now answers it with its
     ``ProtocolError`` at once, and still exits at ``close``."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(shards_module, "_WIRE_DEADLINE_S", 5.0)
+        patch.setattr(shards_wire, "_WIRE_DEADLINE_S", 5.0)
         patch.setitem(_CORE_KINDS, "echo", _EchoCore)
         transport = ShardTransport([{"kind": "echo"}], mode="tcp")
         peer = transport._peers[0]
 
         def mangled(frame):
-            head, buffers = shards_module._wire_encode(frame)
+            head, buffers = shards_wire._wire_encode(frame)
             payload = bytearray(b"".join([head, *buffers]))
-            payload[shards_module._WIRE_PREFIX.size] ^= 0xFF  # header's "["
+            payload[shards_wire._WIRE_PREFIX.size] ^= 0xFF  # header's "["
             peer._sock.sendall(encode_frame(bytes(payload)))
 
         try:
@@ -2107,7 +2113,7 @@ _JSON_VALUES = st.recursive(
 
 def _wire_bytes(value):
     """``value``'s frame payload as the tcp wire writes it."""
-    head, buffers = shards_module._wire_encode(value)
+    head, buffers = shards_wire._wire_encode(value)
     return b"".join([head, *buffers])
 
 
@@ -2129,7 +2135,7 @@ _WIRE_GARBAGE = {
     ),
     "not-json": st.binary(max_size=16).map(
         lambda b: encode_frame(
-            shards_module._WIRE_PREFIX.pack(len(b) + 1, 0) + b"\xff" + b
+            shards_wire._WIRE_PREFIX.pack(len(b) + 1, 0) + b"\xff" + b
         )
     ),
     "json-not-a-frame": _JSON_VALUES.map(_wire_bytes),
@@ -2146,7 +2152,7 @@ def test_wire_channel_takes_any_bytes_then_a_hang_up(blobs, polled):
     frames and then raises ``EOFError`` or ``ValueError``: it never hangs
     and never raises anything else."""
     ours, theirs = socket.socketpair()
-    channel = shards_module._WireChannel(ours)
+    channel = shards_wire._WireChannel(ours)
     try:
         theirs.sendall(b"".join(blobs))
         theirs.close()
@@ -2170,7 +2176,7 @@ def test_wire_garbage_is_a_shard_failure(kind, data):
     blob = data.draw(_WIRE_GARBAGE[kind])
     transport = ShardTransport([], mode="inline")
     ours, theirs = socket.socketpair()
-    transport._peers = [shards_module._WireChannel(ours)]
+    transport._peers = [shards_wire._WireChannel(ours)]
     try:
         theirs.sendall(blob)
         theirs.close()
@@ -2190,7 +2196,7 @@ def test_wire_send_puts_the_joined_frame_on_the_socket(joined_bytes, monkeypatch
     """Written attachment by attachment or joined, a frame is the same
     bytes as ``encode_frame`` of its payload, and the other end reads it
     back."""
-    monkeypatch.setattr(shards_module, "_JOINED_FRAME_BYTES", joined_bytes)
+    monkeypatch.setattr(shards_wire, "_JOINED_FRAME_BYTES", joined_bytes)
     reply = {
         "columns": [np.arange(5), np.linspace(0.0, 1.0, 5)],
         "text": [b"1,2,0.5;", b"3,4,0.25;"],
@@ -2199,7 +2205,7 @@ def test_wire_send_puts_the_joined_frame_on_the_socket(joined_bytes, monkeypatch
     }
     expected = encode_frame(_wire_bytes(reply))
     ours, theirs = socket.socketpair()
-    sender = shards_module._WireChannel(ours)
+    sender = shards_wire._WireChannel(ours)
     try:
         sender.send(reply)
         theirs.settimeout(5.0)
@@ -2290,7 +2296,7 @@ def test_close_is_bounded_by_a_stuck_worker(mode, monkeypatch, caplog):
     no bound, so a worker stuck inside a posted frame hung it forever;
     the kill it falls back on is logged, naming the shard."""
     grace = 0.5
-    monkeypatch.setattr(shards_module, "_CLOSE_GRACE_S", grace)
+    monkeypatch.setattr(shards_wire, "_CLOSE_GRACE_S", grace)
     monkeypatch.setitem(_CORE_KINDS, "test-stuck", _StuckCore)
     assert multiprocessing.active_children() == []
     transport = ShardTransport(
@@ -2317,8 +2323,8 @@ def test_recv_deadline_fails_a_silent_shard(mode, monkeypatch, caplog):
     on a bare ``recv()``; now the shard fails by name within the
     deadline, the timeout is logged, and ``close()`` reaps the worker."""
     deadline = 0.5
-    monkeypatch.setattr(shards_module, "_WIRE_DEADLINE_S", deadline)
-    monkeypatch.setattr(shards_module, "_CLOSE_GRACE_S", 0.5)
+    monkeypatch.setattr(shards_wire, "_WIRE_DEADLINE_S", deadline)
+    monkeypatch.setattr(shards_wire, "_CLOSE_GRACE_S", 0.5)
     monkeypatch.setitem(_CORE_KINDS, "test-sleepy", _SleepyEchoCore)
     assert multiprocessing.active_children() == []
     transport = ShardTransport(
@@ -2351,8 +2357,8 @@ def test_send_deadline_fails_a_shard_that_stopped_reading(
     the shard by name when the peer takes no more bytes for the
     deadline, the timeout is logged, and ``close()`` reaps the worker."""
     deadline = 0.5
-    monkeypatch.setattr(shards_module, "_WIRE_DEADLINE_S", deadline)
-    monkeypatch.setattr(shards_module, "_CLOSE_GRACE_S", 0.5)
+    monkeypatch.setattr(shards_wire, "_WIRE_DEADLINE_S", deadline)
+    monkeypatch.setattr(shards_wire, "_CLOSE_GRACE_S", 0.5)
     monkeypatch.setitem(_CORE_KINDS, "test-stuck", _StuckCore)
     assert multiprocessing.active_children() == []
     transport = ShardTransport(
@@ -2404,7 +2410,7 @@ def test_worker_send_deadline_ends_a_worker_nobody_reads(mode, monkeypatch):
     fails once the buffers are full and stay full for the deadline, and
     the worker exits cleanly by itself."""
     deadline = 0.5
-    monkeypatch.setattr(shards_module, "_WIRE_DEADLINE_S", deadline)
+    monkeypatch.setattr(shards_wire, "_WIRE_DEADLINE_S", deadline)
     monkeypatch.setitem(_CORE_KINDS, "test-big", _BigReplyCore)
     assert multiprocessing.active_children() == []
     transport = ShardTransport([{"kind": "test-big", "mib": 16}], mode=mode)
@@ -2440,7 +2446,7 @@ def test_localmarket_zipf_matches_golden():
 def test_localmarket_golden_is_config_invariant(monkeypatch):
     """The same golden re-verifies over sockets at a different shard
     count and with slices cut into 16-row frames."""
-    monkeypatch.setattr(shards_module, "_SLICE_ROW_BOUND", 16)
+    monkeypatch.setattr(shards_engine, "_SLICE_ROW_BOUND", 16)
     assert _localmarket_zipf_payload(2, "tcp") == (
         GOLDEN_DIR / "localmarket_zipf_seed0.json"
     ).read_text()

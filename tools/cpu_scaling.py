@@ -8,7 +8,7 @@ Runs N alternating pairs of
 in this working tree through ``tools/perf_pairs.py``'s ``run_once``, one
 run pinned to CPU set A and one to set B per pair (``os.sched_setaffinity``
 in the child before it starts, so shard workers inherit the set and
-``shards._claim_cpu`` pins each one inside it), swapping which set goes
+``shards.wire._claim_cpu`` pins each one inside it), swapping which set goes
 first every pair.  Then it prints, for every end-to-end metric of
 ``BENCHMARK.json``, the median and interquartile range of the per-pair
 speedup B over A (above 1 = set B is better, for "lower is better"

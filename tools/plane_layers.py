@@ -37,7 +37,8 @@ REPO = pathlib.Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(REPO), str(REPO / "src")]
 
 from perf.workloads import WORKLOADS, prepare  # noqa: E402
-from repro.sim.shards import ShardedRunResult, _MarketPlane  # noqa: E402
+from repro.sim.shards import ShardedRunResult  # noqa: E402
+from repro.sim.shards.plane import _MarketPlane  # noqa: E402
 
 #: Timed methods, by label: the owner and the method's name.
 WRAPPED = {
